@@ -13,6 +13,9 @@
 #   make calibrate          quick alpha/beta/gamma fit from measured curves,
 #                           written to results/calibrated_network.json (load
 #                           anywhere with --network calibrated:<path>)
+#   make bench-gate         the repo benchmark's own tests plus one quick
+#                           round of every BENCHMARK.json workload, oracles
+#                           on (bench/ is outside pytest's testpaths)
 #   make bench-smoke        a quick pass over the cheapest benchmark figures
 #   make bench              every benchmark table/figure (minutes)
 #
@@ -27,7 +30,7 @@ PYTHON ?= python
 # invocations need it on PYTHONPATH explicitly.
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: test lint smoke bench-smoke bench bench-kernels bench-kernels-full calibrate
+.PHONY: test lint smoke bench-smoke bench bench-kernels bench-kernels-full calibrate bench-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,6 +63,10 @@ bench-kernels-full:
 
 calibrate:
 	$(RUN) -m repro calibrate --quick
+
+bench-gate:
+	$(PYTHON) -m pytest bench/test_bench.py -q
+	$(PYTHON) bench/run.py --quick
 
 bench-smoke:
 	$(PYTHON) -m pytest -q benchmarks/test_fig1_fillin.py benchmarks/test_fig7_expected_k.py benchmarks/test_table1_datasets.py benchmarks/test_tiered_replay.py

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..costmodel.adaptive import consistent_mean
-from ..costmodel.model import CostModel, Instance
+from ..costmodel.adaptive import Agreed, consistent_mean
+from ..costmodel.model import Instance
 from ..quant import QSGDQuantizer
 from ..runtime.backend import Backend, ParallelResult
 from ..runtime.comm import Communicator
@@ -28,7 +28,6 @@ from .dense import (
 )
 from .dsar import dsar_split_allgather
 from .hier import _check_chunks, dsar_hierarchical, ssar_hierarchical
-from .selector import choose_algorithm
 from .sparse import ssar_recursive_double, ssar_ring, ssar_split_allgather
 
 __all__ = [
@@ -77,6 +76,7 @@ def resolve_collective(
     quantizer: QSGDQuantizer | None = None,
     op: "ReduceOp | str" = SUM,
     chunks: "int | str" = 1,
+    agreed: "Agreed | None" = None,
 ) -> "tuple[object, dict]":
     """Resolve the public allreduce knobs into ``(algorithm_fn, kwargs)``.
 
@@ -97,39 +97,36 @@ def resolve_collective(
     mismatched schedules deadlock. Both knobs are therefore collective
     when set to ``"auto"`` (all ranks pass the same knob values already,
     per the collective contract, so the agreement round is uniform too).
+
+    ``agreed`` (internal) is that estimate when the caller has already
+    agreed on it — a step that launches several collectives runs *one*
+    vector round for all of them (see
+    :meth:`~repro.costmodel.AdaptiveSelector.step_agreeing`) — together
+    with the cost model it is priced under; the call then costs no
+    messages. Without it the default model prices the instance.
     """
     auto_algorithm = algorithm == "auto"
     auto_chunks = chunks == "auto"
     if not auto_chunks:
         _check_chunks(chunks)
-    estimate: float | None = None
     if auto_algorithm or auto_chunks:
-        estimate = consistent_mean(comm, float(stream.nnz))
-        estimate = min(max(estimate, 0.0), float(stream.dimension))
-    if auto_algorithm:
-        algorithm = choose_algorithm(
+        if agreed is None:
+            agreed = Agreed(consistent_mean(comm, float(stream.nnz)))
+        instance = Instance(
             stream.dimension,
             comm.size,
-            estimate,
+            min(max(agreed.nnz, 0.0), float(stream.dimension)),
             stream.value_dtype.itemsize,
-            topology=comm.topology,
         )
+    if auto_algorithm:
+        algorithm = agreed.model.choose(instance, comm.topology)
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)} or 'auto'"
         )
     if auto_chunks:
-        chunks = (
-            CostModel.default().auto_chunks(
-                Instance(
-                    stream.dimension, comm.size, estimate, stream.value_dtype.itemsize
-                ),
-                algorithm,
-                topology=comm.topology,
-            )
-            if algorithm in CHUNKED_ALGORITHMS
-            else 1  # flat algorithms ignore chunking; keep the no-op silent
-        )
+        # 1 for the flat algorithms, which ignore chunking silently
+        chunks = agreed.model.auto_chunks(instance, algorithm, topology=comm.topology)
     kwargs: dict = {"op": _resolve_op(op)}
     if algorithm in DSAR_ALGORITHMS:
         kwargs["quantizer"] = quantizer

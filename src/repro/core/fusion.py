@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..collectives.api import sparse_allreduce
+from ..collectives.api import resolve_collective
+from ..costmodel.adaptive import Agreed, consistent_mean
 from ..quant import QSGDQuantizer
 from ..runtime.comm import Communicator, Handle
 from ..runtime.nonblocking import i_collective
@@ -32,44 +33,29 @@ __all__ = ["FusedBucket", "FusedPendingUpdate", "GradientFuser"]
 
 
 class FusedPendingUpdate(Handle):
-    """In-flight fused allreduce: one background collective per bucket.
+    """In-flight fused allreduce: one background collective for the call.
 
-    ``wait()`` joins the buckets *in layout order* (the non-blocking
-    collective contract: all ranks join in the same program order) and
-    scatters each bucket's dense total into the fused output vector. If a
-    bucket's collective failed, the remaining handles are still reaped —
-    so no background thread outlives the step — and the first failure is
-    re-raised.
+    Its progress thread reduces the buckets in layout order and scatters
+    each dense total into the fused output vector, which ``wait()``
+    returns. A bucket that fails ends the thread there; ``wait()``
+    re-raises its error, and no thread outlives the join.
     """
 
-    def __init__(
-        self, buckets: "list[FusedBucket]", handles: "list[Handle]", out: np.ndarray
-    ) -> None:
-        self._buckets = buckets
-        self._handles = handles
-        self._out = out
-        self._done = False
+    def __init__(self, handle: Handle) -> None:
+        self._handle = handle
 
     def wait(self) -> np.ndarray:
-        if self._done:
-            return self._out
-        first: BaseException | None = None
-        for bucket, handle in zip(self._buckets, self._handles):
-            try:
-                total = handle.wait()
-            except BaseException as exc:  # noqa: BLE001 - reap all, raise first
-                if first is None:
-                    first = exc
-                continue
-            if first is None:
-                self._out[bucket.start: bucket.stop] = total.to_dense()
-        self._done = True
-        if first is not None:
-            raise first
-        return self._out
+        return self._handle.wait()
 
     def test(self) -> bool:
-        return self._done or all(h.test() for h in self._handles)
+        return self._handle.test()
+
+
+def _reduce_buckets(comm: Communicator, plan: list, out: np.ndarray) -> np.ndarray:
+    """Run a fused call's resolved bucket collectives in layout order."""
+    for bucket, fn, sent, kwargs in plan:
+        out[bucket.start: bucket.stop] = fn(comm, sent, **kwargs).to_dense()
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,9 +177,9 @@ class GradientFuser:
         :func:`~repro.collectives.api.sparse_allreduce`); ``selector``
         (an :class:`~repro.costmodel.AdaptiveSelector`, requires
         ``algorithm="auto"``) resolves one algorithm per *call* from the
-        mean selected bucket nnz — one agreement round instead of one
-        per bucket, and the choice adapts across steps as the realized
-        density drifts.
+        mean selected bucket nnz, and the choice adapts across steps as
+        the realized density drifts. Whatever the knobs, a call runs at
+        most one agreement round (see :meth:`_plan`).
         """
         if nonblocking:
             return self.i_fused_allreduce(
@@ -201,8 +187,24 @@ class GradientFuser:
                 algorithm=algorithm, quantizer=quantizer, chunks=chunks,
                 selector=selector,
             ).wait()
+        plan = self._plan(
+            comm, grad, error_feedback, algorithm, quantizer, chunks, selector
+        )
+        return _reduce_buckets(comm, plan, np.empty_like(grad))
+
+    def _plan(
+        self, comm, grad, error_feedback, algorithm, quantizer, chunks, selector
+    ) -> list:
+        """The calling-thread half of a fused call: select, agree, resolve.
+
+        TopK selection runs first, so error-feedback state mutates in
+        program order. Then *one* agreement round settles everything the
+        call's ``"auto"`` knobs need — the selector's density estimate
+        and every bucket's selected nnz ride the same vector — and each
+        bucket resolves from its pre-agreed estimate without messages of
+        its own. Returns ``(bucket, fn, stream, kwargs)`` per bucket.
+        """
         self._check_fused_args(grad, error_feedback)
-        out = np.empty_like(grad)
         selected = []
         for bucket, ef in zip(self.buckets, error_feedback):
             segment = grad[bucket.start: bucket.stop]
@@ -210,22 +212,24 @@ class GradientFuser:
             if quantizer is not None:
                 sent = quantize_stream_values(sent, quantizer)
             selected.append(sent)
-        algorithm = self._resolve_fused_algorithm(comm, algorithm, selector, selected)
-        for bucket, sent in zip(self.buckets, selected):
-            total = sparse_allreduce(comm, sent, algorithm=algorithm, chunks=chunks)
-            out[bucket.start: bucket.stop] = total.to_dense()
-        return out
-
-    def _resolve_fused_algorithm(
-        self, comm: Communicator, algorithm: str, selector, selected: list
-    ) -> str:
-        """One adaptive resolution covering every bucket of this call."""
-        if selector is None:
-            return algorithm
-        if algorithm != "auto":
-            raise ValueError("selector requires algorithm='auto'")
-        mean_nnz = sum(s.nnz for s in selected) / max(1, len(selected))
-        return selector.step(comm, mean_nnz)
+        nnz = [float(s.nnz) for s in selected]
+        agreed: "list[Agreed | None]" = [None] * len(selected)
+        if selector is not None:
+            if algorithm != "auto":
+                raise ValueError("selector requires algorithm='auto'")
+            algorithm, estimates = selector.step_agreeing(
+                comm, sum(nnz) / len(nnz), nnz if chunks == "auto" else ()
+            )
+            agreed = estimates or agreed
+        elif "auto" in (algorithm, chunks):
+            agreed = [Agreed(mean) for mean in consistent_mean(comm, nnz)]
+        plan = []
+        for bucket, sent, estimate in zip(self.buckets, selected, agreed):
+            fn, kwargs = resolve_collective(
+                comm, sent, algorithm=algorithm, chunks=chunks, agreed=estimate
+            )
+            plan.append((bucket, fn, sent, kwargs))
+        return plan
 
     def i_fused_allreduce(
         self,
@@ -237,35 +241,25 @@ class GradientFuser:
         chunks: "int | str" = 1,
         selector=None,
     ) -> FusedPendingUpdate:
-        """Async mode: launch one non-blocking collective per fused bucket.
+        """Async mode: one background collective reduces every bucket.
 
-        TopK selection (and optional value quantization) runs eagerly on
-        the calling thread — error-feedback state must mutate in program
-        order — then each bucket's collective is launched through the
-        stream form of :func:`~repro.runtime.nonblocking.i_collective`
-        and proceeds in the background, so bucket ``k+1``'s selection and
-        all caller compute overlap bucket ``k``'s communication. The
-        returned :class:`FusedPendingUpdate` joins in bucket order and
-        assembles the dense update; results are bit-identical to
+        TopK selection (and optional value quantization), the call's one
+        agreement round and every bucket's resolution run eagerly on the
+        calling thread; then a single progress thread
+        (:func:`~repro.runtime.nonblocking.i_collective`) reduces the
+        buckets in layout order while the caller computes. The returned
+        :class:`FusedPendingUpdate` joins it and hands back the dense
+        update; results are bit-identical to
         :meth:`fused_topk_allreduce` (same selection, same collectives,
         unquantized). ``selector`` resolves one adaptive algorithm per
         call (see :meth:`fused_topk_allreduce`).
         """
-        self._check_fused_args(grad, error_feedback)
-        out = np.empty_like(grad)
-        selected = []
-        for bucket, ef in zip(self.buckets, error_feedback):
-            segment = grad[bucket.start: bucket.stop]
-            sent = ef.select(segment.astype(np.float32, copy=False))
-            if quantizer is not None:
-                sent = quantize_stream_values(sent, quantizer)
-            selected.append(sent)
-        algorithm = self._resolve_fused_algorithm(comm, algorithm, selector, selected)
-        handles: list[Handle] = [
-            i_collective(comm, sent, algorithm=algorithm, chunks=chunks)
-            for sent in selected
-        ]
-        return FusedPendingUpdate(self.buckets, handles, out)
+        plan = self._plan(
+            comm, grad, error_feedback, algorithm, quantizer, chunks, selector
+        )
+        return FusedPendingUpdate(
+            i_collective(comm, _reduce_buckets, plan, np.empty_like(grad))
+        )
 
     def make_error_feedback(
         self, k: int, bucket_size: int | None = 512

@@ -2,7 +2,7 @@
 :class:`CostModel` every selection/replay/sweep consumer shares, fitted
 (calibrated) models, and adaptive runtime selection."""
 
-from .adaptive import AdaptiveSelector, AlgorithmSwitch, consistent_mean
+from .adaptive import AdaptiveSelector, Agreed, AlgorithmSwitch, consistent_mean
 from .bounds import (
     Bounds,
     beta_dense,
@@ -24,6 +24,7 @@ from .calibrate import (
     calibrate_from_doc,
     fit_alpha_beta,
     fit_gamma,
+    measure_launch,
     run_calibration,
 )
 from .model import (
@@ -57,6 +58,7 @@ __all__ = [
     "PredictedCost",
     "SelectionReport",
     "AdaptiveSelector",
+    "Agreed",
     "AlgorithmSwitch",
     "consistent_mean",
     "SMALL_MESSAGE_BYTES",
@@ -65,6 +67,7 @@ __all__ = [
     "MAX_AUTO_CHUNKS",
     "fit_alpha_beta",
     "fit_gamma",
+    "measure_launch",
     "calibrate_from_doc",
     "run_calibration",
     "DEFAULT_CALIBRATION_OUT",

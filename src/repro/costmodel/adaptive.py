@@ -8,11 +8,15 @@ change ``P``). :class:`AdaptiveSelector` closes the loop: it tracks the
 re-runs :meth:`~repro.costmodel.CostModel.rank` when the estimate drifts
 past a threshold (or the world size changes), and — crucially — agrees
 on the estimate *collectively* so every rank switches algorithm on the
-same iteration. The agreement is one cheap scalar round (a rank-ordered
-gather to root plus a broadcast of the mean), the same rank-independent
+same iteration. The agreement is one cheap round (a rank-ordered gather
+to root plus a broadcast of the mean), the same rank-independent
 resolution idiom the async driver uses for post-shrink worlds: the mean
 of a deterministic, rank-ordered gather is bit-identical everywhere, so
-the switch sequence replays identically on every backend.
+the switch sequence replays identically on every backend. The round
+carries a vector, so whatever else the step must agree on — the nnz of
+every collective it is about to launch, for ``chunks="auto"`` — rides
+along (:meth:`AdaptiveSelector.step_agreeing`) instead of paying a round
+of its own.
 """
 
 from __future__ import annotations
@@ -22,22 +26,44 @@ from dataclasses import dataclass, field
 
 from .model import CostModel, Instance, SelectionReport
 
-__all__ = ["AdaptiveSelector", "AlgorithmSwitch", "consistent_mean"]
+__all__ = ["AdaptiveSelector", "AlgorithmSwitch", "Agreed", "consistent_mean"]
 
 
-def consistent_mean(comm, value: float) -> float:
-    """One collectively-agreed scalar: the mean of every rank's ``value``.
+def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]"):
+    """One collectively-agreed mean of every rank's ``value``.
 
+    ``value`` is a scalar or a list/tuple of scalars (all ranks pass the
+    same length); the result has the same shape, averaged component-wise.
     Root gathers (rank order is deterministic), reduces with ``fsum``
     (one fixed summation order), and broadcasts — so every rank receives
-    the *same float*, bit for bit, regardless of backend or scheduling.
-    At world size 1 this is free.
+    the *same floats*, bit for bit, regardless of backend or scheduling.
+    One round whatever the length; at world size 1 it is free.
     """
+    vector = isinstance(value, (list, tuple))
+    local = [float(v) for v in value] if vector else float(value)
     if comm.size == 1:
-        return float(value)
-    votes = comm.gather_to_root(float(value), root=0)
-    mean = math.fsum(votes) / len(votes) if votes is not None else None
+        return local
+    votes = comm.gather_to_root(local, root=0)
+    mean = None
+    if votes is not None:
+        columns = zip(*votes) if vector else [votes]
+        means = [math.fsum(column) / len(votes) for column in columns]
+        mean = means if vector else means[0]
     return comm.bcast(mean, root=0)
+
+
+@dataclass(frozen=True)
+class Agreed:
+    """A rank-consistent nnz estimate and the model to price it under.
+
+    What :func:`~repro.collectives.api.resolve_collective` needs in order
+    to resolve ``"auto"`` knobs without an agreement round of its own:
+    callers that already ran one (:meth:`AdaptiveSelector.step_agreeing`,
+    the fused-bucket launch) hand the result in.
+    """
+
+    nnz: float
+    model: CostModel = field(default_factory=CostModel.default)
 
 
 @dataclass(frozen=True)
@@ -137,13 +163,32 @@ class AdaptiveSelector:
         iteration — the natural contract, since they are about to run an
         allreduce together anyway).
         """
+        return self.step_agreeing(comm, local_nnz)[0]
+
+    def step_agreeing(
+        self, comm, local_nnz: float, launching: "list[float] | tuple" = ()
+    ) -> "tuple[str, list[Agreed]]":
+        """:meth:`step`, with passengers on its agreement round.
+
+        ``launching`` holds the local nnz of every collective the caller
+        is about to launch; their rank-consistent means come back as
+        :class:`Agreed` estimates under this selector's model, in order,
+        for :func:`~repro.collectives.api.resolve_collective` to price
+        ``chunks="auto"`` with — one round per step instead of one per
+        collective. With passengers the round runs every iteration
+        (re-selection still follows ``sync_every``).
+        """
         self.observe(local_nnz)
         self._iteration += 1
         resized = self._world_size is not None and comm.size != self._world_size
         due = (self._iteration - 1) % self.sync_every == 0
-        if self.algorithm is not None and not due and not resized:
-            return self.algorithm
-        estimate = consistent_mean(comm, self._local_ewma)
+        syncing = self.algorithm is None or due or resized
+        if not syncing and not launching:
+            return self.algorithm, []
+        estimate, *means = consistent_mean(comm, [self._local_ewma, *launching])
+        agreed = [Agreed(mean, self.model) for mean in means]
+        if not syncing:
+            return self.algorithm, agreed
         estimate = min(max(estimate, 0.0), float(self.dimension))
         self._world_size = comm.size
         drifted = (
@@ -157,7 +202,7 @@ class AdaptiveSelector:
                 else f"density drift (anchor {self._anchor:.1f} -> {estimate:.1f})"
             )
             self._select(comm, estimate, reason)
-        return self.algorithm
+        return self.algorithm, agreed
 
     def _select(self, comm, estimate: float, reason: str) -> None:
         instance = Instance(

@@ -11,7 +11,14 @@ bench-kernels measurement layers *on the actual host*:
   the slowest transport the harness has — the honest stand-in for a
   network link on a single box);
 * **gamma** from the microkernel layer: seconds per byte touched by the
-  reused-scratch sparse merge (the §5.1 summation kernel).
+  reused-scratch sparse merge (the §5.1 summation kernel);
+* **launch** — what launching and joining one background collective
+  costs in software, the price :meth:`CostModel.auto_chunks` charges per
+  extra pipeline chunk: a tiny allreduce run through ``i_collective`` and
+  joined at once, minus the same allreduce run inline, on the smallest
+  world a hierarchical collective can be chunked on (2 hosts x 2 ranks
+  of the inter-tier backend). No bench-kernels layer records it, so it
+  is always measured here (under a second).
 
 The fitted model is written as a named JSON under ``results/`` via
 :func:`repro.netsim.model.save_network`, and every ``--network`` flag
@@ -25,16 +32,24 @@ measured directly (a few seconds in ``--quick`` mode).
 from __future__ import annotations
 
 import platform
+import statistics
+import time
 from pathlib import Path
 from typing import Any
 
 from ..config import INDEX_BYTES
-from ..netsim.model import NetworkModel, TieredNetworkModel, save_network
+from ..netsim.model import (
+    DEFAULT_LAUNCH_S,
+    NetworkModel,
+    TieredNetworkModel,
+    save_network,
+)
 from .model import CostModel
 
 __all__ = [
     "fit_alpha_beta",
     "fit_gamma",
+    "measure_launch",
     "calibrate_from_doc",
     "run_calibration",
     "DEFAULT_CALIBRATION_OUT",
@@ -89,6 +104,45 @@ def fit_gamma(micro: dict) -> float:
     return best / touched if touched else 0.0
 
 
+def _launch_rank(comm, iters: int) -> float:
+    """Median seconds a tiny allreduce costs extra when it is launched in
+    the background and joined at once instead of run inline."""
+    import numpy as np
+
+    from ..collectives.sparse import ssar_recursive_double
+    from ..runtime.nonblocking import i_collective
+    from ..streams import SparseStream
+
+    stream = SparseStream.random_uniform(1 << 16, 64, np.random.default_rng(comm.rank))
+    extra = []
+    for _ in range(iters):
+        t0 = time.perf_counter()
+        ssar_recursive_double(comm, stream)
+        t1 = time.perf_counter()
+        i_collective(comm, ssar_recursive_double, stream).wait()
+        extra.append((time.perf_counter() - t1) - (t1 - t0))
+    return statistics.median(extra)
+
+
+def measure_launch(quick: bool = True) -> tuple[float, dict]:
+    """The launch + join cost of one background collective on this host.
+
+    Returns ``(seconds, provenance)``: the median over the four ranks of
+    a 2x2 world on the inter-tier backend (pump threads and twice as
+    many ranks as a 2-core host has cores are part of the price a chunk
+    pays there), clamped at zero.
+    """
+    from ..runtime import available_backends, run_ranks
+
+    backend = next(b for b in INTER_BACKENDS if b in available_backends())
+    per_rank = run_ranks(
+        _launch_rank, 4, 40 if quick else 400,
+        backend=backend, topology="2x2", timeout=120.0,
+    ).results
+    launch_s = max(statistics.median(per_rank), 0.0)
+    return launch_s, {"backend": backend, "topology": "2x2", "per_rank_s": list(per_rank)}
+
+
 def _wire_bytes(dimension: int, nnz: int) -> int:
     """Encoded frame size of an ``nnz``-pair sparse stream (one message)."""
     import numpy as np
@@ -124,11 +178,14 @@ def calibrate_from_doc(
     micro: dict,
     dimension: int,
     name: str = "calibrated",
+    launch_s: float = DEFAULT_LAUNCH_S,
 ) -> tuple[TieredNetworkModel, dict]:
     """Fit the tiered model from measured transport + microkernel layers.
 
-    Returns ``(model, provenance)``; raises ``ValueError`` when no
-    backend has the two transport sizes a line fit needs.
+    ``launch_s`` (see :func:`measure_launch`) is a property of the host's
+    runtime, not of a tier, so both tiers carry it. Returns
+    ``(model, provenance)``; raises ``ValueError`` when no backend has
+    the two transport sizes a line fit needs.
     """
     intra_backend = _pick_backend(transport, INTRA_BACKENDS)
     inter_backend = _pick_backend(transport, INTER_BACKENDS)
@@ -145,7 +202,8 @@ def calibrate_from_doc(
         sizes, times = _tier_points(transport, backend, dimension)
         alpha, beta = fit_alpha_beta(sizes, times)
         tiers[tier_name] = NetworkModel(
-            name=f"{name}_{tier_name}", alpha=alpha, beta=beta, gamma=gamma
+            name=f"{name}_{tier_name}", alpha=alpha, beta=beta, gamma=gamma,
+            launch=launch_s,
         )
         fits[tier_name] = {
             "backend": backend,
@@ -218,7 +276,11 @@ def run_calibration(
             transport, micro, dimension = t, m, dim
     if transport is None or micro is None:
         transport, micro, dimension = _measure(quick, dimension or (1 << 16))
-    model, provenance = calibrate_from_doc(transport, micro, dimension, name=name)
+    launch_s, launch_fit = measure_launch(quick)
+    model, provenance = calibrate_from_doc(
+        transport, micro, dimension, name=name, launch_s=launch_s
+    )
+    provenance["fits"]["launch"] = launch_fit
     provenance["quick"] = quick
     provenance["reused_bench"] = str(bench) if bench is not None else None
     path = save_network(model, Path(out) if out is not None else DEFAULT_CALIBRATION_OUT,

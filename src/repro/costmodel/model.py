@@ -17,7 +17,8 @@ expectation, and exposes
   predicted time (``choose_algorithm`` is a thin wrapper over this);
 * :meth:`CostModel.auto_chunks` — the pipeline depth minimizing the
   chunked hierarchical makespan ``c + (K-1) max(c, m) + m`` (the
-  ``overlap_step_time`` curve) for ``chunks="auto"``;
+  ``overlap_step_time`` curve) plus ``K-1`` background launches, for
+  ``chunks="auto"``;
 * :meth:`CostModel.resolve` — construction from any network spec,
   including ``"calibrated:<path>"`` models fitted by
   :mod:`repro.costmodel.calibrate`.
@@ -148,8 +149,9 @@ class PredictedCost:
 
     ``time_s = latency_s + bandwidth_s + compute_s`` for ``chunks == 1``;
     for a chunked hierarchical run it is the pipelined makespan over the
-    ``intra_s`` / ``inter_s`` legs instead (the two never double-count:
-    ``intra_s + inter_s`` equals the unchunked total).
+    ``intra_s`` / ``inter_s`` legs plus the launch price of the extra
+    chunks instead (the legs never double-count: ``intra_s + inter_s``
+    equals the unchunked total).
     """
 
     algorithm: str
@@ -163,6 +165,9 @@ class PredictedCost:
     chunks: int = 1
     eligible: bool = True
     note: str = ""
+    #: the intra leg's share of ``latency_s`` (the rest is the inter leg's):
+    #: with the legs, all the pipelined makespan at any depth needs
+    intra_latency_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -177,6 +182,7 @@ class PredictedCost:
             "chunks": self.chunks,
             "eligible": self.eligible,
             "note": self.note,
+            "intra_latency_s": self.intra_latency_s,
         }
 
     @classmethod
@@ -256,18 +262,21 @@ class SelectionReport:
 
 # ----------------------------------------------------------------------
 def _pipelined(intra_s: float, inter_s: float, lat_intra: float,
-               lat_inter: float, chunks: int) -> float:
+               lat_inter: float, chunks: int, launch_s: float) -> float:
     """Makespan of ``chunks`` pipelined (intra leg, inter leg) stages.
 
     Mirrors :func:`repro.netsim.replay.overlap_step_time`: per-chunk leg
     times are the bandwidth/compute shares split ``chunks`` ways plus the
     *full* per-leg latency (alpha is paid per message, so chunking
-    multiplies it), and the makespan is ``c + (K-1) max(c, m) + m``.
+    multiplies it), and the makespan is ``c + (K-1) max(c, m) + m``. On
+    top, every chunk past the first is one more background collective to
+    launch and join on the calling thread — ``launch_s`` each, which the
+    wire-only curve would hand out for free.
     """
     k = max(1, int(chunks))
     c = lat_intra + (intra_s - lat_intra) / k
     m = lat_inter + (inter_s - lat_inter) / k
-    return c + (k - 1) * max(c, m) + m
+    return c + (k - 1) * max(c, m) + m + (k - 1) * launch_s
 
 
 @dataclass(frozen=True)
@@ -311,6 +320,11 @@ class CostModel:
     def gamma(self) -> float:
         return self.network.gamma
 
+    @property
+    def launch(self) -> float:
+        """Seconds to launch and join one background collective."""
+        return self.network.launch
+
     # -- construction ---------------------------------------------------
     @classmethod
     def resolve(cls, spec) -> "CostModel":
@@ -350,8 +364,8 @@ class CostModel:
         """Predicted wall-clock for one algorithm on one instance.
 
         ``chunks`` > 1 applies the pipelined makespan to the hierarchical
-        algorithms; the flat algorithms ignore it (as they do at
-        runtime).
+        algorithms and charges each extra chunk :attr:`launch`; the flat
+        algorithms ignore it (as they do at runtime).
         """
         if algorithm not in SPARSE_ALGORITHMS:
             raise ValueError(
@@ -380,7 +394,7 @@ class CostModel:
         inter_s = lat_e + bw_e
         k = max(1, int(chunks)) if chunkable else 1
         if k > 1:
-            time_s = _pipelined(intra_s, inter_s, lat_i, lat_e, k)
+            time_s = _pipelined(intra_s, inter_s, lat_i, lat_e, k, self.launch)
         else:
             time_s = intra_s + inter_s
         return PredictedCost(
@@ -395,6 +409,7 @@ class CostModel:
             chunks=k,
             eligible=eligible,
             note=note,
+            intra_latency_s=lat_i,
         )
 
     def _predict_ssar_rec_dbl(self, inst, topology, chunks) -> PredictedCost:
@@ -639,16 +654,22 @@ class CostModel:
     ) -> int:
         """The pipeline depth minimizing the chunked makespan curve.
 
-        Evaluates :meth:`predict` at every ``K in [1, max_chunks]`` for
-        the hierarchical algorithms and returns the argmin (smallest K on
-        ties — fewer messages for the same makespan). Flat algorithms
+        The argmin of :meth:`predict`'s ``time_s`` over ``K in [1,
+        max_chunks]`` for the hierarchical algorithms (smallest K on ties
+        — fewer messages for the same makespan). The curve includes the
+        launch price of every extra chunk, so a depth is only bought when
+        the overlap it predicts exceeds what launching it costs. The legs
+        do not depend on K, so they are predicted once and only the
+        makespan composition is re-evaluated per depth. Flat algorithms
         ignore chunking at runtime, so they always get 1.
         """
         if algorithm not in CHUNKED:
             return 1
-        best_k, best_t = 1, None
-        for k in range(1, max(1, max_chunks) + 1):
-            t = self.predict(instance, algorithm, topology, chunks=k).time_s
-            if best_t is None or t < best_t:
-                best_k, best_t = k, t
-        return best_k
+        one = self.predict(instance, algorithm, topology)
+        lat_i = one.intra_latency_s
+        lat_e = one.latency_s - lat_i
+        times = [one.time_s] + [
+            _pipelined(one.intra_s, one.inter_s, lat_i, lat_e, k, self.launch)
+            for k in range(2, max(1, max_chunks) + 1)
+        ]
+        return 1 + times.index(min(times))

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..collectives.api import sparse_allreduce
+from ..collectives.api import resolve_collective
 from ..collectives.selector import choose_algorithm
 from ..core.fusion import GradientFuser
 from ..costmodel.adaptive import AdaptiveSelector
@@ -80,8 +80,9 @@ def distributed_sgd_async(
 ) -> RunHistory:
     """Data-parallel SGD with one-step-pipelined sparse aggregation.
 
-    All ranks call collectively. Requires a thread-backend communicator
-    (the non-blocking collective machinery lives there). Only sparse mode
+    All ranks call collectively, on any backend (the non-blocking
+    collective machinery is backend-agnostic: the progress thread lives
+    inside the rank, whatever transports its messages). Only sparse mode
     is supported — the asynchronous pipeline exists to hide the sparse
     exchange behind gradient computation.
 
@@ -96,19 +97,24 @@ def distributed_sgd_async(
     per-bucket error feedback carrying ``fuser_k`` survivors per bucket),
     and launched through
     :meth:`~repro.core.fusion.GradientFuser.i_fused_allreduce` — one
-    non-blocking collective per bucket, joined in order one step later.
-    ``chunks`` pipelines the hierarchical collectives either way (see
-    :func:`~repro.collectives.api.sparse_allreduce`).
+    background collective reducing the buckets in order, joined one step
+    later. ``chunks`` pipelines the hierarchical collectives either way
+    (see :func:`~repro.collectives.api.sparse_allreduce`).
 
     ``adaptive=True`` (requires ``config.algorithm == "auto"``) replaces
     the once-per-membership static resolve with an
     :class:`~repro.costmodel.AdaptiveSelector`: every aggregating step
-    folds the realized gradient nnz into a collectively-agreed EWMA and
-    re-runs the cost model's selection when the estimate drifts (or the
-    world resizes), so the algorithm tracks the density the run actually
-    produces. The switch sequence is bit-identical on every rank (and
-    recorded on ``history.algorithm_switches``). Pass a pre-built
-    selector to control the cost model, drift threshold or EWMA factor.
+    folds the realized nnz of what it launches — the gradient stream, or
+    with a ``fuser`` the mean selected float32 bucket — into a
+    collectively-agreed EWMA and re-runs the cost model's selection when
+    the estimate drifts (or the world resizes), so the algorithm tracks
+    the density the run actually produces. That agreement is the step's
+    only one: the nnz ``chunks="auto"`` prices rides the same round and
+    is priced under the selector's model. The switch sequence is
+    bit-identical on every rank (and recorded on
+    ``history.algorithm_switches``). Pass a pre-built selector (shaped
+    like the launched instance) to control the cost model, drift
+    threshold or EWMA factor.
     """
     if config.mode != "sparse":
         raise ValueError("asynchronous aggregation supports sparse mode only")
@@ -125,11 +131,16 @@ def distributed_sgd_async(
     if adaptive:
         if config.algorithm != "auto":
             raise ValueError("adaptive selection requires config.algorithm='auto'")
-        selector = (
-            adaptive
-            if isinstance(adaptive, AdaptiveSelector)
-            else AdaptiveSelector(dimension=model.n_features, value_itemsize=8)
-        )
+        if isinstance(adaptive, AdaptiveSelector):
+            selector = adaptive
+        elif fuser is not None:
+            # the priced instance is the launched one: a mean fused bucket
+            # of float32 top-k survivors, not the raw float64 gradient
+            selector = AdaptiveSelector(
+                dimension=max(1, fuser.total_size // fuser.n_buckets), value_itemsize=4
+            )
+        else:
+            selector = AdaptiveSelector(dimension=model.n_features, value_itemsize=8)
     feedback = fuser.make_error_feedback(fuser_k) if fuser is not None else None
     shard = partition_rows(dataset.n_samples, comm.size, comm.rank)
     X_local: sp.csr_matrix = dataset.X[shard]
@@ -189,6 +200,28 @@ def distributed_sgd_async(
             comm.compute(total_stream.nnz * 12, "apply")
             idx = total_stream.indices.astype(np.int64)
             w[idx] -= (config.lr / contributors) * total_stream.values.astype(np.float64)
+
+    def launch(grad):
+        nonlocal algorithm
+        if fuser is not None:
+            return fuser.i_fused_allreduce(
+                comm,
+                grad.to_dense().astype(np.float32),
+                feedback,
+                algorithm="auto" if selector is not None else algorithm,
+                chunks=chunks,
+                selector=selector,
+            )
+        agreed = None
+        if selector is not None:
+            algorithm, estimates = selector.step_agreeing(
+                comm, grad.nnz, [grad.nnz] if chunks == "auto" else ()
+            )
+            agreed = estimates[0] if estimates else None
+        fn, kwargs = resolve_collective(
+            comm, grad, algorithm=algorithm, chunks=chunks, agreed=agreed
+        )
+        return i_collective(comm, fn, grad, **kwargs)
 
     def recover(exc: RankFailedError, doomed_handle, epoch: int) -> None:
         # a peer died mid-aggregation: reap the handle that was launched
@@ -263,25 +296,19 @@ def distributed_sgd_async(
             if not aggregating(epoch):
                 apply_update(grad, 1)
                 continue
-            if selector is not None:
-                # collective: every aggregating rank steps the selector at
-                # the same iteration, so the agreed estimate (and any
-                # algorithm switch) is identical everywhere
-                algorithm = selector.step(comm, grad.nnz)
             # launch this step's reduction; it progresses while the next
-            # batch's gradient is being computed
-            if fuser is not None:
-                handle = fuser.i_fused_allreduce(
-                    comm,
-                    grad.to_dense().astype(np.float32),
-                    feedback,
-                    algorithm=algorithm,
-                    chunks=chunks,
-                )
-            else:
-                handle = i_collective(
-                    comm, sparse_allreduce, grad, algorithm=algorithm, chunks=chunks
-                )
+            # batch's gradient is being computed. Everything collective
+            # about the launch — the selector's estimate (every rank
+            # steps it at the same iteration, so any algorithm switch is
+            # identical everywhere) and the nnz chunks="auto" prices — is
+            # settled in one agreement round on this thread, so a dead
+            # peer can surface here as well as at the join below.
+            try:
+                handle = launch(grad)
+            except RankFailedError as exc:
+                recover(exc, pending, epoch)
+                apply_update(grad, 1)
+                continue
             if pending is not None:
                 try:
                     apply_update(pending.wait(), comm.size)

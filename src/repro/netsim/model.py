@@ -11,6 +11,11 @@ two standard refinements (LogGP-flavoured):
 * local reduction work is charged at ``gamma`` seconds per byte touched
   (dense sums are memory-bound; sparse merges touch index+value pairs).
 
+A model also carries ``launch``, the software cost of launching and
+joining one background collective. Replay does not charge it (a trace
+has no launches); :class:`repro.costmodel.CostModel` prices every extra
+chunk of a pipelined hierarchical allreduce with it.
+
 Presets model the three network classes of the evaluation: a Cray
 Aries-class supercomputer interconnect (Piz Daint), InfiniBand FDR, and
 Gigabit Ethernet (the "cloud" setting). Values are class-representative,
@@ -61,8 +66,16 @@ __all__ = [
 ]
 
 #: schema version of the calibrated-model JSON written by
-#: ``python -m repro calibrate`` (see :func:`save_network`).
-NETWORK_JSON_SCHEMA = 1
+#: ``python -m repro calibrate`` (see :func:`save_network`). 2 added the
+#: per-tier ``launch`` constant; older files load with the default.
+NETWORK_JSON_SCHEMA = 2
+
+#: default launch + join cost of one background collective, in seconds.
+#: Provenance: ``runtime.nonblocking.launch_us`` = 656 us in the repo
+#: benchmark's traced run (bench/, socket 2x2, 4 ranks on the 2-core
+#: reference host). A property of the runtime, not of the wire — so every
+#: preset carries it; ``python -m repro calibrate`` refits it per host.
+DEFAULT_LAUNCH_S = 6.6e-4
 
 
 @dataclass(frozen=True)
@@ -79,15 +92,19 @@ class NetworkModel:
         Seconds per byte of message payload (inverse bandwidth).
     gamma:
         Seconds per byte of local reduction/compute work.
+    launch:
+        Seconds of software overhead to launch and join one background
+        collective (see :data:`DEFAULT_LAUNCH_S`).
     """
 
     name: str
     alpha: float
     beta: float
     gamma: float = 2.0e-10
+    launch: float = DEFAULT_LAUNCH_S
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
+        if self.alpha < 0 or self.beta < 0 or self.gamma < 0 or self.launch < 0:
             raise ValueError("network model parameters must be non-negative")
 
     # ------------------------------------------------------------------
@@ -138,7 +155,8 @@ class TieredNetworkModel:
     :class:`~repro.runtime.topology.Topology` it is given: a send whose
     source and destination rank share a host is charged at ``intra``
     rates, everything else at ``inter`` rates. Compute work is charged
-    at the intra tier's ``gamma`` (reductions are local by definition).
+    at the intra tier's ``gamma`` (reductions are local by definition),
+    and so is the ``launch`` software constant.
 
     With ``shared_uplink=True``, inter-node transmissions additionally
     serialize on the source host's egress and the destination host's
@@ -167,6 +185,11 @@ class TieredNetworkModel:
     def gamma(self) -> float:
         """Seconds per byte of local work (reductions run on the node)."""
         return self.intra.gamma
+
+    @property
+    def launch(self) -> float:
+        """Seconds to launch and join one background collective."""
+        return self.intra.launch
 
     def tier(self, same_host: bool) -> NetworkModel:
         """The flat model governing a link (``same_host`` classifies it)."""
@@ -207,7 +230,10 @@ PRESETS: "dict[str, NetworkModel | TieredNetworkModel]" = {
 
 
 def _tier_to_dict(m: NetworkModel) -> dict:
-    return {"name": m.name, "alpha": m.alpha, "beta": m.beta, "gamma": m.gamma}
+    return {
+        "name": m.name, "alpha": m.alpha, "beta": m.beta, "gamma": m.gamma,
+        "launch": m.launch,
+    }
 
 
 def _tier_from_dict(d: dict, fallback_name: str) -> NetworkModel:
@@ -216,6 +242,7 @@ def _tier_from_dict(d: dict, fallback_name: str) -> NetworkModel:
         alpha=float(d["alpha"]),
         beta=float(d["beta"]),
         gamma=float(d.get("gamma", 2.0e-10)),
+        launch=float(d.get("launch", DEFAULT_LAUNCH_S)),
     )
 
 

@@ -85,7 +85,11 @@ class _BufferedComm(Communicator):
         return self.inner._probe(source, tag)
 
     def next_collective_tag(self) -> int:
-        # tags inside the buffered collective live in the shifted space
+        # tags inside the buffered collective live in the shifted space,
+        # whose width is what separates this launch's base from the next
+        if self._collective_counter >> (8 * self._icoll_depth):
+            raise RuntimeError("too many collectives in one non-blocking launch: "
+                               "the next tag would alias the following launch's")
         tag = self._collective_counter * 64
         self._collective_counter += 1
         return tag
@@ -216,6 +220,7 @@ def i_collective(
         except BaseException as exc:  # noqa: BLE001 - surfaced at wait()
             box.append(exc)
 
-    thread = threading.Thread(target=work, name=f"icoll-rank{comm.rank}", daemon=True)
+    name = f"icoll-rank{comm.world_rank}-depth{comm._icoll_depth}"
+    thread = threading.Thread(target=work, name=name, daemon=True)
     thread.start()
     return NonBlockingHandle(thread, proxy, box)

@@ -85,7 +85,7 @@ from .process_backend import (
 from .trace import Trace, TraceEvent
 from .wire import decode_message, encode_frame_parts
 
-__all__ = ["ShmemBackend", "ShmemComm", "ShmemWorld", "SharedRing"]
+__all__ = ["ShmemBackend", "ShmemComm", "ShmemWorld", "SharedRing", "CorruptRingError"]
 
 #: how long one progress wait blocks on the doorbells before rechecking
 #: the abort flag (seconds).
@@ -112,6 +112,13 @@ _OVERSIZE_BIT = 1 << 63
 #: bytes of ring bookkeeping before the data region (head u32, tail u32, pad).
 _RING_HEADER = 16
 
+#: largest frame a ring carries. The reader allocates an oversize frame's
+#: reassembly buffer from its length word alone, so the word must be
+#: checkable against something: no message of this library comes near
+#: 1 GiB, and a garbage word (observed: 3.2 GB allocated, ``MemoryError``)
+#: almost surely exceeds it.
+_MAX_FRAME_BYTES = 1 << 30
+
 #: default per-pair ring capacity. Large enough that several typical
 #: sparse frames can be in flight on the contiguous in-place path (a ring
 #: that only fits one frame serializes pipelined collectives on blocked
@@ -125,6 +132,10 @@ def _pow2_capacity(capacity: int) -> int:
     """Round up to a power of two >= 4096 (so offsets wrap with the u32)."""
     capacity = max(int(capacity), 4096)
     return 1 << (capacity - 1).bit_length()
+
+
+class CorruptRingError(ValueError):
+    """A ring's length word contradicts what its writer can have published."""
 
 
 def _attach_shm(name: str) -> shared_memory.SharedMemory:
@@ -279,6 +290,10 @@ class SharedRing:
         reader) but the doorbell is left silent; the caller takes over the
         wakeup (see the communicator's deferred-doorbell batching).
         """
+        if total > _MAX_FRAME_BYTES:
+            raise ValueError(
+                f"frame of {total} bytes exceeds the {_MAX_FRAME_BYTES}-byte ring limit"
+            )
         rec = (_LEN.size + total + 7) & ~7
         buf = self.data
         if rec <= self.capacity - 8:
@@ -347,10 +362,15 @@ class SharedRing:
         for ordinary frames it receives a view *directly into the shared
         segment* (decode in place, copy only what must outlive the slot);
         for oversize frames it receives the reassembled buffer.
+
+        The length word is checked against what the writer's protocol can
+        have produced before it sizes anything; a word that fails raises
+        :class:`CorruptRingError` with the tail left in place.
         """
         if self._partial is None:
             while True:
-                if self.avail() < _LEN.size:
+                avail = self.avail()
+                if avail < _LEN.size:
                     return "empty"
                 tail = self._tail()
                 pos = tail & self._mask
@@ -359,12 +379,25 @@ class SharedRing:
                     self._set_tail(tail + (self.capacity - pos))
                     continue
                 break
-            if not size & _OVERSIZE_BIT:
-                # contiguous record: fully published with its length word
-                consume(self.data[pos + _LEN.size: pos + _LEN.size + size])
-                self._set_tail(tail + ((_LEN.size + size + 7) & ~7))
-                return "ok"
             total = size & (_OVERSIZE_BIT - 1)
+            rec = (_LEN.size + total + 7) & ~7
+            if not size & _OVERSIZE_BIT:
+                # contiguous record: published whole, never across the wrap
+                if rec > min(avail, self.capacity - pos):
+                    raise CorruptRingError(
+                        f"length word {size:#x} at offset {pos}: a {rec}-byte record "
+                        f"where {avail} bytes are published in a {self.capacity}-byte ring"
+                    )
+                consume(self.data[pos + _LEN.size: pos + _LEN.size + size])
+                self._set_tail(tail + rec)
+                return "ok"
+            # the writer streams only what cannot fit contiguously
+            if rec <= self.capacity - 8 or total > _MAX_FRAME_BYTES:
+                raise CorruptRingError(
+                    f"length word {size:#x} at offset {pos}: an oversize frame of "
+                    f"{total} bytes in a {self.capacity}-byte ring "
+                    f"(limit {_MAX_FRAME_BYTES})"
+                )
             self._set_tail(tail + _LEN.size)
             self._partial = [bytearray((total + 7) & ~7), 0, total]
 
@@ -510,7 +543,14 @@ class ShmemComm(MeshComm):
                 continue
             consume = self._consumers[src]
             while not self._fin[src]:
-                status = ring.try_read_frame(consume, self.aborted.is_set)
+                try:
+                    status = ring.try_read_frame(consume, self.aborted.is_set)
+                except CorruptRingError as exc:
+                    # nothing behind a garbage length word can be trusted
+                    self._abort(failed_rank=src)
+                    raise RankFailedError(
+                        src, f"ring from rank {src} is corrupt: {exc}"
+                    ) from exc
                 if status == "ok":
                     consumed = True
                 else:  # "empty" or "partial": nothing more readable now

@@ -8,10 +8,11 @@ Commands
 ``presets``         show the network model presets
 ``bench-kernels``   wall-clock microkernel + transport + allreduce bench,
                     written to ``BENCH_microkernels.json`` (perf trajectory)
-``calibrate``       fit a tiered network model (per-tier alpha/beta + the
-                    summation gamma) from measured transport/microkernel
-                    curves; the written JSON is loadable anywhere a
-                    ``--network`` flag accepts ``calibrated:<path>``
+``calibrate``       fit a tiered network model (per-tier alpha/beta, the
+                    summation gamma, the background-launch constant) from
+                    measured transport/microkernel/launch curves; the
+                    written JSON is loadable anywhere a ``--network`` flag
+                    accepts ``calibrated:<path>``
 ``serve-rank``      run one rank of a multi-host ``socket``-backend world
                     against a shared rendezvous address
 
@@ -165,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Measure (or reuse from a bench-kernels JSON) the per-backend "
             "transport round-trip curve and the summation microkernels, fit "
-            "per-tier alpha/beta by least squares and gamma from the merge "
-            "kernel, and write the tiered model as JSON. Load it anywhere a "
+            "per-tier alpha/beta by least squares, gamma from the merge "
+            "kernel and the launch+join cost of a background collective, "
+            "and write the tiered model as JSON. Load it anywhere a "
             "--network flag is accepted with 'calibrated:<path>'."
         ),
     )
@@ -362,6 +364,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"  {tier}: backend={fit['backend']}  "
                     f"points={len(fit['points'])}"
                 )
+        launch = fits.get("launch")
+        if launch:
+            print(
+                f"  launch: backend={launch['backend']}  "
+                f"{model.launch * 1e6:.0f}us per background collective"
+            )
         print(f"wrote {path}  (load with --network calibrated:{path})")
         return 0
 

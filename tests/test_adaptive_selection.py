@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from repro.collectives import choose_algorithm, run_sparse_allreduce, sparse_allreduce
+from repro.collectives.api import resolve_collective
 from repro.core import GradientFuser
-from repro.costmodel import AdaptiveSelector, CostModel, consistent_mean
+from repro.costmodel import AdaptiveSelector, Agreed, CostModel, Instance, consistent_mean
 from repro.mlopt import (
     LogisticRegression,
     SGDConfig,
     distributed_sgd_async,
     make_sparse_classification,
 )
-from repro.runtime import run_ranks
+from repro.runtime import Topology, run_ranks
+from repro.runtime.comm import TAG_USER_LIMIT
+from repro.runtime.trace import MARK, SEND
 
 from conftest import make_rank_stream, reference_sum
 
@@ -107,6 +110,18 @@ class TestAdaptiveSelectorUnit:
         sel.step(FakeComm(), 100)
         assert sel.switches[-1].estimate <= 100.0
 
+    def test_passengers_ride_the_selectors_round(self):
+        sel = AdaptiveSelector(model="tiered_gige", dimension=DIMENSION, sync_every=3)
+        comm = FakeComm(size=NRANKS)
+        algorithm, agreed = sel.step_agreeing(comm, 50, [40.0, 60.0])
+        assert algorithm == sel.algorithm
+        assert agreed == [Agreed(40.0, sel.model), Agreed(60.0, sel.model)]
+        # off-sync: passengers still get their round, the selection rests
+        sel.step_agreeing(comm, 3000, [70.0])
+        assert len(sel.switches) == 1
+        # ...and without passengers an off-sync step costs nothing
+        assert sel.step_agreeing(comm, 3000) == (sel.algorithm, [])
+
     def test_switch_to_dict(self):
         sel = AdaptiveSelector(dimension=DIMENSION)
         sel.step(FakeComm(), 50)
@@ -117,6 +132,10 @@ class TestAdaptiveSelectorUnit:
 
 def _consistent_mean_prog(comm):
     return consistent_mean(comm, float(10 * (comm.rank + 1)))
+
+
+def _consistent_vector_prog(comm):
+    return consistent_mean(comm, [10 * (comm.rank + 1), comm.rank, 0.1 * comm.rank])
 
 
 def _drift_prog(comm):
@@ -143,6 +162,14 @@ class TestConsistentMean:
     def test_world_of_one_is_free(self):
         out = run_ranks(_consistent_mean_prog, 1)
         assert out[0] == 10.0 and out.trace.total_bytes_sent == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_vector_is_one_round_identical_on_every_rank(self, backend):
+        out = run_ranks(_consistent_vector_prog, 4, backend=backend)
+        assert all(v == out[0] for v in out.results)
+        assert out[0][:2] == [25.0, 1.5] and out[0][2] == pytest.approx(0.15)
+        # one gather + one binomial bcast, whatever the vector's length
+        assert out.trace.total_messages == 2 * (4 - 1)
 
 
 class TestAdaptiveDrift:
@@ -226,6 +253,41 @@ class TestAutoChunks:
         assert np.allclose(out[0].to_dense(), reference_sum(DIMENSION, 300, 4), atol=1e-3)
 
 
+class _SilentComm:
+    """A communicator that fails the test if anything is sent."""
+
+    size = 4
+    topology = Topology.from_spec("2x2")
+
+    def gather_to_root(self, obj, root=0):
+        raise AssertionError("a pre-agreed resolve must not communicate")
+
+
+class TestPreAgreedResolve:
+    STREAM = make_rank_stream(1 << 20, 10486, 0)
+    INSTANCE = Instance(1 << 20, 4, 10486.0, 4)
+
+    def test_no_messages_and_the_default_model_keeps_one_chunk(self):
+        fn, kwargs = resolve_collective(
+            _SilentComm(), self.STREAM, "auto", chunks="auto", agreed=Agreed(10486.0)
+        )
+        assert fn.__name__ == "ssar_hierarchical" and kwargs["chunks"] == 1
+
+    def test_priced_under_the_agreed_model_not_the_default(self):
+        default = CostModel.default()
+        free = CostModel(
+            default.network.with_(intra=default.intra.with_(launch=0.0))
+        )
+        _, kwargs = resolve_collective(
+            _SilentComm(), self.STREAM, "ssar_hier", chunks="auto",
+            agreed=Agreed(10486.0, free),
+        )
+        assert kwargs["chunks"] == free.auto_chunks(
+            self.INSTANCE, "ssar_hier", _SilentComm.topology
+        )
+        assert kwargs["chunks"] > 1
+
+
 def _fused_selector_prog(comm, schedule):
     fuser = GradientFuser([("a", 1024), ("b", 1024)], min_bucket_bytes=0)
     ef = fuser.make_error_feedback(k=16, bucket_size=None)
@@ -306,3 +368,71 @@ class TestAsyncAdaptive:
             return True
 
         assert run_ranks(prog, 2)[0] is True
+
+
+def _sends_per_step(trace, rank, mark="compute"):
+    """Send events of ``rank`` between consecutive ``mark`` marks."""
+    steps, current = [], None
+    for event in trace.events(rank):
+        if event.op == MARK and event.label == mark:
+            if current is not None:
+                steps.append(current)
+            current = []
+        elif current is not None and event.op == SEND:
+            current.append(event)
+    return steps
+
+
+class TestOneAgreementRoundPerAsyncStep:
+    """`distributed_sgd_async(adaptive=True, chunks="auto")` agrees once
+    per step: the selector's estimate and the nnz that chunk pricing
+    needs share a round (was 1 + one per launched collective)."""
+
+    NRANKS = 4
+    BUCKETS = 4
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return make_sparse_classification(200, 2000, 20, seed=41)
+
+    def _run(self, dataset, fused):
+        def prog(comm):
+            cfg = SGDConfig(epochs=1, batch_size=10, lr=0.5, mode="sparse")
+            fuser = (
+                GradientFuser([(f"t{i}", 500) for i in range(self.BUCKETS)], min_bucket_bytes=0)
+                if fused else None
+            )
+            return distributed_sgd_async(
+                comm, dataset, LogisticRegression(dataset.n_features, 1e-5), cfg,
+                fuser=fuser, fuser_k=4, chunks="auto", adaptive=True,
+            )
+
+        return run_ranks(prog, self.NRANKS, topology="2x2")
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_one_round_and_a_pinned_message_count_per_step(self, dataset, fused):
+        out = self._run(dataset, fused)
+        round_sends = 2 * (self.NRANKS - 1)  # gather to root + binomial bcast
+        # steady state: this step's round + the previous step's collectives,
+        # each 2 intra reduces + 2 leader exchanges + 2 bcasts on 2x2
+        expected = round_sends + 6 * (self.BUCKETS if fused else 1)
+        for step in range(1, 4):
+            sends = [
+                event
+                for rank in range(self.NRANKS)
+                for event in _sends_per_step(out.trace, rank)[step]
+            ]
+            assert len(sends) == expected
+            # launches live in tag space shifted past TAG_USER_LIMIT << 8;
+            # what stays below it is the rank thread's own traffic
+            assert sum(e.tag < TAG_USER_LIMIT << 8 for e in sends) == round_sends
+
+    def test_fused_selector_prices_the_launched_instance(self, dataset):
+        """The default selector is shaped like a fused float32 top-k
+        bucket (here 500 wide, 4 survivors), not the raw float64
+        gradient (2000 wide, ~200 nnz)."""
+        out = self._run(dataset, fused=True)
+        first = out[0].algorithm_switches[0]
+        assert first["reason"] == "initial selection"
+        assert 0 < first["estimate"] <= 4.0
+        assert all(out[r].algorithm_switches == out[0].algorithm_switches for r in range(4))

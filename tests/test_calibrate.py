@@ -24,6 +24,8 @@ from repro.netsim import (
     resolve_network,
     save_network,
 )
+from repro.netsim.model import DEFAULT_LAUNCH_S, NETWORK_JSON_SCHEMA
+from repro.runtime.topology import Topology
 
 
 class TestFits:
@@ -113,6 +115,27 @@ class TestSaveLoad:
         loaded = load_network(path)
         assert loaded.alpha == GIGE.alpha and loaded.gamma == GIGE.gamma
 
+    def test_launch_round_trips(self, tmp_path):
+        fitted = TIERED_GIGE.with_(
+            intra=TIERED_GIGE.intra.with_(launch=1.25e-4),
+            inter=TIERED_GIGE.inter.with_(launch=1.25e-4),
+        )
+        path = save_network(fitted, tmp_path / "net.json")
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == NETWORK_JSON_SCHEMA == 2
+        assert doc["intra"]["launch"] == doc["inter"]["launch"] == 1.25e-4
+        assert load_network(path) == fitted
+        assert CostModel.resolve(f"calibrated:{path}").launch == 1.25e-4
+
+    def test_schema_1_file_loads_with_the_default_launch(self, tmp_path):
+        path = save_network(TIERED_GIGE, tmp_path / "old.json")
+        doc = json.loads(path.read_text())
+        doc["schema"] = 1
+        for tier in ("intra", "inter"):
+            del doc[tier]["launch"]
+        path.write_text(json.dumps(doc))
+        assert load_network(path).launch == DEFAULT_LAUNCH_S
+
     def test_load_errors(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):
             load_network(tmp_path / "missing.json")
@@ -183,6 +206,27 @@ class TestRunCalibration:
         assert calibrated_cost_model(path).rank(
             Instance(4096, 4, 300)
         ).choice == report.choice
+
+    def test_launch_is_fitted_and_carried_by_the_spec(self, tmp_path):
+        transport, micro, _, _ = _synthetic_bench()
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({
+            "params": {"dimension": 4096},
+            "transport_roundtrip": transport,
+            "microkernels": micro,
+        }))
+        fitted, path, provenance = run_calibration(out=tmp_path / "cal.json", bench=bench)
+        fit = provenance["fits"]["launch"]
+        assert fit["topology"] == "2x2" and len(fit["per_rank_s"]) == 4
+        assert fitted.launch >= 0.0 and fitted.intra.launch == fitted.inter.launch
+        model = CostModel.resolve(f"calibrated:{path}")
+        assert model.launch == fitted.launch
+        # a chunk is never bought for less than it costs to launch: with
+        # microsecond legs, any measurable launch price keeps this at 1
+        if model.launch > 1e-5:
+            assert model.auto_chunks(
+                Instance(4096, 4, 40), "ssar_hier", Topology.from_spec("2x2")
+            ) == 1
 
     def test_cli_calibrate_subcommand(self, tmp_path, capsys):
         from repro.tools.cli import main

@@ -1,13 +1,16 @@
 """Tests for tensor fusion (gradient bucket coalescing, §9) and its
-async mode (one non-blocking collective per bucket, joined in order)."""
+async mode (one background collective reducing the buckets in order)."""
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core import ErrorFeedback, FusedPendingUpdate, GradientFuser
+from repro.core import ErrorFeedback, GradientFuser
+from repro.costmodel import AdaptiveSelector
 from repro.nn import make_lstm, make_mlp
 from repro.runtime import run_ranks
-from repro.streams import SparseStream
+from repro.runtime.trace import MARK, SEND
 
 
 class TestBucketLayout:
@@ -291,59 +294,152 @@ class TestAsyncFusedAllreduce:
                 assert np.array_equal(blk[r][step], asy[r][step]), (r, step)
 
 
-class _StubHandle:
-    """Scripted handle for the FusedPendingUpdate unit tests."""
-
-    def __init__(self, result=None, error=None, log=None, name=""):
-        self._result = result
-        self._error = error
-        self._log = log if log is not None else []
-        self._name = name
-
-    def wait(self):
-        self._log.append(self._name)
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def test(self):
-        return True
+def _own_progress_threads(comm):
+    prefix = f"icoll-rank{comm.world_rank}-"
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith(prefix))
 
 
-class TestFusedPendingUpdate:
-    def _fuser(self):
-        return GradientFuser([("a", 4), ("b", 4)], min_bucket_bytes=0)
+class TestOneProgressThread:
+    """One fused call is one background collective, whatever the bucket
+    count: a single top-level thread reduces the buckets in layout order."""
 
-    def test_scatters_in_bucket_order(self):
-        fuser = self._fuser()
-        log = []
-        handles = [
-            _StubHandle(
-                SparseStream(4, indices=np.arange(4, dtype=np.uint32),
-                             values=np.full(4, float(i + 1), np.float32)),
-                log=log, name=f"bucket{i}",
+    def test_one_top_level_thread_per_call(self):
+        fuser = GradientFuser([(f"t{i}", 64) for i in range(8)], min_bucket_bytes=0)
+        rank0_counted = threading.Event()
+
+        def prog(comm):
+            efs = fuser.make_error_feedback(k=4, bucket_size=32)
+            grad = _grads(comm.rank, 512)
+            if comm.rank == 1:
+                # until we launch, everything rank 0 started blocks on us
+                assert rank0_counted.wait(30.0)
+            handle = fuser.i_fused_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl")
+            alive = _own_progress_threads(comm)
+            rank0_counted.set()
+            handle.wait()
+            return alive, _own_progress_threads(comm)
+
+        out = run_ranks(prog, 2)
+        assert out[0][0] == ["icoll-rank0-depth0"]
+        assert out[0][1] == [] and out[1][1] == []
+
+    def test_failing_bucket_surfaces_at_wait(self, monkeypatch):
+        import repro.core.fusion as fusion
+
+        real = fusion.resolve_collective
+
+        def resolve(comm, stream, **knobs):
+            fn, kwargs = real(comm, stream, **knobs)
+            if stream.dimension == 96:  # bucket "b", on every rank alike
+                def fn(comm, stream, **kwargs):
+                    raise RuntimeError("bucket b failed")
+            return fn, kwargs
+
+        monkeypatch.setattr(fusion, "resolve_collective", resolve)
+        fuser = GradientFuser([("a", 64), ("b", 96), ("c", 32)], min_bucket_bytes=0)
+
+        def prog(comm):
+            efs = fuser.make_error_feedback(k=4, bucket_size=32)
+            handle = fuser.i_fused_allreduce(
+                comm, _grads(comm.rank, 192), efs, algorithm="ssar_rec_dbl"
             )
-            for i in range(2)
-        ]
-        out = np.empty(8, np.float32)
-        update = FusedPendingUpdate(fuser.buckets, handles, out)
-        assert update.test()
-        result = update.wait()
-        assert log == ["bucket0", "bucket1"]  # joined in layout order
-        assert result is out
-        assert np.array_equal(out, [1, 1, 1, 1, 2, 2, 2, 2])
+            with pytest.raises(RuntimeError, match="bucket b failed"):
+                handle.wait()
+            return _own_progress_threads(comm)
 
-    def test_failure_reaps_every_handle_and_raises_first(self):
-        """A failed bucket must not leave later handles un-joined (their
-        background threads would outlive the step) and the *first* error
-        wins."""
-        fuser = self._fuser()
-        log = []
-        handles = [
-            _StubHandle(error=RuntimeError("bucket0 failed"), log=log, name="bucket0"),
-            _StubHandle(error=RuntimeError("bucket1 failed"), log=log, name="bucket1"),
-        ]
-        update = FusedPendingUpdate(fuser.buckets, handles, np.zeros(8, np.float32))
-        with pytest.raises(RuntimeError, match="bucket0 failed"):
-            update.wait()
-        assert log == ["bucket0", "bucket1"]  # both reaped
+        assert all(left == [] for left in run_ranks(prog, 2).results)
+
+
+def _sends_between(trace, rank, first, last):
+    """Send events of ``rank`` after its mark ``first`` up to mark ``last``."""
+    sends, inside = [], False
+    for event in trace.events(rank):
+        if event.op == MARK and event.label == first:
+            sends, inside = [], True
+        elif event.op == MARK and event.label == last and inside:
+            return sends
+        elif inside and event.op == SEND:
+            sends.append(event)
+    raise AssertionError(f"marks {first!r}..{last!r} not found on rank {rank}")
+
+
+class TestOneAgreementRound:
+    """A fused step pays its control plane once: one vector agreement
+    round carries the selector's estimate and every bucket's nnz."""
+
+    NRANKS = 4
+    BUCKETS = 4
+
+    def _trace(self):
+        fuser = GradientFuser(
+            [(f"t{i}", 64) for i in range(self.BUCKETS)], min_bucket_bytes=0
+        )
+
+        def prog(comm):
+            efs = fuser.make_error_feedback(k=4, bucket_size=32)
+            selector = AdaptiveSelector(dimension=64)
+            for step in range(2):
+                comm.mark(f"step{step}")
+                handle = fuser.i_fused_allreduce(
+                    comm, _grads(comm.rank, 256, seed=900 + step), efs,
+                    chunks="auto", selector=selector,
+                )
+                comm.mark(f"launched{step}")
+                handle.wait()
+                comm.mark(f"joined{step}")
+            return selector.algorithm
+
+        out = run_ranks(prog, self.NRANKS, topology="2x2")
+        assert set(out.results) == {"ssar_hier"}
+        return out.trace
+
+    def test_launch_runs_exactly_one_round(self):
+        trace = self._trace()
+        for step in range(2):
+            on_rank_thread = [
+                event
+                for rank in range(self.NRANKS)
+                for event in _sends_between(trace, rank, f"step{step}", f"launched{step}")
+            ]
+            # gather to root + binomial bcast; the bucket traffic is
+            # buffered on the progress thread until the join
+            assert len(on_rank_thread) == 2 * (self.NRANKS - 1)
+            # one vector: the selector's EWMA and one nnz per bucket
+            assert {e.nbytes for e in on_rank_thread} == {8 + 8 * (1 + self.BUCKETS)}
+
+    def test_step_message_count_is_pinned(self):
+        trace = self._trace()
+        # per bucket on 2x2: 2 intra reduces, 2 leader exchanges, 2 bcasts
+        expected = 2 * (self.NRANKS - 1) + 6 * self.BUCKETS
+        for step in range(2):
+            total = sum(
+                len(_sends_between(trace, rank, f"step{step}", f"joined{step}"))
+                for rank in range(self.NRANKS)
+            )
+            assert total == expected
+
+
+class TestAutoChunksFused:
+    @pytest.mark.parametrize("nranks,topology", [(2, None), (4, "2x2")])
+    def test_async_bit_identical_to_blocking(self, nranks, topology):
+        fuser = GradientFuser([("a", 96), ("b", 96), ("c", 64)], min_bucket_bytes=0)
+
+        def prog(comm, nonblocking):
+            efs = fuser.make_error_feedback(k=8, bucket_size=32)
+            outs = []
+            for step in range(2):
+                grad = _grads(comm.rank, 256, seed=300 + step)
+                outs.append(
+                    fuser.fused_topk_allreduce(
+                        comm, grad, efs, algorithm="auto", chunks="auto",
+                        nonblocking=nonblocking,
+                    ).copy()
+                )
+            return outs
+
+        blk = run_ranks(prog, nranks, False, topology=topology)
+        asy = run_ranks(prog, nranks, True, topology=topology)
+        for r in range(nranks):
+            for step in range(2):
+                assert np.array_equal(blk[r][step], asy[r][step]), (r, step)
+        assert asy.trace.total_messages == blk.trace.total_messages

@@ -90,10 +90,12 @@ class TestPredict:
         assert four.intra_s == pytest.approx(one.intra_s)
         assert four.inter_s == pytest.approx(one.inter_s)
         # pipelining can only help when one leg hides behind the other,
-        # up to the replicated per-chunk alpha
+        # up to the replicated per-chunk alpha and the launch price of
+        # the three extra chunks
         assert four.time_s <= one.time_s + 4 * (
             self.MODEL.intra.alpha + self.MODEL.inter.alpha
-        )
+        ) + 3 * self.MODEL.launch
+        assert four.time_s >= 3 * self.MODEL.launch
 
     def test_gamma_charged(self):
         free = CostModel(GIGE.replace(gamma=0.0) if hasattr(GIGE, "replace") else GIGE)
@@ -219,6 +221,28 @@ class TestAutoChunks:
             assert best <= self.MODEL.predict(
                 self.INST, algo, self.TOPO, chunks=other
             ).time_s + 1e-18
+
+    @pytest.mark.parametrize("inst", [
+        Instance(40_399, 4, 2_525),   # one fused bucket of the async_train benchmark
+        Instance(1 << 20, 4, 10_486),  # d = 1 %: a predicted 16 us overlap gain
+    ])
+    def test_launch_price_keeps_small_instances_unchunked(self, inst):
+        """The wire-only curve bought K > 1 here for microseconds of
+        predicted overlap; each extra chunk costs a ~0.66 ms launch."""
+        model, topo = CostModel.default(), Topology.from_spec("2x2")
+        assert model.auto_chunks(inst, "ssar_hier", topo) == 1
+        free = CostModel(model.network.with_(intra=model.intra.with_(launch=0.0)))
+        assert free.auto_chunks(inst, "ssar_hier", topo) > 1
+
+    def test_chunks_bought_when_the_saving_exceeds_the_launch_price(self):
+        inst, topo = Instance(1 << 24, 4, 1 << 20), Topology.from_spec("2x2")
+        k = self.MODEL.auto_chunks(inst, "dsar_hier", topo)
+        assert k > 1
+        saved = (
+            self.MODEL.predict(inst, "dsar_hier", topo).time_s
+            - self.MODEL.predict(inst, "dsar_hier", topo, chunks=k).time_s
+        )
+        assert saved > 0  # net of the (k - 1) launches predict() charges
 
     def test_constants_re_exported(self):
         # the one source of truth for the switch points

@@ -676,3 +676,47 @@ class TestAsyncSGDGracefulDegradation:
             assert len(history.records) == 2
             assert history.params is not None
             assert np.isfinite(history.final_loss)
+
+    @pytest.mark.parametrize("kill_after_ops", [3, 6, 9, 12, 15])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_death_during_the_launch_round_degrades_too(self, kill_after_ops, fused):
+        """With ``adaptive`` / ``chunks="auto"`` every step runs an
+        agreement round on the rank thread *before* the launch; a peer
+        that dies there must degrade the survivors like one that dies
+        behind the join (it used to escape as an unhandled error)."""
+        from repro.core import GradientFuser
+        from repro.mlopt import (
+            LogisticRegression,
+            SGDConfig,
+            distributed_sgd_async,
+            make_sparse_classification,
+        )
+
+        dataset = make_sparse_classification(120, 512, 12, seed=5)
+
+        def prog(comm):
+            # 12 steps of >= 4 transport ops on every rank: each kill
+            # point below lands inside the run, most in a launch round
+            cfg = SGDConfig(epochs=2, batch_size=5, lr=0.5, mode="sparse")
+            model = LogisticRegression(dataset.n_features, 1e-5)
+            fuser = (
+                GradientFuser([("a", 256), ("b", 256)], min_bucket_bytes=0) if fused else None
+            )
+            return distributed_sgd_async(
+                comm, dataset, model, cfg,
+                fuser=fuser, fuser_k=8, chunks="auto", adaptive=True,
+            )
+
+        victim = 1
+        with pytest.raises(RankError) as ei:
+            run_ranks(
+                prog, 4, backend="thread", topology="2x2",
+                fault_plan=FaultPlan(kill_rank=victim, kill_after_ops=kill_after_ops),
+            )
+        for rank, history in enumerate(ei.value.partial_results):
+            if rank == victim:
+                assert history is None
+                continue
+            assert history is not None, f"rank {rank} did not survive"
+            assert history.degraded_rank == victim
+            assert len(history.records) == 2 and np.isfinite(history.final_loss)

@@ -377,3 +377,19 @@ class TestNestedLaunchTagSpaces:
             return True
 
         assert all(run_ranks(prog, 2).results)
+
+    def test_launch_outgrowing_its_tag_field_refused(self):
+        """One launch owns 256 collective tag blocks at the top level; a
+        257th would alias the next launch's tag space (a fused call runs
+        every bucket inside one launch), so it must raise."""
+        def prog(comm):
+            def many(c, count):
+                return [c.next_collective_tag() for _ in range(count)]
+
+            assert len(i_collective(comm, many, 256).wait()) == 256
+            handle = i_collective(comm, many, 257)
+            with pytest.raises(RuntimeError, match="alias"):
+                handle.wait()
+            return True
+
+        assert all(run_ranks(prog, 2).results)

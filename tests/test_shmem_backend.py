@@ -14,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import RankError, Trace, run_ranks
-from repro.runtime.shmem_backend import ShmemBackend, SharedRing
+from repro.runtime import RankError, RankFailedError, Trace, run_ranks
+from repro.runtime.shmem_backend import _LEN, CorruptRingError, ShmemBackend, SharedRing
 from repro.runtime.wire import encode_frame_parts
 from repro.streams import SparseStream
 
@@ -122,6 +122,23 @@ class TestSharedRing:
             return aborted["n"] > 3
 
         assert not ring.write([payload, payload], 4096, abort_soon)
+
+    @pytest.mark.parametrize("word", [
+        (1 << 63) | 3_200_000_000,  # oversize flag + garbage: the observed 3.2 GB allocation
+        (1 << 63) | 64,  # oversize flag on a frame the writer would have sent contiguously
+        1 << 40,  # contiguous record larger than the ring
+        2048,  # contiguous record larger than what is published
+    ])
+    def test_corrupt_length_word_raises_instead_of_allocating(self, ring, word):
+        assert ring.write([b"x" * 16], 16, _NO_ABORT)
+        _LEN.pack_into(ring.data, 0, word)  # stomp the record's length word
+        with pytest.raises(CorruptRingError, match="length word"):
+            _read_one(ring)
+        assert ring._partial is None  # no reassembly buffer was sized from it
+
+    def test_frame_over_the_limit_is_refused_by_the_writer(self, ring):
+        with pytest.raises(ValueError, match="ring limit"):
+            ring.write([b""], (1 << 30) + 1, _NO_ABORT)
 
     def test_encode_frame_parts_write(self, ring):
         """Vectored stream encode lands in the ring without staging blobs."""
@@ -344,6 +361,26 @@ class TestShmemFailureHandling:
 
         with pytest.raises(RankError, match="process died"):
             run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
+
+    def test_corrupt_ring_names_the_peer(self):
+        """A garbage length word becomes RankFailedError(sender) at the
+        blocked reader, not an allocation of that size."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                ring = comm._out_rings[1]
+                head = ring._head()
+                _LEN.pack_into(ring.data, head & ring._mask, (1 << 63) | 3_200_000_000)
+                ring._set_head(head + _LEN.size)
+                ring._ding()
+                return None
+            with pytest.raises(RankFailedError) as err:
+                comm.recv(0, tag=5)
+            return err.value.rank, str(err.value)
+
+        out = run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
+        rank, message = out[1]
+        assert rank == 0 and "corrupt" in message
 
     def test_unpicklable_exception_still_reported(self):
         def prog(comm):
