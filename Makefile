@@ -2,6 +2,10 @@
 #
 #   make test               the tier-1 suite (what CI gates on)
 #   make lint               ruff check (config in pyproject.toml; CI-enforced)
+#   make loc                code lines (non-blank, non-comment, non-docstring)
+#                           per src/repro package and for the process-family
+#                           backend files — the number the "Quality of
+#                           design" aim asks every PR to report
 #   make smoke              fast subset (skips "slow" tests) plus a
 #                           one-iteration bench-kernels sanity pass
 #   make bench-kernels      quick wall-clock microkernel/transport/allreduce/
@@ -30,7 +34,7 @@ PYTHON ?= python
 # invocations need it on PYTHONPATH explicitly.
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: test lint smoke bench-smoke bench bench-kernels bench-kernels-full calibrate bench-gate
+.PHONY: test lint loc smoke bench-smoke bench bench-kernels bench-kernels-full calibrate bench-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -38,14 +42,18 @@ test:
 lint:
 	$(PYTHON) -m ruff check .
 
+loc:
+	$(PYTHON) tools/loc.py
+
 smoke:
 	$(PYTHON) -m pytest -x -q -k "not slow" -m "not slow"
 	$(MAKE) bench-kernels
 
 bench-kernels:
 	$(RUN) -m repro bench-kernels --quick --out results/BENCH_microkernels.quick.json
-	$(PYTHON) -c "import json; d = json.load(open('results/BENCH_microkernels.quick.json')); \
-	assert d['schema'] == 5 and d['microkernels'] and d['allreduce'] and d['transport_roundtrip'], 'malformed bench JSON'; \
+	$(RUN) -c "import json; from repro.tools.benchkernels import SCHEMA; \
+	d = json.load(open('results/BENCH_microkernels.quick.json')); \
+	assert d['schema'] == SCHEMA and d['microkernels'] and d['allreduce'] and d['transport_roundtrip'], 'malformed bench JSON'; \
 	assert d['allreduce_ordering_check']['ok'], 'predicted vs measured ordering violated'; \
 	hier = d['hierarchy']['per_algorithm']; \
 	assert 'ssar_hier' in hier and 'dsar_hier' in hier, 'missing hier rows'; \

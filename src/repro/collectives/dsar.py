@@ -21,7 +21,7 @@ import numpy as np
 
 from ..quant import QSGDQuantizer, QuantizedBlock
 from ..runtime.comm import Communicator
-from ..streams import MergeScratch, SparseStream
+from ..streams import SparseStream
 from ..streams.ops import SUM, ReduceOp
 from .allgather import allgather_blocks
 from .dense import partition_bounds
@@ -82,7 +82,7 @@ def dsar_split_allgather(
     base = comm.next_collective_tag()
     if bounds is None:
         bounds = partition_bounds(stream.dimension, comm.size)
-    reduced = split_phase(comm, stream, bounds, base, op, MergeScratch())
+    reduced = split_phase(comm, stream, bounds, base, op)
 
     # representation switch: this partition is now treated as dense
     lo, hi = int(bounds[comm.rank]), int(bounds[comm.rank + 1])

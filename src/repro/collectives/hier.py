@@ -58,7 +58,6 @@ from ..runtime.nonblocking import i_collective
 from ..runtime.topology import Topology, check_topology_size, normalize_topology
 from ..streams import SparseStream, add_streams_, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
-from ..streams.summation import MergeScratch
 from .dense import partition_bounds
 from .dsar import dsar_split_allgather
 from .sparse import (
@@ -88,7 +87,6 @@ def tree_reduce(
     comm: Communicator,
     stream: SparseStream,
     op: ReduceOp = SUM,
-    scratch: MergeScratch | None = None,
 ) -> SparseStream:
     """Binomial-tree sparse reduce onto rank 0 of ``comm``.
 
@@ -101,8 +99,6 @@ def tree_reduce(
     acc = stream.copy()
     if comm.size == 1:
         return acc
-    if scratch is None:
-        scratch = MergeScratch()
     base = comm.next_collective_tag()
     mask = 1
     while mask < comm.size:
@@ -115,7 +111,7 @@ def tree_reduce(
             comm.compute(reduction_work_bytes(acc, incoming), "reduce")
             # the received stream is ours alone (freshly decoded / copied
             # on send), so the reduction may adopt its arrays outright
-            add_streams_(acc, incoming, op, scratch=scratch, own_other=True)
+            add_streams_(acc, incoming, op, own_other=True)
         mask <<= 1
     return acc
 
@@ -240,7 +236,6 @@ def _chunked_hierarchical(
     launch = leader_comm is not None and (leader_comm.size > 1 or leader_runs_alone)
 
     bounds = partition_bounds(stream.dimension, chunks)
-    scratch = MergeScratch()
     handles: list = []
     parts: list[SparseStream | None] = [None] * chunks
 
@@ -255,7 +250,7 @@ def _chunked_hierarchical(
         lo, hi = int(bounds[k]), int(bounds[k + 1])
         chunk = _rebase_chunk(stream, lo, hi)
         comm.mark("hier_local_reduce")
-        acc = tree_reduce(local, chunk, op, scratch)
+        acc = tree_reduce(local, chunk, op)
         if launch:
             comm.mark("hier_leaders")
             handles.append(i_collective(leader_comm, leader_stage, acc, lo, hi))
@@ -338,10 +333,9 @@ def ssar_hierarchical(
     local = comm.subgroup(topo.group_of(comm.rank))
     leader_comm = comm.subgroup(topo.leaders)
 
-    scratch = MergeScratch()
     # phase 1: merge this host's streams onto its leader (fast tier only)
     comm.mark("hier_local_reduce")
-    acc = tree_reduce(local, stream, op, scratch)
+    acc = tree_reduce(local, stream, op)
 
     # phase 2: only the per-host merged unions cross the slow tier
     if leader_comm is not None and leader_comm.size > 1:
@@ -419,10 +413,9 @@ def dsar_hierarchical(
     local = comm.subgroup(topo.group_of(comm.rank))
     leader_comm = comm.subgroup(topo.leaders)
 
-    scratch = MergeScratch()
     # phase 1: merge this host's streams onto its leader (fast tier only)
     comm.mark("hier_local_reduce")
-    acc = tree_reduce(local, stream, op, scratch)
+    acc = tree_reduce(local, stream, op)
 
     # phase 2: leaders switch representation and allgather dense blocks;
     # only nnodes partitions (quantized at most once each) go inter-node

@@ -27,7 +27,7 @@ import numpy as np
 from ..runtime.comm import Communicator
 from ..streams import SparseStream, add_streams_, concat_disjoint, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
-from ..streams.summation import MergeScratch, merge_sparse_pairs
+from ..streams.summation import merge_sparse_pairs
 from .allgather import allgather_blocks
 from .dense import partition_bounds
 
@@ -91,7 +91,6 @@ def ssar_recursive_double(
     rem = comm.size - pof2
 
     acc = stream.copy()
-    scratch = MergeScratch()  # one merge workspace across all rounds
     newrank = comm.rank
     if rem:
         if comm.rank < 2 * rem:
@@ -101,7 +100,7 @@ def ssar_recursive_double(
                 return result
             incoming = comm.recv(comm.rank - 1, base)
             comm.compute(reduction_work_bytes(acc, incoming), "reduce")
-            add_streams_(acc, incoming, op, scratch=scratch, own_other=True)
+            add_streams_(acc, incoming, op, own_other=True)
             newrank = comm.rank // 2
         else:
             newrank = comm.rank - rem
@@ -115,7 +114,7 @@ def ssar_recursive_double(
         comm.compute(reduction_work_bytes(acc, incoming), "reduce")
         # the received stream is ours alone (freshly decoded / copied on
         # send), so the reduction may adopt its arrays outright
-        add_streams_(acc, incoming, op, scratch=scratch, own_other=True)
+        add_streams_(acc, incoming, op, own_other=True)
         distance *= 2
         round_no += 1
 
@@ -130,7 +129,6 @@ def split_phase(
     bounds: np.ndarray,
     tag: int,
     op: ReduceOp = SUM,
-    scratch: MergeScratch | None = None,
 ) -> SparseStream:
     """The split (reduce-scatter-by-range) phase shared by SSAR/DSAR.
 
@@ -143,8 +141,6 @@ def split_phase(
     """
     P = comm.size
     comm.mark("split")
-    if scratch is None:
-        scratch = MergeScratch()
     requests = []
     for offset in range(1, P):
         dest = (comm.rank + offset) % P
@@ -159,9 +155,7 @@ def split_phase(
         src = (comm.rank - offset) % P
         piece: SparseStream = comm.recv(src, tag)
         comm.compute((idx.size + piece.nnz) * (4 + own.value_dtype.itemsize) * 2, "reduce")
-        idx, val = merge_sparse_pairs(
-            idx, val, piece.indices, piece.values, op, copy=False, scratch=scratch
-        )
+        idx, val = merge_sparse_pairs(idx, val, piece.indices, piece.values, op, copy=False)
     for req in requests:
         req.wait()
     return SparseStream(
@@ -192,7 +186,7 @@ def ssar_split_allgather(
     base = comm.next_collective_tag()
     if bounds is None:
         bounds = partition_bounds(stream.dimension, comm.size)
-    reduced = split_phase(comm, stream, bounds, base, op, MergeScratch())
+    reduced = split_phase(comm, stream, bounds, base, op)
     comm.mark("allgather")
     pieces = allgather_blocks(comm, reduced, base + 1)
     comm.compute(
@@ -228,7 +222,6 @@ def ssar_ring(
     right = (comm.rank + 1) % P
     left = (comm.rank - 1) % P
 
-    scratch = MergeScratch()  # one merge workspace across all ring steps
     for step in range(P - 1):
         send_block = (comm.rank - step) % P
         recv_block = (comm.rank - step - 1) % P
@@ -240,8 +233,7 @@ def ssar_ring(
         # copy=False: the merged block is never mutated in place, only
         # re-sliced/concatenated, so view-aliasing on empty sides is safe
         idx, val = merge_sparse_pairs(
-            acc.indices, acc.values, incoming.indices, incoming.values, op,
-            copy=False, scratch=scratch,
+            acc.indices, acc.values, incoming.indices, incoming.values, op, copy=False
         )
         slices[recv_block] = SparseStream(
             stream.dimension, indices=idx, values=val,

@@ -11,7 +11,7 @@ bench-kernels measurement layers *on the actual host*:
   the slowest transport the harness has — the honest stand-in for a
   network link on a single box);
 * **gamma** from the microkernel layer: seconds per byte touched by the
-  reused-scratch sparse merge (the §5.1 summation kernel);
+  sparse merge (the §5.1 summation kernel);
 * **launch** — what launching and joining one background collective
   costs in software, the price :meth:`CostModel.auto_chunks` charges per
   extra pipeline chunk: a tiny allreduce run through ``i_collective`` and
@@ -94,12 +94,12 @@ def fit_alpha_beta(sizes_bytes: list[float], times_s: list[float]) -> tuple[floa
 def fit_gamma(micro: dict) -> float:
     """Seconds per byte of local merge work, from the microkernel layer.
 
-    Uses the reused-scratch sparse merge (the steady-state §5.1 kernel):
+    Uses the sparse merge (the §5.1 summation kernel):
     merging two ``nnz``-pair streams touches ``2 nnz`` input pairs, the
     same accounting the trace replay charges compute with.
     """
     nnz = micro["params"]["nnz"]
-    best = micro["merge_sparse_pairs_scratch"]["best_s"]
+    best = micro["merge_sparse_pairs"]["best_s"]
     touched = 2 * nnz * _PAIR_BYTES
     return best / touched if touched else 0.0
 
@@ -217,7 +217,7 @@ def calibrate_from_doc(
     provenance = {
         "source": "repro calibrate",
         "dimension": dimension,
-        "gamma_kernel": "merge_sparse_pairs_scratch",
+        "gamma_kernel": "merge_sparse_pairs",
         "fits": fits,
         "platform": platform.platform(),
         "python": platform.python_version(),

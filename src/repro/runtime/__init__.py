@@ -7,6 +7,9 @@ The runtime is split into a backend-neutral core and pluggable backends:
 * :mod:`~repro.runtime.backend` — the :class:`Backend` abstraction and
   registry (``"thread"``, ``"process"``, ``"shmem"`` and ``"socket"``
   ship built in);
+* :mod:`~repro.runtime.mesh` — the launcher, rank lifecycle and mailbox
+  communicator the three process-family backends share (each of them
+  supplies only its channel: pipe, shared-memory ring, TCP connection);
 * :mod:`~repro.runtime.launcher` — :func:`run_ranks`, the ``mpiexec``
   analog, with a ``backend=`` selector;
 * :mod:`~repro.runtime.trace` / :mod:`~repro.runtime.nonblocking` —
@@ -48,15 +51,15 @@ from .topology import (
     normalize_topology,
 )
 from .nonblocking import NonBlockingHandle, i_collective
-from .process_backend import ProcessBackend, ProcessComm, ProcessWorld
-from .shmem_backend import SharedRing, ShmemBackend, ShmemComm, ShmemWorld
+from .mesh import MeshBackend, MeshComm, MeshWorld
+from .process_backend import ProcessBackend, ProcessComm
+from .shmem_backend import SharedRing, ShmemBackend, ShmemComm
 from .socket_backend import (
     ElasticRendezvous,
     RendezvousError,
     RendezvousTimeoutError,
     SocketBackend,
     SocketComm,
-    SocketWorld,
     serve_rank,
 )
 from .thread_backend import ThreadBackend, ThreadComm, ThreadWorld
@@ -89,16 +92,16 @@ __all__ = [
     "ThreadBackend",
     "ThreadComm",
     "ThreadWorld",
+    "MeshBackend",
+    "MeshComm",
+    "MeshWorld",
     "ProcessBackend",
     "ProcessComm",
-    "ProcessWorld",
     "ShmemBackend",
     "ShmemComm",
-    "ShmemWorld",
     "SharedRing",
     "SocketBackend",
     "SocketComm",
-    "SocketWorld",
     "RendezvousError",
     "RendezvousTimeoutError",
     "serve_rank",

@@ -36,9 +36,29 @@ transport with a string::
 
     run_ranks(program, nranks=8, backend="process")
 
-Writing a new backend means subclassing :class:`Backend`, implementing
-:meth:`Backend.run` (typically by providing a ``Communicator`` subclass
-with the four transport hooks), and registering it.
+Writing a new backend
+---------------------
+A backend whose ranks are OS processes does not write a launcher: it
+subclasses :class:`~repro.runtime.mesh.MeshBackend` and supplies a
+*transport*. The launcher there owns everything transport-independent —
+forking one process per rank with the list of inherited ends to close,
+the rank lifecycle (connect → ``fn(comm)`` → FIN → report → linger →
+close), result collection with the failure grace period, reaping, cleanup
+on a partial launch, and the trace merge. The transport says only what is
+its own: a :class:`~repro.runtime.mesh.Transport` (how the mesh is built
+and handed to a child, which ends the parent releases after forking, how
+a finished rank's inbound channels are drained, what to tear down) and a
+:class:`~repro.runtime.mesh.MeshComm` subclass that writes one frame and
+passes every frame it reads to ``_deliver`` — for a byte-stream channel,
+the three ``_frame`` / ``_write`` / ``_read_frame`` hooks of
+:class:`~repro.runtime.mesh.PumpedComm`. ``process_backend.py`` is the
+smallest complete example (~90 lines of code).
+
+Anything else (ranks as threads, a remote scheduler, …) subclasses
+:class:`Backend` directly, implements :meth:`Backend.run` (typically by
+providing a ``Communicator`` subclass with the four transport hooks), and
+registers itself; a new name in the equivalence tests' ``BACKENDS`` lists
+then inherits the whole contract.
 """
 
 from __future__ import annotations

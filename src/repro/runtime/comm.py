@@ -3,9 +3,10 @@
 The collective algorithms in :mod:`repro.collectives` are written against
 this interface only; any backend that provides blocking point-to-point
 ``send``/``recv`` with FIFO matching per (source, dest, tag) channel — the
-semantics MPI guarantees — can execute them. The library ships two
+semantics MPI guarantees — can execute them. The library ships four
 implementations, selected by the ``backend=`` argument of
-:func:`~repro.runtime.run_ranks`:
+:func:`~repro.runtime.run_ranks` (the last three share one launcher and
+mailbox communicator, :mod:`repro.runtime.mesh`):
 
 * :mod:`repro.runtime.thread_backend` — one thread per rank, shared
   mailboxes (fast, in-process);
@@ -207,18 +208,22 @@ class AbortState:
     """World-failure flag that remembers *which* rank failed first.
 
     A drop-in upgrade of the bare ``threading.Event`` the backends used:
-    ``set()`` optionally records the failed rank (first writer wins) and
-    ``error()`` builds the matching typed exception for blocked peers —
+    ``set()`` optionally records the failed rank and why (first writer
+    wins) and ``error()`` builds the matching typed exception for blocked
+    peers —
     :class:`RankFailedError` when the culprit is known,
     :class:`WorldAbortedError` otherwise.
     """
 
-    __slots__ = ("_event", "_lock", "failed_rank", "_failed_ranks")
+    __slots__ = ("_event", "_lock", "failed_rank", "reason", "_failed_ranks")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._lock = threading.Lock()
         self.failed_rank: "int | None" = None
+        #: what the first attributed failure was, when the reporter knew
+        #: more than "the rank is gone" (e.g. a corrupt stream).
+        self.reason: "str | None" = None
         self._failed_ranks: set[int] = set()
 
     def is_set(self) -> bool:
@@ -227,11 +232,12 @@ class AbortState:
     def wait(self, timeout: "float | None" = None) -> bool:
         return self._event.wait(timeout)
 
-    def set(self, failed_rank: "int | None" = None) -> None:
+    def set(self, failed_rank: "int | None" = None, reason: "str | None" = None) -> None:
         if failed_rank is not None:
             with self._lock:
                 if self.failed_rank is None:
                     self.failed_rank = int(failed_rank)
+                    self.reason = reason
                 self._failed_ranks.add(int(failed_rank))
         self._event.set()
 
@@ -249,7 +255,7 @@ class AbortState:
     def error(self) -> WorldAbortedError:
         """A fresh typed exception describing the recorded failure."""
         if self.failed_rank is not None:
-            return RankFailedError(self.failed_rank)
+            return RankFailedError(self.failed_rank, self.reason)
         return WorldAbortedError("another rank failed; aborting")
 
 

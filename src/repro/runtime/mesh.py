@@ -1,0 +1,715 @@
+"""Process-family core: one mesh communicator, one launcher, one rank lifecycle.
+
+The ``process``, ``shmem`` and ``socket`` backends run every rank in its
+own OS process and differ only in what carries a frame between two of
+them — a pipe, a shared-memory ring, a TCP connection. Everything that
+does not depend on that choice lives here, once:
+
+* :class:`MeshComm` — the per-rank communicator: per-(source, tag) FIFO
+  mailboxes, sender-side sequence numbers, the abort flag, the elastic
+  epoch hooks, and :meth:`MeshComm._deliver`, the single inbound path
+  (*decode → drop stale epoch → FIN → mailbox*) every transport feeds;
+* :class:`PumpedComm` — a :class:`MeshComm` over byte-stream channels
+  (pipes, TCP): one receiver thread per peer running one pump loop, and
+  one outbound send/FIN body, over three small per-channel hooks;
+* :class:`MeshBackend` — the launcher (``Backend.run``): build the mesh,
+  fork one process per rank with the list of inherited ends it must
+  close, release the parent's ends, collect results (:func:`_collect`),
+  reap, clean up, merge traces (:func:`_finalize_run`);
+* :func:`_rank_main` / :func:`_run_rank` — the rank lifecycle: close
+  foreign ends → connect → ``fn(comm)`` → ``shutdown`` → report
+  ``ok/aborted/error`` → linger → close (``serve_rank`` runs the same
+  tail for a rank that was started by hand).
+
+What a transport supplies
+-------------------------
+A backend is a :class:`MeshBackend` subclass whose ``_transport`` returns a
+:class:`Transport`: the parent-side mesh of one run. It says how the
+channels are built and handed to a child (``build`` / ``ends`` / ``own``
+/ ``connector``), which ends the parent must let go of after forking so
+that peer death shows as EOF (``release``), how a finished rank's inbound
+channels are kept from filling up (``finished`` / ``wait``), and what to
+tear down (``close``). The communicator it connects is a
+:class:`MeshComm` that writes one frame (``_transport_send`` /
+``shutdown``) and hands every frame it reads to ``_deliver``.
+
+Failure handling: a failing rank reports its exception over its result
+pipe and exits; peers observe EOF on its channels *without* a preceding
+FIN frame, flag the world aborted and unwind with
+:class:`WorldAbortedError`; the parent gives survivors
+:data:`_ERROR_GRACE_S` to finish, terminates stragglers and re-raises the
+lowest-ranked failure as :class:`RankError`, exactly like the thread
+backend.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import pickle
+import threading
+import time
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait as conn_wait
+from typing import Any, Callable
+
+from .backend import Backend, ParallelResult, RankError
+from .comm import (
+    AbortState,
+    CommTimeoutError,
+    Communicator,
+    Mailbox,
+    MailboxRegistry,
+    RankFailedError,
+    WorldAbortedError,
+)
+from .trace import RECV, SEND, Trace, TraceEvent
+from .wire import decode_message
+
+__all__ = ["MeshBackend", "MeshComm", "MeshWorld", "PumpedComm", "Transport"]
+
+#: preferred start method: fork keeps closures usable as rank functions and
+#: is cheap; on platforms without it we fall back to spawn (rank functions
+#: must then be picklable, i.e. module-level).
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+#: after the first failure report, how long to keep collecting results from
+#: the other ranks before terminating them (seconds). Generous enough for
+#: survivors of a killed rank to run an elastic shrink barrier and finish
+#: real post-shrink work before the parent reaps them.
+_ERROR_GRACE_S = 5.0
+
+#: how long a cleanly-finished rank keeps receiving after reporting its
+#: result, so peers' late buffered sends complete (seconds). Only
+#: transports nobody else can drain (TCP) linger at all.
+_LINGER_S = 30.0
+
+#: frame tag of the graceful-shutdown marker a finishing rank sends on every
+#: outbound channel. Receivers treat EOF *without* a preceding FIN as peer
+#: death (abort); EOF after FIN is a normal wind-down.
+_FIN_TAG = -1
+
+
+class MeshComm(Communicator):
+    """Mailbox-buffered mesh communicator base of the process-family backends.
+
+    Incoming traffic lands in per-(source, tag) FIFO mailboxes; sequence
+    numbers are allocated sender-side against the worker-local trace
+    (only this rank sends on a (rank, dest, tag) channel, so local
+    counters are the truth). Who *reads* the channels differs per
+    transport — pump threads (:class:`PumpedComm`) or the shared-memory
+    backend's inline progress engine — but every frame read goes through
+    :meth:`_deliver`.
+    """
+
+    def _init_mesh(
+        self, rank: int, size: int, trace: Trace, op_timeout: float | None = None
+    ) -> None:
+        self.rank = rank
+        self.size = size
+        self.trace = trace
+        self.op_timeout = op_timeout
+        self._collective_counter = 0
+        self._mailboxes = MailboxRegistry()
+        self.aborted = AbortState()
+        #: elastic world version stamped on every outgoing frame; bumped by
+        #: :func:`~repro.runtime.elastic.shrink` via :meth:`_elastic_reset`.
+        self.epoch = 0
+        #: count of inbound frames dropped because their epoch was stale.
+        self.stale_epoch_rejected = 0
+        self._stale_lock = threading.Lock()
+        #: ranks a membership change already declared dead: late transport
+        #: failures from them (pump EOF, broken sends) must not re-abort
+        #: the new, smaller world.
+        self.dead_ranks: set[int] = set()
+
+    def _mailbox(self, src: int, tag: int) -> Mailbox:
+        return self._mailboxes.get((src, tag))
+
+    def _abort(self, failed_rank: int | None = None, reason: str | None = None) -> None:
+        if failed_rank is not None and failed_rank in self.dead_ranks:
+            return  # already accounted for by a shrink; the world lives on
+        self.aborted.set(failed_rank, reason)
+        self._mailboxes.wake_all()
+
+    def _deliver(self, src: int, frame: Any) -> bool:
+        """Turn one inbound frame from ``src`` into a mailbox entry.
+
+        The one place a frame is decoded. Returns False once nothing more
+        will be delivered from ``src``'s channel: the peer sent FIN (it
+        finished cleanly), or the frame was undecodable and the world is
+        aborted. Decoding copies (``copy=True``): transports reuse the
+        buffer ``frame`` views, so the arrays must own their memory.
+        """
+        try:
+            tag, seq, nbytes, epoch, payload = decode_message(frame)
+        except Exception:
+            # undecodable frame (e.g. a payload whose pickle references a
+            # class this process cannot import): fail fast instead of
+            # silently stopping the progress engine and hanging the run
+            self._abort()
+            return False
+        if epoch < self.epoch:
+            # a frame from a dead world epoch (in flight across a shrink
+            # or sent by a peer that has not committed the shrink yet):
+            # dropping it here is what keeps post-shrink collectives from
+            # matching pre-shrink traffic
+            with self._stale_lock:
+                self.stale_epoch_rejected += 1
+            return True
+        if tag == _FIN_TAG:
+            return False
+        self._mailbox(src, tag).put(payload, nbytes, seq)
+        return True
+
+    def _elastic_reset(self, dead_ranks, epoch: int) -> None:
+        """Commit a membership change: record the dead, arm a fresh abort
+        flag and move this rank's wire traffic to ``epoch``."""
+        self.dead_ranks.update(int(r) for r in dead_ranks)
+        self.aborted = AbortState()
+        self.epoch = int(epoch)
+
+    def _elastic_note_dead(self, ranks) -> None:
+        """Attribute mid-barrier failures and clear the abort flag once
+        every recorded culprit is accounted for (unattributed aborts are
+        left standing — they are not a membership event)."""
+        self.dead_ranks.update(int(r) for r in ranks)
+        state = self.aborted
+        if state.is_set() and state.failed_ranks and state.failed_ranks <= self.dead_ranks:
+            self.aborted = AbortState()
+
+    def _elastic_regrow(self, rank: int, epoch: int) -> None:
+        """Commit a rejoin: the rank is alive again in the new epoch."""
+        self.dead_ranks.discard(int(rank))
+        self.epoch = int(epoch)
+
+    # ------------------------------------------------------------------
+    # rank lifecycle (driven by _run_rank)
+    # ------------------------------------------------------------------
+    def shutdown(self) -> None:  # pragma: no cover - abstract
+        """Graceful wind-down: send FIN on every outbound channel."""
+        raise NotImplementedError
+
+    def linger(self, timeout: float) -> None:
+        """Keep receiving after a clean finish until every peer has FINed.
+
+        A no-op where the parent drains a finished rank's inbound
+        channels (pipes, rings); TCP connections have no third party.
+        """
+
+    def close(self) -> None:
+        """Release the channels (process exit does it for pipes and rings)."""
+
+    # ------------------------------------------------------------------
+    # transport hooks (send stays subclass-specific)
+    # ------------------------------------------------------------------
+    def _alloc_seq(self, dest: int, tag: int) -> int:
+        return self.trace.next_seq(self.rank, dest, tag)
+
+    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
+        return self._mailbox(source, tag).get(
+            self.aborted, timeout=self.op_timeout, source=source, tag=tag
+        )
+
+    def _probe(self, source: int, tag: int) -> bool:
+        return self._mailbox(source, tag).has_items()
+
+    def _abort_state(self) -> AbortState:
+        return self.aborted
+
+
+class PumpedComm(MeshComm):
+    """Mesh communicator over byte-stream channels, fed by receiver threads.
+
+    ``out[d]`` / ``inn[s]`` are this rank's channels to and from each peer
+    (``None`` at its own slot). One daemon *pump* thread per peer drains
+    that peer's inbound channel (the MPI progress-engine stand-in), so a
+    blocking peer send can never deadlock against an unread transport
+    buffer. A channel type (the pipe here in
+    :mod:`~repro.runtime.process_backend`, the TCP connection in
+    :mod:`~repro.runtime.socket_backend`) supplies three hooks:
+    :meth:`_frame`, :meth:`_write` and :meth:`_read_frame`.
+    """
+
+    def __init__(
+        self,
+        rank: int,
+        size: int,
+        out: list,
+        inn: list,
+        trace: Trace,
+        op_timeout: float | None = None,
+    ) -> None:
+        self._init_mesh(rank, size, trace, op_timeout)
+        self._out = out
+        self._out_locks = [threading.Lock() if c is not None else None for c in out]
+        self._receivers: list[threading.Thread] = []
+        for src, channel in enumerate(inn):
+            if channel is not None:
+                self._start_pump(src, channel)
+
+    # -- per-channel hooks ----------------------------------------------
+    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> Any:  # pragma: no cover
+        """One encoded message, ready for :meth:`_write`."""
+        raise NotImplementedError
+
+    def _write(self, channel: Any, blob: Any, timeout: float | None) -> None:  # pragma: no cover
+        """Write ``blob`` whole; ``TimeoutError`` past ``timeout`` seconds
+        without progress, ``OSError`` when the peer is gone."""
+        raise NotImplementedError
+
+    def _read_frame(self, channel: Any, buf: bytearray) -> tuple[Any, bytearray]:  # pragma: no cover
+        """Block for the next frame: ``(frame, buf)``.
+
+        ``buf`` is the pump's reusable scratch buffer; the hook reads into
+        it, growing it geometrically on demand (and returning the grown
+        one), so steady-state receive allocates nothing per message but
+        the decoded arrays. ``EOFError``/``OSError`` when the channel
+        ends, ``ValueError`` for a length word no writer can have sent.
+        """
+        raise NotImplementedError
+
+    # -- inbound progress engine ----------------------------------------
+    def _start_pump(self, src: int, channel: Any) -> None:
+        t = threading.Thread(
+            target=self._pump, args=(src, channel), name=f"recv-{src}->{self.rank}", daemon=True
+        )
+        t.start()
+        self._receivers.append(t)
+
+    def _pump(self, src: int, channel: Any) -> None:
+        """Receiver thread: drain one peer's channel into the mailboxes."""
+        buf = bytearray(1 << 16)
+        while True:
+            try:
+                frame, buf = self._read_frame(channel, buf)
+            except (EOFError, OSError):
+                # EOF (or a reset) with no FIN first: the peer died mid-run.
+                # Wake anyone blocked on its (or anyone's) traffic so the
+                # rank unwinds with a RankFailedError naming the dead peer.
+                self._abort(failed_rank=src)
+                return
+            except (ValueError, MemoryError) as exc:
+                # a garbage length word (MemoryError: one under the limit
+                # can still be unallocatable): nothing behind it on this
+                # stream can be trusted, and only its writer can have sent it
+                self._abort(src, f"stream from rank {src} is corrupt: {exc}")
+                return
+            if not self._deliver(src, frame):
+                return  # FIN: the channel is drained (or the world aborted)
+
+    # -- outbound ---------------------------------------------------------
+    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
+        blob = self._frame(tag, seq, nbytes, obj)
+        try:
+            with self._out_locks[dest]:
+                self._write(self._out[dest], blob, self.op_timeout)
+        except TimeoutError as exc:  # the peer stopped reading
+            self._abort()
+            raise CommTimeoutError(
+                f"send to rank {dest} (tag {tag}) made no progress within "
+                f"op_timeout={self.op_timeout}s",
+                source=dest,
+                tag=tag,
+                timeout=self.op_timeout,
+            ) from exc
+        except OSError as exc:
+            self._abort(failed_rank=dest)
+            raise RankFailedError(dest, f"rank {dest} is gone; send failed") from exc
+
+    def shutdown(self) -> None:
+        """Graceful wind-down: tell every peer this rank is done sending."""
+        fin = self._frame(_FIN_TAG, -1, 0, None)
+        for dest, channel in enumerate(self._out):
+            if channel is None:
+                continue
+            try:
+                with self._out_locks[dest]:
+                    self._write(channel, fin, None)
+            except OSError:  # peer already gone
+                pass
+
+
+# ----------------------------------------------------------------------
+# the parent side: transport seam, world record, launcher
+# ----------------------------------------------------------------------
+class Transport:
+    """Parent-side mesh of one run: what a process-family backend supplies.
+
+    :meth:`MeshBackend.run` drives it in this order: ``build`` → per rank
+    ``own`` / ``connector`` (fork) → ``release`` → ``finished`` / ``wait``
+    while collecting → ``close``. ``close`` also runs when ``build`` or a
+    fork raised part-way and must release whatever exists by then.
+    """
+
+    #: transport-specific fields of the run's :class:`MeshWorld`.
+    info: dict[str, Any] = {}
+
+    def build(self) -> None:  # pragma: no cover - abstract
+        """Create every channel of the mesh."""
+        raise NotImplementedError
+
+    def ends(self) -> list:
+        """Every closable OS handle of the mesh the parent holds — what a
+        forked child inherits."""
+        return []
+
+    def own(self, rank: int) -> list:
+        """The subset of :meth:`ends` that ``rank`` keeps; a forked child
+        closes the rest so peer death propagates as EOF instead of hanging."""
+        return []
+
+    def connector(self, rank: int) -> Callable[[Trace, "float | None"], MeshComm]:  # pragma: no cover
+        """A picklable ``connect(trace, op_timeout) -> comm``, run in the
+        child; a raise is reported as that rank's failure."""
+        raise NotImplementedError
+
+    def release(self) -> None:
+        """After the last fork: let go of the parent's copies of the ends
+        whose closing is a rank's death signal."""
+
+    def finished(self, rank: int) -> None:
+        """``rank`` reported or died: nothing reads its inbound channels
+        anymore, so :meth:`wait` must keep them from filling up (a peer's
+        late buffered send would otherwise block forever)."""
+
+    def wait(self, conns: list[Connection], timeout: float | None) -> list[Connection]:
+        """The members of ``conns`` that became readable within ``timeout``."""
+        return conn_wait(conns, timeout=timeout)
+
+    def close(self) -> None:
+        """Tear the mesh down (idempotent; tolerates a partial build)."""
+
+
+@dataclass
+class MeshWorld:
+    """Parent-side record of one process-family run (for ParallelResult)."""
+
+    size: int
+    start_method: str
+    pids: list[int]
+    #: capacity in bytes of each per-pair ring (shmem runs).
+    ring_capacity: int | None = None
+    #: the loopback address the world assembled through (socket runs).
+    rendezvous: tuple[str, int] | None = None
+
+
+class MeshBackend(Backend):
+    """One OS process per rank over a :class:`Transport` mesh.
+
+    The launcher of every process-family backend; subclasses supply
+    :attr:`name` and :meth:`_transport`.
+    """
+
+    def _transport(self, ctx: Any, nranks: int, timeout: float | None) -> Transport:  # pragma: no cover
+        raise NotImplementedError
+
+    def run(
+        self,
+        fn: Callable[..., Any],
+        nranks: int,
+        *args: Any,
+        copy_payloads: bool = True,  # serialization always isolates; accepted for API parity
+        trace: Trace | None = None,
+        timeout: float | None = 300.0,
+        op_timeout: float | None = None,
+        topology: Any = None,
+        **kwargs: Any,
+    ) -> ParallelResult:
+        if nranks < 1:
+            raise ValueError(f"nranks must be >= 1, got {nranks}")
+        ctx = mp.get_context(_START_METHOD)
+        _check_spawn_picklable(fn, args, kwargs, self.name)
+        mesh = self._transport(ctx, nranks, timeout)
+        result_pipes: list[tuple[Connection, Connection]] = []
+        procs: list[mp.Process] = []
+        # setup and launch are guarded so a partial failure (e.g. EMFILE on
+        # a large mesh — the parent briefly holds ~2*P^2 descriptors) cleans
+        # up every channel and already-started rank instead of leaking them
+        try:
+            try:
+                mesh.build()
+                result_pipes = [ctx.Pipe(duplex=False) for _ in range(nranks)]
+                inherited = mesh.ends() + [c for pair in result_pipes for c in pair]
+                for rank in range(nranks):
+                    report = result_pipes[rank][1]
+                    close_list: list = []
+                    if _START_METHOD == "fork":
+                        # spawn children only inherit what we pass; fork
+                        # children inherit everything and must close the
+                        # foreign ends explicitly
+                        own = {id(c) for c in mesh.own(rank)} | {id(report)}
+                        close_list = [c for c in inherited if id(c) not in own]
+                    p = ctx.Process(
+                        target=_rank_main,
+                        args=(
+                            rank,
+                            nranks,
+                            fn,
+                            args,
+                            kwargs,
+                            mesh.connector(rank),
+                            report,
+                            close_list,
+                            topology,
+                            op_timeout,
+                        ),
+                        name=f"rank-{rank}",
+                        daemon=True,
+                    )
+                    p.start()
+                    procs.append(p)
+                # only after forking: the parent never forks while a service
+                # thread of the transport is mid-flight
+                mesh.release()
+                for _, w in result_pipes:
+                    w.close()
+                outcome = _collect(procs, [r for r, _ in result_pipes], timeout, mesh)
+            finally:
+                for p in procs:
+                    if p.is_alive():
+                        p.terminate()
+                for p in procs:
+                    p.join(timeout=5.0)
+                for pair in result_pipes:
+                    for c in pair:
+                        c.close()
+        finally:
+            mesh.close()
+
+        world = MeshWorld(nranks, _START_METHOD, [p.pid for p in procs], **mesh.info)
+        return _finalize_run(outcome, trace, nranks, world)
+
+
+def _collect(
+    procs: list[mp.Process],
+    result_conns: list[Connection],
+    timeout: float | None,
+    mesh: Transport,
+) -> tuple[list[Any], list[list[TraceEvent]], list[tuple[int, BaseException]], list[int]]:
+    """Gather every rank's report: ``(results, events, errors, aborted)``.
+
+    A rank whose result pipe hits EOF died hard (:class:`RankFailedError`
+    with its exit code). After the first failure the rest get
+    :data:`_ERROR_GRACE_S`; with none, running out of ``timeout`` is a
+    deadlock (:class:`TimeoutError`).
+    """
+    nranks = len(procs)
+    deadline = None if timeout is None else time.monotonic() + timeout
+    error_deadline: float | None = None
+    results: list[Any] = [None] * nranks
+    events: list[list[TraceEvent]] = [[] for _ in range(nranks)]
+    errors: list[tuple[int, BaseException]] = []
+    aborted_ranks: list[int] = []
+    pending = dict(enumerate(result_conns))
+
+    while pending:
+        now = time.monotonic()
+        wait_for = None
+        if deadline is not None:
+            wait_for = deadline - now
+        if error_deadline is not None:
+            wait_for = min(error_deadline - now, wait_for) if wait_for is not None else error_deadline - now
+        if wait_for is not None and wait_for <= 0:
+            if errors or error_deadline is not None:
+                break  # grace period after a failure ran out
+            raise TimeoutError(
+                f"parallel run did not finish within {timeout}s "
+                f"(ranks {sorted(pending)} still pending; likely deadlock)"
+            )
+        for conn in mesh.wait(list(pending.values()), wait_for):
+            rank = next(r for r, c in pending.items() if c is conn)
+            del pending[rank]
+            # finished or hard-dead, the rank reads nothing anymore: peers
+            # blocked sending to it must still get unstuck
+            mesh.finished(rank)
+            try:
+                status, _r, value, rank_events = conn.recv()
+            except (EOFError, OSError):
+                procs[rank].join(timeout=1.0)  # reap so exitcode is real
+                code = procs[rank].exitcode
+                errors.append(
+                    (rank, RankFailedError(rank, f"rank {rank} process died (exitcode {code})"))
+                )
+                continue
+            events[rank] = rank_events or []
+            if status == "ok":
+                results[rank] = value
+            elif status == "aborted":
+                aborted_ranks.append(rank)
+            else:  # "error"
+                errors.append((rank, value))
+        if errors and error_deadline is None:
+            error_deadline = time.monotonic() + _ERROR_GRACE_S
+    return results, events, errors, aborted_ranks
+
+
+# ----------------------------------------------------------------------
+# the rank side
+# ----------------------------------------------------------------------
+def _rank_main(
+    rank: int,
+    size: int,
+    fn: Callable[..., Any],
+    args: tuple,
+    kwargs: dict,
+    connect: Callable[[Trace, "float | None"], MeshComm],
+    result_conn: Connection,
+    close_list: list,
+    topology: Any = None,
+    op_timeout: float | None = None,
+) -> None:
+    """Entry point of one rank process."""
+    # under fork every end of every rank was inherited; drop the ones that
+    # are not ours so peer death propagates as EOF instead of hanging
+    for conn in close_list:
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+    trace = Trace(size)
+
+    def report(status: str, value: Any) -> None:
+        try:
+            try:
+                result_conn.send((status, rank, value, trace.events(rank)))
+            except Exception as exc:  # unpicklable result/exception
+                result_conn.send(("error", rank, _portable_exception(exc), None))
+        finally:
+            result_conn.close()
+
+    try:
+        comm = connect(trace, op_timeout)
+    except BaseException as exc:  # noqa: BLE001 - setup failure is the rank failure
+        report("error", _portable_exception(exc))
+        return
+    if topology is not None:
+        comm.topology = topology
+    _run_rank(comm, fn, args, kwargs, report)
+
+
+def _run_rank(
+    comm: MeshComm,
+    fn: Callable[..., Any],
+    args: tuple = (),
+    kwargs: "dict | None" = None,
+    report: "Callable[[str, Any], None] | None" = None,
+) -> Any:
+    """The one rank lifecycle: ``fn(comm)`` → shutdown → report → linger → close.
+
+    With ``report`` (a launched child) the outcome is shipped as
+    ``ok``/``aborted``/``error`` and nothing propagates; without it (a
+    rank started by hand, ``serve_rank``) the result is returned and a
+    failure raises. Only a clean finish lingers: it keeps draining peers'
+    traffic until they FIN, so a late buffered send to this finished
+    rank never hits a reset connection.
+    """
+    try:
+        try:
+            result = fn(comm, *args, **(kwargs or {}))
+            comm.shutdown()
+        except BaseException as exc:  # noqa: BLE001 - must propagate rank errors
+            if report is None:
+                raise
+            if isinstance(exc, WorldAbortedError):
+                report("aborted", None)
+            else:
+                report("error", _portable_exception(exc))
+            return None
+        if report is not None:
+            report("ok", result)
+        comm.linger(_LINGER_S)
+        return result
+    finally:
+        comm.close()
+
+
+def _portable_exception(exc: BaseException) -> BaseException:
+    """Return ``exc`` if it survives a pickle round-trip, else a stand-in."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _check_spawn_picklable(fn: Callable[..., Any], args: tuple, kwargs: dict, what: str) -> None:
+    """Fail fast with a clear message instead of a mid-launch pickle
+    traceback: spawn re-imports the child, so closures cannot travel."""
+    if _START_METHOD != "spawn":
+        return
+    try:
+        pickle.dumps((fn, args, kwargs))
+    except Exception as exc:
+        raise ValueError(
+            f"the {what} backend on a spawn-only platform requires a "
+            "picklable (module-level) rank function and arguments; "
+            f"got {fn!r} ({exc})"
+        ) from exc
+
+
+# ----------------------------------------------------------------------
+# run epilogue
+# ----------------------------------------------------------------------
+def _finalize_run(
+    outcome: tuple[list[Any], list[list[TraceEvent]], list[tuple[int, BaseException]], list[int]],
+    trace: Trace | None,
+    nranks: int,
+    world: Any,
+) -> ParallelResult:
+    """Merge worker traces and raise/return — the tail of every run.
+
+    Merging happens before raising: on failure a caller-supplied trace
+    keeps the partial events of surviving ranks, matching the thread
+    backend.
+    """
+    results, per_rank_events, errors, aborted_ranks = outcome
+    run_trace = trace if trace is not None else Trace(nranks)
+    _merge_events(run_trace, per_rank_events)
+    if errors:
+        rank, original = min(errors, key=lambda e: e[0])
+    elif aborted_ranks:
+        # a rank unwound with WorldAbortedError but nobody reported the
+        # root failure (e.g. an undecodable frame stopped a pump thread);
+        # surfacing it beats silently returning None results
+        rank = min(aborted_ranks)
+        original = WorldAbortedError(
+            f"rank {rank} aborted (peer connection or frame failure "
+            "without a reported rank error)"
+        )
+    else:
+        return ParallelResult(results=results, trace=run_trace, world=world)
+    err = RankError(rank, original)
+    err.partial_results = results
+    raise err from original
+
+
+def _merge_events(trace: Trace, per_rank_events: list[list[TraceEvent]]) -> None:
+    """Merge worker event logs into ``trace``, rebasing channel seq numbers.
+
+    Workers allocate sequence numbers from zero each run; if the caller
+    accumulates several runs into one trace, the channels must continue
+    where the previous run left off for FIFO matching to stay unique.
+    """
+    counts: dict[tuple[int, int, int], int] = {}
+    for rank_events in per_rank_events:
+        for ev in rank_events:
+            if ev.op == SEND:
+                ch = (ev.rank, ev.peer, ev.tag)
+            elif ev.op == RECV:
+                ch = (ev.peer, ev.rank, ev.tag)
+            else:
+                continue
+            counts[ch] = max(counts.get(ch, 0), ev.seq + 1)
+    bases = {ch: trace.reserve_seqs(*ch, count) for ch, count in counts.items()}
+    for rank_events in per_rank_events:
+        for ev in rank_events:
+            if ev.op == SEND:
+                base = bases[(ev.rank, ev.peer, ev.tag)]
+            elif ev.op == RECV:
+                base = bases[(ev.peer, ev.rank, ev.tag)]
+            else:
+                trace.record(ev)
+                continue
+            if base:
+                ev = TraceEvent(ev.op, ev.rank, ev.peer, ev.tag, ev.seq + base, ev.nbytes, ev.label)
+            trace.record(ev)

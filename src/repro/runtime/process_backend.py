@@ -1,579 +1,111 @@
-"""Process-backed communicator: one OS process per rank, pipes as the wire.
+"""Process backend: one OS process per rank, pipes as the wire.
 
-This is the library's *real* transport: every rank runs in its own
-``multiprocessing`` process with a private address space, and every message
-crosses a process boundary as serialized bytes (see
-:mod:`repro.runtime.wire` — sparse streams travel with the §5.1 header
-word, everything else as pickle). Nothing is shared, so the backend
-faithfully exercises what the thread backend can only emulate: payload
-serialization, independent buffers, and true parallel rank execution.
+Every rank runs in its own ``multiprocessing`` process with a private
+address space, and every message crosses a process boundary as
+serialized bytes (see :mod:`repro.runtime.wire` — sparse streams travel
+with the §5.1 header word, everything else as pickle). Nothing is shared,
+so the backend faithfully exercises what the thread backend can only
+emulate: payload serialization, independent buffers, and true parallel
+rank execution.
 
-Architecture (per run of ``P`` ranks)
--------------------------------------
-* the parent creates a full mesh of ``P * (P-1)`` unidirectional pipes plus
-  one result pipe per rank, then forks one worker process per rank;
-* inside each worker, one daemon *receiver thread per peer* drains that
-  peer's pipe into per-(source, tag) FIFO mailboxes, so a blocking ``send``
-  can never deadlock against an unread pipe buffer: the remote receiver
-  thread always drains, independent of what the remote rank program is
-  doing (this stands in for MPI's progress engine);
-* sequence numbers are allocated sender-side per (dest, tag) channel and
-  travel in the frame header, so FIFO matching needs no shared state;
-* each worker records its own local :class:`~repro.runtime.trace.Trace`
-  and ships its event list back with the result; the parent rebases the
-  sequence numbers onto the run's trace and merges.
+The launcher, the rank lifecycle, the mailboxes and the pump loop are the
+shared process-family core (:mod:`repro.runtime.mesh`); this file is only
+the **pipe channel**:
 
-Failure handling: a failing rank reports its exception over the result
-pipe and exits; peers observe EOF on its pipes, flag the world aborted and
-unwind with :class:`WorldAbortedError`; the parent terminates stragglers
-and re-raises the lowest-ranked failure as :class:`RankError`, exactly
-like the thread backend.
+* :class:`PipeMesh` — a full mesh of ``P * (P-1)`` unidirectional pipes,
+  one row of write ends and one row of read ends per rank. After forking
+  the parent closes its write ends (so a reader sees EOF exactly when the
+  one writing rank dies) but keeps the read ends: a late buffered send to
+  an already-finished rank never hits EPIPE, and the parent drains those
+  pipes so such a send larger than the pipe capacity cannot block forever;
+* :class:`ProcessComm` — one frame per ``send_bytes`` /
+  ``recv_bytes_into`` (the ``Connection`` does the length framing).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
-import threading
-import time
+from functools import partial
 from multiprocessing.connection import Connection, wait as conn_wait
-from typing import Any, Callable
+from typing import Any
 
-from .backend import Backend, ParallelResult, RankError, register_backend
-from .comm import (
-    AbortState,
-    Communicator,
-    Mailbox,
-    MailboxRegistry,
-    RankFailedError,
-    WorldAbortedError,
-)
-from .trace import RECV, SEND, Trace, TraceEvent
-from .wire import decode_message, encode_message
+from .backend import register_backend
+from .mesh import MeshBackend, PumpedComm, Transport
+from .wire import encode_message
 
-__all__ = ["MeshComm", "ProcessBackend", "ProcessComm", "ProcessWorld", "PumpedComm"]
-
-#: preferred start method: fork keeps closures usable as rank functions and
-#: is cheap; on platforms without it we fall back to spawn (rank functions
-#: must then be picklable, i.e. module-level).
-_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-#: after the first failure report, how long to keep collecting results from
-#: the other ranks before terminating them (seconds). Generous enough for
-#: survivors of a killed rank to run an elastic shrink barrier and finish
-#: real post-shrink work before the parent reaps them.
-_ERROR_GRACE_S = 5.0
-
-#: frame tag of the graceful-shutdown marker a finishing rank sends on every
-#: outbound pipe. Receivers treat EOF *without* a preceding FIN as peer
-#: death (abort); EOF after FIN is a normal wind-down.
-_FIN_TAG = -1
-
-
-class MeshComm(Communicator):
-    """Mailbox-buffered mesh communicator base of the process-family backends.
-
-    Incoming traffic lands in per-(source, tag) FIFO mailboxes; sequence
-    numbers are allocated sender-side against the worker-local trace
-    (only this rank sends on a (rank, dest, tag) channel, so local
-    counters are the truth). Who *fills* the mailboxes differs per
-    transport: pipe transports need pump threads (:class:`PumpedComm`),
-    the shared-memory ring transport drives an inline progress engine.
-    """
-
-    def _init_mesh(
-        self, rank: int, size: int, trace: Trace, op_timeout: float | None = None
-    ) -> None:
-        self.rank = rank
-        self.size = size
-        self.trace = trace
-        self.op_timeout = op_timeout
-        self._collective_counter = 0
-        self._mailboxes = MailboxRegistry()
-        self.aborted = AbortState()
-        #: elastic world version stamped on every outgoing frame; bumped by
-        #: :func:`~repro.runtime.elastic.shrink` via :meth:`_elastic_reset`.
-        self.epoch = 0
-        #: count of inbound frames dropped because their epoch was stale.
-        self.stale_epoch_rejected = 0
-        self._stale_lock = threading.Lock()
-        #: ranks a membership change already declared dead: late transport
-        #: failures from them (pump EOF, broken sends) must not re-abort
-        #: the new, smaller world.
-        self.dead_ranks: set[int] = set()
-
-    def _mailbox(self, src: int, tag: int) -> Mailbox:
-        return self._mailboxes.get((src, tag))
-
-    def _abort(self, failed_rank: int | None = None) -> None:
-        if failed_rank is not None and failed_rank in self.dead_ranks:
-            return  # already accounted for by a shrink; the world lives on
-        self.aborted.set(failed_rank)
-        self._mailboxes.wake_all()
-
-    def _count_stale_frame(self) -> None:
-        with self._stale_lock:
-            self.stale_epoch_rejected += 1
-
-    def _elastic_reset(self, dead_ranks, epoch: int) -> None:
-        """Commit a membership change: record the dead, arm a fresh abort
-        flag and move this rank's wire traffic to ``epoch``."""
-        self.dead_ranks.update(int(r) for r in dead_ranks)
-        self.aborted = AbortState()
-        self.epoch = int(epoch)
-
-    def _elastic_note_dead(self, ranks) -> None:
-        """Attribute mid-barrier failures and clear the abort flag once
-        every recorded culprit is accounted for (unattributed aborts are
-        left standing — they are not a membership event)."""
-        self.dead_ranks.update(int(r) for r in ranks)
-        state = self.aborted
-        if state.is_set() and state.failed_ranks and state.failed_ranks <= self.dead_ranks:
-            self.aborted = AbortState()
-
-    def _elastic_regrow(self, rank: int, epoch: int) -> None:
-        """Commit a rejoin: the rank is alive again in the new epoch."""
-        self.dead_ranks.discard(int(rank))
-        self.epoch = int(epoch)
-
-    # ------------------------------------------------------------------
-    # transport hooks (send stays subclass-specific)
-    # ------------------------------------------------------------------
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        return self.trace.next_seq(self.rank, dest, tag)
-
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        return self._mailbox(source, tag).get(
-            self.aborted, timeout=self.op_timeout, source=source, tag=tag
-        )
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return self._mailbox(source, tag).has_items()
-
-    def _abort_state(self) -> AbortState:
-        return self.aborted
-
-
-class PumpedComm(MeshComm):
-    """Mesh communicator whose mailboxes are fed by receiver threads.
-
-    One daemon *pump* thread per peer drains that peer's inbound channel
-    (the MPI progress-engine stand-in), so a blocking peer send can never
-    deadlock against an unread transport buffer. Subclasses (the pipe
-    transport here, the TCP transport in
-    :mod:`~repro.runtime.socket_backend`) provide the channel type, the
-    pump body and the outbound send.
-    """
-
-    def _init_mesh(
-        self, rank: int, size: int, trace: Trace, op_timeout: float | None = None
-    ) -> None:
-        super()._init_mesh(rank, size, trace, op_timeout)
-        self._receivers: list[threading.Thread] = []
-
-    def _start_pump(self, src: int, channel: Any) -> None:
-        t = threading.Thread(
-            target=self._pump, args=(src, channel), name=f"recv-{src}->{self.rank}", daemon=True
-        )
-        t.start()
-        self._receivers.append(t)
-
-    def _pump(self, src: int, channel: Any) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+__all__ = ["PipeMesh", "ProcessBackend", "ProcessComm"]
 
 
 class ProcessComm(PumpedComm):
-    """Per-rank communicator of one worker process.
+    """Per-rank communicator of one worker process (pipe channels)."""
 
-    ``out_conns[d]`` / ``in_conns[s]`` are this rank's pipe ends to and from
-    each peer (``None`` at its own slot).
-    """
+    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
+        return encode_message(tag, seq, nbytes, obj, self.epoch)
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        out_conns: list[Connection | None],
-        in_conns: list[Connection | None],
-        trace: Trace,
-        op_timeout: float | None = None,
-    ) -> None:
-        self._init_mesh(rank, size, trace, op_timeout)
-        self._out_conns = out_conns
-        self._out_locks = [threading.Lock() if c is not None else None for c in out_conns]
-        for src, conn in enumerate(in_conns):
-            if conn is not None:
-                self._start_pump(src, conn)
+    def _write(self, conn: Connection, blob: bytearray, timeout: float | None) -> None:
+        conn.send_bytes(blob)  # a pipe write cannot time out, only break
 
-    # ------------------------------------------------------------------
-    # inbound progress engine
-    # ------------------------------------------------------------------
-    def _pump(self, src: int, conn: Connection) -> None:
-        """Receiver thread: drain one peer's pipe into the mailboxes.
-
-        Frames are read with ``recv_bytes_into`` into one reusable buffer
-        (grown geometrically on demand), so steady-state receive performs
-        no per-message bytes allocation — the only fresh buffers are the
-        decoded arrays themselves.
-        """
-        buf = bytearray(1 << 16)
-        while True:
-            try:
-                try:
-                    n = conn.recv_bytes_into(buf)
-                    frame: Any = memoryview(buf)[:n]
-                except mp.BufferTooShort as exc:
-                    # the oversized message arrives complete in the exception;
-                    # grow the scratch buffer so the next one fits in place
-                    frame = exc.args[0]
-                    buf = bytearray(max(len(frame), 2 * len(buf)))
-            except (EOFError, OSError):
-                # EOF with no FIN first: the peer died mid-run. Wake anyone
-                # blocked on its (or anyone's) traffic so the rank unwinds
-                # with a RankFailedError naming the dead peer.
-                self._abort(failed_rank=src)
-                return
-            try:
-                # copy=True (default): the scratch buffer is reused, so the
-                # decoded arrays must own their memory
-                tag, seq, nbytes, epoch, payload = decode_message(frame)
-            except Exception:
-                # undecodable frame (e.g. a payload whose pickle references a
-                # class this process cannot import): fail fast instead of
-                # silently stopping the progress engine and hanging the run
-                self._abort()
-                return
-            if epoch < self.epoch:
-                # a frame from a dead world epoch (in flight across a shrink
-                # or sent by a peer that has not committed the shrink yet):
-                # dropping it here is what keeps post-shrink collectives from
-                # matching pre-shrink traffic
-                self._count_stale_frame()
-                continue
-            if tag == _FIN_TAG:
-                return  # peer finished cleanly; its channels are drained
-            self._mailbox(src, tag).put(payload, nbytes, seq)
-
-    def shutdown(self) -> None:
-        """Graceful wind-down: tell every peer this rank is done sending."""
-        fin = encode_message(_FIN_TAG, -1, 0, None, self.epoch)
-        for dest, conn in enumerate(self._out_conns):
-            if conn is None:
-                continue
-            try:
-                with self._out_locks[dest]:
-                    conn.send_bytes(fin)
-            except (BrokenPipeError, OSError):  # peer already gone
-                pass
-
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        blob = encode_message(tag, seq, nbytes, obj, self.epoch)
-        conn = self._out_conns[dest]
-        lock = self._out_locks[dest]
+    def _read_frame(self, conn: Connection, buf: bytearray) -> tuple[Any, bytearray]:
         try:
-            with lock:
-                conn.send_bytes(blob)
-        except (BrokenPipeError, OSError) as exc:
-            self._abort(failed_rank=dest)
-            raise RankFailedError(dest, f"rank {dest} is gone; send failed") from exc
+            n = conn.recv_bytes_into(buf)
+            return memoryview(buf)[:n], buf
+        except mp.BufferTooShort as exc:
+            # the oversized message arrives complete in the exception;
+            # grow the scratch buffer so the next one fits in place
+            frame = exc.args[0]
+            return frame, bytearray(max(len(frame), 2 * len(buf)))
 
 
-class ProcessWorld:
-    """Parent-side record of one process-backend run (for ParallelResult)."""
+class PipeMesh(Transport):
+    """Full mesh of unidirectional pipes: ``out[src][dst]`` / ``inn[dst][src]``."""
 
-    def __init__(self, size: int, start_method: str, pids: list[int]) -> None:
-        self.size = size
-        self.start_method = start_method
-        self.pids = pids
+    def __init__(self, ctx: Any, nranks: int) -> None:
+        self._ctx = ctx
+        self._nranks = nranks
+        self.out: list[list[Connection | None]] = [[None] * nranks for _ in range(nranks)]
+        self.inn: list[list[Connection | None]] = [[None] * nranks for _ in range(nranks)]
+        self._reads: list[Connection] = []
+        self._writes: list[Connection] = []
+        #: read ends of finished/dead ranks, drained by :meth:`wait`.
+        self._drainable: list[Connection] = []
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ProcessWorld(size={self.size}, start_method={self.start_method!r})"
+    def build(self) -> None:
+        for src in range(self._nranks):
+            for dst in range(self._nranks):
+                if src != dst:
+                    r, w = self._ctx.Pipe(duplex=False)
+                    self._reads.append(r)
+                    self._writes.append(w)
+                    self.out[src][dst] = w
+                    self.inn[dst][src] = r
 
+    def ends(self) -> list:
+        return self._reads + self._writes
 
-def _child_main(
-    rank: int,
-    size: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    out_conns: list[Connection | None],
-    in_conns: list[Connection | None],
-    result_conn: Connection,
-    close_list: list[Connection],
-    topology: Any = None,
-    op_timeout: float | None = None,
-) -> None:
-    """Entry point of one rank process."""
-    # under fork every pipe end of every rank was inherited; drop the ones
-    # that are not ours so peer death propagates as EOF instead of hanging.
-    for conn in close_list:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+    def own(self, rank: int) -> list:
+        return [c for c in self.out[rank] + self.inn[rank] if c is not None]
 
-    trace = Trace(size)
-    comm = ProcessComm(rank, size, out_conns, in_conns, trace, op_timeout)
-    comm.topology = topology
-    try:
-        result = fn(comm, *args, **kwargs)
-        comm.shutdown()
-        payload = ("ok", rank, result, trace.events(rank))
-    except WorldAbortedError:
-        payload = ("aborted", rank, None, trace.events(rank))
-    except BaseException as exc:  # noqa: BLE001 - must propagate rank errors
-        payload = ("error", rank, _portable_exception(exc), trace.events(rank))
-    try:
-        result_conn.send(payload)
-    except Exception as exc:  # unpicklable result/exception
-        result_conn.send(("error", rank, _portable_exception(exc), None))
-    finally:
-        result_conn.close()
+    def connector(self, rank: int):
+        return partial(ProcessComm, rank, self._nranks, self.out[rank], self.inn[rank])
 
-
-def _portable_exception(exc: BaseException) -> BaseException:
-    """Return ``exc`` if it survives a pickle round-trip, else a stand-in."""
-    try:
-        return pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _check_spawn_picklable(fn: Callable[..., Any], args: tuple, kwargs: dict, what: str) -> None:
-    """Fail fast with a clear message instead of a mid-launch pickle
-    traceback: spawn re-imports the child, so closures cannot travel."""
-    if _START_METHOD != "spawn":
-        return
-    try:
-        pickle.dumps((fn, args, kwargs))
-    except Exception as exc:
-        raise ValueError(
-            f"the {what} backend on a spawn-only platform requires a "
-            "picklable (module-level) rank function and arguments; "
-            f"got {fn!r} ({exc})"
-        ) from exc
-
-
-def _finalize_run(
-    outcome: tuple[list[Any], list[list[TraceEvent]], list[tuple[int, BaseException]], list[int]],
-    trace: Trace | None,
-    nranks: int,
-    world: Any,
-) -> ParallelResult:
-    """Merge worker traces and raise/return — shared tail of every
-    process-family backend's ``run``.
-
-    Merging happens before raising: on failure a caller-supplied trace
-    keeps the partial events of surviving ranks, matching the thread
-    backend.
-    """
-    results, per_rank_events, errors, aborted_ranks = outcome
-    run_trace = trace if trace is not None else Trace(nranks)
-    _merge_events(run_trace, per_rank_events)
-    if errors:
-        rank, original = min(errors, key=lambda e: e[0])
-        err = RankError(rank, original)
-        err.partial_results = results
-        raise err from original
-    if aborted_ranks:
-        # a rank unwound with WorldAbortedError but nobody reported the
-        # root failure (e.g. an undecodable frame killed a pump thread);
-        # surfacing it beats silently returning None results
-        rank = min(aborted_ranks)
-        original = WorldAbortedError(
-            f"rank {rank} aborted (peer connection or frame failure "
-            "without a reported rank error)"
-        )
-        err = RankError(rank, original)
-        err.partial_results = results
-        raise err from original
-    return ParallelResult(results=results, trace=run_trace, world=world)
-
-
-class ProcessBackend(Backend):
-    """Multiprocess backend: one OS process per rank, serialized transport."""
-
-    name = "process"
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        nranks: int,
-        *args: Any,
-        copy_payloads: bool = True,  # serialization always isolates; accepted for API parity
-        trace: Trace | None = None,
-        timeout: float | None = 300.0,
-        op_timeout: float | None = None,
-        topology: Any = None,
-        **kwargs: Any,
-    ) -> ParallelResult:
-        if nranks < 1:
-            raise ValueError(f"nranks must be >= 1, got {nranks}")
-        ctx = mp.get_context(_START_METHOD)
-        _check_spawn_picklable(fn, args, kwargs, self.name)
-
-        # full mesh of unidirectional pipes: channel[src][dst]. Setup and
-        # launch are guarded so a partial failure (e.g. EMFILE on a large
-        # mesh — the parent briefly holds ~2*P^2 descriptors) cleans up every
-        # pipe and already-started rank process instead of leaking them.
-        out_conns: list[list[Connection | None]] = [[None] * nranks for _ in range(nranks)]
-        in_conns: list[list[Connection | None]] = [[None] * nranks for _ in range(nranks)]
-        all_mesh: list[tuple[int, Connection, Connection]] = []  # (src, read_end, write_end)
-        result_pipes: list[tuple[Connection, Connection]] = []
-        procs: list[mp.Process] = []
-        try:
-            for src in range(nranks):
-                for dst in range(nranks):
-                    if src == dst:
-                        continue
-                    r, w = ctx.Pipe(duplex=False)
-                    out_conns[src][dst] = w
-                    in_conns[dst][src] = r
-                    all_mesh.append((src, r, w))
-            result_pipes = [ctx.Pipe(duplex=False) for _ in range(nranks)]
-
-            for rank in range(nranks):
-                own = {id(c) for c in out_conns[rank] + in_conns[rank] if c is not None}
-                own.add(id(result_pipes[rank][1]))
-                close_list: list[Connection] = []
-                if _START_METHOD == "fork":
-                    # spawn children only inherit the conns we pass; fork children
-                    # inherit everything and must close foreign ends explicitly.
-                    for _, r, w in all_mesh:
-                        close_list += [c for c in (r, w) if id(c) not in own]
-                    close_list += [
-                        c for rr, ws in result_pipes for c in (rr, ws) if id(c) not in own
-                    ]
-                p = ctx.Process(
-                    target=_child_main,
-                    args=(
-                        rank,
-                        nranks,
-                        fn,
-                        args,
-                        kwargs,
-                        out_conns[rank],
-                        in_conns[rank],
-                        result_pipes[rank][1],
-                        close_list,
-                        topology,
-                        op_timeout,
-                    ),
-                    name=f"rank-{rank}",
-                    daemon=True,
-                )
-                p.start()
-                procs.append(p)
-        except BaseException:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
-            for _, r, w in all_mesh:
-                for c in (r, w):
-                    c.close()
-            for r, w in result_pipes:
-                for c in (r, w):
-                    c.close()
-            raise
-
-        # parent keeps mesh *read* ends open so a late buffered send to an
-        # already-finished rank never hits EPIPE, but closes *write* ends so
-        # receivers see EOF once the one writing rank dies.
-        for _, _r, w in all_mesh:
+    def release(self) -> None:
+        for w in self._writes:
             w.close()
-        for _, ws in result_pipes:
-            ws.close()
 
-        try:
-            outcome = self._collect(
-                procs, [r for r, _ in result_pipes], nranks, timeout, in_conns
-            )
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
-            for _, r, _w in all_mesh:
-                r.close()
-            for r, _ in result_pipes:
-                r.close()
+    def finished(self, rank: int) -> None:
+        self._drainable.extend(c for c in self.inn[rank] if c is not None)
 
-        world = ProcessWorld(nranks, _START_METHOD, [p.pid for p in procs])
-        return _finalize_run(outcome, trace, nranks, world)
+    def wait(self, conns: list[Connection], timeout: float | None) -> list[Connection]:
+        ready = conn_wait(conns + self._drainable, timeout=timeout)
+        for conn in ready:
+            if conn in self._drainable and not _drain_raw(conn):
+                self._drainable.remove(conn)
+        return [c for c in ready if c in conns]
 
-    # ------------------------------------------------------------------
-    def _collect(
-        self,
-        procs: list[mp.Process],
-        result_conns: list[Connection],
-        nranks: int,
-        timeout: float | None,
-        in_conns: list[list[Connection | None]],
-    ) -> tuple[list[Any], list[list[TraceEvent]], list[tuple[int, BaseException]], list[int]]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        error_deadline: float | None = None
-        results: list[Any] = [None] * nranks
-        events: list[list[TraceEvent]] = [[] for _ in range(nranks)]
-        errors: list[tuple[int, BaseException]] = []
-        aborted_ranks: list[int] = []
-        pending = dict(enumerate(result_conns))
-        # once a rank has finished, nothing reads its inbound pipes anymore;
-        # the parent (which kept the read ends) drains them so a peer's late
-        # buffered send larger than the pipe capacity can never block forever
-        drainable: list[Connection] = []
-
-        while pending:
-            now = time.monotonic()
-            wait_for = None
-            if deadline is not None:
-                wait_for = deadline - now
-            if error_deadline is not None:
-                wait_for = min(error_deadline - now, wait_for) if wait_for is not None else error_deadline - now
-            if wait_for is not None and wait_for <= 0:
-                if errors or error_deadline is not None:
-                    break  # grace period after a failure ran out
-                raise TimeoutError(
-                    f"parallel run did not finish within {timeout}s "
-                    f"(ranks {sorted(pending)} still pending; likely deadlock)"
-                )
-            ready = conn_wait(list(pending.values()) + drainable, timeout=wait_for)
-            for conn in ready:
-                if conn not in pending.values():
-                    if not _drain_raw(conn):
-                        drainable.remove(conn)
-                    continue
-                rank = next(r for r, c in pending.items() if c is conn)
-                try:
-                    status, _r, value, rank_events = conn.recv()
-                except (EOFError, OSError):
-                    procs[rank].join(timeout=1.0)  # reap so exitcode is real
-                    code = procs[rank].exitcode
-                    errors.append(
-                        (rank, RankFailedError(rank, f"rank {rank} process died (exitcode {code})"))
-                    )
-                    del pending[rank]
-                    # a hard-dead rank reads nothing either: drain its inbound
-                    # pipes so peers blocked sending to it still get unstuck
-                    drainable.extend(c for c in in_conns[rank] if c is not None)
-                    continue
-                del pending[rank]
-                drainable.extend(c for c in in_conns[rank] if c is not None)
-                if status == "ok":
-                    results[rank] = value
-                    events[rank] = rank_events
-                elif status == "aborted":
-                    events[rank] = rank_events or []
-                    aborted_ranks.append(rank)
-                else:  # "error"
-                    events[rank] = rank_events or []
-                    errors.append((rank, value))
-            if errors and error_deadline is None:
-                error_deadline = time.monotonic() + _ERROR_GRACE_S
-        return results, events, errors, aborted_ranks
+    def close(self) -> None:
+        for c in self._reads + self._writes:
+            c.close()
 
 
 def _drain_raw(conn: Connection) -> bool:
@@ -611,36 +143,13 @@ def _drain_raw(conn: Connection) -> bool:
         return False  # closed/unsupported: stop watching this pipe
 
 
-def _merge_events(trace: Trace, per_rank_events: list[list[TraceEvent]]) -> None:
-    """Merge worker event logs into ``trace``, rebasing channel seq numbers.
+class ProcessBackend(MeshBackend):
+    """Multiprocess backend: one OS process per rank, serialized transport."""
 
-    Workers allocate sequence numbers from zero each run; if the caller
-    accumulates several runs into one trace, the channels must continue
-    where the previous run left off for FIFO matching to stay unique.
-    """
-    counts: dict[tuple[int, int, int], int] = {}
-    for rank_events in per_rank_events:
-        for ev in rank_events:
-            if ev.op == SEND:
-                ch = (ev.rank, ev.peer, ev.tag)
-            elif ev.op == RECV:
-                ch = (ev.peer, ev.rank, ev.tag)
-            else:
-                continue
-            counts[ch] = max(counts.get(ch, 0), ev.seq + 1)
-    bases = {ch: trace.reserve_seqs(*ch, count) for ch, count in counts.items()}
-    for rank_events in per_rank_events:
-        for ev in rank_events:
-            if ev.op == SEND:
-                base = bases[(ev.rank, ev.peer, ev.tag)]
-            elif ev.op == RECV:
-                base = bases[(ev.peer, ev.rank, ev.tag)]
-            else:
-                trace.record(ev)
-                continue
-            if base:
-                ev = TraceEvent(ev.op, ev.rank, ev.peer, ev.tag, ev.seq + base, ev.nbytes, ev.label)
-            trace.record(ev)
+    name = "process"
+
+    def _transport(self, ctx: Any, nranks: int, timeout: float | None) -> PipeMesh:
+        return PipeMesh(ctx, nranks)
 
 
 register_backend(ProcessBackend.name, ProcessBackend)

@@ -1,9 +1,10 @@
 """Shared-memory backend: one OS process per rank, zero-copy ring transport.
 
 Like :mod:`~repro.runtime.process_backend` this backend runs every rank in
-its own ``multiprocessing`` process, but payloads move through per-pair
-**shared-memory ring buffers** (:class:`SharedRing`, one per directed pair
-of ranks) instead of pipes:
+its own ``multiprocessing`` process, launched and collected by the shared
+process-family core (:mod:`repro.runtime.mesh`), but payloads move through
+per-pair **shared-memory ring buffers** (:class:`SharedRing`, one per
+directed pair of ranks) instead of pipes:
 
 * the sender packs the §5.1 flag/dimension/nnz header and the raw
   index/value buffers *directly into the shared segment* via the vectored
@@ -15,11 +16,18 @@ of ranks) instead of pipes:
   receiving collective may then mutate freely), with no intermediate
   ``bytes`` object and no payload-sized syscall.
 
+What this file supplies to that core: the ring itself, :class:`RingMesh`
+(how the ``P * (P-1)`` rings are created, handed to a child, drained for
+a finished rank and unlinked) and :class:`ShmemComm` (how one frame is
+written and read).
+
 Unlike the pipe transport there are **no receiver threads**: the backend
 runs an MPI-style single-threaded *progress engine*. Whenever an
 operation blocks — a receive with no matching message, a send facing a
 full ring — the calling thread itself drains every inbound ring into the
-(source, tag) mailboxes until it can proceed. Pipes need pump threads
+(source, tag) mailboxes (through the same
+:meth:`~repro.runtime.mesh.MeshComm._deliver` the pump threads call)
+until it can proceed. Pipes need pump threads
 because only a dedicated reader can keep a peer's stream flowing; shared
 memory lets any blocked thread make global progress directly, which
 removes two thread wakeups (pump → mailbox → program) from every message
@@ -61,31 +69,23 @@ so a peer's late buffered send can never block forever on a full ring
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import select
 import struct
 import threading
 import time
+from functools import partial
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Any, Callable
 
-from .backend import Backend, ParallelResult, register_backend
-from .comm import CommTimeoutError, RankFailedError, WorldAbortedError
-from .process_backend import (
-    _ERROR_GRACE_S,
-    _FIN_TAG,
-    _START_METHOD,
-    MeshComm,
-    _check_spawn_picklable,
-    _finalize_run,
-    _portable_exception,
-)
-from .trace import Trace, TraceEvent
-from .wire import decode_message, encode_frame_parts
+from .backend import register_backend
+from .comm import CommTimeoutError, RankFailedError
+from .mesh import _FIN_TAG, MeshBackend, MeshComm, Transport
+from .trace import Trace
+from .wire import MAX_FRAME_BYTES, check_frame_size, encode_frame_parts
 
-__all__ = ["ShmemBackend", "ShmemComm", "ShmemWorld", "SharedRing", "CorruptRingError"]
+__all__ = ["ShmemBackend", "ShmemComm", "RingMesh", "SharedRing", "CorruptRingError"]
 
 #: how long one progress wait blocks on the doorbells before rechecking
 #: the abort flag (seconds).
@@ -111,13 +111,6 @@ _OVERSIZE_BIT = 1 << 63
 
 #: bytes of ring bookkeeping before the data region (head u32, tail u32, pad).
 _RING_HEADER = 16
-
-#: largest frame a ring carries. The reader allocates an oversize frame's
-#: reassembly buffer from its length word alone, so the word must be
-#: checkable against something: no message of this library comes near
-#: 1 GiB, and a garbage word (observed: 3.2 GB allocated, ``MemoryError``)
-#: almost surely exceeds it.
-_MAX_FRAME_BYTES = 1 << 30
 
 #: default per-pair ring capacity. Large enough that several typical
 #: sparse frames can be in flight on the contiguous in-place path (a ring
@@ -174,7 +167,12 @@ class SharedRing:
         # doorbell: the reader selects on it when the ring is empty; the
         # writer dings it after each publish; writer death closes it, so
         # the reader sees EOF exactly like a pipe transport would
-        self.reader_conn, self.writer_conn = ctx.Pipe(duplex=False)
+        try:
+            self.reader_conn, self.writer_conn = ctx.Pipe(duplex=False)
+        except BaseException:  # e.g. EMFILE: do not leak the segment
+            self._shm.close()
+            self._shm.unlink()
+            raise
         self._data: memoryview | None = None
         self._wfd: int | None = None
         #: consumer-side partial oversize frame: [buffer, filled, total].
@@ -290,11 +288,7 @@ class SharedRing:
         reader) but the doorbell is left silent; the caller takes over the
         wakeup (see the communicator's deferred-doorbell batching).
         """
-        if total > _MAX_FRAME_BYTES:
-            raise ValueError(
-                f"frame of {total} bytes exceeds the {_MAX_FRAME_BYTES}-byte ring limit"
-            )
-        rec = (_LEN.size + total + 7) & ~7
+        rec = (_LEN.size + check_frame_size(total, "ring") + 7) & ~7
         buf = self.data
         if rec <= self.capacity - 8:
             pos = self._reserve(rec, should_abort)
@@ -392,11 +386,11 @@ class SharedRing:
                 self._set_tail(tail + rec)
                 return "ok"
             # the writer streams only what cannot fit contiguously
-            if rec <= self.capacity - 8 or total > _MAX_FRAME_BYTES:
+            if rec <= self.capacity - 8 or total > MAX_FRAME_BYTES:
                 raise CorruptRingError(
                     f"length word {size:#x} at offset {pos}: an oversize frame of "
                     f"{total} bytes in a {self.capacity}-byte ring "
-                    f"(limit {_MAX_FRAME_BYTES})"
+                    f"(limit {MAX_FRAME_BYTES})"
                 )
             self._set_tail(tail + _LEN.size)
             self._partial = [bytearray((total + 7) & ~7), 0, total]
@@ -514,24 +508,11 @@ class ShmemComm(MeshComm):
     # ------------------------------------------------------------------
     def _consume_from(self, src: int) -> Callable[[memoryview], None]:
         def consume(view: memoryview) -> None:
-            try:
-                # the single copy of the receive path: shared segment ->
-                # the decoded arrays the collective will own
-                tag, seq, nbytes, epoch, payload = decode_message(view)
-            except Exception:
-                # undecodable frame: fail fast instead of silently wedging
-                self._abort()
-                return
-            if epoch < self.epoch:
-                # in-flight frame from a dead world epoch: drop it so the
-                # post-shrink collectives never match pre-shrink traffic
-                self._count_stale_frame()
-                return
-            if tag == _FIN_TAG:
+            # decoding is the single copy of the receive path: shared
+            # segment -> the arrays the collective will own
+            if not self._deliver(src, view):
                 self._fin[src] = True  # peer finished; its channel is drained
                 self._watch.pop(self._in_rings[src].reader_conn.fileno(), None)
-                return
-            self._mailbox(src, tag).put(payload, nbytes, seq)
 
         return consume
 
@@ -715,64 +696,72 @@ class ShmemComm(MeshComm):
         self._flush_dings()
 
 
-class ShmemWorld:
-    """Parent-side record of one shmem-backend run (for ParallelResult)."""
+class RingMesh(Transport):
+    """One :class:`SharedRing` per directed pair: ``out[src][dst]`` / ``inn[dst][src]``."""
 
-    def __init__(self, size: int, start_method: str, pids: list[int], ring_capacity: int) -> None:
-        self.size = size
-        self.start_method = start_method
-        self.pids = pids
-        self.ring_capacity = ring_capacity
+    def __init__(self, ctx: Any, nranks: int, capacity: int) -> None:
+        self._ctx = ctx
+        self._nranks = nranks
+        self._capacity = capacity
+        self.info = {"ring_capacity": capacity}
+        self.out: list[list[SharedRing | None]] = [[None] * nranks for _ in range(nranks)]
+        self.inn: list[list[SharedRing | None]] = [[None] * nranks for _ in range(nranks)]
+        self._rings: list[SharedRing] = []
+        #: rings of finished/dead ranks: nothing consumes them anymore, so
+        #: :meth:`wait` drains them each tick, keeping late buffered
+        #: senders unstuck (the analog of draining finished pipes)
+        self._drainable: list[SharedRing] = []
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"ShmemWorld(size={self.size}, start_method={self.start_method!r}, "
-            f"ring_capacity={self.ring_capacity})"
-        )
+    def build(self) -> None:
+        for src in range(self._nranks):
+            for dst in range(self._nranks):
+                if src != dst:
+                    ring = SharedRing(self._capacity, self._ctx)
+                    self._rings.append(ring)
+                    self.out[src][dst] = ring
+                    self.inn[dst][src] = ring
+
+    def ends(self) -> list:
+        return [c for r in self._rings for c in (r.reader_conn, r.writer_conn)]
+
+    def own(self, rank: int) -> list:
+        return [r.writer_conn for r in self.out[rank] if r is not None] + [
+            r.reader_conn for r in self.inn[rank] if r is not None
+        ]
+
+    def connector(self, rank: int):
+        return partial(ShmemComm, rank, self._nranks, self.out[rank], self.inn[rank])
+
+    def release(self) -> None:
+        # the parent closes its doorbell *write* ends so readers see EOF
+        # exactly when the writing rank dies, but keeps the *read* ends
+        # open so a late buffered send to a finished rank never hits EPIPE
+        for ring in self._rings:
+            try:
+                ring.writer_conn.close()
+            except OSError:  # pragma: no cover
+                pass
+
+    def finished(self, rank: int) -> None:
+        self._drainable.extend(r for r in self.inn[rank] if r is not None)
+
+    def wait(self, conns: list[Connection], timeout: float | None) -> list[Connection]:
+        if self._drainable:
+            # rings are not waitable objects: tick often enough to drain
+            timeout = _PROGRESS_WAIT_S if timeout is None else min(timeout, _PROGRESS_WAIT_S)
+        ready = conn_wait(conns, timeout=timeout)
+        for ring in self._drainable:
+            ring.drain()
+        return ready
+
+    def close(self) -> None:
+        for ring in self._rings:
+            ring.close_doorbell()
+            ring.close()
+            ring.unlink()
 
 
-def _child_main(
-    rank: int,
-    size: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    out_rings: list[SharedRing | None],
-    in_rings: list[SharedRing | None],
-    result_conn: Connection,
-    close_list: list[Connection],
-    topology: Any = None,
-    op_timeout: float | None = None,
-) -> None:
-    """Entry point of one rank process."""
-    # under fork every doorbell/result end of every rank was inherited; drop
-    # the foreign ones so peer death propagates as doorbell EOF
-    for conn in close_list:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    trace = Trace(size)
-    comm = ShmemComm(rank, size, out_rings, in_rings, trace, op_timeout)
-    comm.topology = topology
-    try:
-        result = fn(comm, *args, **kwargs)
-        comm.shutdown()
-        payload = ("ok", rank, result, trace.events(rank))
-    except WorldAbortedError:
-        payload = ("aborted", rank, None, trace.events(rank))
-    except BaseException as exc:  # noqa: BLE001 - must propagate rank errors
-        payload = ("error", rank, _portable_exception(exc), trace.events(rank))
-    try:
-        result_conn.send(payload)
-    except Exception as exc:  # unpicklable result/exception
-        result_conn.send(("error", rank, _portable_exception(exc), None))
-    finally:
-        result_conn.close()
-
-
-class ShmemBackend(Backend):
+class ShmemBackend(MeshBackend):
     """Multiprocess backend with zero-copy shared-memory ring transport."""
 
     name = "shmem"
@@ -780,189 +769,8 @@ class ShmemBackend(Backend):
     def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY) -> None:
         self.ring_capacity = int(ring_capacity)
 
-    def run(
-        self,
-        fn: Callable[..., Any],
-        nranks: int,
-        *args: Any,
-        copy_payloads: bool = True,  # serialization always isolates; accepted for API parity
-        trace: Trace | None = None,
-        timeout: float | None = 300.0,
-        op_timeout: float | None = None,
-        topology: Any = None,
-        **kwargs: Any,
-    ) -> ParallelResult:
-        if nranks < 1:
-            raise ValueError(f"nranks must be >= 1, got {nranks}")
-        ctx = mp.get_context(_START_METHOD)
-        _check_spawn_picklable(fn, args, kwargs, self.name)
-
-        out_rings: list[list[SharedRing | None]] = [[None] * nranks for _ in range(nranks)]
-        in_rings: list[list[SharedRing | None]] = [[None] * nranks for _ in range(nranks)]
-        all_rings: list[SharedRing] = []
-        result_pipes: list[tuple[Connection, Connection]] = []
-        procs: list[mp.Process] = []
-        try:
-            try:
-                for src in range(nranks):
-                    for dst in range(nranks):
-                        if src == dst:
-                            continue
-                        ring = SharedRing(self.ring_capacity, ctx)
-                        out_rings[src][dst] = ring
-                        in_rings[dst][src] = ring
-                        all_rings.append(ring)
-                result_pipes = [ctx.Pipe(duplex=False) for _ in range(nranks)]
-
-                for rank in range(nranks):
-                    own: set[int] = {
-                        id(r.writer_conn) for r in out_rings[rank] if r is not None
-                    }
-                    own |= {id(r.reader_conn) for r in in_rings[rank] if r is not None}
-                    own.add(id(result_pipes[rank][1]))
-                    close_list: list[Connection] = []
-                    if _START_METHOD == "fork":
-                        # spawn children only inherit the conns we pass; fork
-                        # children inherit everything and must close foreign ends
-                        for r in all_rings:
-                            close_list += [
-                                c for c in (r.reader_conn, r.writer_conn) if id(c) not in own
-                            ]
-                        close_list += [
-                            c for rr, ws in result_pipes for c in (rr, ws) if id(c) not in own
-                        ]
-                    p = ctx.Process(
-                        target=_child_main,
-                        args=(
-                            rank,
-                            nranks,
-                            fn,
-                            args,
-                            kwargs,
-                            out_rings[rank],
-                            in_rings[rank],
-                            result_pipes[rank][1],
-                            close_list,
-                            topology,
-                            op_timeout,
-                        ),
-                        name=f"rank-{rank}",
-                        daemon=True,
-                    )
-                    p.start()
-                    procs.append(p)
-            except BaseException:
-                for p in procs:
-                    if p.is_alive():
-                        p.terminate()
-                for p in procs:
-                    p.join(timeout=5.0)
-                for r, w in result_pipes:
-                    r.close()
-                    w.close()
-                raise
-
-            # the parent closes its doorbell *write* ends so readers see EOF
-            # exactly when the writing rank dies, but keeps the *read* ends
-            # open so a late buffered send to a finished rank never hits
-            # EPIPE (mirroring how the process backend parks pipe read ends)
-            for ring in all_rings:
-                try:
-                    ring.writer_conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            for _, w in result_pipes:
-                w.close()
-
-            try:
-                outcome = self._collect(
-                    procs, [r for r, _ in result_pipes], nranks, timeout, in_rings
-                )
-            finally:
-                for p in procs:
-                    if p.is_alive():
-                        p.terminate()
-                for p in procs:
-                    p.join(timeout=5.0)
-                for r, _ in result_pipes:
-                    r.close()
-        finally:
-            for ring in all_rings:
-                ring.close_doorbell()
-                ring.close()
-                ring.unlink()
-
-        world = ShmemWorld(nranks, _START_METHOD, [p.pid for p in procs], self.ring_capacity)
-        return _finalize_run(outcome, trace, nranks, world)
-
-    # ------------------------------------------------------------------
-    def _collect(
-        self,
-        procs: list[mp.Process],
-        result_conns: list[Connection],
-        nranks: int,
-        timeout: float | None,
-        in_rings: list[list[SharedRing | None]],
-    ) -> tuple[list[Any], list[list[TraceEvent]], list[tuple[int, BaseException]], list[int]]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        error_deadline: float | None = None
-        results: list[Any] = [None] * nranks
-        events: list[list[TraceEvent]] = [[] for _ in range(nranks)]
-        errors: list[tuple[int, BaseException]] = []
-        aborted_ranks: list[int] = []
-        pending = dict(enumerate(result_conns))
-        # rings of finished/dead ranks: nothing consumes them anymore, so the
-        # parent drains them each tick, keeping late buffered senders unstuck
-        # (the shared-memory analog of the parent draining finished pipes)
-        drainable: list[SharedRing] = []
-
-        while pending:
-            now = time.monotonic()
-            wait_for = None
-            if deadline is not None:
-                wait_for = deadline - now
-            if error_deadline is not None:
-                wait_for = min(error_deadline - now, wait_for) if wait_for is not None else error_deadline - now
-            if wait_for is not None and wait_for <= 0:
-                if errors or error_deadline is not None:
-                    break  # grace period after a failure ran out
-                raise TimeoutError(
-                    f"parallel run did not finish within {timeout}s "
-                    f"(ranks {sorted(pending)} still pending; likely deadlock)"
-                )
-            if drainable:
-                # rings are not waitable objects: tick often enough to drain
-                wait_for = _PROGRESS_WAIT_S if wait_for is None else min(wait_for, _PROGRESS_WAIT_S)
-            ready = conn_wait(list(pending.values()), timeout=wait_for)
-            for ring in drainable:
-                ring.drain()
-            for conn in ready:
-                rank = next(r for r, c in pending.items() if c is conn)
-                try:
-                    status, _r, value, rank_events = conn.recv()
-                except (EOFError, OSError):
-                    procs[rank].join(timeout=1.0)  # reap so exitcode is real
-                    code = procs[rank].exitcode
-                    errors.append(
-                        (rank, RankFailedError(rank, f"rank {rank} process died (exitcode {code})"))
-                    )
-                    del pending[rank]
-                    drainable.extend(r for r in in_rings[rank] if r is not None)
-                    continue
-                del pending[rank]
-                drainable.extend(r for r in in_rings[rank] if r is not None)
-                if status == "ok":
-                    results[rank] = value
-                    events[rank] = rank_events
-                elif status == "aborted":
-                    events[rank] = rank_events or []
-                    aborted_ranks.append(rank)
-                else:  # "error"
-                    events[rank] = rank_events or []
-                    errors.append((rank, value))
-            if errors and error_deadline is None:
-                error_deadline = time.monotonic() + _ERROR_GRACE_S
-        return results, events, errors, aborted_ranks
+    def _transport(self, ctx: Any, nranks: int, timeout: float | None) -> RingMesh:
+        return RingMesh(ctx, nranks, self.ring_capacity)
 
 
 register_backend(ShmemBackend.name, ShmemBackend)

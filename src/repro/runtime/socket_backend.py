@@ -1,81 +1,74 @@
 """Socket backend: one OS process per rank, payloads framed over TCP.
 
 This is the distributed-memory variant of the process family: the same
-§5.1 wire format (:mod:`repro.runtime.wire`), the same mailbox/pump
-architecture (:class:`~repro.runtime.process_backend.PumpedComm`), but
-the transport is a full mesh of TCP connections instead of pipes — so
-ranks no longer have to share a kernel. SparCML's headline numbers (§6)
-come from cluster runs; this backend is the repo's path to that setting
-while staying a drop-in choice for single-host runs::
+§5.1 wire format (:mod:`repro.runtime.wire`), the same launcher, rank
+lifecycle, mailboxes and pump loop (:mod:`repro.runtime.mesh`), but the
+transport is a full mesh of TCP connections instead of pipes — so ranks
+no longer have to share a kernel. SparCML's headline numbers (§6) come
+from cluster runs; this backend is the repo's path to that setting while
+staying a drop-in choice for single-host runs::
 
     run_ranks(program, nranks=4, backend="socket")          # single host
     python -m repro serve-rank --rendezvous host:port ...   # join from anywhere
 
-Architecture (per run of ``P`` ranks)
--------------------------------------
+What this file supplies to the shared core
+------------------------------------------
 * **rendezvous**: rank 0's launcher listens at a known TCP address; every
   rank binds a private *mesh listener* on an ephemeral port, registers
   ``(rank, host, port)`` with the rendezvous, and receives the full
   address map back once all ``P`` ranks have checked in. On a single
-  host, :class:`SocketBackend` plays the rendezvous server in the parent
-  (the ``mpiexec`` analog); in the multi-host mode the ``serve-rank``
-  process of rank 0 hosts it, exactly as §6's cluster runs would;
-* **mesh build**: every rank connects outward to each peer's mesh
-  listener and sends a one-off hello frame naming its rank, giving one
-  unidirectional TCP connection per directed pair — the socket analog of
-  the process backend's ``P * (P-1)`` pipe mesh (``TCP_NODELAY`` set, so
-  small frames are not Nagle-delayed);
-* **framing**: each message is ``<u64 frame length> <frame bytes>`` where
-  the frame is the ordinary :func:`~repro.runtime.wire.encode_frame_parts`
-  encoding — vectored on the way out (one gather copy into a single
-  ``sendall`` buffer), received with ``recv_into`` into one reusable
-  grow-on-demand buffer so steady-state receive allocates nothing per
-  message but the decoded arrays themselves;
-* one daemon pump thread per peer (inherited from
-  :class:`~repro.runtime.process_backend.PumpedComm`) drains that peer's
-  connection into the per-(source, tag) mailboxes, standing in for MPI's
-  progress engine.
+  host, :class:`TcpMesh` (the backend's
+  :class:`~repro.runtime.mesh.Transport`) plays the rendezvous server in
+  the parent (the ``mpiexec`` analog) — it is the whole parent-side mesh:
+  the connections themselves are made by the children; in the multi-host
+  mode the ``serve-rank`` process of rank 0 hosts it, exactly as §6's
+  cluster runs would;
+* **mesh build** (:func:`_join_world`, each child's ``connect``): every
+  rank connects outward to each peer's mesh listener and sends a one-off
+  hello frame naming its rank, giving one unidirectional TCP connection
+  per directed pair — the socket analog of the process backend's
+  ``P * (P-1)`` pipe mesh (``TCP_NODELAY`` set, so small frames are not
+  Nagle-delayed);
+* **framing** (:class:`SocketComm`): each message is ``<u64 frame length>
+  <frame bytes>`` where the frame is the ordinary
+  :func:`~repro.runtime.wire.encode_frame_parts` encoding — vectored on
+  the way out (one gather copy into a single ``sendall`` buffer),
+  received with ``recv_into`` into the pump's reusable buffer. A length
+  word past :data:`~repro.runtime.wire.MAX_FRAME_BYTES` is corruption
+  attributed to its sender, never an allocation.
 
 Failure handling mirrors the shmem doorbell-EOF semantics: a dying rank's
 sockets close, its peers' pumps observe EOF *without* a preceding FIN
 frame, flag the world aborted and unwind blocked collectives with
-:class:`WorldAbortedError`. EOF after FIN is a normal wind-down. A rank
-that finished cleanly keeps its pumps draining for a grace period after
-reporting its result, so a peer's late buffered send larger than the TCP
-window can never block forever (the socket analog of the parent draining
-finished ranks' pipes).
+:class:`WorldAbortedError`. EOF after FIN is a normal wind-down. Nobody
+but the two ranks holds a TCP connection, so the parent cannot drain for
+a finished rank: a rank that finished cleanly *lingers* — keeps its pumps
+draining for a grace period after reporting its result — so a peer's late
+buffered send larger than the TCP window can never block forever.
 """
 
 from __future__ import annotations
 
 import importlib
-import multiprocessing as mp
 import pickle
 import socket
 import struct
 import sys
 import threading
 import time
-from multiprocessing.connection import Connection
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from .backend import ParallelResult, register_backend
-from .comm import CommTimeoutError, RankFailedError, StaleEpochError, WorldAbortedError
-from .process_backend import (
-    _FIN_TAG,
-    _START_METHOD,
-    ProcessBackend,
-    PumpedComm,
-    _check_spawn_picklable,
-    _finalize_run,
-    _portable_exception,
-)
+from .backend import register_backend
+from .comm import StaleEpochError
+from .faults import FaultPlan, _FaultyProgram
+from .mesh import MeshBackend, PumpedComm, Transport, _run_rank
 from .runconfig import _UNSET, RunConfig
 from .topology import Topology, normalize_topology
 from .trace import Trace
-from .wire import decode_message, encode_frame_parts
+from .wire import MAX_FRAME_BYTES, check_frame_size, encode_frame_parts
 
 __all__ = [
     "ElasticRendezvous",
@@ -83,17 +76,13 @@ __all__ = [
     "RendezvousTimeoutError",
     "SocketBackend",
     "SocketComm",
-    "SocketWorld",
+    "TcpMesh",
     "serve_rank",
     "demo_program",
 ]
 
 #: length prefix of every frame on a mesh/rendezvous connection.
 _LEN = struct.Struct("<Q")
-
-#: sanity bound on an announced frame length: anything larger means a
-#: corrupt or hostile peer, not a real payload — fail fast, don't allocate.
-_MAX_FRAME = 1 << 40
 
 #: mesh handshake: magic + the connecting (source) rank.
 _HELLO = struct.Struct("<4sI")
@@ -109,10 +98,6 @@ _EMAGIC = b"SPCE"
 
 #: default wall-clock budget for rendezvous + mesh build (seconds).
 DEFAULT_RENDEZVOUS_TIMEOUT = 60.0
-
-#: how long a cleanly-finished rank keeps its pumps draining after
-#: reporting its result, so peers' late buffered sends complete (seconds).
-_LINGER_S = 30.0
 
 #: connect-retry backoff while a peer's listener is not up yet (seconds):
 #: start fast (peers usually appear within milliseconds on one host), back
@@ -154,19 +139,38 @@ def _recv_exact(sock: socket.socket, view: memoryview) -> None:
         got += n
 
 
+def _recv_length(sock: socket.socket, view: memoryview) -> int:
+    """Read one length prefix into the 8-byte ``view``.
+
+    Anything past :data:`MAX_FRAME_BYTES` means a corrupt or hostile
+    peer, not a real payload: fail fast (``ValueError``) instead of
+    allocating that much and blocking for bytes that never come.
+    """
+    _recv_exact(sock, view)
+    (length,) = _LEN.unpack(view)
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(f"length word {length:#x} exceeds the {MAX_FRAME_BYTES}-byte limit")
+    return length
+
+
+def _close_all(socks) -> None:
+    """Close every socket in ``socks`` (``None`` slots skipped)."""
+    for sock in socks:
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+
+
 def _send_blob(sock: socket.socket, payload: bytes) -> None:
     """One length-prefixed control frame (rendezvous traffic)."""
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+    sock.sendall(_LEN.pack(check_frame_size(len(payload), "stream")) + payload)
 
 
 def _recv_blob(sock: socket.socket) -> bytearray:
     """Inverse of :func:`_send_blob` (fresh buffer: control traffic is rare)."""
-    header = bytearray(_LEN.size)
-    _recv_exact(sock, memoryview(header))
-    (length,) = _LEN.unpack(header)
-    if length > _MAX_FRAME:
-        raise ValueError(f"corrupt frame: announced length {length}")
-    buf = bytearray(length)
+    buf = bytearray(_recv_length(sock, memoryview(bytearray(_LEN.size))))
     _recv_exact(sock, memoryview(buf))
     return buf
 
@@ -216,15 +220,23 @@ def _connect_retry(addr: tuple[str, int], deadline: float, what: str) -> socket.
 # ----------------------------------------------------------------------
 # rendezvous: (rank, host, port) exchange through one known address
 # ----------------------------------------------------------------------
-def _serve_rendezvous(listener: socket.socket, nranks: int, timeout: float) -> None:
+def _assemble_world(
+    listener: socket.socket,
+    nranks: int,
+    timeout: float,
+    stopped: Callable[[], bool] = lambda: False,
+    divert: Callable[[Any, socket.socket], bool] = lambda reg, conn: False,
+) -> bool:
     """Collect ``P`` registrations, then send everyone the full address map.
 
-    Runs in a daemon thread of the launcher (single host) or of rank 0's
-    ``serve-rank`` process (multi host). A registration is one control
-    frame ``pickle((rank, nranks, host, port))``; the reply is
-    ``pickle([(host, port), ...])`` indexed by rank. On timeout the server
-    just returns — every waiting client observes its own
-    :class:`RendezvousTimeoutError`, which surfaces as the rank failure.
+    A registration is one control frame ``pickle((rank, nranks, host, port))``;
+    the reply is ``pickle([(host, port), ...])`` indexed by rank.
+    ``divert(reg, conn)`` may claim a frame that is something else (the
+    elastic rendezvous queues rejoin requests with it). Returns False if
+    the world did not assemble — timeout, ``stopped()``, or the listener
+    closed under us (run torn down); every waiting client then observes
+    its own :class:`RendezvousTimeoutError`, which surfaces as the rank
+    failure.
     """
     deadline = time.monotonic() + timeout
     conns: dict[int, socket.socket] = {}
@@ -232,17 +244,20 @@ def _serve_rendezvous(listener: socket.socket, nranks: int, timeout: float) -> N
     try:
         listener.settimeout(0.2)
         while len(conns) < nranks:
-            if time.monotonic() > deadline:
-                return
+            if time.monotonic() > deadline or stopped():
+                return False
             try:
                 conn, _ = listener.accept()
             except TimeoutError:
                 continue
             except OSError:
-                return  # listener closed under us (run torn down)
+                return False
             try:
                 conn.settimeout(min(_HANDSHAKE_S, max(0.1, deadline - time.monotonic())))
-                rank, world, host, port = pickle.loads(bytes(_recv_blob(conn)))
+                reg = pickle.loads(bytes(_recv_blob(conn)))
+                if divert(reg, conn):
+                    continue
+                rank, world, host, port = reg
                 if world != nranks or not 0 <= rank < nranks or rank in conns:
                     raise ValueError(f"bad registration: rank {rank} of {world}")
                 conn.settimeout(max(0.1, deadline - time.monotonic()))
@@ -257,9 +272,20 @@ def _serve_rendezvous(listener: socket.socket, nranks: int, timeout: float) -> N
                 _send_blob(conn, reply)
             except OSError:
                 pass  # its rank will time out and report the failure
+        return True
     finally:
-        for conn in conns.values():
-            conn.close()
+        _close_all(conns.values())
+
+
+def _serve_rendezvous(listener: socket.socket, nranks: int, timeout: float) -> None:
+    """One-shot rendezvous server (:func:`_assemble_world`, then close).
+
+    Runs in a daemon thread of the launcher (single host) or of rank 0's
+    ``serve-rank`` process (multi host).
+    """
+    try:
+        _assemble_world(listener, nranks, timeout)
+    finally:
         listener.close()
 
 
@@ -345,9 +371,7 @@ def _connect_mesh(
             in_socks[src] = conn
             accepted += 1
     except BaseException:
-        for sock in out_socks + in_socks:
-            if sock is not None:
-                sock.close()
+        _close_all(out_socks + in_socks)
         raise
     return out_socks, in_socks
 
@@ -371,81 +395,19 @@ class SocketComm(PumpedComm):
         trace: Trace,
         op_timeout: float | None = None,
     ) -> None:
-        self._init_mesh(rank, size, trace, op_timeout)
         self._out_socks = out_socks
         self._in_socks = in_socks
-        self._out_locks = [threading.Lock() if s is not None else None for s in out_socks]
-        for src, sock in enumerate(in_socks):
-            if sock is not None:
-                self._start_pump(src, sock)
+        super().__init__(rank, size, out_socks, in_socks, trace, op_timeout)
 
-    # ------------------------------------------------------------------
-    # inbound progress engine
-    # ------------------------------------------------------------------
-    def _pump(self, src: int, sock: socket.socket) -> None:
-        """Receiver thread: drain one peer's connection into the mailboxes.
-
-        Frames are read with ``recv_into`` into one reusable buffer (grown
-        geometrically on demand), so steady-state receive performs no
-        per-message bytes allocation — the only fresh buffers are the
-        decoded arrays themselves. EOF without a FIN first means the peer
-        died mid-run: abort the world, exactly like the shmem progress
-        engine observing doorbell EOF.
-        """
-        header = bytearray(_LEN.size)
-        buf = bytearray(1 << 16)
-        while True:
-            try:
-                _recv_exact(sock, memoryview(header))
-                (length,) = _LEN.unpack(header)
-                if length > _MAX_FRAME:
-                    raise ValueError(f"corrupt frame length {length}")
-                if length > len(buf):
-                    buf = bytearray(max(length, 2 * len(buf)))
-                frame = memoryview(buf)[:length]
-                _recv_exact(sock, frame)
-            except (EOFError, OSError):
-                # EOF (or a reset) with no FIN first: the peer died mid-run —
-                # blocked peers unwind with a RankFailedError naming it
-                self._abort(failed_rank=src)
-                return
-            except (ValueError, MemoryError):
-                # corrupt frame length (a MemoryError: a length under
-                # _MAX_FRAME can still be unallocatable) — abort the world
-                # rather than dying silently; the culprit is unattributable
-                self._abort()
-                return
-            try:
-                # copy=True (default): the scratch buffer is reused, so the
-                # decoded arrays must own their memory
-                tag, seq, nbytes, epoch, payload = decode_message(frame)
-            except Exception:
-                # undecodable frame: fail fast instead of silently stopping
-                # the progress engine and hanging the run
-                self._abort()
-                return
-            if epoch < self.epoch:
-                # frame from a dead world epoch (in flight across a shrink):
-                # drop it so post-shrink collectives never see old traffic
-                self._count_stale_frame()
-                continue
-            if tag == _FIN_TAG:
-                return  # peer finished cleanly; its channel is drained
-            self._mailbox(src, tag).put(payload, nbytes, seq)
-
-    # ------------------------------------------------------------------
-    # outbound
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _frame_blob(tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0) -> bytearray:
+    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
         """Length prefix + frame, gathered into one send buffer.
 
         Like :func:`~repro.runtime.wire.encode_message` this copies each
         payload byte exactly once, and one ``sendall`` per message keeps
         the frame contiguous on the stream without per-part syscalls.
         """
-        total, parts = encode_frame_parts(tag, seq, nbytes, obj, epoch)
-        out = bytearray(_LEN.size + total)
+        total, parts = encode_frame_parts(tag, seq, nbytes, obj, self.epoch)
+        out = bytearray(_LEN.size + check_frame_size(total, "stream"))
         _LEN.pack_into(out, 0, total)
         pos = _LEN.size
         for part in parts:
@@ -454,46 +416,29 @@ class SocketComm(PumpedComm):
             pos += n
         return out
 
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        blob = self._frame_blob(tag, seq, nbytes, obj, self.epoch)
-        sock = self._out_socks[dest]
-        lock = self._out_locks[dest]
-        try:
-            with lock:
-                if self.op_timeout is None:
-                    sock.sendall(blob)
-                else:
-                    sock.settimeout(self.op_timeout)
-                    try:
-                        sock.sendall(blob)
-                    finally:
-                        sock.settimeout(None)
-        except TimeoutError as exc:  # socket.timeout: the peer stopped reading
-            self._abort()
-            raise CommTimeoutError(
-                f"send to rank {dest} (tag {tag}) made no progress within "
-                f"op_timeout={self.op_timeout}s",
-                source=dest,
-                tag=tag,
-                timeout=self.op_timeout,
-            ) from exc
-        except OSError as exc:
-            self._abort(failed_rank=dest)
-            raise RankFailedError(dest, f"rank {dest} is gone; send failed") from exc
-
-    def shutdown(self) -> None:
-        """Graceful wind-down: tell every peer this rank is done sending."""
-        fin = self._frame_blob(_FIN_TAG, -1, 0, None, self.epoch)
-        for dest, sock in enumerate(self._out_socks):
-            if sock is None:
-                continue
+    def _write(self, sock: socket.socket, blob: bytearray, timeout: float | None) -> None:
+        if timeout is None:
+            sock.sendall(blob)
+        else:
+            sock.settimeout(timeout)
             try:
-                with self._out_locks[dest]:
-                    sock.sendall(fin)
-            except OSError:  # peer already gone
-                pass
+                sock.sendall(blob)
+            finally:
+                sock.settimeout(None)
 
-    def join_pumps(self, timeout: float) -> None:
+    def _read_frame(self, sock: socket.socket, buf: bytearray) -> tuple[memoryview, bytearray]:
+        # the prefix lands in the buffer's first word, the frame behind it
+        start = _LEN.size
+        view = memoryview(buf)
+        end = start + _recv_length(sock, view[:start])
+        if end > len(buf):
+            buf = bytearray(max(end, 2 * len(buf)))
+            view = memoryview(buf)
+        frame = view[start:end]
+        _recv_exact(sock, frame)
+        return frame, buf
+
+    def linger(self, timeout: float) -> None:
         """Wait for every peer's FIN (or death) before closing the sockets.
 
         A finished rank that closed immediately would reset a peer's late
@@ -507,12 +452,7 @@ class SocketComm(PumpedComm):
             t.join(max(0.0, deadline - time.monotonic()))
 
     def close(self) -> None:
-        for sock in self._out_socks + self._in_socks:
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
+        _close_all(self._out_socks + self._in_socks)
 
     def _install_peer(
         self, peer: int, out_sock: socket.socket, in_sock: socket.socket
@@ -524,12 +464,7 @@ class SocketComm(PumpedComm):
         channel. Called by :meth:`~repro.runtime.elastic.ElasticContext.step`
         through :func:`elastic_dial_join`.
         """
-        for sock in (self._out_socks[peer], self._in_socks[peer]):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
+        _close_all((self._out_socks[peer], self._in_socks[peer]))
         self._out_socks[peer] = out_sock
         self._out_locks[peer] = threading.Lock()
         self._in_socks[peer] = in_sock
@@ -543,7 +478,6 @@ def _join_world(
     host: str,
     timeout: float,
     trace: Trace,
-    topology: Topology | None = None,
     op_timeout: float | None = None,
 ) -> SocketComm:
     """Bind a mesh listener, rendezvous, build the mesh, return the comm.
@@ -551,8 +485,8 @@ def _join_world(
     The rendezvous reply is the full ``rank -> (host, port)`` map; its host
     column *is* the world's topology, so instead of discarding it after
     mesh assembly it is kept on the communicator (``comm.topology``) for
-    topology-aware collectives. An explicit ``topology`` (e.g. a simulated
-    multi-host world over loopback) overrides the derived one.
+    topology-aware collectives (callers override it with an explicit
+    topology, e.g. a simulated multi-host world over loopback).
     """
     listener = _bind_listener(host, 0, nranks)
     try:
@@ -562,9 +496,7 @@ def _join_world(
     finally:
         listener.close()
     comm = SocketComm(rank, nranks, out_socks, in_socks, trace, op_timeout)
-    comm.topology = (
-        topology if topology is not None else Topology(tuple(h for h, _p in addrs))
-    )
+    comm.topology = Topology(tuple(h for h, _p in addrs))
     return comm
 
 
@@ -574,7 +506,7 @@ def _join_world(
 class ElasticRendezvous:
     """Persistent rendezvous of an elastic world (hosted by rank 0).
 
-    Phase one is the ordinary address exchange of :func:`_serve_rendezvous`;
+    Phase one is the ordinary address exchange (:func:`_assemble_world`);
     afterwards the listener stays open and a restarted rank can re-register
     with a ``("rejoin", rank, nranks, host, port)`` control frame. Rejoin
     requests are queued until the elastic leader commits one between
@@ -598,45 +530,13 @@ class ElasticRendezvous:
 
     # -- server thread --------------------------------------------------
     def _serve(self) -> None:
-        nranks = self._nranks
-        deadline = time.monotonic() + self._timeout
-        conns: dict[int, socket.socket] = {}
-        addrs: dict[int, tuple[str, int]] = {}
         listener = self._listener
-        listener.settimeout(0.2)
-        # phase 1: initial world assembly (protocol of _serve_rendezvous)
-        while len(conns) < nranks:
-            if time.monotonic() > deadline or self._closed:
-                for conn in conns.values():
-                    conn.close()
-                return
-            try:
-                conn, _ = listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # listener closed under us
-            try:
-                conn.settimeout(min(_HANDSHAKE_S, max(0.1, deadline - time.monotonic())))
-                reg = pickle.loads(bytes(_recv_blob(conn)))
-                if self._queue_if_rejoin(reg, conn):
-                    continue  # a restarted rank beat the initial assembly
-                rank, world, host, port = reg
-                if world != nranks or not 0 <= rank < nranks or rank in conns:
-                    raise ValueError(f"bad registration: rank {rank} of {world}")
-                conn.settimeout(max(0.1, deadline - time.monotonic()))
-            except Exception:
-                conn.close()  # stray/misconfigured client; keep serving
-                continue
-            conns[rank] = conn
-            addrs[rank] = (host, port)
-        reply = pickle.dumps([addrs[r] for r in range(nranks)])
-        for conn in conns.values():
-            try:
-                _send_blob(conn, reply)
-            except OSError:
-                pass  # its rank will time out and report the failure
-            conn.close()
+        # phase 1: initial world assembly; a restarted rank that beats it
+        # is queued like any later rejoin
+        if not _assemble_world(
+            listener, self._nranks, self._timeout, lambda: self._closed, self._queue_if_rejoin
+        ):
+            return
         # phase 2: accept rejoin registrations until the world winds down
         while not self._closed:
             try:
@@ -783,9 +683,7 @@ def _accept_rejoin_mesh(
             slot[src] = conn
             got += 1
     except BaseException:
-        for sock in out_socks + in_socks:
-            if sock is not None:
-                sock.close()
+        _close_all(out_socks + in_socks)
         raise
     return out_socks, in_socks
 
@@ -852,78 +750,56 @@ def _rejoin_world(
 # ----------------------------------------------------------------------
 # single-host launcher (run_ranks backend)
 # ----------------------------------------------------------------------
-class SocketWorld:
-    """Parent-side record of one socket-backend run (for ParallelResult)."""
+class TcpMesh(Transport):
+    """Parent side of a single-host TCP world: the loopback rendezvous.
 
-    def __init__(
-        self, size: int, start_method: str, pids: list[int], rendezvous: tuple[str, int]
-    ) -> None:
-        self.size = size
-        self.start_method = start_method
-        self.pids = pids
-        self.rendezvous = rendezvous
+    The parent holds no mesh connection — the children dial each other —
+    so there is nothing to hand over but the rendezvous address, nothing
+    to drain, and only the listener for a forked child to close.
+    """
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"SocketWorld(size={self.size}, start_method={self.start_method!r}, "
-            f"rendezvous={self.rendezvous[0]}:{self.rendezvous[1]})"
+    def __init__(self, nranks: int, setup_timeout: float) -> None:
+        self._nranks = nranks
+        self._setup_timeout = setup_timeout
+        self._listener: socket.socket | None = None
+        self._server: threading.Thread | None = None
+
+    def build(self) -> None:
+        self._listener = _bind_listener("127.0.0.1", 0, self._nranks)
+        self.info = {"rendezvous": ("127.0.0.1", self._listener.getsockname()[1])}
+
+    def ends(self) -> list:
+        return [self._listener]
+
+    def connector(self, rank: int):
+        return partial(
+            _join_world,
+            rank,
+            self._nranks,
+            self.info["rendezvous"],
+            "127.0.0.1",
+            self._setup_timeout,
         )
 
-
-def _socket_child_main(
-    rank: int,
-    nranks: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    rdv_addr: tuple[str, int],
-    setup_timeout: float,
-    result_conn: Connection,
-    close_list: list,
-    topology: Topology | None = None,
-    op_timeout: float | None = None,
-) -> None:
-    """Entry point of one rank process."""
-    # under fork every result-pipe end and the rendezvous listener were
-    # inherited; drop the foreign ones so EOF semantics stay crisp
-    for conn in close_list:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    trace = Trace(nranks)
-    try:
-        comm = _join_world(
-            rank, nranks, rdv_addr, "127.0.0.1", setup_timeout, trace, topology,
-            op_timeout,
+    def release(self) -> None:
+        # serve the rendezvous only after forking: children queue their
+        # connects against the listen backlog in the meantime
+        self._server = threading.Thread(
+            target=_serve_rendezvous,
+            args=(self._listener, self._nranks, self._setup_timeout),
+            name="socket-rendezvous",
+            daemon=True,
         )
-    except BaseException as exc:  # noqa: BLE001 - setup failure is the rank failure
-        result_conn.send(("error", rank, _portable_exception(exc), []))
-        result_conn.close()
-        return
-    try:
-        result = fn(comm, *args, **kwargs)
-        comm.shutdown()
-        payload = ("ok", rank, result, trace.events(rank))
-    except WorldAbortedError:
-        payload = ("aborted", rank, None, trace.events(rank))
-    except BaseException as exc:  # noqa: BLE001 - must propagate rank errors
-        payload = ("error", rank, _portable_exception(exc), trace.events(rank))
-    try:
-        result_conn.send(payload)
-    except Exception as exc:  # unpicklable result/exception
-        result_conn.send(("error", rank, _portable_exception(exc), None))
-    finally:
-        result_conn.close()
-    if payload[0] == "ok":
-        # keep draining peers' traffic until they FIN, so a late buffered
-        # send to this finished rank never hits a reset connection
-        comm.join_pumps(_LINGER_S)
-    comm.close()
+        self._server.start()
+
+    def close(self) -> None:
+        if self._listener is not None:
+            self._listener.close()  # idempotent; normally the server closed it
+        if self._server is not None:
+            self._server.join(timeout=1.0)
 
 
-class SocketBackend(ProcessBackend):
+class SocketBackend(MeshBackend):
     """Multi-host-capable backend: one OS process per rank, TCP transport.
 
     ``run`` launches all ranks on this host (rendezvous served by the
@@ -944,104 +820,8 @@ class SocketBackend(ProcessBackend):
             return self.rendezvous_timeout
         return min(self.rendezvous_timeout, timeout)
 
-    def run(
-        self,
-        fn: Callable[..., Any],
-        nranks: int,
-        *args: Any,
-        copy_payloads: bool = True,  # serialization always isolates; accepted for API parity
-        trace: Trace | None = None,
-        timeout: float | None = 300.0,
-        op_timeout: float | None = None,
-        topology: Topology | None = None,
-        **kwargs: Any,
-    ) -> ParallelResult:
-        if nranks < 1:
-            raise ValueError(f"nranks must be >= 1, got {nranks}")
-        ctx = mp.get_context(_START_METHOD)
-        _check_spawn_picklable(fn, args, kwargs, self.name)
-        setup_timeout = self._setup_timeout(timeout)
-
-        listener = _bind_listener("127.0.0.1", 0, nranks)
-        rdv_addr = ("127.0.0.1", listener.getsockname()[1])
-        result_pipes: list[tuple[Connection, Connection]] = []
-        procs: list[mp.Process] = []
-        server: threading.Thread | None = None
-        try:
-            result_pipes = [ctx.Pipe(duplex=False) for _ in range(nranks)]
-            for rank in range(nranks):
-                close_list: list = []
-                if _START_METHOD == "fork":
-                    # spawn children only inherit what we pass; fork children
-                    # inherit everything and must close foreign ends explicitly
-                    own = id(result_pipes[rank][1])
-                    close_list = [
-                        c for r, w in result_pipes for c in (r, w) if id(c) != own
-                    ]
-                    close_list.append(listener)
-                p = ctx.Process(
-                    target=_socket_child_main,
-                    args=(
-                        rank,
-                        nranks,
-                        fn,
-                        args,
-                        kwargs,
-                        rdv_addr,
-                        setup_timeout,
-                        result_pipes[rank][1],
-                        close_list,
-                        topology,
-                        op_timeout,
-                    ),
-                    name=f"rank-{rank}",
-                    daemon=True,
-                )
-                p.start()
-                procs.append(p)
-        except BaseException:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
-            for r, w in result_pipes:
-                r.close()
-                w.close()
-            listener.close()
-            raise
-
-        # serve the rendezvous only after forking: children queue their
-        # connects against the listen backlog in the meantime, and the
-        # parent never forks while its own service thread is mid-flight
-        server = threading.Thread(
-            target=_serve_rendezvous,
-            args=(listener, nranks, setup_timeout),
-            name="socket-rendezvous",
-            daemon=True,
-        )
-        server.start()
-        for _, w in result_pipes:
-            w.close()
-
-        try:
-            no_conns = [[None] * nranks for _ in range(nranks)]
-            outcome = self._collect(
-                procs, [r for r, _ in result_pipes], nranks, timeout, no_conns
-            )
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
-            for r, _ in result_pipes:
-                r.close()
-            listener.close()  # idempotent; normally the server closed it
-            server.join(timeout=1.0)
-
-        world = SocketWorld(nranks, _START_METHOD, [p.pid for p in procs], rdv_addr)
-        return _finalize_run(outcome, trace, nranks, world)
+    def _transport(self, ctx: Any, nranks: int, timeout: float | None) -> TcpMesh:
+        return TcpMesh(nranks, self._setup_timeout(timeout))
 
 
 # ----------------------------------------------------------------------
@@ -1148,15 +928,10 @@ def serve_rank(
     topo = normalize_topology(topology, nranks)
     fn = program if callable(program) else _resolve_program(program)
     if fault_plan is not None:
-        from .faults import FaultPlan, FaultyComm
-
         plan = (
             FaultPlan.from_spec(fault_plan) if isinstance(fault_plan, str) else fault_plan
         )
-        inner_fn = fn
-
-        def fn(comm, *fargs, **fkwargs):  # noqa: F811 - deliberate wrap
-            return inner_fn(FaultyComm(comm, plan), *fargs, **fkwargs)
+        fn = _FaultyProgram(fn, plan)
 
     server: threading.Thread | None = None
     elastic_server: ElasticRendezvous | None = None
@@ -1170,14 +945,6 @@ def serve_rank(
         comm = _rejoin_world(
             rank, nranks, rendezvous, host, rendezvous_timeout, trace, op_timeout
         )
-        if topo is not None:
-            comm.topology = topo
-        if verbose:
-            print(
-                f"[serve-rank {rank}/{nranks}] rejoined at epoch {comm.epoch}: "
-                f"members {sorted(set(range(nranks)) - comm.dead_ranks)}",
-                file=sys.stderr,
-            )
     else:
         if rank == 0:
             rdv_listener = _bind_listener(rendezvous[0], rendezvous[1], nranks)
@@ -1194,24 +961,24 @@ def serve_rank(
                 )
                 server.start()
         comm = _join_world(
-            rank, nranks, rendezvous, host, rendezvous_timeout, trace, topo, op_timeout
+            rank, nranks, rendezvous, host, rendezvous_timeout, trace, op_timeout
         )
         if elastic_server is not None:
             # the elastic leader's rank program polls this for rejoins
             comm._elastic_rendezvous = elastic_server
-        if verbose:
-            print(
-                f"[serve-rank {rank}/{nranks}] world assembled: "
-                f"{comm.topology.describe()}",
-                file=sys.stderr,
-            )
+    if topo is not None:
+        comm.topology = topo
+    if verbose:
+        assembled = (
+            f"rejoined at epoch {comm.epoch}: "
+            f"members {sorted(set(range(nranks)) - comm.dead_ranks)}"
+            if rejoin
+            else f"world assembled: {comm.topology.describe()}"
+        )
+        print(f"[serve-rank {rank}/{nranks}] {assembled}", file=sys.stderr)
     try:
-        result = fn(comm)
-        comm.shutdown()
-        comm.join_pumps(_LINGER_S)
-        return result
+        return _run_rank(comm, fn)
     finally:
-        comm.close()
         if server is not None:
             server.join(timeout=1.0)
         if elastic_server is not None:

@@ -1,8 +1,7 @@
 """Wire format of the process-family backends: serialized message framing.
 
-Every message the :mod:`~repro.runtime.process_backend` and
-:mod:`~repro.runtime.shmem_backend` move between rank processes is one
-byte frame::
+Every message the process-family backends (pipe, shared-memory ring, TCP)
+move between rank processes is one byte frame::
 
     <frame header: tag, seq, nbytes, epoch>  <payload>
 
@@ -51,6 +50,8 @@ __all__ = [
     "encode_frame_parts",
     "decode_frame_epoch",
     "FRAME_HEADER_SIZE",
+    "MAX_FRAME_BYTES",
+    "check_frame_size",
     "FLAG_SPARSE",
     "FLAG_DENSE",
 ]
@@ -63,6 +64,23 @@ _FRAME = struct.Struct("<qqqq")
 
 #: size of the frame header in bytes (transports size their buffers with it).
 FRAME_HEADER_SIZE = _FRAME.size
+
+#: largest frame any transport carries. A reader sizes its buffer from a
+#: length word alone, so the word must be checkable against something: no
+#: message of this library comes near 1 GiB, and a garbage word (observed:
+#: 3.2 GB allocated, ``MemoryError``) almost surely exceeds it. Writers
+#: refuse such a frame, readers treat the word as corruption.
+MAX_FRAME_BYTES = 1 << 30
+
+
+def check_frame_size(total: int, what: str) -> int:
+    """``total`` if a ``what`` transport may carry a frame that long."""
+    if total > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"frame of {total} bytes exceeds the {MAX_FRAME_BYTES}-byte {what} limit"
+        )
+    return total
+
 
 #: payload kind discriminator (one byte).
 _KIND_PICKLE = 0

@@ -3,7 +3,6 @@
 from .ops import MAX, MIN, PROD, REDUCE_OPS, SUM, ReduceOp
 from .stream import SparseStream
 from .summation import (
-    MergeScratch,
     add_streams,
     add_streams_,
     concat_disjoint,
@@ -20,7 +19,6 @@ __all__ = [
     "PROD",
     "REDUCE_OPS",
     "SparseStream",
-    "MergeScratch",
     "add_streams",
     "add_streams_",
     "concat_disjoint",

@@ -26,7 +26,6 @@ from .ops import SUM, ReduceOp
 from .stream import SparseStream
 
 __all__ = [
-    "MergeScratch",
     "add_streams",
     "add_streams_",
     "concat_disjoint",
@@ -34,34 +33,6 @@ __all__ = [
     "reduce_streams",
     "reduction_work_bytes",
 ]
-
-
-class MergeScratch:
-    """Reusable workspace for :func:`merge_sparse_pairs` intermediates.
-
-    One merge allocates five throwaway arrays (two concatenations, two
-    sorted gathers, one boundary mask) before producing its two outputs.
-    A scratch object keeps those intermediates alive between calls —
-    recursive doubling, the sparse ring and the split phase reuse one
-    workspace across all their rounds, so per-round allocation drops to
-    the argsort permutation and the actual outputs. Buffers grow
-    geometrically and are reallocated when the value dtype changes.
-
-    Not thread-safe; use one scratch per collective invocation.
-    """
-
-    __slots__ = ("_idx", "_val", "_idx2", "_val2", "_bound")
-
-    def __init__(self) -> None:
-        self._idx = self._val = self._idx2 = self._val2 = self._bound = None
-
-    def _buf(self, slot: str, n: int, dtype: np.dtype) -> np.ndarray:
-        arr = getattr(self, slot)
-        if arr is None or arr.size < n or arr.dtype != dtype:
-            grown = max(n, 1024, 2 * arr.size if arr is not None else 0)
-            arr = np.empty(grown, dtype=dtype)
-            setattr(self, slot, arr)
-        return arr[:n]
 
 
 def merge_sparse_pairs(
@@ -72,7 +43,6 @@ def merge_sparse_pairs(
     op: ReduceOp = SUM,
     *,
     copy: bool = True,
-    scratch: MergeScratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge two sorted-unique (index, value) pair lists, summing overlaps.
 
@@ -87,31 +57,17 @@ def merge_sparse_pairs(
         default) the non-empty side comes back as fresh arrays; with
         ``copy=False`` it comes back as-is — zero-copy, but the result then
         aliases the caller's input, so only owners may pass False.
-    scratch:
-        Optional reusable workspace for the intermediates (see
-        :class:`MergeScratch`). Results are bit-identical either way.
     """
     if idx_a.size == 0:
         return (idx_b.copy(), val_b.copy()) if copy else (idx_b, val_b)
     if idx_b.size == 0:
         return (idx_a.copy(), val_a.copy()) if copy else (idx_a, val_a)
-    n = idx_a.shape[0] + idx_b.shape[0]
-    if scratch is not None and val_a.dtype == val_b.dtype and idx_a.dtype == idx_b.dtype:
-        cat_idx = scratch._buf("_idx", n, idx_a.dtype)
-        cat_val = scratch._buf("_val", n, val_a.dtype)
-        np.concatenate([idx_a, idx_b], out=cat_idx)
-        np.concatenate([val_a, val_b], out=cat_val)
-        order = np.argsort(cat_idx, kind="stable")
-        idx = np.take(cat_idx, order, out=scratch._buf("_idx2", n, idx_a.dtype))
-        val = np.take(cat_val, order, out=scratch._buf("_val2", n, val_a.dtype))
-        boundary = scratch._buf("_bound", n, np.dtype(bool))
-    else:
-        idx = np.concatenate([idx_a, idx_b])
-        val = np.concatenate([val_a, val_b])
-        order = np.argsort(idx, kind="stable")
-        idx = idx[order]
-        val = val[order]
-        boundary = np.empty(n, dtype=bool)
+    idx = np.concatenate([idx_a, idx_b])
+    val = np.concatenate([val_a, val_b])
+    order = np.argsort(idx, kind="stable")
+    idx = idx[order]
+    val = val[order]
+    boundary = np.empty(idx.shape[0], dtype=bool)
     # collapse duplicates: segment boundaries where the index changes
     boundary[0] = True
     np.not_equal(idx[1:], idx[:-1], out=boundary[1:])
@@ -131,7 +87,6 @@ def add_streams_(
     other: SparseStream,
     op: ReduceOp = SUM,
     *,
-    scratch: MergeScratch | None = None,
     own_other: bool = False,
 ) -> SparseStream:
     """In-place sum ``acc += other`` with automatic representation switching.
@@ -147,10 +102,6 @@ def add_streams_(
 
     Parameters
     ----------
-    scratch:
-        Optional :class:`MergeScratch` reused across successive calls
-        (collectives keep one per invocation instead of allocating merge
-        intermediates every round).
     own_other:
         Declare that ``other`` is owned by this reduction (e.g. a freshly
         received, decoded message nobody else holds). When ``acc`` is
@@ -196,7 +147,7 @@ def add_streams_(
 
     idx, val = merge_sparse_pairs(
         acc.indices, acc.values, other.indices, other.values, op,
-        copy=not own_other, scratch=scratch,
+        copy=not own_other,
     )
     acc.set_pairs(idx.astype(INDEX_DTYPE, copy=False), val)
     # the merge may still have overshot delta (exact union known only now)
@@ -232,9 +183,8 @@ def reduce_streams(streams: Sequence[SparseStream], op: ReduceOp = SUM) -> Spars
     if not streams:
         raise ValueError("reduce_streams needs at least one stream")
     acc = streams[0].copy()
-    scratch = MergeScratch()  # one workspace across the whole fold
     for s in streams[1:]:
-        add_streams_(acc, s, op, scratch=scratch)
+        add_streams_(acc, s, op)
     return acc
 
 

@@ -6,9 +6,8 @@ the repo root by default, so successive PRs have a numeric trajectory to
 diff against. Five layers are measured (``--layers`` selects a subset):
 
 ``microkernels``
-    the §5.1 summation kernels (sparse merge with and without a reused
-    :class:`~repro.streams.MergeScratch`, in-place stream addition) and
-    the wire codec (vectored encode, single-copy decode);
+    the §5.1 summation kernels (sparse merge, in-place stream addition)
+    and the wire codec (vectored encode, single-copy decode);
 ``transport``
     per-backend point-to-point round-trip latency of a sparse stream
     between two real ranks — the purest backend comparison (the
@@ -81,7 +80,7 @@ from ..netsim.replay import overlap_step_time
 from ..runtime import Topology, bytes_by_tier, normalize_topology, run_ranks
 from ..runtime.nonblocking import i_collective
 from ..runtime.wire import decode_message, encode_message
-from ..streams import MergeScratch, SparseStream, add_streams_, merge_sparse_pairs
+from ..streams import SparseStream, add_streams_, merge_sparse_pairs
 
 __all__ = ["run_bench", "write_bench", "DEFAULT_OUT", "LAYERS"]
 
@@ -140,14 +139,14 @@ def _time(fn: Callable[[], Any], iters: int, warmup: int = 2) -> dict[str, float
 # ----------------------------------------------------------------------
 # layer 1: microkernels
 # ----------------------------------------------------------------------
-def _time_add_streams(a: SparseStream, b: SparseStream, scratch: MergeScratch, iters: int) -> dict[str, float]:
+def _time_add_streams(a: SparseStream, b: SparseStream, iters: int) -> dict[str, float]:
     """Time the in-place add alone: the fresh accumulator each iteration
     needs is prepared *outside* the clocked window."""
     samples = []
     for _ in range(iters + 2):
         acc = a.copy()
         t0 = time.perf_counter()
-        add_streams_(acc, b, scratch=scratch)
+        add_streams_(acc, b)
         samples.append(time.perf_counter() - t0)
     return _stats(samples[2:])  # first two are warmup
 
@@ -156,20 +155,13 @@ def _bench_microkernels(dimension: int, nnz: int, iters: int) -> dict[str, Any]:
     gen = np.random.default_rng(11)
     a = SparseStream.random_uniform(dimension, nnz, gen)
     b = SparseStream.random_uniform(dimension, nnz, gen)
-    scratch = MergeScratch()
     blob = bytes(encode_message(1, 0, a.nbytes_payload, a))
 
     out: dict[str, Any] = {
         "merge_sparse_pairs": _time(
             lambda: merge_sparse_pairs(a.indices, a.values, b.indices, b.values), iters
         ),
-        "merge_sparse_pairs_scratch": _time(
-            lambda: merge_sparse_pairs(
-                a.indices, a.values, b.indices, b.values, scratch=scratch
-            ),
-            iters,
-        ),
-        "add_streams_sparse_sparse": _time_add_streams(a, b, scratch, iters),
+        "add_streams_sparse_sparse": _time_add_streams(a, b, iters),
         "encode_message_stream": _time(
             lambda: encode_message(1, 0, a.nbytes_payload, a), iters
         ),

@@ -54,7 +54,7 @@ class TestFits:
     def test_fit_gamma(self):
         micro = {
             "params": {"nnz": 1000},
-            "merge_sparse_pairs_scratch": {"best_s": 4e-6},
+            "merge_sparse_pairs": {"best_s": 4e-6},
         }
         assert fit_gamma(micro) == pytest.approx(4e-6 / (2 * 1000 * _PAIR_BYTES))
 
@@ -73,7 +73,7 @@ def _synthetic_bench(dimension=4096):
         transport[backend] = rows
     micro = {
         "params": {"dimension": dimension, "nnz": 100, "wire_bytes": 816},
-        "merge_sparse_pairs_scratch": {"best_s": 1.6e-6, "median_s": 1.6e-6, "n": 5},
+        "merge_sparse_pairs": {"best_s": 1.6e-6, "median_s": 1.6e-6, "n": 5},
     }
     return transport, micro, intra, inter
 

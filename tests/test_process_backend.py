@@ -6,13 +6,18 @@ real multiprocess transport and covers what only exists there — the §5.1
 wire encoding, cross-process payload isolation, and process death handling.
 """
 
+import errno
+import gc
+import glob
+import multiprocessing
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.quant import QSGDQuantizer
-from repro.runtime import RankError, run_ranks
+from repro.runtime import RankError, mesh, run_ranks
 from repro.runtime.wire import (
     FLAG_DENSE,
     FLAG_SPARSE,
@@ -24,6 +29,10 @@ from repro.runtime.wire import (
 from repro.streams import SparseStream
 
 BACKEND = "process"
+
+#: the backends launched by the shared launcher (``runtime/mesh.py``): its
+#: failure paths are one function, so their tests run on every transport.
+MESH_BACKENDS = ("process", "shmem", "socket")
 
 
 class PoisonPayload:
@@ -300,9 +309,11 @@ class TestProcessFailureHandling:
         with pytest.raises(ValueError):
             run_ranks(lambda c: None, 0, backend=BACKEND)
 
-    def test_undecodable_frame_raises_instead_of_none_results(self):
-        """An abort with no reported rank error (pump hit an undecodable
-        frame) must raise, not return a ParallelResult with silent Nones."""
+    @pytest.mark.parametrize("backend", MESH_BACKENDS)
+    def test_undecodable_frame_raises_instead_of_none_results(self, backend):
+        """An abort with no reported rank error (the inbound path hit an
+        undecodable frame) must raise, not return a ParallelResult with
+        silent Nones."""
         def prog(comm):
             if comm.rank == 0:
                 comm.send(PoisonPayload(), 1)
@@ -310,26 +321,27 @@ class TestProcessFailureHandling:
             return comm.recv(0)
 
         with pytest.raises(RankError):
-            run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
+            run_ranks(prog, 2, backend=backend, timeout=30.0)
 
-    def test_peer_of_hard_died_rank_is_unblocked(self):
-        """A rank blocked sending a large payload to a rank that hard-died
-        (os._exit, no error report) still completes, its trace preserved."""
-        import os as _os
-
+    @pytest.mark.parametrize("backend", MESH_BACKENDS)
+    def test_peer_of_hard_died_rank_is_unblocked(self, backend):
+        """A rank sending a large payload to a rank that hard-died
+        (os._exit, no error report) is not left blocked — the parent drains
+        the dead rank's pipes/rings, a TCP send fails — and its trace is
+        preserved."""
         from repro.runtime import Trace
 
         def prog(comm):
             if comm.rank == 1:
-                _os._exit(3)  # dies without reporting anything
+                os._exit(3)  # dies without reporting anything
             time.sleep(0.3)
             comm.send(np.zeros(1 << 20, dtype=np.float64), 1, tag=8)  # 8 MB
             return "sent"
 
         t = Trace(2)
         with pytest.raises(RankError, match="process died"):
-            run_ranks(prog, 2, backend=BACKEND, trace=t, timeout=30.0)
-        # rank 0's buffered send completed and its events were shipped back
+            run_ranks(prog, 2, backend=backend, trace=t, timeout=30.0)
+        # rank 0's send returned (or failed typed) and its events were shipped back
         assert any(e.op == "send" and e.nbytes > 1 << 22 for e in t.events(0))
 
     def test_unpicklable_exception_still_reported(self):
@@ -341,6 +353,71 @@ class TestProcessFailureHandling:
 
         with pytest.raises(RankError, match="opaque failure"):
             run_ranks(prog, 2, backend=BACKEND)
+
+class _FlakyContext:
+    """The real multiprocessing context, except that the ``fail_pipe``-th
+    ``Pipe()`` or the ``fail_start``-th ``Process.start()`` raises EMFILE."""
+
+    def __init__(self, real, fail_pipe=None, fail_start=None):
+        self._real = real
+        self._fail_pipe = fail_pipe
+        self._fail_start = fail_start
+        self.pipes = 0
+        self.processes = 0
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def _fail(self, *args, **kwargs):
+        raise OSError(errno.EMFILE, "Too many open files (injected)")
+
+    def Pipe(self, duplex=True):
+        self.pipes += 1
+        if self.pipes == self._fail_pipe:
+            self._fail()
+        return self._real.Pipe(duplex)
+
+    def Process(self, **kwargs):
+        proc = self._real.Process(**kwargs)
+        self.processes += 1
+        if self.processes == self._fail_start:
+            proc.start = self._fail
+        return proc
+
+
+def _open_fds() -> int:
+    gc.collect()
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc to count fds")
+@pytest.mark.parametrize("backend", MESH_BACKENDS)
+class TestLaunchFailureCleanup:
+    """A launch that fails part-way leaves nothing behind: no live rank,
+    no shared-memory segment, no pipe/socket descriptor."""
+
+    def _assert_clean_failure(self, backend, monkeypatch, **fail):
+        run_ranks(lambda c: None, 3, backend=backend)  # warm-up: resource tracker up
+        real = multiprocessing.get_context(mesh._START_METHOD)
+        flaky = _FlakyContext(real, **fail)
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        fds = _open_fds()
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh.mp, "get_context", lambda method=None: flaky)
+            with pytest.raises(OSError, match="injected"):
+                run_ranks(lambda c: c.barrier(), 3, backend=backend, timeout=30.0)
+        assert not [p for p in multiprocessing.active_children() if p.name.startswith("rank-")]
+        assert set(glob.glob("/dev/shm/psm_*")) == segments
+        assert _open_fds() == fds
+        return flaky
+
+    def test_mesh_build_failing_after_one_channel(self, backend, monkeypatch):
+        flaky = self._assert_clean_failure(backend, monkeypatch, fail_pipe=2)
+        assert flaky.pipes == 2 and flaky.processes == 0
+
+    def test_process_start_failing_on_second_rank(self, backend, monkeypatch):
+        flaky = self._assert_clean_failure(backend, monkeypatch, fail_start=2)
+        assert flaky.processes == 2  # rank 0 was running and had to be reaped
 
 
 class TestProcessTrace:

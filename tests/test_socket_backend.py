@@ -17,8 +17,16 @@ import numpy as np
 import pytest
 
 from repro.collectives import sparse_allreduce, ssar_recursive_double
-from repro.runtime import RankError, RendezvousTimeoutError, Trace, run_ranks, serve_rank
+from repro.runtime import (
+    RankError,
+    RankFailedError,
+    RendezvousTimeoutError,
+    Trace,
+    run_ranks,
+    serve_rank,
+)
 from repro.runtime.socket_backend import (
+    _LEN,
     SocketBackend,
     _bind_listener,
     _connect_retry,
@@ -195,6 +203,23 @@ class TestSocketFailurePaths:
     def test_invalid_nranks(self):
         with pytest.raises(ValueError):
             run_ranks(lambda c: None, 0, backend=BACKEND)
+
+    def test_corrupt_length_word_names_the_peer(self):
+        """A garbage length word becomes RankFailedError(sender) at the
+        blocked reader, not an allocation of that size followed by a read
+        that never completes (twin of the shmem corrupt-ring test)."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm._out_socks[1].sendall(_LEN.pack((1 << 30) + 1))
+                return None
+            with pytest.raises(RankFailedError) as err:
+                comm.recv(0, tag=5)
+            return err.value.rank, str(err.value)
+
+        out = run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
+        rank, message = out[1]
+        assert rank == 0 and "corrupt" in message
 
     def test_setup_timeout_is_bounded_by_run_timeout(self):
         """A failed world assembly must never outlive the run watchdog."""

@@ -243,7 +243,7 @@ def test_property_reduce_order_invariant(dim, seed):
 
 
 # ----------------------------------------------------------------------
-# allocation-lean kernel additions (ISSUE 2): copy flag, scratch reuse
+# allocation-lean kernel additions (ISSUE 2): copy flag
 # ----------------------------------------------------------------------
 class TestMergeCopyFlag:
     def test_empty_side_copies_by_default(self):
@@ -275,11 +275,9 @@ class TestMergeCopyFlag:
         assert idx is not idx_a and idx is not idx_b  # merged output is fresh
 
     def test_add_streams_inplace_adopts_owned_incoming(self):
-        from repro.streams import MergeScratch
-
         acc = SparseStream.zeros(100)
         incoming = _stream(100, [3, 5], [1.0, 2.0])
-        out = add_streams_(acc, incoming, scratch=MergeScratch(), own_other=True)
+        out = add_streams_(acc, incoming, own_other=True)
         assert out is acc
         assert np.array_equal(acc.indices, incoming.indices)
         assert acc.indices is incoming.indices  # adopted, not copied
@@ -291,70 +289,6 @@ class TestMergeCopyFlag:
         assert acc.indices is not incoming.indices
         acc.iscale(10.0)
         assert incoming.values[0] == 1.0  # pure input survives acc mutation
-
-
-class TestMergeScratch:
-    def test_scratch_results_bit_identical(self):
-        from repro.streams import MergeScratch
-
-        gen = np.random.default_rng(7)
-        scratch = MergeScratch()
-        for nnz in (1, 5, 100, 3000):
-            a = SparseStream.random_uniform(1 << 16, nnz, gen)
-            b = SparseStream.random_uniform(1 << 16, nnz, gen)
-            ref = merge_sparse_pairs(a.indices, a.values, b.indices, b.values)
-            got = merge_sparse_pairs(
-                a.indices, a.values, b.indices, b.values, scratch=scratch
-            )
-            assert np.array_equal(ref[0], got[0])
-            assert np.array_equal(ref[1], got[1])
-            assert got[0].dtype == ref[0].dtype and got[1].dtype == ref[1].dtype
-
-    def test_scratch_reused_across_rounds_stays_correct(self):
-        """Recursive-doubling style: one scratch, growing operands."""
-        from repro.streams import MergeScratch
-
-        gen = np.random.default_rng(11)
-        scratch = MergeScratch()
-        acc = SparseStream.random_uniform(1 << 14, 200, gen)
-        expected = acc.to_dense().astype(np.float64)
-        for _ in range(5):
-            nxt = SparseStream.random_uniform(1 << 14, 200, gen)
-            expected += nxt.to_dense()
-            add_streams_(acc, nxt, scratch=scratch, own_other=True)
-        assert np.allclose(acc.to_dense(), expected, atol=1e-3)
-
-    def test_scratch_outputs_do_not_alias_workspace(self):
-        """Round k's outputs must survive round k+1 reusing the scratch."""
-        from repro.streams import MergeScratch
-
-        scratch = MergeScratch()
-        idx1, val1 = merge_sparse_pairs(
-            np.array([1, 2], np.uint32), np.array([1.0, 2.0], np.float32),
-            np.array([2, 3], np.uint32), np.array([3.0, 4.0], np.float32),
-            scratch=scratch,
-        )
-        snapshot = (idx1.copy(), val1.copy())
-        merge_sparse_pairs(
-            np.arange(500, dtype=np.uint32), np.ones(500, np.float32),
-            np.arange(500, 1000, dtype=np.uint32), np.ones(500, np.float32),
-            scratch=scratch,
-        )
-        assert np.array_equal(idx1, snapshot[0])
-        assert np.array_equal(val1, snapshot[1])
-
-    def test_scratch_handles_dtype_switch(self):
-        from repro.streams import MergeScratch
-
-        scratch = MergeScratch()
-        for dtype in (np.float32, np.float64, np.float16, np.float32):
-            a = _stream(64, [1, 9], [1.0, 2.0], dtype)
-            b = _stream(64, [9, 30], [3.0, 4.0], dtype)
-            idx, val = merge_sparse_pairs(
-                a.indices, a.values, b.indices, b.values, scratch=scratch
-            )
-            assert val.dtype == np.dtype(dtype)
-            assert list(idx) == [1, 9, 30]
 
 
 class TestSetPairs:
