@@ -148,7 +148,6 @@ def elastic_demo(args, fault_plan) -> None:
         ThreadWorld,
         thread_rejoin,
     )
-    from repro.runtime.faults import FaultyComm
 
     victim = fault_plan.kill_rank if fault_plan else None
     if victim is None:
@@ -211,7 +210,8 @@ def elastic_demo(args, fault_plan) -> None:
     results: dict = {}
 
     def rank_thread(rank: int) -> None:
-        comm = FaultyComm(world.comm(rank), fault_plan)
+        comm = world.comm(rank)
+        comm.fault_plan = fault_plan
         try:
             try:
                 for _ in range(50):

@@ -17,9 +17,7 @@ sparse streams, where "reduction" is pure concatenation (§5.1 case 2).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Any
 
 from ..runtime.comm import Communicator
 from ..streams import SparseStream, concat_disjoint
@@ -89,11 +87,3 @@ def sparse_allgather(comm: Communicator, stream: SparseStream, tag: int | None =
     pieces = allgather_blocks(comm, stream, tag)
     comm.compute(sum(p.nnz for p in pieces) * (stream.value_dtype.itemsize + 4), "concat")
     return concat_disjoint(pieces, stream.dimension)
-
-
-def assemble_dense(blocks: Sequence[np.ndarray], dimension: int) -> np.ndarray:
-    """Concatenate per-partition dense blocks into a full vector."""
-    out = np.concatenate(list(blocks))
-    if out.shape[0] != dimension:
-        raise ValueError(f"assembled {out.shape[0]} entries, expected {dimension}")
-    return out

@@ -52,10 +52,11 @@ def dsar_split_allgather(
         stochastic-rounding noise is applied once per entry.
     bounds:
         Override of the balanced dimension partition (``P + 1`` monotone
-        offsets). Chunked callers use it to keep coordinate ownership —
-        and therefore densify/merge association — identical to a
-        full-dimension run (see
-        :func:`~repro.collectives.sparse.ssar_split_allgather`).
+        offsets, rank ``j`` owning ``[bounds[j], bounds[j+1])``). The
+        chunked ``dsar_hier`` uses it to keep coordinate *ownership* —
+        which rank merges and densifies each coordinate, and therefore
+        the float association — identical to a full-dimension run when
+        the collective runs on a restriction of the dimension.
 
     Returns
     -------

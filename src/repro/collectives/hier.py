@@ -9,10 +9,10 @@ only the merged sparse union crosses the slow tier:
 1. **intra-node reduce**: every host's ranks merge their streams onto the
    host *leader* (lowest rank on the host) along a binomial tree — each
    contribution crosses only the fast intra-node tier, once;
-2. **inter-node allreduce**: the leaders — one per host — run an ordinary
-   flat SSAR algorithm among themselves on a leader sub-communicator, so
-   only ``nnodes`` merged unions travel on the slow tier instead of ``P``
-   raw streams;
+2. **inter-node allreduce**: the leaders — one per host — run recursive
+   doubling among themselves on a leader sub-communicator, so only
+   ``nnodes`` merged unions travel on the slow tier instead of ``P`` raw
+   streams;
 3. **intra-node broadcast**: each leader broadcasts the reduced result
    back down its host's binomial tree.
 
@@ -60,27 +60,9 @@ from ..streams import SparseStream, add_streams_, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
 from .dense import partition_bounds
 from .dsar import dsar_split_allgather
-from .sparse import (
-    _ensure_sparse,
-    slice_stream,
-    ssar_recursive_double,
-    ssar_ring,
-    ssar_split_allgather,
-)
+from .sparse import _ensure_sparse, slice_stream, ssar_recursive_double
 
-__all__ = [
-    "ssar_hierarchical",
-    "dsar_hierarchical",
-    "tree_reduce",
-    "INNER_ALGORITHMS",
-]
-
-#: flat SSAR kernels eligible as the inter-node (leader) stage.
-INNER_ALGORITHMS = {
-    "ssar_rec_dbl": ssar_recursive_double,
-    "ssar_split_ag": ssar_split_allgather,
-    "ssar_ring": ssar_ring,
-}
+__all__ = ["ssar_hierarchical", "dsar_hierarchical", "tree_reduce"]
 
 
 def tree_reduce(
@@ -156,8 +138,8 @@ def _clip_bounds(global_bounds: np.ndarray, lo: int, hi: int) -> np.ndarray:
     Clipping the *full-dimension* partition into the chunk keeps every
     global coordinate owned by the same rank as in an unchunked run, which
     pins the merge order — and therefore the floating-point association —
-    of the split-based inner kernels. This is what makes the chunked
-    hierarchy bit-identical to the unchunked one.
+    of the split-based leader stage (``dsar_hier``). This is what makes
+    the chunked hierarchy bit-identical to the unchunked one.
     """
     return np.clip(global_bounds, lo, hi) - lo
 
@@ -202,7 +184,7 @@ def _reassemble_chunks(
     return out
 
 
-def _chunked_hierarchical(
+def _hierarchical(
     comm: Communicator,
     stream: SparseStream,
     op: ReduceOp,
@@ -212,7 +194,8 @@ def _chunked_hierarchical(
     leader_runs_alone: bool,
     mark: str,
 ) -> SparseStream:
-    """The depth-1 software pipeline both hierarchical algorithms share.
+    """The one schedule both hierarchical algorithms run: a depth-1
+    software pipeline over ``chunks`` coordinate ranges.
 
     Per chunk ``k``: the intra-host binomial reduce runs on the calling
     thread, the leaders' inter-node stage is *launched* through
@@ -224,12 +207,18 @@ def _chunked_hierarchical(
     thread only talks leader-to-leader while the calling thread only talks
     intra-host.
 
+    With ``chunks == 1`` there is nothing to overlap, so the pipeline
+    degenerates in place to reduce → leaders → broadcast on the calling
+    thread: the leader stage runs inline (no launch, no tag shift), the
+    stream is not rebased and the single part is the result.
+
     ``leader_stage(leader_comm, chunk_acc, lo, hi)`` is the per-chunk
-    inter-node kernel; ``leader_runs_alone`` mirrors the unchunked guards
-    (DSAR runs its dense stage even in a one-leader world to quantize,
-    SSAR skips it).
+    inter-node kernel; ``leader_runs_alone`` says whether it also runs in
+    a one-leader world (DSAR must still densify and quantize there, SSAR
+    has nothing to do).
     """
     comm.mark(mark)
+    # every rank takes one slot in each of the two subgroup call sites:
     # host groups are pairwise disjoint, so they may share the first slot
     local = comm.subgroup(topo.group_of(comm.rank))
     leader_comm = comm.subgroup(topo.leaders)
@@ -240,6 +229,7 @@ def _chunked_hierarchical(
     parts: list[SparseStream | None] = [None] * chunks
 
     def join(k: int) -> None:
+        # fan the reduced chunk back out inside each host
         acc = handles[k].wait()
         if local.size > 1:
             comm.mark("hier_bcast")
@@ -248,17 +238,23 @@ def _chunked_hierarchical(
 
     for k in range(chunks):
         lo, hi = int(bounds[k]), int(bounds[k + 1])
-        chunk = _rebase_chunk(stream, lo, hi)
+        # merge this host's streams onto its leader (fast tier only)
         comm.mark("hier_local_reduce")
-        acc = tree_reduce(local, chunk, op)
+        acc = tree_reduce(local, stream if chunks == 1 else _rebase_chunk(stream, lo, hi), op)
+        handle = CompletedHandle(acc)
         if launch:
+            # only the per-host merged unions cross the slow tier
             comm.mark("hier_leaders")
-            handles.append(i_collective(leader_comm, leader_stage, acc, lo, hi))
-        else:
-            handles.append(CompletedHandle(acc))
+            if chunks == 1:
+                handle = CompletedHandle(leader_stage(leader_comm, acc, lo, hi))
+            else:
+                handle = i_collective(leader_comm, leader_stage, acc, lo, hi)
+        handles.append(handle)
         if k:
             join(k - 1)
     join(chunks - 1)
+    if chunks == 1:
+        return parts[0]
     return _reassemble_chunks(parts, bounds, stream.dimension, op, stream.value_dtype)
 
 
@@ -267,7 +263,6 @@ def ssar_hierarchical(
     stream: SparseStream,
     op: ReduceOp = SUM,
     topology: "Topology | str | int | None" = None,
-    inner: str = "ssar_rec_dbl",
     chunks: int = 1,
 ) -> SparseStream:
     """SSAR_Hierarchical: intra-node reduce, leader allreduce, broadcast.
@@ -275,8 +270,8 @@ def ssar_hierarchical(
     Parameters
     ----------
     comm:
-        This rank's communicator. All ranks must agree on ``topology``,
-        ``inner`` and ``chunks``.
+        This rank's communicator. All ranks must agree on ``topology``
+        and ``chunks``.
     stream:
         The local contribution (sparse or dense representation).
     op:
@@ -285,12 +280,6 @@ def ssar_hierarchical(
         Rank -> host map; defaults to ``comm.topology`` and falls back to
         a flat single-host world. Accepts everything
         :func:`~repro.runtime.topology.normalize_topology` does.
-    inner:
-        The flat SSAR kernel the per-host leaders run among themselves
-        (one of :data:`INNER_ALGORITHMS`). A *name* rather than a
-        callable so all ranks trivially agree; the default recursive
-        doubling is latency-optimal for the (small) leader world and
-        keeps the bit-compatibility property above.
     chunks:
         Split the dimension into this many coordinate ranges and pipeline
         them (§7's overlap-first schedule): the leaders' inter-node
@@ -298,55 +287,24 @@ def ssar_hierarchical(
         calling thread reduces chunk ``k+1`` intra-host. The result is
         **bit-identical** to ``chunks=1`` on every backend: chunking only
         restricts each stage to a coordinate range, it never changes
-        which rank combines a coordinate or in what order (the inner
-        kernels receive clipped full-dimension partition bounds so
-        coordinate ownership is preserved).
+        which rank combines a coordinate or in what order.
+
+    The per-host leaders run recursive doubling among themselves:
+    latency-optimal for the (small) leader world, and what keeps the
+    bit-compatibility property above.
     """
     stream = _ensure_sparse(stream)
     chunks = _check_chunks(chunks)
     if comm.size == 1:
         return stream.copy()
-    if inner not in INNER_ALGORITHMS:
-        raise ValueError(
-            f"unknown inner algorithm {inner!r}; choose from {sorted(INNER_ALGORITHMS)}"
-        )
-    topo = _resolve_topology(comm, topology)
-    if chunks > 1:
-        inner_bounds = partition_bounds(stream.dimension, len(topo.leaders))
-        reduce_op = op
 
-        def leader_stage(leader_comm, chunk_acc, lo, hi):
-            if inner == "ssar_rec_dbl":
-                return ssar_recursive_double(leader_comm, chunk_acc, reduce_op)
-            return INNER_ALGORITHMS[inner](
-                leader_comm, chunk_acc, reduce_op, bounds=_clip_bounds(inner_bounds, lo, hi)
-            )
+    def leader_stage(leader_comm, chunk_acc, lo, hi):
+        return ssar_recursive_double(leader_comm, chunk_acc, op)
 
-        return _chunked_hierarchical(
-            comm, stream, op, topo, chunks, leader_stage,
-            leader_runs_alone=False, mark="ssar_hier",
-        )
-    comm.mark("ssar_hier")
-
-    # every rank takes one slot in each of the two subgroup call sites:
-    # host groups are pairwise disjoint, so they may share the first slot
-    local = comm.subgroup(topo.group_of(comm.rank))
-    leader_comm = comm.subgroup(topo.leaders)
-
-    # phase 1: merge this host's streams onto its leader (fast tier only)
-    comm.mark("hier_local_reduce")
-    acc = tree_reduce(local, stream, op)
-
-    # phase 2: only the per-host merged unions cross the slow tier
-    if leader_comm is not None and leader_comm.size > 1:
-        comm.mark("hier_leaders")
-        acc = INNER_ALGORITHMS[inner](leader_comm, acc, op)
-
-    # phase 3: fan the reduced result back out inside each host
-    if local.size > 1:
-        comm.mark("hier_bcast")
-        acc = local.bcast(acc, root=0)
-    return acc
+    return _hierarchical(
+        comm, stream, op, _resolve_topology(comm, topology), chunks, leader_stage,
+        leader_runs_alone=False, mark="ssar_hier",
+    )
 
 
 def dsar_hierarchical(
@@ -378,13 +336,14 @@ def dsar_hierarchical(
 
     Parameters mirror :func:`dsar_split_allgather` plus ``topology``
     (defaults to ``comm.topology``, falling back to a flat world) and
-    ``chunks`` (the pipelined schedule of :func:`ssar_hierarchical`).
-    With the default ``quantizer=None`` the chunked result is
-    bit-identical to the unchunked one on every backend; *with* a
-    quantizer the chunked result is equal only in distribution — QSGD
-    bucket boundaries and stochastic-rounding draws shift with the chunk
-    offsets — so chunking a quantized run trades bit-reproducibility
-    against overlap.
+    ``chunks`` (the pipelined schedule of :func:`ssar_hierarchical`; the
+    leaders receive the full-dimension partition bounds clipped to each
+    chunk, see :func:`_clip_bounds`). With the default ``quantizer=None``
+    the chunked result is bit-identical to the unchunked one on every
+    backend; *with* a quantizer the chunked result is equal only in
+    distribution — QSGD bucket boundaries and stochastic-rounding draws
+    shift with the chunk offsets — so chunking a quantized run trades
+    bit-reproducibility against overlap.
     """
     stream = _ensure_sparse(stream)
     chunks = _check_chunks(chunks)
@@ -393,38 +352,15 @@ def dsar_hierarchical(
         # quantizes the one partition exactly once
         return dsar_split_allgather(comm, stream, quantizer=quantizer, op=op)
     topo = _resolve_topology(comm, topology)
-    if chunks > 1:
-        leader_bounds = partition_bounds(stream.dimension, len(topo.leaders))
-        reduce_op, quant = op, quantizer
+    leader_bounds = partition_bounds(stream.dimension, len(topo.leaders))
 
-        def leader_stage(leader_comm, chunk_acc, lo, hi):
-            return dsar_split_allgather(
-                leader_comm, chunk_acc, quantizer=quant, op=reduce_op,
-                bounds=_clip_bounds(leader_bounds, lo, hi),
-            )
-
-        return _chunked_hierarchical(
-            comm, stream, op, topo, chunks, leader_stage,
-            leader_runs_alone=True, mark="dsar_hier",
+    def leader_stage(leader_comm, chunk_acc, lo, hi):
+        return dsar_split_allgather(
+            leader_comm, chunk_acc, quantizer=quantizer, op=op,
+            bounds=_clip_bounds(leader_bounds, lo, hi),
         )
-    comm.mark("dsar_hier")
 
-    # host groups are pairwise disjoint, so they may share the first slot
-    local = comm.subgroup(topo.group_of(comm.rank))
-    leader_comm = comm.subgroup(topo.leaders)
-
-    # phase 1: merge this host's streams onto its leader (fast tier only)
-    comm.mark("hier_local_reduce")
-    acc = tree_reduce(local, stream, op)
-
-    # phase 2: leaders switch representation and allgather dense blocks;
-    # only nnodes partitions (quantized at most once each) go inter-node
-    if leader_comm is not None:
-        comm.mark("hier_leaders")
-        acc = dsar_split_allgather(leader_comm, acc, quantizer=quantizer, op=op)
-
-    # phase 3: fan the dense result back out inside each host
-    if local.size > 1:
-        comm.mark("hier_bcast")
-        acc = local.bcast(acc, root=0)
-    return acc
+    return _hierarchical(
+        comm, stream, op, topo, chunks, leader_stage,
+        leader_runs_alone=True, mark="dsar_hier",
+    )

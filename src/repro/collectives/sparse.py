@@ -167,25 +167,17 @@ def ssar_split_allgather(
     comm: Communicator,
     stream: SparseStream,
     op: ReduceOp = SUM,
-    bounds: np.ndarray | None = None,
 ) -> SparseStream:
     """SSAR_Split_allgather: split phase + sparse allgather (§5.3.2).
 
     Latency ``L2(P) = (P-1) alpha + log2(P) alpha``; bandwidth between
     ``2 (P-1)/P k beta_s`` and ``P k beta_s`` depending on overlap.
-
-    ``bounds`` overrides the balanced dimension partition (``P + 1``
-    monotone offsets, rank ``j`` owning ``[bounds[j], bounds[j+1])``).
-    Chunked callers use it to preserve coordinate *ownership* — which rank
-    merges each coordinate, and therefore the float association — when a
-    collective runs on a restriction of the full dimension.
     """
     stream = _ensure_sparse(stream)
     if comm.size == 1:
         return stream.copy()
     base = comm.next_collective_tag()
-    if bounds is None:
-        bounds = partition_bounds(stream.dimension, comm.size)
+    bounds = partition_bounds(stream.dimension, comm.size)
     reduced = split_phase(comm, stream, bounds, base, op)
     comm.mark("allgather")
     pieces = allgather_blocks(comm, reduced, base + 1)
@@ -196,17 +188,13 @@ def ssar_split_allgather(
 
 
 def ssar_ring(
-    comm: Communicator,
-    stream: SparseStream,
-    op: ReduceOp = SUM,
-    bounds: np.ndarray | None = None,
+    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM
 ) -> SparseStream:
     """Sparse ring allreduce: ring reduce-scatter + ring allgather on slices.
 
     The "sparse counterpart" of the ring-based dense allreduce compared in
     the Fig. 3 micro-benchmarks. Bandwidth-efficient per stage but pays
-    ``2 (P-1) alpha`` latency. ``bounds`` overrides the balanced dimension
-    partition (see :func:`ssar_split_allgather`).
+    ``2 (P-1) alpha`` latency.
     """
     stream = _ensure_sparse(stream)
     P = comm.size
@@ -214,8 +202,7 @@ def ssar_ring(
         return stream.copy()
     base = comm.next_collective_tag()
     comm.mark("ssar_ring")
-    if bounds is None:
-        bounds = partition_bounds(stream.dimension, P)
+    bounds = partition_bounds(stream.dimension, P)
     slices = [
         slice_stream(stream, int(bounds[i]), int(bounds[i + 1])) for i in range(P)
     ]

@@ -160,7 +160,6 @@ class GradientFuser:
         error_feedback: list[ErrorFeedback],
         algorithm: str = "auto",
         quantizer: QSGDQuantizer | None = None,
-        nonblocking: bool = False,
         chunks: "int | str" = 1,
         selector=None,
     ) -> np.ndarray:
@@ -169,10 +168,9 @@ class GradientFuser:
 
         This is the layer-wise communication path the paper uses for DNN
         training ("communication is done layer-wise using non-blocking
-        calls", §8.3), at the fused-bucket granularity.
-        ``nonblocking=True`` routes through :meth:`i_fused_allreduce` and
-        joins immediately (useful to exercise the async machinery with
-        blocking semantics); ``chunks`` pipelines each bucket's
+        calls", §8.3), at the fused-bucket granularity — blocking here,
+        :meth:`i_fused_allreduce` is the asynchronous form.
+        ``chunks`` pipelines each bucket's
         hierarchical collective (see
         :func:`~repro.collectives.api.sparse_allreduce`); ``selector``
         (an :class:`~repro.costmodel.AdaptiveSelector`, requires
@@ -181,12 +179,6 @@ class GradientFuser:
         the realized density drifts. Whatever the knobs, a call runs at
         most one agreement round (see :meth:`_plan`).
         """
-        if nonblocking:
-            return self.i_fused_allreduce(
-                comm, grad, error_feedback,
-                algorithm=algorithm, quantizer=quantizer, chunks=chunks,
-                selector=selector,
-            ).wait()
         plan = self._plan(
             comm, grad, error_feedback, algorithm, quantizer, chunks, selector
         )

@@ -286,8 +286,3 @@ def run_calibration(
     path = save_network(model, Path(out) if out is not None else DEFAULT_CALIBRATION_OUT,
                         provenance=provenance)
     return model, path, provenance
-
-
-def calibrated_cost_model(path: "str | Path") -> CostModel:
-    """A :class:`CostModel` over a previously fitted model JSON."""
-    return CostModel.resolve(f"calibrated:{path}")

@@ -10,6 +10,8 @@ The runtime is split into a backend-neutral core and pluggable backends:
 * :mod:`~repro.runtime.mesh` — the launcher, rank lifecycle and mailbox
   communicator the three process-family backends share (each of them
   supplies only its channel: pipe, shared-memory ring, TCP connection);
+* :mod:`~repro.runtime.rendezvous` — how a TCP world assembles: the
+  rendezvous protocol, the mesh handshake, elastic rejoin, ``serve_rank``;
 * :mod:`~repro.runtime.launcher` — :func:`run_ranks`, the ``mpiexec``
   analog, with a ``backend=`` selector;
 * :mod:`~repro.runtime.trace` / :mod:`~repro.runtime.nonblocking` —
@@ -31,6 +33,7 @@ from .comm import (
     CompletedHandle,
     DeferredRecvHandle,
     Handle,
+    ProxyComm,
     RankFailedError,
     StaleEpochError,
     SubCommunicator,
@@ -40,7 +43,7 @@ from .comm import (
     payload_nbytes,
 )
 from .elastic import ElasticContext, ElasticWorld, shrink, thread_rejoin
-from .faults import FaultPlan, FaultyBackend, FaultyComm, RankKilledError
+from .faults import FaultPlan, RankKilledError
 from .launcher import run_ranks
 from .runconfig import RunConfig
 from .topology import (
@@ -54,12 +57,11 @@ from .nonblocking import NonBlockingHandle, i_collective
 from .mesh import MeshBackend, MeshComm, MeshWorld
 from .process_backend import ProcessBackend, ProcessComm
 from .shmem_backend import SharedRing, ShmemBackend, ShmemComm
-from .socket_backend import (
+from .socket_backend import SocketBackend, SocketComm
+from .rendezvous import (
     ElasticRendezvous,
     RendezvousError,
     RendezvousTimeoutError,
-    SocketBackend,
-    SocketComm,
     serve_rank,
 )
 from .thread_backend import ThreadBackend, ThreadComm, ThreadWorld
@@ -67,6 +69,7 @@ from .trace import COMPUTE, MARK, RECV, SEND, Trace, TraceEvent
 
 __all__ = [
     "Communicator",
+    "ProxyComm",
     "SubCommunicator",
     "Handle",
     "payload_nbytes",
@@ -116,8 +119,6 @@ __all__ = [
     "shrink",
     "thread_rejoin",
     "FaultPlan",
-    "FaultyBackend",
-    "FaultyComm",
     "RankKilledError",
     "Trace",
     "TraceEvent",

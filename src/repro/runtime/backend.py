@@ -59,6 +59,20 @@ Anything else (ranks as threads, a remote scheduler, …) subclasses
 providing a ``Communicator`` subclass with the four transport hooks), and
 registers itself; a new name in the equivalence tests' ``BACKENDS`` lists
 then inherits the whole contract.
+
+What a backend communicator owes the seam
+-----------------------------------------
+Besides the four transport hooks, the shared layers above act on a few
+pieces of *state* of the backend communicator (see "The seam under every
+message" in :mod:`repro.runtime.comm`) — a backend provides the state,
+never the logic: ``fault_plan`` (set by the launcher from
+``run(fault_plan=)``; :meth:`Communicator.send` / ``recv`` apply it, the
+backend only overrides ``_die`` when its ranks own a process that should
+really exit), and ``epoch`` / ``dead_ranks`` / a settable ``aborted``
+(what the ``_elastic_*`` membership hooks commit to). Sub-communicators,
+non-blocking launches and elastic worlds are
+:class:`~repro.runtime.comm.ProxyComm` stacks over that one communicator
+and need nothing from the backend.
 """
 
 from __future__ import annotations
@@ -132,6 +146,7 @@ class Backend(abc.ABC):
         timeout: float | None = 300.0,
         op_timeout: float | None = None,
         topology: Any = None,
+        fault_plan: Any = None,
         **kwargs: Any,
     ) -> ParallelResult:
         """Execute ``fn(comm, *args, **kwargs)`` on ``nranks`` ranks.
@@ -141,9 +156,11 @@ class Backend(abc.ABC):
         ``timeout`` (raising :class:`TimeoutError`), expose ``op_timeout``
         as ``comm.op_timeout`` so blocked per-operation waits raise
         :class:`~repro.runtime.comm.CommTimeoutError` after that many
-        seconds, and expose ``topology`` (an already-normalized
-        :class:`~repro.runtime.topology.Topology` or ``None``) as
-        ``comm.topology`` on every rank's communicator.
+        seconds, and hand ``topology`` (an already-normalized
+        :class:`~repro.runtime.topology.Topology` or ``None``) and
+        ``fault_plan`` (a :class:`~repro.runtime.faults.FaultPlan` or
+        ``None``) to every rank's communicator as ``comm.topology`` /
+        ``comm.fault_plan``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -166,22 +183,10 @@ def available_backends() -> tuple[str, ...]:
 
 
 def get_backend(spec: "str | Backend") -> Backend:
-    """Resolve a backend spec (or pass through an instance).
-
-    Plain names resolve through the registry. A ``"prefix:rest"`` spec
-    resolves ``prefix`` to a registered *wrapper* factory — one whose
-    factory carries ``wraps_spec = True`` — and passes ``rest`` (the
-    wrapped backend's own spec) to it, so wrappers compose with every
-    backend by name: ``get_backend("faulty:shmem")``.
-    """
+    """Resolve a registered backend name (or pass through an instance)."""
     if isinstance(spec, Backend):
         return spec
     factory = _REGISTRY.get(spec)
-    if factory is not None:
-        return factory()
-    prefix, sep, rest = spec.partition(":")
-    if sep:
-        wrapper = _REGISTRY.get(prefix)
-        if wrapper is not None and getattr(wrapper, "wraps_spec", False):
-            return wrapper(rest)
-    raise ValueError(f"unknown backend {spec!r}; choose from {sorted(_REGISTRY)}")
+    if factory is None:
+        raise ValueError(f"unknown backend {spec!r}; choose from {sorted(_REGISTRY)}")
+    return factory()

@@ -33,18 +33,39 @@ once, on top of four small transport hooks that each backend provides:
 Every traced operation addresses peers through two *mapping hooks* —
 :meth:`Communicator._map_peer` (rank space) and
 :meth:`Communicator._map_tag` (tag space) — that default to the
-identity. Proxy communicators override them to relocate traffic:
+identity. A *proxy* communicator relocates traffic of another
+communicator instead of owning a transport: :class:`ProxyComm` holds
+``inner`` and writes every delegation (the four transport hooks, the two
+mapping hooks, ``_abort_state``, ``world_rank``, ``op_timeout``,
+``epoch``, ``topology``, ``backend``) exactly once, as explicit methods;
+a concrete proxy overrides only what it changes:
 
 * :class:`SubCommunicator` (``comm.split(color, key)`` /
-  ``comm.subgroup(ranks)``) renumbers a rank subset from 0 and shifts
-  its tags into a private window, while payloads flow through the
-  *parent's* transport hooks — so groups work identically on every
-  backend without the backends knowing they exist;
-* :mod:`repro.runtime.nonblocking` buffers trace events of a background
-  collective while its traffic flows through the real backend.
+  ``comm.subgroup(ranks)``) renumbers a rank subset from 0, shifts its
+  tags into a private window and restricts the topology — a group is a
+  renumbering over one transport, not a transport of its own, so groups
+  work identically on every backend without the backends knowing;
+* :class:`~repro.runtime.elastic.ElasticWorld` is the sub-communicator of
+  one membership epoch and adds the stale-epoch check;
+* :mod:`repro.runtime.nonblocking` buffers the trace events of a
+  background collective and shifts its tags.
 
-Both proxies compose (a split of a split, a non-blocking collective on a
-sub-communicator) because each hook delegates inward.
+Proxies compose in any order (a split of a split, a non-blocking
+collective on an elastic world) because every hook delegates inward, and
+``comm.backend`` names the innermost communicator — the one that owns
+the wire — from anywhere in a stack.
+
+The seam under every message
+----------------------------
+:meth:`Communicator.send` / :meth:`Communicator.recv` are the only
+callers of ``_transport_send`` / ``_transport_recv``, so what must
+happen once per message happens there, against state of the *backend*
+communicator: fault injection (``comm.fault_plan``, a
+:class:`~repro.runtime.faults.FaultPlan` or ``None`` — one ``is None``
+test per message when off; "die" is the backend's :meth:`_die`) and the
+elastic membership state (``epoch``, ``dead_ranks``, the abort flag,
+committed by the ``_elastic_*`` hooks defined here once for every
+backend).
 
 Topology
 --------
@@ -75,11 +96,13 @@ from typing import Any
 import numpy as np
 
 from ..config import STREAM_HEADER_BYTES
+from .faults import DELAY, DROP, RankKilledError
 from .topology import check_topology_size
 from .trace import Trace
 
 __all__ = [
     "Communicator",
+    "ProxyComm",
     "SubCommunicator",
     "Handle",
     "CompletedHandle",
@@ -198,6 +221,18 @@ class CommTimeoutError(TimeoutError):
         self.tag = tag
         self.timeout = timeout
 
+    @classmethod
+    def expired(cls, op: str, peer: int, tag: int, timeout: float) -> "CommTimeoutError":
+        """The error of a blocked ``op`` (``"send to"`` / ``"recv from"``)
+        whose ``peer`` made no progress for ``timeout`` seconds."""
+        return cls(
+            f"{op} rank {peer} (tag {tag}) made no progress within "
+            f"op_timeout={timeout}s",
+            source=peer,
+            tag=tag,
+            timeout=timeout,
+        )
+
     def __reduce__(self):
         # keep the attributes across the process backend's pickle round-trip
         msg = self.args[0] if self.args else "communication operation timed out"
@@ -279,7 +314,7 @@ class Mailbox:
 
     def get(
         self,
-        aborted: "threading.Event | AbortState",
+        aborted: AbortState,
         timeout: "float | None" = None,
         source: "int | None" = None,
         tag: "int | None" = None,
@@ -288,20 +323,12 @@ class Mailbox:
         with self.cond:
             while not self.items:
                 if aborted.is_set():
-                    if isinstance(aborted, AbortState):
-                        raise aborted.error()
-                    raise WorldAbortedError("another rank failed; aborting recv")
+                    raise aborted.error()
                 wait = _ABORT_POLL_S
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        raise CommTimeoutError(
-                            f"recv from rank {source} (tag {tag}) saw no "
-                            f"message within op_timeout={timeout}s",
-                            source=source,
-                            tag=tag,
-                            timeout=timeout,
-                        )
+                        raise CommTimeoutError.expired("recv from", source, tag, timeout)
                     wait = min(wait, remaining)
                 self.cond.wait(timeout=wait)
             return self.items.popleft()
@@ -431,6 +458,23 @@ class Communicator(abc.ABC):
     #: backends that have a wire).
     epoch: int = 0
 
+    #: the working :class:`~repro.runtime.elastic.ElasticWorld` of the
+    #: current epoch, once a membership change formed one over this
+    #: (backend) communicator.
+    _elastic_world: Any = None
+
+    #: this rank's world-failure flag. Backends provide it, settable: an
+    #: elastic membership change *replaces* it (see the ``_elastic_*`` hooks).
+    aborted: "AbortState | None" = None
+
+    #: fault injection: a :class:`~repro.runtime.faults.FaultPlan` applied
+    #: to every message of this *backend* communicator, or ``None`` (off).
+    #: Launchers set it (``run_ranks(fault_plan=)``); proxies reach it
+    #: through :attr:`backend`, so it survives ``shrink()``.
+    fault_plan: Any = None
+    #: transport operations (sends + receives) counted under the plan.
+    _fault_ops: int = 0
+
     _collective_counter: int = 0
     _split_counter: int = 0
     #: window id of this communicator's tag space: 0 = the backend
@@ -476,13 +520,13 @@ class Communicator(abc.ABC):
         return peer
 
     def _abort_state(self) -> "AbortState | None":
-        """The world's :class:`AbortState`, if the backend exposes one.
+        """This rank's :class:`AbortState` (:attr:`aborted`).
 
-        Backends override this; proxies delegate inward, so non-blocking
-        probes anywhere in a proxy stack can observe world failure.
-        ``None`` means the backend has no abort flag (nothing to observe).
+        Proxies delegate inward, so non-blocking probes anywhere in a
+        proxy stack can observe world failure. ``None`` means the backend
+        has no abort flag (nothing to observe).
         """
-        return None
+        return self.aborted
 
     @property
     def world_rank(self) -> int:
@@ -493,6 +537,40 @@ class Communicator(abc.ABC):
         byte accounting always lands on the real rank.
         """
         return self.rank
+
+    @property
+    def backend(self) -> "Communicator":
+        """The innermost communicator — the one that owns the wire.
+
+        ``self`` on backend communicators; proxies delegate inward. Fault
+        and elastic state live there, whatever stack a message entered.
+        """
+        return self
+
+    # ------------------------------------------------------------------
+    # fault injection (state of the backend communicator)
+    # ------------------------------------------------------------------
+    def _die(self) -> None:
+        """A :class:`FaultPlan` kill fired on this rank.
+
+        In-process ranks unwind like a crash (the runner aborts the world
+        naming this rank); ranks that own a process override this to exit
+        for real.
+        """
+        raise RankKilledError(self.rank, self._fault_ops)
+
+    def _fault_tick(self) -> None:
+        self._fault_ops += 1
+        if self.fault_plan.kills(self.rank, self._fault_ops):
+            self._die()
+
+    def _fault_send(self, dest: int, tag: int, seq: int) -> bool:
+        """Apply the plan to one outgoing message; True = lost on the wire."""
+        self._fault_tick()
+        action, delay = self.fault_plan.action(self.rank, dest, tag, seq)
+        if action == DELAY:
+            time.sleep(delay)
+        return action == DROP
 
     # ------------------------------------------------------------------
     # traced point-to-point operations
@@ -521,6 +599,9 @@ class Communicator(abc.ABC):
         nbytes = payload_nbytes(obj)
         seq = self._alloc_seq(dest, tag)
         self.trace.record_send(self.world_rank, dest, tag, seq, nbytes)
+        backend = self.backend
+        if backend.fault_plan is not None and backend._fault_send(dest, tag, seq):
+            return  # dropped after tracing; the matching recv never completes
         self._transport_send(obj, nbytes, seq, dest, tag)
 
     def recv(self, source: int, tag: int = 0) -> Any:
@@ -529,6 +610,9 @@ class Communicator(abc.ABC):
         self._check_tag(tag)
         tag = self._map_tag(tag)
         source = self._map_peer(source)
+        backend = self.backend
+        if backend.fault_plan is not None:
+            backend._fault_tick()
         payload, nbytes, seq = self._transport_recv(source, tag)
         self.trace.record_recv(self.world_rank, source, tag, seq, nbytes)
         return payload
@@ -735,12 +819,97 @@ class Communicator(abc.ABC):
 
         return _shrink(self, dead=dead, timeout=timeout)
 
+    # The three commits of a membership change, on the backend
+    # communicator. A backend supplies the state they act on: ``epoch``,
+    # ``dead_ranks`` (ranks a membership change declared dead — late
+    # failures attributed to them must not re-abort the smaller world) and
+    # a settable ``aborted`` (this rank's :class:`AbortState`; replaced,
+    # never cleared, so a thread still blocked on the old flag unwinds).
+    def _elastic_reset(self, dead_ranks, epoch: int) -> None:
+        """Record the dead, arm a fresh abort flag, move to ``epoch``."""
+        self.dead_ranks.update({int(r) for r in dead_ranks})
+        self.aborted = AbortState()
+        self.epoch = int(epoch)
+
+    def _elastic_note_dead(self, ranks) -> None:
+        """Attribute mid-barrier failures and clear the abort flag once
+        every recorded culprit is accounted for (unattributed aborts are
+        left standing — they are not a membership event)."""
+        self.dead_ranks.update({int(r) for r in ranks})
+        state = self.aborted
+        if state.is_set() and state.failed_ranks and state.failed_ranks <= self.dead_ranks:
+            self.aborted = AbortState()
+
+    def _elastic_regrow(self, rank: int, epoch: int) -> None:
+        """Commit a rejoin: ``rank`` is alive again in the new epoch."""
+        self.dead_ranks.discard(int(rank))
+        self.epoch = int(epoch)
+
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(rank={self.rank}, size={self.size})"
 
 
-class SubCommunicator(Communicator):
+class ProxyComm(Communicator):
+    """A communicator that relocates another communicator's traffic.
+
+    Holds ``inner`` and delegates every hook to it — the one place that
+    delegation is written. Subclasses override what they change (a rank
+    or tag mapping, the topology, the trace) and nothing else; no
+    ``__getattr__``, so the message path stays explicit.
+    """
+
+    def __init__(self, inner: Communicator) -> None:
+        self.inner = inner
+        self.rank = inner.rank
+        self.size = inner.size
+        self.trace = inner.trace
+        self._icoll_depth = inner._icoll_depth
+
+    @property
+    def backend(self) -> Communicator:
+        return self.inner.backend
+
+    @property
+    def world_rank(self) -> int:
+        return self.inner.world_rank
+
+    @property
+    def op_timeout(self) -> "float | None":
+        return self.inner.op_timeout
+
+    @property
+    def epoch(self) -> int:
+        return self.inner.epoch
+
+    @property
+    def topology(self) -> Any:
+        return self.inner.topology
+
+    def _map_peer(self, peer: int) -> int:
+        return self.inner._map_peer(peer)
+
+    def _map_tag(self, tag: int) -> int:
+        return self.inner._map_tag(tag)
+
+    # peers and tags arrive already mapped
+    def _alloc_seq(self, dest: int, tag: int) -> int:
+        return self.inner._alloc_seq(dest, tag)
+
+    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
+        self.inner._transport_send(obj, nbytes, seq, dest, tag)
+
+    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
+        return self.inner._transport_recv(source, tag)
+
+    def _probe(self, source: int, tag: int) -> bool:
+        return self.inner._probe(source, tag)
+
+    def _abort_state(self) -> "AbortState | None":
+        return self.inner._abort_state()
+
+
+class SubCommunicator(ProxyComm):
     """A rank subset of a parent communicator, renumbered from zero.
 
     Created by :meth:`Communicator.split` / :meth:`Communicator.subgroup`.
@@ -759,39 +928,28 @@ class SubCommunicator(Communicator):
         tag_base: int,
         window_id: int,
     ) -> None:
-        self.parent = parent
+        super().__init__(parent)
         self._members = members
         self.rank = members.index(parent.rank)
         self.size = len(members)
-        self.trace = parent.trace
         self._tag_base = tag_base
-        self._collective_counter = 0
-        self._split_counter = 0
         self._split_window_id = window_id
         # absolute window start: what this comm's nested splits offset from
         self._split_space_base = parent._split_space_base + tag_base
-        # a subgroup of a buffered proxy is as deeply nested as the proxy
-        self._icoll_depth = parent._icoll_depth
+        self._topology = None
         if parent.topology is not None:
             # the same size check every launcher path applies: a topology
             # that does not describe the parent world cannot be restricted
             check_topology_size(parent.topology, parent.size)
-            self.topology = parent.topology.restrict(members)
-        else:
-            self.topology = None
+            self._topology = parent.topology.restrict(members)
 
     @property
-    def world_rank(self) -> int:
-        return self.parent.world_rank
+    def parent(self) -> Communicator:
+        return self.inner
 
     @property
-    def op_timeout(self) -> "float | None":
-        return self.parent.op_timeout
-
-    @property
-    def epoch(self) -> int:
-        # frames sent through a subgroup carry the backend world's epoch
-        return self.parent.epoch
+    def topology(self) -> Any:
+        return self._topology
 
     @property
     def parent_ranks(self) -> tuple[int, ...]:
@@ -800,26 +958,10 @@ class SubCommunicator(Communicator):
 
     # -- mapping hooks: compose with whatever the parent maps ----------
     def _map_peer(self, peer: int) -> int:
-        return self.parent._map_peer(self._members[peer])
+        return self.inner._map_peer(self._members[peer])
 
     def _map_tag(self, tag: int) -> int:
-        return self.parent._map_tag(self._tag_base + tag)
-
-    # -- transport hooks: pure delegation (already mapped) -------------
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        return self.parent._alloc_seq(dest, tag)
-
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        self.parent._transport_send(obj, nbytes, seq, dest, tag)
-
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        return self.parent._transport_recv(source, tag)
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return self.parent._probe(source, tag)
-
-    def _abort_state(self) -> "AbortState | None":
-        return self.parent._abort_state()
+        return self.inner._map_tag(self._tag_base + tag)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -115,33 +115,16 @@ def _epoch_tag_base(epoch: int) -> int:
     return abs_base
 
 
-def _backend_of(comm: Communicator) -> Communicator:
-    """Unwrap proxies down to the backend communicator that owns the wire."""
-    seen = 0
-    while seen < 32:
-        seen += 1
-        if isinstance(comm, ElasticWorld):
-            comm = comm.parent
-            continue
-        inner = getattr(comm, "inner", None)  # FaultyComm and friends
-        if isinstance(inner, Communicator):
-            comm = inner
-            continue
-        break
-    if isinstance(comm, SubCommunicator):
-        raise ValueError(
-            "elastic operations need a backend communicator or an "
-            "ElasticWorld, not an ordinary split/subgroup"
-        )
-    return comm
-
-
 def _members_of(world: Communicator) -> tuple[int, ...]:
     """Current membership of ``world`` in backend rank numbering."""
     if isinstance(world, ElasticWorld):
         return world.parent_ranks
-    backend = _backend_of(world)
-    return tuple(range(backend.size))
+    if isinstance(world, SubCommunicator):
+        raise ValueError(
+            "elastic operations need a backend communicator or an "
+            "ElasticWorld, not an ordinary split/subgroup"
+        )
+    return tuple(range(world.backend.size))
 
 
 class ElasticWorld(SubCommunicator):
@@ -167,7 +150,7 @@ class ElasticWorld(SubCommunicator):
         return self._epoch
 
     def _check_epoch(self) -> None:
-        current = self.parent.epoch
+        current = self.inner.epoch
         if current != self._epoch:
             raise StaleEpochError(
                 f"this world belongs to epoch {self._epoch} but the "
@@ -212,7 +195,7 @@ def shrink(
     ``timeout`` bounds each barrier operation (default: the backend's
     ``op_timeout``, else :data:`DEFAULT_BARRIER_TIMEOUT`).
     """
-    backend = _backend_of(comm)
+    backend = comm.backend
     members = list(_members_of(comm))
     known_dead = set(int(r) for r in dead)
     state = backend._abort_state()
@@ -242,15 +225,20 @@ def shrink(
     finally:
         backend.op_timeout = saved_timeout
     backend._elastic_note_dead(agreed_dead)
-    world = ElasticWorld(backend, alive, new_epoch)
-    backend._elastic_world = world
+    world = backend._elastic_world = ElasticWorld(backend, alive, new_epoch)
     return world
 
 
-def _note_dead(backend: Communicator, dead: set, culprits) -> None:
-    newly = {int(r) for r in culprits if r is not None}
-    dead.update(newly)
-    backend._elastic_note_dead(dead)
+#: what a barrier exchange with a dead or stalled peer raises.
+_LOST = (RankFailedError, CommTimeoutError)
+
+
+def _culprit(exc: Exception, alive: list[int], peer: int) -> int:
+    """Who a failed exchange with ``peer`` is blamed on: the rank a
+    :class:`RankFailedError` names if it is still believed alive, else
+    (a timeout, an already-dead culprit) the peer itself."""
+    rank = getattr(exc, "rank", None)
+    return rank if rank in alive else peer
 
 
 def _membership_barrier(
@@ -275,70 +263,42 @@ def _membership_barrier(
         ptag = base + 2 * round_no  # proposals (members -> leader)
         vtag = ptag + 1             # verdict   (leader -> members)
         if me not in alive:
-            raise WorldAbortedError(
-                "this rank was declared dead by the membership barrier "
-                "(a peer gave up waiting on it); it must rejoin, not shrink"
-            )
+            break
         if alive == [me]:
             return alive, dead
         leader = alive[0]
+        committed = False
         if me == leader:
-            gathered_ok = True
-            for m in alive[1:]:
+            try:
+                for peer in alive[1:]:
+                    dead.update(int(r) for r in backend.recv(peer, tag=ptag))
+                committed = not (dead & set(alive))
+            except _LOST as exc:
+                dead.add(_culprit(exc, alive, peer))
+            verdict = ("commit" if committed else "retry", sorted(dead))
+            for peer in [r for r in alive[1:] if r not in dead]:
                 try:
-                    proposal = backend.recv(m, tag=ptag)
-                except RankFailedError as exc:
-                    culprit = exc.rank if exc.rank in alive else m
-                    _note_dead(backend, dead, {culprit})
-                    gathered_ok = False
-                    break
-                except CommTimeoutError:
-                    _note_dead(backend, dead, {m})
-                    gathered_ok = False
-                    break
-                dead.update(int(r) for r in proposal)
-            if gathered_ok and not (dead & set(alive)):
-                verdict = ("commit", sorted(dead))
-            else:
-                _note_dead(backend, dead, ())
-                alive = [r for r in alive if r not in dead]
-                verdict = ("retry", sorted(dead))
-            lost = set()
-            for m in alive[1:]:
-                try:
-                    backend.send(verdict, m, tag=vtag)
-                except (RankFailedError, CommTimeoutError):
-                    lost.add(m)
-            if lost:
-                _note_dead(backend, dead, lost)
-                alive = [r for r in alive if r not in dead]
-                continue
-            if verdict[0] == "commit":
-                return alive, dead
-            continue
-        # non-leader
-        try:
-            backend.send(sorted(dead), leader, tag=ptag)
-            kind, agreed = backend.recv(leader, tag=vtag)
-        except RankFailedError as exc:
-            culprit = exc.rank if exc.rank in alive else leader
-            _note_dead(backend, dead, {culprit})
-            alive = [r for r in alive if r not in dead]
-            continue
-        except CommTimeoutError:
-            _note_dead(backend, dead, {leader})
-            alive = [r for r in alive if r not in dead]
-            continue
-        dead.update(int(r) for r in agreed)
-        _note_dead(backend, dead, ())
+                    backend.send(verdict, peer, tag=vtag)
+                except _LOST:
+                    dead.add(peer)
+                    committed = False  # settle without it in another round
+        else:
+            try:
+                backend.send(sorted(dead), leader, tag=ptag)
+                kind, agreed = backend.recv(leader, tag=vtag)
+                dead.update(int(r) for r in agreed)
+                committed = kind == "commit"
+            except _LOST as exc:
+                dead.add(_culprit(exc, alive, leader))
+        backend._elastic_note_dead(dead)
         alive = [r for r in alive if r not in dead]
-        if kind == "commit":
-            if me not in alive:
-                raise WorldAbortedError(
-                    "this rank was declared dead by the membership barrier "
-                    "(a peer gave up waiting on it); it must rejoin, not shrink"
-                )
+        if committed and me in alive:
             return alive, dead
+    if me not in alive:
+        raise WorldAbortedError(
+            "this rank was declared dead by the membership barrier "
+            "(a peer gave up waiting on it); it must rejoin, not shrink"
+        )
     raise WorldAbortedError(
         f"membership barrier did not converge after {max_rounds} rounds "
         f"(alive view: {alive}, dead view: {sorted(dead)})"
@@ -402,19 +362,16 @@ class ElasticContext:
         grow_timeout: float = DEFAULT_GROW_TIMEOUT,
         barrier_timeout: float | None = None,
     ) -> None:
-        self._backend = _backend_of(comm)
-        existing = getattr(self._backend, "_elastic_world", None)
-        self.world: Communicator = existing if existing is not None else comm
+        self._backend = comm.backend
+        self.world: Communicator = self._backend._elastic_world or comm
         self.grow_timeout = float(grow_timeout)
         self.barrier_timeout = barrier_timeout
+        #: (thread leader) the queued request whose join is being committed.
+        self._committing_request: "dict | None" = None
 
     @property
     def epoch(self) -> int:
         return self._backend.epoch
-
-    @property
-    def world_sizes_seen(self) -> int:
-        return self.world.size
 
     def shrink(self, dead: Any = ()) -> Communicator:
         self.world = shrink(self.world, dead=dead, timeout=self.barrier_timeout)
@@ -429,17 +386,30 @@ class ElasticContext:
         join = world.bcast(join, root=0)
         if join is None:
             return self.world
-        kind, rank, addr, members, epoch = join
-        if kind == "thread-join":
-            self._commit_thread_join(rank, members, epoch)
-        else:
-            self._commit_socket_join(rank, addr, members, epoch)
+        rank, addr, members, epoch = join
+        backend = self._backend
+        if addr is not None:
+            # socket: members closed their listeners, so each dials the joiner
+            from .rendezvous import elastic_dial_join
+
+            elastic_dial_join(backend, rank, tuple(addr), epoch, self.grow_timeout)
+        backend._elastic_regrow(rank, epoch)
+        self.world = backend._elastic_world = ElasticWorld(backend, members, epoch)
+        request, self._committing_request = self._committing_request, None
+        if request is not None:
+            # thread leader: release the waiting rejoiner now the commit is real
+            request["members"] = tuple(members)
+            request["epoch"] = int(epoch)
+            request["event"].set()
         return self.world
 
     # -- leader side ----------------------------------------------------
     def _poll_pending_join(self):
+        """The next committable join as ``(rank, addr, members, epoch)``
+        (``addr`` is ``None`` on the thread backend), or ``None``."""
         backend = self._backend
         members = _members_of(self.world)
+        epoch = backend.epoch + 1
         thread_world = getattr(backend, "world", None)
         if thread_world is not None and hasattr(thread_world, "_pending_joins"):
             with thread_world._elastic_lock:
@@ -455,44 +425,16 @@ class ElasticContext:
                     thread_world._pending_joins.remove(request)
             if request is None:
                 return None
-            epoch = backend.epoch + 1
-            new_members = sorted(set(members) | {request["rank"]})
             self._committing_request = request
-            return ("thread-join", request["rank"], None, new_members, epoch)
+            return (request["rank"], None, sorted({*members, request["rank"]}), epoch)
         server = getattr(backend, "_elastic_rendezvous", None)
-        if server is None:
-            return None
-        item = server.poll(eligible=backend.dead_ranks)
+        item = server.poll(eligible=backend.dead_ranks) if server is not None else None
         if item is None:
             return None
         rank, addr, conn = item
-        epoch = backend.epoch + 1
-        new_members = sorted(set(members) | {rank})
+        new_members = sorted({*members, rank})
         hosts = (
             tuple(backend.topology.hosts) if backend.topology is not None else None
         )
         server.reply(conn, (epoch, new_members, hosts))
-        return ("socket-join", rank, tuple(addr), new_members, epoch)
-
-    # -- commit on every member -----------------------------------------
-    def _commit_thread_join(self, rank: int, members, epoch: int) -> None:
-        backend = self._backend
-        backend._elastic_regrow(rank, epoch)
-        self.world = ElasticWorld(backend, members, epoch)
-        backend._elastic_world = self.world
-        request = getattr(self, "_committing_request", None)
-        if request is not None and request["rank"] == rank:
-            # leader releases the waiting rejoiner once the commit is real
-            request["members"] = tuple(members)
-            request["epoch"] = int(epoch)
-            request["event"].set()
-            self._committing_request = None
-
-    def _commit_socket_join(self, rank: int, addr, members, epoch: int) -> None:
-        from .socket_backend import elastic_dial_join
-
-        backend = self._backend
-        elastic_dial_join(backend, rank, tuple(addr), epoch, self.grow_timeout)
-        backend._elastic_regrow(rank, epoch)
-        self.world = ElasticWorld(backend, members, epoch)
-        backend._elastic_world = self.world
+        return (rank, tuple(addr), new_members, epoch)

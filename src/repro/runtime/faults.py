@@ -3,8 +3,8 @@
 SparCML targets deployments where a dead or slow rank is the common case
 (§6); this module makes those failures *reproducible test inputs* instead
 of production surprises. The design follows the shape of PyTorch's faulty
-RPC agent fixture — a wrapper transport with a deterministic schedule of
-which messages to break — adapted to this runtime's transport hooks:
+RPC agent — faulty messaging is *configuration of the one agent*, not a
+second agent wrapped around it:
 
 :class:`FaultPlan`
     a frozen, seeded schedule of actions keyed on the message identity
@@ -13,43 +13,31 @@ which messages to break — adapted to this runtime's transport hooks:
     key and the seed (a keyed hash, not Python's salted ``hash()``), so
     the same plan reproduces the same failure sequence on every backend,
     every process, every run.
-:class:`FaultyComm`
-    a proxy communicator that applies the plan at the transport-hook
-    layer: drops vanish on the wire *after* the send is traced (exactly
-    where a real network would lose them), delays sleep before the send,
-    kills terminate the rank mid-collective.
-:class:`FaultyBackend`
-    a wrapper backend registered as ``"faulty"``; the spec string
-    ``"faulty:<inner>"`` (e.g. ``run_ranks(..., backend="faulty:shmem")``)
-    runs the whole world on ``<inner>`` with every rank's communicator
-    wrapped — so the equivalence suite can execute under injected faults
-    on thread, process, shmem and socket alike.
+``comm.fault_plan``
+    state of the *backend* communicator (``None`` = off). The one place
+    every message passes — :meth:`Communicator.send
+    <repro.runtime.comm.Communicator.send>` / ``recv``, just before the
+    transport hooks — applies it: drops vanish on the wire *after* the
+    send is traced (exactly where a real network would lose them), delays
+    sleep before the send, kills terminate the rank mid-collective (the
+    backend's ``_die``). Proxies (sub-communicators, non-blocking
+    launches, elastic worlds) reach the same state through
+    ``comm.backend``, so a plan keeps applying across ``comm.shrink()``.
 
-The launcher surfaces this as ``run_ranks(..., fault_plan=...)``, and the
-CLI entry points (``quickstart``, ``serve-rank``) as ``--fault-plan``.
+The launchers hand the plan to every rank's communicator
+(``run_ranks(..., fault_plan=...)``, ``serve_rank(..., fault_plan=...)``),
+and the CLI entry points (``quickstart``, ``serve-rank``) take
+``--fault-plan``. A revived rank's fresh communicator carries no plan.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
-from .backend import Backend, ParallelResult, get_backend, register_backend
-from .comm import Communicator
-from .thread_backend import ThreadComm
-from .trace import Trace
-
-__all__ = [
-    "FaultPlan",
-    "FaultyBackend",
-    "FaultyComm",
-    "RankKilledError",
-    "KILL_EXIT_CODE",
-]
+__all__ = ["FaultPlan", "RankKilledError", "KILL_EXIT_CODE"]
 
 #: exit status of a rank hard-killed by a plan on a process-family backend.
 KILL_EXIT_CODE = 113
@@ -167,7 +155,7 @@ class FaultPlan:
     def revives(self, op_index: int) -> bool:
         """Should the killed rank rejoin once survivors pass ``op_index`` ops?
 
-        Consumed by elastic harnesses (not by :class:`FaultyComm` itself):
+        Consumed by elastic harnesses (not by the communicator itself):
         the kill is a transport-level event, but the revive is a membership
         decision, so the driver — e.g. the quickstart's elastic path —
         checks this against a survivor's op count and relaunches the rank
@@ -244,6 +232,11 @@ class FaultPlan:
             kwargs["delays"] = pinned_delays
         return cls(**kwargs)
 
+    @classmethod
+    def coerce(cls, value: "FaultPlan | str | None") -> "FaultPlan | None":
+        """What every ``fault_plan=`` entry point accepts -> a plan or ``None``."""
+        return cls.from_spec(value) if isinstance(value, str) else value
+
     def describe(self) -> str:
         """The plan as a spec string that :meth:`from_spec` parses back.
 
@@ -266,143 +259,3 @@ class FaultPlan:
             joined = ":".join(str(int(v)) for v in key)
             parts.append(f"pindelay={joined}/{float(self.delays[key])}")
         return ",".join(parts)
-
-
-class FaultyComm(Communicator):
-    """Fault-injecting proxy: applies a :class:`FaultPlan` to every message.
-
-    Wraps a backend communicator and interposes on the transport hooks
-    only — tags, peers, tracing, collectives and sub-communicator
-    machinery all behave exactly as on the wrapped communicator, so any
-    program (including the whole equivalence suite) runs unmodified.
-    """
-
-    def __init__(self, inner: Communicator, plan: FaultPlan) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.rank = inner.rank
-        self.size = inner.size
-        self.trace = inner.trace
-        self.topology = inner.topology
-        self.op_timeout = inner.op_timeout
-        self._collective_counter = 0
-        self._ops = 0
-
-    @property
-    def world_rank(self) -> int:
-        return self.inner.world_rank
-
-    # -- mapping/bookkeeping hooks: pure delegation ---------------------
-    def _map_tag(self, tag: int) -> int:
-        return self.inner._map_tag(tag)
-
-    def _map_peer(self, peer: int) -> int:
-        return self.inner._map_peer(peer)
-
-    def _abort_state(self):
-        return self.inner._abort_state()
-
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        return self.inner._alloc_seq(dest, tag)
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return self.inner._probe(source, tag)
-
-    # -- the fault interposition ----------------------------------------
-    def _tick(self) -> None:
-        self._ops += 1
-        if self.plan.kills(self.inner.rank, self._ops):
-            self._die()
-
-    def _die(self) -> None:
-        if isinstance(self.inner, ThreadComm):
-            # thread ranks share the test process: simulate death by
-            # unwinding; the runner aborts the world naming this rank
-            raise RankKilledError(self.inner.rank, self._ops)
-        # real-process ranks die for real: immediate exit, no FIN frames,
-        # no result report — peers observe EOF exactly like a crash
-        os._exit(KILL_EXIT_CODE)
-
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        self._tick()
-        action, delay = self.plan.action(self.inner.rank, dest, tag, seq)
-        if action == DROP:
-            return  # lost on the wire; the matching recv never completes
-        if action == DELAY:
-            time.sleep(delay)
-        self.inner._transport_send(obj, nbytes, seq, dest, tag)
-
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        self._tick()
-        return self.inner._transport_recv(source, tag)
-
-
-class _FaultyProgram:
-    """Picklable wrapper running the user's program on a faulty communicator.
-
-    A module-level class (not a closure) so spawn-platform process
-    backends can still pickle the rank function.
-    """
-
-    def __init__(self, fn: Callable[..., Any], plan: FaultPlan) -> None:
-        self.fn = fn
-        self.plan = plan
-
-    def __call__(self, comm: Communicator, *args: Any, **kwargs: Any) -> Any:
-        return self.fn(FaultyComm(comm, self.plan), *args, **kwargs)
-
-
-class FaultyBackend(Backend):
-    """Wrapper backend: run on an inner backend with faults injected.
-
-    Registered as ``"faulty"``; the colon spec selects the inner backend,
-    so ``backend="faulty:shmem"`` runs the shmem transport under the
-    plan. Use :meth:`with_plan` (or ``run_ranks(..., fault_plan=...)``,
-    which composes it for you) to attach a non-default plan.
-    """
-
-    name = "faulty"
-
-    def __init__(self, inner: "str | Backend" = "thread", plan: FaultPlan | None = None) -> None:
-        self.inner = get_backend(inner if inner else "thread")
-        self.plan = plan if plan is not None else FaultPlan()
-        self.name = f"faulty:{self.inner.name}"
-
-    def with_plan(self, plan: FaultPlan) -> "FaultyBackend":
-        """A copy of this wrapper running ``plan`` (backends are stateless)."""
-        return FaultyBackend(self.inner, plan)
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        nranks: int,
-        *args: Any,
-        copy_payloads: bool = True,
-        trace: Trace | None = None,
-        timeout: float | None = 300.0,
-        op_timeout: float | None = None,
-        topology: Any = None,
-        **kwargs: Any,
-    ) -> ParallelResult:
-        return self.inner.run(
-            _FaultyProgram(fn, self.plan),
-            nranks,
-            *args,
-            copy_payloads=copy_payloads,
-            trace=trace,
-            timeout=timeout,
-            op_timeout=op_timeout,
-            topology=topology,
-            **kwargs,
-        )
-
-
-def _faulty_factory(inner: str = "thread") -> FaultyBackend:
-    return FaultyBackend(inner or "thread")
-
-
-#: marks the factory as a wrapper: ``get_backend("faulty:<inner>")`` passes
-#: the inner spec through (see :func:`~repro.runtime.backend.get_backend`).
-_faulty_factory.wraps_spec = True
-
-register_backend(FaultyBackend.name, _faulty_factory)

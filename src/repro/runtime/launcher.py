@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .backend import Backend, ParallelResult, RankError, get_backend
+from .faults import FaultPlan
 from .runconfig import _UNSET, RunConfig
 from .topology import Topology, normalize_topology
 from .trace import Trace
@@ -79,9 +80,8 @@ def run_ranks(
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` (or spec string,
         e.g. ``"seed=7,drop=0.02,kill=1@5"``) injecting deterministic
-        drop/delay/kill faults: the resolved backend is wrapped in
-        :class:`~repro.runtime.faults.FaultyBackend` so every rank's
-        transport runs under the plan.
+        drop/delay/kill faults: handed to every rank's communicator as
+        ``comm.fault_plan``, where the one send/recv seam applies it.
 
     Returns
     -------
@@ -100,20 +100,7 @@ def run_ranks(
         topology=topology,
         fault_plan=fault_plan,
     )
-    resolved = get_backend(cfg.backend)
-    if cfg.fault_plan is not None:
-        from .faults import FaultPlan, FaultyBackend
-
-        plan = (
-            FaultPlan.from_spec(cfg.fault_plan)
-            if isinstance(cfg.fault_plan, str)
-            else cfg.fault_plan
-        )
-        if isinstance(resolved, FaultyBackend):
-            resolved = resolved.with_plan(plan)
-        else:
-            resolved = FaultyBackend(resolved, plan)
-    return resolved.run(
+    return get_backend(cfg.backend).run(
         fn,
         nranks,
         *args,
@@ -122,5 +109,6 @@ def run_ranks(
         timeout=cfg.timeout,
         op_timeout=cfg.op_timeout,
         topology=normalize_topology(cfg.topology, nranks),
+        fault_plan=FaultPlan.coerce(cfg.fault_plan),
         **kwargs,
     )

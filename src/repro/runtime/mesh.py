@@ -45,6 +45,7 @@ backend.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import threading
 import time
@@ -62,6 +63,7 @@ from .comm import (
     RankFailedError,
     WorldAbortedError,
 )
+from .faults import KILL_EXIT_CODE
 from .trace import RECV, SEND, Trace, TraceEvent
 from .wire import decode_message
 
@@ -161,26 +163,10 @@ class MeshComm(Communicator):
         self._mailbox(src, tag).put(payload, nbytes, seq)
         return True
 
-    def _elastic_reset(self, dead_ranks, epoch: int) -> None:
-        """Commit a membership change: record the dead, arm a fresh abort
-        flag and move this rank's wire traffic to ``epoch``."""
-        self.dead_ranks.update(int(r) for r in dead_ranks)
-        self.aborted = AbortState()
-        self.epoch = int(epoch)
-
-    def _elastic_note_dead(self, ranks) -> None:
-        """Attribute mid-barrier failures and clear the abort flag once
-        every recorded culprit is accounted for (unattributed aborts are
-        left standing — they are not a membership event)."""
-        self.dead_ranks.update(int(r) for r in ranks)
-        state = self.aborted
-        if state.is_set() and state.failed_ranks and state.failed_ranks <= self.dead_ranks:
-            self.aborted = AbortState()
-
-    def _elastic_regrow(self, rank: int, epoch: int) -> None:
-        """Commit a rejoin: the rank is alive again in the new epoch."""
-        self.dead_ranks.discard(int(rank))
-        self.epoch = int(epoch)
+    def _die(self) -> None:
+        # a rank that owns its process dies for real: immediate exit, no
+        # FIN frames, no result report — peers observe EOF like a crash
+        os._exit(KILL_EXIT_CODE)
 
     # ------------------------------------------------------------------
     # rank lifecycle (driven by _run_rank)
@@ -212,9 +198,6 @@ class MeshComm(Communicator):
 
     def _probe(self, source: int, tag: int) -> bool:
         return self._mailbox(source, tag).has_items()
-
-    def _abort_state(self) -> AbortState:
-        return self.aborted
 
 
 class PumpedComm(MeshComm):
@@ -305,13 +288,7 @@ class PumpedComm(MeshComm):
                 self._write(self._out[dest], blob, self.op_timeout)
         except TimeoutError as exc:  # the peer stopped reading
             self._abort()
-            raise CommTimeoutError(
-                f"send to rank {dest} (tag {tag}) made no progress within "
-                f"op_timeout={self.op_timeout}s",
-                source=dest,
-                tag=tag,
-                timeout=self.op_timeout,
-            ) from exc
+            raise CommTimeoutError.expired("send to", dest, tag, self.op_timeout) from exc
         except OSError as exc:
             self._abort(failed_rank=dest)
             raise RankFailedError(dest, f"rank {dest} is gone; send failed") from exc
@@ -413,6 +390,7 @@ class MeshBackend(Backend):
         timeout: float | None = 300.0,
         op_timeout: float | None = None,
         topology: Any = None,
+        fault_plan: Any = None,
         **kwargs: Any,
     ) -> ParallelResult:
         if nranks < 1:
@@ -452,6 +430,7 @@ class MeshBackend(Backend):
                             close_list,
                             topology,
                             op_timeout,
+                            fault_plan,
                         ),
                         name=f"rank-{rank}",
                         daemon=True,
@@ -557,6 +536,7 @@ def _rank_main(
     close_list: list,
     topology: Any = None,
     op_timeout: float | None = None,
+    fault_plan: Any = None,
 ) -> None:
     """Entry point of one rank process."""
     # under fork every end of every rank was inherited; drop the ones that
@@ -585,6 +565,7 @@ def _rank_main(
         return
     if topology is not None:
         comm.topology = topology
+    comm.fault_plan = fault_plan
     _run_rank(comm, fn, args, kwargs, report)
 
 

@@ -8,11 +8,11 @@ We reproduce exactly that: :func:`i_collective` launches the rank's part of
 a collective on a background progress thread and hands back a handle. The
 caller keeps computing and calls ``wait()`` when it needs the result.
 
-The machinery is backend-agnostic: :class:`_BufferedComm` is a proxy
-communicator that shifts the collective's traffic into a disjoint tag
-space and buffers its trace events, while the payloads themselves flow
-through the wrapped communicator's transport hooks — thread mailboxes or
-process pipes alike.
+The machinery is backend-agnostic: :class:`_BufferedComm` is a
+:class:`~repro.runtime.comm.ProxyComm` that shifts the collective's
+traffic into a disjoint tag space and buffers its trace events, while the
+payloads themselves flow through the wrapped communicator's transport
+hooks — thread mailboxes or process pipes alike.
 
 Trace semantics: the background events are buffered and appended to the
 rank's trace at ``wait()`` time, i.e. replay times the collective as if it
@@ -26,13 +26,13 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from .comm import Communicator, Handle
+from .comm import Communicator, Handle, ProxyComm
 from .trace import Trace
 
 __all__ = ["NonBlockingHandle", "i_collective"]
 
 
-class _BufferedComm(Communicator):
+class _BufferedComm(ProxyComm):
     """Proxy communicator that buffers trace events until joined.
 
     Point-to-point traffic flows through the real backend immediately (the
@@ -41,48 +41,17 @@ class _BufferedComm(Communicator):
     """
 
     def __init__(self, inner: Communicator, tag_base: int) -> None:
-        self.inner = inner
-        self.rank = inner.rank
-        self.size = inner.size
+        super().__init__(inner)
         # private event buffer, sized to the *world* so events (always
         # attributed to world ranks) index correctly even when the wrapped
         # communicator is a sub-communicator of a bigger world
         self.trace = Trace(inner.trace.nranks)
-        self.topology = inner.topology
         self._tag_base = tag_base
-        self._collective_counter = 0
         self._icoll_depth = inner._icoll_depth + 1
-
-    @property
-    def world_rank(self) -> int:
-        return self.inner.world_rank
-
-    @property
-    def op_timeout(self):
-        return self.inner.op_timeout
-
-    def _abort_state(self):
-        return self.inner._abort_state()
 
     def _map_tag(self, tag: int) -> int:
         # compose inward so proxies stack (e.g. i_collective on a split)
         return self.inner._map_tag(self._tag_base + tag)
-
-    def _map_peer(self, peer: int) -> int:
-        return self.inner._map_peer(peer)
-
-    # transport delegates to the wrapped backend (tags arrive pre-shifted)
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        return self.inner._alloc_seq(dest, tag)
-
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        self.inner._transport_send(obj, nbytes, seq, dest, tag)
-
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        return self.inner._transport_recv(source, tag)
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return self.inner._probe(source, tag)
 
     def next_collective_tag(self) -> int:
         # tags inside the buffered collective live in the shifted space,

@@ -613,14 +613,8 @@ class ShmemComm(MeshComm):
         deadline = time.monotonic() + self.op_timeout
 
         def hook() -> bool:
-            if time.monotonic() >= deadline:
-                raise CommTimeoutError(
-                    f"send to rank {dest} (tag {tag}) blocked on a full ring "
-                    f"for op_timeout={self.op_timeout}s",
-                    source=dest,
-                    tag=tag,
-                    timeout=self.op_timeout,
-                )
+            if time.monotonic() >= deadline:  # blocked on a full ring
+                raise CommTimeoutError.expired("send to", dest, tag, self.op_timeout)
             return self._send_progress_hook()
 
         return hook
@@ -658,13 +652,7 @@ class ShmemComm(MeshComm):
             if self.aborted.is_set():
                 raise self.aborted.error()
             if deadline is not None and time.monotonic() >= deadline:
-                raise CommTimeoutError(
-                    f"recv from rank {source} (tag {tag}) saw no message "
-                    f"within op_timeout={self.op_timeout}s",
-                    source=source,
-                    tag=tag,
-                    timeout=self.op_timeout,
-                )
+                raise CommTimeoutError.expired("recv from", source, tag, self.op_timeout)
             self._flush_dings()  # about to block: wake the peers we fed
             if self._progress_lock.acquire(blocking=False):
                 try:

@@ -24,8 +24,6 @@ from .backend import Backend, ParallelResult, RankError, register_backend
 from .comm import (
     AbortState,
     Communicator,
-    CompletedHandle,
-    DeferredRecvHandle,
     Mailbox,
     MailboxRegistry,
     WorldAbortedError,
@@ -33,14 +31,7 @@ from .comm import (
 )
 from .trace import Trace
 
-__all__ = [
-    "ThreadBackend",
-    "ThreadWorld",
-    "ThreadComm",
-    "WorldAbortedError",
-    "CompletedHandle",
-    "DeferredRecvHandle",
-]
+__all__ = ["ThreadBackend", "ThreadWorld", "ThreadComm"]
 
 
 class ThreadWorld:
@@ -69,10 +60,6 @@ class ThreadWorld:
         #: so ranks that have not yet observed the failure still find it
         #: recorded, no matter how late they arrive at their shrink() call.
         self._rank_states = [AbortState() for _ in range(size)]
-        #: highest committed elastic epoch of any rank (informational; each
-        #: rank's working epoch lives on its :class:`ThreadComm`, again
-        #: matching the per-process epochs of the other backends).
-        self.epoch = 0
         #: ranks a membership change declared dead; late aborts attributed
         #: to them are suppressed so they cannot kill the shrunken world.
         self.dead_ranks: set[int] = set()
@@ -126,32 +113,17 @@ class ThreadComm(Communicator):
     def dead_ranks(self) -> set[int]:
         return self.world.dead_ranks
 
-    def _elastic_reset(self, dead_ranks, epoch: int) -> None:
-        # the dead set is world knowledge, but the abort flag and epoch are
-        # per-rank: resetting only this rank's state leaves the recorded
-        # failure visible to rank threads that have not caught it yet
-        with self.world._elastic_lock:
-            self.world.dead_ranks.update(int(r) for r in dead_ranks)
-            self.world._rank_states[self.rank] = AbortState()
-            self.epoch = int(epoch)
-            self.world.epoch = max(self.world.epoch, int(epoch))
+    # the dead set is world knowledge, but the abort flag and epoch are
+    # per-rank: an elastic shrink replaces only this rank's state, which
+    # leaves the recorded failure visible to rank threads that have not
+    # caught it yet
+    @property
+    def aborted(self) -> AbortState:
+        return self.world._rank_states[self.rank]
 
-    def _elastic_note_dead(self, ranks) -> None:
-        with self.world._elastic_lock:
-            self.world.dead_ranks.update(int(r) for r in ranks)
-            state = self.world._rank_states[self.rank]
-            if (
-                state.is_set()
-                and state.failed_ranks
-                and state.failed_ranks <= self.world.dead_ranks
-            ):
-                self.world._rank_states[self.rank] = AbortState()
-
-    def _elastic_regrow(self, rank: int, epoch: int) -> None:
-        with self.world._elastic_lock:
-            self.world.dead_ranks.discard(int(rank))
-            self.epoch = int(epoch)
-            self.world.epoch = max(self.world.epoch, int(epoch))
+    @aborted.setter
+    def aborted(self, state: AbortState) -> None:
+        self.world._rank_states[self.rank] = state
 
     # ------------------------------------------------------------------
     # transport hooks
@@ -165,18 +137,10 @@ class ThreadComm(Communicator):
 
     def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
         box = self.world.mailbox(source, self.rank, tag)
-        return box.get(
-            self.world._rank_states[self.rank],
-            timeout=self.op_timeout,
-            source=source,
-            tag=tag,
-        )
+        return box.get(self.aborted, timeout=self.op_timeout, source=source, tag=tag)
 
     def _probe(self, source: int, tag: int) -> bool:
         return self.world.mailbox(source, self.rank, tag).has_items()
-
-    def _abort_state(self) -> AbortState:
-        return self.world._rank_states[self.rank]
 
 
 class ThreadBackend(Backend):
@@ -195,6 +159,7 @@ class ThreadBackend(Backend):
         timeout: float | None = 300.0,
         op_timeout: float | None = None,
         topology: Any = None,
+        fault_plan: Any = None,
         **kwargs: Any,
     ) -> ParallelResult:
         if nranks < 1:
@@ -212,6 +177,7 @@ class ThreadBackend(Backend):
 
         def runner(rank: int) -> None:
             comm = world.comm(rank)
+            comm.fault_plan = fault_plan
             try:
                 results[rank] = fn(comm, *args, **kwargs)
             except WorldAbortedError:

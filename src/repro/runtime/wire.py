@@ -48,7 +48,6 @@ __all__ = [
     "decode_payload",
     "encode_payload_parts",
     "encode_frame_parts",
-    "decode_frame_epoch",
     "FRAME_HEADER_SIZE",
     "MAX_FRAME_BYTES",
     "check_frame_size",
@@ -206,11 +205,6 @@ def decode_message(
         epoch,
         decode_payload(memoryview(blob)[FRAME_HEADER_SIZE:], copy),
     )
-
-
-def decode_frame_epoch(blob: bytes | bytearray | memoryview) -> int:
-    """The world epoch stamped on a framed message, without decoding it."""
-    return _FRAME.unpack_from(blob)[3]
 
 
 # ----------------------------------------------------------------------

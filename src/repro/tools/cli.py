@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "serve-rank":
-        from ..runtime.socket_backend import serve_rank
+        from ..runtime.rendezvous import serve_rank
 
         host, sep, port = args.rendezvous.rpartition(":")
         if not sep or not host or not port.isdigit():

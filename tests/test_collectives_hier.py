@@ -29,9 +29,9 @@ from conftest import make_rank_stream, reference_sum
 DIM, NNZ = 2048, 64
 
 
-def _hier_prog(comm, topology=None, inner="ssar_rec_dbl"):
+def _hier_prog(comm, topology=None):
     stream = make_rank_stream(DIM, NNZ, comm.rank)
-    return ssar_hierarchical(comm, stream, topology=topology, inner=inner)
+    return ssar_hierarchical(comm, stream, topology=topology)
 
 
 class TestCorrectness:
@@ -58,17 +58,6 @@ class TestCorrectness:
         # the allreduce contract: every rank holds the identical result
         for r in range(1, nranks):
             assert np.array_equal(out[0].to_dense(), out[r].to_dense())
-
-    @pytest.mark.parametrize("inner", ["ssar_rec_dbl", "ssar_split_ag", "ssar_ring"])
-    def test_every_inner_kernel(self, inner):
-        out = run_ranks(_hier_prog, 8, "2x4", inner, backend="thread")
-        ref = reference_sum(DIM, NNZ, 8)
-        for r in range(8):
-            assert np.allclose(out[r].to_dense(), ref, atol=1e-4)
-
-    def test_unknown_inner_rejected(self):
-        with pytest.raises(RankError, match="unknown inner"):
-            run_ranks(_hier_prog, 2, None, "nope", backend="thread")
 
     def test_topology_size_mismatch_rejected(self):
         with pytest.raises(RankError, match="describes 4 ranks"):
@@ -468,25 +457,6 @@ class TestChunked:
         chunked = run_sparse_allreduce(streams, "ssar_hier", topology=topo, chunks=4)
         rec = run_sparse_allreduce(streams, "ssar_rec_dbl", topology=topo)
         assert bytes_by_tier(chunked.trace, topo)[1] < bytes_by_tier(rec.trace, topo)[1]
-
-    @pytest.mark.parametrize("inner", ["ssar_rec_dbl", "ssar_split_ag", "ssar_ring"])
-    def test_every_inner_kernel_chunked(self, inner):
-        def prog(comm):
-            return ssar_hierarchical(
-                comm, make_rank_stream(DIM, NNZ, comm.rank),
-                topology="2x4", inner=inner, chunks=3,
-            )
-
-        def baseline(comm):
-            return ssar_hierarchical(
-                comm, make_rank_stream(DIM, NNZ, comm.rank),
-                topology="2x4", inner=inner,
-            )
-
-        out = run_ranks(prog, 8, backend="thread")
-        base = run_ranks(baseline, 8, backend="thread")
-        for r in range(8):
-            assert np.array_equal(base[r].to_dense(), out[r].to_dense())
 
     def test_quantized_chunked_dsar_agrees_across_ranks(self):
         """Quantized + chunked is *not* bit-identical to unchunked (the

@@ -194,10 +194,9 @@ class TestAsyncFusedAllreduce:
                     comm, grad, efs, algorithm=algorithm, chunks=chunks
                 )
             elif mode == "flag":
-                out = fuser.fused_topk_allreduce(
-                    comm, grad, efs, algorithm=algorithm, chunks=chunks,
-                    nonblocking=True,
-                )
+                out = fuser.i_fused_allreduce(
+                    comm, grad, efs, algorithm=algorithm, chunks=chunks
+                ).wait()
             else:
                 handle = fuser.i_fused_allreduce(
                     comm, grad, efs, algorithm=algorithm, chunks=chunks
@@ -429,12 +428,15 @@ class TestAutoChunksFused:
             outs = []
             for step in range(2):
                 grad = _grads(comm.rank, 256, seed=300 + step)
-                outs.append(
-                    fuser.fused_topk_allreduce(
-                        comm, grad, efs, algorithm="auto", chunks="auto",
-                        nonblocking=nonblocking,
-                    ).copy()
-                )
+                if nonblocking:
+                    out = fuser.i_fused_allreduce(
+                        comm, grad, efs, algorithm="auto", chunks="auto"
+                    ).wait()
+                else:
+                    out = fuser.fused_topk_allreduce(
+                        comm, grad, efs, algorithm="auto", chunks="auto"
+                    )
+                outs.append(out.copy())
             return outs
 
         blk = run_ranks(prog, nranks, False, topology=topology)

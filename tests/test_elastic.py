@@ -23,7 +23,9 @@ import pytest
 
 from repro.collectives.dense import allreduce_recursive_doubling
 from repro.runtime import (
+    CommTimeoutError,
     ElasticContext,
+    ElasticWorld,
     FaultPlan,
     RankError,
     RankFailedError,
@@ -32,10 +34,12 @@ from repro.runtime import (
     run_ranks,
     thread_rejoin,
 )
-from repro.runtime import socket_backend as sb
+from repro.runtime import rendezvous as sb
 from repro.runtime.comm import _cantor_pair
-from repro.runtime.elastic import epoch_window_id
-from repro.runtime.faults import FaultyComm, RankKilledError
+from repro.runtime.elastic import _epoch_tag_base, epoch_window_id
+from repro.runtime.nonblocking import _BufferedComm
+from repro.runtime.topology import Topology
+from repro.runtime.faults import RankKilledError
 
 BACKENDS = ["thread", "process", "shmem", "socket"]
 
@@ -106,6 +110,81 @@ class TestShrinkAfterKill:
         expected = ("shrunk", 1, 3, (7.0, 7.0, 7.0, 7.0))
         for rank in (0, 1, 3):
             assert parts[rank] == expected, f"rank {rank}: {parts[rank]}"
+
+
+# ----------------------------------------------------------------------
+# a fault plan is state of the backend communicator: it survives shrink()
+# ----------------------------------------------------------------------
+def _plan_across_shrink_prog(comm):
+    if comm.rank == 2:
+        return "left"
+    wire = comm.backend
+    ops = [wire._fault_ops]
+    world = comm.shrink(dead=[2])
+    ops.append(wire._fault_ops)
+    assert world.backend is wire and world.parent is wire
+    allreduce_recursive_doubling(world, np.ones(4))
+    ops.append(wire._fault_ops)
+    if world.rank == 0:
+        world.send(np.arange(4.0), dest=1, tag=5)
+        return ("sent", ops)
+    try:
+        world.recv(source=0, tag=5)
+        return ("delivered", ops)
+    except CommTimeoutError as exc:
+        return ("dropped", exc.source, ops)
+
+
+class TestFaultPlanSurvivesShrink:
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
+    def test_plan_keeps_ticking_and_applying(self, backend):
+        # every message is delayed (harmless), and the first message rank 0
+        # sends rank 1 on tag 5 *of the post-shrink world* is pinned lost
+        pinned = (0, 1, _epoch_tag_base(1) + 5, 0)
+        plan = FaultPlan(
+            seed=3, delay_rate=1.0, delay_s=0.0002, drops=frozenset({pinned})
+        )
+        out = run_ranks(
+            _plan_across_shrink_prog, 3, backend=backend, fault_plan=plan,
+            op_timeout=1.0, timeout=120.0,
+        )
+        assert out[2] == "left"
+        assert out[0][0] == "sent"
+        assert out[1][:2] == ("dropped", 0), out[1]
+        for rank in (0, 1):
+            before, after_barrier, after_collective = out[rank][-1]
+            # the membership barrier and the post-shrink collective both
+            # passed through the plan
+            assert before < after_barrier < after_collective
+
+
+# ----------------------------------------------------------------------
+# one delegation: every proxy stack reads the backend's state
+# ----------------------------------------------------------------------
+class TestProxyStacksReadTheSameState:
+    @pytest.mark.parametrize("elastic", [False, True])
+    @pytest.mark.parametrize(
+        "stack",
+        [(), ("sub",), ("buf",), ("sub", "buf"), ("buf", "sub"), ("sub", "sub", "buf"),
+         ("buf", "sub", "buf")],
+    )
+    def test_epoch_timeout_topology_backend(self, elastic, stack):
+        topo = Topology.uniform(4, 2)
+        world = ThreadWorld(4, op_timeout=7.0, topology=topo)
+        backend = world.comm(1)
+        comm = backend
+        if elastic:
+            backend.epoch = 1
+            comm = ElasticWorld(backend, range(4), 1)
+        for layer in stack:
+            comm = comm.subgroup(range(4)) if layer == "sub" else _BufferedComm(comm, 0)
+        assert comm.backend is backend
+        assert comm.epoch == backend.epoch == int(elastic)
+        assert comm.op_timeout == 7.0
+        assert comm.topology == topo
+        assert comm.world_rank == 1
+        backend.op_timeout = 3.0  # delegated, not snapshotted
+        assert comm.op_timeout == 3.0
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +340,8 @@ class TestSocketRejoin:
                 results[rank] = exc
 
         def rejoin_prog(comm):
+            if comm.fault_plan is not None:
+                return "a revived rank must start without a fault plan"
             grown = comm._elastic_world
             out = allreduce_recursive_doubling(
                 grown, np.full(4, float(victim + 1))
@@ -285,6 +366,9 @@ class TestSocketRejoin:
                     rejoin=True,
                     rendezvous_timeout=60.0,
                     op_timeout=30.0,
+                    # the restarted command line still names the plan that
+                    # killed the rank; it must not be killed again
+                    fault_plan=FaultPlan(kill_rank=victim, kill_after_ops=1),
                 )
             except Exception as exc:  # noqa: BLE001 - surfaced via dict
                 reviver_result["value"] = exc
@@ -377,7 +461,8 @@ class TestAsyncSGDElastic:
         results: dict[int, object] = {}
 
         def rank_thread(rank: int) -> None:
-            comm = FaultyComm(world.comm(rank), plan)
+            comm = world.comm(rank)
+            comm.fault_plan = plan
             model = LogisticRegression(dataset.n_features, 1e-5)
             try:
                 results[rank] = distributed_sgd_async(
@@ -399,6 +484,8 @@ class TestAsyncSGDElastic:
                 time.sleep(0.001)
             try:
                 comm = thread_rejoin(world, victim, timeout=45.0)
+                # a revived rank starts clean: the kill cannot fire again
+                assert comm.backend.fault_plan is None
                 model = LogisticRegression(dataset.n_features, 1e-5)
                 results["reviver"] = distributed_sgd_async(
                     comm, dataset, model, cfg, on_failure="shrink", resume=True

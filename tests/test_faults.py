@@ -27,7 +27,6 @@ from repro.collectives import dsar_hierarchical, ssar_hierarchical
 from repro.runtime import (
     AbortState,
     CommTimeoutError,
-    FaultyBackend,
     RankError,
     RankFailedError,
     RankKilledError,
@@ -35,12 +34,10 @@ from repro.runtime import (
     RendezvousTimeoutError,
     ThreadWorld,
     WorldAbortedError,
-    available_backends,
-    get_backend,
     i_collective,
     run_ranks,
 )
-from repro.runtime import socket_backend as sb
+from repro.runtime import rendezvous as sb
 
 from conftest import make_rank_stream
 
@@ -222,39 +219,6 @@ class TestErrorTaxonomy:
         err = state.error()
         assert isinstance(err, RankFailedError)
         assert err.rank == 4
-
-
-# ----------------------------------------------------------------------
-# registry: the faulty:<inner> wrapper spec
-# ----------------------------------------------------------------------
-class TestFaultyBackendRegistry:
-    def test_registered(self):
-        assert "faulty" in available_backends()
-
-    @pytest.mark.parametrize("inner", BACKENDS)
-    def test_wrapper_spec_resolves(self, inner):
-        backend = get_backend(f"faulty:{inner}")
-        assert isinstance(backend, FaultyBackend)
-        assert backend.name == f"faulty:{inner}"
-        assert backend.inner.name == inner
-
-    def test_bare_name_defaults_to_thread(self):
-        assert get_backend("faulty").inner.name == "thread"
-
-    def test_unknown_inner_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend("faulty:warp-drive")
-
-    def test_unknown_wrapper_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("bogus:thread")
-
-    def test_with_plan_returns_fresh_wrapper(self):
-        base = get_backend("faulty:thread")
-        planned = base.with_plan(FaultPlan(seed=5))
-        assert planned is not base
-        assert planned.plan.seed == 5
-        assert base.plan.seed == 0
 
 
 # ----------------------------------------------------------------------
@@ -498,6 +462,22 @@ def _nonblocking_prog(comm):
         return ("failed", exc.rank)
 
 
+def _nested_launch_prog(comm):
+    """Fused buckets on one progress thread, each bucket a chunked
+    ``ssar_hier`` whose leader stage is a launch *inside* that launch."""
+    from repro.core import GradientFuser
+
+    fuser = GradientFuser([("a", 128), ("b", 128)], min_bucket_bytes=0)
+    efs = fuser.make_error_feedback(k=8, bucket_size=32)
+    grad = np.random.default_rng(17 + comm.rank).standard_normal(256)
+    try:
+        for _ in range(20):
+            fuser.i_fused_allreduce(comm, grad, efs, algorithm="ssar_hier", chunks=2).wait()
+        return "ok"
+    except RankFailedError as exc:
+        return ("failed", exc.rank)
+
+
 class TestFailurePropagationThroughProxies:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subcommunicator_surfaces_rank_failure(self, backend):
@@ -528,6 +508,27 @@ class TestFailurePropagationThroughProxies:
         assert err.partial_results is not None
         survivors = [v for r, v in enumerate(err.partial_results) if r != victim]
         assert survivors == [("failed", victim)] * 2
+
+    @pytest.mark.parametrize("backend", NB_BACKENDS)
+    @pytest.mark.parametrize("kill_after_ops", [4, 7, 11, 30])
+    def test_kill_inside_a_nested_launch(self, backend, kill_after_ops):
+        """The victim is a host leader, so its ops tick on three threads
+        (rank, fused launch, chunk launch inside it) — wherever the kill
+        lands, every survivor learns the victim's name."""
+        victim = 2
+        with pytest.raises(RankError) as ei:
+            run_ranks(
+                _nested_launch_prog,
+                4,
+                backend=backend,
+                topology="2x2",
+                fault_plan=FaultPlan(kill_rank=victim, kill_after_ops=kill_after_ops),
+            )
+        err = ei.value
+        assert isinstance(err.__cause__, (RankFailedError, RankKilledError))
+        assert err.__cause__.rank == victim
+        survivors = [v for r, v in enumerate(err.partial_results) if r != victim]
+        assert survivors == [("failed", victim)] * 3
 
 
 # ----------------------------------------------------------------------

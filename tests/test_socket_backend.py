@@ -25,16 +25,14 @@ from repro.runtime import (
     run_ranks,
     serve_rank,
 )
-from repro.runtime.socket_backend import (
-    _LEN,
-    SocketBackend,
-    _bind_listener,
+from repro.runtime.rendezvous import (
     _connect_retry,
     _rendezvous_client,
     _resolve_program,
     _serve_rendezvous,
     demo_program,
 )
+from repro.runtime.socket_backend import _LEN, SocketBackend, _bind_listener
 from repro.streams import SparseStream
 
 from conftest import make_rank_stream, reference_sum
@@ -430,10 +428,10 @@ class TestServeRank:
             serve_rank(("127.0.0.1", 1), 2, 2)
 
     def test_program_spec_resolution(self):
-        fn = _resolve_program("repro.runtime.socket_backend:demo_program")
+        fn = _resolve_program("repro.runtime.rendezvous:demo_program")
         assert fn is demo_program
         assert _resolve_program(None) is demo_program
         with pytest.raises(ValueError, match="module:function"):
             _resolve_program("no-colon")
         with pytest.raises(ValueError, match="non-callable"):
-            _resolve_program("repro.runtime.socket_backend:_MAGIC")
+            _resolve_program("repro.runtime.rendezvous:_MAGIC")

@@ -19,8 +19,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: the process-family transport files ISSUE 14 collapsed, reported as one row.
-BACKEND_FILES = ("mesh.py", "process_backend.py", "shmem_backend.py", "socket_backend.py")
+#: the process-family transport files ISSUE 14 collapsed, reported as one row
+#: (``rendezvous.py`` was split out of ``socket_backend.py``: counting it
+#: keeps that move from reading as a reduction).
+BACKEND_FILES = (
+    "mesh.py",
+    "process_backend.py",
+    "rendezvous.py",
+    "shmem_backend.py",
+    "socket_backend.py",
+)
 
 _NOT_CODE = {
     tokenize.COMMENT,
