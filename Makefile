@@ -1,7 +1,9 @@
 # Developer entry points for the SparCML reproduction.
 #
 #   make test               the tier-1 suite (what CI gates on)
-#   make lint               ruff check (config in pyproject.toml; CI-enforced)
+#   make lint               ruff check (config in pyproject.toml; CI-enforced);
+#                           without ruff, tools/lint.py: a stdlib ast walk for
+#                           unused imports and undefined names in src/, tests/
 #   make loc                code lines (non-blank, non-comment, non-docstring)
 #                           per src/repro package and for the process-family
 #                           backend files — the number the "Quality of
@@ -40,7 +42,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 lint:
-	$(PYTHON) -m ruff check .
+	@if $(PYTHON) -c "import ruff" 2>/dev/null; then $(PYTHON) -m ruff check .; \
+	else $(PYTHON) tools/lint.py; fi
 
 loc:
 	$(PYTHON) tools/loc.py

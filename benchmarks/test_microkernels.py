@@ -46,6 +46,41 @@ def test_kernel_merge_pairs(benchmark, sparse_pair):
     assert idx.size <= 2 * NNZ
 
 
+def _benchmark_shape(name: str):
+    """The (idx, val) operand pairs of the repo benchmark's large merges."""
+    gen = np.random.default_rng(3)
+
+    def pairs(nnz: int):
+        stream = SparseStream.random_uniform(N, nnz, gen)
+        return stream.indices, stream.values
+
+    if name == "merge_bound_round1":  # ssar_rec_dbl, P=4, d=5 %: 52 429 + 52 429
+        return pairs(52_429), pairs(52_429)
+    if name == "merge_bound_round2":  # the two round-1 unions: ~102 k + ~102 k
+        return (
+            merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
+            merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
+        )
+    if name == "dense_quant_split":  # last fold of the split phase: 160 k + 65 k
+        return pairs(160_000), pairs(65_536)
+    assert name == "async_train_bucket"  # top-k of like gradients: 2 528 + 2 528, 57 % shared
+    pool = gen.permutation(40_399).astype(np.uint32)
+    support_a, support_b = np.sort(pool[:2_528]), np.sort(pool[1_078:3_606])
+    values = gen.standard_normal(2_528).astype(np.float32)
+    return (support_a, values), (support_b, values)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["merge_bound_round1", "merge_bound_round2", "dense_quant_split", "async_train_bucket"],
+)
+def test_kernel_merge_pairs_benchmark_shapes(benchmark, shape):
+    (idx_a, val_a), (idx_b, val_b) = _benchmark_shape(shape)
+    idx, val = benchmark(merge_sparse_pairs, idx_a, val_a, idx_b, val_b)
+    assert max(idx_a.size, idx_b.size) <= idx.size <= idx_a.size + idx_b.size
+    assert val.dtype == np.float32 and np.all(idx[1:] > idx[:-1])
+
+
 def test_kernel_dense_dense_sum(benchmark, dense_vec):
     a = SparseStream(N, dense=dense_vec)
     b = SparseStream(N, dense=dense_vec)

@@ -25,7 +25,7 @@ two can be compared head-to-head (benchmarked in the ablations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

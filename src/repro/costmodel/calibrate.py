@@ -44,7 +44,6 @@ from ..netsim.model import (
     TieredNetworkModel,
     save_network,
 )
-from .model import CostModel
 
 __all__ = [
     "fit_alpha_beta",

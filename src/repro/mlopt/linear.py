@@ -24,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..streams import SparseStream
-from ..streams.summation import merge_sparse_pairs
 from ..config import INDEX_DTYPE
 
 __all__ = ["LinearModel", "LogisticRegression", "LinearSVM", "sparse_grad_from_batch"]

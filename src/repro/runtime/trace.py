@@ -14,7 +14,7 @@ allocated under a world-level lock.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = ["TraceEvent", "SEND", "RECV", "COMPUTE", "MARK", "Trace"]

@@ -11,14 +11,13 @@ only non-neutral entries travel on the wire.
 Shipped operations: SUM (neutral 0), MAX (neutral 0 — correct for
 non-negative data, e.g. counts/indicators), MIN (neutral 0 — correct for
 non-positive data), and PROD (neutral 1) for completeness. Custom
-operations are one :class:`ReduceOp` away as long as the ufunc is
-associative, commutative and supports ``reduceat``.
+operations are one :class:`ReduceOp` away: any associative, commutative
+binary ufunc with a neutral element will do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,8 +33,7 @@ class ReduceOp:
     name:
         Identifier used in APIs and error messages.
     ufunc:
-        A binary numpy ufunc implementing the operation (must support
-        ``reduceat`` for the sparse duplicate-collapse kernel).
+        A binary numpy ufunc implementing the operation.
     neutral:
         The neutral element: missing sparse entries are assumed to hold
         this value, and contributing it leaves results unchanged.
@@ -48,10 +46,6 @@ class ReduceOp:
     def combine(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Element-wise ``a op b``."""
         return self.ufunc(a, b, out=out)
-
-    def collapse_duplicates(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Reduce runs of values sharing an index (sorted segment starts)."""
-        return self.ufunc.reduceat(values, starts)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name

@@ -6,7 +6,6 @@ import pytest
 from repro.collectives import dsar_split_allgather
 from repro.quant import QSGDQuantizer
 from repro.runtime import run_ranks
-from repro.streams import SparseStream
 
 from conftest import make_rank_stream, reference_sum
 

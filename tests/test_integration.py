@@ -6,7 +6,6 @@ network model, and check the paper-level qualitative claims.
 """
 
 import numpy as np
-import pytest
 
 from repro import (
     ARIES,
@@ -23,7 +22,7 @@ from repro import (
 from repro.mlopt import LogisticRegression, SGDConfig, distributed_sgd, make_url_like
 from repro.nn import make_eval_fn, make_grad_fn, make_mlp
 
-from conftest import make_rank_stream, reference_sum
+from conftest import make_rank_stream
 
 
 class TestMicrobenchClaims:

@@ -10,7 +10,6 @@ from repro.mlopt import (
     distributed_sgd_async,
     make_sparse_classification,
 )
-from repro.netsim import GIGE, replay
 from repro.runtime import RankError, run_ranks
 
 

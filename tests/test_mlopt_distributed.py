@@ -108,8 +108,6 @@ class TestDistributedSCD:
 
     def test_updates_stay_in_rank_slices(self, dataset):
         """Each rank's updates live in its coordinate slice (disjointness)."""
-        from repro.collectives import partition_bounds
-
         out = self.run_scd(dataset, 4, "sparse", iters=5)
         # all ranks end with identical parameters despite disjoint updates
         for r in range(1, 4):

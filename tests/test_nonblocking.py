@@ -5,7 +5,6 @@ down request completion ordering, the deferred trace-flush contract, and
 that the machinery is backend-agnostic.
 """
 
-import threading
 import time
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 
 from repro.collectives import sparse_allreduce, ssar_recursive_double
 from repro.runtime import i_collective, run_ranks
-from repro.streams import SparseStream
 
 from conftest import make_rank_stream, reference_sum
 

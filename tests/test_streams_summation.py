@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.streams import (
+    MAX,
+    MIN,
+    PROD,
+    SUM,
     SparseStream,
     add_streams,
     add_streams_,
@@ -148,9 +152,11 @@ class TestConcatDisjoint:
         out = concat_disjoint([SparseStream.zeros(10)], 10)
         assert out.nnz == 0
 
-    def test_overlap_detected(self):
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_overlap_detected(self, dtype):
+        parts = [_stream(10, [3, 4], [1.0, 2.0], dtype), _stream(10, [4], [2.0], dtype)]
         with pytest.raises(ValueError, match="overlapping"):
-            concat_disjoint([_stream(10, [3], [1.0]), _stream(10, [3], [2.0])], 10)
+            concat_disjoint(parts, 10)
 
 
 class TestReduceStreams:
@@ -306,3 +312,176 @@ class TestSetPairs:
         s.set_pairs(np.array([0], np.uint32), np.array([4.0], np.float32))
         assert not s.is_dense
         assert s.to_dense()[0] == 4.0 and s.to_dense()[1] == 0.0
+
+
+# ----------------------------------------------------------------------
+# packed-key kernel (ISSUE 16): bit-for-bit against a per-index loop
+# ----------------------------------------------------------------------
+DTYPES = [np.float16, np.float32, np.float64]
+OPS = [SUM, MAX, MIN, PROD]
+DIM = 1 << 12
+
+
+def _bits(x):
+    return x.view(f"u{x.dtype.itemsize}")
+
+
+def _special_values(dtype, n, gen):
+    """Random values salted with signed zeros, infinities, subnormals, extremes."""
+    info = np.finfo(dtype)
+    pool = [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal, -info.smallest_subnormal,
+            info.smallest_normal / 2, info.max, info.min, 1.0, -1.0]
+    val = gen.standard_normal(n).astype(dtype)
+    salt = gen.random(n) < 0.5
+    val[salt] = gen.choice(np.array(pool, dtype=dtype), size=int(salt.sum()))
+    return val
+
+
+def _oracle_merge(idx_a, val_a, idx_b, val_b, op):
+    """One index at a time: the value present, or ``op`` of the two, lower bits first."""
+    a = dict(zip(idx_a.tolist(), val_a))
+    b = dict(zip(idx_b.tolist(), val_b))
+    union = sorted(a.keys() | b.keys())
+    out = np.empty(len(union), dtype=val_a.dtype)
+    for pos, i in enumerate(union):
+        if i in a and i in b:
+            lo, hi = sorted((a[i], b[i]), key=lambda v: int(_bits(v)))
+            out[pos] = op.ufunc(np.array([lo]), np.array([hi]))[0]
+        else:
+            out[pos] = a[i] if i in a else b[i]
+    return np.array(union, dtype=np.uint32), out
+
+
+def _supports(case, gen):
+    pick = lambda n: np.sort(gen.choice(DIM, n, replace=False)).astype(np.uint32)
+    if case == "disjoint":
+        both = gen.permutation(DIM)[:300].astype(np.uint32)
+        return np.sort(both[:170]), np.sort(both[170:])
+    if case == "partial":
+        return pick(200), pick(260)
+    if case == "identical":
+        same = pick(150)
+        return same, same.copy()
+    if case == "left_empty":
+        return pick(0), pick(40)
+    if case == "right_empty":
+        return pick(40), pick(0)
+    if case == "single":
+        return np.array([7], np.uint32), np.array([7], np.uint32)
+    assert case == "edges"
+    return np.array([0, 5, DIM - 1], np.uint32), np.array([0, DIM - 1], np.uint32)
+
+
+def _assert_fresh(out, dtype, *not_aliasing):
+    assert out.dtype == dtype and out.ndim == 1
+    assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
+    assert not any(np.shares_memory(out, arr) for arr in not_aliasing)
+
+
+CASES = ["disjoint", "partial", "identical", "left_empty", "right_empty", "single", "edges"]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("op", OPS, ids=str)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+def test_merge_matches_per_index_oracle_bit_for_bit(dtype, op, case):
+    gen = np.random.default_rng(CASES.index(case))
+    idx_a, idx_b = _supports(case, gen)
+    val_a = _special_values(dtype, idx_a.size, gen)
+    val_b = _special_values(dtype, idx_b.size, gen)
+    keep = [arr.copy() for arr in (idx_a, val_a, idx_b, val_b)]
+    with np.errstate(all="ignore"):  # inf - inf, 0 * inf: NaN on purpose
+        want_idx, want_val = _oracle_merge(idx_a, val_a, idx_b, val_b, op)
+        idx, val = merge_sparse_pairs(idx_a, val_a, idx_b, val_b, op)
+        idx_r, val_r = merge_sparse_pairs(idx_b, val_b, idx_a, val_a, op)
+    assert np.array_equal(idx, want_idx)
+    assert val.tobytes() == want_val.tobytes()
+    # operand order never shows, not even in the sign of a zero
+    assert np.array_equal(idx_r, idx) and val_r.tobytes() == val.tobytes()
+    _assert_fresh(idx, np.uint32, idx_a, idx_b)
+    _assert_fresh(val, dtype, val_a, val_b)
+    for before, after in zip(keep, (idx_a, val_a, idx_b, val_b)):
+        assert before.tobytes() == after.tobytes()  # inputs untouched
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("op", [MAX, MIN], ids=str)
+def test_signed_zero_pair_combines_the_same_way_from_both_sides(dtype, op):
+    # np.maximum(+0.0, -0.0) and np.maximum(-0.0, +0.0) differ in the sign
+    # bit; ordering each pair by value bits keeps that out of the result
+    i = np.array([3], np.uint32)
+    pos, neg = np.array([0.0], dtype), np.array([-0.0], dtype)
+    _, ab = merge_sparse_pairs(i, pos, i, neg, op)
+    _, ba = merge_sparse_pairs(i, neg, i, pos, op)
+    assert ab.tobytes() == ba.tobytes() == op.ufunc(pos, neg).tobytes()
+
+
+def test_merge_rejects_mixed_value_dtypes():
+    i = np.array([1], np.uint32)
+    none = np.empty(0, np.uint32)
+    with pytest.raises(TypeError, match="float32 vs float64"):
+        merge_sparse_pairs(i, np.ones(1, np.float32), i, np.ones(1, np.float64))
+    with pytest.raises(TypeError, match="float16 vs float32"):  # also on the empty-side path
+        merge_sparse_pairs(none, np.empty(0, np.float16), i, np.ones(1, np.float32))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    dim=st.integers(1, 400),
+    dtype=st.sampled_from(DTYPES),
+    op=st.sampled_from(OPS),
+)
+def test_property_merge_matches_oracle_and_commutes_bitwise(seed, dim, dtype, op):
+    gen = np.random.default_rng(seed)
+    idx_a = np.sort(gen.choice(dim, int(gen.integers(0, dim + 1)), replace=False)).astype(np.uint32)
+    idx_b = np.sort(gen.choice(dim, int(gen.integers(0, dim + 1)), replace=False)).astype(np.uint32)
+    val_a = _special_values(dtype, idx_a.size, gen)
+    val_b = _special_values(dtype, idx_b.size, gen)
+    with np.errstate(all="ignore"):
+        want_idx, want_val = _oracle_merge(idx_a, val_a, idx_b, val_b, op)
+        idx, val = merge_sparse_pairs(idx_a, val_a, idx_b, val_b, op)
+        idx_r, val_r = merge_sparse_pairs(idx_b, val_b, idx_a, val_a, op)
+    assert idx.tobytes() == want_idx.tobytes() == idx_r.tobytes()
+    assert val.tobytes() == want_val.tobytes() == val_r.tobytes()
+
+
+class TestConcatDisjointKernel:
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("layout", ["interleaved", "ordered", "reversed"])
+    def test_matches_sorted_union(self, dtype, layout, rng):
+        if layout == "interleaved":  # residue classes: every run spans the whole range
+            supports = [np.arange(r, DIM, 5, dtype=np.uint32)[:: r + 1] for r in range(5)]
+        else:  # the dimension-partitioned case, in and out of rank order
+            cuts = [0, 900, 901, 2500, DIM]
+            supports = [
+                np.sort(rng.choice(np.arange(lo, hi), min(hi - lo, 300), replace=False)).astype(np.uint32)
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            if layout == "reversed":
+                supports.reverse()
+        parts = [
+            SparseStream(DIM, indices=i, values=_special_values(dtype, i.size, rng),
+                         value_dtype=dtype, copy=False)
+            for i in supports
+        ]
+        parts.insert(2, SparseStream.zeros(DIM, value_dtype=dtype))
+        out = concat_disjoint(parts, DIM)
+        all_idx = np.concatenate([p.indices for p in parts])
+        all_val = np.concatenate([p.values for p in parts])
+        order = np.argsort(all_idx)
+        assert np.array_equal(out.indices, all_idx[order])
+        assert out.values.tobytes() == all_val[order].tobytes()
+        assert out.value_dtype == dtype and not out.is_dense
+        _assert_fresh(out.indices, np.uint32, *(p.indices for p in parts))
+        _assert_fresh(out.values, dtype, *(p.values for p in parts))
+
+    def test_mixed_value_dtypes_rejected(self):
+        parts = [_stream(10, [1], [1.0], np.float32), _stream(10, [2], [2.0], np.float64)]
+        with pytest.raises(TypeError, match="stream 1 is float64"):
+            concat_disjoint(parts, 10)
+
+    def test_dense_stream_rejected_by_position(self):
+        parts = [_stream(10, [1], [1.0]), SparseStream(10, dense=np.ones(10, np.float32))]
+        with pytest.raises(ValueError, match="stream 1 is dense"):
+            concat_disjoint(parts, 10)

@@ -1,12 +1,10 @@
 """Tests for the sweep tooling and the ``python -m repro`` CLI."""
 
-import numpy as np
 import pytest
 
 from repro.netsim import ARIES
 from repro.tools import (
     ALGORITHM_SET,
-    SweepPoint,
     build_parser,
     main,
     sweep_densities,
