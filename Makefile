@@ -8,6 +8,11 @@
 #                           per src/repro package and for the process-family
 #                           backend files — the number the "Quality of
 #                           design" aim asks every PR to report
+#   make soak               25 back-to-back runs of the transport suites
+#                           (progress engine, socket / process / shmem
+#                           backends, failure propagation through proxies),
+#                           stopping at the first failure — the long version
+#                           of what tier-1 runs once
 #   make smoke              fast subset (skips "slow" tests) plus a
 #                           one-iteration bench-kernels sanity pass
 #   make bench-kernels      quick wall-clock microkernel/transport/allreduce/
@@ -36,7 +41,7 @@ PYTHON ?= python
 # invocations need it on PYTHONPATH explicitly.
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: test lint loc smoke bench-smoke bench bench-kernels bench-kernels-full calibrate bench-gate
+.PHONY: test lint loc soak smoke bench-smoke bench bench-kernels bench-kernels-full calibrate bench-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -47,6 +52,12 @@ lint:
 
 loc:
 	$(PYTHON) tools/loc.py
+
+soak:
+	@for i in $$(seq 1 25); do echo "soak run $$i/25"; \
+	$(PYTHON) -m pytest -x -q -p no:cacheprovider tests/test_progress_engine.py \
+	    tests/test_socket_backend.py tests/test_process_backend.py tests/test_shmem_backend.py \
+	    "tests/test_faults.py::TestFailurePropagationThroughProxies" || exit 1; done
 
 smoke:
 	$(PYTHON) -m pytest -x -q -k "not slow" -m "not slow"

@@ -127,9 +127,9 @@ def measure_launch(quick: bool = True) -> tuple[float, dict]:
     """The launch + join cost of one background collective on this host.
 
     Returns ``(seconds, provenance)``: the median over the four ranks of
-    a 2x2 world on the inter-tier backend (pump threads and twice as
-    many ranks as a 2-core host has cores are part of the price a chunk
-    pays there), clamped at zero.
+    a 2x2 world on the inter-tier backend (twice as many ranks as a
+    2-core host has cores is part of the price a chunk pays there),
+    clamped at zero.
     """
     from ..runtime import available_backends, run_ranks
 

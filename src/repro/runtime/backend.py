@@ -49,10 +49,14 @@ its own: a :class:`~repro.runtime.mesh.Transport` (how the mesh is built
 and handed to a child, which ends the parent releases after forking, how
 a finished rank's inbound channels are drained, what to tear down) and a
 :class:`~repro.runtime.mesh.MeshComm` subclass that writes one frame and
-passes every frame it reads to ``_deliver`` — for a byte-stream channel,
-the three ``_frame`` / ``_write`` / ``_read_frame`` hooks of
-:class:`~repro.runtime.mesh.PumpedComm`. ``process_backend.py`` is the
-smallest complete example (~90 lines of code).
+implements ``_progress(wait, writable=None)`` — one non-blocking read
+step that passes every whole frame to ``_deliver``. The blocked-receive
+loop that calls it (whichever thread of a rank is blocked reads the
+rank's channels; there are no receiver threads) is inherited. A
+byte-stream channel inherits ``_progress`` too, from
+:class:`~repro.runtime.mesh.StreamComm`, by handing over socket-like
+channel objects: ``process_backend.py`` is the smallest complete example
+(~90 lines of code).
 
 Anything else (ranks as threads, a remote scheduler, …) subclasses
 :class:`Backend` directly, implements :meth:`Backend.run` (typically by

@@ -5,8 +5,12 @@ this interface only; any backend that provides blocking point-to-point
 ``send``/``recv`` with FIFO matching per (source, dest, tag) channel — the
 semantics MPI guarantees — can execute them. The library ships four
 implementations, selected by the ``backend=`` argument of
-:func:`~repro.runtime.run_ranks` (the last three share one launcher and
-mailbox communicator, :mod:`repro.runtime.mesh`):
+:func:`~repro.runtime.run_ranks` (the last three share one launcher, one
+mailbox communicator and one blocked-receive loop,
+:mod:`repro.runtime.mesh`: no receiver threads — a rank that blocks in a
+transport call reads its own channels, so messages and peer failures are
+noticed at transport calls and probes, as in MPI without an asynchronous
+progress thread):
 
 * :mod:`repro.runtime.thread_backend` — one thread per rank, shared
   mailboxes (fast, in-process);
@@ -153,8 +157,8 @@ class RankFailedError(WorldAbortedError):
     """A specific peer rank died; carries the failed rank id.
 
     Raised from blocked operations when the backend can attribute the
-    failure to a rank — a pump/doorbell observing EOF without FIN, a send
-    hitting a closed channel, the parent collecting a dead process.
+    failure to a rank — a channel or doorbell reading EOF without FIN, a
+    send hitting a closed channel, the parent collecting a dead process.
     Consumers that can degrade gracefully (e.g. asynchronous SGD) catch
     this and continue with the surviving ranks' contributions.
     """
@@ -294,12 +298,13 @@ class AbortState:
         return WorldAbortedError("another rank failed; aborting")
 
 
-#: how often blocked receivers poll the failure flag (seconds).
+#: how often a blocked send or receive rechecks the failure flag and its
+#: deadline when nothing wakes it earlier (seconds).
 _ABORT_POLL_S = 0.05
 
 
 class Mailbox:
-    """FIFO queue for one message channel (shared by both backends)."""
+    """FIFO queue for one message channel (shared by every backend)."""
 
     __slots__ = ("items", "cond")
 
@@ -337,12 +342,6 @@ class Mailbox:
         """The next message, or None — for callers that drive progress."""
         with self.cond:
             return self.items.popleft() if self.items else None
-
-    def wait(self, timeout: float) -> None:
-        """Sleep until a message may be available (or ``timeout`` passes)."""
-        with self.cond:
-            if not self.items:
-                self.cond.wait(timeout=timeout)
 
     def has_items(self) -> bool:
         with self.cond:

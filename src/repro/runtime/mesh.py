@@ -7,11 +7,12 @@ does not depend on that choice lives here, once:
 
 * :class:`MeshComm` — the per-rank communicator: per-(source, tag) FIFO
   mailboxes, sender-side sequence numbers, the abort flag, the elastic
-  epoch hooks, and :meth:`MeshComm._deliver`, the single inbound path
-  (*decode → drop stale epoch → FIN → mailbox*) every transport feeds;
-* :class:`PumpedComm` — a :class:`MeshComm` over byte-stream channels
-  (pipes, TCP): one receiver thread per peer running one pump loop, and
-  one outbound send/FIN body, over three small per-channel hooks;
+  epoch hooks, :meth:`MeshComm._deliver`, the single inbound path
+  (*decode → drop stale epoch → FIN → mailbox*) every transport feeds,
+  and the **blocked-receive loop** with its one-at-a-time progress engine;
+* :class:`StreamComm` — a :class:`MeshComm` over non-blocking byte-stream
+  channels (pipes, TCP): one ``poll`` over every live inbound channel,
+  per-source frame reassembly, and one outbound send/FIN body;
 * :class:`MeshBackend` — the launcher (``Backend.run``): build the mesh,
   fork one process per rank with the list of inherited ends it must
   close, release the parent's ends, collect results (:func:`_collect`),
@@ -20,6 +21,25 @@ does not depend on that choice lives here, once:
   foreign ends → connect → ``fn(comm)`` → ``shutdown`` → report
   ``ok/aborted/error`` → linger → close (``serve_rank`` runs the same
   tail for a rank that was started by hand).
+
+Inline progress: a blocked rank reads its own channels
+------------------------------------------------------
+No communicator here starts a thread. Whichever thread of a rank is
+*blocked* — in a receive whose mailbox is empty, or in a send whose
+channel is full — takes the rank's progress engine and runs the
+transport's :meth:`MeshComm._progress`: wait for traffic on every live
+inbound channel, read what is there, hand every whole frame to
+``_deliver``. One thread holds the engine at a time; a second blocked
+thread (an ``i_collective`` next to the rank thread) sleeps on a
+condition the holder signals on every delivery and when it leaves, so the
+hand-off is a wake-up, not a timed poll. This is MPI without an
+asynchronous progress thread: a message costs no thread hand-off, and in
+exchange **sends are kernel-buffered only** — one larger than the channel
+buffer completes when the receiver next enters a transport call, and a
+peer's death is observed at the next transport operation or probe, not
+asynchronously. Deadlock-freedom survives because a blocked sender keeps
+reading: any cycle of blocked ranks is a cycle of progress engines, each
+draining its inbound channels into unbounded mailboxes.
 
 What a transport supplies
 -------------------------
@@ -31,7 +51,8 @@ that peer death shows as EOF (``release``), how a finished rank's inbound
 channels are kept from filling up (``finished`` / ``wait``), and what to
 tear down (``close``). The communicator it connects is a
 :class:`MeshComm` that writes one frame (``_transport_send`` /
-``shutdown``) and hands every frame it reads to ``_deliver``.
+``shutdown``) and implements ``_progress`` — one non-blocking step that
+hands every frame it reads to ``_deliver``.
 
 Failure handling: a failing rank reports its exception over its result
 pipe and exits; peers observe EOF on its channels *without* a preceding
@@ -47,14 +68,18 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import select
+import struct
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Any, Callable
 
 from .backend import Backend, ParallelResult, RankError
 from .comm import (
+    _ABORT_POLL_S,
     AbortState,
     CommTimeoutError,
     Communicator,
@@ -64,10 +89,10 @@ from .comm import (
     WorldAbortedError,
 )
 from .faults import KILL_EXIT_CODE
-from .trace import RECV, SEND, Trace, TraceEvent
-from .wire import decode_message
+from .trace import RECV, Trace
+from .wire import check_frame_size, decode_message, encode_message
 
-__all__ = ["MeshBackend", "MeshComm", "MeshWorld", "PumpedComm", "Transport"]
+__all__ = ["MeshBackend", "MeshComm", "MeshWorld", "StreamComm", "Transport"]
 
 #: preferred start method: fork keeps closures usable as rank functions and
 #: is cheap; on platforms without it we fall back to spawn (rank functions
@@ -90,6 +115,10 @@ _LINGER_S = 30.0
 #: death (abort); EOF after FIN is a normal wind-down.
 _FIN_TAG = -1
 
+#: length prefix of every frame on a byte-stream channel (and of every
+#: ring record and rendezvous control frame): one little-endian u64.
+_LEN = struct.Struct("<Q")
+
 
 class MeshComm(Communicator):
     """Mailbox-buffered mesh communicator base of the process-family backends.
@@ -97,10 +126,11 @@ class MeshComm(Communicator):
     Incoming traffic lands in per-(source, tag) FIFO mailboxes; sequence
     numbers are allocated sender-side against the worker-local trace
     (only this rank sends on a (rank, dest, tag) channel, so local
-    counters are the truth). Who *reads* the channels differs per
-    transport — pump threads (:class:`PumpedComm`) or the shared-memory
-    backend's inline progress engine — but every frame read goes through
-    :meth:`_deliver`.
+    counters are the truth). The channels are read by whichever thread
+    is blocked (see "Inline progress" in the module docstring): the
+    blocked-receive loop and the engine hand-off are written here, a
+    transport supplies :meth:`_progress`, and every frame read goes
+    through :meth:`_deliver`.
     """
 
     def _init_mesh(
@@ -118,11 +148,17 @@ class MeshComm(Communicator):
         self.epoch = 0
         #: count of inbound frames dropped because their epoch was stale.
         self.stale_epoch_rejected = 0
-        self._stale_lock = threading.Lock()
         #: ranks a membership change already declared dead: late transport
-        #: failures from them (pump EOF, broken sends) must not re-abort
+        #: failures from them (channel EOF, broken sends) must not re-abort
         #: the new, smaller world.
         self.dead_ranks: set[int] = set()
+        #: the progress engine's hand-off: its lock guards the two fields
+        #: below, and threads that find the engine taken sleep on it — the
+        #: holder notifies on every delivery and on leaving.
+        self._engine = threading.Condition()
+        self._engine_busy = False
+        #: threads waiting in :meth:`_holding_engine`; receivers stand back.
+        self._engine_claims = 0
 
     def _mailbox(self, src: int, tag: int) -> Mailbox:
         return self._mailboxes.get((src, tag))
@@ -132,22 +168,25 @@ class MeshComm(Communicator):
             return  # already accounted for by a shrink; the world lives on
         self.aborted.set(failed_rank, reason)
         self._mailboxes.wake_all()
+        with self._engine:
+            self._engine.notify_all()
 
     def _deliver(self, src: int, frame: Any) -> bool:
         """Turn one inbound frame from ``src`` into a mailbox entry.
 
-        The one place a frame is decoded. Returns False once nothing more
-        will be delivered from ``src``'s channel: the peer sent FIN (it
-        finished cleanly), or the frame was undecodable and the world is
-        aborted. Decoding copies (``copy=True``): transports reuse the
-        buffer ``frame`` views, so the arrays must own their memory.
+        The one place a frame is decoded; runs on the engine holder.
+        Returns False once nothing more will be delivered from ``src``'s
+        channel: the peer sent FIN (it finished cleanly), or the frame was
+        undecodable and the world is aborted. Decoding copies
+        (``copy=True``): transports reuse the buffer ``frame`` views, so
+        the arrays must own their memory.
         """
         try:
             tag, seq, nbytes, epoch, payload = decode_message(frame)
         except Exception:
             # undecodable frame (e.g. a payload whose pickle references a
             # class this process cannot import): fail fast instead of
-            # silently stopping the progress engine and hanging the run
+            # silently dropping it and hanging the run
             self._abort()
             return False
         if epoch < self.epoch:
@@ -155,12 +194,13 @@ class MeshComm(Communicator):
             # or sent by a peer that has not committed the shrink yet):
             # dropping it here is what keeps post-shrink collectives from
             # matching pre-shrink traffic
-            with self._stale_lock:
-                self.stale_epoch_rejected += 1
+            self.stale_epoch_rejected += 1
             return True
         if tag == _FIN_TAG:
             return False
         self._mailbox(src, tag).put(payload, nbytes, seq)
+        with self._engine:
+            self._engine.notify_all()  # a thread without the engine may be waiting for this
         return True
 
     def _die(self) -> None:
@@ -186,31 +226,111 @@ class MeshComm(Communicator):
         """Release the channels (process exit does it for pipes and rings)."""
 
     # ------------------------------------------------------------------
+    # the progress engine: one holder at a time, signalled hand-off
+    # ------------------------------------------------------------------
+    def _progress(self, wait: float, writable: Any = None) -> None:  # pragma: no cover - abstract
+        """One progress step, called with the engine held.
+
+        Wait at most ``wait`` seconds for inbound traffic (or for the
+        outbound channel ``writable`` to accept bytes), read whatever has
+        arrived without ever blocking inside a partial frame, and pass
+        every whole frame to :meth:`_deliver`. Peer death (EOF without
+        FIN) and stream corruption are reported through :meth:`_abort`.
+        """
+        raise NotImplementedError
+
+    def _flush(self) -> None:
+        """Push out what the transport deferred until this rank stops
+        transporting (the shared-memory doorbells); nothing by default."""
+
+    def _run_progress(self, wait: float, writable: Any = None, box: Mailbox | None = None) -> bool:
+        """Make one progress step on this thread if the engine is free.
+
+        False when another thread has it: that thread reads for everyone,
+        so a caller with nothing to write sleeps until it signals a
+        delivery or leaves (at most ``wait``). Also False, at once, when
+        the receiver's ``box`` was filled while it was on its way here.
+        """
+        with self._engine:
+            if box is not None and box.has_items():
+                return False
+            if self._engine_busy or self._engine_claims:
+                if writable is None:
+                    self._engine.wait(wait)
+                return False
+            self._engine_busy = True
+        try:
+            self._progress(wait, writable)
+        finally:
+            self._leave_engine()
+        return True
+
+    def _leave_engine(self) -> None:
+        with self._engine:
+            self._engine_busy = False
+            self._engine.notify_all()
+
+    @contextmanager
+    def _holding_engine(self):
+        """Hold the engine without progressing: no step of another thread
+        runs meanwhile, so the channel set can change (elastic rejoin).
+        Blocks until the holder leaves, with precedence over receivers —
+        a receiver re-takes the engine faster than a waiter can wake."""
+        with self._engine:
+            self._engine_claims += 1
+            while self._engine_busy:
+                self._engine.wait()
+            self._engine_claims -= 1
+            self._engine_busy = True
+        try:
+            yield
+        finally:
+            self._leave_engine()
+
+    # ------------------------------------------------------------------
     # transport hooks (send stays subclass-specific)
     # ------------------------------------------------------------------
     def _alloc_seq(self, dest: int, tag: int) -> int:
         return self.trace.next_seq(self.rank, dest, tag)
 
     def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        return self._mailbox(source, tag).get(
-            self.aborted, timeout=self.op_timeout, source=source, tag=tag
-        )
+        box = self._mailbox(source, tag)
+        aborted = self.aborted  # an elastic reset swaps the flag; unwind on the one we started under
+        deadline = None if self.op_timeout is None else time.monotonic() + self.op_timeout
+        while True:
+            item = box.pop_nowait()
+            if item is not None:
+                self._flush()  # handing control back, usually into a reduction
+                return item
+            if aborted.is_set():
+                raise aborted.error()
+            wait = _ABORT_POLL_S
+            if deadline is not None:
+                wait = min(wait, deadline - time.monotonic())
+                if wait <= 0:
+                    raise CommTimeoutError.expired("recv from", source, tag, self.op_timeout)
+            self._flush()  # about to block
+            self._run_progress(wait, box=box)
 
     def _probe(self, source: int, tag: int) -> bool:
-        return self._mailbox(source, tag).has_items()
+        box = self._mailbox(source, tag)
+        if box.has_items():
+            return True
+        self._flush()  # pollers hand the wakeup over too
+        self._run_progress(0.0, box=box)
+        return box.has_items()
 
 
-class PumpedComm(MeshComm):
-    """Mesh communicator over byte-stream channels, fed by receiver threads.
+class StreamComm(MeshComm):
+    """Mesh communicator over non-blocking byte-stream channels.
 
     ``out[d]`` / ``inn[s]`` are this rank's channels to and from each peer
-    (``None`` at its own slot). One daemon *pump* thread per peer drains
-    that peer's inbound channel (the MPI progress-engine stand-in), so a
-    blocking peer send can never deadlock against an unread transport
-    buffer. A channel type (the pipe here in
-    :mod:`~repro.runtime.process_backend`, the TCP connection in
-    :mod:`~repro.runtime.socket_backend`) supplies three hooks:
-    :meth:`_frame`, :meth:`_write` and :meth:`_read_frame`.
+    (``None`` at its own slot): sockets, or anything with their
+    ``fileno`` / ``setblocking`` / ``send`` / ``recv_into`` (the pipe ends
+    of :mod:`~repro.runtime.process_backend`). A message is ``<u64 frame
+    length><frame>``; the engine reassembles frames per source, so a read
+    takes whatever the channel holds — length prefix and frame in one
+    call for small messages — and never waits for the rest of a frame.
     """
 
     def __init__(
@@ -223,72 +343,156 @@ class PumpedComm(MeshComm):
         op_timeout: float | None = None,
     ) -> None:
         self._init_mesh(rank, size, trace, op_timeout)
-        self._out = out
+        self._out, self._inn = out, inn
         self._out_locks = [threading.Lock() if c is not None else None for c in out]
-        self._receivers: list[threading.Thread] = []
+        for channel in out:
+            if channel is not None:
+                channel.setblocking(False)
+        #: live inbound channels by descriptor (fd -> (channel, source)),
+        #: each registered with the poller the engine waits on.
+        self._watch: dict[int, tuple[Any, int]] = {}
+        self._poller = select.poll()
+        #: per-source reassembly state ``[buffer, bytes filled]``; a frame
+        #: under assembly always starts at offset 0.
+        self._partial: list[list | None] = [None] * size
         for src, channel in enumerate(inn):
             if channel is not None:
-                self._start_pump(src, channel)
+                self._attach(src, channel)
 
-    # -- per-channel hooks ----------------------------------------------
-    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> Any:  # pragma: no cover
-        """One encoded message, ready for :meth:`_write`."""
-        raise NotImplementedError
+    def _attach(self, src: int, channel: Any) -> None:
+        """Start reading ``src``'s inbound ``channel`` (engine held, or no
+        other thread yet)."""
+        channel.setblocking(False)
+        self._watch[channel.fileno()] = channel, src
+        self._poller.register(channel, select.POLLIN)
+        self._partial[src] = [bytearray(1 << 16), 0]
 
-    def _write(self, channel: Any, blob: Any, timeout: float | None) -> None:  # pragma: no cover
-        """Write ``blob`` whole; ``TimeoutError`` past ``timeout`` seconds
-        without progress, ``OSError`` when the peer is gone."""
-        raise NotImplementedError
+    def _detach(self, fd: int) -> None:
+        """Stop reading the channel on ``fd`` (engine held): it is drained,
+        dead, or about to be replaced."""
+        if self._watch.pop(fd, None):
+            self._poller.unregister(fd)
 
-    def _read_frame(self, channel: Any, buf: bytearray) -> tuple[Any, bytearray]:  # pragma: no cover
-        """Block for the next frame: ``(frame, buf)``.
+    # -- inbound ----------------------------------------------------------
+    @staticmethod
+    def _wait(poller: Any, writable: Any, wait: float) -> list:
+        """``poller``'s ready ``(fd, event)`` pairs once there is one — or
+        ``writable`` accepts bytes, or ``wait`` seconds have passed. ``poll``,
+        not ``select``: a large world's descriptors pass ``FD_SETSIZE``."""
+        if writable is not None:
+            poller.register(writable, select.POLLOUT)
+        try:
+            return poller.poll(max(wait, 0.0) * 1e3)  # negative would mean forever
+        finally:
+            if writable is not None:
+                poller.unregister(writable)
 
-        ``buf`` is the pump's reusable scratch buffer; the hook reads into
-        it, growing it geometrically on demand (and returning the grown
-        one), so steady-state receive allocates nothing per message but
-        the decoded arrays. ``EOFError``/``OSError`` when the channel
-        ends, ``ValueError`` for a length word no writer can have sent.
-        """
-        raise NotImplementedError
+    def _progress(self, wait: float, writable: Any = None) -> None:
+        for fd, _ in self._wait(self._poller, writable, wait):
+            if fd in self._watch:  # hang-ups and errors read as EOF / OSError
+                self._pull(fd, *self._watch[fd])
 
-    # -- inbound progress engine ----------------------------------------
-    def _start_pump(self, src: int, channel: Any) -> None:
-        t = threading.Thread(
-            target=self._pump, args=(src, channel), name=f"recv-{src}->{self.rank}", daemon=True
-        )
-        t.start()
-        self._receivers.append(t)
-
-    def _pump(self, src: int, channel: Any) -> None:
-        """Receiver thread: drain one peer's channel into the mailboxes."""
-        buf = bytearray(1 << 16)
-        while True:
-            try:
-                frame, buf = self._read_frame(channel, buf)
-            except (EOFError, OSError):
-                # EOF (or a reset) with no FIN first: the peer died mid-run.
-                # Wake anyone blocked on its (or anyone's) traffic so the
-                # rank unwinds with a RankFailedError naming the dead peer.
-                self._abort(failed_rank=src)
-                return
-            except (ValueError, MemoryError) as exc:
-                # a garbage length word (MemoryError: one under the limit
-                # can still be unallocatable): nothing behind it on this
-                # stream can be trusted, and only its writer can have sent it
-                self._abort(src, f"stream from rank {src} is corrupt: {exc}")
-                return
-            if not self._deliver(src, frame):
-                return  # FIN: the channel is drained (or the world aborted)
+    def _pull(self, fd: int, channel: Any, src: int) -> None:
+        """Read what ``src``'s channel holds now; deliver every whole frame."""
+        state = self._partial[src]
+        buf, filled = state
+        view = memoryview(buf)
+        try:
+            # inside a frame of known length, read to its end and no
+            # further, so the next frame starts a fresh buffer; at a frame
+            # boundary take everything (many small frames in one read)
+            limit = len(buf)
+            if filled >= _LEN.size:
+                limit = _LEN.size + _LEN.unpack_from(buf)[0]
+            got = channel.recv_into(view[filled:limit])
+            if not got:
+                raise EOFError("peer closed the channel")
+            filled += got
+            pos = 0
+            while filled - pos >= _LEN.size:
+                # a length word past the limit is corruption, never an allocation
+                end = pos + _LEN.size + check_frame_size(_LEN.unpack_from(buf, pos)[0], "stream")
+                if end > filled:
+                    if end - pos > len(buf):  # grows geometrically, then stays
+                        state[0] = bytearray(max(end - pos, 2 * len(buf)))
+                    break
+                if not self._deliver(src, view[pos + _LEN.size:end]):
+                    self._detach(fd)  # FIN: the channel is drained (or the world aborted)
+                    return
+                pos = end
+            if pos or state[0] is not buf:  # move the partial frame to offset 0
+                memoryview(state[0])[:filled - pos] = view[pos:filled]
+            state[1] = filled - pos
+        except BlockingIOError:
+            pass  # readiness was spurious
+        except (EOFError, OSError):
+            # EOF (or a reset) with no FIN first: the peer died mid-run.
+            # Wake anyone blocked on its (or anyone's) traffic so the rank
+            # unwinds with a RankFailedError naming the dead peer.
+            self._detach(fd)
+            self._abort(failed_rank=src)
+        except (ValueError, MemoryError) as exc:
+            # a garbage length word (MemoryError: one under the limit can
+            # still be unallocatable): nothing behind it on this stream can
+            # be trusted, and only its writer can have sent it
+            self._detach(fd)
+            self._abort(src, f"stream from rank {src} is corrupt: {exc}")
 
     # -- outbound ---------------------------------------------------------
+    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
+        """Length prefix + frame in one send buffer (one write per
+        message keeps the frame contiguous on the stream)."""
+        out = encode_message(tag, seq, nbytes, obj, self.epoch, head=_LEN.size)
+        _LEN.pack_into(out, 0, check_frame_size(len(out) - _LEN.size, "stream"))
+        return out
+
+    def _write(self, dest: int, blob: bytearray, tag: int, timeout: float | None) -> None:
+        """Write ``blob`` whole to ``dest``'s channel (its lock held).
+
+        While the channel is full this thread drives the engine — a
+        blocked sender keeps reading — or, if another thread has it, waits
+        for writability alone. A frame that has begun is finished even if
+        the world aborts meanwhile: the channel to a healthy ``dest``
+        outlives a shrink, and a truncated frame would swallow whatever is
+        sent on it next. So the abort flag raises the recorded culprit only
+        before the first byte (or once ``dest`` itself has failed); no byte
+        moving for ``timeout`` seconds is a :class:`CommTimeoutError`,
+        which aborts the world if it leaves a frame half-written;
+        ``OSError`` means the peer is gone.
+        """
+        channel, aborted = self._out[dest], self.aborted
+        view = memoryview(blob)
+        sent, deadline = 0, None
+        while True:
+            try:
+                moved = channel.send(view[sent:])
+            except BlockingIOError:
+                moved = 0
+            sent += moved
+            if sent == len(view):
+                return
+            if aborted.is_set() and (not sent or dest in aborted.failed_ranks):
+                raise aborted.error()
+            wait = _ABORT_POLL_S
+            if timeout is not None:
+                now = time.monotonic()
+                if moved or deadline is None:
+                    deadline = now + timeout
+                elif now >= deadline:  # the peer stopped reading
+                    if sent:  # the stream is cut mid-frame: nothing can follow on it
+                        self._abort()
+                    raise CommTimeoutError.expired("send to", dest, tag, timeout)
+                wait = min(wait, deadline - now)
+            if not self._run_progress(wait, writable=channel):
+                self._wait(select.poll(), channel, wait)
+
     def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
         blob = self._frame(tag, seq, nbytes, obj)
         try:
             with self._out_locks[dest]:
-                self._write(self._out[dest], blob, self.op_timeout)
-        except TimeoutError as exc:  # the peer stopped reading
-            self._abort()
-            raise CommTimeoutError.expired("send to", dest, tag, self.op_timeout) from exc
+                self._write(dest, blob, tag, self.op_timeout)
+        except CommTimeoutError:  # an OSError by inheritance, but not a dead peer
+            raise
         except OSError as exc:
             self._abort(failed_rank=dest)
             raise RankFailedError(dest, f"rank {dest} is gone; send failed") from exc
@@ -301,8 +505,8 @@ class PumpedComm(MeshComm):
                 continue
             try:
                 with self._out_locks[dest]:
-                    self._write(channel, fin, None)
-            except OSError:  # peer already gone
+                    self._write(dest, fin, _FIN_TAG, None)
+            except (OSError, WorldAbortedError):  # peer already gone
                 pass
 
 
@@ -464,8 +668,8 @@ def _collect(
     result_conns: list[Connection],
     timeout: float | None,
     mesh: Transport,
-) -> tuple[list[Any], list[list[TraceEvent]], list[tuple[int, BaseException]], list[int]]:
-    """Gather every rank's report: ``(results, events, errors, aborted)``.
+) -> tuple[list[Any], list["tuple | None"], list[tuple[int, BaseException]], list[int]]:
+    """Gather every rank's report: ``(results, trace exports, errors, aborted)``.
 
     A rank whose result pipe hits EOF died hard (:class:`RankFailedError`
     with its exit code). After the first failure the rest get
@@ -476,7 +680,7 @@ def _collect(
     deadline = None if timeout is None else time.monotonic() + timeout
     error_deadline: float | None = None
     results: list[Any] = [None] * nranks
-    events: list[list[TraceEvent]] = [[] for _ in range(nranks)]
+    exports: list["tuple | None"] = [None] * nranks
     errors: list[tuple[int, BaseException]] = []
     aborted_ranks: list[int] = []
     pending = dict(enumerate(result_conns))
@@ -502,7 +706,7 @@ def _collect(
             # blocked sending to it must still get unstuck
             mesh.finished(rank)
             try:
-                status, _r, value, rank_events = conn.recv()
+                status, _r, value, exports[rank] = conn.recv()
             except (EOFError, OSError):
                 procs[rank].join(timeout=1.0)  # reap so exitcode is real
                 code = procs[rank].exitcode
@@ -510,7 +714,6 @@ def _collect(
                     (rank, RankFailedError(rank, f"rank {rank} process died (exitcode {code})"))
                 )
                 continue
-            events[rank] = rank_events or []
             if status == "ok":
                 results[rank] = value
             elif status == "aborted":
@@ -519,7 +722,7 @@ def _collect(
                 errors.append((rank, value))
         if errors and error_deadline is None:
             error_deadline = time.monotonic() + _ERROR_GRACE_S
-    return results, events, errors, aborted_ranks
+    return results, exports, errors, aborted_ranks
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +755,7 @@ def _rank_main(
     def report(status: str, value: Any) -> None:
         try:
             try:
-                result_conn.send((status, rank, value, trace.events(rank)))
+                result_conn.send((status, rank, value, trace.export(rank)))
             except Exception as exc:  # unpicklable result/exception
                 result_conn.send(("error", rank, _portable_exception(exc), None))
         finally:
@@ -632,7 +835,7 @@ def _check_spawn_picklable(fn: Callable[..., Any], args: tuple, kwargs: dict, wh
 # run epilogue
 # ----------------------------------------------------------------------
 def _finalize_run(
-    outcome: tuple[list[Any], list[list[TraceEvent]], list[tuple[int, BaseException]], list[int]],
+    outcome: tuple[list[Any], list["tuple | None"], list[tuple[int, BaseException]], list[int]],
     trace: Trace | None,
     nranks: int,
     world: Any,
@@ -643,14 +846,14 @@ def _finalize_run(
     keeps the partial events of surviving ranks, matching the thread
     backend.
     """
-    results, per_rank_events, errors, aborted_ranks = outcome
+    results, exports, errors, aborted_ranks = outcome
     run_trace = trace if trace is not None else Trace(nranks)
-    _merge_events(run_trace, per_rank_events)
+    _merge_events(run_trace, exports)
     if errors:
         rank, original = min(errors, key=lambda e: e[0])
     elif aborted_ranks:
         # a rank unwound with WorldAbortedError but nobody reported the
-        # root failure (e.g. an undecodable frame stopped a pump thread);
+        # root failure (e.g. an undecodable frame on the inbound path);
         # surfacing it beats silently returning None results
         rank = min(aborted_ranks)
         original = WorldAbortedError(
@@ -664,33 +867,41 @@ def _finalize_run(
     raise err from original
 
 
-def _merge_events(trace: Trace, per_rank_events: list[list[TraceEvent]]) -> None:
-    """Merge worker event logs into ``trace``, rebasing channel seq numbers.
+def _merge_events(trace: Trace, exports: list["tuple | None"]) -> None:
+    """Merge worker logs (:meth:`Trace.export`) into ``trace``, rebasing
+    channel seq numbers.
 
     Workers allocate sequence numbers from zero each run; if the caller
     accumulates several runs into one trace, the channels must continue
     where the previous run left off for FIFO matching to stay unique.
+    Each rank's counters size the channels it sends on; a rank that died
+    hard shipped none, so its channels are sized from what the survivors
+    received on them (the one walk of the columns a clean run never
+    makes). Otherwise the columns are only walked where a channel does
+    not start at zero.
     """
+    lost = {rank for rank, export in enumerate(exports) if export is None}
     counts: dict[tuple[int, int, int], int] = {}
-    for rank_events in per_rank_events:
-        for ev in rank_events:
-            if ev.op == SEND:
-                ch = (ev.rank, ev.peer, ev.tag)
-            elif ev.op == RECV:
-                ch = (ev.peer, ev.rank, ev.tag)
-            else:
-                continue
-            counts[ch] = max(counts.get(ch, 0), ev.seq + 1)
+    for rank, export in enumerate(exports):
+        if export is None:
+            continue
+        counts.update(export[1])
+        if lost and export[0]:
+            for op, _, peer, tag, seq in zip(*export[0][:5]):
+                if op == RECV and peer in lost:
+                    counts[peer, rank, tag] = max(counts.get((peer, rank, tag), 0), seq + 1)
     bases = {ch: trace.reserve_seqs(*ch, count) for ch, count in counts.items()}
-    for rank_events in per_rank_events:
-        for ev in rank_events:
-            if ev.op == SEND:
-                base = bases[(ev.rank, ev.peer, ev.tag)]
-            elif ev.op == RECV:
-                base = bases[(ev.peer, ev.rank, ev.tag)]
-            else:
-                trace.record(ev)
-                continue
-            if base:
-                ev = TraceEvent(ev.op, ev.rank, ev.peer, ev.tag, ev.seq + base, ev.nbytes, ev.label)
-            trace.record(ev)
+    bases = {ch: base for ch, base in bases.items() if base}
+    for rank, export in enumerate(exports):
+        if export is None:
+            continue
+        columns = export[0]
+        if bases and columns:
+            # a send's channel is (rank, peer, tag), a receive's (peer,
+            # rank, tag); compute and mark events match neither
+            seqs = tuple(
+                seq + bases.get((peer, rnk, tag) if op == RECV else (rnk, peer, tag), 0)
+                for op, rnk, peer, tag, seq in zip(*columns[:5])
+            )
+            columns = (*columns[:4], seqs, *columns[5:])
+        trace.merge(rank, columns)

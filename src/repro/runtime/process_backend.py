@@ -8,9 +8,10 @@ so the backend faithfully exercises what the thread backend can only
 emulate: payload serialization, independent buffers, and true parallel
 rank execution.
 
-The launcher, the rank lifecycle, the mailboxes and the pump loop are the
-shared process-family core (:mod:`repro.runtime.mesh`); this file is only
-the **pipe channel**:
+The launcher, the rank lifecycle, the mailboxes and the inline progress
+engine are the shared process-family core (:mod:`repro.runtime.mesh`);
+this file is only the **pipe channel** (POSIX pipes: the engine
+``poll``s them):
 
 * :class:`PipeMesh` — a full mesh of ``P * (P-1)`` unidirectional pipes,
   one row of write ends and one row of read ends per rank. After forking
@@ -18,43 +19,51 @@ the **pipe channel**:
   one writing rank dies) but keeps the read ends: a late buffered send to
   an already-finished rank never hits EPIPE, and the parent drains those
   pipes so such a send larger than the pipe capacity cannot block forever;
-* :class:`ProcessComm` — one frame per ``send_bytes`` /
-  ``recv_bytes_into`` (the ``Connection`` does the length framing).
+* :class:`ProcessComm` — the shared byte-stream communicator
+  (:class:`~repro.runtime.mesh.StreamComm`: ``<u64 length><frame>``,
+  non-blocking, read by whichever thread of the rank is blocked) over
+  pipe ends dressed as sockets (:class:`_PipeEnd`: ``os.write`` /
+  ``os.readv`` on the descriptor).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 from functools import partial
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Any
 
 from .backend import register_backend
-from .mesh import MeshBackend, PumpedComm, Transport
-from .wire import encode_message
+from .mesh import MeshBackend, StreamComm, Transport
 
 __all__ = ["PipeMesh", "ProcessBackend", "ProcessComm"]
 
 
-class ProcessComm(PumpedComm):
+class _PipeEnd:
+    """One end of a pipe behind the socket methods :class:`StreamComm` uses."""
+
+    def __init__(self, conn: Connection) -> None:
+        self._conn = conn  # owns the descriptor; ``fileno`` raises once closed
+
+    def fileno(self) -> int:
+        return self._conn.fileno()
+
+    def setblocking(self, flag: bool) -> None:
+        os.set_blocking(self._conn.fileno(), flag)
+
+    def send(self, data: memoryview) -> int:
+        return os.write(self._conn.fileno(), data)
+
+    def recv_into(self, view: memoryview) -> int:
+        return os.readv(self._conn.fileno(), [view])
+
+
+class ProcessComm(StreamComm):
     """Per-rank communicator of one worker process (pipe channels)."""
 
-    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
-        return encode_message(tag, seq, nbytes, obj, self.epoch)
-
-    def _write(self, conn: Connection, blob: bytearray, timeout: float | None) -> None:
-        conn.send_bytes(blob)  # a pipe write cannot time out, only break
-
-    def _read_frame(self, conn: Connection, buf: bytearray) -> tuple[Any, bytearray]:
-        try:
-            n = conn.recv_bytes_into(buf)
-            return memoryview(buf)[:n], buf
-        except mp.BufferTooShort as exc:
-            # the oversized message arrives complete in the exception;
-            # grow the scratch buffer so the next one fits in place
-            frame = exc.args[0]
-            return frame, bytearray(max(len(frame), 2 * len(buf)))
+    def __init__(self, rank: int, size: int, out: list, inn: list, *args: Any) -> None:
+        ends = ([None if c is None else _PipeEnd(c) for c in conns] for conns in (out, inn))
+        super().__init__(rank, size, *ends, *args)
 
 
 class PipeMesh(Transport):
@@ -111,27 +120,16 @@ class PipeMesh(Transport):
 def _drain_raw(conn: Connection) -> bool:
     """Discard whatever is readable on a finished rank's inbound pipe.
 
-    Uses raw non-blocking fd reads, not the framed ``recv_bytes``: while the
-    finished rank's process is still winding down, its receiver threads may
-    have consumed part of a frame, and the parent's job is only to keep the
-    pipe from filling up (unblocking late buffered senders) — the bytes are
-    never interpreted. Returns False once the pipe is exhausted for good
-    (EOF or error), True if it may become readable again.
+    Raw non-blocking reads, never framed ones: the finished rank may have
+    consumed part of a frame before it stopped reading, and the parent's
+    job is only to keep the pipe from filling up (unblocking late buffered
+    senders) — the bytes are never interpreted. Returns False once the
+    pipe is exhausted for good (EOF or error), True if it may become
+    readable again.
     """
     try:
         fd = conn.fileno()
         os.set_blocking(fd, False)
-    except Exception:
-        # platforms whose Connections are not plain fds (Windows named
-        # pipes): fall back to framed draining. Partial frames can make a
-        # recv_bytes fail; that only ends the watch for this pipe.
-        try:
-            while conn.poll():
-                conn.recv_bytes()
-            return True
-        except Exception:
-            return False
-    try:
         while True:
             try:
                 chunk = os.read(fd, 1 << 16)
@@ -139,8 +137,8 @@ def _drain_raw(conn: Connection) -> bool:
                 return True  # drained what was there; writers may add more
             if not chunk:
                 return False  # EOF: every writer is gone
-    except Exception:
-        return False  # closed/unsupported: stop watching this pipe
+    except OSError:
+        return False  # closed: stop watching this pipe
 
 
 class ProcessBackend(MeshBackend):

@@ -3,7 +3,9 @@
 How a set of processes that share nothing but a known address become one
 :class:`~repro.runtime.socket_backend.SocketComm` world. The transport
 (:mod:`~repro.runtime.socket_backend`) knows how one frame crosses one
-connection; this module knows how the connections come to exist:
+connection; this module knows how the connections come to exist (over
+ordinary blocking sockets with timeouts — the communicator switches the
+mesh channels it is handed to non-blocking):
 
 * **rendezvous**: rank 0's launcher listens at a known TCP address; every
   rank binds a private *mesh listener* on an ephemeral port, registers
@@ -43,16 +45,13 @@ import numpy as np
 from .comm import StaleEpochError
 from .elastic import ElasticWorld
 from .faults import FaultPlan
-from .mesh import _run_rank
+from .mesh import _LEN, _run_rank
 from .runconfig import _UNSET, RunConfig
 from .socket_backend import (
-    _LEN,
     DEFAULT_RENDEZVOUS_TIMEOUT,
     SocketComm,
     _bind_listener,
     _close_all,
-    _recv_exact,
-    _recv_length,
 )
 from .topology import Topology, normalize_topology
 from .trace import Trace
@@ -108,14 +107,31 @@ class RendezvousTimeoutError(RendezvousError, TimeoutError):
 # ----------------------------------------------------------------------
 # control frames and dialing
 # ----------------------------------------------------------------------
+def _recv_exact(sock: socket.socket, view: memoryview) -> None:
+    """Fill ``view`` from the (blocking) ``sock``; EOFError on a closed peer."""
+    got = 0
+    while got < len(view):
+        n = sock.recv_into(view[got:])
+        if n == 0:
+            raise EOFError("peer closed the connection")
+        got += n
+
+
 def _send_blob(sock: socket.socket, payload: bytes) -> None:
     """One length-prefixed control frame (rendezvous traffic)."""
     sock.sendall(_LEN.pack(check_frame_size(len(payload), "stream")) + payload)
 
 
 def _recv_blob(sock: socket.socket) -> bytearray:
-    """Inverse of :func:`_send_blob` (fresh buffer: control traffic is rare)."""
-    buf = bytearray(_recv_length(sock, memoryview(bytearray(_LEN.size))))
+    """Inverse of :func:`_send_blob` (fresh buffer: control traffic is rare).
+
+    A length word past the frame limit means a corrupt or hostile peer,
+    not a real payload: ``ValueError`` instead of allocating that much
+    and blocking for bytes that never come.
+    """
+    word = bytearray(_LEN.size)
+    _recv_exact(sock, memoryview(word))
+    buf = bytearray(check_frame_size(_LEN.unpack(word)[0], "stream"))
     _recv_exact(sock, memoryview(buf))
     return buf
 

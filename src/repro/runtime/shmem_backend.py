@@ -21,27 +21,25 @@ What this file supplies to that core: the ring itself, :class:`RingMesh`
 a finished rank and unlinked) and :class:`ShmemComm` (how one frame is
 written and read).
 
-Unlike the pipe transport there are **no receiver threads**: the backend
-runs an MPI-style single-threaded *progress engine*. Whenever an
-operation blocks — a receive with no matching message, a send facing a
-full ring — the calling thread itself drains every inbound ring into the
-(source, tag) mailboxes (through the same
-:meth:`~repro.runtime.mesh.MeshComm._deliver` the pump threads call)
-until it can proceed. Pipes need pump threads
-because only a dedicated reader can keep a peer's stream flowing; shared
-memory lets any blocked thread make global progress directly, which
-removes two thread wakeups (pump → mailbox → program) from every message
-and is where most of the backend's latency win over ``process`` comes
-from. Deadlock-freedom survives: any cycle of blocked ranks is a cycle
-of progress engines, each draining its inbound rings into unbounded
-mailboxes, so ring space is always eventually freed.
+Like every process-family transport it has **no receiver threads**: the
+blocked-receive loop and the one-at-a-time progress engine are the shared
+core's (:class:`~repro.runtime.mesh.MeshComm`). Whenever an operation
+blocks — a receive with no matching message, a send facing a full ring —
+the calling thread itself runs :meth:`ShmemComm._progress`, which drains
+every inbound ring into the (source, tag) mailboxes through
+:meth:`~repro.runtime.mesh.MeshComm._deliver`, until it can proceed.
+Deadlock-freedom: any cycle of blocked ranks is a cycle of progress
+engines, each draining its inbound rings into unbounded mailboxes, so
+ring space is always eventually freed.
 
 Ring protocol (SPSC byte ring per directed pair)
 ------------------------------------------------
 The segment holds two free-running ``uint32`` counters (head = published
 bytes, tail = consumed bytes; capacity is a power of two so offsets wrap
 consistently) followed by ``capacity`` data bytes. Each counter has one
-writing process; 4-byte aligned stores are single machine words, so no
+writing process; 4-byte aligned stores are single machine words (they
+go through a ``memoryview`` cast to native u32 — see
+:meth:`SharedRing._map` for why not ``struct``), so no
 cross-process lock guards them — deliberately, because a lock shared with
 a process that may die can be left locked forever and deadlock the
 survivors. Records are 8-byte aligned::
@@ -71,7 +69,6 @@ from __future__ import annotations
 
 import os
 import select
-import struct
 import threading
 import time
 from functools import partial
@@ -81,14 +78,13 @@ from typing import Any, Callable
 
 from .backend import register_backend
 from .comm import CommTimeoutError, RankFailedError
-from .mesh import _FIN_TAG, MeshBackend, MeshComm, Transport
+from .mesh import _FIN_TAG, _LEN, MeshBackend, MeshComm, Transport
 from .trace import Trace
 from .wire import MAX_FRAME_BYTES, check_frame_size, encode_frame_parts
 
 __all__ = ["ShmemBackend", "ShmemComm", "RingMesh", "SharedRing", "CorruptRingError"]
 
-#: how long one progress wait blocks on the doorbells before rechecking
-#: the abort flag (seconds).
+#: how often the parent drains the rings of finished ranks (seconds).
 _PROGRESS_WAIT_S = 0.05
 
 #: backoff ceiling for the writer's full-ring poll (seconds). There is no
@@ -96,11 +92,7 @@ _PROGRESS_WAIT_S = 0.05
 #: one ring-full of payload per poll tick — keep the tick short.
 _FULL_POLL_S = 0.0003
 
-#: ring record header: one little-endian u64 frame length.
-_LEN = struct.Struct("<Q")
-
-#: head/tail counters: little-endian u32 at segment offsets 0 and 4.
-_CTR = struct.Struct("<I")
+#: head/tail counters: native u32 at segment offsets 0 and 4, wrapping.
 _M32 = (1 << 32) - 1
 
 #: length-word value marking "skip to the ring start" (wrap padding).
@@ -173,7 +165,7 @@ class SharedRing:
             self._shm.close()
             self._shm.unlink()
             raise
-        self._data: memoryview | None = None
+        self._map()
         self._wfd: int | None = None
         #: consumer-side partial oversize frame: [buffer, filled, total].
         self._partial: list | None = None
@@ -193,32 +185,35 @@ class SharedRing:
         self.reader_conn = state["reader_conn"]
         self.writer_conn = state["writer_conn"]
         self._shm = _attach_shm(state["name"])
-        self._data = None
+        self._map()
         self._wfd = None
         self._partial = None
 
     # -- counters (single-word stores; one writing process each) --------
+    def _map(self) -> None:
+        """View the segment: the byte ring and, ahead of it, head and tail
+        as two native u32 words. Storing a memoryview item is one aligned
+        4-byte write; ``struct.pack_into`` zero-fills its target first, and
+        the other process can read that zero — a ring that looks empty to
+        its reader or free to its writer, i.e. corrupted oversize frames."""
+        self.data = self._shm.buf[_RING_HEADER:]
+        self._ctr = self._shm.buf[:8].cast("I")
+
     def _head(self) -> int:
-        return _CTR.unpack_from(self._shm.buf, 0)[0]
+        return self._ctr[0]
 
     def _tail(self) -> int:
-        return _CTR.unpack_from(self._shm.buf, 4)[0]
+        return self._ctr[1]
 
     def _set_head(self, v: int) -> None:
-        _CTR.pack_into(self._shm.buf, 0, v & _M32)
+        self._ctr[0] = v & _M32
 
     def _set_tail(self, v: int) -> None:
-        _CTR.pack_into(self._shm.buf, 4, v & _M32)
+        self._ctr[1] = v & _M32
 
     def avail(self) -> int:
         """Published-but-unconsumed bytes."""
         return (self._head() - self._tail()) & _M32
-
-    @property
-    def data(self) -> memoryview:
-        if self._data is None:
-            self._data = self._shm.buf[_RING_HEADER:]
-        return self._data
 
     # ------------------------------------------------------------------
     # producer side
@@ -428,9 +423,8 @@ class SharedRing:
                 pass
 
     def close(self) -> None:
-        if self._data is not None:
-            self._data.release()
-            self._data = None
+        self.data.release()
+        self._ctr.release()
         try:
             self._shm.close()
         except (BufferError, OSError):  # pragma: no cover - defensive
@@ -447,10 +441,9 @@ class ShmemComm(MeshComm):
     """Per-rank communicator over the shared-memory ring mesh.
 
     ``out_rings[d]`` / ``in_rings[s]`` are this rank's rings to and from
-    each peer (``None`` at its own slot). Incoming traffic is moved into
-    the inherited per-(source, tag) FIFO mailboxes by the progress engine,
-    which runs in whichever thread is currently blocked — there are no
-    receiver threads.
+    each peer (``None`` at its own slot). The inherited blocked-receive
+    loop runs :meth:`_progress` in whichever thread is currently blocked;
+    it moves incoming traffic into the per-(source, tag) FIFO mailboxes.
     """
 
     def __init__(
@@ -466,8 +459,6 @@ class ShmemComm(MeshComm):
         self._out_rings = out_rings
         self._out_locks = [threading.Lock() if r is not None else None for r in out_rings]
         self._in_rings = in_rings
-        # one progress engine at a time; other threads wait on mailboxes
-        self._progress_lock = threading.Lock()
         self._fin = [False] * size
         # deferred doorbells: frames are published immediately but peers are
         # only woken when this rank is about to block. On one core an early
@@ -475,7 +466,7 @@ class ShmemComm(MeshComm):
         # receiver's whole reduction (preemption + cache thrash); deferring
         # the ding hands the CPU over exactly when the sender goes idle.
         # Correctness never depends on it: the progress wait times out and
-        # polls the rings every 50 ms regardless.
+        # polls the rings every abort-poll tick regardless.
         self._pending_dings: set[int] = set()
         self._ding_lock = threading.Lock()
         # this process is reader of in-rings and writer of out-rings only;
@@ -538,12 +529,13 @@ class ShmemComm(MeshComm):
                     break
         return consumed
 
-    def _progress(self, wait: float) -> None:
+    def _progress(self, wait: float, writable: Any = None) -> None:
         """One progress step: drain what is published, else wait for dings.
 
-        Must be called with :attr:`_progress_lock` held. EOF on a doorbell
-        whose peer never sent FIN means the peer died: abort the world,
-        exactly like the process backend's pump observing pipe EOF.
+        Ring space has no descriptor to wait on, so ``writable`` is unused
+        (a blocked send polls, see :meth:`SharedRing._wait_space`). EOF on
+        a doorbell whose peer never sent FIN means the peer died: abort
+        the world, exactly like a byte-stream channel reading EOF.
         """
         if self._drain_rings() or self.aborted.is_set() or wait <= 0:
             return
@@ -569,17 +561,7 @@ class ShmemComm(MeshComm):
         if readable:
             self._drain_rings()
 
-    def _run_progress(self, wait: float) -> None:
-        """Drive progress if no other thread is; otherwise nap briefly."""
-        if self._progress_lock.acquire(blocking=False):
-            try:
-                self._progress(wait)
-            finally:
-                self._progress_lock.release()
-        else:
-            time.sleep(0.0005)
-
-    def _flush_dings(self) -> None:
+    def _flush(self) -> None:
         """Ring the doorbells of every peer with a pending unsignalled frame."""
         if not self._pending_dings:
             return
@@ -596,12 +578,12 @@ class ShmemComm(MeshComm):
         """
         if self.aborted.is_set():
             return True
-        self._flush_dings()
+        self._flush()
         self._run_progress(0.0)
         return self.aborted.is_set()
 
     # ------------------------------------------------------------------
-    # transport hooks (_alloc_seq inherited from MeshComm)
+    # transport hooks (_alloc_seq, _transport_recv, _probe inherited from MeshComm)
     # ------------------------------------------------------------------
     def _send_deadline_hook(self, dest: int, tag: int) -> Callable[[], bool]:
         """The blocked-send progress hook, bounded by ``op_timeout``.
@@ -639,40 +621,6 @@ class ShmemComm(MeshComm):
         with self._ding_lock:
             self._pending_dings.add(dest)
 
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        box = self._mailbox(source, tag)
-        deadline = None if self.op_timeout is None else time.monotonic() + self.op_timeout
-        while True:
-            item = box.pop_nowait()
-            if item is not None:
-                # done transporting (about to hand control back to the
-                # algorithm, usually into a reduction): wake the peers we fed
-                self._flush_dings()
-                return item
-            if self.aborted.is_set():
-                raise self.aborted.error()
-            if deadline is not None and time.monotonic() >= deadline:
-                raise CommTimeoutError.expired("recv from", source, tag, self.op_timeout)
-            self._flush_dings()  # about to block: wake the peers we fed
-            if self._progress_lock.acquire(blocking=False):
-                try:
-                    if box.has_items():
-                        continue  # delivered while we grabbed the lock
-                    self._progress(_PROGRESS_WAIT_S)
-                finally:
-                    self._progress_lock.release()
-            else:
-                # another thread is progressing; it will fill our mailbox
-                box.wait(0.005)
-
-    def _probe(self, source: int, tag: int) -> bool:
-        box = self._mailbox(source, tag)
-        if box.has_items():
-            return True
-        self._flush_dings()  # pollers hand the wakeup over too
-        self._run_progress(0.0)
-        return box.has_items()
-
     def shutdown(self) -> None:
         """Graceful wind-down: tell every peer this rank is done sending."""
         total, parts = encode_frame_parts(_FIN_TAG, -1, 0, None, self.epoch)
@@ -681,7 +629,7 @@ class ShmemComm(MeshComm):
                 continue
             with self._out_locks[dest]:
                 ring.write(parts, total, self._send_progress_hook)  # best effort
-        self._flush_dings()
+        self._flush()
 
 
 class RingMesh(Transport):

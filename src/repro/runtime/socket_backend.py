@@ -2,7 +2,7 @@
 
 This is the distributed-memory variant of the process family: the same
 §5.1 wire format (:mod:`repro.runtime.wire`), the same launcher, rank
-lifecycle, mailboxes and pump loop (:mod:`repro.runtime.mesh`), but the
+lifecycle, mailboxes and inline progress engine (:mod:`repro.runtime.mesh`), but the
 transport is a full mesh of TCP connections instead of pipes — so ranks
 no longer have to share a kernel. SparCML's headline numbers (§6) come
 from cluster runs; this backend is the repo's path to that setting while
@@ -13,13 +13,16 @@ staying a drop-in choice for single-host runs::
 
 What this file supplies to the shared core
 ------------------------------------------
-* **framing** (:class:`SocketComm`): each message is ``<u64 frame length>
-  <frame bytes>`` where the frame is the ordinary
-  :func:`~repro.runtime.wire.encode_frame_parts` encoding — vectored on
-  the way out (one gather copy into a single ``sendall`` buffer),
-  received with ``recv_into`` into the pump's reusable buffer. A length
-  word past :data:`~repro.runtime.wire.MAX_FRAME_BYTES` is corruption
-  attributed to its sender, never an allocation;
+* **the channel** (:class:`SocketComm`): the shared byte-stream
+  communicator (:class:`~repro.runtime.mesh.StreamComm`) over non-blocking
+  TCP sockets — each message ``<u64 frame length><frame bytes>``, the
+  frame being the ordinary :func:`~repro.runtime.wire.encode_frame_parts`
+  encoding gathered into one send buffer, received with ``recv_into``
+  into a reusable per-source buffer by whichever thread of the rank is
+  blocked. A length word past :data:`~repro.runtime.wire.MAX_FRAME_BYTES`
+  is corruption attributed to its sender, never an allocation. What is
+  TCP's own: lingering after a clean finish, closing, and wiring a
+  rejoined peer in;
 * **the parent-side mesh** (:class:`TcpMesh`, the backend's
   :class:`~repro.runtime.mesh.Transport`): the parent holds no mesh
   connection — it only serves the loopback rendezvous the children
@@ -30,33 +33,30 @@ handshake, elastic rejoin and the ``serve-rank`` entry point — is
 :mod:`repro.runtime.rendezvous`, layered on this file.
 
 Failure handling mirrors the shmem doorbell-EOF semantics: a dying rank's
-sockets close, its peers' pumps observe EOF *without* a preceding FIN
-frame, flag the world aborted and unwind blocked collectives with
-:class:`WorldAbortedError`. EOF after FIN is a normal wind-down. Nobody
-but the two ranks holds a TCP connection, so the parent cannot drain for
-a finished rank: a rank that finished cleanly *lingers* — keeps its pumps
-draining for a grace period after reporting its result — so a peer's late
-buffered send larger than the TCP window can never block forever.
+sockets close, a peer's next progress step reads EOF *without* a
+preceding FIN frame, flags the world aborted and unwinds blocked
+collectives with :class:`WorldAbortedError`. EOF after FIN is a normal
+wind-down. Nobody but the two ranks holds a TCP connection, so the parent
+cannot drain for a finished rank: a rank that finished cleanly *lingers*
+— keeps its progress engine reading for a grace period after reporting
+its result — so a peer's late buffered send larger than the TCP window
+can never block forever.
 """
 
 from __future__ import annotations
 
 import socket
-import struct
 import threading
 import time
 from functools import partial
 from typing import Any
 
 from .backend import register_backend
-from .mesh import MeshBackend, PumpedComm, Transport
-from .trace import Trace
-from .wire import MAX_FRAME_BYTES, check_frame_size, encode_frame_parts
+from .comm import _ABORT_POLL_S
+from .mesh import _LEN  # noqa: F401 - this channel's length prefix, re-exported
+from .mesh import MeshBackend, StreamComm, Transport
 
 __all__ = ["SocketBackend", "SocketComm", "TcpMesh"]
-
-#: length prefix of every frame on a mesh/rendezvous connection.
-_LEN = struct.Struct("<Q")
 
 #: default wall-clock budget for rendezvous + mesh build (seconds).
 DEFAULT_RENDEZVOUS_TIMEOUT = 60.0
@@ -65,30 +65,6 @@ DEFAULT_RENDEZVOUS_TIMEOUT = 60.0
 # ----------------------------------------------------------------------
 # low-level socket helpers
 # ----------------------------------------------------------------------
-def _recv_exact(sock: socket.socket, view: memoryview) -> None:
-    """Fill ``view`` from ``sock``; raises EOFError on a closed peer."""
-    got = 0
-    while got < len(view):
-        n = sock.recv_into(view[got:])
-        if n == 0:
-            raise EOFError("peer closed the connection")
-        got += n
-
-
-def _recv_length(sock: socket.socket, view: memoryview) -> int:
-    """Read one length prefix into the 8-byte ``view``.
-
-    Anything past :data:`MAX_FRAME_BYTES` means a corrupt or hostile
-    peer, not a real payload: fail fast (``ValueError``) instead of
-    allocating that much and blocking for bytes that never come.
-    """
-    _recv_exact(sock, view)
-    (length,) = _LEN.unpack(view)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError(f"length word {length:#x} exceeds the {MAX_FRAME_BYTES}-byte limit")
-    return length
-
-
 def _close_all(socks) -> None:
     """Close every socket in ``socks`` (``None`` slots skipped)."""
     for sock in socks:
@@ -115,77 +91,26 @@ def _bind_listener(host: str, port: int, nranks: int) -> socket.socket:
 # ----------------------------------------------------------------------
 # the communicator
 # ----------------------------------------------------------------------
-class SocketComm(PumpedComm):
+class SocketComm(StreamComm):
     """Per-rank communicator over the TCP mesh.
 
-    ``out_socks[d]`` / ``in_socks[s]`` are this rank's connections to and
-    from each peer (``None`` at its own slot).
+    The channel lists go by their TCP names here (``None`` at the rank's
+    own slot).
     """
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        out_socks: list[socket.socket | None],
-        in_socks: list[socket.socket | None],
-        trace: Trace,
-        op_timeout: float | None = None,
-    ) -> None:
-        self._out_socks = out_socks
-        self._in_socks = in_socks
-        super().__init__(rank, size, out_socks, in_socks, trace, op_timeout)
-
-    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
-        """Length prefix + frame, gathered into one send buffer.
-
-        Like :func:`~repro.runtime.wire.encode_message` this copies each
-        payload byte exactly once, and one ``sendall`` per message keeps
-        the frame contiguous on the stream without per-part syscalls.
-        """
-        total, parts = encode_frame_parts(tag, seq, nbytes, obj, self.epoch)
-        out = bytearray(_LEN.size + check_frame_size(total, "stream"))
-        _LEN.pack_into(out, 0, total)
-        pos = _LEN.size
-        for part in parts:
-            n = len(part)
-            out[pos:pos + n] = part
-            pos += n
-        return out
-
-    def _write(self, sock: socket.socket, blob: bytearray, timeout: float | None) -> None:
-        if timeout is None:
-            sock.sendall(blob)
-        else:
-            sock.settimeout(timeout)
-            try:
-                sock.sendall(blob)
-            finally:
-                sock.settimeout(None)
-
-    def _read_frame(self, sock: socket.socket, buf: bytearray) -> tuple[memoryview, bytearray]:
-        # the prefix lands in the buffer's first word, the frame behind it
-        start = _LEN.size
-        view = memoryview(buf)
-        end = start + _recv_length(sock, view[:start])
-        if end > len(buf):
-            buf = bytearray(max(end, 2 * len(buf)))
-            view = memoryview(buf)
-        frame = view[start:end]
-        _recv_exact(sock, frame)
-        return frame, buf
+    _out_socks = property(lambda self: self._out)
+    _in_socks = property(lambda self: self._inn)
 
     def linger(self, timeout: float) -> None:
         """Wait for every peer's FIN (or death) before closing the sockets.
 
         A finished rank that closed immediately would reset a peer's late
-        buffered send; keeping the pumps draining until each peer FINs is
-        the socket analog of the parent draining finished ranks' pipes.
+        buffered send; reading until each peer FINs is the socket analog
+        of the parent draining finished ranks' pipes.
         """
         deadline = time.monotonic() + timeout
-        for t in self._receivers:
-            if self.aborted.is_set():
-                return
-            t.join(max(0.0, deadline - time.monotonic()))
+        while self._watch and not self.aborted.is_set() and time.monotonic() < deadline:
+            self._run_progress(_ABORT_POLL_S)
 
     def close(self) -> None:
         _close_all(self._out_socks + self._in_socks)
@@ -195,16 +120,21 @@ class SocketComm(PumpedComm):
     ) -> None:
         """Wire a rejoined peer back into the mesh (elastic grow commit).
 
-        Replaces the dead connections at the slot — their pumps already
-        exited on EOF — and starts a fresh pump on the new inbound
-        channel. Called by :meth:`~repro.runtime.elastic.ElasticContext.step`
-        through :func:`~repro.runtime.rendezvous.elastic_dial_join`.
+        Replaces the dead connections at the slot and starts reading the
+        new inbound channel, with the engine held: no progress step of
+        another thread may poll a socket this closes, or attribute a
+        late error on the old channel to the revived rank. Called by
+        :meth:`~repro.runtime.elastic.ElasticContext.step` through
+        :func:`~repro.runtime.rendezvous.elastic_dial_join`.
         """
-        _close_all((self._out_socks[peer], self._in_socks[peer]))
-        self._out_socks[peer] = out_sock
-        self._out_locks[peer] = threading.Lock()
-        self._in_socks[peer] = in_sock
-        self._start_pump(peer, in_sock)
+        with self._holding_engine():
+            self._detach(self._in_socks[peer].fileno())
+            _close_all((self._out_socks[peer], self._in_socks[peer]))
+            out_sock.setblocking(False)
+            self._out_socks[peer] = out_sock
+            self._out_locks[peer] = threading.Lock()
+            self._in_socks[peer] = in_sock
+            self._attach(peer, in_sock)
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,19 @@ cost model to obtain the execution times the paper's evaluation reports.
 Recording is race-free by construction: each rank appends only to its own
 list from its own thread; sequence numbers for (src, dst, tag) channels are
 allocated under a world-level lock.
+
+Across a process boundary a rank's log travels as *columns*
+(:meth:`Trace.export`: one tuple per event field, plus the rank's channel
+counters) — a hundred thousand small objects cost ten times more to
+pickle, unpickle and rebuild than seven flat sequences. The receiving
+trace keeps the columns (:meth:`Trace.merge`) and turns them into
+:class:`TraceEvent` objects only when somebody reads that rank's events.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = ["TraceEvent", "SEND", "RECV", "COMPUTE", "MARK", "Trace"]
 
@@ -25,9 +31,8 @@ COMPUTE = "compute"
 MARK = "mark"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One operation of one rank.
+class TraceEvent(NamedTuple):
+    """One operation of one rank (immutable).
 
     ``peer``/``tag``/``seq`` identify the matching counterpart for point to
     point events; ``nbytes`` is the wire size (sends and receives) or the
@@ -52,6 +57,8 @@ class Trace:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         self.nranks = nranks
         self._events: list[list[TraceEvent]] = [[] for _ in range(nranks)]
+        #: per rank, merged column blocks not yet turned into events.
+        self._columns: list[list[tuple]] = [[] for _ in range(nranks)]
         self._seq_lock = threading.Lock()
         self._seq: dict[tuple[int, int, int], int] = {}
         self.enabled = True
@@ -84,7 +91,7 @@ class Trace:
     def record(self, event: TraceEvent) -> None:
         """Append an event to its rank's log (no-op when disabled)."""
         if self.enabled:
-            self._events[event.rank].append(event)
+            self.events(event.rank).append(event)
 
     def record_send(self, rank: int, peer: int, tag: int, seq: int, nbytes: int, label: str = "") -> None:
         self.record(TraceEvent(SEND, rank, peer, tag, seq, nbytes, label))
@@ -102,14 +109,35 @@ class Trace:
     # ------------------------------------------------------------------
     def events(self, rank: int) -> list[TraceEvent]:
         """The ordered event list of one rank."""
+        pending = self._columns[rank]
+        if pending:
+            for columns in pending:
+                self._events[rank].extend(map(TraceEvent._make, zip(*columns)))
+            pending.clear()
         return self._events[rank]
 
     def __iter__(self) -> Iterator[list[TraceEvent]]:
-        return iter(self._events)
+        return iter([self.events(rank) for rank in range(self.nranks)])
+
+    def export(self, rank: int) -> tuple[tuple, dict[tuple[int, int, int], int]]:
+        """One rank's log for shipping: ``(columns, channel counters)``.
+
+        ``columns`` holds one tuple per :class:`TraceEvent` field (empty
+        when nothing was recorded); the counters say how many sequence
+        numbers this trace allocated per (src, dst, tag) channel — in a
+        rank process, exactly the channels that rank sends on.
+        """
+        with self._seq_lock:
+            return tuple(zip(*self.events(rank))), dict(self._seq)
+
+    def merge(self, rank: int, columns: tuple) -> None:
+        """Append exported ``columns`` to ``rank``'s log (no-op when disabled)."""
+        if self.enabled and columns:
+            self._columns[rank].append(columns)
 
     def clear(self) -> None:
         """Drop all recorded events and sequence counters."""
-        for lst in self._events:
+        for lst in self._events + self._columns:
             lst.clear()
         with self._seq_lock:
             self._seq.clear()
@@ -118,18 +146,18 @@ class Trace:
     @property
     def total_bytes_sent(self) -> int:
         """Sum of wire bytes over all send events (all ranks)."""
-        return sum(e.nbytes for lst in self._events for e in lst if e.op == SEND)
+        return sum(e.nbytes for lst in self for e in lst if e.op == SEND)
 
     @property
     def total_messages(self) -> int:
         """Number of point-to-point messages sent."""
-        return sum(1 for lst in self._events for e in lst if e.op == SEND)
+        return sum(1 for lst in self for e in lst if e.op == SEND)
 
     def bytes_sent_by(self, rank: int) -> int:
-        return sum(e.nbytes for e in self._events[rank] if e.op == SEND)
+        return sum(e.nbytes for e in self.events(rank) if e.op == SEND)
 
     def bytes_received_by(self, rank: int) -> int:
-        return sum(e.nbytes for e in self._events[rank] if e.op == RECV)
+        return sum(e.nbytes for e in self.events(rank) if e.op == RECV)
 
     def max_bytes_received(self) -> int:
         """Largest per-rank inbound volume (a bandwidth-bottleneck proxy)."""

@@ -19,9 +19,9 @@ The encoder is *vectored*: :func:`encode_frame_parts` returns the frame as
 a list of buffer segments — a small header plus direct (zero-copy) views
 of the stream's index/value arrays.  Transports that can scatter/gather
 (the shared-memory ring backend) write the parts straight into their
-destination with no intermediate blob; the pipe transport joins them into
-one preallocated ``bytearray``, so every payload byte is copied exactly
-once on the way out.
+destination with no intermediate blob; the byte-stream transports (pipe,
+TCP) join them into one preallocated ``bytearray``, so every payload byte
+is copied exactly once on the way out.
 
 The decoder reads arrays with ``np.frombuffer(view, offset=...)``: with
 ``copy=True`` (the default) each array is materialised with a single copy
@@ -156,17 +156,18 @@ def encode_payload(obj: Any) -> bytes:
 
 
 def encode_message(
-    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0
+    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0, head: int = 0
 ) -> bytearray:
     """Frame one point-to-point message for a byte-stream transport.
 
-    Gathers the vectored parts into a single preallocated ``bytearray``
-    (accepted by ``Connection.send_bytes``), so each payload byte is
-    copied exactly once — no ``tobytes()`` staging, no ``+`` chains.
+    Gathers the vectored parts into a single preallocated ``bytearray``,
+    so each payload byte is copied exactly once — no ``tobytes()``
+    staging, no ``+`` chains. The first ``head`` bytes are left blank
+    for the transport's own prefix (its length word).
     """
     total, parts = encode_frame_parts(tag, seq, nbytes, obj, epoch)
-    out = bytearray(total)
-    pos = 0
+    out = bytearray(head + total)
+    pos = head
     for part in parts:
         n = len(part)
         out[pos:pos + n] = part

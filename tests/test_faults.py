@@ -439,7 +439,7 @@ class TestSeedReproducibility:
 def _subcomm_prog(comm):
     try:
         sub = comm.split(color=comm.rank % 2)
-        for _ in range(50):
+        while True:  # until the victim's death surfaces; the run timeout bounds it
             peer = 1 - sub.rank
             if sub.rank == 0:
                 sub.send(np.arange(2.0), dest=peer, tag=1)
@@ -447,7 +447,6 @@ def _subcomm_prog(comm):
             else:
                 sub.recv(source=peer, tag=1)
                 sub.send(np.arange(2.0), dest=peer, tag=2)
-        return "ok"
     except RankFailedError as exc:
         return ("failed", exc.rank)
 
@@ -481,12 +480,22 @@ def _nested_launch_prog(comm):
 class TestFailurePropagationThroughProxies:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subcommunicator_surfaces_rank_failure(self, backend):
+        """Ranks 0 and 2 form a group the victim is not in and never
+        address it after the split, yet its death reaches them through
+        the sub-communicator. What the transports guarantee is *when*: a
+        peer's death is observed at the survivor's next transport
+        operation or probe that has to wait (the blocked thread reads
+        every inbound channel, the dead one's EOF included), not
+        asynchronously — a rank that stops communicating is never
+        interrupted. So the groups exchange until the failure surfaces
+        instead of a fixed count the victim might outlive."""
         victim = 3
         with pytest.raises(RankError) as ei:
             run_ranks(
                 _subcomm_prog,
                 4,
                 backend=backend,
+                timeout=60.0,
                 fault_plan=FaultPlan(kill_rank=victim, kill_after_ops=25),
             )
         err = ei.value

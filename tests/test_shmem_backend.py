@@ -56,6 +56,28 @@ class TestSharedRing:
         assert status == "ok" and got == [b"hello world"]
         assert ring.avail() == 0
 
+    def test_counter_stores_are_single_writes(self, ring):
+        """The other process must never read a counter value that was not
+        stored: ``struct.pack_into`` zero-fills before it packs, and a
+        reader that caught head at 0 mid-update saw ~4 GB "published"
+        (1 in ~150 ring shifts of 8 MB frames: garbage payloads, or a
+        writer computing negative free space)."""
+        import os
+
+        stored = (0x00200008, 0x00400008)
+        ring._set_head(stored[0])
+        pid = os.fork()
+        if pid == 0:  # the producer: keeps moving head between two values
+            end = time.monotonic() + 0.5
+            while time.monotonic() < end:
+                for value in stored * 500:
+                    ring._set_head(value)
+            os._exit(0)
+        seen = set()
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            seen.update(ring._head() for _ in range(1000))
+        assert seen <= set(stored)
+
     def test_empty_ring_reports_empty(self, ring):
         status, got = _read_one(ring)
         assert status == "empty" and got == []
