@@ -13,25 +13,19 @@
 #                           backends, failure propagation through proxies),
 #                           stopping at the first failure — the long version
 #                           of what tier-1 runs once
-#   make smoke              fast subset (skips "slow" tests) plus a
-#                           one-iteration bench-kernels sanity pass
-#   make bench-kernels      quick wall-clock microkernel/transport/allreduce/
-#                           overlap bench; validates the emitted JSON (CI-safe,
-#                           writes to results/, never touches the committed
-#                           baseline)
-#   make bench-kernels-full full bench refreshing BENCH_microkernels.json at
-#                           the repo root (the committed perf trajectory)
-#   make calibrate          quick alpha/beta/gamma fit from measured curves,
-#                           written to results/calibrated_network.json (load
-#                           anywhere with --network calibrated:<path>)
+#   make smoke              fast subset (skips "slow" tests)
+#   make calibrate          fit alpha/beta/gamma/launch from a few seconds of
+#                           measurement on this host, written to
+#                           results/calibrated_network.json (load anywhere
+#                           with --network calibrated:<path>)
 #   make bench-gate         the repo benchmark's own tests plus one quick
 #                           round of every BENCHMARK.json workload, oracles
 #                           on (bench/ is outside pytest's testpaths)
 #   make bench-smoke        a quick pass over the cheapest benchmark figures
 #   make bench              every benchmark table/figure (minutes)
 #
-# CI (.github/workflows/ci.yml) runs `make test` + `make bench-kernels` as
-# the main gate, the backend-equivalence/property suites as a separate leg
+# CI (.github/workflows/ci.yml) runs `make test` as the main gate, the
+# backend-equivalence/property suites as a separate leg
 # (transport flakiness surfaces there, with results/ uploaded on failure),
 # and `make lint` — all on every push/PR.
 
@@ -41,7 +35,7 @@ PYTHON ?= python
 # invocations need it on PYTHONPATH explicitly.
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: test lint loc soak smoke bench-smoke bench bench-kernels bench-kernels-full calibrate bench-gate
+.PHONY: test lint loc soak smoke bench-smoke bench calibrate bench-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,30 +55,9 @@ soak:
 
 smoke:
 	$(PYTHON) -m pytest -x -q -k "not slow" -m "not slow"
-	$(MAKE) bench-kernels
-
-bench-kernels:
-	$(RUN) -m repro bench-kernels --quick --out results/BENCH_microkernels.quick.json
-	$(RUN) -c "import json; from repro.tools.benchkernels import SCHEMA; \
-	d = json.load(open('results/BENCH_microkernels.quick.json')); \
-	assert d['schema'] == SCHEMA and d['microkernels'] and d['allreduce'] and d['transport_roundtrip'], 'malformed bench JSON'; \
-	assert d['allreduce_ordering_check']['ok'], 'predicted vs measured ordering violated'; \
-	hier = d['hierarchy']['per_algorithm']; \
-	assert 'ssar_hier' in hier and 'dsar_hier' in hier, 'missing hier rows'; \
-	assert all('replay_tiered_s' in row and 'replay_flat_s' in row for row in hier.values()), 'missing tiered replay fields'; \
-	assert all(row['replay_tiered_s'] > 0 and row['replay_flat_s'] > 0 for row in hier.values()), 'bad replay makespans'; \
-	assert all('ssar_hier' in per_algo and 'dsar_hier' in per_algo for per_algo in d['allreduce'].values()), 'missing hier allreduce rows'; \
-	ov = d['overlap']; \
-	assert ov['chunks'] >= 2 and ov['per_backend'], 'missing overlap rows'; \
-	assert all('overlap_fraction' in m and m['overlapped_s']['median_s'] > 0 for m in ov['per_backend'].values()), 'bad overlap metrics'; \
-	assert ov['predicted']['pipelined_makespan_s'] > 0 and ov['predicted']['pipelined_makespan_s'] <= ov['predicted']['blocking_makespan_s'], 'bad predicted makespans'; \
-	print('bench JSON OK')"
-
-bench-kernels-full:
-	$(RUN) -m repro bench-kernels
 
 calibrate:
-	$(RUN) -m repro calibrate --quick
+	$(RUN) -m repro calibrate
 
 bench-gate:
 	$(PYTHON) -m pytest bench/test_bench.py -q

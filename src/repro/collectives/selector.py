@@ -4,9 +4,9 @@ message size and the number of processes").
 
 The selection procedure itself lives in
 :meth:`repro.costmodel.CostModel.rank` — the single cost-model layer
-every consumer (this selector, the sweeps, bench-kernels, the netsim
-replay, the adaptive runtime selector) shares. This module keeps the
-historical thin entry points:
+every consumer (this selector, the sweeps, the repo benchmark's
+``costmodel.predicted_ms``, the netsim replay, the adaptive runtime
+selector) shares. This module keeps the historical thin entry points:
 
 * :func:`choose_algorithm` — build an :class:`~repro.costmodel.Instance`
   and return ``CostModel.rank(...).choice``;

@@ -21,9 +21,9 @@ from .bounds import (
 )
 from .calibrate import (
     DEFAULT_CALIBRATION_OUT,
-    calibrate_from_doc,
     fit_alpha_beta,
     fit_gamma,
+    fit_model,
     measure_launch,
     run_calibration,
 )
@@ -67,8 +67,8 @@ __all__ = [
     "MAX_AUTO_CHUNKS",
     "fit_alpha_beta",
     "fit_gamma",
+    "fit_model",
     "measure_launch",
-    "calibrate_from_doc",
     "run_calibration",
     "DEFAULT_CALIBRATION_OUT",
 ]

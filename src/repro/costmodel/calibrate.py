@@ -1,32 +1,35 @@
 """Fit a :class:`CostModel` from measurement: ``python -m repro calibrate``.
 
 The presets in :mod:`repro.netsim.model` are class-representative
-numbers; this module fits the same alpha/beta/gamma parameters from the
-bench-kernels measurement layers *on the actual host*:
+numbers; this module fits the same alpha/beta/gamma/launch parameters
+*on the actual host*, from the only wall-clock measurements the package
+itself makes:
 
-* per-tier **alpha/beta** from the transport round-trip curve — one-way
-  time vs wire bytes is a line ``t(L) = alpha + beta L``, least-squares
-  fitted per backend. The shared-memory backend stands in for the intra
-  tier and the TCP socket backend for the inter tier (loopback TCP is
-  the slowest transport the harness has — the honest stand-in for a
-  network link on a single box);
-* **gamma** from the microkernel layer: seconds per byte touched by the
-  sparse merge (the §5.1 summation kernel);
+* per-tier **alpha/beta** from a two-rank ping-pong of one sparse stream
+  at the three frame sizes the repo benchmark reports as
+  ``rtt_us_{1k,84k,1m}`` (:data:`PINGPONG`: 128 / 10 486 / 131 072 pairs
+  at N = 2^20, the fastest round trip per size). One-way time
+  vs bytes is a line ``t(L) = alpha + beta L``. The shared-memory backend
+  stands in for the intra tier and the TCP socket backend for the inter
+  tier (loopback TCP is the slowest transport the library has — the
+  honest stand-in for a network link on a single box);
+* **gamma** from one timing of the sparse merge (the §5.1 summation
+  kernel) at the ``merge_bound`` workload's shape: seconds per byte
+  touched;
 * **launch** — what launching and joining one background collective
   costs in software, the price :meth:`CostModel.auto_chunks` charges per
   extra pipeline chunk: a tiny allreduce run through ``i_collective`` and
   joined at once, minus the same allreduce run inline, on the smallest
   world a hierarchical collective can be chunked on (2 hosts x 2 ranks
-  of the inter-tier backend). No bench-kernels layer records it, so it
-  is always measured here (under a second).
+  of the inter-tier backend).
 
-The fitted model is written as a named JSON under ``results/`` via
+The command has no modes: sizes, backends and iteration counts are
+constants, the whole run takes a few seconds. The fitted model is written
+as a named JSON under ``results/`` via
 :func:`repro.netsim.model.save_network`, and every ``--network`` flag
 resolves it back through the ``"calibrated:<path>"`` spec — so a sweep,
 a replay or the selector can run under the measured machine instead of a
-preset. An existing bench-kernels document with at least two transport
-sizes can be reused (``--bench``); otherwise the needed points are
-measured directly (a few seconds in ``--quick`` mode).
+preset.
 """
 
 from __future__ import annotations
@@ -35,21 +38,22 @@ import platform
 import statistics
 import time
 from pathlib import Path
-from typing import Any
+
+import numpy as np
 
 from ..config import INDEX_BYTES
-from ..netsim.model import (
-    DEFAULT_LAUNCH_S,
-    NetworkModel,
-    TieredNetworkModel,
-    save_network,
-)
+from ..netsim.model import NetworkModel, TieredNetworkModel, save_network
+from ..runtime import run_ranks
+from ..runtime.nonblocking import i_collective
+from ..streams import SparseStream, merge_sparse_pairs
 
 __all__ = [
     "fit_alpha_beta",
     "fit_gamma",
+    "fit_model",
+    "measure_round_trips",
+    "measure_merge",
     "measure_launch",
-    "calibrate_from_doc",
     "run_calibration",
     "DEFAULT_CALIBRATION_OUT",
 ]
@@ -57,64 +61,128 @@ __all__ = [
 #: default output path of ``python -m repro calibrate``.
 DEFAULT_CALIBRATION_OUT = Path("results") / "calibrated_network.json"
 
-#: transport backend standing in for each tier (first available wins).
-INTRA_BACKENDS = ("shmem", "process")
-INTER_BACKENDS = ("socket", "process")
+#: the transport backend standing in for each tier.
+TIER_BACKENDS = {"intra": "shmem", "inter": "socket"}
+
+#: dimension every measurement stream is drawn from.
+DIMENSION = 1 << 20
+#: ping-pong ``(pairs, round trips)`` per size: ~1 KB / ~84 KB / ~1 MB on the
+#: wire, the fastest trip kept. Small frames get more trips: a two-rank
+#: exchange on a shared host runs in a fast and a 2-3x slower mode that
+#: swap every few hundred trips, and a size that never met the fast one
+#: reads slower than the next larger size.
+PINGPONG = ((128, 2000), (10_486, 500), (131_072, 30))
+#: pairs per merged stream: 5 % of N, the ``merge_bound`` workload's shape.
+MERGE_NNZ = 52_429
 
 #: bytes per sparse (index, value) pair on the wire (float32 payload).
 _PAIR_BYTES = INDEX_BYTES + 4
 
 
 def fit_alpha_beta(sizes_bytes: list[float], times_s: list[float]) -> tuple[float, float]:
-    """Least-squares fit of ``t(L) = alpha + beta * L``, clamped to >= 0.
+    """Fit ``t(L) = alpha + beta * L`` by least *relative* error, clamped to >= 0.
 
-    With a single point the fit is underdetermined and the whole time is
-    attributed to latency (``beta = 0``). Negative fitted parameters
-    (possible when measurement noise dominates the slope or intercept)
-    are clamped to zero so the result is always a valid
-    :class:`~repro.netsim.model.NetworkModel`.
+    Each residual is divided by its measured time, so sizes decades apart
+    weigh the same: under ordinary least squares the largest frame alone
+    sets the slope and the intercept is whatever is left over, a fraction
+    of the measured small-frame latency. With a single point the fit is
+    underdetermined and the whole time is attributed to latency
+    (``beta = 0``). Negative fitted parameters (possible when measurement
+    noise dominates the slope or intercept) are clamped to zero so the
+    result is always a valid :class:`~repro.netsim.model.NetworkModel`.
     """
-    if len(sizes_bytes) != len(times_s) or not sizes_bytes:
-        raise ValueError("need equal, non-empty size and time lists")
-    n = len(sizes_bytes)
-    if n == 1:
-        return max(float(times_s[0]), 0.0), 0.0
-    mean_x = sum(sizes_bytes) / n
-    mean_y = sum(times_s) / n
-    var = sum((x - mean_x) ** 2 for x in sizes_bytes)
+    if len(sizes_bytes) != len(times_s) or not sizes_bytes or min(times_s) <= 0:
+        raise ValueError("need equal, non-empty size and time lists of positive times")
+    weights = [1.0 / (t * t) for t in times_s]
+    total = sum(weights)
+    mean_x = sum(w * x for w, x in zip(weights, sizes_bytes)) / total
+    mean_y = sum(w * y for w, y in zip(weights, times_s)) / total
+    var = sum(w * (x - mean_x) ** 2 for w, x in zip(weights, sizes_bytes))
     if var == 0.0:
-        return max(mean_y, 0.0), 0.0
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(sizes_bytes, times_s))
+        return mean_y, 0.0
+    cov = sum(
+        w * (x - mean_x) * (y - mean_y) for w, x, y in zip(weights, sizes_bytes, times_s)
+    )
     beta = max(cov / var, 0.0)
-    alpha = max(mean_y - beta * mean_x, 0.0)
-    return alpha, beta
+    return max(mean_y - beta * mean_x, 0.0), beta
 
 
-def fit_gamma(micro: dict) -> float:
-    """Seconds per byte of local merge work, from the microkernel layer.
+def fit_gamma(pairs: int, seconds: float) -> float:
+    """Seconds per byte of local merge work: a merge that read ``pairs``
+    input pairs in ``seconds`` — the accounting the trace replay charges
+    compute with."""
+    return seconds / (pairs * _PAIR_BYTES)
 
-    Uses the sparse merge (the §5.1 summation kernel):
-    merging two ``nnz``-pair streams touches ``2 nnz`` input pairs, the
-    same accounting the trace replay charges compute with.
+
+def fit_model(
+    points: dict[str, list[tuple[float, float]]],
+    gamma: float,
+    launch_s: float,
+    name: str = "calibrated",
+) -> TieredNetworkModel:
+    """The tiered model through each tier's ``(bytes, one_way_s)`` points.
+
+    ``gamma`` and ``launch_s`` are properties of the host, not of a tier,
+    so both tiers carry them.
     """
-    nnz = micro["params"]["nnz"]
-    best = micro["merge_sparse_pairs"]["best_s"]
-    touched = 2 * nnz * _PAIR_BYTES
-    return best / touched if touched else 0.0
+    tiers = {}
+    for tier in TIER_BACKENDS:
+        alpha, beta = fit_alpha_beta(
+            [size for size, _ in points[tier]], [t for _, t in points[tier]]
+        )
+        tiers[tier] = NetworkModel(
+            name=f"{name}_{tier}", alpha=alpha, beta=beta, gamma=gamma, launch=launch_s
+        )
+    return TieredNetworkModel(name=name, shared_uplink=True, **tiers)
 
 
-def _launch_rank(comm, iters: int) -> float:
+def _pingpong_rank(comm) -> list[tuple[float, float]]:
+    """``(bytes, one_way_s)`` per size of :data:`PINGPONG`."""
+    peer = 1 - comm.rank
+    points = []
+    for nnz, trips in PINGPONG:
+        stream = SparseStream.random_uniform(DIMENSION, nnz, np.random.default_rng(7))
+        best = float("inf")
+        for _ in range(trips):
+            t0 = time.perf_counter()
+            if comm.rank == 0:
+                comm.send(stream, peer, tag=2)
+                comm.recv(peer, tag=2)
+            else:
+                comm.recv(peer, tag=2)
+                comm.send(stream, peer, tag=2)
+            best = min(best, time.perf_counter() - t0)
+        points.append((float(stream.comm_nbytes()), best / 2.0))
+    return points
+
+
+def measure_round_trips(backend: str) -> list[tuple[float, float]]:
+    """One-way seconds of a sparse stream between two ranks of ``backend``,
+    as ``(bytes the cost model charges, seconds)`` per frame size."""
+    return run_ranks(_pingpong_rank, 2, backend=backend, timeout=120.0)[0]
+
+
+def measure_merge() -> tuple[int, float]:
+    """``(input pairs, best seconds)`` of one sparse + sparse merge."""
+    gen = np.random.default_rng(11)
+    a = SparseStream.random_uniform(DIMENSION, MERGE_NNZ, gen)
+    b = SparseStream.random_uniform(DIMENSION, MERGE_NNZ, gen)
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        merge_sparse_pairs(a.indices, a.values, b.indices, b.values)
+        best = min(best, time.perf_counter() - t0)
+    return 2 * MERGE_NNZ, best
+
+
+def _launch_rank(comm) -> float:
     """Median seconds a tiny allreduce costs extra when it is launched in
     the background and joined at once instead of run inline."""
-    import numpy as np
-
-    from ..collectives.sparse import ssar_recursive_double
-    from ..runtime.nonblocking import i_collective
-    from ..streams import SparseStream
+    from ..collectives.sparse import ssar_recursive_double  # imports this package
 
     stream = SparseStream.random_uniform(1 << 16, 64, np.random.default_rng(comm.rank))
     extra = []
-    for _ in range(iters):
+    for _ in range(40):
         t0 = time.perf_counter()
         ssar_recursive_double(comm, stream)
         t1 = time.perf_counter()
@@ -123,7 +191,7 @@ def _launch_rank(comm, iters: int) -> float:
     return statistics.median(extra)
 
 
-def measure_launch(quick: bool = True) -> tuple[float, dict]:
+def measure_launch() -> tuple[float, dict]:
     """The launch + join cost of one background collective on this host.
 
     Returns ``(seconds, provenance)``: the median over the four ranks of
@@ -131,157 +199,43 @@ def measure_launch(quick: bool = True) -> tuple[float, dict]:
     2-core host has cores is part of the price a chunk pays there),
     clamped at zero.
     """
-    from ..runtime import available_backends, run_ranks
-
-    backend = next(b for b in INTER_BACKENDS if b in available_backends())
+    backend = TIER_BACKENDS["inter"]
     per_rank = run_ranks(
-        _launch_rank, 4, 40 if quick else 400,
-        backend=backend, topology="2x2", timeout=120.0,
+        _launch_rank, 4, backend=backend, topology="2x2", timeout=120.0
     ).results
     launch_s = max(statistics.median(per_rank), 0.0)
     return launch_s, {"backend": backend, "topology": "2x2", "per_rank_s": list(per_rank)}
 
 
-def _wire_bytes(dimension: int, nnz: int) -> int:
-    """Encoded frame size of an ``nnz``-pair sparse stream (one message)."""
-    import numpy as np
+def run_calibration(
+    out: "str | Path | None" = None, name: str = "calibrated"
+) -> tuple[TieredNetworkModel, Path, dict]:
+    """Measure, fit, and persist a calibrated model.
 
-    from ..runtime.wire import encode_message
-    from ..streams import SparseStream
-
-    s = SparseStream.random_uniform(dimension, nnz, np.random.default_rng(7))
-    return len(bytes(encode_message(1, 0, s.nbytes_payload, s)))
-
-
-def _tier_points(
-    transport: dict, backend: str, dimension: int
-) -> tuple[list[float], list[float]]:
-    """(wire bytes, one-way seconds) points for one backend's rows."""
-    sizes, times = [], []
-    for key, stats in transport.get(backend, {}).items():
-        nnz = int(key.split("_", 1)[1])
-        sizes.append(float(_wire_bytes(dimension, nnz)))
-        times.append(stats["best_s"] / 2.0)  # round trip -> one way
-    return sizes, times
-
-
-def _pick_backend(transport: dict, preferences: tuple[str, ...]) -> str | None:
-    for backend in preferences:
-        if len(transport.get(backend, {})) >= 2:
-            return backend
-    return None
-
-
-def calibrate_from_doc(
-    transport: dict,
-    micro: dict,
-    dimension: int,
-    name: str = "calibrated",
-    launch_s: float = DEFAULT_LAUNCH_S,
-) -> tuple[TieredNetworkModel, dict]:
-    """Fit the tiered model from measured transport + microkernel layers.
-
-    ``launch_s`` (see :func:`measure_launch`) is a property of the host's
-    runtime, not of a tier, so both tiers carry it. Returns
-    ``(model, provenance)``; raises ``ValueError`` when no backend has
-    the two transport sizes a line fit needs.
+    Returns ``(model, path, provenance)``; the provenance written next to
+    the model records every measured point the fit went through.
     """
-    intra_backend = _pick_backend(transport, INTRA_BACKENDS)
-    inter_backend = _pick_backend(transport, INTER_BACKENDS)
-    if intra_backend is None or inter_backend is None:
-        raise ValueError(
-            "calibration needs >= 2 transport round-trip sizes for an intra "
-            f"backend {INTRA_BACKENDS} and an inter backend {INTER_BACKENDS}; "
-            f"got {sorted(transport)}"
-        )
-    gamma = fit_gamma(micro)
-    tiers: dict[str, NetworkModel] = {}
-    fits: dict[str, Any] = {}
-    for tier_name, backend in (("intra", intra_backend), ("inter", inter_backend)):
-        sizes, times = _tier_points(transport, backend, dimension)
-        alpha, beta = fit_alpha_beta(sizes, times)
-        tiers[tier_name] = NetworkModel(
-            name=f"{name}_{tier_name}", alpha=alpha, beta=beta, gamma=gamma,
-            launch=launch_s,
-        )
-        fits[tier_name] = {
+    points = {tier: measure_round_trips(b) for tier, b in TIER_BACKENDS.items()}
+    pairs, merge_s = measure_merge()
+    launch_s, launch_fit = measure_launch()
+    model = fit_model(points, fit_gamma(pairs, merge_s), launch_s, name)
+    fits: dict = {
+        tier: {
             "backend": backend,
-            "points": [
-                {"wire_bytes": s, "one_way_s": t} for s, t in zip(sizes, times)
-            ],
+            "points": [{"wire_bytes": x, "one_way_s": t} for x, t in points[tier]],
         }
-    model = TieredNetworkModel(
-        name=name, intra=tiers["intra"], inter=tiers["inter"], shared_uplink=True
-    )
+        for tier, backend in TIER_BACKENDS.items()
+    }
+    fits["gamma"] = {"kernel": "merge_sparse_pairs", "pairs": pairs, "best_s": merge_s}
+    fits["launch"] = launch_fit
     provenance = {
         "source": "repro calibrate",
-        "dimension": dimension,
-        "gamma_kernel": "merge_sparse_pairs",
+        "dimension": DIMENSION,
         "fits": fits,
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
-    return model, provenance
-
-
-def _measure(quick: bool, dimension: int) -> tuple[dict, dict, int]:
-    """Run just the transport + microkernel measurements calibration needs.
-
-    Imported lazily: :mod:`repro.tools.benchkernels` imports the
-    collectives package, which imports this package — a module-level
-    import here would be circular.
-    """
-    from ..tools.benchkernels import _bench_microkernels, _bench_transport
-
-    if quick:
-        iters, micro_iters = 5, 5
-        sizes = [max(1, dimension // 200), max(2, dimension // 50), max(4, dimension // 10)]
-    else:
-        iters, micro_iters = 40, 30
-        sizes = [dimension // 800, dimension // 100, dimension // 25, dimension // 10]
-    backends = sorted(set(INTRA_BACKENDS + INTER_BACKENDS))
-    transport = _bench_transport(backends, dimension, sizes, iters)
-    micro = _bench_microkernels(dimension, max(1, dimension // 100), micro_iters)
-    return transport, micro, dimension
-
-
-def run_calibration(
-    out: "str | Path | None" = None,
-    quick: bool = True,
-    dimension: int | None = None,
-    bench: "str | Path | None" = None,
-    name: str = "calibrated",
-) -> tuple[TieredNetworkModel, Path, dict]:
-    """Measure (or reuse ``bench``), fit, and persist a calibrated model.
-
-    Returns ``(model, path, provenance)``. When ``bench`` points at a
-    bench-kernels JSON with at least two transport sizes its rows are
-    reused; otherwise — including for quick CI documents, which record a
-    single round-trip size — the needed points are measured here.
-    """
-    transport = micro = None
-    if bench is not None:
-        import json
-
-        doc = json.loads(Path(bench).read_text())
-        dim = doc.get("params", {}).get("dimension", dimension or (1 << 16))
-        t = doc.get("transport_roundtrip", {})
-        m = doc.get("microkernels")
-        if (
-            m is not None
-            and _pick_backend(t, INTRA_BACKENDS)
-            and _pick_backend(t, INTER_BACKENDS)
-        ):
-            transport, micro, dimension = t, m, dim
-    if transport is None or micro is None:
-        transport, micro, dimension = _measure(quick, dimension or (1 << 16))
-    launch_s, launch_fit = measure_launch(quick)
-    model, provenance = calibrate_from_doc(
-        transport, micro, dimension, name=name, launch_s=launch_s
+    path = save_network(
+        model, Path(out) if out is not None else DEFAULT_CALIBRATION_OUT, provenance=provenance
     )
-    provenance["fits"]["launch"] = launch_fit
-    provenance["quick"] = quick
-    provenance["reused_bench"] = str(bench) if bench is not None else None
-    path = save_network(model, Path(out) if out is not None else DEFAULT_CALIBRATION_OUT,
-                        provenance=provenance)
     return model, path, provenance

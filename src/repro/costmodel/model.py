@@ -285,9 +285,10 @@ class CostModel:
 
     The single object every cost consumer shares: the selector
     (:func:`repro.collectives.choose_algorithm` wraps :meth:`rank`), the
-    sweeps and bench-kernels (predicted-vs-measured columns), the netsim
-    replay (which reads :attr:`network`), and the adaptive runtime
-    selector (:class:`repro.costmodel.AdaptiveSelector`).
+    sweeps, the repo benchmark (``bench/``'s predicted-vs-measured
+    ``costmodel.*`` metrics), the netsim replay (which reads
+    :attr:`network`), and the adaptive runtime selector
+    (:class:`repro.costmodel.AdaptiveSelector`).
     """
 
     network: "NetworkModel | TieredNetworkModel" = TIERED_IB_FDR

@@ -159,6 +159,10 @@ class MeshComm(Communicator):
         self._engine_busy = False
         #: threads waiting in :meth:`_holding_engine`; receivers stand back.
         self._engine_claims = 0
+        #: live inbound descriptors (fd -> what the transport reads it by),
+        #: each registered with the poller the engine waits on.
+        self._watch: dict[int, Any] = {}
+        self._poller = select.poll()
 
     def _mailbox(self, src: int, tag: int) -> Mailbox:
         return self._mailboxes.get((src, tag))
@@ -238,6 +242,31 @@ class MeshComm(Communicator):
         FIN) and stream corruption are reported through :meth:`_abort`.
         """
         raise NotImplementedError
+
+    def _watch_fd(self, fd: int, reads: Any) -> None:
+        """Start waiting on inbound descriptor ``fd`` (engine held, or no
+        other thread yet)."""
+        self._watch[fd] = reads
+        self._poller.register(fd, select.POLLIN)
+
+    def _detach(self, fd: int) -> None:
+        """Stop waiting on ``fd`` (engine held): its channel is drained,
+        dead, or about to be replaced."""
+        if self._watch.pop(fd, None) is not None:
+            self._poller.unregister(fd)
+
+    @staticmethod
+    def _wait(poller: Any, writable: Any, wait: float) -> list:
+        """``poller``'s ready ``(fd, event)`` pairs once there is one — or
+        ``writable`` accepts bytes, or ``wait`` seconds have passed. ``poll``,
+        not ``select``: a large world's descriptors pass ``FD_SETSIZE``."""
+        if writable is not None:
+            poller.register(writable, select.POLLOUT)
+        try:
+            return poller.poll(max(wait, 0.0) * 1e3)  # negative would mean forever
+        finally:
+            if writable is not None:
+                poller.unregister(writable)
 
     def _flush(self) -> None:
         """Push out what the transport deferred until this rank stops
@@ -348,10 +377,6 @@ class StreamComm(MeshComm):
         for channel in out:
             if channel is not None:
                 channel.setblocking(False)
-        #: live inbound channels by descriptor (fd -> (channel, source)),
-        #: each registered with the poller the engine waits on.
-        self._watch: dict[int, tuple[Any, int]] = {}
-        self._poller = select.poll()
         #: per-source reassembly state ``[buffer, bytes filled]``; a frame
         #: under assembly always starts at offset 0.
         self._partial: list[list | None] = [None] * size
@@ -363,30 +388,10 @@ class StreamComm(MeshComm):
         """Start reading ``src``'s inbound ``channel`` (engine held, or no
         other thread yet)."""
         channel.setblocking(False)
-        self._watch[channel.fileno()] = channel, src
-        self._poller.register(channel, select.POLLIN)
+        self._watch_fd(channel.fileno(), (channel, src))
         self._partial[src] = [bytearray(1 << 16), 0]
 
-    def _detach(self, fd: int) -> None:
-        """Stop reading the channel on ``fd`` (engine held): it is drained,
-        dead, or about to be replaced."""
-        if self._watch.pop(fd, None):
-            self._poller.unregister(fd)
-
     # -- inbound ----------------------------------------------------------
-    @staticmethod
-    def _wait(poller: Any, writable: Any, wait: float) -> list:
-        """``poller``'s ready ``(fd, event)`` pairs once there is one — or
-        ``writable`` accepts bytes, or ``wait`` seconds have passed. ``poll``,
-        not ``select``: a large world's descriptors pass ``FD_SETSIZE``."""
-        if writable is not None:
-            poller.register(writable, select.POLLOUT)
-        try:
-            return poller.poll(max(wait, 0.0) * 1e3)  # negative would mean forever
-        finally:
-            if writable is not None:
-                poller.unregister(writable)
-
     def _progress(self, wait: float, writable: Any = None) -> None:
         for fd, _ in self._wait(self._poller, writable, wait):
             if fd in self._watch:  # hang-ups and errors read as EOF / OSError

@@ -56,7 +56,7 @@ ring in chunks that the reader reassembles.
 Blocking and failure detection piggyback on a one-byte **doorbell pipe**
 per ring: the writer rings it after each publish (non-blocking — a full
 doorbell pipe already guarantees a wakeup) and the progress engine
-``select``-waits on all inbound doorbells when nothing is readable. Because
+``poll``-waits on all inbound doorbells when nothing is readable. Because
 the doorbell is a real pipe, a dying sender closes it and the reader sees
 EOF — peer death propagates exactly like the process backend: EOF after a
 FIN frame is a clean wind-down, EOF without one aborts the world. After
@@ -68,7 +68,6 @@ so a peer's late buffered send can never block forever on a full ring
 from __future__ import annotations
 
 import os
-import select
 import threading
 import time
 from functools import partial
@@ -156,7 +155,7 @@ class SharedRing:
         self.capacity = _pow2_capacity(capacity)
         self._mask = self.capacity - 1
         self._shm = shared_memory.SharedMemory(create=True, size=_RING_HEADER + self.capacity)
-        # doorbell: the reader selects on it when the ring is empty; the
+        # doorbell: the reader waits on it when the ring is empty; the
         # writer dings it after each publish; writer death closes it, so
         # the reader sees EOF exactly like a pipe transport would
         try:
@@ -470,9 +469,11 @@ class ShmemComm(MeshComm):
         self._pending_dings: set[int] = set()
         self._ding_lock = threading.Lock()
         # this process is reader of in-rings and writer of out-rings only;
-        # release the opposite doorbell ends so peer death shows as EOF
-        for ring in in_rings:
+        # release the opposite doorbell ends so peer death shows as EOF, and
+        # watch the ends it reads (fd -> source)
+        for src, ring in enumerate(in_rings):
             if ring is not None:
+                self._watch_fd(ring.reader_conn.fileno(), src)
                 try:
                     ring.writer_conn.close()
                 except OSError:  # pragma: no cover
@@ -483,10 +484,6 @@ class ShmemComm(MeshComm):
                     ring.reader_conn.close()
                 except OSError:  # pragma: no cover
                     pass
-        #: active doorbells the progress engine selects on (fd -> source)
-        self._watch = {
-            r.reader_conn.fileno(): src for src, r in enumerate(in_rings) if r is not None
-        }
         #: one long-lived consume callback per source: the progress engine
         #: runs on every blocked poll, so it allocates nothing per tick
         self._consumers = [
@@ -503,7 +500,7 @@ class ShmemComm(MeshComm):
             # segment -> the arrays the collective will own
             if not self._deliver(src, view):
                 self._fin[src] = True  # peer finished; its channel is drained
-                self._watch.pop(self._in_rings[src].reader_conn.fileno(), None)
+                self._detach(self._in_rings[src].reader_conn.fileno())
 
         return consume
 
@@ -542,11 +539,8 @@ class ShmemComm(MeshComm):
         if not self._watch:
             time.sleep(min(wait, 0.001))  # every peer wound down already
             return
-        try:
-            readable, _, _ = select.select(list(self._watch), [], [], wait)
-        except OSError:  # a watched fd went away mid-select
-            readable = list(self._watch)
-        for fd in readable:
+        ready = self._wait(self._poller, None, wait)
+        for fd, _ in ready:  # hang-ups and errors read as EOF / OSError
             src = self._watch.get(fd)
             if src is None:
                 continue
@@ -555,10 +549,10 @@ class ShmemComm(MeshComm):
             except OSError:
                 wakeups = b""
             if not wakeups:  # EOF with no FIN first: the peer died mid-run
-                self._watch.pop(fd, None)
+                self._detach(fd)
                 if not self._fin[src]:
                     self._abort(failed_rank=src)
-        if readable:
+        if ready:
             self._drain_rings()
 
     def _flush(self) -> None:

@@ -1,14 +1,11 @@
-"""User-facing experiment tooling: sweeps, the perf harness and the CLI."""
+"""User-facing experiment tooling: the replayed sweeps and the CLI."""
 
-from .benchkernels import run_bench, write_bench
 from .cli import build_parser, main
 from .sweeps import ALGORITHM_SET, SweepPoint, sweep_densities, sweep_node_counts
 
 __all__ = [
     "build_parser",
     "main",
-    "run_bench",
-    "write_bench",
     "ALGORITHM_SET",
     "SweepPoint",
     "sweep_densities",

@@ -6,19 +6,17 @@ Commands
 ``sweep-density``   reduction time vs per-node density (Fig. 3 right shape)
 ``expected-k``      the App. B fill-in table (Fig. 7)
 ``presets``         show the network model presets
-``bench-kernels``   wall-clock microkernel + transport + allreduce bench,
-                    written to ``BENCH_microkernels.json`` (perf trajectory)
 ``calibrate``       fit a tiered network model (per-tier alpha/beta, the
                     summation gamma, the background-launch constant) from
-                    measured transport/microkernel/launch curves; the
-                    written JSON is loadable anywhere a ``--network`` flag
-                    accepts ``calibrated:<path>``
+                    a few seconds of measurement on this host; the written
+                    JSON is loadable anywhere a ``--network`` flag accepts
+                    ``calibrated:<path>``
 ``serve-rank``      run one rank of a multi-host ``socket``-backend world
                     against a shared rendezvous address
 
 All output is plain ASCII tables; every experiment is deterministic given
-``--seed`` (``bench-kernels`` measures real wall clocks and is therefore
-machine-dependent by design).
+``--seed`` (``calibrate`` measures real wall clocks and is therefore
+machine-dependent by design; the repo's perf yardstick is ``bench/``).
 """
 
 from __future__ import annotations
@@ -126,73 +124,25 @@ def build_parser() -> argparse.ArgumentParser:
     ek.add_argument("--k-values", type=int, nargs="+", default=[1, 4, 16, 64, 128, 256])
     ek.add_argument("--nodes", type=int, nargs="+", default=[2, 4, 8, 16, 32, 64])
 
-    bench = sub.add_parser(
-        "bench-kernels",
-        help="time merge/encode/decode microkernels and per-backend allreduce",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small sizes, one repeat: a seconds-long smoke pass",
-    )
-    bench.add_argument(
-        "--out", default=None,
-        help="output JSON path (default: BENCH_microkernels.json at the repo root)",
-    )
-    bench.add_argument("--dimension", type=int, default=None)
-    bench.add_argument("--densities", type=float, nargs="+", default=None)
-    bench.add_argument("--nranks", type=int, default=None)
-    bench.add_argument(
-        "--backends", nargs="+", choices=available_backends(), default=None
-    )
-    bench.add_argument(
-        "--topology", default=None, metavar="HxR",
-        help="simulated world for the allreduce/hierarchy layers, e.g. 2x2 "
-             "(must describe --nranks ranks; default: two hosts, even split)",
-    )
-    bench.add_argument(
-        "--chunks", type=int, default=4,
-        help="pipeline depth of the overlap layer's chunked ssar_hier",
-    )
-    from .benchkernels import LAYERS
-
-    bench.add_argument(
-        "--layers", nargs="+", choices=list(LAYERS), default=None,
-        help="measure only these layers (default: all)",
-    )
-
     cal = sub.add_parser(
         "calibrate",
-        help="fit alpha/beta/gamma from measured curves -> calibrated JSON",
+        help="fit alpha/beta/gamma/launch from measurement -> calibrated JSON",
         description=(
-            "Measure (or reuse from a bench-kernels JSON) the per-backend "
-            "transport round-trip curve and the summation microkernels, fit "
-            "per-tier alpha/beta by least squares, gamma from the merge "
-            "kernel and the launch+join cost of a background collective, "
-            "and write the tiered model as JSON. Load it anywhere a "
-            "--network flag is accepted with 'calibrated:<path>'."
+            "Measure a two-rank ping-pong at ~1 KB / ~84 KB / ~1 MB frames on "
+            "the shmem (intra tier) and socket (inter tier) backends, one "
+            "sparse merge and the launch+join cost of a background "
+            "collective; fit per-tier alpha/beta by least relative error, "
+            "gamma from the merge, and write the tiered model as JSON. Load "
+            "it anywhere a --network flag is accepted with 'calibrated:<path>'."
         ),
-    )
-    cal.add_argument(
-        "--quick", action="store_true",
-        help="fewer iterations and sizes: a seconds-long smoke fit",
     )
     cal.add_argument(
         "--out", default=None,
         help="output JSON path (default: results/calibrated_network.json)",
     )
     cal.add_argument(
-        "--bench", default=None, metavar="JSON",
-        help="reuse the transport/microkernel curves of an existing "
-             "bench-kernels document instead of re-measuring (falls back to "
-             "measuring if it lacks enough transport sizes)",
-    )
-    cal.add_argument(
         "--name", default="calibrated",
         help="model name embedded in the JSON (default: calibrated)",
-    )
-    cal.add_argument(
-        "--dimension", type=int, default=None,
-        help="vector dimension the measurement streams are drawn from",
     )
 
     serve = sub.add_parser(
@@ -327,49 +277,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rank {args.rank}/{args.nranks} finished: {result!r}")
         return 0
 
-    if args.command == "bench-kernels":
-        from .benchkernels import render_summary, run_bench, write_bench
-
-        doc = run_bench(
-            quick=args.quick,
-            dimension=args.dimension,
-            densities=args.densities,
-            nranks=args.nranks,
-            backends=args.backends,
-            topology=args.topology,
-            chunks=args.chunks,
-            layers=args.layers,
-        )
-        path = write_bench(doc, args.out)
-        print(render_summary(doc))
-        print(f"\nwrote {path}")
-        return 0
-
     if args.command == "calibrate":
         from ..costmodel.calibrate import run_calibration
 
-        model, path, provenance = run_calibration(
-            out=args.out,
-            quick=args.quick,
-            dimension=args.dimension,
-            bench=args.bench,
-            name=args.name,
-        )
+        model, path, provenance = run_calibration(out=args.out, name=args.name)
         print(model.describe())
-        fits = provenance.get("fits", {})
+        fits = provenance["fits"]
         for tier in ("intra", "inter"):
-            fit = fits.get(tier)
-            if fit:
-                print(
-                    f"  {tier}: backend={fit['backend']}  "
-                    f"points={len(fit['points'])}"
-                )
-        launch = fits.get("launch")
-        if launch:
             print(
-                f"  launch: backend={launch['backend']}  "
-                f"{model.launch * 1e6:.0f}us per background collective"
+                f"  {tier}: backend={fits[tier]['backend']}  one-way "
+                + "  ".join(
+                    f"{p['wire_bytes']:.0f}B={p['one_way_s'] * 1e6:.0f}us"
+                    for p in fits[tier]["points"]
+                )
             )
+        print(
+            f"  launch: backend={fits['launch']['backend']}  "
+            f"{model.launch * 1e6:.0f}us per background collective"
+        )
         print(f"wrote {path}  (load with --network calibrated:{path})")
         return 0
 

@@ -10,12 +10,12 @@ from repro.costmodel import (
     CostModel,
     Instance,
     SelectionReport,
-    calibrate_from_doc,
     fit_alpha_beta,
     fit_gamma,
+    fit_model,
     run_calibration,
 )
-from repro.costmodel.calibrate import _PAIR_BYTES, _wire_bytes
+from repro.costmodel.calibrate import _PAIR_BYTES
 from repro.netsim import (
     GIGE,
     PRESETS,
@@ -28,6 +28,15 @@ from repro.netsim.model import DEFAULT_LAUNCH_S, NETWORK_JSON_SCHEMA
 from repro.runtime.topology import Topology
 
 
+#: known lines behind the synthetic ``(bytes, one_way_s)`` points below
+INTRA = {"alpha": 5e-6, "beta": 5e-10}
+INTER = {"alpha": 4e-5, "beta": 4e-9}
+
+
+def _points(line: dict, sizes=(1032.0, 83896.0, 1048584.0)) -> list[tuple[float, float]]:
+    return [(size, line["alpha"] + line["beta"] * size) for size in sizes]
+
+
 class TestFits:
     def test_exact_line_recovered(self):
         alpha, beta = 3e-5, 2e-9
@@ -37,8 +46,16 @@ class TestFits:
         assert fa == pytest.approx(alpha)
         assert fb == pytest.approx(beta)
 
+    def test_the_largest_frame_does_not_set_the_intercept(self):
+        """A 1 MB point that sits 30 % above the line (a socket buffer
+        filling) moves the small-frame prediction by a few percent, not
+        by the 2x ordinary least squares would."""
+        (x0, t0), (x1, t1), (x2, t2) = _points(INTER)
+        alpha, beta = fit_alpha_beta([x0, x1, x2], [t0, t1, 1.3 * t2])
+        assert alpha + beta * x0 == pytest.approx(t0, rel=0.1)
+
     def test_single_point_is_all_latency(self):
-        assert fit_alpha_beta([4096.0], [1e-4]) == (1e-4, 0.0)
+        assert fit_alpha_beta([4096.0], [1e-4]) == pytest.approx((1e-4, 0.0))
 
     def test_negative_fits_clamped(self):
         # decreasing times give a negative slope; the fit must clamp
@@ -50,54 +67,30 @@ class TestFits:
             fit_alpha_beta([], [])
         with pytest.raises(ValueError):
             fit_alpha_beta([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            fit_alpha_beta([1.0, 2.0], [1e-6, 0.0])
 
     def test_fit_gamma(self):
-        micro = {
-            "params": {"nnz": 1000},
-            "merge_sparse_pairs": {"best_s": 4e-6},
-        }
-        assert fit_gamma(micro) == pytest.approx(4e-6 / (2 * 1000 * _PAIR_BYTES))
+        assert fit_gamma(2000, 4e-6) == pytest.approx(4e-6 / (2000 * _PAIR_BYTES))
 
 
-def _synthetic_bench(dimension=4096):
-    """A bench-kernels-shaped document with known underlying parameters."""
-    intra = {"alpha": 5e-6, "beta": 5e-10}
-    inter = {"alpha": 4e-5, "beta": 4e-9}
-    transport = {}
-    for backend, p in (("shmem", intra), ("socket", inter)):
-        rows = {}
-        for nnz in (40, 400, 1200):
-            wire = _wire_bytes(dimension, nnz)
-            one_way = p["alpha"] + p["beta"] * wire
-            rows[f"nnz_{nnz}"] = {"best_s": 2 * one_way, "median_s": 2 * one_way, "n": 5}
-        transport[backend] = rows
-    micro = {
-        "params": {"dimension": dimension, "nnz": 100, "wire_bytes": 816},
-        "merge_sparse_pairs": {"best_s": 1.6e-6, "median_s": 1.6e-6, "n": 5},
-    }
-    return transport, micro, intra, inter
-
-
-class TestCalibrateFromDoc:
-    def test_recovers_parameters(self):
-        transport, micro, intra, inter = _synthetic_bench()
-        model, provenance = calibrate_from_doc(transport, micro, 4096, name="fit")
+class TestFitModel:
+    def test_recovers_each_tier(self):
+        model = fit_model(
+            {"intra": _points(INTRA), "inter": _points(INTER)},
+            gamma=1e-9, launch_s=2e-4, name="fit",
+        )
         assert model.name == "fit" and model.shared_uplink
-        assert model.intra.alpha == pytest.approx(intra["alpha"], rel=1e-6)
-        assert model.intra.beta == pytest.approx(intra["beta"], rel=1e-6)
-        assert model.inter.alpha == pytest.approx(inter["alpha"], rel=1e-6)
-        assert model.inter.beta == pytest.approx(inter["beta"], rel=1e-6)
-        assert model.gamma == pytest.approx(1.6e-6 / (2 * 100 * _PAIR_BYTES))
-        assert provenance["fits"]["intra"]["backend"] == "shmem"
-        assert provenance["fits"]["inter"]["backend"] == "socket"
-        assert len(provenance["fits"]["inter"]["points"]) == 3
+        assert model.intra.alpha == pytest.approx(INTRA["alpha"], rel=1e-6)
+        assert model.intra.beta == pytest.approx(INTRA["beta"], rel=1e-6)
+        assert model.inter.alpha == pytest.approx(INTER["alpha"], rel=1e-6)
+        assert model.inter.beta == pytest.approx(INTER["beta"], rel=1e-6)
+        assert model.intra.gamma == model.inter.gamma == model.gamma == 1e-9
+        assert model.intra.launch == model.inter.launch == model.launch == 2e-4
 
-    def test_needs_two_sizes(self):
-        transport, micro, _, _ = _synthetic_bench()
-        transport["shmem"] = {"nnz_40": transport["shmem"]["nnz_40"]}
-        transport.pop("process", None)
-        with pytest.raises(ValueError, match="2 transport round-trip sizes"):
-            calibrate_from_doc(transport, micro, 4096)
+    def test_a_tier_without_points_is_an_error(self):
+        with pytest.raises(ValueError):
+            fit_model({"intra": _points(INTRA), "inter": []}, gamma=1e-9, launch_s=0.0)
 
 
 class TestSaveLoad:
@@ -148,11 +141,6 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="kind"):
             load_network(weird)
 
-    def test_resolve_calibrated_spec(self, tmp_path):
-        path = save_network(TIERED_GIGE, tmp_path / "net.json")
-        model = resolve_network(f"calibrated:{path}")
-        assert model.inter.alpha == TIERED_GIGE.inter.alpha
-
     def test_unknown_spec_error_lists_everything(self):
         """The error must teach all three spec syntaxes."""
         with pytest.raises(ValueError) as err:
@@ -165,57 +153,49 @@ class TestSaveLoad:
         assert "repro calibrate" in message
 
 
-class TestRunCalibration:
-    def test_reuses_bench_document(self, tmp_path):
-        transport, micro, intra, _ = _synthetic_bench()
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({
-            "schema": 5,
-            "params": {"dimension": 4096},
-            "transport_roundtrip": transport,
-            "microkernels": micro,
-        }))
-        model, path, provenance = run_calibration(
-            out=tmp_path / "cal.json", bench=bench, name="reused"
-        )
-        assert path.exists()
-        assert provenance["reused_bench"] == str(bench)
-        assert model.intra.alpha == pytest.approx(intra["alpha"], rel=1e-6)
+@pytest.fixture(scope="module")
+def measured(tmp_path_factory):
+    """One really measured calibration (~2 s): ``(model, path, provenance)``."""
+    return run_calibration(out=tmp_path_factory.mktemp("calibrate") / "cal.json")
 
-    def test_calibrated_path_drives_selection_end_to_end(self, tmp_path):
+
+class TestRunCalibration:
+    def test_measures_three_sizes_on_both_tiers(self, measured):
+        model, path, provenance = measured
+        assert path.exists()
+        fits = provenance["fits"]
+        assert fits["intra"]["backend"] == "shmem" and fits["inter"]["backend"] == "socket"
+        for tier in (model.intra, model.inter):
+            assert tier.alpha > 0 and tier.beta > 0
+        for tier in ("intra", "inter"):
+            sizes = [p["wire_bytes"] for p in fits[tier]["points"]]
+            assert sizes == pytest.approx([1 << 10, 84_000, 1 << 20], rel=0.05)
+            assert all(p["one_way_s"] > 0 for p in fits[tier]["points"])
+        assert model.gamma == fit_gamma(fits["gamma"]["pairs"], fits["gamma"]["best_s"]) > 0
+        assert "reused_bench" not in provenance and "quick" not in provenance
+
+    def test_resolve_calibrated_spec(self, measured):
+        fitted, path, _ = measured
+        assert resolve_network(f"calibrated:{path}") == fitted
+
+    def test_calibrated_path_drives_selection_end_to_end(self, measured):
         """The acceptance pin: calibrate -> `calibrated:<path>` ->
         SelectionReport, all consistent and JSON-round-trippable."""
-        transport, micro, _, _ = _synthetic_bench()
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({
-            "params": {"dimension": 4096},
-            "transport_roundtrip": transport,
-            "microkernels": micro,
-        }))
-        _, path, _ = run_calibration(out=tmp_path / "cal.json", bench=bench)
-        model = CostModel.resolve(f"calibrated:{path}")
+        model = CostModel.resolve(f"calibrated:{measured[1]}")
         assert model.tiered and model.name == "calibrated"
         report = model.rank(Instance(4096, 4, 300))
-        # synthetic parameters are deterministic -> the choice is pinned
-        assert report.choice == "ssar_rec_dbl"
+        assert report.predicted(report.choice).eligible
         assert report.network == "calibrated"
         round_tripped = SelectionReport.from_dict(
             json.loads(json.dumps(report.to_dict()))
         )
         assert round_tripped == report
 
-    def test_launch_is_fitted_and_carried_by_the_spec(self, tmp_path):
-        transport, micro, _, _ = _synthetic_bench()
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({
-            "params": {"dimension": 4096},
-            "transport_roundtrip": transport,
-            "microkernels": micro,
-        }))
-        fitted, path, provenance = run_calibration(out=tmp_path / "cal.json", bench=bench)
+    def test_launch_is_fitted_and_carried_by_the_spec(self, measured):
+        fitted, path, provenance = measured
         fit = provenance["fits"]["launch"]
         assert fit["topology"] == "2x2" and len(fit["per_rank_s"]) == 4
-        assert fitted.launch >= 0.0 and fitted.intra.launch == fitted.inter.launch
+        assert fitted.intra.launch == fitted.inter.launch == fitted.launch >= 0.0
         model = CostModel.resolve(f"calibrated:{path}")
         assert model.launch == fitted.launch
         # a chunk is never bought for less than it costs to launch: with
@@ -225,21 +205,28 @@ class TestRunCalibration:
                 Instance(4096, 4, 40), "ssar_hier", Topology.from_spec("2x2")
             ) == 1
 
-    def test_cli_calibrate_subcommand(self, tmp_path, capsys):
+    def test_cli_calibrate_subcommand(self, measured, tmp_path, capsys, monkeypatch):
+        """The command's own path — parse, fit, write, print — over the
+        fixture's measurements, replayed instead of taken a second time."""
+        from repro.costmodel import calibrate
         from repro.tools.cli import main
 
-        transport, micro, _, _ = _synthetic_bench()
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({
-            "params": {"dimension": 4096},
-            "transport_roundtrip": transport,
-            "microkernels": micro,
-        }))
+        fitted, _, provenance = measured
+        fits = provenance["fits"]
+        points = {
+            fits[tier]["backend"]: [
+                (p["wire_bytes"], p["one_way_s"]) for p in fits[tier]["points"]
+            ]
+            for tier in ("intra", "inter")
+        }
+        merge = fits["gamma"]["pairs"], fits["gamma"]["best_s"]
+        monkeypatch.setattr(calibrate, "measure_round_trips", points.__getitem__)
+        monkeypatch.setattr(calibrate, "measure_merge", lambda: merge)
+        monkeypatch.setattr(calibrate, "measure_launch", lambda: (fitted.launch, fits["launch"]))
         out = tmp_path / "cli_cal.json"
-        rc = main([
-            "calibrate", "--bench", str(bench), "--out", str(out), "--name", "clifit",
-        ])
-        assert rc == 0
+        assert main(["calibrate", "--out", str(out), "--name", "clifit"]) == 0
         stdout = capsys.readouterr().out
-        assert "clifit" in stdout and "wrote" in stdout
-        assert load_network(out).name == "clifit"
+        assert "clifit" in stdout and "shmem" in stdout and "wrote" in stdout
+        loaded = load_network(out)
+        assert loaded.name == "clifit"
+        assert (loaded.intra.beta, loaded.inter.alpha) == (fitted.intra.beta, fitted.inter.alpha)

@@ -16,8 +16,9 @@ These tests pin what that design must guarantee:
   true culprit when the world aborts before its first byte, and finishes
   a frame it has begun (the channel outlives a shrink);
 * an idle rank has exactly one thread, a finished rank still absorbs a
-  late large send, and a rejoined peer can be wired in while another
-  thread holds the engine.
+  late large send, a world whose descriptors pass ``FD_SETSIZE`` runs
+  (the engine waits with ``poll``), and a rejoined peer can be wired in
+  while another thread holds the engine.
 
 The byte-level tests drive one real :class:`ProcessComm` /
 :class:`SocketComm` (rank 0) inside the test process, with the test
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import resource
 import socket
 import statistics
 import struct
@@ -51,6 +53,7 @@ from repro.runtime import (
 )
 from repro.runtime.faults import KILL_EXIT_CODE
 from repro.runtime.mesh import _FIN_TAG, _LEN
+from repro.runtime.shmem_backend import ShmemBackend
 from repro.runtime.wire import MAX_FRAME_BYTES
 from repro.streams import SparseStream
 
@@ -663,3 +666,28 @@ class TestInstallPeerUnderTheEngine:
         r.feed(1, bytes(comm._frame(1, 0, 8, "done")))
         holder.join(timeout=10.0)
         assert got.get("holder") == "done"
+
+
+# ----------------------------------------------------------------------
+# (h) a world past FD_SETSIZE
+# ----------------------------------------------------------------------
+BIG_WORLD = 24  # its P(P-1) pipes / rings put descriptors past select()'s 1024
+
+
+def _big_world_prog(comm):
+    comm.barrier()
+    return allreduce_recursive_doubling(comm, np.full(4, comm.rank + 1.0))
+
+
+@pytest.mark.parametrize(
+    "backend", ["process", "socket", ShmemBackend(ring_capacity=1 << 14)], ids=MESH_BACKENDS
+)
+def test_a_world_past_fd_setsize_runs(backend):
+    # the shmem launcher holds a little over four descriptors per directed
+    # pair of ranks: this world runs under `ulimit -n 2400`, not under 2300
+    need = 5 * BIG_WORLD * (BIG_WORLD - 1)
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < need:
+        pytest.skip(f"RLIMIT_NOFILE is below the {need} descriptors {BIG_WORLD} ranks need")
+    out = run_ranks(_big_world_prog, BIG_WORLD, backend=backend, timeout=120.0)
+    total = BIG_WORLD * (BIG_WORLD + 1) / 2
+    assert all(np.array_equal(r, np.full(4, total)) for r in out.results)

@@ -170,73 +170,6 @@ class TestCLI:
             build_parser().parse_args([])
 
 
-class TestBenchKernelsCommand:
-    def test_quick_bench_writes_valid_json(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        rc = main([
-            "bench-kernels", "--quick", "--out", str(out),
-            "--dimension", "4096", "--nranks", "2",
-        ])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == 5 and doc["quick"] is True
-        assert doc["params"]["dimension"] == 4096
-        # every layer present, with sane positive timings
-        for name, stats in doc["microkernels"].items():
-            if name == "params":
-                continue
-            assert stats["best_s"] > 0, name
-        assert set(doc["transport_roundtrip"]) == {"process", "shmem", "socket"}
-        assert set(doc["allreduce"]) == {"thread", "process", "shmem", "socket"}
-        for per_algo in doc["allreduce"].values():
-            assert "ssar_hier" in per_algo
-            for per_density in per_algo.values():
-                for stats in per_density.values():
-                    assert stats["best_s"] > 0
-                    # schema 5: the CostModel prediction rides next to
-                    # every measured row
-                    assert stats["predicted_s"] > 0
-        check = doc["allreduce_ordering_check"]
-        assert check["ok"] and check["predicted_network"] == "tiered_ib_fdr"
-        # the tiered byte-accounting layer covers every algorithm and the
-        # inter-node column never exceeds the total
-        hier = doc["hierarchy"]
-        assert set(hier["per_algorithm"]) == set(doc["params"]["algorithms"])
-        assert "dsar_hier" in hier["per_algorithm"]
-        assert hier["replay_flat_preset"] == "ib_fdr"
-        assert hier["replay_tiered_preset"] == "tiered_ib_fdr"
-        for row in hier["per_algorithm"].values():
-            assert 0 <= row["inter_node_bytes"] <= row["total_bytes"]
-            assert row["intra_node_bytes"] + row["inter_node_bytes"] == row["total_bytes"]
-            # both replayed makespans present and sane
-            assert row["replay_flat_s"] > 0
-            assert row["replay_tiered_s"] > 0
-        # schema >= 4: the overlap layer measures the chunked non-blocking
-        # hierarchy on every backend and predicts the pipelined makespan
-        overlap = doc["overlap"]
-        assert overlap["chunks"] >= 2
-        assert set(overlap["per_backend"]) == {"thread", "process", "shmem", "socket"}
-        for metrics in overlap["per_backend"].values():
-            for key in ("compute_s", "comm_s", "blocking_s", "overlapped_s"):
-                assert metrics[key]["median_s"] > 0, key
-            assert "overlap_fraction" in metrics
-        predicted = overlap["predicted"]
-        assert 0 < predicted["pipelined_makespan_s"] <= predicted["blocking_makespan_s"]
-        assert any(k.startswith("e2e_") for k in doc["headline"])
-        assert "wrote" in capsys.readouterr().out
-
-    def test_bench_parser_backend_choices(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["bench-kernels", "--quick", "--backends", "thread", "shmem"]
-        )
-        assert args.backends == ["thread", "shmem"]
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench-kernels", "--backends", "mpi"])
-
-
 class TestServeRankElasticFlags:
     _BASE = ["serve-rank", "--rendezvous", "h:29400", "--nranks", "2"]
 

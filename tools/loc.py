@@ -67,6 +67,9 @@ def count(paths) -> int:
 
 
 def main(argv: list[str]) -> int:
+    if not all(Path(name).is_file() for name in argv):  # --help included
+        print("\n".join(__doc__.splitlines()[-2:]), file=sys.stderr)
+        return 2
     if argv:
         for name in argv:
             print(f"{count([Path(name)]):7d}  {name}")
