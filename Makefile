@@ -21,7 +21,8 @@
 #   make bench-gate         the repo benchmark's own tests plus one quick
 #                           round of every BENCHMARK.json workload, oracles
 #                           on (bench/ is outside pytest's testpaths)
-#   make bench-smoke        a quick pass over the cheapest benchmark figures
+#   make bench-smoke        a quick pass over the cheapest benchmark figures,
+#                           plus every micro-kernel row once, untimed
 #   make bench              every benchmark table/figure (minutes)
 #
 # CI (.github/workflows/ci.yml) runs `make test` as the main gate, the
@@ -65,6 +66,7 @@ bench-gate:
 
 bench-smoke:
 	$(PYTHON) -m pytest -q benchmarks/test_fig1_fillin.py benchmarks/test_fig7_expected_k.py benchmarks/test_table1_datasets.py benchmarks/test_tiered_replay.py
+	$(PYTHON) -m pytest -q benchmarks/test_microkernels.py --benchmark-disable
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks/

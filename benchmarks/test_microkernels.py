@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import topk_bucket_indices, topk_global_indices
 from repro.quant import QSGDQuantizer, pack_integers, unpack_integers
-from repro.streams import SparseStream, add_streams, merge_sparse_pairs
+from repro.streams import SparseStream, add_streams, add_streams_, merge_sparse_pairs
 
 N = 1 << 20
 NNZ = 10_000
@@ -61,8 +61,6 @@ def _benchmark_shape(name: str):
             merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
             merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
         )
-    if name == "dense_quant_split":  # last fold of the split phase: 160 k + 65 k
-        return pairs(160_000), pairs(65_536)
     assert name == "async_train_bucket"  # top-k of like gradients: 2 528 + 2 528, 57 % shared
     pool = gen.permutation(40_399).astype(np.uint32)
     support_a, support_b = np.sort(pool[:2_528]), np.sort(pool[1_078:3_606])
@@ -71,8 +69,7 @@ def _benchmark_shape(name: str):
 
 
 @pytest.mark.parametrize(
-    "shape",
-    ["merge_bound_round1", "merge_bound_round2", "dense_quant_split", "async_train_bucket"],
+    "shape", ["merge_bound_round1", "merge_bound_round2", "async_train_bucket"]
 )
 def test_kernel_merge_pairs_benchmark_shapes(benchmark, shape):
     (idx_a, val_a), (idx_b, val_b) = _benchmark_shape(shape)
@@ -95,17 +92,61 @@ def test_kernel_sparse_into_dense(benchmark, sparse_pair, dense_vec):
     assert out.is_dense
 
 
-def test_kernel_qsgd_quantize(benchmark, dense_vec):
-    q = QSGDQuantizer(bits=4, bucket_size=1024, seed=0)
-    block = benchmark(q.quantize, dense_vec)
-    assert block.length == N
+# the repo benchmark's dense_quant workload: P=4, 262 144 nnz per rank over
+# N, so an owner folds 4 slices of ~65 536 pairs into its 262 144 partition,
+# which comes out 68 % full and goes through QSGD at 8 bit / 512
+PARTITION = N // 4
 
 
-def test_kernel_qsgd_dequantize(benchmark, dense_vec):
-    q = QSGDQuantizer(bits=4, bucket_size=1024, seed=0)
-    block = q.quantize(dense_vec)
+def test_kernel_dsar_dense_fold(benchmark):
+    """The owner side of DSAR's split phase: dense += sparse, four times."""
+    gen = np.random.default_rng(4)
+    pieces = [SparseStream.random_uniform(PARTITION, 65_536, gen) for _ in range(4)]
+
+    def fold():
+        acc = SparseStream(PARTITION, dense=np.zeros(PARTITION, dtype=np.float32), copy=False)
+        for piece in pieces:
+            add_streams_(acc, piece)
+        return acc
+
+    out = benchmark(fold)
+    assert out.is_dense and 0.6 < out.stored_nonzeros / PARTITION < 0.75
+
+
+@pytest.fixture(scope="module")
+def partition():
+    gen = np.random.default_rng(5)
+    block = gen.standard_normal(PARTITION).astype(np.float32)
+    block[gen.random(PARTITION) >= 0.68] = 0.0
+    return block
+
+
+def test_kernel_qsgd_quantize(benchmark, partition):
+    q = QSGDQuantizer(bits=8, bucket_size=512, seed=0)
+    block = benchmark(q.quantize, partition)
+    assert block.length == PARTITION and block.packed.nbytes == PARTITION
+
+
+def test_kernel_qsgd_dequantize(benchmark, partition):
+    q = QSGDQuantizer(bits=8, bucket_size=512, seed=0)
+    block = q.quantize(partition)
     out = benchmark(q.dequantize, block)
-    assert out.shape == (N,)
+    assert out.shape == (PARTITION,) and out.dtype == np.float32
+
+
+def test_kernel_qsgd_decode_four_blocks_into_one_vector(benchmark, partition):
+    """What every rank does after DSAR's quantized allgather."""
+    q = QSGDQuantizer(bits=8, bucket_size=512, seed=0)
+    blocks = [q.quantize(partition) for _ in range(4)]
+    result = np.empty(N, dtype=np.float32)
+
+    def decode():
+        for owner, block in enumerate(blocks):
+            q.dequantize(block, out=result[owner * PARTITION: (owner + 1) * PARTITION])
+        return result
+
+    out = benchmark(decode)
+    assert np.array_equal(out[-PARTITION:], q.dequantize(blocks[-1]))
 
 
 def test_kernel_topk_global(benchmark, dense_vec):

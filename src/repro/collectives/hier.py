@@ -322,8 +322,9 @@ def dsar_hierarchical(
        (sparse merges, fast tier only);
     2. **leader DSAR**: the leaders run
        :func:`~repro.collectives.dsar.dsar_split_allgather` among
-       themselves — split phase, representation switch to dense, and the
-       (optionally quantized) dense allgather — so only ``nnodes`` dense
+       themselves — split exchange, each slice folded straight into the
+       owner's dense partition block, and the (optionally quantized)
+       dense allgather — so only ``nnodes`` dense
        partitions cross the slow tier instead of ``P``, and each
        partition is quantized exactly once by its owning leader;
     3. **intra-node broadcast**: each leader fans the dense result back

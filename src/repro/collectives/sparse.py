@@ -15,12 +15,19 @@ pairs:
 * :func:`ssar_ring` — the sparse counterpart of the ring allreduce used as
   a comparison point in Fig. 3.
 
-None of the algorithms assumes knowledge of the input distribution; the
-representation switch to dense (for DSAR instances) happens automatically
-inside stream summation if fill-in exceeds ``delta``.
+None of the algorithms assumes knowledge of the input distribution. Where
+the result is not known to pass ``delta`` beforehand, the representation
+switch to dense happens automatically inside stream summation once fill-in
+exceeds it (:func:`ssar_recursive_double`); where it is — the DSAR
+instances — the owner of a partition switches *before* it reduces: the
+split phase's message exchange (:func:`split_exchange`) is written once
+here, SSAR folds its pieces as pair lists (:func:`split_phase`) and
+:mod:`~repro.collectives.dsar` folds the same pieces into a dense block.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +42,7 @@ __all__ = [
     "ssar_recursive_double",
     "ssar_split_allgather",
     "ssar_ring",
+    "split_exchange",
     "split_phase",
     "slice_stream",
 ]
@@ -123,21 +131,23 @@ def ssar_recursive_double(
     return acc
 
 
-def split_phase(
-    comm: Communicator,
-    stream: SparseStream,
-    bounds: np.ndarray,
-    tag: int,
-    op: ReduceOp = SUM,
-) -> SparseStream:
-    """The split (reduce-scatter-by-range) phase shared by SSAR/DSAR.
+def split_exchange(
+    comm: Communicator, stream: SparseStream, bounds: np.ndarray, tag: int
+) -> Iterator[SparseStream]:
+    """The split phase's message exchange: the pieces of this rank's partition.
 
     Each rank slices its input by the dimension partition and sends slice
-    ``j`` directly to rank ``j`` with non-blocking sends, then reduces the
-    P-1 received slices (plus its own) for its partition. Latency
-    ``(P-1) alpha``; bandwidth between 0 and ``k beta_s`` (§5.3.2).
+    ``j`` directly to rank ``j`` with non-blocking sends. Yields what the
+    caller has to reduce, in the order that fixes the float association:
+    this rank's own slice (views of ``stream``'s arrays) first, then the
+    slices received from ranks ``rank-1, rank-2, ...`` (owned by the
+    caller). All carry global indices. The sends are waited for once the
+    last piece has been consumed. Latency ``(P-1) alpha``; bandwidth
+    between 0 and ``k beta_s`` (§5.3.2).
 
-    Returns this rank's reduced partition (global indices, sparse).
+    How the pieces are folded is the caller's: SSAR merges pair lists
+    (:func:`split_phase`), DSAR scatters into a dense partition block
+    (:mod:`~repro.collectives.dsar`).
     """
     P = comm.size
     comm.mark("split")
@@ -146,18 +156,33 @@ def split_phase(
         dest = (comm.rank + offset) % P
         piece = slice_stream(stream, int(bounds[dest]), int(bounds[dest + 1]))
         requests.append(comm.isend(piece, dest, tag))
+    yield slice_stream(stream, int(bounds[comm.rank]), int(bounds[comm.rank + 1]))
+    for offset in range(1, P):
+        yield comm.recv((comm.rank - offset) % P, tag)
+    for req in requests:
+        req.wait()
 
-    own = slice_stream(stream, int(bounds[comm.rank]), int(bounds[comm.rank + 1]))
+
+def split_phase(
+    comm: Communicator,
+    stream: SparseStream,
+    bounds: np.ndarray,
+    tag: int,
+    op: ReduceOp = SUM,
+) -> SparseStream:
+    """The split (reduce-scatter-by-range) phase of SSAR.
+
+    Folds the pieces of :func:`split_exchange` with the sparse+sparse merge
+    and returns this rank's reduced partition (global indices, sparse).
+    """
+    pieces = split_exchange(comm, stream, bounds, tag)
+    own = next(pieces)
     # the fold starts from owned copies, so every later merge (incoming
     # pieces are owned too) can run zero-copy on its empty-side fast path
     idx, val = own.indices.copy(), own.values.copy()
-    for offset in range(1, P):
-        src = (comm.rank - offset) % P
-        piece: SparseStream = comm.recv(src, tag)
+    for piece in pieces:
         comm.compute((idx.size + piece.nnz) * (4 + own.value_dtype.itemsize) * 2, "reduce")
         idx, val = merge_sparse_pairs(idx, val, piece.indices, piece.values, op, copy=False)
-    for req in requests:
-        req.wait()
     return SparseStream(
         stream.dimension, indices=idx, values=val, value_dtype=stream.value_dtype, copy=False
     )

@@ -118,7 +118,7 @@ def quantize_stream_values(stream: SparseStream, quantizer: QSGDQuantizer) -> Sp
         out.value_wire_bytes = quantizer.bits / 8.0
         return out
     block = quantizer.quantize(stream.values.astype(np.float32, copy=False))
-    values = quantizer.dequantize(block).astype(stream.value_dtype)
+    values = quantizer.dequantize(block).astype(stream.value_dtype, copy=False)
     out = SparseStream(
         stream.dimension,
         indices=stream.indices.copy(),

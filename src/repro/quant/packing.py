@@ -28,14 +28,24 @@ def pack_integers(codes: np.ndarray, bits: int) -> np.ndarray:
 
     The layout is little-endian within the byte: element ``i`` of a byte
     occupies bits ``[i*bits, (i+1)*bits)``. Trailing slots of the final byte
-    are zero.
+    are zero. At 8 bits a code is a byte and nothing is packed: a contiguous
+    uint8 input comes back as it is, not as a copy.
+
+    Raises ``ValueError`` for a code outside the range, checked on the
+    caller's dtype (300 must not pass as ``300 % 256``).
     """
     _check_bits(bits)
-    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    codes = np.asarray(codes)
     if codes.ndim != 1:
         raise ValueError(f"expected 1-D code array, got shape {codes.shape}")
-    if codes.size and int(codes.max()) >= (1 << bits):
-        raise ValueError(f"code {int(codes.max())} does not fit in {bits} bits")
+    # a uint8 at 8 bits cannot be out of range: nothing to scan
+    if codes.size and not (bits == 8 and codes.dtype == np.uint8):
+        for extreme in (codes.min(), codes.max()):
+            if not 0 <= extreme < (1 << bits):
+                raise ValueError(f"code {extreme} does not fit in {bits} bits")
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    if bits == 8:
+        return codes
     per_byte = 8 // bits
     padded_len = packed_nbytes(codes.size, bits) * per_byte
     if padded_len != codes.size:
@@ -50,7 +60,10 @@ def pack_integers(codes: np.ndarray, bits: int) -> np.ndarray:
 
 
 def unpack_integers(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_integers`; returns ``count`` uint8 codes."""
+    """Inverse of :func:`pack_integers`; returns ``count`` uint8 codes.
+
+    At 8 bits the result is a view of ``packed``, not a copy.
+    """
     _check_bits(bits)
     packed = np.ascontiguousarray(packed, dtype=np.uint8)
     per_byte = 8 // bits
@@ -59,6 +72,8 @@ def unpack_integers(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
             f"packed buffer of {packed.size} bytes holds at most "
             f"{packed.size * per_byte} codes, asked for {count}"
         )
+    if bits == 8:
+        return packed[:count]
     mask = np.uint8((1 << bits) - 1)
     lanes = np.empty((packed.shape[0], per_byte), dtype=np.uint8)
     for lane in range(per_byte):

@@ -9,6 +9,21 @@ property Theorem 4.1's convergence proof relies on.
 
 The packed result is a :class:`QuantizedBlock`: a uint8 code buffer (sign and
 magnitude packed at ``bits`` per entry) plus one float32 scale per bucket.
+
+Both kernels are bucket shaped: per-bucket quantities (the norm on the way
+in, the scale on the way out) are broadcast over a ``(buckets, B)`` view of
+the full buckets plus the ragged tail, never repeated per entry, and every
+per-entry step runs in place in one scratch buffer. Decoding is a gather
+from a per-``bits`` table of ``sign * level / s`` (at most 256 float64
+entries, built at import) followed by one scale-and-cast pass that can
+write straight into a caller's buffer (``dequantize(block, out=...)``).
+
+Two things look slower than they need to be and are kept on purpose, so
+that a seeded quantizer keeps producing the same bytes: the bucket norms
+come from ``np.add.reduceat`` (a 2-D ``np.add.reduce(axis=1)`` over the same
+buckets sums pairwise in another order and is *not* bit-equal to it), and
+the rounding noise is one float64 ``rng.random(n)`` draw per call (a
+float32 or per-bucket draw would consume the generator differently).
 """
 
 from __future__ import annotations
@@ -18,9 +33,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import DEFAULT_QSGD_BUCKET, STREAM_HEADER_BYTES
-from .packing import pack_integers, unpack_integers
+from .packing import pack_integers, packed_nbytes, unpack_integers
 
 __all__ = ["QuantizedBlock", "QSGDQuantizer", "quantization_variance_bound"]
+
+#: largest bucket norm a float32 scale can carry
+_MAX_SCALE = float(np.finfo(np.float32).max)
+
+
+def _decode_table(bits: int) -> np.ndarray:
+    """``sign * level / s`` for every code of ``bits`` bits, as float64."""
+    s = (1 << (bits - 1)) - 1
+    codes = np.arange(1 << bits)
+    sign = np.where(codes >> (bits - 1), -1.0, 1.0)
+    return sign * (codes & s) / s
+
+
+_DECODE = {bits: _decode_table(bits) for bits in (2, 4, 8)}
 
 
 @dataclass(frozen=True)
@@ -96,57 +125,88 @@ class QSGDQuantizer:
 
     # ------------------------------------------------------------------
     def quantize(self, vector: np.ndarray) -> QuantizedBlock:
-        """Encode a dense 1-D array into a :class:`QuantizedBlock`."""
+        """Encode a dense 1-D array into a :class:`QuantizedBlock`.
+
+        Raises ``ValueError`` for an input the codes cannot represent: a NaN
+        or infinite entry, or a bucket whose l2 norm overflows its float32
+        scale. Both show in the bucket norms, so the check costs one
+        comparison per bucket, not a pass over the entries.
+        """
         vec = np.ascontiguousarray(vector)
         if vec.ndim != 1:
             raise ValueError(f"expected a 1-D vector, got shape {vec.shape}")
         n = vec.shape[0]
-        work = vec.astype(np.float64, copy=False)
-        starts = np.arange(0, max(n, 1), self.bucket_size)
+        B = self.bucket_size
         if n == 0:
             return QuantizedBlock(
-                0, self.bits, self.bucket_size,
+                0, self.bits, B,
                 np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.float32),
                 np.dtype(vec.dtype),
             )
-        norms = np.sqrt(np.add.reduceat(work * work, starts))
-        per_entry_norm = np.repeat(norms, _bucket_lengths(n, self.bucket_size))
-        safe = np.where(per_entry_norm > 0, per_entry_norm, 1.0)
-        ratio = np.abs(work) / safe * self.levels
+        work = vec.astype(np.float64, copy=False)  # read only from here on
+        with np.errstate(over="ignore"):  # an overflowing bucket is reported below
+            scratch = work * work
+            norms = np.sqrt(np.add.reduceat(scratch, np.arange(0, n, B)))
+        representable = norms <= _MAX_SCALE  # False for NaN and inf alike
+        if not representable.all():
+            bucket = int(np.argmin(representable))
+            raise ValueError(
+                f"cannot quantize bucket {bucket} (entries {bucket * B} to "
+                f"{min(n, (bucket + 1) * B) - 1}): its l2 norm is {norms[bucket]}"
+            )
+        safe = np.where(norms > 0, norms, 1.0)
+        np.abs(work, out=scratch)
+        body, tail = _buckets(scratch, B)
+        body /= safe[: body.shape[0], None]
+        tail /= safe[-1]
+        scratch *= self.levels
         if self.stochastic:
-            noise = self._rng.random(n)
-            level = np.floor(ratio + noise)
+            scratch += self._rng.random(n)
+            np.floor(scratch, out=scratch)
         else:
-            level = np.rint(ratio)
-        np.clip(level, 0, self.levels, out=level)
-        level = level.astype(np.uint8)
-        sign = (work < 0).astype(np.uint8)
-        codes = (sign << np.uint8(self.bits - 1)) | level
-        packed = pack_integers(codes, self.bits)
+            np.rint(scratch, out=scratch)
+        np.clip(scratch, 0, self.levels, out=scratch)
+        codes = scratch.astype(np.uint8)
+        codes |= (work < 0).view(np.uint8) << np.uint8(self.bits - 1)
         return QuantizedBlock(
             length=n,
             bits=self.bits,
-            bucket_size=self.bucket_size,
-            packed=packed,
+            bucket_size=B,
+            packed=pack_integers(codes, self.bits),
             scales=norms.astype(np.float32),
             value_dtype=np.dtype(vec.dtype),
         )
 
-    def dequantize(self, block: QuantizedBlock) -> np.ndarray:
-        """Decode a :class:`QuantizedBlock` back into a dense array."""
+    def dequantize(self, block: QuantizedBlock, out: np.ndarray | None = None) -> np.ndarray:
+        """Decode a :class:`QuantizedBlock` back into a dense array.
+
+        Parameters
+        ----------
+        out:
+            Where to write the decoded values, in the numpy sense: a
+            C-contiguous 1-D array of ``block.length`` entries of
+            ``block.value_dtype`` (typically a slice of a larger result
+            vector). It receives the same bits the returning form produces
+            and is returned; an empty block writes nothing.
+        """
         n = block.length
+        if out is None:
+            out = np.empty(n, dtype=block.value_dtype)
+        elif out.shape != (n,) or out.dtype != block.value_dtype or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a contiguous ({n},) array of {block.value_dtype}, "
+                f"got shape {out.shape}, dtype {out.dtype}"
+            )
         if n == 0:
-            return np.empty(0, dtype=block.value_dtype)
-        codes = unpack_integers(block.packed, block.bits, n)
-        mag_mask = np.uint8((1 << (block.bits - 1)) - 1)
-        level = (codes & mag_mask).astype(np.float64)
-        sign = np.where(codes >> np.uint8(block.bits - 1) == 1, -1.0, 1.0)
-        s = (1 << (block.bits - 1)) - 1
-        per_entry_norm = np.repeat(
-            block.scales.astype(np.float64), _bucket_lengths(n, block.bucket_size)
-        )
-        out = sign * level / s * per_entry_norm
-        return out.astype(block.value_dtype)
+            return out
+        values = _DECODE[block.bits].take(unpack_integers(block.packed, block.bits, n))
+        scales = block.scales.astype(np.float64)
+        # float64 product, rounded once into ``out``'s dtype by the ufunc
+        body, tail = _buckets(values, block.bucket_size)
+        out_body, out_tail = _buckets(out, block.bucket_size)
+        np.multiply(body, scales[: body.shape[0], None], out=out_body)
+        np.multiply(tail, scales[-1], out=out_tail)
+        return out
 
     def roundtrip(self, vector: np.ndarray) -> np.ndarray:
         """Convenience: ``dequantize(quantize(v))``."""
@@ -156,8 +216,6 @@ class QSGDQuantizer:
         """Dense bytes divided by quantized bytes for an n-entry vector."""
         if n == 0:
             return 1.0
-        from .packing import packed_nbytes
-
         buckets = (n + self.bucket_size - 1) // self.bucket_size
         qbytes = packed_nbytes(n, self.bits) + buckets * 4
         return n * value_itemsize / qbytes
@@ -178,12 +236,11 @@ def quantization_variance_bound(bits: int, bucket_size: int) -> float:
     return 1.0 + min(d / (s * s), np.sqrt(d) / s)
 
 
-def _bucket_lengths(n: int, bucket: int) -> np.ndarray:
-    """Lengths of the buckets covering ``n`` entries (last may be short)."""
-    full, rem = divmod(n, bucket)
-    if rem:
-        lengths = np.full(full + 1, bucket, dtype=np.int64)
-        lengths[-1] = rem
-    else:
-        lengths = np.full(max(full, 0), bucket, dtype=np.int64)
-    return lengths
+def _buckets(array: np.ndarray, bucket: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a contiguous 1-D array: its full buckets as ``(buckets, B)``, its ragged tail.
+
+    Either may be empty; an operation on an empty view is a no-op, so
+    callers broadcast per-bucket values over both without branching.
+    """
+    full = array.shape[0] // bucket * bucket
+    return array[:full].reshape(-1, bucket), array[full:]

@@ -133,6 +133,15 @@ def merge_sparse_pairs(
     return idx[first], val[first]
 
 
+def _scatter_into(dense: np.ndarray, sparse: SparseStream, op: ReduceOp) -> None:
+    """§5.1 case 2: ``dense[i] = op(dense[i], v)`` for every stored pair of ``sparse``."""
+    if sparse.indices.size:
+        # widened once: fancy indexing converts a uint32 index array on
+        # every access, and this reads and writes through it
+        idx = sparse.indices.astype(np.intp)
+        dense[idx] = op.ufunc(dense[idx], sparse.values)
+
+
 def add_streams(a: SparseStream, b: SparseStream, op: ReduceOp = SUM) -> SparseStream:
     """Pure reduction ``a op b`` returning a new stream; inputs unchanged."""
     out = a.copy()
@@ -178,17 +187,13 @@ def add_streams_(
         return acc
 
     if acc.is_dense and not other.is_dense:
-        if other.indices.size:
-            idx = other.indices
-            acc.dense_payload[idx] = op.ufunc(acc.dense_payload[idx], other.values)
+        _scatter_into(acc.dense_payload, other, op)
         return acc
 
     if not acc.is_dense and other.is_dense:
         # keep the dense operand's layout: build dense result from it
         dense = other.dense_payload.copy()
-        if acc.indices.size:
-            idx = acc.indices
-            dense[idx] = op.ufunc(dense[idx], acc.values)
+        _scatter_into(dense, acc, op)
         acc._dense = dense  # noqa: SLF001 - intentional internal switch
         acc._indices = None  # noqa: SLF001
         acc._values = None  # noqa: SLF001
@@ -197,9 +202,7 @@ def add_streams_(
     # sparse (op)= sparse
     if acc.should_switch_to_dense(extra_nnz=other.nnz):
         acc.densify(fill=op.neutral)
-        if other.indices.size:
-            idx = other.indices
-            acc.dense_payload[idx] = op.ufunc(acc.dense_payload[idx], other.values)
+        _scatter_into(acc.dense_payload, other, op)
         return acc
 
     idx, val = merge_sparse_pairs(

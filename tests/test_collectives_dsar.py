@@ -1,11 +1,14 @@
 """Tests for DSAR_Split_allgather and its quantized dense stage (§5.3.3, §6)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.collectives import dsar_split_allgather
+from repro.collectives import dsar_split_allgather, ssar_split_allgather
 from repro.quant import QSGDQuantizer
 from repro.runtime import run_ranks
+from repro.streams import MAX, MIN, SUM, SparseStream
 
 from conftest import make_rank_stream, reference_sum
 
@@ -49,7 +52,71 @@ class TestDSAR:
             assert np.array_equal(out[r].to_dense(), base)
 
 
+def in_domain_streams(nranks, op, negative_zeros=False, dim=2048, nnz=700):
+    """Heavily overlapping per-rank streams with ``op(neutral, x) == x``
+    (MAX's neutral 0 is one only for non-negative data, MIN's for non-positive)."""
+    streams = []
+    for rank in range(nranks):
+        s = make_rank_stream(dim, nnz, rank)
+        values = {SUM: s.values, MAX: np.abs(s.values), MIN: -np.abs(s.values)}[op].copy()
+        if negative_zeros:
+            values[rank::5] = -0.0
+        streams.append(SparseStream(dim, indices=s.indices, values=values))
+    return streams
+
+
+class TestDenseFoldMatchesTheSparseFold:
+    """The owner scatters each piece into a dense block instead of merging
+    pair lists and densifying the union: same pieces, same order, same
+    float association, so the same bits as SSAR's split phase."""
+
+    @staticmethod
+    def both(streams, op):
+        dsar = run_ranks(lambda c: dsar_split_allgather(c, streams[c.rank], op=op), len(streams))
+        ssar = run_ranks(lambda c: ssar_split_allgather(c, streams[c.rank], op=op), len(streams))
+        assert all(out.is_dense for out in dsar)
+        return dsar[0].to_dense(), ssar[0].to_dense(fill=op.neutral)
+
+    @pytest.mark.parametrize("op", [SUM, MIN, MAX], ids=lambda op: op.name)
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 8])
+    def test_bitwise_without_negative_zeros(self, nranks, op):
+        got, want = self.both(in_domain_streams(nranks, op), op)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("op", [SUM, MIN, MAX], ids=lambda op: op.name)
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 8])
+    def test_numerically_with_negative_zeros(self, nranks, op):
+        got, want = self.both(in_domain_streams(nranks, op, negative_zeros=True), op)
+        assert np.array_equal(got, want)  # -0.0 == +0.0 here, everything else exact
+
+    def test_lone_negative_zero_comes_out_positive(self):
+        """The one permitted bit difference: the fold starts from the
+        neutral element, and ``0.0 + -0.0`` is ``+0.0`` under SUM."""
+        streams = [
+            SparseStream(8, indices=[1, 5], values=[-0.0, 2.0]),
+            SparseStream(8, indices=[1, 6], values=[-0.0, -3.0]),
+        ]
+        got, want = self.both(streams, SUM)
+        assert np.array_equal(got, want)
+        assert np.signbit(want[1]) and not np.signbit(got[1])
+        assert np.array_equal(np.signbit(got[[5, 6]]), np.signbit(want[[5, 6]]))
+
+
 class TestQuantizedDSAR:
+    def test_same_seed_same_bits_as_recorded(self):
+        """Digest recorded from the implementation that merged the
+        partition sparse, densified it afterwards and ran the per-entry
+        QSGD formula: neither the dense fold nor the bucket-shaped kernels
+        may move a bit of a seeded quantized run."""
+        def prog(comm):
+            stream = SparseStream.random_uniform(4096, 1500, np.random.default_rng(7000 + comm.rank))
+            q = QSGDQuantizer(bits=4, bucket_size=128, seed=100 + comm.rank)
+            return dsar_split_allgather(comm, stream, quantizer=q)
+
+        out = run_ranks(prog, 4)
+        digests = {hashlib.sha256(o.to_dense().tobytes()).hexdigest() for o in out}
+        assert digests == {"ba247f6e4363e3a7c88a1679e5eaa7a14911ea72f0ef91f608450c1f17697f0e"}
+
     def test_single_rank_quantizes_its_partition(self):
         """P=1 is not a bypass: the lone rank owns the single partition and
         must quantize it exactly once, so the result follows the same

@@ -33,6 +33,22 @@ class TestPacking:
         with pytest.raises(ValueError, match="fit"):
             pack_integers(np.array([16], np.uint8), 4)
 
+    @pytest.mark.parametrize("codes,bits", [([300, 1], 8), ([257, 1], 2), ([256], 1)])
+    def test_overflow_checked_before_the_narrowing_cast(self, codes, bits):
+        """300 must not pass as 300 % 256 = 44, nor 257 as a 1."""
+        with pytest.raises(ValueError, match=f"code {codes[0]} does not fit in {bits} bits"):
+            pack_integers(np.array(codes), bits)
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_negative_rejected(self, bits):
+        with pytest.raises(ValueError, match="code -1 does not fit"):
+            pack_integers(np.array([0, -1]), bits)
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_wide_dtype_in_range_packs_like_uint8(self, bits):
+        codes = np.arange(1 << bits, dtype=np.int64)
+        assert np.array_equal(pack_integers(codes, bits), pack_integers(codes.astype(np.uint8), bits))
+
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
             pack_integers(np.array([1], np.uint8), 3)
@@ -55,6 +71,143 @@ class TestPacking:
         gen = np.random.default_rng(seed)
         codes = gen.integers(0, 1 << bits, size=n).astype(np.uint8)
         assert np.array_equal(unpack_integers(pack_integers(codes, bits), bits, n), codes)
+
+
+def reference_quantize(vector, bits, bucket, rng, stochastic=True):
+    """The straightforward per-entry formula (what the kernels must equal bit for bit)."""
+    work = np.asarray(vector).astype(np.float64)
+    n, levels = work.size, (1 << (bits - 1)) - 1
+    starts = np.arange(0, n, bucket)
+    lengths = np.diff(np.append(starts, n))
+    norms = np.sqrt(np.add.reduceat(work * work, starts)) if n else np.empty(0)
+    per_entry_norm = np.repeat(norms, lengths)
+    safe = np.where(per_entry_norm > 0, per_entry_norm, 1.0)
+    ratio = np.abs(work) / safe * levels
+    level = np.floor(ratio + rng.random(n)) if stochastic else np.rint(ratio)
+    level = np.clip(level, 0, levels).astype(np.uint8)
+    codes = ((work < 0).astype(np.uint8) << np.uint8(bits - 1)) | level
+    return codes, norms.astype(np.float32)
+
+
+def reference_dequantize(codes, scales, bits, bucket, value_dtype):
+    n, s = codes.size, (1 << (bits - 1)) - 1
+    level = (codes & np.uint8(s)).astype(np.float64)
+    sign = np.where(codes >> np.uint8(bits - 1) == 1, -1.0, 1.0)
+    lengths = np.diff(np.append(np.arange(0, n, bucket), n))
+    out = sign * level / s * np.repeat(scales.astype(np.float64), lengths)
+    return out.astype(value_dtype)
+
+
+def bits_of(array):
+    return array.view(f"u{array.dtype.itemsize}")
+
+
+BUCKET = 16
+
+
+class TestBitIdentityWithTheReferenceFormula:
+    """Seeded outputs are part of the contract: same bytes on the wire,
+    same bits after decode, whatever shape the kernels take."""
+
+    @staticmethod
+    def check(vector, bits, stochastic, seed=11):
+        q = QSGDQuantizer(bits=bits, bucket_size=BUCKET, seed=seed, stochastic=stochastic)
+        block = q.quantize(vector)
+        codes, scales = reference_quantize(
+            vector, bits, BUCKET, np.random.default_rng(seed), stochastic
+        )
+        assert block.packed.dtype == np.uint8 and block.scales.dtype == np.float32
+        assert np.array_equal(block.packed, pack_integers(codes, bits))
+        assert np.array_equal(bits_of(block.scales), bits_of(scales))
+        assert np.array_equal(unpack_integers(block.packed, bits, vector.size), codes)
+        decoded = q.dequantize(block)
+        assert decoded.dtype == vector.dtype
+        want = reference_dequantize(codes, scales, bits, BUCKET, vector.dtype)
+        assert np.array_equal(bits_of(decoded), bits_of(want))
+
+    @pytest.mark.parametrize("stochastic", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("n", [0, 1, BUCKET - 1, BUCKET, BUCKET + 1, 5 * BUCKET + 3])
+    def test_lengths_around_the_bucket(self, n, bits, dtype, stochastic):
+        vector = np.random.default_rng(n).standard_normal(n).astype(dtype)
+        self.check(vector, bits, stochastic)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_all_zero_buckets_and_signed_zeros(self, bits, rng):
+        vector = rng.standard_normal(4 * BUCKET + 5).astype(np.float32)
+        vector[BUCKET: 2 * BUCKET] = 0.0  # a full bucket of norm 0
+        vector[4 * BUCKET:] = -0.0  # the ragged tail, all negative zeros
+        vector[3] = -0.0
+        self.check(vector, bits, stochastic=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.sampled_from([2, 4, 8]),
+        dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+        stochastic=st.booleans(),
+        seed=st.integers(0, 2**31),
+        n=st.one_of(
+            st.sampled_from([0, 1, BUCKET - 1, BUCKET, BUCKET + 1]), st.integers(0, 200)
+        ),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_property(self, bits, dtype, stochastic, seed, n, density):
+        gen = np.random.default_rng(seed)
+        vector = (gen.standard_normal(n) * gen.exponential(1.0)).astype(dtype)
+        vector[gen.random(n) >= density] = 0.0
+        self.check(vector, bits, stochastic, seed=seed)
+
+    def test_consecutive_calls_consume_the_generator_alike(self, rng):
+        """One float64 draw of n per call: the second block matches too."""
+        q = QSGDQuantizer(bits=4, bucket_size=BUCKET, seed=3)
+        gen = np.random.default_rng(3)
+        for n in (37, 64):
+            vector = rng.standard_normal(n).astype(np.float32)
+            codes, _ = reference_quantize(vector, 4, BUCKET, gen)
+            assert np.array_equal(q.quantize(vector).packed, pack_integers(codes, 4))
+
+
+class TestDequantizeOut:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_writes_the_bits_of_the_returning_form(self, bits, dtype, rng):
+        q = QSGDQuantizer(bits=bits, bucket_size=BUCKET, seed=0)
+        block = q.quantize(rng.standard_normal(3 * BUCKET + 7).astype(dtype))
+        out = np.empty(block.length, dtype=dtype)
+        assert q.dequantize(block, out=out) is out
+        assert np.array_equal(bits_of(out), bits_of(q.dequantize(block)))
+
+    def test_into_a_slice_of_a_larger_array(self, rng):
+        q = QSGDQuantizer(bits=8, bucket_size=BUCKET, seed=0)
+        block = q.quantize(rng.standard_normal(2 * BUCKET + 1).astype(np.float32))
+        result = np.full(block.length + 10, 7.0, dtype=np.float32)
+        q.dequantize(block, out=result[4: 4 + block.length])
+        assert np.array_equal(result[4: 4 + block.length], q.dequantize(block))
+        assert np.all(result[:4] == 7.0) and np.all(result[4 + block.length:] == 7.0)
+
+    def test_empty_block_is_a_no_op(self):
+        """Chunked dsar_hier produces zero-length partitions."""
+        q = QSGDQuantizer(bits=4, seed=0)
+        block = q.quantize(np.empty(0, dtype=np.float32))
+        result = np.full(6, 7.0, dtype=np.float32)
+        out = q.dequantize(block, out=result[3:3])
+        assert out.size == 0 and np.all(result == 7.0)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty(31, dtype=np.float32),  # wrong length
+            np.empty(32, dtype=np.float64),  # not the block's dtype
+            np.empty((32, 1), dtype=np.float32),  # not 1-D
+            np.empty(64, dtype=np.float32)[::2],  # strided: no bucket view of it
+        ],
+    )
+    def test_unusable_out_rejected(self, out):
+        q = QSGDQuantizer(bits=4, bucket_size=BUCKET, seed=0)
+        block = q.quantize(np.ones(32, dtype=np.float32))
+        with pytest.raises(ValueError, match="out must be"):
+            q.dequantize(block, out=out)
 
 
 class TestQSGD:
@@ -142,6 +295,39 @@ class TestQSGD:
     def test_2d_input_rejected(self):
         with pytest.raises(ValueError):
             QSGDQuantizer(bits=4).quantize(np.zeros((2, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_non_finite_entry_names_its_bucket(self, bad, dtype, recwarn):
+        """Not a platform-defined float -> uint8 cast and a bucket of NaN."""
+        v = np.ones(40, dtype=dtype)
+        v[37] = bad  # the ragged third bucket
+        v[20] = bad  # first offender: the second bucket
+        with pytest.raises(ValueError, match=r"bucket 1 \(entries 16 to 31\)"):
+            QSGDQuantizer(bits=8, bucket_size=16, seed=0).quantize(v)
+        assert not recwarn.list
+
+    def test_overflowing_square_sum_rejected(self, recwarn):
+        """Every entry finite, the float64 norm is not."""
+        v = np.ones(40, dtype=np.float64)
+        v[33] = 1e200
+        with pytest.raises(ValueError, match=r"bucket 2 \(entries 32 to 39\).*inf"):
+            QSGDQuantizer(bits=4, bucket_size=16, seed=0).quantize(v)
+        assert not recwarn.list
+
+    def test_norm_beyond_the_float32_scale_rejected(self):
+        v = np.full(16, 3e38, dtype=np.float64)  # norm 1.2e39 > float32 max
+        with pytest.raises(ValueError, match="bucket 0"):
+            QSGDQuantizer(bits=4, bucket_size=16, seed=0).quantize(v)
+
+    def test_rejected_input_draws_no_noise(self, rng):
+        """A refused call leaves the generator where it was."""
+        q = QSGDQuantizer(bits=4, bucket_size=16, seed=9)
+        with pytest.raises(ValueError):
+            q.quantize(np.array([np.nan], dtype=np.float32))
+        v = rng.standard_normal(50).astype(np.float32)
+        fresh = QSGDQuantizer(bits=4, bucket_size=16, seed=9)
+        assert np.array_equal(q.quantize(v).packed, fresh.quantize(v).packed)
 
     @settings(max_examples=30, deadline=None)
     @given(
