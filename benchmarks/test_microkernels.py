@@ -61,15 +61,28 @@ def _benchmark_shape(name: str):
             merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
             merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
         )
-    assert name == "async_train_bucket"  # top-k of like gradients: 2 528 + 2 528, 57 % shared
     pool = gen.permutation(40_399).astype(np.uint32)
-    support_a, support_b = np.sort(pool[:2_528]), np.sort(pool[1_078:3_606])
-    values = gen.standard_normal(2_528).astype(np.float32)
+    if name == "async_train_bucket":
+        # one fused bucket's intra-host reduce: the non-zeros of two ranks'
+        # gradients, 89 + 89 pairs of 40 399, a fifth shared (hot features);
+        # the leaders then merge the two ~158-pair unions. Priced by numpy
+        # call count, like latency_bound's 128 + 128
+        nnz, shared = 89, 20
+    else:
+        # the second axis of the kernel (PR 16): with this many scattered
+        # twins a boolean-mask compress is 3-5x slower than the integer
+        # take. 2 528 + 2 528 pairs, 57 % shared — what async_train merged
+        # while every rank's top-k padded its bucket with tied zeros
+        assert name == "overlap_57_percent"
+        nnz, shared = 2_528, 1_450
+    support_a, support_b = np.sort(pool[:nnz]), np.sort(pool[nnz - shared: 2 * nnz - shared])
+    values = gen.standard_normal(nnz).astype(np.float32)
     return (support_a, values), (support_b, values)
 
 
 @pytest.mark.parametrize(
-    "shape", ["merge_bound_round1", "merge_bound_round2", "async_train_bucket"]
+    "shape",
+    ["merge_bound_round1", "merge_bound_round2", "async_train_bucket", "overlap_57_percent"],
 )
 def test_kernel_merge_pairs_benchmark_shapes(benchmark, shape):
     (idx_a, val_a), (idx_b, val_b) = _benchmark_shape(shape)
@@ -149,14 +162,43 @@ def test_kernel_qsgd_decode_four_blocks_into_one_vector(benchmark, partition):
     assert np.array_equal(out[-PARTITION:], q.dequantize(blocks[-1]))
 
 
+def _mostly_zeros(size: int, nonzeros: int) -> np.ndarray:
+    return SparseStream.random_uniform(size, nonzeros, np.random.default_rng(6)).to_dense()
+
+
 def test_kernel_topk_global(benchmark, dense_vec):
     idx = benchmark(topk_global_indices, dense_vec, NNZ)
     assert idx.size == NNZ
 
 
+def test_kernel_topk_global_mostly_zeros(benchmark):
+    """async_train's whole gradient: 1 800 non-zeros of 323 196. A
+    partition of the full vector is all ties (10.5 ms before selection
+    followed the non-zeros)."""
+    idx = benchmark(topk_global_indices, _mostly_zeros(323_196, 1_800), NNZ)
+    assert idx.size == 1_800
+
+
 def test_kernel_topk_bucket(benchmark, dense_vec):
     idx = benchmark(topk_bucket_indices, dense_vec, 4, 512)
     assert idx.size == (N // 512) * 4
+
+
+# async_train's fused bucket: 40 399 float32, k = 32 of every 512
+@pytest.mark.parametrize(
+    "nonzeros, selected",
+    [
+        (40_399, 78 * 32 + 32),  # no zero anywhere: one 2-D partition, as for a DNN gradient
+        (89, 89),  # what the workload selects from: no bucket reaches k, nothing is partitioned
+        (4_040, None),  # tie-heavy: most buckets hold more than k, and 90 % tied zeros
+    ],
+    ids=["dense", "async_train_accumulator", "tie_heavy_10_percent"],
+)
+def test_kernel_topk_bucket_fused_bucket(benchmark, nonzeros, selected):
+    vec = _mostly_zeros(40_399, nonzeros)
+    idx = benchmark(topk_bucket_indices, vec, 32, 512)
+    assert np.all(vec[idx] != 0)
+    assert selected is None or idx.size == selected
 
 
 def test_kernel_pack_unpack(benchmark):

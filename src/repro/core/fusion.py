@@ -259,8 +259,10 @@ class GradientFuser:
         """Fresh per-bucket error-feedback states matching the layout.
 
         ``k``/``bucket_size`` follow the TopK conventions of
-        :class:`~repro.core.topk.ErrorFeedback`; for global selection
-        (``bucket_size=None``) ``k`` is clamped to each fused bucket's size.
+        :class:`~repro.core.topk.ErrorFeedback` — at most ``k`` of every
+        ``bucket_size`` coordinates, never an exact zero; for global
+        selection (``bucket_size=None``) ``k`` is clamped to each fused
+        bucket's size.
         """
         return [
             ErrorFeedback(

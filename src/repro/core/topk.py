@@ -10,6 +10,11 @@ Two selection rules are provided:
   select the 4 largest ones", §8.4). Per-bucket selection is GPU-friendly
   and guarantees support spread across the model.
 
+Both select among the **non-zeros** only — at most ``k``, never an exact
+zero: a stream stores the non-zero pairs (§5.1), and an accumulator with
+fewer non-zeros than the rule asks for must not pad what it ships with
+explicit ``0.0`` entries.
+
 :class:`ErrorFeedback` maintains the residual ``epsilon`` of Algorithm 1:
 components not selected are accumulated locally and re-injected into the
 next step's gradient, which is what makes TopK SGD convergent (Thm 4.1).
@@ -33,24 +38,72 @@ __all__ = [
 
 
 def topk_global_indices(vec: np.ndarray, k: int) -> np.ndarray:
-    """Sorted indices of the ``k`` largest-magnitude entries of ``vec``."""
+    """Sorted indices of the at most ``k`` largest-magnitude non-zeros of ``vec``.
+
+    Never the index of an exact zero (``-0.0`` is zero, NaN is not, as
+    ``!= 0`` says): a vector with fewer than ``k`` non-zeros returns all
+    of them and nothing else.
+    """
     n = vec.shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     if k == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
-    if k == n:
-        return np.arange(n, dtype=INDEX_DTYPE)
-    part = np.argpartition(np.abs(vec), n - k)[n - k:]
-    part.sort()
-    return part.astype(INDEX_DTYPE)
+    # through the boolean mask: count_nonzero / flatnonzero of the float
+    # vector itself are several times slower
+    nonzero = vec != 0
+    count = np.count_nonzero(nonzero)
+    if count <= k:
+        return np.flatnonzero(nonzero).astype(INDEX_DTYPE)
+    # partition the non-zeros' magnitudes only — a vector's zeros tie, and
+    # argpartition over ties is many times slower. Without a zero anywhere
+    # (DNN gradients) that is the vector itself, positions and all
+    idx = None if count == n else np.flatnonzero(nonzero)
+    magnitudes = np.abs(vec if idx is None else vec[idx])
+    top = np.argpartition(magnitudes, count - k)[count - k:]
+    top.sort()
+    return (top if idx is None else idx[top]).astype(INDEX_DTYPE)
+
+
+def _row_topk_nonzero(mat: np.ndarray, k: int) -> np.ndarray:
+    """Flat positions, in no order, of the ``min(k, non-zeros)``
+    largest-magnitude non-zeros of every row of ``mat``.
+
+    Rows holding at most ``k`` non-zeros contribute exactly those and
+    are never partitioned; a row's zeros tie, and ``argpartition`` on a
+    tie-heavy row is 5-6x slower than on random data.
+    """
+    rows, width = mat.shape
+    nonzero = mat != 0
+    if k < width and np.count_nonzero(nonzero) == mat.size:
+        # no zero anywhere (DNN gradients): every row is partitioned and
+        # nothing is counted per row
+        partitioned = np.arange(rows)
+        kept = partitioned[:0]
+        magnitudes = np.abs(mat)
+    else:
+        kept = np.flatnonzero(nonzero)
+        row_of = kept // width
+        over = np.bincount(row_of, minlength=rows) > k
+        if not over.any():
+            return kept
+        kept = kept[~over[row_of]]
+        partitioned = np.flatnonzero(over)
+        magnitudes = np.abs(mat[partitioned])
+    # more than k of a partitioned row's magnitudes are positive (or
+    # NaN, which sorts last), so its k largest hold no zero
+    top = np.argpartition(magnitudes, width - k, axis=1)[:, width - k:]
+    return np.concatenate((kept, (top + (partitioned * width)[:, None]).reshape(-1)))
 
 
 def topk_bucket_indices(vec: np.ndarray, k: int, bucket_size: int) -> np.ndarray:
-    """Sorted indices selecting the ``k`` largest entries of every bucket.
+    """Sorted indices of at most ``k`` entries of every bucket, never a zero.
 
-    The last bucket may be shorter than ``bucket_size``; it contributes
-    ``min(k, len)`` entries.
+    Per bucket of ``bucket_size`` consecutive coordinates (the last may
+    be shorter): its ``min(k, non-zeros in the bucket)`` largest-magnitude
+    **non-zero** coordinates (``-0.0`` is zero, NaN is not, as ``!= 0``
+    says). The work follows the non-zeros, not the dimension; on input
+    without zeros this is the ``k`` largest of every bucket.
     """
     n = vec.shape[0]
     if bucket_size < 1:
@@ -59,26 +112,12 @@ def topk_bucket_indices(vec: np.ndarray, k: int, bucket_size: int) -> np.ndarray
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0 or n == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
-    k = min(k, bucket_size)
     full_end = (n // bucket_size) * bucket_size
     picks: list[np.ndarray] = []
     if full_end:
-        mat = np.abs(vec[:full_end]).reshape(-1, bucket_size)
-        if k >= bucket_size:
-            sel = np.tile(np.arange(bucket_size), (mat.shape[0], 1))
-        else:
-            sel = np.argpartition(mat, bucket_size - k, axis=1)[:, bucket_size - k:]
-        offs = (np.arange(mat.shape[0]) * bucket_size)[:, None]
-        picks.append((sel + offs).reshape(-1))
-    tail = n - full_end
-    if tail:
-        kt = min(k, tail)
-        tail_abs = np.abs(vec[full_end:])
-        if kt >= tail:
-            sel_t = np.arange(tail)
-        else:
-            sel_t = np.argpartition(tail_abs, tail - kt)[tail - kt:]
-        picks.append(sel_t + full_end)
+        picks.append(_row_topk_nonzero(vec[:full_end].reshape(-1, bucket_size), k))
+    if full_end < n:
+        picks.append(_row_topk_nonzero(vec[full_end:].reshape(1, -1), k) + full_end)
     idx = np.concatenate(picks)
     idx.sort()
     return idx.astype(INDEX_DTYPE)
@@ -91,7 +130,9 @@ def topk_stream(
 ) -> SparseStream:
     """Select Top-K entries of a dense vector as a sparse stream.
 
-    ``bucket_size=None`` selects globally; otherwise per bucket.
+    ``bucket_size=None`` selects globally; otherwise per bucket. Either
+    way the stream holds at most ``k`` entries (per bucket), never an
+    exact zero: ``stream.nnz == stream.stored_nonzeros``.
     """
     if bucket_size is None:
         idx = topk_global_indices(vec, k)
@@ -140,7 +181,9 @@ class ErrorFeedback:
         sent  = TopK(acc)                          # what the node ships
         residual = acc - sent                      # error kept locally
 
-    Invariant (tested property): ``dense(sent) + residual == acc`` exactly.
+    ``sent`` holds at most ``k`` entries (per bucket), never an exact
+    zero. Invariant (tested property): ``dense(sent) + residual == acc``
+    exactly.
     """
 
     def __init__(
@@ -163,9 +206,8 @@ class ErrorFeedback:
             raise ValueError(
                 f"gradient shape {scaled_gradient.shape} != ({self.dimension},)"
             )
-        acc = self.residual + scaled_gradient.astype(self.residual.dtype, copy=False)
-        stream = topk_stream(acc, self.k, self.bucket_size)
-        self.residual = acc
+        self.residual += scaled_gradient.astype(self.residual.dtype, copy=False)
+        stream = topk_stream(self.residual, self.k, self.bucket_size)
         if stream.nnz:
             self.residual[stream.indices.astype(np.int64)] = 0.0
         return stream

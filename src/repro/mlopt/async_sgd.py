@@ -49,7 +49,7 @@ from ..runtime.nonblocking import i_collective
 from .datasets import SparseDataset, partition_rows
 from .linear import LinearModel
 from .metrics import EpochRecord, RunHistory
-from .sgd import SGDConfig, comm_bytes_sent
+from .sgd import SentBytes, SGDConfig
 
 __all__ = ["distributed_sgd_async"]
 
@@ -94,8 +94,8 @@ def distributed_sgd_async(
 
     ``fuser`` switches the exchange to the bucketed path of §9: each
     step's gradient is densified, TopK-selected per fused bucket (with
-    per-bucket error feedback carrying ``fuser_k`` survivors per bucket),
-    and launched through
+    per-bucket error feedback shipping at most ``fuser_k`` of every 512
+    coordinates, never an exact zero), and launched through
     :meth:`~repro.core.fusion.GradientFuser.i_fused_allreduce` — one
     background collective reducing the buckets in order, joined one step
     later. ``chunks`` pipelines the hierarchical collectives either way
@@ -189,24 +189,26 @@ def distributed_sgd_async(
     def apply_update(total_stream, contributors: int) -> None:
         model.apply_regularization(w, config.lr)
         if isinstance(total_stream, np.ndarray):
-            # the fused path joins to a plain dense update vector
-            comm.compute(total_stream.nbytes * 2, "apply")
-            w[:] -= (config.lr / contributors) * total_stream.astype(np.float64)
-            return
-        if total_stream.is_dense:
+            # the fused path joins to a plain dense update vector of a
+            # few hundred non-zeros: touch those (w - 0.0 == w)
+            idx = np.flatnonzero(total_stream != 0)
+            values = total_stream[idx]
+        elif total_stream.is_dense:
             comm.compute(total_stream.dense_payload.nbytes * 2, "apply")
             w[:] -= (config.lr / contributors) * total_stream.dense_payload.astype(np.float64)
+            return
         else:
-            comm.compute(total_stream.nnz * 12, "apply")
             idx = total_stream.indices.astype(np.int64)
-            w[idx] -= (config.lr / contributors) * total_stream.values.astype(np.float64)
+            values = total_stream.values
+        comm.compute(idx.size * 12, "apply")
+        w[idx] -= (config.lr / contributors) * values.astype(np.float64)
 
     def launch(grad):
         nonlocal algorithm
         if fuser is not None:
             return fuser.i_fused_allreduce(
                 comm,
-                grad.to_dense().astype(np.float32),
+                grad.to_dense().astype(np.float32, copy=False),
                 feedback,
                 algorithm="auto" if selector is not None else algorithm,
                 chunks=chunks,
@@ -284,9 +286,9 @@ def distributed_sgd_async(
         except RankFailedError as exc:
             recover(exc, None, epoch)
 
+    sent = SentBytes(comm)
     for epoch in range(start_epoch, config.epochs):
         grad_nnz: list[int] = []
-        bytes_before = comm_bytes_sent(comm)
         for _ in range(steps_per_epoch):
             rows = rng.choice(n_local, size=min(config.batch_size, n_local), replace=False)
             comm.mark("compute")
@@ -325,7 +327,7 @@ def distributed_sgd_async(
                 loss=model.loss(w, dataset.X, dataset.y),
                 accuracy=model.accuracy(w, dataset.X, dataset.y),
                 grad_nnz_mean=float(np.mean(grad_nnz)) if grad_nnz else 0.0,
-                bytes_sent=comm_bytes_sent(comm) - bytes_before,
+                bytes_sent=sent.since_last_read(comm),
             )
         )
     if pending is not None:

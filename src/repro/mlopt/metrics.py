@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..streams import SparseStream
+
 __all__ = ["EpochRecord", "RunHistory"]
 
 
@@ -23,6 +25,15 @@ class EpochRecord:
 @dataclass
 class RunHistory:
     """Accumulated per-epoch records plus final model.
+
+    ``params`` reads as the dense model vector, but a history *holds* it
+    as a :class:`~repro.streams.SparseStream` while that is the smaller
+    form (§5.1's ``delta``): a sparse linear model trained for a few
+    epochs is non-zero on the few percent of its features the data ever
+    touched, and callers keep histories by the dozen (sweeps, the repo
+    benchmark's segments) and ship them between processes. Every read
+    materialises a fresh array — treat it as read-only; a ``-0.0`` entry
+    reads back as ``0.0``.
 
     ``degraded_rank`` is set by drivers that survive a peer failure
     (see :func:`~repro.mlopt.async_sgd.distributed_sgd_async`): it names
@@ -43,10 +54,23 @@ class RunHistory:
     """
 
     records: list[EpochRecord] = field(default_factory=list)
-    params: np.ndarray | None = None
     degraded_rank: int | None = None
     world_sizes: list[int] = field(default_factory=list)
     algorithm_switches: list[dict] = field(default_factory=list)
+    _params: "SparseStream | np.ndarray | None" = field(default=None, repr=False)
+
+    @property
+    def params(self) -> np.ndarray | None:
+        held = self._params
+        return held.to_dense() if isinstance(held, SparseStream) else held
+
+    @params.setter
+    def params(self, w: np.ndarray | None) -> None:
+        if w is not None and w.dtype == np.float64:
+            pairs = SparseStream.from_dense(w)
+            if pairs.nnz <= pairs.delta:
+                w = pairs
+        self._params = w
 
     def add(self, record: EpochRecord) -> None:
         self.records.append(record)

@@ -29,6 +29,7 @@ from ..streams import SparseStream
 from .datasets import SparseDataset, partition_rows
 from .linear import LinearModel
 from .metrics import EpochRecord, RunHistory
+from .sgd import SentBytes
 
 __all__ = ["SCDConfig", "distributed_scd"]
 
@@ -70,8 +71,8 @@ def distributed_scd(
     w = np.zeros(model.n_features, dtype=np.float64)
     history = RunHistory()
 
+    sent = SentBytes(comm)
     for epoch in range(config.epochs):
-        bytes_before = _bytes_sent(comm)
         for _ in range(config.iterations_per_epoch):
             block = rng.choice(
                 np.arange(my_lo, my_hi),
@@ -116,12 +117,8 @@ def distributed_scd(
                 loss=model.loss(w, dataset.X, dataset.y),
                 accuracy=model.accuracy(w, dataset.X, dataset.y),
                 grad_nnz_mean=float(config.block_size),
-                bytes_sent=_bytes_sent(comm) - bytes_before,
+                bytes_sent=sent.since_last_read(comm),
             )
         )
     history.params = w
     return history
-
-
-def _bytes_sent(comm: Communicator) -> int:
-    return comm.trace.bytes_sent_by(comm.rank)

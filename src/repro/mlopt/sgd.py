@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from ..collectives.api import dense_allreduce, sparse_allreduce
 from ..runtime.comm import Communicator
+from ..runtime.trace import SEND
 from .datasets import SparseDataset, partition_rows
 from .linear import LinearModel
 from .metrics import EpochRecord, RunHistory
@@ -82,9 +83,9 @@ def distributed_sgd(
     dense_mode = config.mode == "dense"
     dense_algo = config.algorithm if config.algorithm.startswith("dense") else "dense_rabenseifner"
 
+    sent = SentBytes(comm)
     for epoch in range(config.epochs):
         grad_nnz: list[int] = []
-        bytes_before = comm_bytes_sent(comm)
         for _ in range(steps_per_epoch):
             rows = rng.choice(n_local, size=min(config.batch_size, n_local), replace=False)
             X_batch = X_local[rows]
@@ -117,15 +118,34 @@ def distributed_sgd(
                 loss=model.loss(w, eval_X, eval_y),
                 accuracy=model.accuracy(w, eval_X, eval_y),
                 grad_nnz_mean=float(np.mean(grad_nnz)) if grad_nnz else 0.0,
-                bytes_sent=comm_bytes_sent(comm) - bytes_before,
+                bytes_sent=sent.since_last_read(comm),
             )
         )
     history.params = w
     return history
 
 
-def comm_bytes_sent(comm: Communicator) -> int:
-    """Bytes this rank has sent so far (works on any backend's trace)."""
-    # trace events are attributed to *world* ranks, so read through
-    # world_rank — on a sub/elastic communicator the group rank differs
-    return comm.trace.bytes_sent_by(comm.world_rank)
+class SentBytes:
+    """A rank's sent bytes per epoch, read off its trace (any backend's).
+
+    Each read sums only the events recorded since the previous one: a
+    rescan of the whole log at every epoch boundary is quadratic over a
+    run.
+    """
+
+    def __init__(self, comm: Communicator) -> None:
+        self._cursor = len(self._events(comm))
+
+    @staticmethod
+    def _events(comm: Communicator) -> list:
+        # trace events are attributed to *world* ranks, so read through
+        # world_rank — on a sub/elastic communicator the group rank differs
+        return comm.trace.events(comm.world_rank)
+
+    def since_last_read(self, comm: Communicator) -> int:
+        """Bytes sent since construction or the previous read; ``comm``
+        is the rank's current communicator (a shrink replaces it)."""
+        # one slice: a progress thread may append while this sums
+        fresh = self._events(comm)[self._cursor:]
+        self._cursor += len(fresh)
+        return sum(e.nbytes for e in fresh if e.op == SEND)

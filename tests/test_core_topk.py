@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import INDEX_DTYPE
 from repro.core import (
     ErrorFeedback,
     quantize_stream_values,
@@ -14,6 +15,8 @@ from repro.core import (
 )
 from repro.quant import QSGDQuantizer
 from repro.streams import SparseStream
+
+from conftest import reference_bucket_indices
 
 
 class TestGlobalTopK:
@@ -36,6 +39,20 @@ class TestGlobalTopK:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             topk_global_indices(np.ones(5), 6)
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 7])
+    def test_never_the_index_of_a_zero(self, k):
+        """At most k, all of the non-zeros when there are fewer, ``k == n``
+        included; ``-0.0`` is a zero and NaN is not."""
+        v = np.array([0.0, 2.0, -0.0, -3.0, 0.0, np.nan, 0.5], dtype=np.float32)
+        idx = topk_global_indices(v, k)
+        assert idx.dtype == INDEX_DTYPE
+        assert idx.tolist() == {1: [5], 3: [1, 3, 5], 4: [1, 3, 5, 6], 7: [1, 3, 5, 6]}[k]
+
+    def test_matches_the_whole_vector_partition_without_zeros(self, rng):
+        v = rng.standard_normal(300).astype(np.float32)
+        want = np.sort(np.argpartition(np.abs(v), 300 - 40)[300 - 40:])
+        assert np.array_equal(topk_global_indices(v, 40), want)
 
     def test_magnitude_threshold_property(self, rng):
         v = rng.standard_normal(200)
@@ -87,6 +104,74 @@ class TestBucketTopK:
             topk_bucket_indices(np.ones(4), -1, 2)
 
 
+@st.composite
+def accumulators(draw):
+    """``(vector, k, bucket_size, tie_free)``: float32 vectors made of runs
+    — all zero, all non-zero, or a mix of exact zeros, ``-0.0`` and
+    non-zeros — with a ragged tail, ``k`` up to past the bucket size, and
+    either distinct magnitudes or a handful of repeated ones."""
+    bucket_size = draw(st.sampled_from([1, 4, 16, 64]))
+    n = draw(st.integers(1, 6 * bucket_size + bucket_size // 2))
+    k = draw(st.integers(1, bucket_size + 2))
+    tie_free = draw(st.booleans())
+    gen = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if tie_free:
+        magnitudes = gen.permutation(n) + 1.0
+    else:
+        magnitudes = gen.integers(1, 4, n).astype(np.float64)
+    vec = (magnitudes * gen.choice([-1.0, 1.0], n)).astype(np.float32)
+    run = max(1, n // draw(st.integers(1, 6)))
+    for start in range(0, n, run):
+        kind = draw(st.sampled_from(["dense", "zero", "mixed", "mixed"]))
+        if kind == "zero":
+            vec[start: start + run] = 0.0
+        elif kind == "mixed":
+            hole = gen.random(min(run, n - start)) < draw(st.sampled_from([0.3, 0.9, 0.99]))
+            vec[start: start + run][hole] = gen.choice([0.0, -0.0], int(hole.sum()))
+    return vec, k, bucket_size, tie_free
+
+
+class TestBucketTopKFollowsTheNonZeros:
+    @settings(max_examples=300, deadline=None)
+    @given(accumulators())
+    def test_contract_against_the_reference(self, case):
+        vec, k, bucket_size, tie_free = case
+        idx = topk_bucket_indices(vec, k, bucket_size)
+        wide = idx.astype(np.int64)
+        assert idx.dtype == INDEX_DTYPE
+        assert np.all(np.diff(wide) > 0)  # sorted and unique
+        assert np.all(vec[wide] != 0)  # never an exact zero, -0.0 included
+        n_buckets = -(-vec.size // bucket_size)
+        nonzeros = np.bincount(np.flatnonzero(vec != 0) // bucket_size, minlength=n_buckets)
+        picked = np.bincount(wide // bucket_size, minlength=n_buckets)
+        assert np.array_equal(picked, np.minimum(k, nonzeros))
+        reference = reference_bucket_indices(vec, k, bucket_size)
+        if np.all(vec != 0):
+            assert np.array_equal(idx, reference)  # index for index, ties included
+        elif tie_free:
+            assert np.array_equal(idx, reference[vec[reference.astype(np.int64)] != 0])
+        else:
+            # among ties any choice is a top-k: the magnitudes must agree
+            for b in np.flatnonzero(picked):
+                mine = np.abs(vec[wide[wide // bucket_size == b]])
+                bucket = np.abs(vec[b * bucket_size: (b + 1) * bucket_size])
+                assert np.array_equal(np.sort(mine), np.sort(bucket)[bucket.size - mine.size:])
+
+    def test_nan_is_a_non_zero(self):
+        v = np.zeros(16, dtype=np.float32)
+        v[[1, 2, 3]] = [1.0, np.nan, 2.0]
+        assert topk_bucket_indices(v, 4, 8).tolist() == [1, 2, 3]  # kept, not partitioned
+        assert topk_bucket_indices(v, 2, 8).tolist() == [2, 3]  # NaN sorts as the largest
+
+    def test_sparse_accumulator_ships_its_non_zeros(self, rng):
+        """The benchmark's shape: 89 non-zeros of 40 399, k = 32 of 512."""
+        v = np.zeros(40_399, dtype=np.float32)
+        where = np.sort(rng.choice(v.size, 89, replace=False))
+        v[where] = rng.standard_normal(89)
+        assert np.array_equal(topk_bucket_indices(v, 32, 512), where)
+        assert reference_bucket_indices(v, 32, 512).size == 78 * 32 + 32
+
+
 class TestTopKStream:
     def test_global_mode(self, rng):
         v = rng.standard_normal(64).astype(np.float32)
@@ -128,6 +213,30 @@ class TestErrorFeedback:
         ef = ErrorFeedback(128, k=2, bucket_size=32)
         sent = ef.select(rng.standard_normal(128).astype(np.float32))
         assert sent.nnz == 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(accumulators(), st.integers(1, 4))
+    def test_invariant_is_bitwise_and_no_zero_ships(self, case, steps):
+        """``dense(sent) + residual == acc`` bit for bit, on accumulators
+        that are mostly zeros, and what ships holds no explicit zero."""
+        vec, k, bucket_size, _ = case
+        ef = ErrorFeedback(vec.size, k=k, bucket_size=bucket_size)
+        gen = np.random.default_rng(vec.size)
+        for _ in range(steps):
+            g = vec * gen.integers(0, 3, vec.size).astype(np.float32)
+            acc = ef.residual + g
+            sent = ef.select(g)
+            assert sent.nnz == sent.stored_nonzeros
+            assert sent.value_dtype == np.float32
+            total = sent.to_dense() + ef.residual
+            # + 0.0: an unselected -0.0 has always read back as 0.0 + -0.0
+            assert np.array_equal(total.view(np.uint32), (acc + 0.0).view(np.uint32))
+
+    def test_global_mode_ships_no_zero(self):
+        ef = ErrorFeedback(6, k=4, value_dtype=np.float64)
+        sent = ef.select(np.array([0.0, 3.0, 0.0, -1.0, 0.0, 0.0]))
+        assert sent.indices.tolist() == [1, 3]
+        assert not ef.residual.any()
 
     def test_reset(self, rng):
         ef = ErrorFeedback(20, k=2)

@@ -1,5 +1,7 @@
 """Tests for the distributed SGD and SCD drivers (MPI-OPT, §8.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.mlopt import (
     distributed_sgd,
     make_sparse_classification,
 )
+from repro.mlopt.metrics import RunHistory
 from repro.runtime import run_ranks
 
 
@@ -69,6 +72,28 @@ class TestDistributedSGD:
         out = run_sgd(dataset, 2, "sparse")
         assert all(r.bytes_sent > 0 for r in out[0].records)
 
+    @pytest.mark.parametrize("driver", ["sgd", "scd"])
+    def test_epoch_bytes_partition_the_trace(self, dataset, driver):
+        """An epoch counts the events recorded since the previous read,
+        each once: the records add up to what the rank sent inside the
+        driver, and traffic from before it belongs to no epoch."""
+
+        def prog(comm):
+            comm.bcast(np.ones(64), root=0)
+            before = comm.trace.bytes_sent_by(comm.rank)
+            model = LogisticRegression(dataset.n_features, reg=1e-5)
+            if driver == "sgd":
+                cfg = SGDConfig(epochs=3, batch_size=30, lr=0.8)
+                return before, distributed_sgd(comm, dataset, model, cfg)
+            cfg = SCDConfig(epochs=3, iterations_per_epoch=5, block_size=50, lr=0.8)
+            return before, distributed_scd(comm, dataset, model, cfg)
+
+        out = run_ranks(prog, 4)
+        assert out[0][0] > 0
+        for rank, (before, history) in enumerate(out):
+            in_epochs = sum(r.bytes_sent for r in history.records)
+            assert in_epochs == out.trace.bytes_sent_by(rank) - before
+
     def test_non_power_of_two_ranks(self, dataset):
         out = run_sgd(dataset, 3, "sparse")
         assert len(out[0].losses) == 2
@@ -116,3 +141,26 @@ class TestDistributedSCD:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             SCDConfig(mode="invalid")
+
+
+class TestRunHistoryHoldsTheModelAsPairs:
+    def test_sparse_model_round_trips_bit_for_bit(self):
+        w = np.zeros(100_000)
+        w[[3, 70, 99_999]] = [1.5, np.nan, -2.0 ** -1060]
+        history = RunHistory()
+        history.params = w
+        assert history.params is not w  # a fresh array per read
+        assert np.array_equal(history.params.view(np.uint64), w.view(np.uint64))
+        assert history.params.dtype == np.float64
+        assert len(pickle.dumps(history)) < w.nbytes // 100
+        clone = pickle.loads(pickle.dumps(history))
+        assert np.array_equal(clone.params.view(np.uint64), w.view(np.uint64))
+
+    def test_dense_or_foreign_models_are_held_as_given(self):
+        history = RunHistory()
+        assert history.params is None
+        for w in (np.arange(1.0, 9.0), np.zeros(8, dtype=np.float32), np.zeros(8, dtype=np.int64)):
+            history.params = w
+            assert history.params is w
+        history.params = None
+        assert history.params is None

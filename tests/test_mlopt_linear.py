@@ -1,5 +1,11 @@
 """Tests for the linear models: gradient correctness and sparsity structure."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -118,3 +124,42 @@ class TestLossShapes:
         w = np.full(4, 10.0)  # every margin = 10 > 1
         grad = model.grad_dense(w, X, y)
         assert np.allclose(grad, 0.0)
+
+
+class TestLossWakesNoThreadPool:
+    def test_l2_term_equals_the_dot_form(self, small_dataset):
+        w = np.random.default_rng(3).standard_normal(small_dataset.n_features)
+        model = LogisticRegression(small_dataset.n_features, reg=0.5)
+        data_term = LogisticRegression(small_dataset.n_features, reg=0.0).loss(
+            w, small_dataset.X, small_dataset.y
+        )
+        got = model.loss(w, small_dataset.X, small_dataset.y)
+        assert got == pytest.approx(data_term + 0.25 * float(w @ w), rel=1e-12)
+
+    @pytest.mark.skipif(os.cpu_count() == 1, reason="a one-core host has no pool to wake")
+    def test_no_pool_spins_after_a_loss(self):
+        """CPU the process burns outside the calling thread across one
+        ``loss`` on a 2^18-vector and the 50 ms after it. With ``w @ w``
+        an OpenBLAS worker spin-waits through the sleep (> 100 ms on a
+        multi-core host). In a fresh interpreter, so no earlier test's
+        BLAS call is still spinning."""
+        script = textwrap.dedent("""
+            import time
+            import numpy as np
+            from repro.mlopt import LogisticRegression, make_sparse_classification
+            ds = make_sparse_classification(64, 1 << 18, 20, seed=1)
+            w = np.random.default_rng(0).standard_normal(1 << 18)
+            model = LogisticRegression(ds.n_features)
+            model.loss(w, ds.X, ds.y)
+            time.sleep(0.5)
+            process0, thread0 = time.process_time(), time.thread_time()
+            model.loss(w, ds.X, ds.y)
+            time.sleep(0.05)
+            print((time.process_time() - process0) - (time.thread_time() - thread0))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        assert float(out.stdout) < 0.010
