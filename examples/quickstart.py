@@ -101,11 +101,7 @@ def _checksum(stream: SparseStream) -> float:
 
 
 def _elastic_shrink_prog(comm):
-    """Rank program for the --elastic demo: shrink past the kill, re-sum.
-
-    Module-level (not a closure) so the process backend's spawn fallback
-    can pickle it into the workers.
-    """
+    """Rank program for the --elastic demo: shrink past the kill, re-sum."""
     from repro.runtime import RankFailedError
 
     try:
@@ -310,7 +306,7 @@ def elastic_demo(args, fault_plan) -> None:
 
 
 def _chunked_prog(comm, algo: str, chunks: int):
-    """Rank program of the --overlap demo (module-level: spawn-safe)."""
+    """Rank program of the --overlap demo."""
     return sparse_allreduce(
         comm, make_contribution(comm.rank), algorithm=algo, chunks=chunks
     )

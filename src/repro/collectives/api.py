@@ -196,12 +196,7 @@ def _allreduce_rank(
     op: "ReduceOp | str",
     chunks: "int | str" = 1,
 ) -> SparseStream:
-    """Module-level rank program for :func:`run_sparse_allreduce`.
-
-    Kept at module scope (not a closure) so it stays picklable: the process
-    backend's spawn fallback on platforms without fork must be able to ship
-    the rank function to the worker processes.
-    """
+    """Rank program of :func:`run_sparse_allreduce`."""
     return sparse_allreduce(
         comm, streams[comm.rank], algorithm=algorithm, quantizer=quantizer, op=op,
         chunks=chunks,
@@ -235,12 +230,6 @@ def run_sparse_allreduce(
     algorithms (see :func:`sparse_allreduce`). A
     :class:`~repro.runtime.RunConfig` passed as ``config=`` supplies any
     knob not given explicitly (explicit kwargs win).
-
-    Note: under the process backend's spawn fallback (platforms without
-    fork) the whole ``streams`` list is pickled into every worker; for
-    very large inputs on such platforms, prefer calling
-    :func:`~repro.runtime.run_ranks` with a rank function that constructs
-    only its own stream.
     """
     cfg = (config if config is not None else RunConfig()).merged(
         backend=backend, timeout=timeout, topology=topology, chunks=chunks

@@ -7,9 +7,10 @@ The runtime is split into a backend-neutral core and pluggable backends:
 * :mod:`~repro.runtime.backend` — the :class:`Backend` abstraction and
   registry (``"thread"``, ``"process"``, ``"shmem"`` and ``"socket"``
   ship built in);
-* :mod:`~repro.runtime.mesh` — the launcher, rank lifecycle and mailbox
-  communicator the three process-family backends share (each of them
-  supplies only its channel: pipe, shared-memory ring, TCP connection);
+* :mod:`~repro.runtime.mesh` — the launcher, rank lifecycle and
+  byte-stream communicator the three process-family backends share (each
+  of them supplies only its channel objects: pipe ends, pipe ends plus a
+  shared-memory slab for large frames, TCP sockets);
 * :mod:`~repro.runtime.rendezvous` — how a TCP world assembles: the
   rendezvous protocol, the mesh handshake, elastic rejoin, ``serve_rank``;
 * :mod:`~repro.runtime.launcher` — :func:`run_ranks`, the ``mpiexec``
@@ -54,9 +55,9 @@ from .topology import (
     normalize_topology,
 )
 from .nonblocking import NonBlockingHandle, i_collective
-from .mesh import MeshBackend, MeshComm, MeshWorld
+from .mesh import MeshBackend, MeshWorld, StreamComm
 from .process_backend import ProcessBackend, ProcessComm
-from .shmem_backend import SharedRing, ShmemBackend, ShmemComm
+from .shmem_backend import ShmemBackend, ShmemComm
 from .socket_backend import SocketBackend, SocketComm
 from .rendezvous import (
     ElasticRendezvous,
@@ -96,13 +97,12 @@ __all__ = [
     "ThreadComm",
     "ThreadWorld",
     "MeshBackend",
-    "MeshComm",
     "MeshWorld",
+    "StreamComm",
     "ProcessBackend",
     "ProcessComm",
     "ShmemBackend",
     "ShmemComm",
-    "SharedRing",
     "SocketBackend",
     "SocketComm",
     "RendezvousError",

@@ -16,10 +16,10 @@ program runs unmodified on any of them:
     including the sparse/dense header word of §5.1 on every stream
     payload. The closest analog of the paper's deployment.
 ``shmem`` (:class:`~repro.runtime.shmem_backend.ShmemBackend`)
-    one OS process per rank like ``process``, but payloads move through
-    per-pair shared-memory ring buffers with the §5.1 header packed in
-    place — no pickle, no pipe syscalls, one copy per payload byte each
-    way. The fastest real transport.
+    the ``process`` backend plus a shared-memory slab per pair of ranks:
+    a large frame is packed once into the slab and decoded in place, a
+    40-byte descriptor on the pipe announcing it. Same as pipes and TCP
+    below ~100 KB per frame, about twice TCP at 256 KB - 1 MB.
 ``socket`` (:class:`~repro.runtime.socket_backend.SocketBackend`)
     one OS process per rank with payloads framed over a full TCP mesh
     assembled through a rendezvous address. The only transport that can
@@ -48,15 +48,17 @@ on a partial launch, and the trace merge. The transport says only what is
 its own: a :class:`~repro.runtime.mesh.Transport` (how the mesh is built
 and handed to a child, which ends the parent releases after forking, how
 a finished rank's inbound channels are drained, what to tear down) and a
-:class:`~repro.runtime.mesh.MeshComm` subclass that writes one frame and
-implements ``_progress(wait, writable=None)`` — one non-blocking read
-step that passes every whole frame to ``_deliver``. The blocked-receive
-loop that calls it (whichever thread of a rank is blocked reads the
-rank's channels; there are no receiver threads) is inherited. A
-byte-stream channel inherits ``_progress`` too, from
-:class:`~repro.runtime.mesh.StreamComm`, by handing over socket-like
-channel objects: ``process_backend.py`` is the smallest complete example
-(~90 lines of code).
+**channel class with four methods** — ``fileno``, ``setblocking``,
+``send``, ``recv_into`` — whose instances it hands to the one
+communicator of the family, :class:`~repro.runtime.mesh.StreamComm`
+(``<u64 length><frame>`` framing, per-source reassembly, the
+blocked-receive loop in which whichever thread of a rank is blocked reads
+the rank's channels — there are no receiver threads — and the write loop
+that finishes a frame it has begun). Sockets are such channels as they
+are; ``process_backend.py`` wraps pipe ends and is the smallest complete
+example (~80 lines of code); ``shmem_backend.py`` shows a side channel
+for large frames added on top (override ``_transport_send`` /
+``_deliver``, keep the stream as the complete transport).
 
 Anything else (ranks as threads, a remote scheduler, …) subclasses
 :class:`Backend` directly, implements :meth:`Backend.run` (typically by
@@ -145,7 +147,6 @@ class Backend(abc.ABC):
         fn: Callable[..., Any],
         nranks: int,
         *args: Any,
-        copy_payloads: bool = True,
         trace: Trace | None = None,
         timeout: float | None = 300.0,
         op_timeout: float | None = None,

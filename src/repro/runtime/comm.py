@@ -16,8 +16,8 @@ progress thread):
   mailboxes (fast, in-process);
 * :mod:`repro.runtime.process_backend` — one OS process per rank with
   real serialized transport over pipes;
-* :mod:`repro.runtime.shmem_backend` — one OS process per rank with
-  zero-copy shared-memory ring transport (the fast real transport);
+* :mod:`repro.runtime.shmem_backend` — the pipe transport plus a
+  shared-memory slab that large frames are decoded out of in place;
 * :mod:`repro.runtime.socket_backend` — one OS process per rank with
   TCP framing (the transport that spans machines).
 
@@ -157,7 +157,7 @@ class RankFailedError(WorldAbortedError):
     """A specific peer rank died; carries the failed rank id.
 
     Raised from blocked operations when the backend can attribute the
-    failure to a rank — a channel or doorbell reading EOF without FIN, a
+    failure to a rank — a channel reading EOF without FIN, a
     send hitting a closed channel, the parent collecting a dead process.
     Consumers that can degrade gracefully (e.g. asynchronous SGD) catch
     this and continue with the surviving ranks' contributions.

@@ -27,7 +27,6 @@ def run_ranks(
     *args: Any,
     config: RunConfig | None = None,
     backend: "str | Backend" = _UNSET,
-    copy_payloads: bool = True,
     trace: Trace | None = None,
     timeout: float | None = _UNSET,
     op_timeout: float | None = _UNSET,
@@ -52,13 +51,9 @@ def run_ranks(
     backend:
         Which runtime executes the ranks: ``"thread"`` (in-process, the
         default), ``"process"`` (one OS process per rank with serialized
-        pipe transport), ``"shmem"`` (processes over shared-memory
-        rings), ``"socket"`` (processes over a TCP mesh — the multi-host
+        pipe transport), ``"shmem"`` (pipes plus a shared-memory
+        slab for large frames), ``"socket"`` (processes over a TCP mesh — the multi-host
         transport), or any registered :class:`Backend` instance.
-    copy_payloads:
-        Copy messages on send (MPI semantics). Disable only for read-only
-        payload protocols; the process backend always isolates payloads
-        through serialization.
     trace:
         Optional pre-existing trace to append to (e.g. to accumulate multiple
         collective invocations into one replayable log).
@@ -104,7 +99,6 @@ def run_ranks(
         fn,
         nranks,
         *args,
-        copy_payloads=copy_payloads,
         trace=trace,
         timeout=cfg.timeout,
         op_timeout=cfg.op_timeout,

@@ -1,18 +1,17 @@
-"""Process-family core: one mesh communicator, one launcher, one rank lifecycle.
+"""Process-family core: one byte-stream communicator, one launcher, one rank lifecycle.
 
 The ``process``, ``shmem`` and ``socket`` backends run every rank in its
-own OS process and differ only in what carries a frame between two of
-them — a pipe, a shared-memory ring, a TCP connection. Everything that
-does not depend on that choice lives here, once:
+own OS process and differ only in the channel objects that carry the byte
+stream between two of them — pipe ends, pipe ends next to a shared-memory
+slab for large frames, TCP sockets. Everything else lives here, once:
 
-* :class:`MeshComm` — the per-rank communicator: per-(source, tag) FIFO
+* :class:`StreamComm` — the per-rank communicator: per-(source, tag) FIFO
   mailboxes, sender-side sequence numbers, the abort flag, the elastic
-  epoch hooks, :meth:`MeshComm._deliver`, the single inbound path
-  (*decode → drop stale epoch → FIN → mailbox*) every transport feeds,
-  and the **blocked-receive loop** with its one-at-a-time progress engine;
-* :class:`StreamComm` — a :class:`MeshComm` over non-blocking byte-stream
-  channels (pipes, TCP): one ``poll`` over every live inbound channel,
-  per-source frame reassembly, and one outbound send/FIN body;
+  epoch hooks, the **blocked-receive loop** with its one-at-a-time
+  progress engine (one ``poll`` over every live inbound channel,
+  per-source frame reassembly), :meth:`StreamComm._deliver`, the single
+  inbound path (*decode → drop stale epoch → FIN → mailbox*), and the one
+  outbound write loop that finishes a frame it has begun;
 * :class:`MeshBackend` — the launcher (``Backend.run``): build the mesh,
   fork one process per rank with the list of inherited ends it must
   close, release the parent's ends, collect results (:func:`_collect`),
@@ -26,20 +25,20 @@ Inline progress: a blocked rank reads its own channels
 ------------------------------------------------------
 No communicator here starts a thread. Whichever thread of a rank is
 *blocked* — in a receive whose mailbox is empty, or in a send whose
-channel is full — takes the rank's progress engine and runs the
-transport's :meth:`MeshComm._progress`: wait for traffic on every live
-inbound channel, read what is there, hand every whole frame to
-``_deliver``. One thread holds the engine at a time; a second blocked
-thread (an ``i_collective`` next to the rank thread) sleeps on a
-condition the holder signals on every delivery and when it leaves, so the
-hand-off is a wake-up, not a timed poll. This is MPI without an
-asynchronous progress thread: a message costs no thread hand-off, and in
-exchange **sends are kernel-buffered only** — one larger than the channel
-buffer completes when the receiver next enters a transport call, and a
-peer's death is observed at the next transport operation or probe, not
-asynchronously. Deadlock-freedom survives because a blocked sender keeps
-reading: any cycle of blocked ranks is a cycle of progress engines, each
-draining its inbound channels into unbounded mailboxes.
+channel is full — takes the rank's progress engine and runs
+:meth:`StreamComm._progress`: wait for traffic on every live inbound
+channel, read what is there, hand every whole frame to ``_deliver``. One
+thread holds the engine at a time; a second blocked thread (an
+``i_collective`` next to the rank thread) sleeps on a condition the
+holder signals on every delivery and when it leaves, so the hand-off is a
+wake-up, not a timed poll. This is MPI without an asynchronous progress
+thread: a message costs no thread hand-off, and in exchange **sends are
+kernel-buffered only** — one larger than the channel buffer completes
+when the receiver next enters a transport call, and a peer's death is
+observed at the next transport operation or probe, not asynchronously.
+Deadlock-freedom survives because a blocked sender keeps reading: any
+cycle of blocked ranks is a cycle of progress engines, each draining its
+inbound channels into unbounded mailboxes.
 
 What a transport supplies
 -------------------------
@@ -50,9 +49,10 @@ channels are built and handed to a child (``build`` / ``ends`` / ``own``
 that peer death shows as EOF (``release``), how a finished rank's inbound
 channels are kept from filling up (``finished`` / ``wait``), and what to
 tear down (``close``). The communicator it connects is a
-:class:`MeshComm` that writes one frame (``_transport_send`` /
-``shutdown``) and implements ``_progress`` — one non-blocking step that
-hands every frame it reads to ``_deliver``.
+:class:`StreamComm` over **channel objects with four methods** —
+``fileno`` (what the engine polls), ``setblocking``, ``send`` and
+``recv_into`` — sockets as they are, pipe ends behind
+:class:`~repro.runtime.process_backend._PipeEnd`.
 
 Failure handling: a failing rank reports its exception over its result
 pipe and exits; peers observe EOF on its channels *without* a preceding
@@ -92,12 +92,7 @@ from .faults import KILL_EXIT_CODE
 from .trace import RECV, Trace
 from .wire import check_frame_size, decode_message, encode_message
 
-__all__ = ["MeshBackend", "MeshComm", "MeshWorld", "StreamComm", "Transport"]
-
-#: preferred start method: fork keeps closures usable as rank functions and
-#: is cheap; on platforms without it we fall back to spawn (rank functions
-#: must then be picklable, i.e. module-level).
-_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+__all__ = ["MeshBackend", "MeshWorld", "StreamComm", "Transport"]
 
 #: after the first failure report, how long to keep collecting results from
 #: the other ranks before terminating them (seconds). Generous enough for
@@ -116,25 +111,36 @@ _LINGER_S = 30.0
 _FIN_TAG = -1
 
 #: length prefix of every frame on a byte-stream channel (and of every
-#: ring record and rendezvous control frame): one little-endian u64.
+#: rendezvous control frame): one little-endian u64.
 _LEN = struct.Struct("<Q")
 
 
-class MeshComm(Communicator):
-    """Mailbox-buffered mesh communicator base of the process-family backends.
+class StreamComm(Communicator):
+    """The per-rank communicator of every process-family backend.
 
-    Incoming traffic lands in per-(source, tag) FIFO mailboxes; sequence
-    numbers are allocated sender-side against the worker-local trace
-    (only this rank sends on a (rank, dest, tag) channel, so local
-    counters are the truth). The channels are read by whichever thread
-    is blocked (see "Inline progress" in the module docstring): the
-    blocked-receive loop and the engine hand-off are written here, a
-    transport supplies :meth:`_progress`, and every frame read goes
-    through :meth:`_deliver`.
+    ``out[d]`` / ``inn[s]`` are this rank's non-blocking byte-stream
+    channels to and from each peer (``None`` at its own slot): sockets, or
+    anything with their ``fileno`` / ``setblocking`` / ``send`` /
+    ``recv_into`` (the pipe ends of :mod:`~repro.runtime.process_backend`).
+    A message is ``<u64 frame length><frame>``. Incoming traffic lands in
+    per-(source, tag) FIFO mailboxes; sequence numbers are allocated
+    sender-side against the worker-local trace (only this rank sends on a
+    (rank, dest, tag) channel, so local counters are the truth). The
+    channels are read by whichever thread is blocked (see "Inline
+    progress" in the module docstring); the engine reassembles frames per
+    source, so a read takes whatever the channel holds — length prefix and
+    frame in one call for small messages — never waits for the rest of a
+    frame, and passes every whole frame through :meth:`_deliver`.
     """
 
-    def _init_mesh(
-        self, rank: int, size: int, trace: Trace, op_timeout: float | None = None
+    def __init__(
+        self,
+        rank: int,
+        size: int,
+        out: list,
+        inn: list,
+        trace: Trace,
+        op_timeout: float | None = None,
     ) -> None:
         self.rank = rank
         self.size = size
@@ -159,10 +165,21 @@ class MeshComm(Communicator):
         self._engine_busy = False
         #: threads waiting in :meth:`_holding_engine`; receivers stand back.
         self._engine_claims = 0
-        #: live inbound descriptors (fd -> what the transport reads it by),
-        #: each registered with the poller the engine waits on.
-        self._watch: dict[int, Any] = {}
+        #: live inbound channels (fd -> ``(channel, source)``), each
+        #: registered with the poller the engine waits on.
+        self._watch: dict[int, tuple[Any, int]] = {}
         self._poller = select.poll()
+        self._out, self._inn = out, inn
+        self._out_locks = [threading.Lock() if c is not None else None for c in out]
+        for channel in out:
+            if channel is not None:
+                channel.setblocking(False)
+        #: per-source reassembly state ``[buffer, bytes filled]``; a frame
+        #: under assembly always starts at offset 0.
+        self._partial: list[list | None] = [None] * size
+        for src, channel in enumerate(inn):
+            if channel is not None:
+                self._attach(src, channel)
 
     def _mailbox(self, src: int, tag: int) -> Mailbox:
         return self._mailboxes.get((src, tag))
@@ -182,8 +199,8 @@ class MeshComm(Communicator):
         Returns False once nothing more will be delivered from ``src``'s
         channel: the peer sent FIN (it finished cleanly), or the frame was
         undecodable and the world is aborted. Decoding copies
-        (``copy=True``): transports reuse the buffer ``frame`` views, so
-        the arrays must own their memory.
+        (``copy=True``): the buffer ``frame`` views is reused, so the
+        arrays must own their memory.
         """
         try:
             tag, seq, nbytes, epoch, payload = decode_message(frame)
@@ -215,39 +232,38 @@ class MeshComm(Communicator):
     # ------------------------------------------------------------------
     # rank lifecycle (driven by _run_rank)
     # ------------------------------------------------------------------
-    def shutdown(self) -> None:  # pragma: no cover - abstract
-        """Graceful wind-down: send FIN on every outbound channel."""
-        raise NotImplementedError
+    def shutdown(self) -> None:
+        """Graceful wind-down: tell every peer this rank is done sending."""
+        fin = self._frame(_FIN_TAG, -1, 0, None)
+        for dest, channel in enumerate(self._out):
+            if channel is None:
+                continue
+            try:
+                with self._out_locks[dest]:
+                    self._write(dest, fin, _FIN_TAG, None)
+            except (OSError, WorldAbortedError):  # peer already gone
+                pass
 
     def linger(self, timeout: float) -> None:
         """Keep receiving after a clean finish until every peer has FINed.
 
         A no-op where the parent drains a finished rank's inbound
-        channels (pipes, rings); TCP connections have no third party.
+        channels (pipes); TCP connections have no third party.
         """
 
     def close(self) -> None:
-        """Release the channels (process exit does it for pipes and rings)."""
+        """Release the channels (process exit does it for pipes)."""
 
     # ------------------------------------------------------------------
     # the progress engine: one holder at a time, signalled hand-off
     # ------------------------------------------------------------------
-    def _progress(self, wait: float, writable: Any = None) -> None:  # pragma: no cover - abstract
-        """One progress step, called with the engine held.
-
-        Wait at most ``wait`` seconds for inbound traffic (or for the
-        outbound channel ``writable`` to accept bytes), read whatever has
-        arrived without ever blocking inside a partial frame, and pass
-        every whole frame to :meth:`_deliver`. Peer death (EOF without
-        FIN) and stream corruption are reported through :meth:`_abort`.
-        """
-        raise NotImplementedError
-
-    def _watch_fd(self, fd: int, reads: Any) -> None:
-        """Start waiting on inbound descriptor ``fd`` (engine held, or no
+    def _attach(self, src: int, channel: Any) -> None:
+        """Start reading ``src``'s inbound ``channel`` (engine held, or no
         other thread yet)."""
-        self._watch[fd] = reads
-        self._poller.register(fd, select.POLLIN)
+        channel.setblocking(False)
+        self._watch[channel.fileno()] = (channel, src)
+        self._poller.register(channel.fileno(), select.POLLIN)
+        self._partial[src] = [bytearray(1 << 16), 0]
 
     def _detach(self, fd: int) -> None:
         """Stop waiting on ``fd`` (engine held): its channel is drained,
@@ -268,9 +284,65 @@ class MeshComm(Communicator):
             if writable is not None:
                 poller.unregister(writable)
 
-    def _flush(self) -> None:
-        """Push out what the transport deferred until this rank stops
-        transporting (the shared-memory doorbells); nothing by default."""
+    def _progress(self, wait: float, writable: Any = None) -> None:
+        """One progress step, called with the engine held.
+
+        Wait at most ``wait`` seconds for inbound traffic (or for the
+        outbound channel ``writable`` to accept bytes), read whatever has
+        arrived without ever blocking inside a partial frame, and pass
+        every whole frame to :meth:`_deliver`. Peer death (EOF without
+        FIN) and stream corruption are reported through :meth:`_abort`.
+        """
+        for fd, _ in self._wait(self._poller, writable, wait):
+            if fd in self._watch:  # hang-ups and errors read as EOF / OSError
+                self._pull(fd, *self._watch[fd])
+
+    def _pull(self, fd: int, channel: Any, src: int) -> None:
+        """Read what ``src``'s channel holds now; deliver every whole frame."""
+        state = self._partial[src]
+        buf, filled = state
+        view = memoryview(buf)
+        try:
+            # inside a frame of known length, read to its end and no
+            # further, so the next frame starts a fresh buffer; at a frame
+            # boundary take everything (many small frames in one read)
+            limit = len(buf)
+            if filled >= _LEN.size:
+                limit = _LEN.size + _LEN.unpack_from(buf)[0]
+            got = channel.recv_into(view[filled:limit])
+            if not got:
+                raise EOFError("peer closed the channel")
+            filled += got
+            pos = 0
+            while filled - pos >= _LEN.size:
+                # a length word past the limit is corruption, never an allocation
+                end = pos + _LEN.size + check_frame_size(_LEN.unpack_from(buf, pos)[0], "stream")
+                if end > filled:
+                    if end - pos > len(buf):  # grows geometrically, then stays
+                        state[0] = bytearray(max(end - pos, 2 * len(buf)))
+                    break
+                if not self._deliver(src, view[pos + _LEN.size:end]):
+                    self._detach(fd)  # FIN: the channel is drained (or the world aborted)
+                    return
+                pos = end
+            if pos or state[0] is not buf:  # move the partial frame to offset 0
+                memoryview(state[0])[:filled - pos] = view[pos:filled]
+            state[1] = filled - pos
+        except BlockingIOError:
+            pass  # readiness was spurious
+        except (EOFError, OSError):
+            # EOF (or a reset) with no FIN first: the peer died mid-run.
+            # Wake anyone blocked on its (or anyone's) traffic so the rank
+            # unwinds with a RankFailedError naming the dead peer.
+            self._detach(fd)
+            self._abort(failed_rank=src)
+        except (ValueError, MemoryError) as exc:
+            # a garbage length word (MemoryError: one under the limit can
+            # still be unallocatable) or a frame ``_deliver`` refused:
+            # nothing behind it on this stream can be trusted, and only its
+            # writer can have sent it
+            self._detach(fd)
+            self._abort(src, f"stream from rank {src} is corrupt: {exc}")
 
     def _run_progress(self, wait: float, writable: Any = None, box: Mailbox | None = None) -> bool:
         """Make one progress step on this thread if the engine is free.
@@ -317,7 +389,7 @@ class MeshComm(Communicator):
             self._leave_engine()
 
     # ------------------------------------------------------------------
-    # transport hooks (send stays subclass-specific)
+    # transport hooks
     # ------------------------------------------------------------------
     def _alloc_seq(self, dest: int, tag: int) -> int:
         return self.trace.next_seq(self.rank, dest, tag)
@@ -329,7 +401,6 @@ class MeshComm(Communicator):
         while True:
             item = box.pop_nowait()
             if item is not None:
-                self._flush()  # handing control back, usually into a reduction
                 return item
             if aborted.is_set():
                 raise aborted.error()
@@ -338,112 +409,15 @@ class MeshComm(Communicator):
                 wait = min(wait, deadline - time.monotonic())
                 if wait <= 0:
                     raise CommTimeoutError.expired("recv from", source, tag, self.op_timeout)
-            self._flush()  # about to block
             self._run_progress(wait, box=box)
 
     def _probe(self, source: int, tag: int) -> bool:
         box = self._mailbox(source, tag)
         if box.has_items():
             return True
-        self._flush()  # pollers hand the wakeup over too
         self._run_progress(0.0, box=box)
         return box.has_items()
 
-
-class StreamComm(MeshComm):
-    """Mesh communicator over non-blocking byte-stream channels.
-
-    ``out[d]`` / ``inn[s]`` are this rank's channels to and from each peer
-    (``None`` at its own slot): sockets, or anything with their
-    ``fileno`` / ``setblocking`` / ``send`` / ``recv_into`` (the pipe ends
-    of :mod:`~repro.runtime.process_backend`). A message is ``<u64 frame
-    length><frame>``; the engine reassembles frames per source, so a read
-    takes whatever the channel holds — length prefix and frame in one
-    call for small messages — and never waits for the rest of a frame.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        out: list,
-        inn: list,
-        trace: Trace,
-        op_timeout: float | None = None,
-    ) -> None:
-        self._init_mesh(rank, size, trace, op_timeout)
-        self._out, self._inn = out, inn
-        self._out_locks = [threading.Lock() if c is not None else None for c in out]
-        for channel in out:
-            if channel is not None:
-                channel.setblocking(False)
-        #: per-source reassembly state ``[buffer, bytes filled]``; a frame
-        #: under assembly always starts at offset 0.
-        self._partial: list[list | None] = [None] * size
-        for src, channel in enumerate(inn):
-            if channel is not None:
-                self._attach(src, channel)
-
-    def _attach(self, src: int, channel: Any) -> None:
-        """Start reading ``src``'s inbound ``channel`` (engine held, or no
-        other thread yet)."""
-        channel.setblocking(False)
-        self._watch_fd(channel.fileno(), (channel, src))
-        self._partial[src] = [bytearray(1 << 16), 0]
-
-    # -- inbound ----------------------------------------------------------
-    def _progress(self, wait: float, writable: Any = None) -> None:
-        for fd, _ in self._wait(self._poller, writable, wait):
-            if fd in self._watch:  # hang-ups and errors read as EOF / OSError
-                self._pull(fd, *self._watch[fd])
-
-    def _pull(self, fd: int, channel: Any, src: int) -> None:
-        """Read what ``src``'s channel holds now; deliver every whole frame."""
-        state = self._partial[src]
-        buf, filled = state
-        view = memoryview(buf)
-        try:
-            # inside a frame of known length, read to its end and no
-            # further, so the next frame starts a fresh buffer; at a frame
-            # boundary take everything (many small frames in one read)
-            limit = len(buf)
-            if filled >= _LEN.size:
-                limit = _LEN.size + _LEN.unpack_from(buf)[0]
-            got = channel.recv_into(view[filled:limit])
-            if not got:
-                raise EOFError("peer closed the channel")
-            filled += got
-            pos = 0
-            while filled - pos >= _LEN.size:
-                # a length word past the limit is corruption, never an allocation
-                end = pos + _LEN.size + check_frame_size(_LEN.unpack_from(buf, pos)[0], "stream")
-                if end > filled:
-                    if end - pos > len(buf):  # grows geometrically, then stays
-                        state[0] = bytearray(max(end - pos, 2 * len(buf)))
-                    break
-                if not self._deliver(src, view[pos + _LEN.size:end]):
-                    self._detach(fd)  # FIN: the channel is drained (or the world aborted)
-                    return
-                pos = end
-            if pos or state[0] is not buf:  # move the partial frame to offset 0
-                memoryview(state[0])[:filled - pos] = view[pos:filled]
-            state[1] = filled - pos
-        except BlockingIOError:
-            pass  # readiness was spurious
-        except (EOFError, OSError):
-            # EOF (or a reset) with no FIN first: the peer died mid-run.
-            # Wake anyone blocked on its (or anyone's) traffic so the rank
-            # unwinds with a RankFailedError naming the dead peer.
-            self._detach(fd)
-            self._abort(failed_rank=src)
-        except (ValueError, MemoryError) as exc:
-            # a garbage length word (MemoryError: one under the limit can
-            # still be unallocatable): nothing behind it on this stream can
-            # be trusted, and only its writer can have sent it
-            self._detach(fd)
-            self._abort(src, f"stream from rank {src} is corrupt: {exc}")
-
-    # -- outbound ---------------------------------------------------------
     def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
         """Length prefix + frame in one send buffer (one write per
         message keeps the frame contiguous on the stream)."""
@@ -502,18 +476,6 @@ class StreamComm(MeshComm):
             self._abort(failed_rank=dest)
             raise RankFailedError(dest, f"rank {dest} is gone; send failed") from exc
 
-    def shutdown(self) -> None:
-        """Graceful wind-down: tell every peer this rank is done sending."""
-        fin = self._frame(_FIN_TAG, -1, 0, None)
-        for dest, channel in enumerate(self._out):
-            if channel is None:
-                continue
-            try:
-                with self._out_locks[dest]:
-                    self._write(dest, fin, _FIN_TAG, None)
-            except (OSError, WorldAbortedError):  # peer already gone
-                pass
-
 
 # ----------------------------------------------------------------------
 # the parent side: transport seam, world record, launcher
@@ -544,9 +506,9 @@ class Transport:
         closes the rest so peer death propagates as EOF instead of hanging."""
         return []
 
-    def connector(self, rank: int) -> Callable[[Trace, "float | None"], MeshComm]:  # pragma: no cover
-        """A picklable ``connect(trace, op_timeout) -> comm``, run in the
-        child; a raise is reported as that rank's failure."""
+    def connector(self, rank: int) -> Callable[[Trace, "float | None"], StreamComm]:  # pragma: no cover
+        """``connect(trace, op_timeout) -> comm``, run in the child; a
+        raise is reported as that rank's failure."""
         raise NotImplementedError
 
     def release(self) -> None:
@@ -571,10 +533,9 @@ class MeshWorld:
     """Parent-side record of one process-family run (for ParallelResult)."""
 
     size: int
-    start_method: str
     pids: list[int]
-    #: capacity in bytes of each per-pair ring (shmem runs).
-    ring_capacity: int | None = None
+    #: capacity in bytes of each per-pair large-frame slab (shmem runs).
+    slab_capacity: int | None = None
     #: the loopback address the world assembled through (socket runs).
     rendezvous: tuple[str, int] | None = None
 
@@ -594,7 +555,6 @@ class MeshBackend(Backend):
         fn: Callable[..., Any],
         nranks: int,
         *args: Any,
-        copy_payloads: bool = True,  # serialization always isolates; accepted for API parity
         trace: Trace | None = None,
         timeout: float | None = 300.0,
         op_timeout: float | None = None,
@@ -604,8 +564,9 @@ class MeshBackend(Backend):
     ) -> ParallelResult:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        ctx = mp.get_context(_START_METHOD)
-        _check_spawn_picklable(fn, args, kwargs, self.name)
+        # fork, explicitly (3.14 changes the default): rank functions may be
+        # closures, and a child inherits the mesh instead of re-attaching to it
+        ctx = mp.get_context("fork")
         mesh = self._transport(ctx, nranks, timeout)
         result_pipes: list[tuple[Connection, Connection]] = []
         procs: list[mp.Process] = []
@@ -619,13 +580,10 @@ class MeshBackend(Backend):
                 inherited = mesh.ends() + [c for pair in result_pipes for c in pair]
                 for rank in range(nranks):
                     report = result_pipes[rank][1]
-                    close_list: list = []
-                    if _START_METHOD == "fork":
-                        # spawn children only inherit what we pass; fork
-                        # children inherit everything and must close the
-                        # foreign ends explicitly
-                        own = {id(c) for c in mesh.own(rank)} | {id(report)}
-                        close_list = [c for c in inherited if id(c) not in own]
+                    # a forked child inherits every end of every rank and
+                    # must close the foreign ones explicitly
+                    own = {id(c) for c in mesh.own(rank)} | {id(report)}
+                    close_list = [c for c in inherited if id(c) not in own]
                     p = ctx.Process(
                         target=_rank_main,
                         args=(
@@ -664,7 +622,7 @@ class MeshBackend(Backend):
         finally:
             mesh.close()
 
-        world = MeshWorld(nranks, _START_METHOD, [p.pid for p in procs], **mesh.info)
+        world = MeshWorld(nranks, [p.pid for p in procs], **mesh.info)
         return _finalize_run(outcome, trace, nranks, world)
 
 
@@ -739,7 +697,7 @@ def _rank_main(
     fn: Callable[..., Any],
     args: tuple,
     kwargs: dict,
-    connect: Callable[[Trace, "float | None"], MeshComm],
+    connect: Callable[[Trace, "float | None"], StreamComm],
     result_conn: Connection,
     close_list: list,
     topology: Any = None,
@@ -747,8 +705,8 @@ def _rank_main(
     fault_plan: Any = None,
 ) -> None:
     """Entry point of one rank process."""
-    # under fork every end of every rank was inherited; drop the ones that
-    # are not ours so peer death propagates as EOF instead of hanging
+    # every end of every rank was inherited; drop the ones that are not
+    # ours so peer death propagates as EOF instead of hanging
     for conn in close_list:
         try:
             conn.close()
@@ -778,7 +736,7 @@ def _rank_main(
 
 
 def _run_rank(
-    comm: MeshComm,
+    comm: StreamComm,
     fn: Callable[..., Any],
     args: tuple = (),
     kwargs: "dict | None" = None,
@@ -819,21 +777,6 @@ def _portable_exception(exc: BaseException) -> BaseException:
         return pickle.loads(pickle.dumps(exc))
     except Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _check_spawn_picklable(fn: Callable[..., Any], args: tuple, kwargs: dict, what: str) -> None:
-    """Fail fast with a clear message instead of a mid-launch pickle
-    traceback: spawn re-imports the child, so closures cannot travel."""
-    if _START_METHOD != "spawn":
-        return
-    try:
-        pickle.dumps((fn, args, kwargs))
-    except Exception as exc:
-        raise ValueError(
-            f"the {what} backend on a spawn-only platform requires a "
-            "picklable (module-level) rank function and arguments; "
-            f"got {fn!r} ({exc})"
-        ) from exc
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ How the connections come to exist — the rendezvous protocol, the mesh
 handshake, elastic rejoin and the ``serve-rank`` entry point — is
 :mod:`repro.runtime.rendezvous`, layered on this file.
 
-Failure handling mirrors the shmem doorbell-EOF semantics: a dying rank's
+Failure handling is the pipe transports' EOF semantics: a dying rank's
 sockets close, a peer's next progress step reads EOF *without* a
 preceding FIN frame, flags the world aborted and unwinds blocked
 collectives with :class:`WorldAbortedError`. EOF after FIN is a normal
@@ -92,14 +92,7 @@ def _bind_listener(host: str, port: int, nranks: int) -> socket.socket:
 # the communicator
 # ----------------------------------------------------------------------
 class SocketComm(StreamComm):
-    """Per-rank communicator over the TCP mesh.
-
-    The channel lists go by their TCP names here (``None`` at the rank's
-    own slot).
-    """
-
-    _out_socks = property(lambda self: self._out)
-    _in_socks = property(lambda self: self._inn)
+    """Per-rank communicator over the TCP mesh: the channels are the sockets."""
 
     def linger(self, timeout: float) -> None:
         """Wait for every peer's FIN (or death) before closing the sockets.
@@ -113,7 +106,7 @@ class SocketComm(StreamComm):
             self._run_progress(_ABORT_POLL_S)
 
     def close(self) -> None:
-        _close_all(self._out_socks + self._in_socks)
+        _close_all(self._out + self._inn)
 
     def _install_peer(
         self, peer: int, out_sock: socket.socket, in_sock: socket.socket
@@ -128,12 +121,12 @@ class SocketComm(StreamComm):
         :func:`~repro.runtime.rendezvous.elastic_dial_join`.
         """
         with self._holding_engine():
-            self._detach(self._in_socks[peer].fileno())
-            _close_all((self._out_socks[peer], self._in_socks[peer]))
+            self._detach(self._inn[peer].fileno())
+            _close_all((self._out[peer], self._inn[peer]))
             out_sock.setblocking(False)
-            self._out_socks[peer] = out_sock
+            self._out[peer] = out_sock
             self._out_locks[peer] = threading.Lock()
-            self._in_socks[peer] = in_sock
+            self._inn[peer] = in_sock
             self._attach(peer, in_sock)
 
 

@@ -41,7 +41,6 @@ class ThreadWorld:
         self,
         size: int,
         *,
-        copy_payloads: bool = True,
         trace: Trace | None = None,
         topology: Any = None,
         op_timeout: float | None = None,
@@ -49,7 +48,6 @@ class ThreadWorld:
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
         self.size = size
-        self.copy_payloads = copy_payloads
         self.trace = trace if trace is not None else Trace(size)
         self.topology = topology
         self.op_timeout = op_timeout
@@ -132,8 +130,7 @@ class ThreadComm(Communicator):
         return self.world.trace.next_seq(self.rank, dest, tag)
 
     def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        payload = copy_payload(obj) if self.world.copy_payloads else obj
-        self.world.mailbox(self.rank, dest, tag).put(payload, nbytes, seq)
+        self.world.mailbox(self.rank, dest, tag).put(copy_payload(obj), nbytes, seq)
 
     def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
         box = self.world.mailbox(source, self.rank, tag)
@@ -154,7 +151,6 @@ class ThreadBackend(Backend):
         fn: Callable[..., Any],
         nranks: int,
         *args: Any,
-        copy_payloads: bool = True,
         trace: Trace | None = None,
         timeout: float | None = 300.0,
         op_timeout: float | None = None,
@@ -166,7 +162,6 @@ class ThreadBackend(Backend):
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         world = ThreadWorld(
             nranks,
-            copy_payloads=copy_payloads,
             trace=trace,
             topology=topology,
             op_timeout=op_timeout,

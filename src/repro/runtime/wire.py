@@ -1,6 +1,6 @@
 """Wire format of the process-family backends: serialized message framing.
 
-Every message the process-family backends (pipe, shared-memory ring, TCP)
+Every message the process-family backends (pipe, pipe + shared slab, TCP)
 move between rank processes is one byte frame::
 
     <frame header: tag, seq, nbytes, epoch>  <payload>
@@ -17,11 +17,11 @@ Allocation discipline
 ---------------------
 The encoder is *vectored*: :func:`encode_frame_parts` returns the frame as
 a list of buffer segments — a small header plus direct (zero-copy) views
-of the stream's index/value arrays.  Transports that can scatter/gather
-(the shared-memory ring backend) write the parts straight into their
-destination with no intermediate blob; the byte-stream transports (pipe,
-TCP) join them into one preallocated ``bytearray``, so every payload byte
-is copied exactly once on the way out.
+of the stream's index/value arrays.  A destination that can take them
+(the shmem backend's slab) is written part by part with no intermediate
+blob; the byte-stream channels (pipe, TCP) join them into one
+preallocated ``bytearray``, so every payload byte is copied exactly once
+on the way out.
 
 The decoder reads arrays with ``np.frombuffer(view, offset=...)``: with
 ``copy=True`` (the default) each array is materialised with a single copy
@@ -48,6 +48,7 @@ __all__ = [
     "decode_payload",
     "encode_payload_parts",
     "encode_frame_parts",
+    "gather_parts",
     "FRAME_HEADER_SIZE",
     "MAX_FRAME_BYTES",
     "check_frame_size",
@@ -117,7 +118,7 @@ def encode_payload_parts(obj: Any) -> tuple[int, list]:
     Stream payloads come back as a small header plus direct views of the
     index/value arrays — nothing is copied here. Everything else is one
     pickle blob. Transports copy each part exactly once, into the pipe
-    blob or straight into the shared-memory ring.
+    blob or straight into the shared-memory slab.
     """
     if isinstance(obj, SparseStream):
         wire = float("nan") if obj.value_wire_bytes is None else float(obj.value_wire_bytes)
@@ -167,12 +168,17 @@ def encode_message(
     """
     total, parts = encode_frame_parts(tag, seq, nbytes, obj, epoch)
     out = bytearray(head + total)
-    pos = head
+    gather_parts(parts, out, head)
+    return out
+
+
+def gather_parts(parts: list, into: Any, pos: int = 0) -> None:
+    """Copy ``parts`` back to back into the buffer ``into`` from ``pos``:
+    the one copy of every payload byte on the way out."""
     for part in parts:
         n = len(part)
-        out[pos:pos + n] = part
+        into[pos:pos + n] = part
         pos += n
-    return out
 
 
 # ----------------------------------------------------------------------

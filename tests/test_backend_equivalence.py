@@ -5,7 +5,7 @@ The contract of the pluggable runtime (ISSUE 1) is that the backends are
 trace byte/message accounting. These tests pin that down for every
 collective in :mod:`repro.collectives` at P in {1, 2, 3, 4, 8}, with the
 thread backend as the reference each real-transport backend (``process``
-pipes, ``shmem`` shared-memory rings, ``socket`` TCP mesh) is held to.
+pipes, ``shmem`` pipes plus a shared slab, ``socket`` TCP mesh) is held to.
 """
 
 import numpy as np

@@ -278,7 +278,7 @@ class TestSocketRejoin:
             if comm.rank == victim:
                 # simulated crash: vanish without FIN frames so peers see
                 # a mid-run EOF, exactly like a killed process
-                for sock in comm._out_socks + comm._in_socks:
+                for sock in comm._out + comm._inn:
                     if sock is not None:
                         sock.close()
                 crashed.set()

@@ -327,7 +327,7 @@ class TestProcessFailureHandling:
     def test_peer_of_hard_died_rank_is_unblocked(self, backend):
         """A rank sending a large payload to a rank that hard-died
         (os._exit, no error report) is not left blocked — the parent drains
-        the dead rank's pipes/rings, a TCP send fails — and its trace is
+        the dead rank's pipes, a TCP send fails — and its trace is
         preserved."""
         from repro.runtime import Trace
 
@@ -398,7 +398,7 @@ class TestLaunchFailureCleanup:
 
     def _assert_clean_failure(self, backend, monkeypatch, **fail):
         run_ranks(lambda c: None, 3, backend=backend)  # warm-up: resource tracker up
-        real = multiprocessing.get_context(mesh._START_METHOD)
+        real = multiprocessing.get_context("fork")
         flaky = _FlakyContext(real, **fail)
         segments = set(glob.glob("/dev/shm/psm_*"))
         fds = _open_fds()

@@ -14,7 +14,8 @@ These tests pin what that design must guarantee:
   hand-off, not a timed poll;
 * a blocked send obeys ``op_timeout`` on pipes as on TCP, reports the
   true culprit when the world aborts before its first byte, and finishes
-  a frame it has begun (the channel outlives a shrink);
+  a frame it has begun (the channel outlives a shrink), whatever the
+  frames in flight when a rank dies — shmem's slab frames included;
 * an idle rank has exactly one thread, a finished rank still absorbs a
   late large send, a world whose descriptors pass ``FD_SETSIZE`` runs
   (the engine waits with ``poll``), and a rejoined peer can be wired in
@@ -408,6 +409,25 @@ def _shrink_under_a_big_send_prog(comm):
     return "no failure seen"
 
 
+def _shrink_under_a_large_frame_exchange_prog(comm):
+    """Every rank trades 512 KB frames with both peers (slab-sized on
+    shmem, many pipe / TCP buffers elsewhere); rank 2 dies hard part-way."""
+    peers = [p for p in range(comm.size) if p != comm.rank]
+    try:
+        for step in range(40):
+            if comm.rank == 2 and step == 5:
+                os._exit(KILL_EXIT_CODE)
+            for p in peers:
+                comm.send(np.full(BIG // 16, float(step)), p, tag=6)
+            for p in peers:
+                assert comm.recv(p, tag=6)[0] == step
+    except RankFailedError as exc:
+        world = comm.shrink()
+        total = allreduce_recursive_doubling(world, np.full(BIG // 16, comm.rank + 1.0))
+        return exc.rank, world.size, float(total[0]), float(total[-1])
+    return "no failure seen"
+
+
 class TestBlockedSend:
     @pytest.mark.parametrize("backend", STREAM_BACKENDS)
     def test_op_timeout_bounds_a_send_nobody_reads(self, backend):
@@ -516,6 +536,18 @@ class TestBlockedSend:
             run_ranks(_shrink_under_a_big_send_prog, 3, backend=backend, timeout=60.0)
         assert err.value.partial_results[:2] == [(2, 2, (3.0,) * 4)] * 2
 
+    @pytest.mark.parametrize("backend", MESH_BACKENDS)
+    def test_shrink_after_a_kill_mid_large_frame_exchange(self, backend):
+        """Frames in flight when the rank dies — on shmem, descriptors
+        whose slab bytes nobody will read — are dropped by epoch, and the
+        survivors' large-frame channel carries the new world's allreduce."""
+        with pytest.raises(RankError) as err:
+            run_ranks(
+                _shrink_under_a_large_frame_exchange_prog, 3, backend=backend,
+                timeout=60.0, op_timeout=20.0,
+            )
+        assert err.value.partial_results[:2] == [(2, 2, 3.0, 3.0)] * 2
+
     @pytest.mark.parametrize("backend", STREAM_BACKENDS)
     def test_send_to_a_gone_peer_names_it(self, backend, rig):
         r = rig(backend, size=3)
@@ -619,8 +651,8 @@ class TestRankLifecycle:
 
     @pytest.mark.parametrize("backend", MESH_BACKENDS)
     def test_late_large_send_to_finished_rank_completes(self, backend):
-        """Nobody reads for a finished rank but the parent (pipes, rings)
-        or the rank itself, lingering until its peers FIN (TCP)."""
+        """Nobody reads for a finished rank but the parent (pipes) or
+        the rank itself, lingering until its peers FIN (TCP)."""
         out = run_ranks(_late_send_prog, 2, backend=backend, timeout=60.0)
         assert out.results == ["done-early", "sent"]
 
@@ -671,7 +703,7 @@ class TestInstallPeerUnderTheEngine:
 # ----------------------------------------------------------------------
 # (h) a world past FD_SETSIZE
 # ----------------------------------------------------------------------
-BIG_WORLD = 24  # its P(P-1) pipes / rings put descriptors past select()'s 1024
+BIG_WORLD = 24  # its P(P-1) pipes put descriptors past select()'s 1024
 
 
 def _big_world_prog(comm):
@@ -680,12 +712,12 @@ def _big_world_prog(comm):
 
 
 @pytest.mark.parametrize(
-    "backend", ["process", "socket", ShmemBackend(ring_capacity=1 << 14)], ids=MESH_BACKENDS
+    "backend", ["process", "socket", ShmemBackend(slab_capacity=1 << 14)], ids=MESH_BACKENDS
 )
 def test_a_world_past_fd_setsize_runs(backend):
-    # the shmem launcher holds a little over four descriptors per directed
-    # pair of ranks: this world runs under `ulimit -n 2400`, not under 2300
-    need = 5 * BIG_WORLD * (BIG_WORLD - 1)
+    # the pipe launchers hold two descriptors per directed pair of ranks
+    # (plus result pipes; shmem one more, its segment)
+    need = 3 * BIG_WORLD * (BIG_WORLD - 1)
     if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < need:
         pytest.skip(f"RLIMIT_NOFILE is below the {need} descriptors {BIG_WORLD} ranks need")
     out = run_ranks(_big_world_prog, BIG_WORLD, backend=backend, timeout=120.0)

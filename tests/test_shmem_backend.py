@@ -1,180 +1,133 @@
-"""Shmem backend internals: ring protocol, p2p semantics, failure handling.
+"""Shmem backend internals: the slab, p2p semantics, failure handling.
 
 The generic point-to-point/collective semantics are asserted for the
 thread backend in ``test_runtime.py`` and for the pipe transport in
 ``test_process_backend.py``; this file re-asserts the same contract over
-the shared-memory ring transport and covers what only exists there — the
-SPSC ring protocol (wrap padding, oversize chunking, drain), the
-doorbell-EOF failure path, and zero-copy in-place decoding.
+the shmem backend (pipes plus a shared slab for large frames) and covers
+what only exists there — the slab's put / view / release protocol (wrap
+to offset 0, "no room: use the pipe"), descriptor validation, and
+in-place decoding out of the shared segment.
 """
 
-import multiprocessing as mp
+import hashlib
+import mmap
+import os
 import time
 
 import numpy as np
 import pytest
 
-from repro.runtime import RankError, RankFailedError, Trace, run_ranks
-from repro.runtime.shmem_backend import _LEN, CorruptRingError, ShmemBackend, SharedRing
-from repro.runtime.wire import encode_frame_parts
+from repro.runtime import RankError, RankFailedError, Trace, i_collective, run_ranks
+from repro.runtime.mesh import _LEN
+from repro.runtime.shmem_backend import _SLAB_HEADER, _SLAB_TAG, ShmemBackend, Slab
+from repro.runtime.wire import _FRAME, MAX_FRAME_BYTES, decode_message, encode_frame_parts
 from repro.streams import SparseStream
 
 BACKEND = "shmem"
 
-_NO_ABORT = lambda: False  # noqa: E731
-
 
 @pytest.fixture
-def ring():
-    r = SharedRing(4096, mp.get_context())
-    yield r
-    r.close_doorbell()
-    r.close()
-    r.unlink()
+def slab():
+    # an anonymous shared mapping: what a forked child shares with its parent
+    mapping = mmap.mmap(-1, _SLAB_HEADER + 4096)
+    s = Slab(memoryview(mapping), 4096)
+    yield s
+    s.close()
+    mapping.close()
 
 
-def _read_one(ring):
-    got = []
-    status = ring.try_read_frame(lambda view: got.append(bytes(view)), _NO_ABORT)
-    return status, got
+def _put(slab, parts, total):
+    """What a send does: copy in, write the descriptor, hand the bytes out."""
+    spot = slab.put(parts, total)
+    if spot is not None:
+        slab.head = spot[1]
+    return spot
 
 
-class TestSharedRing:
-    def test_capacity_rounds_to_power_of_two(self):
-        ctx = mp.get_context()
-        r = SharedRing(5000, ctx)
-        try:
-            assert r.capacity == 8192
-        finally:
-            r.close_doorbell()
-            r.close()
-            r.unlink()
+class TestSlab:
+    def test_put_view_round_trip(self, slab):
+        assert _put(slab, [b"hello ", b"world"], 11) == (0, 11)
+        assert _put(slab, [b"x" * 100], 100) == (11, 111)
+        assert bytes(slab.data[:11]) == b"hello world"
+        assert bytes(slab.data[11:111]) == b"x" * 100
+        slab.release(111)
+        assert _put(slab, [b"y" * 3985], 3985) == (111, 4096)  # all of it is free again
 
-    def test_frame_round_trip(self, ring):
-        assert ring.write([b"hello ", b"world"], 11, _NO_ABORT)
-        status, got = _read_one(ring)
-        assert status == "ok" and got == [b"hello world"]
-        assert ring.avail() == 0
-
-    def test_counter_stores_are_single_writes(self, ring):
-        """The other process must never read a counter value that was not
-        stored: ``struct.pack_into`` zero-fills before it packs, and a
-        reader that caught head at 0 mid-update saw ~4 GB "published"
-        (1 in ~150 ring shifts of 8 MB frames: garbage payloads, or a
-        writer computing negative free space)."""
-        import os
-
-        stored = (0x00200008, 0x00400008)
-        ring._set_head(stored[0])
-        pid = os.fork()
-        if pid == 0:  # the producer: keeps moving head between two values
-            end = time.monotonic() + 0.5
-            while time.monotonic() < end:
-                for value in stored * 500:
-                    ring._set_head(value)
-            os._exit(0)
-        seen = set()
-        while os.waitpid(pid, os.WNOHANG) == (0, 0):
-            seen.update(ring._head() for _ in range(1000))
-        assert seen <= set(stored)
-
-    def test_empty_ring_reports_empty(self, ring):
-        status, got = _read_one(ring)
-        assert status == "empty" and got == []
-
-    def test_fifo_many_frames(self, ring):
-        for i in range(16):
-            assert ring.write([bytes([i]) * 10], 10, _NO_ABORT)
-        frames = []
-        while True:
-            status = ring.try_read_frame(lambda v: frames.append(bytes(v)), _NO_ABORT)
-            if status == "empty":
-                break
-        assert frames == [bytes([i]) * 10 for i in range(16)]
-
-    def test_wrap_around_with_pad_marker(self, ring):
-        """Frames stay contiguous across many wraps of a small ring."""
-        payload = bytes(range(256)) * 3  # 768 bytes; 4096-byte ring wraps often
-        for i in range(50):
-            assert ring.write([payload], len(payload), _NO_ABORT)
-            status, got = _read_one(ring)
-            assert status == "ok" and got == [payload], f"iteration {i}"
-
-    def test_oversize_frame_chunks_through(self, ring):
-        """A frame larger than the whole ring streams through in chunks."""
-        import threading
-
-        big = (np.arange(5000, dtype=np.int32) % 251).astype(np.uint8).tobytes() * 4
-        assert len(big) > ring.capacity
-        consumer_got = []
-
-        def consumer():
-            # the writer blocks on the full ring until the reader drains,
-            # so consumption must run concurrently with the write
-            while True:
-                status = ring.try_read_frame(
-                    lambda v: consumer_got.append(bytes(v)), _NO_ABORT
-                )
-                if status == "ok":
-                    return
-                time.sleep(0.001)
-
-        t = threading.Thread(target=consumer, daemon=True)
-        t.start()
-        assert ring.write([big], len(big), _NO_ABORT)
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-        assert consumer_got == [big]
-
-    def test_drain_discards_everything(self, ring):
-        ring.write([b"x" * 100], 100, _NO_ABORT)
-        ring.write([b"y" * 100], 100, _NO_ABORT)
-        ring.drain()
-        status, got = _read_one(ring)
-        assert status == "empty" and got == []
-
-    def test_writer_abort_on_full_ring(self, ring):
-        """A blocked writer observes the abort flag instead of hanging."""
-        payload = b"z" * 2048
-        assert ring.write([payload], len(payload), _NO_ABORT)
-        aborted = {"n": 0}
-
-        def abort_soon():
-            aborted["n"] += 1
-            return aborted["n"] > 3
-
-        assert not ring.write([payload, payload], 4096, abort_soon)
-
-    @pytest.mark.parametrize("word", [
-        (1 << 63) | 3_200_000_000,  # oversize flag + garbage: the observed 3.2 GB allocation
-        (1 << 63) | 64,  # oversize flag on a frame the writer would have sent contiguously
-        1 << 40,  # contiguous record larger than the ring
-        2048,  # contiguous record larger than what is published
-    ])
-    def test_corrupt_length_word_raises_instead_of_allocating(self, ring, word):
-        assert ring.write([b"x" * 16], 16, _NO_ABORT)
-        _LEN.pack_into(ring.data, 0, word)  # stomp the record's length word
-        with pytest.raises(CorruptRingError, match="length word"):
-            _read_one(ring)
-        assert ring._partial is None  # no reassembly buffer was sized from it
-
-    def test_frame_over_the_limit_is_refused_by_the_writer(self, ring):
-        with pytest.raises(ValueError, match="ring limit"):
-            ring.write([b""], (1 << 30) + 1, _NO_ABORT)
-
-    def test_encode_frame_parts_write(self, ring):
-        """Vectored stream encode lands in the ring without staging blobs."""
+    def test_encoded_stream_decodes_in_place(self, slab):
+        """Vectored stream encode lands in the slab without a staging blob
+        and decodes straight out of it."""
         s = SparseStream(1000, indices=[1, 2, 500], values=[1.0, -2.0, 3.5])
         total, parts = encode_frame_parts(5, 0, s.nbytes_payload, s)
-        assert ring.write(parts, total, _NO_ABORT)
-        from repro.runtime.wire import decode_message
-
-        frames = []
-        ring.try_read_frame(lambda v: frames.append(decode_message(v)), _NO_ABORT)
-        tag, seq, nbytes, epoch, out = frames[0]
+        offset, _ = _put(slab, parts, total)
+        tag, seq, nbytes, epoch, out = decode_message(slab.view(offset, total))
         assert (tag, seq, nbytes, epoch) == (5, 0, s.nbytes_payload, 0)
         assert np.array_equal(out.indices, s.indices)
         assert np.array_equal(out.values, s.values)
+
+    def test_wrap_skips_to_offset_zero_and_frees_the_skipped_tail(self, slab):
+        """A frame never straddles the end, so it always decodes in place;
+        the bytes skipped at the end are freed with the frame after them."""
+        assert _put(slab, [b"a" * 3000], 3000) == (0, 3000)
+        slab.release(3000)
+        assert _put(slab, [b"b" * 2000], 2000) == (0, 3000 + 1096 + 2000)
+        assert bytes(slab.data[:2000]) == b"b" * 2000
+        assert _put(slab, [b"c" * 1500], 1500) is None  # 1000 free: the skip counts as used
+        slab.release(6096)
+        assert _put(slab, [b"d" * 2096], 2096) == (2000, 8192)  # ... and came back with its frame
+
+    def test_many_wraps_stay_contiguous(self, slab):
+        payload = bytes(range(256)) * 3  # 768 bytes; a 4096-byte slab wraps often
+        for i in range(50):
+            offset, head_after = _put(slab, [payload], len(payload))
+            assert bytes(slab.view(offset, len(payload))) == payload, f"iteration {i}"
+            slab.release(head_after)
+
+    def test_no_room_means_use_the_pipe(self, slab):
+        assert _put(slab, [b"a" * 3000], 3000) == (0, 3000)
+        assert _put(slab, [b"b" * 2000], 2000) is None  # 1096 free, and it would straddle
+        assert _put(slab, [b"c" * 1096], 1096) == (3000, 4096)  # a refusal handed nothing out
+        slab.release(4096)
+        assert _put(slab, [b"d" * 4097], 4097) is None  # larger than the whole slab: never
+
+    def test_unsent_descriptor_hands_nothing_out(self, slab):
+        """``put`` alone moves no counter: a send that raised before its
+        descriptor was written leaves the slab as it was."""
+        assert slab.put([b"a" * 3000], 3000) == (0, 3000)
+        assert slab.put([b"b" * 3000], 3000) == (0, 3000)
+
+    def test_counter_wraps_with_the_u32(self, slab):
+        slab.head = (1 << 32) - 96  # offset 4000 of the 4096-byte slab
+        slab.release(slab.head)
+        assert _put(slab, [b"e" * 96], 96) == (4000, 0)
+        assert _put(slab, [b"f" * 4001], 4001) is None  # 96 bytes short
+        slab.release(0)
+        assert _put(slab, [b"f" * 4001], 4001) == (0, 4001)
+
+    def test_counter_stores_are_single_writes(self, slab):
+        """The writer must never read a counter value the reader did not
+        store: ``struct.pack_into`` zero-fills before it packs, and a
+        writer that caught the word at 0 mid-update computed free space
+        that was not free (PR 17: garbage payloads in 1 of ~150 runs)."""
+        stored = (0x00200008, 0x00400008)
+        slab.release(stored[0])
+        pid = os.fork()
+        if pid == 0:  # the reader: keeps moving the counter between two values
+            end = time.monotonic() + 0.5
+            while time.monotonic() < end:
+                for value in stored * 500:
+                    slab.release(value)
+            os._exit(0)
+        seen = set()
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            seen.update(slab._tail[0] for _ in range(1000))
+        assert seen <= set(stored)
+
+    @pytest.mark.parametrize("offset,length", [(-8, 1024), (4000, 1024), (0, 4097), (0, 32)])
+    def test_view_checks_the_descriptor(self, slab, offset, length):
+        with pytest.raises(ValueError, match="slab descriptor"):
+            slab.view(offset, length)
+        with pytest.raises(ValueError, match="slab limit"):
+            slab.view(0, MAX_FRAME_BYTES + 1)
 
 
 class TestShmemPointToPoint:
@@ -384,25 +337,28 @@ class TestShmemFailureHandling:
         with pytest.raises(RankError, match="process died"):
             run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
 
-    def test_corrupt_ring_names_the_peer(self):
-        """A garbage length word becomes RankFailedError(sender) at the
-        blocked reader, not an allocation of that size."""
+    @pytest.mark.parametrize("offset,length", [
+        (-8, 1 << 16),  # out-of-range offset
+        (0, MAX_FRAME_BYTES + 1),  # over the frame limit
+        ((1 << 21) - 100, 1 << 16),  # runs past the slab's capacity
+    ])
+    def test_corrupt_descriptor_names_the_peer(self, offset, length):
+        """A garbage descriptor becomes RankFailedError(sender) at the
+        blocked reader; nothing is sized from it."""
 
         def prog(comm):
             if comm.rank == 0:
-                ring = comm._out_rings[1]
-                head = ring._head()
-                _LEN.pack_into(ring.data, head & ring._mask, (1 << 63) | 3_200_000_000)
-                ring._set_head(head + _LEN.size)
-                ring._ding()
+                bad = _LEN.pack(_FRAME.size) + _FRAME.pack(_SLAB_TAG, offset, length, 0)
+                comm._out[1].send(memoryview(bad))
                 return None
             with pytest.raises(RankFailedError) as err:
                 comm.recv(0, tag=5)
-            return err.value.rank, str(err.value)
+            return err.value.rank, str(err.value), len(comm._partial[0][0])
 
-        out = run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
-        rank, message = out[1]
+        out = run_ranks(prog, 2, backend=BACKEND, timeout=30.0, op_timeout=10.0)
+        rank, message, buffer_len = out[1]
         assert rank == 0 and "corrupt" in message
+        assert buffer_len == 1 << 16  # the reassembly buffer never grew
 
     def test_unpicklable_exception_still_reported(self):
         def prog(comm):
@@ -462,20 +418,91 @@ class TestShmemTrace:
         out = run_ranks(lambda c: c.rank, 3, backend=BACKEND)
         assert out.world.size == 3
         assert len(out.world.pids) == 3
-        assert out.world.ring_capacity >= 4096
+        assert out.world.slab_capacity >= 4096
 
 
-class TestRingCapacityConfig:
-    def test_custom_ring_capacity(self):
-        """Tiny rings still move big messages (chunked path end to end)."""
-        backend = ShmemBackend(ring_capacity=4096)
+class TestSlabCapacityConfig:
+    def test_custom_slab_capacity(self):
+        """Tiny slabs still move big messages (down the pipe); the capacity
+        is rounded up to a power of two (offsets wrap with the u32)."""
+        backend = ShmemBackend(slab_capacity=5000)
 
         def prog(comm):
             peer = 1 - comm.rank
-            payload = np.arange(65536, dtype=np.float32)  # 256 KB >> 4 KB ring
+            payload = np.arange(65536, dtype=np.float32)  # 256 KB >> 8 KB slab
             got = comm.sendrecv(payload, peer, tag=1)
             return float(got.sum())
 
         out = run_ranks(prog, 2, backend=backend, timeout=60.0)
         expected = float(np.arange(65536, dtype=np.float32).sum())
         assert out[0] == expected and out[1] == expected
+        assert out.world.slab_capacity == 8192
+
+
+def _dense(n, seed):
+    return SparseStream(n, dense=np.random.default_rng(seed).standard_normal(n).astype(np.float32))
+
+
+def _digest(stream):
+    return hashlib.sha256(stream.dense_payload.tobytes()).hexdigest()
+
+
+class TestLargeFrames:
+    def test_slab_then_pipe_bit_identical(self):
+        """A 256 KB stream travels through the slab, a 4 MB one — larger
+        than the whole (default) slab — down the pipe; both arrive
+        bit-identically, in order."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                slab = comm._out_slabs[1]
+                comm.send(_dense(1 << 16, 1), 1, tag=3)
+                through_slab = slab.head
+                comm.send(_dense(1 << 20, 2), 1, tag=3)
+                return through_slab, slab.head
+            return [_digest(comm.recv(0, tag=3)) for _ in range(2)]
+
+        out = run_ranks(prog, 2, backend=BACKEND, timeout=60.0)
+        through_slab, after_big = out[0]
+        assert through_slab > 1 << 18 and after_big == through_slab
+        assert out[1] == [_digest(_dense(1 << 16, 1)), _digest(_dense(1 << 20, 2))]
+
+    def test_frame_over_the_limit_is_refused_by_the_writer(self, monkeypatch):
+        from repro.runtime import shmem_backend
+
+        monkeypatch.setattr(  # forked ranks inherit it: a frame nobody could allocate
+            shmem_backend, "encode_frame_parts", lambda *a: (MAX_FRAME_BYTES + 1, [b""])
+        )
+
+        def prog(comm):
+            if comm.rank == 0:
+                with pytest.raises(ValueError, match="stream limit"):
+                    comm.send(np.zeros(4096), 1)  # 32 KB accounted: the large-frame path
+
+        run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
+
+    def test_two_threads_keep_per_tag_fifo(self):
+        """A rank thread and an ``i_collective`` thread send large frames
+        to the same peer: slab order is descriptor order (one lock), and
+        5 MB through a 2 MB slab mixes slab and pipe frames on each tag."""
+        count = 40
+
+        def prog(comm):
+            def background(c):
+                if c.rank == 0:
+                    for i in range(count):
+                        c.send(np.full(8192, float(i)), 1, tag=1)  # 64 KB each
+                    return None
+                return [float(c.recv(0, tag=1)[0]) for _ in range(count)]
+
+            handle = i_collective(comm, background)
+            mine = None
+            if comm.rank == 0:
+                for i in range(count):
+                    comm.send(np.full(8192, -float(i)), 1, tag=2)
+            else:
+                mine = [float(comm.recv(0, tag=2)[0]) for _ in range(count)]
+            return handle.wait(), mine
+
+        out = run_ranks(prog, 2, backend=BACKEND, timeout=60.0)
+        assert out[1] == ([float(i) for i in range(count)], [-float(i) for i in range(count)])

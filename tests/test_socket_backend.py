@@ -205,11 +205,11 @@ class TestSocketFailurePaths:
     def test_corrupt_length_word_names_the_peer(self):
         """A garbage length word becomes RankFailedError(sender) at the
         blocked reader, not an allocation of that size followed by a read
-        that never completes (twin of the shmem corrupt-ring test)."""
+        that never completes (twin of the shmem corrupt-descriptor test)."""
 
         def prog(comm):
             if comm.rank == 0:
-                comm._out_socks[1].sendall(_LEN.pack((1 << 30) + 1))
+                comm._out[1].sendall(_LEN.pack((1 << 30) + 1))
                 return None
             with pytest.raises(RankFailedError) as err:
                 comm.recv(0, tag=5)

@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: the process-family transport files ISSUE 14 collapsed, reported as one row
 #: (``rendezvous.py`` was split out of ``socket_backend.py``: counting it
-#: keeps that move from reading as a reduction).
+#: keeps that move from reading as a reduction; ``shmem_backend.py`` is the
+#: pipe transport plus a slab for large frames since ISSUE 23).
 BACKEND_FILES = (
     "mesh.py",
     "process_backend.py",
