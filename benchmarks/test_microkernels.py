@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import topk_bucket_indices, topk_global_indices
 from repro.quant import QSGDQuantizer, pack_integers, unpack_integers
-from repro.streams import SparseStream, add_streams, add_streams_, merge_sparse_pairs
+from repro.streams import SparseStream, add_streams, add_streams_, merge_sparse_pairs, summation
 
 N = 1 << 20
 NNZ = 10_000
@@ -40,7 +40,17 @@ def test_kernel_sparse_sparse_sum(benchmark, sparse_pair):
     assert out.nnz <= 2 * NNZ
 
 
-def test_kernel_merge_pairs(benchmark, sparse_pair):
+@pytest.fixture(params=["c", "numpy"])
+def merge_path(request, monkeypatch):
+    """Time :func:`merge_sparse_pairs` on the compiled merge, then on numpy."""
+    if request.param == "numpy":
+        monkeypatch.setattr(summation, "_KERNEL", None)
+    elif summation._KERNEL is None:
+        pytest.skip("the compiled merge did not load (no cc or no cffi)")
+    return request.param
+
+
+def test_kernel_merge_pairs(benchmark, sparse_pair, merge_path):
     a, b = sparse_pair
     idx, val = benchmark(merge_sparse_pairs, a.indices, a.values, b.indices, b.values)
     assert idx.size <= 2 * NNZ
@@ -84,7 +94,7 @@ def _benchmark_shape(name: str):
     "shape",
     ["merge_bound_round1", "merge_bound_round2", "async_train_bucket", "overlap_57_percent"],
 )
-def test_kernel_merge_pairs_benchmark_shapes(benchmark, shape):
+def test_kernel_merge_pairs_benchmark_shapes(benchmark, shape, merge_path):
     (idx_a, val_a), (idx_b, val_b) = _benchmark_shape(shape)
     idx, val = benchmark(merge_sparse_pairs, idx_a, val_a, idx_b, val_b)
     assert max(idx_a.size, idx_b.size) <= idx.size <= idx_a.size + idx_b.size

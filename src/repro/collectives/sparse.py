@@ -31,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..config import INDEX_DTYPE
 from ..runtime.comm import Communicator
 from ..streams import SparseStream, add_streams_, concat_disjoint, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
@@ -47,6 +48,8 @@ __all__ = [
     "slice_stream",
 ]
 
+_INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
+
 
 def slice_stream(stream: SparseStream, lo: int, hi: int) -> SparseStream:
     """Restriction of a sparse stream to global index range ``[lo, hi)``.
@@ -60,8 +63,7 @@ def slice_stream(stream: SparseStream, lo: int, hi: int) -> SparseStream:
     if stream.is_dense:
         raise ValueError("slice_stream expects a sparse stream")
     idx = stream.indices
-    start = int(np.searchsorted(idx, lo, side="left"))
-    stop = int(np.searchsorted(idx, hi, side="left"))
+    start, stop = _first_at_or_above(idx, lo), _first_at_or_above(idx, hi)
     return SparseStream(
         stream.dimension,
         indices=idx[start:stop],
@@ -69,6 +71,16 @@ def slice_stream(stream: SparseStream, lo: int, hi: int) -> SparseStream:
         value_dtype=stream.value_dtype,
         copy=False,
     )
+
+
+def _first_at_or_above(idx: np.ndarray, bound: int) -> int:
+    """``np.searchsorted(idx, bound)`` for a ``uint32`` index array and an
+    int ``bound >= 0``, searched as a ``uint32`` scalar: a Python int makes
+    numpy convert the whole array first (~0.1 ms at 262 144 indices,
+    against ~2 µs). ``2**32``, the largest dimension, is past every index."""
+    if bound > _INDEX_MAX:
+        return idx.size
+    return int(np.searchsorted(idx, INDEX_DTYPE.type(bound)))
 
 
 def _ensure_sparse(stream: SparseStream) -> SparseStream:

@@ -15,7 +15,9 @@ itself makes:
   honest stand-in for a network link on a single box);
 * **gamma** from one timing of the sparse merge (the §5.1 summation
   kernel) at the ``merge_bound`` workload's shape: seconds per byte
-  touched;
+  touched — by the compiled merge where it loaded, by numpy elsewhere,
+  recorded in the provenance as ``merge_sparse_pairs/c`` or
+  ``merge_sparse_pairs/numpy``;
 * **launch** — what launching and joining one background collective
   costs in software, the price :meth:`CostModel.auto_chunks` charges per
   extra pipeline chunk: a tiny allreduce run through ``i_collective`` and
@@ -46,6 +48,7 @@ from ..netsim.model import NetworkModel, TieredNetworkModel, save_network
 from ..runtime import run_ranks
 from ..runtime.nonblocking import i_collective
 from ..streams import SparseStream, merge_sparse_pairs
+from ..streams.summation import merge_implementation
 
 __all__ = [
     "fit_alpha_beta",
@@ -226,7 +229,12 @@ def run_calibration(
         }
         for tier, backend in TIER_BACKENDS.items()
     }
-    fits["gamma"] = {"kernel": "merge_sparse_pairs", "pairs": pairs, "best_s": merge_s}
+    # the compiled merge and the numpy one differ ~2.5x: say which was timed
+    fits["gamma"] = {
+        "kernel": f"merge_sparse_pairs/{merge_implementation()}",
+        "pairs": pairs,
+        "best_s": merge_s,
+    }
     fits["launch"] = launch_fit
     provenance = {
         "source": "repro calibrate",

@@ -10,17 +10,28 @@ The paper distinguishes four cases when summing two vectors ``u1 + u2``:
    concatenation, no arithmetic needed.
 
 :func:`add_streams_` is that decision tree. Cases 1 and 4 are the same
-step — put several sorted runs of (index, value) pairs in index order —
-done once, by :func:`_sorted_runs`: one stable sort of a packed ``uint64``
-key that carries the value inside it, so memory traffic is one pass over
-the pairs plus whatever the overlap touches. All kernels operate on
-:class:`~repro.streams.stream.SparseStream` and keep its invariants (sorted
-unique ``uint32`` indices, values in the stream's dtype).
+step — put sorted runs of (index, value) pairs in index order. Case 1,
+two runs, is a compiled merge (``_merge.c``, one branchless pass that
+touches each pair once) behind :func:`merge_sparse_pairs`; the kernel
+treats a value as opaque bits and leaves the arithmetic of the overlap to
+numpy, so the result is the numpy path's, bit for bit. The numpy path is
+:func:`_sorted_runs` — one stable sort of a packed ``uint64`` key that
+carries the value inside it — plus a collapse of the duplicate pairs: the
+reference the tests hold the kernel to, and the fallback wherever the
+kernel could not be built (no ``cffi``, no C compiler). Case 4 stays on
+:func:`_sorted_runs`, whose timsort takes in-order partitions in one pass.
+All kernels operate on :class:`~repro.streams.stream.SparseStream` and keep
+its invariants (sorted unique ``uint32`` indices, values in the stream's
+dtype).
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +44,7 @@ __all__ = [
     "add_streams",
     "add_streams_",
     "concat_disjoint",
+    "merge_implementation",
     "merge_sparse_pairs",
     "reduce_streams",
     "reduction_work_bytes",
@@ -76,6 +88,54 @@ def _sorted_runs(
     return idx, bits.view(vdt)
 
 
+def _load_merge_kernel():
+    """``(ffi.from_buffer, {value dtype: merge function})`` of ``_merge.c``,
+    or None where it cannot be built.
+
+    Runs once, at import: a launcher imports this module before it forks
+    its ranks, so rank processes inherit the loaded kernel instead of each
+    compiling it. ``cc -O2 -shared -fPIC`` builds it into a private
+    temporary directory, ``cffi`` loads it in ABI mode (no extension
+    module, so installing the package needs no build step), and the
+    directory is removed — the mapping outlives the file. Any failure — no
+    ``cffi``, no ``cc``, a compile error, a temporary directory mounted
+    ``noexec`` — leaves the numpy path in charge.
+    """
+    try:
+        from cffi import FFI
+    except ImportError:
+        return None
+    widths = {np.dtype(np.float16): 2, np.dtype(np.float32): 4, np.dtype(np.float64): 8}
+    ffi = FFI()
+    ffi.cdef("".join(
+        f"size_t merge_pairs_w{w}(const void *, const void *, size_t, const void *,"
+        " const void *, size_t, void *, void *, void *, void *);"
+        for w in widths.values()
+    ))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            shared = os.path.join(tmp, "_merge.so")
+            subprocess.run(
+                ["cc", "-O2", "-shared", "-fPIC", "-o", shared,
+                 str(Path(__file__).with_name("_merge.c"))],
+                check=True, capture_output=True, timeout=60,
+            )
+            lib = ffi.dlopen(shared)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return ffi.from_buffer, {dt: getattr(lib, f"merge_pairs_w{w}") for dt, w in widths.items()}
+
+
+#: the compiled merge, or None: the numpy path then does every merge
+_KERNEL = _load_merge_kernel()
+
+
+def merge_implementation() -> str:
+    """``"c"`` where :func:`merge_sparse_pairs` runs the compiled kernel,
+    ``"numpy"`` where it runs the numpy path."""
+    return "numpy" if _KERNEL is None else "c"
+
+
 def merge_sparse_pairs(
     idx_a: np.ndarray,
     val_a: np.ndarray,
@@ -89,16 +149,28 @@ def merge_sparse_pairs(
 
     The sparse+sparse kernel of §5.1: returns the sorted union of the
     ``uint32`` indices and, per index, the one value present or ``op`` of
-    the two. Linear in ``n_a + n_b``: one timsort merge of the two runs
-    (see :func:`_sorted_runs`), then duplicates are collapsed as *pairs* —
-    the inputs are sorted-unique, so an index occurs at most twice —
-    touching only the overlap. Each pair is combined lower value bits
-    first, so the result does not depend on which operand was ``a``:
-    ``merge(a, b)`` and ``merge(b, a)`` are bitwise equal, also where the
-    ufunc is not (``maximum(+0.0, -0.0)``).
+    the two. Each shared index's pair is combined lower value bits first
+    (``op.ufunc(lo, hi)``), so the result does not depend on which operand
+    was ``a``: ``merge(a, b)`` and ``merge(b, a)`` are bitwise equal, also
+    where the ufunc is not (``maximum(+0.0, -0.0)``).
 
-    The outputs are fresh C-contiguous arrays, except on the empty-side
-    path below. Raises ``TypeError`` when the value dtypes differ.
+    Two implementations, one result. Where the compiled kernel loaded
+    (``_merge.c``: ``uint32`` indices, float16/32/64 values) one linear
+    pass writes the union with the lower-bits operand in every shared slot
+    and hands back the shared positions and the higher-bits operands;
+    the combine is then the same numpy expression as on the numpy path.
+    The op stays in numpy because C arithmetic is not numpy's: a C
+    ``max`` does not order ``±0.0`` or NaN as ``np.maximum`` does, and a
+    custom :class:`~repro.streams.ops.ReduceOp` has only a ufunc. The
+    numpy path — everywhere else, and the reference the tests compare the
+    kernel to — is one timsort merge of the two runs
+    (:func:`_sorted_runs`) and a collapse of the duplicates as *pairs*
+    (inputs are sorted-unique, so an index occurs at most twice). Both
+    are linear in ``n_a + n_b``.
+
+    The outputs are fresh, C-contiguous arrays that own their data, except
+    on the empty-side path below. Raises ``TypeError`` when the value
+    dtypes differ.
 
     Parameters
     ----------
@@ -114,6 +186,34 @@ def merge_sparse_pairs(
         return (idx_b.copy(), val_b.copy()) if copy else (idx_b, val_b)
     if idx_b.size == 0:
         return (idx_a.copy(), val_a.copy()) if copy else (idx_a, val_a)
+    na, nb = idx_a.size, idx_b.size
+    if val_a.size != na or val_b.size != nb:  # the kernel reads na and nb values
+        raise ValueError(f"{na} + {nb} indices but {val_a.size} + {val_b.size} values")
+    merge = _KERNEL and _KERNEL[1].get(val_a.dtype)
+    if merge is None or idx_a.dtype != INDEX_DTYPE or idx_b.dtype != INDEX_DTYPE:
+        return _merge_by_sort(idx_a, val_a, idx_b, val_b, op)
+    buf = _KERNEL[0]
+    n, most = na + nb, min(na, nb)
+    idx, val = np.empty(n, INDEX_DTYPE), np.empty(n, val_a.dtype)
+    dup, hi = np.empty(most, np.intp), np.empty(most, val_a.dtype)
+    shared = merge(
+        buf(np.ascontiguousarray(idx_a)), buf(np.ascontiguousarray(val_a)), na,
+        buf(np.ascontiguousarray(idx_b)), buf(np.ascontiguousarray(val_b)), nb,
+        buf(idx), buf(val), buf(dup), buf(hi),
+    )
+    if shared:
+        dup = dup[:shared]
+        val[dup] = op.ufunc(val[dup], hi[:shared])
+        # shrink in place: a slice would not own its data
+        idx.resize(n - shared, refcheck=False)
+        val.resize(n - shared, refcheck=False)
+    return idx, val
+
+
+def _merge_by_sort(
+    idx_a: np.ndarray, val_a: np.ndarray, idx_b: np.ndarray, val_b: np.ndarray, op: ReduceOp
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy path of :func:`merge_sparse_pairs`, for two non-empty runs."""
     idx, val = _sorted_runs((idx_a, idx_b), (val_a, val_b))
     dup = np.flatnonzero(idx[1:] == idx[:-1])
     if dup.size == 0:  # disjoint supports: nothing to combine, just leave the key buffer

@@ -26,6 +26,8 @@ from repro.netsim import (
 )
 from repro.netsim.model import DEFAULT_LAUNCH_S, NETWORK_JSON_SCHEMA
 from repro.runtime.topology import Topology
+from repro.streams import summation
+from repro.streams.summation import merge_implementation
 
 
 #: known lines behind the synthetic ``(bytes, one_way_s)`` points below
@@ -172,7 +174,17 @@ class TestRunCalibration:
             assert sizes == pytest.approx([1 << 10, 84_000, 1 << 20], rel=0.05)
             assert all(p["one_way_s"] > 0 for p in fits[tier]["points"])
         assert model.gamma == fit_gamma(fits["gamma"]["pairs"], fits["gamma"]["best_s"]) > 0
+        assert fits["gamma"]["kernel"] == f"merge_sparse_pairs/{merge_implementation()}"
         assert "reused_bench" not in provenance and "quick" not in provenance
+
+    def test_gamma_names_the_numpy_merge_where_no_kernel_loaded(self, tmp_path, monkeypatch):
+        from repro.costmodel import calibrate
+
+        monkeypatch.setattr(calibrate, "measure_round_trips", lambda backend: _points(INTRA))
+        monkeypatch.setattr(calibrate, "measure_launch", lambda: (1e-4, {}))
+        monkeypatch.setattr(summation, "_KERNEL", None)
+        _, _, provenance = run_calibration(out=tmp_path / "cal.json")
+        assert provenance["fits"]["gamma"]["kernel"] == "merge_sparse_pairs/numpy"
 
     def test_resolve_calibrated_spec(self, measured):
         fitted, path, _ = measured

@@ -57,6 +57,23 @@ class TestSliceStream:
         with pytest.raises(ValueError):
             slice_stream(s, 0, 5)
 
+    @pytest.mark.parametrize("dim", [1, 4096, 1 << 32])
+    def test_bounds_match_the_int_search(self, dim, rng):
+        """The bounds are searched as uint32 scalars; ``2**32`` cannot be one."""
+        idx = np.unique(rng.integers(0, dim, 300, dtype=np.uint64))
+        idx[-1] = dim - 1  # the top index, and a bound equal to it below
+        s = SparseStream(dim, indices=idx, values=np.ones(idx.size))
+        cuts = [0, 1, int(idx[0]), int(idx[idx.size // 2]), dim - 1, dim]
+        cuts += [int(c) for c in rng.integers(0, dim + 1, 20, dtype=np.uint64)]
+        for lo in cuts:
+            for hi in cuts:
+                if lo > hi:
+                    continue
+                part = slice_stream(s, lo, hi)
+                start, stop = np.searchsorted(s.indices, [lo, hi])  # int form
+                assert np.array_equal(part.indices, s.indices[start:stop])
+                assert np.array_equal(part.values, s.values[start:stop])
+
 
 @pytest.mark.parametrize("name,algo", SPARSE_ALGOS.items())
 class TestSparseAllreduce:

@@ -1,4 +1,15 @@
-"""Tests for stream summation kernels: all four cases of §5.1."""
+"""Tests for stream summation kernels: all four cases of §5.1.
+
+Every test here runs twice: on the compiled merge and on the numpy path
+(the kernel handle monkeypatched away), which the compiled one must match
+bit for bit.
+"""
+
+import importlib.util
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +21,7 @@ from repro.streams import (
     MIN,
     PROD,
     SUM,
+    ReduceOp,
     SparseStream,
     add_streams,
     add_streams_,
@@ -17,7 +29,25 @@ from repro.streams import (
     merge_sparse_pairs,
     reduce_streams,
     reduction_work_bytes,
+    summation,
 )
+
+
+@pytest.fixture(scope="module", autouse=True, params=["c", "numpy"])
+def merge_path(request):
+    """Which merge :func:`merge_sparse_pairs` runs on for this module pass."""
+    if request.param == "numpy":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(summation, "_KERNEL", None)
+            yield request.param
+        return
+    if summation._KERNEL is None:
+        # CI must not test the numpy path twice without saying so
+        assert not (shutil.which("cc") and importlib.util.find_spec("cffi")), (
+            "cc and cffi are present but the compiled merge did not load"
+        )
+        pytest.skip("no C compiler or no cffi: the numpy path is the only one")
+    yield request.param
 
 
 def _stream(dim, idx, val, dtype=np.float32):
@@ -318,7 +348,9 @@ class TestSetPairs:
 # packed-key kernel (ISSUE 16): bit-for-bit against a per-index loop
 # ----------------------------------------------------------------------
 DTYPES = [np.float16, np.float32, np.float64]
-OPS = [SUM, MAX, MIN, PROD]
+# a custom op: nothing about it is known to the kernel, which never combines
+HYPOT = ReduceOp("hypot", np.hypot, 0.0)
+OPS = [SUM, MAX, MIN, PROD, HYPOT]
 DIM = 1 << 12
 
 
@@ -425,6 +457,12 @@ def test_merge_rejects_mixed_value_dtypes():
         merge_sparse_pairs(none, np.empty(0, np.float16), i, np.ones(1, np.float32))
 
 
+def test_merge_rejects_values_that_do_not_match_the_indices():
+    i, ii = np.array([1], np.uint32), np.array([1, 2], np.uint32)
+    with pytest.raises(ValueError, match="1 \\+ 2 indices but 1 \\+ 1 values"):
+        merge_sparse_pairs(i, np.ones(1, np.float32), ii, np.ones(1, np.float32))
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
@@ -444,6 +482,60 @@ def test_property_merge_matches_oracle_and_commutes_bitwise(seed, dim, dtype, op
         idx_r, val_r = merge_sparse_pairs(idx_b, val_b, idx_a, val_a, op)
     assert idx.tobytes() == want_idx.tobytes() == idx_r.tobytes()
     assert val.tobytes() == want_val.tobytes() == val_r.tobytes()
+
+
+@pytest.mark.parametrize("op", OPS, ids=str)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+def test_merge_equals_the_numpy_path_bitwise_at_scale(dtype, op):
+    """Past the oracle's sizes: 40 000 + 60 000 pairs, 20 000 shared,
+    against the numpy path called directly (the kernel shrinks outputs of
+    this size with ``resize``, which may move them)."""
+    gen = np.random.default_rng(DTYPES.index(dtype))
+    pool = gen.permutation(1 << 20).astype(np.uint32)
+    idx_a, idx_b = np.sort(pool[:40_000]), np.sort(pool[20_000:80_000])
+    val_a = _special_values(dtype, idx_a.size, gen)
+    val_b = _special_values(dtype, idx_b.size, gen)
+    with np.errstate(all="ignore"):
+        idx, val = merge_sparse_pairs(idx_a, val_a, idx_b, val_b, op)
+        want_idx, want_val = summation._merge_by_sort(idx_a, val_a, idx_b, val_b, op)
+    assert idx.size == 80_000
+    assert idx.tobytes() == want_idx.tobytes() and val.tobytes() == want_val.tobytes()
+    _assert_fresh(idx, np.uint32, idx_a, idx_b)
+    _assert_fresh(val, dtype, val_a, val_b)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+def test_unsorted_input_is_wrong_but_never_out_of_bounds(dtype):
+    """The kernel trusts sortedness for the result, not for memory safety."""
+    gen = np.random.default_rng(5)
+    for na, nb in [(1, 1), (1, 50), (50, 1), (300, 200), (200, 300)]:
+        idx_a = gen.integers(0, 64, na).astype(np.uint32)  # unsorted, repeats
+        idx_b = gen.integers(0, 64, nb).astype(np.uint32)
+        val_a, val_b = _special_values(dtype, na, gen), _special_values(dtype, nb, gen)
+        with np.errstate(all="ignore"):
+            idx, val = merge_sparse_pairs(idx_a, val_a, idx_b, val_b)
+        assert idx.size == val.size <= na + nb
+
+
+def test_merge_runs_on_numpy_where_no_compiler_is_found(tmp_path):
+    """A process with an empty ``PATH`` finds no ``cc``: the numpy path is
+    active from import on, and merges correctly."""
+    program = (
+        "import numpy as np\n"
+        "from repro.streams import SUM, merge_sparse_pairs, summation\n"
+        "assert summation._KERNEL is None\n"
+        "i, v = merge_sparse_pairs(np.array([1, 3], np.uint32), np.array([1.0, 2.0], np.float32),\n"
+        "                          np.array([3, 4], np.uint32), np.array([5.0, 6.0], np.float32), SUM)\n"
+        "assert i.tolist() == [1, 3, 4] and v.tolist() == [1.0, 7.0, 6.0]\n"
+        "print('numpy path ok')\n"
+    )
+    src = Path(summation.__file__).resolve().parents[2]
+    env = {"PATH": "", "PYTHONPATH": str(src), "TMPDIR": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "numpy path ok"
 
 
 class TestConcatDisjointKernel:

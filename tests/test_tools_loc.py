@@ -16,6 +16,16 @@ def test_counts_code_not_comments_or_docstrings():
     assert loc.code_lines(source) == 3  # def, and the two lines of the return
 
 
+def test_counts_c_code_not_comments():
+    source = (
+        "/* header\n * more */\n#include <stdint.h>\n\n"
+        "// note\n#define ID(x) \\\n    /* why */ \\\n    (x)\n"
+        'int f(void) { return 2; } /* trailing */\nconst char *s = "/* not a comment */";\n'
+    )
+    # include, both real define lines, the function, the string line
+    assert loc.c_code_lines(source) == 5
+
+
 @pytest.mark.parametrize("argv", [["--help"], [str(_PATH), "no/such/file.py"]])
 def test_an_argument_that_is_not_a_file_prints_usage(argv, capsys):
     assert loc.main(argv) == 2

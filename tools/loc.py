@@ -3,7 +3,10 @@
 The number ROADMAP's "Quality of design" aim asks every PR to report.
 A line counts when it carries at least one token that is neither a
 comment nor part of a docstring, so deleting comments, trimming
-docstrings or re-wrapping them moves nothing. Stdlib only.
+docstrings or re-wrapping them moves nothing. C sources (the compiled
+kernels under ``src/repro``) count the same way: a line counts when
+something other than a ``/* */`` or ``//`` comment — or a lone macro
+line-continuation — is left on it. Stdlib only.
 
     python tools/loc.py            # per package of src/repro + the backends
     python tools/loc.py FILE...    # just these files
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -63,8 +67,25 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+#: a C string or character literal (kept: it may hold "/*"), or a comment
+_C_TOKEN = re.compile(r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'|/\*.*?\*/|//[^\n]*', re.S)
+
+
+def c_code_lines(source: str) -> int:
+    """Number of lines of C ``source`` that hold code."""
+    def blank_comment(match: re.Match) -> str:
+        text = match.group()
+        return text if text[0] in "\"'" else "\n" * text.count("\n")
+
+    stripped = _C_TOKEN.sub(blank_comment, source)
+    return sum(line.strip() not in ("", "\\") for line in stripped.splitlines())
+
+
 def count(paths) -> int:
-    return sum(code_lines(p.read_text(encoding="utf-8")) for p in paths)
+    return sum(
+        (c_code_lines if p.suffix == ".c" else code_lines)(p.read_text(encoding="utf-8"))
+        for p in paths
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -82,7 +103,9 @@ def main(argv: list[str]) -> int:
     for path in backends:
         print(f"{count([path]):7d}    runtime/{path.name}")
     print(f"{count(backends):7d}  process-family backends ({len(backends)} files)")
-    print(f"{count(ROOT.rglob('*.py')):7d}  src/repro")
+    kernels = sorted(ROOT.rglob("*.c"))
+    print(f"{count(kernels):7d}  src/repro/**/*.c ({len(kernels)} files)")
+    print(f"{count([*ROOT.rglob('*.py'), *kernels]):7d}  src/repro")
     return 0
 
 
