@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import topk_bucket_indices, topk_global_indices
 from repro.quant import QSGDQuantizer, pack_integers, unpack_integers
+from repro.runtime.wire import decode_message, encode_message
 from repro.streams import SparseStream, add_streams, add_streams_, merge_sparse_pairs, summation
 
 N = 1 << 20
@@ -225,3 +226,16 @@ def test_kernel_stream_to_dense(benchmark, sparse_pair):
     a, _ = sparse_pair
     out = benchmark(a.to_dense)
     assert out.shape == (N,)
+
+
+def test_kernel_wire_frame_1k(benchmark):
+    """One ~1 KB frame out and back in: the per-message codec cost of a
+    small sparse allreduce (128 float32 pairs, as ``latency_bound`` sends)."""
+    ref = SparseStream.random_uniform(N, 128, np.random.default_rng(5), value_dtype=np.float32)
+
+    def roundtrip():
+        return decode_message(encode_message(5, 3, ref.nbytes_payload, ref))
+
+    tag, seq, nbytes, epoch, out = benchmark(roundtrip)
+    assert (tag, seq, epoch) == (5, 3, 0)
+    assert np.array_equal(out.indices, ref.indices) and np.array_equal(out.values, ref.values)

@@ -6,7 +6,7 @@ this interface only; any backend that provides blocking point-to-point
 semantics MPI guarantees — can execute them. The library ships four
 implementations, selected by the ``backend=`` argument of
 :func:`~repro.runtime.run_ranks` (the last three share one launcher, one
-mailbox communicator and one blocked-receive loop,
+queueing communicator and one blocked-receive loop,
 :mod:`repro.runtime.mesh`: no receiver threads — a rank that blocks in a
 transport call reads its own channels, so messages and peer failures are
 noticed at transport calls and probes, as in MPI without an asynchronous
@@ -304,7 +304,7 @@ _ABORT_POLL_S = 0.05
 
 
 class Mailbox:
-    """FIFO queue for one message channel (shared by every backend)."""
+    """FIFO queue for one message channel of the thread backend."""
 
     __slots__ = ("items", "cond")
 
@@ -338,11 +338,6 @@ class Mailbox:
                 self.cond.wait(timeout=wait)
             return self.items.popleft()
 
-    def pop_nowait(self) -> tuple[Any, int, int] | None:
-        """The next message, or None — for callers that drive progress."""
-        with self.cond:
-            return self.items.popleft() if self.items else None
-
     def has_items(self) -> bool:
         with self.cond:
             return bool(self.items)
@@ -351,10 +346,10 @@ class Mailbox:
 class MailboxRegistry:
     """Lazily-created mailboxes keyed by channel tuple, with abort wakeup.
 
-    The thread backend keys channels world-globally as (src, dst, tag);
-    the process backend keys them per-rank as (src, tag). The creation
-    (double-checked setdefault) and notify-all-on-abort logic is identical,
-    so it lives here once.
+    The thread backend's world keys channels as (src, dst, tag); its
+    receivers block on their mailbox's own condition, which an abort
+    notifies. (The process family queues by (src, tag) in
+    :class:`~repro.runtime.mesh.StreamComm`, under its engine lock.)
     """
 
     __slots__ = ("_boxes", "_lock")

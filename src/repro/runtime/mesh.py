@@ -5,12 +5,13 @@ own OS process and differ only in the channel objects that carry the byte
 stream between two of them — pipe ends, pipe ends next to a shared-memory
 slab for large frames, TCP sockets. Everything else lives here, once:
 
-* :class:`StreamComm` — the per-rank communicator: per-(source, tag) FIFO
-  mailboxes, sender-side sequence numbers, the abort flag, the elastic
+* :class:`StreamComm` — the per-rank communicator: one table of
+  per-(source, tag) FIFO queues under the engine lock, sender-side
+  sequence numbers, the abort flag, the elastic
   epoch hooks, the **blocked-receive loop** with its one-at-a-time
   progress engine (one ``poll`` over every live inbound channel,
   per-source frame reassembly), :meth:`StreamComm._deliver`, the single
-  inbound path (*decode → drop stale epoch → FIN → mailbox*), and the one
+  inbound path (*decode → drop stale epoch → FIN → queue*), and the one
   outbound write loop that finishes a frame it has begun;
 * :class:`MeshBackend` — the launcher (``Backend.run``): build the mesh,
   fork one process per rank with the list of inherited ends it must
@@ -24,7 +25,7 @@ slab for large frames, TCP sockets. Everything else lives here, once:
 Inline progress: a blocked rank reads its own channels
 ------------------------------------------------------
 No communicator here starts a thread. Whichever thread of a rank is
-*blocked* — in a receive whose mailbox is empty, or in a send whose
+*blocked* — in a receive whose queue is empty, or in a send whose
 channel is full — takes the rank's progress engine and runs
 :meth:`StreamComm._progress`: wait for traffic on every live inbound
 channel, read what is there, hand every whole frame to ``_deliver``. One
@@ -38,7 +39,7 @@ when the receiver next enters a transport call, and a peer's death is
 observed at the next transport operation or probe, not asynchronously.
 Deadlock-freedom survives because a blocked sender keeps reading: any
 cycle of blocked ranks is a cycle of progress engines, each draining its
-inbound channels into unbounded mailboxes.
+inbound channels into unbounded queues.
 
 What a transport supplies
 -------------------------
@@ -72,6 +73,7 @@ import select
 import struct
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as conn_wait
@@ -83,8 +85,6 @@ from .comm import (
     AbortState,
     CommTimeoutError,
     Communicator,
-    Mailbox,
-    MailboxRegistry,
     RankFailedError,
     WorldAbortedError,
 )
@@ -123,7 +123,9 @@ class StreamComm(Communicator):
     anything with their ``fileno`` / ``setblocking`` / ``send`` /
     ``recv_into`` (the pipe ends of :mod:`~repro.runtime.process_backend`).
     A message is ``<u64 frame length><frame>``. Incoming traffic lands in
-    per-(source, tag) FIFO mailboxes; sequence numbers are allocated
+    :attr:`_queues`, one FIFO per (source, tag) that exists only while it
+    holds messages, guarded by the engine's lock — the one lock a message
+    takes on its way in and out. Sequence numbers are allocated
     sender-side against the worker-local trace (only this rank sends on a
     (rank, dest, tag) channel, so local counters are the truth). The
     channels are read by whichever thread is blocked (see "Inline
@@ -147,7 +149,6 @@ class StreamComm(Communicator):
         self.trace = trace
         self.op_timeout = op_timeout
         self._collective_counter = 0
-        self._mailboxes = MailboxRegistry()
         self.aborted = AbortState()
         #: elastic world version stamped on every outgoing frame; bumped by
         #: :func:`~repro.runtime.elastic.shrink` via :meth:`_elastic_reset`.
@@ -163,6 +164,10 @@ class StreamComm(Communicator):
         #: holder notifies on every delivery and on leaving.
         self._engine = threading.Condition()
         self._engine_busy = False
+        #: ``(source, tag) -> deque of (payload, nbytes, seq)``, under the
+        #: engine lock; the pop that empties a queue deletes it, so a
+        #: drained channel (every collective takes a fresh tag) keeps nothing.
+        self._queues: dict[tuple[int, int], deque] = {}
         #: threads waiting in :meth:`_holding_engine`; receivers stand back.
         self._engine_claims = 0
         #: live inbound channels (fd -> ``(channel, source)``), each
@@ -181,34 +186,38 @@ class StreamComm(Communicator):
             if channel is not None:
                 self._attach(src, channel)
 
-    def _mailbox(self, src: int, tag: int) -> Mailbox:
-        return self._mailboxes.get((src, tag))
+    def _take(self, key: tuple[int, int]) -> tuple[Any, int, int] | None:
+        """The next message on ``key`` or None (engine lock held)."""
+        queue = self._queues.get(key)  # a queue that exists holds a message
+        if queue is not None and len(queue) == 1:
+            del self._queues[key]
+        return queue.popleft() if queue else None
 
     def _abort(self, failed_rank: int | None = None, reason: str | None = None) -> None:
         if failed_rank is not None and failed_rank in self.dead_ranks:
             return  # already accounted for by a shrink; the world lives on
         self.aborted.set(failed_rank, reason)
-        self._mailboxes.wake_all()
-        with self._engine:
+        with self._engine:  # every blocked receiver waits on the engine
             self._engine.notify_all()
 
     def _deliver(self, src: int, frame: Any) -> bool:
-        """Turn one inbound frame from ``src`` into a mailbox entry.
+        """Turn one inbound frame from ``src`` into a queue entry.
 
         The one place a frame is decoded; runs on the engine holder.
         Returns False once nothing more will be delivered from ``src``'s
         channel: the peer sent FIN (it finished cleanly), or the frame was
-        undecodable and the world is aborted. Decoding copies
+        undecodable and the world is aborted naming ``src``. Decoding copies
         (``copy=True``): the buffer ``frame`` views is reused, so the
         arrays must own their memory.
         """
         try:
             tag, seq, nbytes, epoch, payload = decode_message(frame)
-        except Exception:
+        except Exception as exc:
             # undecodable frame (e.g. a payload whose pickle references a
-            # class this process cannot import): fail fast instead of
+            # class this process cannot import, or a stream whose count
+            # overruns its frame): fail fast, naming its writer, instead of
             # silently dropping it and hanging the run
-            self._abort()
+            self._abort(src, f"undecodable frame from rank {src}: {exc}")
             return False
         if epoch < self.epoch:
             # a frame from a dead world epoch (in flight across a shrink
@@ -219,8 +228,8 @@ class StreamComm(Communicator):
             return True
         if tag == _FIN_TAG:
             return False
-        self._mailbox(src, tag).put(payload, nbytes, seq)
         with self._engine:
+            self._queues.setdefault((src, tag), deque()).append((payload, nbytes, seq))
             self._engine.notify_all()  # a thread without the engine may be waiting for this
         return True
 
@@ -344,32 +353,40 @@ class StreamComm(Communicator):
             self._detach(fd)
             self._abort(src, f"stream from rank {src} is corrupt: {exc}")
 
-    def _run_progress(self, wait: float, writable: Any = None, box: Mailbox | None = None) -> bool:
+    def _run_progress(self, wait: float, writable: Any = None, key: tuple | None = None) -> Any:
         """Make one progress step on this thread if the engine is free.
 
-        False when another thread has it: that thread reads for everyone,
-        so a caller with nothing to write sleeps until it signals a
-        delivery or leaves (at most ``wait``). Also False, at once, when
-        the receiver's ``box`` was filled while it was on its way here.
+        Returns whether this thread stepped: not when another thread has
+        the engine — that thread reads for everyone, so a caller with
+        nothing to write sleeps until it signals a delivery or leaves (at
+        most ``wait``). Given a receiver's ``key``, ``(source, tag)``, it
+        returns that channel's next message or None instead, taken under a
+        lock this call holds anyway: before stepping (nothing is read if
+        one is already queued), after a sleep, or as the engine is handed
+        back.
         """
         with self._engine:
-            if box is not None and box.has_items():
-                return False
+            if key in self._queues:
+                return self._take(key)
             if self._engine_busy or self._engine_claims:
                 if writable is None:
                     self._engine.wait(wait)
-                return False
+                return self._take(key) if key else False
             self._engine_busy = True
         try:
             self._progress(wait, writable)
-        finally:
+        except BaseException:
             self._leave_engine()
-        return True
+            raise
+        return self._leave_engine(key)
 
-    def _leave_engine(self) -> None:
+    def _leave_engine(self, key: tuple | None = None) -> Any:
+        """Hand the engine back: True, or with ``key`` its next message,
+        taken under the same lock."""
         with self._engine:
             self._engine_busy = False
             self._engine.notify_all()
+            return self._take(key) if key else True
 
     @contextmanager
     def _holding_engine(self):
@@ -395,28 +412,28 @@ class StreamComm(Communicator):
         return self.trace.next_seq(self.rank, dest, tag)
 
     def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        box = self._mailbox(source, tag)
+        key = (source, tag)
         aborted = self.aborted  # an elastic reset swaps the flag; unwind on the one we started under
         deadline = None if self.op_timeout is None else time.monotonic() + self.op_timeout
         while True:
-            item = box.pop_nowait()
+            # a queued message wins over an abort or an expired deadline:
+            # those only shorten the step to a look
+            wait = 0.0 if aborted.is_set() else _ABORT_POLL_S
+            if deadline is not None:
+                wait = max(min(wait, deadline - time.monotonic()), 0.0)
+            item = self._run_progress(wait, key=key)
             if item is not None:
                 return item
             if aborted.is_set():
                 raise aborted.error()
-            wait = _ABORT_POLL_S
-            if deadline is not None:
-                wait = min(wait, deadline - time.monotonic())
-                if wait <= 0:
-                    raise CommTimeoutError.expired("recv from", source, tag, self.op_timeout)
-            self._run_progress(wait, box=box)
+            if deadline is not None and time.monotonic() >= deadline:
+                raise CommTimeoutError.expired("recv from", source, tag, self.op_timeout)
 
     def _probe(self, source: int, tag: int) -> bool:
-        box = self._mailbox(source, tag)
-        if box.has_items():
-            return True
-        self._run_progress(0.0, box=box)
-        return box.has_items()
+        # a dict lookup is atomic; the lock only orders the queue's changes
+        if (source, tag) not in self._queues:
+            self._run_progress(0.0)
+        return (source, tag) in self._queues
 
     def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
         """Length prefix + frame in one send buffer (one write per

@@ -8,7 +8,7 @@ so the backend faithfully exercises what the thread backend can only
 emulate: payload serialization, independent buffers, and true parallel
 rank execution.
 
-The launcher, the rank lifecycle, the mailboxes and the inline progress
+The launcher, the rank lifecycle, the message queues and the inline progress
 engine are the shared process-family core (:mod:`repro.runtime.mesh`);
 this file is only the **pipe channel** (POSIX pipes: the engine
 ``poll``s them):

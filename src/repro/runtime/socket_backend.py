@@ -2,7 +2,7 @@
 
 This is the distributed-memory variant of the process family: the same
 §5.1 wire format (:mod:`repro.runtime.wire`), the same launcher, rank
-lifecycle, mailboxes and inline progress engine (:mod:`repro.runtime.mesh`), but the
+lifecycle, message queues and inline progress engine (:mod:`repro.runtime.mesh`), but the
 transport is a full mesh of TCP connections instead of pipes — so ranks
 no longer have to share a kernel. SparCML's headline numbers (§6) come
 from cluster runs; this backend is the repo's path to that setting while

@@ -17,7 +17,10 @@ Allocation discipline
 ---------------------
 The encoder is *vectored*: :func:`encode_frame_parts` returns the frame as
 a list of buffer segments — a small header plus direct (zero-copy) views
-of the stream's index/value arrays.  A destination that can take them
+of the stream's index/value arrays. A stream's head (frame header, kind
+byte, stream header) is one ``struct`` call each way: the per-message
+cost of a small frame is mostly this bookkeeping, not its bytes. A
+destination that can take them
 (the shmem backend's slab) is written part by part with no intermediate
 blob; the byte-stream channels (pipe, TCP) join them into one
 preallocated ``bytearray``, so every payload byte is copied exactly once
@@ -39,6 +42,7 @@ from typing import Any
 
 import numpy as np
 
+from ..config import INDEX_DTYPE
 from ..streams import SparseStream
 
 __all__ = [
@@ -101,6 +105,10 @@ _DTYPE_CODES = {
 }
 _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
+#: a stream frame's whole head in one struct — frame header, kind byte,
+#: §5.1 stream header — byte for byte what the three pack to, back to back.
+_STREAM_FRAME = struct.Struct("<qqqqBQQQcd")
+
 
 def _array_buffer(arr: np.ndarray):
     """A zero-copy byte view of ``arr``'s buffer (copies only if needed)."""
@@ -112,48 +120,49 @@ def _array_buffer(arr: np.ndarray):
 # ----------------------------------------------------------------------
 # vectored encode
 # ----------------------------------------------------------------------
-def encode_payload_parts(obj: Any) -> tuple[int, list]:
-    """Serialize one payload as ``(total_bytes, [buffer, ...])``.
-
-    Stream payloads come back as a small header plus direct views of the
-    index/value arrays — nothing is copied here. Everything else is one
-    pickle blob. Transports copy each part exactly once, into the pipe
-    blob or straight into the shared-memory slab.
-    """
-    if isinstance(obj, SparseStream):
-        wire = float("nan") if obj.value_wire_bytes is None else float(obj.value_wire_bytes)
-        dtype_code = _DTYPE_CODES[obj.value_dtype]
-        if obj.is_dense:
-            payload = obj.dense_payload
-            header = bytes([_KIND_STREAM]) + _STREAM_HEADER.pack(
-                FLAG_DENSE, obj.dimension, payload.size, dtype_code, wire
-            )
-            parts = [header, _array_buffer(payload)]
-        else:
-            header = bytes([_KIND_STREAM]) + _STREAM_HEADER.pack(
-                FLAG_SPARSE, obj.dimension, obj.nnz, dtype_code, wire
-            )
-            parts = [header, _array_buffer(obj.indices), _array_buffer(obj.values)]
-    else:
-        parts = [
-            bytes([_KIND_PICKLE]),
-            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
-        ]
-    return sum(len(p) for p in parts), parts
-
-
 def encode_frame_parts(
     tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0
 ) -> tuple[int, list]:
-    """One framed message as ``(total_bytes, [buffer, ...])`` (vectored)."""
-    payload_len, parts = encode_payload_parts(obj)
-    return FRAME_HEADER_SIZE + payload_len, [_FRAME.pack(tag, seq, nbytes, epoch), *parts]
+    """One framed message as ``(total_bytes, [buffer, ...])`` (vectored).
+
+    A stream is its head — frame header, kind byte and §5.1 stream header,
+    packed as one :data:`_STREAM_FRAME` — plus direct views of its
+    index/value arrays; nothing is copied here. Anything else is the frame
+    header, the kind byte and one pickle blob. Transports copy each part
+    exactly once, into the pipe blob or straight into the shared slab.
+    """
+    if isinstance(obj, SparseStream):
+        wire = float("nan") if obj.value_wire_bytes is None else float(obj.value_wire_bytes)
+        if obj.is_dense:
+            flag, arrays = FLAG_DENSE, (obj.dense_payload,)
+        else:
+            flag, arrays = FLAG_SPARSE, (obj.indices, obj.values)
+        parts = [
+            _STREAM_FRAME.pack(
+                tag, seq, nbytes, epoch, _KIND_STREAM, flag,
+                obj.dimension, arrays[-1].size, _DTYPE_CODES[obj.value_dtype], wire,
+            ),
+            *map(_array_buffer, arrays),
+        ]
+    else:
+        parts = [
+            _FRAME.pack(tag, seq, nbytes, epoch) + bytes([_KIND_PICKLE]),
+            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
+        ]
+    return sum(map(len, parts)), parts
+
+
+def encode_payload_parts(obj: Any) -> tuple[int, list]:
+    """One payload as ``(total_bytes, [buffer, ...])``: the parts of
+    :func:`encode_frame_parts` without the frame header."""
+    total, parts = encode_frame_parts(0, 0, 0, obj)
+    parts[0] = parts[0][FRAME_HEADER_SIZE:]
+    return total - FRAME_HEADER_SIZE, parts
 
 
 def encode_payload(obj: Any) -> bytes:
     """Serialize one payload (stream fast path, pickle fallback)."""
-    total, parts = encode_payload_parts(obj)
-    return b"".join(bytes(p) if isinstance(p, memoryview) else p for p in parts)
+    return bytes(memoryview(encode_message(0, 0, 0, obj))[FRAME_HEADER_SIZE:])
 
 
 def encode_message(
@@ -194,7 +203,9 @@ def decode_payload(blob: bytes | bytearray | memoryview, copy: bool = True) -> A
     view = memoryview(blob)
     kind = view[0]
     if kind == _KIND_STREAM:
-        return _decode_stream(view, copy)
+        # the §5.1 stream header starts right after the kind byte
+        head = _STREAM_HEADER.unpack_from(view, 1)
+        return _decode_stream(view, 1 + _STREAM_HEADER.size, *head, copy)
     if kind == _KIND_PICKLE:
         return pickle.loads(view[1:])
     raise ValueError(f"corrupt payload: unknown kind byte {kind}")
@@ -203,15 +214,16 @@ def decode_payload(blob: bytes | bytearray | memoryview, copy: bool = True) -> A
 def decode_message(
     blob: bytes | bytearray | memoryview, copy: bool = True
 ) -> tuple[int, int, int, int, Any]:
-    """Returns ``(tag, seq, nbytes, epoch, payload)``."""
-    tag, seq, nbytes, epoch = _FRAME.unpack_from(blob)
-    return (
-        tag,
-        seq,
-        nbytes,
-        epoch,
-        decode_payload(memoryview(blob)[FRAME_HEADER_SIZE:], copy),
-    )
+    """Returns ``(tag, seq, nbytes, epoch, payload)``.
+
+    A stream's head is unpacked once (:data:`_STREAM_FRAME`).
+    """
+    view = memoryview(blob)
+    if len(view) >= _STREAM_FRAME.size and view[FRAME_HEADER_SIZE] == _KIND_STREAM:
+        tag, seq, nbytes, epoch, _, *head = _STREAM_FRAME.unpack_from(view)
+        return tag, seq, nbytes, epoch, _decode_stream(view, _STREAM_FRAME.size, *head, copy)
+    tag, seq, nbytes, epoch = _FRAME.unpack_from(view)
+    return tag, seq, nbytes, epoch, decode_payload(view[FRAME_HEADER_SIZE:], copy)
 
 
 # ----------------------------------------------------------------------
@@ -221,28 +233,29 @@ def _read_array(
     view: memoryview, offset: int, dtype: np.dtype, count: int, copy: bool
 ) -> np.ndarray:
     """One array out of ``view`` — a single copy, or a zero-copy view."""
-    arr = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
+    arr = np.frombuffer(view, dtype, count, offset)
     return arr.copy() if copy else arr
 
 
-def _decode_stream(view: memoryview, copy: bool = True) -> SparseStream:
-    # view[0] is the kind byte; the §5.1 stream header starts right after
-    flag, dimension, count, dtype_code, wire = _STREAM_HEADER.unpack_from(view, 1)
-    value_dtype = _CODE_DTYPES[bytes(dtype_code)]
-    body = 1 + _STREAM_HEADER.size
-    if flag == FLAG_DENSE:
-        dense = _read_array(view, body, value_dtype, count, copy)
-        out = SparseStream(dimension, dense=dense, value_dtype=value_dtype, copy=False)
-    elif flag == FLAG_SPARSE:
-        from ..config import INDEX_DTYPE
-
+def _decode_stream(
+    view: memoryview, body: int, flag: int, dimension: int, count: int,
+    code: bytes, wire: float, copy: bool,
+) -> SparseStream:
+    """The stream whose §5.1 header is already unpacked and whose arrays
+    start at ``body``: they must fill ``view`` exactly. A sparse stream is
+    built without re-validation (the header fixed its dtypes and lengths)."""
+    value_dtype = _CODE_DTYPES.get(code)
+    if value_dtype is None:
+        raise ValueError(f"corrupt stream payload: value dtype code {code!r}")
+    split = body + count * INDEX_DTYPE.itemsize if flag == FLAG_SPARSE else body
+    if len(view) != split + count * value_dtype.itemsize:
+        raise ValueError(f"corrupt stream payload: {len(view)} bytes cannot hold {count} entries")
+    values = _read_array(view, split, value_dtype, count, copy)
+    if flag == FLAG_SPARSE:
         indices = _read_array(view, body, INDEX_DTYPE, count, copy)
-        values = _read_array(
-            view, body + count * INDEX_DTYPE.itemsize, value_dtype, count, copy
-        )
-        out = SparseStream(
-            dimension, indices=indices, values=values, value_dtype=value_dtype, copy=False
-        )
+        out = SparseStream._trusted(dimension, indices, values, value_dtype)
+    elif flag == FLAG_DENSE:
+        out = SparseStream(dimension, dense=values, value_dtype=value_dtype, copy=False)
     else:
         raise ValueError(f"corrupt stream payload: header flag word {flag}")
     out.value_wire_bytes = None if math.isnan(wire) else wire

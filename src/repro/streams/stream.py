@@ -127,6 +127,23 @@ class SparseStream:
         return cls(dimension, value_dtype=value_dtype)
 
     @classmethod
+    def _trusted(
+        cls, dimension: int, indices: np.ndarray, values: np.ndarray, value_dtype: np.dtype
+    ) -> "SparseStream":
+        """A sparse stream over ``indices`` / ``values`` as given: no
+        checks, no copies. The trust ``copy=False`` extends, for a caller
+        (the wire decoder) whose frame already fixed ``value_dtype`` and
+        the arrays' dtypes and lengths."""
+        out = cls.__new__(cls)
+        out.dimension = dimension
+        out.value_dtype = value_dtype
+        out.value_wire_bytes = None
+        out._indices = indices
+        out._values = values
+        out._dense = None
+        return out
+
+    @classmethod
     def from_dense(
         cls,
         array: np.ndarray,

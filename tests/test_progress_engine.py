@@ -41,6 +41,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.collectives import sparse_allreduce
 from repro.collectives.dense import allreduce_recursive_doubling
 from repro.runtime import (
     CommTimeoutError,
@@ -135,7 +136,8 @@ class Rig:
         assert self.comm._run_progress(2.0)
 
     def take(self, peer: int, tag: int):
-        return self.comm._mailbox(peer, tag).pop_nowait()
+        with self.comm._engine:
+            return self.comm._take((peer, tag))
 
     def close(self) -> None:
         for end in self._ends + self.feeds + self.sinks:
@@ -342,6 +344,17 @@ class TestChannelFailures:
         with pytest.raises(CommTimeoutError):
             r.comm.recv(1, tag=5)
         assert not r.comm.aborted.is_set()
+
+    @pytest.mark.parametrize("offset, byte", [(49, 4), (57, ord("q"))], ids=["count", "dtype"])
+    def test_undecodable_frame_names_its_writer(self, backend, rig, offset, byte):
+        """A sparse frame whose count overruns its length, or whose dtype
+        code is unknown: the decoder refuses it, and the receiver learns
+        which rank sent it."""
+        r = rig(backend)
+        blob = bytearray(r.comm._frame(5, 0, 8, SparseStream(64, indices=[1, 2, 3], values=[1.0] * 3)))
+        blob[_LEN.size + offset] = byte  # count 3 -> 4 / dtype code b"q"
+        r.feed(1, bytes(blob))
+        self._assert_blames(r, 1, "undecodable frame from rank 1")
 
     def test_dead_rank_of_an_earlier_shrink_does_not_abort(self, backend, rig):
         r = rig(backend, size=3, op_timeout=0.3)
@@ -557,6 +570,25 @@ class TestBlockedSend:
                 r.comm.send(np.zeros(1024), 1, tag=3)
                 time.sleep(0.01)
         assert err.value.rank == 1
+
+
+# ----------------------------------------------------------------------
+# a drained channel keeps nothing
+# ----------------------------------------------------------------------
+def _many_small_allreduces_prog(comm):
+    stream = SparseStream.random_uniform(4096, 16, np.random.default_rng(comm.rank))
+    for _ in range(1000):
+        total = sparse_allreduce(comm, stream, algorithm="ssar_rec_dbl")
+    return len(comm._queues), total.nnz
+
+
+@pytest.mark.parametrize("backend", MESH_BACKENDS)
+def test_queues_are_empty_after_many_collectives(backend):
+    """Every collective takes a fresh tag; a queue lives only while it
+    holds messages, so 1 000 allreduces leave no per-message state."""
+    out = run_ranks(_many_small_allreduces_prog, 4, backend=backend, timeout=120.0)
+    assert [queues for queues, _ in out.results] == [0] * 4
+    assert len({nnz for _, nnz in out.results}) == 1
 
 
 # ----------------------------------------------------------------------

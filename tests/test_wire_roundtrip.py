@@ -17,6 +17,10 @@ import pytest
 from repro.quant import QSGDQuantizer
 from repro.runtime import run_ranks
 from repro.runtime.wire import (
+    _FRAME,
+    _KIND_STREAM,
+    _STREAM_HEADER,
+    FLAG_SPARSE,
     decode_message,
     decode_payload,
     encode_frame_parts,
@@ -108,7 +112,8 @@ class TestCodecRoundTrip:
         _assert_stream_equal(out, ref)
         # views alias the frame buffer: flipping a byte in the blob must
         # show through (this is what the shmem in-place path relies on)
-        assert out.values.base is not None
+        frame = np.frombuffer(blob, dtype=np.uint8)
+        assert np.shares_memory(out.indices, frame) and np.shares_memory(out.values, frame)
         before = out.values.copy()
         blob[-1] ^= 0xFF
         assert not np.array_equal(out.values, before)
@@ -117,14 +122,89 @@ class TestCodecRoundTrip:
         ref = _f16_stream()
         blob = bytearray(encode_message(3, 0, ref.nbytes_payload, ref))
         _, _, _, _, out = decode_message(blob, copy=True)
+        assert out.indices.flags.owndata and out.values.flags.owndata
         blob[:] = b"\x00" * len(blob)
         _assert_stream_equal(out, ref)  # untouched by clobbering the frame
         out.values[0] = 9.0  # and writable
+        out.indices[0] = 1
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     def test_empty_stream_every_dtype(self, dtype):
         ref = SparseStream.zeros(123, value_dtype=dtype)
         _assert_stream_equal(decode_payload(encode_payload(ref)), ref)
+
+
+#: ``encode_message(9, 4, 24, s, epoch=2)`` of ``s`` = indices [5, 99, 1200],
+#: float32 values [1.5, -3.25, 0.125] in dimension 2048, value_wire_bytes 1.25,
+#: written out field by field so the one-struct head cannot drift.
+GOLDEN_FRAME = bytes.fromhex(
+    "0900000000000000" "0400000000000000" "1800000000000000" "0200000000000000"  # tag seq nbytes epoch
+    "01"  # kind: stream
+    "0000000000000000" "0008000000000000" "0300000000000000"  # flag (sparse), dimension, count
+    "66" "000000000000f43f"  # dtype code b"f", value_wire_bytes 1.25
+    "05000000" "63000000" "b0040000"  # uint32 indices
+    "0000c03f" "000050c0" "0000003e"  # float32 values
+)
+
+
+def _golden_stream() -> SparseStream:
+    s = SparseStream(2048, indices=[5, 99, 1200], values=[1.5, -3.25, 0.125],
+                     value_dtype=np.float32)
+    s.value_wire_bytes = 1.25
+    return s
+
+
+class TestSparseFrameLayout:
+    """A sparse stream's frame head is packed and unpacked as one struct;
+    the bytes are the frame header, the kind byte and the §5.1 stream
+    header back to back, as they always were."""
+
+    def test_golden_frame(self):
+        ref = _golden_stream()
+        assert bytes(encode_message(9, 4, ref.nbytes_payload, ref, epoch=2)) == GOLDEN_FRAME
+        tag, seq, nbytes, epoch, out = decode_message(GOLDEN_FRAME)
+        assert (tag, seq, nbytes, epoch) == (9, 4, 24, 2)
+        _assert_stream_equal(out, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("nnz", [0, 1, 37])
+    @pytest.mark.parametrize("wire", [None, 0.5])
+    def test_fused_head_is_the_three_headers(self, dtype, nnz, wire):
+        ref = SparseStream.random_uniform(5000, nnz, np.random.default_rng(nnz), value_dtype=dtype)
+        if nnz:
+            ref.values[0] = np.nan  # a NaN value travels as its bits
+        ref.value_wire_bytes = wire
+        expected = (
+            _FRAME.pack(-7, 11, 123, 3)
+            + bytes([_KIND_STREAM])
+            + _STREAM_HEADER.pack(
+                FLAG_SPARSE, 5000, nnz, np.dtype(dtype).char.encode(),
+                float("nan") if wire is None else wire,
+            )
+            + ref.indices.tobytes()
+            + ref.values.tobytes()
+        )
+        assert bytes(encode_message(-7, 11, 123, ref, epoch=3)) == expected
+        total, parts = encode_frame_parts(-7, 11, 123, ref, 3)
+        assert total == len(expected) and b"".join(bytes(p) for p in parts) == expected
+        *_, out = decode_message(expected)
+        assert out.value_wire_bytes == wire and out.value_dtype == np.dtype(dtype)
+        assert out.indices.tobytes() == ref.indices.tobytes()
+        assert out.values.tobytes() == ref.values.tobytes()
+
+    def test_count_overrunning_the_frame_is_refused(self):
+        blob = bytearray(GOLDEN_FRAME)
+        blob[49] = 4  # count 3 -> 4: one pair more than the frame holds
+        with pytest.raises(ValueError, match="cannot hold 4 entries"):
+            decode_message(blob)
+        with pytest.raises(ValueError, match="cannot hold 3 entries"):
+            decode_message(GOLDEN_FRAME[:-1])
+
+    def test_unknown_dtype_code_is_refused(self):
+        blob = bytearray(GOLDEN_FRAME)
+        blob[57] = ord("q")
+        with pytest.raises(ValueError, match="dtype code"):
+            decode_message(blob)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
