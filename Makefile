@@ -10,7 +10,8 @@
 #                           design" aim asks every PR to report
 #   make soak               25 back-to-back runs of the transport suites
 #                           (progress engine, socket / process / shmem
-#                           backends, failure propagation through proxies),
+#                           backends, communicator contexts, failure
+#                           propagation through proxies),
 #                           stopping at the first failure — the long version
 #                           of what tier-1 runs once
 #   make smoke              fast subset (skips "slow" tests)
@@ -52,6 +53,7 @@ soak:
 	@for i in $$(seq 1 25); do echo "soak run $$i/25"; \
 	$(PYTHON) -m pytest -x -q -p no:cacheprovider tests/test_progress_engine.py \
 	    tests/test_socket_backend.py tests/test_process_backend.py tests/test_shmem_backend.py \
+	    tests/test_contexts.py \
 	    "tests/test_faults.py::TestFailurePropagationThroughProxies" || exit 1; done
 
 smoke:

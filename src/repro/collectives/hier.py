@@ -209,8 +209,8 @@ def _hierarchical(
 
     With ``chunks == 1`` there is nothing to overlap, so the pipeline
     degenerates in place to reduce → leaders → broadcast on the calling
-    thread: the leader stage runs inline (no launch, no tag shift), the
-    stream is not rebased and the single part is the result.
+    thread: the leader stage runs inline (no launch, no context of its
+    own), the stream is not rebased and the single part is the result.
 
     ``leader_stage(leader_comm, chunk_acc, lo, hi)`` is the per-chunk
     inter-node kernel; ``leader_runs_alone`` says whether it also runs in

@@ -35,8 +35,8 @@ uncontended message costs ``alpha + beta*L`` exactly, so replay under a
 plain :class:`NetworkModel` (or equal tiers with
 ``shared_uplink=False``) is unchanged by the tiered machinery.
 
-The replay is deterministic: matching uses the (src, dst, tag, seq) FIFO
-keys recorded at execution time, so thread scheduling during the real run
+The replay is deterministic: matching uses the (src, dst, context, tag,
+seq) FIFO keys recorded at execution time, so thread scheduling during the real run
 cannot change the replayed time. Scheduling is readiness-driven — a rank
 leaves the run queue only when it stalls on a not-yet-posted arrival and
 re-enters when the matching send is replayed — so a trace replays in
@@ -157,7 +157,7 @@ def replay(
     events = [trace.events(r) for r in range(nranks)]
     pointers = [0] * nranks
     clocks = [0.0] * nranks
-    arrivals: dict[tuple[int, int, int, int], float] = {}
+    arrivals: dict[tuple, float] = {}
     labels = [""] * nranks
     per_rank_phase: list[dict[str, float]] = [dict() for _ in range(nranks)]
 
@@ -184,7 +184,7 @@ def replay(
     # readiness-driven scheduling: every rank runs until it stalls on a
     # pending arrival; the matching send re-activates exactly that rank.
     ready: deque[int] = deque(range(nranks))
-    waiting: dict[tuple[int, int, int, int], int] = {}
+    waiting: dict[tuple, int] = {}
     activations = 0
     while ready:
         rank = ready.popleft()
@@ -194,7 +194,7 @@ def replay(
         while ptr < len(lst):
             ev = lst[ptr]
             if ev.op == SEND:
-                key = (rank, ev.peer, ev.tag, ev.seq)
+                key = (rank, ev.peer, ev.context, ev.tag, ev.seq)
                 if hosts is None:
                     charge(rank, model.alpha)
                     arrival = clocks[rank] + model.beta * ev.nbytes
@@ -219,7 +219,7 @@ def replay(
                 if waiter is not None:
                     ready.append(waiter)
             elif ev.op == RECV:
-                key = (ev.peer, rank, ev.tag, ev.seq)
+                key = (ev.peer, rank, ev.context, ev.tag, ev.seq)
                 if key not in arrivals:
                     waiting[key] = rank  # stalled: re-activated by the send
                     break

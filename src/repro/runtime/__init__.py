@@ -4,6 +4,8 @@ The runtime is split into a backend-neutral core and pluggable backends:
 
 * :mod:`~repro.runtime.comm` — the :class:`Communicator` interface all
   collectives are written against;
+* :mod:`~repro.runtime.context` — communicator contexts, the half of a
+  message's ``(peer, context, tag)`` key that is not the tag;
 * :mod:`~repro.runtime.backend` — the :class:`Backend` abstraction and
   registry (``"thread"``, ``"process"``, ``"shmem"`` and ``"socket"``
   ship built in);

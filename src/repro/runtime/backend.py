@@ -9,7 +9,7 @@ results and the trace. SparCML's algorithms are drop-in MPI collectives
 program runs unmodified on any of them:
 
 ``thread`` (:class:`~repro.runtime.thread_backend.ThreadBackend`)
-    one thread per rank in this process, shared-memory mailboxes. Fast,
+    one thread per rank in this process, one queue table per rank. Fast,
     zero-setup, the default for tests and cost-model studies.
 ``process`` (:class:`~repro.runtime.process_backend.ProcessBackend`)
     one OS process per rank with real serialized transport over pipes,

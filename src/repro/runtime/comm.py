@@ -2,9 +2,9 @@
 
 The collective algorithms in :mod:`repro.collectives` are written against
 this interface only; any backend that provides blocking point-to-point
-``send``/``recv`` with FIFO matching per (source, dest, tag) channel — the
-semantics MPI guarantees — can execute them. The library ships four
-implementations, selected by the ``backend=`` argument of
+``send``/``recv`` with FIFO matching per (source, dest, context, tag)
+channel — the semantics MPI guarantees — can execute them. The library
+ships four implementations, selected by the ``backend=`` argument of
 :func:`~repro.runtime.run_ranks` (the last three share one launcher, one
 queueing communicator and one blocked-receive loop,
 :mod:`repro.runtime.mesh`: no receiver threads — a rank that blocks in a
@@ -12,8 +12,8 @@ transport call reads its own channels, so messages and peer failures are
 noticed at transport calls and probes, as in MPI without an asynchronous
 progress thread):
 
-* :mod:`repro.runtime.thread_backend` — one thread per rank, shared
-  mailboxes (fast, in-process);
+* :mod:`repro.runtime.thread_backend` — one thread per rank, one queue
+  table per rank (fast, in-process);
 * :mod:`repro.runtime.process_backend` — one OS process per rank with
   real serialized transport over pipes;
 * :mod:`repro.runtime.shmem_backend` — the pipe transport plus a
@@ -28,31 +28,34 @@ Layering
 once, on top of four small transport hooks that each backend provides:
 
 ``_alloc_seq``
-    allocate the FIFO sequence number of a (src, dst, tag) channel;
+    allocate the FIFO sequence number of a (src, dst, context, tag) channel;
 ``_transport_send`` / ``_transport_recv``
     move one payload without touching the trace;
 ``_probe``
     non-blocking test for a pending matching message.
 
-Every traced operation addresses peers through two *mapping hooks* —
-:meth:`Communicator._map_peer` (rank space) and
-:meth:`Communicator._map_tag` (tag space) — that default to the
-identity. A *proxy* communicator relocates traffic of another
-communicator instead of owning a transport: :class:`ProxyComm` holds
-``inner`` and writes every delegation (the four transport hooks, the two
-mapping hooks, ``_abort_state``, ``world_rank``, ``op_timeout``,
+Every message is addressed by ``(peer, context, tag)``. The ``tag`` is
+the caller's int, unchanged; the ``context``
+(:mod:`~repro.runtime.context`) is the communicator's own, a path of
+creation slots fixed — and packed to bytes — when the communicator is
+made, so no layer rewrites a tag. Peers go through one *mapping hook*,
+:meth:`Communicator._map_peer`, the identity on a backend. A *proxy*
+communicator carries traffic of another communicator under a context of
+its own instead of owning a transport: :class:`ProxyComm` holds
+``inner`` and writes every delegation (the four transport hooks, the
+mapping hook, ``_abort_state``, ``world_rank``, ``op_timeout``,
 ``epoch``, ``topology``, ``backend``) exactly once, as explicit methods;
 a concrete proxy overrides only what it changes:
 
 * :class:`SubCommunicator` (``comm.split(color, key)`` /
-  ``comm.subgroup(ranks)``) renumbers a rank subset from 0, shifts its
-  tags into a private window and restricts the topology — a group is a
-  renumbering over one transport, not a transport of its own, so groups
-  work identically on every backend without the backends knowing;
+  ``comm.subgroup(ranks)``) renumbers a rank subset from 0 and restricts
+  the topology — a group is a renumbering over one transport, not a
+  transport of its own, so groups work identically on every backend
+  without the backends knowing;
 * :class:`~repro.runtime.elastic.ElasticWorld` is the sub-communicator of
   one membership epoch and adds the stale-epoch check;
 * :mod:`repro.runtime.nonblocking` buffers the trace events of a
-  background collective and shifts its tags.
+  background collective.
 
 Proxies compose in any order (a split of a split, a non-blocking
 collective on an elastic world) because every hook delegates inward, and
@@ -94,12 +97,12 @@ from __future__ import annotations
 import abc
 import threading
 import time
-from collections import deque
 from typing import Any
 
 import numpy as np
 
 from ..config import STREAM_HEADER_BYTES
+from .context import format_context, pack_context, unpack_context
 from .faults import DELAY, DROP, RankKilledError
 from .topology import check_topology_size
 from .trace import Trace
@@ -127,26 +130,6 @@ TAG_USER_LIMIT = 1 << 16
 
 #: number of distinct tags reserved for a single collective invocation.
 COLLECTIVE_TAG_BLOCK = 64
-
-#: tag window layout of sub-communicators: every split/subgroup anywhere
-#: in the nesting tree gets a *globally unique* window id ``w`` and
-#: relocates its whole tag space (user tags plus its own collective
-#: blocks and non-blocking shifts, all well under ``SPLIT_TAG_SPAN``) to
-#: ``SPLIT_TAG_BASE + w * SPLIT_TAG_SPAN``. Ids are allocated from the
-#: (parent window, call slot) pair — linearly for splits of a backend
-#: communicator, via the Cantor pairing for nested splits — so windows
-#: from different nesting paths can never alias, even for sequentially
-#: created overlapping groups used concurrently. The wire header carries
-#: tags as signed 64-bit; :data:`SPLIT_TAG_MAX` bounds the id space and
-#: exhaustion raises instead of wrapping.
-SPLIT_TAG_BASE = 1 << 40
-SPLIT_TAG_SPAN = 1 << 32
-SPLIT_TAG_MAX = 1 << 62
-
-
-def _cantor_pair(a: int, b: int) -> int:
-    """The Cantor pairing function: injective N x N -> N."""
-    return (a + b) * (a + b + 1) // 2 + b
 
 
 class WorldAbortedError(RuntimeError):
@@ -210,7 +193,9 @@ class CommTimeoutError(TimeoutError):
 
     Raised from a blocked send/recv whose peer made no progress within
     ``op_timeout`` seconds — a stalled (but not yet dead) peer surfaces
-    here instead of hanging until the whole-run watchdog.
+    here instead of hanging until the whole-run watchdog. ``context`` and
+    ``tag`` are the blocked message's key: the communicator's context
+    path and the tag it was given.
     """
 
     def __init__(
@@ -219,28 +204,33 @@ class CommTimeoutError(TimeoutError):
         source: "int | None" = None,
         tag: "int | None" = None,
         timeout: "float | None" = None,
+        context: tuple = (),
     ) -> None:
         super().__init__(message)
         self.source = source
         self.tag = tag
         self.timeout = timeout
+        self.context = context
 
     @classmethod
-    def expired(cls, op: str, peer: int, tag: int, timeout: float) -> "CommTimeoutError":
+    def expired(cls, op: str, peer: int, key: bytes, tag: int, timeout: float) -> "CommTimeoutError":
         """The error of a blocked ``op`` (``"send to"`` / ``"recv from"``)
-        whose ``peer`` made no progress for ``timeout`` seconds."""
+        on the packed context ``key`` whose ``peer`` made no progress for
+        ``timeout`` seconds."""
+        context = unpack_context(key)
+        where = f"context {format_context(context)}, tag {tag}" if context else f"tag {tag}"
         return cls(
-            f"{op} rank {peer} (tag {tag}) made no progress within "
-            f"op_timeout={timeout}s",
+            f"{op} rank {peer} ({where}) made no progress within op_timeout={timeout}s",
             source=peer,
             tag=tag,
             timeout=timeout,
+            context=context,
         )
 
     def __reduce__(self):
         # keep the attributes across the process backend's pickle round-trip
         msg = self.args[0] if self.args else "communication operation timed out"
-        return (type(self), (msg, self.source, self.tag, self.timeout))
+        return (type(self), (msg, self.source, self.tag, self.timeout, self.context))
 
 
 class AbortState:
@@ -301,77 +291,6 @@ class AbortState:
 #: how often a blocked send or receive rechecks the failure flag and its
 #: deadline when nothing wakes it earlier (seconds).
 _ABORT_POLL_S = 0.05
-
-
-class Mailbox:
-    """FIFO queue for one message channel of the thread backend."""
-
-    __slots__ = ("items", "cond")
-
-    def __init__(self) -> None:
-        self.items: deque[tuple[Any, int, int]] = deque()  # (payload, nbytes, seq)
-        self.cond = threading.Condition()
-
-    def put(self, payload: Any, nbytes: int, seq: int) -> None:
-        with self.cond:
-            self.items.append((payload, nbytes, seq))
-            self.cond.notify()
-
-    def get(
-        self,
-        aborted: AbortState,
-        timeout: "float | None" = None,
-        source: "int | None" = None,
-        tag: "int | None" = None,
-    ) -> tuple[Any, int, int]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self.cond:
-            while not self.items:
-                if aborted.is_set():
-                    raise aborted.error()
-                wait = _ABORT_POLL_S
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise CommTimeoutError.expired("recv from", source, tag, timeout)
-                    wait = min(wait, remaining)
-                self.cond.wait(timeout=wait)
-            return self.items.popleft()
-
-    def has_items(self) -> bool:
-        with self.cond:
-            return bool(self.items)
-
-
-class MailboxRegistry:
-    """Lazily-created mailboxes keyed by channel tuple, with abort wakeup.
-
-    The thread backend's world keys channels as (src, dst, tag); its
-    receivers block on their mailbox's own condition, which an abort
-    notifies. (The process family queues by (src, tag) in
-    :class:`~repro.runtime.mesh.StreamComm`, under its engine lock.)
-    """
-
-    __slots__ = ("_boxes", "_lock")
-
-    def __init__(self) -> None:
-        self._boxes: dict[tuple, Mailbox] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Mailbox:
-        box = self._boxes.get(key)
-        if box is None:
-            with self._lock:
-                box = self._boxes.setdefault(key, Mailbox())
-        return box
-
-    def wake_all(self) -> None:
-        """Wake every blocked receiver (after the abort flag is set)."""
-        with self._lock:
-            boxes = list(self._boxes.values())
-        for box in boxes:
-            with box.cond:
-                box.cond.notify_all()
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -470,44 +389,50 @@ class Communicator(abc.ABC):
     _fault_ops: int = 0
 
     _collective_counter: int = 0
-    _split_counter: int = 0
-    #: window id of this communicator's tag space: 0 = the backend
-    #: communicator's raw space, >= 1 for sub-communicator windows.
-    _split_window_id: int = 0
-    #: absolute offset of this communicator's tag space (0 for backend
-    #: communicators; sub-communicators store their window start).
-    _split_space_base: int = 0
-    #: how many non-blocking-collective proxies wrap this communicator's
-    #: traffic (0 = none). ``i_collective`` widens its tag-base shift by
-    #: this depth so sibling proxies at different nesting levels land in
-    #: disjoint bit fields — an equal-stride additive composition would
-    #: alias (outer launch i, inner launch k) with (i', k') whenever
-    #: ``i + k == i' + k'``. Sub-communicators inherit the depth of the
-    #: communicator they restrict.
-    _icoll_depth: int = 0
+    #: slots handed out so far by :meth:`_next_slot`.
+    _children: int = 0
+    #: this communicator's context (see :attr:`context`) and the same path
+    #: packed once (:func:`~repro.runtime.context.pack_context`): the key
+    #: its messages are framed and queued under.
+    _context: tuple = ()
+    _context_key: bytes = b""
+    #: inbound messages of a backend that queues them:
+    #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``;
+    #: a queue exists only while it holds a message (see :meth:`_take`).
+    _queues: dict
 
     # ------------------------------------------------------------------
     # transport hooks (backend-provided)
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        """Allocate the FIFO sequence number for the (rank, dest, tag) channel."""
+    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
+        """Allocate the FIFO sequence number for the (rank, dest, context, tag) channel."""
 
     @abc.abstractmethod
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
+    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
         """Move one payload to ``dest`` without recording trace events."""
 
     @abc.abstractmethod
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
+    def _transport_recv(self, source: int, key: bytes, tag: int) -> tuple[Any, int, int]:
         """Blocking matching receive; returns ``(payload, nbytes, seq)``."""
 
     @abc.abstractmethod
-    def _probe(self, source: int, tag: int) -> bool:
+    def _probe(self, source: int, key: bytes, tag: int) -> bool:
         """Non-blocking test: is a matching message already deliverable?"""
 
-    def _map_tag(self, tag: int) -> int:
-        """Hook for proxy communicators that relocate traffic in tag space."""
-        return tag
+    def _take(self, want: tuple) -> "tuple[Any, int, int] | None":
+        """The next queued message on ``want`` or None (the lock guarding
+        :attr:`_queues` held); the pop that empties a queue deletes it."""
+        queue = self._queues.get(want)  # a queue that exists holds a message
+        if queue is not None and len(queue) == 1:
+            del self._queues[want]
+        return queue.popleft() if queue else None
+
+    @property
+    def context(self) -> tuple:
+        """The path of creation slots from the backend communicator
+        (``()``) to this one — what keys its messages beside the tag."""
+        return self._context
 
     def _map_peer(self, peer: int) -> int:
         """Hook for proxy communicators that renumber ranks (sub-comms)."""
@@ -558,10 +483,10 @@ class Communicator(abc.ABC):
         if self.fault_plan.kills(self.rank, self._fault_ops):
             self._die()
 
-    def _fault_send(self, dest: int, tag: int, seq: int) -> bool:
+    def _fault_send(self, dest: int, context: tuple, tag: int, seq: int) -> bool:
         """Apply the plan to one outgoing message; True = lost on the wire."""
         self._fault_tick()
-        action, delay = self.fault_plan.action(self.rank, dest, tag, seq)
+        action, delay = self.fault_plan.action(self.rank, dest, context, tag, seq)
         if action == DELAY:
             time.sleep(delay)
         return action == DROP
@@ -588,27 +513,26 @@ class Communicator(abc.ABC):
         """Blocking (buffered) send of ``obj`` to rank ``dest``."""
         self._check_peer(dest, "dest")
         self._check_tag(tag)
-        tag = self._map_tag(tag)
         dest = self._map_peer(dest)
+        context = self._context
         nbytes = payload_nbytes(obj)
-        seq = self._alloc_seq(dest, tag)
-        self.trace.record_send(self.world_rank, dest, tag, seq, nbytes)
+        seq = self._alloc_seq(dest, context, tag)
+        self.trace.record_send(self.world_rank, dest, tag, seq, nbytes, context)
         backend = self.backend
-        if backend.fault_plan is not None and backend._fault_send(dest, tag, seq):
+        if backend.fault_plan is not None and backend._fault_send(dest, context, tag, seq):
             return  # dropped after tracing; the matching recv never completes
-        self._transport_send(obj, nbytes, seq, dest, tag)
+        self._transport_send(obj, nbytes, seq, dest, self._context_key, tag)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive of the next message from ``source`` on ``tag``."""
         self._check_peer(source, "source")
         self._check_tag(tag)
-        tag = self._map_tag(tag)
         source = self._map_peer(source)
         backend = self.backend
         if backend.fault_plan is not None:
             backend._fault_tick()
-        payload, nbytes, seq = self._transport_recv(source, tag)
-        self.trace.record_recv(self.world_rank, source, tag, seq, nbytes)
+        payload, nbytes, seq = self._transport_recv(source, self._context_key, tag)
+        self.trace.record_recv(self.world_rank, source, tag, seq, nbytes, self._context)
         return payload
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> "Handle":
@@ -710,32 +634,17 @@ class Communicator(abc.ABC):
     # ------------------------------------------------------------------
     # sub-communicators
     # ------------------------------------------------------------------
-    def _next_split_base(self) -> tuple[int, int]:
-        """Allocate the tag window of one split/subgroup call.
+    def _next_slot(self) -> int:
+        """Allocate the child slot of one split, subgroup or launch.
 
-        Every rank makes split calls in the same order (the collective
-        contract), so per-communicator counters stay in sync without
-        communication — groups created in the same call slot share a
-        window, which is safe because their rank sets are disjoint.
-        Window ids are globally injective over the (parent window, slot)
-        tree: splits of a backend communicator take the odd ids linearly
-        (so iterated splitting never runs out), nested splits take even
-        ids through the Cantor pairing. Returns ``(window_id, tag_base
-        relative to this communicator's tag space)``.
+        Every rank creates children in the same program order (the
+        collective contract), so the counter agrees on every member
+        without communication. Groups created in the same slot share a
+        context, which is safe because their rank sets are disjoint.
         """
-        slot = self._split_counter
-        self._split_counter += 1
-        if self._split_window_id == 0:
-            window_id = 2 * slot + 1
-        else:
-            window_id = 2 * (_cantor_pair(self._split_window_id, slot) + 1)
-        abs_base = SPLIT_TAG_BASE + window_id * SPLIT_TAG_SPAN
-        if abs_base + SPLIT_TAG_SPAN > SPLIT_TAG_MAX:
-            raise RuntimeError(
-                "sub-communicator tag space exhausted: too many nested "
-                f"splits (window id {window_id})"
-            )
-        return window_id, abs_base - self._split_space_base
+        slot = self._children
+        self._children += 1
+        return slot
 
     def subgroup(self, ranks: "list[int] | tuple[int, ...]") -> "SubCommunicator | None":
         """Deterministic group creation — collective, but communication-free.
@@ -757,10 +666,10 @@ class Communicator(abc.ABC):
         for r in members:
             if not 0 <= r < self.size:
                 raise ValueError(f"rank {r} out of range [0, {self.size})")
-        window_id, tag_base = self._next_split_base()
+        slot = self._next_slot()
         if self.rank not in members:
             return None
-        return SubCommunicator(self, members, tag_base, window_id)
+        return SubCommunicator(self, members, slot)
 
     def split(self, color: Any, key: int = 0) -> "SubCommunicator | None":
         """MPI_Comm_split: partition the ranks by ``color``, order by ``key``.
@@ -770,14 +679,14 @@ class Communicator(abc.ABC):
         sub-communicator whose ranks are ordered by ``(key, parent rank)``;
         ``color=None`` opts out (the ``MPI_UNDEFINED`` analog) and returns
         ``None``. Works identically on every backend — the group remaps
-        ranks and tags onto the parent's transport hooks.
+        ranks onto the parent's transport hooks under a context of its own.
         """
         if not isinstance(key, int):
             raise TypeError(f"split key must be an int, got {type(key).__name__}")
         # validate the color *before* any counter bump or communication: an
         # invalid color (e.g. a numpy array, whose == breaks the membership
-        # comparison) must not desynchronize the collective/split tag
-        # windows of the surviving ranks
+        # comparison) must not desynchronize the collective and child
+        # counters of the surviving ranks
         if color is not None:
             try:
                 hash(color)
@@ -790,7 +699,7 @@ class Communicator(abc.ABC):
         everyone = self.gather_to_root((color, key), root=0, tag=base)
         everyone = self.bcast(everyone, root=0, tag=base + 1)
         if color is None:
-            self._next_split_base()  # keep split counters aligned world-wide
+            self._next_slot()  # keep child counters aligned world-wide
             return None
         members = sorted(
             (r for r, (c, _k) in enumerate(everyone) if c == color),
@@ -845,20 +754,22 @@ class Communicator(abc.ABC):
 
 
 class ProxyComm(Communicator):
-    """A communicator that relocates another communicator's traffic.
+    """A communicator that carries traffic over another one under its own
+    ``context``.
 
     Holds ``inner`` and delegates every hook to it — the one place that
     delegation is written. Subclasses override what they change (a rank
-    or tag mapping, the topology, the trace) and nothing else; no
+    mapping, the topology, the trace) and nothing else; no
     ``__getattr__``, so the message path stays explicit.
     """
 
-    def __init__(self, inner: Communicator) -> None:
+    def __init__(self, inner: Communicator, context: tuple) -> None:
         self.inner = inner
         self.rank = inner.rank
         self.size = inner.size
         self.trace = inner.trace
-        self._icoll_depth = inner._icoll_depth
+        self._context = tuple(context)
+        self._context_key = pack_context(self._context)
 
     @property
     def backend(self) -> Communicator:
@@ -883,21 +794,18 @@ class ProxyComm(Communicator):
     def _map_peer(self, peer: int) -> int:
         return self.inner._map_peer(peer)
 
-    def _map_tag(self, tag: int) -> int:
-        return self.inner._map_tag(tag)
+    # peers arrive already mapped, with this proxy's context
+    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
+        return self.inner._alloc_seq(dest, context, tag)
 
-    # peers and tags arrive already mapped
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        return self.inner._alloc_seq(dest, tag)
+    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
+        self.inner._transport_send(obj, nbytes, seq, dest, key, tag)
 
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        self.inner._transport_send(obj, nbytes, seq, dest, tag)
+    def _transport_recv(self, source: int, key: bytes, tag: int) -> tuple[Any, int, int]:
+        return self.inner._transport_recv(source, key, tag)
 
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        return self.inner._transport_recv(source, tag)
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return self.inner._probe(source, tag)
+    def _probe(self, source: int, key: bytes, tag: int) -> bool:
+        return self.inner._probe(source, key, tag)
 
     def _abort_state(self) -> "AbortState | None":
         return self.inner._abort_state()
@@ -906,30 +814,21 @@ class ProxyComm(Communicator):
 class SubCommunicator(ProxyComm):
     """A rank subset of a parent communicator, renumbered from zero.
 
-    Created by :meth:`Communicator.split` / :meth:`Communicator.subgroup`.
-    All traffic flows through the parent's transport hooks with ranks
-    mapped back to parent numbering and tags shifted into the group's
-    private window, so the construction needs nothing from the backend
-    and nests arbitrarily (splits of splits, non-blocking collectives on
-    splits). Trace events keep world-rank attribution; the parent's
-    topology (if any) is restricted to the members automatically.
+    Created by :meth:`Communicator.split` / :meth:`Communicator.subgroup`
+    in the parent's child ``slot``: its context is the parent's plus that
+    slot. All traffic flows through the parent's transport hooks with
+    ranks mapped back to parent numbering, so the construction needs
+    nothing from the backend and nests arbitrarily (splits of splits,
+    non-blocking collectives on splits). Trace events keep world-rank
+    attribution; the parent's topology (if any) is restricted to the
+    members automatically.
     """
 
-    def __init__(
-        self,
-        parent: Communicator,
-        members: tuple[int, ...],
-        tag_base: int,
-        window_id: int,
-    ) -> None:
-        super().__init__(parent)
+    def __init__(self, parent: Communicator, members: tuple[int, ...], slot: int) -> None:
+        super().__init__(parent, (*parent.context, slot))
         self._members = members
         self.rank = members.index(parent.rank)
         self.size = len(members)
-        self._tag_base = tag_base
-        self._split_window_id = window_id
-        # absolute window start: what this comm's nested splits offset from
-        self._split_space_base = parent._split_space_base + tag_base
         self._topology = None
         if parent.topology is not None:
             # the same size check every launcher path applies: a topology
@@ -950,12 +849,9 @@ class SubCommunicator(ProxyComm):
         """Parent-rank of every sub-rank (``parent_ranks[sub] -> parent``)."""
         return self._members
 
-    # -- mapping hooks: compose with whatever the parent maps ----------
+    # -- mapping hook: composes with whatever the parent maps -----------
     def _map_peer(self, peer: int) -> int:
         return self.inner._map_peer(self._members[peer])
-
-    def _map_tag(self, tag: int) -> int:
-        return self.inner._map_tag(self._tag_base + tag)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -1006,7 +902,7 @@ class DeferredRecvHandle(Handle):
     def wait(self) -> Any:
         if not self._done:
             # a blocking recv observes world abort through the transport; an
-            # up-front check just surfaces it without touching the mailbox
+            # up-front check just surfaces it without touching the queues
             # when the world is already gone
             state = self._comm._abort_state()
             if state is not None and state.is_set() and not self.test_quiet():
@@ -1019,9 +915,8 @@ class DeferredRecvHandle(Handle):
         """Completion probe that never raises (abort looks like 'not yet')."""
         if self._done:
             return True
-        return self._comm._probe(
-            self._comm._map_peer(self._source), self._comm._map_tag(self._tag)
-        )
+        comm = self._comm
+        return comm._probe(comm._map_peer(self._source), comm._context_key, self._tag)
 
     def test(self) -> bool:
         if self.test_quiet():

@@ -16,10 +16,11 @@ The epoch travels in every wire frame header
 (:mod:`~repro.runtime.wire`); receivers drop frames from dead epochs
 (counted in ``comm.stale_epoch_rejected``), and operations attempted
 through a superseded elastic world raise the typed
-:class:`~repro.runtime.comm.StaleEpochError`. Each epoch also owns a
-private tag window (allocated from the same injective window space as
-``comm.split``), so even on the thread backend — which has no wire — the
-post-shrink collectives can never match pre-shrink traffic.
+:class:`~repro.runtime.comm.StaleEpochError`. Each epoch's world also has
+a context of its own, ``(e<epoch>,)``, and its membership barrier
+``(e<epoch>, barrier)`` (:mod:`~repro.runtime.context`): no split or
+launch produces either, so even on the thread backend — which has no
+wire — the post-shrink collectives can never match pre-shrink traffic.
 
 Shrink
 ------
@@ -58,23 +59,20 @@ import threading
 from typing import Any
 
 from .comm import (
-    SPLIT_TAG_BASE,
-    SPLIT_TAG_MAX,
-    SPLIT_TAG_SPAN,
     AbortState,
     CommTimeoutError,
     Communicator,
+    ProxyComm,
     RankFailedError,
     StaleEpochError,
     SubCommunicator,
     WorldAbortedError,
-    _cantor_pair,
 )
+from .context import BARRIER, epoch_slot
 
 __all__ = [
     "ElasticContext",
     "ElasticWorld",
-    "epoch_window_id",
     "shrink",
     "thread_rejoin",
 ]
@@ -85,35 +83,6 @@ DEFAULT_BARRIER_TIMEOUT = 5.0
 
 #: default budget for wiring a rejoined rank into the mesh (seconds).
 DEFAULT_GROW_TIMEOUT = 20.0
-
-#: barrier tags live at the top of the epoch's tag window, far above any
-#: tag a collective of the new world could allocate.
-_BARRIER_TAG_OFFSET = SPLIT_TAG_SPAN - 4096
-
-
-def epoch_window_id(epoch: int) -> int:
-    """The tag window id owned by world epoch ``epoch`` (>= 1).
-
-    Ordinary splits allocate windows from the (parent window, call slot)
-    tree: backend-level splits take the odd ids, nested splits take even
-    ids through the Cantor pairing with parent window >= 1. Epoch worlds
-    take ``2 * (cantor(0, epoch) + 1)`` — Cantor pairs with first
-    component 0 are *never* produced by splits, so the window is globally
-    injective without depending on the per-rank split counters (which
-    diverge when ranks catch a failure at different points).
-    """
-    if epoch < 1:
-        raise ValueError(f"elastic epochs start at 1, got {epoch}")
-    return 2 * (_cantor_pair(0, int(epoch)) + 1)
-
-
-def _epoch_tag_base(epoch: int) -> int:
-    window_id = epoch_window_id(epoch)
-    abs_base = SPLIT_TAG_BASE + window_id * SPLIT_TAG_SPAN
-    if abs_base + SPLIT_TAG_SPAN > SPLIT_TAG_MAX:
-        raise RuntimeError(f"elastic epoch {epoch} exhausts the tag space")
-    return abs_base
-
 
 def _members_of(world: Communicator) -> tuple[int, ...]:
     """Current membership of ``world`` in backend rank numbering."""
@@ -130,19 +99,17 @@ def _members_of(world: Communicator) -> tuple[int, ...]:
 class ElasticWorld(SubCommunicator):
     """The working world of one elastic epoch: survivors renumbered from 0.
 
-    A :class:`~repro.runtime.comm.SubCommunicator` over the backend
+    A :class:`~repro.runtime.comm.SubCommunicator` of the backend
     communicator whose members are the epoch's alive ranks (sorted, so
-    renumbering is deterministic on every rank) and whose tag window is
-    owned by the epoch. Once the backend moves to a newer epoch — another
-    shrink, a committed rejoin — every operation through this world
-    raises :class:`~repro.runtime.comm.StaleEpochError` instead of
-    leaking traffic into the new membership.
+    renumbering is deterministic on every rank) and whose context,
+    ``(e<epoch>,)``, is the epoch's. Once the backend moves to a newer
+    epoch — another shrink, a committed rejoin — every operation through
+    this world raises :class:`~repro.runtime.comm.StaleEpochError`
+    instead of leaking traffic into the new membership.
     """
 
     def __init__(self, backend: Communicator, members, epoch: int) -> None:
-        tag_base = _epoch_tag_base(epoch) - backend._split_space_base
-        super().__init__(backend, tuple(int(m) for m in members), tag_base,
-                         epoch_window_id(epoch))
+        super().__init__(backend, tuple(int(m) for m in members), epoch_slot(epoch))
         self._epoch = int(epoch)
 
     @property
@@ -161,11 +128,11 @@ class ElasticWorld(SubCommunicator):
             )
 
     # every traced operation (and every nested proxy) funnels through the
-    # tag mapping hook exactly once per message — the one choke point where
-    # a superseded world can be rejected with the typed error
-    def _map_tag(self, tag: int) -> int:
+    # peer mapping hook exactly once per message — the one choke point
+    # where a superseded world can be rejected with the typed error
+    def _map_peer(self, peer: int) -> int:
         self._check_epoch()
-        return super()._map_tag(tag)
+        return super()._map_peer(peer)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -246,22 +213,23 @@ def _membership_barrier(
 ) -> tuple[list[int], set]:
     """Leader-based agreement on the survivor set (crash-consistent).
 
-    Each round ``r`` uses a private pair of tags in the new epoch's
-    window: non-leaders send their dead-set proposal to the leader (the
-    lowest alive rank), the leader unions them and answers either
-    ``("commit", dead)`` — membership settled — or ``("retry", dead)``
-    after folding in peers that failed mid-round. A non-leader whose
+    Each round ``r`` uses its own pair of tags in the context of the new
+    epoch's barrier, ``(e<epoch>, barrier)``: non-leaders send their
+    dead-set proposal to the leader (the lowest alive rank), the leader
+    unions them and answers either ``("commit", dead)`` — membership
+    settled — or ``("retry", dead)`` after folding in peers that failed
+    mid-round. A non-leader whose
     leader stops answering declares *it* dead and retries under the next
     leader. Rounds are bounded by the member count: each retry removes at
     least one rank, so a non-converging partition surfaces as
     :class:`~repro.runtime.comm.WorldAbortedError` instead of a hang.
     """
     me = backend.rank
-    base = _epoch_tag_base(epoch) + _BARRIER_TAG_OFFSET
+    wire = ProxyComm(backend, (epoch_slot(epoch), BARRIER))
     max_rounds = len(alive) + 2
     for round_no in range(max_rounds):
-        ptag = base + 2 * round_no  # proposals (members -> leader)
-        vtag = ptag + 1             # verdict   (leader -> members)
+        ptag = 2 * round_no  # proposals (members -> leader)
+        vtag = ptag + 1      # verdict   (leader -> members)
         if me not in alive:
             break
         if alive == [me]:
@@ -271,21 +239,21 @@ def _membership_barrier(
         if me == leader:
             try:
                 for peer in alive[1:]:
-                    dead.update(int(r) for r in backend.recv(peer, tag=ptag))
+                    dead.update(int(r) for r in wire.recv(peer, tag=ptag))
                 committed = not (dead & set(alive))
             except _LOST as exc:
                 dead.add(_culprit(exc, alive, peer))
             verdict = ("commit" if committed else "retry", sorted(dead))
             for peer in [r for r in alive[1:] if r not in dead]:
                 try:
-                    backend.send(verdict, peer, tag=vtag)
+                    wire.send(verdict, peer, tag=vtag)
                 except _LOST:
                     dead.add(peer)
                     committed = False  # settle without it in another round
         else:
             try:
-                backend.send(sorted(dead), leader, tag=ptag)
-                kind, agreed = backend.recv(leader, tag=vtag)
+                wire.send(sorted(dead), leader, tag=ptag)
+                kind, agreed = wire.recv(leader, tag=vtag)
                 dead.update(int(r) for r in agreed)
                 committed = kind == "commit"
             except _LOST as exc:

@@ -8,8 +8,9 @@ second agent wrapped around it:
 
 :class:`FaultPlan`
     a frozen, seeded schedule of actions keyed on the message identity
-    ``(src, dst, tag, seq)`` plus a per-rank kill trigger keyed on the
-    rank's transport-operation count. Decisions are pure functions of the
+    ``(src, dst, context, tag, seq)`` (:mod:`~repro.runtime.context`)
+    plus a per-rank kill trigger keyed on the rank's transport-operation
+    count. Decisions are pure functions of the
     key and the seed (a keyed hash, not Python's salted ``hash()``), so
     the same plan reproduces the same failure sequence on every backend,
     every process, every run.
@@ -37,6 +38,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .context import format_context, pack_context, parse_context
+
 __all__ = ["FaultPlan", "RankKilledError", "KILL_EXIT_CODE"]
 
 #: exit status of a rank hard-killed by a plan on a process-family backend.
@@ -62,22 +65,45 @@ class RankKilledError(RuntimeError):
         self.op_index = op_index
 
 
-def _parse_message_key(text: str) -> tuple[int, int, int, int]:
-    """Parse a pinned-message key ``SRC:DST:TAG:SEQ`` from a spec clause."""
+def _parse_message_key(text: str) -> tuple:
+    """Parse a pinned-message key from a spec clause: ``SRC:DST:TAG:SEQ``
+    (the backend communicator's message) or ``SRC:DST:CTX:TAG:SEQ`` (CTX a
+    context's printed path, e.g. ``e1.2``)."""
     fields = text.split(":")
+    if len(fields) == 5:
+        src, dst, ctx, tag, seq = fields
+        context = parse_context(ctx)
+        if context:
+            return (int(src), int(dst), context, int(tag), int(seq))
+        fields = [src, dst, tag, seq]
     if len(fields) != 4:
-        raise ValueError(f"expected SRC:DST:TAG:SEQ, got {text!r}")
-    return tuple(int(f) for f in fields)  # type: ignore[return-value]
+        raise ValueError(f"expected SRC:DST:TAG:SEQ or SRC:DST:CTX:TAG:SEQ, got {text!r}")
+    return tuple(int(f) for f in fields)
 
 
-def _key_uniform(seed: int, src: int, dst: int, tag: int, seq: int) -> float:
+def _format_message_key(key: tuple) -> str:
+    """Inverse of :func:`_parse_message_key`."""
+    if len(key) == 5:
+        src, dst, context, tag, seq = key
+        return f"{int(src)}:{int(dst)}:{format_context(context)}:{int(tag)}:{int(seq)}"
+    return ":".join(str(int(v)) for v in key)
+
+
+def _key_order(key: tuple) -> tuple:
+    """Sort order of pinned keys: a four-field key is the backend's, context ``()``."""
+    return key if len(key) == 5 else (key[0], key[1], (), key[2], key[3])
+
+
+def _key_uniform(seed: int, src: int, dst: int, context: tuple, tag: int, seq: int) -> float:
     """Deterministic uniform in [0, 1) for one message key.
 
     A keyed blake2b, *not* ``hash()``: Python salts ``hash()`` per process,
-    which would make every rank (and every rerun) decide differently.
+    which would make every rank (and every rerun) decide differently. The
+    packed context follows the integers, so a message of the backend
+    communicator (context ``()``) hashes the five integers alone.
     """
     digest = hashlib.blake2b(
-        struct.pack("<qqqqq", seed, src, dst, tag, seq), digest_size=8
+        struct.pack("<qqqqq", seed, src, dst, tag, seq) + pack_context(context), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little") / 2.0**64
 
@@ -88,8 +114,10 @@ class FaultPlan:
 
     Probabilistic faults (``drop_rate`` / ``delay_rate``) are decided per
     message from the seeded key hash; explicit faults (``drops`` /
-    ``delays``) pin individual messages by their exact
-    ``(src, dst, tag, seq)`` key and take precedence. ``kill_rank`` dies
+    ``delays``) pin individual messages by their exact key and take
+    precedence: ``(src, dst, tag, seq)`` for a message of the backend
+    communicator, ``(src, dst, context, tag, seq)`` for one of a
+    sub-communicator, launch or epoch world. ``kill_rank`` dies
     on its ``kill_after_ops``-th transport operation (sends and receives
     both count), so the kill lands mid-collective deterministically.
     """
@@ -133,15 +161,15 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # decisions (pure, deterministic)
     # ------------------------------------------------------------------
-    def action(self, src: int, dst: int, tag: int, seq: int) -> tuple[str, float]:
+    def action(self, src: int, dst: int, context: tuple, tag: int, seq: int) -> tuple[str, float]:
         """Decide one message's fate: ``(action, delay_seconds)``."""
-        key = (src, dst, tag, seq)
+        key = (src, dst, context, tag, seq) if context else (src, dst, tag, seq)
         if key in self.drops:
             return DROP, 0.0
         if key in self.delays:
             return DELAY, float(self.delays[key])
         if self.drop_rate or self.delay_rate:
-            u = _key_uniform(self.seed, src, dst, tag, seq)
+            u = _key_uniform(self.seed, src, dst, context, tag, seq)
             if u < self.drop_rate:
                 return DROP, 0.0
             if u < self.drop_rate + self.delay_rate:
@@ -180,7 +208,9 @@ class FaultPlan:
         default 1); ``revive=RANK@OPS`` marks the killed rank for rejoin
         once a survivor passes OPS ops. Individual messages are pinned
         with repeatable ``pindrop=SRC:DST:TAG:SEQ`` and
-        ``pindelay=SRC:DST:TAG:SEQ/SECONDS`` clauses.
+        ``pindelay=SRC:DST:TAG:SEQ/SECONDS`` clauses — a message of the
+        backend communicator; ``SRC:DST:CTX:TAG:SEQ`` names one of another
+        context by its printed path (``e1``, ``3.0``, ``e1.2``).
 
         The spec grammar is the inverse of :meth:`describe`:
         ``FaultPlan.from_spec(plan.describe()) == plan`` for every plan.
@@ -220,7 +250,7 @@ class FaultPlan:
                 elif key == "pindelay":
                     msg, slash, seconds = value.partition("/")
                     if not slash:
-                        raise ValueError("expected SRC:DST:TAG:SEQ/SECONDS")
+                        raise ValueError("expected a message key and /SECONDS")
                     pinned_delays[_parse_message_key(msg)] = float(seconds)
                 else:
                     raise ValueError(f"unknown fault-plan key {key!r}")
@@ -253,9 +283,8 @@ class FaultPlan:
             parts.append(f"kill={self.kill_rank}@{self.kill_after_ops}")
         if self.revive_rank is not None:
             parts.append(f"revive={self.revive_rank}@{self.revive_after_ops}")
-        for key in sorted(self.drops):
-            parts.append("pindrop=" + ":".join(str(int(v)) for v in key))
-        for key in sorted(self.delays):
-            joined = ":".join(str(int(v)) for v in key)
-            parts.append(f"pindelay={joined}/{float(self.delays[key])}")
+        for key in sorted(self.drops, key=_key_order):
+            parts.append("pindrop=" + _format_message_key(key))
+        for key in sorted(self.delays, key=_key_order):
+            parts.append(f"pindelay={_format_message_key(key)}/{float(self.delays[key])}")
         return ",".join(parts)

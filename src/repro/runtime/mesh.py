@@ -6,7 +6,7 @@ stream between two of them — pipe ends, pipe ends next to a shared-memory
 slab for large frames, TCP sockets. Everything else lives here, once:
 
 * :class:`StreamComm` — the per-rank communicator: one table of
-  per-(source, tag) FIFO queues under the engine lock, sender-side
+  per-(source, context, tag) FIFO queues under the engine lock, sender-side
   sequence numbers, the abort flag, the elastic
   epoch hooks, the **blocked-receive loop** with its one-at-a-time
   progress engine (one ``poll`` over every live inbound channel,
@@ -123,11 +123,12 @@ class StreamComm(Communicator):
     anything with their ``fileno`` / ``setblocking`` / ``send`` /
     ``recv_into`` (the pipe ends of :mod:`~repro.runtime.process_backend`).
     A message is ``<u64 frame length><frame>``. Incoming traffic lands in
-    :attr:`_queues`, one FIFO per (source, tag) that exists only while it
-    holds messages, guarded by the engine's lock — the one lock a message
-    takes on its way in and out. Sequence numbers are allocated
-    sender-side against the worker-local trace (only this rank sends on a
-    (rank, dest, tag) channel, so local counters are the truth). The
+    :attr:`_queues`, one FIFO per (source, context key, tag) that exists
+    only while it holds messages, guarded by the engine's lock — the one
+    lock a message takes on its way in and out. Sequence numbers are
+    allocated sender-side against the worker-local trace (only this rank
+    sends on a (rank, dest, context, tag) channel, so local counters are
+    the truth). The
     channels are read by whichever thread is blocked (see "Inline
     progress" in the module docstring); the engine reassembles frames per
     source, so a read takes whatever the channel holds — length prefix and
@@ -164,10 +165,10 @@ class StreamComm(Communicator):
         #: holder notifies on every delivery and on leaving.
         self._engine = threading.Condition()
         self._engine_busy = False
-        #: ``(source, tag) -> deque of (payload, nbytes, seq)``, under the
-        #: engine lock; the pop that empties a queue deletes it, so a
-        #: drained channel (every collective takes a fresh tag) keeps nothing.
-        self._queues: dict[tuple[int, int], deque] = {}
+        #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``,
+        #: under the engine lock; the pop that empties a queue deletes it, so
+        #: a drained channel (every collective takes a fresh tag) keeps nothing.
+        self._queues: dict[tuple[int, bytes, int], deque] = {}
         #: threads waiting in :meth:`_holding_engine`; receivers stand back.
         self._engine_claims = 0
         #: live inbound channels (fd -> ``(channel, source)``), each
@@ -185,13 +186,6 @@ class StreamComm(Communicator):
         for src, channel in enumerate(inn):
             if channel is not None:
                 self._attach(src, channel)
-
-    def _take(self, key: tuple[int, int]) -> tuple[Any, int, int] | None:
-        """The next message on ``key`` or None (engine lock held)."""
-        queue = self._queues.get(key)  # a queue that exists holds a message
-        if queue is not None and len(queue) == 1:
-            del self._queues[key]
-        return queue.popleft() if queue else None
 
     def _abort(self, failed_rank: int | None = None, reason: str | None = None) -> None:
         if failed_rank is not None and failed_rank in self.dead_ranks:
@@ -211,7 +205,7 @@ class StreamComm(Communicator):
         arrays must own their memory.
         """
         try:
-            tag, seq, nbytes, epoch, payload = decode_message(frame)
+            tag, seq, nbytes, epoch, context, payload = decode_message(frame)
         except Exception as exc:
             # undecodable frame (e.g. a payload whose pickle references a
             # class this process cannot import, or a stream whose count
@@ -229,7 +223,7 @@ class StreamComm(Communicator):
         if tag == _FIN_TAG:
             return False
         with self._engine:
-            self._queues.setdefault((src, tag), deque()).append((payload, nbytes, seq))
+            self._queues.setdefault((src, context, tag), deque()).append((payload, nbytes, seq))
             self._engine.notify_all()  # a thread without the engine may be waiting for this
         return True
 
@@ -249,7 +243,7 @@ class StreamComm(Communicator):
                 continue
             try:
                 with self._out_locks[dest]:
-                    self._write(dest, fin, _FIN_TAG, None)
+                    self._write(dest, fin, b"", _FIN_TAG, None)
             except (OSError, WorldAbortedError):  # peer already gone
                 pass
 
@@ -353,40 +347,41 @@ class StreamComm(Communicator):
             self._detach(fd)
             self._abort(src, f"stream from rank {src} is corrupt: {exc}")
 
-    def _run_progress(self, wait: float, writable: Any = None, key: tuple | None = None) -> Any:
+    def _run_progress(self, wait: float, writable: Any = None, want: tuple | None = None) -> Any:
         """Make one progress step on this thread if the engine is free.
 
         Returns whether this thread stepped: not when another thread has
         the engine — that thread reads for everyone, so a caller with
         nothing to write sleeps until it signals a delivery or leaves (at
-        most ``wait``). Given a receiver's ``key``, ``(source, tag)``, it
+        most ``wait``). Given a receiver's ``want``, ``(source, context
+        key, tag)``, it
         returns that channel's next message or None instead, taken under a
         lock this call holds anyway: before stepping (nothing is read if
         one is already queued), after a sleep, or as the engine is handed
         back.
         """
         with self._engine:
-            if key in self._queues:
-                return self._take(key)
+            if want in self._queues:
+                return self._take(want)
             if self._engine_busy or self._engine_claims:
                 if writable is None:
                     self._engine.wait(wait)
-                return self._take(key) if key else False
+                return self._take(want) if want else False
             self._engine_busy = True
         try:
             self._progress(wait, writable)
         except BaseException:
             self._leave_engine()
             raise
-        return self._leave_engine(key)
+        return self._leave_engine(want)
 
-    def _leave_engine(self, key: tuple | None = None) -> Any:
-        """Hand the engine back: True, or with ``key`` its next message,
+    def _leave_engine(self, want: tuple | None = None) -> Any:
+        """Hand the engine back: True, or with ``want`` its next message,
         taken under the same lock."""
         with self._engine:
             self._engine_busy = False
             self._engine.notify_all()
-            return self._take(key) if key else True
+            return self._take(want) if want else True
 
     @contextmanager
     def _holding_engine(self):
@@ -408,11 +403,11 @@ class StreamComm(Communicator):
     # ------------------------------------------------------------------
     # transport hooks
     # ------------------------------------------------------------------
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        return self.trace.next_seq(self.rank, dest, tag)
+    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
+        return self.trace.next_seq(self.rank, dest, tag, context)
 
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        key = (source, tag)
+    def _transport_recv(self, source: int, key: bytes, tag: int) -> tuple[Any, int, int]:
+        want = (source, key, tag)
         aborted = self.aborted  # an elastic reset swaps the flag; unwind on the one we started under
         deadline = None if self.op_timeout is None else time.monotonic() + self.op_timeout
         while True:
@@ -421,29 +416,31 @@ class StreamComm(Communicator):
             wait = 0.0 if aborted.is_set() else _ABORT_POLL_S
             if deadline is not None:
                 wait = max(min(wait, deadline - time.monotonic()), 0.0)
-            item = self._run_progress(wait, key=key)
+            item = self._run_progress(wait, want=want)
             if item is not None:
                 return item
             if aborted.is_set():
                 raise aborted.error()
             if deadline is not None and time.monotonic() >= deadline:
-                raise CommTimeoutError.expired("recv from", source, tag, self.op_timeout)
+                raise CommTimeoutError.expired("recv from", source, key, tag, self.op_timeout)
 
-    def _probe(self, source: int, tag: int) -> bool:
+    def _probe(self, source: int, key: bytes, tag: int) -> bool:
         # a dict lookup is atomic; the lock only orders the queue's changes
-        if (source, tag) not in self._queues:
+        want = (source, key, tag)
+        if want not in self._queues:
             self._run_progress(0.0)
-        return (source, tag) in self._queues
+        return want in self._queues
 
-    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any) -> bytearray:
+    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any, context: bytes = b"") -> bytearray:
         """Length prefix + frame in one send buffer (one write per
         message keeps the frame contiguous on the stream)."""
-        out = encode_message(tag, seq, nbytes, obj, self.epoch, head=_LEN.size)
+        out = encode_message(tag, seq, nbytes, obj, self.epoch, _LEN.size, context)
         _LEN.pack_into(out, 0, check_frame_size(len(out) - _LEN.size, "stream"))
         return out
 
-    def _write(self, dest: int, blob: bytearray, tag: int, timeout: float | None) -> None:
-        """Write ``blob`` whole to ``dest``'s channel (its lock held).
+    def _write(self, dest: int, blob: bytearray, key: bytes, tag: int, timeout: float | None) -> None:
+        """Write ``blob``, a frame of ``(key, tag)``, whole to ``dest``'s
+        channel (its lock held).
 
         While the channel is full this thread drives the engine — a
         blocked sender keeps reading — or, if another thread has it, waits
@@ -477,16 +474,16 @@ class StreamComm(Communicator):
                 elif now >= deadline:  # the peer stopped reading
                     if sent:  # the stream is cut mid-frame: nothing can follow on it
                         self._abort()
-                    raise CommTimeoutError.expired("send to", dest, tag, timeout)
+                    raise CommTimeoutError.expired("send to", dest, key, tag, timeout)
                 wait = min(wait, deadline - now)
             if not self._run_progress(wait, writable=channel):
                 self._wait(select.poll(), channel, wait)
 
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        blob = self._frame(tag, seq, nbytes, obj)
+    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
+        blob = self._frame(tag, seq, nbytes, obj, key)
         try:
             with self._out_locks[dest]:
-                self._write(dest, blob, tag, self.op_timeout)
+                self._write(dest, blob, key, tag, self.op_timeout)
         except CommTimeoutError:  # an OSError by inheritance, but not a dead peer
             raise
         except OSError as exc:
@@ -846,27 +843,32 @@ def _merge_events(trace: Trace, exports: list["tuple | None"]) -> None:
     not start at zero.
     """
     lost = {rank for rank, export in enumerate(exports) if export is None}
-    counts: dict[tuple[int, int, int], int] = {}
+    counts: dict[tuple[int, int, tuple, int], int] = {}
     for rank, export in enumerate(exports):
         if export is None:
             continue
         counts.update(export[1])
         if lost and export[0]:
-            for op, _, peer, tag, seq in zip(*export[0][:5]):
+            # columns are the TraceEvent fields; the context is the last
+            for op, _, peer, tag, seq, ctx in zip(*export[0][:5], export[0][-1]):
                 if op == RECV and peer in lost:
-                    counts[peer, rank, tag] = max(counts.get((peer, rank, tag), 0), seq + 1)
-    bases = {ch: trace.reserve_seqs(*ch, count) for ch, count in counts.items()}
+                    channel = (peer, rank, ctx, tag)
+                    counts[channel] = max(counts.get(channel, 0), seq + 1)
+    bases = {
+        (src, dst, ctx, tag): trace.reserve_seqs(src, dst, tag, count, ctx)
+        for (src, dst, ctx, tag), count in counts.items()
+    }
     bases = {ch: base for ch, base in bases.items() if base}
     for rank, export in enumerate(exports):
         if export is None:
             continue
         columns = export[0]
         if bases and columns:
-            # a send's channel is (rank, peer, tag), a receive's (peer,
-            # rank, tag); compute and mark events match neither
+            # a send's channel is (rank, peer, context, tag), a receive's
+            # (peer, rank, context, tag); compute and mark events match neither
             seqs = tuple(
-                seq + bases.get((peer, rnk, tag) if op == RECV else (rnk, peer, tag), 0)
-                for op, rnk, peer, tag, seq in zip(*columns[:5])
+                seq + bases.get((peer, rnk, ctx, tag) if op == RECV else (rnk, peer, ctx, tag), 0)
+                for op, rnk, peer, tag, seq, ctx in zip(*columns[:5], columns[-1])
             )
             columns = (*columns[:4], seqs, *columns[5:])
         trace.merge(rank, columns)

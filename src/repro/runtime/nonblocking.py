@@ -9,10 +9,13 @@ a collective on a background progress thread and hands back a handle. The
 caller keeps computing and calls ``wait()`` when it needs the result.
 
 The machinery is backend-agnostic: :class:`_BufferedComm` is a
-:class:`~repro.runtime.comm.ProxyComm` that shifts the collective's
-traffic into a disjoint tag space and buffers its trace events, while the
-payloads themselves flow through the wrapped communicator's transport
-hooks — thread mailboxes or process pipes alike.
+:class:`~repro.runtime.comm.ProxyComm` whose context is a child of the
+launching communicator's (the launch takes a slot of the same counter
+``split`` and ``subgroup`` draw from, :mod:`~repro.runtime.context`) and
+which buffers the collective's trace events, while the payloads
+themselves flow through the wrapped communicator's transport hooks —
+thread queues or process pipes alike. A launch is a communicator like any
+other, so launches nest to any depth and run any number of collectives.
 
 Trace semantics: the background events are buffered and appended to the
 rank's trace at ``wait()`` time, i.e. replay times the collective as if it
@@ -40,28 +43,12 @@ class _BufferedComm(ProxyComm):
     bookkeeping is deferred so the rank's event log stays in program order.
     """
 
-    def __init__(self, inner: Communicator, tag_base: int) -> None:
-        super().__init__(inner)
+    def __init__(self, inner: Communicator, slot: int) -> None:
+        super().__init__(inner, (*inner.context, slot))
         # private event buffer, sized to the *world* so events (always
         # attributed to world ranks) index correctly even when the wrapped
         # communicator is a sub-communicator of a bigger world
         self.trace = Trace(inner.trace.nranks)
-        self._tag_base = tag_base
-        self._icoll_depth = inner._icoll_depth + 1
-
-    def _map_tag(self, tag: int) -> int:
-        # compose inward so proxies stack (e.g. i_collective on a split)
-        return self.inner._map_tag(self._tag_base + tag)
-
-    def next_collective_tag(self) -> int:
-        # tags inside the buffered collective live in the shifted space,
-        # whose width is what separates this launch's base from the next
-        if self._collective_counter >> (8 * self._icoll_depth):
-            raise RuntimeError("too many collectives in one non-blocking launch: "
-                               "the next tag would alias the following launch's")
-        tag = self._collective_counter * 64
-        self._collective_counter += 1
-        return tag
 
     def flush_into(self, trace: Trace) -> None:
         """Append the buffered events to the real trace (at join time)."""
@@ -128,7 +115,7 @@ def i_collective(
       knobs passed explicitly are forwarded into ``kwargs`` unchanged.
 
     All ranks must call this in the same program order (the usual MPI
-    non-blocking-collective contract) so the shifted tag spaces line up.
+    non-blocking-collective contract) so the launches' contexts line up.
     Works on any backend: the progress thread lives inside the rank (the
     rank's thread on the thread backend, the rank's process on the process
     backend).
@@ -162,25 +149,7 @@ def i_collective(
         target, call_kwargs = resolve_collective(comm, collective, **knobs)
         call_args, payload = (), (collective,)
 
-    # Shift the proxy's traffic into a tag region disjoint from blocking
-    # tags — and widen the shift with proxy nesting depth, so a launch on
-    # a sub-communicator of a buffered proxy (e.g. each chunk of a chunked
-    # hierarchical collective running inside a fused-bucket collective)
-    # lands in a bit field disjoint from the *outer* launches' bases.
-    # With one equal stride, outer launch i + inner launch k aliases
-    # i' + k' whenever i + k == i' + k': concurrent sibling collectives
-    # would swap payloads. Two proxy levels fit under the
-    # sub-communicator window base (SPLIT_TAG_BASE = 1 << 40); deeper
-    # nesting would alias those windows, so refuse it loudly.
-    if comm._icoll_depth >= 2:
-        raise RuntimeError(
-            "i_collective supports at most two levels of nested "
-            "non-blocking collectives (a launch inside a launch); this "
-            "communicator is already buffered "
-            f"{comm._icoll_depth} levels deep"
-        )
-    tag_base = comm.next_collective_tag() << (8 * (1 + comm._icoll_depth))
-    proxy = _BufferedComm(comm, tag_base)
+    proxy = _BufferedComm(comm, comm._next_slot())
     box: list[Any] = []
 
     def work() -> None:
@@ -189,7 +158,7 @@ def i_collective(
         except BaseException as exc:  # noqa: BLE001 - surfaced at wait()
             box.append(exc)
 
-    name = f"icoll-rank{comm.world_rank}-depth{comm._icoll_depth}"
+    name = f"icoll-rank{comm.world_rank}-depth{len(comm.context)}"
     thread = threading.Thread(target=work, name=name, daemon=True)
     thread.start()
     return NonBlockingHandle(thread, proxy, box)

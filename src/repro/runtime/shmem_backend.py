@@ -11,9 +11,9 @@ plus one :class:`Slab` per directed pair of ranks.
 A send whose accounted size reaches :data:`SLAB_MIN_BYTES` copies the
 vectored :func:`~repro.runtime.wire.encode_frame_parts` parts once,
 contiguously, into the pair's slab **if there is room now**, then writes —
-under the same per-destination lock — a 40-byte *descriptor* on the pipe:
+under the same per-destination lock — a 42-byte *descriptor* on the pipe:
 an ordinary frame that is all header, carrying :data:`_SLAB_TAG` and
-``(offset, length, head_after)``. The receiver's :meth:`ShmemComm._deliver`
+``(offset, length, head_after)`` (and no context). The receiver's :meth:`ShmemComm._deliver`
 checks the descriptor against the slab, decodes the frame in place — one
 copy, shared segment → the arrays the collective will own — and stores
 ``head_after`` into the slab's consumed-bytes counter. **No room means the
@@ -25,8 +25,8 @@ Why this is safe: the frame a descriptor names is complete in memory
 before the descriptor is written, and a descriptor is shorter than
 ``PIPE_BUF`` (written whole or not at all), so an abort or an
 ``op_timeout`` cannot truncate a large frame; descriptors and inline
-frames share one FIFO pipe, so per-(source, tag) order is the pipe's; the
-``write`` syscall orders the payload stores before the reader's loads. The
+frames share one FIFO pipe, so per-(source, context, tag) order is the
+pipe's; the ``write`` syscall orders the payload stores before the reader's loads. The
 one word both processes touch is the consumed-bytes counter, stored by the
 reader alone as a single aligned machine word (see :class:`Slab`); the
 writer's head is private, the reader learns it from descriptors. No lock
@@ -135,10 +135,10 @@ class ShmemComm(ProcessComm):
         super().__init__(rank, size, out, inn, *args)
         self._out_slabs, self._in_slabs = out_slabs, in_slabs
 
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
+    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
         if nbytes < SLAB_MIN_BYTES:
-            return super()._transport_send(obj, nbytes, seq, dest, tag)
-        total, parts = encode_frame_parts(tag, seq, nbytes, obj, self.epoch)
+            return super()._transport_send(obj, nbytes, seq, dest, key, tag)
+        total, parts = encode_frame_parts(tag, seq, nbytes, obj, self.epoch, key)
         check_frame_size(total, "stream")
         slab = self._out_slabs[dest]
         try:
@@ -148,11 +148,11 @@ class ShmemComm(ProcessComm):
                     blob = bytearray(_LEN.size + total)
                     _LEN.pack_into(blob, 0, total)
                     gather_parts(parts, blob, _LEN.size)
-                    self._write(dest, blob, tag, self.op_timeout)
+                    self._write(dest, blob, key, tag, self.op_timeout)
                 else:
                     offset, head_after = spot
-                    blob = _FRAME.pack(_SLAB_TAG, offset, total, head_after)  # all header
-                    self._write(dest, _LEN.pack(len(blob)) + blob, tag, self.op_timeout)
+                    blob = _FRAME.pack(_SLAB_TAG, offset, total, head_after, 0)  # all header
+                    self._write(dest, _LEN.pack(len(blob)) + blob, key, tag, self.op_timeout)
                     slab.head = head_after  # handed out once the reader is told
         except CommTimeoutError:  # an OSError by inheritance, but not a dead peer
             raise
@@ -165,7 +165,7 @@ class ShmemComm(ProcessComm):
             return super()._deliver(src, frame)
         # a bad descriptor raises ValueError into ``_pull``, which aborts
         # the world naming ``src`` as it does for a corrupt length word
-        tag, offset, length, head_after = _FRAME.unpack_from(frame)
+        tag, offset, length, head_after, _ = _FRAME.unpack_from(frame)
         if tag != _SLAB_TAG:
             raise ValueError(f"frame without a payload, tag {tag}")
         slab = self._in_slabs[src]

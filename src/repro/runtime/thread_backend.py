@@ -1,9 +1,9 @@
-"""Thread-backed communicator: one Python thread per rank, shared mailboxes.
+"""Thread-backed communicator: one Python thread per rank, one queue table per rank.
 
 This backend gives the collectives *real* concurrent execution with MPI
 point-to-point semantics:
 
-* messages on one (source, dest, tag) channel are delivered FIFO,
+* messages on one (source, dest, context, tag) channel are delivered FIFO,
 * ``recv`` blocks until a matching message arrives,
 * payloads are copied on send, so sender and receiver never alias buffers
   (matching MPI's independent-buffer guarantee),
@@ -18,14 +18,16 @@ deadlocking.
 from __future__ import annotations
 
 import threading
+import time
+from collections import deque
 from typing import Any, Callable
 
 from .backend import Backend, ParallelResult, RankError, register_backend
 from .comm import (
+    _ABORT_POLL_S,
     AbortState,
+    CommTimeoutError,
     Communicator,
-    Mailbox,
-    MailboxRegistry,
     WorldAbortedError,
     copy_payload,
 )
@@ -35,7 +37,7 @@ __all__ = ["ThreadBackend", "ThreadWorld", "ThreadComm"]
 
 
 class ThreadWorld:
-    """Shared state of one parallel run: mailboxes, trace, failure flag."""
+    """Shared state of one parallel run: queue tables, trace, failure flags."""
 
     def __init__(
         self,
@@ -51,7 +53,11 @@ class ThreadWorld:
         self.trace = trace if trace is not None else Trace(size)
         self.topology = topology
         self.op_timeout = op_timeout
-        self._mailboxes = MailboxRegistry()
+        #: per destination rank, its inbound messages
+        #: (``Communicator._queues``) and the condition that guards them:
+        #: a put appends and notifies, a receiver waits on it.
+        self._queues: list[dict[tuple, deque]] = [{} for _ in range(size)]
+        self._ready = [threading.Condition() for _ in range(size)]
         #: per-rank abort states, mirroring the process family where each
         #: rank's *process* holds its own flag: a failure sets every rank's
         #: state, but an elastic shrink resets only the shrinking rank's —
@@ -67,9 +73,6 @@ class ThreadWorld:
         #: commits them between iterations.
         self._pending_joins: list[dict] = []
 
-    def mailbox(self, src: int, dst: int, tag: int) -> Mailbox:
-        return self._mailboxes.get((src, dst, tag))
-
     @property
     def aborted(self) -> AbortState:
         """Rank 0's abort state (the launcher's world-failed probe)."""
@@ -81,7 +84,9 @@ class ThreadWorld:
             return  # already accounted for by a shrink; the world lives on
         for state in self._rank_states:
             state.set(failed_rank)
-        self._mailboxes.wake_all()
+        for ready in self._ready:
+            with ready:
+                ready.notify_all()
 
     def comm(self, rank: int) -> "ThreadComm":
         """The communicator handle for one rank."""
@@ -101,6 +106,8 @@ class ThreadComm(Communicator):
         self.topology = world.topology
         self.op_timeout = world.op_timeout
         self._collective_counter = 0
+        self._queues = world._queues[rank]
+        self._ready = world._ready[rank]
         #: this rank's elastic epoch — per-communicator, not shared, so
         #: every survivor computes the same ``epoch + 1`` at shrink time no
         #: matter in what order the rank threads reach their shrink() call
@@ -126,18 +133,35 @@ class ThreadComm(Communicator):
     # ------------------------------------------------------------------
     # transport hooks
     # ------------------------------------------------------------------
-    def _alloc_seq(self, dest: int, tag: int) -> int:
-        return self.world.trace.next_seq(self.rank, dest, tag)
+    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
+        return self.world.trace.next_seq(self.rank, dest, tag, context)
 
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, tag: int) -> None:
-        self.world.mailbox(self.rank, dest, tag).put(copy_payload(obj), nbytes, seq)
+    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
+        item = (copy_payload(obj), nbytes, seq)
+        ready = self.world._ready[dest]
+        with ready:
+            self.world._queues[dest].setdefault((self.rank, key, tag), deque()).append(item)
+            ready.notify_all()  # the rank's threads wait on different keys
 
-    def _transport_recv(self, source: int, tag: int) -> tuple[Any, int, int]:
-        box = self.world.mailbox(source, self.rank, tag)
-        return box.get(self.aborted, timeout=self.op_timeout, source=source, tag=tag)
+    def _transport_recv(self, source: int, key: bytes, tag: int) -> tuple[Any, int, int]:
+        want = (source, key, tag)
+        aborted = self.aborted  # an elastic reset swaps the flag; unwind on the one we started under
+        deadline = None if self.op_timeout is None else time.monotonic() + self.op_timeout
+        with self._ready:
+            while (item := self._take(want)) is None:
+                if aborted.is_set():
+                    raise aborted.error()
+                wait = _ABORT_POLL_S
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise CommTimeoutError.expired("recv from", source, key, tag, self.op_timeout)
+                    wait = min(wait, remaining)
+                self._ready.wait(wait)
+        return item
 
-    def _probe(self, source: int, tag: int) -> bool:
-        return self.world.mailbox(source, self.rank, tag).has_items()
+    def _probe(self, source: int, key: bytes, tag: int) -> bool:
+        return (source, key, tag) in self._queues  # a queue that exists holds a message
 
 
 class ThreadBackend(Backend):

@@ -7,8 +7,8 @@ sequence number for deterministic matching) and local compute work. The
 cost model to obtain the execution times the paper's evaluation reports.
 
 Recording is race-free by construction: each rank appends only to its own
-list from its own thread; sequence numbers for (src, dst, tag) channels are
-allocated under a world-level lock.
+list from its own thread; sequence numbers for (src, dst, context, tag)
+channels are allocated under a world-level lock.
 
 Across a process boundary a rank's log travels as *columns*
 (:meth:`Trace.export`: one tuple per event field, plus the rank's channel
@@ -34,10 +34,12 @@ MARK = "mark"
 class TraceEvent(NamedTuple):
     """One operation of one rank (immutable).
 
-    ``peer``/``tag``/``seq`` identify the matching counterpart for point to
-    point events; ``nbytes`` is the wire size (sends and receives) or the
-    bytes of memory touched (compute). ``label`` carries free-form phase
-    names used by analyses (e.g. ``"split"`` / ``"allgather"``).
+    ``peer``/``context``/``tag``/``seq`` identify the matching counterpart
+    for point to point events (``context`` is the communicator's path,
+    :mod:`~repro.runtime.context`; ``()`` for the backend's own traffic);
+    ``nbytes`` is the wire size (sends and receives) or the bytes of
+    memory touched (compute). ``label`` carries free-form phase names used
+    by analyses (e.g. ``"split"`` / ``"allgather"``).
     """
 
     op: str
@@ -47,6 +49,7 @@ class TraceEvent(NamedTuple):
     seq: int = -1
     nbytes: int = 0
     label: str = ""
+    context: tuple = ()
 
 
 class Trace:
@@ -60,19 +63,20 @@ class Trace:
         #: per rank, merged column blocks not yet turned into events.
         self._columns: list[list[tuple]] = [[] for _ in range(nranks)]
         self._seq_lock = threading.Lock()
-        self._seq: dict[tuple[int, int, int], int] = {}
+        #: ``(src, dst, context, tag) -> next sequence number``
+        self._seq: dict[tuple[int, int, tuple, int], int] = {}
         self.enabled = True
 
     # ------------------------------------------------------------------
-    def next_seq(self, src: int, dst: int, tag: int) -> int:
-        """Allocate the FIFO sequence number for a (src, dst, tag) channel."""
-        key = (src, dst, tag)
+    def next_seq(self, src: int, dst: int, tag: int, context: tuple = ()) -> int:
+        """Allocate the FIFO sequence number for a (src, dst, context, tag) channel."""
+        key = (src, dst, context, tag)
         with self._seq_lock:
             seq = self._seq.get(key, 0)
             self._seq[key] = seq + 1
         return seq
 
-    def reserve_seqs(self, src: int, dst: int, tag: int, count: int) -> int:
+    def reserve_seqs(self, src: int, dst: int, tag: int, count: int, context: tuple = ()) -> int:
         """Reserve ``count`` consecutive sequence numbers on a channel.
 
         Used when merging events recorded off-trace (e.g. shipped back from
@@ -82,7 +86,7 @@ class Trace:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        key = (src, dst, tag)
+        key = (src, dst, context, tag)
         with self._seq_lock:
             start = self._seq.get(key, 0)
             self._seq[key] = start + count
@@ -93,11 +97,11 @@ class Trace:
         if self.enabled:
             self.events(event.rank).append(event)
 
-    def record_send(self, rank: int, peer: int, tag: int, seq: int, nbytes: int, label: str = "") -> None:
-        self.record(TraceEvent(SEND, rank, peer, tag, seq, nbytes, label))
+    def record_send(self, rank: int, peer: int, tag: int, seq: int, nbytes: int, context: tuple = ()) -> None:
+        self.record(TraceEvent(SEND, rank, peer, tag, seq, nbytes, "", context))
 
-    def record_recv(self, rank: int, peer: int, tag: int, seq: int, nbytes: int, label: str = "") -> None:
-        self.record(TraceEvent(RECV, rank, peer, tag, seq, nbytes, label))
+    def record_recv(self, rank: int, peer: int, tag: int, seq: int, nbytes: int, context: tuple = ()) -> None:
+        self.record(TraceEvent(RECV, rank, peer, tag, seq, nbytes, "", context))
 
     def record_compute(self, rank: int, nbytes: int, label: str = "") -> None:
         self.record(TraceEvent(COMPUTE, rank, nbytes=nbytes, label=label))
@@ -119,13 +123,13 @@ class Trace:
     def __iter__(self) -> Iterator[list[TraceEvent]]:
         return iter([self.events(rank) for rank in range(self.nranks)])
 
-    def export(self, rank: int) -> tuple[tuple, dict[tuple[int, int, int], int]]:
+    def export(self, rank: int) -> tuple[tuple, dict[tuple[int, int, tuple, int], int]]:
         """One rank's log for shipping: ``(columns, channel counters)``.
 
         ``columns`` holds one tuple per :class:`TraceEvent` field (empty
         when nothing was recorded); the counters say how many sequence
-        numbers this trace allocated per (src, dst, tag) channel — in a
-        rank process, exactly the channels that rank sends on.
+        numbers this trace allocated per (src, dst, context, tag) channel
+        — in a rank process, exactly the channels that rank sends on.
         """
         with self._seq_lock:
             return tuple(zip(*self.events(rank))), dict(self._seq)

@@ -3,7 +3,17 @@
 Every message the process-family backends (pipe, pipe + shared slab, TCP)
 move between rank processes is one byte frame::
 
-    <frame header: tag, seq, nbytes, epoch>  <payload>
+    <frame header: tag, seq, nbytes, epoch, context length>
+    <kind byte> [<§5.1 stream header>]   (the fixed head ends here)
+    <context>                            (packed, on every frame)
+    <payload body>
+
+The context is the sending communicator's
+(:mod:`~repro.runtime.context`), packed once when that communicator was
+made: zero bytes for the backend communicator's own traffic, eight per
+slot below it. It is deliberately not interned per channel — two bytes of
+length on backend-level traffic cost less than per-channel tables that a
+rejoin would have to reset.
 
 The payload encoding has a fast path for the library's own
 :class:`~repro.streams.SparseStream`, laid out the way §5.1 of the paper
@@ -60,11 +70,12 @@ __all__ = [
     "FLAG_DENSE",
 ]
 
-#: frame header: tag (q), seq (q), accounted wire bytes (q), world epoch (q).
-#: The epoch is the elastic world version (see :mod:`~repro.runtime.elastic`):
-#: a frame stamped with an epoch older than the receiver's current world is
-#: from a membership that no longer exists and must not be delivered.
-_FRAME = struct.Struct("<qqqq")
+#: frame header: tag (q), seq (q), accounted wire bytes (q), world epoch (q),
+#: byte length of the packed context that follows the head (H). The epoch
+#: is the elastic world version (see :mod:`~repro.runtime.elastic`): a frame
+#: stamped with an epoch older than the receiver's current world is from a
+#: membership that no longer exists and must not be delivered.
+_FRAME = struct.Struct("<qqqqH")
 
 #: size of the frame header in bytes (transports size their buffers with it).
 FRAME_HEADER_SIZE = _FRAME.size
@@ -107,7 +118,7 @@ _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 #: a stream frame's whole head in one struct — frame header, kind byte,
 #: §5.1 stream header — byte for byte what the three pack to, back to back.
-_STREAM_FRAME = struct.Struct("<qqqqBQQQcd")
+_STREAM_FRAME = struct.Struct("<qqqqHBQQQcd")
 
 
 def _array_buffer(arr: np.ndarray):
@@ -121,15 +132,16 @@ def _array_buffer(arr: np.ndarray):
 # vectored encode
 # ----------------------------------------------------------------------
 def encode_frame_parts(
-    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0
+    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0, context: bytes = b""
 ) -> tuple[int, list]:
     """One framed message as ``(total_bytes, [buffer, ...])`` (vectored).
 
     A stream is its head — frame header, kind byte and §5.1 stream header,
-    packed as one :data:`_STREAM_FRAME` — plus direct views of its
-    index/value arrays; nothing is copied here. Anything else is the frame
-    header, the kind byte and one pickle blob. Transports copy each part
-    exactly once, into the pipe blob or straight into the shared slab.
+    packed as one :data:`_STREAM_FRAME` — and the packed ``context``, plus
+    direct views of its index/value arrays; nothing is copied here.
+    Anything else is the frame header, the kind byte, the context and one
+    pickle blob. Transports copy each part exactly once, into the pipe
+    blob or straight into the shared slab.
     """
     if isinstance(obj, SparseStream):
         wire = float("nan") if obj.value_wire_bytes is None else float(obj.value_wire_bytes)
@@ -139,14 +151,14 @@ def encode_frame_parts(
             flag, arrays = FLAG_SPARSE, (obj.indices, obj.values)
         parts = [
             _STREAM_FRAME.pack(
-                tag, seq, nbytes, epoch, _KIND_STREAM, flag,
+                tag, seq, nbytes, epoch, len(context), _KIND_STREAM, flag,
                 obj.dimension, arrays[-1].size, _DTYPE_CODES[obj.value_dtype], wire,
-            ),
+            ) + context,
             *map(_array_buffer, arrays),
         ]
     else:
         parts = [
-            _FRAME.pack(tag, seq, nbytes, epoch) + bytes([_KIND_PICKLE]),
+            _FRAME.pack(tag, seq, nbytes, epoch, len(context)) + bytes([_KIND_PICKLE]) + context,
             pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
         ]
     return sum(map(len, parts)), parts
@@ -166,16 +178,18 @@ def encode_payload(obj: Any) -> bytes:
 
 
 def encode_message(
-    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0, head: int = 0
+    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0, head: int = 0,
+    context: bytes = b"",
 ) -> bytearray:
     """Frame one point-to-point message for a byte-stream transport.
 
     Gathers the vectored parts into a single preallocated ``bytearray``,
     so each payload byte is copied exactly once — no ``tobytes()``
     staging, no ``+`` chains. The first ``head`` bytes are left blank
-    for the transport's own prefix (its length word).
+    for the transport's own prefix (its length word). ``context`` is the
+    sending communicator's packed context (empty: the backend's own).
     """
-    total, parts = encode_frame_parts(tag, seq, nbytes, obj, epoch)
+    total, parts = encode_frame_parts(tag, seq, nbytes, obj, epoch, context)
     out = bytearray(head + total)
     gather_parts(parts, out, head)
     return out
@@ -213,17 +227,34 @@ def decode_payload(blob: bytes | bytearray | memoryview, copy: bool = True) -> A
 
 def decode_message(
     blob: bytes | bytearray | memoryview, copy: bool = True
-) -> tuple[int, int, int, int, Any]:
-    """Returns ``(tag, seq, nbytes, epoch, payload)``.
+) -> tuple[int, int, int, int, bytes, Any]:
+    """Returns ``(tag, seq, nbytes, epoch, context, payload)``, ``context``
+    packed (the key the receiver queues the message under).
 
-    A stream's head is unpacked once (:data:`_STREAM_FRAME`).
+    A stream's head is unpacked once (:data:`_STREAM_FRAME`). A context
+    length that overruns the frame is a :class:`ValueError`.
     """
     view = memoryview(blob)
     if len(view) >= _STREAM_FRAME.size and view[FRAME_HEADER_SIZE] == _KIND_STREAM:
-        tag, seq, nbytes, epoch, _, *head = _STREAM_FRAME.unpack_from(view)
-        return tag, seq, nbytes, epoch, _decode_stream(view, _STREAM_FRAME.size, *head, copy)
-    tag, seq, nbytes, epoch = _FRAME.unpack_from(view)
-    return tag, seq, nbytes, epoch, decode_payload(view[FRAME_HEADER_SIZE:], copy)
+        tag, seq, nbytes, epoch, size, _, *head = _STREAM_FRAME.unpack_from(view)
+        body = _STREAM_FRAME.size + size
+        context = _read_context(view, body - size, body) if size else b""
+        return tag, seq, nbytes, epoch, context, _decode_stream(view, body, *head, copy)
+    tag, seq, nbytes, epoch, size = _FRAME.unpack_from(view)
+    body = FRAME_HEADER_SIZE + 1 + size
+    context = _read_context(view, body - size, body) if size else b""
+    if view[FRAME_HEADER_SIZE] != _KIND_PICKLE:
+        raise ValueError(f"corrupt payload: unknown kind byte {view[FRAME_HEADER_SIZE]}")
+    return tag, seq, nbytes, epoch, context, pickle.loads(view[body:])
+
+
+def _read_context(view: memoryview, start: int, end: int) -> bytes:
+    """The packed context at ``view[start:end]``, checked against the frame."""
+    if end > len(view):
+        raise ValueError(
+            f"corrupt frame: a {end - start}-byte context overruns its {len(view)}-byte frame"
+        )
+    return bytes(view[start:end])
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.mlopt import (
     make_sparse_classification,
 )
 from repro.runtime import Topology, run_ranks
-from repro.runtime.comm import TAG_USER_LIMIT
 from repro.runtime.trace import MARK, SEND
 
 from conftest import make_rank_stream, reference_sum
@@ -423,9 +422,9 @@ class TestOneAgreementRoundPerAsyncStep:
                 for event in _sends_per_step(out.trace, rank)[step]
             ]
             assert len(sends) == expected
-            # launches live in tag space shifted past TAG_USER_LIMIT << 8;
-            # what stays below it is the rank thread's own traffic
-            assert sum(e.tag < TAG_USER_LIMIT << 8 for e in sends) == round_sends
+            # launches run in contexts of their own; what stays in the
+            # backend's context is the rank thread's own traffic
+            assert sum(e.context == () for e in sends) == round_sends
 
     def test_fused_selector_prices_the_launched_instance(self, dataset):
         """The default selector is shaped like a fused float32 top-k

@@ -1,4 +1,4 @@
-"""Elastic worlds: epoch windows, shrink barrier, rejoin, and stale frames.
+"""Elastic worlds: epochs, shrink barrier, rejoin, and stale frames.
 
 The acceptance contract of the elastic runtime:
 
@@ -35,38 +35,12 @@ from repro.runtime import (
     thread_rejoin,
 )
 from repro.runtime import rendezvous as sb
-from repro.runtime.comm import _cantor_pair
-from repro.runtime.elastic import _epoch_tag_base, epoch_window_id
+from repro.runtime.context import parse_context
 from repro.runtime.nonblocking import _BufferedComm
 from repro.runtime.topology import Topology
 from repro.runtime.faults import RankKilledError
 
 BACKENDS = ["thread", "process", "shmem", "socket"]
-
-
-# ----------------------------------------------------------------------
-# epoch tag windows: globally injective, disjoint from split windows
-# ----------------------------------------------------------------------
-class TestEpochWindowId:
-    def test_rejects_non_positive_epochs(self):
-        for epoch in (0, -1):
-            with pytest.raises(ValueError):
-                epoch_window_id(epoch)
-
-    def test_unique_across_epochs(self):
-        ids = {epoch_window_id(e) for e in range(1, 201)}
-        assert len(ids) == 200
-
-    def test_disjoint_from_split_windows(self):
-        # splits produce odd ids (2*slot+1) and nested even ids with a
-        # cantor first component >= 1; epoch windows reserve component 0
-        epoch_ids = {epoch_window_id(e) for e in range(1, 65)}
-        odd_ids = {2 * slot + 1 for slot in range(4096)}
-        nested_ids = {
-            2 * (_cantor_pair(w, s) + 1) for w in range(1, 9) for s in range(64)
-        }
-        assert not epoch_ids & odd_ids
-        assert not epoch_ids & nested_ids
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +114,7 @@ class TestFaultPlanSurvivesShrink:
     def test_plan_keeps_ticking_and_applying(self, backend):
         # every message is delayed (harmless), and the first message rank 0
         # sends rank 1 on tag 5 *of the post-shrink world* is pinned lost
-        pinned = (0, 1, _epoch_tag_base(1) + 5, 0)
+        pinned = (0, 1, parse_context("e1"), 5, 0)
         plan = FaultPlan(
             seed=3, delay_rate=1.0, delay_s=0.0002, drops=frozenset({pinned})
         )

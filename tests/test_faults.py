@@ -52,28 +52,28 @@ class TestFaultPlan:
     def test_same_seed_same_sequence(self):
         a = FaultPlan(seed=42, drop_rate=0.3, delay_rate=0.2)
         b = FaultPlan(seed=42, drop_rate=0.3, delay_rate=0.2)
-        seq = [a.action(0, 1, 3, s) for s in range(200)]
-        assert seq == [b.action(0, 1, 3, s) for s in range(200)]
+        seq = [a.action(0, 1, (), 3, s) for s in range(200)]
+        assert seq == [b.action(0, 1, (), 3, s) for s in range(200)]
         # non-trivial plans exercise every branch
         assert {act for act, _ in seq} == {"drop", "delay", "pass"}
 
     def test_different_seed_different_sequence(self):
         a = FaultPlan(seed=1, drop_rate=0.5)
         b = FaultPlan(seed=2, drop_rate=0.5)
-        assert [a.action(0, 1, 0, s) for s in range(64)] != [
-            b.action(0, 1, 0, s) for s in range(64)
+        assert [a.action(0, 1, (), 0, s) for s in range(64)] != [
+            b.action(0, 1, (), 0, s) for s in range(64)
         ]
 
     def test_rates_are_respected(self):
         plan = FaultPlan(seed=7, drop_rate=0.25)
-        drops = sum(plan.action(0, 1, 0, s)[0] == "drop" for s in range(2000))
+        drops = sum(plan.action(0, 1, (), 0, s)[0] == "drop" for s in range(2000))
         assert 0.18 < drops / 2000 < 0.32  # keyed-hash uniform ~ Binomial
 
     def test_explicit_keys_override_rates(self):
         plan = FaultPlan(drops=frozenset({(0, 1, 5, 0)}), delays={(1, 0, 5, 2): 0.5})
-        assert plan.action(0, 1, 5, 0) == ("drop", 0.0)
-        assert plan.action(1, 0, 5, 2) == ("delay", 0.5)
-        assert plan.action(0, 1, 5, 1) == ("pass", 0.0)
+        assert plan.action(0, 1, (), 5, 0) == ("drop", 0.0)
+        assert plan.action(1, 0, (), 5, 2) == ("delay", 0.5)
+        assert plan.action(0, 1, (), 5, 1) == ("pass", 0.0)
 
     def test_kills(self):
         plan = FaultPlan(kill_rank=2, kill_after_ops=5)
@@ -413,7 +413,7 @@ class TestSeedReproducibility:
         plan = FaultPlan(seed=123, drop_rate=0.5)
         # locate the first message the plan will drop on channel 0 -> 1, tag 7
         first_drop = next(
-            s for s in range(100) if plan.action(0, 1, 7, s)[0] == "drop"
+            s for s in range(100) if plan.action(0, 1, (), 7, s)[0] == "drop"
         )
 
         def prog(comm, n=first_drop + 1):

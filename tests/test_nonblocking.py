@@ -355,39 +355,3 @@ class TestNestedLaunchTagSpaces:
         for r in range(4):
             for j in range(3):
                 assert np.array_equal(blk[r][j], nbk[r][j]), (r, j)
-
-    def test_three_deep_nesting_refused(self):
-        """A launch inside a launch inside a launch would alias the
-        sub-communicator tag windows; it must raise, not corrupt."""
-        def prog(comm):
-            def level2(c2):
-                def level3(c3):
-                    return None
-
-                return i_collective(c2, level3).wait()
-
-            def level1(c1):
-                return i_collective(c1, level2).wait()
-
-            handle = i_collective(comm, level1)
-            with pytest.raises(RuntimeError, match="two levels"):
-                handle.wait()
-            return True
-
-        assert all(run_ranks(prog, 2).results)
-
-    def test_launch_outgrowing_its_tag_field_refused(self):
-        """One launch owns 256 collective tag blocks at the top level; a
-        257th would alias the next launch's tag space (a fused call runs
-        every bucket inside one launch), so it must raise."""
-        def prog(comm):
-            def many(c, count):
-                return [c.next_collective_tag() for _ in range(count)]
-
-            assert len(i_collective(comm, many, 256).wait()) == 256
-            handle = i_collective(comm, many, 257)
-            with pytest.raises(RuntimeError, match="alias"):
-                handle.wait()
-            return True
-
-        assert all(run_ranks(prog, 2).results)

@@ -137,7 +137,7 @@ class Rig:
 
     def take(self, peer: int, tag: int):
         with self.comm._engine:
-            return self.comm._take((peer, tag))
+            return self.comm._take((peer, b"", tag))  # the backend's context
 
     def close(self) -> None:
         for end in self._ends + self.feeds + self.sinks:
@@ -345,14 +345,16 @@ class TestChannelFailures:
             r.comm.recv(1, tag=5)
         assert not r.comm.aborted.is_set()
 
-    @pytest.mark.parametrize("offset, byte", [(49, 4), (57, ord("q"))], ids=["count", "dtype"])
+    @pytest.mark.parametrize(
+        "offset, byte", [(51, 4), (59, ord("q")), (32, 200)], ids=["count", "dtype", "context"]
+    )
     def test_undecodable_frame_names_its_writer(self, backend, rig, offset, byte):
-        """A sparse frame whose count overruns its length, or whose dtype
-        code is unknown: the decoder refuses it, and the receiver learns
-        which rank sent it."""
+        """A sparse frame whose count or context length overruns its
+        length, or whose dtype code is unknown: the decoder refuses it,
+        and the receiver learns which rank sent it."""
         r = rig(backend)
         blob = bytearray(r.comm._frame(5, 0, 8, SparseStream(64, indices=[1, 2, 3], values=[1.0] * 3)))
-        blob[_LEN.size + offset] = byte  # count 3 -> 4 / dtype code b"q"
+        blob[_LEN.size + offset] = byte  # count 3 -> 4 / dtype code b"q" / a 200-byte context
         r.feed(1, bytes(blob))
         self._assert_blames(r, 1, "undecodable frame from rank 1")
 
@@ -582,7 +584,7 @@ def _many_small_allreduces_prog(comm):
     return len(comm._queues), total.nnz
 
 
-@pytest.mark.parametrize("backend", MESH_BACKENDS)
+@pytest.mark.parametrize("backend", ["thread", *MESH_BACKENDS])
 def test_queues_are_empty_after_many_collectives(backend):
     """Every collective takes a fresh tag; a queue lives only while it
     holds messages, so 1 000 allreduces leave no per-message state."""

@@ -59,8 +59,8 @@ class TestSlab:
         s = SparseStream(1000, indices=[1, 2, 500], values=[1.0, -2.0, 3.5])
         total, parts = encode_frame_parts(5, 0, s.nbytes_payload, s)
         offset, _ = _put(slab, parts, total)
-        tag, seq, nbytes, epoch, out = decode_message(slab.view(offset, total))
-        assert (tag, seq, nbytes, epoch) == (5, 0, s.nbytes_payload, 0)
+        tag, seq, nbytes, epoch, context, out = decode_message(slab.view(offset, total))
+        assert (tag, seq, nbytes, epoch, context) == (5, 0, s.nbytes_payload, 0, b"")
         assert np.array_equal(out.indices, s.indices)
         assert np.array_equal(out.values, s.values)
 
@@ -348,7 +348,7 @@ class TestShmemFailureHandling:
 
         def prog(comm):
             if comm.rank == 0:
-                bad = _LEN.pack(_FRAME.size) + _FRAME.pack(_SLAB_TAG, offset, length, 0)
+                bad = _LEN.pack(_FRAME.size) + _FRAME.pack(_SLAB_TAG, offset, length, 0, 0)
                 comm._out[1].send(memoryview(bad))
                 return None
             with pytest.raises(RankFailedError) as err:

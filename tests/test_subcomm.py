@@ -134,7 +134,7 @@ class TestSplit:
             children = [x.split(0), x.split(0), y.split(0), y.split(0)]
             grand = [c.split(0) for c in children]
             comms = [x, y, *children, *grand]
-            windows = [c._map_tag(0) for c in comms]
+            windows = [c.context for c in comms]
             assert len(set(windows)) == len(windows), windows
             # traffic on same-numbered tags of alias-prone groups stays
             # separate: exchange on x-child#1 and y-child#0 concurrently
@@ -219,7 +219,7 @@ class TestTraceAttribution:
                 sub.recv(0, tag=3)
 
         out = run_ranks(prog, 4)
-        sends = [e for events in out.trace for e in events if e.op == SEND and e.tag >= (1 << 40)]
+        sends = [e for events in out.trace for e in events if e.op == SEND and e.context]
         assert len(sends) == 1
         (ev,) = sends
         assert ev.rank == 2 and ev.peer == 3  # world ranks, not (0, 1)

@@ -3,7 +3,7 @@
 The §5.1 wire format must round-trip every stream variant the library
 produces — float16 values, quantized streams annotated with fractional
 ``value_wire_bytes``, and pickle-fallback containers that *hold* streams —
-identically whether the transport is in-process mailboxes (``thread``),
+identically whether the transport is in-process queues (``thread``),
 pipes (``process``), shared-memory rings (``shmem``) or a TCP mesh
 (``socket``). Codec-level
 round-trips (including the zero-copy decode) are asserted directly on
@@ -16,6 +16,7 @@ import pytest
 
 from repro.quant import QSGDQuantizer
 from repro.runtime import run_ranks
+from repro.runtime.context import pack_context, parse_context
 from repro.runtime.wire import (
     _FRAME,
     _KIND_STREAM,
@@ -108,7 +109,7 @@ class TestCodecRoundTrip:
     def test_zero_copy_decode_returns_views(self):
         ref = _f16_stream()
         blob = bytearray(encode_message(3, 0, ref.nbytes_payload, ref))
-        tag, seq, nbytes, epoch, out = decode_message(blob, copy=False)
+        tag, seq, nbytes, epoch, context, out = decode_message(blob, copy=False)
         _assert_stream_equal(out, ref)
         # views alias the frame buffer: flipping a byte in the blob must
         # show through (this is what the shmem in-place path relies on)
@@ -121,7 +122,7 @@ class TestCodecRoundTrip:
     def test_copy_decode_owns_memory(self):
         ref = _f16_stream()
         blob = bytearray(encode_message(3, 0, ref.nbytes_payload, ref))
-        _, _, _, _, out = decode_message(blob, copy=True)
+        *_, out = decode_message(blob, copy=True)
         assert out.indices.flags.owndata and out.values.flags.owndata
         blob[:] = b"\x00" * len(blob)
         _assert_stream_equal(out, ref)  # untouched by clobbering the frame
@@ -136,12 +137,28 @@ class TestCodecRoundTrip:
 
 #: ``encode_message(9, 4, 24, s, epoch=2)`` of ``s`` = indices [5, 99, 1200],
 #: float32 values [1.5, -3.25, 0.125] in dimension 2048, value_wire_bytes 1.25,
-#: written out field by field so the one-struct head cannot drift.
+#: written out field by field so the one-struct head cannot drift. A message
+#: of the backend communicator: its context is empty.
 GOLDEN_FRAME = bytes.fromhex(
     "0900000000000000" "0400000000000000" "1800000000000000" "0200000000000000"  # tag seq nbytes epoch
+    "0000"  # context length: 0 bytes
     "01"  # kind: stream
     "0000000000000000" "0008000000000000" "0300000000000000"  # flag (sparse), dimension, count
     "66" "000000000000f43f"  # dtype code b"f", value_wire_bytes 1.25
+    "05000000" "63000000" "b0040000"  # uint32 indices
+    "0000c03f" "000050c0" "0000003e"  # float32 values
+)
+
+#: the same message sent on the three-element context ``e1.2.0`` (the first
+#: child of the third child of epoch 1's world): the packed path follows
+#: the fixed head, one int64 per slot.
+GOLDEN_FRAME_CONTEXT = bytes.fromhex(
+    "0900000000000000" "0400000000000000" "1800000000000000" "0200000000000000"  # tag seq nbytes epoch
+    "1800"  # context length: 24 bytes
+    "01"  # kind: stream
+    "0000000000000000" "0008000000000000" "0300000000000000"  # flag (sparse), dimension, count
+    "66" "000000000000f43f"  # dtype code b"f", value_wire_bytes 1.25
+    "feffffffffffffff" "0200000000000000" "0000000000000000"  # context: e1, 2, 0
     "05000000" "63000000" "b0040000"  # uint32 indices
     "0000c03f" "000050c0" "0000003e"  # float32 values
 )
@@ -157,14 +174,40 @@ def _golden_stream() -> SparseStream:
 class TestSparseFrameLayout:
     """A sparse stream's frame head is packed and unpacked as one struct;
     the bytes are the frame header, the kind byte and the §5.1 stream
-    header back to back, as they always were."""
+    header back to back, followed by the packed context."""
 
     def test_golden_frame(self):
         ref = _golden_stream()
         assert bytes(encode_message(9, 4, ref.nbytes_payload, ref, epoch=2)) == GOLDEN_FRAME
-        tag, seq, nbytes, epoch, out = decode_message(GOLDEN_FRAME)
-        assert (tag, seq, nbytes, epoch) == (9, 4, 24, 2)
+        tag, seq, nbytes, epoch, context, out = decode_message(GOLDEN_FRAME)
+        assert (tag, seq, nbytes, epoch, context) == (9, 4, 24, 2, b"")
         _assert_stream_equal(out, ref)
+
+    def test_golden_frame_with_a_three_element_context(self):
+        ref = _golden_stream()
+        key = pack_context(parse_context("e1.2.0"))
+        frame = encode_message(9, 4, ref.nbytes_payload, ref, epoch=2, context=key)
+        assert bytes(frame) == GOLDEN_FRAME_CONTEXT
+        tag, seq, nbytes, epoch, context, out = decode_message(GOLDEN_FRAME_CONTEXT)
+        assert (tag, seq, nbytes, epoch, context) == (9, 4, 24, 2, key)
+        _assert_stream_equal(out, ref)
+
+    def test_pickled_payload_carries_its_context(self):
+        key = pack_context((3, 0))
+        blob = encode_message(-7, 1, 8, {"k": (1, 2.5)}, epoch=1, context=key)
+        assert bytes(blob[_FRAME.size + 1:][:len(key)]) == key  # right after the head
+        assert decode_message(blob) == (-7, 1, 8, 1, key, {"k": (1, 2.5)})
+
+    @pytest.mark.parametrize("frame", [GOLDEN_FRAME, GOLDEN_FRAME_CONTEXT], ids=["stream", "context"])
+    def test_context_overrunning_the_frame_is_refused(self, frame):
+        blob = bytearray(frame)
+        blob[32:34] = (len(frame)).to_bytes(2, "little")
+        with pytest.raises(ValueError, match="overruns"):
+            decode_message(blob)
+        pickled = bytearray(encode_message(1, 0, 8, "x", context=pack_context((5,))))
+        pickled[32:34] = (len(pickled)).to_bytes(2, "little")
+        with pytest.raises(ValueError, match="overruns"):
+            decode_message(pickled)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     @pytest.mark.parametrize("nnz", [0, 1, 37])
@@ -175,7 +218,7 @@ class TestSparseFrameLayout:
             ref.values[0] = np.nan  # a NaN value travels as its bits
         ref.value_wire_bytes = wire
         expected = (
-            _FRAME.pack(-7, 11, 123, 3)
+            _FRAME.pack(-7, 11, 123, 3, 0)
             + bytes([_KIND_STREAM])
             + _STREAM_HEADER.pack(
                 FLAG_SPARSE, 5000, nnz, np.dtype(dtype).char.encode(),
@@ -194,7 +237,7 @@ class TestSparseFrameLayout:
 
     def test_count_overrunning_the_frame_is_refused(self):
         blob = bytearray(GOLDEN_FRAME)
-        blob[49] = 4  # count 3 -> 4: one pair more than the frame holds
+        blob[51] = 4  # count 3 -> 4: one pair more than the frame holds
         with pytest.raises(ValueError, match="cannot hold 4 entries"):
             decode_message(blob)
         with pytest.raises(ValueError, match="cannot hold 3 entries"):
@@ -202,7 +245,7 @@ class TestSparseFrameLayout:
 
     def test_unknown_dtype_code_is_refused(self):
         blob = bytearray(GOLDEN_FRAME)
-        blob[57] = ord("q")
+        blob[59] = ord("q")
         with pytest.raises(ValueError, match="dtype code"):
             decode_message(blob)
 
