@@ -11,7 +11,9 @@
 #   make soak               25 back-to-back runs of the transport suites
 #                           (progress engine, socket / process / shmem
 #                           backends, communicator contexts, failure
-#                           propagation through proxies),
+#                           propagation through proxies, the socket
+#                           crash -> shrink -> rejoin cycle, whose rejoin
+#                           is the first join's path),
 #                           stopping at the first failure — the long version
 #                           of what tier-1 runs once
 #   make smoke              fast subset (skips "slow" tests)
@@ -54,7 +56,8 @@ soak:
 	$(PYTHON) -m pytest -x -q -p no:cacheprovider tests/test_progress_engine.py \
 	    tests/test_socket_backend.py tests/test_process_backend.py tests/test_shmem_backend.py \
 	    tests/test_contexts.py \
-	    "tests/test_faults.py::TestFailurePropagationThroughProxies" || exit 1; done
+	    "tests/test_faults.py::TestFailurePropagationThroughProxies" \
+	    "tests/test_elastic.py::TestSocketRejoin" || exit 1; done
 
 smoke:
 	$(PYTHON) -m pytest -x -q -k "not slow" -m "not slow"

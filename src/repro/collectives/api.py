@@ -16,7 +16,6 @@ from ..quant import QSGDQuantizer
 from ..runtime.backend import Backend, ParallelResult
 from ..runtime.comm import Communicator
 from ..runtime.launcher import run_ranks
-from ..runtime.runconfig import _UNSET, RunConfig
 from ..runtime.topology import Topology
 from ..streams import SparseStream
 from ..streams.ops import REDUCE_OPS, SUM, ReduceOp
@@ -207,13 +206,12 @@ def run_sparse_allreduce(
     streams: "list[SparseStream]",
     algorithm: str = "auto",
     *,
-    config: RunConfig | None = None,
-    backend: "str | Backend" = _UNSET,
+    backend: "str | Backend" = "thread",
     quantizer: QSGDQuantizer | None = None,
     op: "ReduceOp | str" = SUM,
-    timeout: float | None = _UNSET,
-    topology: "Topology | str | int | None" = _UNSET,
-    chunks: "int | str" = _UNSET,
+    timeout: float | None = 300.0,
+    topology: "Topology | str | int | None" = None,
+    chunks: "int | str" = 1,
 ) -> ParallelResult:
     """One-call driver: allreduce one stream per rank on a chosen backend.
 
@@ -227,13 +225,11 @@ def run_sparse_allreduce(
     ``"2x4"``) simulates a multi-host world so topology-aware algorithms
     (``ssar_hier``, ``"auto"`` on hierarchical maps) can be exercised on
     any backend; ``chunks`` is the pipeline depth of the hierarchical
-    algorithms (see :func:`sparse_allreduce`). A
-    :class:`~repro.runtime.RunConfig` passed as ``config=`` supplies any
-    knob not given explicitly (explicit kwargs win).
+    algorithms (see :func:`sparse_allreduce`), checked here, before any
+    rank starts.
     """
-    cfg = (config if config is not None else RunConfig()).merged(
-        backend=backend, timeout=timeout, topology=topology, chunks=chunks
-    )
+    if chunks != "auto":
+        _check_chunks(chunks)
     return run_ranks(
         _allreduce_rank,
         len(streams),
@@ -241,8 +237,10 @@ def run_sparse_allreduce(
         algorithm,
         quantizer,
         op,
-        cfg.chunks,
-        config=cfg,
+        chunks,
+        backend=backend,
+        timeout=timeout,
+        topology=topology,
     )
 
 

@@ -13,8 +13,9 @@ The runtime is split into a backend-neutral core and pluggable backends:
   byte-stream communicator the three process-family backends share (each
   of them supplies only its channel objects: pipe ends, pipe ends plus a
   shared-memory slab for large frames, TCP sockets);
-* :mod:`~repro.runtime.rendezvous` — how a TCP world assembles: the
-  rendezvous protocol, the mesh handshake, elastic rejoin, ``serve_rank``;
+* :mod:`~repro.runtime.rendezvous` — how a TCP world assembles: one
+  rendezvous server, one mesh handshake and one join path (a rejoin is a
+  join whose rank comes last), ``serve_rank``;
 * :mod:`~repro.runtime.launcher` — :func:`run_ranks`, the ``mpiexec``
   analog, with a ``backend=`` selector;
 * :mod:`~repro.runtime.trace` / :mod:`~repro.runtime.nonblocking` —
@@ -48,7 +49,6 @@ from .comm import (
 from .elastic import ElasticContext, ElasticWorld, shrink, thread_rejoin
 from .faults import FaultPlan, RankKilledError
 from .launcher import run_ranks
-from .runconfig import RunConfig
 from .topology import (
     Topology,
     bytes_by_tier,
@@ -62,7 +62,7 @@ from .process_backend import ProcessBackend, ProcessComm
 from .shmem_backend import ShmemBackend, ShmemComm
 from .socket_backend import SocketBackend, SocketComm
 from .rendezvous import (
-    ElasticRendezvous,
+    Rendezvous,
     RendezvousError,
     RendezvousTimeoutError,
     serve_rank,
@@ -90,7 +90,6 @@ __all__ = [
     "ParallelResult",
     "RankError",
     "run_ranks",
-    "RunConfig",
     "NonBlockingHandle",
     "i_collective",
     "CompletedHandle",
@@ -107,6 +106,7 @@ __all__ = [
     "ShmemComm",
     "SocketBackend",
     "SocketComm",
+    "Rendezvous",
     "RendezvousError",
     "RendezvousTimeoutError",
     "serve_rank",
@@ -117,7 +117,6 @@ __all__ = [
     "AbortState",
     "ElasticContext",
     "ElasticWorld",
-    "ElasticRendezvous",
     "shrink",
     "thread_rejoin",
     "FaultPlan",

@@ -18,14 +18,16 @@ program runs unmodified on any of them:
 ``shmem`` (:class:`~repro.runtime.shmem_backend.ShmemBackend`)
     the ``process`` backend plus a shared-memory slab per pair of ranks:
     a large frame is packed once into the slab and decoded in place, a
-    40-byte descriptor on the pipe announcing it. Same as pipes and TCP
+    42-byte descriptor on the pipe announcing it. Same as pipes and TCP
     below ~100 KB per frame, about twice TCP at 256 KB - 1 MB.
 ``socket`` (:class:`~repro.runtime.socket_backend.SocketBackend`)
     one OS process per rank with payloads framed over a full TCP mesh
     assembled through a rendezvous address. The only transport that can
     span machines: ``run_ranks`` launches all ranks on this host, while
     ``python -m repro serve-rank`` joins ranks from anywhere into the
-    same world.
+    same world — and, with ``--elastic`` / ``--rejoin``, a restarted rank
+    back into it by the same join path
+    (:mod:`~repro.runtime.rendezvous`).
 
 Backends register themselves under a short name via
 :func:`register_backend` when their module is imported (the built-ins
@@ -75,7 +77,11 @@ never the logic: ``fault_plan`` (set by the launcher from
 ``run(fault_plan=)``; :meth:`Communicator.send` / ``recv`` apply it, the
 backend only overrides ``_die`` when its ranks own a process that should
 really exit), and ``epoch`` / ``dead_ranks`` / a settable ``aborted``
-(what the ``_elastic_*`` membership hooks commit to). Sub-communicators,
+(what the ``_elastic_*`` membership hooks commit to). A backend that can
+revive a dead rank answers one more hook, ``_next_join(members, epoch)``
+(the thread and socket backends do; the default says nobody can rejoin),
+and extends ``_elastic_regrow`` if a rejoiner must be connected.
+Sub-communicators,
 non-blocking launches and elastic worlds are
 :class:`~repro.runtime.comm.ProxyComm` stacks over that one communicator
 and need nothing from the backend.

@@ -72,7 +72,8 @@ communicator: fault injection (``comm.fault_plan``, a
 test per message when off; "die" is the backend's :meth:`_die`) and the
 elastic membership state (``epoch``, ``dead_ranks``, the abort flag,
 committed by the ``_elastic_*`` hooks defined here once for every
-backend).
+backend; a backend that can revive a rank answers ``_next_join`` and
+extends ``_elastic_regrow``).
 
 Topology
 --------
@@ -743,10 +744,21 @@ class Communicator(abc.ABC):
         if state.is_set() and state.failed_ranks and state.failed_ranks <= self.dead_ranks:
             self.aborted = AbortState()
 
-    def _elastic_regrow(self, rank: int, epoch: int) -> None:
-        """Commit a rejoin: ``rank`` is alive again in the new epoch."""
+    def _elastic_regrow(self, rank: int, epoch: int, addr=None, timeout=None) -> None:
+        """Commit a rejoin: ``rank`` is alive again in the new epoch.
+
+        ``addr`` is where :meth:`_next_join` said the joiner listens (a
+        backend with connections dials it within ``timeout`` seconds)."""
         self.dead_ranks.discard(int(rank))
         self.epoch = int(epoch)
+
+    def _next_join(self, members, epoch: int):
+        """(Elastic leader) Take the next committable rejoin of a rank
+        outside ``members``: release the joiner into ``epoch`` with
+        ``members`` plus itself, and return ``(rank, address | None)`` for
+        every member's :meth:`_elastic_regrow`; ``None`` when nothing is
+        pending or the backend cannot revive a rank."""
+        return None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover

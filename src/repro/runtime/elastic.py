@@ -37,15 +37,21 @@ ordinary transport hooks.
 
 Grow / rejoin
 -------------
-On the socket backend a restarted rank re-registers through the
-persistent elastic rendezvous (``serve-rank --rejoin``); on the thread
-backend a fresh thread queues a join request on the shared world
+On the socket backend a restarted rank joins again through the
+rendezvous, which rank 0 keeps open (``serve-rank --elastic`` /
+``--rejoin``) — the same registration, reply and mesh handshake as a
+first join, with the rejoiner as the last member; on the thread backend
+a fresh thread queues a join request on the shared world
 (:func:`thread_rejoin`). Either way the join is *committed between
-iterations*: every member calls :meth:`ElasticContext.step`, the leader
-broadcasts the pending join (or ``None``), members connect the new rank
-into the mesh, the epoch bumps, and everyone switches to the regrown
-:class:`ElasticWorld`. State (model parameters etc.) is the consumer's
-to re-broadcast — see :func:`~repro.mlopt.async_sgd.distributed_sgd_async`.
+iterations*: every member calls :meth:`ElasticContext.step`; the leader
+takes the next join from its backend communicator's one hook,
+``_next_join(members, epoch) -> (rank, address | None) | None``, which
+releases the joiner into the next epoch, and broadcasts it (or
+``None``); members commit it with ``_elastic_regrow`` (on the socket
+backend, each dials both channels to the joiner), the epoch bumps, and
+everyone switches to the regrown :class:`ElasticWorld`. State (model
+parameters etc.) is the consumer's to re-broadcast — see
+:func:`~repro.mlopt.async_sgd.distributed_sgd_async`.
 
 Caveats: the barrier is crash-consistent, not Byzantine — a false-positive
 timeout (an alive but stalled peer) is treated as a death; and on the
@@ -281,10 +287,11 @@ def thread_rejoin(world, rank: int, timeout: float = 30.0) -> ElasticWorld:
 
     Called from a *fresh thread* standing in for the restarted rank.
     Queues a join request on the shared
-    :class:`~repro.runtime.thread_backend.ThreadWorld`; once a member's
-    :meth:`ElasticContext.step` commits it, returns this rank's
-    :class:`ElasticWorld` for the new epoch. The caller is responsible
-    for re-synchronizing consumer state (e.g. a parameter broadcast).
+    :class:`~repro.runtime.thread_backend.ThreadWorld`; once the elastic
+    leader's :meth:`ElasticContext.step` takes it, returns this rank's
+    :class:`ElasticWorld` for the new epoch (its traffic waits in the
+    members' queues until they commit). The caller is responsible for
+    re-synchronizing consumer state (e.g. a parameter broadcast).
     """
     request = {"rank": int(rank), "event": threading.Event()}
     with world._elastic_lock:
@@ -315,10 +322,11 @@ class ElasticContext:
 
     * :meth:`shrink` — catch-and-reform after a failure;
     * :meth:`step` — collective join-commit point: the leader (world rank
-      0) polls the pending-join queue (socket: the elastic rendezvous;
-      thread: the shared world), broadcasts the join or ``None``, and on
-      a join every member wires the rank back into the mesh and switches
-      to the regrown world.
+      0) asks its backend communicator for the next rejoin
+      (``_next_join``, which also releases the joiner), broadcasts it or
+      ``None``, and on a join every member commits it
+      (``_elastic_regrow``: on the socket backend, dial the joiner) and
+      switches to the regrown world.
 
     Call ``step()`` at iteration boundaries only — it is collective over
     the current world.
@@ -334,8 +342,6 @@ class ElasticContext:
         self.world: Communicator = self._backend._elastic_world or comm
         self.grow_timeout = float(grow_timeout)
         self.barrier_timeout = barrier_timeout
-        #: (thread leader) the queued request whose join is being committed.
-        self._committing_request: "dict | None" = None
 
     @property
     def epoch(self) -> int:
@@ -347,62 +353,18 @@ class ElasticContext:
 
     def step(self) -> Communicator:
         """Commit at most one pending join (collective; call between iterations)."""
-        world = self.world
+        world, backend = self.world, self._backend
         if world.size == 1 and not isinstance(world, ElasticWorld):
             return world
-        join = self._poll_pending_join() if world.rank == 0 else None
+        members = _members_of(world)
+        epoch = backend.epoch + 1
+        join = backend._next_join(members, epoch) if world.rank == 0 else None
         join = world.bcast(join, root=0)
         if join is None:
-            return self.world
-        rank, addr, members, epoch = join
-        backend = self._backend
-        if addr is not None:
-            # socket: members closed their listeners, so each dials the joiner
-            from .rendezvous import elastic_dial_join
-
-            elastic_dial_join(backend, rank, tuple(addr), epoch, self.grow_timeout)
-        backend._elastic_regrow(rank, epoch)
-        self.world = backend._elastic_world = ElasticWorld(backend, members, epoch)
-        request, self._committing_request = self._committing_request, None
-        if request is not None:
-            # thread leader: release the waiting rejoiner now the commit is real
-            request["members"] = tuple(members)
-            request["epoch"] = int(epoch)
-            request["event"].set()
-        return self.world
-
-    # -- leader side ----------------------------------------------------
-    def _poll_pending_join(self):
-        """The next committable join as ``(rank, addr, members, epoch)``
-        (``addr`` is ``None`` on the thread backend), or ``None``."""
-        backend = self._backend
-        members = _members_of(self.world)
-        epoch = backend.epoch + 1
-        thread_world = getattr(backend, "world", None)
-        if thread_world is not None and hasattr(thread_world, "_pending_joins"):
-            with thread_world._elastic_lock:
-                request = next(
-                    (
-                        r
-                        for r in thread_world._pending_joins
-                        if r["rank"] in thread_world.dead_ranks
-                    ),
-                    None,
-                )
-                if request is not None:
-                    thread_world._pending_joins.remove(request)
-            if request is None:
-                return None
-            self._committing_request = request
-            return (request["rank"], None, sorted({*members, request["rank"]}), epoch)
-        server = getattr(backend, "_elastic_rendezvous", None)
-        item = server.poll(eligible=backend.dead_ranks) if server is not None else None
-        if item is None:
-            return None
-        rank, addr, conn = item
-        new_members = sorted({*members, rank})
-        hosts = (
-            tuple(backend.topology.hosts) if backend.topology is not None else None
+            return world
+        rank, addr = join
+        backend._elastic_regrow(rank, epoch, addr, self.grow_timeout)
+        self.world = backend._elastic_world = ElasticWorld(
+            backend, sorted({*members, rank}), epoch
         )
-        server.reply(conn, (epoch, new_members, hosts))
-        return (rank, tuple(addr), new_members, epoch)
+        return self.world

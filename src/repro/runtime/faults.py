@@ -180,17 +180,6 @@ class FaultPlan:
         """Should ``rank`` die at its ``op_index``-th (1-based) transport op?"""
         return rank == self.kill_rank and op_index >= self.kill_after_ops
 
-    def revives(self, op_index: int) -> bool:
-        """Should the killed rank rejoin once survivors pass ``op_index`` ops?
-
-        Consumed by elastic harnesses (not by the communicator itself):
-        the kill is a transport-level event, but the revive is a membership
-        decision, so the driver — e.g. the quickstart's elastic path —
-        checks this against a survivor's op count and relaunches the rank
-        through the rendezvous when it fires.
-        """
-        return self.revive_rank is not None and op_index >= self.revive_after_ops
-
     # ------------------------------------------------------------------
     # CLI spec
     # ------------------------------------------------------------------

@@ -14,24 +14,29 @@ from typing import Any, Callable
 
 from .backend import Backend, ParallelResult, RankError, get_backend
 from .faults import FaultPlan
-from .runconfig import _UNSET, RunConfig
 from .topology import Topology, normalize_topology
 from .trace import Trace
 
 __all__ = ["run_ranks", "ParallelResult", "RankError"]
 
 
+def _check_timeouts(**timeouts: "float | None") -> None:
+    """Every given timeout is positive or ``None`` (``ValueError`` naming it)."""
+    for name, value in timeouts.items():
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive or None, got {value!r}")
+
+
 def run_ranks(
     fn: Callable[..., Any],
     nranks: int,
     *args: Any,
-    config: RunConfig | None = None,
-    backend: "str | Backend" = _UNSET,
+    backend: "str | Backend" = "thread",
     trace: Trace | None = None,
-    timeout: float | None = _UNSET,
-    op_timeout: float | None = _UNSET,
-    topology: "Topology | str | int | None" = _UNSET,
-    fault_plan: Any = _UNSET,
+    timeout: float | None = 300.0,
+    op_timeout: float | None = None,
+    topology: "Topology | str | int | None" = None,
+    fault_plan: Any = None,
     **kwargs: Any,
 ) -> ParallelResult:
     """Execute ``fn(comm, *args, **kwargs)`` on ``nranks`` concurrent ranks.
@@ -42,12 +47,6 @@ def run_ranks(
         The per-rank program. Its first argument is the rank's communicator.
     nranks:
         World size ``P``.
-    config:
-        Optional :class:`~repro.runtime.RunConfig` carrying the launcher
-        knobs in one frozen object. Individual kwargs below fold *over* it:
-        an explicitly passed ``backend=``/``timeout=``/... always wins over
-        the config field, and omitting both falls back to the documented
-        defaults (``backend="thread"``, ``timeout=300.0``, ...).
     backend:
         Which runtime executes the ranks: ``"thread"`` (in-process, the
         default), ``"process"`` (one OS process per rank with serialized
@@ -58,10 +57,10 @@ def run_ranks(
         Optional pre-existing trace to append to (e.g. to accumulate multiple
         collective invocations into one replayable log).
     timeout:
-        Per-run watchdog in seconds; ``None`` disables it.
+        Per-run watchdog in seconds (positive); ``None`` disables it.
     op_timeout:
-        Per-operation deadline in seconds for blocked transport sends and
-        receives; ``None`` (the default) blocks until the run watchdog. A
+        Per-operation deadline in seconds (positive) for blocked transport
+        sends and receives; ``None`` (the default) blocks until the run watchdog. A
         rank stalled past the deadline raises
         :class:`~repro.runtime.comm.CommTimeoutError` naming the peer and
         tag, instead of hanging until ``timeout``.
@@ -88,21 +87,15 @@ def run_ranks(
     RankError
         Re-raises the first rank failure, chained to the original exception.
     """
-    cfg = (config if config is not None else RunConfig()).merged(
-        backend=backend,
-        timeout=timeout,
-        op_timeout=op_timeout,
-        topology=topology,
-        fault_plan=fault_plan,
-    )
-    return get_backend(cfg.backend).run(
+    _check_timeouts(timeout=timeout, op_timeout=op_timeout)
+    return get_backend(backend).run(
         fn,
         nranks,
         *args,
         trace=trace,
-        timeout=cfg.timeout,
-        op_timeout=cfg.op_timeout,
-        topology=normalize_topology(cfg.topology, nranks),
-        fault_plan=FaultPlan.coerce(cfg.fault_plan),
+        timeout=timeout,
+        op_timeout=op_timeout,
+        topology=normalize_topology(topology, nranks),
+        fault_plan=FaultPlan.coerce(fault_plan),
         **kwargs,
     )

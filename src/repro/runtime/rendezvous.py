@@ -1,29 +1,34 @@
-"""World assembly over TCP: rendezvous, mesh handshake, rejoin, ``serve-rank``.
+"""World assembly over TCP: one rendezvous, one mesh handshake, one join path.
 
 How a set of processes that share nothing but a known address become one
-:class:`~repro.runtime.socket_backend.SocketComm` world. The transport
+:class:`~repro.runtime.socket_backend.SocketComm` world, and how a
+restarted rank gets back into it. The transport
 (:mod:`~repro.runtime.socket_backend`) knows how one frame crosses one
 connection; this module knows how the connections come to exist (over
 ordinary blocking sockets with timeouts — the communicator switches the
 mesh channels it is handed to non-blocking):
 
-* **rendezvous**: rank 0's launcher listens at a known TCP address; every
-  rank binds a private *mesh listener* on an ephemeral port, registers
-  ``(rank, nranks, host, port)`` there (:func:`_register`, the one
-  registration client) and receives the full address map back once all
-  ``P`` ranks have checked in (:func:`_assemble_world`). On a single host
+* **rendezvous** (:class:`Rendezvous`): rank 0's launcher listens at a
+  known TCP address; every rank binds a private *mesh listener* on an
+  ephemeral port and registers ``[kind, rank, nranks, host, port]`` there
+  (:func:`_register`; ``kind`` is ``"join"`` or ``"rejoin"``). Once all
+  ``P`` joins are in, each is answered with ``[epoch, members, addrs]``
+  (``addrs[r]`` is rank ``r``'s ``[host, port]``). Both are JSON: nothing
+  a client of the rendezvous port sends is unpickled. On a single host
   the parent's :class:`~repro.runtime.socket_backend.TcpMesh` serves it
   (the ``mpiexec`` analog); across hosts the ``serve-rank`` process of
-  rank 0 does, exactly as §6's cluster runs would;
-* **mesh build** (:func:`_join_world`): every rank dials each peer's mesh
-  listener and sends a one-off hello naming its rank — one unidirectional
-  TCP connection per directed pair (``TCP_NODELAY`` set) — then accepts
-  the ``P - 1`` inbound ones (:func:`_accept_channels`, the one
-  accept-and-handshake loop);
-* **elastic rejoin** (:class:`ElasticRendezvous`, :func:`_rejoin_world`,
-  :func:`elastic_dial_join`): the rendezvous stays open, a restarted rank
-  re-registers, and once the survivors commit the join every member dials
-  both directed channels to it;
+  rank 0 does, exactly as §6's cluster runs would. With ``elastic=True``
+  the server stays up and queues rejoins, which the elastic leader
+  answers — with the same reply — from
+  :meth:`~repro.runtime.elastic.ElasticContext.step`;
+* **mesh build** (:func:`_join_world`): for each pair of members, the
+  one earlier in ``members`` dials both directed channels to the later
+  one (:func:`_dial_pair`), each opened with one hello ``(magic, dialer
+  rank, direction, epoch)``; the later one admits them
+  (:func:`_accept_channels`) — one unidirectional TCP connection per
+  directed pair, ``TCP_NODELAY`` set. A rejoiner is simply the last
+  member: every survivor dials it with the same pair dial, from its grow
+  commit (:meth:`~repro.runtime.socket_backend.SocketComm._elastic_regrow`);
 * **serve-rank** (:func:`serve_rank`): one rank of a multi-host world,
   started by hand — the same rank lifecycle as a launched child
   (:func:`~repro.runtime.mesh._run_rank`).
@@ -32,7 +37,7 @@ mesh channels it is handed to non-blocking):
 from __future__ import annotations
 
 import importlib
-import pickle
+import json
 import socket
 import struct
 import sys
@@ -45,8 +50,8 @@ import numpy as np
 from .comm import StaleEpochError
 from .elastic import ElasticWorld
 from .faults import FaultPlan
+from .launcher import _check_timeouts
 from .mesh import _LEN, _run_rank
-from .runconfig import _UNSET, RunConfig
 from .socket_backend import (
     DEFAULT_RENDEZVOUS_TIMEOUT,
     SocketComm,
@@ -58,24 +63,18 @@ from .trace import Trace
 from .wire import check_frame_size
 
 __all__ = [
-    "ElasticRendezvous",
+    "Rendezvous",
     "RendezvousError",
     "RendezvousTimeoutError",
     "serve_rank",
     "demo_program",
 ]
 
-#: mesh handshake: magic + the connecting (source) rank.
-_HELLO = struct.Struct("<4sI")
+#: mesh handshake, the first bytes of every mesh channel: magic + dialer
+#: rank + direction (0 carries dialer->acceptor traffic, 1 the way back)
+#: + the epoch the dialer's world is in.
+_HELLO = struct.Struct("<4sIIq")
 _MAGIC = b"SPCM"
-
-#: elastic rejoin handshake, sent by a *member* dialing a rejoined rank's
-#: listener: magic + member rank + channel direction + commit epoch.
-#: Members close their mesh listeners after assembly, so the joiner cannot
-#: dial them — instead each member opens both directed channels itself
-#: (direction 0 carries member->joiner traffic, 1 carries joiner->member).
-_EHELLO = struct.Struct("<4sIIq")
-_EMAGIC = b"SPCE"
 
 #: connect-retry backoff while a peer's listener is not up yet (seconds):
 #: start fast (peers usually appear within milliseconds on one host), back
@@ -165,174 +164,218 @@ def _connect_retry(addr: tuple[str, int], deadline: float, what: str) -> socket.
             backoff = min(backoff * 2.0, _RETRY_MAX_S)
 
 
-def _dial_channel(addr: tuple[str, int], deadline: float, what: str, hello: bytes) -> socket.socket:
-    """Open one mesh channel to ``addr`` and introduce ourselves."""
-    sock = _connect_retry(addr, deadline, what)
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.sendall(hello)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
 # ----------------------------------------------------------------------
-# rendezvous: (rank, host, port) exchange through one known address
+# rendezvous: registrations in, one reply per member out
 # ----------------------------------------------------------------------
-def _registrations(
-    listener: socket.socket, deadline: "float | None", stopped: Callable[[], bool]
-):
-    """Yield ``(registration, conn)`` for every client that opens with one
-    control frame, until ``deadline`` passes, ``stopped()`` or the listener
-    is closed under us. Strays (nothing, or garbage, within the handshake
-    cap) are dropped and serving continues."""
-    listener.settimeout(0.2)
-    while not stopped() and (deadline is None or time.monotonic() <= deadline):
-        try:
-            conn, _ = listener.accept()
-        except TimeoutError:
-            continue
-        except OSError:
-            return
-        try:
-            conn.settimeout(_HANDSHAKE_S)
-            reg = pickle.loads(bytes(_recv_blob(conn)))
-        except Exception:
-            conn.close()
-            continue
-        yield reg, conn
+def _parse_registration(blob: bytearray, nranks: int) -> tuple[str, int, tuple[str, int]]:
+    """``(kind, rank, (host, port))`` of one registration record; anything
+    else — not JSON, the wrong shape or types, another world — raises
+    ``ValueError`` / ``TypeError`` (``RecursionError`` if nested past the
+    parser's depth)."""
+    kind, rank, world, host, port = json.loads(blob)
+    if (
+        kind not in ("join", "rejoin")
+        or world != nranks
+        or type(rank) is not int
+        or not 0 <= rank < nranks
+        or type(host) is not str
+        or type(port) is not int
+    ):
+        raise ValueError(f"bad registration {kind!r}: rank {rank!r} of {world!r}")
+    return kind, rank, (host, port)
 
 
-def _assemble_world(
-    listener: socket.socket,
-    nranks: int,
-    timeout: float,
-    stopped: Callable[[], bool] = lambda: False,
-    divert: Callable[[Any, socket.socket], bool] = lambda reg, conn: False,
-) -> bool:
-    """Collect ``P`` registrations, then send everyone the full address map.
+class Rendezvous:
+    """The rendezvous server of one world: one accept loop in a daemon thread.
 
-    A registration is one control frame ``pickle((rank, nranks, host, port))``;
-    the reply is ``pickle([(host, port), ...])`` indexed by rank.
-    ``divert(reg, conn)`` may claim a frame that is something else (the
-    elastic rendezvous queues rejoin requests with it). Returns False if
-    the world did not assemble — timeout, ``stopped()``, or the listener
-    closed under us (run torn down); every waiting client then observes
-    its own :class:`RendezvousTimeoutError`, which surfaces as the rank
-    failure.
+    Collects the ``P`` joins and answers each with ``[0, members, addrs]``.
+    Without ``elastic`` it then stops; with it, it keeps accepting and
+    queues rejoins until :meth:`admit` answers one (called from the
+    elastic leader's rank program). A record that does not parse, belongs
+    to another world or repeats a rank is dropped and serving goes on. If
+    the world does not assemble within ``timeout``, the waiting clients
+    are disconnected and each raises its own
+    :class:`RendezvousTimeoutError`, which surfaces as the rank failure.
     """
-    deadline = time.monotonic() + timeout
-    conns: dict[int, socket.socket] = {}
-    addrs: dict[int, tuple[str, int]] = {}
-    try:
-        for reg, conn in _registrations(listener, deadline, stopped):
-            try:
-                if divert(reg, conn):
+
+    def __init__(
+        self, listener: socket.socket, nranks: int, timeout: float, elastic: bool = False
+    ) -> None:
+        self._listener = listener
+        self._nranks = nranks
+        self._elastic = elastic
+        self._deadline = time.monotonic() + timeout
+        #: the world's address map, ``rank -> (host, port)``; a committed
+        #: rejoin replaces its rank's entry.
+        self._addrs: list = [None] * nranks
+        self._lock = threading.Lock()
+        self._pending: list[tuple[int, tuple[str, int], socket.socket]] = []
+        self._closed = False
+        self._thread = threading.Thread(target=self._serve, name="rendezvous", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        listener, nranks = self._listener, self._nranks
+        listener.settimeout(0.2)
+        joined: dict[int, socket.socket] = {}
+        try:
+            while not self._closed:
+                if len(joined) < nranks and time.monotonic() > self._deadline:
+                    return  # the world never assembled
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
                     continue
-                rank, world, host, port = reg
-                if world != nranks or not 0 <= rank < nranks or rank in conns:
-                    raise ValueError(f"bad registration: rank {rank} of {world}")
-                conn.settimeout(max(0.1, deadline - time.monotonic()))
-            except Exception:
-                conn.close()  # misconfigured client; keep serving
-                continue
-            conns[rank] = conn
-            addrs[rank] = (host, port)
-            if len(conns) == nranks:
-                break
-        else:
-            return False
-        reply = pickle.dumps([addrs[r] for r in range(nranks)])
-        for conn in conns.values():
+                except OSError:
+                    return  # closed under us: the run is being torn down
+                try:
+                    conn.settimeout(_HANDSHAKE_S)
+                    kind, rank, addr = _parse_registration(_recv_blob(conn), nranks)
+                except (ValueError, TypeError, RecursionError, EOFError, OSError):
+                    conn.close()
+                    continue
+                if kind == "join" and rank not in joined and len(joined) < nranks:
+                    joined[rank] = conn
+                    self._addrs[rank] = addr
+                    if len(joined) == nranks:
+                        self._answer(joined.values(), 0, list(range(nranks)))
+                        if not self._elastic:
+                            return
+                elif kind == "rejoin" and self._elastic:
+                    with self._lock:
+                        self._pending.append((rank, addr, conn))
+                else:
+                    conn.close()
+        finally:
+            _close_all(joined.values())
+            listener.close()
+
+    def _answer(self, conns, epoch: int, members: list[int]) -> None:
+        reply = json.dumps([epoch, members, self._addrs]).encode()
+        for conn in conns:
             try:
                 _send_blob(conn, reply)
             except OSError:
-                pass  # its rank will time out and report the failure
-        return True
-    finally:
-        _close_all(conns.values())
+                pass  # that client gave up; it reports its own failure
+            finally:
+                conn.close()
 
+    def admit(self, members, epoch: int) -> "tuple[int, tuple[str, int]] | None":
+        """Answer the first queued rejoin of a rank outside ``members``.
 
-def _serve_rendezvous(listener: socket.socket, nranks: int, timeout: float) -> None:
-    """One-shot rendezvous server (:func:`_assemble_world`, then close).
+        The rejoiner is told ``[epoch, members + [rank], addrs]`` — last
+        in the member order, so it dials nobody and every member dials
+        it — and ``(rank, (host, port))`` is returned for the members to
+        dial; ``None`` if nothing is committable.
+        """
+        with self._lock:
+            item = next((p for p in self._pending if p[0] not in members), None)
+            if item is None:
+                return None
+            self._pending.remove(item)
+        rank, addr, conn = item
+        self._addrs[rank] = addr
+        self._answer((conn,), epoch, [*members, rank])
+        return rank, addr
 
-    Runs in a daemon thread of the launcher (single host) or of rank 0's
-    ``serve-rank`` process (multi host).
-    """
-    try:
-        _assemble_world(listener, nranks, timeout)
-    finally:
-        listener.close()
+    def close(self) -> None:
+        self._closed = True
+        self._listener.close()
+        self._thread.join(timeout=1.0)
+        with self._lock:
+            _close_all(conn for _, _, conn in self._pending)
+            self._pending.clear()
 
 
 def _register(
-    rdv_addr: tuple[str, int], registration: tuple, deadline: float, unanswered: str
-) -> Any:
-    """The registration client: one control frame out, block for the reply.
-
-    Both ways into a world use it — the initial ``(rank, nranks, host,
-    port)`` registration answered with the address map, and the
-    ``("rejoin", ...)`` one answered when the survivors commit the join.
-    No reply before ``deadline`` raises :class:`RendezvousTimeoutError`
-    saying ``unanswered``.
-    """
-    sock = _connect_retry(rdv_addr, deadline, "the rendezvous server")
-    try:
-        sock.settimeout(max(0.1, deadline - time.monotonic()))
-        _send_blob(sock, pickle.dumps(registration))
-        try:
-            return pickle.loads(bytes(_recv_blob(sock)))
-        except (TimeoutError, EOFError, OSError) as exc:
-            raise RendezvousTimeoutError(unanswered) from exc
-    finally:
-        sock.close()
-
-
-def _rendezvous_client(
     rdv_addr: tuple[str, int],
+    kind: str,
     rank: int,
     nranks: int,
     mesh_addr: tuple[str, int],
     timeout: float,
-) -> list[tuple[str, int]]:
-    """Register this rank's mesh listener; return the full address map."""
-    addrs = _register(
-        rdv_addr,
-        (rank, nranks, *mesh_addr),
-        time.monotonic() + timeout,
-        f"rank {rank}: the world of {nranks} ranks never fully "
-        f"assembled at {rdv_addr[0]}:{rdv_addr[1]} within {timeout:.1f}s",
-    )
-    if len(addrs) != nranks:
+) -> tuple[int, list[int], list[tuple[str, int]]]:
+    """The registration client: one record out, block for the reply.
+
+    Returns the reply ``(epoch, members, addrs)``. No reply within
+    ``timeout`` raises :class:`RendezvousTimeoutError`; a reply that does
+    not describe this rank's world raises :class:`RendezvousError`.
+    """
+    deadline = time.monotonic() + timeout
+    sock = _connect_retry(rdv_addr, deadline, "the rendezvous server")
+    try:
+        sock.settimeout(max(0.1, deadline - time.monotonic()))
+        _send_blob(sock, json.dumps([kind, rank, nranks, *mesh_addr]).encode())
+        try:
+            reply = _recv_blob(sock)
+        except (TimeoutError, EOFError, OSError) as exc:
+            raise RendezvousTimeoutError(
+                f"rank {rank}: the world of {nranks} ranks never fully assembled "
+                f"at {rdv_addr[0]}:{rdv_addr[1]} within {timeout:.1f}s"
+                if kind == "join"
+                else f"rank {rank}: the rejoin was not committed within {timeout:.1f}s "
+                "(is the world calling ElasticContext.step() between iterations?)"
+            ) from exc
+    finally:
+        sock.close()
+    try:
+        epoch, members, addrs = json.loads(reply)
+        members = [int(m) for m in members]
+        addrs = [(str(h), int(p)) for h, p in addrs]
+    except (ValueError, TypeError) as exc:
+        raise RendezvousError(f"malformed rendezvous reply: {exc}") from exc
+    if len(addrs) != nranks or rank not in members:
         raise RendezvousError(
-            f"rendezvous returned {len(addrs)} addresses, expected {nranks}"
+            f"rendezvous returned {len(addrs)} addresses and members {members}, "
+            f"expected {nranks} with rank {rank} among the members"
         )
-    return [tuple(a) for a in addrs]
+    return int(epoch), members, addrs
 
 
 # ----------------------------------------------------------------------
-# mesh build
+# mesh build: the pair dial and its acceptor
 # ----------------------------------------------------------------------
+def _dial_pair(
+    addr: tuple[str, int], deadline: float, what: str, rank: int, epoch: int
+) -> tuple[socket.socket, socket.socket]:
+    """Open both directed channels to the mesh listener at ``addr``.
+
+    Returns ``(out, in)`` as the dialer sees them: direction 0 carries its
+    traffic to the acceptor, direction 1 the way back.
+    """
+    socks: list[socket.socket] = []
+    try:
+        for direction in (0, 1):
+            sock = _connect_retry(tuple(addr), deadline, what)
+            socks.append(sock)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(_HELLO.pack(_MAGIC, rank, direction, epoch))
+    except BaseException:
+        _close_all(socks)
+        raise
+    return socks[0], socks[1]
+
+
 def _accept_channels(
     listener: socket.socket,
-    hello: struct.Struct,
-    want: int,
+    dialers: list[int],
+    epoch: int,
     deadline: float,
     rank: int,
-    place: Callable[..., tuple[list, int]],
+    out_socks: list,
+    in_socks: list,
 ) -> None:
-    """The accept-and-handshake loop: admit ``want`` inbound mesh channels.
+    """Admit both directed channels of every rank in ``dialers``.
 
-    Each connection must open with one ``hello`` record;
-    ``place(*fields)`` says where it belongs — ``(slots, index)`` — or
-    raises: ``ValueError`` for a stray or duplicate (dropped; the real
-    peer will retry), anything typed the caller wants surfaced (a stale
-    rejoin epoch) propagates.
+    A wrong magic, a dialer outside ``dialers``, a direction other than 0
+    or 1 and a channel already admitted are dropped (the real peer is
+    still dialing); a hello from another epoch raises
+    :class:`~repro.runtime.comm.StaleEpochError` — a superseded world is
+    dialing, and wiring it in would corrupt this one.
     """
     listener.settimeout(0.2)
-    buf = bytearray(hello.size)
-    got = 0
+    buf = bytearray(_HELLO.size)
+    want, got = 2 * len(dialers), 0
     while got < want:
         if time.monotonic() > deadline:
             raise RendezvousTimeoutError(
@@ -346,7 +389,18 @@ def _accept_channels(
         try:
             conn.settimeout(min(_HANDSHAKE_S, max(0.1, deadline - time.monotonic())))
             _recv_exact(conn, memoryview(buf))
-            slots, src = place(*hello.unpack(buf))
+            magic, src, direction, hello_epoch = _HELLO.unpack(buf)
+            if magic != _MAGIC or src not in dialers or direction not in (0, 1):
+                raise ValueError(f"bad mesh handshake from {src}")
+            if hello_epoch != epoch:
+                raise StaleEpochError(
+                    f"rank {src} dialed rank {rank} with epoch {hello_epoch}, "
+                    f"but this world's epoch is {epoch}",
+                    frame_epoch=hello_epoch,
+                    current_epoch=epoch,
+                )
+            # direction 0 is the dialer's traffic to us: our inbound channel
+            slots = in_socks if direction == 0 else out_socks
             if slots[src] is not None:
                 raise ValueError(f"duplicate mesh channel from rank {src}")
             conn.settimeout(None)
@@ -369,38 +423,45 @@ def _join_world(
     timeout: float,
     trace: Trace,
     op_timeout: float | None = None,
+    rejoin: bool = False,
 ) -> SocketComm:
-    """Bind a mesh listener, rendezvous, build the mesh, return the comm.
+    """Bind a mesh listener, register, build this rank's half of the mesh.
 
-    Outbound dials come first (they complete against the peers' listen
-    backlogs without anyone accepting, so there is no ordering deadlock),
-    then ``P - 1`` inbound accepts, each identified by its hello.
+    The reply's member order decides who dials: this rank dials both
+    channels to every later member (the dials complete against their
+    listen backlogs without anyone accepting, so there is no ordering
+    deadlock), then admits both channels of every earlier one. A first
+    join's members are ``0 .. P-1``; a rejoiner's reply comes once a
+    survivor's :meth:`~repro.runtime.elastic.ElasticContext.step` commits
+    the join, with the rejoiner last.
 
-    The rendezvous reply is the full ``rank -> (host, port)`` map; its host
-    column *is* the world's topology, so instead of discarding it after
-    mesh assembly it is kept on the communicator (``comm.topology``) for
-    topology-aware collectives (callers override it with an explicit
-    topology, e.g. a simulated multi-host world over loopback).
+    The reply's host column *is* the world's topology, kept on the
+    communicator (``comm.topology``) for topology-aware collectives
+    (callers override it with an explicit topology, e.g. a simulated
+    multi-host world over loopback). A rejoiner's communicator comes back
+    in the committed epoch, with the ranks outside its members recorded
+    dead (their late EOFs cannot abort the regrown world) and the epoch's
+    :class:`~repro.runtime.elastic.ElasticWorld` as ``comm._elastic_world``.
     """
     deadline = time.monotonic() + timeout
     out_socks: list[socket.socket | None] = [None] * nranks
     in_socks: list[socket.socket | None] = [None] * nranks
-
-    def place(magic: bytes, src: int) -> tuple[list, int]:
-        if magic != _MAGIC or not 0 <= src < nranks:
-            raise ValueError(f"bad mesh handshake from {src}")
-        return in_socks, src
-
     listener = _bind_listener(host, 0, nranks)
     try:
-        mesh_addr = (host, listener.getsockname()[1])
-        addrs = _rendezvous_client(rdv_addr, rank, nranks, mesh_addr, timeout)
-        for peer in range(nranks):
-            if peer != rank:
-                out_socks[peer] = _dial_channel(
-                    addrs[peer], deadline, f"rank {peer}", _HELLO.pack(_MAGIC, rank)
-                )
-        _accept_channels(listener, _HELLO, nranks - 1, deadline, rank, place)
+        epoch, members, addrs = _register(
+            rdv_addr,
+            "rejoin" if rejoin else "join",
+            rank,
+            nranks,
+            (host, listener.getsockname()[1]),
+            timeout,
+        )
+        at = members.index(rank)
+        for peer in members[at + 1:]:
+            out_socks[peer], in_socks[peer] = _dial_pair(
+                addrs[peer], deadline, f"rank {peer}", rank, epoch
+            )
+        _accept_channels(listener, members[:at], epoch, deadline, rank, out_socks, in_socks)
     except BaseException:
         _close_all(out_socks + in_socks)
         raise
@@ -408,185 +469,10 @@ def _join_world(
         listener.close()
     comm = SocketComm(rank, nranks, out_socks, in_socks, trace, op_timeout)
     comm.topology = Topology(tuple(h for h, _p in addrs))
-    return comm
-
-
-# ----------------------------------------------------------------------
-# elastic rejoin: a restarted rank re-registers into the next epoch
-# ----------------------------------------------------------------------
-class ElasticRendezvous:
-    """Persistent rendezvous of an elastic world (hosted by rank 0).
-
-    Phase one is the ordinary address exchange (:func:`_assemble_world`);
-    afterwards the listener stays open and a restarted rank can re-register
-    with a ``("rejoin", rank, nranks, host, port)`` control frame. Rejoin
-    requests are queued until the elastic leader commits one between
-    iterations (:meth:`~repro.runtime.elastic.ElasticContext.step`) and
-    replies with the new ``(epoch, members, hosts)``. Runs in its own
-    daemon thread; :meth:`poll`/:meth:`reply` are called from the leader's
-    rank program.
-    """
-
-    def __init__(self, listener: socket.socket, nranks: int, timeout: float) -> None:
-        self._listener = listener
-        self._nranks = nranks
-        self._timeout = timeout
-        self._lock = threading.Lock()
-        self._pending: list[tuple[int, tuple[str, int], socket.socket]] = []
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._serve, name="elastic-rendezvous", daemon=True
-        )
-        self._thread.start()
-
-    # -- server thread --------------------------------------------------
-    def _serve(self) -> None:
-        listener = self._listener
-        # phase 1: initial world assembly; a restarted rank that beats it
-        # is queued like any later rejoin
-        if not _assemble_world(
-            listener, self._nranks, self._timeout, lambda: self._closed, self._queue_if_rejoin
-        ):
-            return
-        # phase 2: accept rejoin registrations until the world winds down
-        for reg, conn in _registrations(listener, None, lambda: self._closed):
-            try:
-                if not self._queue_if_rejoin(reg, conn):
-                    raise ValueError("not a rejoin registration")
-            except Exception:
-                conn.close()
-
-    def _queue_if_rejoin(self, reg: Any, conn: socket.socket) -> bool:
-        if not (isinstance(reg, tuple) and len(reg) == 5 and reg[0] == "rejoin"):
-            return False
-        _, rank, world, host, port = reg
-        if world != self._nranks or not 0 <= int(rank) < self._nranks:
-            raise ValueError(f"bad rejoin registration: rank {rank} of {world}")
-        conn.settimeout(None)
-        with self._lock:
-            self._pending.append((int(rank), (host, int(port)), conn))
-        return True
-
-    # -- leader-side API -------------------------------------------------
-    def poll(self, eligible: Any) -> "tuple[int, tuple[str, int], socket.socket] | None":
-        """Pop the first queued rejoin whose rank is in ``eligible`` (the
-        world's dead set); ``None`` if nothing is committable yet."""
-        with self._lock:
-            for i, item in enumerate(self._pending):
-                if item[0] in eligible:
-                    return self._pending.pop(i)
-        return None
-
-    def reply(self, conn: socket.socket, payload: Any) -> None:
-        """Answer a polled rejoiner (its new epoch/membership) and detach."""
-        try:
-            _send_blob(conn, pickle.dumps(payload))
-        except OSError:
-            pass  # the joiner gave up; its next attempt re-registers
-        finally:
-            conn.close()
-
-    def close(self) -> None:
-        self._closed = True
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._thread.join(timeout=1.0)
-        with self._lock:
-            for _, _, conn in self._pending:
-                conn.close()
-            self._pending.clear()
-
-
-def elastic_dial_join(
-    comm: SocketComm, joiner: int, addr: tuple[str, int], epoch: int, timeout: float
-) -> None:
-    """Member side of a grow commit: open both directed channels to ``joiner``.
-
-    The hello names this member, the channel direction and the commit
-    epoch, so the joiner can reject a stale or foreign dial with a typed
-    error instead of wiring a dead world into its mesh.
-    """
-    deadline = time.monotonic() + timeout
-    socks: list[socket.socket] = []
-    try:
-        for direction in (0, 1):
-            socks.append(
-                _dial_channel(
-                    tuple(addr), deadline, f"rejoining rank {joiner}",
-                    _EHELLO.pack(_EMAGIC, comm.rank, direction, epoch),
-                )
-            )
-    except BaseException:
-        _close_all(socks)
-        raise
-    comm._install_peer(joiner, *socks)
-
-
-def _rejoin_world(
-    rank: int,
-    nranks: int,
-    rdv_addr: tuple[str, int],
-    host: str,
-    timeout: float,
-    trace: Trace,
-    op_timeout: float | None = None,
-) -> SocketComm:
-    """Re-register a restarted rank and assemble its half of the mesh.
-
-    Binds a fresh mesh listener, registers ``("rejoin", ...)`` with the
-    elastic rendezvous, blocks until a member's
-    :meth:`~repro.runtime.elastic.ElasticContext.step` commits the join
-    and replies ``(epoch, members, hosts)``, then accepts both directed
-    channels from every member. Returns the backend communicator already
-    moved to the committed epoch, with the working
-    :class:`~repro.runtime.elastic.ElasticWorld` attached as
-    ``comm._elastic_world`` (dead ranks of the epoch recorded, so their
-    late EOFs cannot abort the regrown world).
-    """
-    deadline = time.monotonic() + timeout
-    out_socks: list[socket.socket | None] = [None] * nranks
-    in_socks: list[socket.socket | None] = [None] * nranks
-    listener = _bind_listener(host, 0, 2 * nranks)
-    try:
-        epoch, members, hosts = _register(
-            rdv_addr,
-            ("rejoin", rank, nranks, host, listener.getsockname()[1]),
-            deadline,
-            f"rank {rank}: the rejoin was not committed within {timeout:.1f}s "
-            "(is the world calling ElasticContext.step() between iterations?)",
-        )
-        epoch, members = int(epoch), {int(m) for m in members}
-        if rank not in members:
-            raise RendezvousError(
-                f"rejoin reply does not include rank {rank}: members {sorted(members)}"
-            )
-
-        def place(magic: bytes, src: int, direction: int, hello_epoch: int) -> tuple[list, int]:
-            if magic != _EMAGIC or src not in members or src == rank or direction not in (0, 1):
-                raise ValueError(f"bad rejoin handshake from {src}")
-            if hello_epoch != epoch:
-                raise StaleEpochError(
-                    f"rank {src} dialed rejoining rank {rank} with epoch "
-                    f"{hello_epoch}, but the committed rejoin epoch is {epoch}",
-                    frame_epoch=hello_epoch,
-                    current_epoch=epoch,
-                )
-            # direction 0 = member->joiner traffic: our inbound channel
-            return (in_socks if direction == 0 else out_socks), src
-
-        _accept_channels(listener, _EHELLO, 2 * (len(members) - 1), deadline, rank, place)
-    except BaseException:
-        _close_all(out_socks + in_socks)
-        raise
-    finally:
-        listener.close()
-    comm = SocketComm(rank, nranks, out_socks, in_socks, trace, op_timeout)
-    comm.epoch = epoch
-    comm.dead_ranks = set(range(nranks)) - members
-    comm.topology = Topology(tuple(hosts)) if hosts else None
-    comm._elastic_world = ElasticWorld(comm, sorted(members), epoch)
+    if rejoin:
+        comm.epoch = epoch
+        comm.dead_ranks = set(range(nranks)) - set(members)
+        comm._elastic_world = ElasticWorld(comm, sorted(members), epoch)
     return comm
 
 
@@ -639,10 +525,9 @@ def serve_rank(
     host: str = "127.0.0.1",
     rendezvous_timeout: float = DEFAULT_RENDEZVOUS_TIMEOUT,
     verbose: bool = False,
-    config: "RunConfig | None" = None,
-    topology: "Topology | str | int | None" = _UNSET,
-    op_timeout: float | None = _UNSET,
-    fault_plan: Any = _UNSET,
+    topology: "Topology | str | int | None" = None,
+    op_timeout: float | None = None,
+    fault_plan: Any = None,
     elastic: bool = False,
     rejoin: bool = False,
 ) -> Any:
@@ -669,10 +554,7 @@ def serve_rank(
     (a :class:`~repro.runtime.faults.FaultPlan` or its spec string, e.g.
     ``"seed=7,drop=0.01"``) becomes the communicator's ``fault_plan`` for
     manual chaos runs — except on a ``rejoin``: a revived rank starts
-    clean, or the kill that took it down would fire again. A
-    :class:`~repro.runtime.RunConfig` passed as ``config=`` supplies
-    ``topology``/``op_timeout``/``fault_plan`` when they are not given
-    explicitly (explicit kwargs win, matching ``run_ranks``).
+    clean, or the kill that took it down would fire again.
 
     ``elastic=True`` (rank 0 only) keeps the rendezvous open after
     assembly so killed ranks can be revived: restart the dead rank's
@@ -688,60 +570,37 @@ def serve_rank(
     """
     if not 0 <= rank < nranks:
         raise ValueError(f"rank {rank} out of range [0, {nranks})")
-    cfg = (config if config is not None else RunConfig()).merged(
-        topology=topology, op_timeout=op_timeout, fault_plan=fault_plan
-    )
-    topo = normalize_topology(cfg.topology, nranks)
+    if rejoin and rank == 0:
+        raise ValueError(
+            "rank 0 hosts the elastic rendezvous and cannot rejoin; revive a non-zero rank"
+        )
+    _check_timeouts(op_timeout=op_timeout)
+    topo = normalize_topology(topology, nranks)
+    plan = None if rejoin else FaultPlan.coerce(fault_plan)
     fn = program if callable(program) else _resolve_program(program)
 
-    server: threading.Thread | None = None
-    elastic_server: ElasticRendezvous | None = None
-    trace = Trace(nranks)
-    if rejoin:
-        if rank == 0:
-            raise ValueError(
-                "rank 0 hosts the elastic rendezvous and cannot rejoin; "
-                "revive a non-zero rank"
-            )
-        comm = _rejoin_world(
-            rank, nranks, rendezvous, host, rendezvous_timeout, trace, cfg.op_timeout
-        )
-    else:
-        if rank == 0:
-            rdv_listener = _bind_listener(rendezvous[0], rendezvous[1], nranks)
-            if elastic:
-                elastic_server = ElasticRendezvous(
-                    rdv_listener, nranks, rendezvous_timeout
-                )
-            else:
-                server = threading.Thread(
-                    target=_serve_rendezvous,
-                    args=(rdv_listener, nranks, rendezvous_timeout),
-                    name="socket-rendezvous",
-                    daemon=True,
-                )
-                server.start()
-        comm = _join_world(
-            rank, nranks, rendezvous, host, rendezvous_timeout, trace, cfg.op_timeout
-        )
-        comm.fault_plan = FaultPlan.coerce(cfg.fault_plan)
-        if elastic_server is not None:
-            # the elastic leader's rank program polls this for rejoins
-            comm._elastic_rendezvous = elastic_server
-    if topo is not None:
-        comm.topology = topo
-    if verbose:
-        assembled = (
-            f"rejoined at epoch {comm.epoch}: "
-            f"members {sorted(set(range(nranks)) - comm.dead_ranks)}"
-            if rejoin
-            else f"world assembled: {comm.topology.describe()}"
-        )
-        print(f"[serve-rank {rank}/{nranks}] {assembled}", file=sys.stderr)
+    server = None
+    if rank == 0:
+        listener = _bind_listener(rendezvous[0], rendezvous[1], nranks)
+        server = Rendezvous(listener, nranks, rendezvous_timeout, elastic)
     try:
+        comm = _join_world(
+            rank, nranks, rendezvous, host, rendezvous_timeout, Trace(nranks),
+            op_timeout, rejoin,
+        )
+        comm.fault_plan = plan
+        comm._rendezvous = server  # the elastic leader answers rejoins through it
+        if topo is not None:
+            comm.topology = topo
+        if verbose:
+            assembled = (
+                f"rejoined at epoch {comm.epoch}: "
+                f"members {sorted(set(range(nranks)) - comm.dead_ranks)}"
+                if rejoin
+                else f"world assembled: {comm.topology.describe()}"
+            )
+            print(f"[serve-rank {rank}/{nranks}] {assembled}", file=sys.stderr)
         return _run_rank(comm, fn)
     finally:
         if server is not None:
-            server.join(timeout=1.0)
-        if elastic_server is not None:
-            elastic_server.close()
+            server.close()

@@ -28,9 +28,12 @@ What this file supplies to the shared core
   connection — it only serves the loopback rendezvous the children
   assemble through.
 
-How the connections come to exist — the rendezvous protocol, the mesh
-handshake, elastic rejoin and the ``serve-rank`` entry point — is
-:mod:`repro.runtime.rendezvous`, layered on this file.
+How the connections come to exist — the rendezvous, the one mesh
+handshake and join path (a rejoin is a join whose rank comes last) and
+the ``serve-rank`` entry point — is :mod:`repro.runtime.rendezvous`,
+layered on this file; the communicator reaches back into it only to
+answer a rejoin (:meth:`SocketComm._next_join`) and to dial the
+rejoiner (:meth:`SocketComm._elastic_regrow`).
 
 Failure handling is the pipe transports' EOF semantics: a dying rank's
 sockets close, a peer's next progress step reads EOF *without* a
@@ -78,13 +81,15 @@ def _close_all(socks) -> None:
 def _bind_listener(host: str, port: int, nranks: int) -> socket.socket:
     """A listening TCP socket whose backlog covers the whole world.
 
-    The backlog matters: mesh peers connect before this rank starts
-    accepting, and a backlog smaller than ``P`` would refuse some of them.
+    The backlog matters: every earlier member dials both directed
+    channels to a mesh listener before its rank starts accepting, and a
+    backlog smaller than ``2P`` would drop some of those dials (the
+    kernel retransmits a dropped SYN only after a second).
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind((host, port))
-    sock.listen(nranks + 8)
+    sock.listen(2 * nranks + 8)
     return sock
 
 
@@ -93,6 +98,29 @@ def _bind_listener(host: str, port: int, nranks: int) -> socket.socket:
 # ----------------------------------------------------------------------
 class SocketComm(StreamComm):
     """Per-rank communicator over the TCP mesh: the channels are the sockets."""
+
+    #: the :class:`~repro.runtime.rendezvous.Rendezvous` this rank serves
+    #: (rank 0 of a ``serve_rank`` world), or ``None``.
+    _rendezvous: Any = None
+
+    def _next_join(self, members, epoch: int):
+        """The rendezvous's next queued rejoin, answered (elastic leader)."""
+        if self._rendezvous is None:
+            return None
+        return self._rendezvous.admit(members, epoch)
+
+    def _elastic_regrow(self, rank: int, epoch: int, addr=None, timeout=None) -> None:
+        """Commit a rejoin: dial both channels to the joiner at ``addr``
+        (the rendezvous's pair dial, the one every first join uses), wire
+        them in, then the common commit."""
+        if addr is not None:
+            from .rendezvous import _dial_pair  # layered on this module
+
+            channels = _dial_pair(
+                addr, time.monotonic() + timeout, f"rejoining rank {rank}", self.rank, epoch
+            )
+            self._install_peer(rank, *channels)
+        super()._elastic_regrow(rank, epoch)
 
     def linger(self, timeout: float) -> None:
         """Wait for every peer's FIN (or death) before closing the sockets.
@@ -117,8 +145,7 @@ class SocketComm(StreamComm):
         new inbound channel, with the engine held: no progress step of
         another thread may poll a socket this closes, or attribute a
         late error on the old channel to the revived rank. Called by
-        :meth:`~repro.runtime.elastic.ElasticContext.step` through
-        :func:`~repro.runtime.rendezvous.elastic_dial_join`.
+        :meth:`_elastic_regrow`.
         """
         with self._holding_engine():
             self._detach(self._inn[peer].fileno())
@@ -145,7 +172,7 @@ class TcpMesh(Transport):
         self._nranks = nranks
         self._setup_timeout = setup_timeout
         self._listener: socket.socket | None = None
-        self._server: threading.Thread | None = None
+        self._server: Any = None
 
     def build(self) -> None:
         self._listener = _bind_listener("127.0.0.1", 0, self._nranks)
@@ -167,23 +194,17 @@ class TcpMesh(Transport):
         )
 
     def release(self) -> None:
-        from .rendezvous import _serve_rendezvous  # layered on this module
+        from .rendezvous import Rendezvous  # layered on this module
 
         # serve the rendezvous only after forking: children queue their
         # connects against the listen backlog in the meantime
-        self._server = threading.Thread(
-            target=_serve_rendezvous,
-            args=(self._listener, self._nranks, self._setup_timeout),
-            name="socket-rendezvous",
-            daemon=True,
-        )
-        self._server.start()
+        self._server = Rendezvous(self._listener, self._nranks, self._setup_timeout)
 
     def close(self) -> None:
-        if self._listener is not None:
-            self._listener.close()  # idempotent; normally the server closed it
         if self._server is not None:
-            self._server.join(timeout=1.0)
+            self._server.close()  # closes the listener too
+        elif self._listener is not None:
+            self._listener.close()
 
 
 class SocketBackend(MeshBackend):

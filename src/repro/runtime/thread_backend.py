@@ -163,6 +163,21 @@ class ThreadComm(Communicator):
     def _probe(self, source: int, key: bytes, tag: int) -> bool:
         return (source, key, tag) in self._queues  # a queue that exists holds a message
 
+    def _next_join(self, members, epoch: int):
+        """Pop the first queued :func:`~repro.runtime.elastic.thread_rejoin`
+        of a rank outside ``members`` and release it into ``epoch`` (its
+        sends queue until the members switch to the regrown world)."""
+        world = self.world
+        with world._elastic_lock:
+            request = next((r for r in world._pending_joins if r["rank"] not in members), None)
+            if request is None:
+                return None
+            world._pending_joins.remove(request)
+        request["members"] = sorted({*members, request["rank"]})
+        request["epoch"] = epoch
+        request["event"].set()
+        return request["rank"], None
+
 
 class ThreadBackend(Backend):
     """In-process backend: one daemon thread per rank, zero-copy transport

@@ -155,10 +155,6 @@ class Topology:
         """The rank's host group (itself included)."""
         return self.ranks_on(self.host_of(rank))
 
-    def leader_of(self, rank: int) -> int:
-        """The leader rank of ``rank``'s host."""
-        return self.group_of(rank)[0]
-
     @property
     def max_ranks_per_node(self) -> int:
         return max(len(g) for g in self.groups)

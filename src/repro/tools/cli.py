@@ -256,8 +256,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        from ..runtime import RunConfig
-
         result = serve_rank(
             (host, int(port)),
             args.rank,
@@ -266,11 +264,9 @@ def main(argv: list[str] | None = None) -> int:
             host=args.host,
             rendezvous_timeout=args.timeout,
             verbose=True,  # log the assembled (rank, host) grouping
-            config=RunConfig(
-                topology=args.topology,
-                op_timeout=args.op_timeout,
-                fault_plan=args.fault_plan,
-            ),
+            topology=args.topology,
+            op_timeout=args.op_timeout,
+            fault_plan=args.fault_plan,
             elastic=args.elastic,
             rejoin=args.rejoin,
         )

@@ -428,6 +428,48 @@ class TestChunked:
         with pytest.raises(RankError, match="chunks"):
             run_ranks(_chunked_prog, 2, "ssar_hier", bad, 2, backend="thread")
 
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "4"])
+    def test_invalid_chunks_raise_in_the_driver_not_the_ranks(self, bad):
+        streams = [make_rank_stream(DIM, NNZ, r) for r in range(2)]
+        with pytest.raises(ValueError, match="chunks"):
+            run_sparse_allreduce(streams, "ssar_hier", chunks=bad)
+
+    @pytest.mark.parametrize("bad", [0, -0.5])
+    def test_non_positive_timeout_raises_in_the_driver_not_the_ranks(self, bad):
+        streams = [make_rank_stream(DIM, NNZ, r) for r in range(2)]
+        with pytest.raises(ValueError, match="timeout"):
+            run_sparse_allreduce(streams, "ssar_hier", timeout=bad)
+
+    def test_driver_chunks_reach_the_hierarchical_collective(self):
+        """chunks= on the one-call driver produces the chunked schedule
+        (more messages: each chunk travels separately) with the identical sum."""
+        streams = [make_rank_stream(DIM, NNZ, r) for r in range(4)]
+        base = run_sparse_allreduce(streams, "ssar_hier", topology="2x2")
+        chunked = run_sparse_allreduce(streams, "ssar_hier", topology="2x2", chunks=4)
+        for r in range(4):
+            assert np.array_equal(base[r].to_dense(), chunked[r].to_dense())
+        assert chunked.trace.total_messages > base.trace.total_messages
+
+    def test_driver_chunks_one_is_the_default_schedule(self):
+        streams = [make_rank_stream(DIM, NNZ, r) for r in range(4)]
+        base = run_sparse_allreduce(streams, "ssar_hier", topology="2x2")
+        one = run_sparse_allreduce(streams, "ssar_hier", topology="2x2", chunks=1)
+        assert one.trace.total_messages == base.trace.total_messages
+        assert one.trace.total_bytes_sent == base.trace.total_bytes_sent
+
+    @pytest.mark.parametrize("backend", ["process", "shmem"])
+    def test_driver_forwards_backend_topology_and_chunks(self, backend):
+        streams = [make_rank_stream(DIM, NNZ, r) for r in range(4)]
+        out = run_sparse_allreduce(
+            streams, "ssar_hier", backend=backend, topology=2, chunks=2
+        )
+        thread = run_sparse_allreduce(streams, "ssar_hier", topology=2, chunks=2)
+        ref = reference_sum(DIM, NNZ, 4)
+        for r in range(4):
+            assert np.allclose(out[r].to_dense(), ref, atol=1e-4)
+            assert np.array_equal(out[r].to_dense(), thread[r].to_dense())
+        assert out.trace.total_bytes_sent == thread.trace.total_bytes_sent
+
     def test_chunks_noop_on_flat_algorithms(self):
         """Like the quantizer knob, chunks= is silently dropped by
         algorithms that cannot pipeline: same trace, same bits."""

@@ -14,6 +14,7 @@ Plus the satellite regressions: typed rendezvous errors, abort surfacing
 from ``DeferredRecvHandle.test()``, and ``split`` color validation.
 """
 
+import json
 import pickle
 import socket as socketlib
 import threading
@@ -116,8 +117,6 @@ class TestFaultPlan:
         plan = FaultPlan.from_spec("kill=2@40,revive=2@80")
         assert plan.revive_rank == 2
         assert plan.revive_after_ops == 80
-        assert not plan.revives(79)
-        assert plan.revives(80)
         assert "revive=2@80" in plan.describe()
 
     def test_revive_validation(self):
@@ -618,14 +617,14 @@ class TestRendezvousErrors:
             try:
                 sb._recv_blob(conn)
                 # reply with one address where two were promised
-                sb._send_blob(conn, pickle.dumps([("127.0.0.1", 1)]))
+                sb._send_blob(conn, json.dumps([0, [0, 1], [["127.0.0.1", 1]]]).encode())
             finally:
                 conn.close()
                 srv.close()
 
         threading.Thread(target=bad_server, daemon=True).start()
         with pytest.raises(RendezvousError, match="expected 2") as ei:
-            sb._rendezvous_client(addr, 0, 2, ("127.0.0.1", 9), timeout=10.0)
+            sb._register(addr, "join", 0, 2, ("127.0.0.1", 9), timeout=10.0)
         assert not isinstance(ei.value, RendezvousTimeoutError)
 
     def test_assembly_timeout_is_typed(self):
@@ -645,7 +644,7 @@ class TestRendezvousErrors:
 
         threading.Thread(target=silent_server, daemon=True).start()
         with pytest.raises(RendezvousTimeoutError, match="never fully"):
-            sb._rendezvous_client(addr, 0, 2, ("127.0.0.1", 9), timeout=0.5)
+            sb._register(addr, "join", 0, 2, ("127.0.0.1", 9), timeout=0.5)
 
 
 # ----------------------------------------------------------------------

@@ -211,6 +211,27 @@ class TestFailureHandling:
         with pytest.raises(ValueError):
             run_ranks(lambda c: None, 0)
 
+    @pytest.mark.parametrize("field", ["timeout", "op_timeout"])
+    @pytest.mark.parametrize("bad", [0, -0.5])
+    def test_non_positive_timeouts_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            run_ranks(lambda c: None, 2, **{field: bad})
+
+    def test_topology_and_op_timeout_reach_every_comm(self):
+        out = run_ranks(
+            lambda comm: (comm.topology.nnodes, comm.op_timeout), 4,
+            topology="2x2", op_timeout=12.5,
+        )
+        assert out.results == [(2, 12.5)] * 4
+
+    def test_timeout_none_disables_the_watchdog(self):
+        def slow(comm):
+            time.sleep(0.2)
+            return comm.rank
+
+        out = run_ranks(slow, 2, timeout=None)
+        assert out.results == [0, 1]
+
 
 class TestTraceRecording:
     def test_send_recv_events_match(self):

@@ -9,6 +9,7 @@ streaming through TCP send windows, EOF-as-peer-death semantics, and the
 multi-host ``serve-rank`` entry point.
 """
 
+import pickle
 import socket
 import threading
 import time
@@ -20,19 +21,24 @@ from repro.collectives import sparse_allreduce, ssar_recursive_double
 from repro.runtime import (
     RankError,
     RankFailedError,
+    Rendezvous,
     RendezvousTimeoutError,
+    StaleEpochError,
     Trace,
     run_ranks,
     serve_rank,
 )
 from repro.runtime.rendezvous import (
+    _HELLO,
+    _MAGIC,
+    _accept_channels,
     _connect_retry,
-    _rendezvous_client,
+    _register,
     _resolve_program,
-    _serve_rendezvous,
+    _send_blob,
     demo_program,
 )
-from repro.runtime.socket_backend import _LEN, SocketBackend, _bind_listener
+from repro.runtime.socket_backend import _LEN, SocketBackend, _bind_listener, _close_all
 from repro.streams import SparseStream
 
 from conftest import make_rank_stream, reference_sum
@@ -46,89 +52,117 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
+def _rendezvous(nranks: int, timeout: float) -> tuple[Rendezvous, tuple[str, int]]:
+    listener = _bind_listener("127.0.0.1", 0, nranks)
+    return Rendezvous(listener, nranks, timeout), ("127.0.0.1", listener.getsockname()[1])
+
+
+def _register_all(addr, nranks: int, timeout: float = 10.0) -> dict:
+    replies = {}
+
+    def join(rank):
+        replies[rank] = _register(
+            addr, "join", rank, nranks, ("127.0.0.1", 40000 + rank), timeout
+        )
+
+    threads = [threading.Thread(target=join, args=(r,)) for r in range(nranks)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout + 5.0)
+        assert not t.is_alive()
+    return replies
+
+
+#: what an unpickled registration would have run: the rendezvous must
+#: never call it.
+_UNPICKLED: list = []
+
+
+def _record_unpickling(tag: str) -> None:
+    _UNPICKLED.append(tag)
+
+
+class _Exploit:
+    def __reduce__(self):
+        return _record_unpickling, ("registration unpickled",)
+
+
 class TestRendezvous:
     def test_full_world_gets_identical_address_map(self):
         nranks = 3
-        listener = _bind_listener("127.0.0.1", 0, nranks)
-        addr = ("127.0.0.1", listener.getsockname()[1])
-        server = threading.Thread(
-            target=_serve_rendezvous, args=(listener, nranks, 10.0), daemon=True
-        )
-        server.start()
-        maps = {}
-
-        def join(rank):
-            maps[rank] = _rendezvous_client(
-                addr, rank, nranks, ("127.0.0.1", 40000 + rank), timeout=10.0
-            )
-
-        threads = [threading.Thread(target=join, args=(r,)) for r in range(nranks)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=15.0)
-        server.join(timeout=5.0)
-        assert maps[0] == maps[1] == maps[2]
-        assert maps[0] == [("127.0.0.1", 40000 + r) for r in range(nranks)]
+        server, addr = _rendezvous(nranks, 10.0)
+        try:
+            replies = _register_all(addr, nranks)
+        finally:
+            server.close()
+        assert replies[0] == replies[1] == replies[2]
+        assert replies[0] == (0, [0, 1, 2], [("127.0.0.1", 40000 + r) for r in range(nranks)])
 
     def test_client_times_out_when_nobody_listens(self):
         """Connect retries against a dead address end in the typed error."""
         dead = ("127.0.0.1", _free_port())  # bound-then-released: nobody there
         t0 = time.monotonic()
         with pytest.raises(RendezvousTimeoutError, match="could not reach"):
-            _rendezvous_client(dead, 0, 2, ("127.0.0.1", 1), timeout=0.5)
+            _register(dead, "join", 0, 2, ("127.0.0.1", 1), timeout=0.5)
         assert time.monotonic() - t0 < 10.0
 
     def test_client_times_out_when_world_incomplete(self):
         """Registered but the world never fills: the reply never comes."""
         nranks = 2
-        listener = _bind_listener("127.0.0.1", 0, nranks)
-        addr = ("127.0.0.1", listener.getsockname()[1])
-        server = threading.Thread(
-            target=_serve_rendezvous, args=(listener, nranks, 0.6), daemon=True
-        )
-        server.start()
-        # only one of the two ranks ever registers
-        with pytest.raises(RendezvousTimeoutError, match="never fully"):
-            _rendezvous_client(addr, 0, nranks, ("127.0.0.1", 1), timeout=0.8)
-        server.join(timeout=5.0)
+        server, addr = _rendezvous(nranks, 0.6)
+        try:
+            # only one of the two ranks ever registers
+            with pytest.raises(RendezvousTimeoutError, match="never fully"):
+                _register(addr, "join", 0, nranks, ("127.0.0.1", 1), timeout=0.8)
+        finally:
+            server.close()
 
     def test_server_survives_garbage_client(self):
         """A stray non-protocol connection must not poison the world."""
         nranks = 1
-        listener = _bind_listener("127.0.0.1", 0, nranks)
-        addr = ("127.0.0.1", listener.getsockname()[1])
-        server = threading.Thread(
-            target=_serve_rendezvous, args=(listener, nranks, 10.0), daemon=True
-        )
-        server.start()
-        stray = socket.create_connection(addr, timeout=5.0)
-        stray.sendall(b"\xff" * 64)
-        stray.close()
-        out = _rendezvous_client(addr, 0, nranks, ("127.0.0.1", 7), timeout=10.0)
-        assert out == [("127.0.0.1", 7)]
-        server.join(timeout=5.0)
+        server, addr = _rendezvous(nranks, 10.0)
+        try:
+            stray = socket.create_connection(addr, timeout=5.0)
+            stray.sendall(b"\xff" * 64)
+            stray.close()
+            out = _register(addr, "join", 0, nranks, ("127.0.0.1", 7), timeout=10.0)
+        finally:
+            server.close()
+        assert out == (0, [0], [("127.0.0.1", 7)])
 
     def test_server_survives_silent_client(self):
         """A stray connection that sends *nothing* holds the serial accept
         loop only for the bounded handshake timeout, not the full deadline
         — real ranks queued behind it still get serviced."""
         nranks = 1
-        listener = _bind_listener("127.0.0.1", 0, nranks)
-        addr = ("127.0.0.1", listener.getsockname()[1])
-        server = threading.Thread(
-            target=_serve_rendezvous, args=(listener, nranks, 30.0), daemon=True
-        )
-        server.start()
+        server, addr = _rendezvous(nranks, 30.0)
         silent = socket.create_connection(addr, timeout=5.0)  # never sends
         try:
             t0 = time.monotonic()
-            out = _rendezvous_client(addr, 0, nranks, ("127.0.0.1", 7), timeout=20.0)
-            assert out == [("127.0.0.1", 7)]
+            out = _register(addr, "join", 0, nranks, ("127.0.0.1", 7), timeout=20.0)
+            assert out == (0, [0], [("127.0.0.1", 7)])
             assert time.monotonic() - t0 < 10.0  # stray cost ~ the handshake cap
         finally:
             silent.close()
-        server.join(timeout=5.0)
+            server.close()
+
+    def test_registration_is_never_unpickled(self):
+        """A pickle sent to the rendezvous port is a malformed record: it is
+        dropped without running anything, and the real ranks assemble."""
+        nranks = 2
+        server, addr = _rendezvous(nranks, 10.0)
+        rogue = socket.create_connection(addr, timeout=5.0)
+        try:
+            _send_blob(rogue, pickle.dumps(_Exploit()))
+            replies = _register_all(addr, nranks)
+            assert rogue.recv(1) == b""  # closed, never answered
+        finally:
+            rogue.close()
+            server.close()
+        assert _UNPICKLED == []
+        addrs = [("127.0.0.1", 40000 + r) for r in range(nranks)]
+        assert replies[0] == replies[1] == (0, [0, 1], addrs)
 
     def test_connect_retry_waits_for_late_listener(self):
         """Peers may come up in any order: connect retries until the deadline."""
@@ -149,6 +183,50 @@ class TestRendezvous:
         sock.close()
         t.join(timeout=5.0)
         assert result.get("accepted")
+
+
+class TestMeshHandshake:
+    """The accepting side of the one hello every mesh channel opens with:
+    rank 0 admits both channels of rank 1 in epoch 3 while a stray dial
+    lands between them."""
+
+    EPOCH = 3
+
+    @pytest.mark.parametrize(
+        "stray",
+        [
+            pytest.param(_HELLO.pack(b"XXXX", 1, 1, EPOCH), id="magic"),
+            pytest.param(_HELLO.pack(_MAGIC, 2, 1, EPOCH), id="outsider"),
+            pytest.param(_HELLO.pack(_MAGIC, 1, 2, EPOCH), id="direction"),
+            pytest.param(_HELLO.pack(_MAGIC, 1, 0, EPOCH), id="duplicate"),
+            pytest.param(_HELLO.pack(_MAGIC, 1, 1, EPOCH - 1), id="stale-epoch"),
+        ],
+    )
+    def test_only_the_real_pair_is_admitted(self, stray):
+        listener = _bind_listener("127.0.0.1", 0, 2)
+        addr = listener.getsockname()
+        out_socks, in_socks = [None, None], [None, None]
+        dials = []
+        for hello in (_HELLO.pack(_MAGIC, 1, 0, self.EPOCH), stray,
+                      _HELLO.pack(_MAGIC, 1, 1, self.EPOCH)):
+            dials.append(socket.create_connection(addr, timeout=5.0))
+            dials[-1].sendall(hello)
+        real_out, rogue, real_in = dials
+        args = (listener, [1], self.EPOCH, time.monotonic() + 10.0, 0, out_socks, in_socks)
+        try:
+            if _HELLO.unpack(stray)[3] != self.EPOCH:
+                with pytest.raises(StaleEpochError) as err:
+                    _accept_channels(*args)
+                assert (err.value.frame_epoch, err.value.current_epoch) == (2, 3)
+                return
+            _accept_channels(*args)
+            assert rogue.recv(1) == b""  # dropped
+            real_out.sendall(b"ping")
+            assert in_socks[1].recv(4, socket.MSG_WAITALL) == b"ping"
+            out_socks[1].sendall(b"pong")
+            assert real_in.recv(4, socket.MSG_WAITALL) == b"pong"
+        finally:
+            _close_all([listener, *dials, *out_socks, *in_socks])
 
 
 class TestSocketFailurePaths:
@@ -334,7 +412,7 @@ class TestSocketSemantics:
 class TestServeRank:
     """The multi-host entry point, exercised over real TCP on loopback."""
 
-    def _assemble(self, nranks, program=None):
+    def _assemble(self, nranks, program=None, **kwargs):
         port = _free_port()
         results, errors = {}, {}
 
@@ -342,7 +420,7 @@ class TestServeRank:
             try:
                 results[rank] = serve_rank(
                     ("127.0.0.1", port), rank, nranks,
-                    program=program, rendezvous_timeout=30.0,
+                    program=program, rendezvous_timeout=30.0, **kwargs,
                 )
             except BaseException as exc:  # noqa: BLE001 - surfaced by the test
                 errors[rank] = exc
@@ -423,9 +501,21 @@ class TestServeRank:
         intra, inter = bytes_by_tier(out.trace, topo)
         assert 0 < inter < intra + inter
 
+    def test_topology_and_op_timeout_reach_the_comm(self):
+        results = self._assemble(
+            2, lambda comm: (comm.topology.nnodes, comm.op_timeout),
+            topology=1, op_timeout=5.0,
+        )
+        assert results == {0: (2, 5.0), 1: (2, 5.0)}  # 1 rank per node -> two nodes
+
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             serve_rank(("127.0.0.1", 1), 2, 2)
+
+    @pytest.mark.parametrize("bad", [0, -0.5])
+    def test_non_positive_op_timeout_rejected_before_any_socket_work(self, bad):
+        with pytest.raises(ValueError, match="op_timeout"):
+            serve_rank(("127.0.0.1", 1), 0, 2, op_timeout=bad)
 
     def test_program_spec_resolution(self):
         fn = _resolve_program("repro.runtime.rendezvous:demo_program")

@@ -54,7 +54,6 @@ class TestConstruction:
         assert t.groups == ((0, 2), (1,), (3,))
         assert t.ranks_on("a") == (0, 2)
         assert t.host_of(3) == "c"
-        assert t.leader_of(2) == 0
         assert t.group_of(1) == (1,)
 
     def test_validation(self):
