@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import common  # noqa: F401, E402  (path bootstrap: keep before repro imports)
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import topk_bucket_indices, topk_global_indices
 from repro.quant import QSGDQuantizer, pack_integers, unpack_integers
+from repro.runtime import Trace
 from repro.runtime.wire import decode_message, encode_message
 from repro.streams import SparseStream, add_streams, add_streams_, merge_sparse_pairs, summation
 
@@ -236,6 +239,37 @@ def test_kernel_wire_frame_1k(benchmark):
     def roundtrip():
         return decode_message(encode_message(5, 3, ref.nbytes_payload, ref))
 
-    tag, seq, nbytes, epoch, out = benchmark(roundtrip)
-    assert (tag, seq, epoch) == (5, 3, 0)
+    tag, seq, nbytes, epoch, context, out = benchmark(roundtrip)
+    assert (tag, seq, epoch, context) == (5, 3, 0, b"")
     assert np.array_equal(out.indices, ref.indices) and np.array_equal(out.values, ref.values)
+
+
+def _latency_bound_trace(rank: int, steps: int) -> Trace:
+    """One rank process's trace after ``steps`` latency_bound steps
+    (ssar_rec_dbl at P = 4, 128 pairs): a mark, then two rounds of send,
+    receive and reduce — 7 events and 2 fresh channels a step."""
+    trace = Trace(4)
+    for step in range(steps):
+        trace.record_mark(rank, "ssar_rec_dbl")
+        for rnd, (peer, nbytes) in enumerate(((rank ^ 1, 1032), (rank ^ 2, 2056))):
+            tag = 65537 + 64 * step + rnd
+            trace.record_send(rank, peer, tag, trace.next_seq(rank, peer, tag), nbytes)
+            trace.record_recv(rank, peer, tag, 0, nbytes)
+            trace.record_compute(rank, 4 * nbytes, "reduce")
+    return trace
+
+
+def test_kernel_trace_ship(benchmark):
+    """A latency_bound round's traces going home: 4 ranks record 30 000
+    steps each, export, pickle round trip (the result pipe), merge into a
+    fresh trace, and one read of every event (the bench's end-of-loop count)."""
+    steps = 30_000
+
+    def ship():
+        traces = [_latency_bound_trace(rank, steps) for rank in range(4)]
+        shipped = {r: pickle.loads(pickle.dumps(t.export(r))) for r, t in enumerate(traces)}
+        trace = Trace(4)
+        trace.merge_run(shipped)
+        return sum(1 for rank in range(4) for _ in trace.events(rank))
+
+    assert benchmark.pedantic(ship, rounds=3) == 4 * 7 * steps

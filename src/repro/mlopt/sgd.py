@@ -21,7 +21,6 @@ import scipy.sparse as sp
 
 from ..collectives.api import dense_allreduce, sparse_allreduce
 from ..runtime.comm import Communicator
-from ..runtime.trace import SEND
 from .datasets import SparseDataset, partition_rows
 from .linear import LinearModel
 from .metrics import EpochRecord, RunHistory
@@ -128,24 +127,22 @@ def distributed_sgd(
 class SentBytes:
     """A rank's sent bytes per epoch, read off its trace (any backend's).
 
-    Each read sums only the events recorded since the previous one: a
-    rescan of the whole log at every epoch boundary is quadratic over a
-    run.
+    Keeps a row cursor: each read sums the ``nbytes`` column over only the
+    events recorded since the previous one, so no event is built and the
+    log is not rescanned at every epoch boundary (quadratic over a run).
+    Only the rank's own thread appends to its log (a background launch
+    records privately and is flushed at ``wait``), so nothing lands
+    between reading the cursor and the sum.
     """
 
     def __init__(self, comm: Communicator) -> None:
-        self._cursor = len(self._events(comm))
-
-    @staticmethod
-    def _events(comm: Communicator) -> list:
         # trace events are attributed to *world* ranks, so read through
         # world_rank — on a sub/elastic communicator the group rank differs
-        return comm.trace.events(comm.world_rank)
+        self._cursor = len(comm.trace.events(comm.world_rank))
 
     def since_last_read(self, comm: Communicator) -> int:
         """Bytes sent since construction or the previous read; ``comm``
         is the rank's current communicator (a shrink replaces it)."""
-        # one slice: a progress thread may append while this sums
-        fresh = self._events(comm)[self._cursor:]
-        self._cursor += len(fresh)
-        return sum(e.nbytes for e in fresh if e.op == SEND)
+        rank = comm.world_rank
+        start, self._cursor = self._cursor, len(comm.trace.events(rank))
+        return comm.trace.bytes_sent_by(rank, since=start)

@@ -154,7 +154,8 @@ def replay(
     # duck-typed so netsim stays import-independent of the costmodel layer
     model = getattr(model, "network", model)
     nranks = trace.nranks
-    events = [trace.events(r) for r in range(nranks)]
+    # built once per rank: a stalled rank re-reads its current event
+    events = [list(trace.events(r)) for r in range(nranks)]
     pointers = [0] * nranks
     clocks = [0.0] * nranks
     arrivals: dict[tuple, float] = {}

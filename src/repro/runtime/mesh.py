@@ -89,7 +89,7 @@ from .comm import (
     WorldAbortedError,
 )
 from .faults import KILL_EXIT_CODE
-from .trace import RECV, Trace
+from .trace import Trace
 from .wire import check_frame_size, decode_message, encode_message
 
 __all__ = ["MeshBackend", "MeshWorld", "StreamComm", "Transport"]
@@ -810,7 +810,7 @@ def _finalize_run(
     """
     results, exports, errors, aborted_ranks = outcome
     run_trace = trace if trace is not None else Trace(nranks)
-    _merge_events(run_trace, exports)
+    run_trace.merge_run({rank: log for rank, log in enumerate(exports) if log is not None})
     if errors:
         rank, original = min(errors, key=lambda e: e[0])
     elif aborted_ranks:
@@ -827,48 +827,3 @@ def _finalize_run(
     err = RankError(rank, original)
     err.partial_results = results
     raise err from original
-
-
-def _merge_events(trace: Trace, exports: list["tuple | None"]) -> None:
-    """Merge worker logs (:meth:`Trace.export`) into ``trace``, rebasing
-    channel seq numbers.
-
-    Workers allocate sequence numbers from zero each run; if the caller
-    accumulates several runs into one trace, the channels must continue
-    where the previous run left off for FIFO matching to stay unique.
-    Each rank's counters size the channels it sends on; a rank that died
-    hard shipped none, so its channels are sized from what the survivors
-    received on them (the one walk of the columns a clean run never
-    makes). Otherwise the columns are only walked where a channel does
-    not start at zero.
-    """
-    lost = {rank for rank, export in enumerate(exports) if export is None}
-    counts: dict[tuple[int, int, tuple, int], int] = {}
-    for rank, export in enumerate(exports):
-        if export is None:
-            continue
-        counts.update(export[1])
-        if lost and export[0]:
-            # columns are the TraceEvent fields; the context is the last
-            for op, _, peer, tag, seq, ctx in zip(*export[0][:5], export[0][-1]):
-                if op == RECV and peer in lost:
-                    channel = (peer, rank, ctx, tag)
-                    counts[channel] = max(counts.get(channel, 0), seq + 1)
-    bases = {
-        (src, dst, ctx, tag): trace.reserve_seqs(src, dst, tag, count, ctx)
-        for (src, dst, ctx, tag), count in counts.items()
-    }
-    bases = {ch: base for ch, base in bases.items() if base}
-    for rank, export in enumerate(exports):
-        if export is None:
-            continue
-        columns = export[0]
-        if bases and columns:
-            # a send's channel is (rank, peer, context, tag), a receive's
-            # (peer, rank, context, tag); compute and mark events match neither
-            seqs = tuple(
-                seq + bases.get((peer, rnk, ctx, tag) if op == RECV else (rnk, peer, ctx, tag), 0)
-                for op, rnk, peer, tag, seq, ctx in zip(*columns[:5], columns[-1])
-            )
-            columns = (*columns[:4], seqs, *columns[5:])
-        trace.merge(rank, columns)

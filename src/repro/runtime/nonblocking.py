@@ -51,9 +51,8 @@ class _BufferedComm(ProxyComm):
         self.trace = Trace(inner.trace.nranks)
 
     def flush_into(self, trace: Trace) -> None:
-        """Append the buffered events to the real trace (at join time)."""
-        for event in self.trace.events(self.world_rank):
-            trace.record(event)
+        """Append the buffered rows to the real trace (at join time)."""
+        trace.merge(self.world_rank, self.trace.export(self.world_rank))
 
 
 class NonBlockingHandle(Handle):

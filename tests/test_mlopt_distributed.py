@@ -12,15 +12,30 @@ from repro.mlopt import (
     SGDConfig,
     distributed_scd,
     distributed_sgd,
+    distributed_sgd_async,
     make_sparse_classification,
 )
+from repro.mlopt import async_sgd, scd, sgd
 from repro.mlopt.metrics import RunHistory
-from repro.runtime import run_ranks
+from repro.runtime import SEND, run_ranks
 
 
 @pytest.fixture(scope="module")
 def dataset():
     return make_sparse_classification(240, 3000, 25, seed=21)
+
+
+class _EventSliceSentBytes:
+    """The reference per-epoch count: slice the rank's events recorded since
+    the previous read and sum the sends."""
+
+    def __init__(self, comm):
+        self._cursor = len(comm.trace.events(comm.world_rank))
+
+    def since_last_read(self, comm):
+        fresh = comm.trace.events(comm.world_rank)[self._cursor:]
+        self._cursor += len(fresh)
+        return sum(e.nbytes for e in fresh if e.op == SEND)
 
 
 def run_sgd(dataset, nranks, mode, algorithm="auto", epochs=2, model_cls=LogisticRegression):
@@ -93,6 +108,28 @@ class TestDistributedSGD:
         for rank, (before, history) in enumerate(out):
             in_epochs = sum(r.bytes_sent for r in history.records)
             assert in_epochs == out.trace.bytes_sent_by(rank) - before
+
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
+    @pytest.mark.parametrize("driver", ["sgd", "scd", "async_sgd"])
+    def test_epoch_bytes_equal_the_event_slice_reference(self, dataset, driver, backend, monkeypatch):
+        """Summing the byte column from a row cursor gives every epoch the
+        bytes that slicing the rank's events and summing their sends gives."""
+
+        def prog(comm):
+            model = LogisticRegression(dataset.n_features, reg=1e-5)
+            if driver != "scd":
+                train = distributed_sgd if driver == "sgd" else distributed_sgd_async
+                history = train(comm, dataset, model, SGDConfig(epochs=3, batch_size=30, lr=0.8))
+            else:
+                cfg = SCDConfig(epochs=3, iterations_per_epoch=5, block_size=50, lr=0.8)
+                history = distributed_scd(comm, dataset, model, cfg)
+            return [r.bytes_sent for r in history.records]
+
+        columns = run_ranks(prog, 4, backend=backend).results
+        for module in (sgd, scd, async_sgd):
+            monkeypatch.setattr(module, "SentBytes", _EventSliceSentBytes)
+        assert columns == run_ranks(prog, 4, backend=backend).results
+        assert all(sent > 0 for rank in columns for sent in rank)
 
     def test_non_power_of_two_ranks(self, dataset):
         out = run_sgd(dataset, 3, "sparse")
