@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import topk_bucket_indices, topk_global_indices
-from repro.quant import QSGDQuantizer, pack_integers, unpack_integers
+from repro.quant import QSGDQuantizer, pack_integers, qsgd, unpack_integers
 from repro.runtime import Trace
 from repro.runtime.wire import decode_message, encode_message
 from repro.streams import SparseStream, add_streams, add_streams_, merge_sparse_pairs, summation
@@ -148,20 +148,35 @@ def partition():
     return block
 
 
-def test_kernel_qsgd_quantize(benchmark, partition):
+@pytest.fixture(params=["c", "numpy"])
+def qsgd_path(request, monkeypatch):
+    """Time QSGD on the compiled per-entry passes, then on numpy.
+
+    An isolated loop re-faults the numpy path's 2 MB temporaries on every
+    call, which a rank in the workload mostly does not: compare paths here,
+    judge them on ``bench/run.py --workload dense_quant``.
+    """
+    if request.param == "numpy":
+        monkeypatch.setattr(qsgd, "_KERNEL", None)
+    elif qsgd._KERNEL is None:
+        pytest.skip("the compiled QSGD passes did not load (no cc or no cffi)")
+    return request.param
+
+
+def test_kernel_qsgd_quantize(benchmark, partition, qsgd_path):
     q = QSGDQuantizer(bits=8, bucket_size=512, seed=0)
     block = benchmark(q.quantize, partition)
     assert block.length == PARTITION and block.packed.nbytes == PARTITION
 
 
-def test_kernel_qsgd_dequantize(benchmark, partition):
+def test_kernel_qsgd_dequantize(benchmark, partition, qsgd_path):
     q = QSGDQuantizer(bits=8, bucket_size=512, seed=0)
     block = q.quantize(partition)
     out = benchmark(q.dequantize, block)
     assert out.shape == (PARTITION,) and out.dtype == np.float32
 
 
-def test_kernel_qsgd_decode_four_blocks_into_one_vector(benchmark, partition):
+def test_kernel_qsgd_decode_four_blocks_into_one_vector(benchmark, partition, qsgd_path):
     """What every rank does after DSAR's quantized allgather."""
     q = QSGDQuantizer(bits=8, bucket_size=512, seed=0)
     blocks = [q.quantize(partition) for _ in range(4)]

@@ -10,20 +10,30 @@ property Theorem 4.1's convergence proof relies on.
 The packed result is a :class:`QuantizedBlock`: a uint8 code buffer (sign and
 magnitude packed at ``bits`` per entry) plus one float32 scale per bucket.
 
-Both kernels are bucket shaped: per-bucket quantities (the norm on the way
-in, the scale on the way out) are broadcast over a ``(buckets, B)`` view of
-the full buckets plus the ragged tail, never repeated per entry, and every
-per-entry step runs in place in one scratch buffer. Decoding is a gather
-from a per-``bits`` table of ``sign * level / s`` (at most 256 float64
-entries, built at import) followed by one scale-and-cast pass that can
-write straight into a caller's buffer (``dequantize(block, out=...)``).
+Every step whose bits depend on numpy stays in numpy, so that a seeded
+quantizer keeps producing the same bytes: the bucket norms come from
+``np.add.reduceat`` over ``np.square(vec, dtype=float64)`` (a 2-D
+``np.add.reduce(axis=1)`` over the same buckets sums in another order and
+is *not* bit-equal to it), a NaN, infinite or overflowing bucket is refused
+before any noise is drawn, the rounding noise is one float64
+``rng.random(n)`` draw per call (a float32 or per-bucket draw would
+consume the generator differently), and codes narrower than 8 bits are
+packed by :mod:`.packing`.
 
-Two things look slower than they need to be and are kept on purpose, so
-that a seeded quantizer keeps producing the same bytes: the bucket norms
-come from ``np.add.reduceat`` (a 2-D ``np.add.reduce(axis=1)`` over the same
-buckets sums pairwise in another order and is *not* bit-equal to it), and
-the rounding noise is one float64 ``rng.random(n)`` draw per call (a
-float32 or per-bucket draw would consume the generator differently).
+What is left is per-entry work, in one compiled pass each way for float32
+and float64 vectors (``_qsgd.c``, built at import by :mod:`repro._native`):
+the codes ``floor(|x| / norm * s + noise)`` with their sign bits, and the
+decode ``table[code] * scale`` rounded once into the output's dtype —
+written straight into a caller's buffer (``dequantize(block, out=...)``).
+Decoding reads a per-``bits`` table of ``sign * level / s`` (at most 256
+float64 entries, built at import). The C does only IEEE basic operations
+in numpy's order and is built without contraction or fast-math, so both
+passes equal the numpy path bit for bit. The numpy path — float16, an
+unaligned buffer, a read-only ``out``, or no compiler — is
+the reference the tests hold the kernels to and the fallback: bucket
+shaped, per-bucket values broadcast over a ``(buckets, B)`` view of the
+full buckets plus the ragged tail, every step in place in one scratch
+buffer.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._native import NATIVE
 from ..config import DEFAULT_QSGD_BUCKET, STREAM_HEADER_BYTES
 from .packing import pack_integers, packed_nbytes, unpack_integers
 
@@ -50,6 +61,13 @@ def _decode_table(bits: int) -> np.ndarray:
 
 
 _DECODE = {bits: _decode_table(bits) for bits in (2, 4, 8)}
+
+#: ``(ffi, lib)`` holding ``_qsgd.c`` (built at import by :mod:`repro._native`),
+#: or None: the numpy path then does every entry. A name of this module's own,
+#: so that a test can switch this seam to numpy and leave the merge alone
+_KERNEL = NATIVE
+#: the value dtypes ``_qsgd.c`` has passes for, and their function-name suffixes
+_SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 @dataclass(frozen=True)
@@ -143,9 +161,8 @@ class QSGDQuantizer:
                 np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.float32),
                 np.dtype(vec.dtype),
             )
-        work = vec.astype(np.float64, copy=False)  # read only from here on
         with np.errstate(over="ignore"):  # an overflowing bucket is reported below
-            scratch = work * work
+            scratch = np.square(vec, dtype=np.float64)
             norms = np.sqrt(np.add.reduceat(scratch, np.arange(0, n, B)))
         representable = norms <= _MAX_SCALE  # False for NaN and inf alike
         if not representable.all():
@@ -155,19 +172,30 @@ class QSGDQuantizer:
                 f"{min(n, (bucket + 1) * B) - 1}): its l2 norm is {norms[bucket]}"
             )
         safe = np.where(norms > 0, norms, 1.0)
-        np.abs(work, out=scratch)
-        body, tail = _buckets(scratch, B)
-        body /= safe[: body.shape[0], None]
-        tail /= safe[-1]
-        scratch *= self.levels
-        if self.stochastic:
-            scratch += self._rng.random(n)
-            np.floor(scratch, out=scratch)
-        else:
-            np.rint(scratch, out=scratch)
-        np.clip(scratch, 0, self.levels, out=scratch)
-        codes = scratch.astype(np.uint8)
-        codes |= (work < 0).view(np.uint8) << np.uint8(self.bits - 1)
+        noise = self._rng.random(n) if self.stochastic else None
+        suffix = _KERNEL and vec.flags.aligned and _SUFFIX.get(vec.dtype)
+        if suffix:
+            ffi, lib = _KERNEL
+            codes = np.empty(n, dtype=np.uint8)
+            getattr(lib, f"qsgd_codes_{suffix}")(
+                ffi.from_buffer(vec), n, B, ffi.from_buffer(safe), self.levels,
+                ffi.NULL if noise is None else ffi.from_buffer(noise), self.bits - 1,
+                ffi.from_buffer(codes),
+            )
+        else:  # the numpy path, in place in the squares' buffer
+            np.abs(vec, out=scratch)
+            body, tail = _buckets(scratch, B)
+            body /= safe[: body.shape[0], None]
+            tail /= safe[-1]
+            scratch *= self.levels
+            if noise is None:
+                np.rint(scratch, out=scratch)
+            else:
+                scratch += noise
+                np.floor(scratch, out=scratch)
+            np.clip(scratch, 0, self.levels, out=scratch)
+            codes = scratch.astype(np.uint8)
+            codes |= (vec < 0).view(np.uint8) << np.uint8(self.bits - 1)
         return QuantizedBlock(
             length=n,
             bits=self.bits,
@@ -199,11 +227,24 @@ class QSGDQuantizer:
             )
         if n == 0:
             return out
-        values = _DECODE[block.bits].take(unpack_integers(block.packed, block.bits, n))
+        B = block.bucket_size
+        if block.scales.shape != (-(-n // B),):
+            raise ValueError(f"{n} entries in buckets of {B} need {-(-n // B)} scales, "
+                             f"got shape {block.scales.shape}")
+        codes = unpack_integers(block.packed, block.bits, n)
         scales = block.scales.astype(np.float64)
+        suffix = _KERNEL and out.flags.behaved and _SUFFIX.get(out.dtype)
+        if suffix:
+            ffi, lib = _KERNEL
+            getattr(lib, f"qsgd_decode_{suffix}")(
+                ffi.from_buffer(codes), n, B, ffi.from_buffer(_DECODE[block.bits]),
+                ffi.from_buffer(scales), ffi.from_buffer(out),
+            )
+            return out
+        values = _DECODE[block.bits].take(codes)
         # float64 product, rounded once into ``out``'s dtype by the ufunc
-        body, tail = _buckets(values, block.bucket_size)
-        out_body, out_tail = _buckets(out, block.bucket_size)
+        body, tail = _buckets(values, B)
+        out_body, out_tail = _buckets(out, B)
         np.multiply(body, scales[: body.shape[0], None], out=out_body)
         np.multiply(tail, scales[-1], out=out_tail)
         return out

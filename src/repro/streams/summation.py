@@ -27,15 +27,12 @@ dtype).
 
 from __future__ import annotations
 
-import os
-import subprocess
 import sys
-import tempfile
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .._native import NATIVE
 from ..config import INDEX_DTYPE
 from .ops import SUM, ReduceOp
 from .stream import SparseStream
@@ -88,46 +85,12 @@ def _sorted_runs(
     return idx, bits.view(vdt)
 
 
-def _load_merge_kernel():
-    """``(ffi.from_buffer, {value dtype: merge function})`` of ``_merge.c``,
-    or None where it cannot be built.
-
-    Runs once, at import: a launcher imports this module before it forks
-    its ranks, so rank processes inherit the loaded kernel instead of each
-    compiling it. ``cc -O2 -shared -fPIC`` builds it into a private
-    temporary directory, ``cffi`` loads it in ABI mode (no extension
-    module, so installing the package needs no build step), and the
-    directory is removed — the mapping outlives the file. Any failure — no
-    ``cffi``, no ``cc``, a compile error, a temporary directory mounted
-    ``noexec`` — leaves the numpy path in charge.
-    """
-    try:
-        from cffi import FFI
-    except ImportError:
-        return None
-    widths = {np.dtype(np.float16): 2, np.dtype(np.float32): 4, np.dtype(np.float64): 8}
-    ffi = FFI()
-    ffi.cdef("".join(
-        f"size_t merge_pairs_w{w}(const void *, const void *, size_t, const void *,"
-        " const void *, size_t, void *, void *, void *, void *);"
-        for w in widths.values()
-    ))
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            shared = os.path.join(tmp, "_merge.so")
-            subprocess.run(
-                ["cc", "-O2", "-shared", "-fPIC", "-o", shared,
-                 str(Path(__file__).with_name("_merge.c"))],
-                check=True, capture_output=True, timeout=60,
-            )
-            lib = ffi.dlopen(shared)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return ffi.from_buffer, {dt: getattr(lib, f"merge_pairs_w{w}") for dt, w in widths.items()}
-
-
-#: the compiled merge, or None: the numpy path then does every merge
-_KERNEL = _load_merge_kernel()
+#: ``(ffi.from_buffer, {value dtype: merge function})`` of ``_merge.c`` (built
+#: at import by :mod:`repro._native`), or None: the numpy path then does every merge
+_KERNEL = NATIVE and (NATIVE[0].from_buffer, {
+    np.dtype(dt): getattr(NATIVE[1], f"merge_pairs_w{np.dtype(dt).itemsize}")
+    for dt in (np.float16, np.float32, np.float64)
+})
 
 
 def merge_implementation() -> str:

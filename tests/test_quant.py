@@ -1,4 +1,12 @@
-"""Tests for QSGD quantization and bit packing (§6)."""
+"""Tests for QSGD quantization and bit packing (§6).
+
+Every test here runs twice: on the compiled per-entry passes and on the
+numpy path (the kernel handle monkeypatched away), which the compiled ones
+must match bit for bit.
+"""
+
+import importlib.util
+import shutil
 
 import numpy as np
 import pytest
@@ -9,9 +17,27 @@ from repro.quant import (
     QSGDQuantizer,
     pack_integers,
     packed_nbytes,
+    qsgd,
     quantization_variance_bound,
     unpack_integers,
 )
+
+
+@pytest.fixture(scope="module", autouse=True, params=["c", "numpy"])
+def qsgd_path(request):
+    """Which per-entry pass :class:`QSGDQuantizer` runs on for this module pass."""
+    if request.param == "numpy":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsgd, "_KERNEL", None)
+            yield request.param
+        return
+    if qsgd._KERNEL is None:
+        # CI must not test the numpy path twice without saying so
+        assert not (shutil.which("cc") and importlib.util.find_spec("cffi")), (
+            "cc and cffi are present but the compiled QSGD passes did not load"
+        )
+        pytest.skip("no C compiler or no cffi: the numpy path is the only one")
+    yield request.param
 
 
 class TestPacking:
@@ -208,6 +234,84 @@ class TestDequantizeOut:
         block = q.quantize(np.ones(32, dtype=np.float32))
         with pytest.raises(ValueError, match="out must be"):
             q.dequantize(block, out=out)
+
+    @pytest.mark.parametrize("scales", [1, 3], ids=["too-few", "too-many"])
+    def test_block_whose_scales_do_not_fit_its_length_rejected(self, scales):
+        """A block off the wire is checked before any entry is decoded."""
+        q = QSGDQuantizer(bits=8, bucket_size=BUCKET, seed=0)
+        block = q.quantize(np.ones(2 * BUCKET, dtype=np.float32))
+        bad = qsgd.QuantizedBlock(
+            block.length, 8, BUCKET, block.packed, np.ones(scales, np.float32), block.value_dtype
+        )
+        with pytest.raises(ValueError, match=r"need 2 scales, got shape \(%d,\)" % scales):
+            q.dequantize(bad)
+
+
+def _unaligned(array):
+    """A contiguous copy of ``array`` that starts one byte off its alignment."""
+    raw = np.empty(array.nbytes + 1, dtype=np.uint8)[1:]
+    out = raw.view(array.dtype)
+    out[...] = array
+    assert not out.flags.aligned
+    return out
+
+
+def _scale_vector(n, dtype, gen):
+    """Entries over many binades, a third of them zeros, some negative zeros.
+
+    Narrower for float16, whose decoded values would overflow where a
+    bucket of 262 144 entries has a norm past 65 504.
+    """
+    spread = 4.0 if dtype == np.float16 else 8.0
+    vector = gen.standard_normal(n) * np.exp(gen.uniform(-spread, spread, n))
+    vector[gen.random(n) < 0.3] = 0.0
+    vector[gen.random(n) < 0.05] = -0.0
+    return vector.astype(dtype)
+
+
+class TestBothPathsAgree:
+    """The compiled passes against the numpy path called directly, past the
+    reference formula's sizes: packed codes, scales, decoded values and the
+    generator's state afterwards, bit for bit."""
+
+    LENGTHS = [0, 1, 2, 7, 64, 511, 512, 513, 1000, 1001, 4097, 65_537, 262_143, 262_144]
+    BUCKETS = [1, 7, 512, 1000, None]  # None: one bucket larger than the vector
+
+    @staticmethod
+    def run(vector, bits, bucket, stochastic, seed):
+        q = QSGDQuantizer(bits=bits, bucket_size=bucket, seed=seed, stochastic=stochastic)
+        block = q.quantize(vector)
+        decoded = q.dequantize(block)
+        return block.packed.tobytes(), block.scales.tobytes(), decoded.tobytes(), q._rng.bit_generator.state
+
+    @pytest.mark.parametrize("stochastic", [True, False], ids=["stochastic", "nearest"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_bitwise_at_scale(self, bits, dtype, stochastic, qsgd_path, monkeypatch):
+        if qsgd_path == "numpy":
+            pytest.skip("compares the c path with the numpy path: runs on the c pass")
+        gen = np.random.default_rng(bits)
+        for n in self.LENGTHS:
+            vector = _scale_vector(n, dtype, gen)
+            for bucket in self.BUCKETS:
+                bucket = bucket or n + 1
+                seed = n * 1009 + bucket
+                got = self.run(vector, bits, bucket, stochastic, seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(qsgd, "_KERNEL", None)
+                    want = self.run(vector, bits, bucket, stochastic, seed)
+                assert got == want, (n, bucket)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    def test_unaligned_input_and_output(self, dtype, rng):
+        """A buffer the C passes may not read or write takes the numpy path."""
+        vector = _scale_vector(5 * BUCKET + 3, dtype, rng)
+        q = QSGDQuantizer(bits=8, bucket_size=BUCKET, seed=4)
+        block = QSGDQuantizer(bits=8, bucket_size=BUCKET, seed=4).quantize(vector)
+        assert q.quantize(_unaligned(vector)).packed.tobytes() == block.packed.tobytes()
+        out = _unaligned(np.zeros(block.length, dtype))
+        assert q.dequantize(block, out=out) is out
+        assert out.tobytes() == q.dequantize(block).tobytes()
 
 
 class TestQSGD:

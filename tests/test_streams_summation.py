@@ -518,15 +518,22 @@ def test_unsorted_input_is_wrong_but_never_out_of_bounds(dtype):
 
 
 def test_merge_runs_on_numpy_where_no_compiler_is_found(tmp_path):
-    """A process with an empty ``PATH`` finds no ``cc``: the numpy path is
-    active from import on, and merges correctly."""
+    """A process with an empty ``PATH`` finds no ``cc``: neither compiled
+    seam loads, the numpy paths are active from import on, and the merge
+    and QSGD's quantize and dequantize run correctly on them."""
     program = (
         "import numpy as np\n"
+        "from repro.quant import QSGDQuantizer, qsgd\n"
         "from repro.streams import SUM, merge_sparse_pairs, summation\n"
-        "assert summation._KERNEL is None\n"
+        "assert summation._KERNEL is None and qsgd._KERNEL is None\n"
         "i, v = merge_sparse_pairs(np.array([1, 3], np.uint32), np.array([1.0, 2.0], np.float32),\n"
         "                          np.array([3, 4], np.uint32), np.array([5.0, 6.0], np.float32), SUM)\n"
         "assert i.tolist() == [1, 3, 4] and v.tolist() == [1.0, 7.0, 6.0]\n"
+        "q = QSGDQuantizer(bits=8, bucket_size=2, seed=0, stochastic=False)\n"
+        "block = q.quantize(np.array([3.0, -4.0, 0.0], np.float32))\n"
+        "assert block.packed.tolist() == [76, 128 | 102, 0] and block.scales.tolist() == [5.0, 0.0]\n"
+        "want = np.array([76 / 127 * 5.0, -102 / 127 * 5.0, 0.0]).astype(np.float32)\n"
+        "assert q.dequantize(block).tobytes() == want.tobytes()\n"
         "print('numpy path ok')\n"
     )
     src = Path(summation.__file__).resolve().parents[2]
