@@ -10,7 +10,8 @@
 #                           design" aim asks every PR to report
 #   make soak               25 back-to-back runs of the transport suites
 #                           (progress engine, socket / process / shmem
-#                           backends, communicator contexts, failure
+#                           backends, communicator contexts, persistent
+#                           plans (fixed keys, progress threads), failure
 #                           propagation through proxies, the socket
 #                           crash -> shrink -> rejoin cycle, whose rejoin
 #                           is the first join's path),
@@ -55,7 +56,7 @@ soak:
 	@for i in $$(seq 1 25); do echo "soak run $$i/25"; \
 	$(PYTHON) -m pytest -x -q -p no:cacheprovider tests/test_progress_engine.py \
 	    tests/test_socket_backend.py tests/test_process_backend.py tests/test_shmem_backend.py \
-	    tests/test_contexts.py \
+	    tests/test_contexts.py tests/test_plans.py \
 	    "tests/test_faults.py::TestFailurePropagationThroughProxies" \
 	    "tests/test_elastic.py::TestSocketRejoin" || exit 1; done
 

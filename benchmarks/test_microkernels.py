@@ -288,3 +288,65 @@ def test_kernel_trace_ship(benchmark):
         return sum(1 for rank in range(4) for _ in trace.events(rank))
 
     assert benchmark.pedantic(ship, rounds=3) == 4 * 7 * steps
+
+
+@pytest.fixture(scope="module")
+def fused_step_world():
+    """Rank 0 of a 2x2 thread world and one step's eight selected buckets
+    (``async_train``'s shape: 323 196 float32 entries, top-32 of every 512)."""
+    from repro.core import GradientFuser
+    from repro.costmodel import Agreed
+    from repro.runtime import ThreadWorld, normalize_topology
+
+    comm = ThreadWorld(4, topology=normalize_topology("2x2", 4)).comm(0)
+    size = 323_196 // 8
+    fuser = GradientFuser([(f"layer{i}", size + (4 if i == 7 else 0)) for i in range(8)], 0)
+    grad = np.random.default_rng(6).standard_normal(fuser.total_size).astype(np.float32)
+    feedback = fuser.make_error_feedback(32)
+    sent = [ef.select(grad[b.start: b.stop]) for b, ef in zip(fuser.buckets, feedback)]
+    return comm, sent, [Agreed(float(s.nnz)) for s in sent]
+
+
+@pytest.mark.parametrize("planned", [True, False], ids=["planned", "unplanned"])
+def test_kernel_fused_step_plan(benchmark, fused_step_world, planned):
+    """The calling-thread half of one 8-bucket fused step (``ssar_hier``,
+    ``chunks="auto"``) that plans change: each bucket's plan resolved from
+    its agreed nnz, with its keys — the cached plan (planned), or a plan
+    made afresh, priced and given new tags and subgroups, as every call
+    was before plans (unplanned). Selection is the same either way."""
+    from repro.collectives.api import AllreducePlan, cached_plan
+
+    comm, sent, agreed = fused_step_world
+
+    def half():
+        for stream, estimate in zip(sent, agreed):
+            if planned:
+                plan = cached_plan(comm, stream, "ssar_hier", chunks="auto")
+            else:
+                plan = AllreducePlan(
+                    comm, stream.dimension, stream.value_dtype, "ssar_hier", chunks="auto"
+                )
+            algorithm, chunks = plan.resolve(stream, estimate)
+            plan._keys.of(plan, algorithm)
+
+    benchmark(half)
+
+
+@pytest.mark.parametrize("form", ["plan", "i_collective"])
+def test_kernel_launch_wait(benchmark, form):
+    """One launch and join of a 128-pair allreduce on a one-rank thread
+    world (the collective itself is a copy): ``plan.start(stream).wait()``
+    beside the callable form of ``i_collective``, which takes a fresh
+    context per launch."""
+    from repro.collectives import ssar_recursive_double
+    from repro.collectives.api import allreduce_plan
+    from repro.runtime import ThreadWorld, i_collective
+
+    comm = ThreadWorld(1).comm(0)
+    stream = SparseStream.random_uniform(N, 128, np.random.default_rng(7))
+    plan = allreduce_plan(comm, N, np.float32, "ssar_rec_dbl")
+    if form == "plan":
+        out = benchmark(lambda: plan.start(stream).wait())
+    else:
+        out = benchmark(lambda: i_collective(comm, ssar_recursive_double, stream).wait())
+    assert out.nnz == 128

@@ -6,7 +6,7 @@ from .allgather import (
     allgather_ring,
     sparse_allgather,
 )
-from .api import ALGORITHMS, dense_allreduce, run_sparse_allreduce, sparse_allreduce
+from .api import ALGORITHMS, allreduce_plan, dense_allreduce, run_sparse_allreduce, sparse_allreduce
 from .dense import (
     DENSE_ALGORITHMS,
     allreduce_rabenseifner,
@@ -19,7 +19,7 @@ from .hier import dsar_hierarchical, ssar_hierarchical, tree_reduce
 from .selector import (
     RING_MIN_RANKS,
     SMALL_MESSAGE_BYTES,
-    SPARSE_ALGORITHMS,
+    SCHEDULES,
     choose_algorithm,
     dense_stage_two_tier_times,
 )
@@ -31,6 +31,7 @@ __all__ = [
     "allgather_ring",
     "sparse_allgather",
     "ALGORITHMS",
+    "allreduce_plan",
     "dense_allreduce",
     "sparse_allreduce",
     "run_sparse_allreduce",
@@ -45,7 +46,7 @@ __all__ = [
     "tree_reduce",
     "RING_MIN_RANKS",
     "SMALL_MESSAGE_BYTES",
-    "SPARSE_ALGORITHMS",
+    "SCHEDULES",
     "choose_algorithm",
     "dense_stage_two_tier_times",
     "slice_stream",

@@ -4,18 +4,50 @@ This is the user-facing surface of the communication library — the analog
 of SparCML's MPI-like interface ("The SparCML library provides a similar
 interface to that of standard MPI calls, with the caveat that the data
 representation is assumed to be a sparse stream", §7).
+
+**Persistent collectives.** MPI-4 splits a collective a program repeats
+into ``MPI_Allreduce_init`` — what does not change between calls, done
+once — and ``MPI_Start`` / ``MPI_Wait`` every step; SpComm3D's setup
+phase does the same for a sparse kernel's communication pattern.
+:func:`allreduce_plan` is that split for the six sparse allreduce
+schedules:
+
+* it resolves the knobs once: ``"auto"`` is re-ranked, and
+  ``chunks="auto"`` re-priced, only when the agreed nnz drifts past
+  :data:`~repro.costmodel.adaptive.DRIFT_THRESHOLD` from the estimate the
+  held resolution was priced from;
+* it takes its message keys once — a tag block and, for the hierarchical
+  schedules, the two host subgroups
+  (:func:`~repro.collectives.hier.build_hierarchy`) — so a rank's channel
+  count is fixed by its plans, not by its step count;
+* a blocking run (``plan(stream)``) runs on the calling thread in the
+  communicator's own context; a started run (``plan.start(stream)``) runs
+  on the communicator's progress thread (:mod:`~repro.runtime.nonblocking`)
+  in one child context the plan takes at its first start, and its trace
+  events reach the rank's log at ``wait()``. Runs of one plan share their
+  keys, so they never overlap: starts queue in launch order on that one
+  thread, and a blocking run first waits for the plan's last start to
+  finish — at the same point of the program on every rank.
+
+:func:`sparse_allreduce`, the stream form of
+:func:`~repro.runtime.nonblocking.i_collective` and
+:class:`~repro.core.fusion.GradientFuser` run through :func:`cached_plan`:
+one plan per communicator and key every rank agrees on (algorithm knob,
+op, chunks knob, dimension, dtype; the quantizer is a run argument). A
+shrunk or regrown world is a new communicator and plans afresh.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..costmodel.adaptive import Agreed, consistent_mean
-from ..costmodel.model import Instance
+from ..costmodel.adaptive import DRIFT_THRESHOLD, Agreed, consistent_mean
+from ..costmodel.model import SCHEDULES, Instance
 from ..quant import QSGDQuantizer
 from ..runtime.backend import Backend, ParallelResult
 from ..runtime.comm import Communicator
 from ..runtime.launcher import run_ranks
+from ..runtime.nonblocking import NonBlockingHandle, _BufferedComm, launch
 from ..runtime.topology import Topology
 from ..streams import SparseStream
 from ..streams.ops import REDUCE_OPS, SUM, ReduceOp
@@ -26,7 +58,7 @@ from .dense import (
     allreduce_ring,
 )
 from .dsar import dsar_split_allgather
-from .hier import _check_chunks, dsar_hierarchical, ssar_hierarchical
+from .hier import _check_chunks, build_hierarchy, dsar_hierarchical, ssar_hierarchical
 from .sparse import ssar_recursive_double, ssar_ring, ssar_split_allgather
 
 __all__ = [
@@ -35,9 +67,13 @@ __all__ = [
     "sparse_allgather",
     "run_sparse_allreduce",
     "resolve_collective",
+    "allreduce_plan",
+    "AllreducePlan",
+    "cached_plan",
     "ALGORITHMS",
 ]
 
+#: the schedule behind every name of :data:`~repro.costmodel.model.SCHEDULES`
 ALGORITHMS = {
     "ssar_rec_dbl": ssar_recursive_double,
     "ssar_split_ag": ssar_split_allgather,
@@ -46,12 +82,6 @@ ALGORITHMS = {
     "dsar_split_ag": dsar_split_allgather,
     "dsar_hier": dsar_hierarchical,
 }
-
-#: the dynamic-instance algorithms, whose dense stage takes the quantizer.
-DSAR_ALGORITHMS = ("dsar_split_ag", "dsar_hier")
-
-#: the algorithms that accept ``chunks=`` (pipelined hierarchical path).
-CHUNKED_ALGORITHMS = ("ssar_hier", "dsar_hier")
 
 DENSE = {
     "dense_rec_dbl": allreduce_recursive_doubling,
@@ -81,12 +111,14 @@ def resolve_collective(
 
     Single resolution path shared by the blocking surface
     (:func:`sparse_allreduce`) and the non-blocking one
-    (:func:`~repro.runtime.nonblocking.i_collective` stream form): the
-    ``"auto"`` selector, op lookup and per-algorithm knob routing
-    (``quantizer`` only to the DSAR algorithms, ``chunks`` only to the
-    hierarchical ones — both warning-free no-ops elsewhere, matching the
-    quantizer contract) live here and nowhere else. The returned pair
-    satisfies ``fn(comm, stream, **kwargs)``.
+    (:func:`~repro.runtime.nonblocking.i_collective` stream form), whose
+    plans resolve the same way (:meth:`AllreducePlan.resolve`): the
+    ``"auto"`` selector, op lookup and per-algorithm knob routing (``quantizer`` only
+    to the dense-stage algorithms, ``chunks`` only to the hierarchical
+    ones — both warning-free no-ops elsewhere, matching the quantizer
+    contract; :data:`~repro.costmodel.model.SCHEDULES` says which is
+    which) live here and nowhere else. The returned pair satisfies
+    ``fn(comm, stream, **kwargs)``.
 
     ``algorithm="auto"`` and ``chunks="auto"`` resolve from a
     *rank-consistent* density estimate — one scalar agreement round
@@ -104,34 +136,143 @@ def resolve_collective(
     with the cost model it is priced under; the call then costs no
     messages. Without it the default model prices the instance.
     """
-    auto_algorithm = algorithm == "auto"
-    auto_chunks = chunks == "auto"
-    if not auto_chunks:
-        _check_chunks(chunks)
-    if auto_algorithm or auto_chunks:
+    plan = AllreducePlan(comm, stream.dimension, stream.value_dtype, algorithm, op, chunks)
+    if agreed is None and "auto" in (algorithm, chunks):
+        agreed = Agreed(consistent_mean(comm, float(stream.nnz)))
+    algorithm, chunks = plan.resolve(stream, agreed)
+    return ALGORITHMS[algorithm], plan.kwargs(algorithm, quantizer, chunks)
+
+
+class _Keys:
+    """A plan's message keys on one communicator, each taken at its first
+    use: the tag block of the flat schedules, the hierarchy of the others."""
+
+    def __init__(self, comm: Communicator) -> None:
+        self.comm, self.tag, self.hierarchy = comm, None, None
+
+    def of(self, plan: "AllreducePlan", algorithm: str) -> dict:
+        if SCHEDULES[algorithm].hierarchical:
+            self.hierarchy = self.hierarchy or build_hierarchy(self.comm, plan.dimension)
+            return {"hierarchy": self.hierarchy}
+        self.tag = self.comm.next_collective_tag() if self.tag is None else self.tag
+        return {"tag": self.tag}
+
+
+class AllreducePlan:
+    """A sparse allreduce planned once and run every step: made by
+    :func:`allreduce_plan`, or per communicator and key by :func:`cached_plan`."""
+
+    def __init__(self, comm, dimension, dtype, algorithm="auto", op=SUM, chunks=1) -> None:
+        if algorithm != "auto" and algorithm not in SCHEDULES:
+            raise ValueError(
+                f"unknown algorithm {algorithm!r}; choose from {sorted(SCHEDULES)} or 'auto'"
+            )
+        self.comm, self.dimension, self.dtype = comm, int(dimension), np.dtype(dtype)
+        self.algorithm, self.op = algorithm, _resolve_op(op)
+        self.chunks = chunks if chunks == "auto" else _check_chunks(chunks)
+        #: the held (algorithm, chunks), and the agreed estimate it was priced from
+        self._resolved, self._priced = (algorithm, self.chunks), None
+        #: the blocking runs' keys, and the started runs' (in a child
+        #: context, from the first start)
+        self._keys, self._started = _Keys(comm), None
+        self._last: "NonBlockingHandle | None" = None
+
+    def resolve(self, stream: SparseStream, agreed: "Agreed | None" = None) -> tuple:
+        """The ``(algorithm, chunks)`` a run of ``stream`` takes: the held
+        ones, re-priced when an ``"auto"`` knob's agreed nnz (``agreed``, or
+        one round of this plan's own) drifted from the one they were
+        priced from."""
+        if stream.dimension != self.dimension or stream.value_dtype != self.dtype:
+            raise ValueError(
+                f"plan for {self.dimension} x {self.dtype} streams "
+                f"got {stream.dimension} x {stream.value_dtype}"
+            )
+        if "auto" not in (self.algorithm, self.chunks):
+            return self._resolved
         if agreed is None:
-            agreed = Agreed(consistent_mean(comm, float(stream.nnz)))
-        instance = Instance(
-            stream.dimension,
-            comm.size,
-            min(max(agreed.nnz, 0.0), float(stream.dimension)),
-            stream.value_dtype.itemsize,
-        )
-    if auto_algorithm:
-        algorithm = agreed.model.choose(instance, comm.topology)
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)} or 'auto'"
-        )
-    if auto_chunks:
-        # 1 for the flat algorithms, which ignore chunking silently
-        chunks = agreed.model.auto_chunks(instance, algorithm, topology=comm.topology)
-    kwargs: dict = {"op": _resolve_op(op)}
-    if algorithm in DSAR_ALGORITHMS:
-        kwargs["quantizer"] = quantizer
-    if algorithm in CHUNKED_ALGORITHMS:
-        kwargs["chunks"] = chunks
-    return ALGORITHMS[algorithm], kwargs
+            agreed = Agreed(consistent_mean(self.comm, float(stream.nnz), agreement_tag(self.comm)))
+        held = self._priced
+        if held is None or held.model != agreed.model or (
+            abs(agreed.nnz - held.nnz) > DRIFT_THRESHOLD * max(held.nnz, 1.0)
+        ):
+            nnz = min(max(agreed.nnz, 0.0), float(self.dimension))
+            instance = Instance(self.dimension, self.comm.size, nnz, self.dtype.itemsize)
+            algorithm, chunks, topology = self.algorithm, self.chunks, self.comm.topology
+            if algorithm == "auto":
+                algorithm = agreed.model.choose(instance, topology)
+            if chunks == "auto":
+                # 1 for the flat algorithms, which ignore chunking silently
+                chunks = agreed.model.auto_chunks(instance, algorithm, topology=topology)
+            self._resolved, self._priced = (algorithm, chunks), agreed
+        return self._resolved
+
+    def kwargs(self, algorithm: str, quantizer, chunks) -> dict:
+        """The knobs ``algorithm``'s schedule takes of the four."""
+        schedule = SCHEDULES[algorithm]
+        kwargs: dict = {"op": self.op}
+        if schedule.dense:
+            kwargs["quantizer"] = quantizer
+        if schedule.hierarchical:
+            kwargs["chunks"] = chunks
+        return kwargs
+
+    def __call__(self, stream: SparseStream, quantizer=None, agreed=None) -> SparseStream:
+        """Run blocking on the calling thread, once the plan's last start
+        has finished: a plan has at most one run in flight, as a persistent
+        MPI request has, so a quantizer both runs use draws in program order."""
+        if self._last is not None:
+            self._last.settle()
+        algorithm, chunks = self.resolve(stream, agreed)
+        kwargs = self.kwargs(algorithm, quantizer, chunks) | self._keys.of(self, algorithm)
+        return ALGORITHMS[algorithm](self.comm, stream, **kwargs)
+
+    def start(self, stream: SparseStream, quantizer=None, agreed=None) -> NonBlockingHandle:
+        """Start a run on the communicator's progress thread, behind its
+        earlier launches; the handle's ``wait()`` returns the result."""
+        algorithm, chunks = self.resolve(stream, agreed)
+        if self._started is None:
+            self._started = _Keys(_BufferedComm(self.comm, self.comm._next_slot()))
+        kwargs = self.kwargs(algorithm, quantizer, chunks) | self._started.of(self, algorithm)
+        self._last = launch(self.comm, self._started.comm, ALGORITHMS[algorithm], stream, **kwargs)
+        return self._last
+
+
+def allreduce_plan(comm, dimension, dtype, algorithm="auto", op=SUM, chunks=1) -> AllreducePlan:
+    """Plan the sparse allreduce of ``dimension`` x ``dtype`` streams once,
+    to run it every step (MPI-4's ``MPI_Allreduce_init``).
+
+    The knobs are those of :func:`sparse_allreduce`, and a bad one raises
+    here. Making a plan sends nothing; like every collective call, all
+    ranks make their plans in the same program order with the same knobs.
+    ``plan(stream, quantizer=None)`` runs it blocking and
+    ``plan.start(stream, quantizer=None)`` starts it
+    (:class:`~repro.runtime.nonblocking.NonBlockingHandle`); either gives
+    the bits :func:`sparse_allreduce` gives for the same knobs. ``agreed``
+    (internal, both) is a pre-agreed nnz estimate for ``"auto"`` knobs, as
+    in :func:`resolve_collective`; without one an ``"auto"`` run agrees on
+    its own, one round on a tag block every plan of ``comm`` shares.
+    """
+    return AllreducePlan(comm, dimension, dtype, algorithm, op, chunks)
+
+
+def cached_plan(comm, stream, algorithm="auto", op=SUM, chunks=1) -> AllreducePlan:
+    """``comm``'s plan for these knobs and ``stream``'s shape, made at the
+    first call: keyed only by values every rank passes alike, so every
+    rank makes it at the same call."""
+    plans = comm._plans = comm._plans or {}
+    key = (algorithm, op, chunks, stream.dimension, stream.value_dtype)
+    if key not in plans:
+        plans[key] = AllreducePlan(comm, stream.dimension, stream.value_dtype, algorithm, op, chunks)
+    return plans[key]
+
+
+def agreement_tag(comm: Communicator) -> int:
+    """The tag block the agreement rounds of ``comm``'s plans and fused
+    steps share, taken by the first (they run on the calling thread, in
+    program order)."""
+    if comm._agreement_tag is None:
+        comm._agreement_tag = comm.next_collective_tag()
+    return comm._agreement_tag
 
 
 def sparse_allreduce(
@@ -181,10 +322,7 @@ def sparse_allreduce(
     SparseStream
         The sum; representation (sparse/dense) reflects actual fill-in.
     """
-    fn, kwargs = resolve_collective(
-        comm, stream, algorithm=algorithm, quantizer=quantizer, op=op, chunks=chunks
-    )
-    return fn(comm, stream, **kwargs)
+    return cached_plan(comm, stream, algorithm, op, chunks)(stream, quantizer)
 
 
 def _allreduce_rank(

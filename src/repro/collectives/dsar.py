@@ -45,6 +45,7 @@ def dsar_split_allgather(
     quantizer: QSGDQuantizer | None = None,
     op: ReduceOp = SUM,
     bounds: np.ndarray | None = None,
+    tag: int | None = None,
 ) -> SparseStream:
     """DSAR_Split_allgather, optionally with a quantized dense stage.
 
@@ -66,6 +67,8 @@ def dsar_split_allgather(
         which rank merges and densifies each coordinate, and therefore
         the float association — identical to a full-dimension run when
         the collective runs on a restriction of the dimension.
+    tag:
+        The tag block to run on instead of a fresh one (a plan's).
 
     Returns
     -------
@@ -94,7 +97,7 @@ def dsar_split_allgather(
             quantizer.dequantize(qblock, out=block)
             comm.compute(block.nbytes, "dequantize")
         return SparseStream(stream.dimension, dense=block, value_dtype=vdt, copy=False)
-    base = comm.next_collective_tag()
+    base = comm.next_collective_tag() if tag is None else tag
     if bounds is None:
         bounds = partition_bounds(stream.dimension, comm.size)
 

@@ -49,6 +49,8 @@ owning leader.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..config import INDEX_DTYPE
@@ -62,13 +64,11 @@ from .dense import partition_bounds
 from .dsar import dsar_split_allgather
 from .sparse import _ensure_sparse, slice_stream, ssar_recursive_double
 
-__all__ = ["ssar_hierarchical", "dsar_hierarchical", "tree_reduce"]
+__all__ = ["ssar_hierarchical", "dsar_hierarchical", "tree_reduce", "Hierarchy", "build_hierarchy"]
 
 
 def tree_reduce(
-    comm: Communicator,
-    stream: SparseStream,
-    op: ReduceOp = SUM,
+    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM, tag: int | None = None
 ) -> SparseStream:
     """Binomial-tree sparse reduce onto rank 0 of ``comm``.
 
@@ -76,12 +76,13 @@ def tree_reduce(
     return their partial accumulator (callers broadcast the real result
     back). The merge order matches recursive doubling's association on
     power-of-two worlds, which is what makes the hierarchical composition
-    bit-compatible with ``ssar_rec_dbl`` on aligned topologies.
+    bit-compatible with ``ssar_rec_dbl`` on aligned topologies. ``tag``
+    is the tag to run on instead of a fresh block's.
     """
     acc = stream.copy()
     if comm.size == 1:
         return acc
-    base = comm.next_collective_tag()
+    base = comm.next_collective_tag() if tag is None else tag
     mask = 1
     while mask < comm.size:
         if comm.rank & mask:
@@ -98,18 +99,38 @@ def tree_reduce(
     return acc
 
 
-def _resolve_topology(
-    comm: Communicator, topology: "Topology | str | int | None"
-) -> Topology:
-    """The rank -> host map a hierarchical collective runs under.
+class Hierarchy(NamedTuple):
+    """What a hierarchical schedule runs on besides the stream, kept by a
+    persistent plan across its runs (:func:`build_hierarchy`)."""
 
-    Explicit argument first (validated against ``comm.size`` with the
-    launcher-uniform error), then ``comm.topology``, then a flat world.
+    #: this rank's host group, and the host leaders (``None`` off a leader)
+    local: Communicator
+    leaders: "Communicator | None"
+    #: the leaders' partition of the full dimension (``dsar_hier``'s owners)
+    leader_bounds: np.ndarray
+    #: the tags of the intra-host reduce and broadcast, and of the leader stage
+    tags: tuple
+
+
+def build_hierarchy(comm: Communicator, dimension: int, topology=None) -> Hierarchy:
+    """The two subgroups of ``comm`` a hierarchical schedule runs on, a tag
+    block on each and the leader partition of ``dimension``.
+
+    The rank -> host map is ``topology`` (validated against ``comm.size``
+    with the launcher-uniform error), else ``comm.topology``, else a flat
+    world. Takes two slots of ``comm``'s child counter on every rank: host
+    groups are pairwise disjoint, so they share the first. A plan builds
+    this once for all its runs; a direct call of a schedule, per call.
     """
     topo = normalize_topology(topology, comm.size)
     if topo is None:
         topo = comm.topology if comm.topology is not None else Topology.flat(comm.size)
-    return check_topology_size(topo, comm.size)
+    check_topology_size(topo, comm.size)
+    local = comm.subgroup(topo.group_of(comm.rank))
+    leaders = comm.subgroup(topo.leaders)
+    leader_tag = leaders and leaders.next_collective_tag()
+    tags = (local.next_collective_tag(), local.next_collective_tag(), leader_tag)
+    return Hierarchy(local, leaders, partition_bounds(dimension, len(topo.leaders)), tags)
 
 
 def _check_chunks(chunks: int) -> int:
@@ -188,7 +209,7 @@ def _hierarchical(
     comm: Communicator,
     stream: SparseStream,
     op: ReduceOp,
-    topo: Topology,
+    hierarchy: Hierarchy,
     chunks: int,
     leader_stage,
     leader_runs_alone: bool,
@@ -218,10 +239,7 @@ def _hierarchical(
     has nothing to do).
     """
     comm.mark(mark)
-    # every rank takes one slot in each of the two subgroup call sites:
-    # host groups are pairwise disjoint, so they may share the first slot
-    local = comm.subgroup(topo.group_of(comm.rank))
-    leader_comm = comm.subgroup(topo.leaders)
+    local, leader_comm, _, (reduce_tag, bcast_tag, _) = hierarchy
     launch = leader_comm is not None and (leader_comm.size > 1 or leader_runs_alone)
 
     bounds = partition_bounds(stream.dimension, chunks)
@@ -233,14 +251,15 @@ def _hierarchical(
         acc = handles[k].wait()
         if local.size > 1:
             comm.mark("hier_bcast")
-            acc = local.bcast(acc, root=0)
+            acc = local.bcast(acc, root=0, tag=bcast_tag)
         parts[k] = acc
 
     for k in range(chunks):
         lo, hi = int(bounds[k]), int(bounds[k + 1])
         # merge this host's streams onto its leader (fast tier only)
         comm.mark("hier_local_reduce")
-        acc = tree_reduce(local, stream if chunks == 1 else _rebase_chunk(stream, lo, hi), op)
+        piece = stream if chunks == 1 else _rebase_chunk(stream, lo, hi)
+        acc = tree_reduce(local, piece, op, reduce_tag)
         handle = CompletedHandle(acc)
         if launch:
             # only the per-host merged unions cross the slow tier
@@ -264,6 +283,7 @@ def ssar_hierarchical(
     op: ReduceOp = SUM,
     topology: "Topology | str | int | None" = None,
     chunks: int = 1,
+    hierarchy: Hierarchy | None = None,
 ) -> SparseStream:
     """SSAR_Hierarchical: intra-node reduce, leader allreduce, broadcast.
 
@@ -288,6 +308,10 @@ def ssar_hierarchical(
         **bit-identical** to ``chunks=1`` on every backend: chunking only
         restricts each stage to a coordinate range, it never changes
         which rank combines a coordinate or in what order.
+    hierarchy:
+        The subgroups and tags to run on (:func:`build_hierarchy`), which
+        a persistent plan keeps across its runs; built per call (from
+        ``topology``) when omitted.
 
     The per-host leaders run recursive doubling among themselves:
     latency-optimal for the (small) leader world, and what keeps the
@@ -297,12 +321,13 @@ def ssar_hierarchical(
     chunks = _check_chunks(chunks)
     if comm.size == 1:
         return stream.copy()
+    hierarchy = hierarchy or build_hierarchy(comm, stream.dimension, topology)
 
     def leader_stage(leader_comm, chunk_acc, lo, hi):
-        return ssar_recursive_double(leader_comm, chunk_acc, op)
+        return ssar_recursive_double(leader_comm, chunk_acc, op, tag=hierarchy.tags[2])
 
     return _hierarchical(
-        comm, stream, op, _resolve_topology(comm, topology), chunks, leader_stage,
+        comm, stream, op, hierarchy, chunks, leader_stage,
         leader_runs_alone=False, mark="ssar_hier",
     )
 
@@ -314,6 +339,7 @@ def dsar_hierarchical(
     op: ReduceOp = SUM,
     topology: "Topology | str | int | None" = None,
     chunks: int = 1,
+    hierarchy: Hierarchy | None = None,
 ) -> SparseStream:
     """DSAR_Hierarchical: the dense-stage hierarchy for dynamic instances.
 
@@ -336,9 +362,9 @@ def dsar_hierarchical(
     partition bounds) and by which rank's quantizer touched each entry.
 
     Parameters mirror :func:`dsar_split_allgather` plus ``topology``
-    (defaults to ``comm.topology``, falling back to a flat world) and
-    ``chunks`` (the pipelined schedule of :func:`ssar_hierarchical`; the
-    leaders receive the full-dimension partition bounds clipped to each
+    (defaults to ``comm.topology``, falling back to a flat world),
+    ``hierarchy`` (as in :func:`ssar_hierarchical`) and ``chunks`` (the
+    pipelined schedule of :func:`ssar_hierarchical`; the leaders receive the full-dimension partition bounds clipped to each
     chunk, see :func:`_clip_bounds`). With the default ``quantizer=None``
     the chunked result is bit-identical to the unchunked one on every
     backend; *with* a quantizer the chunked result is equal only in
@@ -352,16 +378,15 @@ def dsar_hierarchical(
         # the flat kernel's single-rank path already densifies and
         # quantizes the one partition exactly once
         return dsar_split_allgather(comm, stream, quantizer=quantizer, op=op)
-    topo = _resolve_topology(comm, topology)
-    leader_bounds = partition_bounds(stream.dimension, len(topo.leaders))
+    hierarchy = hierarchy or build_hierarchy(comm, stream.dimension, topology)
 
     def leader_stage(leader_comm, chunk_acc, lo, hi):
         return dsar_split_allgather(
             leader_comm, chunk_acc, quantizer=quantizer, op=op,
-            bounds=_clip_bounds(leader_bounds, lo, hi),
+            bounds=_clip_bounds(hierarchy.leader_bounds, lo, hi), tag=hierarchy.tags[2],
         )
 
     return _hierarchical(
-        comm, stream, op, topo, chunks, leader_stage,
+        comm, stream, op, hierarchy, chunks, leader_stage,
         leader_runs_alone=True, mark="dsar_hier",
     )

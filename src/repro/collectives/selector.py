@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..costmodel.model import (
     RING_MIN_RANKS,
     SMALL_MESSAGE_BYTES,
-    SPARSE_ALGORITHMS,
+    SCHEDULES,
     CostModel,
     Instance,
 )
@@ -35,7 +35,7 @@ __all__ = [
     "dense_stage_two_tier_times",
     "SMALL_MESSAGE_BYTES",
     "RING_MIN_RANKS",
-    "SPARSE_ALGORITHMS",
+    "SCHEDULES",
 ]
 
 
@@ -115,7 +115,7 @@ def choose_algorithm(
     Returns
     -------
     str
-        One of :data:`SPARSE_ALGORITHMS`. ``ssar_ring`` is reachable only
+        One of :data:`SCHEDULES`. ``ssar_ring`` is reachable only
         through the bandwidth-bound branch (``P >= RING_MIN_RANKS`` and a
         per-rank slice above the latency switch point); ``ssar_hier`` and
         ``dsar_hier`` only with a hierarchical ``topology``.

@@ -91,18 +91,20 @@ def _ensure_sparse(stream: SparseStream) -> SparseStream:
 
 
 def ssar_recursive_double(
-    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM
+    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM, tag: int | None = None
 ) -> SparseStream:
     """SSAR_Recursive_double: pairwise exchange + sparse merge, log2(P) rounds.
 
     Works for any P via the fold-in/fold-out relaxation of App. A. The
     result (identical on every rank) may come back dense if fill-in crossed
-    ``delta`` — the stream header records which.
+    ``delta`` — the stream header records which. ``tag`` is the tag block
+    to run on instead of a fresh one (a plan's, reused by every run; the
+    same in every schedule).
     """
     stream = _ensure_sparse(stream)
     if comm.size == 1:
         return stream.copy()
-    base = comm.next_collective_tag()
+    base = comm.next_collective_tag() if tag is None else tag
     comm.mark("ssar_rec_dbl")
 
     pof2 = 1
@@ -204,6 +206,7 @@ def ssar_split_allgather(
     comm: Communicator,
     stream: SparseStream,
     op: ReduceOp = SUM,
+    tag: int | None = None,
 ) -> SparseStream:
     """SSAR_Split_allgather: split phase + sparse allgather (§5.3.2).
 
@@ -213,7 +216,7 @@ def ssar_split_allgather(
     stream = _ensure_sparse(stream)
     if comm.size == 1:
         return stream.copy()
-    base = comm.next_collective_tag()
+    base = comm.next_collective_tag() if tag is None else tag
     bounds = partition_bounds(stream.dimension, comm.size)
     reduced = split_phase(comm, stream, bounds, base, op)
     comm.mark("allgather")
@@ -225,7 +228,7 @@ def ssar_split_allgather(
 
 
 def ssar_ring(
-    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM
+    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM, tag: int | None = None
 ) -> SparseStream:
     """Sparse ring allreduce: ring reduce-scatter + ring allgather on slices.
 
@@ -237,7 +240,7 @@ def ssar_ring(
     P = comm.size
     if P == 1:
         return stream.copy()
-    base = comm.next_collective_tag()
+    base = comm.next_collective_tag() if tag is None else tag
     comm.mark("ssar_ring")
     bounds = partition_bounds(stream.dimension, P)
     slices = [

@@ -13,7 +13,13 @@ at least ``min_bucket_bytes`` and each bucket is reduced independently
 the backward pass).
 
 :class:`GradientFuser` computes the bucket layout once from the model's
-tensor sizes and then slices/reduces flat gradient vectors.
+tensor sizes and then slices/reduces flat gradient vectors. Each bucket
+runs through the communicator's persistent plan for its shape
+(:func:`~repro.collectives.api.cached_plan`), so a fused step resolves,
+takes tags and builds subgroups only when a plan is first made (or, for
+``"auto"`` knobs, when a bucket's agreed nnz drifts), and the async mode
+queues every bucket on the communicator's one long-lived progress thread
+instead of starting a thread per step.
 """
 
 from __future__ import annotations
@@ -22,40 +28,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..collectives.api import resolve_collective
+from ..collectives.api import agreement_tag, cached_plan
 from ..costmodel.adaptive import Agreed, consistent_mean
 from ..quant import QSGDQuantizer
 from ..runtime.comm import Communicator, Handle
-from ..runtime.nonblocking import i_collective
 from .topk import ErrorFeedback, quantize_stream_values
 
 __all__ = ["FusedBucket", "FusedPendingUpdate", "GradientFuser"]
 
 
 class FusedPendingUpdate(Handle):
-    """In-flight fused allreduce: one background collective for the call.
+    """In-flight fused allreduce: one started plan run per bucket.
 
-    Its progress thread reduces the buckets in layout order and scatters
-    each dense total into the fused output vector, which ``wait()``
-    returns. A bucket that fails ends the thread there; ``wait()``
-    re-raises its error, and no thread outlives the join.
+    The runs queue on the communicator's progress thread in layout order;
+    ``wait()`` joins them in that order, scattering each dense total into
+    the fused output vector it returns, and re-raises the first failed
+    bucket's error.
     """
 
-    def __init__(self, handle: Handle) -> None:
-        self._handle = handle
+    def __init__(self, runs: list, out: np.ndarray) -> None:
+        self._runs, self._out = runs, out
 
     def wait(self) -> np.ndarray:
-        return self._handle.wait()
+        if self._runs:
+            self._runs[-1][1].settle()  # one wake-up: the runs finish in order
+        for bucket, handle in self._runs:
+            self._out[bucket.start: bucket.stop] = handle.wait().to_dense()
+        self._runs = []
+        return self._out
 
     def test(self) -> bool:
-        return self._handle.test()
-
-
-def _reduce_buckets(comm: Communicator, plan: list, out: np.ndarray) -> np.ndarray:
-    """Run a fused call's resolved bucket collectives in layout order."""
-    for bucket, fn, sent, kwargs in plan:
-        out[bucket.start: bucket.stop] = fn(comm, sent, **kwargs).to_dense()
-    return out
+        return all(handle.test() for _, handle in self._runs)
 
 
 @dataclass(frozen=True)
@@ -179,22 +182,27 @@ class GradientFuser:
         the realized density drifts. Whatever the knobs, a call runs at
         most one agreement round (see :meth:`_plan`).
         """
-        plan = self._plan(
+        out = np.empty_like(grad)
+        for bucket, plan, sent, estimate in self._plan(
             comm, grad, error_feedback, algorithm, quantizer, chunks, selector
-        )
-        return _reduce_buckets(comm, plan, np.empty_like(grad))
+        ):
+            out[bucket.start: bucket.stop] = plan(sent, agreed=estimate).to_dense()
+        return out
 
     def _plan(
         self, comm, grad, error_feedback, algorithm, quantizer, chunks, selector
     ) -> list:
-        """The calling-thread half of a fused call: select, agree, resolve.
+        """The calling-thread half of a fused call: select, agree, plan.
 
         TopK selection runs first, so error-feedback state mutates in
         program order. Then *one* agreement round settles everything the
         call's ``"auto"`` knobs need — the selector's density estimate
-        and every bucket's selected nnz ride the same vector — and each
-        bucket resolves from its pre-agreed estimate without messages of
-        its own. Returns ``(bucket, fn, stream, kwargs)`` per bucket.
+        and every bucket's selected nnz ride the same vector, on the
+        communicator's agreement tags — and each bucket's cached plan
+        (:func:`~repro.collectives.api.cached_plan`) resolves from its
+        pre-agreed estimate without messages of its own, re-pricing only
+        when that estimate drifted. Returns ``(bucket, plan, stream,
+        estimate)`` per bucket.
         """
         self._check_fused_args(grad, error_feedback)
         selected = []
@@ -210,18 +218,15 @@ class GradientFuser:
             if algorithm != "auto":
                 raise ValueError("selector requires algorithm='auto'")
             algorithm, estimates = selector.step_agreeing(
-                comm, sum(nnz) / len(nnz), nnz if chunks == "auto" else ()
+                comm, sum(nnz) / len(nnz), nnz if chunks == "auto" else (), agreement_tag(comm)
             )
             agreed = estimates or agreed
         elif "auto" in (algorithm, chunks):
-            agreed = [Agreed(mean) for mean in consistent_mean(comm, nnz)]
-        plan = []
-        for bucket, sent, estimate in zip(self.buckets, selected, agreed):
-            fn, kwargs = resolve_collective(
-                comm, sent, algorithm=algorithm, chunks=chunks, agreed=estimate
-            )
-            plan.append((bucket, fn, sent, kwargs))
-        return plan
+            agreed = [Agreed(m) for m in consistent_mean(comm, nnz, agreement_tag(comm))]
+        return [
+            (bucket, cached_plan(comm, sent, algorithm, chunks=chunks), sent, estimate)
+            for bucket, sent, estimate in zip(self.buckets, selected, agreed)
+        ]
 
     def i_fused_allreduce(
         self,
@@ -233,25 +238,27 @@ class GradientFuser:
         chunks: "int | str" = 1,
         selector=None,
     ) -> FusedPendingUpdate:
-        """Async mode: one background collective reduces every bucket.
+        """Async mode: every bucket's plan started on one progress thread.
 
         TopK selection (and optional value quantization), the call's one
-        agreement round and every bucket's resolution run eagerly on the
-        calling thread; then a single progress thread
-        (:func:`~repro.runtime.nonblocking.i_collective`) reduces the
-        buckets in layout order while the caller computes. The returned
-        :class:`FusedPendingUpdate` joins it and hands back the dense
+        agreement round and every bucket's plan run eagerly on the
+        calling thread; then each bucket's plan is started
+        (:meth:`~repro.collectives.api.AllreducePlan.start`), and the
+        communicator's one long-lived progress thread reduces the buckets
+        in layout order while the caller computes. The returned
+        :class:`FusedPendingUpdate` joins them and hands back the dense
         update; results are bit-identical to
         :meth:`fused_topk_allreduce` (same selection, same collectives,
         unquantized). ``selector`` resolves one adaptive algorithm per
         call (see :meth:`fused_topk_allreduce`).
         """
-        plan = self._plan(
-            comm, grad, error_feedback, algorithm, quantizer, chunks, selector
-        )
-        return FusedPendingUpdate(
-            i_collective(comm, _reduce_buckets, plan, np.empty_like(grad))
-        )
+        runs = [
+            (bucket, plan.start(sent, agreed=estimate))
+            for bucket, plan, sent, estimate in self._plan(
+                comm, grad, error_feedback, algorithm, quantizer, chunks, selector
+            )
+        ]
+        return FusedPendingUpdate(runs, np.empty_like(grad))
 
     def make_error_feedback(
         self, k: int, bucket_size: int | None = 512

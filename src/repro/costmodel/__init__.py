@@ -31,7 +31,7 @@ from .model import (
     MAX_AUTO_CHUNKS,
     RING_MIN_RANKS,
     SMALL_MESSAGE_BYTES,
-    SPARSE_ALGORITHMS,
+    SCHEDULES,
     CostModel,
     Instance,
     PredictedCost,
@@ -63,7 +63,7 @@ __all__ = [
     "consistent_mean",
     "SMALL_MESSAGE_BYTES",
     "RING_MIN_RANKS",
-    "SPARSE_ALGORITHMS",
+    "SCHEDULES",
     "MAX_AUTO_CHUNKS",
     "fit_alpha_beta",
     "fit_gamma",

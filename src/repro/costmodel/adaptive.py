@@ -26,10 +26,16 @@ from dataclasses import dataclass, field
 
 from .model import CostModel, Instance, SelectionReport
 
-__all__ = ["AdaptiveSelector", "AlgorithmSwitch", "Agreed", "consistent_mean"]
+__all__ = ["AdaptiveSelector", "AlgorithmSwitch", "Agreed", "consistent_mean", "DRIFT_THRESHOLD"]
+
+#: relative drift of an agreed nnz estimate from the one the current
+#: choice was priced from that re-prices it: the selector's default, and
+#: what a persistent plan (:func:`~repro.collectives.api.allreduce_plan`)
+#: holds its ``"auto"`` resolution against.
+DRIFT_THRESHOLD = 0.25
 
 
-def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]"):
+def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]", tag: int | None = None):
     """One collectively-agreed mean of every rank's ``value``.
 
     ``value`` is a scalar or a list/tuple of scalars (all ranks pass the
@@ -37,19 +43,22 @@ def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]"):
     Root gathers (rank order is deterministic), reduces with ``fsum``
     (one fixed summation order), and broadcasts — so every rank receives
     the *same floats*, bit for bit, regardless of backend or scheduling.
-    One round whatever the length; at world size 1 it is free.
+    One round whatever the length; at world size 1 it is free. ``tag``
+    is a tag block to run the round on (the gather on ``tag``, the
+    broadcast on ``tag + 1``) instead of two fresh ones — a plan's, reused
+    by every round.
     """
     vector = isinstance(value, (list, tuple))
     local = [float(v) for v in value] if vector else float(value)
     if comm.size == 1:
         return local
-    votes = comm.gather_to_root(local, root=0)
+    votes = comm.gather_to_root(local, root=0, tag=tag)
     mean = None
     if votes is not None:
         columns = zip(*votes) if vector else [votes]
         means = [math.fsum(column) / len(votes) for column in columns]
         mean = means if vector else means[0]
-    return comm.bcast(mean, root=0)
+    return comm.bcast(mean, root=0, tag=None if tag is None else tag + 1)
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,7 @@ class AdaptiveSelector:
     dimension: int = 0
     value_itemsize: int = 4
     ewma: float = 0.25
-    drift_threshold: float = 0.25
+    drift_threshold: float = DRIFT_THRESHOLD
     sync_every: int = 1
 
     def __post_init__(self) -> None:
@@ -166,7 +175,8 @@ class AdaptiveSelector:
         return self.step_agreeing(comm, local_nnz)[0]
 
     def step_agreeing(
-        self, comm, local_nnz: float, launching: "list[float] | tuple" = ()
+        self, comm, local_nnz: float, launching: "list[float] | tuple" = (),
+        tag: "int | None" = None,
     ) -> "tuple[str, list[Agreed]]":
         """:meth:`step`, with passengers on its agreement round.
 
@@ -176,7 +186,8 @@ class AdaptiveSelector:
         for :func:`~repro.collectives.api.resolve_collective` to price
         ``chunks="auto"`` with — one round per step instead of one per
         collective. With passengers the round runs every iteration
-        (re-selection still follows ``sync_every``).
+        (re-selection still follows ``sync_every``). ``tag`` is the round's
+        tag block (see :func:`consistent_mean`).
         """
         self.observe(local_nnz)
         self._iteration += 1
@@ -185,7 +196,7 @@ class AdaptiveSelector:
         syncing = self.algorithm is None or due or resized
         if not syncing and not launching:
             return self.algorithm, []
-        estimate, *means = consistent_mean(comm, [self._local_ewma, *launching])
+        estimate, *means = consistent_mean(comm, [self._local_ewma, *launching], tag)
         agreed = [Agreed(mean, self.model) for mean in means]
         if not syncing:
             return self.algorithm, agreed

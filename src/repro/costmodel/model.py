@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..analysis.density import expected_union_size
 from ..config import INDEX_BYTES, delta_threshold
@@ -52,7 +53,8 @@ __all__ = [
     "CostModel",
     "SMALL_MESSAGE_BYTES",
     "RING_MIN_RANKS",
-    "SPARSE_ALGORITHMS",
+    "Schedule",
+    "SCHEDULES",
     "MAX_AUTO_CHUNKS",
 ]
 
@@ -64,18 +66,27 @@ SMALL_MESSAGE_BYTES = 64 * 1024
 #: world size the split phase's (P-1) alpha is never worth trading for it.
 RING_MIN_RANKS = 8
 
-#: every algorithm the model can predict and the selector can emit.
-SPARSE_ALGORITHMS = (
-    "ssar_rec_dbl",
-    "ssar_split_ag",
-    "ssar_ring",
-    "ssar_hier",
-    "dsar_split_ag",
-    "dsar_hier",
-)
 
-#: the hierarchical (chunkable) algorithms.
-CHUNKED = ("ssar_hier", "dsar_hier")
+class Schedule(NamedTuple):
+    """What every layer reads about one sparse allreduce schedule: the
+    model which closed form and pipeline to price, the plans and
+    :func:`~repro.collectives.api.resolve_collective` which knobs it takes."""
+
+    #: its reduced stage is dense (DSAR): it takes the quantizer
+    dense: bool
+    #: it reduces inside host subgroups first: it takes ``chunks=``
+    hierarchical: bool
+
+
+#: every schedule the model can predict and the selector can emit.
+SCHEDULES = {
+    "ssar_rec_dbl": Schedule(dense=False, hierarchical=False),
+    "ssar_split_ag": Schedule(dense=False, hierarchical=False),
+    "ssar_ring": Schedule(dense=False, hierarchical=False),
+    "ssar_hier": Schedule(dense=False, hierarchical=True),
+    "dsar_split_ag": Schedule(dense=True, hierarchical=False),
+    "dsar_hier": Schedule(dense=True, hierarchical=True),
+}
 
 #: upper bound of the ``chunks="auto"`` search; past this depth the
 #: per-chunk alpha terms always dominate any further overlap gain.
@@ -368,9 +379,9 @@ class CostModel:
         algorithms and charges each extra chunk :attr:`launch`; the flat
         algorithms ignore it (as they do at runtime).
         """
-        if algorithm not in SPARSE_ALGORITHMS:
+        if algorithm not in SCHEDULES:
             raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose from {sorted(SPARSE_ALGORITHMS)}"
+                f"unknown algorithm {algorithm!r}; choose from {sorted(SCHEDULES)}"
             )
         if topology is not None:
             check_topology_size(topology, instance.nranks)
@@ -389,11 +400,10 @@ class CostModel:
         chunks: int,
         eligible: bool,
         note: str,
-        chunkable: bool = False,
     ) -> PredictedCost:
         intra_s = lat_i + bw_i + comp  # compute overlaps with the local leg
         inter_s = lat_e + bw_e
-        k = max(1, int(chunks)) if chunkable else 1
+        k = max(1, int(chunks)) if SCHEDULES[algorithm].hierarchical else 1
         if k > 1:
             time_s = _pipelined(intra_s, inter_s, lat_i, lat_e, k, self.launch)
         else:
@@ -511,7 +521,6 @@ class CostModel:
             inst, "ssar_hier", lat_i, bw_i, lat_e, bw_e, comp, chunks,
             eligible=hierarchical,
             note="" if hierarchical else "needs a hierarchical topology",
-            chunkable=True,
         )
 
     def _predict_dsar_split_ag(self, inst, topology, chunks) -> PredictedCost:
@@ -551,7 +560,6 @@ class CostModel:
             inst, "dsar_hier", lat_i, bw_i, lat_e, bw_e, comp, chunks,
             eligible=hierarchical,
             note="" if hierarchical else "needs a hierarchical topology",
-            chunkable=True,
         )
 
     # -- selection ------------------------------------------------------
@@ -586,7 +594,7 @@ class CostModel:
         hierarchical = topology is not None and topology.is_hierarchical
         candidates = {
             algo: self.predict(instance, algo, topology, chunks)
-            for algo in SPARSE_ALGORITHMS
+            for algo in SCHEDULES
         }
         if expected_k > delta:
             if hierarchical and (
@@ -664,7 +672,7 @@ class CostModel:
         makespan composition is re-evaluated per depth. Flat algorithms
         ignore chunking at runtime, so they always get 1.
         """
-        if algorithm not in CHUNKED:
+        if algorithm not in SCHEDULES or not SCHEDULES[algorithm].hierarchical:
             return 1
         one = self.predict(instance, algorithm, topology)
         lat_i = one.intra_latency_s

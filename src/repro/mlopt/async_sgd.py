@@ -39,13 +39,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..collectives.api import resolve_collective
+from ..collectives.api import agreement_tag, cached_plan
 from ..collectives.selector import choose_algorithm
 from ..core.fusion import GradientFuser
 from ..costmodel.adaptive import AdaptiveSelector
 from ..runtime.comm import Communicator, RankFailedError, WorldAbortedError
 from ..runtime.elastic import ElasticContext
-from ..runtime.nonblocking import i_collective
 from .datasets import SparseDataset, partition_rows
 from .linear import LinearModel
 from .metrics import EpochRecord, RunHistory
@@ -96,10 +95,12 @@ def distributed_sgd_async(
     step's gradient is densified, TopK-selected per fused bucket (with
     per-bucket error feedback shipping at most ``fuser_k`` of every 512
     coordinates, never an exact zero), and launched through
-    :meth:`~repro.core.fusion.GradientFuser.i_fused_allreduce` — one
-    background collective reducing the buckets in order, joined one step
-    later. ``chunks`` pipelines the hierarchical collectives either way
-    (see :func:`~repro.collectives.api.sparse_allreduce`).
+    :meth:`~repro.core.fusion.GradientFuser.i_fused_allreduce` — every
+    bucket's persistent plan started on the communicator's one progress
+    thread, reducing the buckets in order, joined one step later (the
+    unfused path starts one plan the same way). ``chunks`` pipelines the
+    hierarchical collectives either way (see
+    :func:`~repro.collectives.api.sparse_allreduce`).
 
     ``adaptive=True`` (requires ``config.algorithm == "auto"``) replaces
     the once-per-membership static resolve with an
@@ -217,13 +218,10 @@ def distributed_sgd_async(
         agreed = None
         if selector is not None:
             algorithm, estimates = selector.step_agreeing(
-                comm, grad.nnz, [grad.nnz] if chunks == "auto" else ()
+                comm, grad.nnz, [grad.nnz] if chunks == "auto" else (), agreement_tag(comm)
             )
             agreed = estimates[0] if estimates else None
-        fn, kwargs = resolve_collective(
-            comm, grad, algorithm=algorithm, chunks=chunks, agreed=agreed
-        )
-        return i_collective(comm, fn, grad, **kwargs)
+        return cached_plan(comm, grad, algorithm, chunks=chunks).start(grad, agreed=agreed)
 
     def recover(exc: RankFailedError, doomed_handle, epoch: int) -> None:
         # a peer died mid-aggregation: reap the handle that was launched

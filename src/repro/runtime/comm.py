@@ -55,7 +55,7 @@ a concrete proxy overrides only what it changes:
 * :class:`~repro.runtime.elastic.ElasticWorld` is the sub-communicator of
   one membership epoch and adds the stale-epoch check;
 * :mod:`repro.runtime.nonblocking` buffers the trace events of a
-  background collective.
+  launched collective until its join.
 
 Proxies compose in any order (a split of a split, a non-blocking
 collective on an elastic world) because every hook delegates inward, and
@@ -397,6 +397,16 @@ class Communicator(abc.ABC):
     #: its messages are framed and queued under.
     _context: tuple = ()
     _context_key: bytes = b""
+    #: the job queue of this communicator's progress thread, started at
+    #: its first launch (:mod:`~repro.runtime.nonblocking`)
+    _launches: Any = None
+    #: (backend communicators) every progress thread of the rank, as
+    #: ``(jobs, thread)``, for the rank epilogue to join
+    _launch_threads: "list | None" = None
+    #: this communicator's persistent collectives by key, and the tag block
+    #: their agreement rounds share (:mod:`repro.collectives.api`)
+    _plans: "dict | None" = None
+    _agreement_tag: "int | None" = None
     #: inbound messages of a backend that queues them:
     #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``;
     #: a queue exists only while it holds a message (see :meth:`_take`).

@@ -89,6 +89,7 @@ from .comm import (
     WorldAbortedError,
 )
 from .faults import KILL_EXIT_CODE
+from .nonblocking import join_progress
 from .trace import Trace
 from .wire import check_frame_size, decode_message, encode_message
 
@@ -756,7 +757,8 @@ def _run_rank(
     kwargs: "dict | None" = None,
     report: "Callable[[str, Any], None] | None" = None,
 ) -> Any:
-    """The one rank lifecycle: ``fn(comm)`` → shutdown → report → linger → close.
+    """The one rank lifecycle: ``fn(comm)`` → join its progress threads →
+    shutdown → report → linger → close.
 
     With ``report`` (a launched child) the outcome is shipped as
     ``ok``/``aborted``/``error`` and nothing propagates; without it (a
@@ -768,6 +770,7 @@ def _run_rank(
     try:
         try:
             result = fn(comm, *args, **(kwargs or {}))
+            join_progress(comm)
             comm.shutdown()
         except BaseException as exc:  # noqa: BLE001 - must propagate rank errors
             if report is None:

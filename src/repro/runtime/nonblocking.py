@@ -5,19 +5,34 @@ allreduce, in a nonblocking way. This enables the thread to proceed with
 local computations while the operation is performed in the background."
 
 We reproduce exactly that: :func:`i_collective` launches the rank's part of
-a collective on a background progress thread and hands back a handle. The
-caller keeps computing and calls ``wait()`` when it needs the result.
+a collective and hands back a handle. The caller keeps computing and calls
+``wait()`` when it needs the result.
 
-The machinery is backend-agnostic: :class:`_BufferedComm` is a
-:class:`~repro.runtime.comm.ProxyComm` whose context is a child of the
-launching communicator's (the launch takes a slot of the same counter
-``split`` and ``subgroup`` draw from, :mod:`~repro.runtime.context`) and
-which buffers the collective's trace events, while the payloads
-themselves flow through the wrapped communicator's transport hooks —
-thread queues or process pipes alike. A launch is a communicator like any
-other, so launches nest to any depth and run any number of collectives.
+**One progress thread per launching communicator.** A communicator's
+launches run on one long-lived thread, started at its first launch, one
+after another in launch order — the order the MPI contract already fixes
+on every rank, so the launches of all ranks line up without a handshake.
+A launch made *inside* a launch is a launch on another communicator (the
+launch's own, or a split of it), so it runs on another thread and nesting
+cannot deadlock. Every backend's rank epilogue joins the rank's progress
+threads once their queued launches ran (:func:`join_progress`), and a
+communicator that is dropped stops its thread, so no thread outlives its
+world and none is started per launch.
 
-Trace semantics: the background events are buffered and appended to the
+**Two forms.** The callable form runs the collective on a
+:class:`_BufferedComm`: a :class:`~repro.runtime.comm.ProxyComm` whose
+context is a new child of the launching communicator's (the launch takes
+a slot of the same counter ``split`` and ``subgroup`` draw from,
+:mod:`~repro.runtime.context`) and which buffers the collective's trace
+events, while the payloads themselves flow through the wrapped
+communicator's transport hooks — thread queues or process pipes alike. A
+launch is a communicator like any other, so launches nest to any depth
+and run any number of collectives. The stream form is a started run of
+the communicator's persistent plan for its knobs
+(:func:`~repro.collectives.api.cached_plan`), which keeps one such child,
+its tags and its subgroups for every run.
+
+Trace semantics: a launch's events are buffered and appended to the
 rank's trace at ``wait()`` time, i.e. replay times the collective as if it
 completed at the join point. End-to-end benches model the overlap benefit as
 ``max(compute, comm)`` per step (the standard overlap idealisation) — see
@@ -26,13 +41,15 @@ completed at the join point. End-to-end benches model the overlap benefit as
 
 from __future__ import annotations
 
+import queue
 import threading
+import weakref
 from typing import Any
 
 from .comm import Communicator, Handle, ProxyComm
 from .trace import Trace
 
-__all__ = ["NonBlockingHandle", "i_collective"]
+__all__ = ["NonBlockingHandle", "i_collective", "join_progress"]
 
 
 class _BufferedComm(ProxyComm):
@@ -50,52 +67,106 @@ class _BufferedComm(ProxyComm):
         # communicator is a sub-communicator of a bigger world
         self.trace = Trace(inner.trace.nranks)
 
-    def flush_into(self, trace: Trace) -> None:
-        """Append the buffered rows to the real trace (at join time)."""
-        trace.merge(self.world_rank, self.trace.export(self.world_rank))
-
 
 class NonBlockingHandle(Handle):
-    """Handle of a background collective; ``wait()`` joins and returns."""
+    """Handle of a launched collective; ``wait()`` joins and returns."""
 
-    def __init__(self, thread: threading.Thread, comm: _BufferedComm, result_box: list[Any]) -> None:
-        self._thread = thread
+    def __init__(self, comm: _BufferedComm, work: tuple) -> None:
         self._comm = comm
-        self._box = result_box
+        self._work: Any = work  # (target, args, kwargs) until it ran
+        self._done = threading.Event()
+        self._box: list[Any] = []  # the result or the error, then the trace rows
         self._joined = False
+
+    def _run(self) -> None:
+        """The launch itself, on the progress thread."""
+        target, args, kwargs = self._work
+        self._work = None
+        try:
+            self._box.append(target(self._comm, *args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 - surfaced at wait()
+            self._box.append(exc)
+        finally:
+            self._box.append(self._comm.trace.drain(self._comm.world_rank))
+            self._done.set()
+
+    def settle(self) -> None:
+        """Block until the launch has run; its result and trace rows
+        stay for :meth:`wait`."""
+        self._done.wait()
 
     def wait(self) -> Any:
         if not self._joined:
-            self._thread.join()
-            self._comm.flush_into(self._comm.inner.trace)
+            self._done.wait()
+            self._comm.inner.trace.merge(self._comm.world_rank, self._box.pop())
             self._joined = True
-        if self._box and isinstance(self._box[0], BaseException):
+        if isinstance(self._box[0], BaseException):
             raise self._box[0]
-        return self._box[0] if self._box else None
+        return self._box[0]
 
     def test(self) -> bool:
-        return not self._thread.is_alive()
+        return self._done.is_set()
 
 
-#: "knob not passed" sentinel — lets the callable form forward only the
-#: keywords the caller actually set (a callable need not accept all four).
-_UNSET: Any = object()
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """A progress thread: run the queued launches in order until told to stop."""
+    while (job := jobs.get()) is not None:
+        job._run()
+        job = None  # idle, the thread holds no launch (nor the communicator behind it)
 
-#: the blocking-surface knobs mirrored by the stream form (and forwarded
-#: verbatim by the callable form when explicitly set).
+
+#: guards the rank lists of progress threads (``Communicator._launch_threads``)
+_THREADS = threading.Lock()
+
+
+def _progress(comm: Communicator) -> queue.SimpleQueue:
+    """The job queue of ``comm``'s progress thread, started at its first launch."""
+    if comm._launches is None:
+        jobs: queue.SimpleQueue = queue.SimpleQueue()
+        name = f"icoll-rank{comm.world_rank}-depth{len(comm.context)}"
+        thread = threading.Thread(target=_serve, args=(jobs,), name=name, daemon=True)
+        thread.start()
+        comm._launches = jobs
+        weakref.finalize(comm, jobs.put, None)  # a dropped communicator stops its thread
+        backend = comm.backend
+        with _THREADS:  # listed on the backend communicator, for the rank epilogue
+            live = [pair for pair in backend._launch_threads or () if pair[1].is_alive()]
+            backend._launch_threads = [*live, (jobs, thread)]
+    return comm._launches
+
+
+def join_progress(comm: Communicator) -> None:
+    """Join every progress thread of ``comm``'s rank once its queued
+    launches ran, in the order they started (an outer launch's thread
+    before the threads its launches started).
+
+    Every backend's rank epilogue calls this when the rank program
+    returns — after a failure once the world is aborted, so a launch still
+    blocked on a peer unwinds — so no progress thread outlives its world.
+    """
+    backend = comm.backend
+    while True:
+        with _THREADS:
+            if not backend._launch_threads:
+                return
+            jobs, thread = backend._launch_threads.pop(0)
+        jobs.put(None)
+        thread.join()
+
+
+def launch(comm: Communicator, proxy: _BufferedComm, target, /, *args, **kwargs) -> NonBlockingHandle:
+    """Queue ``target(proxy, *args, **kwargs)`` on ``comm``'s progress
+    thread, behind ``comm``'s earlier launches."""
+    handle = NonBlockingHandle(proxy, (target, args, kwargs))
+    _progress(comm).put(handle)
+    return handle
+
+
+#: the blocking-surface knobs the stream form accepts
 _KNOBS = ("algorithm", "quantizer", "op", "chunks")
 
 
-def i_collective(
-    comm: Communicator,
-    collective: Any,
-    *args: Any,
-    algorithm: Any = _UNSET,
-    quantizer: Any = _UNSET,
-    op: Any = _UNSET,
-    chunks: Any = _UNSET,
-    **kwargs: Any,
-) -> NonBlockingHandle:
+def i_collective(comm: Communicator, collective: Any, *args: Any, **kwargs: Any) -> NonBlockingHandle:
     """Launch a collective in the background; returns a joinable handle.
 
     Two forms, mirroring the blocking surface:
@@ -104,14 +175,13 @@ def i_collective(
       :class:`~repro.streams.SparseStream`: the call accepts exactly the
       knobs of :func:`~repro.collectives.api.sparse_allreduce`
       (``algorithm="auto"``, ``quantizer=``, ``op=``, ``chunks=``) and
-      resolves them through the same
-      :func:`~repro.collectives.api.resolve_collective` path *eagerly* on
+      starts a run of the same cached plan
+      (:func:`~repro.collectives.api.cached_plan`), resolved *eagerly* on
       the calling thread, so ``"auto"`` selection and argument validation
       behave identically to the blocking call (and bad knobs raise at
       launch, not at ``wait()``).
     * **Callable form** — ``collective`` is a callable: it runs as
-      ``collective(buffered_comm, *args, **kwargs)``; any of the four
-      knobs passed explicitly are forwarded into ``kwargs`` unchanged.
+      ``collective(buffered_comm, *args, **kwargs)``, knobs included.
 
     All ranks must call this in the same program order (the usual MPI
     non-blocking-collective contract) so the launches' contexts line up.
@@ -119,45 +189,21 @@ def i_collective(
     rank's thread on the thread backend, the rank's process on the process
     backend).
     """
-    knobs = {
-        name: value
-        for name, value in zip(_KNOBS, (algorithm, quantizer, op, chunks))
-        if value is not _UNSET
-    }
     if callable(collective):
-        kwargs.update(knobs)
-        target, call_args, call_kwargs = collective, args, kwargs
-        payload = ()
-    else:
-        # stream form: resolve like sparse_allreduce would, on this thread
-        if args:
-            if len(args) > 1 or "algorithm" in knobs:
-                raise TypeError(
-                    "stream form of i_collective takes at most one positional "
-                    "argument (the algorithm name)"
-                )
-            knobs["algorithm"] = args[0]
-        if kwargs:
-            raise TypeError(
-                f"stream form of i_collective got unexpected keyword arguments "
-                f"{sorted(kwargs)}; it accepts {list(_KNOBS)}"
-            )
-        # local import: collectives is layered on top of the runtime package
-        from ..collectives.api import resolve_collective
+        return launch(comm, _BufferedComm(comm, comm._next_slot()), collective, *args, **kwargs)
+    # stream form: a started run of the plan sparse_allreduce would run
+    if len(args) > 1 or (args and "algorithm" in kwargs):
+        raise TypeError(
+            "stream form of i_collective takes at most one positional "
+            "argument (the algorithm name)"
+        )
+    if stray := sorted(set(kwargs) - set(_KNOBS)):
+        raise TypeError(
+            f"stream form of i_collective got unexpected keyword arguments "
+            f"{stray}; it accepts {list(_KNOBS)}"
+        )
+    # local import: collectives is layered on top of the runtime package
+    from ..collectives.api import cached_plan
 
-        target, call_kwargs = resolve_collective(comm, collective, **knobs)
-        call_args, payload = (), (collective,)
-
-    proxy = _BufferedComm(comm, comm._next_slot())
-    box: list[Any] = []
-
-    def work() -> None:
-        try:
-            box.append(target(proxy, *payload, *call_args, **call_kwargs))
-        except BaseException as exc:  # noqa: BLE001 - surfaced at wait()
-            box.append(exc)
-
-    name = f"icoll-rank{comm.world_rank}-depth{len(comm.context)}"
-    thread = threading.Thread(target=work, name=name, daemon=True)
-    thread.start()
-    return NonBlockingHandle(thread, proxy, box)
+    quantizer = kwargs.pop("quantizer", None)
+    return cached_plan(comm, collective, *args, **kwargs).start(collective, quantizer)

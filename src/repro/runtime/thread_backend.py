@@ -31,6 +31,7 @@ from .comm import (
     WorldAbortedError,
     copy_payload,
 )
+from .nonblocking import join_progress
 from .trace import Trace
 
 __all__ = ["ThreadBackend", "ThreadWorld", "ThreadComm"]
@@ -220,6 +221,9 @@ class ThreadBackend(Backend):
                 with errors_lock:
                     errors.append((rank, exc))
                 world.abort(failed_rank=rank)
+            finally:
+                # after an abort, a launch still blocked on a peer unwinds
+                join_progress(comm)
 
         threads = [
             threading.Thread(target=runner, args=(rank,), name=f"rank-{rank}", daemon=True)

@@ -254,6 +254,14 @@ class Trace:
         log = self._logs[rank]
         return log.rows, log.names
 
+    def drain(self, rank: int) -> tuple[array, list]:
+        """:meth:`export` ``rank``'s log and start its rows afresh, keeping
+        the table (a launch's buffer hands each run's rows to the join that
+        appends them; the next run's rows reuse the ids)."""
+        log = self._logs[rank]
+        rows, log.rows = log.rows, array("q")
+        return rows, log.names
+
     def merge(self, rank: int, log: tuple) -> None:
         """Append an exported ``log`` to ``rank``'s, its ids mapped onto this
         trace's table (no-op when disabled). The trace may keep ``log``'s
@@ -262,7 +270,7 @@ class Trace:
         if not self.enabled or not rows:
             return
         mine = self._logs[rank]
-        ids = [self._intern(mine, name) for name in names]
+        ids = [mine.ids[name] if name in mine.ids else self._intern(mine, name) for name in names]
         if ids != list(range(len(ids))):
             rows = array("q", rows)
             for column in (5, 6):

@@ -197,12 +197,13 @@ def _merge_by_sort(
 
 
 def _scatter_into(dense: np.ndarray, sparse: SparseStream, op: ReduceOp) -> None:
-    """§5.1 case 2: ``dense[i] = op(dense[i], v)`` for every stored pair of ``sparse``."""
-    if sparse.indices.size:
-        # widened once: fancy indexing converts a uint32 index array on
-        # every access, and this reads and writes through it
-        idx = sparse.indices.astype(np.intp)
-        dense[idx] = op.ufunc(dense[idx], sparse.values)
+    """§5.1 case 2: ``dense[i] = op(dense[i], v)`` for every stored pair of ``sparse``.
+
+    One unbuffered pass: a stream's indices are unique, so ``ufunc.at``
+    applies the same ufunc to the same operand pair as a gather, ``op``
+    and scatter would, without widening the indices or two temporaries.
+    """
+    op.ufunc.at(dense, sparse.indices, sparse.values)
 
 
 def add_streams(a: SparseStream, b: SparseStream, op: ReduceOp = SUM) -> SparseStream:

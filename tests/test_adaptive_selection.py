@@ -38,10 +38,10 @@ class FakeComm:
         self.size = size
         self.topology = topology
 
-    def gather_to_root(self, obj, root=0):
+    def gather_to_root(self, obj, root=0, tag=None):
         return [obj] * self.size
 
-    def bcast(self, obj, root=0):
+    def bcast(self, obj, root=0, tag=None):
         return obj
 
 

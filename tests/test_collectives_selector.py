@@ -6,7 +6,7 @@ from repro.collectives import (
     ALGORITHMS,
     RING_MIN_RANKS,
     SMALL_MESSAGE_BYTES,
-    SPARSE_ALGORITHMS,
+    SCHEDULES,
     choose_algorithm,
     dense_stage_two_tier_times,
 )
@@ -51,9 +51,9 @@ class TestChooseAlgorithm:
         assert choose_algorithm(n, 2, 10, expected_k=k_small * 4) == "ssar_split_ag"
 
     def test_every_selectable_algorithm_is_runnable(self):
-        """Selector audit: everything in SPARSE_ALGORITHMS has a kernel, and
+        """Selector audit: everything in SCHEDULES has a kernel, and
         every name the selector can emit is selectable."""
-        assert set(SPARSE_ALGORITHMS) == set(ALGORITHMS)
+        assert set(SCHEDULES) == set(ALGORITHMS)
 
     def test_single_rank(self):
         assert choose_algorithm(1000, 1, 10) in (

@@ -1,5 +1,6 @@
 """Tests for tensor fusion (gradient bucket coalescing, §9) and its
-async mode (one background collective reducing the buckets in order)."""
+async mode (every bucket's plan started, in layout order, on the
+communicator's one progress thread)."""
 
 import threading
 
@@ -299,42 +300,42 @@ def _own_progress_threads(comm):
 
 
 class TestOneProgressThread:
-    """One fused call is one background collective, whatever the bucket
-    count: a single top-level thread reduces the buckets in layout order."""
+    """A fused call starts every bucket's plan on the communicator's one
+    progress thread: alive across fused calls, joined when the rank
+    program returns."""
 
-    def test_one_top_level_thread_per_call(self):
+    def test_one_progress_thread_per_launching_communicator(self):
         fuser = GradientFuser([(f"t{i}", 64) for i in range(8)], min_bucket_bytes=0)
-        rank0_counted = threading.Event()
 
         def prog(comm):
             efs = fuser.make_error_feedback(k=4, bucket_size=32)
-            grad = _grads(comm.rank, 512)
-            if comm.rank == 1:
-                # until we launch, everything rank 0 started blocks on us
-                assert rank0_counted.wait(30.0)
-            handle = fuser.i_fused_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl")
-            alive = _own_progress_threads(comm)
-            rank0_counted.set()
-            handle.wait()
-            return alive, _own_progress_threads(comm)
+            seen = []
+            for step in range(3):
+                handle = fuser.i_fused_allreduce(
+                    comm, _grads(comm.rank, 512, seed=step), efs, algorithm="ssar_rec_dbl"
+                )
+                seen.append(_own_progress_threads(comm))
+                handle.wait()
+                seen.append(_own_progress_threads(comm))
+            return seen
 
+        before = threading.active_count()
         out = run_ranks(prog, 2)
-        assert out[0][0] == ["icoll-rank0-depth0"]
-        assert out[0][1] == [] and out[1][1] == []
+        for rank in range(2):
+            assert out[rank] == [[f"icoll-rank{rank}-depth0"]] * 6
+        assert threading.active_count() == before
 
     def test_failing_bucket_surfaces_at_wait(self, monkeypatch):
-        import repro.core.fusion as fusion
+        import repro.collectives.api as api
 
-        real = fusion.resolve_collective
+        real = api.ALGORITHMS["ssar_rec_dbl"]
 
-        def resolve(comm, stream, **knobs):
-            fn, kwargs = real(comm, stream, **knobs)
+        def run(comm, stream, **kwargs):
             if stream.dimension == 96:  # bucket "b", on every rank alike
-                def fn(comm, stream, **kwargs):
-                    raise RuntimeError("bucket b failed")
-            return fn, kwargs
+                raise RuntimeError("bucket b failed")
+            return real(comm, stream, **kwargs)
 
-        monkeypatch.setattr(fusion, "resolve_collective", resolve)
+        monkeypatch.setitem(api.ALGORITHMS, "ssar_rec_dbl", run)
         fuser = GradientFuser([("a", 64), ("b", 96), ("c", 32)], min_bucket_bytes=0)
 
         def prog(comm):
@@ -346,7 +347,8 @@ class TestOneProgressThread:
                 handle.wait()
             return _own_progress_threads(comm)
 
-        assert all(left == [] for left in run_ranks(prog, 2).results)
+        out = run_ranks(prog, 2)
+        assert out.results == [[f"icoll-rank{rank}-depth0"] for rank in range(2)]
 
 
 def _sends_between(trace, rank, first, last):

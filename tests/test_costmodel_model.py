@@ -11,7 +11,7 @@ from repro.costmodel import (
     MAX_AUTO_CHUNKS,
     RING_MIN_RANKS,
     SMALL_MESSAGE_BYTES,
-    SPARSE_ALGORITHMS,
+    SCHEDULES,
     CostModel,
     Instance,
     PredictedCost,
@@ -53,7 +53,7 @@ class TestPredict:
     TOPO = Topology.uniform(8, 4)  # 2 hosts x 4 ranks
     INST = Instance(1 << 20, 8, 1000)
 
-    @pytest.mark.parametrize("algo", SPARSE_ALGORITHMS)
+    @pytest.mark.parametrize("algo", SCHEDULES)
     def test_decomposition(self, algo):
         cost = self.MODEL.predict(self.INST, algo, self.TOPO)
         assert cost.algorithm == algo
@@ -125,7 +125,7 @@ class TestRank:
         assert report.choice == "ssar_hier"
         assert report.network == self.MODEL.name
         assert report.topology == topo.describe()
-        assert len(report.candidates) == len(SPARSE_ALGORITHMS)
+        assert len(report.candidates) == len(SCHEDULES)
         assert report.predicted("ssar_hier").eligible
         with pytest.raises(KeyError):
             report.predicted("nope")

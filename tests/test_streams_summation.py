@@ -436,6 +436,26 @@ def test_merge_matches_per_index_oracle_bit_for_bit(dtype, op, case):
         assert before.tobytes() == after.tobytes()  # inputs untouched
 
 
+@pytest.mark.parametrize("op", [SUM, MAX, MIN, PROD], ids=str)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+def test_dense_plus_sparse_matches_gather_op_scatter_bit_for_bit(dtype, op):
+    """§5.1's dense += sparse is one ``ufunc.at`` pass: the bits of the
+    gather, ``op`` and scatter it replaced, signed zeros and NaN included."""
+    gen = np.random.default_rng(31)
+    dense = _special_values(dtype, DIM, gen)
+    dense[gen.random(DIM) < 0.05] = np.nan
+    idx = np.sort(gen.choice(DIM, 700, replace=False)).astype(np.uint32)
+    val = _special_values(dtype, idx.size, gen)
+    val[gen.random(idx.size) < 0.05] = np.nan
+    want = dense.copy()
+    at = idx.astype(np.intp)
+    with np.errstate(all="ignore"):  # inf - inf, 0 * inf: NaN on purpose
+        want[at] = op.ufunc(want[at], val)
+        acc = SparseStream(DIM, dense=dense, value_dtype=dtype)
+        add_streams_(acc, _stream(DIM, idx, val, dtype), op)
+    assert acc.dense_payload.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
 @pytest.mark.parametrize("op", [MAX, MIN], ids=str)
 def test_signed_zero_pair_combines_the_same_way_from_both_sides(dtype, op):
