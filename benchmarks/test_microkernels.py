@@ -44,13 +44,18 @@ def test_kernel_sparse_sparse_sum(benchmark, sparse_pair):
     assert out.nnz <= 2 * NNZ
 
 
-@pytest.fixture(params=["c", "numpy"])
+@pytest.fixture(params=["simd", "c", "numpy"])
 def merge_path(request, monkeypatch):
-    """Time :func:`merge_sparse_pairs` on the compiled merge, then on numpy."""
+    """Time :func:`merge_sparse_pairs` on the compiled merge with its AVX-512
+    body, on its scalar body alone, then on numpy."""
     if request.param == "numpy":
         monkeypatch.setattr(summation, "_KERNEL", None)
     elif summation._KERNEL is None:
         pytest.skip("the compiled merge did not load (no cc or no cffi)")
+    elif request.param == "c":
+        monkeypatch.setattr(summation, "_KERNEL", summation._c_kernel(simd=False))
+    elif summation.merge_implementation() != "c-avx512":
+        pytest.skip("the CPU lacks avx512f, avx512vl or bmi2: no AVX-512 merge")
     return request.param
 
 
@@ -75,6 +80,8 @@ def _benchmark_shape(name: str):
             merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
             merge_sparse_pairs(*pairs(52_429), *pairs(52_429)),
         )
+    if name == "latency_bound":  # ssar_rec_dbl, 128 nnz per rank: 128 + 128
+        return pairs(128), pairs(128)
     pool = gen.permutation(40_399).astype(np.uint32)
     if name == "async_train_bucket":
         # one fused bucket's intra-host reduce: the non-zeros of two ranks'
@@ -96,7 +103,13 @@ def _benchmark_shape(name: str):
 
 @pytest.mark.parametrize(
     "shape",
-    ["merge_bound_round1", "merge_bound_round2", "async_train_bucket", "overlap_57_percent"],
+    [
+        "merge_bound_round1",
+        "merge_bound_round2",
+        "latency_bound",
+        "async_train_bucket",
+        "overlap_57_percent",
+    ],
 )
 def test_kernel_merge_pairs_benchmark_shapes(benchmark, shape, merge_path):
     (idx_a, val_a), (idx_b, val_b) = _benchmark_shape(shape)

@@ -30,6 +30,9 @@ _CDEF = "".join(
     f"size_t merge_pairs_w{w}(const void *, const void *, size_t, const void *,"
     " const void *, size_t, void *, void *, void *, void *);"
     for w in (2, 4, 8)
+) + (
+    "size_t merge_pairs_w4_simd(const void *, const void *, size_t, const void *,"
+    " const void *, size_t, void *, void *, void *, void *); int merge_simd(void);"
 ) + "".join(
     f"void qsgd_codes_{t}(const void *, size_t, size_t, const void *, double,"
     " const void *, unsigned int, void *);"

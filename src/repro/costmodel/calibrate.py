@@ -15,9 +15,9 @@ itself makes:
   honest stand-in for a network link on a single box);
 * **gamma** from one timing of the sparse merge (the §5.1 summation
   kernel) at the ``merge_bound`` workload's shape: seconds per byte
-  touched — by the compiled merge where it loaded, by numpy elsewhere,
-  recorded in the provenance as ``merge_sparse_pairs/c`` or
-  ``merge_sparse_pairs/numpy``;
+  touched — by whichever merge runs here, recorded in the provenance as
+  ``merge_sparse_pairs/c-avx512`` (the compiled merge's AVX-512 body),
+  ``merge_sparse_pairs/c`` (its scalar body) or ``merge_sparse_pairs/numpy``;
 * **launch** — what launching and joining one background collective
   costs in software, the price :meth:`CostModel.auto_chunks` charges per
   extra pipeline chunk: a tiny allreduce run through ``i_collective`` and
@@ -229,7 +229,7 @@ def run_calibration(
         }
         for tier, backend in TIER_BACKENDS.items()
     }
-    # the compiled merge and the numpy one differ ~2.5x: say which was timed
+    # the merges differ ~2x each (AVX-512 body, scalar C, numpy): say which was timed
     fits["gamma"] = {
         "kernel": f"merge_sparse_pairs/{merge_implementation()}",
         "pairs": pairs,

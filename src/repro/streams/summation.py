@@ -11,8 +11,9 @@ The paper distinguishes four cases when summing two vectors ``u1 + u2``:
 
 :func:`add_streams_` is that decision tree. Cases 1 and 4 are the same
 step — put sorted runs of (index, value) pairs in index order. Case 1,
-two runs, is a compiled merge (``_merge.c``, one branchless pass that
-touches each pair once) behind :func:`merge_sparse_pairs`; the kernel
+two runs, is a compiled merge (``_merge.c``, one pass that touches each
+pair once: a branchless scalar loop, or an AVX-512 merge network where
+the CPU has one) behind :func:`merge_sparse_pairs`; the kernel
 treats a value as opaque bits and leaves the arithmetic of the overlap to
 numpy, so the result is the numpy path's, bit for bit. The numpy path is
 :func:`_sorted_runs` — one stable sort of a packed ``uint64`` key that
@@ -85,18 +86,32 @@ def _sorted_runs(
     return idx, bits.view(vdt)
 
 
-#: ``(ffi.from_buffer, {value dtype: merge function})`` of ``_merge.c`` (built
-#: at import by :mod:`repro._native`), or None: the numpy path then does every merge
-_KERNEL = NATIVE and (NATIVE[0].from_buffer, {
-    np.dtype(dt): getattr(NATIVE[1], f"merge_pairs_w{np.dtype(dt).itemsize}")
-    for dt in (np.float16, np.float32, np.float64)
-})
+def _c_kernel(simd: bool):
+    """``(ffi.from_buffer, {value dtype: merge function}, name)`` of ``_merge.c``.
+
+    With ``simd``, float32 merges go through ``merge_pairs_w4_simd``: the
+    AVX-512 body from ``SIMD_MIN`` pairs up, the scalar one below.
+    """
+    ffi, lib = NATIVE
+    table = {
+        np.dtype(dt): getattr(lib, f"merge_pairs_w{np.dtype(dt).itemsize}")
+        for dt in (np.float16, np.float32, np.float64)
+    }
+    if simd:
+        table[np.dtype(np.float32)] = lib.merge_pairs_w4_simd
+    return ffi.from_buffer, table, "c-avx512" if simd else "c"
+
+
+#: the compiled merge (built at import by :mod:`repro._native`; its AVX-512
+#: body wherever the CPU has one), or None: the numpy path then does every merge
+_KERNEL = NATIVE and _c_kernel(simd=bool(NATIVE[1].merge_simd()))
 
 
 def merge_implementation() -> str:
-    """``"c"`` where :func:`merge_sparse_pairs` runs the compiled kernel,
-    ``"numpy"`` where it runs the numpy path."""
-    return "numpy" if _KERNEL is None else "c"
+    """Which merge :func:`merge_sparse_pairs` runs: ``"c-avx512"`` (the
+    compiled kernel with its AVX-512 body), ``"c"`` (the scalar body only)
+    or ``"numpy"``."""
+    return "numpy" if _KERNEL is None else _KERNEL[2]
 
 
 def merge_sparse_pairs(
@@ -122,6 +137,10 @@ def merge_sparse_pairs(
     pass writes the union with the lower-bits operand in every shared slot
     and hands back the shared positions and the higher-bits operands;
     the combine is then the same numpy expression as on the numpy path.
+    That pass has two bodies behind one call: a branchless scalar loop,
+    and, for float32 on a CPU with AVX-512 (:func:`merge_implementation`
+    says ``"c-avx512"``) and 32 pairs or more in all, a merge network
+    over ``index << 32 | value bits`` keys, eight pairs a step.
     The op stays in numpy because C arithmetic is not numpy's: a C
     ``max`` does not order ``±0.0`` or NaN as ``np.maximum`` does, and a
     custom :class:`~repro.streams.ops.ReduceOp` has only a ufunc. The

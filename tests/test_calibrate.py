@@ -177,14 +177,24 @@ class TestRunCalibration:
         assert fits["gamma"]["kernel"] == f"merge_sparse_pairs/{merge_implementation()}"
         assert "reused_bench" not in provenance and "quick" not in provenance
 
-    def test_gamma_names_the_numpy_merge_where_no_kernel_loaded(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kernel", ["numpy", "c", "c-avx512"])
+    def test_gamma_names_the_merge_it_timed(self, tmp_path, monkeypatch, kernel):
+        """The three merges time ~2x apart, so a calibrated gamma says
+        which one it was fitted on."""
         from repro.costmodel import calibrate
 
         monkeypatch.setattr(calibrate, "measure_round_trips", lambda backend: _points(INTRA))
         monkeypatch.setattr(calibrate, "measure_launch", lambda: (1e-4, {}))
-        monkeypatch.setattr(summation, "_KERNEL", None)
+        if kernel == "numpy":
+            monkeypatch.setattr(summation, "_KERNEL", None)
+        elif summation._KERNEL is None:
+            pytest.skip("the compiled merge did not load (no cc or no cffi)")
+        elif kernel == "c":
+            monkeypatch.setattr(summation, "_KERNEL", summation._c_kernel(simd=False))
+        elif summation.merge_implementation() != "c-avx512":
+            pytest.skip("the CPU lacks avx512f, avx512vl or bmi2: no AVX-512 merge")
         _, _, provenance = run_calibration(out=tmp_path / "cal.json")
-        assert provenance["fits"]["gamma"]["kernel"] == "merge_sparse_pairs/numpy"
+        assert provenance["fits"]["gamma"]["kernel"] == f"merge_sparse_pairs/{kernel}"
 
     def test_resolve_calibrated_spec(self, measured):
         fitted, path, _ = measured

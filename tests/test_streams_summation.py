@@ -1,11 +1,13 @@
 """Tests for stream summation kernels: all four cases of §5.1.
 
-Every test here runs twice: on the compiled merge and on the numpy path
-(the kernel handle monkeypatched away), which the compiled one must match
-bit for bit.
+Every test here runs three times: on the compiled merge with its AVX-512
+body, on its scalar body alone, and on the numpy path (the kernel handle
+monkeypatched), which both compiled bodies must match bit for bit.
 """
 
 import importlib.util
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,7 +35,23 @@ from repro.streams import (
 )
 
 
-@pytest.fixture(scope="module", autouse=True, params=["c", "numpy"])
+SIMD_FLAGS = ("avx512f", "avx512vl", "bmi2")
+
+
+def _cpu_has_simd_flags() -> bool:
+    """True where ``/proc/cpuinfo`` lists every flag the AVX-512 merge needs."""
+    try:
+        flags = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return all(re.search(rf"\b{flag}\b", flags) for flag in SIMD_FLAGS)
+
+
+def _compiler_and_cffi() -> bool:
+    return bool(shutil.which("cc") and importlib.util.find_spec("cffi"))
+
+
+@pytest.fixture(scope="module", autouse=True, params=["simd", "c", "numpy"])
 def merge_path(request):
     """Which merge :func:`merge_sparse_pairs` runs on for this module pass."""
     if request.param == "numpy":
@@ -43,11 +61,19 @@ def merge_path(request):
         return
     if summation._KERNEL is None:
         # CI must not test the numpy path twice without saying so
-        assert not (shutil.which("cc") and importlib.util.find_spec("cffi")), (
-            "cc and cffi are present but the compiled merge did not load"
-        )
+        assert not _compiler_and_cffi(), "cc and cffi are present but the compiled merge did not load"
         pytest.skip("no C compiler or no cffi: the numpy path is the only one")
-    yield request.param
+    if request.param == "simd":
+        if summation.merge_implementation() != "c-avx512":
+            assert not (_compiler_and_cffi() and _cpu_has_simd_flags()), (
+                "cc, cffi and avx512f/avx512vl/bmi2 are present but the AVX-512 merge did not load"
+            )
+            pytest.skip("the CPU lacks avx512f, avx512vl or bmi2: the scalar merge is the only C body")
+        yield request.param
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summation, "_KERNEL", summation._c_kernel(simd=False))
+        yield request.param
 
 
 def _stream(dim, idx, val, dtype=np.float32):
@@ -522,6 +548,142 @@ def test_merge_equals_the_numpy_path_bitwise_at_scale(dtype, op):
     assert idx.tobytes() == want_idx.tobytes() and val.tobytes() == want_val.tobytes()
     _assert_fresh(idx, np.uint32, idx_a, idx_b)
     _assert_fresh(val, dtype, val_a, val_b)
+
+
+# ----------------------------------------------------------------------
+# the AVX-512 body's edges: blocks of eight, a size threshold, a tail
+# (float32 is the one dtype it takes; the others run these on the scalar body)
+# ----------------------------------------------------------------------
+def _assert_merges_like_numpy(idx_a, val_a, idx_b, val_b, op=SUM):
+    with np.errstate(all="ignore"):
+        if idx_a.size and idx_b.size:
+            want_idx, want_val = summation._merge_by_sort(idx_a, val_a, idx_b, val_b, op)
+        else:  # the numpy path takes two non-empty runs
+            want_idx, want_val = np.concatenate([idx_a, idx_b]), np.concatenate([val_a, val_b])
+        idx, val = merge_sparse_pairs(idx_a, val_a, idx_b, val_b, op)
+        idx_r, val_r = merge_sparse_pairs(idx_b, val_b, idx_a, val_a, op)
+    assert idx.tobytes() == want_idx.tobytes() == idx_r.tobytes()
+    assert val.tobytes() == want_val.tobytes() == val_r.tobytes()
+
+
+# every length up to 40, and around multiples of eight and the 32-pair threshold
+LENGTHS = sorted(set(range(41)) | {47, 48, 49, 63, 64, 65, 127, 128, 129})
+
+
+def test_every_length_around_blocks_and_threshold():
+    gen = np.random.default_rng(8)
+    for na in LENGTHS:
+        for nb in LENGTHS:
+            dim = max(na, nb) * 2 + 1  # dense supports: about half of each run shared
+            idx_a = np.sort(gen.choice(dim, na, replace=False)).astype(np.uint32)
+            idx_b = np.sort(gen.choice(dim, nb, replace=False)).astype(np.uint32)
+            _assert_merges_like_numpy(
+                idx_a, _special_values(np.float32, na, gen), idx_b, _special_values(np.float32, nb, gen)
+            )
+
+
+@pytest.mark.parametrize(
+    "na, nb", [(1, 1000), (7, 500), (20, 5000), (64, 64), (500, 9), (4096, 33)]
+)
+def test_one_run_exhausted_early(na, nb):
+    """All of ``a`` before ``b`` (and the reverse): the tail carries most
+    pairs; then the same with the last of ``a`` shared with the first of ``b``."""
+    gen = np.random.default_rng(na * nb)
+    val_a, val_b = _special_values(np.float32, na, gen), _special_values(np.float32, nb, gen)
+    low, high = np.arange(na, dtype=np.uint32), np.arange(na, na + nb, dtype=np.uint32)
+    _assert_merges_like_numpy(low, val_a, high, val_b)
+    _assert_merges_like_numpy(high - np.uint32(na), val_b, low + np.uint32(nb), val_a)
+    _assert_merges_like_numpy(low, val_a, high - np.uint32(1), val_b)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("na, nb", [(37, 20), (20, 37), (64, 64), (40, 1)])
+def test_all_ones_keys_at_the_top_of_the_index_range(na, nb, shared):
+    """Index 2^32 - 1 with value bits 0xFFFFFFFF (a NaN) packs into the
+    all-ones key the AVX-512 body pads a short block with: the real key
+    must still count, and pair, exactly once."""
+    top = np.uint32(0xFFFFFFFF)
+    gen = np.random.default_rng(na + nb)
+    idx_a = np.append(np.sort(gen.choice(1 << 20, na - 1, replace=False)).astype(np.uint32), top)
+    idx_b = np.sort(gen.choice(1 << 20, nb, replace=False)).astype(np.uint32)
+    if shared:
+        idx_b[-1] = top
+    val_a, val_b = _special_values(np.float32, na, gen), _special_values(np.float32, nb, gen)
+    val_a.view(np.uint32)[-1] = val_b.view(np.uint32)[-1] = 0xFFFFFFFF
+    for op in (SUM, MAX):
+        _assert_merges_like_numpy(idx_a, val_a, idx_b, val_b, op)
+
+
+@pytest.mark.parametrize("n", [8, 31, 32, 33, 300, 4099])
+@pytest.mark.parametrize("op", [SUM, MAX, MIN], ids=str)
+def test_identical_supports_and_equal_value_bits(n, op):
+    """Every index shared and every pair's two keys equal, then every
+    index shared with about half the pairs' bits equal."""
+    gen = np.random.default_rng(n)
+    idx = np.sort(gen.choice(1 << 20, n, replace=False)).astype(np.uint32)
+    val = _special_values(np.float32, n, gen)
+    _assert_merges_like_numpy(idx, val, idx.copy(), val.copy(), op)
+    other = np.where(gen.random(n) < 0.5, val, _special_values(np.float32, n, gen))
+    _assert_merges_like_numpy(idx, val, idx.copy(), other, op)
+
+
+@pytest.mark.parametrize("op", [SUM, MAX, MIN], ids=str)
+def test_signed_zeros_and_nans(op):
+    """±0.0 and NaNs of both signs and several payloads, 300 + 260 pairs
+    over 400 indices, from both sides. The reference is the numpy path,
+    not the per-index oracle: which payload a NaN + NaN keeps depends on
+    numpy's loop (one element or a vector), and the merge runs the vector."""
+    gen = np.random.default_rng(17)
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, 1.0, -1.0], np.float32)
+    payloads = np.array([0x7FC00001, 0xFFC00002, 0x7F800003], np.uint32).view(np.float32)
+    pool = np.concatenate([pool, payloads])
+    idx_a = np.sort(gen.choice(400, 300, replace=False)).astype(np.uint32)
+    idx_b = np.sort(gen.choice(400, 260, replace=False)).astype(np.uint32)
+    _assert_merges_like_numpy(idx_a, gen.choice(pool, 300), idx_b, gen.choice(pool, 260), op)
+
+
+def test_corrupt_input_stays_in_bounds_in_every_c_body(tmp_path):
+    """Unsorted runs, and sorted runs with repeated indices, fed straight to
+    each C body in a child process: it survives, writes nothing past any
+    output's capacity and counts at most ``min(na, nb)`` shared slots, also
+    where the runs hold more adjacent equal indices than that."""
+    if summation.NATIVE is None:
+        pytest.skip("no C compiler or no cffi: no C body to feed")
+    program = """
+import numpy as np
+from repro._native import NATIVE
+ffi, lib = NATIVE
+gen = np.random.default_rng(11)
+PAD, capped = 16, 0
+for name, word in [("w2", np.uint16), ("w4", np.uint32), ("w4_simd", np.uint32), ("w8", np.uint64)]:
+    merge = getattr(lib, "merge_pairs_" + name)
+    for na, nb in [(1, 1), (1, 50), (50, 1), (20, 20), (40, 40), (9, 500), (500, 9), (300, 200)]:
+        for kind in ("unsorted", "repeats"):
+            ia, ib = gen.integers(0, 64, na).astype(np.uint32), gen.integers(0, 64, nb).astype(np.uint32)
+            if kind == "repeats":
+                ia.sort(), ib.sort()
+            va, vb = gen.integers(0, 4, na).astype(word), gen.integers(0, 4, nb).astype(word)
+            n, most = na + nb, min(na, nb)
+            io, vo = np.full(n + PAD, 0xA5A5A5A5, np.uint32), np.full(n + PAD, 0xA5, word)
+            dup, hi = np.full(most + PAD, -7, np.intp), np.full(most + PAD, 0xA5, word)
+            buf = ffi.from_buffer
+            d = merge(buf(ia), buf(va), na, buf(ib), buf(vb), nb, buf(io), buf(vo), buf(dup), buf(hi))
+            assert d <= most, (name, na, nb, kind, d)
+            assert (io[n:] == 0xA5A5A5A5).all() and (vo[n:] == 0xA5).all(), (name, na, nb, kind)
+            assert (dup[most:] == -7).all() and (hi[most:] == 0xA5).all(), (name, na, nb, kind)
+            assert ((0 <= dup[:d]) & (dup[:d] < n - d)).all(), (name, na, nb, kind)
+            both = np.sort(np.concatenate([ia, ib]))
+            capped += int(np.count_nonzero(both[1:] == both[:-1]) > most)
+print("in bounds", capped)
+"""
+    src = Path(summation.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, timeout=120,
+        env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src), "TMPDIR": str(tmp_path)},
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    verdict, capped = done.stdout.split()[-3:-1], int(done.stdout.split()[-1])
+    assert verdict == ["in", "bounds"] and capped > 0  # the cap was exercised
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
