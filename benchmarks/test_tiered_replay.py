@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from common import FULL_SCALE, fmt_time, format_table, uniform_stream, write_result  # noqa: E402  (path bootstrap: keep before repro imports)
 
-from repro.collectives import choose_algorithm, run_sparse_allreduce
+from repro.collectives import run_sparse_allreduce
+from repro.costmodel import CostModel, Instance
 from repro.netsim import GIGE, TIERED_ARIES, TIERED_GIGE, TIERED_IB_FDR, replay
 from repro.runtime import Topology
 
@@ -94,15 +95,13 @@ def test_tiered_replay_hier_vs_flat(benchmark):
             times["dsar_hier"][TIERED_GIGE.name]
             < times["dsar_split_ag"][TIERED_GIGE.name]
         ), spec
-        # ... and the selector's verdict matches the replay's
+        # ... and the cost model's choice matches the replay's verdict
         assert (
-            choose_algorithm(N, nranks, int(N * STATIC_DENSITY), topology=topo)
+            CostModel.default().choose(Instance(N, nranks, int(N * STATIC_DENSITY)), topo)
             == "ssar_hier"
         )
         assert (
-            choose_algorithm(
-                N, nranks, int(N * DYNAMIC_DENSITY), topology=topo, network=TIERED_GIGE
-            )
+            CostModel(TIERED_GIGE).choose(Instance(N, nranks, int(N * DYNAMIC_DENSITY)), topo)
             == "dsar_hier"
         )
         # on every tiered preset, hier beats its structural counterpart

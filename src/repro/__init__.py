@@ -32,7 +32,6 @@ Quickstart::
 """
 
 from .collectives import (
-    choose_algorithm,
     dense_allreduce,
     run_sparse_allreduce,
     sparse_allgather,
@@ -92,7 +91,6 @@ __all__ = [
     "sparse_allreduce",
     "sparse_allgather",
     "dense_allreduce",
-    "choose_algorithm",
     "QSGDQuantizer",
     "QuantizedBlock",
     "ErrorFeedback",

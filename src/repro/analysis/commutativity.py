@@ -37,9 +37,9 @@ class CommutativityGap:
 
 
 def _topk_vector(vec: np.ndarray, k: int, bucket_size: int | None) -> np.ndarray:
-    # imported lazily: repro.collectives.selector pulls in repro.analysis at
-    # import time, and repro.core pulls in repro.collectives — a module-level
-    # import here would close the cycle
+    # imported lazily: repro.collectives pulls in repro.analysis at import
+    # time (through repro.costmodel), and repro.core pulls in
+    # repro.collectives — a module-level import here would close the cycle
     from ..core.topk import topk_bucket_indices, topk_global_indices
 
     if bucket_size is None:

@@ -14,15 +14,9 @@ from .dense import (
     allreduce_ring,
     partition_bounds,
 )
+from ..costmodel.model import RING_MIN_RANKS, SCHEDULES, SMALL_MESSAGE_BYTES
 from .dsar import dsar_split_allgather
 from .hier import dsar_hierarchical, ssar_hierarchical, tree_reduce
-from .selector import (
-    RING_MIN_RANKS,
-    SMALL_MESSAGE_BYTES,
-    SCHEDULES,
-    choose_algorithm,
-    dense_stage_two_tier_times,
-)
 from .sparse import slice_stream, split_phase, ssar_recursive_double, ssar_ring, ssar_split_allgather
 
 __all__ = [
@@ -47,8 +41,6 @@ __all__ = [
     "RING_MIN_RANKS",
     "SMALL_MESSAGE_BYTES",
     "SCHEDULES",
-    "choose_algorithm",
-    "dense_stage_two_tier_times",
     "slice_stream",
     "split_phase",
     "ssar_recursive_double",

@@ -13,9 +13,10 @@ phase does the same for a sparse kernel's communication pattern.
 schedules:
 
 * it resolves the knobs once: ``"auto"`` is re-ranked, and
-  ``chunks="auto"`` re-priced, only when the agreed nnz drifts past
-  :data:`~repro.costmodel.adaptive.DRIFT_THRESHOLD` from the estimate the
-  held resolution was priced from;
+  ``chunks="auto"`` re-priced, only when the agreed nnz
+  :func:`~repro.costmodel.adaptive.drifted` from the estimate the held
+  resolution was priced from — the library's one re-selection rule — and
+  every (re-)selection of ``"auto"`` is logged on :attr:`AllreducePlan.switches`;
 * it takes its message keys once — a tag block and, for the hierarchical
   schedules, the two host subgroups
   (:func:`~repro.collectives.hier.build_hierarchy`) — so a rank's channel
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..costmodel.adaptive import DRIFT_THRESHOLD, Agreed, consistent_mean
+from ..costmodel.adaptive import Agreed, AlgorithmSwitch, consistent_mean, drifted
 from ..costmodel.model import SCHEDULES, Instance
 from ..quant import QSGDQuantizer
 from ..runtime.backend import Backend, ParallelResult
@@ -132,7 +133,7 @@ def resolve_collective(
     ``agreed`` (internal) is that estimate when the caller has already
     agreed on it — a step that launches several collectives runs *one*
     vector round for all of them (see
-    :meth:`~repro.costmodel.AdaptiveSelector.step_agreeing`) — together
+    :meth:`~repro.core.fusion.GradientFuser.i_fused_allreduce`) — together
     with the cost model it is priced under; the call then costs no
     messages. Without it the default model prices the instance.
     """
@@ -160,7 +161,11 @@ class _Keys:
 
 class AllreducePlan:
     """A sparse allreduce planned once and run every step: made by
-    :func:`allreduce_plan`, or per communicator and key by :func:`cached_plan`."""
+    :func:`allreduce_plan`, or per communicator and key by :func:`cached_plan`.
+
+    :attr:`switches` logs every (re-)selection of an ``"auto"`` algorithm
+    as an :class:`~repro.costmodel.AlgorithmSwitch` (``iteration`` = the
+    run that made it), identical on every rank."""
 
     def __init__(self, comm, dimension, dtype, algorithm="auto", op=SUM, chunks=1) -> None:
         if algorithm != "auto" and algorithm not in SCHEDULES:
@@ -172,6 +177,8 @@ class AllreducePlan:
         self.chunks = chunks if chunks == "auto" else _check_chunks(chunks)
         #: the held (algorithm, chunks), and the agreed estimate it was priced from
         self._resolved, self._priced = (algorithm, self.chunks), None
+        self.switches: list[AlgorithmSwitch] = []
+        self._runs = 0
         #: the blocking runs' keys, and the started runs' (in a child
         #: context, from the first start)
         self._keys, self._started = _Keys(comm), None
@@ -191,19 +198,27 @@ class AllreducePlan:
             return self._resolved
         if agreed is None:
             agreed = Agreed(consistent_mean(self.comm, float(stream.nnz), agreement_tag(self.comm)))
+        self._runs += 1
         held = self._priced
-        if held is None or held.model != agreed.model or (
-            abs(agreed.nnz - held.nnz) > DRIFT_THRESHOLD * max(held.nnz, 1.0)
-        ):
-            nnz = min(max(agreed.nnz, 0.0), float(self.dimension))
-            instance = Instance(self.dimension, self.comm.size, nnz, self.dtype.itemsize)
-            algorithm, chunks, topology = self.algorithm, self.chunks, self.comm.topology
-            if algorithm == "auto":
-                algorithm = agreed.model.choose(instance, topology)
-            if chunks == "auto":
-                # 1 for the flat algorithms, which ignore chunking silently
-                chunks = agreed.model.auto_chunks(instance, algorithm, topology=topology)
-            self._resolved, self._priced = (algorithm, chunks), agreed
+        if held is None:
+            reason = "initial selection"
+        elif held.model != agreed.model:
+            reason = "cost model changed"
+        elif drifted(held.nnz, agreed.nnz):
+            reason = f"density drift (anchor {held.nnz:.1f} -> {agreed.nnz:.1f})"
+        else:
+            return self._resolved
+        nnz = min(max(agreed.nnz, 0.0), float(self.dimension))
+        instance = Instance(self.dimension, self.comm.size, nnz, self.dtype.itemsize)
+        algorithm, chunks, topology = self.algorithm, self.chunks, self.comm.topology
+        if algorithm == "auto":
+            algorithm = agreed.model.choose(instance, topology)
+            previous = None if held is None else self._resolved[0]
+            self.switches.append(AlgorithmSwitch(self._runs, algorithm, previous, nnz, reason))
+        if chunks == "auto":
+            # 1 for the flat algorithms, which ignore chunking silently
+            chunks = agreed.model.auto_chunks(instance, algorithm, topology=topology)
+        self._resolved, self._priced = (algorithm, chunks), agreed
         return self._resolved
 
     def kwargs(self, algorithm: str, quantizer, chunks) -> dict:
@@ -293,8 +308,9 @@ def sparse_allreduce(
     stream:
         The local contribution (sparse or dense representation).
     algorithm:
-        ``"auto"`` (selector heuristic of §5.3, topology-aware when the
-        communicator carries one), or one of ``ssar_rec_dbl``,
+        ``"auto"`` (the switching procedure of §5.3, topology-aware when
+        the communicator carries one, re-run when the agreed nnz drifts),
+        or one of ``ssar_rec_dbl``,
         ``ssar_split_ag``, ``ssar_ring``, ``ssar_hier``,
         ``dsar_split_ag``, ``dsar_hier``.
     quantizer:

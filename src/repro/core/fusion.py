@@ -17,9 +17,11 @@ tensor sizes and then slices/reduces flat gradient vectors. Each bucket
 runs through the communicator's persistent plan for its shape
 (:func:`~repro.collectives.api.cached_plan`), so a fused step resolves,
 takes tags and builds subgroups only when a plan is first made (or, for
-``"auto"`` knobs, when a bucket's agreed nnz drifts), and the async mode
-queues every bucket on the communicator's one long-lived progress thread
-instead of starting a thread per step.
+``"auto"`` knobs, when a bucket's agreed nnz drifts: each bucket's plan
+re-decides from its own), and the async mode queues every bucket on the
+communicator's one long-lived progress thread instead of starting a
+thread per step. A fused step agrees once: one vector round carries
+every bucket's nnz.
 """
 
 from __future__ import annotations
@@ -164,7 +166,6 @@ class GradientFuser:
         algorithm: str = "auto",
         quantizer: QSGDQuantizer | None = None,
         chunks: "int | str" = 1,
-        selector=None,
     ) -> np.ndarray:
         """TopK-sparsified allreduce per fused bucket; returns the summed
         update, dense, with per-bucket error feedback state.
@@ -175,30 +176,26 @@ class GradientFuser:
         :meth:`i_fused_allreduce` is the asynchronous form.
         ``chunks`` pipelines each bucket's
         hierarchical collective (see
-        :func:`~repro.collectives.api.sparse_allreduce`); ``selector``
-        (an :class:`~repro.costmodel.AdaptiveSelector`, requires
-        ``algorithm="auto"``) resolves one algorithm per *call* from the
-        mean selected bucket nnz, and the choice adapts across steps as
-        the realized density drifts. Whatever the knobs, a call runs at
-        most one agreement round (see :meth:`_plan`).
+        :func:`~repro.collectives.api.sparse_allreduce`). With
+        ``algorithm="auto"`` each bucket's plan selects from the bucket's
+        agreed nnz and re-selects as it drifts. Whatever the knobs, a call
+        runs at most one agreement round (see :meth:`_plan`).
         """
         out = np.empty_like(grad)
         for bucket, plan, sent, estimate in self._plan(
-            comm, grad, error_feedback, algorithm, quantizer, chunks, selector
+            comm, grad, error_feedback, algorithm, quantizer, chunks
         ):
             out[bucket.start: bucket.stop] = plan(sent, agreed=estimate).to_dense()
         return out
 
-    def _plan(
-        self, comm, grad, error_feedback, algorithm, quantizer, chunks, selector
-    ) -> list:
+    def _plan(self, comm, grad, error_feedback, algorithm, quantizer, chunks) -> list:
         """The calling-thread half of a fused call: select, agree, plan.
 
         TopK selection runs first, so error-feedback state mutates in
         program order. Then *one* agreement round settles everything the
-        call's ``"auto"`` knobs need — the selector's density estimate
-        and every bucket's selected nnz ride the same vector, on the
-        communicator's agreement tags — and each bucket's cached plan
+        call's ``"auto"`` knobs need — every bucket's selected nnz rides
+        the same vector, on the communicator's agreement tags — and each
+        bucket's cached plan
         (:func:`~repro.collectives.api.cached_plan`) resolves from its
         pre-agreed estimate without messages of its own, re-pricing only
         when that estimate drifted. Returns ``(bucket, plan, stream,
@@ -212,16 +209,9 @@ class GradientFuser:
             if quantizer is not None:
                 sent = quantize_stream_values(sent, quantizer)
             selected.append(sent)
-        nnz = [float(s.nnz) for s in selected]
         agreed: "list[Agreed | None]" = [None] * len(selected)
-        if selector is not None:
-            if algorithm != "auto":
-                raise ValueError("selector requires algorithm='auto'")
-            algorithm, estimates = selector.step_agreeing(
-                comm, sum(nnz) / len(nnz), nnz if chunks == "auto" else (), agreement_tag(comm)
-            )
-            agreed = estimates or agreed
-        elif "auto" in (algorithm, chunks):
+        if "auto" in (algorithm, chunks):
+            nnz = [float(s.nnz) for s in selected]
             agreed = [Agreed(m) for m in consistent_mean(comm, nnz, agreement_tag(comm))]
         return [
             (bucket, cached_plan(comm, sent, algorithm, chunks=chunks), sent, estimate)
@@ -236,7 +226,6 @@ class GradientFuser:
         algorithm: str = "auto",
         quantizer: QSGDQuantizer | None = None,
         chunks: "int | str" = 1,
-        selector=None,
     ) -> FusedPendingUpdate:
         """Async mode: every bucket's plan started on one progress thread.
 
@@ -249,13 +238,12 @@ class GradientFuser:
         :class:`FusedPendingUpdate` joins them and hands back the dense
         update; results are bit-identical to
         :meth:`fused_topk_allreduce` (same selection, same collectives,
-        unquantized). ``selector`` resolves one adaptive algorithm per
-        call (see :meth:`fused_topk_allreduce`).
+        unquantized).
         """
         runs = [
             (bucket, plan.start(sent, agreed=estimate))
             for bucket, plan, sent, estimate in self._plan(
-                comm, grad, error_feedback, algorithm, quantizer, chunks, selector
+                comm, grad, error_feedback, algorithm, quantizer, chunks
             )
         ]
         return FusedPendingUpdate(runs, np.empty_like(grad))

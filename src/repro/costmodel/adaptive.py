@@ -3,20 +3,22 @@
 SparCML's §5.3 selection assumes the user's "rough idea about K" holds
 for the whole run — but real training sweeps density regimes (top-k
 schedules warm up, gradients densify near convergence, elastic worlds
-change ``P``). :class:`AdaptiveSelector` closes the loop: it tracks the
-*realized* per-iteration sparsity with an EWMA over ``stream.nnz``,
-re-runs :meth:`~repro.costmodel.CostModel.rank` when the estimate drifts
-past a threshold (or the world size changes), and — crucially — agrees
-on the estimate *collectively* so every rank switches algorithm on the
-same iteration. The agreement is one cheap round (a rank-ordered gather
-to root plus a broadcast of the mean), the same rank-independent
-resolution idiom the async driver uses for post-shrink worlds: the mean
-of a deterministic, rank-ordered gather is bit-identical everywhere, so
-the switch sequence replays identically on every backend. The round
-carries a vector, so whatever else the step must agree on — the nnz of
-every collective it is about to launch, for ``chunks="auto"`` — rides
-along (:meth:`AdaptiveSelector.step_agreeing`) instead of paying a round
-of its own.
+change ``P``). A persistent ``"auto"`` plan
+(:func:`~repro.collectives.api.allreduce_plan`) is where the library
+re-decides: it agrees on every run's nnz, re-runs
+:meth:`~repro.costmodel.CostModel.rank` when that estimate
+:func:`drifted` from the one its choice was priced from, and logs each
+(re-)selection as an :class:`AlgorithmSwitch`. The agreement is one cheap
+round (:func:`consistent_mean`: a rank-ordered gather to root plus a
+broadcast of the mean), bit-identical everywhere, so every rank switches
+on the same run and the switch sequence replays identically on every
+backend; the round carries a vector, so a step that launches several
+collectives agrees on all their nnz at once.
+
+:class:`AdaptiveSelector` is the same rule as a standalone tool, off every
+library path: it folds ``stream.nnz`` into an EWMA per iteration and
+re-selects under the same :func:`drifted` test (or when the world size
+changes).
 """
 
 from __future__ import annotations
@@ -26,13 +28,22 @@ from dataclasses import dataclass, field
 
 from .model import CostModel, Instance, SelectionReport
 
-__all__ = ["AdaptiveSelector", "AlgorithmSwitch", "Agreed", "consistent_mean", "DRIFT_THRESHOLD"]
+__all__ = [
+    "AdaptiveSelector", "AlgorithmSwitch", "Agreed", "consistent_mean", "drifted", "DRIFT_THRESHOLD",
+]
 
 #: relative drift of an agreed nnz estimate from the one the current
-#: choice was priced from that re-prices it: the selector's default, and
-#: what a persistent plan (:func:`~repro.collectives.api.allreduce_plan`)
-#: holds its ``"auto"`` resolution against.
+#: choice was priced from that re-prices it: what a persistent plan
+#: (:func:`~repro.collectives.api.allreduce_plan`) holds its ``"auto"``
+#: resolution against, and :class:`AdaptiveSelector`'s default.
 DRIFT_THRESHOLD = 0.25
+
+
+def drifted(anchor: float, estimate: float, threshold: float = DRIFT_THRESHOLD) -> bool:
+    """Whether ``estimate`` moved more than ``threshold`` (relative) from
+    ``anchor``, the nnz the held choice was priced from: the one
+    re-selection test."""
+    return abs(estimate - anchor) > threshold * max(anchor, 1.0)
 
 
 def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]", tag: int | None = None):
@@ -67,8 +78,8 @@ class Agreed:
 
     What :func:`~repro.collectives.api.resolve_collective` needs in order
     to resolve ``"auto"`` knobs without an agreement round of its own:
-    callers that already ran one (:meth:`AdaptiveSelector.step_agreeing`,
-    the fused-bucket launch) hand the result in.
+    callers that already ran one (the fused-bucket launch) hand the
+    result in.
     """
 
     nnz: float
@@ -77,7 +88,8 @@ class Agreed:
 
 @dataclass(frozen=True)
 class AlgorithmSwitch:
-    """One re-selection event in an adaptive run."""
+    """One (re-)selection: of an ``"auto"`` plan, at its ``iteration``-th
+    run, or of an :class:`AdaptiveSelector`, at its ``iteration``-th step."""
 
     iteration: int
     algorithm: str
@@ -172,48 +184,24 @@ class AdaptiveSelector:
         iteration — the natural contract, since they are about to run an
         allreduce together anyway).
         """
-        return self.step_agreeing(comm, local_nnz)[0]
-
-    def step_agreeing(
-        self, comm, local_nnz: float, launching: "list[float] | tuple" = (),
-        tag: "int | None" = None,
-    ) -> "tuple[str, list[Agreed]]":
-        """:meth:`step`, with passengers on its agreement round.
-
-        ``launching`` holds the local nnz of every collective the caller
-        is about to launch; their rank-consistent means come back as
-        :class:`Agreed` estimates under this selector's model, in order,
-        for :func:`~repro.collectives.api.resolve_collective` to price
-        ``chunks="auto"`` with — one round per step instead of one per
-        collective. With passengers the round runs every iteration
-        (re-selection still follows ``sync_every``). ``tag`` is the round's
-        tag block (see :func:`consistent_mean`).
-        """
         self.observe(local_nnz)
         self._iteration += 1
         resized = self._world_size is not None and comm.size != self._world_size
         due = (self._iteration - 1) % self.sync_every == 0
-        syncing = self.algorithm is None or due or resized
-        if not syncing and not launching:
-            return self.algorithm, []
-        estimate, *means = consistent_mean(comm, [self._local_ewma, *launching], tag)
-        agreed = [Agreed(mean, self.model) for mean in means]
-        if not syncing:
-            return self.algorithm, agreed
+        if self.algorithm is not None and not due and not resized:
+            return self.algorithm
+        estimate = consistent_mean(comm, self._local_ewma)
         estimate = min(max(estimate, 0.0), float(self.dimension))
         self._world_size = comm.size
-        drifted = (
-            self._anchor is not None
-            and abs(estimate - self._anchor) > self.drift_threshold * max(self._anchor, 1.0)
-        )
-        if self.algorithm is None or resized or drifted:
-            reason = (
-                "initial selection" if self.algorithm is None
-                else "world size changed" if resized
-                else f"density drift (anchor {self._anchor:.1f} -> {estimate:.1f})"
+        if self.algorithm is None:
+            self._select(comm, estimate, "initial selection")
+        elif resized:
+            self._select(comm, estimate, "world size changed")
+        elif drifted(self._anchor, estimate, self.drift_threshold):
+            self._select(
+                comm, estimate, f"density drift (anchor {self._anchor:.1f} -> {estimate:.1f})"
             )
-            self._select(comm, estimate, reason)
-        return self.algorithm, agreed
+        return self.algorithm
 
     def _select(self, comm, estimate: float, reason: str) -> None:
         instance = Instance(

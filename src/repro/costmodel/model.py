@@ -1,8 +1,8 @@
 """The first-class cost model behind every algorithm decision.
 
 Historically the alpha/beta/gamma reasoning lived in four places that
-could silently disagree: the selector's switch-point heuristics
-(`collectives/selector.py`), the analytic bounds (`costmodel/bounds.py`),
+could silently disagree: the selector's switch-point heuristics, the
+analytic bounds (`costmodel/bounds.py`),
 the replay presets (`netsim/model.py`) and the Appendix-B fill-in
 (`analysis/density.py`). :class:`CostModel` is the one object that owns
 all of them: it wraps a network model (flat or tiered), charges compute
@@ -14,7 +14,7 @@ expectation, and exposes
   the intra/inter leg decomposition the pipelined makespan needs;
 * :meth:`CostModel.rank` — the full §5.3 selection as an inspectable,
   serializable :class:`SelectionReport` listing every candidate's
-  predicted time (``choose_algorithm`` is a thin wrapper over this);
+  predicted time (:meth:`CostModel.choose` is just its choice);
 * :meth:`CostModel.auto_chunks` — the pipeline depth minimizing the
   chunked hierarchical makespan ``c + (K-1) max(c, m) + m`` (the
   ``overlap_step_time`` curve) plus ``K-1`` background launches, for
@@ -78,7 +78,7 @@ class Schedule(NamedTuple):
     hierarchical: bool
 
 
-#: every schedule the model can predict and the selector can emit.
+#: every schedule the model can predict and :meth:`CostModel.rank` can choose.
 SCHEDULES = {
     "ssar_rec_dbl": Schedule(dense=False, hierarchical=False),
     "ssar_split_ag": Schedule(dense=False, hierarchical=False),
@@ -294,12 +294,12 @@ def _pipelined(intra_s: float, inter_s: float, lat_intra: float,
 class CostModel:
     """Alpha-beta-gamma cost model over a (possibly tiered) network.
 
-    The single object every cost consumer shares: the selector
-    (:func:`repro.collectives.choose_algorithm` wraps :meth:`rank`), the
-    sweeps, the repo benchmark (``bench/``'s predicted-vs-measured
-    ``costmodel.*`` metrics), the netsim replay (which reads
-    :attr:`network`), and the adaptive runtime selector
-    (:class:`repro.costmodel.AdaptiveSelector`).
+    The single object every cost consumer shares: the ``"auto"`` plans
+    (:class:`~repro.collectives.api.AllreducePlan` calls :meth:`choose`
+    and :meth:`auto_chunks`), the async driver, the sweeps, the repo
+    benchmark (``bench/``'s predicted-vs-measured ``costmodel.*``
+    metrics), the netsim replay (which reads :attr:`network`), and
+    :class:`repro.costmodel.AdaptiveSelector`.
     """
 
     network: "NetworkModel | TieredNetworkModel" = TIERED_IB_FDR
@@ -563,17 +563,10 @@ class CostModel:
         )
 
     # -- selection ------------------------------------------------------
-    def rank(
-        self,
-        instance: Instance,
-        topology: "Topology | None" = None,
-        small_message_bytes: int = SMALL_MESSAGE_BYTES,
-        chunks: int = 1,
-    ) -> SelectionReport:
+    def rank(self, instance: Instance, topology: "Topology | None" = None) -> SelectionReport:
         """Run the §5.3 selection and report every candidate's cost.
 
-        The decision procedure is the paper's switching heuristic —
-        identical to the historical ``choose_algorithm``:
+        The decision procedure is the paper's switching heuristic:
 
         1. ``E[K] > delta`` → dynamic instance → DSAR; on a hierarchical
            topology the flat vs leader-only dense stage is decided by the
@@ -593,7 +586,7 @@ class CostModel:
         delta = instance.delta
         hierarchical = topology is not None and topology.is_hierarchical
         candidates = {
-            algo: self.predict(instance, algo, topology, chunks)
+            algo: self.predict(instance, algo, topology)
             for algo in SCHEDULES
         }
         if expected_k > delta:
@@ -615,15 +608,15 @@ class CostModel:
             reason = "static-sparse on a hierarchical topology: reduce intra-host first"
         else:
             reduced_bytes = expected_k * instance.pair_bytes
-            if reduced_bytes <= small_message_bytes:
+            if reduced_bytes <= SMALL_MESSAGE_BYTES:
                 choice = "ssar_rec_dbl"
                 reason = (
                     f"latency-bound: reduced payload {reduced_bytes:.0f} B <= "
-                    f"{small_message_bytes} B switch point"
+                    f"{SMALL_MESSAGE_BYTES} B switch point"
                 )
             elif (
                 instance.nranks >= RING_MIN_RANKS
-                and reduced_bytes > small_message_bytes * instance.nranks
+                and reduced_bytes > SMALL_MESSAGE_BYTES * instance.nranks
             ):
                 choice = "ssar_ring"
                 reason = "bandwidth-bound at scale: per-rank slice above the switch point"
@@ -644,14 +637,9 @@ class CostModel:
             candidates=ordered,
         )
 
-    def choose(
-        self,
-        instance: Instance,
-        topology: "Topology | None" = None,
-        small_message_bytes: int = SMALL_MESSAGE_BYTES,
-    ) -> str:
+    def choose(self, instance: Instance, topology: "Topology | None" = None) -> str:
         """Just the chosen algorithm name (see :meth:`rank`)."""
-        return self.rank(instance, topology, small_message_bytes).choice
+        return self.rank(instance, topology).choice
 
     # -- auto-chunking --------------------------------------------------
     def auto_chunks(

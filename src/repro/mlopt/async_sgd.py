@@ -14,6 +14,11 @@ Convergence: with a modest learning rate, staleness-1 SGD tracks the
 synchronous trajectory closely (tested); the win is that the replayed
 step time becomes ``max(compute, comm)`` instead of their sum.
 
+Selection: ``algorithm="auto"`` is resolved once per membership through
+:meth:`~repro.costmodel.CostModel.choose`, or, with ``adaptive=True``,
+left to the ``"auto"`` plans every step launches, which re-select on
+density drift and log it (``history.algorithm_switches``).
+
 Fault tolerance: if a peer rank dies mid-run, the blocked aggregation
 raises :class:`~repro.runtime.comm.RankFailedError`. Two recovery modes:
 
@@ -39,10 +44,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..collectives.api import agreement_tag, cached_plan
-from ..collectives.selector import choose_algorithm
+from ..collectives.api import cached_plan
 from ..core.fusion import GradientFuser
-from ..costmodel.adaptive import AdaptiveSelector
+from ..costmodel.model import CostModel, Instance
 from ..runtime.comm import Communicator, RankFailedError, WorldAbortedError
 from ..runtime.elastic import ElasticContext
 from .datasets import SparseDataset, partition_rows
@@ -75,7 +79,7 @@ def distributed_sgd_async(
     fuser: "GradientFuser | None" = None,
     fuser_k: int = 32,
     chunks: "int | str" = 1,
-    adaptive: "bool | AdaptiveSelector" = False,
+    adaptive: bool = False,
 ) -> RunHistory:
     """Data-parallel SGD with one-step-pipelined sparse aggregation.
 
@@ -102,20 +106,17 @@ def distributed_sgd_async(
     hierarchical collectives either way (see
     :func:`~repro.collectives.api.sparse_allreduce`).
 
-    ``adaptive=True`` (requires ``config.algorithm == "auto"``) replaces
-    the once-per-membership static resolve with an
-    :class:`~repro.costmodel.AdaptiveSelector`: every aggregating step
-    folds the realized nnz of what it launches — the gradient stream, or
-    with a ``fuser`` the mean selected float32 bucket — into a
-    collectively-agreed EWMA and re-runs the cost model's selection when
-    the estimate drifts (or the world resizes), so the algorithm tracks
-    the density the run actually produces. That agreement is the step's
-    only one: the nnz ``chunks="auto"`` prices rides the same round and
-    is priced under the selector's model. The switch sequence is
-    bit-identical on every rank (and recorded on
-    ``history.algorithm_switches``). Pass a pre-built selector (shaped
-    like the launched instance) to control the cost model, drift
-    threshold or EWMA factor.
+    ``adaptive=True`` (requires ``config.algorithm == "auto"``) launches
+    ``"auto"`` plans instead of the once-per-membership static resolve:
+    each step agrees on the realized nnz of what it launches — the
+    gradient stream, or with a ``fuser`` every selected float32 bucket, in
+    one round either way — and each plan re-runs the cost model's
+    selection when its agreed nnz drifts, so the algorithm tracks the
+    density the run actually produces. The plans' switch logs
+    (:attr:`~repro.collectives.api.AllreducePlan.switches`, plan by plan
+    in the order they were made; plans persist on the communicator, so a
+    second run on it continues the first's) are bit-identical on every
+    rank and land on ``history.algorithm_switches``.
     """
     if config.mode != "sparse":
         raise ValueError("asynchronous aggregation supports sparse mode only")
@@ -128,20 +129,8 @@ def distributed_sgd_async(
             f"fuser covers {fuser.total_size} params but the model has "
             f"{model.n_features} features"
         )
-    selector: AdaptiveSelector | None = None
-    if adaptive:
-        if config.algorithm != "auto":
-            raise ValueError("adaptive selection requires config.algorithm='auto'")
-        if isinstance(adaptive, AdaptiveSelector):
-            selector = adaptive
-        elif fuser is not None:
-            # the priced instance is the launched one: a mean fused bucket
-            # of float32 top-k survivors, not the raw float64 gradient
-            selector = AdaptiveSelector(
-                dimension=max(1, fuser.total_size // fuser.n_buckets), value_itemsize=4
-            )
-        else:
-            selector = AdaptiveSelector(dimension=model.n_features, value_itemsize=8)
+    if adaptive and config.algorithm != "auto":
+        raise ValueError("adaptive selection requires config.algorithm='auto'")
     feedback = fuser.make_error_feedback(fuser_k) if fuser is not None else None
     shard = partition_rows(dataset.n_samples, comm.size, comm.rank)
     X_local: sp.csr_matrix = dataset.X[shard]
@@ -155,20 +144,22 @@ def distributed_sgd_async(
     history = RunHistory()
     steps_per_epoch = max(1, n_local // config.batch_size)
 
+    worlds = []  # every membership's communicator, for its plans' switch logs
+
     def resolve_algorithm() -> str:
         # every rank must launch the *same* algorithm or the collective
-        # deadlocks, but the §5.3 selector keys on the local stream's nnz,
+        # deadlocks, but the §5.3 procedure keys on the local stream's nnz,
         # which differs per rank — near the sparse/dense switchover two
-        # ranks can legitimately disagree. Resolve "auto" once per
-        # membership from a rank-independent estimate instead: the
-        # dataset's mean batch nnz (the dataset is replicated, so all
-        # ranks compute the identical value).
-        if config.algorithm != "auto":
+        # ranks can legitimately disagree. Without adaptive plans (which
+        # agree on it every step), resolve "auto" once per membership from
+        # a rank-independent estimate: the dataset's mean batch nnz (the
+        # dataset is replicated, so all ranks compute the identical value).
+        worlds.append(comm)
+        if config.algorithm != "auto" or adaptive:
             return config.algorithm
         est_nnz = max(1, int(dataset.X.nnz / dataset.n_samples * config.batch_size))
-        return choose_algorithm(
-            model.n_features, comm.size, est_nnz, 8, topology=comm.topology
-        )
+        instance = Instance(model.n_features, comm.size, est_nnz, 8)
+        return CostModel.default().choose(instance, comm.topology)
 
     algorithm = resolve_algorithm()
 
@@ -205,23 +196,10 @@ def distributed_sgd_async(
         w[idx] -= (config.lr / contributors) * values.astype(np.float64)
 
     def launch(grad):
-        nonlocal algorithm
         if fuser is not None:
-            return fuser.i_fused_allreduce(
-                comm,
-                grad.to_dense().astype(np.float32, copy=False),
-                feedback,
-                algorithm="auto" if selector is not None else algorithm,
-                chunks=chunks,
-                selector=selector,
-            )
-        agreed = None
-        if selector is not None:
-            algorithm, estimates = selector.step_agreeing(
-                comm, grad.nnz, [grad.nnz] if chunks == "auto" else (), agreement_tag(comm)
-            )
-            agreed = estimates[0] if estimates else None
-        return cached_plan(comm, grad, algorithm, chunks=chunks).start(grad, agreed=agreed)
+            dense = grad.to_dense().astype(np.float32, copy=False)
+            return fuser.i_fused_allreduce(comm, dense, feedback, algorithm, chunks=chunks)
+        return cached_plan(comm, grad, algorithm, chunks=chunks).start(grad)
 
     def recover(exc: RankFailedError, doomed_handle, epoch: int) -> None:
         # a peer died mid-aggregation: reap the handle that was launched
@@ -298,9 +276,8 @@ def distributed_sgd_async(
                 continue
             # launch this step's reduction; it progresses while the next
             # batch's gradient is being computed. Everything collective
-            # about the launch — the selector's estimate (every rank
-            # steps it at the same iteration, so any algorithm switch is
-            # identical everywhere) and the nnz chunks="auto" prices — is
+            # about the launch — the nnz its "auto" knobs price, from which
+            # every rank's plans make identical (re-)selections — is
             # settled in one agreement round on this thread, so a dead
             # peer can surface here as well as at the join below.
             try:
@@ -333,7 +310,10 @@ def distributed_sgd_async(
             apply_update(pending.wait(), comm.size)
         except RankFailedError as exc:
             recover(exc, None, config.epochs)
-    if selector is not None:
-        history.algorithm_switches = [s.to_dict() for s in selector.switches]
+    if adaptive:
+        history.algorithm_switches = [
+            s.to_dict() for world in worlds for plan in (world._plans or {}).values()
+            for s in plan.switches
+        ]
     history.params = w
     return history

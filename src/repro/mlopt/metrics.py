@@ -48,9 +48,10 @@ class RunHistory:
 
     ``algorithm_switches`` is filled by adaptive runs
     (``distributed_sgd_async(..., adaptive=True)``): one dict per
-    (re-)selection event of the
-    :class:`~repro.costmodel.AdaptiveSelector`, identical on every rank.
-    Empty for non-adaptive runs.
+    (re-)selection its ``"auto"`` plans logged
+    (:class:`~repro.costmodel.AlgorithmSwitch`), identical on every rank;
+    the last names the algorithm the last plan runs. Empty for
+    non-adaptive runs.
     """
 
     records: list[EpochRecord] = field(default_factory=list)

@@ -187,22 +187,6 @@ class Trace:
             self._seq[key] = seq + 1
         return seq
 
-    def reserve_seqs(self, src: int, dst: int, tag: int, count: int, context: tuple = ()) -> int:
-        """Reserve ``count`` consecutive sequence numbers on a channel and
-        return the first (a zero-width reservation reads the counter).
-
-        For events recorded off-trace that are rebased onto the returned
-        start, so FIFO matching stays unambiguous.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        key = (src, dst, context, tag)
-        with self._lock:
-            self._size_merged()
-            start = self._seq.get(key, 0)
-            self._seq[key] = start + count
-        return start
-
     def _intern(self, log: _Log, name) -> int:
         """``name``'s id in ``log``'s table, added if new (the slow path:
         a recorder looks ``log.ids`` up first, without the lock)."""

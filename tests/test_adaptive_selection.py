@@ -1,13 +1,15 @@
 """Tests for adaptive runtime selection (`repro/costmodel/adaptive.py`)
 and the rank-consistent `algorithm="auto"` / `chunks="auto"` resolution:
-the drifting-density switch must be bit-identical on all four backends,
-and skewed per-rank densities must not deadlock the blocking auto path."""
+the drifting-density switch — of an `AdaptiveSelector` and of an "auto"
+plan's switch log — must be bit-identical on all four backends, and
+skewed per-rank densities must not deadlock the blocking auto path."""
 
 import numpy as np
 import pytest
 
-from repro.collectives import choose_algorithm, run_sparse_allreduce, sparse_allreduce
-from repro.collectives.api import resolve_collective
+import repro.collectives.api as api
+from repro.collectives import run_sparse_allreduce, sparse_allreduce
+from repro.collectives.api import cached_plan, resolve_collective
 from repro.core import GradientFuser
 from repro.costmodel import AdaptiveSelector, Agreed, CostModel, Instance, consistent_mean
 from repro.mlopt import (
@@ -109,18 +111,6 @@ class TestAdaptiveSelectorUnit:
         sel.step(FakeComm(), 100)
         assert sel.switches[-1].estimate <= 100.0
 
-    def test_passengers_ride_the_selectors_round(self):
-        sel = AdaptiveSelector(model="tiered_gige", dimension=DIMENSION, sync_every=3)
-        comm = FakeComm(size=NRANKS)
-        algorithm, agreed = sel.step_agreeing(comm, 50, [40.0, 60.0])
-        assert algorithm == sel.algorithm
-        assert agreed == [Agreed(40.0, sel.model), Agreed(60.0, sel.model)]
-        # off-sync: passengers still get their round, the selection rests
-        sel.step_agreeing(comm, 3000, [70.0])
-        assert len(sel.switches) == 1
-        # ...and without passengers an off-sync step costs nothing
-        assert sel.step_agreeing(comm, 3000) == (sel.algorithm, [])
-
     def test_switch_to_dict(self):
         sel = AdaptiveSelector(dimension=DIMENSION)
         sel.step(FakeComm(), 50)
@@ -198,6 +188,62 @@ class TestAdaptiveDrift:
         assert "drift" in changes[0]["reason"]
 
 
+def _plan_drift_prog(comm):
+    """The same ramp through one "auto" plan, which re-selects by itself."""
+    sums = []
+    for it, nnz in enumerate(DRIFT_SCHEDULE):
+        stream = make_rank_stream(DIMENSION, nnz + 3 * comm.rank, comm.rank, 5000 + it)
+        sums.append(sparse_allreduce(comm, stream, "auto").to_dense())
+    return sums, [s.to_dict() for s in cached_plan(comm, stream).switches]
+
+
+class TestPlanSwitchLog:
+    def test_identical_on_every_rank_and_backend(self):
+        by_backend = {b: run_ranks(_plan_drift_prog, NRANKS, backend=b) for b in BACKENDS}
+        ref_sums, ref_switches = by_backend["thread"][0]
+        first = ref_switches[0]
+        assert first["reason"] == "initial selection" and first["previous"] is None
+        assert first["algorithm"] == "ssar_rec_dbl"
+        assert any(
+            s["reason"].startswith("density drift")
+            and s["previous"] != "dsar_split_ag" == s["algorithm"]
+            for s in ref_switches
+        ), ref_switches
+        for backend, out in by_backend.items():
+            for rank in range(NRANKS):
+                sums, switches = out[rank]
+                assert switches == ref_switches, (backend, rank)
+                for it, dense in enumerate(sums):
+                    assert np.array_equal(dense, ref_sums[it]), (backend, rank, it)
+
+    def test_fused_async_history_is_read_off_the_plans(self, monkeypatch):
+        ran = []
+
+        def spy(name, fn):
+            def run(*args, **kwargs):
+                ran.append(name)
+                return fn(*args, **kwargs)
+            return run
+
+        for name, fn in list(api.ALGORITHMS.items()):
+            monkeypatch.setitem(api.ALGORITHMS, name, spy(name, fn))
+        dataset = make_sparse_classification(200, 2000, 20, seed=41)
+
+        def prog(comm):
+            cfg = SGDConfig(epochs=2, batch_size=10, lr=0.5, mode="sparse")
+            fuser = GradientFuser([(f"t{i}", 500) for i in range(4)], min_bucket_bytes=0)
+            return distributed_sgd_async(
+                comm, dataset, LogisticRegression(dataset.n_features, 1e-5), cfg,
+                fuser=fuser, fuser_k=4, chunks="auto", adaptive=True,
+            )
+
+        out = run_ranks(prog, NRANKS, topology="2x2")
+        switches = out[0].algorithm_switches
+        assert switches and all(h.algorithm_switches == switches for h in out.results)
+        assert ran[-1] == switches[-1]["algorithm"]
+        assert set(ran) == {s["algorithm"] for s in switches}
+
+
 SKEW_NNZ = {0: 100}  # rank 0 is sparse; everyone else is dense
 SKEW_DEFAULT = 3000
 
@@ -212,8 +258,9 @@ class TestSkewedAutoRegression:
     def test_local_choices_disagree(self):
         """The trap this regression guards: per-rank *local* resolution
         picks different algorithms for these densities."""
-        sparse_choice = choose_algorithm(DIMENSION, NRANKS, SKEW_NNZ[0])
-        dense_choice = choose_algorithm(DIMENSION, NRANKS, SKEW_DEFAULT)
+        choose = CostModel.default().choose
+        sparse_choice = choose(Instance(DIMENSION, NRANKS, SKEW_NNZ[0]))
+        dense_choice = choose(Instance(DIMENSION, NRANKS, SKEW_DEFAULT))
         assert sparse_choice != dense_choice
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -285,44 +332,6 @@ class TestPreAgreedResolve:
             self.INSTANCE, "ssar_hier", _SilentComm.topology
         )
         assert kwargs["chunks"] > 1
-
-
-def _fused_selector_prog(comm, schedule):
-    fuser = GradientFuser([("a", 1024), ("b", 1024)], min_bucket_bytes=0)
-    ef = fuser.make_error_feedback(k=16, bucket_size=None)
-    selector = AdaptiveSelector(dimension=1024, ewma=1.0)
-    gen = np.random.default_rng(60 + comm.rank)
-    outs = []
-    for _ in schedule:
-        grad = gen.standard_normal(2048).astype(np.float32)
-        outs.append(
-            fuser.fused_topk_allreduce(comm, grad, ef, selector=selector).copy()
-        )
-    return outs, [s.to_dict() for s in selector.switches], selector.algorithm
-
-
-class TestFuserSelector:
-    def test_selector_resolves_per_call(self):
-        out = run_ranks(_fused_selector_prog, 2, [0, 1, 2])
-        outs, switches, algorithm = out[0]
-        assert len(outs) == 3 and switches
-        assert algorithm in ("ssar_rec_dbl", "ssar_split_ag")
-        # both ranks saw the same switch sequence
-        assert out[1][1] == switches
-
-    def test_selector_requires_auto(self):
-        def prog(comm):
-            fuser = GradientFuser([("a", 64)], min_bucket_bytes=0)
-            ef = fuser.make_error_feedback(k=8, bucket_size=None)
-            selector = AdaptiveSelector(dimension=64)
-            grad = np.ones(64, dtype=np.float32)
-            with pytest.raises(ValueError, match="auto"):
-                fuser.fused_topk_allreduce(
-                    comm, grad, ef, algorithm="ssar_ring", selector=selector
-                )
-            return True
-
-        assert run_ranks(prog, 2)[0] is True
 
 
 class TestAsyncAdaptive:

@@ -98,9 +98,10 @@ class TestSelectorCoupling:
     def test_fill_in_drives_dsar_choice(self):
         """The Fig. 1 effect: the same per-node density becomes a dynamic
         (dense) instance as P grows."""
-        from repro.collectives import choose_algorithm
+        from repro.costmodel import CostModel, Instance
 
         n = 100_000
         k = int(n * 0.05)
-        assert choose_algorithm(n, 2, k) != "dsar_split_ag"
-        assert choose_algorithm(n, 64, k) == "dsar_split_ag"
+        choose = CostModel.default().choose
+        assert choose(Instance(n, 2, k)) != "dsar_split_ag"
+        assert choose(Instance(n, 64, k)) == "dsar_split_ag"

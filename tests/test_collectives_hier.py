@@ -12,13 +12,13 @@ import pytest
 
 from repro.analysis import expected_two_tier_sizes, expected_union_size
 from repro.collectives import (
-    choose_algorithm,
     dsar_hierarchical,
     run_sparse_allreduce,
     sparse_allreduce,
     ssar_hierarchical,
     tree_reduce,
 )
+from repro.costmodel import CostModel, Instance
 from repro.netsim import TIERED_ARIES, TIERED_GIGE, TIERED_IB_FDR, replay
 from repro.quant import QSGDQuantizer
 from repro.runtime import RankError, Topology, bytes_by_tier, run_ranks
@@ -300,7 +300,7 @@ class TestDsarHier:
 class TestTieredReplayVerdict:
     """The PR's acceptance shape: under a tiered preset on 2x4 the replayed
     makespan of the hierarchical schedule beats every flat algorithm, and
-    choose_algorithm agrees with that replay verdict.
+    the cost model's choice agrees with that replay verdict.
 
     The full sweep-the-board verdict is pinned under the GigE-class tier —
     the cloud regime where the inter-node wire dominates (on an Aries/IB
@@ -329,7 +329,7 @@ class TestTieredReplayVerdict:
         }
         assert times["ssar_hier"] == min(times.values()), times
         assert (
-            choose_algorithm(self.TDIM, 8, self.STATIC_NNZ, topology=self.TOPO)
+            CostModel.default().choose(Instance(self.TDIM, 8, self.STATIC_NNZ), self.TOPO)
             == "ssar_hier"
         )
 
@@ -354,9 +354,7 @@ class TestTieredReplayVerdict:
         ).makespan
         assert t_hier < t_flat
         assert (
-            choose_algorithm(
-                self.TDIM, 8, self.DYNAMIC_NNZ, topology=self.TOPO, network=TIERED_GIGE
-            )
+            CostModel(TIERED_GIGE).choose(Instance(self.TDIM, 8, self.DYNAMIC_NNZ), self.TOPO)
             == "dsar_hier"
         )
 

@@ -7,11 +7,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.collectives.api import cached_plan
 from repro.core import ErrorFeedback, GradientFuser
-from repro.costmodel import AdaptiveSelector
 from repro.nn import make_lstm, make_mlp
 from repro.runtime import run_ranks
 from repro.runtime.trace import MARK, SEND
+from repro.streams import SparseStream
 
 
 class TestBucketLayout:
@@ -366,7 +367,7 @@ def _sends_between(trace, rank, first, last):
 
 class TestOneAgreementRound:
     """A fused step pays its control plane once: one vector agreement
-    round carries the selector's estimate and every bucket's nnz."""
+    round carries every bucket's nnz."""
 
     NRANKS = 4
     BUCKETS = 4
@@ -378,17 +379,16 @@ class TestOneAgreementRound:
 
         def prog(comm):
             efs = fuser.make_error_feedback(k=4, bucket_size=32)
-            selector = AdaptiveSelector(dimension=64)
             for step in range(2):
                 comm.mark(f"step{step}")
                 handle = fuser.i_fused_allreduce(
-                    comm, _grads(comm.rank, 256, seed=900 + step), efs,
-                    chunks="auto", selector=selector,
+                    comm, _grads(comm.rank, 256, seed=900 + step), efs, chunks="auto",
                 )
                 comm.mark(f"launched{step}")
                 handle.wait()
                 comm.mark(f"joined{step}")
-            return selector.algorithm
+            plan = cached_plan(comm, SparseStream.zeros(64, np.float32), chunks="auto")
+            return plan.switches[-1].algorithm
 
         out = run_ranks(prog, self.NRANKS, topology="2x2")
         assert set(out.results) == {"ssar_hier"}
@@ -405,8 +405,8 @@ class TestOneAgreementRound:
             # gather to root + binomial bcast; the bucket traffic is
             # buffered on the progress thread until the join
             assert len(on_rank_thread) == 2 * (self.NRANKS - 1)
-            # one vector: the selector's EWMA and one nnz per bucket
-            assert {e.nbytes for e in on_rank_thread} == {8 + 8 * (1 + self.BUCKETS)}
+            # one vector: one nnz per bucket
+            assert {e.nbytes for e in on_rank_thread} == {8 + 8 * self.BUCKETS}
 
     def test_step_message_count_is_pinned(self):
         trace = self._trace()

@@ -1,16 +1,13 @@
 """Tests for the unified CostModel layer (`repro/costmodel/model.py`):
 Instance/PredictedCost/SelectionReport round-trips, predict sanity,
-parity with `choose_algorithm`, and the `chunks="auto"` depth search."""
+`choose` as the report's choice, and the `chunks="auto"` depth search."""
 
 import json
 
 import pytest
 
-from repro.collectives import choose_algorithm, dense_stage_two_tier_times
 from repro.costmodel import (
     MAX_AUTO_CHUNKS,
-    RING_MIN_RANKS,
-    SMALL_MESSAGE_BYTES,
     SCHEDULES,
     CostModel,
     Instance,
@@ -156,8 +153,8 @@ class TestRank:
             (512, 2, 100, None),
         ],
     )
-    def test_parity_with_choose_algorithm(self, dimension, nranks, nnz, ranks_per_node):
-        """`choose_algorithm` is a thin wrapper: same answer, every shape."""
+    def test_choose_is_the_reports_choice(self, dimension, nranks, nnz, ranks_per_node):
+        """`choose` answers what `rank` reports, every shape."""
         topo = (
             Topology.uniform(nranks, ranks_per_node)
             if ranks_per_node is not None
@@ -167,19 +164,9 @@ class TestRank:
             report = CostModel.resolve(network).rank(
                 Instance(dimension, nranks, nnz), topo
             )
-            assert report.choice == choose_algorithm(
-                dimension, nranks, nnz, topology=topo, network=network
+            assert report.choice == CostModel.resolve(network).choose(
+                Instance(dimension, nranks, nnz), topo
             ), report.describe()
-
-    def test_dense_stage_wrapper_matches_predict(self):
-        topo = Topology.uniform(8, 4)
-        flat_t, hier_t = dense_stage_two_tier_times(
-            1 << 20, 8, 50000, 4, topo, network=TIERED_GIGE
-        )
-        model = CostModel(TIERED_GIGE)
-        inst = Instance(1 << 20, 8, 50000)
-        assert flat_t == pytest.approx(model.predict(inst, "dsar_split_ag", topo).time_s)
-        assert hier_t == pytest.approx(model.predict(inst, "dsar_hier", topo).time_s)
 
 
 class TestResolve:
@@ -243,13 +230,3 @@ class TestAutoChunks:
             - self.MODEL.predict(inst, "dsar_hier", topo, chunks=k).time_s
         )
         assert saved > 0  # net of the (k - 1) launches predict() charges
-
-    def test_constants_re_exported(self):
-        # the one source of truth for the switch points
-        from repro.collectives.selector import (
-            RING_MIN_RANKS as sel_ring,
-            SMALL_MESSAGE_BYTES as sel_small,
-        )
-
-        assert sel_ring == RING_MIN_RANKS
-        assert sel_small == SMALL_MESSAGE_BYTES

@@ -154,7 +154,7 @@ class TestCrossCuttingEdges:
         """The selector's choice must execute without error for shapes
         across the decision boundaries."""
         for dim, nnz in [(1 << 16, 10), (1 << 20, 40_000), (4096, 1500)]:
-            algo = repro.choose_algorithm(dim, 4, nnz)
+            algo = repro.CostModel.default().choose(repro.Instance(dim, 4, nnz))
 
             def prog(comm, dim=dim, nnz=nnz, algo=algo):
                 gen = np.random.default_rng(comm.rank)

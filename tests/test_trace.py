@@ -35,17 +35,6 @@ class TestTraceBasics:
         assert t.next_seq(1, 0, 5) == 0  # direction is part of the channel
         assert t.next_seq(0, 1, 6) == 0  # so is the tag
 
-    def test_reserve_seqs_blocks_out_a_range(self):
-        t = Trace(2)
-        assert t.reserve_seqs(0, 1, 3, 4) == 0
-        assert t.next_seq(0, 1, 3) == 4
-        assert t.reserve_seqs(0, 1, 3, 2) == 5
-        assert t.reserve_seqs(0, 1, 3, 0) == 7  # zero-width reservation peeks
-
-    def test_reserve_seqs_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Trace(2).reserve_seqs(0, 1, 0, -1)
-
     def test_disabled_trace_records_nothing(self):
         t = Trace(2)
         t.enabled = False
@@ -273,12 +262,11 @@ class TestShipping:
         traces = [_rank_log(r) for r in range(3)]
         trace = Trace(3)
         trace.merge_run(_ship(traces, dead={2}))
-        assert trace.reserve_seqs(2, 0, 7, 0) == ROUNDS  # a zero-width reservation peeks
         trace.merge_run(_ship(traces, dead={2}))
         for context in NESTED:
             received = [e.seq for e in trace.events(0) if e.op == RECV and e.peer == 2 and e.context == context]
             assert received == list(range(2 * ROUNDS))
-            assert trace.reserve_seqs(2, 1, 7, 0, context) == 2 * ROUNDS
+            assert trace.next_seq(2, 0, 7, context) == trace.next_seq(2, 1, 7, context) == 2 * ROUNDS
         assert list(trace.events(2)) == []
 
     @pytest.mark.parametrize("backend", ["process", "socket"])
