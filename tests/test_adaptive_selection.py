@@ -12,6 +12,7 @@ from repro.collectives import run_sparse_allreduce, sparse_allreduce
 from repro.collectives.api import cached_plan, resolve_collective
 from repro.core import GradientFuser
 from repro.costmodel import AdaptiveSelector, Agreed, CostModel, Instance, consistent_mean
+from repro.costmodel.adaptive import drifted
 from repro.mlopt import (
     LogisticRegression,
     SGDConfig,
@@ -197,6 +198,39 @@ def _plan_drift_prog(comm):
     return sums, [s.to_dict() for s in cached_plan(comm, stream).switches]
 
 
+class TestDrifted:
+    def test_threshold_is_relative_and_strict(self):
+        assert not drifted(100.0, 125.0) and not drifted(100.0, 75.0)
+        assert drifted(100.0, 125.5) and drifted(100.0, 74.5)
+        assert drifted(100.0, 110.0, threshold=0.05)
+
+    def test_anchor_is_floored_at_one(self):
+        # an empty anchor still tolerates a quarter of one entry
+        assert not drifted(0.0, 0.25)
+        assert drifted(0.0, 0.5)
+
+
+def _selector_and_plan_prog(comm):
+    """One ramp through a selector and an "auto" plan side by side."""
+    selector = AdaptiveSelector(dimension=DIMENSION, ewma=1.0)
+    for it, nnz in enumerate(DRIFT_SCHEDULE):
+        local_nnz = nnz + 3 * comm.rank
+        selector.step(comm, local_nnz)
+        stream = make_rank_stream(DIMENSION, local_nnz, comm.rank, 5000 + it)
+        sparse_allreduce(comm, stream, "auto")
+    plan = cached_plan(comm, stream)
+    return [s.to_dict() for s in selector.switches], [s.to_dict() for s in plan.switches]
+
+
+class TestOneRule:
+    def test_a_selector_and_a_plan_switch_alike(self):
+        """Both re-select under `drifted`: fed the same agreed nnz, they
+        log the same switches on the same iterations."""
+        for by_selector, by_plan in run_ranks(_selector_and_plan_prog, NRANKS).results:
+            assert len(by_plan) >= 2
+            assert by_selector == by_plan
+
+
 class TestPlanSwitchLog:
     def test_identical_on_every_rank_and_backend(self):
         by_backend = {b: run_ranks(_plan_drift_prog, NRANKS, backend=b) for b in BACKENDS}
@@ -215,6 +249,28 @@ class TestPlanSwitchLog:
                 assert switches == ref_switches, (backend, rank)
                 for it, dense in enumerate(sums):
                     assert np.array_equal(dense, ref_sums[it]), (backend, rank, it)
+
+    def test_a_fixed_algorithm_logs_nothing(self):
+        def prog(comm):
+            for it, nnz in enumerate(DRIFT_SCHEDULE):
+                stream = make_rank_stream(DIMENSION, nnz, comm.rank, 5000 + it)
+                sparse_allreduce(comm, stream, "ssar_split_ag")
+            return cached_plan(comm, stream, "ssar_split_ag").switches
+
+        assert run_ranks(prog, NRANKS).results == [[]] * NRANKS
+
+    def test_steady_density_logs_only_the_initial_selection(self):
+        def prog(comm):
+            for it in range(5):
+                stream = make_rank_stream(DIMENSION, 100 + it, comm.rank, 5000 + it)
+                sparse_allreduce(comm, stream, "auto")
+            return [s.to_dict() for s in cached_plan(comm, stream).switches]
+
+        out = run_ranks(prog, NRANKS)
+        (only,) = out[0]
+        assert only["iteration"] == 1 and only["reason"] == "initial selection"
+        assert only["previous"] is None and only["estimate"] == 100.0
+        assert all(switches == out[0] for switches in out.results)
 
     def test_fused_async_history_is_read_off_the_plans(self, monkeypatch):
         ran = []
@@ -361,6 +417,18 @@ class TestAsyncAdaptive:
     def test_non_adaptive_records_nothing(self, dataset):
         out = self._run(dataset, adaptive=False)
         assert out[0].algorithm_switches == []
+
+    def test_non_adaptive_resolves_once_per_membership(self, dataset, monkeypatch):
+        chosen = []
+        real = CostModel.choose
+
+        def counting(self, *args, **kwargs):
+            chosen.append(real(self, *args, **kwargs))
+            return chosen[-1]
+
+        monkeypatch.setattr(CostModel, "choose", counting)
+        self._run(dataset, adaptive=False)
+        assert len(chosen) == 4 and len(set(chosen)) == 1  # one per rank
 
     def test_adaptive_requires_auto(self, dataset):
         def prog(comm):

@@ -168,6 +168,17 @@ class TestRank:
                 Instance(dimension, nranks, nnz), topo
             ), report.describe()
 
+    def test_selection_takes_no_switch_point_or_chunk_knobs(self):
+        """The switch points are the model's constants, and a pipeline
+        depth is priced apart, by `auto_chunks`: neither is a knob of
+        selection."""
+        inst = Instance(1 << 20, 8, 1000)
+        with pytest.raises(TypeError):
+            self.MODEL.rank(inst, chunks=2)
+        for select in (self.MODEL.rank, self.MODEL.choose):
+            with pytest.raises(TypeError):
+                select(inst, small_message_bytes=1)
+
 
 class TestResolve:
     def test_passthrough(self):
