@@ -71,6 +71,7 @@ __all__ = [
     "allreduce_plan",
     "AllreducePlan",
     "cached_plan",
+    "cached_plans",
     "ALGORITHMS",
 ]
 
@@ -221,6 +222,15 @@ class AllreducePlan:
         self._resolved, self._priced = (algorithm, chunks), agreed
         return self._resolved
 
+    def reset(self) -> None:
+        """Forget the held ``"auto"`` resolution and the switch log: the
+        next run selects afresh and logs it as run 1's ``"initial
+        selection"``, as a new plan's first run does. The plan keeps its
+        keys (tags, subgroups, child context); like a run, all ranks reset
+        it at the same point of the program."""
+        self._resolved, self._priced = (self.algorithm, self.chunks), None
+        self.switches, self._runs = [], 0
+
     def kwargs(self, algorithm: str, quantizer, chunks) -> dict:
         """The knobs ``algorithm``'s schedule takes of the four."""
         schedule = SCHEDULES[algorithm]
@@ -279,6 +289,11 @@ def cached_plan(comm, stream, algorithm="auto", op=SUM, chunks=1) -> AllreducePl
     if key not in plans:
         plans[key] = AllreducePlan(comm, stream.dimension, stream.value_dtype, algorithm, op, chunks)
     return plans[key]
+
+
+def cached_plans(comm) -> list[AllreducePlan]:
+    """``comm``'s plans made by :func:`cached_plan`, in the order they were made."""
+    return list((comm._plans or {}).values())
 
 
 def agreement_tag(comm: Communicator) -> int:

@@ -34,16 +34,16 @@ __all__ = [
 
 #: relative drift of an agreed nnz estimate from the one the current
 #: choice was priced from that re-prices it: what a persistent plan
-#: (:func:`~repro.collectives.api.allreduce_plan`) holds its ``"auto"``
-#: resolution against, and :class:`AdaptiveSelector`'s default.
+#: (:func:`~repro.collectives.api.allreduce_plan`) and
+#: :class:`AdaptiveSelector` hold their choice against.
 DRIFT_THRESHOLD = 0.25
 
 
-def drifted(anchor: float, estimate: float, threshold: float = DRIFT_THRESHOLD) -> bool:
-    """Whether ``estimate`` moved more than ``threshold`` (relative) from
-    ``anchor``, the nnz the held choice was priced from: the one
-    re-selection test."""
-    return abs(estimate - anchor) > threshold * max(anchor, 1.0)
+def drifted(anchor: float, estimate: float) -> bool:
+    """Whether ``estimate`` moved more than :data:`DRIFT_THRESHOLD`
+    (relative) from ``anchor``, the nnz the held choice was priced from:
+    the one re-selection test."""
+    return abs(estimate - anchor) > DRIFT_THRESHOLD * max(anchor, 1.0)
 
 
 def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]", tag: int | None = None):
@@ -121,9 +121,6 @@ class AdaptiveSelector:
     ewma:
         Smoothing factor of the nnz estimate (1.0 = trust only the last
         iteration).
-    drift_threshold:
-        Relative drift of the agreed estimate from the anchor (the
-        estimate at the last selection) that triggers a re-rank.
     sync_every:
         Run the collective agreement every this many iterations; between
         agreements the current algorithm is reused unchanged (a world
@@ -139,7 +136,6 @@ class AdaptiveSelector:
     dimension: int = 0
     value_itemsize: int = 4
     ewma: float = 0.25
-    drift_threshold: float = DRIFT_THRESHOLD
     sync_every: int = 1
 
     def __post_init__(self) -> None:
@@ -147,10 +143,6 @@ class AdaptiveSelector:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if not 0.0 < self.ewma <= 1.0:
             raise ValueError(f"ewma must be in (0, 1], got {self.ewma}")
-        if self.drift_threshold <= 0:
-            raise ValueError(
-                f"drift_threshold must be positive, got {self.drift_threshold}"
-            )
         if self.sync_every < 1:
             raise ValueError(f"sync_every must be >= 1, got {self.sync_every}")
         self.model = CostModel.resolve(self.model)
@@ -197,7 +189,7 @@ class AdaptiveSelector:
             self._select(comm, estimate, "initial selection")
         elif resized:
             self._select(comm, estimate, "world size changed")
-        elif drifted(self._anchor, estimate, self.drift_threshold):
+        elif drifted(self._anchor, estimate):
             self._select(
                 comm, estimate, f"density drift (anchor {self._anchor:.1f} -> {estimate:.1f})"
             )

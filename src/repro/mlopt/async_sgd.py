@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..collectives.api import cached_plan
+from ..collectives.api import cached_plan, cached_plans
 from ..core.fusion import GradientFuser
 from ..costmodel.model import CostModel, Instance
 from ..runtime.comm import Communicator, RankFailedError, WorldAbortedError
@@ -112,11 +112,13 @@ def distributed_sgd_async(
     gradient stream, or with a ``fuser`` every selected float32 bucket, in
     one round either way — and each plan re-runs the cost model's
     selection when its agreed nnz drifts, so the algorithm tracks the
-    density the run actually produces. The plans' switch logs
-    (:attr:`~repro.collectives.api.AllreducePlan.switches`, plan by plan
-    in the order they were made; plans persist on the communicator, so a
-    second run on it continues the first's) are bit-identical on every
-    rank and land on ``history.algorithm_switches``.
+    density the run actually produces. Plans persist on the communicator,
+    so each membership first resets the communicator's cached plans
+    (:meth:`~repro.collectives.api.AllreducePlan.reset`): a run selects
+    afresh, and ``history.algorithm_switches`` holds its own
+    (re-)selections only — the rows of the plans' switch logs
+    (:attr:`~repro.collectives.api.AllreducePlan.switches`) in launch
+    order, bit-identical on every rank.
     """
     if config.mode != "sparse":
         raise ValueError("asynchronous aggregation supports sparse mode only")
@@ -144,7 +146,7 @@ def distributed_sgd_async(
     history = RunHistory()
     steps_per_epoch = max(1, n_local // config.batch_size)
 
-    worlds = []  # every membership's communicator, for its plans' switch logs
+    reported: dict = {}  # plan -> its switch rows already on the history
 
     def resolve_algorithm() -> str:
         # every rank must launch the *same* algorithm or the collective
@@ -154,7 +156,10 @@ def distributed_sgd_async(
         # agree on it every step), resolve "auto" once per membership from
         # a rank-independent estimate: the dataset's mean batch nnz (the
         # dataset is replicated, so all ranks compute the identical value).
-        worlds.append(comm)
+        if adaptive:
+            # plans an earlier run left on this communicator select afresh
+            for plan in cached_plans(comm):
+                plan.reset()
         if config.algorithm != "auto" or adaptive:
             return config.algorithm
         est_nnz = max(1, int(dataset.X.nnz / dataset.n_samples * config.batch_size))
@@ -198,8 +203,16 @@ def distributed_sgd_async(
     def launch(grad):
         if fuser is not None:
             dense = grad.to_dense().astype(np.float32, copy=False)
-            return fuser.i_fused_allreduce(comm, dense, feedback, algorithm, chunks=chunks)
-        return cached_plan(comm, grad, algorithm, chunks=chunks).start(grad)
+            handle = fuser.i_fused_allreduce(comm, dense, feedback, algorithm, chunks=chunks)
+        else:
+            handle = cached_plan(comm, grad, algorithm, chunks=chunks).start(grad)
+        if adaptive:
+            # the launch's (re-)selections, plan by plan in creation order
+            for plan in cached_plans(comm):
+                rows = plan.switches[reported.get(plan, 0):]
+                reported[plan] = len(plan.switches)
+                history.algorithm_switches += [s.to_dict() for s in rows]
+        return handle
 
     def recover(exc: RankFailedError, doomed_handle, epoch: int) -> None:
         # a peer died mid-aggregation: reap the handle that was launched
@@ -310,10 +323,5 @@ def distributed_sgd_async(
             apply_update(pending.wait(), comm.size)
         except RankFailedError as exc:
             recover(exc, None, config.epochs)
-    if adaptive:
-        history.algorithm_switches = [
-            s.to_dict() for world in worlds for plan in (world._plans or {}).values()
-            for s in plan.switches
-        ]
     history.params = w
     return history

@@ -48,10 +48,13 @@ class RunHistory:
 
     ``algorithm_switches`` is filled by adaptive runs
     (``distributed_sgd_async(..., adaptive=True)``): one dict per
-    (re-)selection its ``"auto"`` plans logged
-    (:class:`~repro.costmodel.AlgorithmSwitch`), identical on every rank;
-    the last names the algorithm the last plan runs. Empty for
-    non-adaptive runs.
+    (re-)selection the run's ``"auto"`` plans logged
+    (:class:`~repro.costmodel.AlgorithmSwitch`; ``iteration`` counts that
+    plan's runs), identical on every rank. Rows are in launch order: step
+    by step, and within a step plan by plan in the order the plans were
+    made — one plan per bucket shape, so fused buckets of different
+    shapes may run different algorithms and the last row is the latest
+    (re-)selection, not every bucket's. Empty for non-adaptive runs.
     """
 
     records: list[EpochRecord] = field(default_factory=list)
