@@ -13,6 +13,13 @@ implement the two standard schedules:
 Both return ``blocks[rank] -> payload`` for every rank. The paper's sparse
 allgather is the recursive-doubling variant applied to index-disjoint
 sparse streams, where "reduction" is pure concatenation (§5.1 case 2).
+
+The ring's loop is :func:`ring_gather`, the one allgather ring of the
+package: :func:`allgather_ring` runs it from this rank's own block, and
+the ring allreduces (:func:`~repro.collectives.dense.ring`, shared by the
+dense and the sparse family) from the block their reduce-scatter leaves
+on each rank. It combines nothing; only the allreduces' reduce-scatter
+does, through each family's combine.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "allgather_blocks",
     "allgather_recursive_doubling",
     "allgather_ring",
+    "ring_gather",
     "sparse_allgather",
 ]
 
@@ -48,23 +56,25 @@ def allgather_recursive_doubling(comm: Communicator, block: Any, tag: int | None
     return [have[r] for r in range(P)]
 
 
-def allgather_ring(comm: Communicator, block: Any, tag: int | None = None) -> list[Any]:
-    """Ring allgather: P-1 rounds forwarding one block per round; any P."""
+def ring_gather(comm: Communicator, out: list, owner: int, tag: int) -> list:
+    """The allgather ring: this rank holds ``out[owner]`` (owners are
+    consecutive around the ring); P-1 steps forward one block each to the
+    right, after which every slot of ``out`` is filled."""
     P = comm.size
-    base = comm.next_collective_tag() if tag is None else tag
-    out: list[Any] = [None] * P
-    out[comm.rank] = block
-    if P == 1:
-        return out
-    right = (comm.rank + 1) % P
-    left = (comm.rank - 1) % P
+    right, left = (comm.rank + 1) % P, (comm.rank - 1) % P
     for step in range(P - 1):
-        send_owner = (comm.rank - step) % P
-        recv_owner = (comm.rank - step - 1) % P
-        req = comm.isend(out[send_owner], right, base)
-        out[recv_owner] = comm.recv(left, base)
+        req = comm.isend(out[(owner - step) % P], right, tag)
+        out[(owner - step - 1) % P] = comm.recv(left, tag)
         req.wait()
     return out
+
+
+def allgather_ring(comm: Communicator, block: Any, tag: int | None = None) -> list[Any]:
+    """Ring allgather: P-1 rounds forwarding one block per round; any P."""
+    base = comm.next_collective_tag() if tag is None else tag
+    out: list[Any] = [None] * comm.size
+    out[comm.rank] = block
+    return ring_gather(comm, out, comm.rank, base)
 
 
 def allgather_blocks(comm: Communicator, block: Any, tag: int | None = None) -> list[Any]:

@@ -53,11 +53,7 @@ from ..runtime.topology import Topology
 from ..streams import SparseStream
 from ..streams.ops import REDUCE_OPS, SUM, ReduceOp
 from .allgather import sparse_allgather
-from .dense import (
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
-    allreduce_ring,
-)
+from .dense import DENSE_ALGORITHMS
 from .dsar import dsar_split_allgather
 from .hier import _check_chunks, build_hierarchy, dsar_hierarchical, ssar_hierarchical
 from .sparse import ssar_recursive_double, ssar_ring, ssar_split_allgather
@@ -85,12 +81,6 @@ ALGORITHMS = {
     "dsar_hier": dsar_hierarchical,
 }
 
-DENSE = {
-    "dense_rec_dbl": allreduce_recursive_doubling,
-    "dense_ring": allreduce_ring,
-    "dense_rabenseifner": allreduce_rabenseifner,
-}
-
 
 def _resolve_op(op: "ReduceOp | str") -> ReduceOp:
     if isinstance(op, ReduceOp):
@@ -109,17 +99,17 @@ def resolve_collective(
     chunks: "int | str" = 1,
     agreed: "Agreed | None" = None,
 ) -> "tuple[object, dict]":
-    """Resolve the public allreduce knobs into ``(algorithm_fn, kwargs)``.
+    """Resolve the public allreduce knobs into ``(algorithm_fn, kwargs)``, once.
 
-    Single resolution path shared by the blocking surface
-    (:func:`sparse_allreduce`) and the non-blocking one
-    (:func:`~repro.runtime.nonblocking.i_collective` stream form), whose
-    plans resolve the same way (:meth:`AllreducePlan.resolve`): the
-    ``"auto"`` selector, op lookup and per-algorithm knob routing (``quantizer`` only
-    to the dense-stage algorithms, ``chunks`` only to the hierarchical
-    ones — both warning-free no-ops elsewhere, matching the quantizer
-    contract; :data:`~repro.costmodel.model.SCHEDULES` says which is
-    which) live here and nowhere else. The returned pair satisfies
+    A one-shot resolution over a throwaway plan: it resolves the way every
+    plan does (:meth:`AllreducePlan.resolve` — the ``"auto"`` selector, op
+    lookup and per-algorithm knob routing, ``quantizer`` only to the
+    dense-stage algorithms, ``chunks`` only to the hierarchical ones, both
+    warning-free no-ops elsewhere; :data:`~repro.costmodel.model.SCHEDULES`
+    says which is which), but keeps nothing: :func:`sparse_allreduce` and
+    the stream form of :func:`~repro.runtime.nonblocking.i_collective` run
+    through :func:`cached_plan` instead, and ``bench/`` times this call as
+    ``costmodel.resolve_us``. The returned pair satisfies
     ``fn(comm, stream, **kwargs)``.
 
     ``algorithm="auto"`` and ``chunks="auto"`` resolve from a
@@ -132,11 +122,9 @@ def resolve_collective(
     per the collective contract, so the agreement round is uniform too).
 
     ``agreed`` (internal) is that estimate when the caller has already
-    agreed on it — a step that launches several collectives runs *one*
-    vector round for all of them (see
-    :meth:`~repro.core.fusion.GradientFuser.i_fused_allreduce`) — together
-    with the cost model it is priced under; the call then costs no
-    messages. Without it the default model prices the instance.
+    agreed on it, together with the cost model it is priced under; the
+    call then costs no messages. Without it the default model prices the
+    instance.
     """
     plan = AllreducePlan(comm, stream.dimension, stream.value_dtype, algorithm, op, chunks)
     if agreed is None and "auto" in (algorithm, chunks):
@@ -420,6 +408,8 @@ def dense_allreduce(
     op: "ReduceOp | str" = SUM,
 ) -> np.ndarray:
     """Dense allreduce baseline (the 'MPI' the paper compares against)."""
-    if algorithm not in DENSE:
-        raise ValueError(f"unknown dense algorithm {algorithm!r}; choose from {sorted(DENSE)}")
-    return DENSE[algorithm](comm, vec, op=_resolve_op(op))
+    if algorithm not in DENSE_ALGORITHMS:
+        raise ValueError(
+            f"unknown dense algorithm {algorithm!r}; choose from {sorted(DENSE_ALGORITHMS)}"
+        )
+    return DENSE_ALGORITHMS[algorithm](comm, vec, op=_resolve_op(op))

@@ -15,6 +15,14 @@ pairs:
 * :func:`ssar_ring` — the sparse counterpart of the ring allreduce used as
   a comparison point in Fig. 3.
 
+The first and the last are the dense schedules with a stream combine:
+:func:`~repro.collectives.dense.recursive_doubling` (fold included) folds
+with the in-place stream reduction ``add_streams_`` (which switches to
+dense on fill-in), :func:`~repro.collectives.dense.ring` with the
+pair-list merge ``merge_sparse_pairs`` per block; only the combine, the
+fold-back tag (``base + 63``) and the fold's trace label (``"reduce"``)
+are this module's.
+
 None of the algorithms assumes knowledge of the input distribution. Where
 the result is not known to pass ``delta`` beforehand, the representation
 switch to dense happens automatically inside stream summation once fill-in
@@ -37,7 +45,7 @@ from ..streams import SparseStream, add_streams_, concat_disjoint, reduction_wor
 from ..streams.ops import SUM, ReduceOp
 from ..streams.summation import merge_sparse_pairs
 from .allgather import allgather_blocks
-from .dense import partition_bounds
+from .dense import partition_bounds, recursive_doubling, ring
 
 __all__ = [
     "ssar_recursive_double",
@@ -107,42 +115,13 @@ def ssar_recursive_double(
     base = comm.next_collective_tag() if tag is None else tag
     comm.mark("ssar_rec_dbl")
 
-    pof2 = 1
-    while pof2 * 2 <= comm.size:
-        pof2 *= 2
-    rem = comm.size - pof2
-
-    acc = stream.copy()
-    newrank = comm.rank
-    if rem:
-        if comm.rank < 2 * rem:
-            if comm.rank % 2 == 0:
-                comm.send(acc, comm.rank + 1, base)
-                result = comm.recv(comm.rank + 1, base + 63)
-                return result
-            incoming = comm.recv(comm.rank - 1, base)
-            comm.compute(reduction_work_bytes(acc, incoming), "reduce")
-            add_streams_(acc, incoming, op, own_other=True)
-            newrank = comm.rank // 2
-        else:
-            newrank = comm.rank - rem
-
-    distance = 1
-    round_no = 1
-    while distance < pof2:
-        partner_new = newrank ^ distance
-        partner = partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-        incoming = comm.sendrecv(acc, partner, base + round_no)
-        comm.compute(reduction_work_bytes(acc, incoming), "reduce")
+    def combine(acc: SparseStream, incoming: SparseStream, label: str) -> SparseStream:
+        comm.compute(reduction_work_bytes(acc, incoming), label)
         # the received stream is ours alone (freshly decoded / copied on
         # send), so the reduction may adopt its arrays outright
-        add_streams_(acc, incoming, op, own_other=True)
-        distance *= 2
-        round_no += 1
+        return add_streams_(acc, incoming, op, own_other=True)
 
-    if rem and comm.rank < 2 * rem and comm.rank % 2 == 1:
-        comm.send(acc, comm.rank - 1, base + 63)
-    return acc
+    return recursive_doubling(comm, stream.copy(), combine, base, base + 63, "reduce")
 
 
 def split_exchange(
@@ -243,36 +222,20 @@ def ssar_ring(
     base = comm.next_collective_tag() if tag is None else tag
     comm.mark("ssar_ring")
     bounds = partition_bounds(stream.dimension, P)
-    slices = [
-        slice_stream(stream, int(bounds[i]), int(bounds[i + 1])) for i in range(P)
-    ]
-    right = (comm.rank + 1) % P
-    left = (comm.rank - 1) % P
+    slices = [slice_stream(stream, int(bounds[i]), int(bounds[i + 1])) for i in range(P)]
 
-    for step in range(P - 1):
-        send_block = (comm.rank - step) % P
-        recv_block = (comm.rank - step - 1) % P
-        req = comm.isend(slices[send_block], right, base)
-        incoming: SparseStream = comm.recv(left, base)
-        req.wait()
-        acc = slices[recv_block]
-        comm.compute(reduction_work_bytes(acc, incoming), "reduce")
+    def merge(acc: SparseStream, incoming: SparseStream, label: str) -> SparseStream:
+        comm.compute(reduction_work_bytes(acc, incoming), label)
         # copy=False: the merged block is never mutated in place, only
         # re-sliced/concatenated, so view-aliasing on empty sides is safe
         idx, val = merge_sparse_pairs(
             acc.indices, acc.values, incoming.indices, incoming.values, op, copy=False
         )
-        slices[recv_block] = SparseStream(
+        return SparseStream(
             stream.dimension, indices=idx, values=val,
             value_dtype=stream.value_dtype, copy=False,
         )
 
-    for step in range(P - 1):
-        send_block = (comm.rank - step + 1) % P
-        recv_block = (comm.rank - step) % P
-        req = comm.isend(slices[send_block], right, base + 1)
-        slices[recv_block] = comm.recv(left, base + 1)
-        req.wait()
-
+    slices = ring(comm, slices, merge, base)
     comm.compute(sum(s.nnz for s in slices) * (4 + stream.value_dtype.itemsize), "concat")
     return concat_disjoint(slices, stream.dimension)

@@ -76,10 +76,12 @@ def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]", tag:
 class Agreed:
     """A rank-consistent nnz estimate and the model to price it under.
 
-    What :func:`~repro.collectives.api.resolve_collective` needs in order
-    to resolve ``"auto"`` knobs without an agreement round of its own:
-    callers that already ran one (the fused-bucket launch) hand the
-    result in.
+    What a plan (:class:`~repro.collectives.api.AllreducePlan`) needs in
+    order to resolve ``"auto"`` knobs without an agreement round of its
+    own: a caller that already ran one hands the result in — the fused
+    step (:class:`~repro.core.fusion.GradientFuser`) runs one vector round
+    for all its buckets and passes each bucket's entry to that bucket's
+    plan, ``plan(sent, agreed=)`` / ``plan.start(..., agreed=)``.
     """
 
     nnz: float
