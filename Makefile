@@ -9,7 +9,8 @@
 #                           backend files — the number the "Quality of
 #                           design" aim asks every PR to report
 #   make soak               25 back-to-back runs of the transport suites
-#                           (progress engine, socket / process / shmem
+#                           (progress engine with its hand-off cases,
+#                           socket / process / shmem
 #                           backends, communicator contexts, persistent
 #                           plans (fixed keys, progress threads), failure
 #                           propagation through proxies, the socket

@@ -63,9 +63,8 @@ def ring_gather(comm: Communicator, out: list, owner: int, tag: int) -> list:
     P = comm.size
     right, left = (comm.rank + 1) % P, (comm.rank - 1) % P
     for step in range(P - 1):
-        req = comm.isend(out[(owner - step) % P], right, tag)
+        comm.send(out[(owner - step) % P], right, tag)  # buffered: see isend
         out[(owner - step - 1) % P] = comm.recv(left, tag)
-        req.wait()
     return out
 
 

@@ -135,10 +135,12 @@ def resolve_collective(
 
 class _Keys:
     """A plan's message keys on one communicator, each taken at its first
-    use: the tag block of the flat schedules, the hierarchy of the others."""
+    use: the tag block of the flat schedules, the hierarchy of the others;
+    and the run bound on them for the last resolution:
+    ``(resolution, schedule, kwargs)``."""
 
     def __init__(self, comm: Communicator) -> None:
-        self.comm, self.tag, self.hierarchy = comm, None, None
+        self.comm, self.tag, self.hierarchy, self.bound = comm, None, None, None
 
     def of(self, plan: "AllreducePlan", algorithm: str) -> dict:
         if SCHEDULES[algorithm].hierarchical:
@@ -229,24 +231,33 @@ class AllreducePlan:
             kwargs["chunks"] = chunks
         return kwargs
 
+    def _bind(self, keys: _Keys, stream: SparseStream, quantizer, agreed) -> tuple:
+        """``(schedule, kwargs)`` of a run on ``keys``, bound again only when
+        the resolution changes: a fixed plan binds at its first run."""
+        resolved = self.resolve(stream, agreed)
+        if keys.bound is None or keys.bound[0] != resolved:
+            algorithm, chunks = resolved
+            kwargs = self.kwargs(algorithm, None, chunks) | keys.of(self, algorithm)
+            keys.bound = resolved, ALGORITHMS[algorithm], kwargs
+        _, schedule, kwargs = keys.bound
+        return schedule, (kwargs | {"quantizer": quantizer} if "quantizer" in kwargs else kwargs)
+
     def __call__(self, stream: SparseStream, quantizer=None, agreed=None) -> SparseStream:
         """Run blocking on the calling thread, once the plan's last start
         has finished: a plan has at most one run in flight, as a persistent
         MPI request has, so a quantizer both runs use draws in program order."""
         if self._last is not None:
             self._last.settle()
-        algorithm, chunks = self.resolve(stream, agreed)
-        kwargs = self.kwargs(algorithm, quantizer, chunks) | self._keys.of(self, algorithm)
-        return ALGORITHMS[algorithm](self.comm, stream, **kwargs)
+        schedule, kwargs = self._bind(self._keys, stream, quantizer, agreed)
+        return schedule(self.comm, stream, **kwargs)
 
     def start(self, stream: SparseStream, quantizer=None, agreed=None) -> NonBlockingHandle:
         """Start a run on the communicator's progress thread, behind its
         earlier launches; the handle's ``wait()`` returns the result."""
-        algorithm, chunks = self.resolve(stream, agreed)
         if self._started is None:
             self._started = _Keys(_BufferedComm(self.comm, self.comm._next_slot()))
-        kwargs = self.kwargs(algorithm, quantizer, chunks) | self._started.of(self, algorithm)
-        self._last = launch(self.comm, self._started.comm, ALGORITHMS[algorithm], stream, **kwargs)
+        schedule, kwargs = self._bind(self._started, stream, quantizer, agreed)
+        self._last = launch(self.comm, self._started.comm, schedule, stream, **kwargs)
         return self._last
 
 

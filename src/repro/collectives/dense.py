@@ -118,9 +118,8 @@ def ring(comm: Communicator, blocks: list, combine, tag: int) -> list:
     right, left = (comm.rank + 1) % P, (comm.rank - 1) % P
     for step in range(P - 1):
         recv_block = (comm.rank - step - 1) % P
-        req = comm.isend(blocks[(comm.rank - step) % P], right, tag)
+        comm.send(blocks[(comm.rank - step) % P], right, tag)  # buffered: see isend
         incoming = comm.recv(left, tag)
-        req.wait()
         blocks[recv_block] = combine(blocks[recv_block], incoming, "reduce")
     return ring_gather(comm, blocks, comm.rank + 1, tag + 1)
 

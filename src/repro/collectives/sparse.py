@@ -130,12 +130,12 @@ def split_exchange(
     """The split phase's message exchange: the pieces of this rank's partition.
 
     Each rank slices its input by the dimension partition and sends slice
-    ``j`` directly to rank ``j`` with non-blocking sends. Yields what the
+    ``j`` directly to rank ``j`` (buffered sends: complete on return, see
+    :meth:`~repro.runtime.comm.Communicator.isend`). Yields what the
     caller has to reduce, in the order that fixes the float association:
     this rank's own slice (views of ``stream``'s arrays) first, then the
     slices received from ranks ``rank-1, rank-2, ...`` (owned by the
-    caller). All carry global indices. The sends are waited for once the
-    last piece has been consumed. Latency ``(P-1) alpha``; bandwidth
+    caller). All carry global indices. Latency ``(P-1) alpha``; bandwidth
     between 0 and ``k beta_s`` (§5.3.2).
 
     How the pieces are folded is the caller's: SSAR merges pair lists
@@ -144,16 +144,12 @@ def split_exchange(
     """
     P = comm.size
     comm.mark("split")
-    requests = []
     for offset in range(1, P):
         dest = (comm.rank + offset) % P
-        piece = slice_stream(stream, int(bounds[dest]), int(bounds[dest + 1]))
-        requests.append(comm.isend(piece, dest, tag))
+        comm.send(slice_stream(stream, int(bounds[dest]), int(bounds[dest + 1])), dest, tag)
     yield slice_stream(stream, int(bounds[comm.rank]), int(bounds[comm.rank + 1]))
     for offset in range(1, P):
         yield comm.recv((comm.rank - offset) % P, tag)
-    for req in requests:
-        req.wait()
 
 
 def split_phase(

@@ -505,25 +505,24 @@ class Communicator(abc.ABC):
     # ------------------------------------------------------------------
     # traced point-to-point operations
     # ------------------------------------------------------------------
-    def _check_peer(self, peer: int, role: str) -> None:
+    def _check(self, peer: int, tag: int, role: str) -> None:
+        """Refuse a ``role`` (``"dest"`` / ``"source"``) rank outside this
+        communicator or equal to its own, and a negative tag: those are
+        reserved for transport-internal framing (e.g. the process family's
+        FIN marker), and refusing them here keeps the contract identical on
+        every backend."""
         if not 0 <= peer < self.size:
             raise ValueError(f"{role} rank {peer} out of range [0, {self.size})")
         if peer == self.rank:
             if role == "dest":
                 raise ValueError("self-sends are not supported; use local state")
             raise ValueError("self-receives are not supported")
-
-    def _check_tag(self, tag: int) -> None:
-        # negative tags are reserved for transport-internal framing (e.g. the
-        # process backend's FIN marker); rejecting them here keeps the
-        # contract identical on every backend.
         if tag < 0:
             raise ValueError(f"message tags must be non-negative, got {tag}")
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send of ``obj`` to rank ``dest``."""
-        self._check_peer(dest, "dest")
-        self._check_tag(tag)
+        self._check(dest, tag, "dest")
         dest = self._map_peer(dest)
         context = self._context
         nbytes = payload_nbytes(obj)
@@ -536,8 +535,7 @@ class Communicator(abc.ABC):
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive of the next message from ``source`` on ``tag``."""
-        self._check_peer(source, "source")
-        self._check_tag(tag)
+        self._check(source, tag, "source")
         source = self._map_peer(source)
         backend = self.backend
         if backend.fault_plan is not None:
@@ -549,9 +547,10 @@ class Communicator(abc.ABC):
     def isend(self, obj: Any, dest: int, tag: int = 0) -> "Handle":
         """Non-blocking send; returns a completion handle.
 
-        Both backends implement buffered-send semantics: the payload is
-        copied (or serialized) immediately, so the operation is already
-        complete when the handle is returned.
+        Every backend (thread, process, shmem, socket) implements
+        buffered-send semantics: the payload is copied (or serialized)
+        immediately, so the operation is already complete when the handle
+        is returned.
         """
         self.send(obj, dest, tag)
         return CompletedHandle()
@@ -588,27 +587,20 @@ class Communicator(abc.ABC):
     # composite operations
     # ------------------------------------------------------------------
     def sendrecv(self, obj: Any, peer: int, tag: int = 0) -> Any:
-        """Simultaneous exchange with ``peer`` (both directions overlap)."""
-        req = self.isend(obj, peer, tag)
-        incoming = self.recv(peer, tag)
-        req.wait()
-        return incoming
+        """Simultaneous exchange with ``peer`` (both directions overlap:
+        the send is buffered, see :meth:`isend`)."""
+        self.send(obj, peer, tag)
+        return self.recv(peer, tag)
 
     def barrier(self, tag: int | None = None) -> None:
         """Dissemination barrier built from point-to-point messages."""
         if self.size == 1:
             return
         base = self.next_collective_tag() if tag is None else tag
-        distance = 1
-        round_no = 0
-        while distance < self.size:
-            dest = (self.rank + distance) % self.size
-            src = (self.rank - distance) % self.size
-            req = self.isend(0, dest, base + round_no)
-            self.recv(src, base + round_no)
-            req.wait()
-            distance *= 2
-            round_no += 1
+        for round_no in range((self.size - 1).bit_length()):  # distances 1, 2, 4, ... < size
+            distance = 1 << round_no
+            self.send(0, (self.rank + distance) % self.size, base + round_no)  # buffered: see isend
+            self.recv((self.rank - distance) % self.size, base + round_no)
 
     def bcast(self, obj: Any, root: int = 0, tag: int | None = None) -> Any:
         """Binomial-tree broadcast from ``root`` (MPICH-style MST bcast)."""

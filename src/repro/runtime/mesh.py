@@ -11,8 +11,8 @@ slab for large frames, TCP sockets. Everything else lives here, once:
   epoch hooks, the **blocked-receive loop** with its one-at-a-time
   progress engine (one ``poll`` over every live inbound channel,
   per-source frame reassembly), :meth:`StreamComm._deliver`, the single
-  inbound path (*decode → drop stale epoch → FIN → queue*), and the one
-  outbound write loop that finishes a frame it has begun;
+  inbound path (*decode → drop stale epoch → FIN → hand off or queue*),
+  and the one outbound write loop that finishes a frame it has begun;
 * :class:`MeshBackend` — the launcher (``Backend.run``): build the mesh,
   fork one process per rank with the list of inherited ends it must
   close, release the parent's ends, collect results (:func:`_collect`),
@@ -31,12 +31,17 @@ channel is full — takes the rank's progress engine and runs
 channel, read what is there, hand every whole frame to ``_deliver``. One
 thread holds the engine at a time; a second blocked thread (an
 ``i_collective`` next to the rank thread) sleeps on a condition the
-holder signals on every delivery and when it leaves, so the hand-off is a
-wake-up, not a timed poll. This is MPI without an asynchronous progress
-thread: a message costs no thread hand-off, and in exchange **sends are
-kernel-buffered only** — one larger than the channel buffer completes
-when the receiver next enters a transport call, and a peer's death is
-observed at the next transport operation or probe, not asynchronously.
+holder signals on every frame it queues and when it leaves, so the
+hand-off is a wake-up, not a timed poll. The frame the holder itself
+waits for is not queued at all: the first one of its channel is kept
+for it and returned as it leaves the engine — no lock, no queue entry,
+no wake-up — while its channel's later frames, and every other
+channel's, are queued in order. This is MPI without an asynchronous
+progress thread: a message costs no thread hand-off, and in exchange
+**sends are kernel-buffered only** — one larger than the channel buffer
+completes when the receiver next enters a transport call, and a peer's
+death is observed at the next transport operation or probe, not
+asynchronously.
 Deadlock-freedom survives because a blocked sender keeps reading: any
 cycle of blocked ranks is a cycle of progress engines, each draining its
 inbound channels into unbounded queues.
@@ -70,7 +75,6 @@ import multiprocessing as mp
 import os
 import pickle
 import select
-import struct
 import threading
 import time
 from collections import deque
@@ -91,7 +95,7 @@ from .comm import (
 from .faults import KILL_EXIT_CODE
 from .nonblocking import join_progress
 from .trace import Trace
-from .wire import check_frame_size, decode_message, encode_message
+from .wire import _LEN, check_frame_size, decode_message, encode_message
 
 __all__ = ["MeshBackend", "MeshWorld", "StreamComm", "Transport"]
 
@@ -111,10 +115,6 @@ _LINGER_S = 30.0
 #: death (abort); EOF after FIN is a normal wind-down.
 _FIN_TAG = -1
 
-#: length prefix of every frame on a byte-stream channel (and of every
-#: rendezvous control frame): one little-endian u64.
-_LEN = struct.Struct("<Q")
-
 
 class StreamComm(Communicator):
     """The per-rank communicator of every process-family backend.
@@ -126,7 +126,9 @@ class StreamComm(Communicator):
     A message is ``<u64 frame length><frame>``. Incoming traffic lands in
     :attr:`_queues`, one FIFO per (source, context key, tag) that exists
     only while it holds messages, guarded by the engine's lock — the one
-    lock a message takes on its way in and out. Sequence numbers are
+    lock a message takes on its way in and out — except the frame a
+    blocked receiver reads for itself, which is handed to it directly
+    (:meth:`_deliver`). Sequence numbers are
     allocated sender-side against the worker-local trace (only this rank
     sends on a (rank, dest, context, tag) channel, so local counters are
     the truth). The
@@ -163,9 +165,12 @@ class StreamComm(Communicator):
         self.dead_ranks: set[int] = set()
         #: the progress engine's hand-off: its lock guards the two fields
         #: below, and threads that find the engine taken sleep on it — the
-        #: holder notifies on every delivery and on leaving.
+        #: holder notifies on every queued delivery and on leaving.
         self._engine = threading.Condition()
         self._engine_busy = False
+        #: the holder's own receive, ``(source, context key, tag)`` or None,
+        #: and the frame handed straight to it (engine-holder state, no lock)
+        self._want = self._kept = None
         #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``,
         #: under the engine lock; the pop that empties a queue deletes it, so
         #: a drained channel (every collective takes a fresh tag) keeps nothing.
@@ -196,14 +201,19 @@ class StreamComm(Communicator):
             self._engine.notify_all()
 
     def _deliver(self, src: int, frame: Any) -> bool:
-        """Turn one inbound frame from ``src`` into a queue entry.
+        """Hand one inbound frame from ``src`` to its receiver.
 
-        The one place a frame is decoded; runs on the engine holder.
-        Returns False once nothing more will be delivered from ``src``'s
-        channel: the peer sent FIN (it finished cleanly), or the frame was
-        undecodable and the world is aborted naming ``src``. Decoding copies
-        (``copy=True``): the buffer ``frame`` views is reused, so the
-        arrays must own their memory.
+        The one place a frame is decoded; runs on the engine holder. The
+        first frame of the holder's own receive (``_want``) is kept for it
+        (``_kept``) — no lock, no queue, no wake-up: nothing of that
+        channel can be queued then, as the holder only steps with its
+        queue empty, and it returns the frame as it leaves the engine.
+        Every other frame is queued under the engine lock, waking the
+        threads that wait for one. Returns False once nothing more will be
+        delivered from ``src``'s channel: the peer sent FIN (it finished
+        cleanly), or the frame was undecodable and the world is aborted
+        naming ``src``. Decoding copies (``copy=True``): the buffer
+        ``frame`` views is reused, so the arrays must own their memory.
         """
         try:
             tag, seq, nbytes, epoch, context, payload = decode_message(frame)
@@ -223,9 +233,13 @@ class StreamComm(Communicator):
             return True
         if tag == _FIN_TAG:
             return False
-        with self._engine:
-            self._queues.setdefault((src, context, tag), deque()).append((payload, nbytes, seq))
-            self._engine.notify_all()  # a thread without the engine may be waiting for this
+        key = (src, context, tag)
+        if key == self._want and self._kept is None:
+            self._kept = (payload, nbytes, seq)
+        else:
+            with self._engine:
+                self._queues.setdefault(key, deque()).append((payload, nbytes, seq))
+                self._engine.notify_all()  # a thread without the engine may be waiting for this
         return True
 
     def _die(self) -> None:
@@ -355,11 +369,11 @@ class StreamComm(Communicator):
         the engine — that thread reads for everyone, so a caller with
         nothing to write sleeps until it signals a delivery or leaves (at
         most ``wait``). Given a receiver's ``want``, ``(source, context
-        key, tag)``, it
-        returns that channel's next message or None instead, taken under a
-        lock this call holds anyway: before stepping (nothing is read if
-        one is already queued), after a sleep, or as the engine is handed
-        back.
+        key, tag)``, it returns that channel's next message or None
+        instead: taken from the queue under a lock this call holds anyway
+        — before stepping (nothing is read if one is already queued) or
+        after a sleep — or, when it stepped, the frame its own step handed
+        it (:meth:`_deliver`).
         """
         with self._engine:
             if want in self._queues:
@@ -368,7 +382,7 @@ class StreamComm(Communicator):
                 if writable is None:
                     self._engine.wait(wait)
                 return self._take(want) if want else False
-            self._engine_busy = True
+            self._engine_busy, self._want = True, want
         try:
             self._progress(wait, writable)
         except BaseException:
@@ -377,12 +391,17 @@ class StreamComm(Communicator):
         return self._leave_engine(want)
 
     def _leave_engine(self, want: tuple | None = None) -> Any:
-        """Hand the engine back: True, or with ``want`` its next message,
-        taken under the same lock."""
+        """Hand the engine back: True, or with ``want`` the frame the step
+        handed over (None if none came). A step that raised leaves its
+        handed-over frame at the head of its channel's queue, ahead of the
+        frames that came behind it, for the next receive."""
+        kept, self._kept = self._kept, None
         with self._engine:
             self._engine_busy = False
             self._engine.notify_all()
-            return self._take(want) if want else True
+            if want is None and kept is not None:
+                self._queues.setdefault(self._want, deque()).appendleft(kept)
+            return kept if want else True
 
     @contextmanager
     def _holding_engine(self):
@@ -395,7 +414,7 @@ class StreamComm(Communicator):
             while self._engine_busy:
                 self._engine.wait()
             self._engine_claims -= 1
-            self._engine_busy = True
+            self._engine_busy, self._want = True, None
         try:
             yield
         finally:
@@ -432,14 +451,12 @@ class StreamComm(Communicator):
             self._run_progress(0.0)
         return want in self._queues
 
-    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any, context: bytes = b"") -> bytearray:
+    def _frame(self, tag: int, seq: int, nbytes: int, obj: Any, context: bytes = b"") -> bytes:
         """Length prefix + frame in one send buffer (one write per
         message keeps the frame contiguous on the stream)."""
-        out = encode_message(tag, seq, nbytes, obj, self.epoch, _LEN.size, context)
-        _LEN.pack_into(out, 0, check_frame_size(len(out) - _LEN.size, "stream"))
-        return out
+        return encode_message(tag, seq, nbytes, obj, self.epoch, context, prefixed=True)
 
-    def _write(self, dest: int, blob: bytearray, key: bytes, tag: int, timeout: float | None) -> None:
+    def _write(self, dest: int, blob: Any, key: bytes, tag: int, timeout: float | None) -> None:
         """Write ``blob``, a frame of ``(key, tag)``, whole to ``dest``'s
         channel (its lock held).
 

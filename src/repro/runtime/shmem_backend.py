@@ -145,9 +145,7 @@ class ShmemComm(ProcessComm):
             with self._out_locks[dest]:  # slab order is descriptor order
                 spot = slab.put(parts, total)
                 if spot is None:  # no room: the pipe carries the frame itself
-                    blob = bytearray(_LEN.size + total)
-                    _LEN.pack_into(blob, 0, total)
-                    gather_parts(parts, blob, _LEN.size)
+                    blob = b"".join([_LEN.pack(total), *parts])
                     self._write(dest, blob, key, tag, self.op_timeout)
                 else:
                     offset, head_after = spot

@@ -25,16 +25,16 @@ binary stream format where it matters for fidelity.
 
 Allocation discipline
 ---------------------
-The encoder is *vectored*: :func:`encode_frame_parts` returns the frame as
-a list of buffer segments — a small header plus direct (zero-copy) views
-of the stream's index/value arrays. A stream's head (frame header, kind
-byte, stream header) is one ``struct`` call each way: the per-message
-cost of a small frame is mostly this bookkeeping, not its bytes. A
-destination that can take them
-(the shmem backend's slab) is written part by part with no intermediate
-blob; the byte-stream channels (pipe, TCP) join them into one
-preallocated ``bytearray``, so every payload byte is copied exactly once
-on the way out.
+A frame is built from parts — its head, its packed context and direct
+(zero-copy) views of the stream's index/value arrays. A stream's head
+(frame header, kind byte, stream header) is one ``struct`` call each way,
+and on a byte-stream channel that call packs the frame's length word too:
+the per-message cost of a small frame is mostly this bookkeeping, not its
+bytes. A destination that can take the parts (the shmem backend's slab,
+through :func:`encode_frame_parts`) is written part by part with no
+intermediate blob; the byte-stream channels (pipe, TCP) get them joined
+once (:func:`encode_message`). Either way every payload byte is copied
+exactly once on the way out, and every frame size takes the same path.
 
 The decoder reads arrays with ``np.frombuffer(view, offset=...)``: with
 ``copy=True`` (the default) each array is materialised with a single copy
@@ -120,48 +120,68 @@ _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 #: §5.1 stream header — byte for byte what the three pack to, back to back.
 _STREAM_FRAME = struct.Struct("<qqqqHBQQQcd")
 
+#: any other frame's head: the frame header and the kind byte.
+_PICKLE_FRAME = struct.Struct("<qqqqHB")
 
-def _array_buffer(arr: np.ndarray):
-    """A zero-copy byte view of ``arr``'s buffer (copies only if needed)."""
-    if arr.flags.c_contiguous:
-        return memoryview(arr).cast("B")
-    return arr.tobytes()  # non-contiguous: no byte view exists
+#: the length word in front of every frame on a byte-stream channel (pipe,
+#: TCP) and of every rendezvous control frame: one little-endian u64, the
+#: frame's length without it.
+_LEN = struct.Struct("<Q")
+
+#: each head behind the length word, so that one call packs both.
+_PREFIXED = {head: struct.Struct("<Q" + head.format[1:]) for head in (_STREAM_FRAME, _PICKLE_FRAME)}
 
 
 # ----------------------------------------------------------------------
-# vectored encode
+# encode
 # ----------------------------------------------------------------------
+def _frame_parts(
+    tag: int, seq: int, nbytes: int, obj: Any, epoch: int, context: bytes, prefixed: bool
+) -> tuple[int, list]:
+    """One frame as ``(total_bytes, [head, context, *body])``.
+
+    The head is one ``struct`` call, behind the frame's length word when
+    ``prefixed`` (``total`` leaves the word out). A stream's body is its
+    index/value arrays as they are — contiguous, so any buffer consumer
+    takes them; nothing is copied here — anything else's one pickle blob.
+    """
+    if isinstance(obj, SparseStream):
+        dense = obj._dense  # the codec reads the representation directly
+        if dense is None:
+            idx, val = np.ascontiguousarray(obj._indices), np.ascontiguousarray(obj._values)
+            flag, body, size = FLAG_SPARSE, [idx, val], idx.nbytes + val.nbytes
+        else:
+            val = np.ascontiguousarray(dense)
+            flag, body, size = FLAG_DENSE, [val], val.nbytes
+        wire = math.nan if obj.value_wire_bytes is None else float(obj.value_wire_bytes)
+        head, fields = _STREAM_FRAME, (
+            tag, seq, nbytes, epoch, len(context), _KIND_STREAM, flag, obj.dimension,
+            len(val), _DTYPE_CODES[obj.value_dtype], wire,
+        )
+    else:
+        body = [pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)]
+        head, fields = _PICKLE_FRAME, (tag, seq, nbytes, epoch, len(context), _KIND_PICKLE)
+        size = len(body[0])
+    total = head.size + len(context) + size
+    if prefixed:  # a reader sizes its buffer by the word, so it must be one readers accept
+        head, fields = _PREFIXED[head], (check_frame_size(total, "stream"), *fields)
+    return total, [head.pack(*fields), context, *body]
+
+
 def encode_frame_parts(
     tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0, context: bytes = b""
 ) -> tuple[int, list]:
-    """One framed message as ``(total_bytes, [buffer, ...])`` (vectored).
+    """One framed message as ``(total_bytes, [byte buffer, ...])`` (vectored).
 
     A stream is its head — frame header, kind byte and §5.1 stream header,
-    packed as one :data:`_STREAM_FRAME` — and the packed ``context``, plus
-    direct views of its index/value arrays; nothing is copied here.
-    Anything else is the frame header, the kind byte, the context and one
-    pickle blob. Transports copy each part exactly once, into the pipe
-    blob or straight into the shared slab.
+    packed as one :data:`_STREAM_FRAME` — the packed ``context``, and
+    byte views of its index/value arrays; nothing is copied here.
+    Anything else is the frame header and kind byte, the context and one
+    pickle blob. A transport that places the parts itself (the shmem
+    slab) copies each exactly once.
     """
-    if isinstance(obj, SparseStream):
-        wire = float("nan") if obj.value_wire_bytes is None else float(obj.value_wire_bytes)
-        if obj.is_dense:
-            flag, arrays = FLAG_DENSE, (obj.dense_payload,)
-        else:
-            flag, arrays = FLAG_SPARSE, (obj.indices, obj.values)
-        parts = [
-            _STREAM_FRAME.pack(
-                tag, seq, nbytes, epoch, len(context), _KIND_STREAM, flag,
-                obj.dimension, arrays[-1].size, _DTYPE_CODES[obj.value_dtype], wire,
-            ) + context,
-            *map(_array_buffer, arrays),
-        ]
-    else:
-        parts = [
-            _FRAME.pack(tag, seq, nbytes, epoch, len(context)) + bytes([_KIND_PICKLE]) + context,
-            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
-        ]
-    return sum(map(len, parts)), parts
+    total, parts = _frame_parts(tag, seq, nbytes, obj, epoch, context, False)
+    return total, [memoryview(part).cast("B") for part in parts]
 
 
 def encode_payload_parts(obj: Any) -> tuple[int, list]:
@@ -174,30 +194,28 @@ def encode_payload_parts(obj: Any) -> tuple[int, list]:
 
 def encode_payload(obj: Any) -> bytes:
     """Serialize one payload (stream fast path, pickle fallback)."""
-    return bytes(memoryview(encode_message(0, 0, 0, obj))[FRAME_HEADER_SIZE:])
+    return encode_message(0, 0, 0, obj)[FRAME_HEADER_SIZE:]
 
 
 def encode_message(
-    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0, head: int = 0,
-    context: bytes = b"",
-) -> bytearray:
+    tag: int, seq: int, nbytes: int, obj: Any, epoch: int = 0, context: bytes = b"",
+    prefixed: bool = False,
+) -> bytes:
     """Frame one point-to-point message for a byte-stream transport.
 
-    Gathers the vectored parts into a single preallocated ``bytearray``,
-    so each payload byte is copied exactly once — no ``tobytes()``
-    staging, no ``+`` chains. The first ``head`` bytes are left blank
-    for the transport's own prefix (its length word). ``context`` is the
-    sending communicator's packed context (empty: the backend's own).
+    The head is packed once and the parts are joined once, so each
+    payload byte is copied exactly once, into the one buffer that is
+    returned. ``context`` is the sending communicator's packed context
+    (empty: the backend's own); ``prefixed`` puts the frame's length word
+    (:data:`_LEN`) in front, packed by the head's call — and refuses a
+    frame past :data:`MAX_FRAME_BYTES`, as a reader of the word would.
     """
-    total, parts = encode_frame_parts(tag, seq, nbytes, obj, epoch, context)
-    out = bytearray(head + total)
-    gather_parts(parts, out, head)
-    return out
+    return b"".join(_frame_parts(tag, seq, nbytes, obj, epoch, context, prefixed)[1])
 
 
 def gather_parts(parts: list, into: Any, pos: int = 0) -> None:
-    """Copy ``parts`` back to back into the buffer ``into`` from ``pos``:
-    the one copy of every payload byte on the way out."""
+    """Copy the byte ``parts`` back to back into the buffer ``into`` from
+    ``pos``: the one copy of every payload byte on the way out."""
     for part in parts:
         n = len(part)
         into[pos:pos + n] = part
@@ -260,14 +278,6 @@ def _read_context(view: memoryview, start: int, end: int) -> bytes:
 # ----------------------------------------------------------------------
 # SparseStream <-> bytes (§5.1 buffer layout)
 # ----------------------------------------------------------------------
-def _read_array(
-    view: memoryview, offset: int, dtype: np.dtype, count: int, copy: bool
-) -> np.ndarray:
-    """One array out of ``view`` — a single copy, or a zero-copy view."""
-    arr = np.frombuffer(view, dtype, count, offset)
-    return arr.copy() if copy else arr
-
-
 def _decode_stream(
     view: memoryview, body: int, flag: int, dimension: int, count: int,
     code: bytes, wire: float, copy: bool,
@@ -281,9 +291,14 @@ def _decode_stream(
     split = body + count * INDEX_DTYPE.itemsize if flag == FLAG_SPARSE else body
     if len(view) != split + count * value_dtype.itemsize:
         raise ValueError(f"corrupt stream payload: {len(view)} bytes cannot hold {count} entries")
-    values = _read_array(view, split, value_dtype, count, copy)
+    # each array a single copy out of ``view``, or a zero-copy view of it
+    values = np.frombuffer(view, value_dtype, count, split)
+    if copy:
+        values = values.copy()
     if flag == FLAG_SPARSE:
-        indices = _read_array(view, body, INDEX_DTYPE, count, copy)
+        indices = np.frombuffer(view, INDEX_DTYPE, count, body)
+        if copy:
+            indices = indices.copy()
         out = SparseStream._trusted(dimension, indices, values, value_dtype)
     elif flag == FLAG_DENSE:
         out = SparseStream(dimension, dense=values, value_dtype=value_dtype, copy=False)

@@ -18,6 +18,7 @@ requested.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -132,8 +133,8 @@ class SparseStream:
     ) -> "SparseStream":
         """A sparse stream over ``indices`` / ``values`` as given: no
         checks, no copies. The trust ``copy=False`` extends, for a caller
-        (the wire decoder) whose frame already fixed ``value_dtype`` and
-        the arrays' dtypes and lengths."""
+        that already fixed ``value_dtype`` and the arrays' dtypes and
+        lengths: the wire decoder (from the frame), :meth:`copy`."""
         out = cls.__new__(cls)
         out.dimension = dimension
         out.value_dtype = value_dtype
@@ -208,9 +209,9 @@ class SparseStream:
     @property
     def nnz(self) -> int:
         """Number of stored elements (dense streams count every slot)."""
-        if self.is_dense:
+        if self._dense is not None:
             return self.dimension
-        return int(self._indices.shape[0])
+        return len(self._indices)
 
     @property
     def stored_nonzeros(self) -> int:
@@ -229,21 +230,21 @@ class SparseStream:
     @property
     def indices(self) -> np.ndarray:
         """Sorted unique non-zero indices (sparse representation only)."""
-        if self.is_dense:
+        if self._dense is not None:
             raise ValueError("dense stream has no explicit index array")
         return self._indices
 
     @property
     def values(self) -> np.ndarray:
         """Values aligned with :attr:`indices` (sparse representation only)."""
-        if self.is_dense:
+        if self._dense is not None:
             raise ValueError("dense stream has no explicit value array; use to_dense()")
         return self._values
 
     @property
     def dense_payload(self) -> np.ndarray:
         """The dense block (dense representation only)."""
-        if not self.is_dense:
+        if self._dense is None:
             raise ValueError("stream is sparse; call densify() or to_dense()")
         return self._dense
 
@@ -252,23 +253,24 @@ class SparseStream:
         """The sparse-efficiency threshold for this stream's dimension/dtype."""
         return delta_threshold(self.dimension, self.value_dtype.itemsize, INDEX_BYTES)
 
-    @property
-    def nbytes_payload(self) -> int:
+    def comm_nbytes(self) -> int:
         """Bytes this stream occupies on the wire (header + payload).
 
-        Sparse: ``header + nnz*(c + isize)``; dense: ``header + N*isize``.
-        This is the quantity all the cost-model formulas reason about.
+        Sparse: ``header + nnz*(c + isize)``, with ``isize`` the quantized
+        :attr:`value_wire_bytes` where set (rounded up); dense:
+        ``header + N*isize``. This is the quantity all the cost-model
+        formulas reason about, and the protocol hook the runtime charges
+        wire bytes by (:func:`~repro.runtime.comm.payload_nbytes`).
         """
-        isize: float = self.value_dtype.itemsize
-        if self.is_dense:
+        isize = self.value_dtype.itemsize
+        if self._dense is not None:
             return STREAM_HEADER_BYTES + self.dimension * isize
         if self.value_wire_bytes is not None:
             isize = self.value_wire_bytes
-        return STREAM_HEADER_BYTES + int(np.ceil(self.nnz * (INDEX_BYTES + isize)))
+        return STREAM_HEADER_BYTES + math.ceil(len(self._indices) * (INDEX_BYTES + isize))
 
-    def comm_nbytes(self) -> int:
-        """Protocol hook used by the runtime to charge wire bytes."""
-        return self.nbytes_payload
+    #: :meth:`comm_nbytes` as a property.
+    nbytes_payload = property(comm_nbytes)
 
     # ------------------------------------------------------------------
     # conversions
@@ -344,12 +346,8 @@ class SparseStream:
         if self.is_dense:
             out = SparseStream(self.dimension, dense=self._dense, value_dtype=self.value_dtype)
         else:
-            out = SparseStream(
-                self.dimension,
-                indices=self._indices.copy(),
-                values=self._values.copy(),
-                value_dtype=self.value_dtype,
-                copy=False,
+            out = SparseStream._trusted(
+                self.dimension, self._indices.copy(), self._values.copy(), self.value_dtype
             )
         out.value_wire_bytes = self.value_wire_bytes
         return out

@@ -177,15 +177,20 @@ def merge_sparse_pairs(
     buf = _KERNEL[0]
     n, most = na + nb, min(na, nb)
     idx, val = np.empty(n, INDEX_DTYPE), np.empty(n, val_a.dtype)
-    dup, hi = np.empty(most, np.intp), np.empty(most, val_a.dtype)
-    shared = merge(
-        buf(np.ascontiguousarray(idx_a)), buf(np.ascontiguousarray(val_a)), na,
-        buf(np.ascontiguousarray(idx_b)), buf(np.ascontiguousarray(val_b)), nb,
-        buf(idx), buf(val), buf(dup), buf(hi),
-    )
+    # the kernel's scratch in one block: the shared positions, then (no
+    # value is wider than a position) the higher-bits operands
+    scratch = np.empty(2 * most, np.intp)
+    spare = buf(scratch)
+    try:
+        shared = merge(
+            buf(idx_a), buf(val_a), na, buf(idx_b), buf(val_b), nb,
+            buf(idx), buf(val), spare, spare + most * scratch.itemsize,
+        )
+    except ValueError:  # a strided input: the kernel reads contiguous runs only
+        return _merge_by_sort(idx_a, val_a, idx_b, val_b, op)
     if shared:
-        dup = dup[:shared]
-        val[dup] = op.ufunc(val[dup], hi[:shared])
+        dup = scratch[:shared]
+        val[dup] = op.ufunc(val[dup], scratch[most:].view(val.dtype)[:shared])
         # shrink in place: a slice would not own its data
         idx.resize(n - shared, refcheck=False)
         val.resize(n - shared, refcheck=False)
@@ -269,11 +274,11 @@ def add_streams_(
         op.combine(acc.dense_payload, other.dense_payload, out=acc.dense_payload)
         return acc
 
-    if acc.is_dense and not other.is_dense:
+    if acc.is_dense:
         _scatter_into(acc.dense_payload, other, op)
         return acc
 
-    if not acc.is_dense and other.is_dense:
+    if other.is_dense:
         # keep the dense operand's layout: build dense result from it
         dense = other.dense_payload.copy()
         _scatter_into(dense, acc, op)
@@ -282,8 +287,10 @@ def add_streams_(
         acc._values = None  # noqa: SLF001
         return acc
 
-    # sparse (op)= sparse
-    if acc.should_switch_to_dense(extra_nnz=other.nnz):
+    # sparse (op)= sparse: the switch test of should_switch_to_dense, on a
+    # delta computed once for both tests
+    delta = acc.delta
+    if acc.nnz + other.nnz > delta:
         acc.densify(fill=op.neutral)
         _scatter_into(acc.dense_payload, other, op)
         return acc
@@ -294,7 +301,7 @@ def add_streams_(
     )
     acc.set_pairs(idx, val)
     # the merge may still have overshot delta (exact union known only now)
-    if acc.nnz > acc.delta:
+    if acc.nnz > delta:
         acc.densify(fill=op.neutral)
     return acc
 

@@ -16,25 +16,32 @@ These tests pin what that design must guarantee:
   true culprit when the world aborts before its first byte, and finishes
   a frame it has begun (the channel outlives a shrink), whatever the
   frames in flight when a rank dies — shmem's slab frames included;
+* the engine holder keeps the frame it is waiting for instead of queueing
+  it, without breaking per-channel FIFO order, starving another receiver
+  or leaving the frame behind when its step raises;
 * an idle rank has exactly one thread, a finished rank still absorbs a
   late large send, a world whose descriptors pass ``FD_SETSIZE`` runs
   (the engine waits with ``poll``), and a rejoined peer can be wired in
   while another thread holds the engine.
 
 The byte-level tests drive one real :class:`ProcessComm` /
-:class:`SocketComm` (rank 0) inside the test process, with the test
-playing its peers on the far ends of real pipes / loopback TCP
-connections.
+:class:`ShmemComm` / :class:`SocketComm` (rank 0) inside the test
+process, with the test playing its peers on the far ends of real pipes
+(beside shared slabs) / loopback TCP connections.
 """
 
 from __future__ import annotations
 
+import array
+import fcntl
+import mmap
 import multiprocessing as mp
 import os
 import resource
 import socket
 import statistics
 import struct
+import termios
 import threading
 import time
 
@@ -48,15 +55,18 @@ from repro.runtime import (
     ProcessComm,
     RankError,
     RankFailedError,
+    ShmemComm,
     SocketComm,
     Trace,
     i_collective,
     run_ranks,
 )
+from repro.runtime.context import pack_context
 from repro.runtime.faults import KILL_EXIT_CODE
 from repro.runtime.mesh import _FIN_TAG, _LEN
-from repro.runtime.shmem_backend import ShmemBackend
-from repro.runtime.wire import MAX_FRAME_BYTES
+from repro.runtime.nonblocking import join_progress
+from repro.runtime.shmem_backend import _SLAB_HEADER, _SLAB_TAG, ShmemBackend, Slab
+from repro.runtime.wire import _FRAME, MAX_FRAME_BYTES, encode_frame_parts
 from repro.streams import SparseStream
 
 STREAM_BACKENDS = ["process", "socket"]  # the byte-stream channels
@@ -80,7 +90,10 @@ def _tcp_pair() -> tuple[socket.socket, socket.socket]:
 class Rig:
     """Rank 0 of a ``size``-rank world; ``feeds[p]`` is the far (write)
     end of its inbound channel from peer ``p``, ``sinks[p]`` the far
-    (read) end of its outbound channel to ``p``."""
+    (read) end of its outbound channel to ``p``. A shmem rig also has
+    the slabs: ``in_slabs[p]`` is the one peer ``p`` writes to."""
+
+    SLAB = 1 << 14
 
     def __init__(self, backend: str, size: int = 2, op_timeout: float | None = None) -> None:
         out, inn = [None] * size, [None] * size
@@ -93,8 +106,31 @@ class Rig:
                 inn[p], self.feeds[p] = mp.Pipe(duplex=False)
                 self.sinks[p], out[p] = mp.Pipe(duplex=False)
         self._ends = [e for e in out + inn if e is not None]
-        cls = SocketComm if backend == "socket" else ProcessComm
-        self.comm = cls(0, size, out, inn, Trace(size), op_timeout)
+        self._maps, self._views, self._slabs, self.in_slabs = [], [], [], None
+        if backend == "shmem":
+            # anonymous shared mappings, one per directed pair: what the
+            # launcher's segment holds
+            self._maps = [mmap.mmap(-1, _SLAB_HEADER + self.SLAB) for _ in range(2 * (size - 1))]
+            self._views = [memoryview(m) for m in self._maps]
+            self._slabs = [Slab(v, self.SLAB) for v in self._views]
+            out_slabs, self.in_slabs = [None, *self._slabs[::2]], [None, *self._slabs[1::2]]
+            self.comm = ShmemComm(
+                0, size, out, inn, out_slabs, self.in_slabs, Trace(size), op_timeout
+            )
+        else:
+            cls = SocketComm if backend == "socket" else ProcessComm
+            self.comm = cls(0, size, out, inn, Trace(size), op_timeout)
+
+    def frame(self, peer: int, tag: int, seq: int, obj, context: bytes = b"") -> bytes:
+        """What ``peer`` writes to send ``obj`` to rank 0: the frame, or on
+        a shmem rig a descriptor naming it in the peer's slab."""
+        if self.in_slabs is None:
+            return bytes(self.comm._frame(tag, seq, 8, obj, context))
+        slab = self.in_slabs[peer]
+        total, parts = encode_frame_parts(tag, seq, 8, obj, 0, context)
+        offset, slab.head = slab.put(parts, total)
+        descriptor = _FRAME.pack(_SLAB_TAG, offset, total, slab.head, 0)
+        return _LEN.pack(len(descriptor)) + descriptor
 
     def feed(self, peer: int, data: bytes) -> None:
         end = self.feeds[peer]
@@ -102,6 +138,17 @@ class Rig:
             end.sendall(data)
         else:
             os.write(end.fileno(), data)
+
+    def feed_whole(self, peer: int, data: bytes) -> None:
+        """Feed ``data`` and return once all of it is readable at rank 0's
+        end of the channel (which must hold nothing else), so the
+        engine's next read takes it in one ``recv_into``."""
+        self.feed(peer, data)
+        fd, readable = self.comm._inn[peer].fileno(), array.array("i", [0])
+        deadline = time.monotonic() + 10.0
+        while fcntl.ioctl(fd, termios.FIONREAD, readable) or readable[0] < len(data):
+            assert time.monotonic() < deadline, f"{readable[0]} of {len(data)} bytes arrived"
+            time.sleep(0.001)
 
     def drain(self, peer: int, nbytes: int) -> bytes:
         """Exactly ``nbytes`` of what rank 0 wrote to ``peer`` (blocking)."""
@@ -143,6 +190,12 @@ class Rig:
         for end in self._ends + self.feeds + self.sinks:
             if end is not None:
                 end.close()
+        for slab in self._slabs:
+            slab.close()
+        for view in self._views:
+            view.release()
+        for mapping in self._maps:
+            mapping.close()
 
 
 @pytest.fixture
@@ -654,6 +707,77 @@ class TestEngineHandOff:
         r.feed(1, bytes(r.comm._frame(1, 0, 8, "for the holder")))
         holder.join(timeout=10.0)
         assert got.get("holder") == "for the holder"
+
+
+# ----------------------------------------------------------------------
+# (d') the engine holder keeps the frame it is waiting for
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", MESH_BACKENDS)
+class TestHolderKeepsItsFrame:
+    """A blocked receiver that steps the engine itself takes the first
+    frame of its own channel without queueing it (``StreamComm._deliver``);
+    everything else still goes through the queue table."""
+
+    def test_a_queued_frame_comes_before_a_newer_one(self, backend, rig):
+        r = rig(backend, op_timeout=20.0)
+        r.feed(1, r.frame(1, 5, 0, "first"))
+        r.step()  # nobody wants tag 5 yet: queued
+        r.feed_whole(1, r.frame(1, 5, 1, "second"))
+        # the queue is served without a step, "second" stays on the channel
+        assert r.comm.recv(1, tag=5) == "first"
+        assert r.comm.recv(1, tag=5) == "second"  # handed over by the receiver's own step
+        r.feed_whole(1, r.frame(1, 5, 2, "third") + r.frame(1, 5, 3, "fourth"))
+        assert r.comm.recv(1, tag=5) == "third"  # one read, two frames: the first is kept ...
+        assert r.take(1, 5)[0] == "fourth"  # ... and the one behind it queued
+        assert not r.comm._queues and r.comm._kept is None
+        trace = r.comm.trace.events(0)
+        assert [ev.seq for ev in trace] == [0, 1, 2]  # in channel order
+
+    def test_a_frame_for_another_key_reaches_its_own_receiver(self, backend, rig):
+        """The rank thread and its progress thread receive from the same
+        peer on the same tag, in two contexts; whichever holds the engine,
+        the other one's frame is queued for it and wakes it."""
+        r = rig(backend, op_timeout=20.0)
+        comm, got = r.comm, {}
+        rank = threading.Thread(target=lambda: got.update(rank=comm.recv(1, tag=3)), daemon=True)
+        rank.start()
+        while not comm._engine_busy:
+            time.sleep(0.001)
+        handle = i_collective(comm, lambda c: c.recv(1, tag=3))
+        time.sleep(0.05)  # both blocked now
+        r.feed(1, r.frame(1, 3, 0, "for the launch", pack_context((0,))))
+        assert handle.wait() == "for the launch"
+        assert rank.is_alive() and "rank" not in got
+        r.feed(1, r.frame(1, 3, 0, "for the rank"))
+        rank.join(timeout=10.0)
+        assert got.get("rank") == "for the rank"
+        join_progress(comm)
+        assert not comm._queues and comm._kept is None
+
+    def test_a_step_that_raises_leaves_nothing_stale(self, backend, rig, monkeypatch):
+        """The step hands the receiver its frame, then raises on the next
+        frame of the same read: the receive raises, the handed-over frame
+        waits at the head of its channel's queue, and later receives on
+        any channel get their own frames."""
+        r = rig(backend, op_timeout=20.0)
+        comm, deliver, seen = r.comm, r.comm._deliver, []
+
+        def failing_deliver(src, frame):
+            seen.append(src)
+            if len(seen) == 2:
+                raise RuntimeError("the step fails after the hand-off")
+            return deliver(src, frame)
+
+        monkeypatch.setattr(comm, "_deliver", failing_deliver)
+        r.feed_whole(1, r.frame(1, 5, 0, "handed over") + r.frame(1, 6, 0, "lost with the step"))
+        with pytest.raises(RuntimeError, match="after the hand-off"):
+            comm.recv(1, tag=5)
+        assert seen == [1, 1] and comm._kept is None and not comm._engine_busy
+        monkeypatch.undo()
+        r.feed(1, r.frame(1, 7, 0, "later"))
+        assert comm.recv(1, tag=7) == "later"
+        assert comm.recv(1, tag=5) == "handed over"
+        assert not comm._queues and comm._kept is None
 
 
 # ----------------------------------------------------------------------

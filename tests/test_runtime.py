@@ -15,6 +15,7 @@ from repro.runtime import (
     payload_nbytes,
     run_ranks,
 )
+from repro.quant import QSGDQuantizer
 from repro.runtime.thread_backend import ThreadWorld
 from repro.streams import SparseStream
 
@@ -35,6 +36,37 @@ class TestPayloadNbytes:
     def test_stream_uses_protocol(self):
         s = SparseStream(1000, indices=[1], values=[2.0])
         assert payload_nbytes(s) == s.nbytes_payload
+
+    @pytest.mark.parametrize(
+        "case, wire", [("sparse", None), ("dense", None), ("empty", None), ("sparse", 1.0),
+                       ("sparse", 0.5 + 4.0 * 3 / 37), ("dense", 0.5)],
+        ids=["sparse", "dense", "empty", "8-bit", "fractional", "dense-annotated"],
+    )
+    def test_stream_size_is_one_int(self, case, wire):
+        """All three spellings of a stream's wire size agree, as an int, on
+        the §5.1 formula — the number the trace (and so every byte count)
+        is made of. A fractional ``value_wire_bytes`` rounds up per stream;
+        a dense stream ignores the annotation."""
+        rng = np.random.default_rng(5)
+        if case == "dense":
+            s = SparseStream(50, dense=rng.standard_normal(50), value_dtype=np.float64)
+            want = 8 + 50 * 8
+        elif case == "empty":
+            s, want = SparseStream.zeros(123, value_dtype=np.float16), 8
+        else:
+            s = SparseStream.random_uniform(1000, 37, rng)
+            want = 8 + int(np.ceil(37 * (4 + (4 if wire is None else wire))))
+        s.value_wire_bytes = wire
+        sizes = (payload_nbytes(s), s.comm_nbytes(), s.nbytes_payload)
+        assert sizes == (want,) * 3 and all(type(n) is int for n in sizes)
+
+    def test_other_payloads_keep_their_sizes(self):
+        block = QSGDQuantizer(bits=4, bucket_size=64, seed=1).quantize(np.linspace(-1, 1, 300))
+        assert payload_nbytes(block) == 8 + block.packed.nbytes + block.scales.nbytes
+        s = SparseStream(1000, indices=[1, 5], values=[2.0, 3.0])  # 8 + 2 * 8
+        assert payload_nbytes((s, 3)) == 8 + 24 + 8
+        assert payload_nbytes({"k": s, 2: 1.5}) == 8 + (9 + 24) + (8 + 8)
+        assert payload_nbytes([block, None]) == 8 + payload_nbytes(block)
 
     def test_containers_recursive(self):
         arr = np.zeros(10, dtype=np.float64)

@@ -33,6 +33,7 @@ from repro.streams import (
     reduction_work_bytes,
     summation,
 )
+from repro.streams import stream as stream_mod
 
 
 SIMD_FLAGS = ("avx512f", "avx512vl", "bmi2")
@@ -172,6 +173,22 @@ class TestAddStreams:
         b = SparseStream(100, indices=[2], values=[1.0])
         add_streams_(a, b)
         assert not a.is_dense
+
+    def test_delta_is_read_at_every_sum(self, monkeypatch):
+        """``benchmarks/test_ablations.py`` turns the switch off by
+        patching ``stream.delta_threshold`` after sums already ran: no
+        earlier sum may leave its ``delta`` behind."""
+        def pair():
+            return (
+                SparseStream(16, indices=np.arange(5), values=np.ones(5)),
+                SparseStream(16, indices=np.arange(5, 10), values=np.ones(5)),
+            )
+
+        assert add_streams_(*pair()).is_dense
+        monkeypatch.setattr(stream_mod, "delta_threshold", lambda dim, isize, c=4: 1 << 62)
+        assert not add_streams_(*pair()).is_dense
+        monkeypatch.undo()
+        assert add_streams_(*pair()).is_dense
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
