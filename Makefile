@@ -12,7 +12,8 @@
 #                           (progress engine with its hand-off cases,
 #                           socket / process / shmem
 #                           backends, communicator contexts, persistent
-#                           plans (fixed keys, progress threads), failure
+#                           plans (fixed keys, progress threads) and the
+#                           flat channels of non-plan collectives, failure
 #                           propagation through proxies, the socket
 #                           crash -> shrink -> rejoin cycle, whose rejoin
 #                           is the first join's path),

@@ -324,9 +324,9 @@ def fused_step_world():
 def test_kernel_fused_step_plan(benchmark, fused_step_world, planned):
     """The calling-thread half of one 8-bucket fused step (``ssar_hier``,
     ``chunks="auto"``) that plans change: each bucket's plan resolved from
-    its agreed nnz, with its keys — the cached plan (planned), or a plan
-    made afresh, priced and given new tags and subgroups, as every call
-    was before plans (unplanned). Selection is the same either way."""
+    its agreed nnz and bound to its schedule — the cached plan (planned),
+    or a plan made afresh and priced, as every call was before plans
+    (unplanned). Selection is the same either way."""
     from repro.collectives.api import AllreducePlan, cached_plan
 
     comm, sent, agreed = fused_step_world
@@ -339,8 +339,7 @@ def test_kernel_fused_step_plan(benchmark, fused_step_world, planned):
                 plan = AllreducePlan(
                     comm, stream.dimension, stream.value_dtype, "ssar_hier", chunks="auto"
                 )
-            algorithm, chunks = plan.resolve(stream, estimate)
-            plan._keys.of(plan, algorithm)
+            plan._bind(stream, None, estimate)
 
     benchmark(half)
 

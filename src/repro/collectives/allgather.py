@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..runtime.comm import Communicator
+from ..runtime.comm import COLLECTIVE_TAG, Communicator
 from ..streams import SparseStream, concat_disjoint
 
 __all__ = [
@@ -38,18 +38,18 @@ __all__ = [
 ]
 
 
-def allgather_recursive_doubling(comm: Communicator, block: Any, tag: int | None = None) -> list[Any]:
-    """Recursive-doubling allgather (P must be a power of two)."""
+def allgather_recursive_doubling(comm: Communicator, block: Any, tag: int = COLLECTIVE_TAG) -> list[Any]:
+    """Recursive-doubling allgather (P must be a power of two), round ``r``
+    on ``tag + r``."""
     P = comm.size
     if P & (P - 1):
         raise ValueError(f"recursive doubling allgather needs a power-of-two P, got {P}")
-    base = comm.next_collective_tag() if tag is None else tag
     have: dict[int, Any] = {comm.rank: block}
     distance = 1
     round_no = 0
     while distance < P:
         partner = comm.rank ^ distance
-        incoming = comm.sendrecv(dict(have), partner, base + round_no)
+        incoming = comm.sendrecv(dict(have), partner, tag + round_no)
         have.update(incoming)
         distance *= 2
         round_no += 1
@@ -68,22 +68,23 @@ def ring_gather(comm: Communicator, out: list, owner: int, tag: int) -> list:
     return out
 
 
-def allgather_ring(comm: Communicator, block: Any, tag: int | None = None) -> list[Any]:
-    """Ring allgather: P-1 rounds forwarding one block per round; any P."""
-    base = comm.next_collective_tag() if tag is None else tag
+def allgather_ring(comm: Communicator, block: Any, tag: int = COLLECTIVE_TAG) -> list[Any]:
+    """Ring allgather on ``tag``: P-1 rounds forwarding one block per round; any P."""
     out: list[Any] = [None] * comm.size
     out[comm.rank] = block
-    return ring_gather(comm, out, comm.rank, base)
+    return ring_gather(comm, out, comm.rank, tag)
 
 
-def allgather_blocks(comm: Communicator, block: Any, tag: int | None = None) -> list[Any]:
-    """Dispatch to recursive doubling (power-of-two P) or ring (any P)."""
+def allgather_blocks(comm: Communicator, block: Any, tag: int = COLLECTIVE_TAG) -> list[Any]:
+    """Dispatch to recursive doubling (power-of-two P) or ring (any P);
+    ``tag`` is the first tag they run on (the split allreduces gather on
+    the second of their block)."""
     if comm.size & (comm.size - 1):
         return allgather_ring(comm, block, tag)
     return allgather_recursive_doubling(comm, block, tag)
 
 
-def sparse_allgather(comm: Communicator, stream: SparseStream, tag: int | None = None) -> SparseStream:
+def sparse_allgather(comm: Communicator, stream: SparseStream) -> SparseStream:
     """Allgather of index-disjoint sparse streams with concatenation merge.
 
     Each rank contributes a sparse stream whose support is disjoint from
@@ -93,6 +94,6 @@ def sparse_allgather(comm: Communicator, stream: SparseStream, tag: int | None =
     """
     if stream.is_dense:
         raise ValueError("sparse_allgather expects sparse contributions")
-    pieces = allgather_blocks(comm, stream, tag)
+    pieces = allgather_blocks(comm, stream)
     comm.compute(sum(p.nnz for p in pieces) * (stream.value_dtype.itemsize + 4), "concat")
     return concat_disjoint(pieces, stream.dimension)

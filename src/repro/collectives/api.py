@@ -17,18 +17,21 @@ schedules:
   :func:`~repro.costmodel.adaptive.drifted` from the estimate the held
   resolution was priced from — the library's one re-selection rule — and
   every (re-)selection of ``"auto"`` is logged on :attr:`AllreducePlan.switches`;
-* it takes its message keys once — a tag block and, for the hierarchical
-  schedules, the two host subgroups
-  (:func:`~repro.collectives.hier.build_hierarchy`) — so a rank's channel
-  count is fixed by its plans, not by its step count;
+* it binds its schedule and knobs once per resolution;
 * a blocking run (``plan(stream)``) runs on the calling thread in the
   communicator's own context; a started run (``plan.start(stream)``) runs
   on the communicator's progress thread (:mod:`~repro.runtime.nonblocking`)
-  in one child context the plan takes at its first start, and its trace
-  events reach the rank's log at ``wait()``. Runs of one plan share their
-  keys, so they never overlap: starts queue in launch order on that one
-  thread, and a blocking run first waits for the plan's last start to
-  finish — at the same point of the program on every rank.
+  in its launch context, and its trace events reach the rank's log at
+  ``wait()``. Starts queue in launch order on that one thread, and a
+  blocking run first waits for the plan's last start to finish — at the
+  same point of the program on every rank.
+
+Every collective of a communicator, planned or not, runs on the same keys:
+the communicator's context and the one tag block
+(:data:`~repro.runtime.comm.COLLECTIVE_TAG`); a hierarchical schedule's two
+host subgroups are built once per communicator and dimension
+(:func:`~repro.collectives.hier.build_hierarchy`). A rank's channel count is
+therefore fixed by what it runs, not by its step count.
 
 :func:`sparse_allreduce`, the stream form of
 :func:`~repro.runtime.nonblocking.i_collective` and
@@ -48,14 +51,14 @@ from ..quant import QSGDQuantizer
 from ..runtime.backend import Backend, ParallelResult
 from ..runtime.comm import Communicator
 from ..runtime.launcher import run_ranks
-from ..runtime.nonblocking import NonBlockingHandle, _BufferedComm, launch
+from ..runtime.nonblocking import NonBlockingHandle, launch
 from ..runtime.topology import Topology
 from ..streams import SparseStream
 from ..streams.ops import REDUCE_OPS, SUM, ReduceOp
 from .allgather import sparse_allgather
 from .dense import DENSE_ALGORITHMS
 from .dsar import dsar_split_allgather
-from .hier import _check_chunks, build_hierarchy, dsar_hierarchical, ssar_hierarchical
+from .hier import _check_chunks, dsar_hierarchical, ssar_hierarchical
 from .sparse import ssar_recursive_double, ssar_ring, ssar_split_allgather
 
 __all__ = [
@@ -133,23 +136,6 @@ def resolve_collective(
     return ALGORITHMS[algorithm], plan.kwargs(algorithm, quantizer, chunks)
 
 
-class _Keys:
-    """A plan's message keys on one communicator, each taken at its first
-    use: the tag block of the flat schedules, the hierarchy of the others;
-    and the run bound on them for the last resolution:
-    ``(resolution, schedule, kwargs)``."""
-
-    def __init__(self, comm: Communicator) -> None:
-        self.comm, self.tag, self.hierarchy, self.bound = comm, None, None, None
-
-    def of(self, plan: "AllreducePlan", algorithm: str) -> dict:
-        if SCHEDULES[algorithm].hierarchical:
-            self.hierarchy = self.hierarchy or build_hierarchy(self.comm, plan.dimension)
-            return {"hierarchy": self.hierarchy}
-        self.tag = self.comm.next_collective_tag() if self.tag is None else self.tag
-        return {"tag": self.tag}
-
-
 class AllreducePlan:
     """A sparse allreduce planned once and run every step: made by
     :func:`allreduce_plan`, or per communicator and key by :func:`cached_plan`.
@@ -170,9 +156,8 @@ class AllreducePlan:
         self._resolved, self._priced = (algorithm, self.chunks), None
         self.switches: list[AlgorithmSwitch] = []
         self._runs = 0
-        #: the blocking runs' keys, and the started runs' (in a child
-        #: context, from the first start)
-        self._keys, self._started = _Keys(comm), None
+        #: the run bound for the last resolution: ``(resolution, schedule, kwargs)``
+        self._bound: "tuple | None" = None
         self._last: "NonBlockingHandle | None" = None
 
     def resolve(self, stream: SparseStream, agreed: "Agreed | None" = None) -> tuple:
@@ -188,7 +173,7 @@ class AllreducePlan:
         if "auto" not in (self.algorithm, self.chunks):
             return self._resolved
         if agreed is None:
-            agreed = Agreed(consistent_mean(self.comm, float(stream.nnz), agreement_tag(self.comm)))
+            agreed = Agreed(consistent_mean(self.comm, float(stream.nnz)))
         self._runs += 1
         held = self._priced
         if held is None:
@@ -215,9 +200,8 @@ class AllreducePlan:
     def reset(self) -> None:
         """Forget the held ``"auto"`` resolution and the switch log: the
         next run selects afresh and logs it as run 1's ``"initial
-        selection"``, as a new plan's first run does. The plan keeps its
-        keys (tags, subgroups, child context); like a run, all ranks reset
-        it at the same point of the program."""
+        selection"``, as a new plan's first run does. Like a run, all ranks
+        reset it at the same point of the program."""
         self._resolved, self._priced = (self.algorithm, self.chunks), None
         self.switches, self._runs = [], 0
 
@@ -231,15 +215,14 @@ class AllreducePlan:
             kwargs["chunks"] = chunks
         return kwargs
 
-    def _bind(self, keys: _Keys, stream: SparseStream, quantizer, agreed) -> tuple:
-        """``(schedule, kwargs)`` of a run on ``keys``, bound again only when
-        the resolution changes: a fixed plan binds at its first run."""
+    def _bind(self, stream: SparseStream, quantizer, agreed) -> tuple:
+        """``(schedule, kwargs)`` of a run, bound again only when the
+        resolution changes: a fixed plan binds at its first run."""
         resolved = self.resolve(stream, agreed)
-        if keys.bound is None or keys.bound[0] != resolved:
+        if self._bound is None or self._bound[0] != resolved:
             algorithm, chunks = resolved
-            kwargs = self.kwargs(algorithm, None, chunks) | keys.of(self, algorithm)
-            keys.bound = resolved, ALGORITHMS[algorithm], kwargs
-        _, schedule, kwargs = keys.bound
+            self._bound = resolved, ALGORITHMS[algorithm], self.kwargs(algorithm, None, chunks)
+        _, schedule, kwargs = self._bound
         return schedule, (kwargs | {"quantizer": quantizer} if "quantizer" in kwargs else kwargs)
 
     def __call__(self, stream: SparseStream, quantizer=None, agreed=None) -> SparseStream:
@@ -248,16 +231,14 @@ class AllreducePlan:
         MPI request has, so a quantizer both runs use draws in program order."""
         if self._last is not None:
             self._last.settle()
-        schedule, kwargs = self._bind(self._keys, stream, quantizer, agreed)
+        schedule, kwargs = self._bind(stream, quantizer, agreed)
         return schedule(self.comm, stream, **kwargs)
 
     def start(self, stream: SparseStream, quantizer=None, agreed=None) -> NonBlockingHandle:
         """Start a run on the communicator's progress thread, behind its
         earlier launches; the handle's ``wait()`` returns the result."""
-        if self._started is None:
-            self._started = _Keys(_BufferedComm(self.comm, self.comm._next_slot()))
-        schedule, kwargs = self._bind(self._started, stream, quantizer, agreed)
-        self._last = launch(self.comm, self._started.comm, schedule, stream, **kwargs)
+        schedule, kwargs = self._bind(stream, quantizer, agreed)
+        self._last = launch(self.comm, schedule, stream, **kwargs)
         return self._last
 
 
@@ -274,7 +255,7 @@ def allreduce_plan(comm, dimension, dtype, algorithm="auto", op=SUM, chunks=1) -
     the bits :func:`sparse_allreduce` gives for the same knobs. ``agreed``
     (internal, both) is a pre-agreed nnz estimate for ``"auto"`` knobs, as
     in :func:`resolve_collective`; without one an ``"auto"`` run agrees on
-    its own, one round on a tag block every plan of ``comm`` shares.
+    its own, in one round.
     """
     return AllreducePlan(comm, dimension, dtype, algorithm, op, chunks)
 
@@ -293,15 +274,6 @@ def cached_plan(comm, stream, algorithm="auto", op=SUM, chunks=1) -> AllreducePl
 def cached_plans(comm) -> list[AllreducePlan]:
     """``comm``'s plans made by :func:`cached_plan`, in the order they were made."""
     return list((comm._plans or {}).values())
-
-
-def agreement_tag(comm: Communicator) -> int:
-    """The tag block the agreement rounds of ``comm``'s plans and fused
-    steps share, taken by the first (they run on the calling thread, in
-    program order)."""
-    if comm._agreement_tag is None:
-        comm._agreement_tag = comm.next_collective_tag()
-    return comm._agreement_tag
 
 
 def sparse_allreduce(

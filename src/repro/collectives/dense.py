@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.comm import Communicator
+from ..runtime.comm import COLLECTIVE_TAG, Communicator
 from ..streams.ops import SUM, ReduceOp
 from .allgather import ring_gather
 
@@ -140,9 +140,8 @@ def allreduce_recursive_doubling(
     vec = np.asarray(vec)
     if comm.size == 1:
         return vec.copy()
-    base = comm.next_collective_tag()
     comm.mark("dense_rec_dbl")
-    return recursive_doubling(comm, vec.copy(), _combine(comm, op), base, base, "fold")
+    return recursive_doubling(comm, vec.copy(), _combine(comm, op), COLLECTIVE_TAG, COLLECTIVE_TAG, "fold")
 
 
 def allreduce_ring(comm: Communicator, vec: np.ndarray, op: ReduceOp = SUM) -> np.ndarray:
@@ -151,11 +150,10 @@ def allreduce_ring(comm: Communicator, vec: np.ndarray, op: ReduceOp = SUM) -> n
     P = comm.size
     if P == 1:
         return vec.copy()
-    base = comm.next_collective_tag()
     comm.mark("dense_ring")
     bounds = partition_bounds(vec.shape[0], P)
     blocks = [vec[bounds[i]: bounds[i + 1]].copy() for i in range(P)]
-    return np.concatenate(ring(comm, blocks, _combine(comm, op), base))
+    return np.concatenate(ring(comm, blocks, _combine(comm, op), COLLECTIVE_TAG))
 
 
 def allreduce_rabenseifner(
@@ -169,7 +167,7 @@ def allreduce_rabenseifner(
     vec = np.asarray(vec)
     if comm.size == 1:
         return vec.copy()
-    base = comm.next_collective_tag()
+    base = COLLECTIVE_TAG
     comm.mark("dense_rabenseifner")
     combine = _combine(comm, op)
     newrank, pof2, rem, work = _fold_prelude(comm, vec.copy(), combine, base, "fold")

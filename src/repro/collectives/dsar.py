@@ -29,7 +29,7 @@ import numpy as np
 
 from ..config import INDEX_DTYPE
 from ..quant import QSGDQuantizer, QuantizedBlock
-from ..runtime.comm import Communicator
+from ..runtime.comm import COLLECTIVE_TAG, Communicator
 from ..streams import SparseStream, add_streams_, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
 from .allgather import allgather_blocks
@@ -45,7 +45,6 @@ def dsar_split_allgather(
     quantizer: QSGDQuantizer | None = None,
     op: ReduceOp = SUM,
     bounds: np.ndarray | None = None,
-    tag: int | None = None,
 ) -> SparseStream:
     """DSAR_Split_allgather, optionally with a quantized dense stage.
 
@@ -67,8 +66,6 @@ def dsar_split_allgather(
         which rank merges and densifies each coordinate, and therefore
         the float association — identical to a full-dimension run when
         the collective runs on a restriction of the dimension.
-    tag:
-        The tag block to run on instead of a fresh one (a plan's).
 
     Returns
     -------
@@ -97,7 +94,6 @@ def dsar_split_allgather(
             quantizer.dequantize(qblock, out=block)
             comm.compute(block.nbytes, "dequantize")
         return SparseStream(stream.dimension, dense=block, value_dtype=vdt, copy=False)
-    base = comm.next_collective_tag() if tag is None else tag
     if bounds is None:
         bounds = partition_bounds(stream.dimension, comm.size)
 
@@ -106,7 +102,7 @@ def dsar_split_allgather(
     lo, hi = int(bounds[comm.rank]), int(bounds[comm.rank + 1])
     block = np.full(hi - lo, op.neutral, dtype=vdt)
     acc = SparseStream(hi - lo, dense=block, value_dtype=vdt, copy=False)
-    for piece in split_exchange(comm, stream, bounds, base):
+    for piece in split_exchange(comm, stream, bounds, COLLECTIVE_TAG):
         local = SparseStream(
             hi - lo, indices=piece.indices - INDEX_DTYPE.type(lo), values=piece.values,
             value_dtype=vdt, copy=False,
@@ -118,11 +114,11 @@ def dsar_split_allgather(
     comm.mark("allgather")
     dense = np.empty(stream.dimension, dtype=vdt)
     if quantizer is None:
-        np.concatenate(allgather_blocks(comm, block, base + 1), out=dense)
+        np.concatenate(allgather_blocks(comm, block, COLLECTIVE_TAG + 1), out=dense)
     else:
         qblock = quantizer.quantize(block)
         comm.compute(block.nbytes, "quantize")
-        qblocks: list[QuantizedBlock] = allgather_blocks(comm, qblock, base + 1)
+        qblocks: list[QuantizedBlock] = allgather_blocks(comm, qblock, COLLECTIVE_TAG + 1)
         for owner, qb in enumerate(qblocks):
             quantizer.dequantize(qb, out=dense[int(bounds[owner]): int(bounds[owner + 1])])
         comm.compute(dense.nbytes, "dequantize")

@@ -55,7 +55,7 @@ import numpy as np
 
 from ..config import INDEX_DTYPE
 from ..quant import QSGDQuantizer
-from ..runtime.comm import CompletedHandle, Communicator
+from ..runtime.comm import COLLECTIVE_TAG, CompletedHandle, Communicator
 from ..runtime.nonblocking import i_collective
 from ..runtime.topology import Topology, check_topology_size, normalize_topology
 from ..streams import SparseStream, add_streams_, reduction_work_bytes
@@ -67,30 +67,26 @@ from .sparse import _ensure_sparse, slice_stream, ssar_recursive_double
 __all__ = ["ssar_hierarchical", "dsar_hierarchical", "tree_reduce", "Hierarchy", "build_hierarchy"]
 
 
-def tree_reduce(
-    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM, tag: int | None = None
-) -> SparseStream:
+def tree_reduce(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> SparseStream:
     """Binomial-tree sparse reduce onto rank 0 of ``comm``.
 
     Rank 0 returns the merged union of every rank's stream; other ranks
     return their partial accumulator (callers broadcast the real result
     back). The merge order matches recursive doubling's association on
     power-of-two worlds, which is what makes the hierarchical composition
-    bit-compatible with ``ssar_rec_dbl`` on aligned topologies. ``tag``
-    is the tag to run on instead of a fresh block's.
+    bit-compatible with ``ssar_rec_dbl`` on aligned topologies.
     """
     acc = stream.copy()
     if comm.size == 1:
         return acc
-    base = comm.next_collective_tag() if tag is None else tag
     mask = 1
     while mask < comm.size:
         if comm.rank & mask:
-            comm.send(acc, comm.rank - mask, base)
+            comm.send(acc, comm.rank - mask, COLLECTIVE_TAG)
             break
         src = comm.rank + mask
         if src < comm.size:
-            incoming = comm.recv(src, base)
+            incoming = comm.recv(src, COLLECTIVE_TAG)
             comm.compute(reduction_work_bytes(acc, incoming), "reduce")
             # the received stream is ours alone (freshly decoded / copied
             # on send), so the reduction may adopt its arrays outright
@@ -100,37 +96,40 @@ def tree_reduce(
 
 
 class Hierarchy(NamedTuple):
-    """What a hierarchical schedule runs on besides the stream, kept by a
-    persistent plan across its runs (:func:`build_hierarchy`)."""
+    """What a hierarchical schedule runs on besides the stream, built once
+    per communicator and dimension (:func:`build_hierarchy`)."""
 
     #: this rank's host group, and the host leaders (``None`` off a leader)
     local: Communicator
     leaders: "Communicator | None"
     #: the leaders' partition of the full dimension (``dsar_hier``'s owners)
     leader_bounds: np.ndarray
-    #: the tags of the intra-host reduce and broadcast, and of the leader stage
-    tags: tuple
 
 
 def build_hierarchy(comm: Communicator, dimension: int, topology=None) -> Hierarchy:
-    """The two subgroups of ``comm`` a hierarchical schedule runs on, a tag
-    block on each and the leader partition of ``dimension``.
+    """The two subgroups of ``comm`` a hierarchical schedule runs on and the
+    leader partition of ``dimension``, built at the first call for this
+    ``dimension`` and ``topology`` and returned by every later one.
 
     The rank -> host map is ``topology`` (validated against ``comm.size``
     with the launcher-uniform error), else ``comm.topology``, else a flat
-    world. Takes two slots of ``comm``'s child counter on every rank: host
-    groups are pairwise disjoint, so they share the first. A plan builds
-    this once for all its runs; a direct call of a schedule, per call.
+    world. Building takes two slots of ``comm``'s child counter on every
+    rank (host groups are pairwise disjoint, so they share the first); the
+    cache is keyed by values every rank passes alike, so every rank builds
+    at the same call, the way :func:`~repro.collectives.api.cached_plan`
+    makes plans.
     """
-    topo = normalize_topology(topology, comm.size)
-    if topo is None:
-        topo = comm.topology if comm.topology is not None else Topology.flat(comm.size)
-    check_topology_size(topo, comm.size)
-    local = comm.subgroup(topo.group_of(comm.rank))
-    leaders = comm.subgroup(topo.leaders)
-    leader_tag = leaders and leaders.next_collective_tag()
-    tags = (local.next_collective_tag(), local.next_collective_tag(), leader_tag)
-    return Hierarchy(local, leaders, partition_bounds(dimension, len(topo.leaders)), tags)
+    hierarchies = comm._hierarchies = comm._hierarchies or {}
+    key = (dimension, topology)
+    if key not in hierarchies:
+        topo = normalize_topology(topology, comm.size)
+        if topo is None:
+            topo = comm.topology if comm.topology is not None else Topology.flat(comm.size)
+        check_topology_size(topo, comm.size)
+        local = comm.subgroup(topo.group_of(comm.rank))
+        leaders = comm.subgroup(topo.leaders)
+        hierarchies[key] = Hierarchy(local, leaders, partition_bounds(dimension, len(topo.leaders)))
+    return hierarchies[key]
 
 
 def _check_chunks(chunks: int) -> int:
@@ -230,8 +229,8 @@ def _hierarchical(
 
     With ``chunks == 1`` there is nothing to overlap, so the pipeline
     degenerates in place to reduce → leaders → broadcast on the calling
-    thread: the leader stage runs inline (no launch, no context of its
-    own), the stream is not rebased and the single part is the result.
+    thread: the leader stage runs inline, on the leaders' own context, the
+    stream is not rebased and the single part is the result.
 
     ``leader_stage(leader_comm, chunk_acc, lo, hi)`` is the per-chunk
     inter-node kernel; ``leader_runs_alone`` says whether it also runs in
@@ -239,7 +238,7 @@ def _hierarchical(
     has nothing to do).
     """
     comm.mark(mark)
-    local, leader_comm, _, (reduce_tag, bcast_tag, _) = hierarchy
+    local, leader_comm, _ = hierarchy
     launch = leader_comm is not None and (leader_comm.size > 1 or leader_runs_alone)
 
     bounds = partition_bounds(stream.dimension, chunks)
@@ -251,7 +250,7 @@ def _hierarchical(
         acc = handles[k].wait()
         if local.size > 1:
             comm.mark("hier_bcast")
-            acc = local.bcast(acc, root=0, tag=bcast_tag)
+            acc = local.bcast(acc, root=0)
         parts[k] = acc
 
     for k in range(chunks):
@@ -259,7 +258,7 @@ def _hierarchical(
         # merge this host's streams onto its leader (fast tier only)
         comm.mark("hier_local_reduce")
         piece = stream if chunks == 1 else _rebase_chunk(stream, lo, hi)
-        acc = tree_reduce(local, piece, op, reduce_tag)
+        acc = tree_reduce(local, piece, op)
         handle = CompletedHandle(acc)
         if launch:
             # only the per-host merged unions cross the slow tier
@@ -283,7 +282,6 @@ def ssar_hierarchical(
     op: ReduceOp = SUM,
     topology: "Topology | str | int | None" = None,
     chunks: int = 1,
-    hierarchy: Hierarchy | None = None,
 ) -> SparseStream:
     """SSAR_Hierarchical: intra-node reduce, leader allreduce, broadcast.
 
@@ -308,10 +306,6 @@ def ssar_hierarchical(
         **bit-identical** to ``chunks=1`` on every backend: chunking only
         restricts each stage to a coordinate range, it never changes
         which rank combines a coordinate or in what order.
-    hierarchy:
-        The subgroups and tags to run on (:func:`build_hierarchy`), which
-        a persistent plan keeps across its runs; built per call (from
-        ``topology``) when omitted.
 
     The per-host leaders run recursive doubling among themselves:
     latency-optimal for the (small) leader world, and what keeps the
@@ -321,10 +315,10 @@ def ssar_hierarchical(
     chunks = _check_chunks(chunks)
     if comm.size == 1:
         return stream.copy()
-    hierarchy = hierarchy or build_hierarchy(comm, stream.dimension, topology)
+    hierarchy = build_hierarchy(comm, stream.dimension, topology)
 
     def leader_stage(leader_comm, chunk_acc, lo, hi):
-        return ssar_recursive_double(leader_comm, chunk_acc, op, tag=hierarchy.tags[2])
+        return ssar_recursive_double(leader_comm, chunk_acc, op)
 
     return _hierarchical(
         comm, stream, op, hierarchy, chunks, leader_stage,
@@ -339,7 +333,6 @@ def dsar_hierarchical(
     op: ReduceOp = SUM,
     topology: "Topology | str | int | None" = None,
     chunks: int = 1,
-    hierarchy: Hierarchy | None = None,
 ) -> SparseStream:
     """DSAR_Hierarchical: the dense-stage hierarchy for dynamic instances.
 
@@ -362,8 +355,8 @@ def dsar_hierarchical(
     partition bounds) and by which rank's quantizer touched each entry.
 
     Parameters mirror :func:`dsar_split_allgather` plus ``topology``
-    (defaults to ``comm.topology``, falling back to a flat world),
-    ``hierarchy`` (as in :func:`ssar_hierarchical`) and ``chunks`` (the
+    (defaults to ``comm.topology``, falling back to a flat world) and
+    ``chunks`` (the
     pipelined schedule of :func:`ssar_hierarchical`; the leaders receive the full-dimension partition bounds clipped to each
     chunk, see :func:`_clip_bounds`). With the default ``quantizer=None``
     the chunked result is bit-identical to the unchunked one on every
@@ -378,12 +371,12 @@ def dsar_hierarchical(
         # the flat kernel's single-rank path already densifies and
         # quantizes the one partition exactly once
         return dsar_split_allgather(comm, stream, quantizer=quantizer, op=op)
-    hierarchy = hierarchy or build_hierarchy(comm, stream.dimension, topology)
+    hierarchy = build_hierarchy(comm, stream.dimension, topology)
 
     def leader_stage(leader_comm, chunk_acc, lo, hi):
         return dsar_split_allgather(
             leader_comm, chunk_acc, quantizer=quantizer, op=op,
-            bounds=_clip_bounds(hierarchy.leader_bounds, lo, hi), tag=hierarchy.tags[2],
+            bounds=_clip_bounds(hierarchy.leader_bounds, lo, hi),
         )
 
     return _hierarchical(

@@ -40,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from ..config import INDEX_DTYPE
-from ..runtime.comm import Communicator
+from ..runtime.comm import COLLECTIVE_TAG, Communicator
 from ..streams import SparseStream, add_streams_, concat_disjoint, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
 from ..streams.summation import merge_sparse_pairs
@@ -98,21 +98,16 @@ def _ensure_sparse(stream: SparseStream) -> SparseStream:
     return stream
 
 
-def ssar_recursive_double(
-    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM, tag: int | None = None
-) -> SparseStream:
+def ssar_recursive_double(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> SparseStream:
     """SSAR_Recursive_double: pairwise exchange + sparse merge, log2(P) rounds.
 
     Works for any P via the fold-in/fold-out relaxation of App. A. The
     result (identical on every rank) may come back dense if fill-in crossed
-    ``delta`` — the stream header records which. ``tag`` is the tag block
-    to run on instead of a fresh one (a plan's, reused by every run; the
-    same in every schedule).
+    ``delta`` — the stream header records which.
     """
     stream = _ensure_sparse(stream)
     if comm.size == 1:
         return stream.copy()
-    base = comm.next_collective_tag() if tag is None else tag
     comm.mark("ssar_rec_dbl")
 
     def combine(acc: SparseStream, incoming: SparseStream, label: str) -> SparseStream:
@@ -121,7 +116,7 @@ def ssar_recursive_double(
         # send), so the reduction may adopt its arrays outright
         return add_streams_(acc, incoming, op, own_other=True)
 
-    return recursive_doubling(comm, stream.copy(), combine, base, base + 63, "reduce")
+    return recursive_doubling(comm, stream.copy(), combine, COLLECTIVE_TAG, COLLECTIVE_TAG + 63, "reduce")
 
 
 def split_exchange(
@@ -177,12 +172,7 @@ def split_phase(
     )
 
 
-def ssar_split_allgather(
-    comm: Communicator,
-    stream: SparseStream,
-    op: ReduceOp = SUM,
-    tag: int | None = None,
-) -> SparseStream:
+def ssar_split_allgather(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> SparseStream:
     """SSAR_Split_allgather: split phase + sparse allgather (§5.3.2).
 
     Latency ``L2(P) = (P-1) alpha + log2(P) alpha``; bandwidth between
@@ -191,20 +181,17 @@ def ssar_split_allgather(
     stream = _ensure_sparse(stream)
     if comm.size == 1:
         return stream.copy()
-    base = comm.next_collective_tag() if tag is None else tag
     bounds = partition_bounds(stream.dimension, comm.size)
-    reduced = split_phase(comm, stream, bounds, base, op)
+    reduced = split_phase(comm, stream, bounds, COLLECTIVE_TAG, op)
     comm.mark("allgather")
-    pieces = allgather_blocks(comm, reduced, base + 1)
+    pieces = allgather_blocks(comm, reduced, COLLECTIVE_TAG + 1)
     comm.compute(
         sum(p.nnz for p in pieces) * (4 + stream.value_dtype.itemsize), "concat"
     )
     return concat_disjoint(pieces, stream.dimension)
 
 
-def ssar_ring(
-    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM, tag: int | None = None
-) -> SparseStream:
+def ssar_ring(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> SparseStream:
     """Sparse ring allreduce: ring reduce-scatter + ring allgather on slices.
 
     The "sparse counterpart" of the ring-based dense allreduce compared in
@@ -215,7 +202,6 @@ def ssar_ring(
     P = comm.size
     if P == 1:
         return stream.copy()
-    base = comm.next_collective_tag() if tag is None else tag
     comm.mark("ssar_ring")
     bounds = partition_bounds(stream.dimension, P)
     slices = [slice_stream(stream, int(bounds[i]), int(bounds[i + 1])) for i in range(P)]
@@ -232,6 +218,6 @@ def ssar_ring(
             value_dtype=stream.value_dtype, copy=False,
         )
 
-    slices = ring(comm, slices, merge, base)
+    slices = ring(comm, slices, merge, COLLECTIVE_TAG)
     comm.compute(sum(s.nnz for s in slices) * (4 + stream.value_dtype.itemsize), "concat")
     return concat_disjoint(slices, stream.dimension)

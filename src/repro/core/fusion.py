@@ -15,8 +15,8 @@ the backward pass).
 :class:`GradientFuser` computes the bucket layout once from the model's
 tensor sizes and then slices/reduces flat gradient vectors. Each bucket
 runs through the communicator's persistent plan for its shape
-(:func:`~repro.collectives.api.cached_plan`), so a fused step resolves,
-takes tags and builds subgroups only when a plan is first made (or, for
+(:func:`~repro.collectives.api.cached_plan`), so a fused step resolves
+and binds only when a plan is first made (or, for
 ``"auto"`` knobs, when a bucket's agreed nnz drifts: each bucket's plan
 re-decides from its own), and the async mode queues every bucket on the
 communicator's one long-lived progress thread instead of starting a
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..collectives.api import agreement_tag, cached_plan
+from ..collectives.api import cached_plan
 from ..costmodel.adaptive import Agreed, consistent_mean
 from ..quant import QSGDQuantizer
 from ..runtime.comm import Communicator, Handle
@@ -194,7 +194,7 @@ class GradientFuser:
         TopK selection runs first, so error-feedback state mutates in
         program order. Then *one* agreement round settles everything the
         call's ``"auto"`` knobs need — every bucket's selected nnz rides
-        the same vector, on the communicator's agreement tags — and each
+        the same vector — and each
         bucket's cached plan
         (:func:`~repro.collectives.api.cached_plan`) resolves from its
         pre-agreed estimate without messages of its own, re-pricing only
@@ -212,7 +212,7 @@ class GradientFuser:
         agreed: "list[Agreed | None]" = [None] * len(selected)
         if "auto" in (algorithm, chunks):
             nnz = [float(s.nnz) for s in selected]
-            agreed = [Agreed(m) for m in consistent_mean(comm, nnz, agreement_tag(comm))]
+            agreed = [Agreed(m) for m in consistent_mean(comm, nnz)]
         return [
             (bucket, cached_plan(comm, sent, algorithm, chunks=chunks), sent, estimate)
             for bucket, sent, estimate in zip(self.buckets, selected, agreed)

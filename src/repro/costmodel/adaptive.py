@@ -46,7 +46,7 @@ def drifted(anchor: float, estimate: float) -> bool:
     return abs(estimate - anchor) > DRIFT_THRESHOLD * max(anchor, 1.0)
 
 
-def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]", tag: int | None = None):
+def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]"):
     """One collectively-agreed mean of every rank's ``value``.
 
     ``value`` is a scalar or a list/tuple of scalars (all ranks pass the
@@ -54,22 +54,19 @@ def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]", tag:
     Root gathers (rank order is deterministic), reduces with ``fsum``
     (one fixed summation order), and broadcasts — so every rank receives
     the *same floats*, bit for bit, regardless of backend or scheduling.
-    One round whatever the length; at world size 1 it is free. ``tag``
-    is a tag block to run the round on (the gather on ``tag``, the
-    broadcast on ``tag + 1``) instead of two fresh ones — a plan's, reused
-    by every round.
+    One round whatever the length; at world size 1 it is free.
     """
     vector = isinstance(value, (list, tuple))
     local = [float(v) for v in value] if vector else float(value)
     if comm.size == 1:
         return local
-    votes = comm.gather_to_root(local, root=0, tag=tag)
+    votes = comm.gather_to_root(local, root=0)
     mean = None
     if votes is not None:
         columns = zip(*votes) if vector else [votes]
         means = [math.fsum(column) / len(votes) for column in columns]
         mean = means if vector else means[0]
-    return comm.bcast(mean, root=0, tag=None if tag is None else tag + 1)
+    return comm.bcast(mean, root=0)
 
 
 @dataclass(frozen=True)

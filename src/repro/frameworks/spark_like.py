@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.comm import Communicator
+from ..runtime.comm import COLLECTIVE_TAG, Communicator
 
 __all__ = ["coordinator_allreduce", "tree_aggregate"]
 
@@ -32,7 +32,6 @@ def tree_aggregate(
     """
     if branching < 2:
         raise ValueError(f"branching factor must be >= 2, got {branching}")
-    base = comm.next_collective_tag()
     comm.mark("tree_aggregate")
     rel = (comm.rank - root) % comm.size
     acc = np.array(vec, copy=True)
@@ -41,13 +40,13 @@ def tree_aggregate(
         child_rel = branching * rel + child_slot
         if child_rel < comm.size:
             child = (child_rel + root) % comm.size
-            incoming = comm.recv(child, base)
+            incoming = comm.recv(child, COLLECTIVE_TAG)
             comm.compute(acc.nbytes * 2, "reduce")
             acc += incoming
     if rel != 0:
         parent_rel = (rel - 1) // branching
         parent = (parent_rel + root) % comm.size
-        comm.send(acc, parent, base)
+        comm.send(acc, parent, COLLECTIVE_TAG)
         return None
     return acc
 

@@ -125,12 +125,16 @@ __all__ = [
     "TAG_USER_LIMIT",
 ]
 
-#: user code may use tags in [0, TAG_USER_LIMIT); collectives allocate blocks
-#: above it so that user traffic never collides with internal traffic.
+#: user code may use tags in [0, TAG_USER_LIMIT); collectives run on the
+#: block above it so that user traffic never collides with internal traffic.
 TAG_USER_LIMIT = 1 << 16
 
-#: number of distinct tags reserved for a single collective invocation.
-COLLECTIVE_TAG_BLOCK = 64
+#: the first tag of the one 64-tag block every collective of every
+#: communicator runs on. Ranks call a communicator's collectives in the same
+#: order, receives name their source and each channel is FIFO, so
+#: successive collectives on the same keys never take each other's frames
+#: (MPI runs a communicator's collectives in one context the same way).
+COLLECTIVE_TAG = TAG_USER_LIMIT
 
 
 class WorldAbortedError(RuntimeError):
@@ -389,7 +393,6 @@ class Communicator(abc.ABC):
     #: transport operations (sends + receives) counted under the plan.
     _fault_ops: int = 0
 
-    _collective_counter: int = 0
     #: slots handed out so far by :meth:`_next_slot`.
     _children: int = 0
     #: this communicator's context (see :attr:`context`) and the same path
@@ -397,16 +400,18 @@ class Communicator(abc.ABC):
     #: its messages are framed and queued under.
     _context: tuple = ()
     _context_key: bytes = b""
-    #: the job queue of this communicator's progress thread, started at
-    #: its first launch (:mod:`~repro.runtime.nonblocking`)
-    _launches: Any = None
+    #: the context every launch on this communicator runs in, made at its
+    #: first launch together with its progress thread
+    #: (:mod:`~repro.runtime.nonblocking`)
+    _launched: Any = None
     #: (backend communicators) every progress thread of the rank, as
     #: ``(jobs, thread)``, for the rank epilogue to join
     _launch_threads: "list | None" = None
-    #: this communicator's persistent collectives by key, and the tag block
-    #: their agreement rounds share (:mod:`repro.collectives.api`)
+    #: this communicator's persistent collectives by key
+    #: (:mod:`repro.collectives.api`) and its hierarchies by dimension and
+    #: topology (:func:`repro.collectives.hier.build_hierarchy`)
     _plans: "dict | None" = None
-    _agreement_tag: "int | None" = None
+    _hierarchies: "dict | None" = None
     #: inbound messages of a backend that queues them:
     #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``;
     #: a queue exists only while it holds a message (see :meth:`_take`).
@@ -556,7 +561,15 @@ class Communicator(abc.ABC):
         return CompletedHandle()
 
     def irecv(self, source: int, tag: int = 0) -> "Handle":
-        """Non-blocking receive; ``wait()`` yields the payload."""
+        """Non-blocking receive; ``wait()`` yields the payload.
+
+        The handle takes the next frame of its channel when it is waited,
+        not when it is made. Every collective of a communicator runs on the
+        same keys (:data:`COLLECTIVE_TAG`), so a handle waited after a later
+        collective on its channel would take that collective's frame: the
+        library itself calls this nowhere (a tier-1 test keeps it so), and
+        user code waits its handles in program order or on a user tag.
+        """
         return DeferredRecvHandle(self, source, tag)
 
     # ------------------------------------------------------------------
@@ -573,16 +586,6 @@ class Communicator(abc.ABC):
         """Insert a phase marker into the trace (zero cost)."""
         self.trace.record_mark(self.world_rank, label)
 
-    def next_collective_tag(self) -> int:
-        """Allocate a tag block for one collective invocation.
-
-        All ranks call collectives in the same order (the MPI contract), so
-        per-communicator counters stay in sync without communication.
-        """
-        tag = TAG_USER_LIMIT + self._collective_counter * COLLECTIVE_TAG_BLOCK
-        self._collective_counter += 1
-        return tag
-
     # ------------------------------------------------------------------
     # composite operations
     # ------------------------------------------------------------------
@@ -592,53 +595,51 @@ class Communicator(abc.ABC):
         self.send(obj, peer, tag)
         return self.recv(peer, tag)
 
-    def barrier(self, tag: int | None = None) -> None:
+    def barrier(self, tag: int = COLLECTIVE_TAG) -> None:
         """Dissemination barrier built from point-to-point messages."""
         if self.size == 1:
             return
-        base = self.next_collective_tag() if tag is None else tag
         for round_no in range((self.size - 1).bit_length()):  # distances 1, 2, 4, ... < size
             distance = 1 << round_no
-            self.send(0, (self.rank + distance) % self.size, base + round_no)  # buffered: see isend
-            self.recv((self.rank - distance) % self.size, base + round_no)
+            self.send(0, (self.rank + distance) % self.size, tag + round_no)  # buffered: see isend
+            self.recv((self.rank - distance) % self.size, tag + round_no)
 
-    def bcast(self, obj: Any, root: int = 0, tag: int | None = None) -> Any:
+    def bcast(self, obj: Any, root: int = 0, tag: int = COLLECTIVE_TAG) -> Any:
         """Binomial-tree broadcast from ``root`` (MPICH-style MST bcast)."""
-        base = self.next_collective_tag() if tag is None else tag
         rel = (self.rank - root) % self.size
         mask = 1
         while mask < self.size:
             if rel & mask:
                 src = (self.rank - mask) % self.size
-                obj = self.recv(src, base)
+                obj = self.recv(src, tag)
                 break
             mask <<= 1
         mask >>= 1
         while mask > 0:
             if rel + mask < self.size:
                 dest = (self.rank + mask) % self.size
-                self.send(obj, dest, base)
+                self.send(obj, dest, tag)
             mask >>= 1
         return obj
 
-    def gather_to_root(self, obj: Any, root: int = 0, tag: int | None = None) -> list[Any] | None:
+    def gather_to_root(self, obj: Any, root: int = 0, tag: int = COLLECTIVE_TAG) -> list[Any] | None:
         """Flat gather: every rank sends to ``root``; root returns the list."""
-        base = self.next_collective_tag() if tag is None else tag
         if self.rank == root:
             out: list[Any] = [None] * self.size
             out[root] = obj
             for src in range(self.size):
                 if src != root:
-                    out[src] = self.recv(src, base)
+                    out[src] = self.recv(src, tag)
             return out
-        self.send(obj, root, base)
+        self.send(obj, root, tag)
         return None
 
     # ------------------------------------------------------------------
     # sub-communicators
     # ------------------------------------------------------------------
     def _next_slot(self) -> int:
-        """Allocate the child slot of one split, subgroup or launch.
+        """Allocate the child slot of one split or subgroup, or of the
+        context every launch on this communicator shares (taken at its first).
 
         Every rank creates children in the same program order (the
         collective contract), so the counter agrees on every member
@@ -686,10 +687,10 @@ class Communicator(abc.ABC):
         """
         if not isinstance(key, int):
             raise TypeError(f"split key must be an int, got {type(key).__name__}")
-        # validate the color *before* any counter bump or communication: an
-        # invalid color (e.g. a numpy array, whose == breaks the membership
-        # comparison) must not desynchronize the collective and child
-        # counters of the surviving ranks
+        # validate the color *before* any communication or slot: an invalid
+        # color (e.g. a numpy array, whose == breaks the membership
+        # comparison) must not desynchronize the child counters of the
+        # surviving ranks
         if color is not None:
             try:
                 hash(color)
@@ -698,9 +699,7 @@ class Communicator(abc.ABC):
                     "split color must be hashable (colors must compare "
                     f"atomically across ranks), got {type(color).__name__}"
                 ) from None
-        base = self.next_collective_tag()
-        everyone = self.gather_to_root((color, key), root=0, tag=base)
-        everyone = self.bcast(everyone, root=0, tag=base + 1)
+        everyone = self.bcast(self.gather_to_root((color, key), root=0), root=0)
         if color is None:
             self._next_slot()  # keep child counters aligned world-wide
             return None

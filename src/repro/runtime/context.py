@@ -4,10 +4,11 @@ MPI matches a message on its communicator's *context id* plus a tag; so
 does this runtime. A communicator's context is the path of creation slots
 that leads to it from the backend communicator, whose context is ``()``:
 
-* ``split``, ``subgroup`` and ``i_collective`` take the next slot of one
-  per-communicator child counter (``0, 1, 2, ...``) and append it to the
-  parent's path — ``(3,)`` is the fourth child of the backend
-  communicator, ``(3, 0)`` the first child of that one;
+* ``split``, ``subgroup`` and a communicator's first ``i_collective``
+  take the next slot of one per-communicator child counter (``0, 1, 2,
+  ...``) and append it to the parent's path — ``(3,)`` is the fourth
+  child of the backend communicator, ``(3, 0)`` the first child of that
+  one; every later launch reuses the first one's context;
 * the working world of elastic epoch ``e`` is ``(e<e>,)`` and its
   membership barrier ``(e<e>, barrier)``. Those slots are negative and no
   counter produces one, so epoch contexts never depend on the per-rank

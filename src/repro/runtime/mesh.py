@@ -152,7 +152,6 @@ class StreamComm(Communicator):
         self.size = size
         self.trace = trace
         self.op_timeout = op_timeout
-        self._collective_counter = 0
         self.aborted = AbortState()
         #: elastic world version stamped on every outgoing frame; bumped by
         #: :func:`~repro.runtime.elastic.shrink` via :meth:`_elastic_reset`.
@@ -173,7 +172,7 @@ class StreamComm(Communicator):
         self._want = self._kept = None
         #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``,
         #: under the engine lock; the pop that empties a queue deletes it, so
-        #: a drained channel (every collective takes a fresh tag) keeps nothing.
+        #: a drained channel keeps nothing.
         self._queues: dict[tuple[int, bytes, int], deque] = {}
         #: threads waiting in :meth:`_holding_engine`; receivers stand back.
         self._engine_claims = 0

@@ -8,29 +8,32 @@ We reproduce exactly that: :func:`i_collective` launches the rank's part of
 a collective and hands back a handle. The caller keeps computing and calls
 ``wait()`` when it needs the result.
 
-**One progress thread per launching communicator.** A communicator's
-launches run on one long-lived thread, started at its first launch, one
-after another in launch order — the order the MPI contract already fixes
-on every rank, so the launches of all ranks line up without a handshake.
-A launch made *inside* a launch is a launch on another communicator (the
-launch's own, or a split of it), so it runs on another thread and nesting
-cannot deadlock. Every backend's rank epilogue joins the rank's progress
-threads once their queued launches ran (:func:`join_progress`), and a
-communicator that is dropped stops its thread, so no thread outlives its
-world and none is started per launch.
+**One launch context and one progress thread per launching
+communicator.** A communicator's first launch takes a child slot of the
+counter ``split`` and ``subgroup`` draw from
+(:mod:`~repro.runtime.context`) and starts one long-lived thread; every
+later launch, callable form and started plan run alike, runs in that one
+context on that one thread, one after another in launch order — the
+order the MPI contract already fixes on every rank, so the launches of
+all ranks line up without a handshake, and per-channel FIFO keeps
+successive launches apart as it keeps successive blocking collectives
+apart. A launch made *inside* a launch is a launch on another
+communicator (the launch context itself, or a split of it), so it runs
+on another thread and nesting cannot deadlock. Every backend's rank
+epilogue joins the rank's progress threads once their queued launches
+ran (:func:`join_progress`), and a communicator that is collected stops
+its thread, so no thread outlives its world and none is started per
+launch.
 
-**Two forms.** The callable form runs the collective on a
-:class:`_BufferedComm`: a :class:`~repro.runtime.comm.ProxyComm` whose
-context is a new child of the launching communicator's (the launch takes
-a slot of the same counter ``split`` and ``subgroup`` draw from,
-:mod:`~repro.runtime.context`) and which buffers the collective's trace
+**Two forms.** The callable form runs the collective on the launch
+context, a :class:`_BufferedComm`: a
+:class:`~repro.runtime.comm.ProxyComm` that buffers each launch's trace
 events, while the payloads themselves flow through the wrapped
 communicator's transport hooks — thread queues or process pipes alike. A
-launch is a communicator like any other, so launches nest to any depth
-and run any number of collectives. The stream form is a started run of
-the communicator's persistent plan for its knobs
-(:func:`~repro.collectives.api.cached_plan`), which keeps one such child,
-its tags and its subgroups for every run.
+launch context is a communicator like any other, so launches nest to any
+depth and run any number of collectives. The stream form is a started
+run of the communicator's persistent plan for its knobs
+(:func:`~repro.collectives.api.cached_plan`), in the same context.
 
 Trace semantics: a launch's events are buffered and appended to the
 rank's trace at ``wait()`` time, i.e. replay times the collective as if it
@@ -53,7 +56,9 @@ __all__ = ["NonBlockingHandle", "i_collective", "join_progress"]
 
 
 class _BufferedComm(ProxyComm):
-    """Proxy communicator that buffers trace events until joined.
+    """A communicator's launch context: buffers each launch's trace events
+    until it is joined, and holds the job queue of the progress thread
+    that runs the launches.
 
     Point-to-point traffic flows through the real backend immediately (the
     collective makes real progress in the background); only the *trace*
@@ -66,6 +71,7 @@ class _BufferedComm(ProxyComm):
         # attributed to world ranks) index correctly even when the wrapped
         # communicator is a sub-communicator of a bigger world
         self.trace = Trace(inner.trace.nranks)
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
 
 
 class NonBlockingHandle(Handle):
@@ -119,20 +125,20 @@ def _serve(jobs: queue.SimpleQueue) -> None:
 _THREADS = threading.Lock()
 
 
-def _progress(comm: Communicator) -> queue.SimpleQueue:
-    """The job queue of ``comm``'s progress thread, started at its first launch."""
-    if comm._launches is None:
-        jobs: queue.SimpleQueue = queue.SimpleQueue()
+def _launch_context(comm: Communicator) -> _BufferedComm:
+    """``comm``'s launch context, made with its progress thread at the first launch."""
+    if comm._launched is None:
+        launched = _BufferedComm(comm, comm._next_slot())
         name = f"icoll-rank{comm.world_rank}-depth{len(comm.context)}"
-        thread = threading.Thread(target=_serve, args=(jobs,), name=name, daemon=True)
+        thread = threading.Thread(target=_serve, args=(launched.jobs,), name=name, daemon=True)
         thread.start()
-        comm._launches = jobs
-        weakref.finalize(comm, jobs.put, None)  # a dropped communicator stops its thread
+        comm._launched = launched
+        weakref.finalize(comm, launched.jobs.put, None)  # a collected communicator stops its thread
         backend = comm.backend
         with _THREADS:  # listed on the backend communicator, for the rank epilogue
             live = [pair for pair in backend._launch_threads or () if pair[1].is_alive()]
-            backend._launch_threads = [*live, (jobs, thread)]
-    return comm._launches
+            backend._launch_threads = [*live, (launched.jobs, thread)]
+    return comm._launched
 
 
 def join_progress(comm: Communicator) -> None:
@@ -154,11 +160,13 @@ def join_progress(comm: Communicator) -> None:
         thread.join()
 
 
-def launch(comm: Communicator, proxy: _BufferedComm, target, /, *args, **kwargs) -> NonBlockingHandle:
-    """Queue ``target(proxy, *args, **kwargs)`` on ``comm``'s progress
-    thread, behind ``comm``'s earlier launches."""
-    handle = NonBlockingHandle(proxy, (target, args, kwargs))
-    _progress(comm).put(handle)
+def launch(comm: Communicator, target, /, *args, **kwargs) -> NonBlockingHandle:
+    """Queue ``target(launched, *args, **kwargs)`` on ``comm``'s progress
+    thread, behind ``comm``'s earlier launches (``launched`` is ``comm``'s
+    launch context)."""
+    launched = _launch_context(comm)
+    handle = NonBlockingHandle(launched, (target, args, kwargs))
+    launched.jobs.put(handle)
     return handle
 
 
@@ -181,16 +189,18 @@ def i_collective(comm: Communicator, collective: Any, *args: Any, **kwargs: Any)
       behave identically to the blocking call (and bad knobs raise at
       launch, not at ``wait()``).
     * **Callable form** — ``collective`` is a callable: it runs as
-      ``collective(buffered_comm, *args, **kwargs)``, knobs included.
+      ``collective(launched, *args, **kwargs)``, knobs included, where
+      ``launched`` is ``comm``'s launch context (the same for every launch).
 
     All ranks must call this in the same program order (the usual MPI
-    non-blocking-collective contract) so the launches' contexts line up.
+    non-blocking-collective contract): the launches then run in the same
+    order on every rank, and their frames meet on the same keys.
     Works on any backend: the progress thread lives inside the rank (the
     rank's thread on the thread backend, the rank's process on the process
     backend).
     """
     if callable(collective):
-        return launch(comm, _BufferedComm(comm, comm._next_slot()), collective, *args, **kwargs)
+        return launch(comm, collective, *args, **kwargs)
     # stream form: a started run of the plan sparse_allreduce would run
     if len(args) > 1 or (args and "algorithm" in kwargs):
         raise TypeError(

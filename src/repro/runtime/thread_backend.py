@@ -106,7 +106,6 @@ class ThreadComm(Communicator):
         self.trace = world.trace
         self.topology = world.topology
         self.op_timeout = world.op_timeout
-        self._collective_counter = 0
         self._queues = world._queues[rank]
         self._ready = world._ready[rank]
         #: this rank's elastic epoch — per-communicator, not shared, so

@@ -79,18 +79,26 @@ class TestContextPaths:
         """A random tree of splits, subgroups and launches (nested, and
         under epoch worlds too) on a one-rank world: every context is the
         creation path a counter-per-communicator model predicts, no two
-        are equal, and none is an epoch or barrier context."""
+        are equal, and none is an epoch or barrier context. A
+        communicator's launches share one context, whose slot its first
+        launch takes."""
         backend = ThreadWorld(1).comm(0)
         comms = [backend] + [ElasticWorld(backend, [0], e) for e in sorted(epochs)]
         paths = [()] + [(epoch_slot(e),) for e in sorted(epochs)]
         children = [0] * len(comms)
+        launched: dict = {}  # parent index -> index of its launch context
         for pick, kind in creations:
             parent = pick % len(comms)
-            slot, children[parent] = children[parent], children[parent] + 1
             made = _create(comms[parent], kind)
+            if kind == "launch" and parent in launched:
+                assert made is comms[launched[parent]]
+                continue
+            slot, children[parent] = children[parent], children[parent] + 1
             if kind == "opt_out":
                 assert made is None
                 continue
+            if kind == "launch":
+                launched[parent] = len(comms)
             comms.append(made)
             paths.append((*paths[parent], slot))
             children.append(0)

@@ -202,7 +202,7 @@ class TestTieredReplay:
         """Equal tiers without uplink sharing reproduce the single-model
         replay bit for bit, whatever the topology says."""
         def prog(comm):
-            base = comm.next_collective_tag()
+            base = 100  # a user tag
             comm.sendrecv(np.arange(50, dtype=np.float32), comm.rank ^ 1, base)
             comm.compute(123, "work")
 
@@ -221,7 +221,7 @@ class TestTieredReplay:
         """With every rank on one host there is no inter traffic, so even
         the shared-uplink model cannot diverge from the plain replay."""
         def prog(comm):
-            base = comm.next_collective_tag()
+            base = 100  # a user tag
             comm.sendrecv(1.0, comm.rank ^ 1, base)
 
         out = run_ranks(prog, 2)
@@ -444,7 +444,7 @@ class TestReplayOnRealSchedules:
     def test_recursive_doubling_latency_is_log_p(self):
         """A zero-byte recursive-doubling exchange costs exactly log2(P) rounds."""
         def prog(comm):
-            base = comm.next_collective_tag()
+            base = 100  # a user tag
             distance, rnd = 1, 0
             while distance < comm.size:
                 partner = comm.rank ^ distance

@@ -1,12 +1,19 @@
-"""Persistent collectives: a collective planned once and run every step.
+"""Persistent collectives, and the fixed keys every collective runs on.
 
-:func:`~repro.collectives.api.allreduce_plan` resolves the knobs, takes
-its tags and builds its subgroups once; every run reuses them. Pinned
-here, on all four backends:
+:func:`~repro.collectives.api.allreduce_plan` resolves the knobs once;
+every run of it, and every collective that is not a plan, runs on the
+communicator's context and its one tag block, and a hierarchy's
+subgroups are built once per communicator and dimension. Pinned here, on
+all four backends:
 
 * after 1 000 blocking steps of three schedules and 200 fused async
   steps, every rank's channel count (the trace's ``(src, dst, context,
   tag)`` counters) and queue table are what they were after 10 steps;
+* so they are after 200 calls of each non-plan path: the dense
+  allreduces, a barrier / bcast / gather loop, direct schedule calls,
+  the callable ``i_collective`` and a chunked direct ``ssar_hier``;
+* per-channel FIFO alone keeps successive collectives and launches
+  apart: skewed by seeded delays, they give the undelayed bits;
 * every result is bit for bit what the unplanned calls returned before
   plans existed (the pinned digests were recorded on that code);
 * a rank killed mid-run still surfaces as ``RankFailedError`` at
@@ -14,19 +21,31 @@ here, on all four backends:
 
 and on the thread backend: a blocking run waits for an in-flight started
 run of its plan, worlds that launch leave no thread behind, and an
-``"auto"`` plan re-prices only when the agreed nnz drifts.
+``"auto"`` plan re-prices only when the agreed nnz drifts. No library
+module calls ``irecv``: a receive handle waited out of program order
+would take a later collective's frame.
 """
 
 import hashlib
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.collectives.api as api
-from repro.collectives import sparse_allreduce
+from repro.collectives import (
+    DENSE_ALGORITHMS,
+    dense_allreduce,
+    dsar_split_allgather,
+    sparse_allreduce,
+    ssar_hierarchical,
+    ssar_recursive_double,
+    ssar_ring,
+)
 from repro.collectives.api import allreduce_plan, cached_plan
 from repro.core import GradientFuser
 from repro.costmodel import CostModel
@@ -57,7 +76,7 @@ def _keys(comm):
     comm.barrier(tag=PROBE_TAG)
     backend = comm.backend
     channels = sum(1 for key in list(backend.trace._seq) if key[0] == backend.rank)
-    queued = sum(1 for key in list(backend._queues) if key[2] < PROBE_TAG + 8)
+    queued = sum(1 for key in list(backend._queues) if not PROBE_TAG + 8 <= key[2] < PROBE_TAG + 16)
     comm.barrier(tag=PROBE_TAG + 8)
     return channels, queued
 
@@ -101,6 +120,90 @@ def test_channels_and_queues_are_fixed_by_plans(backend):
         for name, steps in (*((a, STEPS) for a in PINNED if a != "fused"), ("fused", FUSED_STEPS)):
             assert keys[name, PROBE] == keys[name, steps], (rank, name)
             assert keys[name, steps][1] == 0  # nothing left queued
+
+
+CALLS = 200
+
+
+def _paths(comm):
+    """One call of each collective path that is not a plan."""
+    vec = np.random.default_rng(comm.rank).standard_normal(64)
+    stream = make_rank_stream(DIM, 16, comm.rank)
+    return {
+        "dense_allreduce": lambda: [dense_allreduce(comm, vec, name) for name in DENSE_ALGORITHMS],
+        "barrier_bcast_gather": lambda: (
+            comm.barrier(), comm.bcast(comm.rank, root=1), comm.gather_to_root(comm.rank, root=2)
+        ),
+        "direct_schedules": lambda: (
+            ssar_recursive_double(comm, stream), dsar_split_allgather(comm, stream)
+        ),
+        "callable_i_collective": lambda: i_collective(comm, dense_allreduce, vec).wait(),
+        "direct_ssar_hier": lambda: ssar_hierarchical(comm, stream, chunks=2),
+    }
+
+
+def _flat_prog(comm):
+    _keys(comm)
+    keys = {}
+    for name, call in _paths(comm).items():
+        for i in range(CALLS):
+            call()
+            if i + 1 in (PROBE, CALLS):
+                keys[name, i + 1] = _keys(comm)
+    return keys
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_collective_keeps_its_channels(backend):
+    """A collective that is not a plan opens no channel after its first
+    calls: the channel count and queue table at call 200 are those at
+    call 10, on each path."""
+    out = run_ranks(_flat_prog, 4, backend=backend, topology="2x2", timeout=120.0)
+    for rank, keys in enumerate(out.results):
+        for name in {name for name, _ in keys}:
+            assert keys[name, PROBE] == keys[name, CALLS], (rank, name)
+            assert keys[name, CALLS][1] == 0, (rank, name)  # nothing left queued
+
+
+def _back_to_back_prog(comm, rounds):
+    """Four collectives back to back on one communicator, with a callable
+    launch and a plan's start queued between them; the digest of every
+    result."""
+    plan = allreduce_plan(comm, DIM, np.float32, "ssar_rec_dbl")
+    vec = np.random.default_rng(comm.rank).standard_normal(64)
+    digest = hashlib.blake2b(digest_size=8)
+    for i in range(rounds):
+        stream = make_rank_stream(DIM, 24, comm.rank, base_seed=i)
+        outs = [ssar_recursive_double(comm, stream).to_dense()]
+        launched = i_collective(comm, dense_allreduce, vec + i, "dense_ring")
+        outs.append(dense_allreduce(comm, vec * i))
+        started = plan.start(make_rank_stream(DIM, 24, comm.rank, base_seed=100 + i))
+        comm.barrier()
+        outs.append(ssar_ring(comm, stream).to_dense())
+        outs += [launched.wait(), started.wait().to_dense()]
+        for out in outs:
+            digest.update(out.tobytes())
+    return digest.hexdigest(), len(comm.backend._queues)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fifo_alone_keeps_successive_collectives_apart(backend):
+    """Seeded delays skew the ranks' entry into every collective; the
+    results are the undelayed run's bit for bit."""
+    plain = run_ranks(_back_to_back_prog, 4, 6, backend=backend, timeout=120.0)
+    skewed = run_ranks(
+        _back_to_back_prog, 4, 6, backend=backend, timeout=120.0,
+        fault_plan=FaultPlan(seed=5, delay_rate=0.3, delay_s=0.002),
+    )
+    assert skewed.results == plain.results
+    assert all(queued == 0 for _, queued in plain.results)
+
+
+def test_no_library_module_calls_irecv():
+    """A receive handle waited after a later collective on its channel
+    would take that collective's frame, so the library posts none."""
+    root = Path(repro.__file__).parent
+    assert [p.name for p in root.rglob("*.py") if ".irecv(" in p.read_text()] == []
 
 
 def test_plan_runs_equal_sparse_allreduce_bit_for_bit():
