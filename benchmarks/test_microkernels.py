@@ -15,7 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import topk_bucket_indices, topk_global_indices
+from repro.core import ErrorFeedback, topk_bucket_indices, topk_global_indices
 from repro.quant import QSGDQuantizer, pack_integers, qsgd, unpack_integers
 from repro.runtime import Trace
 from repro.runtime.wire import decode_message, encode_message
@@ -241,6 +241,18 @@ def test_kernel_topk_bucket_fused_bucket(benchmark, nonzeros, selected):
     idx = benchmark(topk_bucket_indices, vec, 32, 512)
     assert np.all(vec[idx] != 0)
     assert selected is None or idx.size == selected
+
+
+def test_kernel_error_feedback_select_stream(benchmark):
+    """The same bucket as the driver hands it over: ``ErrorFeedback.select``
+    on an 89-pair stream adds the pairs where they fall and selects among
+    the residual's tracked support, never scanning the 40 399 entries.
+    Every pair ships, so each round starts from an empty residual."""
+    grad = SparseStream.random_uniform(40_399, 89, np.random.default_rng(6), value_dtype=np.float32)
+    feedback = ErrorFeedback(40_399, 32, 512)
+    sent = benchmark(feedback.select, grad)
+    assert np.array_equal(sent.indices, grad.indices)
+    assert not feedback.residual.any()
 
 
 def test_kernel_pack_unpack(benchmark):

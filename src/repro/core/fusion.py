@@ -22,6 +22,15 @@ re-decides from its own), and the async mode queues every bucket on the
 communicator's one long-lived progress thread instead of starting a
 thread per step. A fused step agrees once: one vector round carries
 every bucket's nnz.
+
+The gradient's type chooses the path. A dense vector (a DNN's flat
+gradient) is sliced per bucket, and the summed update comes back dense.
+A :class:`~repro.streams.SparseStream` stays pairs end to end (§5.1): one
+``searchsorted`` cuts its pairs per bucket, each bucket's
+:class:`~repro.core.topk.ErrorFeedback` adds them where they fall and
+selects among its residual's tracked support, and the update comes back
+as a stream of the summed non-zeros over the layout. No step of the
+stream path costs the model's width.
 """
 
 from __future__ import annotations
@@ -31,32 +40,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..collectives.api import cached_plan
+from ..config import INDEX_DTYPE
 from ..costmodel.adaptive import Agreed, consistent_mean
 from ..quant import QSGDQuantizer
 from ..runtime.comm import Communicator, Handle
+from ..streams import SparseStream
 from .topk import ErrorFeedback, quantize_stream_values
 
 __all__ = ["FusedBucket", "FusedPendingUpdate", "GradientFuser"]
+
+
+def _fused_update(
+    totals: list, out: "np.ndarray | None", dimension: int
+) -> "np.ndarray | SparseStream":
+    """The update from each ``(bucket, summed stream)``: scattered into the
+    dense vector ``out``, or, when ``out`` is None, the totals' non-zeros
+    as one stream of ``dimension`` — stored zeros dropped, so it names the
+    coordinates the dense form's non-zeros do."""
+    if out is not None:
+        for bucket, total in totals:
+            out[bucket.start: bucket.stop] = total.to_dense()
+        return out
+    indices, values = [], []
+    for bucket, total in totals:
+        if total.is_dense:
+            idx = np.flatnonzero(total.dense_payload)
+            val = total.dense_payload[idx]
+        else:
+            keep = total.values != 0
+            idx, val = total.indices[keep], total.values[keep]
+        indices.append(idx + bucket.start)
+        values.append(val)
+    val = np.concatenate(values)
+    return SparseStream(
+        dimension, indices=np.concatenate(indices).astype(INDEX_DTYPE, copy=False),
+        values=val, value_dtype=val.dtype, copy=False,
+    )
 
 
 class FusedPendingUpdate(Handle):
     """In-flight fused allreduce: one started plan run per bucket.
 
     The runs queue on the communicator's progress thread in layout order;
-    ``wait()`` joins them in that order, scattering each dense total into
-    the fused output vector it returns, and re-raises the first failed
-    bucket's error.
+    ``wait()`` joins every one of them in that order — past a failed
+    bucket too, so each run's trace rows reach the rank's log — then
+    re-raises the first failed bucket's error, or returns the update: the
+    dense vector for a dense gradient, a stream of the summed non-zeros
+    for a stream.
     """
 
-    def __init__(self, runs: list, out: np.ndarray) -> None:
-        self._runs, self._out = runs, out
+    def __init__(self, runs: list, out: "np.ndarray | None", dimension: int) -> None:
+        self._runs, self._out, self._dimension = runs, out, dimension
 
-    def wait(self) -> np.ndarray:
+    def wait(self) -> "np.ndarray | SparseStream":
         if self._runs:
             self._runs[-1][1].settle()  # one wake-up: the runs finish in order
-        for bucket, handle in self._runs:
-            self._out[bucket.start: bucket.stop] = handle.wait().to_dense()
-        self._runs = []
+            totals, error = [], None
+            for bucket, handle in self._runs:
+                try:
+                    totals.append((bucket, handle.wait()))
+                except Exception as exc:  # re-raised once every run is joined
+                    error = error or exc
+            if error is not None:
+                raise error
+            self._out = _fused_update(totals, self._out, self._dimension)
+            self._runs = []
         return self._out
 
     def test(self) -> bool:
@@ -148,27 +196,43 @@ class GradientFuser:
         """Flat-vector slices, one per bucket, covering [0, total_size)."""
         return [slice(b.start, b.stop) for b in self.buckets]
 
-    def _check_fused_args(
-        self, grad: np.ndarray, error_feedback: list[ErrorFeedback]
-    ) -> None:
-        if grad.shape != (self.total_size,):
-            raise ValueError(f"gradient shape {grad.shape} != ({self.total_size},)")
+    def _segments(
+        self, grad: "np.ndarray | SparseStream", error_feedback: list[ErrorFeedback]
+    ) -> list:
+        """Each bucket's float32 part of ``grad``: a slice of a dense
+        vector, or the bucket's pairs of a sparse stream, cut with one
+        ``searchsorted``."""
+        shape = (grad.dimension,) if isinstance(grad, SparseStream) else grad.shape
+        if shape != (self.total_size,):
+            raise ValueError(f"gradient shape {shape} != ({self.total_size},)")
         if len(error_feedback) != self.n_buckets:
             raise ValueError(
                 f"need {self.n_buckets} ErrorFeedback states, got {len(error_feedback)}"
             )
+        if isinstance(grad, SparseStream):
+            idx, val = grad.indices, grad.values.astype(np.float32, copy=False)
+            ends = np.searchsorted(idx, [b.stop for b in self.buckets]).tolist()
+            return [
+                SparseStream(
+                    b.size, indices=idx[lo:hi] - b.start, values=val[lo:hi],
+                    value_dtype=np.float32, copy=False,
+                )
+                for b, lo, hi in zip(self.buckets, [0, *ends], ends)
+            ]
+        return [grad[b.start: b.stop].astype(np.float32, copy=False) for b in self.buckets]
 
     def fused_topk_allreduce(
         self,
         comm: Communicator,
-        grad: np.ndarray,
+        grad: "np.ndarray | SparseStream",
         error_feedback: list[ErrorFeedback],
         algorithm: str = "auto",
         quantizer: QSGDQuantizer | None = None,
         chunks: "int | str" = 1,
-    ) -> np.ndarray:
+    ) -> "np.ndarray | SparseStream":
         """TopK-sparsified allreduce per fused bucket; returns the summed
-        update, dense, with per-bucket error feedback state.
+        update, with per-bucket error feedback state: dense for a dense
+        ``grad``, for a stream a stream of the update's non-zeros.
 
         This is the layer-wise communication path the paper uses for DNN
         training ("communication is done layer-wise using non-blocking
@@ -181,12 +245,14 @@ class GradientFuser:
         agreed nnz and re-selects as it drifts. Whatever the knobs, a call
         runs at most one agreement round (see :meth:`_plan`).
         """
-        out = np.empty_like(grad)
-        for bucket, plan, sent, estimate in self._plan(
-            comm, grad, error_feedback, algorithm, quantizer, chunks
-        ):
-            out[bucket.start: bucket.stop] = plan(sent, agreed=estimate).to_dense()
-        return out
+        totals = [
+            (bucket, plan(sent, agreed=estimate))
+            for bucket, plan, sent, estimate in self._plan(
+                comm, grad, error_feedback, algorithm, quantizer, chunks
+            )
+        ]
+        out = None if isinstance(grad, SparseStream) else np.empty_like(grad)
+        return _fused_update(totals, out, self.total_size)
 
     def _plan(self, comm, grad, error_feedback, algorithm, quantizer, chunks) -> list:
         """The calling-thread half of a fused call: select, agree, plan.
@@ -201,11 +267,9 @@ class GradientFuser:
         when that estimate drifted. Returns ``(bucket, plan, stream,
         estimate)`` per bucket.
         """
-        self._check_fused_args(grad, error_feedback)
         selected = []
-        for bucket, ef in zip(self.buckets, error_feedback):
-            segment = grad[bucket.start: bucket.stop]
-            sent = ef.select(segment.astype(np.float32, copy=False))
+        for segment, ef in zip(self._segments(grad, error_feedback), error_feedback):
+            sent = ef.select(segment)
             if quantizer is not None:
                 sent = quantize_stream_values(sent, quantizer)
             selected.append(sent)
@@ -221,7 +285,7 @@ class GradientFuser:
     def i_fused_allreduce(
         self,
         comm: Communicator,
-        grad: np.ndarray,
+        grad: "np.ndarray | SparseStream",
         error_feedback: list[ErrorFeedback],
         algorithm: str = "auto",
         quantizer: QSGDQuantizer | None = None,
@@ -235,8 +299,9 @@ class GradientFuser:
         (:meth:`~repro.collectives.api.AllreducePlan.start`), and the
         communicator's one long-lived progress thread reduces the buckets
         in layout order while the caller computes. The returned
-        :class:`FusedPendingUpdate` joins them and hands back the dense
-        update; results are bit-identical to
+        :class:`FusedPendingUpdate` joins them and hands back the update
+        (dense, or a stream for a stream ``grad``); results are
+        bit-identical to
         :meth:`fused_topk_allreduce` (same selection, same collectives,
         unquantized).
         """
@@ -246,7 +311,8 @@ class GradientFuser:
                 comm, grad, error_feedback, algorithm, quantizer, chunks
             )
         ]
-        return FusedPendingUpdate(runs, np.empty_like(grad))
+        out = None if isinstance(grad, SparseStream) else np.empty_like(grad)
+        return FusedPendingUpdate(runs, out, self.total_size)
 
     def make_error_feedback(
         self, k: int, bucket_size: int | None = 512

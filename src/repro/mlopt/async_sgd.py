@@ -96,13 +96,16 @@ def distributed_sgd_async(
     that epoch.
 
     ``fuser`` switches the exchange to the bucketed path of §9: each
-    step's gradient is densified, TopK-selected per fused bucket (with
-    per-bucket error feedback shipping at most ``fuser_k`` of every 512
-    coordinates, never an exact zero), and launched through
+    step's gradient stream is cut into its fused buckets' pairs,
+    TopK-selected per bucket (with per-bucket error feedback shipping at
+    most ``fuser_k`` of every 512 coordinates, never an exact zero), and
+    launched through
     :meth:`~repro.core.fusion.GradientFuser.i_fused_allreduce` — every
     bucket's persistent plan started on the communicator's one progress
-    thread, reducing the buckets in order, joined one step later (the
-    unfused path starts one plan the same way). ``chunks`` pipelines the
+    thread, reducing the buckets in order, joined one step later as a
+    stream of the update's non-zeros (the unfused path starts one plan
+    the same way). No step densifies the gradient or scans the model's
+    width. ``chunks`` pipelines the
     hierarchical collectives either way (see
     :func:`~repro.collectives.api.sparse_allreduce`).
 
@@ -163,7 +166,8 @@ def distributed_sgd_async(
         if config.algorithm != "auto" or adaptive:
             return config.algorithm
         est_nnz = max(1, int(dataset.X.nnz / dataset.n_samples * config.batch_size))
-        instance = Instance(model.n_features, comm.size, est_nnz, 8)
+        # priced as it ships: grad_stream's values are float32
+        instance = Instance(model.n_features, comm.size, est_nnz, 4)
         return CostModel.default().choose(instance, comm.topology)
 
     algorithm = resolve_algorithm()
@@ -185,25 +189,17 @@ def distributed_sgd_async(
 
     def apply_update(total_stream, contributors: int) -> None:
         model.apply_regularization(w, config.lr)
-        if isinstance(total_stream, np.ndarray):
-            # the fused path joins to a plain dense update vector of a
-            # few hundred non-zeros: touch those (w - 0.0 == w)
-            idx = np.flatnonzero(total_stream != 0)
-            values = total_stream[idx]
-        elif total_stream.is_dense:
+        if total_stream.is_dense:
             comm.compute(total_stream.dense_payload.nbytes * 2, "apply")
             w[:] -= (config.lr / contributors) * total_stream.dense_payload.astype(np.float64)
             return
-        else:
-            idx = total_stream.indices.astype(np.int64)
-            values = total_stream.values
+        idx = total_stream.indices.astype(np.int64)
         comm.compute(idx.size * 12, "apply")
-        w[idx] -= (config.lr / contributors) * values.astype(np.float64)
+        w[idx] -= (config.lr / contributors) * total_stream.values.astype(np.float64)
 
     def launch(grad):
         if fuser is not None:
-            dense = grad.to_dense().astype(np.float32, copy=False)
-            handle = fuser.i_fused_allreduce(comm, dense, feedback, algorithm, chunks=chunks)
+            handle = fuser.i_fused_allreduce(comm, grad, feedback, algorithm, chunks=chunks)
         else:
             handle = cached_plan(comm, grad, algorithm, chunks=chunks).start(grad)
         if adaptive:

@@ -42,6 +42,7 @@ from repro.runtime.context import (
     unpack_context,
 )
 from repro.runtime.faults import _key_uniform
+from repro.runtime.nonblocking import join_progress
 from repro.runtime.trace import SEND
 
 BACKENDS = ["thread", "process", "shmem", "socket"]
@@ -109,6 +110,9 @@ class TestContextPaths:
         for context in contexts:
             assert parse_context(format_context(context)) == context
             assert unpack_context(pack_context(context)) == context
+        # the rank epilogue a world outside run_ranks does not run: else
+        # the launches' threads live until a collection finds this world
+        join_progress(backend)
 
     def test_epoch_and_barrier_contexts_are_distinct(self):
         assert len(RESERVED) == 400

@@ -295,6 +295,50 @@ class TestAsyncFusedAllreduce:
                 assert np.array_equal(blk[r][step], asy[r][step]), (r, step)
 
 
+class TestStreamInput:
+    """A gradient stream stays pairs: the fused call selects from them and
+    returns the update's non-zeros as a stream — the coordinates and bits
+    of the dense call's non-zeros, whether a bucket's total came back
+    sparse or dense."""
+
+    SIZES = [("a", 96), ("b", 96), ("c", 64)]
+
+    @pytest.mark.parametrize("algorithm", ["ssar_rec_dbl", "dsar_split_ag"])
+    @pytest.mark.parametrize("mode", ["blocking", "async"])
+    def test_update_is_the_dense_calls_non_zeros(self, algorithm, mode):
+        fuser = GradientFuser(self.SIZES, min_bucket_bytes=0)
+
+        def prog(comm):
+            gen = np.random.default_rng(comm.rank)
+            grads = [
+                SparseStream.random_uniform(256, nnz, gen, value_dtype=np.float32)
+                for nnz in (0, 40, 200)
+            ]
+            grads[1].values[::7] = 0.0  # stored zeros select nothing
+            runs = []
+            for as_stream in (True, False):
+                efs = fuser.make_error_feedback(k=8, bucket_size=32)
+                for grad in grads:
+                    grad = grad if as_stream else grad.to_dense()
+                    if mode == "blocking":
+                        runs.append(fuser.fused_topk_allreduce(comm, grad, efs, algorithm))
+                    else:
+                        runs.append(fuser.i_fused_allreduce(comm, grad, efs, algorithm).wait())
+            return runs
+
+        for runs in run_ranks(prog, 4):
+            for update, dense in zip(runs[:3], runs[3:]):
+                assert isinstance(update, SparseStream) and not update.is_dense
+                assert update.indices.tolist() == np.flatnonzero(dense).tolist()
+                assert np.array_equal(update.to_dense().view(np.uint32), dense.view(np.uint32))
+
+    def test_dimension_mismatch_rejected(self):
+        fuser = GradientFuser(self.SIZES, min_bucket_bytes=0)
+        efs = fuser.make_error_feedback(k=8, bucket_size=32)
+        with pytest.raises(ValueError):
+            fuser.fused_topk_allreduce(None, SparseStream.zeros(255, np.float32), efs)
+
+
 def _own_progress_threads(comm):
     prefix = f"icoll-rank{comm.world_rank}-"
     return sorted(t.name for t in threading.enumerate() if t.name.startswith(prefix))
@@ -350,6 +394,46 @@ class TestOneProgressThread:
 
         out = run_ranks(prog, 2)
         assert out.results == [[f"icoll-rank{rank}-depth0"] for rank in range(2)]
+
+
+    def test_a_failed_bucket_loses_no_trace_rows(self, monkeypatch):
+        """Bucket 2 of 4 raises: ``wait()`` still joins buckets 3 and 4,
+        so every bucket that ran has its rows in the rank's log — the log
+        of a run whose bucket 2 returns without a message."""
+        import repro.collectives.api as api
+
+        real = api.ALGORITHMS["ssar_rec_dbl"]
+        fuser = GradientFuser([("a", 64), ("b", 96), ("c", 32), ("d", 48)], min_bucket_bytes=0)
+
+        def run(raising):
+            def schedule(comm, stream, **kwargs):
+                if stream.dimension != 96:  # bucket "b", on every rank alike
+                    return real(comm, stream, **kwargs)
+                if raising:
+                    raise RuntimeError("bucket b failed")
+                return stream
+
+            def prog(comm):
+                efs = fuser.make_error_feedback(k=4, bucket_size=32)
+                handle = fuser.i_fused_allreduce(
+                    comm, _grads(comm.rank, 240), efs, algorithm="ssar_rec_dbl"
+                )
+                if not raising:
+                    return handle.wait()
+                with pytest.raises(RuntimeError, match="bucket b failed"):
+                    handle.wait()
+                with pytest.raises(RuntimeError, match="bucket b failed"):
+                    handle.wait()  # and again: the error stays
+
+            with monkeypatch.context() as patch:
+                patch.setitem(api.ALGORITHMS, "ssar_rec_dbl", schedule)
+                return run_ranks(prog, 2).trace
+
+        failed, clean = run(True), run(False)
+        for rank in range(2):
+            rows = list(failed.events(rank))
+            assert rows == list(clean.events(rank))
+            assert sum(event.op == SEND for event in rows) == 3  # a, c and d
 
 
 def _sends_between(trace, rank, first, last):

@@ -273,6 +273,72 @@ class TestErrorFeedback:
         assert np.allclose(total_sent + ef.residual, total_grad, atol=1e-9)
 
 
+@st.composite
+def sparse_gradient_runs(draw):
+    """``(dimension, bucket_size, steps)``: a run of calls on one
+    :class:`ErrorFeedback`, each step ``(kind, k, gradient)``. ``kind`` is
+    how the call passes the gradient — its pairs or its dense form — and
+    ``k`` changes between calls, as DGC's warm-up does. Gradients run from
+    empty to full, windows from under to over ``k`` with a ragged last
+    window, values hold stored ``0.0`` and ``-0.0`` and repeated
+    magnitudes."""
+    bucket_size = draw(st.sampled_from([None, 1, 4, 16, 64]))
+    width = bucket_size or 64
+    n = draw(st.integers(1, 5 * width + width // 2))
+    gen = np.random.default_rng(draw(st.integers(0, 2**31)))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["pairs", "pairs", "dense"]))
+        k = draw(st.integers(0, n if bucket_size is None else bucket_size + 2))
+        nnz = draw(st.sampled_from([0, 1, max(1, n // 20), n // 3, n]))
+        idx = np.sort(gen.choice(n, size=min(nnz, n), replace=False))
+        values = gen.integers(-3, 4, idx.size).astype(np.float64)  # ties and zeros
+        values[gen.random(idx.size) < 0.1] = -0.0
+        if draw(st.booleans()):
+            values += gen.standard_normal(idx.size)
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        steps.append((kind, k, SparseStream(n, indices=idx, values=values, value_dtype=dtype)))
+    return n, bucket_size, steps
+
+
+class TestStreamInputSelectsAsDense:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_gradient_runs())
+    def test_bit_equal_to_the_dense_path(self, run):
+        """After every call, a state fed streams (interleaved with dense
+        calls) returns the stream and holds the residual, bit for bit,
+        that a state fed every gradient's ``to_dense()`` does."""
+        n, bucket_size, steps = run
+        mine = ErrorFeedback(n, 0, bucket_size)
+        dense = ErrorFeedback(n, 0, bucket_size)
+        for kind, k, grad in steps:
+            mine.k = dense.k = k
+            sent = mine.select(grad if kind == "pairs" else grad.to_dense())
+            want = dense.select(grad.to_dense())
+            assert not sent.is_dense and sent.value_dtype == want.value_dtype
+            assert np.array_equal(sent.indices, want.indices)
+            assert sent.indices.dtype == want.indices.dtype
+            assert np.array_equal(sent.values.view(np.uint32), want.values.view(np.uint32))
+            assert np.array_equal(mine.residual.view(np.uint32), dense.residual.view(np.uint32))
+
+    def test_the_workload_shape_reads_only_the_support(self, rng):
+        """89 pairs of a 40 399-entry bucket, k = 32 of 512: the residual
+        is never scanned — a non-zero written behind the state's back, off
+        its tracked support, is not selected."""
+        ef = ErrorFeedback(40_399, 32, 512)
+        ef.select(SparseStream(40_399, indices=[7], values=[1.0], value_dtype=np.float32))
+        ef.residual[9] = 5.0  # behind the state's back: not on the support
+        grad = SparseStream.random_uniform(40_399, 89, rng, value_dtype=np.float32)
+        sent = ef.select(grad)
+        assert 9 not in sent.indices
+        assert np.array_equal(sent.indices, grad.indices[grad.values != 0])
+
+    def test_dimension_mismatch(self):
+        ef = ErrorFeedback(10, k=1)
+        with pytest.raises(ValueError):
+            ef.select(SparseStream.zeros(11, value_dtype=np.float32))
+
+
 class TestQuantizeStreamValues:
     def test_values_quantized_support_unchanged(self, rng):
         s = SparseStream.random_uniform(1000, nnz=64, rng=rng)

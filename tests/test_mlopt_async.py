@@ -1,9 +1,13 @@
 """Tests for asynchronous (pipelined) gradient aggregation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.collectives.api import cached_plans
 from repro.core import GradientFuser
+from repro.costmodel import CostModel, Instance
 from repro.mlopt import (
     LogisticRegression,
     SGDConfig,
@@ -21,9 +25,9 @@ def dataset():
     return make_sparse_classification(200, 2000, 20, seed=41)
 
 
-def run_mode(dataset, nranks, driver, epochs=2):
+def run_mode(dataset, nranks, driver, epochs=2, algorithm="auto"):
     def prog(comm):
-        cfg = SGDConfig(epochs=epochs, batch_size=25, lr=0.5, mode="sparse")
+        cfg = SGDConfig(epochs=epochs, batch_size=25, lr=0.5, mode="sparse", algorithm=algorithm)
         return driver(comm, dataset, LogisticRegression(dataset.n_features, 1e-5), cfg)
 
     return run_ranks(prog, nranks)
@@ -44,11 +48,29 @@ class TestAsyncSGD:
         assert out[0].final_loss < out[0].losses[0]
 
     def test_same_bytes_as_sync(self, dataset):
-        """The pipeline changes *when* reductions complete, not their size."""
-        sync = run_mode(dataset, 4, distributed_sgd)
-        asyn = run_mode(dataset, 4, distributed_sgd_async)
+        """The pipeline changes *when* reductions complete, not their size:
+        both drivers run the same schedule (``"auto"`` resolves per call in
+        the synchronous driver, once from a dataset estimate in this one)."""
+        sync = run_mode(dataset, 4, distributed_sgd, algorithm="ssar_rec_dbl")
+        asyn = run_mode(dataset, 4, distributed_sgd_async, algorithm="ssar_rec_dbl")
         ratio = asyn.trace.total_bytes_sent / sync.trace.total_bytes_sent
         assert 0.9 < ratio < 1.1
+
+    def test_static_resolve_prices_float32_values(self, dataset):
+        """Without adaptive plans, ``"auto"`` resolves once from the
+        dataset's mean batch nnz, priced at the 4-byte values
+        ``grad_stream`` ships (at 8 bytes this world picked another)."""
+
+        def prog(comm):
+            cfg = SGDConfig(epochs=1, batch_size=25, lr=0.5, mode="sparse")
+            distributed_sgd_async(comm, dataset, LogisticRegression(dataset.n_features, 1e-5), cfg)
+            return [plan.algorithm for plan in cached_plans(comm)]
+
+        est_nnz = max(1, int(dataset.X.nnz / dataset.n_samples * 25))
+        choose = CostModel.default().choose
+        want = choose(Instance(dataset.n_features, 4, est_nnz, 4))
+        assert want != choose(Instance(dataset.n_features, 4, est_nnz, 8))
+        assert run_ranks(prog, 4).results == [[want]] * 4
 
     def test_ranks_agree(self, dataset):
         out = run_mode(dataset, 4, distributed_sgd_async)
@@ -82,6 +104,24 @@ class TestFusedAsyncSGD:
 
     NRANKS = 4
     STEPS_PER_EPOCH = 4
+    BACKENDS = ["thread", "process", "shmem", "socket"]
+
+    #: the thread-backend run as computed while the driver still densified
+    #: every gradient before the fuser selected from it: sha256 of every
+    #: rank's params, the losses and the switch log. Selecting from the
+    #: gradient's pairs must train this model bit for bit, on every backend.
+    PINNED_DIGEST = "2ec1b4152796c083a68312ecf915a780eeecb9f674125c87b6c88d844928e64f"
+    PINNED_LOSSES = [0.6896238392433802, 0.6852374959816757]
+    PINNED_SWITCHES = [
+        {"iteration": 1, "algorithm": "ssar_hier", "previous": None, "estimate": 27.75,
+         "reason": "initial selection"},
+        {"iteration": 24, "algorithm": "ssar_hier", "previous": "ssar_hier", "estimate": 37.5,
+         "reason": "density drift (anchor 27.8 -> 37.5)"},
+        {"iteration": 29, "algorithm": "ssar_hier", "previous": "ssar_hier", "estimate": 27.25,
+         "reason": "density drift (anchor 37.5 -> 27.2)"},
+        {"iteration": 32, "algorithm": "ssar_hier", "previous": "ssar_hier", "estimate": 35.0,
+         "reason": "density drift (anchor 27.2 -> 35.0)"},
+    ]
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -102,12 +142,31 @@ class TestFusedAsyncSGD:
         return run_ranks(prog, self.NRANKS, backend=backend, topology="2x2")
 
     @pytest.fixture(scope="class")
-    def thread_run(self, dataset):
-        return self._run(dataset, "thread")
+    def runs(self, dataset):
+        """``runs(backend)``: the run on ``backend``, made once per class."""
+        made = {}
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "shmem", "socket"])
-    def test_params_bit_equal_across_ranks_and_backends(self, dataset, thread_run, backend):
-        out = self._run(dataset, backend)
+        def run(backend):
+            if backend not in made:
+                made[backend] = self._run(dataset, backend)
+            return made[backend]
+
+        return run
+
+    @pytest.fixture(scope="class")
+    def thread_run(self, runs):
+        return runs("thread")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_run_is_pinned(self, runs, backend):
+        for history in runs(backend):
+            assert hashlib.sha256(history.params.tobytes()).hexdigest() == self.PINNED_DIGEST
+            assert history.losses == self.PINNED_LOSSES
+            assert history.algorithm_switches == self.PINNED_SWITCHES
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_params_bit_equal_across_ranks_and_backends(self, thread_run, runs, backend):
+        out = runs(backend)
         for history in out:
             assert np.array_equal(history.params, thread_run[0].params)
             assert history.losses == thread_run[0].losses
@@ -116,8 +175,14 @@ class TestFusedAsyncSGD:
 
     def test_params_bit_equal_to_selecting_with_the_zeros(self, dataset, thread_run, monkeypatch):
         """Shipping 32 of every 512 coordinates, explicit zeros and all,
-        trains the same model bit for bit: ``x + 0.0 == x``."""
-        monkeypatch.setattr("repro.core.topk.topk_bucket_indices", reference_bucket_indices)
+        trains the same model bit for bit: ``x + 0.0 == x``. The driver
+        selects among the residual's tracked support; the padded rule
+        reads the whole residual instead."""
+
+        def zeros_and_all(vec, k, bucket_size, candidates=None):
+            return reference_bucket_indices(vec, k, bucket_size)
+
+        monkeypatch.setattr("repro.core.topk.topk_bucket_indices", zeros_and_all)
         padded = self._run(dataset, "thread")
         assert np.array_equal(padded[0].params, thread_run[0].params)
         assert padded[0].losses == thread_run[0].losses
