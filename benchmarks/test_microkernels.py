@@ -318,9 +318,12 @@ def test_kernel_trace_ship(benchmark):
 @pytest.fixture(scope="module")
 def fused_step_world():
     """Rank 0 of a 2x2 thread world and one step's eight selected buckets
-    (``async_train``'s shape: 323 196 float32 entries, top-32 of every 512)."""
+    (``async_train``'s shape: 323 196 float32 entries, top-32 of every 512).
+    No other rank runs, so no row may send: the cached plans are priced
+    here from each bucket's own nnz, as their first run's agreement
+    round would price them."""
+    from repro.collectives.api import cached_plan
     from repro.core import GradientFuser
-    from repro.costmodel import Agreed
     from repro.runtime import ThreadWorld, normalize_topology
 
     comm = ThreadWorld(4, topology=normalize_topology("2x2", 4)).comm(0)
@@ -329,29 +332,35 @@ def fused_step_world():
     grad = np.random.default_rng(6).standard_normal(fuser.total_size).astype(np.float32)
     feedback = fuser.make_error_feedback(32)
     sent = [ef.select(grad[b.start: b.stop]) for b, ef in zip(fuser.buckets, feedback)]
-    return comm, sent, [Agreed(float(s.nnz)) for s in sent]
+    for stream in sent:
+        cached_plan(comm, stream, "ssar_hier", chunks="auto")._price(
+            float(stream.nnz), "initial selection"
+        )
+    return comm, sent
 
 
 @pytest.mark.parametrize("planned", [True, False], ids=["planned", "unplanned"])
 def test_kernel_fused_step_plan(benchmark, fused_step_world, planned):
     """The calling-thread half of one 8-bucket fused step (``ssar_hier``,
-    ``chunks="auto"``) that plans change: each bucket's plan resolved from
-    its agreed nnz and bound to its schedule — the cached plan (planned),
-    or a plan made afresh and priced, as every call was before plans
-    (unplanned). Selection is the same either way."""
+    ``chunks="auto"``) that plans change: each bucket's plan resolved and
+    bound to its schedule — the cached plan, holding its resolution while
+    no new result arrived (planned), or a plan made afresh and priced from
+    the bucket's nnz, as every call was before plans (unplanned).
+    Selection is the same either way."""
     from repro.collectives.api import AllreducePlan, cached_plan
 
-    comm, sent, agreed = fused_step_world
+    comm, sent = fused_step_world
 
     def half():
-        for stream, estimate in zip(sent, agreed):
+        for stream in sent:
             if planned:
                 plan = cached_plan(comm, stream, "ssar_hier", chunks="auto")
             else:
                 plan = AllreducePlan(
                     comm, stream.dimension, stream.value_dtype, "ssar_hier", chunks="auto"
                 )
-            plan._bind(stream, None, estimate)
+                plan._price(float(stream.nnz), "initial selection")
+            plan._bind(stream, None)
 
     benchmark(half)
 

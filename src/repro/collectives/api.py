@@ -12,11 +12,22 @@ phase does the same for a sparse kernel's communication pattern.
 :func:`allreduce_plan` is that split for the six sparse allreduce
 schedules:
 
-* it resolves the knobs once: ``"auto"`` is re-ranked, and
-  ``chunks="auto"`` re-priced, only when the agreed nnz
-  :func:`~repro.costmodel.adaptive.drifted` from the estimate the held
-  resolution was priced from — the library's one re-selection rule — and
-  every (re-)selection of ``"auto"`` is logged on :attr:`AllreducePlan.switches`;
+* it resolves the knobs once. An ``"auto"`` plan agrees on its first run
+  after creation or :meth:`~AllreducePlan.reset` — one scalar
+  :func:`~repro.costmodel.adaptive.consistent_mean` round over the
+  stream's nnz — and prices every later run from the newest result the
+  program has *received* from it (a blocking run's return value, or a
+  started run's, once its handle is waited). A result is bit-identical on
+  every rank, so its support size u is agreed without a message; the
+  plan inverts Appendix B's fill-in (``expected_union_size``) to the
+  per-rank estimate k̂ = N(1 − (1 − u/N)^(1/P)). ``"auto"`` is re-ranked,
+  and ``chunks="auto"`` re-priced, only when that estimate
+  :func:`~repro.costmodel.adaptive.drifted` from the one the held
+  resolution was priced from (the first result re-anchors, a run with no
+  new result holds) — the library's one re-selection rule — and every
+  (re-)selection of ``"auto"`` is logged on :attr:`AllreducePlan.switches`.
+  A run still in flight is never read: which one finishes first is a
+  matter of timing, which differs between ranks;
 * it binds its schedule and knobs once per resolution;
 * a blocking run (``plan(stream)``) runs on the calling thread in the
   communicator's own context; a started run (``plan.start(stream)``) runs
@@ -24,7 +35,8 @@ schedules:
   in its launch context, and its trace events reach the rank's log at
   ``wait()``. Starts queue in launch order on that one thread, and a
   blocking run first waits for the plan's last start to finish — at the
-  same point of the program on every rank.
+  same point of the program on every rank. An ``"auto"`` run after the
+  first sends only its schedule's messages.
 
 Every collective of a communicator, planned or not, runs on the same keys:
 the communicator's context and the one tag block
@@ -45,8 +57,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..costmodel.adaptive import Agreed, AlgorithmSwitch, consistent_mean, drifted
-from ..costmodel.model import SCHEDULES, Instance
+from ..costmodel.adaptive import AlgorithmSwitch, consistent_mean, drifted
+from ..costmodel.model import SCHEDULES, CostModel, Instance
 from ..quant import QSGDQuantizer
 from ..runtime.backend import Backend, ParallelResult
 from ..runtime.comm import Communicator
@@ -100,39 +112,33 @@ def resolve_collective(
     quantizer: QSGDQuantizer | None = None,
     op: "ReduceOp | str" = SUM,
     chunks: "int | str" = 1,
-    agreed: "Agreed | None" = None,
 ) -> "tuple[object, dict]":
     """Resolve the public allreduce knobs into ``(algorithm_fn, kwargs)``, once.
 
-    A one-shot resolution over a throwaway plan: it resolves the way every
-    plan does (:meth:`AllreducePlan.resolve` — the ``"auto"`` selector, op
-    lookup and per-algorithm knob routing, ``quantizer`` only to the
-    dense-stage algorithms, ``chunks`` only to the hierarchical ones, both
-    warning-free no-ops elsewhere; :data:`~repro.costmodel.model.SCHEDULES`
-    says which is which), but keeps nothing: :func:`sparse_allreduce` and
-    the stream form of :func:`~repro.runtime.nonblocking.i_collective` run
-    through :func:`cached_plan` instead, and ``bench/`` times this call as
+    A one-shot resolution: the first run of a throwaway plan, resolved the
+    way every plan resolves (:meth:`AllreducePlan.resolve` — the
+    ``"auto"`` selector, op lookup and per-algorithm knob routing,
+    ``quantizer`` only to the dense-stage algorithms, ``chunks`` only to
+    the hierarchical ones, both warning-free no-ops elsewhere;
+    :data:`~repro.costmodel.model.SCHEDULES` says which is which), but
+    keeping nothing: :func:`sparse_allreduce` and the stream form of
+    :func:`~repro.runtime.nonblocking.i_collective` run through
+    :func:`cached_plan` instead, and ``bench/`` times this call as
     ``costmodel.resolve_us``. The returned pair satisfies
     ``fn(comm, stream, **kwargs)``.
 
     ``algorithm="auto"`` and ``chunks="auto"`` resolve from a
-    *rank-consistent* density estimate — one scalar agreement round
-    (:func:`~repro.costmodel.consistent_mean` over ``stream.nnz``) —
-    never from the local stream alone: with skewed per-rank sparsity a
-    local resolve can pick different algorithms on different ranks, whose
-    mismatched schedules deadlock. Both knobs are therefore collective
-    when set to ``"auto"`` (all ranks pass the same knob values already,
-    per the collective contract, so the agreement round is uniform too).
-
-    ``agreed`` (internal) is that estimate when the caller has already
-    agreed on it, together with the cost model it is priced under; the
-    call then costs no messages. Without it the default model prices the
-    instance.
+    *rank-consistent* density estimate — a first run's one scalar
+    agreement round (:func:`~repro.costmodel.consistent_mean` over
+    ``stream.nnz``) — never from the local stream alone: with skewed
+    per-rank sparsity a local resolve can pick different algorithms on
+    different ranks, whose mismatched schedules deadlock. Both knobs are
+    therefore collective when set to ``"auto"`` (all ranks pass the same
+    knob values already, per the collective contract, so the agreement
+    round is uniform too).
     """
     plan = AllreducePlan(comm, stream.dimension, stream.value_dtype, algorithm, op, chunks)
-    if agreed is None and "auto" in (algorithm, chunks):
-        agreed = Agreed(consistent_mean(comm, float(stream.nnz)))
-    algorithm, chunks = plan.resolve(stream, agreed)
+    algorithm, chunks = plan.resolve(stream)
     return ALGORITHMS[algorithm], plan.kwargs(algorithm, quantizer, chunks)
 
 
@@ -152,58 +158,75 @@ class AllreducePlan:
         self.comm, self.dimension, self.dtype = comm, int(dimension), np.dtype(dtype)
         self.algorithm, self.op = algorithm, _resolve_op(op)
         self.chunks = chunks if chunks == "auto" else _check_chunks(chunks)
-        #: the held (algorithm, chunks), and the agreed estimate it was priced from
-        self._resolved, self._priced = (algorithm, self.chunks), None
-        self.switches: list[AlgorithmSwitch] = []
-        self._runs = 0
+        self._auto = "auto" in (algorithm, self.chunks)
+        self.reset()
         #: the run bound for the last resolution: ``(resolution, schedule, kwargs)``
         self._bound: "tuple | None" = None
         self._last: "NonBlockingHandle | None" = None
 
-    def resolve(self, stream: SparseStream, agreed: "Agreed | None" = None) -> tuple:
+    def resolve(self, stream: SparseStream) -> tuple:
         """The ``(algorithm, chunks)`` a run of ``stream`` takes: the held
-        ones, re-priced when an ``"auto"`` knob's agreed nnz (``agreed``, or
-        one round of this plan's own) drifted from the one they were
-        priced from."""
+        ones, priced at the plan's first run from one agreement round and
+        re-priced when the estimate read off the newest received result
+        drifted from the one they were priced from."""
         if stream.dimension != self.dimension or stream.value_dtype != self.dtype:
             raise ValueError(
                 f"plan for {self.dimension} x {self.dtype} streams "
                 f"got {stream.dimension} x {stream.value_dtype}"
             )
-        if "auto" not in (self.algorithm, self.chunks):
+        if not self._auto:
             return self._resolved
-        if agreed is None:
-            agreed = Agreed(consistent_mean(self.comm, float(stream.nnz)))
         self._runs += 1
-        held = self._priced
-        if held is None:
-            reason = "initial selection"
-        elif held.model != agreed.model:
-            reason = "cost model changed"
-        elif drifted(held.nnz, agreed.nnz):
-            reason = f"density drift (anchor {held.nnz:.1f} -> {agreed.nnz:.1f})"
-        else:
-            return self._resolved
-        nnz = min(max(agreed.nnz, 0.0), float(self.dimension))
+        result, self._received = self._received, None
+        if "auto" in self._resolved:  # the first run since creation or reset agrees
+            self._price(consistent_mean(self.comm, float(stream.nnz)), "initial selection")
+            self._anchor = None  # an agreed mean: the first result re-anchors
+        elif result is not None:  # a run with no new result holds
+            # the per-rank nnz whose expected union (Appendix B) is the result's support
+            n = max(self.dimension, 1)
+            union = result.stored_nonzeros if result.is_dense else result.nnz
+            estimate = n * (1.0 - (1.0 - union / n) ** (1.0 / self.comm.size))
+            if self._anchor is None:
+                self._anchor = estimate
+            elif drifted(self._anchor, estimate):
+                self._price(
+                    estimate, f"density drift (anchor {self._anchor:.1f} -> {estimate:.1f})"
+                )
+        return self._resolved
+
+    def _price(self, estimate: float, reason: str) -> None:
+        """Re-resolve the ``"auto"`` knobs at ``estimate`` nnz per rank."""
+        nnz = min(max(estimate, 0.0), float(self.dimension))
         instance = Instance(self.dimension, self.comm.size, nnz, self.dtype.itemsize)
-        algorithm, chunks, topology = self.algorithm, self.chunks, self.comm.topology
+        model, topology = CostModel.default(), self.comm.topology
+        algorithm, chunks = self.algorithm, self.chunks
         if algorithm == "auto":
-            algorithm = agreed.model.choose(instance, topology)
-            previous = None if held is None else self._resolved[0]
+            algorithm = model.choose(instance, topology)
+            previous = self._resolved[0] if self.switches else None
             self.switches.append(AlgorithmSwitch(self._runs, algorithm, previous, nnz, reason))
         if chunks == "auto":
             # 1 for the flat algorithms, which ignore chunking silently
-            chunks = agreed.model.auto_chunks(instance, algorithm, topology=topology)
-        self._resolved, self._priced = (algorithm, chunks), agreed
-        return self._resolved
+            chunks = model.auto_chunks(instance, algorithm, topology=topology)
+        self._resolved, self._anchor = (algorithm, chunks), nnz
+
+    def _receive(self, result: SparseStream) -> SparseStream:
+        """Keep ``result``, which the program now holds, for the next resolve."""
+        if self._auto:
+            self._received = result
+        return result
 
     def reset(self) -> None:
         """Forget the held ``"auto"`` resolution and the switch log: the
         next run selects afresh and logs it as run 1's ``"initial
         selection"``, as a new plan's first run does. Like a run, all ranks
         reset it at the same point of the program."""
-        self._resolved, self._priced = (self.algorithm, self.chunks), None
-        self.switches, self._runs = [], 0
+        #: the held (algorithm, chunks), and the per-rank nnz it was priced
+        #: from — None from the first run's agreement to the first result
+        self._resolved, self._anchor = (self.algorithm, self.chunks), None
+        #: the newest result the program received and no run has read yet
+        self._received: "SparseStream | None" = None
+        self.switches: list[AlgorithmSwitch] = []
+        self._runs = 0
 
     def kwargs(self, algorithm: str, quantizer, chunks) -> dict:
         """The knobs ``algorithm``'s schedule takes of the four."""
@@ -215,30 +238,32 @@ class AllreducePlan:
             kwargs["chunks"] = chunks
         return kwargs
 
-    def _bind(self, stream: SparseStream, quantizer, agreed) -> tuple:
+    def _bind(self, stream: SparseStream, quantizer) -> tuple:
         """``(schedule, kwargs)`` of a run, bound again only when the
         resolution changes: a fixed plan binds at its first run."""
-        resolved = self.resolve(stream, agreed)
+        resolved = self.resolve(stream)
         if self._bound is None or self._bound[0] != resolved:
             algorithm, chunks = resolved
             self._bound = resolved, ALGORITHMS[algorithm], self.kwargs(algorithm, None, chunks)
         _, schedule, kwargs = self._bound
         return schedule, (kwargs | {"quantizer": quantizer} if "quantizer" in kwargs else kwargs)
 
-    def __call__(self, stream: SparseStream, quantizer=None, agreed=None) -> SparseStream:
+    def __call__(self, stream: SparseStream, quantizer=None) -> SparseStream:
         """Run blocking on the calling thread, once the plan's last start
-        has finished: a plan has at most one run in flight, as a persistent
-        MPI request has, so a quantizer both runs use draws in program order."""
+        has finished, so a quantizer both runs use draws in program order.
+        (Starts do not wait for each other: any number of them may be in
+        flight, queued in launch order.)"""
         if self._last is not None:
             self._last.settle()
-        schedule, kwargs = self._bind(stream, quantizer, agreed)
-        return schedule(self.comm, stream, **kwargs)
+        schedule, kwargs = self._bind(stream, quantizer)
+        return self._receive(schedule(self.comm, stream, **kwargs))
 
-    def start(self, stream: SparseStream, quantizer=None, agreed=None) -> NonBlockingHandle:
+    def start(self, stream: SparseStream, quantizer=None) -> NonBlockingHandle:
         """Start a run on the communicator's progress thread, behind its
         earlier launches; the handle's ``wait()`` returns the result."""
-        schedule, kwargs = self._bind(stream, quantizer, agreed)
+        schedule, kwargs = self._bind(stream, quantizer)
         self._last = launch(self.comm, schedule, stream, **kwargs)
+        self._last.received = self._receive
         return self._last
 
 
@@ -252,10 +277,9 @@ def allreduce_plan(comm, dimension, dtype, algorithm="auto", op=SUM, chunks=1) -
     ``plan(stream, quantizer=None)`` runs it blocking and
     ``plan.start(stream, quantizer=None)`` starts it
     (:class:`~repro.runtime.nonblocking.NonBlockingHandle`); either gives
-    the bits :func:`sparse_allreduce` gives for the same knobs. ``agreed``
-    (internal, both) is a pre-agreed nnz estimate for ``"auto"`` knobs, as
-    in :func:`resolve_collective`; without one an ``"auto"`` run agrees on
-    its own, in one round.
+    the bits :func:`sparse_allreduce` gives for the same knobs. An
+    ``"auto"`` plan's first run agrees on the density in one round; every
+    later run sends only its schedule's messages (see the module docstring).
     """
     return AllreducePlan(comm, dimension, dtype, algorithm, op, chunks)
 
@@ -295,7 +319,7 @@ def sparse_allreduce(
         The local contribution (sparse or dense representation).
     algorithm:
         ``"auto"`` (the switching procedure of §5.3, topology-aware when
-        the communicator carries one, re-run when the agreed nnz drifts),
+        the communicator carries one, re-run when the density drifts),
         or one of ``ssar_rec_dbl``,
         ``ssar_split_ag``, ``ssar_ring``, ``ssar_hier``,
         ``dsar_split_ag``, ``dsar_hier``.

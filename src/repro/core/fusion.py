@@ -15,13 +15,14 @@ the backward pass).
 :class:`GradientFuser` computes the bucket layout once from the model's
 tensor sizes and then slices/reduces flat gradient vectors. Each bucket
 runs through the communicator's persistent plan for its shape
-(:func:`~repro.collectives.api.cached_plan`), so a fused step resolves
-and binds only when a plan is first made (or, for
-``"auto"`` knobs, when a bucket's agreed nnz drifts: each bucket's plan
-re-decides from its own), and the async mode queues every bucket on the
+(:func:`~repro.collectives.api.cached_plan`; buckets of one size share
+one), so a fused step resolves and binds only when a plan is first made
+(or, for ``"auto"`` knobs, when the estimate a plan reads off its own
+received results drifts), and the async mode queues every bucket on the
 communicator's one long-lived progress thread instead of starting a
-thread per step. A fused step agrees once: one vector round carries
-every bucket's nnz.
+thread per step. The fuser does not know how a plan's selection is
+agreed: after each plan's first run, a fused step sends only its
+buckets' schedules.
 
 The gradient's type chooses the path. A dense vector (a DNN's flat
 gradient) is sliced per bucket, and the summed update comes back dense.
@@ -41,7 +42,6 @@ import numpy as np
 
 from ..collectives.api import cached_plan
 from ..config import INDEX_DTYPE
-from ..costmodel.adaptive import Agreed, consistent_mean
 from ..quant import QSGDQuantizer
 from ..runtime.comm import Communicator, Handle
 from ..streams import SparseStream
@@ -241,13 +241,12 @@ class GradientFuser:
         ``chunks`` pipelines each bucket's
         hierarchical collective (see
         :func:`~repro.collectives.api.sparse_allreduce`). With
-        ``algorithm="auto"`` each bucket's plan selects from the bucket's
-        agreed nnz and re-selects as it drifts. Whatever the knobs, a call
-        runs at most one agreement round (see :meth:`_plan`).
+        ``algorithm="auto"`` each bucket's plan selects and re-selects on
+        its own (see :func:`~repro.collectives.api.allreduce_plan`).
         """
         totals = [
-            (bucket, plan(sent, agreed=estimate))
-            for bucket, plan, sent, estimate in self._plan(
+            (bucket, plan(sent))
+            for bucket, plan, sent in self._plan(
                 comm, grad, error_feedback, algorithm, quantizer, chunks
             )
         ]
@@ -255,32 +254,23 @@ class GradientFuser:
         return _fused_update(totals, out, self.total_size)
 
     def _plan(self, comm, grad, error_feedback, algorithm, quantizer, chunks) -> list:
-        """The calling-thread half of a fused call: select, agree, plan.
+        """The calling-thread half of a fused call: select, then plan.
 
         TopK selection runs first, so error-feedback state mutates in
-        program order. Then *one* agreement round settles everything the
-        call's ``"auto"`` knobs need — every bucket's selected nnz rides
-        the same vector — and each
-        bucket's cached plan
-        (:func:`~repro.collectives.api.cached_plan`) resolves from its
-        pre-agreed estimate without messages of its own, re-pricing only
-        when that estimate drifted. Returns ``(bucket, plan, stream,
-        estimate)`` per bucket.
+        program order. Then each bucket takes the communicator's cached
+        plan for its shape (:func:`~repro.collectives.api.cached_plan`),
+        which resolves its ``"auto"`` knobs itself. Returns ``(bucket,
+        plan, stream)`` per bucket.
         """
-        selected = []
-        for segment, ef in zip(self._segments(grad, error_feedback), error_feedback):
+        planned = []
+        for bucket, segment, ef in zip(
+            self.buckets, self._segments(grad, error_feedback), error_feedback
+        ):
             sent = ef.select(segment)
             if quantizer is not None:
                 sent = quantize_stream_values(sent, quantizer)
-            selected.append(sent)
-        agreed: "list[Agreed | None]" = [None] * len(selected)
-        if "auto" in (algorithm, chunks):
-            nnz = [float(s.nnz) for s in selected]
-            agreed = [Agreed(m) for m in consistent_mean(comm, nnz)]
-        return [
-            (bucket, cached_plan(comm, sent, algorithm, chunks=chunks), sent, estimate)
-            for bucket, sent, estimate in zip(self.buckets, selected, agreed)
-        ]
+            planned.append((bucket, cached_plan(comm, sent, algorithm, chunks=chunks), sent))
+        return planned
 
     def i_fused_allreduce(
         self,
@@ -293,9 +283,9 @@ class GradientFuser:
     ) -> FusedPendingUpdate:
         """Async mode: every bucket's plan started on one progress thread.
 
-        TopK selection (and optional value quantization), the call's one
-        agreement round and every bucket's plan run eagerly on the
-        calling thread; then each bucket's plan is started
+        TopK selection (and optional value quantization) and every
+        bucket's plan resolution run eagerly on the calling thread; then
+        each bucket's plan is started
         (:meth:`~repro.collectives.api.AllreducePlan.start`), and the
         communicator's one long-lived progress thread reduces the buckets
         in layout order while the caller computes. The returned
@@ -306,8 +296,8 @@ class GradientFuser:
         unquantized).
         """
         runs = [
-            (bucket, plan.start(sent, agreed=estimate))
-            for bucket, plan, sent, estimate in self._plan(
+            (bucket, plan.start(sent))
+            for bucket, plan, sent in self._plan(
                 comm, grad, error_feedback, algorithm, quantizer, chunks
             )
         ]

@@ -2,7 +2,7 @@
 :class:`CostModel` every selection/replay/sweep consumer shares, fitted
 (calibrated) models, and adaptive runtime selection."""
 
-from .adaptive import AdaptiveSelector, Agreed, AlgorithmSwitch, consistent_mean
+from .adaptive import AdaptiveSelector, AlgorithmSwitch, consistent_mean
 from .bounds import (
     Bounds,
     beta_dense,
@@ -58,7 +58,6 @@ __all__ = [
     "PredictedCost",
     "SelectionReport",
     "AdaptiveSelector",
-    "Agreed",
     "AlgorithmSwitch",
     "consistent_mean",
     "SMALL_MESSAGE_BYTES",

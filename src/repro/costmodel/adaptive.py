@@ -5,15 +5,15 @@ for the whole run — but real training sweeps density regimes (top-k
 schedules warm up, gradients densify near convergence, elastic worlds
 change ``P``). A persistent ``"auto"`` plan
 (:func:`~repro.collectives.api.allreduce_plan`) is where the library
-re-decides: it agrees on every run's nnz, re-runs
-:meth:`~repro.costmodel.CostModel.rank` when that estimate
+re-decides: its first run agrees on the nnz in one round
+(:func:`consistent_mean`: a rank-ordered gather to root plus a broadcast
+of the mean, bit-identical everywhere), and every later run estimates the
+nnz from the newest result the program received from the plan, which is
+bit-identical on every rank already and so costs no message. The plan
+re-runs :meth:`~repro.costmodel.CostModel.rank` when that estimate
 :func:`drifted` from the one its choice was priced from, and logs each
-(re-)selection as an :class:`AlgorithmSwitch`. The agreement is one cheap
-round (:func:`consistent_mean`: a rank-ordered gather to root plus a
-broadcast of the mean), bit-identical everywhere, so every rank switches
-on the same run and the switch sequence replays identically on every
-backend; the round carries a vector, so a step that launches several
-collectives agrees on all their nnz at once.
+(re-)selection as an :class:`AlgorithmSwitch`, so every rank switches on
+the same run and the switch sequence replays identically on every backend.
 
 :class:`AdaptiveSelector` is the same rule as a standalone tool, off every
 library path: it folds ``stream.nnz`` into an EWMA per iteration and
@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from .model import CostModel, Instance, SelectionReport
 
 __all__ = [
-    "AdaptiveSelector", "AlgorithmSwitch", "Agreed", "consistent_mean", "drifted", "DRIFT_THRESHOLD",
+    "AdaptiveSelector", "AlgorithmSwitch", "consistent_mean", "drifted", "DRIFT_THRESHOLD",
 ]
 
-#: relative drift of an agreed nnz estimate from the one the current
+#: relative drift of a rank-consistent nnz estimate from the one the current
 #: choice was priced from that re-prices it: what a persistent plan
 #: (:func:`~repro.collectives.api.allreduce_plan`) and
 #: :class:`AdaptiveSelector` hold their choice against.
@@ -46,43 +46,19 @@ def drifted(anchor: float, estimate: float) -> bool:
     return abs(estimate - anchor) > DRIFT_THRESHOLD * max(anchor, 1.0)
 
 
-def consistent_mean(comm, value: "float | list[float] | tuple[float, ...]"):
+def consistent_mean(comm, value: float) -> float:
     """One collectively-agreed mean of every rank's ``value``.
 
-    ``value`` is a scalar or a list/tuple of scalars (all ranks pass the
-    same length); the result has the same shape, averaged component-wise.
-    Root gathers (rank order is deterministic), reduces with ``fsum``
-    (one fixed summation order), and broadcasts — so every rank receives
-    the *same floats*, bit for bit, regardless of backend or scheduling.
-    One round whatever the length; at world size 1 it is free.
+    Root gathers (rank order is deterministic), reduces with ``fsum`` (one
+    fixed summation order), and broadcasts — so every rank receives the
+    *same float*, bit for bit, regardless of backend or scheduling. One
+    round; at world size 1 it is free.
     """
-    vector = isinstance(value, (list, tuple))
-    local = [float(v) for v in value] if vector else float(value)
+    local = float(value)
     if comm.size == 1:
         return local
     votes = comm.gather_to_root(local, root=0)
-    mean = None
-    if votes is not None:
-        columns = zip(*votes) if vector else [votes]
-        means = [math.fsum(column) / len(votes) for column in columns]
-        mean = means if vector else means[0]
-    return comm.bcast(mean, root=0)
-
-
-@dataclass(frozen=True)
-class Agreed:
-    """A rank-consistent nnz estimate and the model to price it under.
-
-    What a plan (:class:`~repro.collectives.api.AllreducePlan`) needs in
-    order to resolve ``"auto"`` knobs without an agreement round of its
-    own: a caller that already ran one hands the result in — the fused
-    step (:class:`~repro.core.fusion.GradientFuser`) runs one vector round
-    for all its buckets and passes each bucket's entry to that bucket's
-    plan, ``plan(sent, agreed=)`` / ``plan.start(..., agreed=)``.
-    """
-
-    nnz: float
-    model: CostModel = field(default_factory=CostModel.default)
+    return comm.bcast(None if votes is None else math.fsum(votes) / len(votes), root=0)
 
 
 @dataclass(frozen=True)

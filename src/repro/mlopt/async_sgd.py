@@ -111,11 +111,15 @@ def distributed_sgd_async(
 
     ``adaptive=True`` (requires ``config.algorithm == "auto"``) launches
     ``"auto"`` plans instead of the once-per-membership static resolve:
-    each step agrees on the realized nnz of what it launches — the
-    gradient stream, or with a ``fuser`` every selected float32 bucket, in
-    one round either way — and each plan re-runs the cost model's
-    selection when its agreed nnz drifts, so the algorithm tracks the
-    density the run actually produces. Plans persist on the communicator,
+    each plan (one for the gradient stream, or with a ``fuser`` one per
+    bucket size) agrees on the realized nnz of what it launches in one
+    round at its first launch, then prices each later launch from the
+    newest reduced update this loop has joined — identical on every
+    rank, so no step after the first sends more than its collectives —
+    and re-runs the cost model's selection when that estimate drifts, so
+    the algorithm tracks the density the run actually produces. A step
+    launches before it joins the previous step, so a launch is priced
+    from the update of two steps back. Plans persist on the communicator,
     so each membership first resets the communicator's cached plans
     (:meth:`~repro.collectives.api.AllreducePlan.reset`): a run selects
     afresh, and ``history.algorithm_switches`` holds its own
@@ -156,7 +160,7 @@ def distributed_sgd_async(
         # deadlocks, but the §5.3 procedure keys on the local stream's nnz,
         # which differs per rank — near the sparse/dense switchover two
         # ranks can legitimately disagree. Without adaptive plans (which
-        # agree on it every step), resolve "auto" once per membership from
+        # agree on it themselves), resolve "auto" once per membership from
         # a rank-independent estimate: the dataset's mean batch nnz (the
         # dataset is replicated, so all ranks compute the identical value).
         if adaptive:
@@ -284,11 +288,10 @@ def distributed_sgd_async(
                 apply_update(grad, 1)
                 continue
             # launch this step's reduction; it progresses while the next
-            # batch's gradient is being computed. Everything collective
-            # about the launch — the nnz its "auto" knobs price, from which
-            # every rank's plans make identical (re-)selections — is
-            # settled in one agreement round on this thread, so a dead
-            # peer can surface here as well as at the join below.
+            # batch's gradient is being computed. A plan's first launch
+            # agrees on the nnz its "auto" knobs price in one round on this
+            # thread, so a dead peer can surface here as well as at the
+            # join below; later launches are priced from joined updates.
             try:
                 handle = launch(grad)
             except RankFailedError as exc:

@@ -83,6 +83,8 @@ class NonBlockingHandle(Handle):
         self._done = threading.Event()
         self._box: list[Any] = []  # the result or the error, then the trace rows
         self._joined = False
+        #: called with the result when the first ``wait()`` returns it
+        self.received: Any = None
 
     def _run(self) -> None:
         """The launch itself, on the progress thread."""
@@ -106,6 +108,8 @@ class NonBlockingHandle(Handle):
             self._done.wait()
             self._comm.inner.trace.merge(self._comm.world_rank, self._box.pop())
             self._joined = True
+            if self.received is not None and not isinstance(self._box[0], BaseException):
+                self.received(self._box[0])
         if isinstance(self._box[0], BaseException):
             raise self._box[0]
         return self._box[0]

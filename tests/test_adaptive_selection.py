@@ -9,9 +9,9 @@ import pytest
 
 import repro.collectives.api as api
 from repro.collectives import run_sparse_allreduce, sparse_allreduce
-from repro.collectives.api import cached_plan, resolve_collective
+from repro.collectives.api import cached_plan
 from repro.core import GradientFuser
-from repro.costmodel import AdaptiveSelector, Agreed, CostModel, Instance, consistent_mean
+from repro.costmodel import AdaptiveSelector, CostModel, Instance, consistent_mean
 from repro.costmodel.adaptive import drifted
 from repro.mlopt import (
     LogisticRegression,
@@ -19,8 +19,9 @@ from repro.mlopt import (
     distributed_sgd_async,
     make_sparse_classification,
 )
-from repro.runtime import Topology, run_ranks
+from repro.runtime import FaultPlan, run_ranks
 from repro.runtime.trace import MARK, SEND
+from repro.streams import SparseStream
 
 from conftest import make_rank_stream, reference_sum
 
@@ -122,10 +123,6 @@ def _consistent_mean_prog(comm):
     return consistent_mean(comm, float(10 * (comm.rank + 1)))
 
 
-def _consistent_vector_prog(comm):
-    return consistent_mean(comm, [10 * (comm.rank + 1), comm.rank, 0.1 * comm.rank])
-
-
 def _drift_prog(comm):
     """Training-loop shape: adapt the algorithm while density ramps."""
     selector = AdaptiveSelector(dimension=DIMENSION, ewma=1.0)
@@ -150,14 +147,6 @@ class TestConsistentMean:
     def test_world_of_one_is_free(self):
         out = run_ranks(_consistent_mean_prog, 1)
         assert out[0] == 10.0 and out.trace.total_bytes_sent == 0
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_vector_is_one_round_identical_on_every_rank(self, backend):
-        out = run_ranks(_consistent_vector_prog, 4, backend=backend)
-        assert all(v == out[0] for v in out.results)
-        assert out[0][:2] == [25.0, 1.5] and out[0][2] == pytest.approx(0.15)
-        # one gather + one binomial bcast, whatever the vector's length
-        assert out.trace.total_messages == 2 * (4 - 1)
 
 
 class TestAdaptiveDrift:
@@ -356,41 +345,6 @@ class TestAutoChunks:
         assert np.allclose(out[0].to_dense(), reference_sum(DIMENSION, 300, 4), atol=1e-3)
 
 
-class _SilentComm:
-    """A communicator that fails the test if anything is sent."""
-
-    size = 4
-    topology = Topology.from_spec("2x2")
-
-    def gather_to_root(self, obj, root=0):
-        raise AssertionError("a pre-agreed resolve must not communicate")
-
-
-class TestPreAgreedResolve:
-    STREAM = make_rank_stream(1 << 20, 10486, 0)
-    INSTANCE = Instance(1 << 20, 4, 10486.0, 4)
-
-    def test_no_messages_and_the_default_model_keeps_one_chunk(self):
-        fn, kwargs = resolve_collective(
-            _SilentComm(), self.STREAM, "auto", chunks="auto", agreed=Agreed(10486.0)
-        )
-        assert fn.__name__ == "ssar_hierarchical" and kwargs["chunks"] == 1
-
-    def test_priced_under_the_agreed_model_not_the_default(self):
-        default = CostModel.default()
-        free = CostModel(
-            default.network.with_(intra=default.intra.with_(launch=0.0))
-        )
-        _, kwargs = resolve_collective(
-            _SilentComm(), self.STREAM, "ssar_hier", chunks="auto",
-            agreed=Agreed(10486.0, free),
-        )
-        assert kwargs["chunks"] == free.auto_chunks(
-            self.INSTANCE, "ssar_hier", _SilentComm.topology
-        )
-        assert kwargs["chunks"] > 1
-
-
 class TestAsyncAdaptive:
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -461,9 +415,10 @@ def _sends_per_step(trace, rank, mark="compute"):
 
 
 class TestOneAgreementRoundPerAsyncStep:
-    """`distributed_sgd_async(adaptive=True, chunks="auto")` agrees once
-    per step: the selector's estimate and the nnz that chunk pricing
-    needs share a round (was 1 + one per launched collective)."""
+    """`distributed_sgd_async(adaptive=True, chunks="auto")` agrees once,
+    at its plans' first launch: every later step sends only its
+    collectives (was one round per step, and before that 1 + one per
+    launched collective)."""
 
     NRANKS = 4
     BUCKETS = 4
@@ -490,19 +445,20 @@ class TestOneAgreementRoundPerAsyncStep:
     def test_one_round_and_a_pinned_message_count_per_step(self, dataset, fused):
         out = self._run(dataset, fused)
         round_sends = 2 * (self.NRANKS - 1)  # gather to root + binomial bcast
-        # steady state: this step's round + the previous step's collectives,
-        # each 2 intra reduces + 2 leader exchanges + 2 bcasts on 2x2
-        expected = round_sends + 6 * (self.BUCKETS if fused else 1)
-        for step in range(1, 4):
-            sends = [
-                event
-                for rank in range(self.NRANKS)
-                for event in _sends_per_step(out.trace, rank)[step]
-            ]
-            assert len(sends) == expected
-            # launches run in contexts of their own; what stays in the
-            # backend's context is the rank thread's own traffic
-            assert sum(e.context == () for e in sends) == round_sends
+        steps = [
+            [event for rank in range(self.NRANKS) for event in _sends_per_step(out.trace, rank)[step]]
+            for step in range(4)
+        ]
+        # the first step launches: its plan (the buckets are one size) agrees
+        assert len(steps[0]) == round_sends
+        assert all(e.context == () for e in steps[0])
+        # from the second step on: the previous step's collectives, joined
+        # here, each 2 intra reduces + 2 leader exchanges + 2 bcasts on
+        # 2x2; launches run in contexts of their own, so nothing is left
+        # in the backend's context, where the round ran
+        for sends in steps[1:]:
+            assert len(sends) == 6 * (self.BUCKETS if fused else 1)
+            assert sum(e.context == () for e in sends) == 0
 
     def test_fused_selector_prices_the_launched_instance(self, dataset):
         """The default selector is shaped like a fused float32 top-k
@@ -513,3 +469,153 @@ class TestOneAgreementRoundPerAsyncStep:
         assert first["reason"] == "initial selection"
         assert 0 < first["estimate"] <= 4.0
         assert all(out[r].algorithm_switches == out[0].algorithm_switches for r in range(4))
+
+
+#: per-run nnz of the drift runs: steady, then a jump at run 5 that the
+#: plans see only once a run-5 result is received
+JUMP_SCHEDULE = [20] * 4 + [1200] * 4
+JUMP_RUN = 5
+
+
+def _rows(trace, rank):
+    """``rank``'s rows as ``{run: [(op, peer, tag, nbytes, label, context), ...]}``,
+    each ``run:``-prefixed mark holding the rows up to the next one, the
+    schedules' own marks included (``seq`` left out: two plans number
+    their frames on the same channels)."""
+    rows, current = {}, None
+    for event in trace.events(rank):
+        if event.op == MARK and event.label.startswith("run:"):
+            current = rows.setdefault(event.label[4:], [])
+        elif current is not None:
+            current.append(
+                (event.op, event.peer, event.tag, event.nbytes, event.label, event.context)
+            )
+    return rows
+
+
+def _auto_runs_prog(comm):
+    """Every "auto" surface, each run followed by a twin run of the fixed
+    algorithm the plan held for it: blocking ``sparse_allreduce``,
+    ``plan.start`` (joined at once, then pipelined one run deep, as
+    ``distributed_sgd_async`` joins), and fused blocking and async steps."""
+    logs = {}
+    for t, nnz in enumerate(JUMP_SCHEDULE):
+        stream = make_rank_stream(DIMENSION, nnz, comm.rank, 6000 + t)
+        comm.mark(f"run:blocking{t}")
+        sparse_allreduce(comm, stream, "auto")
+        held = cached_plan(comm, stream).switches[-1].algorithm
+        comm.mark(f"run:blocking{t}-fixed")
+        sparse_allreduce(comm, stream, held)
+    logs["blocking"] = cached_plan(comm, stream).switches
+
+    plan = api.allreduce_plan(comm, DIMENSION, np.float32)
+    for t, nnz in enumerate(JUMP_SCHEDULE):
+        stream = make_rank_stream(DIMENSION, nnz, comm.rank, 6000 + t)
+        comm.mark(f"run:start{t}")
+        plan.start(stream).wait()
+        comm.mark(f"run:start{t}-fixed")
+        api.allreduce_plan(comm, DIMENSION, np.float32, plan.switches[-1].algorithm).start(
+            stream
+        ).wait()
+    logs["start"] = plan.switches
+
+    comm.mark("run:pipelined")
+    plan, pending = api.allreduce_plan(comm, DIMENSION, np.float32), None
+    for t, nnz in enumerate(JUMP_SCHEDULE):
+        handle = plan.start(make_rank_stream(DIMENSION, nnz, comm.rank, 6000 + t))
+        if pending is not None:
+            pending.wait()
+        pending = handle
+    pending.wait()
+    logs["pipelined"] = plan.switches
+
+    fuser = GradientFuser([(f"t{i}", 1024) for i in range(4)], min_bucket_bytes=0)
+    for mode in ("fused", "fused_async"):
+        auto, fixed = fuser.make_error_feedback(4, 64), fuser.make_error_feedback(4, 64)
+        plan = cached_plan(comm, SparseStream.zeros(1024, np.float32))
+        plan.reset()
+        for t in range(4):
+            grad = np.random.default_rng(6100 + 7 * t + comm.rank).standard_normal(4096)
+            for suffix, efs in (("", auto), ("-fixed", fixed)):
+                # the four buckets share one plan: the fixed twin runs what it holds
+                algorithm = plan.switches[-1].algorithm if suffix else "auto"
+                comm.mark(f"run:{mode}{t}{suffix}")
+                if mode == "fused":
+                    fuser.fused_topk_allreduce(comm, grad, efs, algorithm)
+                else:
+                    fuser.i_fused_allreduce(comm, grad, efs, algorithm).wait()
+        logs[mode] = plan.switches
+    comm.mark("run:end")
+    return {mode: [s.to_dict() for s in switches] for mode, switches in logs.items()}
+
+
+class TestAutoRunsSendOnlyTheirSchedule:
+    """After an "auto" plan's first run, each run's trace rows are exactly
+    those of the schedule it holds — no agreement round, on any surface —
+    and the switch logs are identical on every rank and backend, also
+    under a seeded delay plan that reorders completion across ranks."""
+
+    FAULTS = FaultPlan(seed=11, delay_rate=0.3, delay_s=0.001)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        made = {}
+
+        def run(backend):
+            if backend not in made:
+                made[backend] = run_ranks(
+                    _auto_runs_prog, NRANKS, backend=backend, topology="2x2",
+                    fault_plan=self.FAULTS, timeout=120.0,
+                )
+            return made[backend]
+
+        return run
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_runs_after_the_first_are_their_schedules_rows(self, runs, backend):
+        out = runs(backend)
+        for rank in range(NRANKS):
+            rows = _rows(out.trace, rank)
+            for mode, runs_of_mode in (
+                ("blocking", len(JUMP_SCHEDULE)), ("start", len(JUMP_SCHEDULE)),
+                ("fused", 4), ("fused_async", 4),
+            ):
+                for t in range(1, runs_of_mode):
+                    assert any(op == SEND for op, *_ in rows[f"{mode}{t}"]), (mode, t, rank)
+                    assert rows[f"{mode}{t}"] == rows[f"{mode}{t}-fixed"], (mode, t, rank)
+        for mode in ("blocking", "start"):
+            first = [
+                op for rank in range(NRANKS)
+                for op, *_ in _rows(out.trace, rank)[f"{mode}0"] if op == SEND
+            ]
+            fixed = [
+                op for rank in range(NRANKS)
+                for op, *_ in _rows(out.trace, rank)[f"{mode}0-fixed"] if op == SEND
+            ]
+            # the first run adds one scalar round: gather to root + binomial bcast
+            assert len(first) == len(fixed) + 2 * (NRANKS - 1), mode
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_switch_logs_identical_on_every_rank_and_backend(self, runs, backend):
+        reference = runs("thread")[0]
+        assert all(logs == reference for logs in runs(backend).results)
+
+    def test_a_drift_switch_lands_on_the_first_run_after_its_result(self, runs):
+        logs = runs("thread")[0]
+        for mode, lands in (
+            # a blocking run's result is received when it returns
+            ("blocking", JUMP_RUN + 1), ("start", JUMP_RUN + 1),
+            # the pipelined program joins run 5 only after it started run 6
+            ("pipelined", JUMP_RUN + 2),
+        ):
+            first, *drifts = logs[mode]
+            assert first["reason"] == "initial selection" and first["iteration"] == 1
+            assert drifts and drifts[0]["iteration"] == lands, (mode, logs[mode])
+            assert drifts[0]["reason"].startswith("density drift")
+            assert drifts[0]["algorithm"] != first["algorithm"]
+
+    def test_constant_density_logs_only_the_initial_selection(self, runs):
+        logs = runs("thread")[0]
+        for mode in ("fused", "fused_async"):
+            (only,) = logs[mode]
+            assert only["iteration"] == 1 and only["reason"] == "initial selection"

@@ -450,11 +450,13 @@ def _sends_between(trace, rank, first, last):
 
 
 class TestOneAgreementRound:
-    """A fused step pays its control plane once: one vector agreement
-    round carries every bucket's nnz."""
+    """A fused step pays its control plane once per plan: the plan's first
+    launch agrees on its nnz in one scalar round, and every later step
+    sends only its buckets' schedules."""
 
     NRANKS = 4
     BUCKETS = 4
+    STEPS = 3
 
     def _trace(self):
         fuser = GradientFuser(
@@ -463,7 +465,7 @@ class TestOneAgreementRound:
 
         def prog(comm):
             efs = fuser.make_error_feedback(k=4, bucket_size=32)
-            for step in range(2):
+            for step in range(self.STEPS):
                 comm.mark(f"step{step}")
                 handle = fuser.i_fused_allreduce(
                     comm, _grads(comm.rank, 256, seed=900 + step), efs, chunks="auto",
@@ -480,28 +482,33 @@ class TestOneAgreementRound:
 
     def test_launch_runs_exactly_one_round(self):
         trace = self._trace()
-        for step in range(2):
+        for step in range(self.STEPS):
             on_rank_thread = [
                 event
                 for rank in range(self.NRANKS)
                 for event in _sends_between(trace, rank, f"step{step}", f"launched{step}")
             ]
-            # gather to root + binomial bcast; the bucket traffic is
-            # buffered on the progress thread until the join
-            assert len(on_rank_thread) == 2 * (self.NRANKS - 1)
-            # one vector: one nnz per bucket
-            assert {e.nbytes for e in on_rank_thread} == {8 + 8 * self.BUCKETS}
+            if step == 0:
+                # the four buckets share one plan, whose first run agrees:
+                # gather to root + binomial bcast of one float; the bucket
+                # traffic is buffered on the progress thread until the join
+                assert len(on_rank_thread) == 2 * (self.NRANKS - 1)
+                assert {e.nbytes for e in on_rank_thread} == {8}
+            else:
+                assert on_rank_thread == []
 
     def test_step_message_count_is_pinned(self):
         trace = self._trace()
         # per bucket on 2x2: 2 intra reduces, 2 leader exchanges, 2 bcasts
-        expected = 2 * (self.NRANKS - 1) + 6 * self.BUCKETS
-        for step in range(2):
-            total = sum(
-                len(_sends_between(trace, rank, f"step{step}", f"joined{step}"))
+        for step in range(self.STEPS):
+            sends = [
+                event
                 for rank in range(self.NRANKS)
-            )
-            assert total == expected
+                for event in _sends_between(trace, rank, f"step{step}", f"joined{step}")
+            ]
+            assert len(sends) == 6 * self.BUCKETS + (2 * (self.NRANKS - 1) if step == 0 else 0)
+            if step:
+                assert sum(e.context == () for e in sends) == 0
 
 
 class TestAutoChunksFused:
