@@ -29,6 +29,10 @@
 #                           on (bench/ is outside pytest's testpaths)
 #   make bench-smoke        a quick pass over the cheapest benchmark figures,
 #                           plus every micro-kernel row once, untimed
+#   make profile            a sampled CPU profile of one rank in latency_bound's
+#                           loop (socket, P = 4, 128 nnz, 6 000 steps): self
+#                           and inclusive us per rank per step, per function
+#                           (tools/profile_rank.py --help for other shapes)
 #   make bench              every benchmark table/figure (minutes)
 #
 # CI (.github/workflows/ci.yml) runs `make test` as the main gate, the
@@ -42,7 +46,7 @@ PYTHON ?= python
 # invocations need it on PYTHONPATH explicitly.
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: test lint loc soak smoke bench-smoke bench calibrate bench-gate
+.PHONY: test lint loc soak smoke bench-smoke bench calibrate bench-gate profile
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -53,6 +57,9 @@ lint:
 
 loc:
 	$(PYTHON) tools/loc.py
+
+profile:
+	$(PYTHON) tools/profile_rank.py
 
 soak:
 	@for i in $$(seq 1 25); do echo "soak run $$i/25"; \

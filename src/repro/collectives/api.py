@@ -290,9 +290,9 @@ def cached_plan(comm, stream, algorithm="auto", op=SUM, chunks=1) -> AllreducePl
     rank makes it at the same call."""
     plans = comm._plans = comm._plans or {}
     key = (algorithm, op, chunks, stream.dimension, stream.value_dtype)
-    if key not in plans:
-        plans[key] = AllreducePlan(comm, stream.dimension, stream.value_dtype, algorithm, op, chunks)
-    return plans[key]
+    return plans.get(key) or plans.setdefault(
+        key, AllreducePlan(comm, stream.dimension, stream.value_dtype, algorithm, op, chunks)
+    )
 
 
 def cached_plans(comm) -> list[AllreducePlan]:

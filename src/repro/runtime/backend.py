@@ -64,13 +64,13 @@ for large frames added on top (override ``_transport_send`` /
 
 Anything else (ranks as threads, a remote scheduler, …) subclasses
 :class:`Backend` directly, implements :meth:`Backend.run` (typically by
-providing a ``Communicator`` subclass with the four transport hooks), and
+providing a ``Communicator`` subclass with the three transport hooks), and
 registers itself; a new name in the equivalence tests' ``BACKENDS`` lists
 then inherits the whole contract.
 
 What a backend communicator owes the seam
 -----------------------------------------
-Besides the four transport hooks, the shared layers above act on a few
+Besides the three transport hooks, the shared layers above act on a few
 pieces of *state* of the backend communicator (see "The seam under every
 message" in :mod:`repro.runtime.comm`) — a backend provides the state,
 never the logic: ``fault_plan`` (set by the launcher from
@@ -114,11 +114,13 @@ class RankError(RuntimeError):
     inspecting even though the run as a whole failed.
     """
 
-    def __init__(self, rank: int, original: BaseException) -> None:
+    def __init__(
+        self, rank: int, original: BaseException, partial_results: "list[Any] | None" = None
+    ) -> None:
         super().__init__(f"rank {rank} failed: {type(original).__name__}: {original}")
         self.rank = rank
         self.original = original
-        self.partial_results: "list[Any] | None" = None
+        self.partial_results = partial_results
 
 
 @dataclass

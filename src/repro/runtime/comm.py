@@ -25,14 +25,16 @@ Layering
 --------
 :class:`Communicator` implements the *traced* operations (``send``,
 ``recv``, ``isend``, ``irecv``, ``sendrecv``, ``barrier``, ``bcast``, …)
-once, on top of four small transport hooks that each backend provides:
+once, on top of three small transport hooks that each backend provides:
 
-``_alloc_seq``
-    allocate the FIFO sequence number of a (src, dst, context, tag) channel;
 ``_transport_send`` / ``_transport_recv``
     move one payload without touching the trace;
 ``_probe``
     non-blocking test for a pending matching message.
+
+A channel's FIFO sequence numbers come from the backend's trace
+(:meth:`~repro.runtime.trace.Trace.sequence`, one counter per (src,
+dst, context, tag) channel; only the backend's rank sends on it).
 
 Every message is addressed by ``(peer, context, tag)``. The ``tag`` is
 the caller's int, unchanged; the ``context``
@@ -42,10 +44,11 @@ made, so no layer rewrites a tag. Peers go through one *mapping hook*,
 :meth:`Communicator._map_peer`, the identity on a backend. A *proxy*
 communicator carries traffic of another communicator under a context of
 its own instead of owning a transport: :class:`ProxyComm` holds
-``inner`` and writes every delegation (the four transport hooks, the
-mapping hook, ``_abort_state``, ``world_rank``, ``op_timeout``,
-``epoch``, ``topology``, ``backend``) exactly once, as explicit methods;
-a concrete proxy overrides only what it changes:
+``inner`` and writes every delegation (the mapping hook,
+``op_timeout``, ``epoch``, ``topology``, ``backend``) exactly once, as
+explicit methods — the transport hooks, the abort flag and the world
+rank are the backend's alone, reached on ``comm.backend`` (peers
+already mapped); a concrete proxy overrides only what it changes:
 
 * :class:`SubCommunicator` (``comm.split(color, key)`` /
   ``comm.subgroup(ranks)``) renumbers a rank subset from 0 and restricts
@@ -106,7 +109,7 @@ from ..config import STREAM_HEADER_BYTES
 from .context import format_context, pack_context, unpack_context
 from .faults import DELAY, DROP, RankKilledError
 from .topology import check_topology_size
-from .trace import Trace
+from .trace import RECV, SEND, Trace
 
 __all__ = [
     "Communicator",
@@ -348,10 +351,18 @@ def copy_payload(obj: Any) -> Any:
 class Communicator(abc.ABC):
     """A group of ``size`` ranks with point-to-point messaging.
 
-    Concrete backends must implement the four transport hooks
-    (:meth:`_alloc_seq`, :meth:`_transport_send`, :meth:`_transport_recv`,
-    :meth:`_probe`) and set :attr:`trace`; every traced operation has a
-    shared implementation here.
+    A backend communicator sets :attr:`trace` and implements the three
+    transport hooks; every traced operation has a shared implementation
+    here. Every message reaches the hooks on the backend under its stack
+    (see :meth:`_channel`), with peers mapped and the sender's context
+    key, so a proxy has none:
+
+    ``_transport_send(obj, nbytes, seq, dest, key, tag) -> None``
+        move one payload to ``dest`` without recording trace events;
+    ``_transport_recv(source, key, tag) -> (payload, nbytes, seq)``
+        blocking matching receive;
+    ``_probe(source, key, tag) -> bool``
+        non-blocking test: is a matching message already deliverable?
     """
 
     rank: int
@@ -383,6 +394,8 @@ class Communicator(abc.ABC):
 
     #: this rank's world-failure flag. Backends provide it, settable: an
     #: elastic membership change *replaces* it (see the ``_elastic_*`` hooks).
+    #: A proxy reads its backend's (``comm.backend.aborted``); ``None`` is
+    #: a backend without one (nothing to observe).
     aborted: "AbortState | None" = None
 
     #: fault injection: a :class:`~repro.runtime.faults.FaultPlan` applied
@@ -412,29 +425,14 @@ class Communicator(abc.ABC):
     #: topology (:func:`repro.collectives.hier.build_hierarchy`)
     _plans: "dict | None" = None
     _hierarchies: "dict | None" = None
+    #: this communicator's channels, each resolved at its first message
+    #: (:meth:`_channel`): ``(peer, tag, role) -> (backend, epoch, backend
+    #: peer, sequence counter, row writer)``
+    _channels: dict
     #: inbound messages of a backend that queues them:
     #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``;
     #: a queue exists only while it holds a message (see :meth:`_take`).
     _queues: dict
-
-    # ------------------------------------------------------------------
-    # transport hooks (backend-provided)
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
-        """Allocate the FIFO sequence number for the (rank, dest, context, tag) channel."""
-
-    @abc.abstractmethod
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
-        """Move one payload to ``dest`` without recording trace events."""
-
-    @abc.abstractmethod
-    def _transport_recv(self, source: int, key: bytes, tag: int) -> tuple[Any, int, int]:
-        """Blocking matching receive; returns ``(payload, nbytes, seq)``."""
-
-    @abc.abstractmethod
-    def _probe(self, source: int, key: bytes, tag: int) -> bool:
-        """Non-blocking test: is a matching message already deliverable?"""
 
     def _take(self, want: tuple) -> "tuple[Any, int, int] | None":
         """The next queued message on ``want`` or None (the lock guarding
@@ -454,24 +452,14 @@ class Communicator(abc.ABC):
         """Hook for proxy communicators that renumber ranks (sub-comms)."""
         return peer
 
-    def _abort_state(self) -> "AbortState | None":
-        """This rank's :class:`AbortState` (:attr:`aborted`).
-
-        Proxies delegate inward, so non-blocking probes anywhere in a
-        proxy stack can observe world failure. ``None`` means the backend
-        has no abort flag (nothing to observe).
-        """
-        return self.aborted
-
     @property
     def world_rank(self) -> int:
         """The world-level rank trace events are attributed to.
 
-        Equal to :attr:`rank` on backend communicators; proxies that
-        renumber ranks (sub-communicators) delegate to their parent so
-        byte accounting always lands on the real rank.
+        The :attr:`backend`'s rank, so the byte accounting of a proxy
+        that renumbers ranks (a sub-communicator) lands on the real rank.
         """
-        return self.rank
+        return self.backend.rank
 
     @property
     def backend(self) -> "Communicator":
@@ -510,12 +498,24 @@ class Communicator(abc.ABC):
     # ------------------------------------------------------------------
     # traced point-to-point operations
     # ------------------------------------------------------------------
-    def _check(self, peer: int, tag: int, role: str) -> None:
-        """Refuse a ``role`` (``"dest"`` / ``"source"``) rank outside this
-        communicator or equal to its own, and a negative tag: those are
-        reserved for transport-internal framing (e.g. the process family's
-        FIN marker), and refusing them here keeps the contract identical on
-        every backend."""
+    def _channel(self, peer: int, tag: int, role: str) -> tuple:
+        """Resolve this communicator's channel to (``role="dest"``) or from
+        (``"source"``) ``peer`` on ``tag``: ``(backend, epoch, backend peer,
+        sequence counter or None, row writer)``, kept for its next messages.
+
+        It refuses a ``role`` rank outside this communicator or equal to
+        its own, and a negative tag: those are reserved for
+        transport-internal framing (e.g. the process family's FIN marker),
+        and refusing them here keeps the contract identical on every
+        backend. What a message needs of the stack under it is fixed for a
+        communicator — its rank, size, context, rank mapping, trace and
+        backend — so it is looked up here, once, not per message: the
+        checks, :meth:`_map_peer`, :attr:`world_rank` and the row's
+        interned context. Only the backend's epoch moves: a message sent
+        or received in a later epoch than its channel's resolves it again,
+        so an :class:`~repro.runtime.elastic.ElasticWorld` superseded since
+        raises :class:`StaleEpochError` from its :meth:`_map_peer`.
+        """
         if not 0 <= peer < self.size:
             raise ValueError(f"{role} rank {peer} out of range [0, {self.size})")
         if peer == self.rank:
@@ -524,29 +524,35 @@ class Communicator(abc.ABC):
             raise ValueError("self-receives are not supported")
         if tag < 0:
             raise ValueError(f"message tags must be non-negative, got {tag}")
+        backend, mapped = self.backend, self._map_peer(peer)
+        seqs = backend.trace.sequence(backend.rank, mapped, tag, self._context) if role == "dest" else None
+        write = self.trace.writer(self.world_rank, RECV if seqs is None else SEND, mapped, tag, self._context)
+        channel = self._channels[peer, tag, role] = (backend, backend.epoch, mapped, seqs, write)
+        return channel
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send of ``obj`` to rank ``dest``."""
-        self._check(dest, tag, "dest")
-        dest = self._map_peer(dest)
-        context = self._context
+        channel = self._channels.get((dest, tag, "dest"))
+        if channel is None or channel[0].epoch != channel[1]:
+            channel = self._channel(dest, tag, "dest")
+        backend, _, dest, seqs, write = channel
         nbytes = payload_nbytes(obj)
-        seq = self._alloc_seq(dest, context, tag)
-        self.trace.record_send(self.world_rank, dest, tag, seq, nbytes, context)
-        backend = self.backend
-        if backend.fault_plan is not None and backend._fault_send(dest, context, tag, seq):
+        seq = next(seqs)
+        write(seq, nbytes)
+        if backend.fault_plan is not None and backend._fault_send(dest, self._context, tag, seq):
             return  # dropped after tracing; the matching recv never completes
-        self._transport_send(obj, nbytes, seq, dest, self._context_key, tag)
+        backend._transport_send(obj, nbytes, seq, dest, self._context_key, tag)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive of the next message from ``source`` on ``tag``."""
-        self._check(source, tag, "source")
-        source = self._map_peer(source)
-        backend = self.backend
+        channel = self._channels.get((source, tag, "source"))
+        if channel is None or channel[0].epoch != channel[1]:
+            channel = self._channel(source, tag, "source")
+        backend, _, source, _, write = channel
         if backend.fault_plan is not None:
             backend._fault_tick()
-        payload, nbytes, seq = self._transport_recv(source, self._context_key, tag)
-        self.trace.record_recv(self.world_rank, source, tag, seq, nbytes, self._context)
+        payload, nbytes, seq = backend._transport_recv(source, self._context_key, tag)
+        write(seq, nbytes)
         return payload
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> "Handle":
@@ -770,9 +776,11 @@ class ProxyComm(Communicator):
     """A communicator that carries traffic over another one under its own
     ``context``.
 
-    Holds ``inner`` and delegates every hook to it — the one place that
-    delegation is written. Subclasses override what they change (a rank
-    mapping, the topology, the trace) and nothing else; no
+    Holds ``inner`` and delegates every hook but the transport's to it —
+    the one place that delegation is written (a message reaches the
+    transport hooks on :attr:`backend`, see
+    :meth:`Communicator._channel`). Subclasses override what they change
+    (a rank mapping, the topology, the trace) and nothing else; no
     ``__getattr__``, so the message path stays explicit.
     """
 
@@ -783,14 +791,11 @@ class ProxyComm(Communicator):
         self.trace = inner.trace
         self._context = tuple(context)
         self._context_key = pack_context(self._context)
+        self._channels = {}
 
     @property
     def backend(self) -> Communicator:
         return self.inner.backend
-
-    @property
-    def world_rank(self) -> int:
-        return self.inner.world_rank
 
     @property
     def op_timeout(self) -> "float | None":
@@ -806,22 +811,6 @@ class ProxyComm(Communicator):
 
     def _map_peer(self, peer: int) -> int:
         return self.inner._map_peer(peer)
-
-    # peers arrive already mapped, with this proxy's context
-    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
-        return self.inner._alloc_seq(dest, context, tag)
-
-    def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
-        self.inner._transport_send(obj, nbytes, seq, dest, key, tag)
-
-    def _transport_recv(self, source: int, key: bytes, tag: int) -> tuple[Any, int, int]:
-        return self.inner._transport_recv(source, key, tag)
-
-    def _probe(self, source: int, key: bytes, tag: int) -> bool:
-        return self.inner._probe(source, key, tag)
-
-    def _abort_state(self) -> "AbortState | None":
-        return self.inner._abort_state()
 
 
 class SubCommunicator(ProxyComm):
@@ -917,7 +906,7 @@ class DeferredRecvHandle(Handle):
             # a blocking recv observes world abort through the transport; an
             # up-front check just surfaces it without touching the queues
             # when the world is already gone
-            state = self._comm._abort_state()
+            state = self._comm.backend.aborted
             if state is not None and state.is_set() and not self.test_quiet():
                 raise state.error()
             self._value = self._comm.recv(self._source, self._tag)
@@ -929,14 +918,14 @@ class DeferredRecvHandle(Handle):
         if self._done:
             return True
         comm = self._comm
-        return comm._probe(comm._map_peer(self._source), comm._context_key, self._tag)
+        return comm.backend._probe(comm._map_peer(self._source), comm._context_key, self._tag)
 
     def test(self) -> bool:
         if self.test_quiet():
             return True
         # the matching message can never arrive once the world aborted:
         # raise like a blocking recv would instead of returning False forever
-        state = self._comm._abort_state()
+        state = self._comm.backend.aborted
         if state is not None and state.is_set():
             raise state.error()
         return False

@@ -122,7 +122,11 @@ class ElasticWorld(SubCommunicator):
     def epoch(self) -> int:
         return self._epoch
 
-    def _check_epoch(self) -> None:
+    # a channel maps its peer through this hook (``Communicator._channel``)
+    # at its first message and again whenever the backend's epoch moved, so
+    # every operation after a membership change passes here: the one choke
+    # point where a superseded world can be rejected with the typed error
+    def _map_peer(self, peer: int) -> int:
         current = self.inner.epoch
         if current != self._epoch:
             raise StaleEpochError(
@@ -132,12 +136,6 @@ class ElasticWorld(SubCommunicator):
                 frame_epoch=self._epoch,
                 current_epoch=current,
             )
-
-    # every traced operation (and every nested proxy) funnels through the
-    # peer mapping hook exactly once per message — the one choke point
-    # where a superseded world can be rejected with the typed error
-    def _map_peer(self, peer: int) -> int:
-        self._check_epoch()
         return super()._map_peer(peer)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -171,7 +169,7 @@ def shrink(
     backend = comm.backend
     members = list(_members_of(comm))
     known_dead = set(int(r) for r in dead)
-    state = backend._abort_state()
+    state = backend.aborted
     if state is not None:
         known_dead |= set(state.failed_ranks)
     known_dead |= set(backend.dead_ranks) & set(members)

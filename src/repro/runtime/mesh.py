@@ -29,14 +29,15 @@ No communicator here starts a thread. Whichever thread of a rank is
 channel is full — takes the rank's progress engine and runs
 :meth:`StreamComm._progress`: wait for traffic on every live inbound
 channel, read what is there, hand every whole frame to ``_deliver``. One
-thread holds the engine at a time; a second blocked thread (an
-``i_collective`` next to the rank thread) sleeps on a condition the
-holder signals on every frame it queues and when it leaves, so the
-hand-off is a wake-up, not a timed poll. The frame the holder itself
-waits for is not queued at all: the first one of its channel is kept
-for it and returned as it leaves the engine — no lock, no queue entry,
-no wake-up — while its channel's later frames, and every other
-channel's, are queued in order. This is MPI without an asynchronous
+thread holds the engine at a time — a lock acquired without blocking; a
+second blocked thread (an ``i_collective`` next to the rank thread)
+sleeps on a condition the holder signals on every frame it queues and
+when it leaves, whenever a thread sleeps on it, so the hand-off is a
+wake-up, not a timed poll. The frame the holder itself waits for is not
+queued at all: the first one of its channel is kept for it and returned
+as it leaves the engine — no lock, no queue entry, no wake-up — while
+its channel's later frames, and every other channel's, are queued in
+order. A receive on a rank with one thread takes no lock at all. This is MPI without an asynchronous
 progress thread: a message costs no thread hand-off, and in exchange
 **sends are kernel-buffered only** — one larger than the channel buffer
 completes when the receiver next enters a transport call, and a peer's
@@ -125,8 +126,8 @@ class StreamComm(Communicator):
     ``recv_into`` (the pipe ends of :mod:`~repro.runtime.process_backend`).
     A message is ``<u64 frame length><frame>``. Incoming traffic lands in
     :attr:`_queues`, one FIFO per (source, context key, tag) that exists
-    only while it holds messages, guarded by the engine's lock — the one
-    lock a message takes on its way in and out — except the frame a
+    only while it holds messages, guarded by ``_lock`` — the one lock a
+    queued message takes on its way in and out — except the frame a
     blocked receiver reads for itself, which is handed to it directly
     (:meth:`_deliver`). Sequence numbers are
     allocated sender-side against the worker-local trace (only this rank
@@ -151,6 +152,7 @@ class StreamComm(Communicator):
         self.rank = rank
         self.size = size
         self.trace = trace
+        self._channels = {}
         self.op_timeout = op_timeout
         self.aborted = AbortState()
         #: elastic world version stamped on every outgoing frame; bumped by
@@ -162,17 +164,22 @@ class StreamComm(Communicator):
         #: failures from them (channel EOF, broken sends) must not re-abort
         #: the new, smaller world.
         self.dead_ranks: set[int] = set()
-        #: the progress engine's hand-off: its lock guards the two fields
-        #: below, and threads that find the engine taken sleep on it — the
-        #: holder notifies on every queued delivery and on leaving.
-        self._engine = threading.Condition()
-        self._engine_busy = False
+        #: the progress engine: held by whichever thread acquired this
+        #: (never blocking on it), released as it leaves
+        self._token = threading.Lock()
+        #: guards the queue table and the two counts below; threads that
+        #: find the engine taken sleep on ``_engine`` (its condition) until
+        #: the holder queues a delivery or leaves — it notifies only when
+        #: one sleeps.
+        self._lock = threading.Lock()
+        self._engine = threading.Condition(self._lock)
+        self._sleepers = 0
         #: the holder's own receive, ``(source, context key, tag)`` or None,
         #: and the frame handed straight to it (engine-holder state, no lock)
         self._want = self._kept = None
         #: ``(source, context key, tag) -> deque of (payload, nbytes, seq)``,
-        #: under the engine lock; the pop that empties a queue deletes it, so
-        #: a drained channel keeps nothing.
+        #: under ``_lock``; the pop that empties a queue deletes it, so a
+        #: drained channel keeps nothing.
         self._queues: dict[tuple[int, bytes, int], deque] = {}
         #: threads waiting in :meth:`_holding_engine`; receivers stand back.
         self._engine_claims = 0
@@ -196,7 +203,7 @@ class StreamComm(Communicator):
         if failed_rank is not None and failed_rank in self.dead_ranks:
             return  # already accounted for by a shrink; the world lives on
         self.aborted.set(failed_rank, reason)
-        with self._engine:  # every blocked receiver waits on the engine
+        with self._lock:  # every blocked receiver waits on the engine
             self._engine.notify_all()
 
     def _deliver(self, src: int, frame: Any) -> bool:
@@ -207,8 +214,8 @@ class StreamComm(Communicator):
         (``_kept``) — no lock, no queue, no wake-up: nothing of that
         channel can be queued then, as the holder only steps with its
         queue empty, and it returns the frame as it leaves the engine.
-        Every other frame is queued under the engine lock, waking the
-        threads that wait for one. Returns False once nothing more will be
+        Every other frame is queued under ``_lock``, waking the threads
+        that wait for one. Returns False once nothing more will be
         delivered from ``src``'s channel: the peer sent FIN (it finished
         cleanly), or the frame was undecodable and the world is aborted
         naming ``src``. Decoding copies (``copy=True``): the buffer
@@ -236,9 +243,10 @@ class StreamComm(Communicator):
         if key == self._want and self._kept is None:
             self._kept = (payload, nbytes, seq)
         else:
-            with self._engine:
+            with self._lock:
                 self._queues.setdefault(key, deque()).append((payload, nbytes, seq))
-                self._engine.notify_all()  # a thread without the engine may be waiting for this
+                if self._sleepers:  # a thread without the engine may be waiting for this
+                    self._engine.notify_all()
         return True
 
     def _die(self) -> None:
@@ -342,7 +350,7 @@ class StreamComm(Communicator):
                     self._detach(fd)  # FIN: the channel is drained (or the world aborted)
                     return
                 pos = end
-            if pos or state[0] is not buf:  # move the partial frame to offset 0
+            if filled > pos and (pos or state[0] is not buf):  # move the partial frame to offset 0
                 memoryview(state[0])[:filled - pos] = view[pos:filled]
             state[1] = filled - pos
         except BlockingIOError:
@@ -369,25 +377,33 @@ class StreamComm(Communicator):
         nothing to write sleeps until it signals a delivery or leaves (at
         most ``wait``). Given a receiver's ``want``, ``(source, context
         key, tag)``, it returns that channel's next message or None
-        instead: taken from the queue under a lock this call holds anyway
-        — before stepping (nothing is read if one is already queued) or
-        after a sleep — or, when it stepped, the frame its own step handed
-        it (:meth:`_deliver`).
+        instead: taken from the queue — before stepping (nothing is read
+        if one is already queued) or after a sleep — or, when it stepped,
+        the frame its own step handed it (:meth:`_deliver`). A receiver
+        that steps takes no lock: the engine is a lock acquired without
+        blocking, and a frame it waits for is handed over, not queued.
         """
-        with self._engine:
+        if want not in self._queues and not self._engine_claims and self._token.acquire(False):
+            # the engine is ours, so nothing is queued meanwhile: a frame
+            # queued for ``want`` before we took it is served first
+            if want not in self._queues:
+                self._want = want
+                try:
+                    self._progress(wait, writable)
+                except BaseException:
+                    self._leave_engine()
+                    raise
+                return self._leave_engine(want)
+            self._leave_engine()
+        with self._lock:
             if want in self._queues:
                 return self._take(want)
-            if self._engine_busy or self._engine_claims:
-                if writable is None:
-                    self._engine.wait(wait)
-                return self._take(want) if want else False
-            self._engine_busy, self._want = True, want
-        try:
-            self._progress(wait, writable)
-        except BaseException:
-            self._leave_engine()
-            raise
-        return self._leave_engine(want)
+            # counted before looking, so a holder leaving now sees us and wakes us
+            self._sleepers += 1
+            if writable is None and (self._token.locked() or self._engine_claims):
+                self._engine.wait(wait)
+            self._sleepers -= 1
+            return self._take(want) if want else False
 
     def _leave_engine(self, want: tuple | None = None) -> Any:
         """Hand the engine back: True, or with ``want`` the frame the step
@@ -395,12 +411,14 @@ class StreamComm(Communicator):
         handed-over frame at the head of its channel's queue, ahead of the
         frames that came behind it, for the next receive."""
         kept, self._kept = self._kept, None
-        with self._engine:
-            self._engine_busy = False
-            self._engine.notify_all()
-            if want is None and kept is not None:
+        if want is None and kept is not None:
+            with self._lock:
                 self._queues.setdefault(self._want, deque()).appendleft(kept)
-            return kept if want else True
+        self._token.release()
+        if self._sleepers:  # read after the release: a sleeper counted later finds the engine free
+            with self._lock:
+                self._engine.notify_all()
+        return kept if want else True
 
     @contextmanager
     def _holding_engine(self):
@@ -408,12 +426,12 @@ class StreamComm(Communicator):
         runs meanwhile, so the channel set can change (elastic rejoin).
         Blocks until the holder leaves, with precedence over receivers —
         a receiver re-takes the engine faster than a waiter can wake."""
-        with self._engine:
-            self._engine_claims += 1
-            while self._engine_busy:
-                self._engine.wait()
+        with self._lock:
+            self._engine_claims += 1  # receivers stand back meanwhile
+        self._token.acquire()
+        with self._lock:
             self._engine_claims -= 1
-            self._engine_busy, self._want = True, None
+        self._want = None
         try:
             yield
         finally:
@@ -422,9 +440,6 @@ class StreamComm(Communicator):
     # ------------------------------------------------------------------
     # transport hooks
     # ------------------------------------------------------------------
-    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
-        return self.trace.next_seq(self.rank, dest, tag, context)
-
     def _transport_recv(self, source: int, key: bytes, tag: int) -> tuple[Any, int, int]:
         want = (source, key, tag)
         aborted = self.aborted  # an elastic reset swaps the flag; unwind on the one we started under
@@ -475,7 +490,7 @@ class StreamComm(Communicator):
         sent, deadline = 0, None
         while True:
             try:
-                moved = channel.send(view[sent:])
+                moved = channel.send(view[sent:] if sent else view)
             except BlockingIOError:
                 moved = 0
             sent += moved
@@ -680,12 +695,8 @@ def _collect(
     pending = dict(enumerate(result_conns))
 
     while pending:
-        now = time.monotonic()
-        wait_for = None
-        if deadline is not None:
-            wait_for = deadline - now
-        if error_deadline is not None:
-            wait_for = min(error_deadline - now, wait_for) if wait_for is not None else error_deadline - now
+        ends = [end for end in (deadline, error_deadline) if end is not None]
+        wait_for = min(ends) - time.monotonic() if ends else None
         if wait_for is not None and wait_for <= 0:
             if errors or error_deadline is not None:
                 break  # grace period after a failure ran out
@@ -843,6 +854,4 @@ def _finalize_run(
         )
     else:
         return ParallelResult(results=results, trace=run_trace, world=world)
-    err = RankError(rank, original)
-    err.partial_results = results
-    raise err from original
+    raise RankError(rank, original, results) from original

@@ -104,6 +104,7 @@ class ThreadComm(Communicator):
         self.rank = rank
         self.size = world.size
         self.trace = world.trace
+        self._channels = {}
         self.topology = world.topology
         self.op_timeout = world.op_timeout
         self._queues = world._queues[rank]
@@ -133,9 +134,6 @@ class ThreadComm(Communicator):
     # ------------------------------------------------------------------
     # transport hooks
     # ------------------------------------------------------------------
-    def _alloc_seq(self, dest: int, context: tuple, tag: int) -> int:
-        return self.world.trace.next_seq(self.rank, dest, tag, context)
-
     def _transport_send(self, obj: Any, nbytes: int, seq: int, dest: int, key: bytes, tag: int) -> None:
         item = (copy_payload(obj), nbytes, seq)
         ready = self.world._ready[dest]
@@ -241,9 +239,7 @@ class ThreadBackend(Backend):
 
         if errors:
             rank, original = min(errors, key=lambda e: e[0])
-            err = RankError(rank, original)
-            err.partial_results = results
-            raise err from original
+            raise RankError(rank, original, results) from original
         return ParallelResult(results=results, trace=world.trace, world=world)
 
 

@@ -31,9 +31,13 @@ then ``seq`` is shifted where a channel already had traffic.
 
 Recording is race-free by construction: a row is appended by one call
 (so a reader on another thread never sees half of one), each rank appends
-only to its own log from its own thread, and sequence numbers for (src,
-dst, context, tag) channels and new table entries are allocated under a
-world-level lock.
+only to its own log from its own threads, new table entries are added
+under a world-level lock, and each (src, dst, context, tag) channel's
+sequence numbers come from its own ``itertools.count``, whose ``next()``
+is one atomic step: two threads sending on one channel draw distinct
+numbers without a lock. A communicator resolves each of its channels
+once (:meth:`Trace.sequence`, :meth:`Trace.writer`) and then pays one
+``next()`` and one row append per message.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from __future__ import annotations
 import threading
 from array import array
 from collections.abc import Sequence
-from itertools import chain, repeat
-from typing import Iterator, NamedTuple
+from itertools import chain, count, repeat
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -160,52 +164,75 @@ class Trace:
         self._logs = [_Log() for _ in range(nranks)]
         #: guards the channel counters and every new table entry
         self._lock = threading.Lock()
-        #: ``(src, dst, context, tag) -> next sequence number``
-        self._seq: dict[tuple[int, int, tuple, int], int] = {}
+        #: ``(src, dst, context, tag) -> counter of its next sequence numbers``
+        self._seq: dict[tuple[int, int, tuple, int], Iterator[int]] = {}
         #: rank -> first merged event whose channel ``_seq`` may not count yet
         self._unsized: dict[int, int] = {}
         self.enabled = True
 
     # ------------------------------------------------------------------
-    def _size_merged(self) -> None:
+    def _size_merged(self) -> dict:
         """Count the channels of merged rows into ``_seq`` (lock held): a
-        channel carried at least its largest seq + 1 messages."""
+        channel carried at least its largest seq + 1 messages.
+        Returns every channel's next sequence number. Reading a counter
+        takes a number, so each is replaced by a fresh one at the right
+        place: this runs between runs, while no rank sends on the trace."""
+        counts = {channel: next(seqs) for channel, seqs in self._seq.items()}
         for rank, start in self._unsized.items():
             log = self._logs[rank]
             for channel, seq in _channel_seqs(rank, log.rows[start * _WIDTH:], log.names):
-                if channel is not None and seq >= self._seq.get(channel, 0):
-                    self._seq[channel] = seq + 1
+                if channel is not None and seq >= counts.get(channel, 0):
+                    counts[channel] = seq + 1
+        self._seq.update((channel, count(seq)) for channel, seq in counts.items())
+        # emptied last: a sender that reads it empty finds the new counters
         self._unsized.clear()
+        return counts
+
+    def sequence(self, src: int, dst: int, tag: int, context: tuple = ()) -> Iterator[int]:
+        """The counter of a (src, dst, context, tag) channel's FIFO sequence
+        numbers, made at the channel's first message: ``next()`` of it
+        allocates one, atomically, with no lock."""
+        if self._unsized:  # the first message after a merge sizes the channels, once
+            with self._lock:
+                if self._unsized:
+                    self._size_merged()
+        key = (src, dst, context, tag)
+        return self._seq.get(key) or self._seq.setdefault(key, count())
 
     def next_seq(self, src: int, dst: int, tag: int, context: tuple = ()) -> int:
         """Allocate the FIFO sequence number for a (src, dst, context, tag) channel."""
-        key = (src, dst, context, tag)
-        with self._lock:
-            if self._unsized:
-                self._size_merged()
-            seq = self._seq.get(key, 0)
-            self._seq[key] = seq + 1
-        return seq
+        return next(self.sequence(src, dst, tag, context))
 
     def _intern(self, log: _Log, name) -> int:
-        """``name``'s id in ``log``'s table, added if new (the slow path:
-        a recorder looks ``log.ids`` up first, without the lock)."""
-        with self._lock:
-            if name not in log.ids:
-                log.names.append(name)  # before the id is published: no row names a missing entry
-                log.ids[name] = len(log.names) - 1
-            return log.ids[name]
+        """``name``'s id in ``log``'s table: looked up without the lock,
+        added under it if new (a channel's writer holds its id, :meth:`writer`)."""
+        id_ = log.ids.get(name)
+        if id_ is None:
+            with self._lock:
+                if name not in log.ids:
+                    log.names.append(name)  # before the id is published: no row names a missing entry
+                    log.ids[name] = len(log.names) - 1
+                id_ = log.ids[name]
+        return id_
 
     def _append(self, rank: int, op: int, peer: int, tag: int, seq: int, nbytes: int, label: str, context: tuple) -> None:
         if self.enabled:
             log = self._logs[rank]
-            lab = log.ids.get(label)
-            if lab is None:
-                lab = self._intern(log, label)
-            ctx = log.ids.get(context)
-            if ctx is None:
-                ctx = self._intern(log, context)
-            log.rows.fromlist([op, peer, tag, seq, nbytes, lab, ctx])  # one call: never half a row
+            row = [op, peer, tag, seq, nbytes, self._intern(log, label), self._intern(log, context)]
+            log.rows.fromlist(row)  # one call: never half a row
+
+    def writer(self, rank: int, op: str, peer: int, tag: int, context: tuple = ()) -> Callable[[int, int], None]:
+        """``write(seq, nbytes)``, which records one ``op`` (:data:`SEND` or
+        :data:`RECV`) row of ``rank`` on one channel: the channel's part of
+        the row — log, op, peer, tag, interned context — is fixed here, once."""
+        log, code = self._logs[rank], _OPS.index(op)
+        ctx = self._intern(log, context)
+
+        def write(seq: int, nbytes: int) -> None:
+            if self.enabled:
+                log.rows.fromlist([code, peer, tag, seq, nbytes, 0, ctx])  # label id 0 is ""
+
+        return write
 
     def record_send(self, rank: int, peer: int, tag: int, seq: int, nbytes: int, context: tuple = ()) -> None:
         self._append(rank, _SEND, peer, tag, seq, nbytes, "", context)
@@ -254,7 +281,7 @@ class Trace:
         if not self.enabled or not rows:
             return
         mine = self._logs[rank]
-        ids = [mine.ids[name] if name in mine.ids else self._intern(mine, name) for name in names]
+        ids = [self._intern(mine, name) for name in names]
         if ids != list(range(len(ids))):
             rows = array("q", rows)
             for column in (5, 6):
@@ -278,8 +305,7 @@ class Trace:
         sized from what the survivors received.
         """
         with self._lock:
-            self._size_merged()
-            bases = dict(self._seq)
+            bases = self._size_merged()
         starts = {rank: len(self._logs[rank].rows) // _WIDTH for rank in logs}
         for rank, (rows, names) in logs.items():
             if bases:
@@ -292,8 +318,10 @@ class Trace:
             self._unsized.update(starts)
 
     def clear(self) -> None:
-        """Drop all recorded events and sequence counters."""
-        self._logs = [_Log() for _ in range(self.nranks)]
+        """Drop all recorded events and sequence counters (a rank's table
+        stays: the writers made before keep their ids)."""
+        for log in self._logs:
+            log.rows = array("q")
         with self._lock:
             self._seq.clear()
             self._unsized.clear()

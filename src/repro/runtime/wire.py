@@ -37,10 +37,13 @@ once (:func:`encode_message`). Either way every payload byte is copied
 exactly once on the way out, and every frame size takes the same path.
 
 The decoder reads arrays with ``np.frombuffer(view, offset=...)``: with
-``copy=True`` (the default) each array is materialised with a single copy
-out of the source buffer, giving the receiver MPI's independent-buffer
-guarantee; with ``copy=False`` the arrays are *views* into the caller's
-buffer — valid only as long as that buffer is, and writable only if it is.
+``copy=True`` (the default) a stream's arrays are copied out of the source
+buffer in one copy, into one fresh buffer they alone view — the
+receiver's MPI independent-buffer guarantee — begun early enough that the
+values land aligned for their dtype (four bytes early for float64 values
+after an odd count of ``uint32`` indices); with ``copy=False`` the
+arrays are *views* into the caller's buffer — valid only as long as that
+buffer is, and writable only if it is.
 """
 
 from __future__ import annotations
@@ -291,14 +294,14 @@ def _decode_stream(
     split = body + count * INDEX_DTYPE.itemsize if flag == FLAG_SPARSE else body
     if len(view) != split + count * value_dtype.itemsize:
         raise ValueError(f"corrupt stream payload: {len(view)} bytes cannot hold {count} entries")
-    # each array a single copy out of ``view``, or a zero-copy view of it
-    values = np.frombuffer(view, value_dtype, count, split)
     if copy:
-        values = values.copy()
+        # one copy of the arrays into a fresh buffer (16-byte aligned), begun
+        # ``shift`` bytes early so that the values land aligned too
+        shift = (split - body) % value_dtype.itemsize
+        view, body, split = bytearray(view[body - shift:]), shift, split - body + shift
+    values = np.frombuffer(view, value_dtype, count, split)
     if flag == FLAG_SPARSE:
         indices = np.frombuffer(view, INDEX_DTYPE, count, body)
-        if copy:
-            indices = indices.copy()
         out = SparseStream._trusted(dimension, indices, values, value_dtype)
     elif flag == FLAG_DENSE:
         out = SparseStream(dimension, dense=values, value_dtype=value_dtype, copy=False)

@@ -43,6 +43,11 @@ class ReduceOp:
     ufunc: np.ufunc
     neutral: float
 
+    def __hash__(self) -> int:
+        # the name alone: a plan is looked up by its op every run, and
+        # ops equal in all three fields share a name (equality is unchanged)
+        return hash(self.name)
+
     def combine(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Element-wise ``a op b``."""
         return self.ufunc(a, b, out=out)

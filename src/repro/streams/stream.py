@@ -343,7 +343,7 @@ class SparseStream:
     # ------------------------------------------------------------------
     def copy(self) -> "SparseStream":
         """Deep copy preserving the representation and wire annotations."""
-        if self.is_dense:
+        if self._dense is not None:
             out = SparseStream(self.dimension, dense=self._dense, value_dtype=self.value_dtype)
         else:
             out = SparseStream._trusted(

@@ -29,6 +29,8 @@ dtype).
 from __future__ import annotations
 
 import sys
+import threading
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -87,8 +89,11 @@ def _sorted_runs(
 
 
 def _c_kernel(simd: bool):
-    """``(ffi.from_buffer, {value dtype: merge function}, name)`` of ``_merge.c``.
+    """``(buffer -> char[] cdata, {value dtype: merge function}, name)`` of
+    ``_merge.c``.
 
+    The conversion is ``ffi.from_buffer`` without its Python-level
+    wrapper: cffi's own backend function, bound to ``char[]`` once.
     With ``simd``, float32 merges go through ``merge_pairs_w4_simd``: the
     AVX-512 body from ``SIMD_MIN`` pairs up, the scalar one below.
     """
@@ -99,12 +104,18 @@ def _c_kernel(simd: bool):
     }
     if simd:
         table[np.dtype(np.float32)] = lib.merge_pairs_w4_simd
-    return ffi.from_buffer, table, "c-avx512" if simd else "c"
+    from _cffi_backend import from_buffer  # loaded with cffi: NATIVE is not None
+
+    return partial(from_buffer, ffi.typeof("char[]")), table, "c-avx512" if simd else "c"
 
 
 #: the compiled merge (built at import by :mod:`repro._native`; its AVX-512
 #: body wherever the CPU has one), or None: the numpy path then does every merge
 _KERNEL = NATIVE and _c_kernel(simd=bool(NATIVE[1].merge_simd()))
+
+
+#: each thread's kernel scratch, ``(array, pointer)``, kept from merge to merge
+_SCRATCH = threading.local()
 
 
 def merge_implementation() -> str:
@@ -178,9 +189,14 @@ def merge_sparse_pairs(
     n, most = na + nb, min(na, nb)
     idx, val = np.empty(n, INDEX_DTYPE), np.empty(n, val_a.dtype)
     # the kernel's scratch in one block: the shared positions, then (no
-    # value is wider than a position) the higher-bits operands
-    scratch = np.empty(2 * most, np.intp)
-    spare = buf(scratch)
+    # value is wider than a position) the higher-bits operands. Each thread
+    # keeps the largest its merges needed so far, read back before a merge
+    # returns: one allocation and one buffer conversion fewer per merge
+    held = getattr(_SCRATCH, "held", None)
+    if held is None or len(held[0]) < 2 * most:
+        scratch = np.empty(2 * most, np.intp)
+        held = _SCRATCH.held = scratch, buf(scratch)
+    scratch, spare = held
     try:
         shared = merge(
             buf(idx_a), buf(val_a), na, buf(idx_b), buf(val_b), nb,
@@ -270,15 +286,15 @@ def add_streams_(
     # summed values are full precision again, whatever travelled on the wire
     acc.value_wire_bytes = None
 
-    if acc.is_dense and other.is_dense:
+    if acc._dense is not None and other._dense is not None:  # noqa: SLF001
         op.combine(acc.dense_payload, other.dense_payload, out=acc.dense_payload)
         return acc
 
-    if acc.is_dense:
+    if acc._dense is not None:  # noqa: SLF001
         _scatter_into(acc.dense_payload, other, op)
         return acc
 
-    if other.is_dense:
+    if other._dense is not None:  # noqa: SLF001
         # keep the dense operand's layout: build dense result from it
         dense = other.dense_payload.copy()
         _scatter_into(dense, acc, op)
@@ -288,20 +304,20 @@ def add_streams_(
         return acc
 
     # sparse (op)= sparse: the switch test of should_switch_to_dense, on a
-    # delta computed once for both tests
-    delta = acc.delta
-    if acc.nnz + other.nnz > delta:
+    # delta computed once for both tests (both sides' pairs read directly:
+    # this is every small merge's path)
+    delta, idx, val = acc.delta, acc._indices, acc._values  # noqa: SLF001
+    if len(idx) + len(other._indices) > delta:  # noqa: SLF001
         acc.densify(fill=op.neutral)
         _scatter_into(acc.dense_payload, other, op)
         return acc
 
     idx, val = merge_sparse_pairs(
-        acc.indices, acc.values, other.indices, other.values, op,
-        copy=not own_other,
+        idx, val, other._indices, other._values, op, copy=not own_other  # noqa: SLF001
     )
     acc.set_pairs(idx, val)
     # the merge may still have overshot delta (exact union known only now)
-    if acc.nnz > delta:
+    if len(idx) > delta:
         acc.densify(fill=op.neutral)
     return acc
 

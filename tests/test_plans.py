@@ -51,7 +51,7 @@ from repro.core import GradientFuser
 from repro.costmodel import CostModel
 from repro.quant import QSGDQuantizer
 from repro.runtime import FaultPlan, RankError, RankFailedError, i_collective, run_ranks
-from repro.streams import SparseStream
+from repro.streams import ReduceOp, SparseStream
 
 from conftest import make_rank_stream, reference_sum
 
@@ -252,6 +252,24 @@ def test_a_communicator_caches_one_plan_per_key():
         return first is cached_plan(comm, stream, "ssar_rec_dbl"), len(comm._plans)
 
     assert run_ranks(prog, 2).results == [(True, 1)] * 2
+
+
+def test_ops_that_share_a_name_get_their_own_plans():
+    """The plan key holds the op itself, not its name: two ops called
+    alike with different ufuncs plan and reduce apart."""
+    added, larger = ReduceOp("mine", np.add, 0.0), ReduceOp("mine", np.maximum, 0.0)
+
+    def prog(comm):
+        # the same support on both ranks: every index is combined
+        stream = SparseStream(DIM, indices=np.arange(0, DIM, 8), values=np.full(DIM // 8, 1.0 + comm.rank))
+        summed = sparse_allreduce(comm, stream, "ssar_rec_dbl", op=added).to_dense()
+        largest = sparse_allreduce(comm, stream, "ssar_rec_dbl", op=larger).to_dense()
+        ops = [plan.op for plan in api.cached_plans(comm)]
+        return ops == [added, larger] and ops[0] is added and ops[1] is larger, summed, largest
+
+    for same_plans, summed, largest in run_ranks(prog, 2).results:
+        assert same_plans
+        assert np.all(summed[::8] == 3.0) and np.all(largest[::8] == 2.0)
 
 
 def test_blocking_run_waits_for_the_plans_started_run(monkeypatch):

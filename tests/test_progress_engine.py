@@ -692,7 +692,7 @@ class TestEngineHandOff:
             target=lambda: got.update(holder=r.comm.recv(1, tag=1)), daemon=True
         )
         holder.start()
-        while not r.comm._engine_busy:
+        while not r.comm._token.locked():
             time.sleep(0.001)
         waiter = threading.Thread(
             target=lambda: got.update(waiter=r.comm.recv(2, tag=2)), daemon=True
@@ -741,7 +741,7 @@ class TestHolderKeepsItsFrame:
         comm, got = r.comm, {}
         rank = threading.Thread(target=lambda: got.update(rank=comm.recv(1, tag=3)), daemon=True)
         rank.start()
-        while not comm._engine_busy:
+        while not comm._token.locked():
             time.sleep(0.001)
         handle = i_collective(comm, lambda c: c.recv(1, tag=3))
         time.sleep(0.05)  # both blocked now
@@ -772,7 +772,7 @@ class TestHolderKeepsItsFrame:
         r.feed_whole(1, r.frame(1, 5, 0, "handed over") + r.frame(1, 6, 0, "lost with the step"))
         with pytest.raises(RuntimeError, match="after the hand-off"):
             comm.recv(1, tag=5)
-        assert seen == [1, 1] and comm._kept is None and not comm._engine_busy
+        assert seen == [1, 1] and comm._kept is None and not comm._token.locked()
         monkeypatch.undo()
         r.feed(1, r.frame(1, 7, 0, "later"))
         assert comm.recv(1, tag=7) == "later"
@@ -832,7 +832,7 @@ class TestInstallPeerUnderTheEngine:
             target=lambda: got.update(holder=comm.recv(1, tag=1)), daemon=True
         )
         holder.start()
-        while not comm._engine_busy:
+        while not comm._token.locked():
             time.sleep(0.001)
         time.sleep(0.02)  # the holder is inside its poll by now
 

@@ -292,6 +292,99 @@ class TestShipping:
         assert (epoch_slot(1), 0, 0) in {e.context for e in shipped.events(0)}
 
 
+SENDS = 400
+
+
+def _two_threads_per_channel_prog(comm):
+    """Rank 0 sends on one channel from two threads at once (its rank
+    thread and a helper), and on its launch context from its progress
+    thread meanwhile; rank 1 receives them all."""
+    if comm.rank == 0:
+        launched = i_collective(comm, lambda c: [c.send(i, 1, tag=3) for i in range(SENDS)])
+        helper = threading.Thread(target=lambda: [comm.send(i, 1, tag=3) for i in range(SENDS)])
+        helper.start()
+        for i in range(SENDS):
+            comm.send(i, 1, tag=3)
+        helper.join(timeout=60.0)
+        assert not helper.is_alive()
+    else:
+        launched = i_collective(comm, lambda c: [c.recv(0, tag=3) for _ in range(SENDS)])
+        for _ in range(2 * SENDS):
+            comm.recv(0, tag=3)
+    launched.wait()
+
+
+class TestSequenceNumbers:
+    """A channel's sequence numbers come from its own counter, with no
+    lock: they stay unique and dense however the senders interleave."""
+
+    def test_threads_hammering_one_channel(self):
+        """More threads than cores draw from one channel at once."""
+        trace, got = Trace(2), [[] for _ in range(4)]
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            threads = [
+                threading.Thread(target=lambda out=out: out.extend(
+                    trace.next_seq(0, 1, 5, (2,)) for _ in range(10_000)
+                ))
+                for out in got
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(before)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(sum(got, [])) == list(range(40_000))
+        assert all(all(a < b for a, b in zip(out, out[1:])) for out in got)  # each thread's in its order
+        assert trace.next_seq(0, 1, 5, (2,)) == 40_000
+
+    def test_threads_sending_first_after_a_merged_run(self):
+        """The first send after a merged run sizes the trace's channels,
+        replacing their counters: a thread that sends the moment the sizing
+        looks done draws from the new ones, so no number on a channel
+        repeats or is skipped."""
+        traces = [_rank_log(r, nranks=8) for r in range(8)]  # ~450 channels to size
+        channel = (7, 6, 7, NESTED[-1])  # among the last the sizing replaces
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                trace = Trace(8)
+                trace.merge_run(_ship(traces))
+                trace.merge_run(_ship(traces))  # the first run's channels have counters now
+                got = [[] for _ in range(4)]
+
+                def send(out, sizes):
+                    while not sizes and trace._unsized:
+                        pass
+                    out.extend(trace.next_seq(*channel) for _ in range(200))
+
+                threads = [threading.Thread(target=send, args=(out, i == 0)) for i, out in enumerate(got)]
+                for thread in threads[::-1]:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(sum(got, [])) == list(range(2 * ROUNDS, 2 * ROUNDS + 800))
+        finally:
+            sys.setswitchinterval(before)
+
+    @pytest.mark.parametrize("backend", ["thread", "socket"])
+    def test_a_rank_thread_a_helper_and_a_progress_thread_send_at_once(self, backend):
+        trace = run_ranks(_two_threads_per_channel_prog, 2, backend=backend).trace
+        for rank, op in ((0, SEND), (1, RECV)):
+            seqs: dict = {}
+            for e in trace.events(rank):
+                if e.op == op and e.tag == 3:
+                    seqs.setdefault(e.context, []).append(e.seq)
+            assert sorted(seqs[()]) == list(range(2 * SENDS)), (rank, op)
+            (launch,) = set(seqs) - {()}
+            assert seqs[launch] == list(range(SENDS)), (rank, op)  # one thread: in order too
+
+
 class TestConcurrentReaders:
     """Writers append rows (adding labels and contexts) while readers slice
     the views and sum the byte column, the interpreter switching threads

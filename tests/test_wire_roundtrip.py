@@ -123,7 +123,8 @@ class TestCodecRoundTrip:
         ref = _f16_stream()
         blob = bytearray(encode_message(3, 0, ref.nbytes_payload, ref))
         *_, out = decode_message(blob, copy=True)
-        assert out.indices.flags.owndata and out.values.flags.owndata
+        frame = np.frombuffer(blob, dtype=np.uint8)
+        assert not np.shares_memory(out.indices, frame) and not np.shares_memory(out.values, frame)
         blob[:] = b"\x00" * len(blob)
         _assert_stream_equal(out, ref)  # untouched by clobbering the frame
         out.values[0] = 9.0  # and writable
@@ -162,6 +163,45 @@ GOLDEN_FRAME_CONTEXT = bytes.fromhex(
     "05000000" "63000000" "b0040000"  # uint32 indices
     "0000c03f" "000050c0" "0000003e"  # float32 values
 )
+
+
+class TestOneCopyDecode:
+    """A copying decode puts a sparse frame's arrays in one fresh buffer:
+    each array writable, aligned for its dtype — float64 values after an
+    odd count of ``uint32`` indices start four bytes off in the frame —
+    and sharing nothing with the frame or with the other array."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 127, 128])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_arrays_are_fresh_aligned_and_writable(self, dtype, count):
+        ref = SparseStream.random_uniform(
+            1 << 16, count, np.random.default_rng(count), value_dtype=dtype
+        )
+        blob = bytearray(encode_message(3, 0, ref.nbytes_payload, ref, context=pack_context((1, 2))))
+        *_, out = decode_message(blob)
+        frame = np.frombuffer(blob, dtype=np.uint8)
+        for arr in (out.indices, out.values):
+            assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+            assert not np.shares_memory(arr, frame)
+        assert not np.shares_memory(out.indices, out.values)
+        assert out.values.ctypes.data % np.dtype(dtype).itemsize == 0
+        blob[:] = b"\xff" * len(blob)  # overwriting the source leaves them as decoded
+        _assert_stream_equal(out, ref)
+        values = out.values
+        values *= 2  # and each can be written without touching the other
+        out.indices[0] = 0
+        assert np.array_equal(out.values, ref.values * 2)
+        assert np.array_equal(out.indices[1:], ref.indices[1:])
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_a_dense_frame_decodes_to_a_fresh_array(self, dtype):
+        ref = SparseStream(33, dense=np.arange(33.0), value_dtype=dtype)
+        blob = bytearray(encode_message(3, 0, ref.nbytes_payload, ref))
+        *_, out = decode_message(blob)
+        assert out.dense_payload.flags.writeable and out.dense_payload.flags.aligned
+        assert not np.shares_memory(out.dense_payload, np.frombuffer(blob, dtype=np.uint8))
+        blob[:] = b"\xff" * len(blob)
+        _assert_stream_equal(out, ref)
 
 
 def _golden_stream() -> SparseStream:
@@ -299,6 +339,23 @@ class TestTransportRoundTrip:
 
         out = run_ranks(prog, 2, backend=backend)
         assert np.array_equal(out[1], q.dequantize(block))
+
+    def test_a_received_stream_scales_in_place(self, backend):
+        """What a receive returns is the receiver's to write: a float64
+        stream of an odd count (values four bytes off in the frame)
+        scales in place."""
+        ref = SparseStream(4096, indices=[1, 50, 900], values=[0.5, -2.0, 3.0], value_dtype=np.float64)
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(ref, 1, tag=3)
+                return None
+            got = comm.recv(0, tag=3)
+            return got.values.flags.aligned, got.iscale(4.0)
+
+        aligned, out = run_ranks(prog, 2, backend=backend)[1]
+        assert aligned
+        assert np.array_equal(out.values, ref.values * 4.0) and np.array_equal(out.indices, ref.indices)
 
     def test_byte_accounting_identical(self, backend):
         """Trace byte counts are payload properties, not transport ones."""
