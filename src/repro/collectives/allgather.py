@@ -63,7 +63,7 @@ def ring_gather(comm: Communicator, out: list, owner: int, tag: int) -> list:
     P = comm.size
     right, left = (comm.rank + 1) % P, (comm.rank - 1) % P
     for step in range(P - 1):
-        comm.send(out[(owner - step) % P], right, tag)  # buffered: see isend
+        comm.send(out[(owner - step) % P], right, tag)  # buffered: see send
         out[(owner - step - 1) % P] = comm.recv(left, tag)
     return out
 

@@ -118,7 +118,7 @@ def ring(comm: Communicator, blocks: list, combine, tag: int) -> list:
     right, left = (comm.rank + 1) % P, (comm.rank - 1) % P
     for step in range(P - 1):
         recv_block = (comm.rank - step - 1) % P
-        comm.send(blocks[(comm.rank - step) % P], right, tag)  # buffered: see isend
+        comm.send(blocks[(comm.rank - step) % P], right, tag)  # buffered: see send
         incoming = comm.recv(left, tag)
         blocks[recv_block] = combine(blocks[recv_block], incoming, "reduce")
     return ring_gather(comm, blocks, comm.rank + 1, tag + 1)

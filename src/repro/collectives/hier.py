@@ -62,7 +62,7 @@ from ..streams import SparseStream, add_streams_, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
 from .dense import partition_bounds
 from .dsar import dsar_split_allgather
-from .sparse import _ensure_sparse, slice_stream, ssar_recursive_double
+from .sparse import _accumulator, _ensure_sparse, _owned, slice_stream, ssar_recursive_double
 
 __all__ = ["ssar_hierarchical", "dsar_hierarchical", "tree_reduce", "Hierarchy", "build_hierarchy"]
 
@@ -76,23 +76,21 @@ def tree_reduce(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) ->
     power-of-two worlds, which is what makes the hierarchical composition
     bit-compatible with ``ssar_rec_dbl`` on aligned topologies.
     """
-    acc = stream.copy()
-    if comm.size == 1:
-        return acc
+    stream = _ensure_sparse(stream)
+    acc = _accumulator(stream)
     mask = 1
     while mask < comm.size:
         if comm.rank & mask:
             comm.send(acc, comm.rank - mask, COLLECTIVE_TAG)
             break
-        src = comm.rank + mask
-        if src < comm.size:
-            incoming = comm.recv(src, COLLECTIVE_TAG)
+        if comm.rank + mask < comm.size:
+            incoming = comm.recv(comm.rank + mask, COLLECTIVE_TAG)
             comm.compute(reduction_work_bytes(acc, incoming), "reduce")
             # the received stream is ours alone (freshly decoded / copied
             # on send), so the reduction may adopt its arrays outright
             add_streams_(acc, incoming, op, own_other=True)
         mask <<= 1
-    return acc
+    return _owned(acc, stream)
 
 
 class Hierarchy(NamedTuple):

@@ -98,6 +98,22 @@ def _ensure_sparse(stream: SparseStream) -> SparseStream:
     return stream
 
 
+def _accumulator(stream: SparseStream) -> SparseStream:
+    """The accumulator a reduction of the sparse ``stream`` starts from: a
+    new stream over ``stream``'s arrays, no copy. A merge replaces a sparse
+    accumulator's arrays and never writes into them, so the caller's stay
+    unchanged; :func:`_owned` copies them where the result still holds them."""
+    acc = SparseStream._trusted(stream.dimension, stream.indices, stream.values, stream.value_dtype)
+    acc.value_wire_bytes = stream.value_wire_bytes
+    return acc
+
+
+def _owned(result: SparseStream, stream: SparseStream) -> SparseStream:
+    """``result``, copied where it still holds ``stream``'s arrays (every
+    merge of the reduction found the other side empty)."""
+    return result.copy() if result._values is stream._values else result
+
+
 def ssar_recursive_double(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> SparseStream:
     """SSAR_Recursive_double: pairwise exchange + sparse merge, log2(P) rounds.
 
@@ -116,7 +132,8 @@ def ssar_recursive_double(comm: Communicator, stream: SparseStream, op: ReduceOp
         # send), so the reduction may adopt its arrays outright
         return add_streams_(acc, incoming, op, own_other=True)
 
-    return recursive_doubling(comm, stream.copy(), combine, COLLECTIVE_TAG, COLLECTIVE_TAG + 63, "reduce")
+    result = recursive_doubling(comm, _accumulator(stream), combine, COLLECTIVE_TAG, COLLECTIVE_TAG + 63, "reduce")
+    return _owned(result, stream)
 
 
 def split_exchange(
@@ -126,7 +143,7 @@ def split_exchange(
 
     Each rank slices its input by the dimension partition and sends slice
     ``j`` directly to rank ``j`` (buffered sends: complete on return, see
-    :meth:`~repro.runtime.comm.Communicator.isend`). Yields what the
+    :meth:`~repro.runtime.comm.Communicator.send`). Yields what the
     caller has to reduce, in the order that fixes the float association:
     this rank's own slice (views of ``stream``'s arrays) first, then the
     slices received from ranks ``rank-1, rank-2, ...`` (owned by the

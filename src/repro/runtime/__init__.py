@@ -35,7 +35,6 @@ from .comm import (
     CommTimeoutError,
     Communicator,
     CompletedHandle,
-    DeferredRecvHandle,
     Handle,
     ProxyComm,
     RankFailedError,
@@ -93,7 +92,6 @@ __all__ = [
     "NonBlockingHandle",
     "i_collective",
     "CompletedHandle",
-    "DeferredRecvHandle",
     "ThreadBackend",
     "ThreadComm",
     "ThreadWorld",

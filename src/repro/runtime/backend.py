@@ -64,13 +64,13 @@ for large frames added on top (override ``_transport_send`` /
 
 Anything else (ranks as threads, a remote scheduler, …) subclasses
 :class:`Backend` directly, implements :meth:`Backend.run` (typically by
-providing a ``Communicator`` subclass with the three transport hooks), and
+providing a ``Communicator`` subclass with the two transport hooks), and
 registers itself; a new name in the equivalence tests' ``BACKENDS`` lists
 then inherits the whole contract.
 
 What a backend communicator owes the seam
 -----------------------------------------
-Besides the three transport hooks, the shared layers above act on a few
+Besides the two transport hooks, the shared layers above act on a few
 pieces of *state* of the backend communicator (see "The seam under every
 message" in :mod:`repro.runtime.comm`) — a backend provides the state,
 never the logic: ``fault_plan`` (set by the launcher from
@@ -173,7 +173,9 @@ class Backend(abc.ABC):
         :class:`~repro.runtime.topology.Topology` or ``None``) and
         ``fault_plan`` (a :class:`~repro.runtime.faults.FaultPlan` or
         ``None``) to every rank's communicator as ``comm.topology`` /
-        ``comm.fault_plan``.
+        ``comm.fault_plan``. The run records into ``trace``
+        (:func:`~repro.runtime.trace.run_trace`: a given trace must be
+        fresh, refused before any rank starts), also when it raises.
         """
 
     def __repr__(self) -> str:  # pragma: no cover

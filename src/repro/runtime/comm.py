@@ -9,8 +9,8 @@ ships four implementations, selected by the ``backend=`` argument of
 queueing communicator and one blocked-receive loop,
 :mod:`repro.runtime.mesh`: no receiver threads — a rank that blocks in a
 transport call reads its own channels, so messages and peer failures are
-noticed at transport calls and probes, as in MPI without an asynchronous
-progress thread):
+noticed at transport calls, as in MPI without an asynchronous progress
+thread):
 
 * :mod:`repro.runtime.thread_backend` — one thread per rank, one queue
   table per rank (fast, in-process);
@@ -24,13 +24,11 @@ progress thread):
 Layering
 --------
 :class:`Communicator` implements the *traced* operations (``send``,
-``recv``, ``isend``, ``irecv``, ``sendrecv``, ``barrier``, ``bcast``, …)
-once, on top of three small transport hooks that each backend provides:
-
-``_transport_send`` / ``_transport_recv``
-    move one payload without touching the trace;
-``_probe``
-    non-blocking test for a pending matching message.
+``recv``, ``sendrecv``, ``barrier``, ``bcast``, …) once, on top of two
+transport hooks that each backend provides, ``_transport_send`` /
+``_transport_recv``: move one payload without touching the trace.
+Point-to-point is blocking; the non-blocking operations are collectives
+(:mod:`repro.runtime.nonblocking`, a plan's ``start``).
 
 A channel's FIFO sequence numbers come from the backend's trace
 (:meth:`~repro.runtime.trace.Trace.sequence`, one counter per (src,
@@ -117,7 +115,6 @@ __all__ = [
     "SubCommunicator",
     "Handle",
     "CompletedHandle",
-    "DeferredRecvHandle",
     "WorldAbortedError",
     "RankFailedError",
     "CommTimeoutError",
@@ -351,7 +348,7 @@ def copy_payload(obj: Any) -> Any:
 class Communicator(abc.ABC):
     """A group of ``size`` ranks with point-to-point messaging.
 
-    A backend communicator sets :attr:`trace` and implements the three
+    A backend communicator sets :attr:`trace` and implements the two
     transport hooks; every traced operation has a shared implementation
     here. Every message reaches the hooks on the backend under its stack
     (see :meth:`_channel`), with peers mapped and the sender's context
@@ -360,9 +357,7 @@ class Communicator(abc.ABC):
     ``_transport_send(obj, nbytes, seq, dest, key, tag) -> None``
         move one payload to ``dest`` without recording trace events;
     ``_transport_recv(source, key, tag) -> (payload, nbytes, seq)``
-        blocking matching receive;
-    ``_probe(source, key, tag) -> bool``
-        non-blocking test: is a matching message already deliverable?
+        blocking matching receive.
     """
 
     rank: int
@@ -531,7 +526,15 @@ class Communicator(abc.ABC):
         return channel
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking (buffered) send of ``obj`` to rank ``dest``."""
+        """Blocking (buffered) send of ``obj`` to rank ``dest``.
+
+        Every backend (thread, process, shmem, socket) buffers: the payload
+        is copied (or serialized) before ``send`` returns, so the caller may
+        reuse ``obj`` and a send does not wait for its matching receive (on
+        the process family one larger than the channel buffer waits until
+        the receiver enters any transport call, reading its own channels
+        meanwhile; :mod:`repro.runtime.mesh`).
+        """
         channel = self._channels.get((dest, tag, "dest"))
         if channel is None or channel[0].epoch != channel[1]:
             channel = self._channel(dest, tag, "dest")
@@ -555,29 +558,6 @@ class Communicator(abc.ABC):
         write(seq, nbytes)
         return payload
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Handle":
-        """Non-blocking send; returns a completion handle.
-
-        Every backend (thread, process, shmem, socket) implements
-        buffered-send semantics: the payload is copied (or serialized)
-        immediately, so the operation is already complete when the handle
-        is returned.
-        """
-        self.send(obj, dest, tag)
-        return CompletedHandle()
-
-    def irecv(self, source: int, tag: int = 0) -> "Handle":
-        """Non-blocking receive; ``wait()`` yields the payload.
-
-        The handle takes the next frame of its channel when it is waited,
-        not when it is made. Every collective of a communicator runs on the
-        same keys (:data:`COLLECTIVE_TAG`), so a handle waited after a later
-        collective on its channel would take that collective's frame: the
-        library itself calls this nowhere (a tier-1 test keeps it so), and
-        user code waits its handles in program order or on a user tag.
-        """
-        return DeferredRecvHandle(self, source, tag)
-
     # ------------------------------------------------------------------
     # local bookkeeping
     # ------------------------------------------------------------------
@@ -597,7 +577,7 @@ class Communicator(abc.ABC):
     # ------------------------------------------------------------------
     def sendrecv(self, obj: Any, peer: int, tag: int = 0) -> Any:
         """Simultaneous exchange with ``peer`` (both directions overlap:
-        the send is buffered, see :meth:`isend`)."""
+        the send is buffered, see :meth:`send`)."""
         self.send(obj, peer, tag)
         return self.recv(peer, tag)
 
@@ -607,7 +587,7 @@ class Communicator(abc.ABC):
             return
         for round_no in range((self.size - 1).bit_length()):  # distances 1, 2, 4, ... < size
             distance = 1 << round_no
-            self.send(0, (self.rank + distance) % self.size, tag + round_no)  # buffered: see isend
+            self.send(0, (self.rank + distance) % self.size, tag + round_no)  # buffered: see send
             self.recv((self.rank - distance) % self.size, tag + round_no)
 
     def bcast(self, obj: Any, root: int = 0, tag: int = COLLECTIVE_TAG) -> Any:
@@ -863,11 +843,11 @@ class SubCommunicator(ProxyComm):
 
 
 class Handle(abc.ABC):
-    """Completion handle for non-blocking operations (MPI request analog)."""
+    """Completion handle of a non-blocking collective (MPI request analog)."""
 
     @abc.abstractmethod
     def wait(self) -> Any:
-        """Block until complete; returns the payload for receive handles."""
+        """Block until complete; returns the operation's result."""
 
     @abc.abstractmethod
     def test(self) -> bool:
@@ -875,7 +855,7 @@ class Handle(abc.ABC):
 
 
 class CompletedHandle(Handle):
-    """Handle of an already-finished operation (buffered sends)."""
+    """Handle of an already-finished operation holding its result."""
 
     __slots__ = ("_value",)
 
@@ -887,45 +867,3 @@ class CompletedHandle(Handle):
 
     def test(self) -> bool:
         return True
-
-
-class DeferredRecvHandle(Handle):
-    """irecv handle: performs the matching receive at ``wait()`` time."""
-
-    __slots__ = ("_comm", "_source", "_tag", "_done", "_value")
-
-    def __init__(self, comm: Communicator, source: int, tag: int) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value: Any = None
-
-    def wait(self) -> Any:
-        if not self._done:
-            # a blocking recv observes world abort through the transport; an
-            # up-front check just surfaces it without touching the queues
-            # when the world is already gone
-            state = self._comm.backend.aborted
-            if state is not None and state.is_set() and not self.test_quiet():
-                raise state.error()
-            self._value = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._value
-
-    def test_quiet(self) -> bool:
-        """Completion probe that never raises (abort looks like 'not yet')."""
-        if self._done:
-            return True
-        comm = self._comm
-        return comm.backend._probe(comm._map_peer(self._source), comm._context_key, self._tag)
-
-    def test(self) -> bool:
-        if self.test_quiet():
-            return True
-        # the matching message can never arrive once the world aborted:
-        # raise like a blocking recv would instead of returning False forever
-        state = self._comm.backend.aborted
-        if state is not None and state.is_set():
-            raise state.error()
-        return False

@@ -54,8 +54,9 @@ def run_ranks(
         slab for large frames), ``"socket"`` (processes over a TCP mesh — the multi-host
         transport), or any registered :class:`Backend` instance.
     trace:
-        Optional pre-existing trace to append to (e.g. to accumulate multiple
-        collective invocations into one replayable log).
+        The trace this run records into (a new one when ``None``): pass one
+        to keep the rows of a run that raises. It must be empty and sized
+        for ``nranks``, or ``ValueError`` is raised before any rank starts.
     timeout:
         Per-run watchdog in seconds (positive); ``None`` disables it.
     op_timeout:

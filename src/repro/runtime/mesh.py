@@ -41,8 +41,7 @@ order. A receive on a rank with one thread takes no lock at all. This is MPI wit
 progress thread: a message costs no thread hand-off, and in exchange
 **sends are kernel-buffered only** — one larger than the channel buffer
 completes when the receiver next enters a transport call, and a peer's
-death is observed at the next transport operation or probe, not
-asynchronously.
+death is observed at the next transport operation, not asynchronously.
 Deadlock-freedom survives because a blocked sender keeps reading: any
 cycle of blocked ranks is a cycle of progress engines, each draining its
 inbound channels into unbounded queues.
@@ -95,7 +94,7 @@ from .comm import (
 )
 from .faults import KILL_EXIT_CODE
 from .nonblocking import join_progress
-from .trace import Trace
+from .trace import Trace, run_trace
 from .wire import _LEN, check_frame_size, decode_message, encode_message
 
 __all__ = ["MeshBackend", "MeshWorld", "StreamComm", "Transport"]
@@ -458,13 +457,6 @@ class StreamComm(Communicator):
             if deadline is not None and time.monotonic() >= deadline:
                 raise CommTimeoutError.expired("recv from", source, key, tag, self.op_timeout)
 
-    def _probe(self, source: int, key: bytes, tag: int) -> bool:
-        # a dict lookup is atomic; the lock only orders the queue's changes
-        want = (source, key, tag)
-        if want not in self._queues:
-            self._run_progress(0.0)
-        return want in self._queues
-
     def _frame(self, tag: int, seq: int, nbytes: int, obj: Any, context: bytes = b"") -> bytes:
         """Length prefix + frame in one send buffer (one write per
         message keeps the frame contiguous on the stream)."""
@@ -610,6 +602,7 @@ class MeshBackend(Backend):
     ) -> ParallelResult:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
+        trace = run_trace(trace, nranks)
         # fork, explicitly (3.14 changes the default): rank functions may be
         # closures, and a child inherits the mesh instead of re-attaching to it
         ctx = mp.get_context("fork")
@@ -669,7 +662,7 @@ class MeshBackend(Backend):
             mesh.close()
 
         world = MeshWorld(nranks, [p.pid for p in procs], **mesh.info)
-        return _finalize_run(outcome, trace, nranks, world)
+        return _finalize_run(outcome, trace, world)
 
 
 def _collect(
@@ -828,8 +821,7 @@ def _portable_exception(exc: BaseException) -> BaseException:
 # ----------------------------------------------------------------------
 def _finalize_run(
     outcome: tuple[list[Any], list["tuple | None"], list[tuple[int, BaseException]], list[int]],
-    trace: Trace | None,
-    nranks: int,
+    trace: Trace,
     world: Any,
 ) -> ParallelResult:
     """Merge worker traces and raise/return — the tail of every run.
@@ -839,8 +831,7 @@ def _finalize_run(
     backend.
     """
     results, exports, errors, aborted_ranks = outcome
-    run_trace = trace if trace is not None else Trace(nranks)
-    run_trace.merge_run({rank: log for rank, log in enumerate(exports) if log is not None})
+    trace.merge_run({rank: log for rank, log in enumerate(exports) if log is not None})
     if errors:
         rank, original = min(errors, key=lambda e: e[0])
     elif aborted_ranks:
@@ -853,5 +844,5 @@ def _finalize_run(
             "without a reported rank error)"
         )
     else:
-        return ParallelResult(results=results, trace=run_trace, world=world)
+        return ParallelResult(results=results, trace=trace, world=world)
     raise RankError(rank, original, results) from original

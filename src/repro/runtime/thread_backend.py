@@ -32,7 +32,7 @@ from .comm import (
     copy_payload,
 )
 from .nonblocking import join_progress
-from .trace import Trace
+from .trace import Trace, run_trace
 
 __all__ = ["ThreadBackend", "ThreadWorld", "ThreadComm"]
 
@@ -51,7 +51,7 @@ class ThreadWorld:
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
         self.size = size
-        self.trace = trace if trace is not None else Trace(size)
+        self.trace = run_trace(trace, size)
         self.topology = topology
         self.op_timeout = op_timeout
         #: per destination rank, its inbound messages
@@ -157,9 +157,6 @@ class ThreadComm(Communicator):
                     wait = min(wait, remaining)
                 self._ready.wait(wait)
         return item
-
-    def _probe(self, source: int, key: bytes, tag: int) -> bool:
-        return (source, key, tag) in self._queues  # a queue that exists holds a message
 
     def _next_join(self, members, epoch: int):
         """Pop the first queued :func:`~repro.runtime.elastic.thread_rejoin`

@@ -20,14 +20,12 @@ shipping four such logs home would take ~0.6 s instead of ~25 ms.
 :meth:`Trace.events` is a read-only sequence view that builds the
 :class:`TraceEvent` s it is asked for (same fields, same values, frozen)
 and keeps none of them. The byte counters sum the ``nbytes`` column.
-Across a process boundary a rank's log travels as it is
+A trace records one run (:func:`run_trace` refuses one that already
+holds traffic), so every channel's seqs are 0, 1, … as its sender drew
+them. Across a process boundary a rank's log travels as it is
 (:meth:`Trace.export`: the row buffer and its table, one pickled
 ``bytes`` blob and a short list); :meth:`Trace.merge_run` appends a
-run's buffers, mapping ids onto the receiving tables. No channel counters
-travel: a channel carried its largest seq + 1 messages, which the rows
-say, so the receiving trace sizes a run's channels from them — only when
-something asks (another run merged into it, :meth:`Trace.next_seq`), and
-then ``seq`` is shifted where a channel already had traffic.
+run's buffers, mapping ids onto the receiving tables.
 
 Recording is race-free by construction: a row is appended by one call
 (so a reader on another thread never sees half of one), each rank appends
@@ -50,7 +48,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-__all__ = ["TraceEvent", "SEND", "RECV", "COMPUTE", "MARK", "Trace"]
+__all__ = ["TraceEvent", "SEND", "RECV", "COMPUTE", "MARK", "Trace", "run_trace"]
 
 SEND = "send"
 RECV = "recv"
@@ -140,20 +138,6 @@ class _EventView(Sequence):
             start = stop
 
 
-def _channel_seqs(rank: int, rows: array, names: list) -> Iterator[tuple["tuple | None", int]]:
-    """Per row of ``rank``: its ``(src, dst, context, tag)`` channel (None
-    for compute and mark) and its ``seq``."""
-    for op, peer, tag, seq, ctx in zip(
-        rows[0::_WIDTH], rows[1::_WIDTH], rows[2::_WIDTH], rows[3::_WIDTH], rows[6::_WIDTH]
-    ):
-        if op == _SEND:
-            yield (rank, peer, names[ctx], tag), seq
-        elif op == _RECV:
-            yield (peer, rank, names[ctx], tag), seq
-        else:
-            yield None, seq
-
-
 class Trace:
     """Ordered per-rank event logs for one parallel run."""
 
@@ -162,40 +146,15 @@ class Trace:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         self.nranks = nranks
         self._logs = [_Log() for _ in range(nranks)]
-        #: guards the channel counters and every new table entry
+        #: guards every new table entry
         self._lock = threading.Lock()
         #: ``(src, dst, context, tag) -> counter of its next sequence numbers``
         self._seq: dict[tuple[int, int, tuple, int], Iterator[int]] = {}
-        #: rank -> first merged event whose channel ``_seq`` may not count yet
-        self._unsized: dict[int, int] = {}
-        self.enabled = True
-
-    # ------------------------------------------------------------------
-    def _size_merged(self) -> dict:
-        """Count the channels of merged rows into ``_seq`` (lock held): a
-        channel carried at least its largest seq + 1 messages.
-        Returns every channel's next sequence number. Reading a counter
-        takes a number, so each is replaced by a fresh one at the right
-        place: this runs between runs, while no rank sends on the trace."""
-        counts = {channel: next(seqs) for channel, seqs in self._seq.items()}
-        for rank, start in self._unsized.items():
-            log = self._logs[rank]
-            for channel, seq in _channel_seqs(rank, log.rows[start * _WIDTH:], log.names):
-                if channel is not None and seq >= counts.get(channel, 0):
-                    counts[channel] = seq + 1
-        self._seq.update((channel, count(seq)) for channel, seq in counts.items())
-        # emptied last: a sender that reads it empty finds the new counters
-        self._unsized.clear()
-        return counts
 
     def sequence(self, src: int, dst: int, tag: int, context: tuple = ()) -> Iterator[int]:
         """The counter of a (src, dst, context, tag) channel's FIFO sequence
         numbers, made at the channel's first message: ``next()`` of it
         allocates one, atomically, with no lock."""
-        if self._unsized:  # the first message after a merge sizes the channels, once
-            with self._lock:
-                if self._unsized:
-                    self._size_merged()
         key = (src, dst, context, tag)
         return self._seq.get(key) or self._seq.setdefault(key, count())
 
@@ -216,10 +175,9 @@ class Trace:
         return id_
 
     def _append(self, rank: int, op: int, peer: int, tag: int, seq: int, nbytes: int, label: str, context: tuple) -> None:
-        if self.enabled:
-            log = self._logs[rank]
-            row = [op, peer, tag, seq, nbytes, self._intern(log, label), self._intern(log, context)]
-            log.rows.fromlist(row)  # one call: never half a row
+        log = self._logs[rank]
+        row = [op, peer, tag, seq, nbytes, self._intern(log, label), self._intern(log, context)]
+        log.rows.fromlist(row)  # one call: never half a row
 
     def writer(self, rank: int, op: str, peer: int, tag: int, context: tuple = ()) -> Callable[[int, int], None]:
         """``write(seq, nbytes)``, which records one ``op`` (:data:`SEND` or
@@ -229,8 +187,7 @@ class Trace:
         ctx = self._intern(log, context)
 
         def write(seq: int, nbytes: int) -> None:
-            if self.enabled:
-                log.rows.fromlist([code, peer, tag, seq, nbytes, 0, ctx])  # label id 0 is ""
+            log.rows.fromlist([code, peer, tag, seq, nbytes, 0, ctx])  # label id 0 is ""
 
         return write
 
@@ -257,11 +214,8 @@ class Trace:
         return map(self.events, range(self.nranks))
 
     def export(self, rank: int) -> tuple[array, list]:
-        """One rank's log for shipping, as it is: ``(rows, names)``.
-
-        No channel counters travel: :meth:`merge_run` sizes a run's
-        channels from its rows, and only when something asks for them.
-        """
+        """One rank's log for shipping, as it is: ``(rows, names)`` (no
+        channel counters: the trace it is merged into records one run)."""
         log = self._logs[rank]
         return log.rows, log.names
 
@@ -275,10 +229,10 @@ class Trace:
 
     def merge(self, rank: int, log: tuple) -> None:
         """Append an exported ``log`` to ``rank``'s, its ids mapped onto this
-        trace's table (no-op when disabled). The trace may keep ``log``'s
-        row buffer itself: append nothing to it afterwards."""
+        trace's table. The trace may keep ``log``'s row buffer itself:
+        append nothing to it afterwards."""
         rows, names = log
-        if not self.enabled or not rows:
+        if not rows:
             return
         mine = self._logs[rank]
         ids = [self._intern(mine, name) for name in names]
@@ -293,38 +247,9 @@ class Trace:
 
     def merge_run(self, logs: dict[int, tuple]) -> None:
         """Append the logs one run shipped home (``rank -> log``; a rank that
-        died hard shipped none), continuing this trace's channels.
-
-        Workers allocate sequence numbers from zero each run; where this
-        trace already counts traffic on a channel, the run's seqs on it are
-        shifted past it, so FIFO matching stays unique when several runs
-        accumulate into one trace. The run's channels are counted only when
-        a later call needs the counters (into a fresh trace, one run, the
-        rows go in as shipped): a channel carried its largest seq + 1
-        messages, over sends *and* receives, so a dead rank's channels are
-        sized from what the survivors received.
-        """
-        with self._lock:
-            bases = self._size_merged()
-        starts = {rank: len(self._logs[rank].rows) // _WIDTH for rank in logs}
-        for rank, (rows, names) in logs.items():
-            if bases:
-                rows = array("q", rows)
-                rows[3::_WIDTH] = array("q", (
-                    seq + bases.get(channel, 0) for channel, seq in _channel_seqs(rank, rows, names)
-                ))
-            self.merge(rank, (rows, names))
-        with self._lock:
-            self._unsized.update(starts)
-
-    def clear(self) -> None:
-        """Drop all recorded events and sequence counters (a rank's table
-        stays: the writers made before keep their ids)."""
-        for log in self._logs:
-            log.rows = array("q")
-        with self._lock:
-            self._seq.clear()
-            self._unsized.clear()
+        died hard shipped none)."""
+        for rank, log in logs.items():
+            self.merge(rank, log)
 
     # ------------------------------------------------------------------
     def _op_totals(self, op: int, rank: int, since: int = 0) -> tuple[int, int]:
@@ -362,3 +287,20 @@ class Trace:
             "bytes_sent": self.total_bytes_sent,
             "max_rank_recv_bytes": self.max_bytes_received(),
         }
+
+
+def run_trace(trace: "Trace | None", nranks: int) -> Trace:
+    """The trace a run of ``nranks`` ranks records into: ``trace``, or a
+    new one when it is ``None``.
+
+    A trace records one run: ``ValueError`` for one that already holds
+    traffic or is sized for another world (a launcher calls this before
+    any rank starts).
+    """
+    if trace is None:
+        return Trace(nranks)
+    if trace.nranks != nranks:
+        raise ValueError(f"the trace is sized for {trace.nranks} ranks, the run has {nranks}")
+    if trace._seq or any(log.rows for log in trace._logs):
+        raise ValueError("the trace already holds a run; a trace records one run")
+    return trace

@@ -134,7 +134,8 @@ class SparseStream:
         """A sparse stream over ``indices`` / ``values`` as given: no
         checks, no copies. The trust ``copy=False`` extends, for a caller
         that already fixed ``value_dtype`` and the arrays' dtypes and
-        lengths: the wire decoder (from the frame), :meth:`copy`."""
+        lengths: the wire decoder (from the frame), :meth:`copy`, a
+        reduction's accumulator."""
         out = cls.__new__(cls)
         out.dimension = dimension
         out.value_dtype = value_dtype

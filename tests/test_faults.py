@@ -10,8 +10,8 @@ The acceptance contract of the fault harness:
 * injected delays never change results (bit-identical to fault-free);
 * the same :class:`FaultPlan` seed reproduces the same failure sequence.
 
-Plus the satellite regressions: typed rendezvous errors, abort surfacing
-from ``DeferredRecvHandle.test()``, and ``split`` color validation.
+Plus the satellite regressions: typed rendezvous errors, a message queued
+before an abort still received, and ``split`` color validation.
 """
 
 import json
@@ -540,33 +540,34 @@ class TestFailurePropagationThroughProxies:
 
 
 # ----------------------------------------------------------------------
-# satellite: DeferredRecvHandle observes world abort from test() and wait()
+# satellite: a message queued before the abort is still received
 # ----------------------------------------------------------------------
-class TestDeferredHandleSeesAbort:
-    def test_test_raises_after_abort(self):
-        world = ThreadWorld(2)
-        handle = world.comm(0).irecv(source=1, tag=0)
-        assert handle.test() is False  # healthy world: just "not yet"
-        world.abort(failed_rank=1)
-        with pytest.raises(RankFailedError) as ei:
-            handle.test()
-        assert ei.value.rank == 1
-
-    def test_wait_raises_after_abort(self):
-        world = ThreadWorld(2)
-        handle = world.comm(0).irecv(source=1, tag=0)
-        world.abort()
-        with pytest.raises(WorldAbortedError):
-            handle.wait()
-
-    def test_delivered_message_still_wins(self):
-        # a message that arrived before the abort is still consumable
+class TestQueuedMessageWinsOverAbort:
+    def test_thread(self):
         world = ThreadWorld(2)
         world.comm(1).send(np.arange(3.0), dest=0, tag=0)
-        handle = world.comm(0).irecv(source=1, tag=0)
         world.abort(failed_rank=1)
-        assert handle.test() is True
-        np.testing.assert_array_equal(handle.wait(), np.arange(3.0))
+        np.testing.assert_array_equal(world.comm(0).recv(source=1, tag=0), np.arange(3.0))
+        with pytest.raises(RankFailedError) as ei:  # the channel is empty now: the abort surfaces
+            world.comm(0).recv(source=1, tag=0)
+        assert ei.value.rank == 1
+
+    def test_process(self):
+        def prog(comm):
+            if comm.rank == 1:
+                comm.send(np.arange(3.0), 0, tag=0)
+                raise ValueError("rank 1 fails after sending")
+            # tag 1 never comes: reading the channel queues tag 0's frame,
+            # then finds rank 1 gone
+            with pytest.raises(RankFailedError):
+                comm.recv(1, tag=1)
+            assert comm.aborted.is_set()
+            return comm.recv(1, tag=0)
+
+        with pytest.raises(RankError) as ei:
+            run_ranks(prog, 2, backend="process", timeout=60.0)
+        assert isinstance(ei.value.original, ValueError)
+        np.testing.assert_array_equal(ei.value.partial_results[0], np.arange(3.0))
 
 
 # ----------------------------------------------------------------------

@@ -19,54 +19,6 @@ BACKENDS = ["thread", "process"]
 
 
 class TestRequestCompletionOrdering:
-    def test_isend_completes_before_matching_recv(self):
-        """Buffered sends are complete at return: test() is True immediately."""
-        def prog(comm):
-            if comm.rank == 0:
-                handles = [comm.isend(i, 1, tag=i) for i in range(5)]
-                states = [h.test() for h in handles]
-                for h in handles:
-                    h.wait()
-                return states
-            # receive out of order relative to posting order
-            return [comm.recv(0, tag=t) for t in (4, 2, 0, 1, 3)]
-
-        out = run_ranks(prog, 2)
-        assert out[0] == [True] * 5
-        assert out[1] == [4, 2, 0, 1, 3]
-
-    def test_irecv_handles_complete_in_arrival_order(self):
-        """Multiple posted irecvs on one channel drain FIFO at wait() time."""
-        def prog(comm):
-            if comm.rank == 0:
-                for i in range(4):
-                    comm.send(i * 10, 1, tag=6)
-                return None
-            handles = [comm.irecv(0, tag=6) for _ in range(4)]
-            return [h.wait() for h in handles]
-
-        out = run_ranks(prog, 2)
-        assert out[1] == [0, 10, 20, 30]
-
-    def test_irecv_test_tracks_arrival(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.recv(1, tag=1)  # wait until peer has posted its irecv
-                comm.send("x", 1, tag=2)
-                return None
-            handle = comm.irecv(0, tag=2)
-            assert not handle.test()  # nothing sent yet
-            comm.send(0, 0, tag=1)
-            deadline = time.monotonic() + 5.0
-            while not handle.test():
-                if time.monotonic() > deadline:  # pragma: no cover
-                    raise AssertionError("irecv never became ready")
-                time.sleep(0.005)
-            return handle.wait()
-
-        out = run_ranks(prog, 2)
-        assert out[1] == "x"
-
     def test_icollective_wait_is_idempotent(self):
         def prog(comm):
             stream = make_rank_stream(256, 16, comm.rank)

@@ -233,19 +233,6 @@ class TestProcessPointToPoint:
         with pytest.raises(RankError):
             run_ranks(prog, 2, backend=BACKEND)
 
-    def test_isend_irecv(self):
-        def prog(comm):
-            if comm.rank == 0:
-                handle = comm.isend(42, 1)
-                assert handle.test()
-                handle.wait()
-                return None
-            handle = comm.irecv(0)
-            return handle.wait()
-
-        out = run_ranks(prog, 2, backend=BACKEND)
-        assert out[1] == 42
-
 
 class TestProcessCollectiveHelpers:
     @pytest.mark.parametrize("nranks", [2, 3, 5, 8])
@@ -441,51 +428,6 @@ class TestProcessTrace:
         out = run_ranks(prog, 2, backend=BACKEND)
         ops = [e.op for e in out.trace.events(0)]
         assert ops == ["mark", "compute"]
-
-    def test_accumulating_trace_rebases_seqs(self):
-        """Two runs into one trace: channel seq numbers must not collide."""
-        from repro.runtime import Trace
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, 1, tag=4)
-            else:
-                comm.recv(0, tag=4)
-
-        trace = Trace(2)
-        run_ranks(prog, 2, backend=BACKEND, trace=trace)
-        run_ranks(prog, 2, backend=BACKEND, trace=trace)
-        sends = [e for e in trace.events(0) if e.op == "send"]
-        assert [e.seq for e in sends] == [0, 1]
-
-    def test_hard_death_still_rebases_what_survivors_received(self):
-        """A rank that dies hard ships no channel counters; its channels
-        are sized from the survivors' receives, so a failed run merged
-        into a trace with earlier traffic keeps (channel, seq) unique."""
-        import os
-
-        from repro.runtime import Trace
-
-        def prog(comm, die):
-            if comm.rank == 0:
-                comm.send(1, 1, tag=4)
-                comm.send(2, 1, tag=4)
-                comm.recv(1, tag=5)  # rank 1 has received both by now
-                if die:
-                    os._exit(1)
-            else:
-                comm.recv(0, tag=4)
-                comm.recv(0, tag=4)
-                comm.send("got both", 0, tag=5)
-
-        trace = Trace(2)
-        run_ranks(prog, 2, False, backend=BACKEND, trace=trace)
-        with pytest.raises(RankError):
-            run_ranks(prog, 2, True, backend=BACKEND, trace=trace)
-        run_ranks(prog, 2, False, backend=BACKEND, trace=trace)
-        received = [e.seq for e in trace.events(1) if e.op == "recv"]
-        assert received == [0, 1, 2, 3, 4, 5]
-        assert [e.seq for e in trace.events(0) if e.op == "send"] == [0, 1, 4, 5]
 
     def test_failure_keeps_partial_trace_like_thread_backend(self):
         """A caller-supplied trace keeps pre-failure events on both backends."""

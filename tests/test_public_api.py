@@ -136,20 +136,6 @@ class TestCrossCuttingEdges:
         assert np.allclose(a.to_dense(), c, atol=1e-6)
         assert np.allclose(b.to_dense(), c, atol=1e-6)
 
-    def test_trace_shared_across_phases(self):
-        """A user-provided trace accumulates across multiple run_ranks."""
-        from repro.runtime import Trace
-
-        trace = Trace(2)
-
-        def prog(comm):
-            comm.send(1, 1 - comm.rank) if comm.rank == 0 else comm.recv(0)
-
-        run_ranks(prog, 2, trace=trace)
-        first = trace.total_messages
-        run_ranks(prog, 2, trace=trace)
-        assert trace.total_messages == 2 * first
-
     def test_choose_algorithm_matches_executed_path(self):
         """The selector's choice must execute without error for shapes
         across the decision boundaries."""

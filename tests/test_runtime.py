@@ -8,7 +8,6 @@ import pytest
 
 from repro.runtime import (
     RankError,
-    Trace,
     WorldAbortedError,
     copy_payload,
     i_collective,
@@ -304,12 +303,6 @@ class TestTraceRecording:
         out = run_ranks(lambda c: None, 2)
         assert set(out.trace.summary()) == {"ranks", "messages", "bytes_sent", "max_rank_recv_bytes"}
 
-    def test_trace_clear(self):
-        trace = Trace(2)
-        trace.record_send(0, 1, 0, 0, 100)
-        trace.clear()
-        assert trace.total_messages == 0
-
     def test_negative_compute_rejected(self):
         def prog(comm):
             comm.compute(-1)
@@ -319,29 +312,6 @@ class TestTraceRecording:
 
 
 class TestNonBlocking:
-    def test_isend_completes_immediately(self):
-        def prog(comm):
-            if comm.rank == 0:
-                handle = comm.isend(42, 1)
-                assert handle.test()
-                handle.wait()
-                return None
-            return comm.recv(0)
-
-        out = run_ranks(prog, 2)
-        assert out[1] == 42
-
-    def test_irecv_deferred(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send("hello", 1)
-                return None
-            handle = comm.irecv(0)
-            return handle.wait()
-
-        out = run_ranks(prog, 2)
-        assert out[1] == "hello"
-
     def test_icollective_allreduce(self):
         from repro.collectives import ssar_recursive_double
 

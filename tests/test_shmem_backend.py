@@ -234,35 +234,6 @@ class TestShmemPointToPoint:
         assert isinstance(exc_info.value.original, ValueError)
         assert "non-negative" in str(exc_info.value.original)
 
-    def test_isend_irecv(self):
-        def prog(comm):
-            if comm.rank == 0:
-                handle = comm.isend(42, 1)
-                assert handle.test()
-                handle.wait()
-                return None
-            handle = comm.irecv(0)
-            return handle.wait()
-
-        out = run_ranks(prog, 2, backend=BACKEND)
-        assert out[1] == 42
-
-    def test_probe_drives_progress(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send("ping", 1, tag=4)
-                return comm.recv(1, tag=5)
-            handle = comm.irecv(0, tag=4)
-            deadline = time.monotonic() + 10.0
-            while not handle.test():
-                assert time.monotonic() < deadline, "probe never saw the message"
-                time.sleep(0.001)
-            comm.send("pong", 0, tag=5)
-            return handle.wait()
-
-        out = run_ranks(prog, 2, backend=BACKEND, timeout=30.0)
-        assert out.results == ["pong", "ping"]
-
 
 class TestShmemCollectiveHelpers:
     @pytest.mark.parametrize("nranks", [2, 3, 5, 8])
@@ -385,19 +356,6 @@ class TestShmemTrace:
         assert len(sends) == len(recvs) == 1
         assert sends[0].nbytes == recvs[0].nbytes == 48
         assert sends[0].seq == recvs[0].seq
-
-    def test_accumulating_trace_rebases_seqs(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, 1, tag=4)
-            else:
-                comm.recv(0, tag=4)
-
-        trace = Trace(2)
-        run_ranks(prog, 2, backend=BACKEND, trace=trace)
-        run_ranks(prog, 2, backend=BACKEND, trace=trace)
-        sends = [e for e in trace.events(0) if e.op == "send"]
-        assert [e.seq for e in sends] == [0, 1]
 
     def test_failure_keeps_partial_trace_like_other_backends(self):
         def failing(comm):

@@ -24,7 +24,6 @@ from repro.runtime import (
     Rendezvous,
     RendezvousTimeoutError,
     StaleEpochError,
-    Trace,
     run_ranks,
     serve_rank,
 )
@@ -388,19 +387,6 @@ class TestSocketSemantics:
 
         out = run_ranks(prog, 2, backend=BACKEND)
         assert out[0] == 0.0
-
-    def test_accumulating_trace_rebases_seqs(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, 1, tag=4)
-            else:
-                comm.recv(0, tag=4)
-
-        trace = Trace(2)
-        run_ranks(prog, 2, backend=BACKEND, trace=trace)
-        run_ranks(prog, 2, backend=BACKEND, trace=trace)
-        sends = [e for e in trace.events(0) if e.op == "send"]
-        assert [e.seq for e in sends] == [0, 1]
 
     def test_world_metadata(self):
         out = run_ranks(lambda c: c.rank, 3, backend=BACKEND)

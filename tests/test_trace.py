@@ -3,7 +3,10 @@
 The trace is the contract between execution and the netsim replay; these
 tests pin its event accounting down at the unit level, including the exact
 event inventory of one SSAR call, the row log's export -> pickle -> merge
-round trip, and readers racing writers.
+round trip, and readers racing writers. A trace records one run: on all
+four backends every message of a run is one SEND and one RECV row and
+every channel's seqs are 0 … n-1, and a trace that already holds a run,
+or is sized for another world, is refused before any rank starts.
 """
 
 import gc
@@ -11,13 +14,21 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from repro.collectives import allreduce_recursive_doubling, ssar_recursive_double, ssar_split_allgather
-from repro.runtime import COMPUTE, MARK, RECV, SEND, Trace, TraceEvent, i_collective, run_ranks
+from repro.collectives import (
+    allreduce_recursive_doubling,
+    dsar_split_allgather,
+    ssar_recursive_double,
+    ssar_split_allgather,
+)
+from repro.collectives.api import allreduce_plan
+from repro.core import GradientFuser
+from repro.runtime import COMPUTE, MARK, RECV, SEND, Trace, TraceEvent, get_backend, i_collective, run_ranks
 from repro.runtime.context import epoch_slot
 
 from conftest import make_rank_stream
@@ -34,20 +45,6 @@ class TestTraceBasics:
         assert t.next_seq(0, 1, 5) == 1
         assert t.next_seq(1, 0, 5) == 0  # direction is part of the channel
         assert t.next_seq(0, 1, 6) == 0  # so is the tag
-
-    def test_disabled_trace_records_nothing(self):
-        t = Trace(2)
-        t.enabled = False
-        t.record_send(0, 1, 0, 0, 100)
-        assert t.total_messages == 0
-
-    def test_clear_resets_events_and_seqs(self):
-        t = Trace(2)
-        t.next_seq(0, 1, 0)
-        t.record_send(0, 1, 0, 0, 10)
-        t.clear()
-        assert t.total_messages == 0
-        assert t.next_seq(0, 1, 0) == 0
 
     def test_byte_accounting(self):
         t = Trace(3)
@@ -157,9 +154,9 @@ def _rank_log(rank: int, nranks: int = 3) -> Trace:
     return trace
 
 
-def _ship(traces: list, dead=()) -> dict:
-    """Every live rank's export, through pickle as a rank process sends it."""
-    return {r: pickle.loads(pickle.dumps(t.export(r))) for r, t in enumerate(traces) if r not in dead}
+def _ship(traces: list) -> dict:
+    """Every rank's export, through pickle as a rank process sends it."""
+    return {r: pickle.loads(pickle.dumps(t.export(r))) for r, t in enumerate(traces)}
 
 
 class TestEventRows:
@@ -243,32 +240,6 @@ class TestShipping:
             "max_rank_recv_bytes": max(t.bytes_received_by(r) for r, t in enumerate(traces)),
         }
 
-    def test_a_second_run_continues_every_channel(self):
-        traces = [_rank_log(r) for r in range(3)]
-        trace = Trace(3)
-        trace.merge_run(_ship(traces))
-        trace.merge_run(_ship(traces))
-        for r, rank_trace in enumerate(traces):
-            first = list(rank_trace.events(r))
-            events = list(trace.events(r))
-            assert events[: len(first)] == first
-            assert events[len(first):] == [
-                e._replace(seq=e.seq + ROUNDS) if e.op in (SEND, RECV) else e for e in first
-            ]
-        for context in NESTED:
-            assert trace.next_seq(0, 1, 7, context) == 2 * ROUNDS
-
-    def test_a_dead_ranks_channels_are_sized_from_what_survivors_received(self):
-        traces = [_rank_log(r) for r in range(3)]
-        trace = Trace(3)
-        trace.merge_run(_ship(traces, dead={2}))
-        trace.merge_run(_ship(traces, dead={2}))
-        for context in NESTED:
-            received = [e.seq for e in trace.events(0) if e.op == RECV and e.peer == 2 and e.context == context]
-            assert received == list(range(2 * ROUNDS))
-            assert trace.next_seq(2, 0, 7, context) == trace.next_seq(2, 1, 7, context) == 2 * ROUNDS
-        assert list(trace.events(2)) == []
-
     @pytest.mark.parametrize("backend", ["process", "socket"])
     def test_a_shipped_run_equals_the_thread_backends_recording(self, backend):
         """A launch inside a split inside an epoch world: the rows a rank
@@ -290,6 +261,72 @@ class TestShipping:
         for r in range(4):
             assert list(shipped.events(r)) == list(thread.events(r))
         assert (epoch_slot(1), 0, 0) in {e.context for e in shipped.events(0)}
+
+
+# ----------------------------------------------------------------------
+# a trace records one run
+# ----------------------------------------------------------------------
+BACKENDS = ["thread", "process", "shmem", "socket"]
+
+
+def _one_of_each(comm):
+    """Blocking SSAR and DSAR, a started plan and one fused asynchronous step."""
+    stream = make_rank_stream(512, 24, comm.rank)
+    ssar_recursive_double(comm, stream)
+    ssar_split_allgather(comm, stream)
+    dsar_split_allgather(comm, stream)
+    allreduce_plan(comm, 512, np.float32, "ssar_rec_dbl").start(stream).wait()
+    fuser = GradientFuser([("a", 96), ("b", 96), ("c", 64)], min_bucket_bytes=0)
+    grad = np.random.default_rng(400 + comm.rank).standard_normal(256).astype(np.float32)
+    efs = fuser.make_error_feedback(k=8, bucket_size=32)
+    fuser.i_fused_allreduce(comm, grad, efs, algorithm="auto", chunks=2).wait()
+
+
+def _messages(trace: Trace, op: str) -> Counter:
+    """``(src, dst, context, tag, seq, nbytes)`` of every ``op`` row, counted."""
+    rows: Counter = Counter()
+    for rank, events in enumerate(trace):
+        for e in events:
+            if e.op == op:
+                src, dst = (rank, e.peer) if op == SEND else (e.peer, rank)
+                rows[src, dst, e.context, e.tag, e.seq, e.nbytes] += 1
+    return rows
+
+
+def _touch(comm, directory):
+    (directory / f"rank{comm.rank}").touch()
+
+
+def _used_trace(nranks: int) -> Trace:
+    return run_ranks(lambda comm: comm.barrier(), nranks).trace
+
+
+class TestOneRunOneTrace:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_message_is_one_send_and_one_recv_row(self, backend):
+        trace = run_ranks(_one_of_each, 4, backend=backend, topology="2x2", timeout=120.0).trace
+        sends = _messages(trace, SEND)
+        assert sends and set(sends.values()) == {1}
+        assert sends == _messages(trace, RECV)
+        channels = defaultdict(list)
+        for src, dst, context, tag, seq, _ in sends:
+            channels[src, dst, context, tag].append(seq)
+        assert {context for _, _, context, _ in channels} > {()}  # plans, launches, host groups
+        for channel, seqs in channels.items():
+            assert sorted(seqs) == list(range(len(seqs))), channel
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "trace", [lambda: _used_trace(2), lambda: Trace(3)], ids=["holds-a-run", "three-ranks"]
+    )
+    def test_a_used_or_missized_trace_is_refused_before_any_rank_starts(self, backend, trace, tmp_path):
+        with pytest.raises(ValueError, match="trace"):
+            run_ranks(_touch, 2, tmp_path, backend=backend, trace=trace())
+        with pytest.raises(ValueError, match="trace"):
+            get_backend(backend).run(_touch, 2, tmp_path, trace=trace())
+        assert list(tmp_path.iterdir()) == []
+        run_ranks(_touch, 2, tmp_path, backend=backend, trace=Trace(2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rank0", "rank1"]
 
 
 SENDS = 400
@@ -340,37 +377,6 @@ class TestSequenceNumbers:
         assert sorted(sum(got, [])) == list(range(40_000))
         assert all(all(a < b for a, b in zip(out, out[1:])) for out in got)  # each thread's in its order
         assert trace.next_seq(0, 1, 5, (2,)) == 40_000
-
-    def test_threads_sending_first_after_a_merged_run(self):
-        """The first send after a merged run sizes the trace's channels,
-        replacing their counters: a thread that sends the moment the sizing
-        looks done draws from the new ones, so no number on a channel
-        repeats or is skipped."""
-        traces = [_rank_log(r, nranks=8) for r in range(8)]  # ~450 channels to size
-        channel = (7, 6, 7, NESTED[-1])  # among the last the sizing replaces
-        before = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                trace = Trace(8)
-                trace.merge_run(_ship(traces))
-                trace.merge_run(_ship(traces))  # the first run's channels have counters now
-                got = [[] for _ in range(4)]
-
-                def send(out, sizes):
-                    while not sizes and trace._unsized:
-                        pass
-                    out.extend(trace.next_seq(*channel) for _ in range(200))
-
-                threads = [threading.Thread(target=send, args=(out, i == 0)) for i, out in enumerate(got)]
-                for thread in threads[::-1]:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60.0)
-                assert not any(thread.is_alive() for thread in threads)
-                assert sorted(sum(got, [])) == list(range(2 * ROUNDS, 2 * ROUNDS + 800))
-        finally:
-            sys.setswitchinterval(before)
 
     @pytest.mark.parametrize("backend", ["thread", "socket"])
     def test_a_rank_thread_a_helper_and_a_progress_thread_send_at_once(self, backend):
