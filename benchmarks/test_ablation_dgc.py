@@ -18,7 +18,7 @@ from common import fmt_bytes, format_table, write_result  # noqa: E402  (path bo
 
 import numpy as np
 
-from repro.core import DGCConfig, TopKSGDConfig, dgc_sgd, quantized_topk_sgd
+from repro.core import TopKSGDConfig, quantized_topk_sgd
 from repro.runtime import run_ranks
 
 
@@ -54,14 +54,14 @@ def _run_regime(lr: float):
         return quantized_topk_sgd(comm, grad_fn_for(comm.rank), DIM, STEPS, cfg)
 
     def corrected(comm):
-        cfg = DGCConfig(k=4, bucket_size=64, lr=lr, momentum=m, lr_decay=0.005)
-        return dgc_sgd(comm, grad_fn_for(comm.rank), DIM, STEPS, cfg)
+        cfg = TopKSGDConfig(k=4, bucket_size=64, lr=lr, momentum=m, lr_decay=0.005)
+        return quantized_topk_sgd(comm, grad_fn_for(comm.rank), DIM, STEPS, cfg)
 
     def corrected_warmup(comm):
-        cfg = DGCConfig(
+        cfg = TopKSGDConfig(
             k=4, bucket_size=64, lr=lr, momentum=m, lr_decay=0.005, warmup_steps=40
         )
-        return dgc_sgd(comm, grad_fn_for(comm.rank), DIM, STEPS, cfg)
+        return quantized_topk_sgd(comm, grad_fn_for(comm.rank), DIM, STEPS, cfg)
 
     out = {}
     for name, prog in (

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from repro import GIGE, SparseStream, replay, run_ranks, sparse_allreduce
-from repro.core import DGCConfig, GradientFuser, dgc_sgd
+from repro.core import GradientFuser, TopKSGDConfig, quantized_topk_sgd
 from repro.mlopt import (
     LogisticRegression,
     SGDConfig,
@@ -54,7 +54,7 @@ def demo_tensor_fusion() -> None:
         def prog(comm, fuser=fuser):
             efs = fuser.make_error_feedback(k=8, bucket_size=512)
             grad = np.random.default_rng(comm.rank).standard_normal(net.n_params).astype(np.float32)
-            fuser.fused_topk_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl")
+            fuser.i_fused_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl").wait()
             return None
 
         out = run_ranks(prog, P)
@@ -103,8 +103,10 @@ def demo_dgc() -> None:
 
         return fn
 
-    cfg = DGCConfig(k=4, bucket_size=64, lr=0.1, momentum=0.5, warmup_steps=30, lr_decay=0.02)
-    out = run_ranks(lambda c: dgc_sgd(c, grad_fn_for(c.rank), dim, 200, cfg), P)
+    cfg = TopKSGDConfig(
+        k=4, bucket_size=64, lr=0.1, momentum=0.5, warmup_steps=30, lr_decay=0.02
+    )
+    out = run_ranks(lambda c: quantized_topk_sgd(c, grad_fn_for(c.rank), dim, 200, cfg), P)
     err = np.linalg.norm(out[0].params - centre) / np.linalg.norm(centre)
     first, last = out[0].bytes_sent_per_step[0], out[0].bytes_sent_per_step[-1]
     print(f"  converged to {err:.1%} of ||x*||; warm-up sent {first}B/step early "

@@ -12,6 +12,7 @@ Run:  python examples/quickstart.py [--backend thread|process|shmem|socket]
                                     [--overlap]
                                     [--fault-plan seed=7,delay=0.2/0.001]
                                     [--op-timeout 5]
+                                    [--elastic [--rejoin]]
 
 ``--backend process`` executes every rank in its own OS process with real
 serialized transport over pipes; ``shmem`` moves payloads through
@@ -29,12 +30,12 @@ blocked send/recv so a dropped message fails fast instead of hanging.
 ``--elastic`` (with a ``kill=R@N`` fault plan) demonstrates the elastic
 world instead of exiting on the failure: survivors catch the typed error,
 ``shrink()`` past the dead rank and re-run the allreduce on the smaller
-world, printing the post-shrink checksum every survivor agrees on. Add a
-``revive=R@N`` clause (thread backend) and the demo also brings the killed
-rank back through ``thread_rejoin`` + ``ElasticContext.step()`` and
+world, printing the post-shrink checksum every survivor agrees on. Add
+``--rejoin`` (thread backend) and the demo also brings the killed rank
+back through ``thread_rejoin`` + ``ElasticContext.step()`` and
 re-verifies the checksum on the regrown full-size world:
 
-    python examples/quickstart.py --elastic --fault-plan kill=3@4,revive=3@8
+    python examples/quickstart.py --elastic --fault-plan kill=3@4 --rejoin
 
 ``--overlap`` demonstrates the *chunked* non-blocking hierarchy instead:
 ``ssar_hier`` / ``dsar_hier`` run with ``chunks=K`` so the leaders'
@@ -128,10 +129,9 @@ def _elastic_shrink_prog(comm):
 def elastic_demo(args, fault_plan) -> None:
     """kill -> typed error -> shrink() -> verified post-shrink checksum.
 
-    With a ``revive=R@N`` clause the demo runs on a hand-built thread
-    world instead so the killed rank can come back through
-    ``thread_rejoin`` while the survivors commit the join with
-    ``ElasticContext.step()``.
+    With ``--rejoin`` the demo runs on a hand-built thread world instead
+    so the killed rank can come back through ``thread_rejoin`` while the
+    survivors commit the join with ``ElasticContext.step()``.
     """
     import threading
     import time
@@ -157,14 +157,13 @@ def elastic_demo(args, fault_plan) -> None:
     expected_full = float(
         reduce_streams([make_contribution(r) for r in range(P)]).to_dense().sum()
     )
-    rejoining = fault_plan.revive_rank is not None
     print(
         f"elastic demo: P={P}, kill rank {victim} at op "
         f"{fault_plan.kill_after_ops}, shrink to P={P - 1}"
-        + (f", then rejoin rank {fault_plan.revive_rank}" if rejoining else "")
+        + (f", then rejoin rank {victim}" if args.rejoin else "")
     )
 
-    if not rejoining:
+    if not args.rejoin:
         # any backend: survivors shrink and re-reduce; the run as a whole
         # still reports the victim's death as a typed world-level error
         try:
@@ -200,7 +199,7 @@ def elastic_demo(args, fault_plan) -> None:
             )
             sys.exit(0 if ok else 1)
 
-    # revive path: thread backend only (rejoin of an OS process is the
+    # rejoin path: thread backend only (rejoin of an OS process is the
     # serve-rank --rejoin flow; see ROADMAP.md)
     world = ThreadWorld(P, op_timeout=args.op_timeout or 60.0)
     results: dict = {}
@@ -397,8 +396,12 @@ def main() -> None:
     parser.add_argument(
         "--elastic", action="store_true",
         help="with a kill=R@N fault plan: survivors shrink() past the dead "
-             "rank and verify the post-shrink checksum; add revive=R@N "
-             "(thread backend) to also rejoin the killed rank",
+             "rank and verify the post-shrink checksum",
+    )
+    parser.add_argument(
+        "--rejoin", action="store_true",
+        help="with --elastic: the killed rank then rejoins and the regrown "
+             "world re-verifies the full-world checksum (thread backend)",
     )
     parser.add_argument(
         "--network", default="tiered:gige", metavar="SPEC",

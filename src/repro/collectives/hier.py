@@ -55,9 +55,9 @@ import numpy as np
 
 from ..config import INDEX_DTYPE
 from ..quant import QSGDQuantizer
-from ..runtime.comm import COLLECTIVE_TAG, CompletedHandle, Communicator
+from ..runtime.comm import COLLECTIVE_TAG, Communicator
 from ..runtime.nonblocking import i_collective
-from ..runtime.topology import Topology, check_topology_size, normalize_topology
+from ..runtime.topology import Topology
 from ..streams import SparseStream, add_streams_, reduction_work_bytes
 from ..streams.ops import SUM, ReduceOp
 from .dense import partition_bounds
@@ -67,14 +67,17 @@ from .sparse import _accumulator, _ensure_sparse, _owned, slice_stream, ssar_rec
 __all__ = ["ssar_hierarchical", "dsar_hierarchical", "tree_reduce", "Hierarchy", "build_hierarchy"]
 
 
-def tree_reduce(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> SparseStream:
+def tree_reduce(
+    comm: Communicator, stream: SparseStream, op: ReduceOp = SUM
+) -> "SparseStream | None":
     """Binomial-tree sparse reduce onto rank 0 of ``comm``.
 
-    Rank 0 returns the merged union of every rank's stream; other ranks
-    return their partial accumulator (callers broadcast the real result
-    back). The merge order matches recursive doubling's association on
-    power-of-two worlds, which is what makes the hierarchical composition
-    bit-compatible with ``ssar_rec_dbl`` on aligned topologies.
+    Rank 0 returns the merged union of every rank's stream; every other
+    rank returns ``None`` once it has sent its partial accumulator up the
+    tree (callers broadcast the real result back). The merge order
+    matches recursive doubling's association on power-of-two worlds,
+    which is what makes the hierarchical composition bit-compatible with
+    ``ssar_rec_dbl`` on aligned topologies.
     """
     stream = _ensure_sparse(stream)
     acc = _accumulator(stream)
@@ -82,7 +85,7 @@ def tree_reduce(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) ->
     while mask < comm.size:
         if comm.rank & mask:
             comm.send(acc, comm.rank - mask, COLLECTIVE_TAG)
-            break
+            return None
         if comm.rank + mask < comm.size:
             incoming = comm.recv(comm.rank + mask, COLLECTIVE_TAG)
             comm.compute(reduction_work_bytes(acc, incoming), "reduce")
@@ -104,30 +107,26 @@ class Hierarchy(NamedTuple):
     leader_bounds: np.ndarray
 
 
-def build_hierarchy(comm: Communicator, dimension: int, topology=None) -> Hierarchy:
+def build_hierarchy(comm: Communicator, dimension: int) -> Hierarchy:
     """The two subgroups of ``comm`` a hierarchical schedule runs on and the
     leader partition of ``dimension``, built at the first call for this
-    ``dimension`` and ``topology`` and returned by every later one.
+    ``dimension`` and returned by every later one.
 
-    The rank -> host map is ``topology`` (validated against ``comm.size``
-    with the launcher-uniform error), else ``comm.topology``, else a flat
-    world. Building takes two slots of ``comm``'s child counter on every
-    rank (host groups are pairwise disjoint, so they share the first); the
-    cache is keyed by values every rank passes alike, so every rank builds
-    at the same call, the way :func:`~repro.collectives.api.cached_plan`
-    makes plans.
+    The rank -> host map is ``comm.topology``, else a flat world. Building
+    takes two slots of ``comm``'s child counter on every rank (host groups
+    are pairwise disjoint, so they share the first); the cache is keyed by
+    a value every rank passes alike, so every rank builds at the same
+    call, the way :func:`~repro.collectives.api.cached_plan` makes plans.
     """
     hierarchies = comm._hierarchies = comm._hierarchies or {}
-    key = (dimension, topology)
-    if key not in hierarchies:
-        topo = normalize_topology(topology, comm.size)
-        if topo is None:
-            topo = comm.topology if comm.topology is not None else Topology.flat(comm.size)
-        check_topology_size(topo, comm.size)
+    if dimension not in hierarchies:
+        topo = comm.topology if comm.topology is not None else Topology.flat(comm.size)
         local = comm.subgroup(topo.group_of(comm.rank))
         leaders = comm.subgroup(topo.leaders)
-        hierarchies[key] = Hierarchy(local, leaders, partition_bounds(dimension, len(topo.leaders)))
-    return hierarchies[key]
+        hierarchies[dimension] = Hierarchy(
+            local, leaders, partition_bounds(dimension, len(topo.leaders))
+        )
+    return hierarchies[dimension]
 
 
 def _check_chunks(chunks: int) -> int:
@@ -239,13 +238,16 @@ def _hierarchical(
     local, leader_comm, _ = hierarchy
     launch = leader_comm is not None and (leader_comm.size > 1 or leader_runs_alone)
 
+    overlap = launch and chunks > 1
     bounds = partition_bounds(stream.dimension, chunks)
-    handles: list = []
+    # per chunk: the reduced chunk (``None`` off a leader), or the handle
+    # of its launched leader stage
+    pending: list = []
     parts: list[SparseStream | None] = [None] * chunks
 
     def join(k: int) -> None:
         # fan the reduced chunk back out inside each host
-        acc = handles[k].wait()
+        acc = pending[k].wait() if overlap else pending[k]
         if local.size > 1:
             comm.mark("hier_bcast")
             acc = local.bcast(acc, root=0)
@@ -257,15 +259,14 @@ def _hierarchical(
         comm.mark("hier_local_reduce")
         piece = stream if chunks == 1 else _rebase_chunk(stream, lo, hi)
         acc = tree_reduce(local, piece, op)
-        handle = CompletedHandle(acc)
         if launch:
             # only the per-host merged unions cross the slow tier
             comm.mark("hier_leaders")
-            if chunks == 1:
-                handle = CompletedHandle(leader_stage(leader_comm, acc, lo, hi))
+            if overlap:
+                acc = i_collective(leader_comm, leader_stage, acc, lo, hi)
             else:
-                handle = i_collective(leader_comm, leader_stage, acc, lo, hi)
-        handles.append(handle)
+                acc = leader_stage(leader_comm, acc, lo, hi)
+        pending.append(acc)
         if k:
             join(k - 1)
     join(chunks - 1)
@@ -278,24 +279,23 @@ def ssar_hierarchical(
     comm: Communicator,
     stream: SparseStream,
     op: ReduceOp = SUM,
-    topology: "Topology | str | int | None" = None,
     chunks: int = 1,
 ) -> SparseStream:
     """SSAR_Hierarchical: intra-node reduce, leader allreduce, broadcast.
 
+    The host groups are ``comm.topology``'s (a flat single-host world
+    without one): each host's ranks send their streams up a binomial tree
+    to the host leader, which alone holds the host's union; the leaders
+    allreduce the unions and broadcast the result back down each host.
+
     Parameters
     ----------
     comm:
-        This rank's communicator. All ranks must agree on ``topology``
-        and ``chunks``.
+        This rank's communicator. All ranks must agree on ``chunks``.
     stream:
         The local contribution (sparse or dense representation).
     op:
         The coordinate-wise reduction (§5.2).
-    topology:
-        Rank -> host map; defaults to ``comm.topology`` and falls back to
-        a flat single-host world. Accepts everything
-        :func:`~repro.runtime.topology.normalize_topology` does.
     chunks:
         Split the dimension into this many coordinate ranges and pipeline
         them (§7's overlap-first schedule): the leaders' inter-node
@@ -313,7 +313,7 @@ def ssar_hierarchical(
     chunks = _check_chunks(chunks)
     if comm.size == 1:
         return stream.copy()
-    hierarchy = build_hierarchy(comm, stream.dimension, topology)
+    hierarchy = build_hierarchy(comm, stream.dimension)
 
     def leader_stage(leader_comm, chunk_acc, lo, hi):
         return ssar_recursive_double(leader_comm, chunk_acc, op)
@@ -329,14 +329,13 @@ def dsar_hierarchical(
     stream: SparseStream,
     quantizer: QSGDQuantizer | None = None,
     op: ReduceOp = SUM,
-    topology: "Topology | str | int | None" = None,
     chunks: int = 1,
 ) -> SparseStream:
     """DSAR_Hierarchical: the dense-stage hierarchy for dynamic instances.
 
     1. **intra-node reduce**: each host merges its streams onto the host
        leader along the same binomial tree as :func:`ssar_hierarchical`
-       (sparse merges, fast tier only);
+       (sparse merges, fast tier only; only the leader keeps a result);
     2. **leader DSAR**: the leaders run
        :func:`~repro.collectives.dsar.dsar_split_allgather` among
        themselves — split exchange, each slice folded straight into the
@@ -352,16 +351,17 @@ def dsar_hierarchical(
     :func:`dsar_split_allgather` only by float association (different
     partition bounds) and by which rank's quantizer touched each entry.
 
-    Parameters mirror :func:`dsar_split_allgather` plus ``topology``
-    (defaults to ``comm.topology``, falling back to a flat world) and
-    ``chunks`` (the
-    pipelined schedule of :func:`ssar_hierarchical`; the leaders receive the full-dimension partition bounds clipped to each
-    chunk, see :func:`_clip_bounds`). With the default ``quantizer=None``
-    the chunked result is bit-identical to the unchunked one on every
-    backend; *with* a quantizer the chunked result is equal only in
-    distribution — QSGD bucket boundaries and stochastic-rounding draws
-    shift with the chunk offsets — so chunking a quantized run trades
-    bit-reproducibility against overlap.
+    The host groups are ``comm.topology``'s, as in
+    :func:`ssar_hierarchical`. Parameters mirror
+    :func:`dsar_split_allgather` plus ``chunks`` (the pipelined schedule
+    of :func:`ssar_hierarchical`; the leaders receive the full-dimension
+    partition bounds clipped to each chunk, see :func:`_clip_bounds`).
+    With the default ``quantizer=None`` the chunked result is
+    bit-identical to the unchunked one on every backend; *with* a
+    quantizer the chunked result is equal only in distribution — QSGD
+    bucket boundaries and stochastic-rounding draws shift with the chunk
+    offsets — so chunking a quantized run trades bit-reproducibility
+    against overlap.
     """
     stream = _ensure_sparse(stream)
     chunks = _check_chunks(chunks)
@@ -369,7 +369,7 @@ def dsar_hierarchical(
         # the flat kernel's single-rank path already densifies and
         # quantizes the one partition exactly once
         return dsar_split_allgather(comm, stream, quantizer=quantizer, op=op)
-    hierarchy = build_hierarchy(comm, stream.dimension, topology)
+    hierarchy = build_hierarchy(comm, stream.dimension)
 
     def leader_stage(leader_comm, chunk_acc, lo, hi):
         return dsar_split_allgather(

@@ -1,6 +1,6 @@
-"""The paper's primary contribution: TopK sparsification + Algorithm 1."""
+"""The paper's primary contribution: TopK sparsification + Algorithm 1
+(with §8.4's momentum correction and warm-up as two of its options)."""
 
-from .dgc import DGCConfig, WarmupSchedule, dgc_sgd
 from .fusion import FusedBucket, FusedPendingUpdate, GradientFuser
 from .topk import (
     ErrorFeedback,
@@ -12,9 +12,6 @@ from .topk import (
 from .topk_sgd import TopKSGDConfig, TopKSGDResult, dense_sgd, quantized_topk_sgd
 
 __all__ = [
-    "DGCConfig",
-    "WarmupSchedule",
-    "dgc_sgd",
     "FusedBucket",
     "FusedPendingUpdate",
     "GradientFuser",

@@ -221,57 +221,6 @@ class GradientFuser:
             ]
         return [grad[b.start: b.stop].astype(np.float32, copy=False) for b in self.buckets]
 
-    def fused_topk_allreduce(
-        self,
-        comm: Communicator,
-        grad: "np.ndarray | SparseStream",
-        error_feedback: list[ErrorFeedback],
-        algorithm: str = "auto",
-        quantizer: QSGDQuantizer | None = None,
-        chunks: "int | str" = 1,
-    ) -> "np.ndarray | SparseStream":
-        """TopK-sparsified allreduce per fused bucket; returns the summed
-        update, with per-bucket error feedback state: dense for a dense
-        ``grad``, for a stream a stream of the update's non-zeros.
-
-        This is the layer-wise communication path the paper uses for DNN
-        training ("communication is done layer-wise using non-blocking
-        calls", §8.3), at the fused-bucket granularity — blocking here,
-        :meth:`i_fused_allreduce` is the asynchronous form.
-        ``chunks`` pipelines each bucket's
-        hierarchical collective (see
-        :func:`~repro.collectives.api.sparse_allreduce`). With
-        ``algorithm="auto"`` each bucket's plan selects and re-selects on
-        its own (see :func:`~repro.collectives.api.allreduce_plan`).
-        """
-        totals = [
-            (bucket, plan(sent))
-            for bucket, plan, sent in self._plan(
-                comm, grad, error_feedback, algorithm, quantizer, chunks
-            )
-        ]
-        out = None if isinstance(grad, SparseStream) else np.empty_like(grad)
-        return _fused_update(totals, out, self.total_size)
-
-    def _plan(self, comm, grad, error_feedback, algorithm, quantizer, chunks) -> list:
-        """The calling-thread half of a fused call: select, then plan.
-
-        TopK selection runs first, so error-feedback state mutates in
-        program order. Then each bucket takes the communicator's cached
-        plan for its shape (:func:`~repro.collectives.api.cached_plan`),
-        which resolves its ``"auto"`` knobs itself. Returns ``(bucket,
-        plan, stream)`` per bucket.
-        """
-        planned = []
-        for bucket, segment, ef in zip(
-            self.buckets, self._segments(grad, error_feedback), error_feedback
-        ):
-            sent = ef.select(segment)
-            if quantizer is not None:
-                sent = quantize_stream_values(sent, quantizer)
-            planned.append((bucket, cached_plan(comm, sent, algorithm, chunks=chunks), sent))
-        return planned
-
     def i_fused_allreduce(
         self,
         comm: Communicator,
@@ -290,17 +239,30 @@ class GradientFuser:
         communicator's one long-lived progress thread reduces the buckets
         in layout order while the caller computes. The returned
         :class:`FusedPendingUpdate` joins them and hands back the update
-        (dense, or a stream for a stream ``grad``); results are
-        bit-identical to
-        :meth:`fused_topk_allreduce` (same selection, same collectives,
-        unquantized).
+        (dense, or a stream for a stream ``grad``) with per-bucket error
+        feedback state.
+
+        This is the layer-wise communication path the paper uses for DNN
+        training ("communication is done layer-wise using non-blocking
+        calls", §8.3), at the fused-bucket granularity; ``wait()`` at once
+        is the blocking form. ``chunks`` pipelines each bucket's
+        hierarchical collective (see
+        :func:`~repro.collectives.api.sparse_allreduce`). With
+        ``algorithm="auto"`` each bucket's plan selects and re-selects on
+        its own (see :func:`~repro.collectives.api.allreduce_plan`).
         """
-        runs = [
-            (bucket, plan.start(sent))
-            for bucket, plan, sent in self._plan(
-                comm, grad, error_feedback, algorithm, quantizer, chunks
-            )
-        ]
+        # every bucket selects (error-feedback state mutates in program
+        # order) and takes the communicator's cached plan for its shape,
+        # which resolves its "auto" knobs itself; only then do runs start
+        planned = []
+        for bucket, segment, ef in zip(
+            self.buckets, self._segments(grad, error_feedback), error_feedback
+        ):
+            sent = ef.select(segment)
+            if quantizer is not None:
+                sent = quantize_stream_values(sent, quantizer)
+            planned.append((bucket, cached_plan(comm, sent, algorithm, chunks=chunks), sent))
+        runs = [(bucket, plan.start(sent)) for bucket, plan, sent in planned]
         out = None if isinstance(grad, SparseStream) else np.empty_like(grad)
         return FusedPendingUpdate(runs, out, self.total_size)
 

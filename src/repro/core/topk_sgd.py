@@ -14,6 +14,28 @@ Algorithm 1), and/or inside DSAR's dense stage (§6). Because quantization
 happens *before* the sum, every rank computes bit-identical totals and the
 replicas stay consistent.
 
+For the ResNet50 experiments the paper "implemented techniques such as
+momentum correction and warm-up training [Lin et al., Deep Gradient
+Compression] to alleviate" the accuracy loss of aggressive
+sparsification (§8.4). Both are options of the same loop:
+
+* **momentum correction** (``momentum > 0``) — instead of accumulating
+  raw gradients into the error-feedback residual, accumulate the
+  *momentum-corrected velocity*::
+
+      u_t = m * u_{t-1} + g_t          (local momentum)
+      acc = residual + lr * u_t        (what TopK selects from)
+
+  Applying momentum before sparsification preserves the direction the
+  dense momentum-SGD would take; applying it after (the naive way) damps
+  sparse coordinates and hurts convergence.
+* **warm-up training** (``warmup_steps > 0``) — ramp the sparsity over
+  the first steps: start from a selection of a quarter of every bucket
+  and decay the per-bucket k geometrically to the target (equivalently,
+  ramp sparsity 75% -> 93.75% -> 98.4% -> ... as in DGC).
+
+With both at 0 the loop is plain Algorithm 1.
+
 The driver is model-agnostic: it consumes a gradient callback and an
 optional evaluation callback, so linear models (:mod:`repro.mlopt`) and
 neural networks (:mod:`repro.nn`) reuse the same loop.
@@ -46,11 +68,15 @@ class TopKSGDConfig:
     ``k``/``bucket_size`` follow the paper's notation "k out of every bucket
     of B consecutive elements" (e.g. k=8, B=512 is ~1.6% density);
     ``bucket_size=None`` selects the k largest entries globally.
+    ``momentum`` and ``warmup_steps`` switch on §8.4's momentum correction
+    and sparsity warm-up (module docstring).
     """
 
     k: int
     bucket_size: int | None = 512
     lr: float = 0.05
+    momentum: float = 0.0
+    warmup_steps: int = 0
     quantizer_bits: int | None = None
     quantizer_bucket: int = 512
     algorithm: str = "auto"
@@ -59,6 +85,16 @@ class TopKSGDConfig:
 
     def learning_rate(self, step: int) -> float:
         return self.lr / (1.0 + self.lr_decay * step)
+
+
+def _warmup_k(config: TopKSGDConfig, bucket: int, step: int) -> int:
+    """The per-bucket k of ``step``: during warm-up it decays geometrically
+    from a quarter of the ``bucket`` to ``config.k``, reaching it at
+    ``warmup_steps``; it never drops below ``config.k``."""
+    k0 = max(config.k, int(round(bucket * 0.25)))
+    if step >= config.warmup_steps or k0 <= config.k:
+        return config.k
+    return max(config.k, int(round(k0 * (config.k / k0) ** (step / config.warmup_steps))))
 
 
 @dataclass
@@ -93,11 +129,14 @@ def quantized_topk_sgd(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if not 0.0 <= config.momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {config.momentum}")
     params = (
         np.zeros(dimension, dtype=np.float32)
         if init_params is None
         else init_params.astype(np.float32, copy=True)
     )
+    velocity = np.zeros(dimension, dtype=np.float32) if config.momentum else None
     ef = ErrorFeedback(dimension, config.k, config.bucket_size, value_dtype=np.float32)
     quantizer = (
         QSGDQuantizer(
@@ -115,8 +154,19 @@ def quantized_topk_sgd(
         grad = grad_fn(params, step)
         if grad.shape != (dimension,):
             raise ValueError(f"grad_fn returned shape {grad.shape}, expected ({dimension},)")
-        comm.compute(grad.nbytes * 3, "grad")
-        sent = ef.select(lr * grad.astype(np.float32, copy=False))
+        if velocity is None:
+            comm.compute(grad.nbytes * 3, "grad")
+            acc = grad.astype(np.float32, copy=False)
+        else:
+            # momentum correction: accumulate velocity, sparsify the velocity
+            grad = grad.astype(np.float32, copy=False)
+            comm.compute(grad.nbytes * 4, "grad")
+            velocity *= config.momentum
+            velocity += grad
+            acc = velocity
+        if config.warmup_steps:
+            ef.k = _warmup_k(config, config.bucket_size or dimension, step)
+        sent = ef.select(lr * acc)
         if quantizer is not None:
             sent = quantize_stream_values(sent, quantizer)
         result.bytes_sent_per_step.append(sent.nbytes_payload)

@@ -34,7 +34,6 @@ from .comm import (
     AbortState,
     CommTimeoutError,
     Communicator,
-    CompletedHandle,
     Handle,
     ProxyComm,
     RankFailedError,
@@ -91,7 +90,6 @@ __all__ = [
     "run_ranks",
     "NonBlockingHandle",
     "i_collective",
-    "CompletedHandle",
     "ThreadBackend",
     "ThreadComm",
     "ThreadWorld",

@@ -114,7 +114,6 @@ __all__ = [
     "ProxyComm",
     "SubCommunicator",
     "Handle",
-    "CompletedHandle",
     "WorldAbortedError",
     "RankFailedError",
     "CommTimeoutError",
@@ -416,8 +415,8 @@ class Communicator(abc.ABC):
     #: ``(jobs, thread)``, for the rank epilogue to join
     _launch_threads: "list | None" = None
     #: this communicator's persistent collectives by key
-    #: (:mod:`repro.collectives.api`) and its hierarchies by dimension and
-    #: topology (:func:`repro.collectives.hier.build_hierarchy`)
+    #: (:mod:`repro.collectives.api`) and its hierarchies by dimension
+    #: (:func:`repro.collectives.hier.build_hierarchy`)
     _plans: "dict | None" = None
     _hierarchies: "dict | None" = None
     #: this communicator's channels, each resolved at its first message
@@ -852,18 +851,3 @@ class Handle(abc.ABC):
     @abc.abstractmethod
     def test(self) -> bool:
         """Non-blocking completion probe."""
-
-
-class CompletedHandle(Handle):
-    """Handle of an already-finished operation holding its result."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any = None) -> None:
-        self._value = value
-
-    def wait(self) -> Any:
-        return self._value
-
-    def test(self) -> bool:
-        return True

@@ -128,8 +128,6 @@ class FaultPlan:
     delay_s: float = 0.002
     kill_rank: int | None = None
     kill_after_ops: int = 1
-    revive_rank: int | None = None
-    revive_after_ops: int = 1
     drops: frozenset = frozenset()
     delays: Mapping[tuple, float] = field(default_factory=dict)
 
@@ -144,19 +142,6 @@ class FaultPlan:
             raise ValueError(f"delay_s must be non-negative, got {self.delay_s}")
         if self.kill_after_ops < 1:
             raise ValueError(f"kill_after_ops must be >= 1, got {self.kill_after_ops}")
-        if self.revive_after_ops < 1:
-            raise ValueError(f"revive_after_ops must be >= 1, got {self.revive_after_ops}")
-        if self.revive_rank is not None:
-            if self.revive_rank != self.kill_rank:
-                raise ValueError(
-                    f"revive_rank must name the killed rank "
-                    f"({self.kill_rank}), got {self.revive_rank}"
-                )
-            if self.revive_after_ops <= self.kill_after_ops:
-                raise ValueError(
-                    "revive_after_ops must come after kill_after_ops "
-                    f"({self.revive_after_ops} <= {self.kill_after_ops})"
-                )
 
     # ------------------------------------------------------------------
     # decisions (pure, deterministic)
@@ -189,14 +174,13 @@ class FaultPlan:
 
         Comma-separated ``key=value`` clauses::
 
-            seed=7,drop=0.02,delay=0.1/0.005,kill=2@40,revive=2@80
+            seed=7,drop=0.02,delay=0.1/0.005,kill=2@40
 
         ``drop=R`` sets the drop rate; ``delay=R`` or ``delay=R/SECONDS``
         the delay rate (and per-message delay); ``kill=RANK`` or
         ``kill=RANK@OPS`` the rank to kill (after OPS transport ops,
-        default 1); ``revive=RANK@OPS`` marks the killed rank for rejoin
-        once a survivor passes OPS ops. Individual messages are pinned
-        with repeatable ``pindrop=SRC:DST:TAG:SEQ`` and
+        default 1). Individual messages are pinned with repeatable
+        ``pindrop=SRC:DST:TAG:SEQ`` and
         ``pindelay=SRC:DST:TAG:SEQ/SECONDS`` clauses — a message of the
         backend communicator; ``SRC:DST:CTX:TAG:SEQ`` names one of another
         context by its printed path (``e1``, ``3.0``, ``e1.2``).
@@ -229,11 +213,6 @@ class FaultPlan:
                     kwargs["kill_rank"] = int(rank)
                     if at:
                         kwargs["kill_after_ops"] = int(ops)
-                elif key == "revive":
-                    rank, at, ops = value.partition("@")
-                    kwargs["revive_rank"] = int(rank)
-                    if at:
-                        kwargs["revive_after_ops"] = int(ops)
                 elif key == "pindrop":
                     pinned_drops.add(_parse_message_key(value))
                 elif key == "pindelay":
@@ -270,8 +249,6 @@ class FaultPlan:
             parts.append(f"delay={self.delay_rate}/{self.delay_s}")
         if self.kill_rank is not None:
             parts.append(f"kill={self.kill_rank}@{self.kill_after_ops}")
-        if self.revive_rank is not None:
-            parts.append(f"revive={self.revive_rank}@{self.revive_after_ops}")
         for key in sorted(self.drops, key=_key_order):
             parts.append("pindrop=" + _format_message_key(key))
         for key in sorted(self.delays, key=_key_order):

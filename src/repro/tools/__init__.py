@@ -1,13 +1,12 @@
-"""User-facing experiment tooling: the replayed sweeps and the CLI."""
+"""User-facing experiment tooling: the replayed node-count sweep and the CLI."""
 
 from .cli import build_parser, main
-from .sweeps import ALGORITHM_SET, SweepPoint, sweep_densities, sweep_node_counts
+from .sweeps import ALGORITHM_SET, SweepPoint, sweep_node_counts
 
 __all__ = [
     "build_parser",
     "main",
     "ALGORITHM_SET",
     "SweepPoint",
-    "sweep_densities",
     "sweep_node_counts",
 ]

@@ -3,9 +3,6 @@
 Commands
 --------
 ``sweep-nodes``     reduction time vs node count (Fig. 3 left shape)
-``sweep-density``   reduction time vs per-node density (Fig. 3 right shape)
-``expected-k``      the App. B fill-in table (Fig. 7)
-``presets``         show the network model presets
 ``calibrate``       fit a tiered network model (per-tier alpha/beta, the
                     summation gamma, the background-launch constant) from
                     a few seconds of measurement on this host; the written
@@ -17,6 +14,9 @@ Commands
 All output is plain ASCII tables; every experiment is deterministic given
 ``--seed`` (``calibrate`` measures real wall clocks and is therefore
 machine-dependent by design; the repo's perf yardstick is ``bench/``).
+Fig. 3 (right, reduction time vs density) and Fig. 7 (the App. B fill-in
+table) are ``benchmarks/test_fig3_density.py`` and
+``benchmarks/test_fig7_expected_k.py``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import argparse
 import sys
 from collections import defaultdict
 
-from ..analysis import expected_union_size
 from ..netsim import PRESETS, resolve_network
 from ..runtime import available_backends
-from .sweeps import ALGORITHM_SET, SweepPoint, sweep_densities, sweep_node_counts
+from .sweeps import ALGORITHM_SET, SweepPoint, sweep_node_counts
 
 __all__ = ["main", "build_parser"]
 
@@ -41,18 +40,15 @@ def _fmt_time(seconds: float) -> str:
     return f"{seconds:.3f}s"
 
 
-def _render_points(points: list[SweepPoint], column: str) -> str:
-    """Pivot sweep points into an algorithm x parameter table."""
+def _render_points(points: list[SweepPoint]) -> str:
+    """Pivot sweep points into an algorithm x node-count table."""
     by_algo: dict[str, dict] = defaultdict(dict)
     keys: list = []
     for p in points:
-        key = getattr(p, column)
-        if key not in keys:
-            keys.append(key)
-        by_algo[p.algorithm][key] = p
-    header = ["algorithm"] + [
-        f"{column}={k:.3%}" if column == "density" else f"{column}={k}" for k in keys
-    ]
+        if p.nranks not in keys:
+            keys.append(p.nranks)
+        by_algo[p.algorithm][p.nranks] = p
+    header = ["algorithm"] + [f"nranks={k}" for k in keys]
     rows = []
     for algo, cells in by_algo.items():
         rows.append([algo] + [_fmt_time(cells[k].time_s) if k in cells else "-" for k in keys])
@@ -94,35 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ranks-per-node", type=int, default=None, metavar="R",
         help="simulate hosts of R ranks each (enables the ssar_hier rows)",
     )
-
-    dens = sub.add_parser("sweep-density", help="reduction time vs density")
-    dens.add_argument("--dimension", type=int, default=1 << 20)
-    dens.add_argument("--densities", type=float, nargs="+", default=[0.001, 0.01, 0.05, 0.10])
-    dens.add_argument("--nranks", type=int, default=8)
-    dens.add_argument(
-        "--network", default="gige", metavar="PRESET",
-        help=f"network preset ({', '.join(sorted(PRESETS))}), a "
-             "'tiered:INTRA/INTER' spec (e.g. tiered:shm/ib_fdr or "
-             "tiered:gige), or 'calibrated:<path.json>' fitted by "
-             "`python -m repro calibrate`",
-    )
-    dens.add_argument("--algorithms", nargs="+", choices=sorted(ALGORITHM_SET), default=None)
-    dens.add_argument("--seed", type=int, default=9000)
-    dens.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="thread",
-        help="runtime backend executing the measured collectives",
-    )
-    dens.add_argument(
-        "--ranks-per-node", type=int, default=None, metavar="R",
-        help="simulate hosts of R ranks each (enables the ssar_hier rows)",
-    )
-
-    ek = sub.add_parser("expected-k", help="App. B expected reduced size table")
-    ek.add_argument("--dimension", type=int, default=512)
-    ek.add_argument("--k-values", type=int, nargs="+", default=[1, 4, 16, 64, 128, 256])
-    ek.add_argument("--nodes", type=int, nargs="+", default=[2, 4, 8, 16, 32, 64])
 
     cal = sub.add_parser(
         "calibrate",
@@ -207,37 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
              "survivors commit the join at their next ElasticContext.step()",
     )
 
-    sub.add_parser("presets", help="show network model presets")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "presets":
-        for model in PRESETS.values():
-            print(model.describe())
-        return 0
-
-    if args.command in ("sweep-nodes", "sweep-density"):
-        # validate the network spec up front for an argparse-style error
-        try:
-            resolve_network(args.network)
-        except ValueError as exc:
-            print(f"--network: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "expected-k":
-        n = args.dimension
-        header = ["k \\ P"] + [str(p) for p in args.nodes]
-        print("  ".join(h.ljust(8) for h in header))
-        for k in args.k_values:
-            if k > n:
-                print(f"(skipping k={k} > N={n})", file=sys.stderr)
-                continue
-            row = [str(k)] + [f"{expected_union_size(k, n, p):.1f}" for p in args.nodes]
-            print("  ".join(v.ljust(8) for v in row))
-        return 0
 
     if args.command == "serve-rank":
         from ..runtime.rendezvous import serve_rank
@@ -295,6 +236,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "sweep-nodes":
+        # validate the network spec up front for an argparse-style error
+        try:
+            resolve_network(args.network)
+        except ValueError as exc:
+            print(f"--network: {exc}", file=sys.stderr)
+            return 2
         points = sweep_node_counts(
             args.nodes,
             dimension=args.dimension,
@@ -309,25 +256,7 @@ def main(argv: list[str] | None = None) -> int:
             f"reduction time vs node count (N={args.dimension}, "
             f"d={args.density:.3%}, {args.network})"
         )
-        print(_render_points(points, "nranks"))
-        return 0
-
-    if args.command == "sweep-density":
-        points = sweep_densities(
-            args.densities,
-            dimension=args.dimension,
-            nranks=args.nranks,
-            network=args.network,
-            algorithms=args.algorithms,
-            seed=args.seed,
-            backend=args.backend,
-            ranks_per_node=args.ranks_per_node,
-        )
-        print(
-            f"reduction time vs density (N={args.dimension}, "
-            f"P={args.nranks}, {args.network})"
-        )
-        print(_render_points(points, "density"))
+        print(_render_points(points))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

@@ -1,10 +1,10 @@
-"""Self-contained micro-benchmark sweeps (the Fig. 3 experiments as a
+"""Self-contained micro-benchmark sweep (the Fig. 3 left experiment as a
 library facility).
 
-These are the §8.1 synthetic experiments packaged for direct use: run the
-full algorithm set over a grid of node counts or densities, replay under a
-network preset, and return structured rows. The command-line interface
-(``python -m repro``) renders them as tables; the benchmark harness makes
+The §8.1 synthetic experiment packaged for direct use: run the full
+algorithm set over a grid of node counts, replay under a network preset,
+and return structured rows. The command-line interface (``python -m
+repro sweep-nodes``) renders them as a table; the benchmark harness makes
 the same measurements with paper-matched parameters.
 """
 
@@ -14,40 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..collectives import (
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
-    allreduce_ring,
-    dsar_hierarchical,
-    dsar_split_allgather,
-    ssar_hierarchical,
-    ssar_recursive_double,
-    ssar_ring,
-    ssar_split_allgather,
-)
+from ..collectives.api import ALGORITHMS
+from ..collectives.dense import DENSE_ALGORITHMS
 from ..costmodel.model import CostModel
 from ..netsim import NetworkModel, TieredNetworkModel, replay
 from ..runtime import Topology, run_ranks
 from ..streams import SparseStream
 
-__all__ = ["SweepPoint", "sweep_node_counts", "sweep_densities", "ALGORITHM_SET"]
+__all__ = ["SweepPoint", "sweep_node_counts", "ALGORITHM_SET"]
 
+#: every sparse and dense allreduce by name, with the input kind it takes
 ALGORITHM_SET = {
-    "ssar_rec_dbl": ("sparse", ssar_recursive_double),
-    "ssar_split_ag": ("sparse", ssar_split_allgather),
-    "ssar_ring": ("sparse", ssar_ring),
-    "ssar_hier": ("sparse", ssar_hierarchical),
-    "dsar_split_ag": ("sparse", dsar_split_allgather),
-    "dsar_hier": ("sparse", dsar_hierarchical),
-    "dense_rabenseifner": ("dense", allreduce_rabenseifner),
-    "dense_ring": ("dense", allreduce_ring),
-    "dense_rec_dbl": ("dense", allreduce_recursive_doubling),
+    **{name: ("sparse", fn) for name, fn in ALGORITHMS.items()},
+    **{name: ("dense", fn) for name, fn in DENSE_ALGORITHMS.items()},
 }
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One (algorithm, parameter) measurement."""
+    """One (algorithm, node count) measurement."""
 
     algorithm: str
     nranks: int
@@ -56,10 +41,6 @@ class SweepPoint:
     time_s: float
     bytes_sent: int
     messages: int
-
-    @property
-    def density(self) -> float:
-        return self.nnz / self.dimension if self.dimension else 0.0
 
 
 def _measure(
@@ -133,32 +114,6 @@ def sweep_node_counts(
         for name in algorithms
         for P in node_counts
     ]
-
-
-def sweep_densities(
-    densities: list[float],
-    dimension: int = 1 << 20,
-    nranks: int = 8,
-    network: str | NetworkModel = "gige",
-    algorithms: list[str] | None = None,
-    seed: int = 9000,
-    backend: str = "thread",
-    ranks_per_node: int | None = None,
-) -> list[SweepPoint]:
-    """Reduction time vs per-node density (the Fig. 3 right sweep)."""
-    model = CostModel.resolve(network)
-    algorithms = algorithms or list(ALGORITHM_SET)
-    _validate_algorithms(algorithms)
-    points = []
-    for d in densities:
-        if not 0.0 < d <= 1.0:
-            raise ValueError(f"density must be in (0, 1], got {d}")
-        nnz = max(1, int(dimension * d))
-        for name in algorithms:
-            points.append(
-                _measure(name, nranks, dimension, nnz, model, seed, backend, ranks_per_node)
-            )
-    return points
 
 
 def _validate_algorithms(algorithms: list[str]) -> None:

@@ -497,7 +497,7 @@ def _auto_runs_prog(comm):
     """Every "auto" surface, each run followed by a twin run of the fixed
     algorithm the plan held for it: blocking ``sparse_allreduce``,
     ``plan.start`` (joined at once, then pipelined one run deep, as
-    ``distributed_sgd_async`` joins), and fused blocking and async steps."""
+    ``distributed_sgd_async`` joins), and fused steps."""
     logs = {}
     for t, nnz in enumerate(JUMP_SCHEDULE):
         stream = make_rank_stream(DIMENSION, nnz, comm.rank, 6000 + t)
@@ -530,21 +530,17 @@ def _auto_runs_prog(comm):
     logs["pipelined"] = plan.switches
 
     fuser = GradientFuser([(f"t{i}", 1024) for i in range(4)], min_bucket_bytes=0)
-    for mode in ("fused", "fused_async"):
-        auto, fixed = fuser.make_error_feedback(4, 64), fuser.make_error_feedback(4, 64)
-        plan = cached_plan(comm, SparseStream.zeros(1024, np.float32))
-        plan.reset()
-        for t in range(4):
-            grad = np.random.default_rng(6100 + 7 * t + comm.rank).standard_normal(4096)
-            for suffix, efs in (("", auto), ("-fixed", fixed)):
-                # the four buckets share one plan: the fixed twin runs what it holds
-                algorithm = plan.switches[-1].algorithm if suffix else "auto"
-                comm.mark(f"run:{mode}{t}{suffix}")
-                if mode == "fused":
-                    fuser.fused_topk_allreduce(comm, grad, efs, algorithm)
-                else:
-                    fuser.i_fused_allreduce(comm, grad, efs, algorithm).wait()
-        logs[mode] = plan.switches
+    auto, fixed = fuser.make_error_feedback(4, 64), fuser.make_error_feedback(4, 64)
+    plan = cached_plan(comm, SparseStream.zeros(1024, np.float32))
+    plan.reset()
+    for t in range(4):
+        grad = np.random.default_rng(6100 + 7 * t + comm.rank).standard_normal(4096)
+        for suffix, efs in (("", auto), ("-fixed", fixed)):
+            # the four buckets share one plan: the fixed twin runs what it holds
+            algorithm = plan.switches[-1].algorithm if suffix else "auto"
+            comm.mark(f"run:fused{t}{suffix}")
+            fuser.i_fused_allreduce(comm, grad, efs, algorithm).wait()
+    logs["fused"] = plan.switches
     comm.mark("run:end")
     return {mode: [s.to_dict() for s in switches] for mode, switches in logs.items()}
 
@@ -577,8 +573,7 @@ class TestAutoRunsSendOnlyTheirSchedule:
         for rank in range(NRANKS):
             rows = _rows(out.trace, rank)
             for mode, runs_of_mode in (
-                ("blocking", len(JUMP_SCHEDULE)), ("start", len(JUMP_SCHEDULE)),
-                ("fused", 4), ("fused_async", 4),
+                ("blocking", len(JUMP_SCHEDULE)), ("start", len(JUMP_SCHEDULE)), ("fused", 4),
             ):
                 for t in range(1, runs_of_mode):
                     assert any(op == SEND for op, *_ in rows[f"{mode}{t}"]), (mode, t, rank)
@@ -615,7 +610,5 @@ class TestAutoRunsSendOnlyTheirSchedule:
             assert drifts[0]["algorithm"] != first["algorithm"]
 
     def test_constant_density_logs_only_the_initial_selection(self, runs):
-        logs = runs("thread")[0]
-        for mode in ("fused", "fused_async"):
-            (only,) = logs[mode]
-            assert only["iteration"] == 1 and only["reason"] == "initial selection"
+        (only,) = runs("thread")[0]["fused"]
+        assert only["iteration"] == 1 and only["reason"] == "initial selection"

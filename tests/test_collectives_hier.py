@@ -7,6 +7,8 @@ the algorithm's reason to exist, and the two-host socket smoke leg CI
 pins (2 simulated hosts x 2 ranks over TCP loopback).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,8 @@ from conftest import make_rank_stream, reference_sum
 DIM, NNZ = 2048, 64
 
 
-def _hier_prog(comm, topology=None):
-    stream = make_rank_stream(DIM, NNZ, comm.rank)
-    return ssar_hierarchical(comm, stream, topology=topology)
+def _hier_prog(comm):
+    return ssar_hierarchical(comm, make_rank_stream(DIM, NNZ, comm.rank))
 
 
 class TestCorrectness:
@@ -51,7 +52,7 @@ class TestCorrectness:
         ],
     )
     def test_matches_dense_reference(self, nranks, topology):
-        out = run_ranks(_hier_prog, nranks, topology, backend="thread")
+        out = run_ranks(_hier_prog, nranks, backend="thread", topology=topology)
         ref = reference_sum(DIM, NNZ, nranks)
         for r in range(nranks):
             assert np.allclose(out[r].to_dense(), ref, atol=1e-4), f"rank {r}"
@@ -60,8 +61,8 @@ class TestCorrectness:
             assert np.array_equal(out[0].to_dense(), out[r].to_dense())
 
     def test_topology_size_mismatch_rejected(self):
-        with pytest.raises(RankError, match="describes 4 ranks"):
-            run_ranks(_hier_prog, 2, Topology.uniform(4, 2), backend="thread")
+        with pytest.raises(ValueError, match="describes 4 ranks"):
+            run_ranks(_hier_prog, 2, backend="thread", topology=Topology.uniform(4, 2))
 
     def test_comm_topology_is_the_default(self):
         """With no explicit argument the communicator's map drives grouping."""
@@ -74,11 +75,9 @@ class TestCorrectness:
 
     def test_empty_streams(self):
         def prog(comm):
-            return ssar_hierarchical(
-                comm, SparseStream(DIM), topology=Topology.uniform(4, 2)
-            )
+            return ssar_hierarchical(comm, SparseStream(DIM))
 
-        out = run_ranks(prog, 4, backend="thread")
+        out = run_ranks(prog, 4, backend="thread", topology=Topology.uniform(4, 2))
         assert out[0].nnz == 0
 
     def test_dense_input_handled(self):
@@ -87,9 +86,9 @@ class TestCorrectness:
 
         def prog(comm):
             dense_in = make_rank_stream(DIM, NNZ, comm.rank).densify()
-            return ssar_hierarchical(comm, dense_in, topology="2x2")
+            return ssar_hierarchical(comm, dense_in)
 
-        out = run_ranks(prog, 4, backend="thread")
+        out = run_ranks(prog, 4, backend="thread", topology="2x2")
         assert np.allclose(out[0].to_dense(), reference_sum(DIM, NNZ, 4), atol=1e-4)
 
 
@@ -145,12 +144,38 @@ class TestInterNodeSavings:
 
 
 class TestTreeReduce:
-    def test_root_holds_union_others_partial(self):
+    def test_root_holds_union_others_none(self):
         def prog(comm):
-            return tree_reduce(comm, make_rank_stream(DIM, NNZ, comm.rank)).to_dense()
+            return tree_reduce(comm, make_rank_stream(DIM, NNZ, comm.rank))
 
         out = run_ranks(prog, 5, backend="thread")
-        assert np.allclose(out[0], reference_sum(DIM, NNZ, 5), atol=1e-4)
+        assert np.allclose(out[0].to_dense(), reference_sum(DIM, NNZ, 5), atol=1e-4)
+        assert out.results[1:] == [None] * 4
+
+    def test_ssar_hier_copies_once_per_send(self, monkeypatch):
+        """On a thread-backend 2x2 world a stream is copied only by the
+        sends (the backend copies every payload): a leader sends twice
+        (leader exchange, broadcast), its host peer once (to the leader),
+        and a peer keeps no copy of a contribution it has sent."""
+        real_copy, on_rank, copies = SparseStream.copy, threading.local(), [0] * 4
+
+        def counting_copy(self, *args, **kwargs):
+            rank = getattr(on_rank, "rank", None)
+            if rank is not None:
+                copies[rank] += 1
+            return real_copy(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseStream, "copy", counting_copy)
+
+        def prog(comm):
+            stream = make_rank_stream(DIM, NNZ, comm.rank)
+            ssar_hierarchical(comm, stream)  # builds the hierarchy
+            on_rank.rank = comm.rank
+            ssar_hierarchical(comm, stream)
+            on_rank.rank = None
+
+        run_ranks(prog, 4, backend="thread", topology="2x2")
+        assert copies == [2, 1, 2, 1]
 
     def test_single_rank_copy(self):
         def prog(comm):
@@ -191,9 +216,8 @@ class TestAutoSelection:
         assert "ssar_hier" not in out[0]
 
 
-def _dsar_hier_prog(comm, topology=None, quantizer=None):
-    stream = make_rank_stream(DIM, NNZ, comm.rank)
-    return dsar_hierarchical(comm, stream, quantizer=quantizer, topology=topology)
+def _dsar_hier_prog(comm):
+    return dsar_hierarchical(comm, make_rank_stream(DIM, NNZ, comm.rank))
 
 
 class TestDsarHier:
@@ -212,7 +236,7 @@ class TestDsarHier:
         ],
     )
     def test_matches_dense_reference(self, nranks, topology):
-        out = run_ranks(_dsar_hier_prog, nranks, topology, backend="thread")
+        out = run_ranks(_dsar_hier_prog, nranks, backend="thread", topology=topology)
         ref = reference_sum(DIM, NNZ, nranks)
         for r in range(nranks):
             assert out[r].is_dense, f"rank {r}"  # the representation switch
@@ -234,8 +258,8 @@ class TestDsarHier:
         assert np.allclose(out[0].to_dense(), reference_sum(DIM, NNZ, 4), atol=1e-4)
 
     def test_topology_size_mismatch_rejected(self):
-        with pytest.raises(RankError, match="describes 4 ranks"):
-            run_ranks(_dsar_hier_prog, 2, Topology.uniform(4, 2), backend="thread")
+        with pytest.raises(ValueError, match="describes 4 ranks"):
+            run_ranks(_dsar_hier_prog, 2, backend="thread", topology=Topology.uniform(4, 2))
 
     def test_moves_fewer_inter_node_bytes_than_flat_dsar(self):
         """Only nnodes dense partitions cross the slow tier instead of P."""
@@ -255,10 +279,9 @@ class TestDsarHier:
                 comm,
                 make_rank_stream(DIM, NNZ, comm.rank),
                 quantizer=QSGDQuantizer(bits=8, bucket_size=256, seed=100 + comm.rank),
-                topology="2x2",
             )
 
-        out = run_ranks(prog, 4, backend="thread")
+        out = run_ranks(prog, 4, backend="thread", topology="2x2")
         ref = reference_sum(DIM, NNZ, 4)
         base = out[0].to_dense()
         for r in range(1, 4):
@@ -271,13 +294,12 @@ class TestDsarHier:
             def prog(comm):
                 q = QSGDQuantizer(bits=bits, bucket_size=256, seed=1) if bits else None
                 return dsar_hierarchical(
-                    comm, make_rank_stream(1 << 14, 512, comm.rank),
-                    quantizer=q, topology="2x2",
+                    comm, make_rank_stream(1 << 14, 512, comm.rank), quantizer=q
                 )
             return prog
 
-        full = run_ranks(factory(None), 4, backend="thread")
-        quant = run_ranks(factory(4), 4, backend="thread")
+        full = run_ranks(factory(None), 4, backend="thread", topology="2x2")
+        quant = run_ranks(factory(4), 4, backend="thread", topology="2x2")
         assert quant.trace.total_bytes_sent < full.trace.total_bytes_sent
 
     def test_single_rank_quantizes_once(self):
@@ -370,10 +392,10 @@ class TestTieredReplayVerdict:
         )
 
 
-def _chunked_prog(comm, algo, chunks, topology=None):
+def _chunked_prog(comm, algo, chunks):
     stream = make_rank_stream(DIM, NNZ, comm.rank)
     fn = ssar_hierarchical if algo == "ssar_hier" else dsar_hierarchical
-    return fn(comm, stream, topology=topology, chunks=chunks)
+    return fn(comm, stream, chunks=chunks)
 
 
 class TestChunked:
@@ -389,8 +411,10 @@ class TestChunked:
         [(3, 2), (4, "2x2"), (5, 2), (8, "2x4")],  # ragged + aligned hosts
     )
     def test_bit_identical_to_unchunked(self, algo, chunks, nranks, topology):
-        base = run_ranks(_chunked_prog, nranks, algo, 1, topology, backend="thread")
-        out = run_ranks(_chunked_prog, nranks, algo, chunks, topology, backend="thread")
+        base = run_ranks(_chunked_prog, nranks, algo, 1, backend="thread", topology=topology)
+        out = run_ranks(
+            _chunked_prog, nranks, algo, chunks, backend="thread", topology=topology
+        )
         ref = reference_sum(DIM, NNZ, nranks)
         for r in range(nranks):
             assert np.array_equal(base[r].to_dense(), out[r].to_dense()), f"rank {r}"
@@ -399,32 +423,30 @@ class TestChunked:
 
     def test_chunks_one_is_the_unchunked_schedule(self):
         """chunks=1 takes the original code path: identical trace shape."""
-        base = run_ranks(_chunked_prog, 4, "ssar_hier", 1, "2x2", backend="thread")
-        plain = run_ranks(_hier_prog, 4, "2x2", backend="thread")
+        base = run_ranks(_chunked_prog, 4, "ssar_hier", 1, backend="thread", topology="2x2")
+        plain = run_ranks(_hier_prog, 4, backend="thread", topology="2x2")
         assert base.trace.total_messages == plain.trace.total_messages
         assert base.trace.total_bytes_sent == plain.trace.total_bytes_sent
 
     def test_more_chunks_than_nnz(self):
         """Chunks that receive no coordinates still flow through the
         pipeline (empty streams are legal payloads)."""
-        out = run_ranks(_chunked_prog, 4, "ssar_hier", 64, "2x2", backend="thread")
-        base = run_ranks(_chunked_prog, 4, "ssar_hier", 1, "2x2", backend="thread")
+        out = run_ranks(_chunked_prog, 4, "ssar_hier", 64, backend="thread", topology="2x2")
+        base = run_ranks(_chunked_prog, 4, "ssar_hier", 1, backend="thread", topology="2x2")
         for r in range(4):
             assert np.array_equal(base[r].to_dense(), out[r].to_dense())
 
     def test_empty_streams_chunked(self):
         def prog(comm):
-            return ssar_hierarchical(
-                comm, SparseStream(DIM), topology=Topology.uniform(4, 2), chunks=4
-            )
+            return ssar_hierarchical(comm, SparseStream(DIM), chunks=4)
 
-        out = run_ranks(prog, 4, backend="thread")
+        out = run_ranks(prog, 4, backend="thread", topology=Topology.uniform(4, 2))
         assert out[0].nnz == 0
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
     def test_invalid_chunks_rejected(self, bad):
         with pytest.raises(RankError, match="chunks"):
-            run_ranks(_chunked_prog, 2, "ssar_hier", bad, 2, backend="thread")
+            run_ranks(_chunked_prog, 2, "ssar_hier", bad, backend="thread", topology=2)
 
     @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "4"])
     def test_invalid_chunks_raise_in_the_driver_not_the_ranks(self, bad):
@@ -507,11 +529,10 @@ class TestChunked:
                 comm,
                 make_rank_stream(DIM, NNZ, comm.rank),
                 quantizer=QSGDQuantizer(bits=8, bucket_size=256, seed=100 + comm.rank),
-                topology="2x2",
                 chunks=4,
             )
 
-        out = run_ranks(prog, 4, backend="thread")
+        out = run_ranks(prog, 4, backend="thread", topology="2x2")
         ref = reference_sum(DIM, NNZ, 4)
         base = out[0].to_dense()
         for r in range(1, 4):
@@ -520,7 +541,7 @@ class TestChunked:
         assert err < 0.05
 
     def test_single_rank_chunked(self):
-        out = run_ranks(_chunked_prog, 1, "ssar_hier", 4, None, backend="thread")
+        out = run_ranks(_chunked_prog, 1, "ssar_hier", 4, backend="thread")
         assert np.allclose(out[0].to_dense(), reference_sum(DIM, NNZ, 1), atol=1e-6)
 
 

@@ -81,9 +81,9 @@ class TestFusedAllreduce:
         def prog(comm):
             # k >= bucket size: selection keeps every coordinate
             efs = fuser.make_error_feedback(k=1 << 20, bucket_size=None)
-            return fuser.fused_topk_allreduce(
+            return fuser.i_fused_allreduce(
                 comm, grads(comm.rank), efs, algorithm="ssar_rec_dbl"
-            )
+            ).wait()
 
         out = run_ranks(prog, P)
         ref = np.sum([grads(r) for r in range(P)], axis=0)
@@ -98,7 +98,7 @@ class TestFusedAllreduce:
         def prog(comm):
             efs = fuser.make_error_feedback(k=4, bucket_size=32)
             grad = np.random.default_rng(comm.rank).standard_normal(dim).astype(np.float32)
-            out1 = fuser.fused_topk_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl")
+            out1 = fuser.i_fused_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl").wait()
             # residuals now hold the unsent mass of each bucket
             residual_norms = [ef.residual_norm for ef in efs]
             return out1, residual_norms
@@ -112,7 +112,7 @@ class TestFusedAllreduce:
 
         def prog(comm):
             efs = fuser.make_error_feedback(k=2)
-            return fuser.fused_topk_allreduce(comm, np.zeros(11, np.float32), efs)
+            return fuser.i_fused_allreduce(comm, np.zeros(11, np.float32), efs)
 
         from repro.runtime import RankError
 
@@ -123,7 +123,7 @@ class TestFusedAllreduce:
         fuser = GradientFuser([("a", 10), ("b", 10)], min_bucket_bytes=0)
 
         def prog(comm):
-            return fuser.fused_topk_allreduce(
+            return fuser.i_fused_allreduce(
                 comm, np.zeros(20, np.float32), [ErrorFeedback(10, 2)]
             )
 
@@ -144,7 +144,7 @@ class TestFusedAllreduce:
             def prog(comm):
                 efs = fuser.make_error_feedback(k=4, bucket_size=64)
                 grad = np.random.default_rng(comm.rank).standard_normal(dim).astype(np.float32)
-                return fuser.fused_topk_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl")
+                return fuser.i_fused_allreduce(comm, grad, efs, algorithm="ssar_rec_dbl").wait()
 
             return run_ranks(prog, P)
 
@@ -163,9 +163,9 @@ class TestFusedAllreduce:
             def prog(comm):
                 efs = fuser.make_error_feedback(k=64, bucket_size=None)
                 grad = np.random.default_rng(comm.rank).standard_normal(dim).astype(np.float32)
-                return fuser.fused_topk_allreduce(
+                return fuser.i_fused_allreduce(
                     comm, grad, efs, algorithm="ssar_rec_dbl", quantizer=quantizer
-                )
+                ).wait()
 
             return run_ranks(prog, P)
 
@@ -180,7 +180,8 @@ def _grads(rank, dim, seed=400):
 
 class TestAsyncFusedAllreduce:
     """i_fused_allreduce: selection eager (program order), communication in
-    the background, join in bucket order — bit-identical to blocking mode."""
+    the background, join in bucket order — bit-identical whether the
+    caller computes before ``wait()`` or waits at once."""
 
     DIM = 256
     SIZES = [("a", 96), ("b", 96), ("c", 64)]
@@ -192,10 +193,6 @@ class TestAsyncFusedAllreduce:
             efs = fuser.make_error_feedback(k=8, bucket_size=32)
             grad = _grads(comm.rank, self.DIM)
             if mode == "blocking":
-                out = fuser.fused_topk_allreduce(
-                    comm, grad, efs, algorithm=algorithm, chunks=chunks
-                )
-            elif mode == "flag":
                 out = fuser.i_fused_allreduce(
                     comm, grad, efs, algorithm=algorithm, chunks=chunks
                 ).wait()
@@ -219,12 +216,6 @@ class TestAsyncFusedAllreduce:
             # error-feedback state advanced identically (selection is the
             # program-order part; it must not depend on join timing)
             assert blk[r][1] == asy[r][1]
-
-    def test_nonblocking_flag_routes_through_async(self):
-        blk = self._run(4, "blocking")
-        flag = self._run(4, "flag")
-        for r in range(4):
-            assert np.array_equal(blk[r][0], flag[r][0])
 
     def test_async_chunked_hier_bit_identical(self):
         """The PR's full stack in one call: auto-selected hierarchical
@@ -273,20 +264,20 @@ class TestAsyncFusedAllreduce:
         assert all(run_ranks(prog, 2).results)
 
     def test_back_to_back_steps_in_program_order(self):
-        """Two async steps joined in order behave like two blocking steps
-        (the non-blocking-collective program-order contract)."""
+        """Two steps in flight at once, joined in order, behave like two
+        steps each joined before the next starts (the
+        non-blocking-collective program-order contract)."""
         fuser = GradientFuser(self.SIZES, min_bucket_bytes=0)
 
-        def prog(comm, nonblocking):
+        def prog(comm, overlapped):
             efs = fuser.make_error_feedback(k=8, bucket_size=32)
-            outs = []
+            handles, outs = [], []
             for step in range(2):
                 grad = _grads(comm.rank, self.DIM, seed=700 + 31 * step)
-                if nonblocking:
-                    outs.append(fuser.i_fused_allreduce(comm, grad, efs).wait().copy())
-                else:
-                    outs.append(fuser.fused_topk_allreduce(comm, grad, efs).copy())
-            return outs
+                handles.append(fuser.i_fused_allreduce(comm, grad, efs))
+                if not overlapped:
+                    outs.append(handles[-1].wait().copy())
+            return [h.wait().copy() for h in handles] if overlapped else outs
 
         blk = run_ranks(prog, 4, False)
         asy = run_ranks(prog, 4, True)
@@ -304,8 +295,7 @@ class TestStreamInput:
     SIZES = [("a", 96), ("b", 96), ("c", 64)]
 
     @pytest.mark.parametrize("algorithm", ["ssar_rec_dbl", "dsar_split_ag"])
-    @pytest.mark.parametrize("mode", ["blocking", "async"])
-    def test_update_is_the_dense_calls_non_zeros(self, algorithm, mode):
+    def test_update_is_the_dense_calls_non_zeros(self, algorithm):
         fuser = GradientFuser(self.SIZES, min_bucket_bytes=0)
 
         def prog(comm):
@@ -320,10 +310,7 @@ class TestStreamInput:
                 efs = fuser.make_error_feedback(k=8, bucket_size=32)
                 for grad in grads:
                     grad = grad if as_stream else grad.to_dense()
-                    if mode == "blocking":
-                        runs.append(fuser.fused_topk_allreduce(comm, grad, efs, algorithm))
-                    else:
-                        runs.append(fuser.i_fused_allreduce(comm, grad, efs, algorithm).wait())
+                    runs.append(fuser.i_fused_allreduce(comm, grad, efs, algorithm).wait())
             return runs
 
         for runs in run_ranks(prog, 4):
@@ -336,7 +323,7 @@ class TestStreamInput:
         fuser = GradientFuser(self.SIZES, min_bucket_bytes=0)
         efs = fuser.make_error_feedback(k=8, bucket_size=32)
         with pytest.raises(ValueError):
-            fuser.fused_topk_allreduce(None, SparseStream.zeros(255, np.float32), efs)
+            fuser.i_fused_allreduce(None, SparseStream.zeros(255, np.float32), efs)
 
 
 def _own_progress_threads(comm):
@@ -513,28 +500,22 @@ class TestOneAgreementRound:
 
 class TestAutoChunksFused:
     @pytest.mark.parametrize("nranks,topology", [(2, None), (4, "2x2")])
-    def test_async_bit_identical_to_blocking(self, nranks, topology):
+    def test_auto_chunks_bit_identical_to_unchunked(self, nranks, topology):
         fuser = GradientFuser([("a", 96), ("b", 96), ("c", 64)], min_bucket_bytes=0)
 
-        def prog(comm, nonblocking):
+        def prog(comm, chunks):
             efs = fuser.make_error_feedback(k=8, bucket_size=32)
             outs = []
             for step in range(2):
                 grad = _grads(comm.rank, 256, seed=300 + step)
-                if nonblocking:
-                    out = fuser.i_fused_allreduce(
-                        comm, grad, efs, algorithm="auto", chunks="auto"
-                    ).wait()
-                else:
-                    out = fuser.fused_topk_allreduce(
-                        comm, grad, efs, algorithm="auto", chunks="auto"
-                    )
+                out = fuser.i_fused_allreduce(
+                    comm, grad, efs, algorithm="auto", chunks=chunks
+                ).wait()
                 outs.append(out.copy())
             return outs
 
-        blk = run_ranks(prog, nranks, False, topology=topology)
-        asy = run_ranks(prog, nranks, True, topology=topology)
+        one = run_ranks(prog, nranks, 1, topology=topology)
+        auto = run_ranks(prog, nranks, "auto", topology=topology)
         for r in range(nranks):
             for step in range(2):
-                assert np.array_equal(blk[r][step], asy[r][step]), (r, step)
-        assert asy.trace.total_messages == blk.trace.total_messages
+                assert np.array_equal(one[r][step], auto[r][step]), (r, step)

@@ -104,7 +104,9 @@ class TestFaultPlan:
         assert FaultPlan.from_spec("kill=1").kill_after_ops == 1
         assert FaultPlan.from_spec("delay=0.5").delay_s == FaultPlan().delay_s
 
-    @pytest.mark.parametrize("spec", ["frobnicate=1", "drop", "drop=x", "kill=a@b"])
+    @pytest.mark.parametrize(
+        "spec", ["frobnicate=1", "drop", "drop=x", "kill=a@b", "revive=2@80"]
+    )
     def test_from_spec_rejects_garbage(self, spec):
         with pytest.raises(ValueError):
             FaultPlan.from_spec(spec)
@@ -112,21 +114,6 @@ class TestFaultPlan:
     def test_describe_mentions_every_clause(self):
         text = FaultPlan.from_spec("seed=3,drop=0.1,kill=1@9").describe()
         assert "seed=3" in text and "drop=0.1" in text and "kill=1@9" in text
-
-    def test_revive_clause(self):
-        plan = FaultPlan.from_spec("kill=2@40,revive=2@80")
-        assert plan.revive_rank == 2
-        assert plan.revive_after_ops == 80
-        assert "revive=2@80" in plan.describe()
-
-    def test_revive_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan(revive_rank=1)  # no kill to revive from
-        with pytest.raises(ValueError):
-            FaultPlan(kill_rank=1, kill_after_ops=40, revive_rank=2, revive_after_ops=80)
-        with pytest.raises(ValueError):
-            # revive must land after the kill
-            FaultPlan(kill_rank=1, kill_after_ops=40, revive_rank=1, revive_after_ops=40)
 
     def test_pinned_clauses_round_trip(self):
         plan = FaultPlan(
@@ -146,9 +133,9 @@ _message_keys = st.tuples(
 
 @st.composite
 def _fault_plans(draw):
-    """Any *representable* plan: trigger thresholds (``kill_after_ops`` /
-    ``revive_after_ops``) without their rank are inert and deliberately
-    not emitted by ``describe``, so the strategy never builds them."""
+    """Any *representable* plan: a trigger threshold (``kill_after_ops``)
+    without its rank is inert and deliberately not emitted by
+    ``describe``, so the strategy never builds one."""
     kill = draw(st.none() | st.tuples(st.integers(0, 7), st.integers(1, 500)))
     kwargs = {
         "seed": draw(st.integers(-(2**31), 2**31)),
@@ -162,9 +149,6 @@ def _fault_plans(draw):
     }
     if kill is not None:
         kwargs["kill_rank"], kwargs["kill_after_ops"] = kill
-        if draw(st.booleans()):
-            kwargs["revive_rank"] = kill[0]
-            kwargs["revive_after_ops"] = kill[1] + draw(st.integers(1, 500))
     return FaultPlan(**kwargs)
 
 

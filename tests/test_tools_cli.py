@@ -3,13 +3,8 @@
 import pytest
 
 from repro.netsim import ARIES
-from repro.tools import (
-    ALGORITHM_SET,
-    build_parser,
-    main,
-    sweep_densities,
-    sweep_node_counts,
-)
+from repro.collectives import ALGORITHMS, DENSE_ALGORITHMS
+from repro.tools import ALGORITHM_SET, build_parser, main, sweep_node_counts
 
 
 class TestSweeps:
@@ -22,14 +17,6 @@ class TestSweeps:
         assert {p.algorithm for p in points} == {"ssar_rec_dbl", "dense_ring"}
         assert {p.nranks for p in points} == {2, 4}
         assert all(p.time_s > 0 and p.bytes_sent > 0 for p in points)
-
-    def test_density_sweep_structure(self):
-        points = sweep_densities(
-            [0.01, 0.1], dimension=4096, nranks=2, algorithms=["ssar_rec_dbl"]
-        )
-        assert len(points) == 2
-        assert points[0].nnz < points[1].nnz
-        assert points[0].density == pytest.approx(0.01, rel=0.05)
 
     def test_sparse_wins_in_sweep(self):
         points = sweep_node_counts(
@@ -54,10 +41,6 @@ class TestSweeps:
         with pytest.raises(ValueError, match="preset"):
             sweep_node_counts([2], dimension=64, network="token-ring")
 
-    def test_bad_density_rejected(self):
-        with pytest.raises(ValueError, match="density"):
-            sweep_densities([1.5], dimension=64)
-
     def test_deterministic_given_seed(self):
         kwargs = dict(dimension=2048, density=0.01, algorithms=["ssar_rec_dbl"], seed=7)
         a = sweep_node_counts([2], **kwargs)
@@ -70,6 +53,9 @@ class TestSweeps:
             "ssar_rec_dbl", "ssar_split_ag", "ssar_ring", "ssar_hier",
             "dsar_split_ag", "dsar_hier",
             "dense_rabenseifner", "dense_ring", "dense_rec_dbl",
+        }
+        assert {name: fn for name, (_, fn) in ALGORITHM_SET.items()} == {
+            **ALGORITHMS, **DENSE_ALGORITHMS
         }
 
     def test_tiered_network_spec_accepted(self):
@@ -91,8 +77,8 @@ class TestSweeps:
         assert points[0].time_s > 0
 
     def test_dsar_hier_sweep_row(self):
-        points = sweep_densities(
-            [0.2], dimension=2048, nranks=4, algorithms=["dsar_hier"],
+        points = sweep_node_counts(
+            [4], dimension=2048, density=0.2, algorithms=["dsar_hier"],
             network="tiered:ib_fdr", ranks_per_node=2,
         )
         assert points[0].bytes_sent > 0 and points[0].time_s > 0
@@ -109,20 +95,10 @@ class TestSweeps:
 
 
 class TestCLI:
-    def test_presets_command(self, capsys):
-        assert main(["presets"]) == 0
-        out = capsys.readouterr().out
-        assert "aries" in out and "gige" in out
-
-    def test_expected_k_command(self, capsys):
-        assert main(["expected-k", "--nodes", "2", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "k \\ P" in out
-
-    def test_expected_k_skips_oversized_k(self, capsys):
-        assert main(["expected-k", "--dimension", "8", "--k-values", "4", "16"]) == 0
-        err = capsys.readouterr().err
-        assert "skipping" in err
+    def test_commands_are_sweep_nodes_calibrate_serve_rank(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{sweep-nodes,calibrate,serve-rank}" in capsys.readouterr().out
 
     def test_sweep_nodes_command(self, capsys):
         code = main([
@@ -133,14 +109,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "ssar_rec_dbl" in out
         assert "nranks=2" in out
-
-    def test_sweep_density_command(self, capsys):
-        code = main([
-            "sweep-density", "--dimension", "4096", "--densities", "0.01",
-            "--nranks", "2", "--algorithms", "dense_ring",
-        ])
-        assert code == 0
-        assert "dense_ring" in capsys.readouterr().out
 
     def test_parser_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
@@ -159,11 +127,6 @@ class TestCLI:
         ])
         assert rc == 0
         assert "ssar_rec_dbl" in capsys.readouterr().out
-
-    def test_presets_include_tiered(self, capsys):
-        assert main(["presets"]) == 0
-        out = capsys.readouterr().out
-        assert "tiered_gige" in out and "shm" in out
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

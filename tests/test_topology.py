@@ -211,15 +211,15 @@ class TestUniformSizeValidation:
             run_ranks(prog, 2, backend="thread")
 
     def test_hierarchical_collectives_path(self):
+        """The hierarchical schedules group ranks by ``comm.topology``: one
+        replaced by hand fails there the same way."""
         from repro.collectives import dsar_hierarchical, ssar_hierarchical
         from repro.streams import SparseStream
 
         for algo in (ssar_hierarchical, dsar_hierarchical):
             def prog(comm, algo=algo):
-                return algo(
-                    comm, SparseStream(64, indices=[0], values=[1.0]),
-                    topology=Topology.uniform(4, 2),
-                )
+                comm.topology = Topology.uniform(4, 2)  # lies about the world
+                return algo(comm, SparseStream(64, indices=[0], values=[1.0]))
 
             with pytest.raises(RankError, match=MISMATCH):
                 run_ranks(prog, 2, backend="thread")
