@@ -15,8 +15,8 @@ Run:  python examples/quickstart.py [--backend thread|process|shmem|socket]
                                     [--elastic [--rejoin]]
 
 ``--backend process`` executes every rank in its own OS process with real
-serialized transport over pipes; ``shmem`` moves payloads through
-zero-copy shared-memory rings; ``socket`` frames them over a TCP mesh
+serialized transport over pipes; ``shmem`` adds a shared-memory slab per
+rank pair that carries the large frames; ``socket`` frames them over a TCP mesh
 (the transport that also spans machines via ``python -m repro
 serve-rank``) — same algorithms, same results on every backend.
 
@@ -31,9 +31,10 @@ blocked send/recv so a dropped message fails fast instead of hanging.
 world instead of exiting on the failure: survivors catch the typed error,
 ``shrink()`` past the dead rank and re-run the allreduce on the smaller
 world, printing the post-shrink checksum every survivor agrees on. Add
-``--rejoin`` (thread backend) and the demo also brings the killed rank
-back through ``thread_rejoin`` + ``ElasticContext.step()`` and
-re-verifies the checksum on the regrown full-size world:
+``--rejoin`` (thread backend; a process rank rejoins through ``python -m
+repro serve-rank --rejoin``) and the demo also brings the killed rank
+back through ``thread_rejoin`` + ``grow()`` and re-verifies the checksum
+on the regrown full-size world:
 
     python examples/quickstart.py --elastic --fault-plan kill=3@4 --rejoin
 
@@ -129,15 +130,14 @@ def _elastic_shrink_prog(comm):
 def elastic_demo(args, fault_plan) -> None:
     """kill -> typed error -> shrink() -> verified post-shrink checksum.
 
-    With ``--rejoin`` the demo runs on a hand-built thread world instead
-    so the killed rank can come back through ``thread_rejoin`` while the
-    survivors commit the join with ``ElasticContext.step()``.
+    With ``--rejoin`` (thread backend) the demo runs on a hand-built thread
+    world instead so the killed rank can come back through
+    ``thread_rejoin`` while the survivors commit the join with ``grow()``.
     """
     import threading
     import time
 
     from repro.runtime import (
-        ElasticContext,
         RankError,
         RankFailedError,
         RankKilledError,
@@ -199,8 +199,8 @@ def elastic_demo(args, fault_plan) -> None:
             )
             sys.exit(0 if ok else 1)
 
-    # rejoin path: thread backend only (rejoin of an OS process is the
-    # serve-rank --rejoin flow; see ROADMAP.md)
+    # rejoin path: thread backend only (main() refuses the others; an OS
+    # process rejoins through serve-rank --rejoin)
     world = ThreadWorld(P, op_timeout=args.op_timeout or 60.0)
     results: dict = {}
 
@@ -222,12 +222,11 @@ def elastic_demo(args, fault_plan) -> None:
             out1 = sparse_allreduce(
                 shrunk, make_contribution(rank), algorithm="ssar_rec_dbl"
             )
-            # poll for the rejoin; step() is collective, so the survivors
+            # poll for the rejoin; grow() is collective, so the survivors
             # stay in lockstep until the join commits
-            ctx = ElasticContext(shrunk)
             grown = shrunk
             for _ in range(15000):
-                grown = ctx.step()
+                grown = grown.grow()
                 if grown.size == P:
                     break
                 time.sleep(0.002)
@@ -375,7 +374,8 @@ def main() -> None:
         choices=available_backends(),
         default="thread",
         help="runtime backend: thread (in-process), process (pipes), "
-             "shmem (shared-memory rings) or socket (TCP mesh)",
+             "shmem (pipes plus a shared-memory slab for large frames) or "
+             "socket (TCP mesh)",
     )
     parser.add_argument(
         "--topology", default=None, metavar="HxR",
@@ -418,6 +418,13 @@ def main() -> None:
              "the unchunked run, with the predicted pipelined makespan",
     )
     args = parser.parse_args()
+    if args.rejoin and not args.elastic:
+        parser.error("--rejoin requires --elastic")
+    if args.rejoin and args.backend != "thread":
+        parser.error(
+            "--rejoin runs on the thread backend only; a process rank rejoins "
+            "through `python -m repro serve-rank --rejoin`"
+        )
     if args.overlap:
         overlap_demo(args)
         return

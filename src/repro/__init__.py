@@ -6,7 +6,7 @@ A from-scratch Python implementation of the system described in
     "SparCML: High-Performance Sparse Communication for Machine Learning."
     SC 2019 (arXiv:1802.08021).
 
-Top-level surface (see DESIGN.md for the full inventory):
+Top-level surface:
 
 * :class:`~repro.streams.SparseStream` — the sparse/dense stream type;
 * :func:`~repro.collectives.sparse_allreduce` /

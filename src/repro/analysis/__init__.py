@@ -4,11 +4,9 @@ from .commutativity import CommutativityGap, measure_commutativity_gap
 from .density import (
     empirical_union_density,
     expected_density_of_sum,
-    expected_two_tier_sizes,
     expected_union_size,
     expected_union_size_inclusion_exclusion,
     monte_carlo_union_size,
-    union_density_curve,
 )
 
 __all__ = [
@@ -16,9 +14,7 @@ __all__ = [
     "measure_commutativity_gap",
     "empirical_union_density",
     "expected_density_of_sum",
-    "expected_two_tier_sizes",
     "expected_union_size",
     "expected_union_size_inclusion_exclusion",
     "monte_carlo_union_size",
-    "union_density_curve",
 ]

@@ -25,9 +25,7 @@ from scipy.special import comb
 __all__ = [
     "expected_union_size",
     "expected_union_size_inclusion_exclusion",
-    "expected_two_tier_sizes",
     "expected_density_of_sum",
-    "union_density_curve",
     "monte_carlo_union_size",
     "empirical_union_density",
 ]
@@ -64,31 +62,6 @@ def expected_union_size_inclusion_exclusion(nnz_per_rank: int, dimension: int, n
     return float(dimension * total)
 
 
-def expected_two_tier_sizes(
-    nnz_per_rank: float, dimension: int, nranks: int, ranks_per_node: int
-) -> tuple[float, float]:
-    """App. B extended to a two-tier (hierarchical) reduction.
-
-    Returns ``(E[K_local], E[K])`` for a cluster of hosts holding
-    ``ranks_per_node`` ranks each: ``E[K_local]`` is the expected size of
-    the union a host *leader* carries across the slow inter-node tier
-    after the intra-node merge (``m = ranks_per_node`` uniform supports),
-    and ``E[K]`` is the final reduced size — identical to the flat model,
-    because a union of per-host unions is the union of all ``P`` supports.
-    The gap between ``ranks_per_node * k`` and ``E[K_local]`` is exactly
-    the volume hierarchical reduction saves on the slow tier per host.
-    """
-    if ranks_per_node < 1:
-        raise ValueError(f"ranks_per_node must be >= 1, got {ranks_per_node}")
-    if ranks_per_node > nranks:
-        raise ValueError(
-            f"ranks_per_node {ranks_per_node} exceeds world size {nranks}"
-        )
-    k_local = expected_union_size(nnz_per_rank, dimension, ranks_per_node)
-    k_total = expected_union_size(nnz_per_rank, dimension, nranks)
-    return k_local, k_total
-
-
 def expected_density_of_sum(density_per_rank: float, nranks: int) -> float:
     """Density of the reduced vector: ``1 - (1 - d)^P`` (drives Fig. 1)."""
     if not 0.0 <= density_per_rank <= 1.0:
@@ -96,12 +69,6 @@ def expected_density_of_sum(density_per_rank: float, nranks: int) -> float:
     if density_per_rank == 1.0:
         return 1.0
     return float(1.0 - np.exp(nranks * np.log1p(-density_per_rank)))
-
-
-def union_density_curve(density_per_rank: float, node_counts: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`expected_density_of_sum` over node counts."""
-    node_counts = np.asarray(node_counts, dtype=np.float64)
-    return 1.0 - np.exp(node_counts * np.log1p(-density_per_rank))
 
 
 def monte_carlo_union_size(

@@ -19,8 +19,8 @@ only the merged sparse union crosses the slow tier:
 With Appendix B's uniform fill-in model, the stream a leader carries
 across the slow tier has expected size ``E[K_local] = N (1 - (1-k/N)^m)``
 for ``m`` ranks per host — already the merged union, so overlapping
-supports inside a host are paid for exactly once inter-node (see
-:func:`repro.analysis.density.expected_two_tier_sizes`).
+supports inside a host are paid for exactly once inter-node
+(:meth:`repro.costmodel.Instance.fill_in` with ``m`` supports prices it).
 
 The rank groups come from the communicator's
 :class:`~repro.runtime.topology.Topology` (``comm.topology`` — derived

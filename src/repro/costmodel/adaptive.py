@@ -15,18 +15,19 @@ re-runs :meth:`~repro.costmodel.CostModel.rank` when that estimate
 (re-)selection as an :class:`AlgorithmSwitch`, so every rank switches on
 the same run and the switch sequence replays identically on every backend.
 
-:class:`AdaptiveSelector` is the same rule as a standalone tool, off every
-library path: it folds ``stream.nnz`` into an EWMA per iteration and
-re-selects under the same :func:`drifted` test (or when the world size
-changes).
+:class:`AdaptiveSelector` is the same rule as a per-step call, off every
+library path: each :meth:`~AdaptiveSelector.step` agrees on the mean of
+the ranks' nnz in one :func:`consistent_mean` round and re-selects when it
+:func:`drifted` from the anchor (or when the world size changed), pricing
+as a plan does (:meth:`CostModel.default`, float32 values).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import CostModel, Instance, SelectionReport
+from .model import CostModel, Instance
 
 __all__ = [
     "AdaptiveSelector", "AlgorithmSwitch", "consistent_mean", "drifted", "DRIFT_THRESHOLD",
@@ -82,117 +83,45 @@ class AlgorithmSwitch:
         }
 
 
-@dataclass
 class AdaptiveSelector:
-    """Re-select the allreduce algorithm when observed density drifts.
-
-    Parameters
-    ----------
-    model:
-        The :class:`~repro.costmodel.CostModel` selection runs under
-        (default: the canonical tiered cluster).
-    dimension, value_itemsize:
-        The stream shape selection is for.
-    ewma:
-        Smoothing factor of the nnz estimate (1.0 = trust only the last
-        iteration).
-    sync_every:
-        Run the collective agreement every this many iterations; between
-        agreements the current algorithm is reused unchanged (a world
-        size change always forces an agreement + re-rank).
+    """Re-select the allreduce algorithm of ``dimension``-wide float32
+    streams when the ranks' agreed nnz drifts.
 
     Every rank must call :meth:`step` once per iteration with its local
     ``stream.nnz``; the returned algorithm name is identical on all
-    ranks. :attr:`switches` records every (re-)selection; :attr:`report`
-    holds the latest full :class:`~repro.costmodel.SelectionReport`.
+    ranks. :attr:`switches` records every (re-)selection.
     """
 
-    model: CostModel = field(default_factory=CostModel.default)
-    dimension: int = 0
-    value_itemsize: int = 4
-    ewma: float = 0.25
-    sync_every: int = 1
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not 0.0 < self.ewma <= 1.0:
-            raise ValueError(f"ewma must be in (0, 1], got {self.ewma}")
-        if self.sync_every < 1:
-            raise ValueError(f"sync_every must be >= 1, got {self.sync_every}")
-        self.model = CostModel.resolve(self.model)
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget all observations (e.g. after a dataset change)."""
-        self._local_ewma: float | None = None
-        self._anchor: float | None = None
-        self._world_size: int | None = None
-        self._iteration = 0
+    def __init__(self, dimension: int) -> None:
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        self.dimension = int(dimension)
         self.algorithm: str | None = None
-        self.report: SelectionReport | None = None
         self.switches: list[AlgorithmSwitch] = []
-
-    # ------------------------------------------------------------------
-    def observe(self, local_nnz: float) -> float:
-        """Fold one local observation into the EWMA (non-collective)."""
-        x = float(local_nnz)
-        if self._local_ewma is None:
-            self._local_ewma = x
-        else:
-            self._local_ewma += self.ewma * (x - self._local_ewma)
-        return self._local_ewma
+        self._anchor = 0.0
+        self._world_size = 0
+        self._steps = 0
 
     def step(self, comm, local_nnz: float) -> str:
-        """One iteration: observe, agree, maybe re-select; returns the
-        algorithm every rank should run this iteration.
-
-        Collective when it syncs (all ranks must call it the same
-        iteration — the natural contract, since they are about to run an
-        allreduce together anyway).
-        """
-        self.observe(local_nnz)
-        self._iteration += 1
-        resized = self._world_size is not None and comm.size != self._world_size
-        due = (self._iteration - 1) % self.sync_every == 0
-        if self.algorithm is not None and not due and not resized:
-            return self.algorithm
-        estimate = consistent_mean(comm, self._local_ewma)
+        """One iteration: agree, maybe re-select; returns the algorithm
+        every rank runs this iteration. Collective: one
+        :func:`consistent_mean` round."""
+        self._steps += 1
+        estimate = consistent_mean(comm, local_nnz)
         estimate = min(max(estimate, 0.0), float(self.dimension))
-        self._world_size = comm.size
         if self.algorithm is None:
-            self._select(comm, estimate, "initial selection")
-        elif resized:
-            self._select(comm, estimate, "world size changed")
+            reason = "initial selection"
+        elif comm.size != self._world_size:
+            reason = "world size changed"
         elif drifted(self._anchor, estimate):
-            self._select(
-                comm, estimate, f"density drift (anchor {self._anchor:.1f} -> {estimate:.1f})"
-            )
-        return self.algorithm
-
-    def _select(self, comm, estimate: float, reason: str) -> None:
-        instance = Instance(
-            self.dimension, comm.size, estimate, self.value_itemsize
-        )
-        report = self.model.rank(instance, topology=comm.topology)
+            reason = f"density drift (anchor {self._anchor:.1f} -> {estimate:.1f})"
+        else:
+            return self.algorithm
+        instance = Instance(self.dimension, comm.size, estimate, 4)
         previous = self.algorithm
-        self.report = report
-        self.algorithm = report.choice
-        self._anchor = estimate
+        self.algorithm = CostModel.default().choose(instance, comm.topology)
+        self._anchor, self._world_size = estimate, comm.size
         self.switches.append(
-            AlgorithmSwitch(
-                iteration=self._iteration,
-                algorithm=report.choice,
-                previous=previous,
-                estimate=estimate,
-                reason=reason,
-            )
+            AlgorithmSwitch(self._steps, self.algorithm, previous, estimate, reason)
         )
-
-    @property
-    def switch_count(self) -> int:
-        """Number of *changes* of algorithm (excludes re-confirmations)."""
-        return sum(
-            1 for s in self.switches
-            if s.previous is not None and s.algorithm != s.previous
-        )
+        return self.algorithm

@@ -33,8 +33,8 @@ raises :class:`~repro.runtime.comm.RankFailedError`. Two recovery modes:
     local gradients (survivors may detect the failure at different step
     offsets; the epoch boundary realigns them), then resume synchronized
     aggregation among the survivors. Each epoch boundary also commits at
-    most one pending rejoin (:meth:`ElasticContext.step`) and broadcasts
-    the model to the regrown world, so a revived rank re-enters training
+    most one pending rejoin (``comm.grow()``) and broadcasts the model to
+    the regrown world, so a revived rank re-enters training
     via ``resume=True`` without a restart. ``history.world_sizes``
     records the aggregating world size per epoch.
 """
@@ -48,7 +48,6 @@ from ..collectives.api import cached_plan, cached_plans
 from ..core.fusion import GradientFuser
 from ..costmodel.model import CostModel, Instance
 from ..runtime.comm import Communicator, RankFailedError, WorldAbortedError
-from ..runtime.elastic import ElasticContext
 from .datasets import SparseDataset, partition_rows
 from .linear import LinearModel
 from .metrics import EpochRecord, RunHistory
@@ -90,10 +89,12 @@ def distributed_sgd_async(
     exchange behind gradient computation.
 
     ``resume=True`` (elastic mode only) is the entry point for a rank
-    that rejoined a running world through
-    :func:`~repro.runtime.elastic.thread_rejoin`: it receives the current
-    ``(epoch, model)`` from the grow broadcast and joins the loop at
-    that epoch.
+    that rejoined a running world: ``comm`` is the
+    :class:`~repro.runtime.elastic.ElasticWorld` that
+    :func:`~repro.runtime.elastic.thread_rejoin` returned or that
+    ``serve-rank --rejoin`` runs the program on. It receives the current
+    ``(epoch, model)`` from the broadcast that follows the survivors'
+    ``comm.grow()`` and joins the loop at that epoch.
 
     ``fuser`` switches the exchange to the bucketed path of §9: each
     step's gradient stream is cut into its fused buckets' pairs,
@@ -259,16 +260,14 @@ def distributed_sgd_async(
         if not aggregating(epoch):
             return
         try:
-            ctx = ElasticContext(comm)
-            old_members = getattr(comm, "parent_ranks", None)
-            grown = ctx.step()
-            if grown is comm or old_members is None:
-                comm = grown
+            grown = comm.grow()
+            if grown is comm:
                 return
+            # a join needs a dead rank, so comm is an elastic world here
+            (joiner,) = set(grown.parent_ranks) - set(comm.parent_ranks)
             comm = grown
             algorithm = resolve_algorithm()
             members = comm.parent_ranks
-            (joiner,) = set(members) - set(old_members)
             root = _grow_root(members, joiner)
             payload = (epoch + 1, w.copy()) if comm.rank == root else None
             comm.bcast(payload, root=root)

@@ -84,20 +84,5 @@ class RunHistory:
         return self.records[-1].loss if self.records else float("nan")
 
     @property
-    def final_accuracy(self) -> float:
-        return self.records[-1].accuracy if self.records else float("nan")
-
-    @property
     def losses(self) -> list[float]:
         return [r.loss for r in self.records]
-
-    @property
-    def accuracies(self) -> list[float]:
-        return [r.accuracy for r in self.records]
-
-    def epochs_to_loss(self, target: float) -> int | None:
-        """First epoch whose loss is <= target (None if never reached)."""
-        for r in self.records:
-            if r.loss <= target:
-                return r.epoch
-        return None

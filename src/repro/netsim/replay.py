@@ -110,12 +110,6 @@ class ReplayResult:
         """Completion time of the slowest rank — the collective's runtime."""
         return max(self.finish_times) if self.finish_times else 0.0
 
-    @property
-    def mean_finish(self) -> float:
-        if not self.finish_times:
-            return 0.0
-        return sum(self.finish_times) / len(self.finish_times)
-
     def phase(self, label: str) -> float:
         """Max-over-ranks time spent in a labelled phase."""
         return self.phase_times.get(label, 0.0)

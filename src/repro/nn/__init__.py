@@ -1,6 +1,6 @@
 """NumPy neural-network substrate (the CNTK stand-in, §7/§8.3)."""
 
-from .layers import Conv2D, Dense, Dropout, Flatten, Layer, ReLU, Tanh
+from .layers import Conv2D, Dense, Flatten, Layer, ReLU
 from .lstm import LSTMClassifier
 from .network import Sequential, softmax_cross_entropy
 from .training import (
@@ -16,11 +16,9 @@ from .training import (
 __all__ = [
     "Conv2D",
     "Dense",
-    "Dropout",
     "Flatten",
     "Layer",
     "ReLU",
-    "Tanh",
     "LSTMClassifier",
     "Sequential",
     "softmax_cross_entropy",

@@ -17,7 +17,7 @@ import abc
 
 import numpy as np
 
-__all__ = ["Layer", "Dense", "ReLU", "Tanh", "Conv2D", "Flatten", "Dropout"]
+__all__ = ["Layer", "Dense", "ReLU", "Conv2D", "Flatten"]
 
 
 class Layer(abc.ABC):
@@ -90,24 +90,6 @@ class ReLU(Layer):
         return dout * self._mask
 
 
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        out = np.tanh(x)
-        if train:
-            self._out = out
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._out is not None, "backward before forward"
-        return dout * (1.0 - self._out**2)
-
-
 class Flatten(Layer):
     """Collapse all non-batch dimensions."""
 
@@ -123,30 +105,6 @@ class Flatten(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         assert self._shape is not None, "backward before forward"
         return dout.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout (identity at evaluation time)."""
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        self._mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dout
-        return dout * self._mask
 
 
 class Conv2D(Layer):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .._native import NATIVE
 from ..config import DEFAULT_QSGD_BUCKET, STREAM_HEADER_BYTES
-from .packing import pack_integers, packed_nbytes, unpack_integers
+from .packing import pack_integers, unpack_integers
 
 __all__ = ["QuantizedBlock", "QSGDQuantizer", "quantization_variance_bound"]
 
@@ -252,14 +252,6 @@ class QSGDQuantizer:
     def roundtrip(self, vector: np.ndarray) -> np.ndarray:
         """Convenience: ``dequantize(quantize(v))``."""
         return self.dequantize(self.quantize(vector))
-
-    def compression_ratio(self, n: int, value_itemsize: int = 4) -> float:
-        """Dense bytes divided by quantized bytes for an n-entry vector."""
-        if n == 0:
-            return 1.0
-        buckets = (n + self.bucket_size - 1) // self.bucket_size
-        qbytes = packed_nbytes(n, self.bits) + buckets * 4
-        return n * value_itemsize / qbytes
 
 
 def quantization_variance_bound(bits: int, bucket_size: int) -> float:

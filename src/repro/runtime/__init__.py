@@ -44,7 +44,7 @@ from .comm import (
     copy_payload,
     payload_nbytes,
 )
-from .elastic import ElasticContext, ElasticWorld, shrink, thread_rejoin
+from .elastic import ElasticWorld, grow, shrink, thread_rejoin
 from .faults import FaultPlan, RankKilledError
 from .launcher import run_ranks
 from .topology import (
@@ -111,8 +111,8 @@ __all__ = [
     "CommTimeoutError",
     "StaleEpochError",
     "AbortState",
-    "ElasticContext",
     "ElasticWorld",
+    "grow",
     "shrink",
     "thread_rejoin",
     "FaultPlan",

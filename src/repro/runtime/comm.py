@@ -381,11 +381,6 @@ class Communicator(abc.ABC):
     #: backends that have a wire).
     epoch: int = 0
 
-    #: the working :class:`~repro.runtime.elastic.ElasticWorld` of the
-    #: current epoch, once a membership change formed one over this
-    #: (backend) communicator.
-    _elastic_world: Any = None
-
     #: this rank's world-failure flag. Backends provide it, settable: an
     #: elastic membership change *replaces* it (see the ``_elastic_*`` hooks).
     #: A proxy reads its backend's (``comm.backend.aborted``); ``None`` is
@@ -697,7 +692,7 @@ class Communicator(abc.ABC):
     # ------------------------------------------------------------------
     # elastic membership
     # ------------------------------------------------------------------
-    def shrink(self, dead: Any = (), timeout: "float | None" = None):
+    def shrink(self, dead: Any = ()):
         """Membership barrier after a rank failure: agree on the survivors
         and return the working world of the next epoch.
 
@@ -707,7 +702,18 @@ class Communicator(abc.ABC):
         """
         from .elastic import shrink as _shrink  # local: avoid import cycle
 
-        return _shrink(self, dead=dead, timeout=timeout)
+        return _shrink(self, dead=dead)
+
+    def grow(self):
+        """Commit at most one pending rejoin and return the current world:
+        the regrown one, or this one when nothing was pending.
+
+        Convenience front-end to :func:`repro.runtime.elastic.grow`;
+        collective over this world, called between iterations.
+        """
+        from .elastic import grow as _grow  # local: avoid import cycle
+
+        return _grow(self)
 
     # The three commits of a membership change, on the backend
     # communicator. A backend supplies the state they act on: ``epoch``,

@@ -43,14 +43,16 @@ rendezvous, which rank 0 keeps open (``serve-rank --elastic`` /
 first join, with the rejoiner as the last member; on the thread backend
 a fresh thread queues a join request on the shared world
 (:func:`thread_rejoin`). Either way the join is *committed between
-iterations*: every member calls :meth:`ElasticContext.step`; the leader
-takes the next join from its backend communicator's one hook,
-``_next_join(members, epoch) -> (rank, address | None) | None``, which
-releases the joiner into the next epoch, and broadcasts it (or
-``None``); members commit it with ``_elastic_regrow`` (on the socket
-backend, each dials both channels to the joiner), the epoch bumps, and
-everyone switches to the regrown :class:`ElasticWorld`. State (model
-parameters etc.) is the consumer's to re-broadcast — see
+iterations*: every member calls :func:`grow` (``comm.grow()``) on its
+current world; the leader takes the next join from its backend
+communicator's one hook, ``_next_join(members, epoch) -> (rank, address
+| None) | None``, which releases the joiner into the next epoch, and
+broadcasts it (or ``None``); members commit it with ``_elastic_regrow``
+(on the socket backend, each dials both channels to the joiner), the
+epoch bumps, and ``grow`` returns the regrown :class:`ElasticWorld` —
+or, with nothing pending, the world it was called on. The world a
+membership change returns is the only record of which world is current.
+State (model parameters etc.) is the consumer's to re-broadcast — see
 :func:`~repro.mlopt.async_sgd.distributed_sgd_async`.
 
 Caveats: the barrier is crash-consistent, not Byzantine — a false-positive
@@ -77,8 +79,8 @@ from .comm import (
 from .context import BARRIER, epoch_slot
 
 __all__ = [
-    "ElasticContext",
     "ElasticWorld",
+    "grow",
     "shrink",
     "thread_rejoin",
 ]
@@ -87,8 +89,9 @@ __all__ = [
 #: the backend has no ``op_timeout`` of its own.
 DEFAULT_BARRIER_TIMEOUT = 5.0
 
-#: default budget for wiring a rejoined rank into the mesh (seconds).
+#: budget for wiring a rejoined rank into the mesh (seconds).
 DEFAULT_GROW_TIMEOUT = 20.0
+
 
 def _members_of(world: Communicator) -> tuple[int, ...]:
     """Current membership of ``world`` in backend rank numbering."""
@@ -100,6 +103,17 @@ def _members_of(world: Communicator) -> tuple[int, ...]:
             "ElasticWorld, not an ordinary split/subgroup"
         )
     return tuple(range(world.backend.size))
+
+
+def _superseded(epoch: int, current: int) -> StaleEpochError:
+    """The error of an operation through the world of ``epoch`` once the
+    transport moved to ``current``."""
+    return StaleEpochError(
+        f"this world belongs to epoch {epoch} but the transport has moved to "
+        f"epoch {current}; use the world the latest shrink() or grow() returned",
+        frame_epoch=epoch,
+        current_epoch=current,
+    )
 
 
 class ElasticWorld(SubCommunicator):
@@ -129,13 +143,7 @@ class ElasticWorld(SubCommunicator):
     def _map_peer(self, peer: int) -> int:
         current = self.inner.epoch
         if current != self._epoch:
-            raise StaleEpochError(
-                f"this world belongs to epoch {self._epoch} but the "
-                f"transport has moved to epoch {current}; re-form it with "
-                "shrink() or ElasticContext.step()",
-                frame_epoch=self._epoch,
-                current_epoch=current,
-            )
+            raise _superseded(self._epoch, current)
         return super()._map_peer(peer)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -148,11 +156,7 @@ class ElasticWorld(SubCommunicator):
 # ----------------------------------------------------------------------
 # shrink: the membership barrier
 # ----------------------------------------------------------------------
-def shrink(
-    comm: Communicator,
-    dead: Any = (),
-    timeout: float | None = None,
-) -> ElasticWorld:
+def shrink(comm: Communicator, dead: Any = ()) -> ElasticWorld:
     """Collective membership barrier: agree on the survivors, bump the epoch.
 
     Call from every surviving rank after catching a
@@ -163,8 +167,8 @@ def shrink(
     the round retried — and returns the new :class:`ElasticWorld` of the
     agreed survivors on every rank, bit-identically renumbered.
 
-    ``timeout`` bounds each barrier operation (default: the backend's
-    ``op_timeout``, else :data:`DEFAULT_BARRIER_TIMEOUT`).
+    Each barrier operation is bounded by the backend's ``op_timeout``,
+    else :data:`DEFAULT_BARRIER_TIMEOUT`.
     """
     backend = comm.backend
     members = list(_members_of(comm))
@@ -184,11 +188,8 @@ def shrink(
     backend._elastic_reset(known_dead, new_epoch)
 
     alive = [m for m in members if m not in known_dead]
-    barrier_timeout = timeout
-    if barrier_timeout is None:
-        barrier_timeout = backend.op_timeout or DEFAULT_BARRIER_TIMEOUT
     saved_timeout = backend.op_timeout
-    backend.op_timeout = barrier_timeout
+    backend.op_timeout = saved_timeout or DEFAULT_BARRIER_TIMEOUT
     try:
         alive, agreed_dead = _membership_barrier(
             backend, alive, set(known_dead), new_epoch
@@ -196,8 +197,7 @@ def shrink(
     finally:
         backend.op_timeout = saved_timeout
     backend._elastic_note_dead(agreed_dead)
-    world = backend._elastic_world = ElasticWorld(backend, alive, new_epoch)
-    return world
+    return ElasticWorld(backend, alive, new_epoch)
 
 
 #: what a barrier exchange with a dead or stalled peer raises.
@@ -280,13 +280,43 @@ def _membership_barrier(
 # ----------------------------------------------------------------------
 # grow: rejoin requests committed between iterations
 # ----------------------------------------------------------------------
+def grow(comm: Communicator) -> Communicator:
+    """Collective join-commit point: commit at most one pending rejoin.
+
+    Call from every member of the current world ``comm`` (the backend
+    communicator before any membership change, else the
+    :class:`ElasticWorld` the latest :func:`shrink` or :func:`grow`
+    returned) between iterations. The leader (world rank 0) asks its
+    backend communicator for the next rejoin (``_next_join``, which also
+    releases the joiner) and broadcasts it or ``None``; on a join every
+    member commits it (``_elastic_regrow``: on the socket backend, dial
+    the joiner) and the regrown :class:`ElasticWorld` of the next epoch is
+    returned. With nothing pending, ``comm`` itself is returned and the
+    broadcast was the only traffic. A world some later membership change
+    superseded raises :class:`~repro.runtime.comm.StaleEpochError`.
+    """
+    members = _members_of(comm)
+    backend = comm.backend
+    current = comm.epoch if isinstance(comm, ElasticWorld) else 0
+    if current != backend.epoch:
+        raise _superseded(current, backend.epoch)
+    epoch = backend.epoch + 1
+    join = backend._next_join(members, epoch) if comm.rank == 0 else None
+    join = comm.bcast(join, root=0)
+    if join is None:
+        return comm
+    rank, addr = join
+    backend._elastic_regrow(rank, epoch, addr, DEFAULT_GROW_TIMEOUT)
+    return ElasticWorld(backend, sorted({*members, rank}), epoch)
+
+
 def thread_rejoin(world, rank: int, timeout: float = 30.0) -> ElasticWorld:
     """Rejoin a dead rank into a thread-backend world (rendezvous analog).
 
     Called from a *fresh thread* standing in for the restarted rank.
     Queues a join request on the shared
     :class:`~repro.runtime.thread_backend.ThreadWorld`; once the elastic
-    leader's :meth:`ElasticContext.step` takes it, returns this rank's
+    leader's :func:`grow` takes it, returns this rank's
     :class:`ElasticWorld` for the new epoch (its traffic waits in the
     members' queues until they commit). The caller is responsible for
     re-synchronizing consumer state (e.g. a parameter broadcast).
@@ -310,59 +340,3 @@ def thread_rejoin(world, rank: int, timeout: float = 30.0) -> ElasticWorld:
         world._rank_states[int(rank)] = AbortState()
     comm.epoch = int(request["epoch"])
     return ElasticWorld(comm, request["members"], request["epoch"])
-
-
-class ElasticContext:
-    """Between-iteration driver of one rank's elastic membership.
-
-    Wraps the current working world (the backend communicator at epoch 0,
-    or an :class:`ElasticWorld` after a shrink/rejoin) and exposes:
-
-    * :meth:`shrink` — catch-and-reform after a failure;
-    * :meth:`step` — collective join-commit point: the leader (world rank
-      0) asks its backend communicator for the next rejoin
-      (``_next_join``, which also releases the joiner), broadcasts it or
-      ``None``, and on a join every member commits it
-      (``_elastic_regrow``: on the socket backend, dial the joiner) and
-      switches to the regrown world.
-
-    Call ``step()`` at iteration boundaries only — it is collective over
-    the current world.
-    """
-
-    def __init__(
-        self,
-        comm: Communicator,
-        grow_timeout: float = DEFAULT_GROW_TIMEOUT,
-        barrier_timeout: float | None = None,
-    ) -> None:
-        self._backend = comm.backend
-        self.world: Communicator = self._backend._elastic_world or comm
-        self.grow_timeout = float(grow_timeout)
-        self.barrier_timeout = barrier_timeout
-
-    @property
-    def epoch(self) -> int:
-        return self._backend.epoch
-
-    def shrink(self, dead: Any = ()) -> Communicator:
-        self.world = shrink(self.world, dead=dead, timeout=self.barrier_timeout)
-        return self.world
-
-    def step(self) -> Communicator:
-        """Commit at most one pending join (collective; call between iterations)."""
-        world, backend = self.world, self._backend
-        if world.size == 1 and not isinstance(world, ElasticWorld):
-            return world
-        members = _members_of(world)
-        epoch = backend.epoch + 1
-        join = backend._next_join(members, epoch) if world.rank == 0 else None
-        join = world.bcast(join, root=0)
-        if join is None:
-            return world
-        rank, addr = join
-        backend._elastic_regrow(rank, epoch, addr, self.grow_timeout)
-        self.world = backend._elastic_world = ElasticWorld(
-            backend, sorted({*members, rank}), epoch
-        )
-        return self.world

@@ -20,7 +20,7 @@ mesh channels it is handed to non-blocking):
   rank 0 does, exactly as §6's cluster runs would. With ``elastic=True``
   the server stays up and queues rejoins, which the elastic leader
   answers — with the same reply — from
-  :meth:`~repro.runtime.elastic.ElasticContext.step`;
+  :func:`~repro.runtime.elastic.grow`;
 * **mesh build** (:func:`_join_world`): for each pair of members, the
   one earlier in ``members`` dials both directed channels to the later
   one (:func:`_dial_pair`), each opened with one hello ``(magic, dialer
@@ -314,7 +314,7 @@ def _register(
                 f"at {rdv_addr[0]}:{rdv_addr[1]} within {timeout:.1f}s"
                 if kind == "join"
                 else f"rank {rank}: the rejoin was not committed within {timeout:.1f}s "
-                "(is the world calling ElasticContext.step() between iterations?)"
+                "(are the survivors calling grow() between iterations?)"
             ) from exc
     finally:
         sock.close()
@@ -431,17 +431,16 @@ def _join_world(
     channels to every later member (the dials complete against their
     listen backlogs without anyone accepting, so there is no ordering
     deadlock), then admits both channels of every earlier one. A first
-    join's members are ``0 .. P-1``; a rejoiner's reply comes once a
-    survivor's :meth:`~repro.runtime.elastic.ElasticContext.step` commits
-    the join, with the rejoiner last.
+    join's members are ``0 .. P-1``; a rejoiner's reply comes once the
+    survivors' :func:`~repro.runtime.elastic.grow` commits the join, with
+    the rejoiner last.
 
     The reply's host column *is* the world's topology, kept on the
     communicator (``comm.topology``) for topology-aware collectives
     (callers override it with an explicit topology, e.g. a simulated
     multi-host world over loopback). A rejoiner's communicator comes back
     in the committed epoch, with the ranks outside its members recorded
-    dead (their late EOFs cannot abort the regrown world) and the epoch's
-    :class:`~repro.runtime.elastic.ElasticWorld` as ``comm._elastic_world``.
+    dead (their late EOFs cannot abort the regrown world).
     """
     deadline = time.monotonic() + timeout
     out_socks: list[socket.socket | None] = [None] * nranks
@@ -472,7 +471,6 @@ def _join_world(
     if rejoin:
         comm.epoch = epoch
         comm.dead_ranks = set(range(nranks)) - set(members)
-        comm._elastic_world = ElasticWorld(comm, sorted(members), epoch)
     return comm
 
 
@@ -560,7 +558,8 @@ def serve_rank(
     assembly so killed ranks can be revived: restart the dead rank's
     ``serve-rank`` command with ``rejoin=True`` (CLI: ``--rejoin``) and it
     registers into the next world epoch; the survivors commit the join at
-    their next :meth:`~repro.runtime.elastic.ElasticContext.step`. Rank 0
+    their next :func:`~repro.runtime.elastic.grow`, and the program runs
+    on the regrown :class:`~repro.runtime.elastic.ElasticWorld`. Rank 0
     hosts the rendezvous, so it cannot itself be revived. Two-host recipe
     (after rank 1's host died mid-run and the survivors shrank)::
 
@@ -592,15 +591,17 @@ def serve_rank(
         comm._rendezvous = server  # the elastic leader answers rejoins through it
         if topo is not None:
             comm.topology = topo
+        # a rejoiner's program runs on the world it rejoined
+        members = sorted(set(range(nranks)) - comm.dead_ranks)
+        world = ElasticWorld(comm, members, comm.epoch) if rejoin else comm
         if verbose:
             assembled = (
-                f"rejoined at epoch {comm.epoch}: "
-                f"members {sorted(set(range(nranks)) - comm.dead_ranks)}"
+                f"rejoined at epoch {comm.epoch}: members {members}"
                 if rejoin
                 else f"world assembled: {comm.topology.describe()}"
             )
             print(f"[serve-rank {rank}/{nranks}] {assembled}", file=sys.stderr)
-        return _run_rank(comm, fn)
+        return _run_rank(comm, lambda _backend: fn(world))
     finally:
         if server is not None:
             server.close()

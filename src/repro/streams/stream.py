@@ -314,16 +314,6 @@ class SparseStream:
             self._dense = None
         return self
 
-    def should_switch_to_dense(self, extra_nnz: int = 0) -> bool:
-        """The switch test from §5.1: ``|H1| + |H2| > delta``.
-
-        The exact union size is never computed ("This is costly, and thus we
-        only upper bound this result by |H1| + |H2|").
-        """
-        if self.is_dense:
-            return False
-        return self.nnz + extra_nnz > self.delta
-
     def set_pairs(self, indices: np.ndarray, values: np.ndarray) -> "SparseStream":
         """Adopt sparse pair arrays in place — trusted, zero-copy.
 

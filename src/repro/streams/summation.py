@@ -303,9 +303,10 @@ def add_streams_(
         acc._values = None  # noqa: SLF001
         return acc
 
-    # sparse (op)= sparse: the switch test of should_switch_to_dense, on a
-    # delta computed once for both tests (both sides' pairs read directly:
-    # this is every small merge's path)
+    # sparse (op)= sparse: §5.1's switch test |H1| + |H2| > delta (the
+    # exact union size is never computed: "This is costly, and thus we only
+    # upper bound this result by |H1| + |H2|"), on a delta computed once for
+    # both tests (both sides' pairs read directly: every small merge's path)
     delta, idx, val = acc.delta, acc._indices, acc._values  # noqa: SLF001
     if len(idx) + len(other._indices) > delta:  # noqa: SLF001
         acc.densify(fill=op.neutral)

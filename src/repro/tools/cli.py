@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rejoin", action="store_true",
         help="re-enter a running world that shrank past this rank's death "
              "(requires the world to have been assembled with --elastic); "
-             "the program receives the regrown communicator once the "
-             "survivors commit the join at their next ElasticContext.step()",
+             "the program receives the regrown ElasticWorld once the "
+             "survivors commit the join at their next grow()",
     )
 
     return parser

@@ -20,6 +20,7 @@ from repro.mlopt import (
     make_sparse_classification,
 )
 from repro.runtime import FaultPlan, run_ranks
+from repro.runtime.topology import Topology
 from repro.runtime.trace import MARK, SEND
 from repro.streams import SparseStream
 
@@ -53,61 +54,45 @@ class TestAdaptiveSelectorUnit:
     def test_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             AdaptiveSelector(dimension=0)
-        with pytest.raises(ValueError, match="ewma"):
-            AdaptiveSelector(dimension=10, ewma=0.0)
-        with pytest.raises(ValueError, match="sync_every"):
-            AdaptiveSelector(dimension=10, sync_every=0)
-
-    def test_model_spec_resolved(self):
-        sel = AdaptiveSelector(model="tiered_gige", dimension=100)
-        assert isinstance(sel.model, CostModel)
-        assert sel.model.name == "tiered_gige"
-
-    def test_ewma(self):
-        sel = AdaptiveSelector(dimension=1000, ewma=0.5)
-        assert sel.observe(100) == 100.0
-        assert sel.observe(200) == 150.0
-        assert sel.observe(150) == 150.0
 
     def test_initial_selection_then_stable(self):
         sel = AdaptiveSelector(dimension=DIMENSION)
         comm = FakeComm()
         first = sel.step(comm, 50)
-        assert first == sel.algorithm and sel.report is not None
+        assert first == sel.algorithm
         for _ in range(5):
             assert sel.step(comm, 50) == first
-        assert len(sel.switches) == 1 and sel.switch_count == 0
+        assert len(sel.switches) == 1
         assert sel.switches[0].previous is None
         assert sel.switches[0].reason == "initial selection"
 
     def test_drift_triggers_reselection(self):
-        sel = AdaptiveSelector(dimension=DIMENSION, ewma=1.0)
+        sel = AdaptiveSelector(dimension=DIMENSION)
         comm = FakeComm(size=NRANKS)
         assert sel.step(comm, 50) == "ssar_rec_dbl"
         algo = sel.step(comm, 3000)
         assert algo == "dsar_split_ag"
-        assert sel.switch_count == 1
+        assert [s.iteration for s in sel.switches] == [1, 2]
+        assert sel.switches[-1].previous == "ssar_rec_dbl"
         assert "drift" in sel.switches[-1].reason
 
-    def test_sync_every_skips_agreement(self):
-        sel = AdaptiveSelector(dimension=DIMENSION, ewma=1.0, sync_every=4)
-        comm = FakeComm(size=NRANKS)
-        sel.step(comm, 50)
-        # drifts immediately, but the next sync is 3 iterations away
-        assert sel.step(comm, 3000) == "ssar_rec_dbl"
-        assert sel.step(comm, 3000) == "ssar_rec_dbl"
-        assert sel.step(comm, 3000) == "ssar_rec_dbl"
-        assert sel.step(comm, 3000) == "dsar_split_ag"
+    def test_selects_as_a_plan_prices(self):
+        """The plans' rule: the default model, float32 values."""
+        sel = AdaptiveSelector(dimension=DIMENSION)
+        comm = FakeComm(size=NRANKS, topology=Topology.uniform(NRANKS, 2))
+        for nnz in (50, 400, 3000):
+            instance = Instance(DIMENSION, NRANKS, nnz, 4)
+            assert sel.step(comm, nnz) == CostModel.default().choose(instance, comm.topology)
 
     def test_world_resize_forces_reselection(self):
-        sel = AdaptiveSelector(dimension=DIMENSION, sync_every=100)
+        sel = AdaptiveSelector(dimension=DIMENSION)
         sel.step(FakeComm(size=4), 50)
-        sel.step(FakeComm(size=3), 50)  # off-sync, but the world changed
+        sel.step(FakeComm(size=3), 50)  # no drift, but the world changed
         assert len(sel.switches) == 2
         assert sel.switches[-1].reason == "world size changed"
 
     def test_estimate_clamped_to_dimension(self):
-        sel = AdaptiveSelector(dimension=100, ewma=1.0)
+        sel = AdaptiveSelector(dimension=100)
         sel.step(FakeComm(), 100)
         assert sel.switches[-1].estimate <= 100.0
 
@@ -125,7 +110,7 @@ def _consistent_mean_prog(comm):
 
 def _drift_prog(comm):
     """Training-loop shape: adapt the algorithm while density ramps."""
-    selector = AdaptiveSelector(dimension=DIMENSION, ewma=1.0)
+    selector = AdaptiveSelector(dimension=DIMENSION)
     algorithms, sums = [], []
     for it, nnz in enumerate(DRIFT_SCHEDULE):
         local_nnz = nnz + 3 * comm.rank  # ranks disagree locally

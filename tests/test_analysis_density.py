@@ -11,7 +11,6 @@ from repro.analysis import (
     expected_union_size,
     expected_union_size_inclusion_exclusion,
     monte_carlo_union_size,
-    union_density_curve,
 )
 
 
@@ -71,13 +70,6 @@ class TestDensityCurves:
         """Fig. 1: 10% per-node density at 64 nodes is essentially dense."""
         assert expected_density_of_sum(0.10, 64) > 0.99
         assert expected_density_of_sum(0.001, 4) < 0.005
-
-    def test_vectorised_curve(self):
-        nodes = np.array([1, 2, 4, 8])
-        curve = union_density_curve(0.05, nodes)
-        assert curve.shape == (4,)
-        assert np.all(np.diff(curve) > 0)
-        assert curve[0] == pytest.approx(0.05)
 
     def test_bounds(self):
         assert expected_density_of_sum(0.0, 100) == 0.0

@@ -15,8 +15,12 @@ The acceptance contract of the elastic runtime:
   aggregating world size per epoch and hands a rejoiner the live model.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,6 @@ import pytest
 from repro.collectives.dense import allreduce_recursive_doubling
 from repro.runtime import (
     CommTimeoutError,
-    ElasticContext,
     ElasticWorld,
     FaultPlan,
     RankError,
@@ -162,6 +165,64 @@ class TestProxyStacksReadTheSameState:
 
 
 # ----------------------------------------------------------------------
+# grow(): the world a membership change returns is the current one
+# ----------------------------------------------------------------------
+def _rows(comm):
+    """This rank's trace rows so far, without their sequence numbers."""
+    return [
+        (e.op, e.peer, e.tag, e.nbytes, e.label, e.context)
+        for e in comm.trace.events(comm.rank)
+    ]
+
+
+def _grow_nothing_pending_prog(comm):
+    if comm.rank == 2:
+        return "left"
+    world = comm.shrink(dead=[2])
+    before = len(_rows(comm))
+    grown = world.grow()
+    during = _rows(comm)[before:]
+    world.bcast(None, root=0)  # what the leader sends when nothing is pending
+    return grown is world, during, _rows(comm)[before + len(during):]
+
+
+def _grow_superseded_prog(comm):
+    if comm.rank == 2:
+        return "left"
+    first = comm.shrink(dead=[2])
+    second = first.shrink()
+    before = len(_rows(comm))
+    errors = []
+    for world in (comm, first):
+        try:
+            world.grow()
+            errors.append("no error")
+        except StaleEpochError as exc:
+            errors.append((exc.frame_epoch, exc.current_epoch))
+    return errors, len(_rows(comm)) - before, second.grow() is second
+
+
+class TestGrow:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nothing_pending_returns_the_same_world_after_one_bcast(self, backend):
+        out = run_ranks(_grow_nothing_pending_prog, 3, backend=backend, timeout=120.0)
+        assert out[2] == "left"
+        for rank in (0, 1):
+            same, during, bcast = out[rank]
+            assert same is True
+            assert during and during == bcast, (rank, during, bcast)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_superseded_world_raises_and_sends_nothing(self, backend):
+        out = run_ranks(_grow_superseded_prog, 3, backend=backend, timeout=120.0)
+        assert out[2] == "left"
+        for rank in (0, 1):
+            # the backend communicator is epoch 0's world, the first
+            # shrink's is epoch 1's; the second shrink moved to epoch 2
+            assert out[rank] == ([(0, 2), (1, 2)], 0, True), out[rank]
+
+
+# ----------------------------------------------------------------------
 # full thread-backend cycle: kill -> shrink -> rejoin -> regrow
 # ----------------------------------------------------------------------
 class TestThreadRejoinCycle:
@@ -183,12 +244,12 @@ class TestThreadRejoinCycle:
                 failures[rank] = exc.rank
             shrunk = comm.shrink()
             out1 = allreduce_recursive_doubling(shrunk, vec.copy())
-            ctx = ElasticContext(shrunk)
+            grown = shrunk
             for _ in range(4000):
-                if ctx.step().size == 4:
+                grown = grown.grow()
+                if grown.size == 4:
                     break
                 time.sleep(0.002)
-            grown = ctx.world
             out2 = allreduce_recursive_doubling(grown, vec.copy())
             try:
                 shrunk.send(b"x", dest=(rank + 1) % shrunk.size, tag=1)
@@ -265,12 +326,12 @@ class TestSocketRejoin:
                 pass
             shrunk = comm.shrink()
             out1 = allreduce_recursive_doubling(shrunk, vec.copy())
-            ctx = ElasticContext(shrunk)
+            grown = shrunk
             for _ in range(15000):
-                if ctx.step().size == 3:
+                grown = grown.grow()
+                if grown.size == 3:
                     break
                 time.sleep(0.002)
-            grown = ctx.world
             out2 = allreduce_recursive_doubling(grown, vec.copy())
             # wire-level staleness: a frame stamped with a dead epoch is
             # dropped and counted by the receiver, never delivered
@@ -313,10 +374,12 @@ class TestSocketRejoin:
             except Exception as exc:  # noqa: BLE001 - surfaced via results
                 results[rank] = exc
 
-        def rejoin_prog(comm):
-            if comm.fault_plan is not None:
+        def rejoin_prog(grown):
+            # the program runs on the world it rejoined, not the backend
+            if not isinstance(grown, ElasticWorld):
+                return f"the rejoiner's program got a {type(grown).__name__}"
+            if grown.backend.fault_plan is not None:
                 return "a revived rank must start without a fault plan"
-            grown = comm._elastic_world
             out = allreduce_recursive_doubling(
                 grown, np.full(4, float(victim + 1))
             )
@@ -497,3 +560,32 @@ class TestAsyncSGDElastic:
         # it applies exactly the aggregated updates the root applies
         root_history = results[0]
         assert np.allclose(root_history.params, revived.params)
+
+
+# ----------------------------------------------------------------------
+# the quickstart demo refuses a rejoin it cannot run
+# ----------------------------------------------------------------------
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _quickstart(*argv):
+    return subprocess.run(
+        [sys.executable, str(REPO / "examples" / "quickstart.py"), *argv],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestQuickstartRejoinFlags:
+    @pytest.mark.parametrize("backend", ["process", "shmem", "socket"])
+    def test_a_process_backend_rejoin_is_a_parser_error(self, backend):
+        done = _quickstart(
+            "--backend", backend, "--elastic", "--fault-plan", "kill=1@20", "--rejoin"
+        )
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert "serve-rank --rejoin" in done.stderr
+
+    def test_rejoin_without_elastic_is_a_parser_error(self):
+        done = _quickstart("--fault-plan", "kill=1@20", "--rejoin")
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert "--rejoin requires --elastic" in done.stderr

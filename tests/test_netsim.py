@@ -429,7 +429,6 @@ class TestReplayHandBuilt:
     def test_empty_trace(self):
         result = replay(Trace(3), model())
         assert result.makespan == 0.0
-        assert result.mean_finish == 0.0
 
     def test_determinism(self):
         trace = Trace(2)

@@ -7,12 +7,10 @@ import pytest
 from repro.nn import (
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     LSTMClassifier,
     ReLU,
     Sequential,
-    Tanh,
     make_cnn_lite,
     make_lstm,
     make_mlp,
@@ -65,11 +63,6 @@ class TestLayerGradients:
         net = make_mlp(10, 3, hidden=(7,), seed=1)
         numeric_grad_check(net, rng.standard_normal((4, 10)), rng.integers(0, 3, 4))
 
-    def test_tanh(self, rng):
-        gen = np.random.default_rng(3)
-        net = Sequential([Dense(6, 5, gen), Tanh(), Dense(5, 3, gen)])
-        numeric_grad_check(net, rng.standard_normal((3, 6)), rng.integers(0, 3, 3))
-
     def test_conv2d(self, rng):
         net = make_cnn_lite(8, 2, 4, channels=(3,), seed=2)
         x = rng.standard_normal((2, 2, 8, 8))
@@ -94,22 +87,6 @@ class TestLayers:
         assert np.array_equal(out, [[0.0, 2.0]])
         back = layer.backward(np.array([[5.0, 5.0]]))
         assert np.array_equal(back, [[0.0, 5.0]])
-
-    def test_dropout_eval_mode_identity(self, rng):
-        layer = Dropout(0.5, np.random.default_rng(0))
-        x = rng.standard_normal((4, 8))
-        assert np.array_equal(layer.forward(x, train=False), x)
-
-    def test_dropout_scales_at_train(self):
-        layer = Dropout(0.5, np.random.default_rng(0))
-        x = np.ones((100, 100))
-        out = layer.forward(x, train=True)
-        # inverted dropout preserves the expectation
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0, np.random.default_rng(0))
 
     def test_flatten_roundtrip(self, rng):
         layer = Flatten()

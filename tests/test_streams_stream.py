@@ -124,17 +124,6 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             _ = s.dense_payload
 
-    def test_should_switch_to_dense(self):
-        n = 100  # delta for float32 = 50
-        s = SparseStream(n, indices=np.arange(30), values=np.ones(30))
-        assert not s.should_switch_to_dense()
-        assert not s.should_switch_to_dense(extra_nnz=20)
-        assert s.should_switch_to_dense(extra_nnz=21)
-
-    def test_dense_never_switches(self):
-        s = SparseStream(10, dense=np.zeros(10, dtype=np.float32))
-        assert not s.should_switch_to_dense(extra_nnz=1000)
-
 
 class TestByteAccounting:
     def test_sparse_bytes(self):

@@ -153,7 +153,7 @@ class TestServeRankElasticFlags:
         assert rc == 2
         assert "--rejoin" in capsys.readouterr().err
 
-    def test_two_rank_elastic_world_through_main(self, capsys):
+    def test_two_rank_elastic_run_through_main(self, capsys):
         # end-to-end: the CLI path wires --elastic through to serve_rank
         # (rank 0 keeps the rendezvous daemon alive until its program ends)
         import socket as socketlib
