@@ -22,8 +22,9 @@
 #   make smoke              fast subset (skips "slow" tests)
 #   make calibrate          fit alpha/beta/gamma/launch from a few seconds of
 #                           measurement on this host, written to
-#                           results/calibrated_network.json (load anywhere
-#                           with --network calibrated:<path>)
+#                           results/calibrated_network.json (load with
+#                           CostModel.resolve("calibrated:<path>") or
+#                           examples/quickstart.py --network calibrated:<path>)
 #   make bench-gate         the repo benchmark's own tests plus one quick
 #                           round of every BENCHMARK.json workload, oracles
 #                           on (bench/ is outside pytest's testpaths)

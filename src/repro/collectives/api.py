@@ -384,7 +384,7 @@ def run_sparse_allreduce(
     :func:`sparse_allreduce` on each, and returns the
     :class:`~repro.runtime.ParallelResult` (per-rank reduced streams plus
     the recorded trace). This is the ``mpiexec``-style entry point the
-    sweeps, examples and cross-backend tests share. ``topology`` (any
+    benchmarks and cross-backend tests share. ``topology`` (any
     form :func:`~repro.runtime.topology.normalize_topology` accepts, e.g.
     ``"2x4"``) simulates a multi-host world so topology-aware algorithms
     (``ssar_hier``, ``"auto"`` on hierarchical maps) can be exercised on

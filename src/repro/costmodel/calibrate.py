@@ -28,10 +28,10 @@ itself makes:
 The command has no modes: sizes, backends and iteration counts are
 constants, the whole run takes a few seconds. The fitted model is written
 as a named JSON under ``results/`` via
-:func:`repro.netsim.model.save_network`, and every ``--network`` flag
-resolves it back through the ``"calibrated:<path>"`` spec — so a sweep,
-a replay or the selector can run under the measured machine instead of a
-preset.
+:func:`repro.netsim.model.save_network`, and
+``CostModel.resolve("calibrated:<path>")`` loads it back (as does
+``examples/quickstart.py --network calibrated:<path>``) — so a replay
+or the selector can run under the measured machine instead of a preset.
 """
 
 from __future__ import annotations

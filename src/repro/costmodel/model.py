@@ -296,7 +296,7 @@ class CostModel:
 
     The single object every cost consumer shares: the ``"auto"`` plans
     (:class:`~repro.collectives.api.AllreducePlan` calls :meth:`choose`
-    and :meth:`auto_chunks`), the async driver, the sweeps, the repo
+    and :meth:`auto_chunks`), the async driver, the repo
     benchmark (``bench/``'s predicted-vs-measured ``costmodel.*``
     metrics), the netsim replay (which reads :attr:`network`), and
     :class:`repro.costmodel.AdaptiveSelector`.

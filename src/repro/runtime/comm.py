@@ -240,10 +240,9 @@ class CommTimeoutError(TimeoutError):
 class AbortState:
     """World-failure flag that remembers *which* rank failed first.
 
-    A drop-in upgrade of the bare ``threading.Event`` the backends used:
-    ``set()`` optionally records the failed rank and why (first writer
-    wins) and ``error()`` builds the matching typed exception for blocked
-    peers —
+    ``is_set()`` reads the flag; ``set()`` raises it and optionally
+    records the failed rank and why (first writer wins); ``error()``
+    builds the matching typed exception for blocked peers —
     :class:`RankFailedError` when the culprit is known,
     :class:`WorldAbortedError` otherwise.
     """
@@ -261,9 +260,6 @@ class AbortState:
 
     def is_set(self) -> bool:
         return self._event.is_set()
-
-    def wait(self, timeout: "float | None" = None) -> bool:
-        return self._event.wait(timeout)
 
     def set(self, failed_rank: "int | None" = None, reason: "str | None" = None) -> None:
         if failed_rank is not None:
@@ -383,14 +379,14 @@ class Communicator(abc.ABC):
 
     #: this rank's world-failure flag. Backends provide it, settable: an
     #: elastic membership change *replaces* it (see the ``_elastic_*`` hooks).
-    #: A proxy reads its backend's (``comm.backend.aborted``); ``None`` is
-    #: a backend without one (nothing to observe).
+    #: A proxy reports its backend's; ``None`` is a backend without one
+    #: (nothing to observe).
     aborted: "AbortState | None" = None
 
     #: fault injection: a :class:`~repro.runtime.faults.FaultPlan` applied
     #: to every message of this *backend* communicator, or ``None`` (off).
-    #: Launchers set it (``run_ranks(fault_plan=)``); proxies reach it
-    #: through :attr:`backend`, so it survives ``shrink()``.
+    #: Launchers set it (``run_ranks(fault_plan=)``); a proxy reports its
+    #: backend's, so it survives ``shrink()``.
     fault_plan: Any = None
     #: transport operations (sends + receives) counted under the plan.
     _fault_ops: int = 0
@@ -764,9 +760,12 @@ class ProxyComm(Communicator):
     Holds ``inner`` and delegates every hook but the transport's to it —
     the one place that delegation is written (a message reaches the
     transport hooks on :attr:`backend`, see
-    :meth:`Communicator._channel`). Subclasses override what they change
-    (a rank mapping, the topology, the trace) and nothing else; no
-    ``__getattr__``, so the message path stays explicit.
+    :meth:`Communicator._channel`). The backend's state reads through,
+    read-only: ``op_timeout``, ``epoch``, ``fault_plan`` and ``aborted``
+    are the ones the message path applies, so a proxy reports them as
+    they are. Subclasses override what they change (a rank mapping, the
+    topology, the trace) and nothing else; no ``__getattr__``, so the
+    message path stays explicit.
     """
 
     def __init__(self, inner: Communicator, context: tuple) -> None:
@@ -785,6 +784,14 @@ class ProxyComm(Communicator):
     @property
     def op_timeout(self) -> "float | None":
         return self.inner.op_timeout
+
+    @property
+    def fault_plan(self) -> Any:
+        return self.inner.fault_plan
+
+    @property
+    def aborted(self) -> "AbortState | None":
+        return self.inner.aborted
 
     @property
     def epoch(self) -> int:

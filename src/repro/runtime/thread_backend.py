@@ -223,10 +223,12 @@ class ThreadBackend(Backend):
             threading.Thread(target=runner, args=(rank,), name=f"rank-{rank}", daemon=True)
             for rank in range(nranks)
         ]
+        # one deadline bounds the whole run, not each join
+        deadline = None if timeout is None else time.monotonic() + timeout
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=timeout)
+            t.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
             if t.is_alive():
                 world.abort()
                 raise TimeoutError(

@@ -1,12 +1,5 @@
-"""User-facing experiment tooling: the replayed node-count sweep and the CLI."""
+"""The command-line interface: ``calibrate`` and ``serve-rank``."""
 
 from .cli import build_parser, main
-from .sweeps import ALGORITHM_SET, SweepPoint, sweep_node_counts
 
-__all__ = [
-    "build_parser",
-    "main",
-    "ALGORITHM_SET",
-    "SweepPoint",
-    "sweep_node_counts",
-]
+__all__ = ["build_parser", "main"]

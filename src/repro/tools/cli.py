@@ -1,95 +1,33 @@
 """Command-line interface: ``python -m repro <command>``.
 
+The CLI runs the library's two operations; the paper's experiments
+live in ``benchmarks/`` only, one driver per figure.
+
 Commands
 --------
-``sweep-nodes``     reduction time vs node count (Fig. 3 left shape)
 ``calibrate``       fit a tiered network model (per-tier alpha/beta, the
                     summation gamma, the background-launch constant) from
                     a few seconds of measurement on this host; the written
-                    JSON is loadable anywhere a ``--network`` flag accepts
-                    ``calibrated:<path>``
+                    JSON loads back through
+                    ``CostModel.resolve("calibrated:<path>")``
 ``serve-rank``      run one rank of a multi-host ``socket``-backend world
                     against a shared rendezvous address
-
-All output is plain ASCII tables; every experiment is deterministic given
-``--seed`` (``calibrate`` measures real wall clocks and is therefore
-machine-dependent by design; the repo's perf yardstick is ``bench/``).
-Fig. 3 (right, reduction time vs density) and Fig. 7 (the App. B fill-in
-table) are ``benchmarks/test_fig3_density.py`` and
-``benchmarks/test_fig7_expected_k.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
-
-from ..netsim import PRESETS, resolve_network
-from ..runtime import available_backends
-from .sweeps import ALGORITHM_SET, SweepPoint, sweep_node_counts
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt_time(seconds: float) -> str:
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds:.3f}s"
-
-
-def _render_points(points: list[SweepPoint]) -> str:
-    """Pivot sweep points into an algorithm x node-count table."""
-    by_algo: dict[str, dict] = defaultdict(dict)
-    keys: list = []
-    for p in points:
-        if p.nranks not in keys:
-            keys.append(p.nranks)
-        by_algo[p.algorithm][p.nranks] = p
-    header = ["algorithm"] + [f"nranks={k}" for k in keys]
-    rows = []
-    for algo, cells in by_algo.items():
-        rows.append([algo] + [_fmt_time(cells[k].time_s) if k in cells else "-" for k in keys])
-    widths = [max(len(str(r[c])) for r in [header] + rows) for c in range(len(header))]
-    lines = ["  ".join(str(v).ljust(w) for v, w in zip(header, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="SparCML reproduction: sparse-collective micro-experiments",
+        description="SparCML reproduction: calibrate the cost model, serve one rank",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    nodes = sub.add_parser("sweep-nodes", help="reduction time vs node count")
-    nodes.add_argument("--dimension", type=int, default=1 << 20)
-    nodes.add_argument("--density", type=float, default=0.00781)
-    nodes.add_argument("--nodes", type=int, nargs="+", default=[2, 4, 8, 16])
-    nodes.add_argument(
-        "--network", default="aries", metavar="PRESET",
-        help=f"network preset ({', '.join(sorted(PRESETS))}), a "
-             "'tiered:INTRA/INTER' spec (e.g. tiered:shm/ib_fdr or "
-             "tiered:gige), or 'calibrated:<path.json>' fitted by "
-             "`python -m repro calibrate`",
-    )
-    nodes.add_argument("--algorithms", nargs="+", choices=sorted(ALGORITHM_SET), default=None)
-    nodes.add_argument("--seed", type=int, default=9000)
-    nodes.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="thread",
-        help="runtime backend executing the measured collectives",
-    )
-    nodes.add_argument(
-        "--ranks-per-node", type=int, default=None, metavar="R",
-        help="simulate hosts of R ranks each (enables the ssar_hier rows)",
-    )
 
     cal = sub.add_parser(
         "calibrate",
@@ -100,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
             "sparse merge and the launch+join cost of a background "
             "collective; fit per-tier alpha/beta by least relative error, "
             "gamma from the merge, and write the tiered model as JSON. Load "
-            "it anywhere a --network flag is accepted with 'calibrated:<path>'."
+            "it with CostModel.resolve('calibrated:<path>') or "
+            "examples/quickstart.py --network calibrated:<path>."
         ),
     )
     cal.add_argument(
@@ -232,31 +171,10 @@ def main(argv: list[str] | None = None) -> int:
             f"  launch: backend={fits['launch']['backend']}  "
             f"{model.launch * 1e6:.0f}us per background collective"
         )
-        print(f"wrote {path}  (load with --network calibrated:{path})")
-        return 0
-
-    if args.command == "sweep-nodes":
-        # validate the network spec up front for an argparse-style error
-        try:
-            resolve_network(args.network)
-        except ValueError as exc:
-            print(f"--network: {exc}", file=sys.stderr)
-            return 2
-        points = sweep_node_counts(
-            args.nodes,
-            dimension=args.dimension,
-            density=args.density,
-            network=args.network,
-            algorithms=args.algorithms,
-            seed=args.seed,
-            backend=args.backend,
-            ranks_per_node=args.ranks_per_node,
-        )
         print(
-            f"reduction time vs node count (N={args.dimension}, "
-            f"d={args.density:.3%}, {args.network})"
+            f"wrote {path}  (load with CostModel.resolve(\"calibrated:{path}\") "
+            f"or examples/quickstart.py --network calibrated:{path})"
         )
-        print(_render_points(points))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

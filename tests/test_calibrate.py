@@ -249,6 +249,7 @@ class TestRunCalibration:
         assert main(["calibrate", "--out", str(out), "--name", "clifit"]) == 0
         stdout = capsys.readouterr().out
         assert "clifit" in stdout and "shmem" in stdout and "wrote" in stdout
+        assert f'CostModel.resolve("calibrated:{out}")' in stdout
         loaded = load_network(out)
         assert loaded.name == "clifit"
         assert (loaded.intra.beta, loaded.inter.alpha) == (fitted.intra.beta, fitted.inter.alpha)

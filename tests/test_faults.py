@@ -460,7 +460,23 @@ def _nested_launch_prog(comm):
         return ("failed", exc.rank)
 
 
+def _proxy_state_prog(comm):
+    """What a split, a shrunk world and a split of it report of the
+    backend's fault plan and abort flag."""
+    sub, world = comm.split(0), comm.shrink()
+    return (
+        sub.fault_plan, world.fault_plan, world.split(0).fault_plan,
+        sub.aborted is comm.aborted, world.aborted is comm.aborted,
+    )
+
+
 class TestFailurePropagationThroughProxies:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_proxies_report_the_backend_fault_plan_and_abort_flag(self, backend):
+        plan = FaultPlan(seed=1, delay_rate=0.1, delay_s=1e-4)
+        out = run_ranks(_proxy_state_prog, 2, backend=backend, fault_plan=plan)
+        assert out.results == [(plan, plan, plan, True, True)] * 2
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_subcommunicator_surfaces_rank_failure(self, backend):
         """Ranks 0 and 2 form a group the victim is not in and never

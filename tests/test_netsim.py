@@ -494,3 +494,123 @@ class TestOverlap:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             overlap_step_time(-1.0, 1.0, True)
+
+
+def _executed(algorithm, nranks, dimension, nnz, seed=9000, topology=None):
+    """Run one allreduce on uniform random inputs (sparse or dense by the
+    algorithm's registry) and return its ``RunResult``, plus the exact sum."""
+    from repro.collectives import ALGORITHMS, dense_allreduce, sparse_allreduce
+    from repro.streams import SparseStream
+
+    def stream(rank):
+        gen = np.random.default_rng(seed + rank)
+        return SparseStream.random_uniform(dimension, nnz=nnz, rng=gen)
+
+    def prog(comm):
+        s = stream(comm.rank)
+        if algorithm in ALGORITHMS:
+            return sparse_allreduce(comm, s, algorithm=algorithm).to_dense()
+        return dense_allreduce(comm, s.to_dense(), algorithm)
+
+    expected = sum(stream(r).to_dense().astype(np.float64) for r in range(nranks))
+    return run_ranks(prog, nranks, topology=topology), expected
+
+
+class TestReplayOfExecutedAllreduces:
+    """The figure drivers' measurement composed from library pieces: an
+    allreduce executed by ``run_ranks``, its trace replayed under a network
+    that ``CostModel.resolve`` accepts (a model, a preset name or a
+    ``tiered:`` spec), against the simulated topology when there is one."""
+
+    def test_registries_hold_every_allreduce(self):
+        from repro.collectives import ALGORITHMS, DENSE_ALGORITHMS
+
+        assert set(ALGORITHMS) | set(DENSE_ALGORITHMS) == {
+            "ssar_rec_dbl", "ssar_split_ag", "ssar_ring", "ssar_hier",
+            "dsar_split_ag", "dsar_hier",
+            "dense_rabenseifner", "dense_ring", "dense_rec_dbl",
+        }
+        assert not set(ALGORITHMS) & set(DENSE_ALGORITHMS)
+
+    @pytest.mark.parametrize("algorithm", [
+        "ssar_rec_dbl", "ssar_split_ag", "ssar_ring", "ssar_hier",
+        "dsar_split_ag", "dsar_hier",
+        "dense_rabenseifner", "dense_ring", "dense_rec_dbl",
+    ])
+    def test_every_allreduce_sums_and_replays(self, algorithm):
+        from repro.costmodel import CostModel
+
+        net = CostModel.resolve("aries")
+        for P in (2, 4):
+            out, expected = _executed(algorithm, P, dimension=4096, nnz=40)
+            for result in out.results:
+                np.testing.assert_allclose(result, expected, rtol=1e-5, atol=1e-6)
+            assert out.trace.total_bytes_sent > 0 and out.trace.total_messages > 0
+            assert replay(out.trace, net).makespan > 0
+
+    def test_sparse_beats_dense_at_low_density(self):
+        from repro.costmodel import CostModel
+
+        net = CostModel.resolve("aries")
+        times = {
+            algo: replay(_executed(algo, 4, 1 << 16, 327)[0].trace, net).makespan
+            for algo in ("ssar_rec_dbl", "dense_rabenseifner")
+        }
+        assert times["ssar_rec_dbl"] < times["dense_rabenseifner"]
+
+    def test_model_object_is_replayed_as_given(self):
+        from repro.costmodel import CostModel
+
+        net = CostModel.resolve(ARIES.with_(alpha=1e-3))
+        out, _ = _executed("ssar_rec_dbl", 2, 1024, 10)
+        assert replay(out.trace, net).makespan >= 1e-3  # dominated by the huge alpha
+
+    def test_unknown_network_rejected(self):
+        from repro.costmodel import CostModel
+
+        with pytest.raises(ValueError, match="preset"):
+            CostModel.resolve("token-ring")
+
+    def test_same_seed_same_trace_and_time(self):
+        a, _ = _executed("ssar_rec_dbl", 2, 2048, 20, seed=7)
+        b, _ = _executed("ssar_rec_dbl", 2, 2048, 20, seed=7)
+        assert replay(a.trace, ARIES).makespan == replay(b.trace, ARIES).makespan
+        assert a.trace.total_bytes_sent == b.trace.total_bytes_sent
+
+    def test_tiered_spec_rewards_hierarchy_on_simulated_hosts(self):
+        from repro.costmodel import CostModel
+
+        net = CostModel.resolve("tiered:gige")
+        topo = Topology.uniform(8, 4)
+        times = {
+            algo: replay(
+                _executed(algo, 8, 1 << 14, 327, topology=topo)[0].trace, net, topology=topo
+            ).makespan
+            for algo in ("ssar_hier", "ssar_rec_dbl")
+        }
+        assert times["ssar_hier"] < times["ssar_rec_dbl"]
+
+    def test_tiered_preset_without_topology_runs_at_intra_rates(self):
+        from repro.costmodel import CostModel
+
+        net = CostModel.resolve("tiered_gige")
+        out, _ = _executed("ssar_rec_dbl", 2, 1024, 10)
+        # no simulated hosts: one host, so every message is priced intra
+        assert replay(out.trace, net).makespan == replay(out.trace, net.intra).makespan > 0
+
+    def test_dsar_hier_replays_on_tiered_ib_fdr(self):
+        from repro.costmodel import CostModel
+
+        net = CostModel.resolve("tiered:ib_fdr")
+        topo = Topology.uniform(4, 2)
+        out, _ = _executed("dsar_hier", 4, 2048, 409, topology=topo)
+        assert out.trace.total_bytes_sent > 0
+        assert replay(out.trace, net, topology=topo).makespan > 0
+
+    def test_hier_sends_no_more_messages_than_rec_dbl_on_two_hosts(self):
+        topo = Topology.uniform(4, 2)
+        messages = {
+            algo: _executed(algo, 4, 2048, 20, topology=topo)[0].trace.total_messages
+            for algo in ("ssar_hier", "ssar_rec_dbl")
+        }
+        assert 0 < messages["ssar_hier"] <= messages["ssar_rec_dbl"]

@@ -238,6 +238,16 @@ class TestFailureHandling:
         with pytest.raises(TimeoutError):
             run_ranks(prog, 2, timeout=0.5)
 
+    def test_timeout_bounds_the_run_not_each_join(self):
+        # each rank alone finishes inside the timeout; the run does not
+        def staggered(comm):
+            time.sleep(0.2 * (comm.rank + 1))
+
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="within 0.3s"):
+            run_ranks(staggered, 3, timeout=0.3)
+        assert time.monotonic() - start < 0.3 + 0.15
+
     def test_invalid_nranks(self):
         with pytest.raises(ValueError):
             run_ranks(lambda c: None, 0)
