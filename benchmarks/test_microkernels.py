@@ -138,7 +138,17 @@ def test_kernel_sparse_into_dense(benchmark, sparse_pair, dense_vec):
 PARTITION = N // 4
 
 
-def test_kernel_dsar_dense_fold(benchmark):
+@pytest.fixture(params=["c", "numpy"])
+def scatter_path(request, monkeypatch):
+    """Time SUM's dense += sparse on the compiled scatter, then on ``np.add.at``."""
+    if request.param == "numpy":
+        monkeypatch.setattr(summation, "_KERNEL", None)
+    elif summation._KERNEL is None:
+        pytest.skip("the compiled scatter did not load (no cc or no cffi)")
+    return request.param
+
+
+def test_kernel_dsar_dense_fold(benchmark, scatter_path):
     """The owner side of DSAR's split phase: dense += sparse, four times."""
     gen = np.random.default_rng(4)
     pieces = [SparseStream.random_uniform(PARTITION, 65_536, gen) for _ in range(4)]
@@ -161,9 +171,10 @@ def partition():
     return block
 
 
-@pytest.fixture(params=["c", "numpy"])
+@pytest.fixture(params=["simd", "c", "numpy"])
 def qsgd_path(request, monkeypatch):
-    """Time QSGD on the compiled per-entry passes, then on numpy.
+    """Time QSGD on the compiled per-entry passes with the AVX-512 codes
+    body, on the scalar body alone, then on numpy.
 
     An isolated loop re-faults the numpy path's 2 MB temporaries on every
     call, which a rank in the workload mostly does not: compare paths here,
@@ -173,6 +184,10 @@ def qsgd_path(request, monkeypatch):
         monkeypatch.setattr(qsgd, "_KERNEL", None)
     elif qsgd._KERNEL is None:
         pytest.skip("the compiled QSGD passes did not load (no cc or no cffi)")
+    elif request.param == "c":
+        monkeypatch.setattr(qsgd, "_KERNEL", qsgd._c_kernel(simd=False))
+    elif qsgd.qsgd_implementation() != "c-avx512":
+        pytest.skip("the CPU lacks avx512f or avx512vl: no AVX-512 codes body")
     return request.param
 
 

@@ -58,11 +58,11 @@ from ..quant import QSGDQuantizer
 from ..runtime.comm import COLLECTIVE_TAG, Communicator
 from ..runtime.nonblocking import i_collective
 from ..runtime.topology import Topology
-from ..streams import SparseStream, add_streams_, reduction_work_bytes
+from ..streams import SparseStream, add_streams_
 from ..streams.ops import SUM, ReduceOp
 from .dense import partition_bounds
 from .dsar import dsar_split_allgather
-from .sparse import _accumulator, _ensure_sparse, _owned, slice_stream, ssar_recursive_double
+from .sparse import _accumulator, _ensure_sparse, _merge_work, _owned, slice_stream, ssar_recursive_double
 
 __all__ = ["ssar_hierarchical", "dsar_hierarchical", "tree_reduce", "Hierarchy", "build_hierarchy"]
 
@@ -88,7 +88,7 @@ def tree_reduce(
             return None
         if comm.rank + mask < comm.size:
             incoming = comm.recv(comm.rank + mask, COLLECTIVE_TAG)
-            comm.compute(reduction_work_bytes(acc, incoming), "reduce")
+            comm.compute(_merge_work(acc, incoming), "reduce")
             # the received stream is ours alone (freshly decoded / copied
             # on send), so the reduction may adopt its arrays outright
             add_streams_(acc, incoming, op, own_other=True)

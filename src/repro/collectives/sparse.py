@@ -114,6 +114,16 @@ def _owned(result: SparseStream, stream: SparseStream) -> SparseStream:
     return result.copy() if result._values is stream._values else result
 
 
+def _merge_work(acc: SparseStream, incoming: SparseStream) -> int:
+    """:func:`~repro.streams.reduction_work_bytes` of one merge, read off the
+    stored pairs where both operands are sparse (every merge below
+    ``delta``), without its property calls."""
+    if acc._dense is None and incoming._dense is None:  # noqa: SLF001
+        pairs = len(acc._indices) + len(incoming._indices)  # noqa: SLF001
+        return pairs * (4 + acc._values.itemsize) * 2  # noqa: SLF001
+    return reduction_work_bytes(acc, incoming)
+
+
 def ssar_recursive_double(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> SparseStream:
     """SSAR_Recursive_double: pairwise exchange + sparse merge, log2(P) rounds.
 
@@ -127,7 +137,7 @@ def ssar_recursive_double(comm: Communicator, stream: SparseStream, op: ReduceOp
     comm.mark("ssar_rec_dbl")
 
     def combine(acc: SparseStream, incoming: SparseStream, label: str) -> SparseStream:
-        comm.compute(reduction_work_bytes(acc, incoming), label)
+        comm.compute(_merge_work(acc, incoming), label)
         # the received stream is ours alone (freshly decoded / copied on
         # send), so the reduction may adopt its arrays outright
         return add_streams_(acc, incoming, op, own_other=True)
@@ -224,7 +234,7 @@ def ssar_ring(comm: Communicator, stream: SparseStream, op: ReduceOp = SUM) -> S
     slices = [slice_stream(stream, int(bounds[i]), int(bounds[i + 1])) for i in range(P)]
 
     def merge(acc: SparseStream, incoming: SparseStream, label: str) -> SparseStream:
-        comm.compute(reduction_work_bytes(acc, incoming), label)
+        comm.compute(_merge_work(acc, incoming), label)
         # copy=False: the merged block is never mutated in place, only
         # re-sliced/concatenated, so view-aliasing on empty sides is safe
         idx, val = merge_sparse_pairs(

@@ -19,10 +19,31 @@
  * b = i / bucket throughout; the caller passes ceil(n / bucket) per-bucket
  * values (safe divisors, scales), a table of 256 entries or one per code,
  * and buffers of n entries.
+ *
+ * Two bodies of the stochastic codes, one result. qsgd_codes_*_simd runs
+ * an AVX-512 body where the CPU has avx512f and avx512vl (checked once,
+ * when the library loads; target attributes keep the compile line free of
+ * -march): eight entries a step, widened to float64, the sign bit
+ * cleared, then vdivpd by the bucket's divisor, vmulpd by levels, vaddpd
+ * of the noise, vminpd against levels -- separate IEEE operations in the
+ * scalar order, no FMA (the compile line has -ffp-contract=off) -- and a
+ * truncating convert with the sign bit ORed in. vminpd(r, levels) is
+ * r < levels ? r : levels, the scalar clip. A bucket's last n % 8
+ * entries, round-to-nearest (noise NULL) and every other CPU take the
+ * scalar body.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+
+/* the stochastic code of one entry */
+static inline uint8_t code_of(double x, double s, double levels, double noise,
+                              unsigned int sign_shift)
+{
+    double r = fabs(x) / s * levels + noise;
+    r = r < levels ? r : levels;
+    return (uint8_t)((unsigned int)r | (x < 0) << sign_shift);
+}
 
 #define DEFINE_QSGD(SUFFIX, T)                                              \
     void qsgd_codes_##SUFFIX(const void *x_, size_t n, size_t bucket,       \
@@ -37,12 +58,9 @@
             size_t hi = n - lo < bucket ? n : lo + bucket;                  \
             double s = safe[b];                                             \
             if (noise) {                                                    \
-                for (size_t i = lo; i < hi; i++) {                          \
-                    double r = fabs((double)x[i]) / s * levels + noise[i];  \
-                    r = r < levels ? r : levels;                            \
-                    codes[i] = (uint8_t)((unsigned int)r                    \
-                                         | (x[i] < 0) << sign_shift);       \
-                }                                                           \
+                for (size_t i = lo; i < hi; i++)                            \
+                    codes[i] = code_of(x[i], s, levels, noise[i],           \
+                                       sign_shift);                         \
             } else {                                                        \
                 for (size_t i = lo; i < hi; i++) {                          \
                     double r = nearbyint(fabs((double)x[i]) / s * levels);  \
@@ -71,3 +89,73 @@
 
 DEFINE_QSGD(f32, float)
 DEFINE_QSGD(f64, double)
+
+static int simd_ok; /* set once, when the library loads */
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define SIMD __attribute__((target("avx512f,avx512vl")))
+
+__attribute__((constructor)) static void detect_simd(void)
+{
+    __builtin_cpu_init();
+    simd_ok = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl");
+}
+
+/* eight entries at p, widened to float64 */
+SIMD static inline __m512d load8_f32(const float *p) { return _mm512_cvtps_pd(_mm256_loadu_ps(p)); }
+SIMD static inline __m512d load8_f64(const double *p) { return _mm512_loadu_pd(p); }
+
+#define DEFINE_QSGD_SIMD(SUFFIX, T)                                         \
+    SIMD static void codes_avx512_##SUFFIX(const void *x_, size_t n, size_t bucket, \
+                                           const void *safe_, double levels, \
+                                           const void *noise_,              \
+                                           unsigned int sign_shift, void *codes_) \
+    {                                                                       \
+        const T *x = x_;                                                    \
+        const double *safe = safe_, *noise = noise_;                        \
+        uint8_t *codes = codes_;                                            \
+        const __m512d top = _mm512_set1_pd(levels), zero = _mm512_setzero_pd(); \
+        const __m256i sign = _mm256_set1_epi32(1 << sign_shift);            \
+        for (size_t lo = 0, b = 0; lo < n; lo += bucket, b++) {             \
+            size_t hi = n - lo < bucket ? n : lo + bucket, i = lo;          \
+            const __m512d s = _mm512_set1_pd(safe[b]);                      \
+            for (; i + 8 <= hi; i += 8) {                                   \
+                __m512d v = load8_##SUFFIX(x + i);                          \
+                __m512d r = _mm512_div_pd(_mm512_abs_pd(v), s);             \
+                r = _mm512_add_pd(_mm512_mul_pd(r, top), _mm512_loadu_pd(noise + i)); \
+                __m256i c = _mm512_cvttpd_epi32(_mm512_min_pd(r, top));     \
+                c = _mm256_mask_or_epi32(c, _mm512_cmp_pd_mask(v, zero, _CMP_LT_OQ), \
+                                         c, sign);                          \
+                _mm_storel_epi64((__m128i *)(codes + i), _mm256_cvtepi32_epi8(c)); \
+            }                                                               \
+            for (; i < hi; i++)                                             \
+                codes[i] = code_of(x[i], safe[b], levels, noise[i], sign_shift); \
+        }                                                                   \
+    }
+
+DEFINE_QSGD_SIMD(f32, float)
+DEFINE_QSGD_SIMD(f64, double)
+#define AVX512_BODY(SUFFIX) codes_avx512_##SUFFIX
+#else
+#define AVX512_BODY(SUFFIX) qsgd_codes_##SUFFIX /* never taken: simd_ok stays 0 */
+#endif
+
+#define DEFINE_QSGD_DISPATCH(SUFFIX)                                        \
+    void qsgd_codes_##SUFFIX##_simd(const void *x, size_t n, size_t bucket, \
+                                    const void *safe, double levels,        \
+                                    const void *noise, unsigned int sign_shift, \
+                                    void *codes)                            \
+    {                                                                       \
+        (simd_ok && noise ? AVX512_BODY(SUFFIX) : qsgd_codes_##SUFFIX)(     \
+            x, n, bucket, safe, levels, noise, sign_shift, codes);          \
+    }
+
+DEFINE_QSGD_DISPATCH(f32)
+DEFINE_QSGD_DISPATCH(f64)
+
+/* 1 where qsgd_codes_*_simd runs the AVX-512 body on stochastic codes */
+int qsgd_simd(void)
+{
+    return simd_ok;
+}

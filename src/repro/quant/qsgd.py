@@ -26,9 +26,13 @@ the codes ``floor(|x| / norm * s + noise)`` with their sign bits, and the
 decode ``table[code] * scale`` rounded once into the output's dtype —
 written straight into a caller's buffer (``dequantize(block, out=...)``).
 Decoding reads a per-``bits`` table of ``sign * level / s`` (at most 256
-float64 entries, built at import). The C does only IEEE basic operations
-in numpy's order and is built without contraction or fast-math, so both
-passes equal the numpy path bit for bit. The numpy path — float16, an
+float64 entries, built at import). The stochastic codes have two bodies,
+chosen once at load (:func:`qsgd_implementation`): an AVX-512 one, eight
+entries a step, where the CPU has avx512f and avx512vl, and the scalar
+one for every other CPU, a bucket's last ``n % 8`` entries and
+round-to-nearest. The C does only IEEE basic operations in numpy's order
+and is built without contraction or fast-math, so every body equals the
+numpy path bit for bit. The numpy path — float16, an
 unaligned buffer, a read-only ``out``, or no compiler — is
 the reference the tests hold the kernels to and the fallback: bucket
 shaped, per-bucket values broadcast over a ``(buckets, B)`` view of the
@@ -46,7 +50,7 @@ from .._native import NATIVE
 from ..config import DEFAULT_QSGD_BUCKET, STREAM_HEADER_BYTES
 from .packing import pack_integers, unpack_integers
 
-__all__ = ["QuantizedBlock", "QSGDQuantizer", "quantization_variance_bound"]
+__all__ = ["QuantizedBlock", "QSGDQuantizer", "qsgd_implementation", "quantization_variance_bound"]
 
 #: largest bucket norm a float32 scale can carry
 _MAX_SCALE = float(np.finfo(np.float32).max)
@@ -62,12 +66,34 @@ def _decode_table(bits: int) -> np.ndarray:
 
 _DECODE = {bits: _decode_table(bits) for bits in (2, 4, 8)}
 
-#: ``(ffi, lib)`` holding ``_qsgd.c`` (built at import by :mod:`repro._native`),
-#: or None: the numpy path then does every entry. A name of this module's own,
-#: so that a test can switch this seam to numpy and leave the merge alone
-_KERNEL = NATIVE
-#: the value dtypes ``_qsgd.c`` has passes for, and their function-name suffixes
-_SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+
+def _c_kernel(simd: bool):
+    """``(ffi, {value dtype: codes pass}, {value dtype: decode pass}, name)``
+    of ``_qsgd.c``, for the value dtypes it has passes for (float32, float64).
+
+    With ``simd``, the codes go through ``qsgd_codes_*_simd``: the AVX-512
+    body for stochastic codes, the scalar one for round-to-nearest.
+    """
+    ffi, lib = NATIVE
+    suffixes = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+    body = "_simd" if simd else ""
+    codes = {dt: getattr(lib, f"qsgd_codes_{t}{body}") for dt, t in suffixes.items()}
+    decode = {dt: getattr(lib, f"qsgd_decode_{t}") for dt, t in suffixes.items()}
+    return ffi, codes, decode, "c-avx512" if simd else "c"
+
+
+#: ``_qsgd.c``'s passes (built at import by :mod:`repro._native`; the AVX-512
+#: codes body wherever the CPU has one), or None: the numpy path then does
+#: every entry. A name of this module's own, so that a test can switch this
+#: seam to numpy and leave the merge alone
+_KERNEL = NATIVE and _c_kernel(simd=bool(NATIVE[1].qsgd_simd()))
+
+
+def qsgd_implementation() -> str:
+    """Which codes pass :meth:`QSGDQuantizer.quantize` runs: ``"c-avx512"``
+    (the compiled passes with the AVX-512 codes body), ``"c"`` (the scalar
+    body only) or ``"numpy"``."""
+    return "numpy" if _KERNEL is None else _KERNEL[3]
 
 
 @dataclass(frozen=True)
@@ -173,11 +199,11 @@ class QSGDQuantizer:
             )
         safe = np.where(norms > 0, norms, 1.0)
         noise = self._rng.random(n) if self.stochastic else None
-        suffix = _KERNEL and vec.flags.aligned and _SUFFIX.get(vec.dtype)
-        if suffix:
-            ffi, lib = _KERNEL
+        encode = _KERNEL and vec.flags.aligned and _KERNEL[1].get(vec.dtype)
+        if encode:
+            ffi = _KERNEL[0]
             codes = np.empty(n, dtype=np.uint8)
-            getattr(lib, f"qsgd_codes_{suffix}")(
+            encode(
                 ffi.from_buffer(vec), n, B, ffi.from_buffer(safe), self.levels,
                 ffi.NULL if noise is None else ffi.from_buffer(noise), self.bits - 1,
                 ffi.from_buffer(codes),
@@ -233,10 +259,10 @@ class QSGDQuantizer:
                              f"got shape {block.scales.shape}")
         codes = unpack_integers(block.packed, block.bits, n)
         scales = block.scales.astype(np.float64)
-        suffix = _KERNEL and out.flags.behaved and _SUFFIX.get(out.dtype)
-        if suffix:
-            ffi, lib = _KERNEL
-            getattr(lib, f"qsgd_decode_{suffix}")(
+        decode = _KERNEL and out.flags.behaved and _KERNEL[2].get(out.dtype)
+        if decode:
+            ffi = _KERNEL[0]
+            decode(
                 ffi.from_buffer(codes), n, B, ffi.from_buffer(_DECODE[block.bits]),
                 ffi.from_buffer(scales), ffi.from_buffer(out),
             )

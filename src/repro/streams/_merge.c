@@ -1,16 +1,17 @@
 /*
- * The sparse + sparse merge of streams/summation.py (SparCML §5.1,
- * "Efficient Summation"), as one linear pass over two sorted runs of
- * (uint32 index, value) pairs.
+ * The two §5.1 ("Efficient Summation") passes of streams/summation.py
+ * that touch every pair: the sparse + sparse merge, one linear pass over
+ * two sorted runs of (uint32 index, value) pairs, and SUM's dense +=
+ * sparse scatter (scatter_add_*, at the end of this file).
  *
- * The kernel knows nothing of the reduction: a value is an opaque word of
+ * The merge knows nothing of the reduction: a value is an opaque word of
  * 2, 4 or 8 bytes, compared as an unsigned integer. It writes the sorted
  * union of the indices; where an index occurs in both runs it writes the
  * operand with the lower bits into that slot and records the slot's
  * position and the higher-bits operand in two side buffers, so the caller
  * combines the pairs with numpy's own ufunc. No floating-point arithmetic
- * happens here, which is what keeps the result bit-identical to the numpy
- * path for every operation, dtype and special value.
+ * happens in the merge, which is what keeps its result bit-identical to
+ * the numpy path for every operation, dtype and special value.
  *
  * Contract (summation.py checks it before calling):
  *   io, vo       capacity na + nb;
@@ -262,3 +263,46 @@ int merge_simd(void)
 {
     return simd_ok;
 }
+
+/*
+ * SUM's dense += sparse: dense[idx[i]] += val[i] for i = 0 .. m-1, in that
+ * order, one IEEE add per pair with the dense entry as the first operand
+ * -- np.add.at's loop, so the bits are its bits: signed zeros, infinities,
+ * overflow to inf and, on x86, which NaN's payload survives (an SSE add
+ * keeps its first operand's). The only exception to "the op stays in
+ * numpy": SUM has no ordering question for C to get wrong, and ufunc.at
+ * spends ~2 ns a pair on dispatch around its one add.
+ *
+ * Contract (summation.py checks it before calling): every idx[i] is
+ * below the dense vector's length. Returns the floating-point exceptions
+ * the adds raised, 1 for invalid and 2 for overflow (the only two an add
+ * of two floats can raise besides inexact), so the caller reports them
+ * as numpy's add would.
+ */
+#include <fenv.h>
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#define ADD_INTO_f32(d, v) _mm_store_ss(d, _mm_add_ss(_mm_load_ss(d), _mm_load_ss(v)))
+#define ADD_INTO_f64(d, v) _mm_store_sd(d, _mm_add_sd(_mm_load_sd(d), _mm_load_sd(v)))
+#else
+#define ADD_INTO_f32(d, v) (*(d) = *(d) + *(v))
+#define ADD_INTO_f64(d, v) (*(d) = *(d) + *(v))
+#endif
+
+#define DEFINE_SCATTER(SUFFIX, T)                                           \
+    int scatter_add_##SUFFIX(void *dense_, const void *idx_,                \
+                             const void *val_, size_t m)                    \
+    {                                                                       \
+        T *dense = dense_;                                                  \
+        const uint32_t *idx = idx_;                                         \
+        const T *val = val_;                                                \
+        feclearexcept(FE_INVALID | FE_OVERFLOW);                            \
+        for (size_t i = 0; i < m; i++)                                      \
+            ADD_INTO_##SUFFIX(dense + idx[i], val + i);                     \
+        int raised = fetestexcept(FE_INVALID | FE_OVERFLOW);                \
+        return (raised & FE_INVALID ? 1 : 0) | (raised & FE_OVERFLOW ? 2 : 0); \
+    }
+
+DEFINE_SCATTER(f32, float)
+DEFINE_SCATTER(f64, double)

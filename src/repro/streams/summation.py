@@ -21,6 +21,11 @@ carries the value inside it — plus a collapse of the duplicate pairs: the
 reference the tests hold the kernel to, and the fallback wherever the
 kernel could not be built (no ``cffi``, no C compiler). Case 4 stays on
 :func:`_sorted_runs`, whose timsort takes in-order partitions in one pass.
+Case 2 is ``op.ufunc.at``, except under SUM: there ``_merge.c`` also
+holds the scatter, ``np.add.at``'s own loop of one IEEE add per pair
+without its per-pair dispatch (:func:`_scatter_into`) — the one place a
+kernel does a reduction's arithmetic, since SUM's add leaves C nothing
+to order differently from numpy.
 All kernels operate on :class:`~repro.streams.stream.SparseStream` and keep
 its invariants (sorted unique ``uint32`` indices, values in the stream's
 dtype).
@@ -89,13 +94,14 @@ def _sorted_runs(
 
 
 def _c_kernel(simd: bool):
-    """``(buffer -> char[] cdata, {value dtype: merge function}, name)`` of
-    ``_merge.c``.
+    """``(buffer -> char[] cdata, {value dtype: merge function}, name,
+    {value dtype: SUM scatter})`` of ``_merge.c``.
 
     The conversion is ``ffi.from_buffer`` without its Python-level
     wrapper: cffi's own backend function, bound to ``char[]`` once.
     With ``simd``, float32 merges go through ``merge_pairs_w4_simd``: the
-    AVX-512 body from ``SIMD_MIN`` pairs up, the scalar one below.
+    AVX-512 body from ``SIMD_MIN`` pairs up, the scalar one below. The
+    scatter has one body.
     """
     ffi, lib = NATIVE
     table = {
@@ -104,9 +110,10 @@ def _c_kernel(simd: bool):
     }
     if simd:
         table[np.dtype(np.float32)] = lib.merge_pairs_w4_simd
+    scatter = {np.dtype(np.float32): lib.scatter_add_f32, np.dtype(np.float64): lib.scatter_add_f64}
     from _cffi_backend import from_buffer  # loaded with cffi: NATIVE is not None
 
-    return partial(from_buffer, ffi.typeof("char[]")), table, "c-avx512" if simd else "c"
+    return partial(from_buffer, ffi.typeof("char[]")), table, "c-avx512" if simd else "c", scatter
 
 
 #: the compiled merge (built at import by :mod:`repro._native`; its AVX-512
@@ -242,8 +249,47 @@ def _scatter_into(dense: np.ndarray, sparse: SparseStream, op: ReduceOp) -> None
     One unbuffered pass: a stream's indices are unique, so ``ufunc.at``
     applies the same ufunc to the same operand pair as a gather, ``op``
     and scatter would, without widening the indices or two temporaries.
+
+    SUM into a writable, aligned float32 or float64 vector runs
+    ``_merge.c``'s scatter instead, once every index is known to be in
+    range: ``np.add.at``'s loop — one IEEE add per pair, in its order,
+    the dense entry first — without its ~2 ns of dispatch per pair, so
+    the bits are ``np.add.at``'s, and an invalid or overflowing add is
+    reported as numpy's add reports it, under the caller's
+    ``np.errstate``. Every other case stays on ``ufunc.at``: MAX, MIN,
+    PROD and custom ops, float16, a read-only or strided target, an
+    out-of-range index (``ufunc.at`` raises ``IndexError`` before it
+    writes anything) and a build without the kernel.
     """
-    op.ufunc.at(dense, sparse.indices, sparse.values)
+    idx, val = sparse.indices, sparse.values
+    scatter = op is SUM and _KERNEL and _KERNEL[3].get(dense.dtype)
+    if (
+        scatter and dense.flags.behaved and idx.dtype == INDEX_DTYPE
+        and val.dtype == dense.dtype and val.size == idx.size
+        and idx.size and idx.max() < dense.size
+    ):
+        buf = _KERNEL[0]
+        try:
+            raised = scatter(buf(dense), buf(idx), buf(val), idx.size)
+        except ValueError:  # a strided array: the kernel reads contiguous ones only
+            pass
+        else:
+            if raised:
+                _report_fp_errors(raised, dense.dtype)
+            return
+    op.ufunc.at(dense, idx, val)
+
+
+def _report_fp_errors(raised: int, dtype: np.dtype) -> None:
+    """Signal what the compiled scatter's adds raised (1: invalid, 2:
+    overflow) the way ``np.add`` does — a warning, an error or nothing, as
+    ``np.errstate`` says — by repeating one add that raises the same."""
+    if raised & 2:  # numpy reports overflow before invalid
+        top = np.full(1, np.finfo(dtype).max, dtype)
+        np.add(top, top)
+    if raised & 1:
+        inf = np.full(1, np.inf, dtype)
+        np.add(inf, -inf)
 
 
 def add_streams(a: SparseStream, b: SparseStream, op: ReduceOp = SUM) -> SparseStream:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import re
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,21 @@ from repro.streams import SparseStream, reduce_streams
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def cpu_has_flags(*flags: str) -> bool:
+    """True where ``/proc/cpuinfo`` lists every one of ``flags`` (what a
+    compiled seam's SIMD body needs)."""
+    try:
+        listed = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return all(re.search(rf"\b{flag}\b", listed) for flag in flags)
+
+
+def compiler_and_cffi() -> bool:
+    """True where the compiled seams can be built: ``cc`` on ``PATH`` and ``cffi``."""
+    return bool(shutil.which("cc") and importlib.util.find_spec("cffi"))
 
 
 def make_rank_stream(

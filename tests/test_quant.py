@@ -1,12 +1,10 @@
 """Tests for QSGD quantization and bit packing (§6).
 
-Every test here runs twice: on the compiled per-entry passes and on the
-numpy path (the kernel handle monkeypatched away), which the compiled ones
-must match bit for bit.
+Every test here runs three times: on the compiled per-entry passes with
+the AVX-512 codes body, on the scalar body alone, and on the numpy path
+(the kernel handle monkeypatched away), which both compiled bodies must
+match bit for bit.
 """
-
-import importlib.util
-import shutil
 
 import numpy as np
 import pytest
@@ -22,10 +20,12 @@ from repro.quant import (
     unpack_integers,
 )
 
+from conftest import compiler_and_cffi, cpu_has_flags
 
-@pytest.fixture(scope="module", autouse=True, params=["c", "numpy"])
+
+@pytest.fixture(scope="module", autouse=True, params=["simd", "c", "numpy"])
 def qsgd_path(request):
-    """Which per-entry pass :class:`QSGDQuantizer` runs on for this module pass."""
+    """Which per-entry passes :class:`QSGDQuantizer` runs on for this module pass."""
     if request.param == "numpy":
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qsgd, "_KERNEL", None)
@@ -33,11 +33,19 @@ def qsgd_path(request):
         return
     if qsgd._KERNEL is None:
         # CI must not test the numpy path twice without saying so
-        assert not (shutil.which("cc") and importlib.util.find_spec("cffi")), (
-            "cc and cffi are present but the compiled QSGD passes did not load"
-        )
+        assert not compiler_and_cffi(), "cc and cffi are present but the compiled QSGD passes did not load"
         pytest.skip("no C compiler or no cffi: the numpy path is the only one")
-    yield request.param
+    if request.param == "simd":
+        if qsgd.qsgd_implementation() != "c-avx512":
+            assert not (compiler_and_cffi() and cpu_has_flags("avx512f", "avx512vl")), (
+                "cc, cffi, avx512f and avx512vl are present but the AVX-512 codes body did not load"
+            )
+            pytest.skip("the CPU lacks avx512f or avx512vl: the scalar codes body is the only C body")
+        yield request.param
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsgd, "_KERNEL", qsgd._c_kernel(simd=False))
+        yield request.param
 
 
 class TestPacking:
@@ -289,7 +297,7 @@ class TestBothPathsAgree:
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_bitwise_at_scale(self, bits, dtype, stochastic, qsgd_path, monkeypatch):
         if qsgd_path == "numpy":
-            pytest.skip("compares the c path with the numpy path: runs on the c pass")
+            pytest.skip("compares a compiled body with the numpy path: runs on the c passes")
         gen = np.random.default_rng(bits)
         for n in self.LENGTHS:
             vector = _scale_vector(n, dtype, gen)
@@ -312,6 +320,63 @@ class TestBothPathsAgree:
         out = _unaligned(np.zeros(block.length, dtype))
         assert q.dequantize(block, out=out) is out
         assert out.tobytes() == q.dequantize(block).tobytes()
+
+
+def _hard_buckets(bucket, dtype, gen):
+    """Buckets of ``bucket`` entries whose codes an eight-wide body could
+    get wrong: random entries with signed zeros, an all-zero bucket (safe
+    divisor 1), an all-negative-zero bucket, a bucket whose one non-zero
+    is its norm (ratio exactly 1: r = levels + noise, clipped), and a
+    bucket of four entries of equal magnitude (ratio exactly 1/2: a
+    half-integer r, the tie of round-to-nearest) with zeros after."""
+    spread = gen.standard_normal(bucket) * np.exp(gen.uniform(-6, 6, bucket))
+    spread[gen.random(bucket) < 0.3] = 0.0
+    spread[gen.random(bucket) < 0.1] = -0.0
+    single = np.zeros(bucket)
+    single[bucket // 2] = -3.0
+    quad = np.zeros(bucket)
+    quad[:4] = [1.5, -1.5, 1.5, -1.5][: bucket]
+    parts = [spread, np.zeros(bucket), np.full(bucket, -0.0), single, quad]
+    return np.concatenate(parts).astype(dtype)
+
+
+class TestEveryCodesBodyAgrees:
+    """The fixture's codes body against the numpy path, bit for bit, where
+    eight entries a step and a scalar loop could part: lengths below eight
+    and ragged tails (n % 8 != 0, buckets of n % 8 != 0), zero-norm
+    buckets, negative zeros, entries exactly on a level or half a level."""
+
+    @staticmethod
+    def encode(vector, bits, bucket, stochastic):
+        q = QSGDQuantizer(bits=bits, bucket_size=bucket, seed=len(vector), stochastic=stochastic)
+        return q.quantize(vector).packed.tobytes(), q._rng.bit_generator.state
+
+    @pytest.mark.parametrize("stochastic", [True, False], ids=["stochastic", "nearest"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_against_numpy(self, bits, dtype, stochastic, monkeypatch):
+        gen = np.random.default_rng(bits)
+        for bucket in (1, 3, 4, 7, 8, 12, 16, 21, 64, 512):
+            full = _hard_buckets(bucket, dtype, gen)
+            for n in sorted({1, 2, 5, 7, 8, 9, 15, 17, bucket + 3, full.size - 1, full.size}):
+                vector = full[:n]
+                got = self.encode(vector, bits, bucket, stochastic)
+                with monkeypatch.context() as patch:
+                    patch.setattr(qsgd, "_KERNEL", None)
+                    want = self.encode(vector, bits, bucket, stochastic)
+                assert got == want, (bucket, n)
+
+    def test_level_boundaries_land_where_the_formula_says(self):
+        """Ratio 1 clips at ``levels``; ratio 1/2 rounds half to even."""
+        q = QSGDQuantizer(bits=4, bucket_size=8, seed=0, stochastic=False)
+        vector = np.array([0, 0, 0, -2.0, 0, 0, 0, 0] + [1.5, -1.5, 1.5, -1.5, 0, 0, 0, 0], np.float32)
+        codes = unpack_integers(q.quantize(vector).packed, 4, 16)
+        assert codes.tolist() == [0, 0, 0, 8 | 7, 0, 0, 0, 0] + [4, 8 | 4, 4, 8 | 4, 0, 0, 0, 0]
+        stochastic = QSGDQuantizer(bits=4, bucket_size=8, seed=0)
+        assert unpack_integers(stochastic.quantize(vector).packed, 4, 16)[3] == 8 | 7
+
+    def test_the_seam_names_the_body_it_runs(self, qsgd_path):
+        assert qsgd.qsgd_implementation() == {"simd": "c-avx512", "c": "c", "numpy": "numpy"}[qsgd_path]
 
 
 class TestQSGD:

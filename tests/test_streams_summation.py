@@ -2,14 +2,14 @@
 
 Every test here runs three times: on the compiled merge with its AVX-512
 body, on its scalar body alone, and on the numpy path (the kernel handle
-monkeypatched), which both compiled bodies must match bit for bit.
+monkeypatched), which both compiled bodies must match bit for bit. SUM's
+dense += sparse scatter runs compiled on the first two passes and on
+``np.add.at`` on the third.
 """
 
-import importlib.util
 import os
-import re
-import shutil
 import subprocess
+import warnings
 import sys
 from pathlib import Path
 
@@ -35,21 +35,7 @@ from repro.streams import (
 )
 from repro.streams import stream as stream_mod
 
-
-SIMD_FLAGS = ("avx512f", "avx512vl", "bmi2")
-
-
-def _cpu_has_simd_flags() -> bool:
-    """True where ``/proc/cpuinfo`` lists every flag the AVX-512 merge needs."""
-    try:
-        flags = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return False
-    return all(re.search(rf"\b{flag}\b", flags) for flag in SIMD_FLAGS)
-
-
-def _compiler_and_cffi() -> bool:
-    return bool(shutil.which("cc") and importlib.util.find_spec("cffi"))
+from conftest import compiler_and_cffi, cpu_has_flags
 
 
 @pytest.fixture(scope="module", autouse=True, params=["simd", "c", "numpy"])
@@ -62,11 +48,11 @@ def merge_path(request):
         return
     if summation._KERNEL is None:
         # CI must not test the numpy path twice without saying so
-        assert not _compiler_and_cffi(), "cc and cffi are present but the compiled merge did not load"
+        assert not compiler_and_cffi(), "cc and cffi are present but the compiled merge did not load"
         pytest.skip("no C compiler or no cffi: the numpy path is the only one")
     if request.param == "simd":
         if summation.merge_implementation() != "c-avx512":
-            assert not (_compiler_and_cffi() and _cpu_has_simd_flags()), (
+            assert not (compiler_and_cffi() and cpu_has_flags("avx512f", "avx512vl", "bmi2")), (
                 "cc, cffi and avx512f/avx512vl/bmi2 are present but the AVX-512 merge did not load"
             )
             pytest.skip("the CPU lacks avx512f, avx512vl or bmi2: the scalar merge is the only C body")
@@ -497,6 +483,133 @@ def test_dense_plus_sparse_matches_gather_op_scatter_bit_for_bit(dtype, op):
         acc = SparseStream(DIM, dense=dense, value_dtype=dtype)
         add_streams_(acc, _stream(DIM, idx, val, dtype), op)
     assert acc.dense_payload.tobytes() == want.tobytes()
+
+
+def _nan(dtype, payload, negative=False):
+    """A quiet NaN of ``dtype`` carrying ``payload`` in its low mantissa bits."""
+    width = np.dtype(dtype).itemsize * 8
+    bits = np.array([-1], f"i{width // 8}").view(f"u{width // 8}") >> np.uint8(1)
+    info = np.finfo(dtype)
+    quiet = (bits >> np.uint8(info.nmant)) << np.uint8(info.nmant)  # exponent all ones
+    quiet |= np.array([1 << (info.nmant - 1) | payload], quiet.dtype)
+    if negative:
+        quiet |= np.array([1 << (width - 1)], quiet.dtype)
+    return quiet.view(dtype)[0]
+
+
+def _scatter_case(dtype, gen):
+    """A dense vector and a stream salted with what an add can disagree on:
+    signed zeros, infinities of both signs, subnormals, NaNs with payloads
+    on either side (and on both sides of one add), and sums past the
+    largest finite value."""
+    dense = _special_values(dtype, DIM, gen)
+    idx = np.sort(gen.choice(DIM, 900, replace=False)).astype(np.uint32)
+    val = _special_values(dtype, idx.size, gen)
+    top = np.finfo(dtype).max
+    dense[idx[:20]], val[20:40] = _nan(dtype, 5), _nan(dtype, 9, negative=True)
+    dense[idx[40:60]], val[40:60] = _nan(dtype, 3, negative=True), _nan(dtype, 6)
+    dense[idx[60:80]], val[60:80] = top, top  # overflow to +inf
+    dense[idx[80:100]], val[80:100] = -0.0, -0.0
+    return dense, idx, val
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+def test_sum_scatter_is_np_add_at_bit_for_bit(dtype):
+    """§5.1 case 2 under SUM: the bits and the floating-point warnings of
+    ``np.add.at`` on every value an IEEE add treats specially."""
+    dense, idx, val = _scatter_case(dtype, np.random.default_rng(37))
+    want = dense.copy()
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        np.add.at(want, idx, val)
+    acc = SparseStream(DIM, dense=dense, value_dtype=dtype)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        add_streams_(acc, _stream(DIM, idx, val, dtype))
+    assert acc.dense_payload.tobytes() == want.tobytes()
+    assert [str(w.message) for w in got] == [str(w.message) for w in expected]
+    assert len(expected) == 2  # overflow and invalid (inf - inf) both occurred
+
+
+def test_sum_scatter_honours_np_errstate():
+    dense, idx, val = _scatter_case(np.float32, np.random.default_rng(38))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        summation._scatter_into(dense, _stream(DIM, idx, val), SUM)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summation._scatter_into(dense, _stream(DIM, idx, val), SUM)
+
+
+def _record_scatters(monkeypatch) -> list:
+    """Stand a recorder in for each compiled scatter; returns the calls list."""
+    calls = []
+
+    def recorded(scatter):
+        def record(*args):
+            calls.append(args)
+            return scatter(*args)
+        return record
+
+    if summation._KERNEL is not None:
+        buf, merges, name, scatters = summation._KERNEL
+        recorders = {dt: recorded(scatter) for dt, scatter in scatters.items()}
+        monkeypatch.setattr(summation, "_KERNEL", (buf, merges, name, recorders))
+    return calls
+
+
+@pytest.mark.parametrize("op", [SUM, MAX, MIN, PROD, HYPOT], ids=str)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+def test_only_sum_on_float32_or_float64_takes_the_compiled_scatter(dtype, op, merge_path, monkeypatch):
+    """Every other op (a custom one too) and float16 stay on ``ufunc.at``."""
+    calls = _record_scatters(monkeypatch)
+    gen = np.random.default_rng(39)
+    dense = np.abs(gen.standard_normal(DIM)).astype(dtype) + 1
+    idx = np.sort(gen.choice(DIM, 300, replace=False)).astype(np.uint32)
+    val = np.abs(gen.standard_normal(idx.size)).astype(dtype) + 1
+    want = dense.copy()
+    op.ufunc.at(want, idx, val)
+    summation._scatter_into(dense, _stream(DIM, idx, val, dtype), op)
+    assert dense.tobytes() == want.tobytes()
+    assert len(calls) == (merge_path != "numpy" and op is SUM and dtype != np.float16)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+def test_scatter_out_of_range_index_raises_and_writes_nothing(dtype):
+    gen = np.random.default_rng(40)
+    dense = gen.standard_normal(100).astype(dtype)
+    before = dense.tobytes()
+    for bad in ([3, 50, 100], [100, 3, 50], [7, 4_000_000_000]):  # last, first, far
+        stream = SparseStream(1 << 32, indices=np.array(bad, np.uint32),
+                              values=np.ones(len(bad), dtype), value_dtype=dtype, copy=False)
+        with pytest.raises(IndexError, match="out of bounds"):
+            summation._scatter_into(dense, stream, SUM)
+        assert dense.tobytes() == before
+
+
+def _outcome(scatter, target):
+    """What ``scatter(target)`` leaves: the target's bytes, or the error it raised."""
+    try:
+        scatter(target)
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        return type(error), str(error)
+    return target.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+def test_scatter_into_read_only_or_strided_target_is_ufunc_at(dtype, monkeypatch):
+    calls = _record_scatters(monkeypatch)
+    idx = np.array([1, 4, 9], np.uint32)
+    stream = _stream(20, idx, np.random.default_rng(41).standard_normal(3).astype(dtype), dtype)
+
+    def read_only():
+        target = np.zeros(20, dtype)
+        target.flags.writeable = False
+        return target
+
+    for make in (read_only, lambda: np.zeros(40, dtype)[::2]):
+        want = _outcome(lambda target: np.add.at(target, idx, stream.values), make())
+        assert _outcome(lambda target: summation._scatter_into(target, stream, SUM), make()) == want
+    assert calls == []
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)

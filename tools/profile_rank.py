@@ -4,8 +4,10 @@ Forks a world on a process-family backend, runs a few untimed warm-up
 steps and a barrier, then samples every rank's CPU while it runs
 ``--steps`` blocking sparse allreduces of one ``--nnz``-pair float32
 stream per rank (the shape of ``bench/run.py --workload latency_bound``
-by default). Prints, per function, its self and inclusive CPU in µs per
-rank per step, summed over ranks and divided by them.
+by default; ``--qsgd-bits`` passes every step a seeded
+``QSGDQuantizer(bits, 512)``, the dense stage of ``dense_quant``). Prints,
+per function, its self and inclusive CPU in µs per rank per step, summed
+over ranks and divided by them.
 
 How it samples: an ``ITIMER_PROF`` timer raises ``SIGPROF`` per
 millisecond of the process's CPU time (user + system), so a rank asleep
@@ -25,6 +27,7 @@ samples. Read a tiny function's self time as its caller's.
     python tools/profile_rank.py                         # latency_bound's shape, 6 000 steps
     python tools/profile_rank.py --steps 300 --top 10    # a quick look
     python tools/profile_rank.py --backend shmem --nnz 4096 --algorithm ssar_split_ag
+    python tools/profile_rank.py --nnz 262144 --algorithm dsar_split_ag --qsgd-bits 8  # dense_quant's shape
 """
 
 from __future__ import annotations
@@ -41,13 +44,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro import SparseStream, run_ranks, sparse_allreduce  # noqa: E402
+from repro.quant import QSGDQuantizer  # noqa: E402
 
 BACKENDS = ("process", "shmem", "socket")
 WARMUP_STEPS = 3
 #: ``ITIMER_PROF`` period (s); the kernel's tick caps the rate it gets
 INTERVAL_S = 0.001
-#: seeds each rank's stream, ``default_rng([SEED, rank])``
+#: seeds each rank's stream, ``default_rng([SEED, rank])``, and its quantizer
 SEED = 7
+#: entries per QSGD bucket with ``--qsgd-bits`` (``dense_quant``'s)
+QSGD_BUCKET = 512
 
 
 def _where(code) -> str:
@@ -60,8 +66,9 @@ def _rank(comm, args: argparse.Namespace) -> dict:
     stream = SparseStream.random_uniform(
         args.dimension, args.nnz, np.random.default_rng([SEED, comm.rank])
     )
+    quantizer = QSGDQuantizer(args.qsgd_bits, QSGD_BUCKET, seed=SEED) if args.qsgd_bits else None
     for _ in range(WARMUP_STEPS):
-        sparse_allreduce(comm, stream, algorithm=args.algorithm)
+        sparse_allreduce(comm, stream, algorithm=args.algorithm, quantizer=quantizer)
     comm.barrier()
     own, inclusive, loop = Counter(), Counter(), _rank.__code__
 
@@ -82,7 +89,7 @@ def _rank(comm, args: argparse.Namespace) -> dict:
     signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
     try:
         for _ in range(args.steps):
-            sparse_allreduce(comm, stream, algorithm=args.algorithm)
+            sparse_allreduce(comm, stream, algorithm=args.algorithm, quantizer=quantizer)
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0, 0)
         cpu = time.process_time() - cpu
@@ -136,13 +143,16 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--dimension", type=int, default=1 << 20)
     parser.add_argument("--algorithm", default="ssar_rec_dbl")
     parser.add_argument("--steps", type=int, default=6000)
+    parser.add_argument("--qsgd-bits", type=int, choices=(0, 2, 4, 8), default=0,
+                        help="QSGD bits of every step's quantizer (0: none)")
     parser.add_argument("--top", type=int, default=30, help="rows per table")
     args = parser.parse_args(argv)
     if args.steps < 1 or args.nranks < 2:
         parser.error("--steps must be >= 1 and --nranks >= 2")
     out = profile(args)
+    quantized = f", QSGD {args.qsgd_bits} bit / {QSGD_BUCKET}" if args.qsgd_bits else ""
     print(
-        f"{args.backend}, P = {args.nranks}, {args.algorithm}, {args.nnz} nnz of "
+        f"{args.backend}, P = {args.nranks}, {args.algorithm}{quantized}, {args.nnz} nnz of "
         f"{args.dimension}: {args.steps} steps in {out['wall_s']:.1f} s, "
         f"{out['samples']} samples"
     )
