@@ -14,7 +14,8 @@
 #                           backends, communicator contexts, persistent
 #                           plans (fixed keys, progress threads) and the
 #                           flat channels of non-plan collectives, failure
-#                           propagation through proxies, the socket
+#                           propagation through proxies, exact failure
+#                           attribution after a kill, the socket
 #                           crash -> shrink -> rejoin cycle, whose rejoin
 #                           is the first join's path),
 #                           stopping at the first failure — the long version
@@ -68,6 +69,7 @@ soak:
 	    tests/test_socket_backend.py tests/test_process_backend.py tests/test_shmem_backend.py \
 	    tests/test_contexts.py tests/test_plans.py \
 	    "tests/test_faults.py::TestFailurePropagationThroughProxies" \
+	    "tests/test_faults.py::TestHierCollectivesUnderFaults::test_kill_surfaces_typed_error" \
 	    "tests/test_elastic.py::TestSocketRejoin" || exit 1; done
 
 smoke:

@@ -136,15 +136,12 @@ class GradientFuser:
         Keep appending tensors to the current bucket until it reaches this
         size (the last bucket may be smaller). 0 means one bucket per
         tensor (pure layer-wise communication).
-    value_itemsize:
-        Bytes per gradient element (4 for float32).
     """
 
     def __init__(
         self,
         tensor_sizes: list[tuple[str, int]],
         min_bucket_bytes: int = 1 << 20,
-        value_itemsize: int = 4,
     ) -> None:
         if not tensor_sizes:
             raise ValueError("tensor_sizes must not be empty")
@@ -161,7 +158,7 @@ class GradientFuser:
         for name, size in tensor_sizes:
             names.append(name)
             acc += size
-            if acc * value_itemsize >= min_bucket_bytes and acc > 0:
+            if acc * 4 >= min_bucket_bytes and acc > 0:  # float32, as :meth:`_segments` sends
                 self.buckets.append(
                     FusedBucket(len(self.buckets), start, start + acc, tuple(names))
                 )

@@ -78,7 +78,6 @@ class TopKSGDConfig:
     momentum: float = 0.0
     warmup_steps: int = 0
     quantizer_bits: int | None = None
-    quantizer_bucket: int = 512
     algorithm: str = "auto"
     seed: int = 0
     lr_decay: float = 0.0  # lr_t = lr / (1 + decay * t), Thm 4.1's schedule
@@ -141,7 +140,7 @@ def quantized_topk_sgd(
     quantizer = (
         QSGDQuantizer(
             bits=config.quantizer_bits,
-            bucket_size=config.quantizer_bucket,
+            bucket_size=512,  # QSGD's norm bucket, not top-k's ``bucket_size``
             seed=config.seed * 7919 + comm.rank,
         )
         if config.quantizer_bits is not None

@@ -48,8 +48,9 @@ the rank lifecycle (connect → ``fn(comm)`` → FIN → report → linger →
 close), result collection with the failure grace period, reaping, cleanup
 on a partial launch, and the trace merge. The transport says only what is
 its own: a :class:`~repro.runtime.mesh.Transport` (how the mesh is built
-and handed to a child, which ends the parent releases after forking, how
-a finished rank's inbound channels are drained, what to tear down) and a
+and handed to a child, which ends the parent releases after forking, what
+to tear down — a finished rank reads its own channels until its peers
+are done, so the parent never does) and a
 **channel class with four methods** — ``fileno``, ``setblocking``,
 ``send``, ``recv_into`` — whose instances it hands to the one
 communicator of the family, :class:`~repro.runtime.mesh.StreamComm`

@@ -51,11 +51,10 @@ What a transport supplies
 A backend is a :class:`MeshBackend` subclass whose ``_transport`` returns a
 :class:`Transport`: the parent-side mesh of one run. It says how the
 channels are built and handed to a child (``build`` / ``ends`` / ``own``
-/ ``connector``), which ends the parent must let go of after forking so
-that peer death shows as EOF (``release``), how a finished rank's inbound
-channels are kept from filling up (``finished`` / ``wait``), and what to
-tear down (``close``). The communicator it connects is a
-:class:`StreamComm` over **channel objects with four methods** —
+/ ``connector``), how the parent lets go of every mesh end after forking
+so that a rank's exit shows as EOF (``release``), and what to tear down
+(``close``); the parent never reads a channel. The communicator it
+connects is a :class:`StreamComm` over **channel objects with four methods** —
 ``fileno`` (what the engine polls), ``setblocking``, ``send`` and
 ``recv_into`` — sockets as they are, pipe ends behind
 :class:`~repro.runtime.process_backend._PipeEnd`.
@@ -67,6 +66,21 @@ FIN frame, flag the world aborted and unwind with
 :data:`_ERROR_GRACE_S` to finish, terminates stragglers and re-raises the
 lowest-ranked failure as :class:`RankError`, exactly like the thread
 backend.
+
+Leaving is collective, as MPI's finalize is: a launched rank that
+reported ``ok`` *or* ``aborted`` keeps reading its inbound channels
+(:meth:`StreamComm.linger`) until each has delivered FIN or EOF, so a
+peer's late buffered send completes, and only a rank's own death closes
+its channels. EOF is then a death signal with one source: the first
+peer to read it names the rank that failed, not one that merely unwound
+from that failure. Three exits stay immediate, because their EOF is the
+right signal: a rank that reports its own ``error``, a rank a fault plan
+kills, and a rank at which a stream broke mid-frame — it cut one of
+its own frames on ``op_timeout``, or read a corrupt or undecodable
+frame whose writer lives on, so no death's EOF will reach the other
+peers. The parent terminates every live rank once it holds the last
+report, so lingering adds no wall time; ``serve_rank``, which no parent
+reaps, lingers only after a clean finish.
 """
 
 from __future__ import annotations
@@ -105,9 +119,9 @@ __all__ = ["MeshBackend", "MeshWorld", "StreamComm", "Transport"]
 #: real post-shrink work before the parent reaps them.
 _ERROR_GRACE_S = 5.0
 
-#: how long a cleanly-finished rank keeps receiving after reporting its
-#: result, so peers' late buffered sends complete (seconds). Only
-#: transports nobody else can drain (TCP) linger at all.
+#: how long a finished or aborted rank keeps reading its inbound channels
+#: after reporting, waiting for each peer's FIN or EOF (seconds); the
+#: parent cuts it short once every rank has reported.
 _LINGER_S = 30.0
 
 #: frame tag of the graceful-shutdown marker a finishing rank sends on every
@@ -186,6 +200,11 @@ class StreamComm(Communicator):
         #: registered with the poller the engine waits on.
         self._watch: dict[int, tuple[Any, int]] = {}
         self._poller = select.poll()
+        #: set once a stream broke mid-frame at this rank — one of its own
+        #: frames cut on ``op_timeout``, or a corrupt stream it read, whose
+        #: writer lives on: only this rank's EOF tells its peers, so it does
+        #: not linger.
+        self._cut = False
         self._out, self._inn = out, inn
         self._out_locks = [threading.Lock() if c is not None else None for c in out]
         for channel in out:
@@ -227,6 +246,7 @@ class StreamComm(Communicator):
             # class this process cannot import, or a stream whose count
             # overruns its frame): fail fast, naming its writer, instead of
             # silently dropping it and hanging the run
+            self._cut = True
             self._abort(src, f"undecodable frame from rank {src}: {exc}")
             return False
         if epoch < self.epoch:
@@ -269,11 +289,14 @@ class StreamComm(Communicator):
                 pass
 
     def linger(self, timeout: float) -> None:
-        """Keep receiving after a clean finish until every peer has FINed.
-
-        A no-op where the parent drains a finished rank's inbound
-        channels (pipes); TCP connections have no third party.
-        """
+        """Keep reading until every inbound channel has delivered FIN or
+        EOF, or ``timeout`` passes: a peer's late buffered send to this
+        finished (or aborted) rank completes, and this rank's channels
+        close only when it is done. Not once a stream broke here
+        (:attr:`_cut`): this rank's EOF is then its peers' signal."""
+        deadline = time.monotonic() + timeout
+        while self._watch and not self._cut and time.monotonic() < deadline:
+            self._run_progress(_ABORT_POLL_S)
 
     def close(self) -> None:
         """Release the channels (process exit does it for pipes)."""
@@ -366,6 +389,7 @@ class StreamComm(Communicator):
             # nothing behind it on this stream can be trusted, and only its
             # writer can have sent it
             self._detach(fd)
+            self._cut = True
             self._abort(src, f"stream from rank {src} is corrupt: {exc}")
 
     def _run_progress(self, wait: float, writable: Any = None, want: tuple | None = None) -> Any:
@@ -497,6 +521,7 @@ class StreamComm(Communicator):
                     deadline = now + timeout
                 elif now >= deadline:  # the peer stopped reading
                     if sent:  # the stream is cut mid-frame: nothing can follow on it
+                        self._cut = True
                         self._abort()
                     raise CommTimeoutError.expired("send to", dest, key, tag, timeout)
                 wait = min(wait, deadline - now)
@@ -522,9 +547,11 @@ class Transport:
     """Parent-side mesh of one run: what a process-family backend supplies.
 
     :meth:`MeshBackend.run` drives it in this order: ``build`` → per rank
-    ``own`` / ``connector`` (fork) → ``release`` → ``finished`` / ``wait``
-    while collecting → ``close``. ``close`` also runs when ``build`` or a
-    fork raised part-way and must release whatever exists by then.
+    ``own`` / ``connector`` (fork) → ``release`` → ``close``. ``close``
+    also runs when ``build`` or a fork raised part-way and must release
+    whatever exists by then. Between ``release`` and ``close`` the parent
+    only collects reports: each rank reads its own inbound channels until
+    its peers are done (:meth:`StreamComm.linger`).
     """
 
     #: transport-specific fields of the run's :class:`MeshWorld`.
@@ -550,17 +577,8 @@ class Transport:
         raise NotImplementedError
 
     def release(self) -> None:
-        """After the last fork: let go of the parent's copies of the ends
-        whose closing is a rank's death signal."""
-
-    def finished(self, rank: int) -> None:
-        """``rank`` reported or died: nothing reads its inbound channels
-        anymore, so :meth:`wait` must keep them from filling up (a peer's
-        late buffered send would otherwise block forever)."""
-
-    def wait(self, conns: list[Connection], timeout: float | None) -> list[Connection]:
-        """The members of ``conns`` that became readable within ``timeout``."""
-        return conn_wait(conns, timeout=timeout)
+        """After the last fork: let go of the parent's copies of the mesh
+        ends, so that a rank's exit is its peers' EOF."""
 
     def close(self) -> None:
         """Tear the mesh down (idempotent; tolerates a partial build)."""
@@ -648,7 +666,7 @@ class MeshBackend(Backend):
                 mesh.release()
                 for _, w in result_pipes:
                     w.close()
-                outcome = _collect(procs, [r for r, _ in result_pipes], timeout, mesh)
+                outcome = _collect(procs, [r for r, _ in result_pipes], timeout)
             finally:
                 for p in procs:
                     if p.is_alive():
@@ -669,7 +687,6 @@ def _collect(
     procs: list[mp.Process],
     result_conns: list[Connection],
     timeout: float | None,
-    mesh: Transport,
 ) -> tuple[list[Any], list["tuple | None"], list[tuple[int, BaseException]], list[int]]:
     """Gather every rank's report: ``(results, trace exports, errors, aborted)``.
 
@@ -697,12 +714,9 @@ def _collect(
                 f"parallel run did not finish within {timeout}s "
                 f"(ranks {sorted(pending)} still pending; likely deadlock)"
             )
-        for conn in mesh.wait(list(pending.values()), wait_for):
+        for conn in conn_wait(list(pending.values()), wait_for):
             rank = next(r for r, c in pending.items() if c is conn)
             del pending[rank]
-            # finished or hard-dead, the rank reads nothing anymore: peers
-            # blocked sending to it must still get unstuck
-            mesh.finished(rank)
             try:
                 status, _r, value, exports[rank] = conn.recv()
             except (EOFError, OSError):
@@ -781,12 +795,15 @@ def _run_rank(
     shutdown → report → linger → close.
 
     With ``report`` (a launched child) the outcome is shipped as
-    ``ok``/``aborted``/``error`` and nothing propagates; without it (a
-    rank started by hand, ``serve_rank``) the result is returned and a
-    failure raises. Only a clean finish lingers: it keeps draining peers'
-    traffic until they FIN, so a late buffered send to this finished
-    rank never hits a reset connection.
+    ``ok``/``aborted``/``error`` and nothing propagates; both ``ok`` and
+    ``aborted`` linger (:meth:`StreamComm.linger`), so the rank stays
+    readable until its peers are done and only a rank's own death reads
+    as EOF. Without it (a rank started by hand, ``serve_rank``) the
+    result is returned and a failure raises at once: no parent reaps
+    such a rank, and aborted ranks send no FIN, so they would wait on
+    each other. Only a clean finish lingers there.
     """
+    status = "ok"
     try:
         try:
             result = fn(comm, *args, **(kwargs or {}))
@@ -795,13 +812,12 @@ def _run_rank(
         except BaseException as exc:  # noqa: BLE001 - must propagate rank errors
             if report is None:
                 raise
-            if isinstance(exc, WorldAbortedError):
-                report("aborted", None)
-            else:
+            if not isinstance(exc, WorldAbortedError):
                 report("error", _portable_exception(exc))
-            return None
+                return None
+            status, result = "aborted", None
         if report is not None:
-            report("ok", result)
+            report(status, result)
         comm.linger(_LINGER_S)
         return result
     finally:

@@ -15,10 +15,11 @@ this file is only the **pipe channel** (POSIX pipes: the engine
 
 * :class:`PipeMesh` — a full mesh of ``P * (P-1)`` unidirectional pipes,
   one row of write ends and one row of read ends per rank. After forking
-  the parent closes its write ends (so a reader sees EOF exactly when the
-  one writing rank dies) but keeps the read ends: a late buffered send to
-  an already-finished rank never hits EPIPE, and the parent drains those
-  pipes so such a send larger than the pipe capacity cannot block forever;
+  the parent closes every end, so each pipe has one writer and one reader:
+  a reader sees EOF exactly when the writing rank exits, a writer EPIPE
+  when the reading one does. A late buffered send to a finished rank
+  completes because that rank keeps reading until its peers are done
+  (:meth:`~repro.runtime.mesh.StreamComm.linger`);
 * :class:`ProcessComm` — the shared byte-stream communicator
   (:class:`~repro.runtime.mesh.StreamComm`: ``<u64 length><frame>``,
   non-blocking, read by whichever thread of the rank is blocked) over
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from multiprocessing.connection import Connection, wait as conn_wait
+from multiprocessing.connection import Connection
 from typing import Any
 
 from .backend import register_backend
@@ -74,23 +75,15 @@ class PipeMesh(Transport):
         self._nranks = nranks
         self.out: list[list[Connection | None]] = [[None] * nranks for _ in range(nranks)]
         self.inn: list[list[Connection | None]] = [[None] * nranks for _ in range(nranks)]
-        self._reads: list[Connection] = []
-        self._writes: list[Connection] = []
-        #: read ends of finished/dead ranks, drained by :meth:`wait`.
-        self._drainable: list[Connection] = []
 
     def build(self) -> None:
         for src in range(self._nranks):
             for dst in range(self._nranks):
                 if src != dst:
-                    r, w = self._ctx.Pipe(duplex=False)
-                    self._reads.append(r)
-                    self._writes.append(w)
-                    self.out[src][dst] = w
-                    self.inn[dst][src] = r
+                    self.inn[dst][src], self.out[src][dst] = self._ctx.Pipe(duplex=False)
 
     def ends(self) -> list:
-        return self._reads + self._writes
+        return [c for row in self.out + self.inn for c in row if c is not None]
 
     def own(self, rank: int) -> list:
         return [c for c in self.out[rank] + self.inn[rank] if c is not None]
@@ -99,46 +92,10 @@ class PipeMesh(Transport):
         return partial(ProcessComm, rank, self._nranks, self.out[rank], self.inn[rank])
 
     def release(self) -> None:
-        for w in self._writes:
-            w.close()
-
-    def finished(self, rank: int) -> None:
-        self._drainable.extend(c for c in self.inn[rank] if c is not None)
-
-    def wait(self, conns: list[Connection], timeout: float | None) -> list[Connection]:
-        ready = conn_wait(conns + self._drainable, timeout=timeout)
-        for conn in ready:
-            if conn in self._drainable and not _drain_raw(conn):
-                self._drainable.remove(conn)
-        return [c for c in ready if c in conns]
-
-    def close(self) -> None:
-        for c in self._reads + self._writes:
+        for c in self.ends():
             c.close()
 
-
-def _drain_raw(conn: Connection) -> bool:
-    """Discard whatever is readable on a finished rank's inbound pipe.
-
-    Raw non-blocking reads, never framed ones: the finished rank may have
-    consumed part of a frame before it stopped reading, and the parent's
-    job is only to keep the pipe from filling up (unblocking late buffered
-    senders) — the bytes are never interpreted. Returns False once the
-    pipe is exhausted for good (EOF or error), True if it may become
-    readable again.
-    """
-    try:
-        fd = conn.fileno()
-        os.set_blocking(fd, False)
-        while True:
-            try:
-                chunk = os.read(fd, 1 << 16)
-            except BlockingIOError:
-                return True  # drained what was there; writers may add more
-            if not chunk:
-                return False  # EOF: every writer is gone
-    except OSError:
-        return False  # closed: stop watching this pipe
+    close = release
 
 
 class ProcessBackend(MeshBackend):

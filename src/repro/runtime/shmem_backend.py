@@ -5,8 +5,8 @@ shared copy buffer for large ones; this backend is the same split. It
 **is** the process backend (:mod:`~repro.runtime.process_backend`: one OS
 process per rank, a full mesh of pipes, the byte-stream communicator of
 :mod:`~repro.runtime.mesh` with its inline progress engine, ``POLLOUT``
-back-pressure, EOF-as-death, the parent draining finished ranks' pipes),
-plus one :class:`Slab` per directed pair of ranks.
+back-pressure, EOF-as-death, finished ranks reading until their peers
+are done), plus one :class:`Slab` per directed pair of ranks.
 
 A send whose accounted size reaches :data:`SLAB_MIN_BYTES` copies the
 vectored :func:`~repro.runtime.wire.encode_frame_parts` parts once,

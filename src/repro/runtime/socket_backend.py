@@ -21,8 +21,7 @@ What this file supplies to the shared core
   into a reusable per-source buffer by whichever thread of the rank is
   blocked. A length word past :data:`~repro.runtime.wire.MAX_FRAME_BYTES`
   is corruption attributed to its sender, never an allocation. What is
-  TCP's own: lingering after a clean finish, closing, and wiring a
-  rejoined peer in;
+  TCP's own: closing, and wiring a rejoined peer in;
 * **the parent-side mesh** (:class:`TcpMesh`, the backend's
   :class:`~repro.runtime.mesh.Transport`): the parent holds no mesh
   connection — it only serves the loopback rendezvous the children
@@ -39,11 +38,10 @@ Failure handling is the pipe transports' EOF semantics: a dying rank's
 sockets close, a peer's next progress step reads EOF *without* a
 preceding FIN frame, flags the world aborted and unwinds blocked
 collectives with :class:`WorldAbortedError`. EOF after FIN is a normal
-wind-down. Nobody but the two ranks holds a TCP connection, so the parent
-cannot drain for a finished rank: a rank that finished cleanly *lingers*
-— keeps its progress engine reading for a grace period after reporting
-its result — so a peer's late buffered send larger than the TCP window
-can never block forever.
+wind-down. A finished or aborted rank keeps reading until its peers are
+done (:meth:`~repro.runtime.mesh.StreamComm.linger`, the one wind-down of
+every process-family rank), so a peer's late buffered send larger than
+the TCP window completes instead of meeting a reset connection.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from functools import partial
 from typing import Any
 
 from .backend import register_backend
-from .comm import _ABORT_POLL_S
 from .mesh import _LEN  # noqa: F401 - this channel's length prefix, re-exported
 from .mesh import MeshBackend, StreamComm, Transport
 
@@ -122,17 +119,6 @@ class SocketComm(StreamComm):
             self._install_peer(rank, *channels)
         super()._elastic_regrow(rank, epoch)
 
-    def linger(self, timeout: float) -> None:
-        """Wait for every peer's FIN (or death) before closing the sockets.
-
-        A finished rank that closed immediately would reset a peer's late
-        buffered send; reading until each peer FINs is the socket analog
-        of the parent draining finished ranks' pipes.
-        """
-        deadline = time.monotonic() + timeout
-        while self._watch and not self.aborted.is_set() and time.monotonic() < deadline:
-            self._run_progress(_ABORT_POLL_S)
-
     def close(self) -> None:
         _close_all(self._out + self._inn)
 
@@ -164,8 +150,8 @@ class TcpMesh(Transport):
     """Parent side of a single-host TCP world: the loopback rendezvous.
 
     The parent holds no mesh connection — the children dial each other —
-    so there is nothing to hand over but the rendezvous address, nothing
-    to drain, and only the listener for a forked child to close.
+    so there is nothing to hand over but the rendezvous address, and only
+    the listener for a forked child to close.
     """
 
     def __init__(self, nranks: int, setup_timeout: float) -> None:

@@ -257,10 +257,14 @@ def _scatter_into(dense: np.ndarray, sparse: SparseStream, op: ReduceOp) -> None
     the bits are ``np.add.at``'s, and an invalid or overflowing add is
     reported as numpy's add reports it, under the caller's
     ``np.errstate``. Every other case stays on ``ufunc.at``: MAX, MIN,
-    PROD and custom ops, float16, a read-only or strided target, an
-    out-of-range index (``ufunc.at`` raises ``IndexError`` before it
-    writes anything) and a build without the kernel.
+    PROD and custom ops, float16, a strided target, an out-of-range index
+    (``ufunc.at`` raises ``IndexError`` before it writes anything) and a
+    build without the kernel. A read-only target raises ``ValueError``
+    before anything is written, whatever the op and the path: ``ufunc.at``
+    ignores the writeable flag.
     """
+    if not dense.flags.writeable:
+        raise ValueError("assignment destination is read-only")
     idx, val = sparse.indices, sparse.values
     scatter = op is SUM and _KERNEL and _KERNEL[3].get(dense.dtype)
     if (

@@ -360,15 +360,7 @@ class TestHierCollectivesUnderFaults:
                 assert value is None
                 continue
             assert value[0] == "failed"
-            if backend == "socket":
-                # socket failure detection is peer-observed: a survivor
-                # mid-exchange with a peer that is itself unwinding from
-                # the victim's death can attribute the failure to that
-                # peer (a cascade), so only require a typed failure
-                # naming some *other* rank
-                assert value[1] != rank
-            else:
-                assert value[1] == victim
+            assert value[1] == victim
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algo", sorted(_HIER_ALGOS))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.quant import QSGDQuantizer
-from repro.runtime import RankError, mesh, run_ranks
+from repro.runtime import RankError, RankFailedError, mesh, run_ranks
 from repro.runtime.wire import (
     FLAG_DENSE,
     FLAG_SPARSE,
@@ -174,8 +174,9 @@ class TestProcessPointToPoint:
 
     def test_late_large_send_to_finished_rank_completes(self):
         """Buffered-send contract: an unmatched multi-MB send to a rank that
-        already exited must still complete (the parent drains the pipe), not
-        block on the ~64 KiB pipe buffer until timeout."""
+        already returned must still complete (the finished rank keeps
+        reading until its peers FIN), not block on the ~64 KiB pipe buffer
+        until timeout."""
         def prog(comm):
             if comm.rank == 0:
                 return "done-early"  # exits immediately, never receives
@@ -311,9 +312,8 @@ class TestProcessFailureHandling:
     @pytest.mark.parametrize("backend", MESH_BACKENDS)
     def test_peer_of_hard_died_rank_is_unblocked(self, backend):
         """A rank sending a large payload to a rank that hard-died
-        (os._exit, no error report) is not left blocked — the parent drains
-        the dead rank's pipes, a TCP send fails — and its trace is
-        preserved."""
+        (os._exit, no error report) is not left blocked — the send fails
+        (EPIPE on a pipe, a reset on TCP) — and its trace is preserved."""
         from repro.runtime import Trace
 
         def prog(comm):
@@ -338,6 +338,48 @@ class TestProcessFailureHandling:
 
         with pytest.raises(RankError, match="opaque failure"):
             run_ranks(prog, 2, backend=BACKEND)
+
+    @pytest.mark.parametrize("backend", MESH_BACKENDS)
+    def test_a_rank_that_aborted_stays_readable(self, backend):
+        """Rank 2 dies; rank 1 unwinds from it with RankFailedError; rank 0
+        then sends 8 MB to rank 1 and waits on rank 2. Rank 1 keeps reading
+        until its peers are done, so the send completes and rank 0 names
+        the rank that died, not the one that only aborted."""
+        with pytest.raises(RankError) as exc_info:
+            run_ranks(_cascade_prog, 3, backend=backend, timeout=60.0)
+        assert exc_info.value.partial_results[0] == ("failed", 2)
+
+    @pytest.mark.parametrize("backend", MESH_BACKENDS)
+    def test_a_corrupt_stream_is_not_waited_out(self, backend):
+        """Rank 1 reads an undecodable frame from rank 0, which lives on;
+        ranks 0 and 2 wait on rank 1. Its writer sends no EOF, so rank 1
+        leaves at once instead of lingering, and the run fails promptly."""
+        start = time.monotonic()
+        with pytest.raises(RankError):
+            run_ranks(_poisoned_prog, 3, backend=backend, timeout=60.0)
+        assert time.monotonic() - start < mesh._LINGER_S / 2
+
+
+def _poisoned_prog(comm):
+    if comm.rank == 0:
+        comm.send(PoisonPayload(), 1)
+    return comm.recv(0 if comm.rank == 1 else 1)
+
+
+def _cascade_prog(comm):
+    if comm.rank == 2:
+        time.sleep(0.2)
+        os._exit(3)
+    if comm.rank == 1:
+        comm.recv(2)  # unwinds with RankFailedError(2): reported "aborted"
+    time.sleep(0.8)
+    try:
+        comm.send(np.zeros(1 << 20, dtype=np.float64), 1, tag=4)  # 8 MB
+        comm.recv(2)
+    except RankFailedError as exc:
+        return ("failed", exc.rank)
+    return "clean"
+
 
 class _FlakyContext:
     """The real multiprocessing context, except that the ``fail_pipe``-th

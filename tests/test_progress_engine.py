@@ -811,8 +811,8 @@ class TestRankLifecycle:
 
     @pytest.mark.parametrize("backend", MESH_BACKENDS)
     def test_late_large_send_to_finished_rank_completes(self, backend):
-        """Nobody reads for a finished rank but the parent (pipes) or
-        the rank itself, lingering until its peers FIN (TCP)."""
+        """Nobody reads for a finished rank but the rank itself,
+        lingering until its peers FIN, on every transport."""
         out = run_ranks(_late_send_prog, 2, backend=backend, timeout=60.0)
         assert out.results == ["done-early", "sent"]
 

@@ -596,20 +596,45 @@ def _outcome(scatter, target):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
-def test_scatter_into_read_only_or_strided_target_is_ufunc_at(dtype, monkeypatch):
+def test_scatter_into_strided_target_is_ufunc_at(dtype, monkeypatch):
     calls = _record_scatters(monkeypatch)
     idx = np.array([1, 4, 9], np.uint32)
     stream = _stream(20, idx, np.random.default_rng(41).standard_normal(3).astype(dtype), dtype)
 
-    def read_only():
-        target = np.zeros(20, dtype)
-        target.flags.writeable = False
-        return target
+    def strided():
+        return np.zeros(40, dtype)[::2]
 
-    for make in (read_only, lambda: np.zeros(40, dtype)[::2]):
-        want = _outcome(lambda target: np.add.at(target, idx, stream.values), make())
-        assert _outcome(lambda target: summation._scatter_into(target, stream, SUM), make()) == want
+    want = _outcome(lambda target: np.add.at(target, idx, stream.values), strided())
+    assert _outcome(lambda target: summation._scatter_into(target, stream, SUM), strided()) == want
     assert calls == []
+
+
+def _read_only_zeros(dim, dtype):
+    target = np.zeros(dim, dtype)
+    target.flags.writeable = False
+    return target
+
+
+@pytest.mark.parametrize("op", OPS, ids=str)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+def test_scatter_into_read_only_target_raises_and_writes_nothing(dtype, op):
+    """``ufunc.at`` ignores the writeable flag; the scatter must not."""
+    idx = np.array([1, 4, 9], np.uint32)
+    stream = _stream(20, idx, np.arange(1, 4).astype(dtype), dtype)
+    target = _read_only_zeros(20, dtype)
+    with pytest.raises(ValueError, match="read-only"):
+        summation._scatter_into(target, stream, op)
+    assert not target.any()
+
+
+@pytest.mark.parametrize("op", [SUM, MAX], ids=str)
+def test_add_streams_into_a_read_only_dense_stream_raises(op):
+    target = _read_only_zeros(8, np.float32)
+    acc = SparseStream(8, dense=target, copy=False)
+    other = _stream(8, np.array([1, 3], np.uint32), np.array([2.0, 5.0], np.float32))
+    with pytest.raises(ValueError, match="read-only"):
+        add_streams_(acc, other, op)
+    assert not target.any()
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
