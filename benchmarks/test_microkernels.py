@@ -174,7 +174,7 @@ def partition():
 @pytest.fixture(params=["simd", "c", "numpy"])
 def qsgd_path(request, monkeypatch):
     """Time QSGD on the compiled per-entry passes with the AVX-512 codes
-    body, on the scalar body alone, then on numpy.
+    and decode bodies, on the scalar bodies alone, then on numpy.
 
     An isolated loop re-faults the numpy path's 2 MB temporaries on every
     call, which a rank in the workload mostly does not: compare paths here,
@@ -187,7 +187,7 @@ def qsgd_path(request, monkeypatch):
     elif request.param == "c":
         monkeypatch.setattr(qsgd, "_KERNEL", qsgd._c_kernel(simd=False))
     elif qsgd.qsgd_implementation() != "c-avx512":
-        pytest.skip("the CPU lacks avx512f or avx512vl: no AVX-512 codes body")
+        pytest.skip("the CPU lacks avx512f or avx512vl: no AVX-512 QSGD bodies")
     return request.param
 
 

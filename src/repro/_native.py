@@ -11,9 +11,11 @@ step), and the directory is removed — the mapping outlives the file.
 operation the one the source writes, so the QSGD kernels round exactly as
 numpy does. ``-falign-loops=32`` starts every loop on a 32-byte boundary,
 so a hot loop's speed does not hang on where earlier code happens to end:
-at gcc's default 16, growing ``_merge.c`` moved QSGD's 32-byte decode loop
-across a 64-byte line and cost ``dense_quant`` 0.2–0.25 ms of CPU per
-rank per step.
+at gcc's default 16, growing ``_merge.c`` moved QSGD's 32-byte scalar
+decode loop across a 64-byte line and cost ``dense_quant`` 0.2–0.25 ms of
+CPU per rank per step. That loop now runs only on a bucket's last
+``n % 16`` entries and on CPUs without AVX-512; the flag still keeps the
+other scalar loops, and every CPU without AVX-512, off that cliff.
 
 This runs once, at import: a launcher imports the package before it
 forks its ranks, so rank processes inherit the loaded library instead of
@@ -46,7 +48,10 @@ _CDEF = "".join(
         " const void *, unsigned int, void *);"
         for body in ("", "_simd")
     )
-    + f"void qsgd_decode_{t}(const void *, size_t, size_t, const void *, const void *, void *);"
+    + "".join(
+        f"void qsgd_decode_{t}{body}(const void *, size_t, size_t, const void *, const void *, void *);"
+        for body in ("", "_simd")
+    )
     for t in ("f32", "f64")
 )
 

@@ -20,17 +20,28 @@
  * values (safe divisors, scales), a table of 256 entries or one per code,
  * and buffers of n entries.
  *
- * Two bodies of the stochastic codes, one result. qsgd_codes_*_simd runs
- * an AVX-512 body where the CPU has avx512f and avx512vl (checked once,
- * when the library loads; target attributes keep the compile line free of
- * -march): eight entries a step, widened to float64, the sign bit
+ * Two bodies of each pass, one result. qsgd_codes_*_simd and
+ * qsgd_decode_*_simd run an AVX-512 body where the CPU has avx512f and
+ * avx512vl (checked once, when the library loads; target attributes keep
+ * the compile line free of -march).
+ *
+ * The codes body: eight entries a step, widened to float64, the sign bit
  * cleared, then vdivpd by the bucket's divisor, vmulpd by levels, vaddpd
  * of the noise, vminpd against levels -- separate IEEE operations in the
  * scalar order, no FMA (the compile line has -ffp-contract=off) -- and a
  * truncating convert with the sign bit ORed in. vminpd(r, levels) is
  * r < levels ? r : levels, the scalar clip. A bucket's last n % 8
- * entries, round-to-nearest (noise NULL) and every other CPU take the
- * scalar body.
+ * entries and round-to-nearest (noise NULL) take the scalar body.
+ *
+ * The decode body: sixteen codes a step, widened to int32, two vgatherdpd
+ * of table[code] (a code unpacked at `bits` bits is below 2^bits, the
+ * table's length, so every gather stays inside it whatever a peer sent),
+ * vmulpd by the bucket's scale and, for float32, one vcvtpd2ps, which
+ * rounds to nearest-even as the scalar (float) cast does. A bucket's last
+ * n % 16 entries take the scalar body. Both bodies use ordinary stores:
+ * the caller reads the result next.
+ *
+ * Every other CPU runs the scalar bodies only.
  */
 #include <math.h>
 #include <stddef.h>
@@ -106,6 +117,10 @@ __attribute__((constructor)) static void detect_simd(void)
 SIMD static inline __m512d load8_f32(const float *p) { return _mm512_cvtps_pd(_mm256_loadu_ps(p)); }
 SIMD static inline __m512d load8_f64(const double *p) { return _mm512_loadu_pd(p); }
 
+/* eight float64 values stored at p, each rounded once into T */
+SIMD static inline void store8_f32(float *p, __m512d v) { _mm256_storeu_ps(p, _mm512_cvtpd_ps(v)); }
+SIMD static inline void store8_f64(double *p, __m512d v) { _mm512_storeu_pd(p, v); }
+
 #define DEFINE_QSGD_SIMD(SUFFIX, T)                                         \
     SIMD static void codes_avx512_##SUFFIX(const void *x_, size_t n, size_t bucket, \
                                            const void *safe_, double levels, \
@@ -132,13 +147,39 @@ SIMD static inline __m512d load8_f64(const double *p) { return _mm512_loadu_pd(p
             for (; i < hi; i++)                                             \
                 codes[i] = code_of(x[i], safe[b], levels, noise[i], sign_shift); \
         }                                                                   \
+    }                                                                       \
+                                                                            \
+    SIMD static void decode_avx512_##SUFFIX(const void *codes_, size_t n,   \
+                                            size_t bucket, const void *table_, \
+                                            const void *scales_, void *out_) \
+    {                                                                       \
+        const uint8_t *codes = codes_;                                      \
+        const double *table = table_, *scales = scales_;                    \
+        T *out = out_;                                                      \
+        for (size_t lo = 0, b = 0; lo < n; lo += bucket, b++) {             \
+            size_t hi = n - lo < bucket ? n : lo + bucket, i = lo;          \
+            const double sb = scales[b];                                    \
+            const __m512d s = _mm512_set1_pd(sb);                           \
+            for (; i + 16 <= hi; i += 16) {                                 \
+                __m512i c = _mm512_cvtepu8_epi32(                           \
+                    _mm_loadu_si128((const __m128i *)(codes + i)));         \
+                __m512d v0 = _mm512_i32gather_pd(_mm512_castsi512_si256(c), table, 8); \
+                __m512d v1 = _mm512_i32gather_pd(_mm512_extracti64x4_epi64(c, 1), table, 8); \
+                store8_##SUFFIX(out + i, _mm512_mul_pd(v0, s));             \
+                store8_##SUFFIX(out + i + 8, _mm512_mul_pd(v1, s));         \
+            }                                                               \
+            for (; i < hi; i++)                                             \
+                out[i] = (T)(table[codes[i]] * sb);                         \
+        }                                                                   \
     }
 
 DEFINE_QSGD_SIMD(f32, float)
 DEFINE_QSGD_SIMD(f64, double)
-#define AVX512_BODY(SUFFIX) codes_avx512_##SUFFIX
-#else
-#define AVX512_BODY(SUFFIX) qsgd_codes_##SUFFIX /* never taken: simd_ok stays 0 */
+#define AVX512_CODES(SUFFIX) codes_avx512_##SUFFIX
+#define AVX512_DECODE(SUFFIX) decode_avx512_##SUFFIX
+#else /* never taken: simd_ok stays 0 */
+#define AVX512_CODES(SUFFIX) qsgd_codes_##SUFFIX
+#define AVX512_DECODE(SUFFIX) qsgd_decode_##SUFFIX
 #endif
 
 #define DEFINE_QSGD_DISPATCH(SUFFIX)                                        \
@@ -147,14 +188,23 @@ DEFINE_QSGD_SIMD(f64, double)
                                     const void *noise, unsigned int sign_shift, \
                                     void *codes)                            \
     {                                                                       \
-        (simd_ok && noise ? AVX512_BODY(SUFFIX) : qsgd_codes_##SUFFIX)(     \
+        (simd_ok && noise ? AVX512_CODES(SUFFIX) : qsgd_codes_##SUFFIX)(    \
             x, n, bucket, safe, levels, noise, sign_shift, codes);          \
+    }                                                                       \
+                                                                            \
+    void qsgd_decode_##SUFFIX##_simd(const void *codes, size_t n, size_t bucket, \
+                                     const void *table, const void *scales, \
+                                     void *out)                             \
+    {                                                                       \
+        (simd_ok ? AVX512_DECODE(SUFFIX) : qsgd_decode_##SUFFIX)(           \
+            codes, n, bucket, table, scales, out);                          \
     }
 
 DEFINE_QSGD_DISPATCH(f32)
 DEFINE_QSGD_DISPATCH(f64)
 
-/* 1 where qsgd_codes_*_simd runs the AVX-512 body on stochastic codes */
+/* 1 where qsgd_codes_*_simd (stochastic codes) and qsgd_decode_*_simd run
+   the AVX-512 bodies */
 int qsgd_simd(void)
 {
     return simd_ok;

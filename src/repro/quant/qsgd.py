@@ -26,11 +26,12 @@ the codes ``floor(|x| / norm * s + noise)`` with their sign bits, and the
 decode ``table[code] * scale`` rounded once into the output's dtype —
 written straight into a caller's buffer (``dequantize(block, out=...)``).
 Decoding reads a per-``bits`` table of ``sign * level / s`` (at most 256
-float64 entries, built at import). The stochastic codes have two bodies,
-chosen once at load (:func:`qsgd_implementation`): an AVX-512 one, eight
-entries a step, where the CPU has avx512f and avx512vl, and the scalar
-one for every other CPU, a bucket's last ``n % 8`` entries and
-round-to-nearest. The C does only IEEE basic operations in numpy's order
+float64 entries, built at import). Both passes have two bodies, chosen
+once at load (:func:`qsgd_implementation`): an AVX-512 one where the CPU
+has avx512f and avx512vl — eight stochastic codes a step, sixteen
+decoded entries a step (two gathers from the table) — and the scalar one
+for every other CPU, a bucket's last ``n % 8`` codes or ``n % 16``
+decoded entries, and round-to-nearest codes. The C does only IEEE basic operations in numpy's order
 and is built without contraction or fast-math, so every body equals the
 numpy path bit for bit. The numpy path — float16, an
 unaligned buffer, a read-only ``out``, or no compiler — is
@@ -71,28 +72,30 @@ def _c_kernel(simd: bool):
     """``(ffi, {value dtype: codes pass}, {value dtype: decode pass}, name)``
     of ``_qsgd.c``, for the value dtypes it has passes for (float32, float64).
 
-    With ``simd``, the codes go through ``qsgd_codes_*_simd``: the AVX-512
-    body for stochastic codes, the scalar one for round-to-nearest.
+    With ``simd``, the codes go through ``qsgd_codes_*_simd`` (the AVX-512
+    body for stochastic codes, the scalar one for round-to-nearest) and the
+    decode through ``qsgd_decode_*_simd`` (the AVX-512 body).
     """
     ffi, lib = NATIVE
     suffixes = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
     body = "_simd" if simd else ""
     codes = {dt: getattr(lib, f"qsgd_codes_{t}{body}") for dt, t in suffixes.items()}
-    decode = {dt: getattr(lib, f"qsgd_decode_{t}") for dt, t in suffixes.items()}
+    decode = {dt: getattr(lib, f"qsgd_decode_{t}{body}") for dt, t in suffixes.items()}
     return ffi, codes, decode, "c-avx512" if simd else "c"
 
 
 #: ``_qsgd.c``'s passes (built at import by :mod:`repro._native`; the AVX-512
-#: codes body wherever the CPU has one), or None: the numpy path then does
+#: bodies wherever the CPU has them), or None: the numpy path then does
 #: every entry. A name of this module's own, so that a test can switch this
 #: seam to numpy and leave the merge alone
 _KERNEL = NATIVE and _c_kernel(simd=bool(NATIVE[1].qsgd_simd()))
 
 
 def qsgd_implementation() -> str:
-    """Which codes pass :meth:`QSGDQuantizer.quantize` runs: ``"c-avx512"``
-    (the compiled passes with the AVX-512 codes body), ``"c"`` (the scalar
-    body only) or ``"numpy"``."""
+    """Which body :meth:`QSGDQuantizer.quantize`'s codes pass and
+    :meth:`QSGDQuantizer.dequantize`'s decode both run: ``"c-avx512"`` (the
+    compiled passes with the AVX-512 bodies), ``"c"`` (the scalar bodies
+    only) or ``"numpy"``."""
     return "numpy" if _KERNEL is None else _KERNEL[3]
 
 

@@ -8,10 +8,10 @@ wire encoding, cross-process payload isolation, and process death handling.
 
 import errno
 import gc
-import glob
 import multiprocessing
 import os
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -381,9 +381,15 @@ def _cascade_prog(comm):
     return "clean"
 
 
+#: the real class, for :meth:`_FlakyContext.shared_memory` to call while it stands in
+_SharedMemory = shared_memory.SharedMemory
+
+
 class _FlakyContext:
     """The real multiprocessing context, except that the ``fail_pipe``-th
-    ``Pipe()`` or the ``fail_start``-th ``Process.start()`` raises EMFILE."""
+    ``Pipe()`` or the ``fail_start``-th ``Process.start()`` raises EMFILE.
+    ``segments`` names every shared-memory segment created meanwhile
+    (:meth:`shared_memory` stands in for ``SharedMemory``)."""
 
     def __init__(self, real, fail_pipe=None, fail_start=None):
         self._real = real
@@ -391,6 +397,13 @@ class _FlakyContext:
         self._fail_start = fail_start
         self.pipes = 0
         self.processes = 0
+        self.segments = []
+
+    def shared_memory(self, *args, **kwargs):
+        segment = _SharedMemory(*args, **kwargs)
+        if kwargs.get("create"):
+            self.segments.append(segment.name)
+        return segment
 
     def __getattr__(self, name):
         return getattr(self._real, name)
@@ -427,24 +440,28 @@ class TestLaunchFailureCleanup:
         run_ranks(lambda c: None, 3, backend=backend)  # warm-up: resource tracker up
         real = multiprocessing.get_context("fork")
         flaky = _FlakyContext(real, **fail)
-        segments = set(glob.glob("/dev/shm/psm_*"))
         fds = _open_fds()
         with monkeypatch.context() as patch:
             patch.setattr(mesh.mp, "get_context", lambda method=None: flaky)
+            patch.setattr(shared_memory, "SharedMemory", flaky.shared_memory)
             with pytest.raises(OSError, match="injected"):
                 run_ranks(lambda c: c.barrier(), 3, backend=backend, timeout=30.0)
         assert not [p for p in multiprocessing.active_children() if p.name.startswith("rank-")]
-        assert set(glob.glob("/dev/shm/psm_*")) == segments
+        # only this launch's own segments: a world elsewhere on the host may hold others
+        assert backend == "shmem" or not flaky.segments
+        assert not [name for name in flaky.segments if os.path.exists(f"/dev/shm/{name}")]
         assert _open_fds() == fds
         return flaky
 
     def test_mesh_build_failing_after_one_channel(self, backend, monkeypatch):
         flaky = self._assert_clean_failure(backend, monkeypatch, fail_pipe=2)
         assert flaky.pipes == 2 and flaky.processes == 0
+        assert not flaky.segments  # the slab segment comes after the pipes
 
     def test_process_start_failing_on_second_rank(self, backend, monkeypatch):
         flaky = self._assert_clean_failure(backend, monkeypatch, fail_start=2)
         assert flaky.processes == 2  # rank 0 was running and had to be reaped
+        assert len(flaky.segments) == (backend == "shmem")  # one slab segment, unlinked
 
 
 class TestProcessTrace:

@@ -1,7 +1,7 @@
 """Tests for QSGD quantization and bit packing (§6).
 
 Every test here runs three times: on the compiled per-entry passes with
-the AVX-512 codes body, on the scalar body alone, and on the numpy path
+the AVX-512 codes and decode bodies, on the scalar bodies alone, and on the numpy path
 (the kernel handle monkeypatched away), which both compiled bodies must
 match bit for bit.
 """
@@ -38,9 +38,9 @@ def qsgd_path(request):
     if request.param == "simd":
         if qsgd.qsgd_implementation() != "c-avx512":
             assert not (compiler_and_cffi() and cpu_has_flags("avx512f", "avx512vl")), (
-                "cc, cffi, avx512f and avx512vl are present but the AVX-512 codes body did not load"
+                "cc, cffi, avx512f and avx512vl are present but the AVX-512 QSGD bodies did not load"
             )
-            pytest.skip("the CPU lacks avx512f or avx512vl: the scalar codes body is the only C body")
+            pytest.skip("the CPU lacks avx512f or avx512vl: the scalar bodies are the only C bodies")
         yield request.param
         return
     with pytest.MonkeyPatch.context() as patch:
@@ -377,6 +377,66 @@ class TestEveryCodesBodyAgrees:
 
     def test_the_seam_names_the_body_it_runs(self, qsgd_path):
         assert qsgd.qsgd_implementation() == {"simd": "c-avx512", "c": "c", "numpy": "numpy"}[qsgd_path]
+
+
+def _decode_into_a_slice(codes, scales, bits, bucket, dtype, offset=3):
+    """Decode ``codes`` into a slice ``offset`` entries into a larger
+    array (so its start is not 64-byte aligned) and check that the
+    entries around it are untouched."""
+    n = codes.size
+    block = qsgd.QuantizedBlock(n, bits, bucket, pack_integers(codes, bits), scales, np.dtype(dtype))
+    result = np.full(n + offset + 16, 7.0, dtype=dtype)
+    out = result[offset: offset + n]
+    assert out.ctypes.data % 64 and out.flags.behaved
+    assert QSGDQuantizer(bits=bits, bucket_size=bucket).dequantize(block, out=out) is out
+    assert np.all(result[:offset] == 7.0) and np.all(result[offset + n:] == 7.0)
+    return out.tobytes()
+
+
+def _scales(count, gen):
+    """Bucket scales of many binades, with 0, subnormals and float32's
+    largest value among them."""
+    scales = np.abs(gen.standard_normal(count) * np.exp(gen.uniform(-20, 20, count)))
+    specials = [0.0, 1e-45, 3e-39, float(np.finfo(np.float32).max)]
+    scales[gen.integers(0, count, len(specials))] = specials
+    return scales.astype(np.float32)
+
+
+class TestEveryDecodeBodyAgrees:
+    """The fixture's decode body against the scalar body, the numpy path and
+    the reference formula, bit for bit, where sixteen entries a step and a
+    scalar loop could part: lengths around 16 and 512, buckets that end
+    inside a 16-entry step, every code of every width, zero, subnormal and
+    float32-max scales, and outputs that start off a 64-byte line."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_against_the_scalar_body_and_numpy(self, bits, dtype, monkeypatch):
+        others = [None, qsgd._c_kernel(simd=False)] if qsgd.NATIVE else [None]
+        gen = np.random.default_rng(bits)
+        for n in (1, 15, 16, 17, 511, 512, 513):
+            codes = gen.integers(0, 1 << bits, n).astype(np.uint8)
+            for bucket in (1, 5, 17, 500):
+                scales = _scales(-(-n // bucket), gen)
+                got = _decode_into_a_slice(codes, scales, bits, bucket, dtype)
+                want = reference_dequantize(codes, scales, bits, bucket, dtype)
+                assert got == want.tobytes(), (n, bucket)
+                for other in others:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(qsgd, "_KERNEL", other)
+                        assert got == _decode_into_a_slice(codes, scales, bits, bucket, dtype), (n, bucket)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("scale", [1.0, 0.0, 1e-45, float(np.finfo(np.float32).max)])
+    def test_every_eight_bit_code(self, scale, dtype):
+        """Code 128 (sign bit, level 0) decodes to -0.0; 255 to -scale."""
+        codes = np.arange(256, dtype=np.uint8)
+        scales = np.full(2, scale, dtype=np.float32)
+        out = np.frombuffer(_decode_into_a_slice(codes, scales, 8, 128, dtype), dtype=dtype)
+        want = reference_dequantize(codes, scales, 8, 128, dtype)
+        assert out.tobytes() == want.tobytes()
+        assert out[128] == 0.0 and np.signbit(out[128]) and not np.signbit(out[0])
+        assert out[127] == np.float32(scale) and out[255] == -np.float32(scale)
 
 
 class TestQSGD:
