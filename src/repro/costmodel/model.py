@@ -1,23 +1,42 @@
 """The first-class cost model behind every algorithm decision.
 
-Historically the alpha/beta/gamma reasoning lived in four places that
-could silently disagree: the selector's switch-point heuristics, the
-analytic bounds (`costmodel/bounds.py`),
-the replay presets (`netsim/model.py`) and the Appendix-B fill-in
-(`analysis/density.py`). :class:`CostModel` is the one object that owns
-all of them: it wraps a network model (flat or tiered), charges compute
-at that model's ``gamma``, estimates fill-in with the Appendix-B
-expectation, and exposes
+:class:`CostModel` wraps a network model (flat or tiered) and prices a
+schedule by running it. :meth:`CostModel.predict` records one
+thread-backend run of the schedule
+:data:`~repro.collectives.api.ALGORITHMS` names — the real schedule,
+unmodified — on seeded uniform supports, and returns
+:func:`~repro.netsim.replay.replay`'s makespan of that trace under the
+model's network and topology. There is no pricing code per schedule: a
+schedule registered in :data:`SCHEDULES` and ``ALGORITHMS`` is priced as
+soon as it exists, and the model agrees with the replay by construction —
+a world without a topology is one host in both.
 
-* :meth:`CostModel.predict` — a per-algorithm
-  :class:`PredictedCost` with the latency / bandwidth / compute split and
-  the intra/inter leg decomposition the pipelined makespan needs;
+* **Recording.** The supports are seeded by the instance alone, so every
+  rank that prices an instance records the same trace and reads the same
+  price (an ``"auto"`` choice must not differ between ranks). At most
+  :data:`RECORD_PAIRS` pairs per rank are recorded: a denser instance runs
+  at the reduced dimension ``N' = N * RECORD_PAIRS / k``, which keeps its
+  density and its partition count, and each message's payload past its
+  stream header and each compute charge are scaled back by ``N / N'``.
+* **Memo.** Recordings are keyed by (schedule, ``N'``, ``k'`` on a grid of
+  :data:`_GRID_BITS` significant bits, ``P``, topology, value itemsize)
+  and replays also by dimension and network; both caches are bounded, so
+  a plan that re-prices an instance it priced before records nothing.
+* **Legs.** A hierarchical schedule's intra leg is what host leader rank
+  0 spends in ``hier_local_reduce`` and ``hier_bcast``; the rest of the
+  makespan is the inter leg. Their latency shares are the same replay
+  with beta and gamma set to 0. :meth:`CostModel.auto_chunks` and
+  ``predict(chunks=K)`` compose the legs into the pipelined makespan.
+
+Entry points:
+
+* :meth:`CostModel.predict` — one candidate's :class:`PredictedCost`;
 * :meth:`CostModel.rank` — the full §5.3 selection as an inspectable,
-  serializable :class:`SelectionReport` listing every candidate's
-  predicted time (:meth:`CostModel.choose` is just its choice);
+  serializable :class:`SelectionReport` pricing every candidate
+  (:meth:`CostModel.choose` is just its choice, and prices only what the
+  procedure consults: the DSAR pair on hierarchical dynamic instances);
 * :meth:`CostModel.auto_chunks` — the pipeline depth minimizing the
-  chunked hierarchical makespan ``c + (K-1) max(c, m) + m`` (the
-  ``overlap_step_time`` curve) plus ``K-1`` background launches, for
+  chunked hierarchical makespan plus ``K-1`` background launches, for
   ``chunks="auto"``;
 * :meth:`CostModel.resolve` — construction from any network spec,
   including ``"calibrated:<path>"`` models fitted by
@@ -32,19 +51,25 @@ picture those thresholds summarize.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from ..analysis.density import expected_union_size
-from ..config import INDEX_BYTES, delta_threshold
+from ..config import INDEX_BYTES, STREAM_HEADER_BYTES, delta_threshold
 from ..netsim.model import (
     TIERED_IB_FDR,
     NetworkModel,
     TieredNetworkModel,
     resolve_network,
 )
+from ..netsim.replay import replay
+from ..runtime.launcher import run_ranks
 from ..runtime.topology import Topology, check_topology_size
+from ..runtime.trace import COMPUTE, RECV, SEND, Trace
+from ..streams import SparseStream
 
 __all__ = [
     "Instance",
@@ -56,6 +81,7 @@ __all__ = [
     "Schedule",
     "SCHEDULES",
     "MAX_AUTO_CHUNKS",
+    "RECORD_PAIRS",
 ]
 
 #: below this many reduced payload bytes, latency dominates bandwidth and
@@ -69,8 +95,8 @@ RING_MIN_RANKS = 8
 
 class Schedule(NamedTuple):
     """What every layer reads about one sparse allreduce schedule: the
-    model which closed form and pipeline to price, the plans and
-    :func:`~repro.collectives.api.resolve_collective` which knobs it takes."""
+    plans and :func:`~repro.collectives.api.resolve_collective` which knobs
+    it takes, the model whether it pipelines and needs a hierarchy."""
 
     #: its reduced stage is dense (DSAR): it takes the quantizer
     dense: bool
@@ -92,6 +118,26 @@ SCHEDULES = {
 #: per-chunk alpha terms always dominate any further overlap gain.
 MAX_AUTO_CHUNKS = 16
 
+#: most pairs per rank one recording holds; a denser instance is recorded
+#: at a reduced dimension of the same density (see the module docstring).
+RECORD_PAIRS = 2048
+
+#: significant bits of the per-rank nnz a recording is keyed by (a step
+#: of at most 1/64 of the value)
+_GRID_BITS = 6
+
+#: recordings and replays each cache keeps, least recently used out first
+_RECORDINGS = 64
+_REPLAYS = 512
+
+
+def _schedule(algorithm: str) -> Schedule:
+    if algorithm not in SCHEDULES:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; choose from {sorted(SCHEDULES)}"
+        )
+    return SCHEDULES[algorithm]
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -99,7 +145,8 @@ class Instance:
 
     ``expected_k`` is the user's estimate of the reduced size ``K``
     ("we require the user to have some rough idea about K", §5.3);
-    ``None`` defers to the uniform Appendix-B fill-in expectation.
+    ``None`` defers to the uniform Appendix-B fill-in expectation. It
+    steers the §5.3 thresholds; a prediction replays the real union.
     """
 
     dimension: int
@@ -122,32 +169,29 @@ class Instance:
         return INDEX_BYTES + self.value_itemsize
 
     @property
-    def dense_bytes(self) -> float:
-        """Bytes of the dense representation of the result."""
-        return self.dimension * self.value_itemsize
-
-    @property
     def delta(self) -> float:
         """The sparse-efficiency threshold on ``K`` (paper §4)."""
         return delta_threshold(self.dimension, self.value_itemsize, INDEX_BYTES)
 
-    def fill_in(self, nranks: int | None = None) -> float:
-        """Appendix-B ``E[K]`` over ``nranks`` supports (default: all)."""
-        p = self.nranks if nranks is None else nranks
-        return expected_union_size(self.nnz_per_rank, self.dimension, p)
+    def fill_in(self) -> float:
+        """Appendix-B ``E[K]`` over all ``P`` supports."""
+        return expected_union_size(self.nnz_per_rank, self.dimension, self.nranks)
 
     def resolved_k(self) -> float:
         """The reduced-size estimate selection runs on."""
         return self.expected_k if self.expected_k is not None else self.fill_in()
 
+    def recorded_shape(self) -> tuple[int, int]:
+        """``(N', k')``: the dimension and per-rank nnz one recording runs."""
+        k = round(self.nnz_per_rank)
+        step = 1 << max(0, k.bit_length() - _GRID_BITS)
+        k = min(round(k / step) * step, self.dimension)
+        if k <= RECORD_PAIRS:
+            return self.dimension, k
+        return round(self.dimension * RECORD_PAIRS / k), RECORD_PAIRS
+
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "nranks": self.nranks,
-            "nnz_per_rank": self.nnz_per_rank,
-            "value_itemsize": self.value_itemsize,
-            "expected_k": self.expected_k,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
@@ -156,45 +200,28 @@ class Instance:
 
 @dataclass(frozen=True)
 class PredictedCost:
-    """One candidate algorithm's predicted wall-clock decomposition.
+    """One candidate algorithm's predicted wall-clock time and its legs.
 
-    ``time_s = latency_s + bandwidth_s + compute_s`` for ``chunks == 1``;
-    for a chunked hierarchical run it is the pipelined makespan over the
-    ``intra_s`` / ``inter_s`` legs plus the launch price of the extra
-    chunks instead (the legs never double-count: ``intra_s + inter_s``
-    equals the unchunked total).
+    ``time_s`` is the replayed makespan for ``chunks == 1``; for a chunked
+    hierarchical run it is the pipelined makespan over the ``intra_s`` /
+    ``inter_s`` legs plus the launch price of the extra chunks instead
+    (``intra_s + inter_s`` is the unchunked makespan). ``latency_s`` is
+    the makespan with beta and gamma at 0, ``intra_latency_s`` its intra
+    leg: with the legs, all the pipelined makespan at any depth needs.
     """
 
     algorithm: str
     time_s: float
     latency_s: float
-    bandwidth_s: float
-    compute_s: float
     intra_s: float
     inter_s: float
-    expected_k: float
     chunks: int = 1
     eligible: bool = True
     note: str = ""
-    #: the intra leg's share of ``latency_s`` (the rest is the inter leg's):
-    #: with the legs, all the pipelined makespan at any depth needs
     intra_latency_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "time_s": self.time_s,
-            "latency_s": self.latency_s,
-            "bandwidth_s": self.bandwidth_s,
-            "compute_s": self.compute_s,
-            "intra_s": self.intra_s,
-            "inter_s": self.inter_s,
-            "expected_k": self.expected_k,
-            "chunks": self.chunks,
-            "eligible": self.eligible,
-            "note": self.note,
-            "intra_latency_s": self.intra_latency_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictedCost":
@@ -229,29 +256,14 @@ class SelectionReport:
         raise KeyError(algorithm)
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance.to_dict(),
-            "network": self.network,
-            "topology": self.topology,
-            "choice": self.choice,
-            "reason": self.reason,
-            "delta": self.delta,
-            "expected_k": self.expected_k,
-            "candidates": [c.to_dict() for c in self.candidates],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SelectionReport":
-        return cls(
-            instance=Instance.from_dict(d["instance"]),
-            network=d["network"],
-            topology=d["topology"],
-            choice=d["choice"],
-            reason=d["reason"],
-            delta=d["delta"],
-            expected_k=d["expected_k"],
-            candidates=tuple(PredictedCost.from_dict(c) for c in d["candidates"]),
-        )
+        return cls(**d | {
+            "instance": Instance.from_dict(d["instance"]),
+            "candidates": tuple(PredictedCost.from_dict(c) for c in d["candidates"]),
+        })
 
     def describe(self) -> str:
         lines = [
@@ -265,8 +277,8 @@ class SelectionReport:
             note = f"  ({c.note})" if c.note else ""
             lines.append(
                 f"  [{flag}] {c.algorithm:<14} {c.time_s * 1e6:12.1f} us "
-                f"(lat {c.latency_s * 1e6:.1f} bw {c.bandwidth_s * 1e6:.1f} "
-                f"cmp {c.compute_s * 1e6:.1f}){note}"
+                f"(lat {c.latency_s * 1e6:.1f} intra {c.intra_s * 1e6:.1f} "
+                f"inter {c.inter_s * 1e6:.1f}){note}"
             )
         return "\n".join(lines)
 
@@ -276,18 +288,82 @@ def _pipelined(intra_s: float, inter_s: float, lat_intra: float,
                lat_inter: float, chunks: int, launch_s: float) -> float:
     """Makespan of ``chunks`` pipelined (intra leg, inter leg) stages.
 
-    Mirrors :func:`repro.netsim.replay.overlap_step_time`: per-chunk leg
-    times are the bandwidth/compute shares split ``chunks`` ways plus the
-    *full* per-leg latency (alpha is paid per message, so chunking
-    multiplies it), and the makespan is ``c + (K-1) max(c, m) + m``. On
-    top, every chunk past the first is one more background collective to
-    launch and join on the calling thread — ``launch_s`` each, which the
-    wire-only curve would hand out for free.
+    A chunk's leg is the leg's full latency (alpha is paid per message,
+    so chunking multiplies it) plus its other time split ``chunks`` ways;
+    the makespan of a depth-1 software pipeline over them is
+    ``c + (K-1) max(c, m) + m``. On top, every chunk past the first is one
+    more background collective to launch and join on the calling thread —
+    ``launch_s`` each.
     """
-    k = max(1, int(chunks))
-    c = lat_intra + (intra_s - lat_intra) / k
-    m = lat_inter + (inter_s - lat_inter) / k
-    return c + (k - 1) * max(c, m) + m + (k - 1) * launch_s
+    c = lat_intra + (intra_s - lat_intra) / chunks
+    m = lat_inter + (inter_s - lat_inter) / chunks
+    return c + (chunks - 1) * max(c, m) + m + (chunks - 1) * launch_s
+
+
+def _run_schedule(comm, schedule, streams):
+    return schedule(comm, streams[comm.rank])
+
+
+@lru_cache(maxsize=_RECORDINGS)
+def _record(schedule, dimension: int, nnz: int, nranks: int,
+            topology: "Topology | None", itemsize: int) -> Trace:
+    """The trace of one thread-backend run of ``schedule`` on ``nranks``
+    uniform supports of ``nnz`` pairs each, seeded by the shape alone."""
+    dtype = np.dtype(f"f{itemsize}")
+    streams = [
+        SparseStream.random_uniform(
+            dimension, nnz, np.random.default_rng([dimension, nnz, nranks, rank]),
+            value_dtype=dtype,
+        )
+        for rank in range(nranks)
+    ]
+    return run_ranks(_run_schedule, nranks, schedule, streams, topology=topology).trace
+
+
+def _scaled(trace: Trace, scale: float) -> Trace:
+    """``trace`` recorded at ``N'``, priced at ``N = scale * N'``: each
+    message's bytes past the stream header and each compute charge grow
+    by ``scale``."""
+    if scale == 1.0:
+        return trace
+    out = Trace(trace.nranks)
+    for rank, events in enumerate(trace):
+        for ev in events:
+            if ev.op in (SEND, RECV):
+                nbytes = ev.nbytes
+                if nbytes > STREAM_HEADER_BYTES:
+                    nbytes = round(STREAM_HEADER_BYTES + (nbytes - STREAM_HEADER_BYTES) * scale)
+                record = out.record_send if ev.op == SEND else out.record_recv
+                record(rank, ev.peer, ev.tag, ev.seq, nbytes, ev.context)
+            elif ev.op == COMPUTE:
+                out.record_compute(rank, round(ev.nbytes * scale), ev.label)
+            else:
+                out.record_mark(rank, ev.label)
+    return out
+
+
+def _latency_only(network):
+    """``network`` with every beta and gamma at 0."""
+    if isinstance(network, TieredNetworkModel):
+        return network.with_(intra=_latency_only(network.intra), inter=_latency_only(network.inter))
+    return network.with_(beta=0.0, gamma=0.0)
+
+
+def _intra_leg(result) -> float:
+    """Host leader rank 0's time in the intra-host stages."""
+    phases = result.per_rank_phase_times[0]
+    return phases.get("hier_local_reduce", 0.0) + phases.get("hier_bcast", 0.0)
+
+
+@lru_cache(maxsize=_REPLAYS)
+def _replayed(schedule, dimension: int, recorded: int, nnz: int, nranks: int,
+              topology, itemsize: int, network) -> tuple[float, float, float, float]:
+    """``(makespan, intra leg, latency makespan, its intra leg)`` of
+    ``schedule``'s run recorded at dimension ``recorded``, priced at ``dimension``."""
+    trace = _record(schedule, recorded, nnz, nranks, topology, itemsize)
+    timed = replay(_scaled(trace, dimension / recorded), network, topology)
+    latency = replay(trace, _latency_only(network), topology)
+    return timed.makespan, _intra_leg(timed), latency.makespan, _intra_leg(latency)
 
 
 @dataclass(frozen=True)
@@ -324,11 +400,6 @@ class CostModel:
         return self.network.inter if self.tiered else self.network
 
     @property
-    def shared_uplink(self) -> bool:
-        """Whether co-hosted ranks serialize on one NIC (congestion)."""
-        return self.network.shared_uplink if self.tiered else True
-
-    @property
     def gamma(self) -> float:
         return self.network.gamma
 
@@ -352,20 +423,7 @@ class CostModel:
         """The canonical tiered cluster (shared memory + InfiniBand)."""
         return cls(TIERED_IB_FDR)
 
-    # -- shape helpers --------------------------------------------------
-    @staticmethod
-    def _shape(inst: Instance, topology: "Topology | None") -> tuple[int, int, int]:
-        """``(P, H, m)`` — ranks, hosts, max ranks per host."""
-        P = inst.nranks
-        if topology is not None and topology.is_hierarchical:
-            return P, topology.nnodes, min(topology.max_ranks_per_node, P)
-        return P, P, 1
-
-    def _congestion(self, m: int) -> int:
-        """Transmit-serialization factor on a shared per-host uplink."""
-        return m if self.shared_uplink else 1
-
-    # -- per-algorithm predictions --------------------------------------
+    # -- prediction -----------------------------------------------------
     def predict(
         self,
         instance: Instance,
@@ -373,196 +431,83 @@ class CostModel:
         topology: "Topology | None" = None,
         chunks: int = 1,
     ) -> PredictedCost:
-        """Predicted wall-clock for one algorithm on one instance.
+        """Predicted wall-clock for one algorithm on one instance: the
+        replayed makespan of its recorded run (see the module docstring).
 
         ``chunks`` > 1 applies the pipelined makespan to the hierarchical
         algorithms and charges each extra chunk :attr:`launch`; the flat
-        algorithms ignore it (as they do at runtime).
+        algorithms ignore it (as they do at runtime). Unknown algorithms
+        and depths the schedules refuse raise ``ValueError``.
         """
-        if algorithm not in SCHEDULES:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose from {sorted(SCHEDULES)}"
-            )
+        # collectives.api imports this module
+        from ..collectives.api import ALGORITHMS
+        from ..collectives.hier import _check_chunks
+
+        schedule = _schedule(algorithm)
+        chunks = _check_chunks(chunks)
+        if not schedule.hierarchical:
+            chunks = 1
         if topology is not None:
             check_topology_size(topology, instance.nranks)
-        fn = getattr(self, f"_predict_{algorithm}")
-        return fn(instance, topology, chunks)
-
-    def _finish(
-        self,
-        instance: Instance,
-        algorithm: str,
-        lat_i: float,
-        bw_i: float,
-        lat_e: float,
-        bw_e: float,
-        comp: float,
-        chunks: int,
-        eligible: bool,
-        note: str,
-    ) -> PredictedCost:
-        intra_s = lat_i + bw_i + comp  # compute overlaps with the local leg
-        inter_s = lat_e + bw_e
-        k = max(1, int(chunks)) if SCHEDULES[algorithm].hierarchical else 1
-        if k > 1:
-            time_s = _pipelined(intra_s, inter_s, lat_i, lat_e, k, self.launch)
-        else:
-            time_s = intra_s + inter_s
+        time_s, intra_s, latency_s, intra_latency_s = _replayed(
+            ALGORITHMS[algorithm], instance.dimension, *instance.recorded_shape(),
+            instance.nranks, topology, instance.value_itemsize, self.network,
+        )
+        inter_s = time_s - intra_s
+        if chunks > 1:
+            time_s = _pipelined(
+                intra_s, inter_s, intra_latency_s, latency_s - intra_latency_s,
+                chunks, self.launch,
+            )
+        eligible = not schedule.hierarchical or (
+            topology is not None and topology.is_hierarchical
+        )
         return PredictedCost(
             algorithm=algorithm,
             time_s=time_s,
-            latency_s=lat_i + lat_e,
-            bandwidth_s=bw_i + bw_e,
-            compute_s=comp,
+            latency_s=latency_s,
             intra_s=intra_s,
             inter_s=inter_s,
-            expected_k=instance.resolved_k(),
-            chunks=k,
+            chunks=chunks,
             eligible=eligible,
-            note=note,
-            intra_latency_s=lat_i,
-        )
-
-    def _predict_ssar_rec_dbl(self, inst, topology, chunks) -> PredictedCost:
-        P, H, m = self._shape(inst, topology)
-        pair = inst.pair_bytes
-        rounds = math.ceil(math.log2(P)) if P > 1 else 0
-        intra_rounds = min(rounds, math.ceil(math.log2(m))) if m > 1 else 0
-        lat_i = bw_i = lat_e = bw_e = comp = 0.0
-        cong = self._congestion(m)
-        for r in range(rounds):
-            nbytes = inst.fill_in(2**r) * pair
-            if r < intra_rounds:
-                lat_i += self.intra.alpha
-                bw_i += self.intra.beta * nbytes
-            else:
-                # past the host boundary every co-hosted rank exchanges
-                # with a remote peer at once -> m transmits per uplink
-                lat_e += self.inter.alpha
-                bw_e += self.inter.beta * nbytes * cong
-            comp += self.gamma * 2 * nbytes  # merge reads both operands
-        return self._finish(
-            inst, "ssar_rec_dbl", lat_i, bw_i, lat_e, bw_e, comp, chunks,
-            eligible=True, note="chunks ignored" if chunks not in (1, "auto") else "",
-        )
-
-    def _predict_ssar_split_ag(self, inst, topology, chunks) -> PredictedCost:
-        P, H, m = self._shape(inst, topology)
-        pair = inst.pair_bytes
-        k_bytes = inst.nnz_per_rank * pair
-        ek_bytes = inst.resolved_k() * pair
-        cong = self._congestion(m)
-        lat_i = bw_i = lat_e = bw_e = comp = 0.0
-        if P > 1:
-            # split phase: (P-1) direct sends of the local stream's slices
-            lat_i += (m - 1) * self.intra.alpha
-            lat_e += (P - m) * self.inter.alpha
-            bw_i += self.intra.beta * k_bytes * (m - 1) / P
-            bw_e += self.inter.beta * k_bytes * (P - m) / P * cong
-            # sparse allgather of the reduced slices (recursive doubling)
-            rounds = math.ceil(math.log2(P))
-            intra_rounds = min(rounds, math.ceil(math.log2(m))) if m > 1 else 0
-            for r in range(rounds):
-                nbytes = min(ek_bytes / P * (2**r), ek_bytes)
-                if r < intra_rounds:
-                    lat_i += self.intra.alpha
-                    bw_i += self.intra.beta * nbytes
-                else:
-                    lat_e += self.inter.alpha
-                    bw_e += self.inter.beta * nbytes * cong
-        comp = self.gamma * 2 * (k_bytes + ek_bytes)
-        return self._finish(
-            inst, "ssar_split_ag", lat_i, bw_i, lat_e, bw_e, comp, chunks,
-            eligible=True, note="",
-        )
-
-    def _predict_ssar_ring(self, inst, topology, chunks) -> PredictedCost:
-        P, H, m = self._shape(inst, topology)
-        ek_bytes = inst.resolved_k() * inst.pair_bytes
-        lat_e = bw_e = comp = 0.0
-        if P > 1:
-            # critical path: a host-boundary rank pays every one of its
-            # 2(P-1) slice sends at inter rates (one message per uplink
-            # per step, so no congestion factor)
-            steps = 2 * (P - 1)
-            lat_e = steps * self.inter.alpha
-            bw_e = self.inter.beta * ek_bytes * steps / P
-            comp = self.gamma * 2 * ek_bytes * (P - 1) / P
-        return self._finish(
-            inst, "ssar_ring", 0.0, 0.0, lat_e, bw_e, comp, chunks,
-            eligible=P >= 2,
-            note="" if P >= 2 else "needs >= 2 ranks",
-        )
-
-    def _predict_ssar_hier(self, inst, topology, chunks) -> PredictedCost:
-        P, H, m = self._shape(inst, topology)
-        hierarchical = topology is not None and topology.is_hierarchical
-        pair = inst.pair_bytes
-        ek_bytes = inst.resolved_k() * pair
-        lat_i = bw_i = lat_e = bw_e = comp = 0.0
-        # intra-host tree reduce: round r sends unions of 2^r supports
-        intra_rounds = math.ceil(math.log2(m)) if m > 1 else 0
-        for r in range(intra_rounds):
-            nbytes = inst.fill_in(2**r) * pair
-            lat_i += self.intra.alpha
-            bw_i += self.intra.beta * nbytes
-            comp += self.gamma * 2 * nbytes
-        # leader recursive doubling: round r sends unions of m * 2^r
-        leader_rounds = math.ceil(math.log2(H)) if H > 1 else 0
-        for r in range(leader_rounds):
-            nbytes = inst.fill_in(m * 2**r) * pair
-            lat_e += self.inter.alpha
-            bw_e += self.inter.beta * nbytes
-            comp += self.gamma * 2 * nbytes
-        # intra-host binomial broadcast of the reduced result
-        lat_i += intra_rounds * self.intra.alpha
-        bw_i += intra_rounds * self.intra.beta * ek_bytes
-        return self._finish(
-            inst, "ssar_hier", lat_i, bw_i, lat_e, bw_e, comp, chunks,
-            eligible=hierarchical,
-            note="" if hierarchical else "needs a hierarchical topology",
-        )
-
-    def _predict_dsar_split_ag(self, inst, topology, chunks) -> PredictedCost:
-        P, H, m = self._shape(inst, topology)
-        k_bytes = inst.nnz_per_rank * inst.pair_bytes
-        dense = inst.dense_bytes
-        lat_e = bw_e = 0.0
-        if P > 1:
-            # flat DSAR: every rank's split slices and (forwarded) dense
-            # partitions cross the inter tier; the busiest uplink carries
-            # m ranks' share
-            lat_e = (P - 1) * self.inter.alpha
-            bw_e = self.inter.beta * m * (P - m) / P * (k_bytes + dense)
-        comp = self.gamma * (2 * k_bytes + 2 * dense)
-        return self._finish(
-            inst, "dsar_split_ag", 0.0, 0.0, lat_e, bw_e, comp, chunks,
-            eligible=True, note="",
-        )
-
-    def _predict_dsar_hier(self, inst, topology, chunks) -> PredictedCost:
-        P, H, m = self._shape(inst, topology)
-        hierarchical = topology is not None and topology.is_hierarchical
-        pair = inst.pair_bytes
-        dense = inst.dense_bytes
-        k_local_bytes = inst.fill_in(m) * pair
-        intra_rounds = math.ceil(math.log2(m)) if m > 1 else 0
-        lat_e = bw_e = lat_i = bw_i = 0.0
-        if H > 1:
-            # hierarchical DSAR: one leader per uplink, merged unions only
-            lat_e = (H - 1) * self.inter.alpha
-            bw_e = self.inter.beta * (H - 1) / H * (k_local_bytes + dense)
-        # plus the intra-host tree reduce and dense broadcast rounds
-        lat_i = intra_rounds * 2 * self.intra.alpha
-        bw_i = intra_rounds * self.intra.beta * (k_local_bytes + dense)
-        comp = self.gamma * (2 * k_local_bytes + 2 * dense)
-        return self._finish(
-            inst, "dsar_hier", lat_i, bw_i, lat_e, bw_e, comp, chunks,
-            eligible=hierarchical,
-            note="" if hierarchical else "needs a hierarchical topology",
+            note="" if eligible else "needs a hierarchical topology",
+            intra_latency_s=intra_latency_s,
         )
 
     # -- selection ------------------------------------------------------
+    def _select(self, instance: Instance, topology: "Topology | None") -> tuple[str, str]:
+        """The §5.3 switching procedure's ``(choice, reason)``; it prices
+        only the DSAR pair, and only on hierarchical dynamic instances."""
+        if topology is not None:
+            # the launcher-uniform size check: a topology for a different
+            # world would feed garbage host groups into the DSAR comparison
+            check_topology_size(topology, instance.nranks)
+        expected_k = instance.resolved_k()
+        delta = instance.delta
+        hierarchical = topology is not None and topology.is_hierarchical
+        if expected_k > delta:
+            dynamic = f"dynamic instance (E[K]={expected_k:.0f} > delta={delta:.0f})"
+            if hierarchical and (
+                self.predict(instance, "dsar_hier", topology).time_s
+                < self.predict(instance, "dsar_split_ag", topology).time_s
+            ):
+                return "dsar_hier", f"{dynamic}; two-tier model favors the leader-only dense stage"
+            return "dsar_split_ag", dynamic
+        if hierarchical:
+            return "ssar_hier", "static-sparse on a hierarchical topology: reduce intra-host first"
+        reduced_bytes = expected_k * instance.pair_bytes
+        if reduced_bytes <= SMALL_MESSAGE_BYTES:
+            return "ssar_rec_dbl", (
+                f"latency-bound: reduced payload {reduced_bytes:.0f} B <= "
+                f"{SMALL_MESSAGE_BYTES} B switch point"
+            )
+        if (
+            instance.nranks >= RING_MIN_RANKS
+            and reduced_bytes > SMALL_MESSAGE_BYTES * instance.nranks
+        ):
+            return "ssar_ring", "bandwidth-bound at scale: per-rank slice above the switch point"
+        return "ssar_split_ag", "large static-sparse payload: split + sparse allgather"
+
     def rank(self, instance: Instance, topology: "Topology | None" = None) -> SelectionReport:
         """Run the §5.3 selection and report every candidate's cost.
 
@@ -570,7 +515,7 @@ class CostModel:
 
         1. ``E[K] > delta`` → dynamic instance → DSAR; on a hierarchical
            topology the flat vs leader-only dense stage is decided by the
-           two predicted times (the old two-tier comparison);
+           two predicted times (the two-tier comparison);
         2. otherwise hierarchical topology → ``ssar_hier``;
         3. otherwise reduced payload under the small-message switch point
            → ``ssar_rec_dbl``;
@@ -578,68 +523,22 @@ class CostModel:
            and per-rank slice above the switch point) → ``ssar_ring``;
         5. otherwise → ``ssar_split_ag``.
         """
-        if topology is not None:
-            # the launcher-uniform size check: a topology for a different
-            # world would feed garbage H/m into the two-tier comparison
-            check_topology_size(topology, instance.nranks)
-        expected_k = instance.resolved_k()
-        delta = instance.delta
-        hierarchical = topology is not None and topology.is_hierarchical
-        candidates = {
-            algo: self.predict(instance, algo, topology)
-            for algo in SCHEDULES
-        }
-        if expected_k > delta:
-            if hierarchical and (
-                candidates["dsar_hier"].time_s < candidates["dsar_split_ag"].time_s
-            ):
-                choice = "dsar_hier"
-                reason = (
-                    f"dynamic instance (E[K]={expected_k:.0f} > delta={delta:.0f}); "
-                    "two-tier model favors the leader-only dense stage"
-                )
-            else:
-                choice = "dsar_split_ag"
-                reason = (
-                    f"dynamic instance (E[K]={expected_k:.0f} > delta={delta:.0f})"
-                )
-        elif hierarchical:
-            choice = "ssar_hier"
-            reason = "static-sparse on a hierarchical topology: reduce intra-host first"
-        else:
-            reduced_bytes = expected_k * instance.pair_bytes
-            if reduced_bytes <= SMALL_MESSAGE_BYTES:
-                choice = "ssar_rec_dbl"
-                reason = (
-                    f"latency-bound: reduced payload {reduced_bytes:.0f} B <= "
-                    f"{SMALL_MESSAGE_BYTES} B switch point"
-                )
-            elif (
-                instance.nranks >= RING_MIN_RANKS
-                and reduced_bytes > SMALL_MESSAGE_BYTES * instance.nranks
-            ):
-                choice = "ssar_ring"
-                reason = "bandwidth-bound at scale: per-rank slice above the switch point"
-            else:
-                choice = "ssar_split_ag"
-                reason = "large static-sparse payload: split + sparse allgather"
-        ordered = tuple(
-            sorted(candidates.values(), key=lambda c: (not c.eligible, c.time_s))
-        )
+        choice, reason = self._select(instance, topology)
+        candidates = [self.predict(instance, algo, topology) for algo in SCHEDULES]
         return SelectionReport(
             instance=instance,
             network=self.name,
             topology=topology.describe() if topology is not None else "flat",
             choice=choice,
             reason=reason,
-            delta=delta,
-            expected_k=expected_k,
-            candidates=ordered,
+            delta=instance.delta,
+            expected_k=instance.resolved_k(),
+            candidates=tuple(sorted(candidates, key=lambda c: (not c.eligible, c.time_s))),
         )
 
     def choose(self, instance: Instance, topology: "Topology | None" = None) -> str:
         """Just the chosen algorithm name (see :meth:`rank`)."""
-        return self.rank(instance, topology).choice
+        return self._select(instance, topology)[0]
 
     # -- auto-chunking --------------------------------------------------
     def auto_chunks(
@@ -647,26 +546,25 @@ class CostModel:
         instance: Instance,
         algorithm: str,
         topology: "Topology | None" = None,
-        max_chunks: int = MAX_AUTO_CHUNKS,
     ) -> int:
         """The pipeline depth minimizing the chunked makespan curve.
 
         The argmin of :meth:`predict`'s ``time_s`` over ``K in [1,
-        max_chunks]`` for the hierarchical algorithms (smallest K on ties
-        — fewer messages for the same makespan). The curve includes the
-        launch price of every extra chunk, so a depth is only bought when
-        the overlap it predicts exceeds what launching it costs. The legs
-        do not depend on K, so they are predicted once and only the
+        MAX_AUTO_CHUNKS]`` for the hierarchical algorithms (smallest K on
+        ties — fewer messages for the same makespan). The curve includes
+        the launch price of every extra chunk, so a depth is only bought
+        when the overlap it predicts exceeds what launching it costs. The
+        legs do not depend on K, so they are predicted once and only the
         makespan composition is re-evaluated per depth. Flat algorithms
-        ignore chunking at runtime, so they always get 1.
+        ignore chunking at runtime, so they always get 1; an unknown
+        algorithm raises ``ValueError``.
         """
-        if algorithm not in SCHEDULES or not SCHEDULES[algorithm].hierarchical:
+        if not _schedule(algorithm).hierarchical:
             return 1
         one = self.predict(instance, algorithm, topology)
-        lat_i = one.intra_latency_s
-        lat_e = one.latency_s - lat_i
+        lat_inter = one.latency_s - one.intra_latency_s
         times = [one.time_s] + [
-            _pipelined(one.intra_s, one.inter_s, lat_i, lat_e, k, self.launch)
-            for k in range(2, max(1, max_chunks) + 1)
+            _pipelined(one.intra_s, one.inter_s, one.intra_latency_s, lat_inter, k, self.launch)
+            for k in range(2, MAX_AUTO_CHUNKS + 1)
         ]
         return 1 + times.index(min(times))

@@ -47,10 +47,11 @@ regression canary).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import merge
+from operator import itemgetter
 
 from ..runtime.topology import Topology, normalize_topology
 from ..runtime.trace import COMPUTE, MARK, RECV, SEND, Trace
@@ -61,6 +62,9 @@ __all__ = ["ReplayResult", "replay", "ReplayDeadlockError", "overlap_step_time"]
 
 class ReplayDeadlockError(RuntimeError):
     """The trace contains a receive with no matching send."""
+
+
+_end = itemgetter(1)
 
 
 def _reserve_uplinks(
@@ -81,8 +85,13 @@ def _reserve_uplinks(
         return ready  # zero-byte messages occupy no uplink time
     start = ready
     # both lists are insort-maintained, so a lazy linear merge visits the
-    # combined intervals in start order without building a new list
-    for a, b in merge(egress, ingress):
+    # combined intervals in start order; a list's intervals are disjoint,
+    # so its ends are sorted too and every one that ended by ``ready`` is
+    # skipped by bisection
+    for a, b in merge(
+        egress[bisect_right(egress, ready, key=_end):],
+        ingress[bisect_right(ingress, ready, key=_end):],
+    ):
         if a >= start + duration:
             break  # intervals are start-sorted: nothing later can overlap
         if b > start:

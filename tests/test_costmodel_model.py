@@ -1,11 +1,15 @@
 """Tests for the unified CostModel layer (`repro/costmodel/model.py`):
-Instance/PredictedCost/SelectionReport round-trips, predict sanity,
-`choose` as the report's choice, and the `chunks="auto"` depth search."""
+Instance/PredictedCost/SelectionReport round-trips, `predict` as the
+replay of the schedule it prices (any registered schedule, a flat world
+as one host, one price on every rank, the memo, the refused knobs),
+`choose` as the report's choice, and the `chunks="auto"` depth search.
+`tests/test_costmodel_grid.py` holds `predict` to full-dimension replays."""
 
 import json
 
 import pytest
 
+from repro.collectives import api, run_sparse_allreduce
 from repro.costmodel import (
     MAX_AUTO_CHUNKS,
     SCHEDULES,
@@ -14,18 +18,19 @@ from repro.costmodel import (
     PredictedCost,
     SelectionReport,
 )
+from repro.costmodel import model as costmodel
 from repro.netsim import GIGE, PRESETS, TIERED_GIGE, TIERED_IB_FDR
 from repro.runtime import Topology
+from repro.streams import SparseStream
 
 
 class TestInstance:
     def test_properties(self):
         inst = Instance(1 << 20, 8, 1000)
         assert inst.pair_bytes == 8
-        assert inst.dense_bytes == (1 << 20) * 4
         assert 0 < inst.delta < 1 << 20
         assert inst.fill_in() > inst.nnz_per_rank  # union grows with P
-        assert inst.fill_in(1) == pytest.approx(1000)
+        assert Instance(1 << 20, 1, 1000).fill_in() == pytest.approx(1000)
         assert inst.resolved_k() == inst.fill_in()
 
     def test_expected_k_override(self):
@@ -55,11 +60,8 @@ class TestPredict:
         cost = self.MODEL.predict(self.INST, algo, self.TOPO)
         assert cost.algorithm == algo
         assert cost.time_s > 0
-        assert cost.time_s == pytest.approx(
-            cost.latency_s + cost.bandwidth_s + cost.compute_s
-        )
+        assert 0 < cost.latency_s < cost.time_s
         assert cost.time_s == pytest.approx(cost.intra_s + cost.inter_s)
-        assert cost.expected_k == pytest.approx(self.INST.resolved_k())
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -95,14 +97,68 @@ class TestPredict:
         assert four.time_s >= 3 * self.MODEL.launch
 
     def test_gamma_charged(self):
-        free = CostModel(GIGE.replace(gamma=0.0) if hasattr(GIGE, "replace") else GIGE)
-        priced = CostModel(GIGE)
-        cost = priced.predict(self.INST, "ssar_rec_dbl")
-        assert cost.compute_s > 0
-        assert cost.compute_s == pytest.approx(
-            cost.time_s - cost.latency_s - cost.bandwidth_s
-        )
-        del free
+        free = CostModel(GIGE.with_(gamma=0.0)).predict(self.INST, "ssar_rec_dbl")
+        priced = CostModel(GIGE).predict(self.INST, "ssar_rec_dbl")
+        assert priced.time_s > free.time_s
+
+    @pytest.mark.parametrize("chunks", [0, -2, 1.5, True])
+    @pytest.mark.parametrize("algo", ["ssar_rec_dbl", "ssar_hier"])
+    def test_refuses_the_depths_the_schedules_refuse(self, algo, chunks):
+        """`predict` prices no depth `sparse_allreduce` would refuse."""
+        with pytest.raises(ValueError, match="chunks must be a positive int") as want:
+            run_sparse_allreduce([SparseStream(8)] * 2, algo, chunks=chunks)
+        with pytest.raises(ValueError, match=str(want.value)):
+            self.MODEL.predict(self.INST, algo, self.TOPO, chunks=chunks)
+
+    @pytest.mark.parametrize("algo", ["ssar_split_ag", "dsar_hier"])
+    def test_a_schedule_is_priced_as_soon_as_it_is_registered(self, algo, monkeypatch):
+        """One engine: a schedule under a new name needs no cost-model edit."""
+        monkeypatch.setitem(costmodel.SCHEDULES, "renamed", SCHEDULES[algo])
+        monkeypatch.setitem(api.ALGORITHMS, "renamed", api.ALGORITHMS[algo])
+        for chunks in (1, 3):
+            original = self.MODEL.predict(self.INST, algo, self.TOPO, chunks=chunks)
+            renamed = self.MODEL.predict(self.INST, "renamed", self.TOPO, chunks=chunks)
+            assert renamed.time_s == original.time_s > 0
+        assert "renamed" in [c.algorithm for c in self.MODEL.rank(self.INST, self.TOPO).candidates]
+
+    def test_a_flat_world_is_one_host(self):
+        """No topology: every message at the intra tier, as replay has it."""
+        for algo in ("ssar_rec_dbl", "dsar_split_ag"):
+            tiered = CostModel(TIERED_GIGE).predict(self.INST, algo).time_s
+            assert tiered == pytest.approx(CostModel(TIERED_GIGE.intra).predict(self.INST, algo).time_s)
+            assert tiered == pytest.approx(
+                CostModel(TIERED_GIGE).predict(self.INST, algo, Topology.flat(8)).time_s
+            )
+
+    def test_every_rank_reads_the_same_price(self):
+        """The supports are seeded by the instance: a second recording of
+        the same instance (another rank, another process) prices the same."""
+        first = self.MODEL.predict(self.INST, "ssar_split_ag", self.TOPO)
+        costmodel._record.cache_clear()
+        costmodel._replayed.cache_clear()
+        assert self.MODEL.predict(self.INST, "ssar_split_ag", self.TOPO) == first
+
+    def test_a_dense_instance_is_recorded_at_its_density(self):
+        inst = Instance(1 << 20, 4, 52_429)
+        dimension, nnz = inst.recorded_shape()
+        assert nnz == costmodel.RECORD_PAIRS
+        assert nnz / dimension == pytest.approx(inst.nnz_per_rank / inst.dimension, rel=0.02)
+        assert Instance(1 << 20, 4, 100).recorded_shape() == (1 << 20, 100)
+        # keyed on a grid of 1/64 steps: nearby estimates share one recording
+        assert Instance(1 << 20, 4, 2000).recorded_shape()[1] == pytest.approx(2000, rel=1 / 64)
+
+    def test_a_repriced_instance_records_nothing(self):
+        """A plan re-pricing what it priced before (every training
+        segment) is answered from the memo, under any network."""
+        inst = Instance(40_399, 4, 89)
+        topo = Topology.from_spec("2x2")
+        self.MODEL.auto_chunks(inst, "ssar_hier", topo)
+        recorded = costmodel._record.cache_info().misses
+        for network in ("tiered_ib_fdr", "tiered_gige"):
+            CostModel.resolve(network).auto_chunks(inst, "ssar_hier", topo)
+        # the same estimate read off a result, a grid step away
+        self.MODEL.auto_chunks(Instance(40_399, 4, 89.4), "ssar_hier", topo)
+        assert costmodel._record.cache_info().misses == recorded
 
     def test_topology_size_checked(self):
         with pytest.raises(ValueError):
@@ -192,7 +248,7 @@ class TestResolve:
 
     def test_tier_accessors(self):
         tiered = CostModel(TIERED_GIGE)
-        assert tiered.tiered and tiered.shared_uplink
+        assert tiered.tiered
         assert tiered.intra is TIERED_GIGE.intra
         assert tiered.inter is TIERED_GIGE.inter
         flat = CostModel(GIGE)
@@ -209,6 +265,13 @@ class TestAutoChunks:
     def test_flat_algorithms_get_one(self):
         for algo in ("ssar_rec_dbl", "ssar_split_ag", "ssar_ring", "dsar_split_ag"):
             assert self.MODEL.auto_chunks(self.INST, algo, self.TOPO) == 1
+
+    def test_unknown_algorithm(self):
+        """Refused as `predict` and the plans refuse it."""
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            self.MODEL.auto_chunks(self.INST, "bogus", self.TOPO)
+        with pytest.raises(TypeError):
+            self.MODEL.auto_chunks(self.INST, "ssar_hier", self.TOPO, max_chunks=4)
 
     @pytest.mark.parametrize("algo", ["ssar_hier", "dsar_hier"])
     def test_argmin_of_the_curve(self, algo):
